@@ -245,13 +245,18 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	if cfg.TableSize != 0 {
 		sizes = []int{cfg.TableSize}
 	}
+	// Routes do not depend on the table size: compute them once and size
+	// the requests from them for every size tried.
+	routed, err := routeConnections(m, uc, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: allocation failed for all table sizes: %w", err)
+	}
 	var (
 		alloc *slots.Allocation
 		infos map[phit.ConnID]*connInfo
-		err   error
 	)
 	for _, s := range sizes {
-		alloc, infos, err = allocate(m, uc, cfg, s)
+		alloc, infos, err = allocate(uc, cfg, routed, s)
 		if err == nil {
 			cfg.TableSize = s
 			break
@@ -338,14 +343,14 @@ func (n *Network) installReplay() {
 // Config.FastReplay is off.
 func (n *Network) Replay() *replay.Program { return n.prog }
 
-// allocate routes and slot-allocates every connection (and its reverse
-// credit channel) for one candidate table size.
-func allocate(m *topology.Mesh, uc *spec.UseCase, cfg Config, tableSize int) (*slots.Allocation, map[phit.ConnID]*connInfo, error) {
+// allocate slot-allocates every routed connection (and its reverse credit
+// channel) for one candidate table size.
+func allocate(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) (*slots.Allocation, map[phit.ConnID]*connInfo, error) {
 	al, err := slots.ByName(cfg.Allocator)
 	if err != nil {
 		return nil, nil, err
 	}
-	infos, requests, err := buildRequests(m, uc, cfg, tableSize)
+	infos, requests, err := buildRequests(uc, cfg, routed, tableSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,12 +375,71 @@ func allocate(m *topology.Mesh, uc *spec.UseCase, cfg Config, tableSize int) (*s
 	return alloc, infos, nil
 }
 
-// buildRequests routes every connection and sizes its slot request (and
-// its reverse credit channel's) for one candidate table size, without
+// A routedConn is one connection's table-size-independent routing result:
+// its endpoints and the candidate paths of both directions. Build routes
+// once and sizes requests from this for every table size it tries.
+type routedConn struct {
+	srcNI, dstNI topology.NodeID
+	fwd, rev     []*route.Path
+	// worst is the forward candidate with the largest TotalShift; requests
+	// are sized for it so the bound holds whichever path is picked (minimal
+	// routes on a uniform mesh all share it, but stay general).
+	worst *route.Path
+}
+
+// routeConnections computes the candidate paths of every connection and its
+// reverse credit channel, in spec order.
+func routeConnections(m *topology.Mesh, uc *spec.UseCase, cfg Config) ([]routedConn, error) {
+	routed := make([]routedConn, len(uc.Connections))
+	for i, c := range uc.Connections {
+		srcIP, err := uc.IP(c.Src)
+		if err != nil {
+			return nil, err
+		}
+		dstIP, err := uc.IP(c.Dst)
+		if err != nil {
+			return nil, err
+		}
+		if srcIP.NI == dstIP.NI {
+			return nil, fmt.Errorf("core: connection %d endpoints share NI %d; local traffic bypasses the NoC", c.ID, srcIP.NI)
+		}
+		// Several minimal-route candidates (plus detours) defeat
+		// slot-alignment fragmentation on loaded meshes (TDM never
+		// blocks in-network, so any route is safe). Candidates whose
+		// hop count exceeds the header path field are unusable.
+		fwdPaths, err := route.Candidates(m, srcIP.NI, dstIP.NI, 6)
+		if err != nil {
+			return nil, err
+		}
+		revPaths, err := route.Candidates(m, dstIP.NI, srcIP.NI, 6)
+		if err != nil {
+			return nil, err
+		}
+		if !cfg.UncappedPaths {
+			fwdPaths = fitHeader(fwdPaths, cfg.Layout)
+			revPaths = fitHeader(revPaths, cfg.Layout)
+		}
+		if len(fwdPaths) == 0 || len(revPaths) == 0 {
+			return nil, fmt.Errorf("core: connection %d has no route that fits the %d-hop header path field",
+				c.ID, cfg.Layout.MaxHops())
+		}
+		worst := fwdPaths[0]
+		for _, p := range fwdPaths[1:] {
+			if p.TotalShift > worst.TotalShift {
+				worst = p
+			}
+		}
+		routed[i] = routedConn{srcNI: srcIP.NI, dstNI: dstIP.NI, fwd: fwdPaths, rev: revPaths, worst: worst}
+	}
+	return routed, nil
+}
+
+// buildRequests sizes every routed connection's slot request (and its
+// reverse credit channel's) for one candidate table size, without
 // allocating anything.
-func buildRequests(m *topology.Mesh, uc *spec.UseCase, cfg Config, tableSize int) (map[phit.ConnID]*connInfo, []slots.Request, error) {
+func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) (map[phit.ConnID]*connInfo, []slots.Request, error) {
 	infos := make(map[phit.ConnID]*connInfo, len(uc.Connections))
-	var requests []slots.Request
+	requests := make([]slots.Request, 0, 2*len(uc.Connections))
 	// Reverse connections get ids above the data range.
 	maxID := phit.ConnID(0)
 	for _, c := range uc.Connections {
@@ -385,58 +449,17 @@ func buildRequests(m *topology.Mesh, uc *spec.UseCase, cfg Config, tableSize int
 	}
 	revBase := maxID + 1
 	for i, c := range uc.Connections {
-		srcIP, err := uc.IP(c.Src)
-		if err != nil {
-			return nil, nil, err
-		}
-		dstIP, err := uc.IP(c.Dst)
-		if err != nil {
-			return nil, nil, err
-		}
-		if srcIP.NI == dstIP.NI {
-			return nil, nil, fmt.Errorf("core: connection %d endpoints share NI %d; local traffic bypasses the NoC", c.ID, srcIP.NI)
-		}
-		// Several minimal-route candidates (plus detours) defeat
-		// slot-alignment fragmentation on loaded meshes (TDM never
-		// blocks in-network, so any route is safe). Candidates whose
-		// hop count exceeds the header path field are unusable.
-		fwdPaths, err := route.Candidates(m, srcIP.NI, dstIP.NI, 6)
-		if err != nil {
-			return nil, nil, err
-		}
-		revPaths, err := route.Candidates(m, dstIP.NI, srcIP.NI, 6)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !cfg.UncappedPaths {
-			fwdPaths = fitHeader(fwdPaths, cfg.Layout)
-			revPaths = fitHeader(revPaths, cfg.Layout)
-		}
-		if len(fwdPaths) == 0 || len(revPaths) == 0 {
-			return nil, nil, fmt.Errorf("core: connection %d has no route that fits the %d-hop header path field",
-				c.ID, cfg.Layout.MaxHops())
-		}
-
-		// Size for the worst (largest shift) candidate path so the
-		// bound holds whichever is picked (minimal routes on a
-		// uniform mesh all share it, but stay general).
-		worst := fwdPaths[0]
-		for _, p := range fwdPaths[1:] {
-			if p.TotalShift > worst.TotalShift {
-				worst = p
-			}
-		}
-		count, windowTarget, m, err := sizeConnection(cfg, c, worst, tableSize)
+		rc := routed[i]
+		count, windowTarget, m, err := sizeConnection(cfg, c, rc.worst, tableSize)
 		if err != nil {
 			return nil, nil, err
 		}
 		rev := revBase + phit.ConnID(i)
-		info := &connInfo{spec: c, srcNI: srcIP.NI, dstNI: dstIP.NI, rev: rev}
-		infos[c.ID] = info
+		infos[c.ID] = &connInfo{spec: c, srcNI: rc.srcNI, dstNI: rc.dstNI, rev: rev}
 
 		requests = append(requests,
-			slots.Request{Conn: c.ID, Paths: fwdPaths, Count: count, GapTarget: windowTarget, WindowSlots: m},
-			slots.Request{Conn: rev, Paths: revPaths, Count: analysis.RevSlots(count, cfg.Layout.MaxCredits())},
+			slots.Request{Conn: c.ID, Paths: rc.fwd, Count: count, GapTarget: windowTarget, WindowSlots: m},
+			slots.Request{Conn: rev, Paths: rc.rev, Count: analysis.RevSlots(count, cfg.Layout.MaxCredits())},
 		)
 	}
 	return infos, requests, nil

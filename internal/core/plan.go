@@ -62,7 +62,11 @@ func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	infos, requests, err := buildRequests(m, uc, cfg, cfg.TableSize)
+	routed, err := routeConnections(m, uc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	infos, requests, err := buildRequests(uc, cfg, routed, cfg.TableSize)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@
 //
 // Cross-package contract: HeaderLayout is the single source of truth for
 // header packing. NIs encode with it, router Header Parsing Units shift
-// with NextPort, and core.buildRequests rejects candidate routes longer
+// with NextPort, and core.routeConnections rejects candidate routes longer
 // than MaxHops(). DefaultLayout is the paper's 32-bit instance;
 // WideLayout is the 64-bit scaled-up instance large-mesh studies use.
 package phit

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -25,7 +26,10 @@ func Staircase(m *topology.Mesh, src, dst topology.NodeID, turnAfter int) (*Path
 	if src == dst {
 		return nil, fmt.Errorf("route: source and destination NI are the same (%s)", s.Name)
 	}
-	p := &Path{Src: src, Dst: dst}
+	// A minimal route crosses the Manhattan distance between the routers
+	// plus the two NI links.
+	sr, dr := m.Node(s.Router), m.Node(d.Router)
+	p := &Path{Src: src, Dst: dst, Links: make([]topology.LinkID, 0, abs(sr.X-dr.X)+abs(sr.Y-dr.Y)+2)}
 	p.Links = append(p.Links, m.OutLink(src, 0))
 	cur := s.Router
 	target := d.Router
@@ -158,6 +162,13 @@ func Detour(m *topology.Mesh, src, dst topology.NodeID, firstPort int) (*Path, e
 	return finish(m.Graph, p), nil
 }
 
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // Candidates returns up to max distinct routes between two NIs: every
 // minimal staircase (XY towards YX), followed by one-hop X side-step
 // detours when the minimal family is smaller than max. Duplicate link
@@ -169,18 +180,17 @@ func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, e
 	}
 	sr := m.Node(m.Node(src).Router)
 	dr := m.Node(m.Node(dst).Router)
-	dx := sr.X - dr.X
-	if dx < 0 {
-		dx = -dx
-	}
+	dx := abs(sr.X - dr.X)
 	var out []*Path
-	seen := make(map[string]bool)
+	// A handful of candidates at most, so de-duplicate by comparing link
+	// sequences directly.
 	add := func(p *Path) {
-		key := fmt.Sprint(p.Links)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
+		for _, q := range out {
+			if slices.Equal(q.Links, p.Links) {
+				return
+			}
 		}
+		out = append(out, p)
 	}
 	for turn := dx; turn >= 0 && len(out) < max; turn-- {
 		p, err := Staircase(m, src, dst, turn)

@@ -37,7 +37,7 @@ func (p *Path) String() string {
 
 // finish derives Ports, Shift and TotalShift from Links.
 func finish(g *topology.Graph, p *Path) *Path {
-	p.Ports = p.Ports[:0]
+	p.Ports = make([]int, 0, len(p.Links)-1)
 	p.Shift = make([]int, len(p.Links))
 	shift := 0
 	for i, lid := range p.Links {

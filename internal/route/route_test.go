@@ -1,7 +1,9 @@
 package route
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +240,72 @@ func TestValidateRejects(t *testing.T) {
 	bad2.Ports[0] = 7
 	if err := Validate(m.Graph, &bad2); err == nil {
 		t.Error("Validate accepted a wrong port")
+	}
+}
+
+// candidatesSprintKeyed is Candidates as it was before de-duplication
+// compared link slices: a fmt.Sprint of the links as a map key. Kept here
+// as the oracle for TestCandidatesMatchSprintKeyed.
+func candidatesSprintKeyed(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, error) {
+	if max < 1 {
+		max = 1
+	}
+	sr := m.Node(m.Node(src).Router)
+	dr := m.Node(m.Node(dst).Router)
+	dx := sr.X - dr.X
+	if dx < 0 {
+		dx = -dx
+	}
+	var out []*Path
+	seen := make(map[string]bool)
+	add := func(p *Path) {
+		key := fmt.Sprint(p.Links)
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, p)
+		}
+	}
+	for turn := dx; turn >= 0 && len(out) < max; turn-- {
+		p, err := Staircase(m, src, dst, turn)
+		if err != nil {
+			return nil, err
+		}
+		add(p)
+	}
+	if len(out) < max && sr.ID != dr.ID {
+		for _, side := range []int{topology.East, topology.West, topology.North, topology.South} {
+			if len(out) >= max {
+				break
+			}
+			if p, err := Detour(m, src, dst, side); err == nil {
+				add(p)
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestCandidatesMatchSprintKeyed: same paths, same order, for every NI
+// pair of a 6x6 mesh (two NIs per router, so same-router pairs are in) at
+// the caps the repo uses.
+func TestCandidatesMatchSprintKeyed(t *testing.T) {
+	m := topology.NewMesh(6, 6, 2)
+	nis := m.AllNIs()
+	for _, max := range []int{1, 4, 6} {
+		for _, src := range nis {
+			for _, dst := range nis {
+				if src == dst {
+					continue
+				}
+				got, err := Candidates(m, src, dst, max)
+				want, werr := candidatesSprintKeyed(m, src, dst, max)
+				if (err == nil) != (werr == nil) {
+					t.Fatalf("%d->%d max %d: error %v, oracle %v", src, dst, max, err, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d->%d max %d: %d paths %v, oracle %d paths %v", src, dst, max, len(got), got, len(want), want)
+				}
+			}
+		}
 	}
 }

@@ -177,9 +177,11 @@ func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result
 // ripUpRepair tries to place the blocked request by releasing up to
 // maxVictims of the connections blocking its candidate slots and
 // re-placing them afterwards. Victim sets grow cumulatively from the top
-// blocker; each trial runs on a clone and is adopted only when the blocked
-// request and every victim land, so failure leaves a untouched. Returns
-// whether a repair was adopted.
+// blocker; each trial runs in place — release the victims, place the
+// blocked request, re-place the victims — and is kept only when the blocked
+// request and every victim land. Otherwise the trial is undone: whatever it
+// placed is released and the victims get back exactly the claims they held,
+// so failure leaves a as it was. Returns whether a repair was adopted.
 func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, rippable map[phit.ConnID]bool, maxVictims int) bool {
 	victims := blockers(a, req, rippable)
 	if len(victims) == 0 {
@@ -188,48 +190,64 @@ func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, ripp
 	if len(victims) > maxVictims {
 		victims = victims[:maxVictims]
 	}
+	prior := make([]*Assignment, 0, len(victims))
 	for k := 1; k <= len(victims); k++ {
 		set := victims[:k]
-		trial := a.Clone()
+		prior = prior[:0]
 		for _, v := range set {
-			trial.Release(v)
+			prior = append(prior, a.ByConn[v])
+			a.Release(v)
 		}
-		asg := placeRequest(trial, req)
-		if asg == nil {
-			continue
+		if ripUpTrial(a, req, set, reqOf) {
+			return true
 		}
-		commitAssignment(trial, req, asg)
-		ok := true
-		for _, v := range set {
-			vreq := reqOf[v]
-			vasg := placeRequest(trial, vreq)
-			if vasg == nil {
-				ok = false
-				break
-			}
-			commitAssignment(trial, vreq, vasg)
+		for i, v := range set {
+			commitAssignment(a, reqOf[v], prior[i])
 		}
-		if !ok {
-			continue
-		}
-		// Adopt the repaired clone: same table size, rebuilt claims.
-		a.ByConn = trial.ByConn
-		a.linkOcc = trial.linkOcc
-		return true
 	}
 	return false
 }
 
+// ripUpTrial places the blocked request and then every released victim on
+// a. When one of them does not fit it releases what it placed and reports
+// false, leaving a as the caller handed it over (victims still released).
+func ripUpTrial(a *Allocation, req Request, victims []phit.ConnID, reqOf map[phit.ConnID]Request) bool {
+	asg := placeRequest(a, req)
+	if asg == nil {
+		return false
+	}
+	commitAssignment(a, req, asg)
+	for i, v := range victims {
+		vreq := reqOf[v]
+		vasg := placeRequest(a, vreq)
+		if vasg == nil {
+			for _, placed := range victims[:i] {
+				a.Release(placed)
+			}
+			a.Release(req.Conn)
+			return false
+		}
+		commitAssignment(a, vreq, vasg)
+	}
+	return true
+}
+
 // blockers ranks the rippable connections occupying the blocked request's
-// candidate slots, most-blocking first (ties by connection id). A
-// connection is counted once per injection slot it denies on the
-// best-covered candidate path.
+// candidate paths, most-blocking first (ties by connection id). A
+// connection scores one for every slot it owns on every link of every
+// candidate path — a link shared by several candidates counts once per
+// candidate.
 func blockers(a *Allocation, req Request, rippable map[phit.ConnID]bool) []phit.ConnID {
 	count := make(map[phit.ConnID]int)
 	for _, p := range req.Paths {
-		for s := 0; s < a.TableSize; s++ {
-			for k, lid := range p.Links {
-				owner := a.LinkOwner(lid, s+p.Shift[k])
+		for _, lid := range p.Links {
+			r := a.row(lid)
+			if r == nil {
+				continue
+			}
+			// Every injection slot maps to a distinct slot of the link, so
+			// walking the path's injection slots is walking the row.
+			for _, owner := range r.owner {
 				if owner != phit.None && rippable[owner] {
 					count[owner]++
 				}

@@ -2,6 +2,7 @@ package slots
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/phit"
@@ -80,9 +81,20 @@ type Assignment struct {
 type Allocation struct {
 	TableSize int
 	ByConn    map[phit.ConnID]*Assignment
-	// linkOcc[link][slot] is the connection occupying that link in that
-	// slot.
-	linkOcc map[topology.LinkID][]phit.ConnID
+	// links is the occupancy table, indexed by topology.LinkID. A link no
+	// claim has ever touched has no entry (or a zero one) and reads as
+	// free; only Claim materialises rows.
+	links []linkRow
+}
+
+// A linkRow is one link's slot occupancy in three redundant forms, kept in
+// step by Claim and Release and cross-checked by Verify: who owns each
+// slot, the same as a bitset (the form the free-slot search ANDs across a
+// path), and how many slots are owned (so utilisation is a lookup).
+type linkRow struct {
+	owner []phit.ConnID // owner[slot], phit.None when free; len TableSize
+	busy  []uint64      // bit slot set iff owner[slot] != phit.None
+	used  int           // number of set bits
 }
 
 // NewAllocation returns an empty allocation with the given table size.
@@ -93,23 +105,98 @@ func NewAllocation(tableSize int) *Allocation {
 	return &Allocation{
 		TableSize: tableSize,
 		ByConn:    make(map[phit.ConnID]*Assignment),
-		linkOcc:   make(map[topology.LinkID][]phit.ConnID),
 	}
 }
 
-func (a *Allocation) occ(l topology.LinkID) []phit.ConnID {
-	o := a.linkOcc[l]
-	if o == nil {
-		o = make([]phit.ConnID, a.TableSize)
-		a.linkOcc[l] = o
+// maskWords is the length of a slot bitset for this table size.
+func (a *Allocation) maskWords() int { return (a.TableSize + 63) / 64 }
+
+// row returns the link's occupancy for reading, or nil when nothing was
+// ever claimed on it. Queries go through here so they never allocate.
+func (a *Allocation) row(l topology.LinkID) *linkRow {
+	if l < 0 || int(l) >= len(a.links) || a.links[l].owner == nil {
+		return nil
 	}
-	return o
+	return &a.links[l]
+}
+
+// materialise returns the link's occupancy for writing, creating it on
+// first use. Only Claim calls it.
+func (a *Allocation) materialise(l topology.LinkID) *linkRow {
+	if int(l) >= len(a.links) {
+		a.links = append(a.links, make([]linkRow, int(l)+1-len(a.links))...)
+	}
+	r := &a.links[l]
+	if r.owner == nil {
+		r.owner = make([]phit.ConnID, a.TableSize)
+		r.busy = make([]uint64, a.maskWords())
+	}
+	return r
+}
+
+// freeMask writes into mask (length maskWords) the injection slots that are
+// free on every link of p: bit s is set iff SlotFree(p, s). Each link's
+// busy set is rotated by the link's shift into injection-slot coordinates
+// and the rotations are ORed, so the whole table is answered in a few word
+// operations per hop instead of TableSize probes per hop.
+func (a *Allocation) freeMask(p *route.Path, mask []uint64) {
+	t := a.TableSize
+	clear(mask)
+	for k, lid := range p.Links {
+		r := a.row(lid)
+		if r == nil || r.used == 0 {
+			continue
+		}
+		orRotated(mask, r.busy, p.Shift[k]%t, t)
+	}
+	// mask holds the blocked slots; the free ones are its complement
+	// within the table.
+	for i := range mask {
+		mask[i] = ^mask[i]
+	}
+	if rem := t % 64; rem != 0 {
+		mask[len(mask)-1] &= 1<<uint(rem) - 1
+	}
+}
+
+// orRotated ORs into dst the t-bit set src rotated down by r (0 <= r < t):
+// bit s of the rotation is bit (s+r) mod t of src. Bits of dst at or above
+// t may be set as a side effect; freeMask masks them off once at the end.
+func orRotated(dst, src []uint64, r, t int) {
+	orShiftedDown(dst, src, r)
+	orShiftedUp(dst, src, t-r)
+}
+
+// orShiftedDown ORs src >> n into dst, both little-endian word slices of
+// the same length.
+func orShiftedDown(dst, src []uint64, n int) {
+	w, b := n/64, uint(n%64)
+	for i := 0; i+w < len(src); i++ {
+		v := src[i+w] >> b
+		if b != 0 && i+w+1 < len(src) {
+			v |= src[i+w+1] << (64 - b)
+		}
+		dst[i] |= v
+	}
+}
+
+// orShiftedUp ORs src << n into dst; bits shifted past the last word are
+// dropped.
+func orShiftedUp(dst, src []uint64, n int) {
+	w, b := n/64, uint(n%64)
+	for i := len(dst) - 1; i-w >= 0; i-- {
+		v := src[i-w] << b
+		if b != 0 && i-w-1 >= 0 {
+			v |= src[i-w-1] >> (64 - b)
+		}
+		dst[i] |= v
+	}
 }
 
 // SlotFree reports whether injection slot s is free on every link of path p.
 func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 	for k, lid := range p.Links {
-		if a.occ(lid)[(s+p.Shift[k])%a.TableSize] != phit.None {
+		if r := a.row(lid); r != nil && r.owner[(s+p.Shift[k])%a.TableSize] != phit.None {
 			return false
 		}
 	}
@@ -122,36 +209,52 @@ func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
 	for k, lid := range p.Links {
 		slot := (s + p.Shift[k]) % a.TableSize
-		o := a.occ(lid)
-		if o[slot] != phit.None {
-			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", lid, slot, o[slot]))
+		r := a.materialise(lid)
+		if r.owner[slot] != phit.None {
+			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", lid, slot, r.owner[slot]))
 		}
-		o[slot] = c
+		r.owner[slot] = c
+		r.busy[slot/64] |= 1 << uint(slot%64)
+		r.used++
+	}
+}
+
+// unclaim is Claim's inverse for one injection slot: it panics unless c
+// owns the slot on every link of p.
+func (a *Allocation) unclaim(c phit.ConnID, p *route.Path, s int) {
+	for k, lid := range p.Links {
+		slot := (s + p.Shift[k]) % a.TableSize
+		r := a.row(lid)
+		if r == nil || r.owner[slot] != c {
+			panic(fmt.Sprintf("slots: link %d slot %d owned by %d, not releasing connection %d",
+				lid, slot, a.LinkOwner(lid, slot), c))
+		}
+		r.owner[slot] = phit.None
+		r.busy[slot/64] &^= 1 << uint(slot%64)
+		r.used--
 	}
 }
 
 // LinkOwner returns the connection occupying the link in the given slot.
 func (a *Allocation) LinkOwner(l topology.LinkID, slot int) phit.ConnID {
-	o := a.linkOcc[l]
-	if o == nil {
+	r := a.row(l)
+	if r == nil {
 		return phit.None
 	}
-	return o[slot%a.TableSize]
+	return r.owner[slot%a.TableSize]
+}
+
+// linkUsed returns the number of occupied slots on the link.
+func (a *Allocation) linkUsed(l topology.LinkID) int {
+	if r := a.row(l); r != nil {
+		return r.used
+	}
+	return 0
 }
 
 // LinkUtilisation returns the fraction of slots occupied on the link.
 func (a *Allocation) LinkUtilisation(l topology.LinkID) float64 {
-	o := a.linkOcc[l]
-	if o == nil {
-		return 0
-	}
-	used := 0
-	for _, c := range o {
-		if c != phit.None {
-			used++
-		}
-	}
-	return float64(used) / float64(a.TableSize)
+	return float64(a.linkUsed(l)) / float64(a.TableSize)
 }
 
 // NITable builds the injection slot table for the given source NI from the
@@ -172,16 +275,22 @@ func (a *Allocation) NITable(ni topology.NodeID) *Table {
 	return t
 }
 
-// Verify recomputes link occupancy from scratch and reports any
-// double-booking; it is the structural contention-freedom check.
-func (a *Allocation) Verify() error {
-	occ := make(map[topology.LinkID][]phit.ConnID)
-	conns := make([]phit.ConnID, 0, len(a.ByConn))
-	for c := range a.ByConn {
-		conns = append(conns, c)
+// pathOfSlot returns the path injection slot s of the assignment rides.
+func (as *Assignment) pathOfSlot(s int) *route.Path {
+	if p := as.PathOf[s]; p != nil {
+		return p
 	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i] < conns[j] })
-	for _, c := range conns {
+	return as.Path
+}
+
+// Verify recomputes link occupancy from the assignments and reports any
+// double-booking — the structural contention-freedom check — and then
+// holds the live table against the recomputation: every owner entry, every
+// bitset bit and every used counter must agree, so a claim leaked or left
+// stale by a release or an undone repair is caught too.
+func (a *Allocation) Verify() error {
+	var occ [][]phit.ConnID
+	for _, c := range a.Conns() {
 		as := a.ByConn[c]
 		if len(as.Slots) == 0 {
 			return fmt.Errorf("slots: connection %d has no slots", c)
@@ -190,23 +299,51 @@ func (a *Allocation) Verify() error {
 			if s < 0 || s >= a.TableSize {
 				return fmt.Errorf("slots: connection %d slot %d out of range", c, s)
 			}
-			p := as.PathOf[s]
-			if p == nil {
-				p = as.Path
-			}
+			p := as.pathOfSlot(s)
 			for k, lid := range p.Links {
 				slot := (s + p.Shift[k]) % a.TableSize
-				o := occ[lid]
-				if o == nil {
-					o = make([]phit.ConnID, a.TableSize)
-					occ[lid] = o
+				if int(lid) >= len(occ) {
+					occ = append(occ, make([][]phit.ConnID, int(lid)+1-len(occ))...)
 				}
-				if o[slot] != phit.None {
+				if occ[lid] == nil {
+					occ[lid] = make([]phit.ConnID, a.TableSize)
+				}
+				if o := occ[lid][slot]; o != phit.None {
 					return fmt.Errorf("slots: contention on link %d slot %d between connections %d and %d",
-						lid, slot, o[slot], c)
+						lid, slot, o, c)
 				}
-				o[slot] = c
+				occ[lid][slot] = c
 			}
+		}
+	}
+	// A link without a row on either side reads as all free there.
+	free := linkRow{owner: make([]phit.ConnID, a.TableSize), busy: make([]uint64, a.maskWords())}
+	for l := 0; l < max(len(occ), len(a.links)); l++ {
+		lid := topology.LinkID(l)
+		want, r := free.owner, a.row(lid)
+		if l < len(occ) && occ[l] != nil {
+			want = occ[l]
+		} else if r == nil {
+			continue
+		}
+		if r == nil {
+			r = &free
+		}
+		used := 0
+		for slot, have := range r.owner {
+			if have != want[slot] {
+				return fmt.Errorf("slots: link %d slot %d: table says connection %d, assignments say %d (stale or leaked claim)",
+					lid, slot, have, want[slot])
+			}
+			if bit := r.busy[slot/64]>>uint(slot%64)&1 != 0; bit != (have != phit.None) {
+				return fmt.Errorf("slots: link %d slot %d: occupancy bit %v disagrees with owner %d", lid, slot, bit, have)
+			}
+			if have != phit.None {
+				used++
+			}
+		}
+		if r.used != used {
+			return fmt.Errorf("slots: link %d: used counter %d, %d slots owned", lid, r.used, used)
 		}
 	}
 	return nil
@@ -223,19 +360,7 @@ func (a *Allocation) Release(c phit.ConnID) {
 		panic(fmt.Sprintf("slots: release of unknown connection %d", c))
 	}
 	for _, s := range asg.Slots {
-		p := asg.PathOf[s]
-		if p == nil {
-			p = asg.Path
-		}
-		for k, lid := range p.Links {
-			slot := (s + p.Shift[k]) % a.TableSize
-			o := a.occ(lid)
-			if o[slot] != c {
-				panic(fmt.Sprintf("slots: link %d slot %d owned by %d, not releasing connection %d",
-					lid, slot, o[slot], c))
-			}
-			o[slot] = phit.None
-		}
+		a.unclaim(c, asg.pathOfSlot(s), s)
 	}
 	delete(a.ByConn, c)
 }
@@ -260,12 +385,14 @@ func (a *Allocation) ReleaseAll(cs ...phit.ConnID) {
 // Clone deep-copies the allocation: the scratchpad on which admission
 // control runs trial placements without touching the live table. Paths
 // are shared (they are immutable once routed); slot sets and link
-// occupancy are copied.
+// occupancy are copied. The allocators themselves no longer clone — rip-up
+// repairs run in place under an undo list — so this is admission's tool
+// only.
 func (a *Allocation) Clone() *Allocation {
 	c := &Allocation{
 		TableSize: a.TableSize,
 		ByConn:    make(map[phit.ConnID]*Assignment, len(a.ByConn)),
-		linkOcc:   make(map[topology.LinkID][]phit.ConnID, len(a.linkOcc)),
+		links:     append([]linkRow(nil), a.links...),
 	}
 	for id, asg := range a.ByConn {
 		na := &Assignment{
@@ -279,8 +406,10 @@ func (a *Allocation) Clone() *Allocation {
 		}
 		c.ByConn[id] = na
 	}
-	for l, occ := range a.linkOcc {
-		c.linkOcc[l] = append([]phit.ConnID(nil), occ...)
+	for l := range c.links {
+		r := &c.links[l]
+		r.owner = append([]phit.ConnID(nil), r.owner...)
+		r.busy = append([]uint64(nil), r.busy...)
 	}
 	return c
 }
@@ -389,15 +518,6 @@ func placeRequest(a *Allocation, req Request) *Assignment {
 	// candidates by shift — minimal routes first, detours after —
 	// and take the first group that fits. Within a group, prefer
 	// the path whose hottest link is coolest.
-	score := func(p *route.Path) float64 {
-		worst := 0.0
-		for _, lid := range p.Links {
-			if u := a.LinkUtilisation(lid); u > worst {
-				worst = u
-			}
-		}
-		return worst
-	}
 	var groups [][]*route.Path
 	for _, p := range req.Paths {
 		placed := false
@@ -412,12 +532,27 @@ func placeRequest(a *Allocation, req Request) *Assignment {
 			groups = append(groups, []*route.Path{p})
 		}
 	}
-	for _, g := range groups {
-		paths := append([]*route.Path(nil), g...)
-		sort.SliceStable(paths, func(i, j int) bool { return score(paths[i]) < score(paths[j]) })
-		ws := req.WindowSlots
-		if ws < 1 {
-			ws = 1
+	ws := req.WindowSlots
+	if ws < 1 {
+		ws = 1
+	}
+	for _, paths := range groups {
+		// Score each path once (its hottest link's used-slot count; the
+		// table size is common, so counts order as utilisations do), then
+		// a stable insertion sort: groups hold a handful of paths.
+		hottest := make([]int, len(paths))
+		for i, p := range paths {
+			for _, lid := range p.Links {
+				if u := a.linkUsed(lid); u > hottest[i] {
+					hottest[i] = u
+				}
+			}
+		}
+		for i := 1; i < len(paths); i++ {
+			for j := i; j > 0 && hottest[j] < hottest[j-1]; j-- {
+				paths[j], paths[j-1] = paths[j-1], paths[j]
+				hottest[j], hottest[j-1] = hottest[j-1], hottest[j]
+			}
 		}
 		if asg := pickSlotsMultiPath(a, paths, req.Count, req.GapTarget, ws, offset); asg != nil {
 			return asg
@@ -441,12 +576,12 @@ func commitAssignment(a *Allocation, req Request, asg *Assignment) {
 func placementError(a *Allocation, req Request) *PlacementError {
 	tableSize := a.TableSize
 	detail := ""
+	mask := make([]uint64, a.maskWords())
 	for pi, p := range req.Paths {
+		a.freeMask(p, mask)
 		free := 0
-		for s := 0; s < tableSize; s++ {
-			if a.SlotFree(p, s) {
-				free++
-			}
+		for _, w := range mask {
+			free += bits.OnesCount64(w)
 		}
 		worstLink, worstUtil := topology.LinkID(-1), 0.0
 		for _, lid := range p.Links {
@@ -468,12 +603,19 @@ func placementError(a *Allocation, req Request) *PlacementError {
 // computed first and then topped up to count. It returns nil when the
 // free-slot union cannot satisfy the request.
 func pickSlotsMultiPath(a *Allocation, paths []*route.Path, count, windowTarget, windowSlots, offset int) *Assignment {
+	// masks holds one joint-free slot set per candidate path, computed once.
+	words := a.maskWords()
+	masks := make([]uint64, words*len(paths))
+	for i, p := range paths {
+		a.freeMask(p, masks[i*words:(i+1)*words])
+	}
 	// pathFor[s] is the first candidate path with slot s free, or nil.
 	pathFor := make([]*route.Path, a.TableSize)
 	free := make([]int, 0, a.TableSize)
 	for s := 0; s < a.TableSize; s++ {
-		for _, p := range paths {
-			if a.SlotFree(p, s) {
+		w, bit := s/64, uint64(1)<<uint(s%64)
+		for i, p := range paths {
+			if masks[i*words+w]&bit != 0 {
 				pathFor[s] = p
 				free = append(free, s)
 				break

@@ -3,6 +3,7 @@ package slots
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -266,5 +267,35 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		PathOf: map[int]*route.Path{asg.Slots[0]: asg.Path}}
 	if err := alloc.Verify(); err == nil {
 		t.Error("Verify missed a double booking")
+	}
+	delete(alloc.ByConn, 2)
+	if err := alloc.Verify(); err != nil {
+		t.Fatalf("restored allocation: %v", err)
+	}
+
+	// A stale claim: the assignment is gone but the live table still holds
+	// its slots — what an undo path that forgot a release would leave.
+	stale := alloc.Clone()
+	delete(stale.ByConn, 1)
+	if err := stale.Verify(); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Errorf("Verify missed a stale claim: %v", err)
+	}
+	// The mirror image: an assignment whose claims never reached the table.
+	leaked := NewAllocation(8)
+	leaked.ByConn[1] = asg
+	if err := leaked.Verify(); err == nil {
+		t.Error("Verify missed an assignment with no claims behind it")
+	}
+	// A used counter out of step with the owner row.
+	miscounted := alloc.Clone()
+	miscounted.links[asg.Path.Links[0]].used++
+	if err := miscounted.Verify(); err == nil || !strings.Contains(err.Error(), "used counter") {
+		t.Errorf("Verify missed a wrong used counter: %v", err)
+	}
+	// A bitset bit out of step with the owner row.
+	flipped := alloc.Clone()
+	flipped.links[asg.Path.Links[0]].busy[0] ^= 1 << uint((asg.Slots[0]+1)%8)
+	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "occupancy bit") {
+		t.Errorf("Verify missed a wrong occupancy bit: %v", err)
 	}
 }

@@ -109,7 +109,7 @@ func BenchmarkSec7Aelite(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(rep.Conns)), "connections")
-	b.ReportMetric(float64(rep.TotalEdges)/b.Elapsed().Seconds()/float64(b.N), "edges/s")
+	b.ReportMetric(float64(rep.TotalEdges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
 func BenchmarkSec7AeliteMesochronous(b *testing.B) {
@@ -324,11 +324,12 @@ func BenchmarkEngineSynchronous(b *testing.B) {
 	eng := n.Engine()
 	period := n.BaseClock().Period
 	eng.Run(1000 * period) // prime
+	primed := eng.Edges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Run(eng.Now() + period)
 	}
-	b.ReportMetric(float64(eng.Edges())/b.Elapsed().Seconds(), "edges/s")
+	b.ReportMetric(float64(eng.Edges()-primed)/b.Elapsed().Seconds(), "edges/s")
 }
 
 func BenchmarkEngineMesochronous(b *testing.B) {
@@ -349,18 +350,20 @@ func BenchmarkEngineMesochronous(b *testing.B) {
 	eng := n.Engine()
 	period := n.BaseClock().Period
 	eng.Run(1000 * period) // prime
+	primed := eng.Edges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Run(eng.Now() + period)
 	}
-	b.ReportMetric(float64(eng.Edges())/b.Elapsed().Seconds(), "edges/s")
+	b.ReportMetric(float64(eng.Edges()-primed)/b.Elapsed().Seconds(), "edges/s")
 }
 
 // benchFastReplay builds the Section VII CBR workload twice — once
 // cycle-accurate, once with the fast-replay compiler — primes the fast
 // network until the compiler engages, measures the cycle-accurate cost
 // per simulated cycle outside the timed loop, then times the engaged fast
-// path per cycle and reports the speedup. The CBR workload is the honest
+// path per cycle plus the Sync that materialises what it fast-forwarded,
+// and reports the speedup over both. The CBR workload is the honest
 // comparison base: the default transactional workload's byte-exact rates
 // are globally aperiodic, so the compiler (correctly) never engages there
 // and falls back to cycle-accurate execution (see EXPERIMENTS.md).
@@ -393,13 +396,22 @@ func benchFastReplay(b *testing.B, mode core.Mode) {
 	seng.Run(seng.Now() + refCycles*period)
 	slowNsPerCycle := float64(time.Since(start).Nanoseconds()) / refCycles
 
+	primed := feng.Edges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		feng.Run(feng.Now() + period)
 	}
 	b.StopTimer()
+	replayNs := b.Elapsed().Nanoseconds()
+	b.ReportMetric(float64(feng.Edges()-primed)/b.Elapsed().Seconds(), "edges/s")
+	// Landing the fast-forwarded state is part of what a replayed run
+	// costs — every report and statistics reset pays it — so it is timed
+	// and counted in the speedup.
+	b.StartTimer()
+	feng.Sync()
+	b.StopTimer()
 	fastNsPerCycle := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(float64(feng.Edges())/b.Elapsed().Seconds(), "edges/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds()-replayNs), "materialise-ns")
 	b.ReportMetric(slowNsPerCycle, "slow-ns/cycle")
 	if fastNsPerCycle > 0 {
 		b.ReportMetric(slowNsPerCycle/fastNsPerCycle, "speedup")

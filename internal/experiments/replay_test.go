@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/audit"
@@ -129,5 +130,38 @@ func TestReplayFallbackTransactional(t *testing.T) {
 	}
 	if !rep.AllMet() {
 		t.Fatal("fallback run missed a requirement the cycle-accurate run meets")
+	}
+}
+
+// TestReplayHeapIndependentOfRunLength is the memory guard of the
+// run-length latency histograms: a replayed run retains its distinct
+// (connection, latency) pairs and one epoch's samples, not one value per
+// delivered word, so eight times the simulated time must not grow the
+// live heap (~2 MB, the network). With per-sample retention it was
+// 14 MB after 0.5 ms and 99 MB after 4 ms.
+func TestReplayHeapIndependentOfRunLength(t *testing.T) {
+	liveHeap := func(measureNs float64) float64 {
+		n, _, err := experiments.BuildSec7CBR(experiments.Sec7Seed, core.Synchronous, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := n.Run(10000, measureNs)
+		if n.Replay().ProgStats().Engagements == 0 {
+			t.Fatal("fast replay never engaged; the guard is vacuous")
+		}
+		if !rep.AllMet() {
+			t.Fatal("requirements missed")
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(n)
+		runtime.KeepAlive(rep)
+		return float64(ms.HeapAlloc)
+	}
+	short, long := liveHeap(0.5e6), liveHeap(4e6)
+	if long > 1.25*short {
+		t.Fatalf("live heap grew with run length: %.1f MB after 0.5 ms, %.1f MB after 4 ms simulated",
+			short/(1<<20), long/(1<<20))
 	}
 }

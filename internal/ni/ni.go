@@ -87,7 +87,11 @@ type inConn struct {
 	mDelivered, dDelivered int64
 	mFirstAt, mLastAt      clock.Time
 	lastMoved              bool
-	mSamples, pSamples     int
+	// epoch holds the latency samples of the epoch the last ReplayMark
+	// closed, filling those delivered since; the two swap at each mark.
+	// Nothing is logged until a mark has been taken, so a run that never
+	// replays pays one branch per word and no memory.
+	epoch, filling []float64
 
 	// record, when set, logs every payload arrival instant — the raw
 	// material of the composability experiments (cycle-exact timing
@@ -494,6 +498,9 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 			}
 			lat := float64(now-p.Meta.Injected) / float64(clock.Nanosecond)
 			ic.latency.Add(lat)
+			if n.rmValid {
+				ic.filling = append(ic.filling, lat)
+			}
 			ic.delivered++
 			ic.lastAt = now
 			if ic.delivered == 1 {

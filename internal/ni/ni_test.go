@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/phit"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/slots"
 )
@@ -360,4 +361,45 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 		}
 	}()
 	n.Update(clk.Period)
+}
+
+// TestNIResetStatsClearsReplayEpoch: a ResetStats landing between two
+// ReplayMarks must drop the epoch log with the statistics, so no sample
+// delivered before the reset can reach the fresh histogram through a
+// later ReplayShift.
+func TestNIResetStatsClearsReplayEpoch(t *testing.T) {
+	p := newPair(t, 4, []int{0, 2}, []int{1}, 16, true)
+	shift := &replay.Shift{Epochs: 3, DSeq: func(phit.ConnID) int64 { return 0 }}
+
+	p.b.ReplayMark(p.eng.Now())
+	p.offer(t, 4)
+	p.cycles(40)
+	p.b.ReplayMark(p.eng.Now()) // closes an epoch of four samples
+	p.offer(t, 3)
+	p.cycles(40) // three more, logged for the next epoch
+	if got := p.b.InStats(1).Delivered; got != 7 {
+		t.Fatalf("delivered %d before the reset, want 7", got)
+	}
+
+	p.b.ResetStats()
+	p.offer(t, 2)
+	p.cycles(40)
+	if p.b.ReplayMark(p.eng.Now()) {
+		t.Error("first mark after ResetStats reported a clean epoch")
+	}
+	p.b.ReplayShift(shift)
+	if got := p.b.InStats(1).Latency.N(); got != 2 {
+		t.Errorf("latency holds %d samples after reset, two deliveries and a shift, want 2", got)
+	}
+
+	// The log works as before once re-baselined: mark, one epoch, mark,
+	// shift by three epochs.
+	p.b.ReplayMark(p.eng.Now())
+	p.offer(t, 5)
+	p.cycles(40)
+	p.b.ReplayMark(p.eng.Now())
+	p.b.ReplayShift(shift)
+	if got := p.b.InStats(1).Latency.N(); got != 2+5+3*5 {
+		t.Errorf("latency holds %d samples, want %d", got, 2+5+3*5)
+	}
 }

@@ -78,7 +78,7 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 		if ic.firstAt != ic.mFirstAt {
 			clean = false
 		}
-		ic.pSamples, ic.mSamples = ic.mSamples, len(ic.latency.Samples())
+		ic.epoch, ic.filling = ic.filling, ic.epoch[:0]
 		ic.mDelivered, ic.mLastAt, ic.mFirstAt = ic.delivered, ic.lastAt, ic.firstAt
 	}
 	n.dFlit = n.flitIndex - n.mFlit
@@ -162,18 +162,10 @@ func (n *NI) ReplayShift(s *replay.Shift) {
 		for i := range ic.recvQ {
 			ic.recvQ[i] = replay.ShiftMeta(ic.recvQ[i], s)
 		}
-		// Re-append the epoch's latency samples once per replayed epoch:
-		// latencies are time differences, identical in every epoch, and
-		// the histogram keeps raw samples in insertion order, so the
-		// result is bit-identical to a cycle-accurate run.
-		if ic.mSamples > ic.pSamples {
-			tail := append([]float64(nil), ic.latency.Samples()[ic.pSamples:ic.mSamples]...)
-			for e := int64(0); e < s.Epochs; e++ {
-				for _, v := range tail {
-					ic.latency.Add(v)
-				}
-			}
-		}
+		// Latencies are time differences, identical in every epoch: the
+		// closed epoch's samples, repeated in order, are bit for bit what
+		// a cycle-accurate run would have added.
+		ic.latency.AddRepeated(ic.epoch, s.Epochs)
 	}
 	n.rmValid = false
 }

@@ -84,6 +84,7 @@ func (n *NI) ResetStats() {
 		ic.firstAt = 0
 		ic.lastAt = 0
 		ic.arrivals = nil
+		ic.epoch, ic.filling = ic.epoch[:0], ic.filling[:0]
 	}
 	for _, oc := range n.outByID {
 		oc.sent = 0

@@ -1,9 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Finite sanitises a value bound for a JSON artifact: NaN and the
@@ -116,69 +117,195 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f min=%.1f max=%.1f sd=%.1f", s.n, s.Mean(), s.min, s.max, s.StdDev())
 }
 
-// A Histogram keeps exact samples (NoC experiments produce at most a few
-// million) and answers percentile queries. It embeds a Summary.
+// A Histogram is the exact multiset of its samples and answers percentile
+// and bucket queries. It embeds a Summary.
 //
-// Samples are retained in insertion order; percentile queries work on a
-// separate lazily sorted copy. (An earlier version sorted the sample
-// slice itself in Percentile, which silently destroyed insertion order
-// for any reader interleaving Add and query — the classic stale-sort
-// window this structure now closes by construction.)
+// A TDM connection's latency takes a handful of values over and over, so
+// the samples are stored as ascending (value, count) runs: 16 bytes per
+// distinct value whatever the run length, which even when no two samples
+// are equal is what a float64 per sample plus a sorted copy would take.
+// Add drops the sample into a fixed-size unsorted staging buffer that is
+// sorted and merged into the runs when full (and before any query), so it
+// retains nothing per sample and costs amortised O(1 + distinct/stageCap).
+// Insertion order is not kept.
+//
+// Values are ordered numerically with two refinements that make the order
+// total: -0 sorts before +0 (they are distinct values of the multiset),
+// and every NaN is the same value, sorted before -Inf as sort.Float64s
+// orders it. A NaN sample therefore occupies one shared run, is what
+// Percentile(0) returns, lands in bin 0 of Buckets, and poisons the
+// Summary's mean, deviation and range as IEEE arithmetic dictates.
 type Histogram struct {
 	Summary
-	samples []float64 // insertion order, never reordered
-	ordered []float64 // lazily maintained sorted copy for queries
+	runs  []run    // ascending by key, keys distinct, counts positive
+	stage []uint64 // keys not yet merged into runs, unsorted, cap stageCap
+}
+
+// A run is one distinct value, as its order-preserving key, and its
+// multiplicity.
+type run struct {
+	key uint64
+	n   int64
+}
+
+// stageCap sizes the staging buffer: 2 KiB per histogram that has seen a
+// sample. The merge walks every run once per stageCap samples, so the
+// constant bounds Add's amortised cost on streams with many distinct
+// values (plesiochronous clocks) at distinct/256 run visits per sample.
+const stageCap = 256
+
+// keyOf maps a sample to an integer whose unsigned order is the
+// histogram's value order: negative floats have all bits flipped,
+// non-negative ones the sign bit set, and NaN takes key 0, below -Inf.
+func keyOf(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// valueOf inverts keyOf.
+func valueOf(k uint64) float64 {
+	switch {
+	case k == 0:
+		return math.NaN()
+	case k>>63 != 0:
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.Summary.Add(v)
-	h.samples = append(h.samples, v)
+	h.push(keyOf(v))
 }
 
-// Merge folds another histogram's samples into h.
+func (h *Histogram) push(k uint64) {
+	if len(h.stage) == cap(h.stage) {
+		if h.stage == nil {
+			h.stage = make([]uint64, 0, stageCap)
+		} else {
+			h.flush()
+		}
+	}
+	h.stage = append(h.stage, k)
+}
+
+// AddRepeated records the samples of tail, in order, times times over: the
+// same histogram, bit for bit, as that many passes of Add over tail —
+// the Summary's sums accumulate one sample at a time in that order — but
+// the multiset is touched once per sample of tail, not once per pass.
+func (h *Histogram) AddRepeated(tail []float64, times int64) {
+	if times <= 0 {
+		return
+	}
+	for _, v := range tail {
+		h.Add(v)
+	}
+	h.flush()
+	for _, v := range tail {
+		i, _ := slices.BinarySearchFunc(h.runs, keyOf(v), compareRunKey)
+		h.runs[i].n += times - 1
+	}
+	for e := int64(1); e < times; e++ {
+		for _, v := range tail {
+			h.Summary.Add(v)
+		}
+	}
+}
+
+func compareRunKey(r run, k uint64) int { return cmp.Compare(r.key, k) }
+
+// flush empties the staging buffer into the runs.
+func (h *Histogram) flush() {
+	if len(h.stage) == 0 {
+		return
+	}
+	slices.Sort(h.stage)
+	var buf [stageCap]run
+	staged := buf[:0]
+	for _, k := range h.stage {
+		if n := len(staged); n > 0 && staged[n-1].key == k {
+			staged[n-1].n++
+		} else {
+			staged = append(staged, run{k, 1})
+		}
+	}
+	h.stage = h.stage[:0]
+	h.merge(staged)
+}
+
+// merge folds src, ascending with distinct keys, into h.runs in place:
+// grow by the number of keys h lacks, then merge from the back so no run
+// is overwritten before it is read.
+func (h *Histogram) merge(src []run) {
+	missing, i := 0, 0
+	for _, s := range src {
+		for i < len(h.runs) && h.runs[i].key < s.key {
+			i++
+		}
+		if i == len(h.runs) || h.runs[i].key != s.key {
+			missing++
+		}
+	}
+	i = len(h.runs) - 1
+	h.runs = slices.Grow(h.runs, missing)[:len(h.runs)+missing]
+	w := len(h.runs) - 1
+	for j := len(src) - 1; j >= 0; w-- {
+		switch {
+		case i >= 0 && h.runs[i].key > src[j].key:
+			h.runs[w] = h.runs[i]
+			i--
+		case i >= 0 && h.runs[i].key == src[j].key:
+			h.runs[w] = run{src[j].key, h.runs[i].n + src[j].n}
+			i--
+			j--
+		default:
+			h.runs[w] = src[j]
+			j--
+		}
+	}
+}
+
+// Merge folds another histogram's samples into h. o is not modified.
 func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || len(o.samples) == 0 {
+	if o == nil || o.n == 0 {
 		return
 	}
 	h.Summary.Merge(&o.Summary)
-	h.samples = append(h.samples, o.samples...)
-}
-
-// Samples returns the recorded samples in insertion order. The slice is
-// shared; callers must not mutate it.
-func (h *Histogram) Samples() []float64 { return h.samples }
-
-// sorted returns the samples in ascending order, re-sorting only when
-// samples were added since the last query. The invariant is structural:
-// len(ordered) == len(samples) iff ordered is current, because samples
-// only ever grows and ordered is rebuilt whole.
-func (h *Histogram) sorted() []float64 {
-	if len(h.ordered) != len(h.samples) {
-		h.ordered = append(h.ordered[:0], h.samples...)
-		sort.Float64s(h.ordered)
+	h.merge(o.runs)
+	for _, k := range o.stage {
+		h.push(k)
 	}
-	return h.ordered
 }
 
 // Percentile returns the p-th percentile (0..100) using nearest-rank. It
 // returns NaN with no samples.
 func (h *Histogram) Percentile(p float64) float64 {
-	s := h.sorted()
-	if len(s) == 0 {
+	h.flush()
+	if len(h.runs) == 0 {
 		return math.NaN()
 	}
 	if p <= 0 {
-		return s[0]
+		return valueOf(h.runs[0].key)
 	}
+	last := h.runs[len(h.runs)-1]
 	if p >= 100 {
-		return s[len(s)-1]
+		return valueOf(last.key)
 	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
+	rank := int64(math.Ceil(p / 100 * float64(h.n)))
+	var seen int64
+	for _, r := range h.runs {
+		if seen += r.n; seen >= rank {
+			return valueOf(r.key)
+		}
 	}
-	return s[rank]
+	return valueOf(last.key)
 }
 
 // Buckets divides [min, max] into n equal bins and returns the count per
@@ -196,18 +323,20 @@ func (h *Histogram) Buckets(n int) []int64 {
 	}
 	width := (hi - lo) / float64(n)
 	if width == 0 {
-		out[0] = int64(len(h.samples))
+		out[0] = h.n
 		return out
 	}
-	for _, v := range h.samples {
-		i := int((v - lo) / width)
-		if i >= n {
+	h.flush()
+	for _, r := range h.runs {
+		i := 0
+		// NaN (an infinite or NaN sample was seen) and float rounding at
+		// the lower edge both fail f > 0 and stay in bin 0.
+		if f := (valueOf(r.key) - lo) / width; f >= float64(n) {
 			i = n - 1
+		} else if f > 0 {
+			i = int(f)
 		}
-		if i < 0 {
-			i = 0 // float rounding at the lower edge
-		}
-		out[i]++
+		out[i] += r.n
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,21 +71,31 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	b.Add(9)
 	b.Add(3)
+	b.Add(5)
 	a.Merge(&b)
-	if a.N() != 4 || a.Percentile(100) != 9 || a.Percentile(0) != 1 {
+	if a.N() != 5 || a.Percentile(100) != 9 || a.Percentile(0) != 1 {
 		t.Errorf("merged histogram: n=%d p0=%v p100=%v", a.N(), a.Percentile(0), a.Percentile(100))
 	}
-	// Insertion order is preserved across queries and merges.
-	want := []float64{5, 1, 9, 3}
-	got := a.Samples()
-	if len(got) != len(want) {
-		t.Fatalf("samples = %v", got)
+	// The merge is the multiset union: shared values add their counts,
+	// and the source is left as it was.
+	if got, want := multiset(&a), []run{{keyOf(1), 1}, {keyOf(3), 1}, {keyOf(5), 2}, {keyOf(9), 1}}; !slices.Equal(got, want) {
+		t.Errorf("merged multiset = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertion order broken: %v", got)
-		}
+	if b.N() != 3 || len(b.runs) != 0 || len(b.stage) != 3 {
+		t.Errorf("Merge modified its source: n=%d runs=%v stage=%v", b.N(), b.runs, b.stage)
 	}
+	// Merging nil or an empty histogram is a no-op.
+	a.Merge(nil)
+	a.Merge(&Histogram{})
+	if a.N() != 5 {
+		t.Errorf("N after empty merges = %d", a.N())
+	}
+}
+
+// multiset returns h's runs with everything staged merged in.
+func multiset(h *Histogram) []run {
+	h.flush()
+	return h.runs
 }
 
 func TestSummaryBasics(t *testing.T) {
@@ -261,33 +273,29 @@ func TestHistogramDegenerate(t *testing.T) {
 	}
 }
 
-// TestHistogramStaleSortWindow: interleaving Buckets, Percentile and Add
-// must neither reorder the stored samples nor serve a stale sorted view.
+// TestHistogramStaleSortWindow: a query merges the staging buffer into the
+// runs; samples that arrive after it must still be seen by the next query,
+// and no interleaving of Buckets, Percentile and Add may lose or double a
+// sample.
 func TestHistogramStaleSortWindow(t *testing.T) {
 	var h Histogram
 	h.Add(30)
 	h.Add(10)
-	_ = h.Percentile(50) // forces a sort of the query copy
-	h.Add(20)            // arrives after the sort
+	_ = h.Percentile(50) // merges the staged samples
+	h.Add(20)            // arrives after the merge
 	if got := h.Percentile(100); got != 30 {
 		t.Errorf("P100 after interleaved Add = %v, want 30", got)
 	}
 	if got := h.Percentile(50); got != 20 {
 		t.Errorf("P50 after interleaved Add = %v, want 20", got)
 	}
+	h.Add(20)
 	b := h.Buckets(3)
-	var total int64
-	for _, n := range b {
-		total += n
+	if want := []int64{1, 2, 1}; !slices.Equal(b, want) {
+		t.Errorf("buckets after interleaving = %v, want %v", b, want)
 	}
-	if total != 3 {
-		t.Errorf("bucket total = %d after interleaving", total)
-	}
-	want := []float64{30, 10, 20}
-	for i, v := range h.Samples() {
-		if v != want[i] {
-			t.Fatalf("insertion order broken by queries: %v", h.Samples())
-		}
+	if got, want := multiset(&h), []run{{keyOf(10), 1}, {keyOf(20), 2}, {keyOf(30), 1}}; !slices.Equal(got, want) {
+		t.Errorf("multiset after interleaving = %v, want %v", got, want)
 	}
 }
 
@@ -305,3 +313,290 @@ func TestHistogramInterleavedAddAndQuery(t *testing.T) {
 		t.Errorf("N = %d", h.N())
 	}
 }
+
+// oracle is the histogram this package had before the run-length store:
+// every sample kept, a sorted copy made per query. It is the reference
+// the multiset is compared against, bit for bit. Its sort is
+// sort.Float64s's order with the one tie that leaves open (-0 against +0,
+// which the old code returned in whichever order the sort happened to
+// leave them) broken the way Histogram documents: -0 first.
+type oracle struct {
+	Summary
+	samples []float64
+	ordered []float64 // sorted copy, current iff as long as samples
+}
+
+func (o *oracle) Add(v float64) {
+	o.Summary.Add(v)
+	o.samples = append(o.samples, v)
+}
+
+func (o *oracle) Merge(p *oracle) {
+	if len(p.samples) == 0 {
+		return
+	}
+	o.Summary.Merge(&p.Summary)
+	o.samples = append(o.samples, p.samples...)
+}
+
+func (o *oracle) AddRepeated(tail []float64, times int64) {
+	for e := int64(0); e < times; e++ {
+		for _, v := range tail {
+			o.Add(v)
+		}
+	}
+}
+
+func (o *oracle) sorted() []float64 {
+	if len(o.ordered) != len(o.samples) {
+		s := append(o.ordered[:0], o.samples...)
+		sort.Slice(s, func(i, j int) bool {
+			a, b := s[i], s[j]
+			return a < b || (math.IsNaN(a) && !math.IsNaN(b)) || (a == b && math.Signbit(a) && !math.Signbit(b))
+		})
+		o.ordered = s
+	}
+	return o.ordered
+}
+
+func (o *oracle) Percentile(p float64) float64 {
+	s := o.sorted()
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	return s[rank]
+}
+
+func (o *oracle) Buckets(n int) []int64 {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	lo, hi, ok := o.Range()
+	if !ok {
+		return out
+	}
+	width := (hi - lo) / float64(n)
+	if width == 0 {
+		out[0] = int64(len(o.samples))
+		return out
+	}
+	for _, v := range o.samples {
+		i := int((v - lo) / width)
+		if i >= n {
+			i = n - 1
+		}
+		if i < 0 {
+			i = 0
+		}
+		out[i]++
+	}
+	return out
+}
+
+// sameFloat is bit equality, with every NaN equal to every other: the
+// multiset does not keep NaN payloads.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func compareToOracle(t *testing.T, what string, h *Histogram, o *oracle) {
+	t.Helper()
+	if h.N() != o.N() {
+		t.Fatalf("%s: N = %d, oracle %d", what, h.N(), o.N())
+	}
+	for name, pair := range map[string][2]float64{
+		"Min": {h.Min(), o.Min()}, "Max": {h.Max(), o.Max()},
+		"Mean": {h.Mean(), o.Mean()}, "StdDev": {h.StdDev(), o.StdDev()},
+	} {
+		if !sameFloat(pair[0], pair[1]) {
+			t.Fatalf("%s: %s = %v (%#x), oracle %v (%#x)", what, name,
+				pair[0], math.Float64bits(pair[0]), pair[1], math.Float64bits(pair[1]))
+		}
+	}
+	for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
+		if got, want := h.Percentile(p), o.Percentile(p); !sameFloat(got, want) {
+			t.Fatalf("%s: P%v = %v (%#x), oracle %v (%#x)", what, p,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, n := range []int{1, 7, 64} {
+		if got, want := h.Buckets(n), o.Buckets(n); !slices.Equal(got, want) {
+			t.Fatalf("%s: Buckets(%d) = %v, oracle %v", what, n, got, want)
+		}
+	}
+	var total int64
+	for i, r := range multiset(h) {
+		if r.n <= 0 || (i > 0 && h.runs[i-1].key >= r.key) {
+			t.Fatalf("%s: runs not strictly ascending with positive counts at %d: %v", what, i, h.runs)
+		}
+		total += r.n
+	}
+	if total != h.N() {
+		t.Fatalf("%s: run counts sum to %d, N = %d", what, total, h.N())
+	}
+}
+
+// TestHistogramAgainstOracle feeds seeded streams to the multiset and to
+// the sort-everything oracle and requires identical answers.
+func TestHistogramAgainstOracle(t *testing.T) {
+	special := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1, 2.5, math.MaxFloat64, -math.MaxFloat64, 5e-324}
+	streams := map[string]func(rng *rand.Rand) float64{
+		// A TDM connection: a handful of latencies, over and over.
+		"duplicate-heavy": func(rng *rand.Rand) float64 { return 48 + 2*float64(rng.Intn(27)) },
+		// No value repeats, so every flush grows the runs.
+		"all-distinct":   func(rng *rand.Rand) float64 { return (rng.Float64() - 0.3) * 1e6 },
+		"zeros-and-infs": func(rng *rand.Rand) float64 { return special[rng.Intn(len(special))] },
+		"signed-zeros":   func(rng *rand.Rand) float64 { return math.Copysign(0, float64(rng.Intn(2))-0.5) },
+		"with-nan": func(rng *rand.Rand) float64 {
+			if rng.Intn(8) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(40))
+		},
+	}
+	for name, next := range streams {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var h Histogram
+			var o oracle
+			// 20 staging buffers' worth, checked at sizes that leave the
+			// buffer empty, part full and just overflowed.
+			for i := 1; i <= 20*stageCap+3; i++ {
+				v := next(rng)
+				h.Add(v)
+				o.Add(v)
+				if i == 1 || i == stageCap-1 || i == stageCap || i == stageCap+1 || i%(7*stageCap+5) == 0 {
+					compareToOracle(t, fmt.Sprintf("%s seed %d after %d", name, seed, i), &h, &o)
+				}
+			}
+			compareToOracle(t, fmt.Sprintf("%s seed %d at end", name, seed), &h, &o)
+		}
+	}
+}
+
+// TestHistogramOpsAgainstOracle interleaves every mutating and querying
+// operation in a seeded random order.
+func TestHistogramOpsAgainstOracle(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		value := func() float64 {
+			if rng.Intn(3) == 0 {
+				return rng.NormFloat64() * 100 // fresh
+			}
+			return float64(rng.Intn(30)) / 4 // recurring, includes +0
+		}
+		var h Histogram
+		var o oracle
+		for step := 0; step < 200; step++ {
+			switch rng.Intn(5) {
+			case 0, 1:
+				for i := rng.Intn(2 * stageCap); i > 0; i-- {
+					v := value()
+					h.Add(v)
+					o.Add(v)
+				}
+			case 2:
+				var h2 Histogram
+				var o2 oracle
+				for i := rng.Intn(2 * stageCap); i > 0; i-- {
+					v := value()
+					h2.Add(v)
+					o2.Add(v)
+				}
+				if rng.Intn(2) == 0 {
+					h2.Percentile(50) // source with merged runs and an empty stage
+				}
+				h.Merge(&h2)
+				o.Merge(&o2)
+				compareToOracle(t, fmt.Sprintf("seed %d step %d merge source", seed, step), &h2, &o2)
+			case 3:
+				tail := make([]float64, rng.Intn(stageCap+40))
+				for i := range tail {
+					tail[i] = value()
+				}
+				times := int64(rng.Intn(6))
+				h.AddRepeated(tail, times)
+				o.AddRepeated(tail, times)
+			case 4:
+				compareToOracle(t, fmt.Sprintf("seed %d step %d", seed, step), &h, &o)
+			}
+		}
+		compareToOracle(t, fmt.Sprintf("seed %d at end", seed), &h, &o)
+	}
+}
+
+// TestHistogramNaN pins what a NaN sample does: it is counted, all NaNs
+// share the one run that sorts first, and neither a query nor a flush
+// loops or grows the runs by one per NaN.
+func TestHistogramNaN(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 3*stageCap; i++ {
+		h.Add(math.NaN())
+		h.Add(math.Float64frombits(0xfff8000000000001)) // negative NaN with a payload
+		h.Add(float64(i % 4))
+	}
+	if h.N() != 9*stageCap {
+		t.Errorf("N = %d, want %d", h.N(), 9*stageCap)
+	}
+	got := multiset(&h)
+	if len(got) != 5 || got[0] != (run{0, 6 * stageCap}) {
+		t.Fatalf("runs = %v, want one NaN run of %d first, then 0..3", got, 6*stageCap)
+	}
+	if p := h.Percentile(0); !math.IsNaN(p) {
+		t.Errorf("P0 = %v, want NaN", p)
+	}
+	if p := h.Percentile(50); !math.IsNaN(p) {
+		t.Errorf("P50 = %v, want NaN (two samples in three are)", p)
+	}
+	if p := h.Percentile(100); p != 3 {
+		t.Errorf("P100 = %v, want 3", p)
+	}
+	if !math.IsNaN(h.Mean()) {
+		t.Errorf("Mean = %v, want NaN", h.Mean())
+	}
+	// The first sample was NaN, so the range is NaN and every sample
+	// lands in bin 0.
+	if b := h.Buckets(4); !slices.Equal(b, []int64{9 * stageCap, 0, 0, 0}) {
+		t.Errorf("Buckets(4) = %v", b)
+	}
+	var late Histogram
+	late.Add(1)
+	late.Add(math.NaN())
+	late.Add(5)
+	if b := late.Buckets(2); !slices.Equal(b, []int64{2, 1}) {
+		t.Errorf("Buckets(2) with a NaN inside a finite range = %v, want [2 1]", b)
+	}
+}
+
+// TestHistogramAddDoesNotAllocate: once a histogram has met its values,
+// recording more of them retains nothing, flushes included.
+func TestHistogramAddDoesNotAllocate(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 4*stageCap; i++ {
+		h.Add(float64(i % 200))
+	}
+	i := 0
+	if a := testing.AllocsPerRun(10*stageCap, func() {
+		h.Add(float64(i % 200))
+		i += 7
+	}); a != 0 {
+		t.Errorf("Add allocates %v times per call on a warmed histogram", a)
+	}
+	if h.N() != 4*stageCap+10*stageCap+1 {
+		t.Errorf("N = %d", h.N())
+	}
+}
+
+// String makes a failing multiset comparison readable: value×count.
+func (r run) String() string { return fmt.Sprintf("%v×%d", valueOf(r.key), r.n) }

@@ -168,8 +168,7 @@ func renderScan(points []experiments.ScanPoint, crossover float64) []byte {
 // the wall-clock speedup. On hardware with at least 8 CPUs the speedup
 // must reach 3x; on smaller hosts the assertion is informational, because
 // a worker pool cannot conjure cores (the byte-identity assertion holds
-// everywhere). CI runs this with -benchtime 1x and archives the result in
-// the BENCH_sweep.json artifact.
+// everywhere).
 func BenchmarkParallelSweep(b *testing.B) {
 	freqs := []float64{500, 600, 650, 700, 800, 850, 900, 1000}
 	const measureNs = 10000

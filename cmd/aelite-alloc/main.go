@@ -22,17 +22,15 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/phit"
 	"repro/internal/routerless"
-	"repro/internal/scenario"
 	"repro/internal/slots"
 	"repro/internal/spec"
 	"repro/internal/topology"
@@ -41,167 +39,113 @@ import (
 // tool names this command in every cli diagnostic.
 const tool = "aelite-alloc"
 
-// layoutFor picks the header layout the mesh diameter needs: the worst
-// minimal route visits cols+rows-1 routers. The paper's 32-bit layout
-// encodes 7 hops; the 64-bit WideLayout (8-byte words) 16. Beyond that
-// no runnable header exists — allocation-only planning (aelite-exp
-// scale) is the tool at that size.
-func layoutFor(cols, rows int) (phit.HeaderLayout, int, error) {
-	ports := cols + rows - 1
-	switch {
-	case ports <= phit.DefaultLayout.MaxHops():
-		return phit.DefaultLayout, 4, nil
-	case ports <= phit.WideLayout.MaxHops():
-		return phit.WideLayout, 8, nil
-	}
-	return phit.HeaderLayout{}, 0, fmt.Errorf(
-		"a %dx%d mesh needs %d-hop headers; the widest layout encodes %d (allocation-only planning via aelite-exp scale has no such cap)",
-		cols, rows, ports, phit.WideLayout.MaxHops())
+func main() {
+	os.Exit(mainCode(os.Args[1:], os.Stdout))
 }
 
-func main() {
-	specPath := flag.String("spec", "", "use-case JSON (see internal/spec)")
-	random := flag.Int("random", 0, "generate this many random connections instead of loading a spec")
-	seed := flag.Int64("seed", 1, "seed for -random/-scenario")
-	cols := flag.Int("cols", 4, "mesh columns")
-	rows := flag.Int("rows", 3, "mesh rows")
-	nis := flag.Int("nis", 4, "NIs per router")
-	freq := flag.Float64("freq", 500, "frequency in MHz")
-	table := flag.Int("table", 0, "TDM table size (0 = search)")
-	mode := flag.String("mode", "synchronous", "clocking: synchronous|mesochronous|asynchronous")
-	alloc := flag.String("alloc", "greedy", "slot allocator: greedy | ripup")
-	scenarioF := flag.String("scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
-	conns := flag.Int("conns", 0, "connection count for -scenario")
-	printTables := flag.Bool("tables", false, "print per-NI slot tables")
-	backendF := flag.String("backend", "aelite", "aelite | routerless (ring/slot allocation instead of TDM tables)")
-	flag.Parse()
+// mainCode is main without the process: it parses and validates args,
+// allocates, prints to stdout and returns the exit code.
+func mainCode(args []string, stdout io.Writer) int {
+	var uc cli.UseCaseFlags
+	fs := flag.NewFlagSet(tool, flag.ExitOnError)
+	uc.Register(fs)
+	table := fs.Int("table", 0, "TDM table size (0 = search)")
+	modeF := fs.String("mode", "synchronous", "clocking: synchronous|mesochronous|asynchronous")
+	alloc := fs.String("alloc", "greedy", "slot allocator: greedy | ripup")
+	printTables := fs.Bool("tables", false, "print per-NI slot tables")
+	backendF := fs.String("backend", "aelite", "aelite | routerless (ring/slot allocation instead of TDM tables)")
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 inside Parse
 
 	// Malformed invocations are rejected up front with one-line
 	// diagnostics and exit code 2, matching aelite-sim's contract.
-	if *cols < 1 || *rows < 1 || *nis < 1 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("mesh dimensions must be at least 1 (-cols %d -rows %d -nis %d)", *cols, *rows, *nis)))
-	}
-	if *freq <= 0 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-freq %g must be positive", *freq)))
+	usage := func(err error) int { return cli.Usage(tool, err) }
+	if err := uc.Validate(); err != nil {
+		return usage(err)
 	}
 	if *table < 0 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-table %d must not be negative (0 = search)", *table)))
+		return usage(fmt.Errorf("-table %d must not be negative (0 = search)", *table))
 	}
 	if _, err := slots.ByName(*alloc); err != nil {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-alloc: %w", err)))
+		return usage(fmt.Errorf("-alloc: %w", err))
 	}
-	switch *mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		os.Exit(cli.Usage(tool, fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", *mode)))
+	mode, err := core.ParseMode(*modeF)
+	if err != nil {
+		return usage(err)
 	}
-	switch *backendF {
-	case "aelite", "routerless":
-	default:
+	if *backendF != "aelite" && *backendF != "routerless" {
 		// Allocation inspection exists for slot-scheduled fabrics; the
 		// best-effort baseline has no reservations to print.
-		os.Exit(cli.Usage(tool, fmt.Errorf("unknown backend %q (aelite | routerless)", *backendF)))
+		return usage(fmt.Errorf("unknown backend %q (aelite | routerless)", *backendF))
 	}
-	if *backendF == "routerless" && *mode != "synchronous" {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", *mode)))
-	}
-	if *scenarioF != "" {
-		if _, err := scenario.ParseFamily(*scenarioF); err != nil {
-			os.Exit(cli.Usage(tool, fmt.Errorf("-scenario: %w", err)))
-		}
-		if *specPath != "" || *random > 0 {
-			os.Exit(cli.Usage(tool, errors.New("-scenario excludes -spec and -random")))
-		}
-		if *conns < 1 {
-			os.Exit(cli.Usage(tool, fmt.Errorf("-scenario needs -conns >= 1 (got %d)", *conns)))
-		}
-	} else if *conns != 0 {
-		os.Exit(cli.Usage(tool, errors.New("-conns applies only with -scenario")))
-	}
-	if *specPath == "" && *random <= 0 && *scenarioF == "" {
-		os.Exit(cli.Usage(tool, errors.New("need -spec, -random or -scenario")))
+	if *backendF == "routerless" && mode != core.Synchronous {
+		return usage(fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", mode))
 	}
 
-	m := topology.NewMesh(*cols, *rows, *nis)
-	layout, wordBytes, err := layoutFor(*cols, *rows)
-	fatal(err)
-	var uc *spec.UseCase
-	switch {
-	case *scenarioF != "":
-		fam, err := scenario.ParseFamily(*scenarioF)
-		fatal(err)
-		cfg := scenario.Default(fam, *cols, *rows, *conns, *seed)
-		cfg.NIsPerRouter = *nis
-		cfg.FreqMHz = *freq
-		cfg.WordBytes = wordBytes
-		if *table != 0 {
-			cfg.TableSize = *table
-		}
-		s, err := scenario.Generate(cfg)
-		fatal(err)
-		uc = s.UseCase
-	case *specPath != "":
-		uc, err = spec.Load(*specPath)
-		fatal(err)
-	default:
-		uc = spec.Random(spec.RandomConfig{
-			Name: "random", Seed: *seed,
-			IPs: 2 * *cols * *rows * *nis / 2, Apps: 4, Conns: *random,
-			MinRateMBps: 10, MaxRateMBps: 300, HeavyFraction: 0.1, HeavyMinRateMBps: 40,
-			MinLatencyNs: 150, MaxLatencyNs: 900,
-		})
+	m, u, layout, wordBytes, err := uc.Build(*table)
+	if err != nil {
+		return cli.Failure(tool, err)
 	}
-	needMap := false
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			needMap = true
-		}
-	}
-	if needMap {
-		spec.MapIPsByTraffic(uc, m)
-	}
-
-	if *backendF == "routerless" {
-		n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: *freq, WordBytes: wordBytes})
-		fatal(err)
-		fmt.Printf("use case %q: %d IPs, %d connections on a %dx%d mesh (%d NIs/router)\n",
-			uc.Name, len(uc.IPs), len(uc.Connections), *cols, *rows, *nis)
-		fmt.Printf("routerless ring overlay, %.0f MHz, %d rings\n\n", *freq, n.Rings())
-		fmt.Printf("%6s %9s %9s %9s %6s %5s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops")
-		for _, c := range uc.Connections {
-			info, err := n.Info(c.ID)
-			fatal(err)
-			fmt.Printf("%6d %9.1f %9.1f %9.1f %6d %5d\n",
-				c.ID, c.BandwidthMBps, info.GuaranteedMBps, info.BoundNs,
-				len(info.Slots), info.PathHops)
-		}
-		fmt.Println("\nring occupancy:")
-		n.WriteRings(os.Stdout)
-		return
-	}
-
-	cfg := core.Config{FreqMHz: *freq, TableSize: *table, Allocator: *alloc,
+	cfg := core.Config{FreqMHz: uc.FreqMHz, TableSize: *table, Allocator: *alloc, Mode: mode,
 		Layout: layout, WordBytes: wordBytes}
-	switch *mode {
-	case "synchronous":
-	case "mesochronous":
-		cfg.Mode = core.Mesochronous
-	case "asynchronous":
-		cfg.Mode = core.Asynchronous
+	if *backendF == "routerless" {
+		err = allocateRings(stdout, m, u, cfg)
+	} else {
+		err = allocateTDM(stdout, m, u, cfg, *printTables)
 	}
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
-	fatal(err)
+	if err != nil {
+		return cli.Failure(tool, err)
+	}
+	return cli.ExitOK
+}
 
-	fmt.Printf("use case %q: %d IPs, %d connections on a %dx%d mesh (%d NIs/router)\n",
-		uc.Name, len(uc.IPs), len(uc.Connections), *cols, *rows, *nis)
-	fmt.Printf("mode %s, %.0f MHz, slot table %d, allocator %s\n\n", cfg.Mode, *freq, n.Cfg.TableSize, *alloc)
+// header prints the line that opens either allocation view.
+func header(w io.Writer, m *topology.Mesh, uc *spec.UseCase) {
+	fmt.Fprintf(w, "use case %q: %d IPs, %d connections on a %dx%d mesh (%d NIs/router)\n",
+		uc.Name, len(uc.IPs), len(uc.Connections), m.Cols, m.Rows, m.NIsPerRouter)
+}
 
-	fmt.Printf("%6s %9s %9s %9s %6s %5s %8s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops", "recvCap")
+// allocateRings prints the routerless overlay's ring/slot allocation.
+func allocateRings(w io.Writer, m *topology.Mesh, uc *spec.UseCase, cfg core.Config) error {
+	n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: cfg.FreqMHz, WordBytes: cfg.WordBytes})
+	if err != nil {
+		return err
+	}
+	header(w, m, uc)
+	fmt.Fprintf(w, "routerless ring overlay, %.0f MHz, %d rings\n\n", cfg.FreqMHz, n.Rings())
+	fmt.Fprintf(w, "%6s %9s %9s %9s %6s %5s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops")
 	for _, c := range uc.Connections {
 		info, err := n.Info(c.ID)
-		fatal(err)
-		fmt.Printf("%6d %9.1f %9.1f %9.1f %6d %5d %8d\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%6d %9.1f %9.1f %9.1f %6d %5d\n",
+			c.ID, c.BandwidthMBps, info.GuaranteedMBps, info.BoundNs,
+			len(info.Slots), info.PathHops)
+	}
+	fmt.Fprintln(w, "\nring occupancy:")
+	n.WriteRings(w)
+	return nil
+}
+
+// allocateTDM prints the aelite slot allocation: per-connection
+// guarantees, the busiest links and (with tables) every NI's slot table.
+func allocateTDM(w io.Writer, m *topology.Mesh, uc *spec.UseCase, cfg core.Config, tables bool) error {
+	core.PrepareTopology(m, cfg)
+	n, err := core.Build(m, uc, cfg)
+	if err != nil {
+		return err
+	}
+
+	header(w, m, uc)
+	fmt.Fprintf(w, "mode %s, %.0f MHz, slot table %d, allocator %s\n\n", cfg.Mode, cfg.FreqMHz, n.Cfg.TableSize, cfg.Allocator)
+
+	fmt.Fprintf(w, "%6s %9s %9s %9s %6s %5s %8s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops", "recvCap")
+	for _, c := range uc.Connections {
+		info, err := n.Info(c.ID)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%6d %9.1f %9.1f %9.1f %6d %5d %8d\n",
 			c.ID, c.BandwidthMBps, info.GuaranteedMBps, info.BoundNs,
 			len(info.Slots), info.PathHops, info.RecvCapacity)
 	}
@@ -216,24 +160,19 @@ func main() {
 		lus = append(lus, lu{l.ID, n.Alloc.LinkUtilisation(l.ID)})
 	}
 	sort.Slice(lus, func(i, j int) bool { return lus[i].util > lus[j].util })
-	fmt.Println("\nbusiest links:")
+	fmt.Fprintln(w, "\nbusiest links:")
 	for i := 0; i < 10 && i < len(lus); i++ {
 		l := m.Link(lus[i].id)
-		fmt.Printf("  %-24s %5.1f%%\n",
+		fmt.Fprintf(w, "  %-24s %5.1f%%\n",
 			m.Node(l.From).Name+" > "+m.Node(l.To).Name, lus[i].util*100)
 	}
 
-	if *printTables {
-		fmt.Println("\nNI slot tables:")
+	if tables {
+		fmt.Fprintln(w, "\nNI slot tables:")
 		for _, id := range m.AllNIs() {
 			t := n.Alloc.NITable(id)
-			fmt.Printf("  %-10s %v\n", m.Node(id).Name, t.Slots)
+			fmt.Fprintf(w, "  %-10s %v\n", m.Node(id).Name, t.Slots)
 		}
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		os.Exit(cli.Failure(tool, err))
-	}
+	return nil
 }

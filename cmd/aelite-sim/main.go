@@ -1,8 +1,14 @@
 // Command aelite-sim runs a use case through the cycle-accurate simulator
 // — the aelite guaranteed-service network (synchronous, mesochronous or
 // asynchronous), the Æthereal best-effort baseline, or the routerless
-// ring-overlay fabric — and prints the per-connection report. Non-aelite
-// backends are built through the internal/backend registry.
+// ring-overlay fabric — and prints the per-connection report. Every
+// backend takes one path: the flags fill one backend.Params, the
+// internal/backend registry builds the network, one bus carries the trace,
+// metrics and audit sinks, and one renderer prints the report, the audit
+// summary, the campaign summary and the verdict in that order. Flags only
+// the aelite core models (fault campaigns, -reconfig, -reliable, -fast,
+// -probes, -alloc, the clocking modes) are rejected up front on any other
+// backend instead of being ignored.
 //
 // Usage:
 //
@@ -82,12 +88,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
-
-	"errors"
 
 	"repro/internal/audit"
 	"repro/internal/backend"
@@ -97,223 +101,31 @@ import (
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/phit"
-	"repro/internal/scenario"
-	"repro/internal/slots"
-	"repro/internal/spec"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-type options struct {
-	specPath  string
-	random    int
-	seed      int64
-	cols      int
-	rows      int
-	nis       int
-	backend   string
-	mode      string
-	freq      float64
-	warmup    float64
-	measure   float64
-	tx        bool
-	probes    bool
-	faults    string
-	faultSeed int64
-	reliable  bool
-	bitflip   float64
-	drop      float64
-	strict    bool
-	skewPS    int64
-	runs      int
-	jobs      int
-	audit     bool
-	reconfig  string
-	fast      bool
-	scenario  string
-	conns     int
-	alloc     string
-
-	traceOut   string
-	metricsOut string
-	pprofOut   string
-}
-
-// rateFaults reports whether a seeded rate process is armed.
-func (o *options) rateFaults() bool { return o.bitflip > 0 || o.drop > 0 }
-
-// canonicalBackend resolves the -backend flag to a registry name ("be"
-// stays as a compatibility alias for the Æthereal GS+BE baseline).
-func (o *options) canonicalBackend() string {
-	if o.backend == "be" {
-		return "aethereal"
-	}
-	return o.backend
-}
-
-// faultPlan assembles the campaign plan for one run: the event spec (if
-// any) parsed under the given seed, plus the all-links rate rules.
-func (o *options) faultPlan(faultSeed int64) (*fault.Plan, error) {
-	plan := &fault.Plan{Seed: faultSeed}
-	if o.faults != "" {
-		var err error
-		plan, err = fault.ParseSpec(o.faults, faultSeed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if o.rateFaults() {
-		plan.Rates = append(plan.Rates, fault.RateRule{BitFlip: o.bitflip, Drop: o.drop})
-	}
-	return plan, nil
-}
-
-// validate rejects malformed flag combinations before anything is built,
-// so every misuse gets a one-line diagnostic and exit code 2 instead of a
-// late panic or a silently ignored value.
-func (o *options) validate() error {
-	if o.cols < 1 || o.rows < 1 || o.nis < 1 {
-		return fmt.Errorf("mesh dimensions must be at least 1 (-cols %d -rows %d -nis %d)", o.cols, o.rows, o.nis)
-	}
-	if o.freq <= 0 {
-		return fmt.Errorf("-freq %g must be positive", o.freq)
-	}
-	if o.warmup < 0 || o.measure <= 0 {
-		return fmt.Errorf("-warmup %g must be >= 0 and -measure %g > 0", o.warmup, o.measure)
-	}
-	if o.random < 0 {
-		return fmt.Errorf("-random %d must be positive", o.random)
-	}
-	if o.scenario != "" {
-		if _, err := scenario.ParseFamily(o.scenario); err != nil {
-			return fmt.Errorf("-scenario: %w", err)
-		}
-		if o.specPath != "" || o.random > 0 {
-			return fmt.Errorf("-scenario excludes -spec and -random")
-		}
-		if o.conns < 1 {
-			return fmt.Errorf("-scenario needs -conns >= 1 (got %d)", o.conns)
-		}
-	} else if o.conns != 0 {
-		return fmt.Errorf("-conns applies only with -scenario")
-	}
-	if _, err := slots.ByName(o.alloc); err != nil {
-		return fmt.Errorf("-alloc: %w", err)
-	}
-	if _, err := backend.ByName(o.canonicalBackend()); err != nil {
-		return fmt.Errorf("-backend: %w", err)
-	}
-	if o.backend != "aelite" && o.mode != "synchronous" {
-		return fmt.Errorf("-backend %s is single-clock; -mode %s needs the aelite backend", o.backend, o.mode)
-	}
-	switch o.mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		return fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", o.mode)
-	}
-	if o.skewPS < 0 {
-		return fmt.Errorf("-skew-ps %d is negative; skew is a magnitude in picoseconds", o.skewPS)
-	}
-	if o.skewPS != 0 && o.mode != "mesochronous" {
-		return fmt.Errorf("-skew-ps applies only to -mode mesochronous (got %q)", o.mode)
-	}
-	if o.faults != "" {
-		if _, err := fault.ParseSpec(o.faults, o.faultSeed); err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-	}
-	if err := (fault.RateRule{BitFlip: o.bitflip, Drop: o.drop}).Validate(); err != nil {
-		return fmt.Errorf("-bitflip-rate/-drop-rate: %w", err)
-	}
-	if (o.reliable || o.rateFaults()) && o.backend != "aelite" {
-		return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
-	}
-	if o.audit {
-		// Every backend emits the traced flit lifecycle, but only
-		// bounds-carrying backends have contracts for the auditor to check.
-		bk, err := backend.ByName(o.canonicalBackend())
-		if err == nil && !bk.HasBounds() {
-			return fmt.Errorf("-audit checks analytical guarantee contracts and backend %q has none (best effort)", o.backend)
-		}
-	}
-	if o.audit && o.runs > 1 {
-		return fmt.Errorf("-audit attaches to a single run and cannot serve a -runs sweep")
-	}
-	if o.runs < 1 {
-		return fmt.Errorf("-runs %d must be at least 1", o.runs)
-	}
-	if o.jobs < 1 {
-		return fmt.Errorf("-j %d must be at least 1", o.jobs)
-	}
-	if o.reconfig != "" {
-		if o.backend != "aelite" {
-			return fmt.Errorf("-reconfig needs the aelite backend (got %q)", o.backend)
-		}
-		if o.mode == "asynchronous" {
-			return fmt.Errorf("-reconfig cannot serve asynchronous mode (slot counters are token-indexed)")
-		}
-		if o.runs > 1 {
-			return fmt.Errorf("-reconfig scripts one run and cannot serve a -runs sweep")
-		}
-		if _, err := parseReconfigScript(o.reconfig); err != nil {
-			return fmt.Errorf("-reconfig: %w", err)
-		}
-	}
-	if o.runs > 1 {
-		if o.faults == "" && !o.rateFaults() {
-			return fmt.Errorf("-runs %d sweeps fault seeds and needs -faults, -bitflip-rate or -drop-rate", o.runs)
-		}
-		if o.traceOut != "" || o.metricsOut != "" {
-			return fmt.Errorf("-trace-out/-metrics-out write one file and cannot serve a -runs sweep")
-		}
-	}
-	return nil
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.specPath, "spec", "", "use-case JSON")
-	flag.IntVar(&o.random, "random", 0, "generate this many random connections")
-	flag.StringVar(&o.scenario, "scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
-	flag.IntVar(&o.conns, "conns", 0, "connection count for -scenario")
-	flag.StringVar(&o.alloc, "alloc", "greedy", "slot allocator: greedy | ripup")
-	flag.Int64Var(&o.seed, "seed", 1, "seed for -random/-scenario")
-	flag.IntVar(&o.cols, "cols", 4, "mesh columns")
-	flag.IntVar(&o.rows, "rows", 3, "mesh rows")
-	flag.IntVar(&o.nis, "nis", 4, "NIs per router")
-	flag.StringVar(&o.backend, "backend", "aelite", "aelite | aethereal (alias: be) | routerless")
-	flag.StringVar(&o.mode, "mode", "synchronous", "synchronous|mesochronous|asynchronous")
-	flag.Float64Var(&o.freq, "freq", 500, "frequency in MHz")
-	flag.Float64Var(&o.warmup, "warmup", 10000, "warm-up in ns")
-	flag.Float64Var(&o.measure, "measure", 50000, "measurement window in ns")
-	flag.BoolVar(&o.tx, "tx", false, "transactional traffic")
-	flag.BoolVar(&o.probes, "probes", false, "TDM verification probes")
-	flag.StringVar(&o.faults, "faults", "", "fault campaign spec")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for random fault events")
-	flag.BoolVar(&o.reliable, "reliable", false, "end-to-end reliability shell on every NI port")
-	flag.Float64Var(&o.bitflip, "bitflip-rate", 0, "per-phit payload bit-flip probability on every link (0..1)")
-	flag.Float64Var(&o.drop, "drop-rate", 0, "per-flit drop probability on every link (0..1)")
-	flag.BoolVar(&o.strict, "strict", false, "fail fast on the first envelope violation")
-	flag.Int64Var(&o.skewPS, "skew-ps", 0, "mesochronous tile-skew override in ps")
-	flag.IntVar(&o.runs, "runs", 1, "fault-campaign sweep: campaigns with consecutive fault seeds")
-	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "parallel workers for -runs sweeps")
-	flag.BoolVar(&o.audit, "audit", false, "check every flit against the analytical guarantee contracts")
-	flag.BoolVar(&o.fast, "fast", false, "hyperperiod-compiled fast replay (falls back to cycle-accurate when the workload is not provably periodic)")
-	flag.StringVar(&o.reconfig, "reconfig", "", "run-time reconfiguration script (close@TIMEns:CONN;open@TIMEns:SRC:DST:MBPS:LATNS;...)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write Chrome trace-event JSON to this file")
-	flag.StringVar(&o.metricsOut, "metrics-out", "", "write aggregated metrics to this file (.csv selects CSV)")
-	flag.StringVar(&o.pprofOut, "pprof", "", "write a CPU profile to this file")
-	flag.Parse()
-	if err := o.validate(); err != nil {
-		os.Exit(cli.Usage(tool, err))
-	}
-	os.Exit(run(o))
+	os.Exit(mainCode(os.Args[1:], os.Stdout))
 }
 
-// run executes the simulation and returns the process exit code. Envelope
-// violations in strict mode (and any internal failure) surface as panics;
-// they are condensed into a one-line diagnostic rather than a stack trace.
-func run(o options) (code int) {
+// mainCode is main without the process: it parses and validates args,
+// runs, prints to stdout and returns the exit code.
+func mainCode(args []string, stdout io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet(tool, flag.ExitOnError)
+	o.register(fs)
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 inside Parse
+	if err := o.validate(); err != nil {
+		return cli.Usage(tool, err)
+	}
+	return run(o, stdout)
+}
+
+// run opens the output files, executes the simulation — one run, or a
+// -runs sweep — and returns the process exit code. Envelope violations in
+// strict mode (and any internal failure) surface as panics; they are
+// condensed into a one-line diagnostic rather than a stack trace.
+func run(o options, stdout io.Writer) (code int) {
 	defer func() {
 		if r := recover(); r != nil {
 			code = cli.Fatal(tool, r)
@@ -335,81 +147,87 @@ func run(o options) (code int) {
 		}()
 	}
 
-	// Output files are opened before anything is built or simulated, so an
-	// unwritable path fails in milliseconds instead of after a full run.
-	var traceFile, metricsFile *os.File
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		traceFile = f
-	}
-	if o.metricsOut != "" {
-		f, err := os.Create(o.metricsOut)
-		if err != nil {
-			return fail(err)
-		}
-		metricsFile = f
+	if o.runs > 1 {
+		return runCampaignSweep(o, stdout)
 	}
 
-	m, uc, err := buildUseCase(o)
+	// Output files are opened before anything is built or simulated, so an
+	// unwritable path fails in milliseconds instead of after a full run.
+	traceFile, err := createOut(o.traceOut)
 	if err != nil {
 		return fail(err)
 	}
-	if uc == nil {
-		return cli.Usage(tool, errors.New("need -spec, -random or -scenario"))
+	defer traceFile.Close()
+	metricsFile, err := createOut(o.metricsOut)
+	if err != nil {
+		return fail(err)
 	}
+	defer metricsFile.Close()
 
-	campaignMode := o.faults != "" || o.skewPS != 0 || o.rateFaults()
-	if o.backend != "aelite" {
-		if campaignMode {
-			return cli.Usage(tool, errors.New("fault campaigns need the aelite backend"))
+	code, err = simulate(o, o.faultSeed, stdout, traceFile, metricsFile)
+	for _, f := range []*os.File{traceFile, metricsFile} {
+		if f != nil && err == nil {
+			err = f.Close()
 		}
-		return runSeamBackend(o, m, uc, traceFile, metricsFile)
 	}
-
-	if o.runs > 1 {
-		return runCampaignSweep(o)
+	if err != nil {
+		return fail(err)
 	}
+	return code
+}
 
+// createOut creates the file behind an output flag; an unset flag (empty
+// path) yields nil.
+func createOut(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	return os.Create(path)
+}
+
+// simulate is the one build-and-run path: it builds the use case on the
+// selected backend through the seam, wires the trace bus and its sinks,
+// runs once and renders to stdout — report, audit summary, campaign
+// summary, verdict. The Chrome trace and the metrics go to traceW and
+// metricsW when -trace-out / -metrics-out are set. It returns the exit
+// code of a completed run (0, or 1 for a missed requirement or an audit
+// violation), or the error that stopped it.
+func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (int, error) {
+	m, uc, layout, wordBytes, err := o.uc.Build(0)
+	if err != nil {
+		return 0, err
+	}
 	// Campaigns always carry the TDM ownership probes: a corrupted header
 	// re-routes a packet into slots reserved for someone else, which only
 	// the allocation-aware probes can attribute.
-	layout, wordBytes, err := layoutFor(o.cols, o.rows)
-	if err != nil {
-		return fail(err)
+	campaign := o.campaign()
+	p := backend.Params{
+		Layout: layout, WordBytes: wordBytes, FreqMHz: o.uc.FreqMHz, Mode: o.clocking,
+		Allocator: o.alloc, Transactional: o.tx, FastReplay: o.fast,
+		Probes: o.probes || campaign, Reliable: o.reliable, SkewOverridePS: o.skewPS,
 	}
-	cfg := core.Config{FreqMHz: o.freq, Probes: o.probes || campaignMode, Transactional: o.tx,
-		Reliable: o.reliable, SkewOverridePS: o.skewPS, FastReplay: o.fast, Allocator: o.alloc,
-		Layout: layout, WordBytes: wordBytes}
-	switch o.mode {
-	case "synchronous":
-	case "mesochronous":
-		cfg.Mode = core.Mesochronous
-	case "asynchronous":
-		cfg.Mode = core.Asynchronous
-	default:
-		return cli.Usage(tool, fmt.Errorf("unknown mode %q", o.mode))
-	}
-
 	// In a campaign, a collector switches every envelope check from
 	// fail-fast panic to graceful violation recording; -strict keeps the
 	// panics so the first violation halts the run.
 	var collector *fault.Collector
-	if campaignMode && !o.strict {
+	if campaign && !o.strict {
 		collector = fault.NewCollector()
-		cfg.FaultReporter = collector
+		p.FaultReporter = collector
 	}
-
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
+	inst, err := o.bk.Build(m, uc, p)
 	if err != nil {
-		return fail(err)
+		return 0, err
+	}
+	// Campaigns and reconfiguration act on the aelite core network itself;
+	// validate confines their flags to the aelite backend.
+	var net *core.Network
+	if a, ok := inst.(interface{ Network() *core.Network }); ok {
+		net = a.Network()
 	}
 
 	// Tracing: one bus feeds the Chrome sink, the metrics sink and the
 	// conformance auditor alike.
+	period := clock.PeriodFromMHz(o.uc.FreqMHz)
 	var chrome *trace.Chrome
 	var metrics *trace.Metrics
 	var auditor *audit.Auditor
@@ -418,7 +236,7 @@ func run(o options) (code int) {
 		bus := trace.NewBus()
 		if o.traceOut != "" {
 			chrome = trace.NewChrome(bus)
-			chrome.SetFlitCycle(phit.FlitWords * int64(n.BaseClock().Period))
+			chrome.SetFlitCycle(phit.FlitWords * int64(period))
 		}
 		if o.metricsOut != "" {
 			metrics = trace.NewMetrics(bus)
@@ -433,294 +251,102 @@ func run(o options) (code int) {
 				auditCol = fault.NewCollector()
 				audRep = auditCol
 			}
-			auditor = audit.Attach(n, bus, audRep, audit.Options{})
-		}
-		n.AttachTracer(bus)
-	}
-
-	var reconfigActs []core.TimedAction
-	if o.reconfig != "" {
-		steps, err := parseReconfigScript(o.reconfig)
-		if err != nil {
-			return fail(err)
-		}
-		reconfigActs = reconfigActions(steps, auditor)
-	}
-
-	var rep *core.Report
-	var summary *fault.Summary
-	runNet := func() error {
-		if len(reconfigActs) == 0 {
-			rep = n.Run(o.warmup, o.measure)
-			return nil
-		}
-		var err error
-		rep, err = n.RunTimed(o.warmup, o.measure, reconfigActs)
-		return err
-	}
-	if campaignMode {
-		plan, err := o.faultPlan(o.faultSeed)
-		if err != nil {
-			return fail(err)
-		}
-		var runErr error
-		summary, err = fault.Execute(plan, collector, n, func() {
-			runErr = runNet()
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if runErr != nil {
-			return fail(runErr)
-		}
-	} else if err := runNet(); err != nil {
-		return fail(err)
-	}
-	rep.Write(os.Stdout)
-	if chrome != nil {
-		if err := writeTrace(traceFile, chrome); err != nil {
-			return fail(err)
-		}
-	}
-	if metrics != nil {
-		mrep := metrics.Report(int64(n.Engine().Now()), int64(n.BaseClock().Period))
-		if err := writeMetrics(metricsFile, o.metricsOut, mrep); err != nil {
-			return fail(err)
-		}
-	}
-	auditFailed := false
-	if auditor != nil {
-		fmt.Println()
-		auditor.WriteSummary(os.Stdout)
-		if auditor.Violations() > 0 {
-			for _, v := range auditCol.Violations() {
-				fmt.Fprintln(os.Stderr, "aelite-sim: audit:", v)
-			}
-			auditFailed = true
-		}
-	}
-	if summary != nil {
-		fmt.Println()
-		summary.Write(os.Stdout)
-		if auditFailed {
-			return 1
-		}
-		return 0
-	}
-	if code := verdict(rep); code != 0 {
-		return code
-	}
-	if auditFailed {
-		return 1
-	}
-	return 0
-}
-
-// runSeamBackend builds and runs a non-aelite backend through the
-// backend seam. The "be" alias keeps its historical output — the
-// verdict line only — byte-identical; newer backends print the full
-// per-connection report first. Tracing, metrics and (for bounds-carrying
-// backends) the conformance auditor ride the same shared bus wiring the
-// aelite path uses.
-func runSeamBackend(o options, m *topology.Mesh, uc *spec.UseCase, traceFile, metricsFile *os.File) int {
-	name := o.canonicalBackend()
-	bk, err := backend.ByName(name)
-	if err != nil {
-		return cli.Usage(tool, err)
-	}
-	inst, err := bk.Build(m, uc, backend.Params{FreqMHz: o.freq, Transactional: o.tx})
-	if err != nil {
-		return fail(err)
-	}
-
-	var chrome *trace.Chrome
-	var metrics *trace.Metrics
-	var auditor *audit.Auditor
-	var auditCol *fault.Collector
-	if o.traceOut != "" || o.metricsOut != "" || o.audit {
-		bus := trace.NewBus()
-		if o.traceOut != "" {
-			chrome = trace.NewChrome(bus)
-			chrome.SetFlitCycle(phit.FlitWords * int64(clock.PeriodFromMHz(o.freq)))
-		}
-		if o.metricsOut != "" {
-			metrics = trace.NewMetrics(bus)
-		}
-		if o.audit {
-			if !o.strict {
-				auditCol = fault.NewCollector()
-			}
-			auditor = inst.Audit(bus, auditCol, audit.Options{})
+			auditor = inst.Audit(bus, audRep, audit.Options{})
 		}
 		inst.AttachTracer(bus)
 	}
 
-	rep := inst.Run(o.warmup, o.measure)
+	var rep *core.Report
+	runOnce := func() (err error) {
+		if o.steps == nil {
+			rep = inst.Run(o.warmup, o.measure)
+			return nil
+		}
+		rep, err = net.RunTimed(o.warmup, o.measure, reconfigActions(o.steps, auditor, stdout))
+		return err
+	}
+	var summary *fault.Summary
+	if campaign {
+		plan, err := o.faultPlan(faultSeed)
+		if err != nil {
+			return 0, err
+		}
+		var runErr error
+		summary, err = fault.Execute(plan, collector, net, func() { runErr = runOnce() })
+		if err == nil {
+			err = runErr
+		}
+		if err != nil {
+			return 0, err
+		}
+	} else if err := runOnce(); err != nil {
+		return 0, err
+	}
+
+	// The "be" alias keeps its historical output: the verdict line only.
 	if o.backend != "be" {
-		rep.Write(os.Stdout)
+		rep.Write(stdout)
 	}
 	if chrome != nil {
-		if err := writeTrace(traceFile, chrome); err != nil {
-			return fail(err)
+		if _, err := chrome.WriteTo(traceW); err != nil {
+			return 0, err
 		}
 	}
 	if metrics != nil {
-		now := clock.Time(o.warmup*float64(clock.Nanosecond)) + clock.Time(o.measure*float64(clock.Nanosecond))
-		mrep := metrics.Report(int64(now), int64(clock.PeriodFromMHz(o.freq)))
-		if err := writeMetrics(metricsFile, o.metricsOut, mrep); err != nil {
-			return fail(err)
+		mrep := metrics.Report(int64(inst.Engine().Now()), int64(period))
+		write := mrep.WriteJSON
+		if strings.HasSuffix(o.metricsOut, ".csv") {
+			write = mrep.WriteCSV
+		}
+		if err := write(metricsW); err != nil {
+			return 0, err
 		}
 	}
-	code := verdict(rep)
+	code := 0
 	if auditor != nil {
-		fmt.Println()
-		auditor.WriteSummary(os.Stdout)
+		fmt.Fprintln(stdout)
+		auditor.WriteSummary(stdout)
 		if auditor.Violations() > 0 {
-			if auditCol != nil {
-				for _, v := range auditCol.Violations() {
-					fmt.Fprintln(os.Stderr, "aelite-sim: audit:", v)
-				}
+			for _, v := range auditCol.Violations() {
+				fmt.Fprintln(cli.Stderr, "aelite-sim: audit:", v)
 			}
-			if code == 0 {
-				code = 1
-			}
+			code = 1
 		}
 	}
-	return code
+	// A campaign's product is its summary, not a verdict: it exits 0 even
+	// when the injected faults made connections miss their requirements.
+	if summary != nil {
+		fmt.Fprintln(stdout)
+		summary.Write(stdout)
+		return code, nil
+	}
+	if rep.AllMet() {
+		fmt.Fprintln(stdout, "\nall requirements met")
+		return code, nil
+	}
+	fmt.Fprintf(stdout, "\n%d requirements MISSED\n", len(rep.Violations()))
+	return 1, nil
 }
 
-// layoutFor picks the header layout the mesh diameter needs: the worst
-// minimal route visits cols+rows-1 routers. The paper's 32-bit layout
-// encodes 7 hops; the 64-bit WideLayout (8-byte words) 16. Beyond that
-// no runnable header exists — allocation-only planning (aelite-exp
-// scale) is the tool at that size.
-func layoutFor(cols, rows int) (phit.HeaderLayout, int, error) {
-	ports := cols + rows - 1
-	switch {
-	case ports <= phit.DefaultLayout.MaxHops():
-		return phit.DefaultLayout, 4, nil
-	case ports <= phit.WideLayout.MaxHops():
-		return phit.WideLayout, 8, nil
-	}
-	return phit.HeaderLayout{}, 0, fmt.Errorf(
-		"a %dx%d mesh needs %d-hop headers; the widest layout encodes %d (allocation-only planning via aelite-exp scale has no such cap)",
-		cols, rows, ports, phit.WideLayout.MaxHops())
-}
-
-// buildUseCase assembles the mesh and use case from the flags. A nil use
-// case (with nil error) means neither -spec nor -random was given. Sweep
-// workers call it once each: a use case is mutated during mapping and
-// build-time budget negotiation, so it must never be shared across
-// engines.
-func buildUseCase(o options) (*topology.Mesh, *spec.UseCase, error) {
-	m := topology.NewMesh(o.cols, o.rows, o.nis)
-	var uc *spec.UseCase
-	switch {
-	case o.scenario != "":
-		fam, err := scenario.ParseFamily(o.scenario)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := scenario.Default(fam, o.cols, o.rows, o.conns, o.seed)
-		cfg.NIsPerRouter = o.nis
-		cfg.FreqMHz = o.freq
-		if _, wordBytes, err := layoutFor(o.cols, o.rows); err == nil {
-			// Quantisation must target the word width the network will
-			// actually run at (the wide layout carries 8-byte words).
-			cfg.WordBytes = wordBytes
-		}
-		s, err := scenario.Generate(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		uc = s.UseCase
-	case o.specPath != "":
-		var err error
-		uc, err = spec.Load(o.specPath)
-		if err != nil {
-			return nil, nil, err
-		}
-	case o.random > 0:
-		uc = spec.Random(spec.RandomConfig{
-			Name: "random", Seed: o.seed,
-			IPs: o.cols * o.rows * o.nis, Apps: 4, Conns: o.random,
-			MinRateMBps: 10, MaxRateMBps: 300, HeavyFraction: 0.1, HeavyMinRateMBps: 40,
-			MinLatencyNs: 150, MaxLatencyNs: 900,
-		})
-	default:
-		return m, nil, nil
-	}
-	unmapped := false
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			unmapped = true
-		}
-	}
-	if unmapped {
-		spec.MapIPsByTraffic(uc, m)
-	}
-	return m, uc, nil
-}
-
-// campaignPoint is one worker of a -runs sweep: it builds a private
-// network and engine, arms the campaign with the given fault seed, runs
-// it, and renders the connection report plus campaign summary. A strict-
-// mode envelope violation (or any other panic) is returned as an error so
-// one failed point cannot tear down the whole sweep.
+// campaignPoint is one worker of a -runs sweep: one simulate into a
+// buffer, on a privately built network, under the given fault seed. A
+// strict-mode envelope violation (or any other panic) is returned as an
+// error so one failed point cannot tear down the whole sweep.
 func campaignPoint(o options, faultSeed int64) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("fatal: %v", r)
 		}
 	}()
-	m, uc, err := buildUseCase(o)
-	if err != nil {
-		return nil, err
-	}
-	layout, wordBytes, err := layoutFor(o.cols, o.rows)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{FreqMHz: o.freq, Probes: true, Transactional: o.tx,
-		Reliable: o.reliable, SkewOverridePS: o.skewPS, FastReplay: o.fast, Allocator: o.alloc,
-		Layout: layout, WordBytes: wordBytes}
-	if o.mode == "mesochronous" {
-		cfg.Mode = core.Mesochronous
-	} else if o.mode == "asynchronous" {
-		cfg.Mode = core.Asynchronous
-	}
-	var collector *fault.Collector
-	if !o.strict {
-		collector = fault.NewCollector()
-		cfg.FaultReporter = collector
-	}
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := o.faultPlan(faultSeed)
-	if err != nil {
-		return nil, err
-	}
-	var rep *core.Report
-	summary, err := fault.Execute(plan, collector, n, func() {
-		rep = n.Run(o.warmup, o.measure)
-	})
-	if err != nil {
-		return nil, err
-	}
 	var b bytes.Buffer
-	rep.Write(&b)
-	fmt.Fprintln(&b)
-	summary.Write(&b)
-	return b.Bytes(), nil
+	_, err = simulate(o, faultSeed, &b, nil, nil)
+	return b.Bytes(), err
 }
 
 // runCampaignSweep fans o.runs campaign points with consecutive fault
 // seeds across the worker pool and prints each point's rendered output in
 // seed order — byte-identical at every -j value.
-func runCampaignSweep(o options) int {
+func runCampaignSweep(o options, stdout io.Writer) int {
 	outs, err := parallel.Map(parallel.Jobs(o.jobs), o.runs, func(i int) ([]byte, error) {
 		return campaignPoint(o, o.faultSeed+int64(i))
 	})
@@ -728,44 +354,13 @@ func runCampaignSweep(o options) int {
 		return fail(err)
 	}
 	for i, out := range outs {
-		fmt.Printf("== campaign %d/%d (fault seed %d) ==\n", i+1, o.runs, o.faultSeed+int64(i))
-		os.Stdout.Write(out)
+		fmt.Fprintf(stdout, "== campaign %d/%d (fault seed %d) ==\n", i+1, o.runs, o.faultSeed+int64(i))
+		stdout.Write(out)
 		if i < len(outs)-1 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	return 0
-}
-
-func verdict(rep *core.Report) int {
-	if rep.AllMet() {
-		fmt.Println("\nall requirements met")
-		return 0
-	}
-	fmt.Printf("\n%d requirements MISSED\n", len(rep.Violations()))
-	return 1
-}
-
-func writeTrace(f *os.File, c *trace.Chrome) error {
-	if _, err := c.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeMetrics(f *os.File, path string, rep *trace.Report) error {
-	var err error
-	if strings.HasSuffix(path, ".csv") {
-		err = rep.WriteCSV(f)
-	} else {
-		err = rep.WriteJSON(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // tool names this command in every cli diagnostic.

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+const (
+	window  = " -warmup 4000 -measure 20000"
+	uniform = "-scenario uniform -conns 8 -cols 3 -rows 3"
+	wide    = "-scenario uniform -conns 16 -cols 8 -rows 8 -nis 1"
+	faults  = "-random 20 -mode mesochronous -faults random:6 -fault-seed 42"
+)
+
+// rows is the pinned matrix: every clocking mode, every backend with and
+// without the auditor, campaigns alone and as sweeps, the reliability
+// shell, reconfiguration, fast replay, the wide layout, and the exit-2 and
+// exit-3 doors. The goldens were recorded from the binary of the commit
+// before aelite-sim's three build-and-run paths became one; the Changed
+// rows are the complete list of what that refactor altered on purpose.
+var rows = []row{
+	{Name: "random-sync", Args: "-random 20" + window},
+	{Name: "random-meso", Args: "-random 20 -mode mesochronous" + window},
+	{Name: "random-async", Args: "-random 20 -mode asynchronous" + window},
+	{Name: "random-sync-files", Args: "-random 20 -trace-out {tmp}/t.json -metrics-out {tmp}/m.csv" + window,
+		Files: []string{"t.json", "m.csv"}},
+
+	{Name: "uniform-aelite", Args: uniform + window},
+	{Name: "uniform-aelite-audit", Args: uniform + " -audit" + window},
+	{Name: "uniform-routerless", Args: uniform + " -backend routerless" + window},
+	{Name: "uniform-routerless-audit", Args: uniform + " -backend routerless -audit" + window,
+		Changed: "the verdict follows the audit summary, as on aelite", Reordered: true},
+	{Name: "uniform-aethereal", Args: uniform + " -backend aethereal" + window},
+	{Name: "uniform-be", Args: uniform + " -backend be" + window},
+	{Name: "uniform-routerless-files", Args: uniform + " -backend routerless -trace-out {tmp}/t.json -metrics-out {tmp}/m.json" + window,
+		Files: []string{"t.json", "m.json"}},
+
+	{Name: "faults", Args: faults + window},
+	{Name: "faults-runs3-j1", Args: faults + " -runs 3 -j 1" + window},
+	{Name: "faults-runs3-j4", Args: faults + " -runs 3 -j 4" + window},
+	{Name: "reliable-bitflip", Args: "-random 20 -mode mesochronous -reliable -bitflip-rate 0.001" + window},
+	{Name: "reconfig-audit", Args: "-random 20 -reconfig close@2000:1;open@4000:0:5:20:2000 -audit" + window},
+	{Name: "fast-audit-metrics", Args: uniform + " -fast -audit -metrics-out {tmp}/m.json" + window,
+		Files: []string{"m.json"}},
+
+	{Name: "wide-aelite", Args: wide + window},
+	{Name: "wide-aethereal", Args: wide + " -backend aethereal" + window,
+		Changed: "the wide layout reaches the baseline through the seam; the parent fails on a 9-hop path"},
+	{Name: "wide-routerless", Args: wide + " -backend routerless" + window,
+		Changed: "the rings run at the 8-byte words the scenario was quantised for; the parent ran them at 4"},
+
+	{Name: "strict-skew-exit3", Args: "-random 20 -mode mesochronous -strict -skew-ps 1001" + window},
+	{Name: "usage-routerless-meso", Args: "-random 20 -backend routerless -mode mesochronous"},
+	{Name: "usage-be-audit", Args: "-random 20 -backend be -audit"},
+	{Name: "usage-reconfig-async", Args: "-random 20 -mode asynchronous -reconfig close@2000:1"},
+	{Name: "usage-runs-without-faults", Args: "-random 20 -runs 2"},
+	{Name: "usage-be-faults", Args: "-random 20 -backend be -faults random:3"},
+	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast",
+		Changed: "rejected; the parent ignored -fast"},
+	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes",
+		Changed: "rejected; the parent ignored -probes"},
+	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup",
+		Changed: "rejected; the parent ignored -alloc"},
+	{Name: "usage-no-use-case", Args: "-trace-out {tmp}/x.json", Files: []string{"x.json"},
+		Changed: "rejected before the output file is created; the parent left an empty one behind"},
+}
+
+func TestGolden(t *testing.T) {
+	checkGolden(t, rows)
+
+	// A sweep renders byte-identically at every worker count.
+	j1, err := os.ReadFile("testdata/golden/faults-runs3-j1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j4, err := os.ReadFile("testdata/golden/faults-runs3-j4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, j1, _ = bytes.Cut(j1, []byte("\n")) // the command line differs, nothing else may
+	_, j4, _ = bytes.Cut(j4, []byte("\n"))
+	if !bytes.Equal(j1, j4) {
+		t.Error("-runs 3 renders differently at -j 1 and -j 4")
+	}
+}

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 
@@ -89,7 +89,7 @@ func parseReconfigScript(s string) ([]reconfigStep, error) {
 // an inadmissible request is an answer, not an error, and leaves the
 // network untouched. The auditor (when attached) is resynchronised after
 // every action that changed the allocation.
-func reconfigActions(steps []reconfigStep, aud *audit.Auditor) []core.TimedAction {
+func reconfigActions(steps []reconfigStep, aud *audit.Auditor, stdout io.Writer) []core.TimedAction {
 	var acts []core.TimedAction
 	for _, st := range steps {
 		st := st
@@ -98,7 +98,7 @@ func reconfigActions(steps []reconfigStep, aud *audit.Auditor) []core.TimedActio
 				if err := n.CloseConnection(st.conn); err != nil {
 					return err
 				}
-				fmt.Fprintf(os.Stdout, "reconfig @%.0fns: closed connection %d (slots released)\n", st.atNs, st.conn)
+				fmt.Fprintf(stdout, "reconfig @%.0fns: closed connection %d (slots released)\n", st.atNs, st.conn)
 				if aud != nil {
 					aud.Resync(n)
 				}
@@ -113,11 +113,11 @@ func reconfigActions(steps []reconfigStep, aud *audit.Auditor) []core.TimedActio
 				return err
 			}
 			if !d.Admissible {
-				fmt.Fprintf(os.Stdout, "reconfig @%.0fns: open IP%d>IP%d %.1fMB/s %.0fns REJECTED: %s (%s)\n",
+				fmt.Fprintf(stdout, "reconfig @%.0fns: open IP%d>IP%d %.1fMB/s %.0fns REJECTED: %s (%s)\n",
 					st.atNs, st.src, st.dst, st.bw, st.lat, d.Reason, d.Detail)
 				return nil
 			}
-			fmt.Fprintf(os.Stdout, "reconfig @%.0fns: open IP%d>IP%d admitted as connection %d: %.1fMB/s guaranteed, bound %.1fns, %d+%d slots\n",
+			fmt.Fprintf(stdout, "reconfig @%.0fns: open IP%d>IP%d admitted as connection %d: %.1fMB/s guaranteed, bound %.1fns, %d+%d slots\n",
 				st.atNs, st.src, st.dst, c.ID, d.GuaranteeMBps, d.LatencyBoundNs, d.DataSlots, d.RevSlots)
 			if aud != nil {
 				aud.Resync(n)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/parallel"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -80,7 +81,7 @@ func TestScanSweepDeterminism(t *testing.T) {
 // returns the concatenated rendered summaries.
 func faultSweepSummaries(t *testing.T, jobs int) []byte {
 	t.Helper()
-	summaries, err := fault.RunSweep(jobs, 4, func(i int) (*fault.Summary, error) {
+	summaries, err := parallel.Map(jobs, 4, func(i int) (*fault.Summary, error) {
 		m := topology.NewMesh(3, 2, 2)
 		uc := spec.Random(spec.RandomConfig{
 			Name: "sweep", Seed: 5, IPs: 10, Apps: 2, Conns: 10,

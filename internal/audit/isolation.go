@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/clock"
-	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/phit"
 )
@@ -77,24 +76,6 @@ func IsolationAcrossReconfig(jobs int, survivors []phit.ConnID, run func(reconfi
 		return IsolationResult{}, err
 	}
 	return Diff(SurvivorTimelines(outs[0], survivors), SurvivorTimelines(outs[1], survivors)), nil
-}
-
-// ReportReconfig converts a failed cross-reconfiguration diff into a
-// ReconfigDisturbance fault on the reporter (strict mode: a nil reporter
-// panics, failing the run fast). It returns the number of violations
-// reported — 0 when the result is identical.
-func ReportReconfig(res IsolationResult, rep fault.Reporter) int {
-	if res.Identical {
-		return 0
-	}
-	fault.Report(rep, fault.Violation{
-		Kind:      fault.ReconfigDisturbance,
-		Component: "audit.reconfig",
-		Slot:      fault.NoSlot,
-		Detail: fmt.Sprintf("surviving connection disturbed across reconfiguration: %s (%d connections, %d words compared)",
-			res.FirstDiff, res.Conns, res.Words),
-	})
-	return 1
 }
 
 // Diff compares two delivery timelines for byte identity.

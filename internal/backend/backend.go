@@ -11,38 +11,27 @@ package backend
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/area"
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/phit"
 	"repro/internal/routerless"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-// Params carries the construction knobs shared across backends. Zero
-// fields take each backend's own defaults (the paper-wide 32-bit words
-// at 500 MHz), so a zero Params builds the same network the direct
-// constructors build with a zero config — the seam adds no defaults of
-// its own.
-type Params struct {
-	Layout    phit.HeaderLayout
-	WordBytes int
-	TableSize int
-	FreqMHz   float64
-	Mode      core.Mode
-	PhaseSeed int64
-	PPM       float64
-	Allocator string
-
-	TrafficBurstFactor float64
-	Transactional      bool
-	FastReplay         bool
-}
+// Params is core.Config itself, not a copy of some of its fields: every
+// backend is built from the one parameter set the aelite core defines, so
+// a driver fills it once and a knob cannot exist on one side of the seam
+// only. A backend takes the fields it models and rejects the modes it
+// cannot run; zero fields take each backend's own defaults (the
+// paper-wide 32-bit words at 500 MHz), so the seam adds none of its own.
+type Params = core.Config
 
 // An Instance is one built, runnable network of any backend.
 type Instance interface {
@@ -57,6 +46,9 @@ type Instance interface {
 	Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) *audit.Auditor
 	// Run simulates warm-up, clears statistics, measures, and reports.
 	Run(warmupNs, measureNs float64) *core.Report
+	// Engine exposes the simulation engine, for the simulated time and
+	// edge count a driver reports.
+	Engine() *sim.Engine
 	// AreaUm2 estimates the fabric's silicon cost from the paper's area
 	// model, for the comparison tables.
 	AreaUm2() float64
@@ -94,11 +86,12 @@ func Register(b Backend) {
 // so a CLI can surface it as a one-line usage diagnostic.
 func ByName(name string) (Backend, error) {
 	regMu.Lock()
-	defer regMu.Unlock()
-	if b, ok := registry[name]; ok {
-		return b, nil
+	b, ok := registry[name]
+	regMu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(Names(), " | "))
 	}
-	return nil, fmt.Errorf("unknown backend %q (valid: %s)", name, namesLocked())
+	return b, nil
 }
 
 // Names returns the registered backend names, sorted.
@@ -113,22 +106,6 @@ func Names() []string {
 	return names
 }
 
-func namesLocked() string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " | "
-		}
-		out += n
-	}
-	return out
-}
-
 func init() {
 	Register(aeliteBackend{})
 	Register(aetherealBackend{})
@@ -141,7 +118,7 @@ func routerArity(m *topology.Mesh) int { return 4 + m.NIsPerRouter }
 // ---- aelite ----
 
 // aeliteBackend wraps the TDM core: PrepareTopology followed by
-// core.Build, exactly the sequence the CLI runs, so a seam-built aelite
+// core.Build on the caller's Params untouched, so a seam-built aelite
 // network is byte-identical to a directly built one.
 type aeliteBackend struct{}
 
@@ -149,21 +126,8 @@ func (aeliteBackend) Name() string    { return "aelite" }
 func (aeliteBackend) HasBounds() bool { return true }
 
 func (aeliteBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instance, error) {
-	cfg := core.Config{
-		Layout:             p.Layout,
-		WordBytes:          p.WordBytes,
-		TableSize:          p.TableSize,
-		FreqMHz:            p.FreqMHz,
-		Mode:               p.Mode,
-		PhaseSeed:          p.PhaseSeed,
-		PPM:                p.PPM,
-		Allocator:          p.Allocator,
-		TrafficBurstFactor: p.TrafficBurstFactor,
-		Transactional:      p.Transactional,
-		FastReplay:         p.FastReplay,
-	}
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
+	core.PrepareTopology(m, p)
+	n, err := core.Build(m, uc, p)
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +138,7 @@ type aeliteInstance struct{ n *core.Network }
 
 func (i *aeliteInstance) Backend() string               { return "aelite" }
 func (i *aeliteInstance) Network() *core.Network        { return i.n }
+func (i *aeliteInstance) Engine() *sim.Engine           { return i.n.Engine() }
 func (i *aeliteInstance) AttachTracer(bus *trace.Bus)   { i.n.AttachTracer(bus) }
 func (i *aeliteInstance) Run(w, m float64) *core.Report { return i.n.Run(w, m) }
 func (i *aeliteInstance) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) *audit.Auditor {
@@ -220,6 +185,7 @@ type aetherealInstance struct{ n *core.BENetwork }
 
 func (i *aetherealInstance) Backend() string               { return "aethereal" }
 func (i *aetherealInstance) Network() *core.BENetwork      { return i.n }
+func (i *aetherealInstance) Engine() *sim.Engine           { return i.n.Engine() }
 func (i *aetherealInstance) AttachTracer(bus *trace.Bus)   { i.n.AttachTracer(bus) }
 func (i *aetherealInstance) Run(w, m float64) *core.Report { return i.n.Run(w, m) }
 func (i *aetherealInstance) Audit(*trace.Bus, fault.Reporter, audit.Options) *audit.Auditor {
@@ -260,6 +226,7 @@ type routerlessInstance struct{ n *routerless.Network }
 
 func (i *routerlessInstance) Backend() string               { return "routerless" }
 func (i *routerlessInstance) Network() *routerless.Network  { return i.n }
+func (i *routerlessInstance) Engine() *sim.Engine           { return i.n.Engine() }
 func (i *routerlessInstance) AttachTracer(bus *trace.Bus)   { i.n.AttachTracer(bus) }
 func (i *routerlessInstance) Run(w, m float64) *core.Report { return i.n.Run(w, m) }
 func (i *routerlessInstance) AreaUm2() float64              { return i.n.AreaUm2() }

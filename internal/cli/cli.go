@@ -14,6 +14,10 @@
 // standard error (ExitFatal prefixes the message with "fatal:"), the
 // style set by the PR 1 fault layer: a one-line diagnostic instead of a
 // raw stack trace.
+//
+// The package also owns the one flag group two commands share:
+// UseCaseFlags builds the mesh and the mapped use case aelite-sim and
+// aelite-alloc work on, so both read the same command line the same way.
 package cli
 
 import (

@@ -239,13 +239,11 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, erro
 // Run simulates warm-up, clears statistics, measures, and reports.
 // Guarantee fields are zero: best effort has none — that is the point.
 func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
-	warm := clock.Time(warmupNs * float64(clock.Nanosecond))
-	meas := clock.Time(measureNs * float64(clock.Nanosecond))
-	n.eng.Run(n.eng.Now() + warm)
-	for _, c := range n.nis {
-		c.ResetStats()
-	}
-	n.eng.Run(n.eng.Now() + meas)
+	OpenWindow(n.eng, warmupNs, measureNs, func() {
+		for _, c := range n.nis {
+			c.ResetStats()
+		}
+	})(measureNs)
 
 	r := &Report{
 		Name:       n.Spec.Name,
@@ -262,8 +260,6 @@ func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 	for _, id := range ids {
 		info := n.conns[id]
 		dst := n.nis[info.dstNI]
-		delivered := dst.Delivered(id)
-		lat := dst.Latency(id)
 		first, last := dst.Span(id)
 		cr := ConnReport{
 			Conn:              id,
@@ -271,20 +267,9 @@ func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 			RequiredMBps:      info.spec.BandwidthMBps,
 			RequiredLatencyNs: info.spec.MaxLatencyNs,
 			PathHops:          info.path.Hops(),
-			Delivered:         delivered,
 		}
-		if delivered > 0 {
-			st := ni.ConnStats{Delivered: delivered, FirstNs: first, LastNs: last}
-			cr.MeasuredMBps = st.ThroughputMBps(n.Cfg.WordBytes)
-			cr.LatMinNs = lat.Min()
-			cr.LatMeanNs = lat.Mean()
-			cr.LatMaxNs = lat.Max()
-			cr.LatP99Ns = lat.Percentile(99)
-			cr.LatStdDevNs = lat.StdDev()
-		}
-		cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
-		cr.MetLatency = delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
-		cr.WithinBound = true // no analytical bound exists for BE
+		cr.SetMeasured(ni.ConnStats{Delivered: dst.Delivered(id), Latency: dst.Latency(id), FirstNs: first, LastNs: last},
+			n.Cfg.WordBytes, false)
 		r.Conns = append(r.Conns, cr)
 	}
 	return r

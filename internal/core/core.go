@@ -53,6 +53,16 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String, for flags and job specs.
+func ParseMode(s string) (Mode, error) {
+	for m := Synchronous; m <= Asynchronous; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", s)
+}
+
 // Config parameterises network construction. ApplyDefaults fills zero
 // fields.
 type Config struct {
@@ -569,7 +579,7 @@ func (n *Network) instantiate() error {
 				n.faultClks = append(n.faultClks, stageClks[i])
 			}
 		}
-		sts := link.PipelineWith(name, n.eng, w, out, wClk, stageClks, fwdDelay, n.Cfg.FaultReporter)
+		sts := link.Pipeline(name, n.eng, w, out, wClk, stageClks, fwdDelay, n.Cfg.FaultReporter)
 		n.stages = append(n.stages, sts...)
 		exit[l.ID] = out
 	}

@@ -517,35 +517,22 @@ type TimedAction struct {
 // that themselves advance simulated time (CloseConnection drains) are
 // accounted for — a later action never rewinds the engine.
 func (n *Network) RunTimed(warmupNs, measureNs float64, actions []TimedAction) (*Report, error) {
-	warm := clock.Time(warmupNs * float64(clock.Nanosecond))
-	n.eng.Run(n.eng.Now() + warm)
-	n.eng.Sync()
-	for _, c := range n.nis {
-		c.ResetStats()
-	}
-	start := n.eng.Now()
-	end := start + clock.Time(measureNs*float64(clock.Nanosecond))
+	advance := OpenWindow(n.eng, warmupNs, measureNs, func() {
+		for _, c := range n.nis {
+			c.ResetStats()
+		}
+	})
 	acts := append([]TimedAction(nil), actions...)
 	sort.SliceStable(acts, func(i, j int) bool { return acts[i].AtNs < acts[j].AtNs })
 	for _, a := range acts {
-		at := start + clock.Time(a.AtNs*float64(clock.Nanosecond))
-		if at > end {
-			at = end
-		}
-		if at > n.eng.Now() {
-			n.eng.Run(at)
-		}
-		// Actions mutate network state outside the engine; land any
-		// fast-forwarded replay state before each one runs.
-		n.eng.Sync()
+		// Actions mutate network state outside the engine; advance has
+		// landed any fast-forwarded replay state before each one runs.
+		advance(a.AtNs)
 		if err := a.Do(n); err != nil {
 			return nil, err
 		}
 	}
-	if end > n.eng.Now() {
-		n.eng.Run(end)
-	}
-	n.eng.Sync()
+	advance(measureNs)
 	return n.report(measureNs), nil
 }
 

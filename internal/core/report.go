@@ -6,7 +6,9 @@ import (
 	"sort"
 
 	"repro/internal/clock"
+	"repro/internal/ni"
 	"repro/internal/phit"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/topology"
 )
@@ -106,21 +108,53 @@ func (r *Report) Write(w io.Writer) {
 // comparing delivered throughput to the requirement.
 const ThroughputTolerance = 0.98
 
+// SetMeasured fills in the simulated measurements of one connection and
+// derives its verdicts — the one place every backend decides what "met"
+// means. A best-effort backend passes bounded false: with no analytical
+// bound to exceed, WithinBound holds vacuously.
+func (cr *ConnReport) SetMeasured(st ni.ConnStats, wordBytes int, bounded bool) {
+	cr.Delivered = st.Delivered
+	if st.Delivered > 0 {
+		cr.MeasuredMBps = st.ThroughputMBps(wordBytes)
+		cr.LatMinNs = st.Latency.Min()
+		cr.LatMeanNs = st.Latency.Mean()
+		cr.LatMaxNs = st.Latency.Max()
+		cr.LatP99Ns = st.Latency.Percentile(99)
+		cr.LatStdDevNs = st.Latency.StdDev()
+	}
+	cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
+	cr.MetLatency = st.Delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
+	cr.WithinBound = !bounded || st.Delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+}
+
+// OpenWindow is the measurement protocol behind every backend's Run:
+// simulate warmupNs of warm-up, clear statistics with reset, and return
+// the function that advances the engine to atNs nanoseconds into the
+// measurement window (never past measureNs, never backwards — a
+// reconfiguration drain may already have moved time on). An engaged fast
+// path lands its fast-forwarded state before the reset and after every
+// advance, so whatever runs next — a timed action, the report — reads
+// cycle-accurate state. A run ends with advance(measureNs).
+func OpenWindow(eng *sim.Engine, warmupNs, measureNs float64, reset func()) (advance func(atNs float64)) {
+	eng.Run(eng.Now() + clock.Time(warmupNs*float64(clock.Nanosecond)))
+	eng.Sync()
+	reset()
+	start := eng.Now()
+	end := start + clock.Time(measureNs*float64(clock.Nanosecond))
+	return func(atNs float64) {
+		at := min(start+clock.Time(atNs*float64(clock.Nanosecond)), end)
+		if at > eng.Now() {
+			eng.Run(at)
+		}
+		eng.Sync()
+	}
+}
+
 // Run simulates warmupNs of warm-up, clears statistics, simulates
 // measureNs more, and returns the report.
 func (n *Network) Run(warmupNs, measureNs float64) *Report {
-	warm := clock.Time(warmupNs * float64(clock.Nanosecond))
-	meas := clock.Time(measureNs * float64(clock.Nanosecond))
-	n.eng.Run(n.eng.Now() + warm)
-	// An engaged fast path must land its fast-forwarded state before the
-	// statistics reset (and again before the report reads them).
-	n.eng.Sync()
-	for _, c := range n.nis {
-		c.ResetStats()
-	}
-	n.eng.Run(n.eng.Now() + meas)
-	n.eng.Sync()
-	return n.report(measureNs)
+	rep, _ := n.RunTimed(warmupNs, measureNs, nil) // only an action can fail
+	return rep
 }
 
 func (n *Network) report(measureNs float64) *Report {
@@ -132,14 +166,8 @@ func (n *Network) report(measureNs float64) *Report {
 		MeasureNs:  measureNs,
 		TotalEdges: n.eng.Edges(),
 	}
-	ids := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range n.Connections() {
 		info := n.conns[id]
-		st := n.nis[info.dstNI].InStats(id)
 		cr := ConnReport{
 			Conn:              id,
 			App:               info.spec.App,
@@ -149,19 +177,8 @@ func (n *Network) report(measureNs float64) *Report {
 			GuaranteedMBps:    info.guaranteeMBps,
 			BoundNs:           info.boundNs,
 			PathHops:          info.path.Hops(),
-			Delivered:         st.Delivered,
 		}
-		if st.Delivered > 0 {
-			cr.MeasuredMBps = st.ThroughputMBps(n.Cfg.WordBytes)
-			cr.LatMinNs = st.Latency.Min()
-			cr.LatMeanNs = st.Latency.Mean()
-			cr.LatMaxNs = st.Latency.Max()
-			cr.LatP99Ns = st.Latency.Percentile(99)
-			cr.LatStdDevNs = st.Latency.StdDev()
-		}
-		cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
-		cr.MetLatency = st.Delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
-		cr.WithinBound = st.Delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+		cr.SetMeasured(n.nis[info.dstNI].InStats(id), n.Cfg.WordBytes, true)
 		r.Conns = append(r.Conns, cr)
 	}
 	return r

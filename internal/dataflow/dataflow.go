@@ -68,9 +68,6 @@ func (g *Graph) check(a ActorID) {
 	}
 }
 
-// NumActors returns the actor count.
-func (g *Graph) NumActors() int { return len(g.actors) }
-
 // Actor returns an actor by id.
 func (g *Graph) Actor(id ActorID) Actor {
 	g.check(id)

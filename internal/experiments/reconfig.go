@@ -453,20 +453,6 @@ func ReconfigStudyCtx(ctx context.Context, cfg ReconfigConfig, jobs int) (*Recon
 	return sum, nil
 }
 
-// WriteReconfig runs the study and renders the human-readable report; a
-// non-zero violation count is returned as an error (the CI gate).
-func WriteReconfig(w io.Writer, cfg ReconfigConfig, jobs int) error {
-	sum, err := ReconfigStudy(cfg, jobs)
-	if err != nil {
-		return err
-	}
-	io.WriteString(w, RenderReconfig(sum))
-	if sum.Violations > 0 {
-		return fmt.Errorf("reconfig: %d violations: %s", sum.Violations, strings.Join(sum.Failures, "; "))
-	}
-	return nil
-}
-
 // RenderReconfig renders the study summary as text.
 func RenderReconfig(sum *ReconfigSummary) string {
 	var b strings.Builder

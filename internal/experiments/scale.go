@@ -117,21 +117,13 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 	if cfg.TableSize != 0 {
 		scfg.TableSize = cfg.TableSize
 	}
-	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc, FastReplay: true}
-	// Pick the header layout the mesh diameter needs: the worst minimal
-	// route visits cols+rows-1 routers (one port each). Past the paper's
-	// 32-bit layout, the wide 64-bit instance takes over (8-byte words so
-	// the header still fills one link word); past even that, planning
-	// proceeds with the path cap lifted — allocation-only territory.
-	ports := mesh.Cols + mesh.Rows - 1
-	if ports > phit.DefaultLayout.MaxHops() {
-		ncfg.Layout = phit.WideLayout
-		ncfg.WordBytes = 8
-		scfg.WordBytes = 8
-	}
-	if ports > phit.WideLayout.MaxHops() {
-		ncfg.UncappedPaths = true
-	}
+	// The header layout follows the mesh diameter (phit.LayoutFor); past
+	// even the wide layout, planning proceeds with the path cap lifted —
+	// allocation-only territory.
+	layout, wordBytes, runnable := phit.LayoutFor(mesh.Cols + mesh.Rows - 1)
+	scfg.WordBytes = wordBytes
+	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc, FastReplay: true,
+		Layout: layout, WordBytes: wordBytes, UncappedPaths: !runnable}
 	s, err := scenario.Generate(scfg)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)

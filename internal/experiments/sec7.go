@@ -244,17 +244,12 @@ func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, probes bool, measureNs
 	return n.Run(sec7WarmupNs, measureNs), nil
 }
 
-// Sec7BE builds and runs the Æthereal best-effort baseline — same
+// Sec7BEFactor builds and runs the Æthereal best-effort baseline — same
 // mapping, same XY paths, same (negotiated) requirements, all connections
 // best effort. rateFactor scales the offered rate: 1 models IPs that stay
 // at their GS rate; >1 models opportunistic use of unreserved capacity
 // (best effort imposes no rate limit), the regime in which the paper's
 // >900 MHz crossover appears.
-func Sec7BE(seed int64, fMHz float64, measureNs float64) (*core.Report, error) {
-	return Sec7BEFactor(seed, fMHz, measureNs, 1)
-}
-
-// Sec7BEFactor is Sec7BE with an explicit offered-rate factor.
 func Sec7BEFactor(seed int64, fMHz float64, measureNs float64, rateFactor float64) (*core.Report, error) {
 	// Negotiate budgets exactly as the aelite build does, so both
 	// networks face identical requirements.

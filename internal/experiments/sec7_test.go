@@ -40,7 +40,7 @@ func TestSec7AeliteMeetsAt500(t *testing.T) {
 func TestSec7BEViolatesAt500(t *testing.T) {
 	rep, err := Sec7BEFactor(Sec7Seed, 500, 40000, Sec7BEOpportunism)
 	if err != nil {
-		t.Fatalf("Sec7BE: %v", err)
+		t.Fatalf("Sec7BEFactor: %v", err)
 	}
 	v := rep.Violations()
 	if len(v) < 20 {

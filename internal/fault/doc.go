@@ -42,10 +42,10 @@
 //	summary.Write(os.Stdout)
 //
 // Multi-campaign sweeps (e.g. the same plan across consecutive seeds) fan
-// out with RunSweep, which keeps results keyed by point index so the
+// out with parallel.Map, which keeps results keyed by point index so the
 // output is byte-identical at every worker count:
 //
-//	sums, err := fault.RunSweep(jobs, n, func(i int) (*fault.Summary, error) {
+//	sums, err := parallel.Map(jobs, n, func(i int) (*fault.Summary, error) {
 //		// build a private network and plan for point i, then fault.Execute
 //	})
 package fault

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/parallel"
 	"repro/internal/phit"
 	"repro/internal/sim"
 )
@@ -160,17 +161,17 @@ func TestRateDropErasesWholeFlits(t *testing.T) {
 
 func TestRunSweepZeroPoints(t *testing.T) {
 	called := false
-	got, err := RunSweep(4, 0, func(i int) (*Summary, error) {
+	got, err := parallel.Map(4, 0, func(i int) (*Summary, error) {
 		called = true
 		return &Summary{}, nil
 	})
 	if err != nil {
-		t.Fatalf("RunSweep with zero points failed: %v", err)
+		t.Fatalf("a sweep with zero points failed: %v", err)
 	}
 	if len(got) != 0 {
-		t.Fatalf("RunSweep with zero points returned %d summaries", len(got))
+		t.Fatalf("a sweep with zero points returned %d summaries", len(got))
 	}
 	if called {
-		t.Fatalf("RunSweep with zero points invoked the point function")
+		t.Fatalf("a sweep with zero points invoked the point function")
 	}
 }

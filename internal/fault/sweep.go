@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"repro/internal/parallel"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // A System is the slice of a built network a campaign needs: the engine to
 // arm events on, the injection points, and a place to hang the invariant
@@ -33,16 +30,4 @@ func Execute(plan *Plan, col *Collector, sys System, run func()) (*Summary, erro
 	}
 	run()
 	return c.Summarize(), nil
-}
-
-// RunSweep executes n independent campaign points across up to jobs
-// workers and returns their summaries in point order, never completion
-// order, so a sweep renders byte-identically at any worker count.
-//
-// point(i) runs on a worker goroutine: it must build its own network and
-// engine (a sim.Engine is single-goroutine), arm and drive its own
-// campaign — typically via Execute — and return the summary. Every point
-// runs even when another fails; the lowest-indexed error is returned.
-func RunSweep(jobs, n int, point func(i int) (*Summary, error)) ([]*Summary, error) {
-	return parallel.Map(jobs, n, point)
 }

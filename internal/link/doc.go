@@ -26,9 +26,9 @@
 // make the alignment land one flit cycle downstream, and a nominal rate of
 // one word per cycle (used slots carry whole 3-word flits).
 //
-// A violated assumption is reported through a fault.Reporter: with a nil
-// reporter (NewStage, the default) it panics, because silently mis-aligned
-// hardware would corrupt the TDM schedule; with a collector
-// (NewStageWith), the stage records a structured fault.Violation and keeps
-// running out of envelope so campaigns can observe the failure mode.
+// A violated assumption is reported through the fault.Reporter NewStage
+// takes: with a nil reporter it panics, because silently mis-aligned
+// hardware would corrupt the TDM schedule; with a collector, the stage
+// records a structured fault.Violation and keeps running out of envelope
+// so campaigns can observe the failure mode.
 package link

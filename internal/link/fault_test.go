@@ -20,7 +20,7 @@ func TestSkewBoundaryInclusive(t *testing.T) {
 		rclk := clock.New("r", period, skew)
 		in := sim.NewWire[phit.Phit]("in")
 		out := sim.NewWire[phit.Phit]("out")
-		return NewStageWith("st", in, out, wclk, rclk, period, rep)
+		return NewStage("st", in, out, wclk, rclk, period, rep)
 	}
 
 	// Exactly half a period: legal, strict mode must not panic.
@@ -63,7 +63,7 @@ func runFaultyStage(t *testing.T, rep fault.Reporter, partial bool, stretch cloc
 	out := sim.NewWire[phit.Phit]("out")
 	eng.AddWire(in)
 	eng.AddWire(out)
-	st := NewStageWith("st", in, out, wclk, rclk, 2000, rep)
+	st := NewStage("st", in, out, wclk, rclk, 2000, rep)
 	for _, c := range st.Components() {
 		eng.Add(c)
 	}

@@ -54,17 +54,13 @@ type Stage struct {
 // The writer/reader skew is |writerClk.Phase - readerClk.Phase| and must
 // be at most half a period — the bound is inclusive: skew of exactly
 // Period/2 is legal.
+//
+// rep is the violation reporter: nil keeps the fail-fast panics; a
+// collector turns the construction-time envelope checks (skew bound,
+// alignment feasibility) into fault.Violation records and builds the stage
+// anyway, deliberately out of envelope, so that fault campaigns can
+// observe how it misbehaves.
 func NewStage(name string, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
-	writerClk, readerClk *clock.Clock, forwardDelay clock.Duration) *Stage {
-	return NewStageWith(name, in, out, writerClk, readerClk, forwardDelay, nil)
-}
-
-// NewStageWith is NewStage with an explicit violation reporter: nil keeps
-// the fail-fast panics; a collector turns the construction-time envelope
-// checks (skew bound, alignment feasibility) into fault.Violation records
-// and builds the stage anyway, deliberately out of envelope, so that fault
-// campaigns can observe how it misbehaves.
-func NewStageWith(name string, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
 	writerClk, readerClk *clock.Clock, forwardDelay clock.Duration, rep fault.Reporter) *Stage {
 	if writerClk.Period != readerClk.Period {
 		panic(fmt.Sprintf("link %s: mesochronous stage requires equal periods (writer %d ps, reader %d ps); use the asynchronous wrapper for plesiochronous operation",
@@ -256,15 +252,9 @@ func (f *readerFSM) Update(now clock.Time) {
 // stageClks lists the local clock of each stage (the first stage's writer
 // clock is writerClk; stage i's writer clock is stage i-1's local clock).
 // It returns the stages; register all their components and the
-// intermediate wires it creates via the provided engine.
+// intermediate wires it creates via the provided engine. rep is every
+// stage's violation reporter (see NewStage).
 func Pipeline(name string, eng *sim.Engine, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
-	writerClk *clock.Clock, stageClks []*clock.Clock, forwardDelay clock.Duration) []*Stage {
-	return PipelineWith(name, eng, in, out, writerClk, stageClks, forwardDelay, nil)
-}
-
-// PipelineWith is Pipeline with an explicit violation reporter for every
-// stage (see NewStageWith).
-func PipelineWith(name string, eng *sim.Engine, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
 	writerClk *clock.Clock, stageClks []*clock.Clock, forwardDelay clock.Duration, rep fault.Reporter) []*Stage {
 	if len(stageClks) == 0 {
 		panic(fmt.Sprintf("link %s: pipeline needs at least one stage", name))
@@ -281,7 +271,7 @@ func PipelineWith(name string, eng *sim.Engine, in *sim.Wire[phit.Phit], out *si
 			// Stage i's reader FSM drives this wire on its local clock.
 			eng.AddWireClocked(next, ck)
 		}
-		st := NewStageWith(fmt.Sprintf("%s.s%d", name, i), cur, next, w, ck, forwardDelay, rep)
+		st := NewStage(fmt.Sprintf("%s.s%d", name, i), cur, next, w, ck, forwardDelay, rep)
 		for _, c := range st.Components() {
 			eng.Add(c)
 		}

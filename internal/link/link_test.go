@@ -98,7 +98,7 @@ func runStage(t *testing.T, skew, fwdDelay clock.Duration, pattern []bool, cycle
 	out := sim.NewWire[phit.Phit]("out")
 	eng.AddWire(in)
 	eng.AddWire(out)
-	st := NewStage("st", in, out, wclk, rclk, fwdDelay)
+	st := NewStage("st", in, out, wclk, rclk, fwdDelay, nil)
 	for _, c := range st.Components() {
 		eng.Add(c)
 	}
@@ -143,7 +143,7 @@ func TestStageExactlyOneFlitCycle(t *testing.T) {
 	out := sim.NewWire[phit.Phit]("out")
 	eng.AddWire(in)
 	eng.AddWire(out)
-	st := NewStage("st", in, out, wclk, rclk, 2000)
+	st := NewStage("st", in, out, wclk, rclk, 2000, nil)
 	for _, c := range st.Components() {
 		eng.Add(c)
 	}
@@ -179,7 +179,7 @@ func TestStagePanicsOnExcessSkew(t *testing.T) {
 			t.Error("no panic for skew above half a period")
 		}
 	}()
-	NewStage("st", in, out, wclk, rclk, 2000)
+	NewStage("st", in, out, wclk, rclk, 2000, nil)
 }
 
 func TestStagePanicsOnPeriodMismatch(t *testing.T) {
@@ -192,7 +192,7 @@ func TestStagePanicsOnPeriodMismatch(t *testing.T) {
 			t.Error("no panic for plesiochronous clocks on a mesochronous stage")
 		}
 	}()
-	NewStage("st", in, out, wclk, rclk, 2000)
+	NewStage("st", in, out, wclk, rclk, 2000, nil)
 }
 
 func TestStagePanicsOnPartialFlit(t *testing.T) {
@@ -205,7 +205,7 @@ func TestStagePanicsOnPartialFlit(t *testing.T) {
 	out := sim.NewWire[phit.Phit]("out")
 	eng.AddWire(in)
 	eng.AddWire(out)
-	st := NewStage("st", in, out, wclk, rclk, 2000)
+	st := NewStage("st", in, out, wclk, rclk, 2000, nil)
 	for _, c := range st.Components() {
 		eng.Add(c)
 	}
@@ -246,7 +246,7 @@ func TestPipelineMultipleStages(t *testing.T) {
 	out := sim.NewWire[phit.Phit]("out")
 	eng.AddWire(in)
 	eng.AddWire(out)
-	stages := Pipeline("pl", eng, in, out, base, []*clock.Clock{c1, c2}, 2000)
+	stages := Pipeline("pl", eng, in, out, base, []*clock.Clock{c1, c2}, 2000, nil)
 	if len(stages) != 2 {
 		t.Fatalf("stages = %d", len(stages))
 	}
@@ -268,7 +268,7 @@ func TestPipelinePanicsWithoutStages(t *testing.T) {
 			t.Error("no panic for empty pipeline")
 		}
 	}()
-	Pipeline("p", sim.New(), nil, nil, clock.New("c", 1000, 0), nil, 1000)
+	Pipeline("p", sim.New(), nil, nil, clock.New("c", 1000, 0), nil, 1000, nil)
 }
 
 func TestStagePanicsOnBadDelay(t *testing.T) {
@@ -278,5 +278,5 @@ func TestStagePanicsOnBadDelay(t *testing.T) {
 			t.Error("no panic for non-positive forwarding delay")
 		}
 	}()
-	NewStage("st", nil, nil, wclk, wclk, 0)
+	NewStage("st", nil, nil, wclk, wclk, 0, nil)
 }

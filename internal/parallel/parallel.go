@@ -117,21 +117,3 @@ func finish[T any](out []T, errs []error) ([]T, error) {
 	}
 	return out, nil
 }
-
-// ForEach is Map without results: it runs fn(i) for every i in [0, n)
-// across up to jobs workers and returns the error of the lowest-indexed
-// failed point.
-func ForEach(jobs, n int, fn func(i int) error) error {
-	_, err := Map(jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachCtx is ForEach with MapCtx's cancellation semantics.
-func ForEachCtx(ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, jobs, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}

@@ -109,28 +109,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(8, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	wantErr := errors.New("boom")
-	if err := ForEach(3, 5, func(i int) error {
-		if i == 2 {
-			return wantErr
-		}
-		return nil
-	}); err != wantErr {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestJobs(t *testing.T) {
 	if got := Jobs(4); got != 4 {
 		t.Fatalf("Jobs(4) = %d", got)

@@ -50,6 +50,19 @@ var WideLayout = HeaderLayout{
 	CreditBits: 7,
 }
 
+// LayoutFor picks the header layout for source routes of up to hops
+// routers, and the word width in bytes that keeps the header one link
+// word: the paper's 32-bit layout while it fits, the 64-bit WideLayout
+// past it. On a cols x rows mesh the worst minimal route visits
+// cols+rows-1 routers. Beyond WideLayout no runnable header exists: ok is
+// false and the wide layout is returned for allocation-only planning.
+func LayoutFor(hops int) (l HeaderLayout, wordBytes int, ok bool) {
+	if hops <= DefaultLayout.MaxHops() {
+		return DefaultLayout, 4, true
+	}
+	return WideLayout, 8, hops <= WideLayout.MaxHops()
+}
+
 // Validate checks internal consistency of the layout.
 func (l HeaderLayout) Validate() error {
 	switch {

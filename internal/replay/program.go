@@ -133,10 +133,6 @@ func (p *Program) RegisterWire(w *sim.Wire[phit.Phit]) {
 	p.states = append(p.states, phitWire{w: w})
 }
 
-// RegisterState adds an arbitrary stateful element to the fingerprinted
-// state set.
-func (p *Program) RegisterState(st State) { p.states = append(p.states, st) }
-
 // Install attaches the program to its engine as the fast path.
 func (p *Program) Install() {
 	p.bus = p.eng.Tracer()

@@ -180,11 +180,7 @@ func (n *Network) ResetStats() {
 // Run simulates warm-up, clears statistics, measures, and reports in the
 // shared core.Report shape so experiments treat every backend uniformly.
 func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
-	warm := clock.Time(warmupNs * float64(clock.Nanosecond))
-	meas := clock.Time(measureNs * float64(clock.Nanosecond))
-	n.eng.Run(n.eng.Now() + warm)
-	n.ResetStats()
-	n.eng.Run(n.eng.Now() + meas)
+	core.OpenWindow(n.eng, warmupNs, measureNs, n.ResetStats)(measureNs)
 
 	r := &core.Report{
 		Name:       n.Spec.Name,
@@ -204,20 +200,9 @@ func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
 			GuaranteedMBps:    ci.guaranteeMBps,
 			BoundNs:           ci.boundNs,
 			PathHops:          ci.hops,
-			Delivered:         ci.delivered,
 		}
-		if ci.delivered > 0 {
-			st := ni.ConnStats{Delivered: ci.delivered, FirstNs: ci.firstNs, LastNs: ci.lastNs}
-			cr.MeasuredMBps = st.ThroughputMBps(n.Cfg.WordBytes)
-			cr.LatMinNs = ci.latNs.Min()
-			cr.LatMeanNs = ci.latNs.Mean()
-			cr.LatMaxNs = ci.latNs.Max()
-			cr.LatP99Ns = ci.latNs.Percentile(99)
-			cr.LatStdDevNs = ci.latNs.StdDev()
-		}
-		cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*core.ThroughputTolerance
-		cr.MetLatency = ci.delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
-		cr.WithinBound = ci.delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+		cr.SetMeasured(ni.ConnStats{Delivered: ci.delivered, Latency: &ci.latNs, FirstNs: ci.firstNs, LastNs: ci.lastNs},
+			n.Cfg.WordBytes, true)
 		r.Conns = append(r.Conns, cr)
 	}
 	return r

@@ -115,10 +115,8 @@ func (s *JobSpec) Validate() error {
 	if s.Shards < 1 || s.Shards > MaxShards {
 		return fmt.Errorf("shards %d outside [1, %d]", s.Shards, MaxShards)
 	}
-	switch s.Mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		return fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", s.Mode)
+	if _, err := core.ParseMode(s.Mode); err != nil {
+		return err
 	}
 	if _, err := slots.ByName(s.Allocator); err != nil {
 		return err
@@ -132,9 +130,9 @@ func (s *JobSpec) Validate() error {
 	if s.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms %d must not be negative", s.DeadlineMs)
 	}
-	if ports := s.Cols + s.Rows - 1; s.Kind == "scenario" && ports > phit.WideLayout.MaxHops() {
+	if layout, _, ok := phit.LayoutFor(s.Cols + s.Rows - 1); s.Kind == "scenario" && !ok {
 		return fmt.Errorf("a %dx%d mesh needs %d-hop headers; the widest runnable layout encodes %d (submit kind \"scale\" for allocation-only planning)",
-			s.Cols, s.Rows, ports, phit.WideLayout.MaxHops())
+			s.Cols, s.Rows, s.Cols+s.Rows-1, layout.MaxHops())
 	}
 	return nil
 }
@@ -220,19 +218,14 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 	}
 	scfg := scenario.Default(fam, spec.Cols, spec.Rows, spec.Conns, spec.Seed+int64(shard))
 	scfg.FreqMHz = spec.FreqMHz
-	ncfg := core.Config{FreqMHz: spec.FreqMHz, Allocator: spec.Allocator}
-	switch spec.Mode {
-	case "mesochronous":
-		ncfg.Mode = core.Mesochronous
-	case "asynchronous":
-		ncfg.Mode = core.Asynchronous
+	mode, err := core.ParseMode(spec.Mode)
+	if err != nil {
+		return nil, err
 	}
 	// Header layout follows the mesh diameter, as in the CLIs.
-	if ports := spec.Cols + spec.Rows - 1; ports > phit.DefaultLayout.MaxHops() {
-		ncfg.Layout = phit.WideLayout
-		ncfg.WordBytes = 8
-		scfg.WordBytes = 8
-	}
+	layout, wordBytes, _ := phit.LayoutFor(spec.Cols + spec.Rows - 1)
+	scfg.WordBytes = wordBytes
+	ncfg := core.Config{FreqMHz: spec.FreqMHz, Allocator: spec.Allocator, Mode: mode, Layout: layout, WordBytes: wordBytes}
 	s, err := scenario.Generate(scfg)
 	if err != nil {
 		return nil, err

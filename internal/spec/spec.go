@@ -216,48 +216,6 @@ func MapIPsRoundRobin(u *UseCase, m *topology.Mesh, seed int64) {
 	}
 }
 
-// MapIPsByLoad assigns IPs to NIs balancing communication load, as the
-// Æthereal design flow's mapping step does: IPs are placed in descending
-// order of their total connection bandwidth onto the NI whose accumulated
-// load is lowest (ties by NI order). This keeps any one NI's injection or
-// delivery link from being oversubscribed by unlucky clustering.
-func MapIPsByLoad(u *UseCase, m *topology.Mesh) {
-	nis := m.AllNIs()
-	load := make(map[IPID]float64, len(u.IPs))
-	for _, c := range u.Connections {
-		load[c.Src] += c.BandwidthMBps
-		load[c.Dst] += c.BandwidthMBps
-	}
-	order := make([]int, len(u.IPs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := load[u.IPs[order[a]].ID], load[u.IPs[order[b]].ID]
-		if la != lb {
-			return la > lb
-		}
-		return u.IPs[order[a]].ID < u.IPs[order[b]].ID
-	})
-	niLoad := make([]float64, len(nis))
-	niIPs := make([]int, len(nis))
-	maxPerNI := (len(u.IPs) + len(nis) - 1) / len(nis)
-	for _, idx := range order {
-		best := -1
-		for k := range nis {
-			if niIPs[k] >= maxPerNI {
-				continue
-			}
-			if best < 0 || niLoad[k] < niLoad[best] {
-				best = k
-			}
-		}
-		u.IPs[idx].NI = nis[best]
-		niLoad[best] += load[u.IPs[idx].ID]
-		niIPs[best]++
-	}
-}
-
 // MapIPsByTraffic places IPs communication-aware, approximating the
 // Æthereal design flow's mapping step [16]: IPs are placed in descending
 // order of total connection bandwidth; each goes to the NI (with a seat

@@ -19,6 +19,7 @@
 //	             multimedia | dataflow (see internal/scenario)
 //	-conns N     connection count for -scenario
 //	-tables      print every NI's slot table
+//	-pprof F     write a CPU profile of the allocation
 package main
 
 import (
@@ -47,8 +48,10 @@ func main() {
 // allocates, prints to stdout and returns the exit code.
 func mainCode(args []string, stdout io.Writer) int {
 	var uc cli.UseCaseFlags
+	var profile cli.Profile
 	fs := flag.NewFlagSet(tool, flag.ExitOnError)
 	uc.Register(fs)
+	profile.Register(fs)
 	table := fs.Int("table", 0, "TDM table size (0 = search)")
 	modeF := fs.String("mode", "synchronous", "clocking: synchronous|mesochronous|asynchronous")
 	alloc := fs.String("alloc", "greedy", "slot allocator: greedy | ripup")
@@ -80,6 +83,12 @@ func mainCode(args []string, stdout io.Writer) int {
 	if *backendF == "routerless" && mode != core.Synchronous {
 		return usage(fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", mode))
 	}
+
+	stopProfile, err := profile.Start()
+	if err != nil {
+		return cli.Failure(tool, err)
+	}
+	defer stopProfile()
 
 	m, u, layout, wordBytes, err := uc.Build(*table)
 	if err != nil {

@@ -40,6 +40,7 @@
 //	-out FILE     write the reconfig/scale/compare study's JSON artifact to
 //	              FILE; only meaningful with those experiments
 //	-smoke        shrink the scale/compare study to its CI gate
+//	-pprof FILE   write a CPU profile of the experiment
 package main
 
 import (
@@ -65,6 +66,8 @@ func main() {
 	jsonOut := flag.String("out", "", "write the reconfig/scale JSON artifact to this file")
 	fast := flag.Bool("fast", false, "hyperperiod-compiled fast replay for GS networks (cycle-accurate fallback where not provably periodic)")
 	smoke := flag.Bool("smoke", false, "shrink the scale study to its CI smoke configuration")
+	var profile cli.Profile
+	profile.Register(flag.CommandLine)
 	flag.Parse()
 	// Malformed invocations are rejected up front with one-line
 	// diagnostics and exit code 2, matching aelite-sim's contract.
@@ -89,17 +92,6 @@ func main() {
 	if flag.NArg() > 0 {
 		cmd = flag.Arg(0)
 	}
-	out := os.Stdout
-	run := func(name string, f func() error) {
-		if cmd != "all" && cmd != name {
-			return
-		}
-		if err := f(); err != nil {
-			os.Exit(cli.Failure(tool, fmt.Errorf("%s: %w", name, err)))
-		}
-		fmt.Fprintln(out)
-	}
-
 	known := map[string]bool{"all": true, "fig5": true, "fig6a": true, "fig6b": true,
 		"links": true, "throughput": true, "sec7": true, "scan": true,
 		"power": true, "hetero": true, "recovery": true, "conformance": true,
@@ -107,6 +99,23 @@ func main() {
 	if !known[cmd] {
 		flag.Usage()
 		os.Exit(cli.Usage(tool, fmt.Errorf("unknown experiment %q", cmd)))
+	}
+	stopProfile, err := profile.Start()
+	if err != nil {
+		os.Exit(cli.Failure(tool, err))
+	}
+	defer stopProfile()
+
+	out := os.Stdout
+	run := func(name string, f func() error) {
+		if cmd != "all" && cmd != name {
+			return
+		}
+		if err := f(); err != nil {
+			stopProfile() // os.Exit skips the deferred call
+			os.Exit(cli.Failure(tool, fmt.Errorf("%s: %w", name, err)))
+		}
+		fmt.Fprintln(out)
 	}
 
 	run("fig5", func() error { experiments.WriteFig5(out); return nil })

@@ -90,7 +90,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/audit"
@@ -132,20 +131,11 @@ func run(o options, stdout io.Writer) (code int) {
 		}
 	}()
 
-	if o.pprofOut != "" {
-		f, err := os.Create(o.pprofOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfile, err := o.profile.Start()
+	if err != nil {
+		return fail(err)
 	}
+	defer stopProfile()
 
 	if o.runs > 1 {
 		return runCampaignSweep(o, stdout)

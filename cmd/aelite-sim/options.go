@@ -38,7 +38,7 @@ type options struct {
 
 	traceOut   string
 	metricsOut string
-	pprofOut   string
+	profile    cli.Profile
 
 	// Resolved from -backend, -mode and -reconfig by validate.
 	bk       backend.Backend
@@ -69,7 +69,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.reconfig, "reconfig", "", "run-time reconfiguration script (close@TIMEns:CONN;open@TIMEns:SRC:DST:MBPS:LATNS;...)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write Chrome trace-event JSON to this file")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write aggregated metrics to this file (.csv selects CSV)")
-	fs.StringVar(&o.pprofOut, "pprof", "", "write a CPU profile to this file")
+	o.profile.Register(fs)
 }
 
 // rateFaults reports whether a seeded rate process is armed.

@@ -3,6 +3,9 @@ package cli
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -64,5 +67,39 @@ func TestCodesAreDistinct(t *testing.T) {
 	if ExitOK != 0 || ExitFailure != 1 || ExitUsage != 2 || ExitFatal != 3 {
 		t.Fatalf("exit codes moved: ok=%d failure=%d usage=%d fatal=%d",
 			ExitOK, ExitFailure, ExitUsage, ExitFatal)
+	}
+}
+
+// TestProfile: without -pprof Start and stop do nothing; with it the
+// stopped profile is a non-empty file; an uncreatable path is an error
+// before anything runs.
+func TestProfile(t *testing.T) {
+	parse := func(args ...string) *Profile {
+		var p Profile
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		p.Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return &p
+	}
+	stop, err := parse().Start()
+	if err != nil {
+		t.Fatalf("no flag: %v", err)
+	}
+	stop()
+
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	stop, err = parse("-pprof", path).Start()
+	if err != nil {
+		t.Fatalf("-pprof %s: %v", path, err)
+	}
+	stop()
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Errorf("profile not written: %v, %v", st, err)
+	}
+
+	if _, err := parse("-pprof", filepath.Join(path, "under-a-file")).Start(); err == nil {
+		t.Error("no error for a path that cannot be created")
 	}
 }

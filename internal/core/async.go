@@ -43,9 +43,7 @@ func (n *Network) instantiateAsync() error {
 				l.ID, l.PipelineStages, wrapper.InitialTokens-1)
 		}
 		name := fmt.Sprintf("ch%d.%s>%s", l.ID, n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name)
-		ch := wrapper.NewChannel(name, 2*period)
-		chans[l.ID] = ch
-		n.eng.AddWire(ch)
+		chans[l.ID] = wrapper.NewChannel(name, 2*period)
 	}
 
 	// Wrapped routers.

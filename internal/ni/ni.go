@@ -381,22 +381,20 @@ func (n *NI) Update(now clock.Time) {
 
 // StepFlit advances the NI by one flit cycle in wrapper (asynchronous)
 // mode: the in token's phits are received, the next slot's flit is built
-// and returned. The slot counter advances one slot per call — the
+// and written to out. The slot counter advances one slot per call — the
 // iteration count, not wall-clock time, indexes the TDM table, which is
 // how the adapted slot allocation of paper Section VI stays valid under
 // plesiochronous clocks. A wrapped NI must not also be registered with the
 // engine as a component.
-func (n *NI) StepFlit(now clock.Time, in phit.Flit) phit.Flit {
+func (n *NI) StepFlit(now clock.Time, in, out *phit.Flit) {
 	n.wrapped = true
-	for _, p := range in {
-		n.receive(now, p)
+	for i := range in {
+		n.receive(now, in[i])
 	}
 	slot := int(n.flitIndex % int64(n.table.Size()))
 	n.buildFlit(now, slot)
 	n.flitIndex++
-	var out phit.Flit
-	copy(out[:], n.flitBuf[:])
-	return out
+	*out = n.flitBuf
 }
 
 // receive dispatches one arriving phit. In baseline mode it goes straight

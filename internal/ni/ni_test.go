@@ -342,7 +342,8 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 	n.Offer(0, 1, phit.Meta{Seq: 2, Injected: 0})
 
 	// Iteration 0 = slot 0 (owned): must carry the data.
-	out := n.StepFlit(clk.Period*2, phit.Flit{})
+	var in, out phit.Flit
+	n.StepFlit(clk.Period*2, &in, &out)
 	if out.Empty() {
 		t.Fatal("owned slot produced an empty token")
 	}
@@ -350,7 +351,7 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 		t.Fatalf("flit = %v %v %v", out[0], out[1], out[2])
 	}
 	// Iteration 1 = slot 1 (idle): empty token.
-	out = n.StepFlit(clk.Period*5, phit.Flit{})
+	n.StepFlit(clk.Period*5, &in, &out)
 	if !out.Empty() {
 		t.Fatalf("unowned slot produced %v", out)
 	}

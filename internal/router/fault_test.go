@@ -65,7 +65,7 @@ func TestRouterViolations(t *testing.T) {
 			run: func(t *testing.T, c *Core) {
 				var in [2]phit.Flit
 				in[0][0] = payload(1, false)
-				c.StepFlitDirect(in[:], nil)
+				stepFlit(c, in[:])
 			},
 		},
 		{
@@ -74,7 +74,7 @@ func TestRouterViolations(t *testing.T) {
 			run: func(t *testing.T, c *Core) {
 				var in [2]phit.Flit
 				in[0][0] = eopHeader(t, []int{5}, 1)
-				c.StepFlitDirect(in[:], nil)
+				stepFlit(c, in[:])
 			},
 		},
 		{
@@ -84,7 +84,7 @@ func TestRouterViolations(t *testing.T) {
 				var in [2]phit.Flit
 				in[0][0] = eopHeader(t, []int{1}, 1)
 				in[1][0] = eopHeader(t, []int{1}, 2)
-				c.StepFlitDirect(in[:], nil)
+				stepFlit(c, in[:])
 			},
 		},
 	}
@@ -127,7 +127,7 @@ func TestCoreContentionKeepsFirst(t *testing.T) {
 	h1.Meta.Conn = 2
 	in[0][0] = h0
 	in[1][0] = h1
-	out := c.StepFlitDirect(in[:], nil)
+	out := stepFlit(c, in[:])
 	if !out[1][0].Valid || out[1][0].Meta.Conn != 1 {
 		t.Errorf("first phit did not survive the contention: %v", out[1][0])
 	}

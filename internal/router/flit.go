@@ -18,21 +18,19 @@ import (
 // here.
 //
 // in[i] is the token consumed from input port i this iteration (empty
-// tokens are all-idle flits); the result gives the token produced on each
-// output port. Contention is an envelope violation: with the adapted slot
-// allocation (one extra shift per initial channel token) no two flits may
-// collide. In strict mode (nil reporter) it panics; in collecting mode the
-// colliding phit is dropped and a fault.Violation recorded.
-func (c *Core) StepFlitDirect(in []phit.Flit, out []phit.Flit) []phit.Flit {
-	if len(in) != c.arity {
-		panic(fmt.Sprintf("router %s: %d input tokens for arity %d", c.name, len(in), c.arity))
+// tokens are all-idle flits); out[i] receives the token produced on output
+// port i, whatever it held before. The tokens are read and written in
+// place, so the wrapper can pass its channels' own. Contention is an
+// envelope violation: with the adapted slot allocation (one extra shift
+// per initial channel token) no two flits may collide. In strict mode (nil
+// reporter) it panics; in collecting mode the colliding phit is dropped
+// and a fault.Violation recorded.
+func (c *Core) StepFlitDirect(in, out []*phit.Flit) {
+	if len(in) != c.arity || len(out) != c.arity {
+		panic(fmt.Sprintf("router %s: %d input and %d output tokens for arity %d", c.name, len(in), len(out), c.arity))
 	}
-	if cap(out) < c.arity {
-		out = make([]phit.Flit, c.arity)
-	}
-	out = out[:c.arity]
-	for i := range out {
-		out[i] = phit.Flit{}
+	for _, f := range out {
+		*f = phit.Flit{}
 	}
 	for w := 0; w < phit.FlitWords; w++ {
 		for i := 0; i < c.arity; i++ {
@@ -92,5 +90,4 @@ func (c *Core) StepFlitDirect(in []phit.Flit, out []phit.Flit) []phit.Flit {
 			}
 		}
 	}
-	return out
 }

@@ -239,13 +239,25 @@ func TestComponentUnconnectedOutputPanics(t *testing.T) {
 	eng.Run(10 * clk.Period)
 }
 
+// stepFlit runs one wrapper-mode iteration over tokens held by value.
+func stepFlit(c *Core, in []phit.Flit) []phit.Flit {
+	out := make([]phit.Flit, len(in))
+	inTok, outTok := make([]*phit.Flit, len(in)), make([]*phit.Flit, len(in))
+	for i := range in {
+		inTok[i], outTok[i] = &in[i], &out[i]
+		out[i][0] = phit.Phit{Valid: true, Data: 99} // stale token: must be overwritten
+	}
+	c.StepFlitDirect(inTok, outTok)
+	return out
+}
+
 func TestStepFlitDirect(t *testing.T) {
 	c := NewCore("r", 3, layout)
 	var in [3]phit.Flit
 	in[0][0] = header(t, []int{2}, 5)
 	in[0][1] = payload(1, false)
 	in[0][2] = payload(2, true)
-	out := c.StepFlitDirect(in[:], nil)
+	out := stepFlit(c, in[:])
 	if !out[2][0].Valid || out[2][0].Kind != phit.Header {
 		t.Fatalf("flit not switched to port 2: %v", out[2])
 	}
@@ -254,7 +266,7 @@ func TestStepFlitDirect(t *testing.T) {
 	}
 	// Empty token in -> empty tokens out.
 	var empty [3]phit.Flit
-	out = c.StepFlitDirect(empty[:], out)
+	out = stepFlit(c, empty[:])
 	for i, f := range out {
 		if !f.Empty() {
 			t.Errorf("port %d produced a non-empty token from empty inputs", i)
@@ -272,7 +284,7 @@ func TestStepFlitDirectContentionPanics(t *testing.T) {
 			t.Error("no panic on token contention")
 		}
 	}()
-	c.StepFlitDirect(in[:], nil)
+	stepFlit(c, in[:])
 }
 
 // TestStepFlitDirectPacketAcrossTokens: header elision — a packet spanning
@@ -286,11 +298,11 @@ func TestStepFlitDirectPacketAcrossTokens(t *testing.T) {
 	t2[0][0] = payload(3, false)
 	t2[0][1] = payload(4, false)
 	t2[0][2] = payload(5, true)
-	out := c.StepFlitDirect(t1[:], nil)
+	out := stepFlit(c, t1[:])
 	if !out[2][2].Valid {
 		t.Fatal("first token not forwarded")
 	}
-	out = c.StepFlitDirect(t2[:], out)
+	out = stepFlit(c, t2[:])
 	if out[2][0].Meta.Seq != 3 || !out[2][2].EoP {
 		t.Fatalf("continuation token not forwarded on held port: %v", out[2])
 	}

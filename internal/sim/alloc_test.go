@@ -29,17 +29,67 @@ func buildAllocRig() *Engine {
 	return eng
 }
 
+// relay is a wrapper in miniature: on its own clock it fires when its input
+// channel holds a visible token and its output channel has space, moving
+// the token across in place.
+type relay struct {
+	clk     *clock.Clock
+	in, out *TokenChannel[[24]int64]
+	fires   int
+}
+
+func (r *relay) Name() string          { return "relay" }
+func (r *relay) Clock() *clock.Clock   { return r.clk }
+func (r *relay) Sample(now clock.Time) {}
+func (r *relay) Update(now clock.Time) {
+	if r.in.Valid(now) && r.out.CanPush() {
+		*r.out.Push(now) = *r.in.Pop(now)
+		r.fires++
+	}
+}
+
+// buildChannelRig closes five relays on equal-period, differently phased
+// clocks into a loop of primed token channels — the shape of asynchronous
+// mode: one due clock per instant through the heap, channels registered
+// with nobody.
+func buildChannelRig() (*Engine, []*relay) {
+	eng := New()
+	const n = 5
+	chans := make([]*TokenChannel[[24]int64], n)
+	for i := range chans {
+		chans[i] = NewTokenChannel[[24]int64]("ch", 4, 2000)
+		chans[i].Prime([24]int64{})
+		chans[i].Prime([24]int64{})
+	}
+	relays := make([]*relay, n)
+	for i := range relays {
+		relays[i] = &relay{clk: clock.New("r", 1000, clock.Duration(170*i)), in: chans[i], out: chans[(i+1)%n]}
+		eng.Add(relays[i])
+	}
+	eng.Run(20 * 3000)
+	return eng, relays
+}
+
 // TestRunSteadyStateAllocs pins the hot-path contract the sweep runner
 // depends on: once the schedule is built and the scratch buffers have
 // grown, advancing simulated time allocates nothing — no per-call due
-// slices, no sort closures, no per-instant commit bookkeeping.
+// slices, no sort closures, no per-instant commit bookkeeping, and no
+// token storage: a channel's ring is its only buffer.
 func TestRunSteadyStateAllocs(t *testing.T) {
-	eng := buildAllocRig()
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.Run(eng.Now() + 3000)
-	})
-	if allocs != 0 {
-		t.Fatalf("Engine.Run allocates %.1f objects per steady-state call, want 0", allocs)
+	wires := buildAllocRig()
+	chans, relays := buildChannelRig()
+	for name, eng := range map[string]*Engine{"wires": wires, "channels": chans} {
+		allocs := testing.AllocsPerRun(200, func() {
+			eng.Run(eng.Now() + 3000)
+		})
+		if allocs != 0 {
+			t.Errorf("%s rig: Engine.Run allocates %.1f objects per steady-state call, want 0", name, allocs)
+		}
+	}
+	for i, r := range relays {
+		if r.fires < 200 {
+			t.Errorf("relay %d fired %d times: the channel rig is not moving tokens", i, r.fires)
+		}
 	}
 }
 

@@ -18,6 +18,13 @@
 // in package sim as well, with explicit forwarding delays, because they are
 // the only legal clock-domain crossings in aelite.
 //
+// Only things whose commit does work are registered with the engine. A
+// Wire buffers a drive until the commit phase, so it is registered
+// (AddWire, AddWireClocked). A Bisync or a TokenChannel changes state the
+// moment it is pushed or popped and hides a word from its reader by
+// timestamp (visible <= now), so it has no commit and the engine never
+// hears of it: the simulator pays per firing, not per channel per instant.
+//
 // The engine is strictly single-threaded (design-space parallelism lives
 // in internal/parallel, one private engine per point) and deterministic
 // to the picosecond, which is what makes trace comparison, composability

@@ -205,10 +205,12 @@ func (e *Engine) invalidateFast() {
 	}
 }
 
-// AddWire registers anything with a commit phase (wires, FIFO channels).
-// The wire is committed at every executed instant. Prefer AddWireClocked
-// when the wire's writer lives in a known clock domain: per-instant cost
-// then scales with the due domains, not with the total wire count.
+// AddWire registers a wire, which is then committed at every executed
+// instant. Only things whose commit does work belong here: a Bisync or a
+// TokenChannel becomes visible by timestamp and is registered with nobody.
+// Prefer AddWireClocked when the wire's writer lives in a known clock
+// domain: per-instant cost then scales with the due domains, not with the
+// total wire count.
 func (e *Engine) AddWire(w committable) {
 	e.invalidateFast()
 	e.wires = append(e.wires, w)
@@ -347,9 +349,10 @@ func (e *Engine) rebuild(from clock.Time) {
 // <= until. It returns the number of distinct instants executed.
 //
 // Instead of rescanning every component per instant, the engine keeps the
-// components grouped by clock and pops the next-due clocks off a min-heap:
-// the per-instant cost scales with the number of due clock domains, not
-// with the total component count. Wire commits are batched the same way
+// components grouped by clock in a min-heap on each clock's next edge and
+// advances the due clocks in place at its top: the per-instant cost scales
+// with the number of due clock domains, not with the total component
+// count, and no instant divides. Wire commits are batched the same way
 // (see AddWireClocked), the common single-domain instant dispatches a
 // group's components in place without copying, and the dispatch scratch
 // lives on the Engine, so steady-state instants allocate nothing.
@@ -405,19 +408,16 @@ func (e *Engine) Run(until clock.Time) int {
 			e.rebuild(next - 1)
 		}
 
+		// Every group due here is on top of the heap in turn. Its cached
+		// edge is an exact edge of its clock (rebuild is the only place that
+		// derives one from phase and period), so the edge after it is one
+		// period on: update the top in place and sift it down once.
 		dueGroups := e.dueGroups[:0]
 		for len(e.gheap) > 0 && e.gheap[0].next <= next {
 			g := e.gheap[0]
-			n := len(e.gheap) - 1
-			e.gheap[0] = e.gheap[n]
-			e.gheap = e.gheap[:n]
+			g.next += g.clk.Period
 			groupDown(e.gheap, 0)
 			dueGroups = append(dueGroups, g)
-		}
-		for _, g := range dueGroups {
-			g.next = g.clk.NextEdge(next)
-			e.gheap = append(e.gheap, g)
-			groupUp(e.gheap, len(e.gheap)-1)
 		}
 		e.dueGroups = dueGroups
 
@@ -468,34 +468,31 @@ func (e *Engine) Run(until clock.Time) int {
 	}
 }
 
-// groupUp/groupDown maintain the clock-group min-heap on next edge time.
-func groupUp(h []*clockGroup, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].next <= h[i].next {
+// groupDown restores the clock-group min-heap on next edge time after the
+// entry at i grew. With near-equal periods which child holds the earlier
+// edge is a coin flip, so it is picked by arithmetic on a 0/1 flag, not by
+// a branch the predictor would miss on every other level.
+func groupDown(h []*clockGroup, i int) {
+	g := h[i]
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
 			break
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func groupDown(h []*clockGroup, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h[l].next < h[m].next {
-			m = l
+		if r := m + 1; r < len(h) {
+			right := 0
+			if h[r].next < h[m].next {
+				right = 1
+			}
+			m += right
 		}
-		if r < len(h) && h[r].next < h[m].next {
-			m = r
+		if h[m].next >= g.next {
+			break
 		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = g
 }
 
 // timerUp/timerDown maintain the callback min-heap on (at, seq).

@@ -200,21 +200,26 @@ func (b *Bisync[T]) Adjust(f func(v T, pushed, visible clock.Time) (T, clock.Tim
 	}
 }
 
-// commit is a no-op; Bisync state changes are immediate but visibility is
-// governed by timestamps. It satisfies committable so a Bisync may be
-// registered like a wire for uniformity.
-func (b *Bisync[T]) commit() {}
-
 // A TokenChannel is the asynchronous channel used between wrapped network
 // elements (paper Section VI). Tokens (whole flits, possibly empty) are
 // transferred with a handshake delay; capacity models the depth of the
 // wrapper's port FIFOs plus the link. Unlike Bisync it exposes space
 // explicitly, because OPIs reserve space ahead of time.
+//
+// Tokens live in a ring fixed at the channel's capacity and are produced
+// and consumed in place: a flit token is some 200 bytes, and a wrapper
+// moves one per port per fire.
 type TokenChannel[T any] struct {
-	name     string
-	capacity int
-	delay    clock.Duration
-	entries  []bisyncEntry[T]
+	name  string
+	delay clock.Duration
+	ring  []token[T] // the n tokens from head on (wrapping) are queued
+	head  int
+	n     int
+}
+
+type token[T any] struct {
+	v       T
+	visible clock.Time // first instant at which the reader may pop this
 }
 
 // NewTokenChannel returns a token channel with the given capacity and
@@ -223,14 +228,26 @@ func NewTokenChannel[T any](name string, capacity int, delay clock.Duration) *To
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: token channel %q capacity must be positive", name))
 	}
-	return &TokenChannel[T]{name: name, capacity: capacity, delay: delay}
+	return &TokenChannel[T]{name: name, delay: delay, ring: make([]token[T], capacity)}
 }
 
 // Name returns the channel's diagnostic name.
 func (t *TokenChannel[T]) Name() string { return t.name }
 
 // CanPush reports whether the channel has space for another token.
-func (t *TokenChannel[T]) CanPush() bool { return len(t.entries) < t.capacity }
+func (t *TokenChannel[T]) CanPush() bool { return t.n < len(t.ring) }
+
+// enqueue claims the slot behind the tail for a token visible from the
+// given instant on.
+func (t *TokenChannel[T]) enqueue(visible clock.Time) *T {
+	i := t.head + t.n
+	if i >= len(t.ring) {
+		i -= len(t.ring)
+	}
+	t.n++
+	t.ring[i].visible = visible
+	return &t.ring[i].v
+}
 
 // Prime injects an initial token that is visible immediately. The
 // asynchronous wrappers prime every channel with empty tokens at reset
@@ -240,35 +257,42 @@ func (t *TokenChannel[T]) Prime(v T) {
 	if !t.CanPush() {
 		panic(fmt.Sprintf("sim: token channel %q overflow while priming", t.name))
 	}
-	t.entries = append(t.entries, bisyncEntry[T]{v: v, visible: 0})
+	*t.enqueue(0) = v
 }
 
-// Push enqueues a token at time now; it panics on overflow because the
-// wrapper's OPI reserves space before sending.
-func (t *TokenChannel[T]) Push(now clock.Time, v T) {
+// Push enqueues a token at time now and returns it for the caller to fill
+// in place: until assigned it holds whatever an earlier token left in the
+// slot. It panics on overflow because the wrapper's OPI reserves space
+// before sending.
+func (t *TokenChannel[T]) Push(now clock.Time) *T {
 	if !t.CanPush() {
-		panic(fmt.Sprintf("sim: token channel %q overflow (capacity %d) at t=%d ps", t.name, t.capacity, now))
+		panic(fmt.Sprintf("sim: token channel %q overflow (capacity %d) at t=%d ps", t.name, len(t.ring), now))
 	}
-	t.entries = append(t.entries, bisyncEntry[T]{v: v, visible: now + t.delay})
+	return t.enqueue(now + t.delay)
 }
 
 // Valid reports whether a token is available at time now.
 func (t *TokenChannel[T]) Valid(now clock.Time) bool {
-	return len(t.entries) > 0 && t.entries[0].visible <= now
+	return t.n > 0 && t.ring[t.head].visible <= now
 }
 
-// Pop removes and returns the head token; panics if !Valid(now).
-func (t *TokenChannel[T]) Pop(now clock.Time) T {
-	if !t.Valid(now) {
+// Pop removes the head token and returns it in place; it stays readable
+// until the channel's next Push. It panics if !Valid(now).
+func (t *TokenChannel[T]) Pop(now clock.Time) *T {
+	if t.n == 0 {
 		panic(fmt.Sprintf("sim: token channel %q pop on empty at t=%d ps", t.name, now))
 	}
-	v := t.entries[0].v
-	copy(t.entries, t.entries[1:])
-	t.entries = t.entries[:len(t.entries)-1]
-	return v
+	e := &t.ring[t.head]
+	if e.visible > now {
+		panic(fmt.Sprintf("sim: token channel %q pop at t=%d ps of a token not visible until t=%d ps", t.name, now, e.visible))
+	}
+	t.head++
+	if t.head == len(t.ring) {
+		t.head = 0
+	}
+	t.n--
+	return &e.v
 }
 
 // Len returns the number of queued tokens (including in-flight ones).
-func (t *TokenChannel[T]) Len() int { return len(t.entries) }
-
-func (t *TokenChannel[T]) commit() {}
+func (t *TokenChannel[T]) Len() int { return t.n }

@@ -11,7 +11,9 @@
 //     FIFO and a counter of available words, Output PIs (OPI) a counter of
 //     unreserved space. Here both are modelled by the token channels
 //     between wrappers: a token is one flit; an IPI "fires" when a token
-//     is available, an OPI when space for one token is free.
+//     is available, an OPI when space for one token is free. A fire
+//     moves no token by value: the element reads the popped tokens and
+//     writes the pushed ones in the channels' own rings.
 //   - the Port Interface Controller (PIC) fires once all PIs fire; the
 //     fire pops one token from every input, runs the wrapped element for
 //     one flit cycle, and pushes one token on every output. Output space

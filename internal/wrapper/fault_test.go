@@ -13,13 +13,11 @@ import (
 // chattyActor emits a non-empty flit on port 1 every fire — pointed at a
 // wrapper whose port 1 is unconnected, it trips the route-error envelope
 // check on every iteration.
-type chattyActor struct {
-	out []phit.Flit
-}
+type chattyActor struct{}
 
-func (a *chattyActor) Fire(now clock.Time, in []phit.Flit) []phit.Flit {
-	a.out[1][0] = phit.Phit{Valid: true, Kind: phit.Payload, Data: 7}
-	return a.out
+func (a *chattyActor) Fire(now clock.Time, in, out []*phit.Flit) {
+	*out[0] = phit.Flit{}
+	*out[1] = phit.Flit{{Valid: true, Kind: phit.Payload, Data: 7}}
 }
 
 func (a *chattyActor) Ports() int        { return 2 }
@@ -31,12 +29,10 @@ func (a *chattyActor) ActorName() string { return "chatty" }
 func runChatty(rep fault.Reporter) *Wrapper {
 	eng := sim.New()
 	base := clock.NewMHz("base", 500, 0)
-	w := New("w", base, &chattyActor{out: make([]phit.Flit, 2)})
+	w := New("w", base, &chattyActor{})
 	w.SetReporter(rep)
 	in := NewChannel("in", 2*base.Period)
 	out := NewChannel("out", 2*base.Period)
-	eng.AddWire(in)
-	eng.AddWire(out)
 	w.ConnectIn(0, in)
 	w.ConnectOut(0, out)
 	// Port 1 left unconnected on both sides.
@@ -100,7 +96,7 @@ func TestWrapperStallFreezesFires(t *testing.T) {
 	}
 
 	// Non-positive stalls are ignored; positive ones accumulate.
-	w := New("acc", clock.NewMHz("c", 500, 0), &chattyActor{out: make([]phit.Flit, 2)})
+	w := New("acc", clock.NewMHz("c", 500, 0), &chattyActor{})
 	w.Stall(-5)
 	w.Stall(0)
 	if w.stallFault != 0 {

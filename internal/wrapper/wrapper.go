@@ -38,9 +38,10 @@ func NewChannel(name string, delay clock.Duration) *Channel {
 
 // An Actor is a network element that advances in whole flit cycles.
 type Actor interface {
-	// Fire consumes one token per input port and produces one per
-	// output port.
-	Fire(now clock.Time, in []phit.Flit) []phit.Flit
+	// Fire consumes one token per input port and produces one per output
+	// port. The tokens are the channels' own: in[i] must only be read, and
+	// out[i] holds a stale token that Fire must overwrite in full.
+	Fire(now clock.Time, in, out []*phit.Flit)
 	// Ports returns the number of input/output ports.
 	Ports() int
 	// ActorName identifies the element.
@@ -50,17 +51,15 @@ type Actor interface {
 // RouterActor adapts an aelite router core.
 type RouterActor struct {
 	Core *router.Core
-	out  []phit.Flit
 }
 
 // NewRouterActor wraps a router core.
 func NewRouterActor(c *router.Core) *RouterActor { return &RouterActor{Core: c} }
 
 // Fire implements Actor.
-func (r *RouterActor) Fire(now clock.Time, in []phit.Flit) []phit.Flit {
+func (r *RouterActor) Fire(now clock.Time, in, out []*phit.Flit) {
 	r.Core.SetNow(now)
-	r.out = r.Core.StepFlitDirect(in, r.out)
-	return r.out
+	r.Core.StepFlitDirect(in, out)
 }
 
 // Ports implements Actor.
@@ -72,17 +71,15 @@ func (r *RouterActor) ActorName() string { return r.Core.Name() }
 // NIActor adapts an aelite NI (which must not itself be registered with
 // the engine).
 type NIActor struct {
-	NI  *ni.NI
-	out []phit.Flit
+	NI *ni.NI
 }
 
 // NewNIActor wraps an NI.
-func NewNIActor(n *ni.NI) *NIActor { return &NIActor{NI: n, out: make([]phit.Flit, 1)} }
+func NewNIActor(n *ni.NI) *NIActor { return &NIActor{NI: n} }
 
 // Fire implements Actor.
-func (a *NIActor) Fire(now clock.Time, in []phit.Flit) []phit.Flit {
-	a.out[0] = a.NI.StepFlit(now, in[0])
-	return a.out
+func (a *NIActor) Fire(now clock.Time, in, out []*phit.Flit) {
+	a.NI.StepFlit(now, in[0], out[0])
 }
 
 // Ports implements Actor.
@@ -117,20 +114,31 @@ type Wrapper struct {
 	// dataflow iteration, with the cumulative stall count as Arg.
 	tr *trace.Emitter
 
-	inBuf []phit.Flit
+	// inTok and outTok are the tokens of one fire, in the channels' rings.
+	// An unconnected input reads idle; an unconnected output writes its
+	// entry of spill, where a flit is an envelope violation.
+	inTok, outTok []*phit.Flit
+	idle          phit.Flit
+	spill         []phit.Flit
 }
 
 // New builds a wrapper around an actor on its own clock. Connect ports
 // with ConnectIn/ConnectOut before registering with the engine.
 func New(name string, clk *clock.Clock, actor Actor) *Wrapper {
-	return &Wrapper{
-		name:  name,
-		clk:   clk,
-		actor: actor,
-		in:    make([]*Channel, actor.Ports()),
-		out:   make([]*Channel, actor.Ports()),
-		inBuf: make([]phit.Flit, actor.Ports()),
+	w := &Wrapper{
+		name:   name,
+		clk:    clk,
+		actor:  actor,
+		in:     make([]*Channel, actor.Ports()),
+		out:    make([]*Channel, actor.Ports()),
+		inTok:  make([]*phit.Flit, actor.Ports()),
+		outTok: make([]*phit.Flit, actor.Ports()),
+		spill:  make([]phit.Flit, actor.Ports()),
 	}
+	for i := range w.spill {
+		w.inTok[i], w.outTok[i] = &w.idle, &w.spill[i]
+	}
+	return w
 }
 
 // ConnectIn attaches the channel feeding input port i.
@@ -201,16 +209,17 @@ func (w *Wrapper) Update(now clock.Time) {
 	}
 	for i, ch := range w.in {
 		if ch != nil {
-			w.inBuf[i] = ch.Pop(now)
-		} else {
-			w.inBuf[i] = phit.Flit{}
+			w.inTok[i] = ch.Pop(now)
 		}
 	}
-	out := w.actor.Fire(now, w.inBuf)
 	for i, ch := range w.out {
 		if ch != nil {
-			ch.Push(now, out[i])
-		} else if !out[i].Empty() {
+			w.outTok[i] = ch.Push(now)
+		}
+	}
+	w.actor.Fire(now, w.inTok, w.outTok)
+	for i, ch := range w.out {
+		if ch == nil && !w.spill[i].Empty() {
 			fault.Report(w.rep, fault.Violation{
 				Kind: fault.RouteError, Component: "wrapper " + w.name, Time: now, Slot: fault.NoSlot,
 				Detail: fmt.Sprintf("flit for unconnected output %d, flit dropped", i),

@@ -35,9 +35,6 @@ func buildRing(t *testing.T, ppmA, ppmB, ppmR float64) *ring {
 	chRtoB := NewChannel("r>b", 2*base.Period)
 	chBtoR := NewChannel("b>r", 2*base.Period)
 	chRtoA := NewChannel("r>a", 2*base.Period)
-	for _, ch := range []*Channel{chAtoR, chRtoB, chBtoR, chRtoA} {
-		eng.AddWire(ch)
-	}
 
 	// Table: A injects conn 1 in slots 0,2 (of 4); B injects rev conn 2
 	// in slot 1.
@@ -134,8 +131,6 @@ func TestWrapperStallsWithoutNeighbour(t *testing.T) {
 	w := New("w", base, NewRouterActor(core))
 	dead := NewChannel("dead", 2*base.Period)
 	out := NewChannel("out", 2*base.Period)
-	eng.AddWire(dead)
-	eng.AddWire(out)
 	w.ConnectIn(0, dead)
 	w.ConnectOut(0, out)
 	eng.Add(w)
@@ -171,9 +166,15 @@ func TestActorAdapters(t *testing.T) {
 	if ra.Ports() != 3 || ra.ActorName() != "R" {
 		t.Error("router actor identity")
 	}
-	out := ra.Fire(0, make([]phit.Flit, 3))
-	if len(out) != 3 {
-		t.Errorf("router actor produced %d tokens", len(out))
+	// Every output token starts stale and must come back overwritten.
+	stale := phit.Flit{{Valid: true, Data: 99}}
+	var in phit.Flit
+	out := []phit.Flit{stale, stale, stale}
+	ra.Fire(0, []*phit.Flit{&in, &in, &in}, []*phit.Flit{&out[0], &out[1], &out[2]})
+	for i, f := range out {
+		if !f.Empty() {
+			t.Errorf("idle router actor left %v on output %d", f, i)
+		}
 	}
 	tb := slots.NewTable(2)
 	n := ni.New("N", clock.NewMHz("c", 500, 0), layout, tb, nil, nil)
@@ -181,8 +182,37 @@ func TestActorAdapters(t *testing.T) {
 	if na.Ports() != 1 || na.ActorName() != "N" {
 		t.Error("NI actor identity")
 	}
-	out = na.Fire(0, make([]phit.Flit, 1))
-	if len(out) != 1 || !out[0].Empty() {
-		t.Errorf("idle NI actor produced %v", out)
+	out[0] = stale
+	na.Fire(0, []*phit.Flit{&in}, []*phit.Flit{&out[0]})
+	if !out[0].Empty() {
+		t.Errorf("idle NI actor produced %v", out[0])
+	}
+}
+
+// TestWrapperFireAllocatesNothing: two wrapped routers on their own clocks
+// exchanging tokens over primed channels run without allocating — tokens
+// are popped, switched and pushed in the channels' rings.
+func TestWrapperFireAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	base := clock.NewMHz("base", 500, 0)
+	ws := make([]*Wrapper, 2)
+	for i := range ws {
+		ck := clock.Plesiochronous(base, "ck", float64(100*i), clock.Duration(700*i))
+		ws[i] = New("w", ck, NewRouterActor(router.NewCore("R", 2, layout)))
+	}
+	for i, w := range ws {
+		ch := NewChannel("ch", 2*base.Period)
+		w.ConnectOut(0, ch)
+		ws[1-i].ConnectIn(0, ch) // port 1 stays unconnected on both sides
+		eng.Add(w)
+	}
+	eng.Run(100 * base.Period)
+	fired := ws[0].Fires()
+	allocs := testing.AllocsPerRun(100, func() { eng.Run(eng.Now() + 30*base.Period) })
+	if allocs != 0 {
+		t.Errorf("wrapped routers allocate %.1f objects per 10 flit cycles, want 0", allocs)
+	}
+	if ws[0].Fires() < fired+900 {
+		t.Errorf("wrapper fired %d times in 1000 flit cycles", ws[0].Fires()-fired)
 	}
 }

@@ -234,7 +234,6 @@ func BenchmarkAblationTableSize(b *testing.B) {
 			})
 			spec.MapIPsByTraffic(uc, m)
 			cfg := core.Config{TableSize: sizes[i]}
-			core.PrepareTopology(m, cfg)
 			n, err := core.Build(m, uc, cfg)
 			if err != nil {
 				return point{infeasible: true}, nil // coarse tables may not place
@@ -268,7 +267,6 @@ func BenchmarkAblationFIFODelay(b *testing.B) {
 			})
 			spec.MapIPsByTraffic(uc, m)
 			cfg := core.Config{Mode: core.Mesochronous, FIFOForwardCycles: delays[i], PhaseSeed: 3}
-			core.PrepareTopology(m, cfg)
 			n, err := core.Build(m, uc, cfg)
 			if err != nil {
 				return false, err

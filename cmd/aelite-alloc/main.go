@@ -115,7 +115,7 @@ func header(w io.Writer, m *topology.Mesh, uc *spec.UseCase) {
 
 // allocateRings prints the routerless overlay's ring/slot allocation.
 func allocateRings(w io.Writer, m *topology.Mesh, uc *spec.UseCase, cfg core.Config) error {
-	n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: cfg.FreqMHz, WordBytes: cfg.WordBytes})
+	n, err := routerless.Build(m, uc, cfg)
 	if err != nil {
 		return err
 	}
@@ -139,7 +139,6 @@ func allocateRings(w io.Writer, m *topology.Mesh, uc *spec.UseCase, cfg core.Con
 // allocateTDM prints the aelite slot allocation: per-connection
 // guarantees, the busiest links and (with tables) every NI's slot table.
 func allocateTDM(w io.Writer, m *topology.Mesh, uc *spec.UseCase, cfg core.Config, tables bool) error {
-	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		return err

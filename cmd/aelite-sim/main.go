@@ -28,7 +28,9 @@
 //	-freq MHZ      network frequency (default 500)
 //	-warmup NS     warm-up before measurement (default 10000)
 //	-measure NS    measurement window (default 50000)
-//	-tx            transactional traffic (line-rate bursts) instead of CBR
+//	-tx            transactional traffic instead of CBR: whole transactions
+//	               at line rate, 4, 8 or 16 words by rate class, the same
+//	               on every backend
 //	-probes        enable dynamic TDM verification probes (aelite only)
 //	-faults SPEC   fault campaign: op@TIMEns:target[:param];... or random:N
 //	-fault-seed N  seed for random fault events (same seed, same campaign)

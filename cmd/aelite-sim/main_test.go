@@ -17,8 +17,10 @@ const (
 // without the auditor, campaigns alone and as sweeps, the reliability
 // shell, reconfiguration, fast replay, the wide layout, and the exit-2 and
 // exit-3 doors. The goldens were recorded from the binary of the commit
-// before aelite-sim's three build-and-run paths became one; the Changed
-// rows are the complete list of what that refactor altered on purpose.
+// before aelite-sim's three build-and-run paths became one (the -tx rows
+// from the commit before the backends shared one traffic model); the
+// Changed rows are the complete list of what those refactors altered on
+// purpose.
 var rows = []row{
 	{Name: "random-sync", Args: "-random 20" + window},
 	{Name: "random-meso", Args: "-random 20 -mode mesochronous" + window},
@@ -35,6 +37,17 @@ var rows = []row{
 	{Name: "uniform-be", Args: uniform + " -backend be" + window},
 	{Name: "uniform-routerless-files", Args: uniform + " -backend routerless -trace-out {tmp}/t.json -metrics-out {tmp}/m.json" + window,
 		Files: []string{"t.json", "m.json"}},
+
+	// -tx through every backend. Every uniform 3x3 rate is under 40
+	// Mbyte/s, where all three fabrics have always sent 4-word
+	// transactions; the -random rates span the size classes.
+	{Name: "uniform-aelite-tx", Args: uniform + " -tx" + window},
+	{Name: "uniform-aethereal-tx", Args: uniform + " -tx -backend aethereal" + window},
+	{Name: "uniform-routerless-tx", Args: uniform + " -tx -backend routerless" + window},
+	{Name: "random-aelite-tx", Args: "-random 20 -tx" + window},
+	{Name: "random-aethereal-tx", Args: "-random 20 -tx -backend aethereal" + window},
+	{Name: "random-routerless-tx", Args: "-random 20 -tx -backend routerless" + window,
+		Changed: "the rings are offered the transactions the routed fabrics get (traffic.TxWordsForRate: 4/8/16 words); the parent sized them rate/10 clamped to 4..64, 7 words for the 73 Mbyte/s connection"},
 
 	{Name: "faults", Args: faults + window},
 	{Name: "faults-runs3-j1", Args: faults + " -runs 3 -j 1" + window},

@@ -91,7 +91,6 @@ func faultSweepSummaries(t *testing.T, jobs int) []byte {
 		spec.MapIPsByTraffic(uc, m)
 		col := fault.NewCollector()
 		cfg := core.Config{Mode: core.Mesochronous, Probes: true, FaultReporter: col}
-		core.PrepareTopology(m, cfg)
 		n, err := core.Build(m, uc, cfg)
 		if err != nil {
 			return nil, err

@@ -49,7 +49,6 @@ func buildSpec() (*topology.Mesh, *spec.UseCase) {
 func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
 	m, uc := buildSpec()
 	cfg := core.Config{Probes: true}
-	core.PrepareTopology(m, cfg)
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -102,7 +101,7 @@ func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
 // beArrivals is the same experiment on the best-effort baseline.
 func beArrivals(withOthers bool) map[phit.ConnID][]clock.Time {
 	m, uc := buildSpec()
-	net, err := core.BuildBE(m, uc, core.BEConfig{})
+	net, err := core.BuildBE(m, uc, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,6 @@ func build(skewPS int64, rep fault.Reporter) *core.Network {
 		Mode: core.Mesochronous, Probes: true,
 		FaultReporter: rep, SkewOverridePS: skewPS,
 	}
-	core.PrepareTopology(m, cfg)
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

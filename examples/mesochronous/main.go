@@ -39,7 +39,6 @@ func main() {
 		uc := buildSpec()
 		spec.MapIPsByTraffic(uc, m)
 		cfg := core.Config{Mode: core.Mesochronous, PhaseSeed: seed, Probes: true}
-		core.PrepareTopology(m, cfg)
 		net, err := core.Build(m, uc, cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -71,7 +70,6 @@ func main() {
 	uc := buildSpec()
 	spec.MapIPsByTraffic(uc, m)
 	cfg := core.Config{Mode: core.Asynchronous, PhaseSeed: 7, PPM: 200}
-	core.PrepareTopology(m, cfg)
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -73,7 +73,6 @@ func main() {
 	spec.MapIPsByTraffic(uc, mesh)
 
 	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous, Probes: true, Transactional: true}
-	core.PrepareTopology(mesh, cfg)
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

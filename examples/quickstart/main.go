@@ -61,7 +61,6 @@ func main() {
 	}
 
 	cfg := core.Config{FreqMHz: 500, Probes: true} // probes verify the TDM schedule live
-	core.PrepareTopology(mesh, cfg)
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -61,7 +61,6 @@ func build(col *fault.Collector, retryBudget int) *core.Network {
 		Mode: core.Mesochronous, Probes: true, Reliable: true,
 		RetryBudget: retryBudget, FaultReporter: col,
 	}
-	core.PrepareTopology(m, cfg)
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

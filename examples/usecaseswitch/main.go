@@ -83,7 +83,6 @@ func main() {
 	col := fault.NewCollector()
 	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous, Probes: true,
 		Reliable: true, RetryBudget: 2, FaultReporter: col}
-	core.PrepareTopology(mesh, cfg)
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

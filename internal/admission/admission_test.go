@@ -26,7 +26,6 @@ func buildNet(t *testing.T, mode core.Mode, reliable bool, col *fault.Collector)
 	if mode == core.Asynchronous {
 		cfg.PPM = 200
 	}
-	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

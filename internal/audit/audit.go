@@ -234,10 +234,8 @@ func recoveryAllowancePs(n *core.Network) float64 {
 	}
 	var worstBound float64
 	for _, id := range n.Connections() {
-		if info, err := n.Info(id); err == nil {
-			// Mirror core.wireReliable's timeout derivation.
-			timeoutPs := info.BoundNs*1e3 +
-				float64(info.AckRTSlots+n.Alloc.TableSize)*float64(phit.FlitWords)*float64(clock.PeriodFromMHz(n.Cfg.FreqMHz))
+		if tx, ok := n.ReliableTxStats(id); ok {
+			timeoutPs := float64(tx.Timeout)
 			backoff, sum := 1.0, 0.0
 			for r := 0; r <= budget; r++ {
 				sum += backoff

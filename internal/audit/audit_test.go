@@ -27,7 +27,6 @@ func buildNet(t *testing.T, mode core.Mode, probes bool) (*core.Network, *fault.
 	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
 	cfg := core.Config{Mode: mode, Probes: probes, FaultReporter: col}
-	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)

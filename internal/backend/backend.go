@@ -117,16 +117,15 @@ func routerArity(m *topology.Mesh) int { return 4 + m.NIsPerRouter }
 
 // ---- aelite ----
 
-// aeliteBackend wraps the TDM core: PrepareTopology followed by
-// core.Build on the caller's Params untouched, so a seam-built aelite
-// network is byte-identical to a directly built one.
+// aeliteBackend wraps the TDM core: core.Build on the caller's Params
+// untouched, so a seam-built aelite network is byte-identical to a
+// directly built one.
 type aeliteBackend struct{}
 
 func (aeliteBackend) Name() string    { return "aelite" }
 func (aeliteBackend) HasBounds() bool { return true }
 
 func (aeliteBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instance, error) {
-	core.PrepareTopology(m, p)
 	n, err := core.Build(m, uc, p)
 	if err != nil {
 		return nil, err
@@ -168,13 +167,7 @@ func (aetherealBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Ins
 	if p.Mode != core.Synchronous {
 		return nil, fmt.Errorf("backend aethereal: the Æthereal baseline is globally synchronous (got mode %s)", p.Mode)
 	}
-	n, err := core.BuildBE(m, uc, core.BEConfig{
-		Layout:             p.Layout,
-		WordBytes:          p.WordBytes,
-		FreqMHz:            p.FreqMHz,
-		TrafficBurstFactor: p.TrafficBurstFactor,
-		Transactional:      p.Transactional,
-	})
+	n, err := core.BuildBE(m, uc, p)
 	if err != nil {
 		return nil, err
 	}
@@ -210,12 +203,7 @@ func (routerlessBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (In
 	if p.Mode != core.Synchronous {
 		return nil, fmt.Errorf("backend routerless: the ring overlay is single-clock (got mode %s)", p.Mode)
 	}
-	n, err := routerless.Build(m, uc, routerless.Config{
-		WordBytes:          p.WordBytes,
-		FreqMHz:            p.FreqMHz,
-		TrafficBurstFactor: p.TrafficBurstFactor,
-		Transactional:      p.Transactional,
-	})
+	n, err := routerless.Build(m, uc, p)
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,13 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/phit"
 	"repro/internal/routerless"
 	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // recSink records the full event stream as deterministic text, so two
@@ -90,7 +92,7 @@ func requireIdentical(t *testing.T, direct, seam observation) {
 
 // TestAeliteSeamEquivalence is the refactor's no-observable-change
 // gate: a same-seed aelite run built through the backend seam must be
-// byte-identical to one built through core.PrepareTopology+core.Build
+// byte-identical to one built through core.Build
 // directly — reports, metrics JSON and event streams — in all three
 // clocking modes.
 func TestAeliteSeamEquivalence(t *testing.T) {
@@ -100,7 +102,6 @@ func TestAeliteSeamEquivalence(t *testing.T) {
 			m, uc, scfg := testWorkload(t, seed)
 			cfg := core.Config{FreqMHz: scfg.FreqMHz, WordBytes: scfg.WordBytes,
 				TableSize: scfg.TableSize, Mode: mode}
-			core.PrepareTopology(m, cfg)
 			n, err := core.Build(m, uc, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -129,7 +130,7 @@ func TestAeliteSeamEquivalence(t *testing.T) {
 func TestAetherealSeamEquivalence(t *testing.T) {
 	const seed = 78
 	m, uc, scfg := testWorkload(t, seed)
-	n, err := core.BuildBE(m, uc, core.BEConfig{FreqMHz: scfg.FreqMHz})
+	n, err := core.BuildBE(m, uc, core.Config{FreqMHz: scfg.FreqMHz})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestAetherealSeamEquivalence(t *testing.T) {
 func TestRouterlessSeamEquivalence(t *testing.T) {
 	const seed = 79
 	m, uc, scfg := testWorkload(t, seed)
-	n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: scfg.FreqMHz, WordBytes: scfg.WordBytes})
+	n, err := routerless.Build(m, uc, core.Config{FreqMHz: scfg.FreqMHz, WordBytes: scfg.WordBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +203,81 @@ func TestByNameUnknownListsValid(t *testing.T) {
 	names := Names()
 	if len(names) != 3 || names[0] != "aelite" || names[1] != "aethereal" || names[2] != "routerless" {
 		t.Errorf("Names() = %v", names)
+	}
+}
+
+// generatorOf reaches a connection's traffic generator behind the seam.
+func generatorOf(inst Instance, id phit.ConnID) *traffic.Generator {
+	switch i := inst.(type) {
+	case *aeliteInstance:
+		return i.n.Generator(id)
+	case *aetherealInstance:
+		return i.n.Generator(id)
+	case *routerlessInstance:
+		return i.n.Generator(id)
+	}
+	return nil
+}
+
+// TestBackendsOfferSameLoad holds the three backends to the paper's
+// Section VII premise — same mapping, same offered load: built from one
+// use case with one non-CBR traffic shape, every connection's generator
+// offers the same words on every fabric. The rates span all three
+// transaction-size classes, and the window ends after every generator's
+// first transaction and before any second one, so under Transactional the
+// count is exactly the transaction size. (The ring overlay used to size
+// transactions by its own rate/10 rule: 6, 12 and 20 words where the
+// routed fabrics sent 8, 8 and 16.)
+func TestBackendsOfferSameLoad(t *testing.T) {
+	rates := []float64{20, 30, 60, 120, 160, 200}
+	workload := func() (*topology.Mesh, *spec.UseCase) {
+		m := topology.NewMesh(3, 3, 1)
+		uc := &spec.UseCase{Name: "offered", Apps: 1}
+		for i := 0; i < 9; i++ {
+			uc.IPs = append(uc.IPs, spec.IP{ID: spec.IPID(i), Name: fmt.Sprintf("ip%d", i), NI: m.NIAt(i%3, i/3, 0)})
+		}
+		for i, r := range rates {
+			uc.Connections = append(uc.Connections, spec.Connection{
+				ID: phit.ConnID(i + 1), Src: spec.IPID(i), Dst: spec.IPID((i + 4) % 9),
+				BandwidthMBps: r, MaxLatencyNs: 4000,
+			})
+		}
+		return m, uc
+	}
+	const windowCycles = 100
+	for _, shape := range []Params{{Transactional: true}, {TrafficBurstFactor: 4}} {
+		t.Run(fmt.Sprintf("tx=%v,burst=%g", shape.Transactional, shape.TrafficBurstFactor), func(t *testing.T) {
+			offered := make(map[string][]int64)
+			for _, name := range Names() {
+				b, err := ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, uc := workload()
+				inst, err := b.Build(m, uc, shape)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
+				for _, c := range uc.Connections {
+					g := generatorOf(inst, c.ID)
+					if g.Rejected() != 0 {
+						t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
+					}
+					offered[name] = append(offered[name], g.Offered())
+				}
+			}
+			for i, r := range rates {
+				want := offered["aelite"][i]
+				if shape.Transactional && want != int64(traffic.TxWordsForRate(r)) {
+					t.Errorf("aelite offered %d words at %.0f MB/s, want one %d-word transaction", want, r, traffic.TxWordsForRate(r))
+				}
+				for _, name := range Names() {
+					if got := offered[name][i]; got != want {
+						t.Errorf("connection %d (%.0f MB/s): %s was offered %d words, aelite %d", i+1, r, name, got, want)
+					}
+				}
+			}
+		})
 	}
 }

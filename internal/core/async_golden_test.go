@@ -56,7 +56,6 @@ func asyncSec7Digest(t *testing.T, inject bool) (digest string, stalls int64) {
 	}
 	m := experiments.Sec7Mesh()
 	cfg := core.Config{Mode: core.Asynchronous, PhaseSeed: 13, PPM: 200}
-	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)

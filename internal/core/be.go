@@ -16,43 +16,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// BEConfig parameterises the Æthereal best-effort baseline network
-// (paper Section VII: same mapping and paths, all connections changed
-// from GS to BE, globally synchronous).
-type BEConfig struct {
-	Layout    phit.HeaderLayout
-	WordBytes int
-	FreqMHz   float64
-	// BufferWords is the per-input router buffer depth.
-	BufferWords int
-	// MaxPacketWords caps BE packet payload length.
-	MaxPacketWords int
-	// TrafficBurstFactor > 1 selects bursty generators, as in Config.
-	TrafficBurstFactor float64
-	// Transactional selects line-rate transaction generators sized by
-	// TxWordsForRate, as in Config.
-	Transactional bool
-}
-
-// ApplyDefaults fills zero fields.
-func (c *BEConfig) ApplyDefaults() {
-	if c.Layout.WordBits == 0 {
-		c.Layout = phit.DefaultLayout
-	}
-	if c.WordBytes == 0 {
-		c.WordBytes = 4
-	}
-	if c.FreqMHz == 0 {
-		c.FreqMHz = 500
-	}
-	if c.BufferWords == 0 {
-		c.BufferWords = aethereal.DefaultBufferWords
-	}
-	if c.MaxPacketWords == 0 {
-		c.MaxPacketWords = aethereal.DefaultMaxPacketWords
-	}
-}
-
 type beConnInfo struct {
 	spec  spec.Connection
 	srcNI topology.NodeID
@@ -60,9 +23,11 @@ type beConnInfo struct {
 	path  *route.Path
 }
 
-// A BENetwork is a built best-effort baseline instance.
+// A BENetwork is a built best-effort baseline instance (paper Section VII:
+// same mapping and paths, all connections changed from GS to BE, globally
+// synchronous).
 type BENetwork struct {
-	Cfg  BEConfig
+	Cfg  Config
 	Mesh *topology.Mesh
 	Spec *spec.UseCase
 
@@ -103,24 +68,17 @@ func (n *BENetwork) AttachTracer(bus *trace.Bus) {
 }
 
 // BuildBE assembles the best-effort baseline: same mesh, same IP mapping,
-// same XY paths as the aelite network, but wormhole BE routers and NIs.
-// The mesh must have zero pipeline stages (the Æthereal baseline is
-// globally synchronous).
-func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, error) {
+// same XY paths as the aelite network, but wormhole BE routers and NIs
+// (aethereal.DefaultBufferWords deep, packets of at most
+// aethereal.DefaultMaxPacketWords). Of cfg it takes the layout, the word
+// width, the frequency and the traffic model. The Æthereal baseline is
+// globally synchronous, so BuildBE strips the mesh of pipeline stages.
+func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error) {
 	cfg.ApplyDefaults()
-	if err := uc.Validate(); err != nil {
+	if err := uc.ValidateMapped(); err != nil {
 		return nil, err
 	}
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			return nil, fmt.Errorf("core: IP %s is not mapped to an NI", ip.Name)
-		}
-	}
-	for _, l := range m.Links() {
-		if l.PipelineStages != 0 {
-			return nil, fmt.Errorf("core: BE baseline requires unpipelined links; link %d has %d stages", l.ID, l.PipelineStages)
-		}
-	}
+	m.SetAllPipelineStages(0)
 	n := &BENetwork{
 		Cfg:     cfg,
 		Mesh:    m,
@@ -134,22 +92,18 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, erro
 	n.base = clock.NewMHz("clk", cfg.FreqMHz, 0)
 
 	for _, c := range uc.Connections {
-		srcIP, err := uc.IP(c.Src)
+		src, dst, err := uc.Endpoints(c)
 		if err != nil {
 			return nil, err
 		}
-		dstIP, err := uc.IP(c.Dst)
+		if src == dst {
+			return nil, fmt.Errorf("core: connection %d: %w (NI %d)", c.ID, ErrSharedNI, src)
+		}
+		p, err := route.XY(m, src, dst)
 		if err != nil {
 			return nil, err
 		}
-		if srcIP.NI == dstIP.NI {
-			return nil, fmt.Errorf("core: connection %d endpoints share NI %d", c.ID, srcIP.NI)
-		}
-		p, err := route.XY(m, srcIP.NI, dstIP.NI)
-		if err != nil {
-			return nil, err
-		}
-		n.conns[c.ID] = &beConnInfo{spec: c, srcNI: srcIP.NI, dstNI: dstIP.NI, path: p}
+		n.conns[c.ID] = &beConnInfo{spec: c, srcNI: src, dstNI: dst, path: p}
 	}
 
 	// Wires: per link a data wire and a reverse credit wire.
@@ -167,16 +121,16 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, erro
 	// Routers.
 	for _, r := range m.Routers() {
 		node := m.Node(r)
-		rc := aethereal.NewRouter(node.Name, node.Ports, cfg.Layout, n.base, cfg.BufferWords)
+		rc := aethereal.NewRouter(node.Name, node.Ports, cfg.Layout, n.base, aethereal.DefaultBufferWords)
 		for p := 0; p < node.Ports; p++ {
 			if l := m.InLink(r, p); l != topology.Invalid {
 				rc.ConnectIn(p, data[l], credit[l])
 			}
 			if l := m.OutLink(r, p); l != topology.Invalid {
 				// Downstream buffer depth: routers buffer
-				// BufferWords; NIs drain at line rate and are
-				// given the same credit window.
-				rc.ConnectOut(p, data[l], credit[l], cfg.BufferWords)
+				// DefaultBufferWords; NIs drain at line rate and
+				// are given the same credit window.
+				rc.ConnectOut(p, data[l], credit[l], aethereal.DefaultBufferWords)
 			}
 		}
 		n.routers[r] = rc
@@ -190,7 +144,7 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, erro
 		outL := m.OutLink(id, 0)
 		c := aethereal.NewNI(node.Name, n.base, cfg.Layout,
 			data[inL], data[outL], credit[outL], credit[inL],
-			cfg.BufferWords, cfg.MaxPacketWords)
+			aethereal.DefaultBufferWords, aethereal.DefaultMaxPacketWords)
 		n.nis[id] = c
 		n.eng.Add(c)
 	}
@@ -216,20 +170,7 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, erro
 		n.nis[info.srcNI].AddOutConn(aethereal.OutConnConfig{ID: id, Header: hdr})
 		n.nis[info.dstNI].AddInConn(aethereal.InConnConfig{ID: id, QID: qid})
 
-		name := fmt.Sprintf("gen.c%d", id)
-		start := clock.Time(len(n.gens)%16) * 3 * n.base.Period
-		var g *traffic.Generator
-		switch {
-		case cfg.Transactional:
-			g = traffic.NewTransactional(name, n.base, n.nis[info.srcNI], id, info.spec.BandwidthMBps,
-				cfg.WordBytes, int64(TxWordsForRate(info.spec.BandwidthMBps)), start)
-		case cfg.TrafficBurstFactor > 1:
-			g = traffic.NewBursty(name, n.base, n.nis[info.srcNI], id, info.spec.BandwidthMBps,
-				cfg.WordBytes, 64, cfg.TrafficBurstFactor, start)
-		default:
-			g = traffic.NewCBR(name, n.base, n.nis[info.srcNI], id, info.spec.BandwidthMBps,
-				cfg.WordBytes, start)
-		}
+		g := cfg.Traffic().Generator(n.base, n.nis[info.srcNI], id, info.spec.BandwidthMBps, len(n.gens))
 		n.gens[id] = g
 		n.eng.Add(g)
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestBESmallDelivers(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
-	n, err := BuildBE(m, uc, BEConfig{})
+	n, err := BuildBE(m, uc, Config{})
 	if err != nil {
 		t.Fatalf("BuildBE: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestBEInterference(t *testing.T) {
 			MinLatencyNs: 250, MaxLatencyNs: 900,
 		})
 		spec.MapIPsRoundRobin(uc, m, 5)
-		n, err := BuildBE(m, uc, BEConfig{})
+		n, err := BuildBE(m, uc, Config{})
 		if err != nil {
 			t.Fatalf("BuildBE: %v", err)
 		}

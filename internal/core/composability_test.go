@@ -22,7 +22,6 @@ func buildComposability(t *testing.T, mode Mode) (*Network, *spec.UseCase) {
 	})
 	spec.MapIPsRoundRobin(uc, m, 5)
 	cfg := Config{Mode: mode, PhaseSeed: 4, Probes: true}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/link"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/phit"
 	"repro/internal/reliable"
 	"repro/internal/replay"
-	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/slots"
@@ -89,8 +87,8 @@ type Config struct {
 	// same average rate; 0 or 1 selects CBR.
 	TrafficBurstFactor float64
 	// Transactional makes every IP emit whole transactions at line rate
-	// (words sized by TxWordsForRate) instead of smooth CBR, and sizes
-	// slot reservations and latency bounds for transaction drains.
+	// (words sized by traffic.TxWordsForRate) instead of smooth CBR, and
+	// sizes slot reservations and latency bounds for transaction drains.
 	Transactional bool
 	// PPM is the maximum plesiochronous frequency deviation, in parts
 	// per million, of each element's clock in Asynchronous mode.
@@ -160,21 +158,10 @@ func (c *Config) ApplyDefaults() {
 	}
 }
 
-// connInfo is everything the builder derived for one data connection.
-type connInfo struct {
-	spec     spec.Connection
-	srcNI    topology.NodeID
-	dstNI    topology.NodeID
-	path     *route.Path
-	slotSet  []int
-	rev      phit.ConnID
-	revPath  *route.Path
-	revSlots []int
-
-	guaranteeMBps float64
-	boundNs       float64
-	recvCap       int
-	ackRTSlots    int // reverse-channel slot round trip (ack/credit return)
+// Traffic is the traffic model the config offers every connection, on
+// whichever backend is built from it.
+func (c Config) Traffic() traffic.Model {
+	return traffic.Model{WordBytes: c.WordBytes, BurstFactor: c.TrafficBurstFactor, Transactional: c.Transactional}
 }
 
 // A Network is a built, runnable aelite instance.
@@ -237,20 +224,16 @@ var candidateTableSizes = []int{8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 
 // Build assembles a network for the use case on the mesh. The use case
 // must be validated and its IPs mapped (spec.MapIPsRoundRobin or manual).
-// Call PrepareTopology on the mesh first so routing knows the link
-// pipeline depths this config instantiates.
+// Build prepares the mesh for the config's mode itself (PrepareTopology),
+// so routing sees the link pipeline depths it is about to instantiate.
 func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	cfg.ApplyDefaults()
 	cfg.UncappedPaths = false // planning-only relaxation; headers must encode
 
-	if err := uc.Validate(); err != nil {
+	if err := uc.ValidateMapped(); err != nil {
 		return nil, err
 	}
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			return nil, fmt.Errorf("core: IP %s is not mapped to an NI", ip.Name)
-		}
-	}
+	PrepareTopology(m, cfg)
 	sizes := candidateTableSizes
 	if cfg.TableSize != 0 {
 		sizes = []int{cfg.TableSize}
@@ -263,7 +246,7 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	}
 	var (
 		alloc *slots.Allocation
-		infos map[phit.ConnID]*connInfo
+		infos []*connInfo
 	)
 	for _, s := range sizes {
 		alloc, infos, err = allocate(uc, cfg, routed, s)
@@ -287,37 +270,31 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 		nis:      make(map[topology.NodeID]*ni.NI),
 		routers:  make(map[topology.NodeID]*router.Component),
 		gens:     make(map[phit.ConnID]*traffic.Generator),
-		conns:    infos,
+		conns:    make(map[phit.ConnID]*connInfo, len(infos)),
 		niTables: make(map[topology.NodeID]*slots.Table),
 		qidNext:  make(map[topology.NodeID]int),
 		domains:  make(map[topology.NodeID]*clock.Clock),
 		retired:  make(map[phit.ConnID]bool),
 	}
-	for id, info := range infos {
-		if id > n.idHigh {
-			n.idHigh = id
-		}
-		if info.rev > n.idHigh {
-			n.idHigh = info.rev
-		}
+	// The injection tables start empty: attach programs them, at build time
+	// and at run-time admission alike.
+	for _, id := range m.AllNIs() {
+		n.niTables[id] = slots.NewTable(cfg.TableSize)
 	}
 	if cfg.Mode == Asynchronous {
-		// Wrapped operation relaxes the latency bound: every hop
-		// re-aligns to a local flit cycle (up to one extra flit
-		// cycle per hop) and the slowest clock may run PPM slow.
-		for _, info := range n.conns {
-			extra := float64(phit.FlitWords*len(info.path.Links)) * 1e3 / cfg.FreqMHz
-			info.boundNs = (info.boundNs + extra) * (1 + cfg.PPM/1e6)
-		}
-		if err := n.instantiateAsync(); err != nil {
-			return nil, err
-		}
-		n.installReplay()
-		return n, nil
-	}
-	if err := n.instantiate(); err != nil {
+		n.instantiateAsync()
+	} else if err := n.instantiate(); err != nil {
 		return nil, err
 	}
+	// Connections attach in ascending id order: queue ids, generator
+	// staggers and engine dispatch order all follow it.
+	sort.Slice(infos, func(i, j int) bool { return infos[i].spec.ID < infos[j].spec.ID })
+	for _, info := range infos {
+		if err := n.attach(info); err != nil {
+			return nil, err
+		}
+	}
+	n.addProbes()
 	n.installReplay()
 	return n, nil
 }
@@ -354,13 +331,14 @@ func (n *Network) installReplay() {
 func (n *Network) Replay() *replay.Program { return n.prog }
 
 // allocate slot-allocates every routed connection (and its reverse credit
-// channel) for one candidate table size.
-func allocate(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) (*slots.Allocation, map[phit.ConnID]*connInfo, error) {
+// channel) for one candidate table size and derives each one's guarantees,
+// in spec order.
+func allocate(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) (*slots.Allocation, []*connInfo, error) {
 	al, err := slots.ByName(cfg.Allocator)
 	if err != nil {
 		return nil, nil, err
 	}
-	infos, requests, err := buildRequests(uc, cfg, routed, tableSize)
+	requests, err := buildRequests(uc, cfg, routed, tableSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -368,87 +346,30 @@ func allocate(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, info := range infos {
-		as := alloc.ByConn[info.spec.ID]
-		ras := alloc.ByConn[info.rev]
-		info.path = usedWorstPath(as)
-		info.slotSet = as.Slots
-		info.revPath = usedWorstPath(ras)
-		info.revSlots = ras.Slots
-		b := analysis.ConnectionBounds(info.path, as.Slots, tableSize, cfg.FreqMHz, cfg.WordBytes, analysisMode(cfg, info.spec.BandwidthMBps))
-		info.guaranteeMBps = b.GuaranteeMBps
-		info.boundNs = b.LatencyNs
-		rt := analysis.CreditRoundTripSlots(ras.Slots, info.revPath, tableSize)
-		info.ackRTSlots = rt
-		info.recvCap = analysis.RecvCapacityWords(len(as.Slots), rt, tableSize)
+	infos := make([]*connInfo, len(uc.Connections))
+	for i, c := range uc.Connections {
+		infos[i] = deriveInfo(cfg, c, routed[i], requests[2*i+1].Conn, alloc)
 	}
 	return alloc, infos, nil
 }
 
-// A routedConn is one connection's table-size-independent routing result:
-// its endpoints and the candidate paths of both directions. Build routes
-// once and sizes requests from this for every table size it tries.
-type routedConn struct {
-	srcNI, dstNI topology.NodeID
-	fwd, rev     []*route.Path
-	// worst is the forward candidate with the largest TotalShift; requests
-	// are sized for it so the bound holds whichever path is picked (minimal
-	// routes on a uniform mesh all share it, but stay general).
-	worst *route.Path
-}
-
-// routeConnections computes the candidate paths of every connection and its
-// reverse credit channel, in spec order.
+// routeConnections routes every connection of the use case, in spec order.
 func routeConnections(m *topology.Mesh, uc *spec.UseCase, cfg Config) ([]routedConn, error) {
 	routed := make([]routedConn, len(uc.Connections))
 	for i, c := range uc.Connections {
-		srcIP, err := uc.IP(c.Src)
+		rc, err := routeOne(m, uc, cfg, c, nil)
 		if err != nil {
 			return nil, err
 		}
-		dstIP, err := uc.IP(c.Dst)
-		if err != nil {
-			return nil, err
-		}
-		if srcIP.NI == dstIP.NI {
-			return nil, fmt.Errorf("core: connection %d endpoints share NI %d; local traffic bypasses the NoC", c.ID, srcIP.NI)
-		}
-		// Several minimal-route candidates (plus detours) defeat
-		// slot-alignment fragmentation on loaded meshes (TDM never
-		// blocks in-network, so any route is safe). Candidates whose
-		// hop count exceeds the header path field are unusable.
-		fwdPaths, err := route.Candidates(m, srcIP.NI, dstIP.NI, 6)
-		if err != nil {
-			return nil, err
-		}
-		revPaths, err := route.Candidates(m, dstIP.NI, srcIP.NI, 6)
-		if err != nil {
-			return nil, err
-		}
-		if !cfg.UncappedPaths {
-			fwdPaths = fitHeader(fwdPaths, cfg.Layout)
-			revPaths = fitHeader(revPaths, cfg.Layout)
-		}
-		if len(fwdPaths) == 0 || len(revPaths) == 0 {
-			return nil, fmt.Errorf("core: connection %d has no route that fits the %d-hop header path field",
-				c.ID, cfg.Layout.MaxHops())
-		}
-		worst := fwdPaths[0]
-		for _, p := range fwdPaths[1:] {
-			if p.TotalShift > worst.TotalShift {
-				worst = p
-			}
-		}
-		routed[i] = routedConn{srcNI: srcIP.NI, dstNI: dstIP.NI, fwd: fwdPaths, rev: revPaths, worst: worst}
+		routed[i] = rc
 	}
 	return routed, nil
 }
 
-// buildRequests sizes every routed connection's slot request (and its
-// reverse credit channel's) for one candidate table size, without
-// allocating anything.
-func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) (map[phit.ConnID]*connInfo, []slots.Request, error) {
-	infos := make(map[phit.ConnID]*connInfo, len(uc.Connections))
+// buildRequests sizes every routed connection's slot requests for one
+// candidate table size, without allocating anything: requests[2*i] is
+// connection i's data channel, requests[2*i+1] its reverse credit channel.
+func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) ([]slots.Request, error) {
 	requests := make([]slots.Request, 0, 2*len(uc.Connections))
 	// Reverse connections get ids above the data range.
 	maxID := phit.ConnID(0)
@@ -459,24 +380,17 @@ func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize 
 	}
 	revBase := maxID + 1
 	for i, c := range uc.Connections {
-		rc := routed[i]
-		count, windowTarget, m, err := sizeConnection(cfg, c, rc.worst, tableSize)
+		reqs, err := requestsFor(cfg, c, routed[i], revBase+phit.ConnID(i), tableSize)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rev := revBase + phit.ConnID(i)
-		infos[c.ID] = &connInfo{spec: c, srcNI: rc.srcNI, dstNI: rc.dstNI, rev: rev}
-
-		requests = append(requests,
-			slots.Request{Conn: c.ID, Paths: rc.fwd, Count: count, GapTarget: windowTarget, WindowSlots: m},
-			slots.Request{Conn: rev, Paths: rc.rev, Count: analysis.RevSlots(count, cfg.Layout.MaxCredits())},
-		)
+		requests = append(requests, reqs[:]...)
 	}
-	return infos, requests, nil
+	return requests, nil
 }
 
-// instantiate builds clocks, wires, routers, link stages, NIs, probes and
-// traffic generators.
+// instantiate builds the single-clock or mesochronous fabric: clocks,
+// wires, routers, link stages and NIs. Connections attach afterwards.
 func (n *Network) instantiate() error {
 	period := clock.PeriodFromMHz(n.Cfg.FreqMHz)
 	n.base = clock.New("clk", period, 0)
@@ -534,17 +448,6 @@ func (n *Network) instantiate() error {
 	entry := make(map[topology.LinkID]*sim.Wire[phit.Phit])
 	exit := make(map[topology.LinkID]*sim.Wire[phit.Phit])
 	for _, l := range n.Mesh.Links() {
-		// The allocator's per-stage slot shift must match what this
-		// mode instantiates; PrepareTopology sets it before routing.
-		wantStages := 0
-		if n.Cfg.Mode == Mesochronous && n.Mesh.Node(l.From).Kind == topology.Router &&
-			n.Mesh.Node(l.To).Kind == topology.Router {
-			wantStages = n.Cfg.StagesPerLink
-		}
-		if l.PipelineStages != wantStages {
-			return fmt.Errorf("core: link %d has %d pipeline stages in the topology but mode %s instantiates %d; call PrepareTopology before Build",
-				l.ID, l.PipelineStages, n.Cfg.Mode, wantStages)
-		}
 		name := fmt.Sprintf("l%d.%s>%s", l.ID, n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name)
 		w := sim.NewWire[phit.Phit](name)
 		wClk, rClk := domainOf(l.From), domainOf(l.To)
@@ -555,7 +458,9 @@ func (n *Network) instantiate() error {
 		entry[l.ID] = w
 		n.linkWires = append(n.linkWires, fault.LinkTarget{Name: name, Wire: w})
 		n.linkClks = append(n.linkClks, wClk)
-		if wantStages == 0 {
+		// PrepareTopology put this mode's stages on the link, and the
+		// allocator's per-stage slot shifts assumed them.
+		if l.PipelineStages == 0 {
 			if wClk != rClk {
 				return fmt.Errorf("core: link %s crosses clock domains without pipeline stages", name)
 			}
@@ -564,9 +469,9 @@ func (n *Network) instantiate() error {
 		}
 		out := sim.NewWire[phit.Phit](name + ".out")
 		n.eng.AddWireClocked(out, rClk)
-		stageClks := make([]*clock.Clock, wantStages)
+		stageClks := make([]*clock.Clock, l.PipelineStages)
 		for i := range stageClks {
-			if i == wantStages-1 {
+			if i == len(stageClks)-1 {
 				stageClks[i] = rClk
 			} else {
 				ph := drawPhase()
@@ -601,149 +506,36 @@ func (n *Network) instantiate() error {
 		n.eng.Add(rc)
 	}
 
-	// NIs: slot tables, connections, queue ids. The table objects are
-	// retained: run-time reconfiguration reprograms them in place.
-	qidNext := n.qidNext
+	// NIs.
 	for _, id := range n.Mesh.AllNIs() {
 		node := n.Mesh.Node(id)
-		table := n.Alloc.NITable(id)
-		n.niTables[id] = table
 		inW := exit[n.Mesh.InLink(id, 0)]
 		outW := entry[n.Mesh.OutLink(id, 0)]
-		c := ni.New(node.Name, domainOf(id), n.Cfg.Layout, table, inW, outW)
+		c := ni.New(node.Name, domainOf(id), n.Cfg.Layout, n.niTables[id], inW, outW)
 		c.SetReporter(n.Cfg.FaultReporter)
 		n.nis[id] = c
 		n.eng.Add(c)
 	}
-	// Deterministic connection order.
-	ids := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info := n.conns[id]
-		// Queue ids at the destination (data) and source (credits).
-		dataQID := qidNext[info.dstNI]
-		qidNext[info.dstNI]++
-		revQID := qidNext[info.srcNI]
-		qidNext[info.srcNI]++
-		if dataQID > n.Cfg.Layout.MaxQID() || revQID > n.Cfg.Layout.MaxQID() {
-			return fmt.Errorf("core: NI queue ids exhausted (layout allows %d queues per NI)", n.Cfg.Layout.MaxQID()+1)
-		}
-		dataHdrs, err := slotHeaders(n.Cfg.Layout, n.Alloc.ByConn[id], dataQID)
-		if err != nil {
-			return fmt.Errorf("core: connection %d header: %w", id, err)
-		}
-		revHdrs, err := slotHeaders(n.Cfg.Layout, n.Alloc.ByConn[info.rev], revQID)
-		if err != nil {
-			return fmt.Errorf("core: connection %d reverse header: %w", id, err)
-		}
-		src, dst := n.nis[info.srcNI], n.nis[info.dstNI]
-		// Data direction: out at src, in at dst.
-		src.AddOutConn(ni.OutConnConfig{
-			ID: id, Headers: dataHdrs, InitialCredits: info.recvCap, PairedIn: info.rev,
-		})
-		dst.AddInConn(ni.InConnConfig{
-			ID: id, QID: dataQID, RecvCapacity: info.recvCap, CreditFor: info.rev, AutoDrain: true,
-		})
-		// Credit direction: out at dst, in at src.
-		dst.AddOutConn(ni.OutConnConfig{
-			ID: info.rev, Headers: revHdrs, InitialCredits: 0, PairedIn: id,
-		})
-		src.AddInConn(ni.InConnConfig{
-			ID: info.rev, QID: revQID, RecvCapacity: 0, CreditFor: id, AutoDrain: true,
-		})
-		// Traffic.
-		g := buildGenerator(n.Cfg, info, domainOf(info.srcNI), src, len(n.gens))
-		n.gens[id] = g
-		n.eng.Add(g)
-	}
-
-	n.wireReliable()
-
-	// Probes.
-	if n.Cfg.Probes {
-		for _, l := range n.Mesh.Links() {
-			p := &probe{
-				name:  fmt.Sprintf("probe.l%d", l.ID),
-				clk:   domainOf(l.From),
-				wire:  entry[l.ID],
-				alloc: n.Alloc,
-				link:  l.ID,
-				rep:   n.Cfg.FaultReporter,
-			}
-			n.eng.Add(p)
-		}
-	}
 	return nil
 }
 
-func buildGenerator(cfg Config, info *connInfo, clk *clock.Clock, src *ni.NI, idx int) *traffic.Generator {
-	name := fmt.Sprintf("gen.c%d", info.spec.ID)
-	start := clock.Time(idx%16) * 3 * clk.Period // stagger packet phases
-	switch {
-	case cfg.Transactional:
-		return traffic.NewTransactional(name, clk, src, info.spec.ID, info.spec.BandwidthMBps,
-			cfg.WordBytes, int64(TxWordsForRate(info.spec.BandwidthMBps)), start)
-	case cfg.TrafficBurstFactor > 1:
-		return traffic.NewBursty(name, clk, src, info.spec.ID, info.spec.BandwidthMBps,
-			cfg.WordBytes, 64, cfg.TrafficBurstFactor, start)
-	default:
-		return traffic.NewCBR(name, clk, src, info.spec.ID, info.spec.BandwidthMBps, cfg.WordBytes, start)
-	}
-}
-
-// wireReliable installs the end-to-end reliability shell on every NI when
-// Config.Reliable is set: each data connection gets a windowed sender at
-// its source (with a timeout derived from the connection's own worst-case
-// forward bound plus its ack channel's slot round trip), a tracked
-// receiver at its destination, and ack carriage on its reverse channel in
-// both directions. Called by both instantiation paths after every
-// connection is registered (in asynchronous mode the forward bounds have
-// already been relaxed for wrapped operation, so the timeouts inherit
-// that relaxation).
-func (n *Network) wireReliable() {
-	if !n.Cfg.Reliable {
+// addProbes puts a TDM-ownership probe on every link entry wire when
+// Config.Probes is set (asynchronous mode has no wires to probe).
+func (n *Network) addProbes() {
+	if !n.Cfg.Probes {
 		return
 	}
-	flitCycle := clock.Duration(phit.FlitWords) * clock.PeriodFromMHz(n.Cfg.FreqMHz)
-	eps := make(map[topology.NodeID]*reliable.Endpoint)
-	epFor := func(id topology.NodeID) *reliable.Endpoint {
-		ep := eps[id]
-		if ep == nil {
-			ep = reliable.NewEndpoint(n.nis[id].Name())
-			ep.SetQuarantineHook(n.recordQuarantine)
-			eps[id] = ep
-		}
-		return ep
-	}
-	ids := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info := n.conns[id]
-		// Worst-case fault-free flit round trip: the forward latency
-		// bound, the cumulative ack's reverse slot round trip, and one
-		// table revolution of margin (the ack rides the next reverse
-		// flit, which may have just been missed).
-		timeout := clock.Duration(info.boundNs*1e3) +
-			clock.Duration(info.ackRTSlots+n.Cfg.TableSize)*flitCycle
-		src, dst := epFor(info.srcNI), epFor(info.dstNI)
-		src.RegisterTx(id, reliable.TxConfig{
-			Windowed: true, PairedIn: info.rev, Timeout: timeout,
-			RetryBudget: n.Cfg.RetryBudget,
+	links := n.Mesh.Links() // linkWires is in link order
+	for i, lt := range n.linkWires {
+		l := links[i]
+		n.eng.Add(&probe{
+			name:  fmt.Sprintf("probe.l%d", l.ID),
+			clk:   n.linkClks[i],
+			wire:  lt.Wire,
+			alloc: n.Alloc,
+			link:  l.ID,
+			rep:   n.Cfg.FaultReporter,
 		})
-		src.RegisterRx(info.rev, reliable.RxConfig{AckFor: id})
-		dst.RegisterRx(id, reliable.RxConfig{Tracked: true})
-		dst.RegisterTx(info.rev, reliable.TxConfig{PairedIn: id})
-	}
-	for _, nid := range n.Mesh.AllNIs() {
-		if ep := eps[nid]; ep != nil {
-			n.nis[nid].SetReliable(ep)
-		}
 	}
 }
 
@@ -775,67 +567,6 @@ func (n *Network) ReliableRxStats(c phit.ConnID) (reliable.RxStats, bool) {
 		return reliable.RxStats{}, false
 	}
 	return ep.RxStatsOf(c)
-}
-
-// TxWordsForRate maps a connection's rate class to its transaction size:
-// low-rate control channels move small messages, heavy streams move
-// DMA-sized bursts.
-func TxWordsForRate(rateMBps float64) int {
-	switch {
-	case rateMBps < 40:
-		return 4
-	case rateMBps < 150:
-		return 8
-	default:
-		return 16
-	}
-}
-
-// fitHeader drops candidate paths that exceed the header layout's
-// maximum encodable hop count.
-func fitHeader(paths []*route.Path, layout phit.HeaderLayout) []*route.Path {
-	out := paths[:0]
-	for _, p := range paths {
-		if p.Hops() <= layout.MaxHops() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// usedWorstPath returns, among the paths an assignment actually uses, the
-// one with the largest TotalShift — the path latency bounds must cover.
-func usedWorstPath(asg *slots.Assignment) *route.Path {
-	// Walk the ordered slot list, not the PathOf map: among candidate
-	// paths of equal TotalShift the first strict improvement wins, and map
-	// iteration order would make that pick — and everything derived from
-	// it (latency bounds, credit round trips, receive buffer capacities) —
-	// vary between same-seed builds.
-	worst := asg.Path
-	for _, s := range asg.Slots {
-		if p := asg.PathOf[s]; p != nil && p.TotalShift > worst.TotalShift {
-			worst = p
-		}
-	}
-	return worst
-}
-
-// slotHeaders encodes, per reserved slot, the header word for the path
-// that slot was allocated on.
-func slotHeaders(layout phit.HeaderLayout, asg *slots.Assignment, qid int) (map[int]phit.Word, error) {
-	out := make(map[int]phit.Word, len(asg.Slots))
-	for _, s := range asg.Slots {
-		p := asg.PathOf[s]
-		if p == nil {
-			p = asg.Path
-		}
-		h, err := layout.Encode(p.Ports, qid, 0)
-		if err != nil {
-			return nil, err
-		}
-		out[s] = h
-	}
-	return out, nil
 }
 
 // FaultTargets enumerates the built network's injection points for a
@@ -875,7 +606,9 @@ func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
 
 // PrepareTopology sets the pipeline-stage counts the given config will
 // instantiate onto the mesh so that routing computes the correct TDM
-// shifts. Call it before Build.
+// shifts. It is idempotent. Build, PlanAllocation and BuildBE call it on
+// the mesh they are handed; call it directly only where shifts are needed
+// before a network exists (scenario.ClampLatencyBudgets).
 func PrepareTopology(m *topology.Mesh, cfg Config) {
 	cfg.ApplyDefaults()
 	switch cfg.Mode {

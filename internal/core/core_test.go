@@ -30,7 +30,6 @@ func smallUseCase(t *testing.T, conns int) (*topology.Mesh, *spec.UseCase) {
 func TestSynchronousSmallMeetsRequirements(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
 	cfg := Config{Probes: true}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -56,7 +55,6 @@ func TestSynchronousSmallMeetsRequirements(t *testing.T) {
 func TestMesochronousSmallMeetsRequirements(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
 	cfg := Config{Mode: Mesochronous, PhaseSeed: 11, Probes: true}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -90,7 +88,6 @@ func TestBuildRejectsUnmappedIPs(t *testing.T) {
 		MinRateMBps: 10, MaxRateMBps: 20, MinLatencyNs: 300, MaxLatencyNs: 500,
 	})
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	if _, err := Build(m, uc, cfg); err == nil {
 		t.Fatal("Build accepted unmapped IPs")
 	}
@@ -99,7 +96,6 @@ func TestBuildRejectsUnmappedIPs(t *testing.T) {
 func TestInfoAndGenerators(t *testing.T) {
 	m, uc := smallUseCase(t, 4)
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -128,7 +124,6 @@ func TestInfoAndGenerators(t *testing.T) {
 func TestAsynchronousSmallMeetsRequirements(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
 	cfg := Config{Mode: Asynchronous, PhaseSeed: 13, PPM: 200}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

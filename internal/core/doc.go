@@ -15,6 +15,13 @@
 // an error. PlanAllocation is the allocation-only, best-effort
 // counterpart used by scale studies to measure success rates; the
 // Allocator config field selects the slots.Allocator strategy for both.
-// A use case must never be shared across builds, and PrepareTopology
-// must run on a mesh before it is built.
+// A use case must never be shared across builds, and neither must a mesh:
+// a build sets its link pipeline depths for its clocking mode
+// (PrepareTopology).
+//
+// A connection is set up by one piece of code (conn.go): route, size,
+// derive and attach each have one function, Build runs them for every
+// connection of the use case and OpenConnection runs the same ones for
+// one more at run time. BuildBE, the Æthereal best-effort baseline, takes
+// the same Config and offers the same traffic (Config.Traffic).
 package core

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,13 +11,25 @@ import (
 	"repro/internal/topology"
 )
 
-func TestBuildRejectsStaleTopology(t *testing.T) {
-	m, uc := smallUseCase(t, 4)
-	// Prepare for mesochronous (stages on mesh links) but build
-	// synchronous: the TDM shifts baked into the routes would be wrong.
-	PrepareTopology(m, Config{Mode: Mesochronous})
-	if _, err := Build(m, uc, Config{Mode: Synchronous}); err == nil {
-		t.Fatal("Build accepted a topology prepared for a different mode")
+// TestBuildPreparesTopology: Build sets the mesh's pipeline depths for its
+// own mode, so a mesh left prepared for another mode builds the same
+// network as a fresh one.
+func TestBuildPreparesTopology(t *testing.T) {
+	report := func(stale bool) string {
+		m, uc := smallUseCase(t, 4)
+		if stale {
+			PrepareTopology(m, Config{Mode: Mesochronous})
+		}
+		n, err := Build(m, uc, Config{Mode: Synchronous})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		n.Run(2000, 10000).Write(&b)
+		return b.String()
+	}
+	if fresh, stale := report(false), report(true); fresh != stale {
+		t.Errorf("a mesh prepared for another mode built a different network:\n%s\nvs fresh:\n%s", stale, fresh)
 	}
 }
 
@@ -33,8 +46,7 @@ func TestBuildRejectsSameNIEndpoints(t *testing.T) {
 		},
 	}
 	cfg := Config{}
-	PrepareTopology(m, cfg)
-	if _, err := Build(m, uc, cfg); err == nil || !strings.Contains(err.Error(), "share NI") {
+	if _, err := Build(m, uc, cfg); !errors.Is(err, ErrSharedNI) {
 		t.Fatalf("Build accepted NI-local traffic: %v", err)
 	}
 }
@@ -45,7 +57,6 @@ func TestBuildRejectsInvalidSpec(t *testing.T) {
 		IPs:         []spec.IP{{ID: 0, NI: m.NIAt(0, 0, 0)}},
 		Connections: []spec.Connection{{ID: 1, App: 0, Src: 0, Dst: 0, BandwidthMBps: 1, MaxLatencyNs: 1}}}
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	if _, err := Build(m, uc, cfg); err == nil {
 		t.Fatal("Build accepted a self-loop spec")
 	}
@@ -65,7 +76,6 @@ func TestBuildRejectsImpossibleBandwidth(t *testing.T) {
 		},
 	}
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	if _, err := Build(m, uc, cfg); err == nil {
 		t.Fatal("Build accepted an impossible bandwidth requirement")
 	}
@@ -85,17 +95,23 @@ func TestBuildRejectsImpossibleLatency(t *testing.T) {
 		},
 	}
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	if _, err := Build(m, uc, cfg); err == nil {
 		t.Fatal("Build accepted a latency below the path's fixed delay")
 	}
 }
 
-func TestBuildBERejectsPipelinedMesh(t *testing.T) {
+// TestBuildBEPreparesTopology: the baseline is globally synchronous, so
+// BuildBE strips a pipelined mesh rather than routing over stale shifts.
+func TestBuildBEPreparesTopology(t *testing.T) {
 	m, uc := smallUseCase(t, 4)
 	m.SetMeshPipelineStages(1)
-	if _, err := BuildBE(m, uc, BEConfig{}); err == nil {
-		t.Fatal("BuildBE accepted a pipelined mesh")
+	if _, err := BuildBE(m, uc, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range m.Links() {
+		if l.PipelineStages != 0 {
+			t.Fatalf("link %d kept %d pipeline stages under the best-effort baseline", l.ID, l.PipelineStages)
+		}
 	}
 }
 
@@ -105,7 +121,7 @@ func TestBuildBERejectsUnmapped(t *testing.T) {
 		Name: "x", Seed: 1, IPs: 4, Apps: 1, Conns: 2,
 		MinRateMBps: 10, MaxRateMBps: 20, MinLatencyNs: 300, MaxLatencyNs: 500,
 	})
-	if _, err := BuildBE(m, uc, BEConfig{}); err == nil {
+	if _, err := BuildBE(m, uc, Config{}); err == nil {
 		t.Fatal("BuildBE accepted unmapped IPs")
 	}
 }
@@ -116,7 +132,6 @@ func TestProbeDetectsCorruptedSchedule(t *testing.T) {
 	// probes (or the router contention check) must halt the run.
 	m, uc := smallUseCase(t, 3)
 	cfg := Config{Probes: true}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +168,6 @@ func TestProbeDetectsCorruptedSchedule(t *testing.T) {
 func TestReportWriterAndAccessors(t *testing.T) {
 	m, uc := smallUseCase(t, 4)
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ func buildMesoWithFaults(t *testing.T, skewPS int64, rep fault.Reporter) *Networ
 	t.Helper()
 	m, uc := smallUseCase(t, 6)
 	cfg := Config{Mode: Mesochronous, Probes: true, FaultReporter: rep, SkewOverridePS: skewPS}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -43,21 +43,17 @@ func (p *Plan) SuccessRate() float64 {
 // the configured allocator (Config.Allocator) at the configured table
 // size (Config.TableSize; the zero value selects 64). Unlike Build it
 // never searches table sizes and never fails on an unplaceable
-// connection — it records it. The mesh must already be through
-// PrepareTopology.
+// connection — it records it. Like Build, it prepares the mesh for the
+// config's mode itself.
 func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, error) {
 	cfg.ApplyDefaults()
 	if cfg.TableSize == 0 {
 		cfg.TableSize = 64
 	}
-	if err := uc.Validate(); err != nil {
+	if err := uc.ValidateMapped(); err != nil {
 		return nil, err
 	}
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			return nil, fmt.Errorf("core: IP %s is not mapped to an NI", ip.Name)
-		}
-	}
+	PrepareTopology(m, cfg)
 	al, err := slots.ByName(cfg.Allocator)
 	if err != nil {
 		return nil, err
@@ -66,7 +62,7 @@ func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	infos, requests, err := buildRequests(uc, cfg, routed, cfg.TableSize)
+	requests, err := buildRequests(uc, cfg, routed, cfg.TableSize)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +76,9 @@ func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, erro
 		placed[c] = true
 	}
 	plan := &Plan{TableSize: cfg.TableSize, Allocator: al.Name(), Alloc: a, RipUps: res.RipUps}
-	for _, c := range uc.Connections {
-		info := infos[c.ID]
-		dataOK, revOK := placed[c.ID], placed[info.rev]
+	for i, c := range uc.Connections {
+		rev := requests[2*i+1].Conn
+		dataOK, revOK := placed[c.ID], placed[rev]
 		if dataOK && revOK {
 			plan.Placed = append(plan.Placed, c.ID)
 			continue
@@ -91,7 +87,7 @@ func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, erro
 			a.Release(c.ID)
 		}
 		if revOK {
-			a.Release(info.rev)
+			a.Release(rev)
 		}
 		plan.Failed = append(plan.Failed, c.ID)
 	}

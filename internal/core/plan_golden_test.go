@@ -52,7 +52,6 @@ func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed i
 		return "", err
 	}
 	m := s.Mesh()
-	core.PrepareTopology(m, ncfg)
 	plan, err := core.PlanAllocation(m, s.UseCase, ncfg)
 	if err != nil {
 		return "", err

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/ni"
 	"repro/internal/phit"
-	"repro/internal/reliable"
 	"repro/internal/route"
 	"repro/internal/slots"
 	"repro/internal/spec"
@@ -33,7 +31,8 @@ var (
 	// ErrModeUnsupported: the network mode cannot be reconfigured at run
 	// time (asynchronous wrappers index slots by token count).
 	ErrModeUnsupported = errors.New("mode does not support run-time reconfiguration")
-	// ErrDuplicate: the connection id is already open.
+	// ErrDuplicate: the connection id is already open, as a data
+	// connection or as one's credit channel, or was and is retired.
 	ErrDuplicate = errors.New("connection already open")
 	// ErrUnknownEndpoint: an endpoint IP is not in the use case.
 	ErrUnknownEndpoint = errors.New("unknown endpoint")
@@ -71,7 +70,7 @@ type AdmissionPlan struct {
 	// covered.
 	Worst *route.Path
 
-	srcNI, dstNI topology.NodeID
+	routed routedConn
 }
 
 // PlanAdmission routes and sizes a prospective connection against the
@@ -83,101 +82,32 @@ func (n *Network) PlanAdmission(c spec.Connection, avoid []topology.LinkID) (*Ad
 	if n.Cfg.Mode == Asynchronous {
 		return nil, fmt.Errorf("core: connection %d: %w (slot counters are token-indexed)", c.ID, ErrModeUnsupported)
 	}
-	if _, dup := n.conns[c.ID]; dup {
+	// Credit channels are connections too: their ids live in the allocation
+	// and the NIs beside the data connections'.
+	if n.Alloc.ByConn[c.ID] != nil {
 		return nil, fmt.Errorf("core: %w: connection %d", ErrDuplicate, c.ID)
 	}
 	if n.retired[c.ID] {
 		return nil, fmt.Errorf("core: %w: connection id %d was closed and its queue RAM is still registered; re-admission needs a fresh id (FreshConnID)", ErrDuplicate, c.ID)
 	}
-	srcIP, err := n.Spec.IP(c.Src)
+	rc, err := routeOne(n.Mesh, n.Spec, n.Cfg, c, avoid)
 	if err != nil {
-		return nil, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrUnknownEndpoint, err)
+		return nil, err
 	}
-	dstIP, err := n.Spec.IP(c.Dst)
-	if err != nil {
-		return nil, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrUnknownEndpoint, err)
-	}
-	if srcIP.NI == dstIP.NI {
-		return nil, fmt.Errorf("core: connection %d: %w (NI %d)", c.ID, ErrSharedNI, srcIP.NI)
-	}
-	cfg := n.Cfg
-	tableSize := cfg.TableSize
-
-	fwdPaths, err := route.Candidates(n.Mesh, srcIP.NI, dstIP.NI, 6)
-	if err != nil {
-		return nil, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrNoRoute, err)
-	}
-	revPaths, err := route.Candidates(n.Mesh, dstIP.NI, srcIP.NI, 6)
-	if err != nil {
-		return nil, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrNoRoute, err)
-	}
-	fwdPaths = dropAvoided(fitHeader(fwdPaths, cfg.Layout), avoid)
-	revPaths = dropAvoided(fitHeader(revPaths, cfg.Layout), avoid)
-	if len(fwdPaths) == 0 || len(revPaths) == 0 {
-		return nil, fmt.Errorf("core: connection %d: %w (header limit %d hops, %d links avoided)",
-			c.ID, ErrNoRoute, cfg.Layout.MaxHops(), len(avoid))
-	}
-	worst := fwdPaths[0]
-	for _, p := range fwdPaths[1:] {
-		if p.TotalShift > worst.TotalShift {
-			worst = p
-		}
-	}
-	count, windowTarget, m, err := sizeConnection(cfg, c, worst, tableSize)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-	}
-
-	// Queue ids are consumed only on success, but a plan that could never
-	// be applied must not report admissible.
-	if n.qidNext[dstIP.NI] > cfg.Layout.MaxQID() || n.qidNext[srcIP.NI] > cfg.Layout.MaxQID() {
-		return nil, fmt.Errorf("core: connection %d: %w", c.ID, ErrQueueExhausted)
-	}
-
 	// New id for the reverse channel: above everything *ever* used, not
 	// just everything live — a closed connection's queue ids stay
 	// registered in the NI, so id reuse would collide there.
-	rev := n.idHigh + 1
-	if c.ID >= rev {
-		rev = c.ID + 1
+	rev := max(n.idHigh, c.ID) + 1
+	reqs, err := requestsFor(n.Cfg, c, rc, rev, n.Cfg.TableSize)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
-
-	return &AdmissionPlan{
-		Conn: c,
-		Rev:  rev,
-		Requests: []slots.Request{
-			{Conn: c.ID, Paths: fwdPaths, Count: count, GapTarget: windowTarget, WindowSlots: m},
-			{Conn: rev, Paths: revPaths, Count: analysis.RevSlots(count, cfg.Layout.MaxCredits())},
-		},
-		Worst: worst,
-		srcNI: srcIP.NI,
-		dstNI: dstIP.NI,
-	}, nil
-}
-
-// dropAvoided discards candidate paths that traverse any avoided link.
-func dropAvoided(paths []*route.Path, avoid []topology.LinkID) []*route.Path {
-	if len(avoid) == 0 {
-		return paths
+	// Queue ids are consumed only on success, but a plan that could never
+	// be applied must not report admissible.
+	if _, _, err := n.queueIDs(rc.srcNI, rc.dstNI); err != nil {
+		return nil, fmt.Errorf("core: connection %d: %w", c.ID, err)
 	}
-	bad := make(map[topology.LinkID]bool, len(avoid))
-	for _, l := range avoid {
-		bad[l] = true
-	}
-	out := paths[:0]
-	for _, p := range paths {
-		hit := false
-		for _, l := range p.Links {
-			if bad[l] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			out = append(out, p)
-		}
-	}
-	return out
+	return &AdmissionPlan{Conn: c, Rev: rev, Requests: reqs[:], Worst: rc.worst, routed: rc}, nil
 }
 
 // A TrialOutcome summarises the guarantees a trial placement would carry
@@ -194,17 +124,13 @@ type TrialOutcome struct {
 // trial allocation (typically a Clone of the live one populated via
 // slots.AllocateInto). The trial allocation is read, never written.
 func (n *Network) TrialOutcome(plan *AdmissionPlan, trial *slots.Allocation) TrialOutcome {
-	as := trial.ByConn[plan.Conn.ID]
-	ras := trial.ByConn[plan.Rev]
-	p := usedWorstPath(as)
-	b := analysis.ConnectionBounds(p, as.Slots, trial.TableSize, n.Cfg.FreqMHz, n.Cfg.WordBytes,
-		analysisMode(n.Cfg, plan.Conn.BandwidthMBps))
+	info := deriveInfo(n.Cfg, plan.Conn, plan.routed, plan.Rev, trial)
 	return TrialOutcome{
-		GuaranteeMBps:  b.GuaranteeMBps,
-		LatencyBoundNs: b.LatencyNs,
-		DataSlots:      len(as.Slots),
-		RevSlots:       len(ras.Slots),
-		PathHops:       p.Hops(),
+		GuaranteeMBps:  info.guaranteeMBps,
+		LatencyBoundNs: info.boundNs,
+		DataSlots:      len(info.slotSet),
+		RevSlots:       len(info.revSlots),
+		PathHops:       info.path.Hops(),
 	}
 }
 
@@ -311,90 +237,25 @@ func (n *Network) OpenConnectionAvoiding(c spec.Connection, avoid []topology.Lin
 		return err
 	}
 	n.eng.Sync()
-	cfg := n.Cfg
-	tableSize := cfg.TableSize
-	rev := plan.Rev
+	// release takes back whatever the admission claimed (the plan's ids
+	// were free when it was made), so a rejection at any later step leaves
+	// the slot table as it was.
+	release := func() {
+		for _, r := range plan.Requests {
+			if n.Alloc.ByConn[r.Conn] != nil {
+				n.Alloc.Release(r.Conn)
+			}
+		}
+	}
 	if err := slots.AllocateInto(n.Alloc, plan.Requests); err != nil {
+		release() // the data channel may have landed before its credit channel failed
 		return fmt.Errorf("core: admission of connection %d failed: %w: %w", c.ID, ErrNoSlots, err)
 	}
-
-	info := &connInfo{spec: c, srcNI: plan.srcNI, dstNI: plan.dstNI, rev: rev}
-	as := n.Alloc.ByConn[c.ID]
-	ras := n.Alloc.ByConn[rev]
-	info.path = usedWorstPath(as)
-	info.slotSet = as.Slots
-	info.revPath = usedWorstPath(ras)
-	info.revSlots = ras.Slots
-	b := analysis.ConnectionBounds(info.path, as.Slots, tableSize, cfg.FreqMHz, cfg.WordBytes, analysisMode(cfg, c.BandwidthMBps))
-	info.guaranteeMBps = b.GuaranteeMBps
-	info.boundNs = b.LatencyNs
-	rt := analysis.CreditRoundTripSlots(ras.Slots, info.revPath, tableSize)
-	info.ackRTSlots = rt
-	info.recvCap = analysis.RecvCapacityWords(len(as.Slots), rt, tableSize)
-
-	// Queue ids and NI registration (availability pre-checked by the plan).
-	dataQID := n.qidNext[info.dstNI]
-	n.qidNext[info.dstNI]++
-	revQID := n.qidNext[info.srcNI]
-	n.qidNext[info.srcNI]++
-	dataHdrs, err := slotHeaders(cfg.Layout, as, dataQID)
-	if err != nil {
+	info := deriveInfo(n.Cfg, c, plan.routed, plan.Rev, n.Alloc)
+	if err := n.attach(info); err != nil {
+		release()
 		return err
 	}
-	revHdrs, err := slotHeaders(cfg.Layout, ras, revQID)
-	if err != nil {
-		return err
-	}
-	src, dst := n.nis[info.srcNI], n.nis[info.dstNI]
-	src.AddOutConn(ni.OutConnConfig{ID: c.ID, Headers: dataHdrs, InitialCredits: info.recvCap, PairedIn: rev})
-	dst.AddInConn(ni.InConnConfig{ID: c.ID, QID: dataQID, RecvCapacity: info.recvCap, CreditFor: rev, AutoDrain: true})
-	dst.AddOutConn(ni.OutConnConfig{ID: rev, Headers: revHdrs, InitialCredits: 0, PairedIn: c.ID})
-	src.AddInConn(ni.InConnConfig{ID: rev, QID: revQID, RecvCapacity: 0, CreditFor: c.ID, AutoDrain: true})
-
-	// Reliability shell: a run-time admission gets the same windowed
-	// sender / tracked receiver / ack carriage Build wires, with the
-	// timeout derived the same way (an endpoint is created on the fly for
-	// an NI that had no reliable connection yet).
-	if cfg.Reliable {
-		flitCycle := clock.Duration(phit.FlitWords) * clock.PeriodFromMHz(cfg.FreqMHz)
-		timeout := clock.Duration(info.boundNs*1e3) +
-			clock.Duration(info.ackRTSlots+tableSize)*flitCycle
-		sep, dep := n.reliableEndpointFor(info.srcNI), n.reliableEndpointFor(info.dstNI)
-		sep.RegisterTx(c.ID, reliable.TxConfig{
-			Windowed: true, PairedIn: rev, Timeout: timeout,
-			RetryBudget: cfg.RetryBudget,
-		})
-		sep.RegisterRx(rev, reliable.RxConfig{AckFor: c.ID})
-		dep.RegisterRx(c.ID, reliable.RxConfig{Tracked: true})
-		dep.RegisterTx(rev, reliable.TxConfig{PairedIn: c.ID})
-	}
-
-	// Program the injection tables (the live objects the NIs read).
-	srcTable := n.niTables[info.srcNI]
-	for _, s := range as.Slots {
-		if srcTable.Slots[s] != phit.None {
-			panic(fmt.Sprintf("core: admitted slot %d already programmed", s))
-		}
-		srcTable.Slots[s] = c.ID
-	}
-	dstTable := n.niTables[info.dstNI]
-	for _, s := range ras.Slots {
-		if dstTable.Slots[s] != phit.None {
-			panic(fmt.Sprintf("core: admitted reverse slot %d already programmed", s))
-		}
-		dstTable.Slots[s] = rev
-	}
-
-	n.conns[c.ID] = info
-	if c.ID > n.idHigh {
-		n.idHigh = c.ID
-	}
-	if rev > n.idHigh {
-		n.idHigh = rev
-	}
-	g := buildGenerator(cfg, info, n.domainOf(info.srcNI), src, len(n.gens))
-	n.gens[c.ID] = g
-	n.eng.Add(g)
 	return nil
 }
 
@@ -413,20 +274,6 @@ func (n *Network) SpecOf(c phit.ConnID) (spec.Connection, error) {
 		return spec.Connection{}, fmt.Errorf("core: unknown connection %d", c)
 	}
 	return info.spec, nil
-}
-
-// reliableEndpointFor returns the NI's reliability endpoint, creating and
-// installing one (with the quarantine hook) if the NI had none — the case
-// when no connection touched it at Build time.
-func (n *Network) reliableEndpointFor(id topology.NodeID) *reliable.Endpoint {
-	c := n.nis[id]
-	if ep := c.Reliable(); ep != nil {
-		return ep
-	}
-	ep := reliable.NewEndpoint(c.Name())
-	ep.SetQuarantineHook(n.recordQuarantine)
-	c.SetReliable(ep)
-	return ep
 }
 
 // A QuarantineEvent records one connection's quarantine transition, for
@@ -534,69 +381,4 @@ func (n *Network) RunTimed(warmupNs, measureNs float64, actions []TimedAction) (
 	}
 	advance(measureNs)
 	return n.report(measureNs), nil
-}
-
-// analysisMode maps a network configuration (and a connection's rate,
-// which selects the transaction size) onto the analytical protocol mode.
-func analysisMode(cfg Config, rateMBps float64) analysis.Mode {
-	return analysis.Mode{
-		Reliable:      cfg.Reliable,
-		Transactional: cfg.Transactional,
-		TxWords:       TxWordsForRate(rateMBps),
-	}
-}
-
-// sizeConnection converts one connection's requirements into a slot
-// count, service-window target and window size (shared by Build and
-// OpenConnection).
-func sizeConnection(cfg Config, c spec.Connection, worst *route.Path, tableSize int) (count, windowTarget, m int, err error) {
-	bwSlots, err := analysis.SlotsForBandwidth(c.BandwidthMBps, cfg.FreqMHz, cfg.WordBytes, tableSize, cfg.Reliable)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, err)
-	}
-	var latSlots int
-	if cfg.Transactional {
-		latSlots, err = analysis.SlotsForBurstLatency(c.MaxLatencyNs, TxWordsForRate(c.BandwidthMBps), worst, tableSize, cfg.FreqMHz, cfg.Reliable)
-	} else {
-		latSlots, err = analysis.SlotsForLatency(c.MaxLatencyNs, worst, tableSize, cfg.FreqMHz)
-	}
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, err)
-	}
-	windowPeriod := 0
-	m = 1
-	if cfg.Transactional {
-		tx := TxWordsForRate(c.BandwidthMBps)
-		m = analysis.BurstSlotTimes(tx, cfg.Reliable)
-		wordsPerCycle := c.BandwidthMBps * 1e6 / float64(cfg.WordBytes) / (cfg.FreqMHz * 1e6)
-		periodCycles := float64(tx) / wordsPerCycle
-		windowPeriod = int(periodCycles / float64(phit.FlitWords))
-		if windowPeriod < 1 {
-			windowPeriod = 1
-		}
-		if ps := (m*tableSize + windowPeriod - 1) / windowPeriod; ps > latSlots {
-			latSlots = ps
-		}
-	}
-	count = bwSlots
-	if latSlots > count {
-		count = latSlots
-	}
-	windowTarget, werr := analysis.WindowSlotsForBudget(c.MaxLatencyNs, worst, cfg.FreqMHz)
-	if werr != nil {
-		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, werr)
-	}
-	if windowPeriod > 0 && windowPeriod < windowTarget {
-		windowTarget = windowPeriod
-	}
-	return count, windowTarget, m, nil
-}
-
-// domainOf returns the clock domain of a node (tile clock in mesochronous
-// mode, base otherwise). Valid after instantiate.
-func (n *Network) domainOf(id topology.NodeID) *clock.Clock {
-	if ck, ok := n.domains[id]; ok {
-		return ck
-	}
-	return n.base
 }

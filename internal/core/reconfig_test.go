@@ -167,7 +167,6 @@ func TestCloseDrainCreditStarvation(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
 	col := fault.NewCollector()
 	cfg := Config{Probes: true, FaultReporter: col}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

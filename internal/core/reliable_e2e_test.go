@@ -15,7 +15,6 @@ func buildReliable(t *testing.T, rep fault.Reporter, retryBudget int) *Network {
 	t.Helper()
 	m, uc := smallUseCase(t, 6)
 	cfg := Config{Probes: true, Reliable: true, RetryBudget: retryBudget, FaultReporter: rep}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -38,7 +37,6 @@ func TestReliableCleanMeetsRequirements(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, uc := smallUseCase(t, 6)
-			PrepareTopology(m, tc.cfg)
 			n, err := Build(m, uc, tc.cfg)
 			if err != nil {
 				t.Fatalf("Build: %v", err)

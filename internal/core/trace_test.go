@@ -16,7 +16,6 @@ func tracedRun(t *testing.T) ([]byte, []byte) {
 	t.Helper()
 	m, uc := smallUseCase(t, 4)
 	cfg := Config{Mode: Mesochronous, PhaseSeed: 11}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -62,7 +61,6 @@ func TestTraceDeterminism(t *testing.T) {
 func TestTraceObservesLifecycle(t *testing.T) {
 	m, uc := smallUseCase(t, 4)
 	cfg := Config{}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -111,7 +109,6 @@ func TestTraceObservesLifecycle(t *testing.T) {
 func TestTraceAsynchronousWrappers(t *testing.T) {
 	m, uc := smallUseCase(t, 2)
 	cfg := Config{Mode: Asynchronous, PhaseSeed: 3}
-	PrepareTopology(m, cfg)
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -72,7 +72,6 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 			Mode: mode, TableSize: tableSize,
 			Probes: mode != core.Asynchronous, FaultReporter: col,
 		}
-		core.PrepareTopology(m, ncfg)
 		n, err := core.Build(m, uc, ncfg)
 		if err != nil {
 			return nil, err

@@ -104,7 +104,6 @@ func reconfigNetwork(seed int64, reliable bool, retry int, col *fault.Collector)
 		Mode: core.Mesochronous, Probes: true,
 		Reliable: reliable, RetryBudget: retry, FaultReporter: col,
 	}
-	core.PrepareTopology(m, ncfg)
 	return core.Build(m, uc, ncfg)
 }
 

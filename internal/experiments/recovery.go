@@ -48,7 +48,6 @@ func recoveryPoint(cfg RecoveryConfig, i int) (string, error) {
 	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
 	ncfg := core.Config{Mode: core.Mesochronous, Probes: true, Reliable: true, FaultReporter: col}
-	core.PrepareTopology(m, ncfg)
 	n, err := core.Build(m, uc, ncfg)
 	if err != nil {
 		return "", err

@@ -30,7 +30,6 @@ func buildSmallCBR(t *testing.T, seed int64, w, h, nisPer, tableSize int, mode c
 	t.Helper()
 	m := topology.NewMesh(w, h, nisPer)
 	cfg := core.Config{Mode: mode, TableSize: tableSize, PhaseSeed: seed, FastReplay: fast}
-	core.PrepareTopology(m, cfg)
 	ips := w * h * nisPer
 	uc := spec.Random(spec.RandomConfig{
 		Name: fmt.Sprintf("fuzz-%d", seed), Seed: seed,

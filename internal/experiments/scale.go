@@ -133,7 +133,6 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 		Allocator: alloc, TableSize: scfg.TableSize,
 	}
 	m := s.Mesh()
-	core.PrepareTopology(m, ncfg)
 	start := time.Now()
 	plan, err := core.PlanAllocation(m, s.UseCase, ncfg)
 	pt.AllocMs = float64(time.Since(start).Microseconds()) / 1e3
@@ -160,7 +159,6 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
 	}
 	m = s2.Mesh()
-	core.PrepareTopology(m, ncfg)
 	n, err := core.Build(m, s2.UseCase, ncfg)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: simulated build: %w", fam, mesh.Cols, mesh.Rows, alloc, err)

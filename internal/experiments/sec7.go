@@ -15,6 +15,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // Section VII experiment: 200 connections across 4 applications between
@@ -77,11 +78,7 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 	cycleNs := 1e3 / fMHz
 	for i := range uc.Connections {
 		c := &uc.Connections[i]
-		srcIP, err := uc.IP(c.Src)
-		if err != nil {
-			return nil, err
-		}
-		dstIP, err := uc.IP(c.Dst)
+		src, dst, err := uc.Endpoints(*c)
 		if err != nil {
 			return nil, err
 		}
@@ -89,19 +86,19 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 		// on one NI; such local traffic never crosses the NoC, so
 		// deterministically redirect the destination to the next IP
 		// on a different NI.
-		for k := 1; srcIP.NI == dstIP.NI && k <= len(uc.IPs); k++ {
+		for k := 1; src == dst && k <= len(uc.IPs); k++ {
 			cand := uc.IPs[(int(c.Dst)+k)%len(uc.IPs)]
-			if cand.NI != srcIP.NI && cand.ID != c.Src {
+			if cand.NI != src && cand.ID != c.Src {
 				c.Dst = cand.ID
-				dstIP = cand
+				dst = cand.NI
 			}
 		}
-		if srcIP.NI == dstIP.NI {
+		if src == dst {
 			return nil, fmt.Errorf("experiments: connection %d cannot avoid NI-local endpoints", c.ID)
 		}
 		worst := 0
 		for _, r := range []func(*topology.Mesh, topology.NodeID, topology.NodeID) (*route.Path, error){route.XY, route.YX} {
-			p, err := r(m, srcIP.NI, dstIP.NI)
+			p, err := r(m, src, dst)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +125,7 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 		}
 		kCap := bwSlots + 1
 		gapMin := (Sec7TableSize + kCap - 1) / kCap
-		m := analysis.BurstSlotTimes(core.TxWordsForRate(c.BandwidthMBps), false)
+		m := analysis.BurstSlotTimes(traffic.TxWordsForRate(c.BandwidthMBps), false)
 		minNs := fixed*1.15 + float64(3*(gapMin*m+1))*cycleNs
 		if c.MaxLatencyNs < minNs {
 			c.MaxLatencyNs = minNs
@@ -258,8 +255,7 @@ func Sec7BEFactor(seed int64, fMHz float64, measureNs float64, rateFactor float6
 		return nil, err
 	}
 	m := Sec7Mesh()
-	core.PrepareTopology(m, core.Config{})
-	n, err := core.BuildBE(m, uc, core.BEConfig{FreqMHz: fMHz, Transactional: true})
+	n, err := core.BuildBE(m, uc, core.Config{FreqMHz: fMHz, Transactional: true})
 	if err != nil {
 		return nil, err
 	}

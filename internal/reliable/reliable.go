@@ -499,6 +499,7 @@ func (ep *Endpoint) applyAck(now clock.Time, conn phit.ConnID, ack uint32) {
 // TxStats is the send-side reliability aggregate of one connection.
 type TxStats struct {
 	Windowed         bool
+	Timeout          clock.Duration // the configured resend timeout
 	Quarantined      bool
 	FreshFlits       int64 // flits entered into the window
 	Retransmits      int64 // flits re-sent by go-back-N rounds
@@ -517,7 +518,7 @@ func (ep *Endpoint) TxStatsOf(conn phit.ConnID) (TxStats, bool) {
 		return TxStats{}, false
 	}
 	return TxStats{
-		Windowed: tx.cfg.Windowed, Quarantined: tx.quarantined,
+		Windowed: tx.cfg.Windowed, Timeout: tx.cfg.Timeout, Quarantined: tx.quarantined,
 		FreshFlits: tx.freshFlits, Retransmits: tx.retransmits,
 		AckedFlits: tx.ackedFlits, AckedWords: tx.ackedWords,
 		Outstanding: len(tx.entries), OutstandingWords: tx.outstandingWords(),

@@ -18,5 +18,7 @@
 //
 // The model deliberately mirrors the aelite flit format — three words
 // per slot, one of them header-equivalent overhead — so a slot's
-// bandwidth is directly comparable between the two fabrics.
+// bandwidth is directly comparable between the two fabrics. It is built
+// from the same core.Config as they are and offered the same traffic
+// (Config.Traffic): same mapping, same offered load.
 package routerless

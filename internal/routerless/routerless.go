@@ -41,31 +41,6 @@ const (
 	stopDeliveryCycles = 4
 )
 
-// Config parameterises overlay construction. ApplyDefaults fills zero
-// fields with the paper-wide defaults.
-type Config struct {
-	WordBytes int
-	FreqMHz   float64
-	// TrafficBurstFactor > 1 selects bursty generators at the same
-	// average rate; 0 or 1 selects CBR. The analytical bounds assume
-	// slot-regulated (CBR-compliant) load, as in aelite.
-	TrafficBurstFactor float64
-	// Transactional selects line-rate transaction generators. The
-	// word-level bounds do not cover transaction drains; audits of
-	// transactional runs should tolerate oversubscription.
-	Transactional bool
-}
-
-// ApplyDefaults fills zero fields: 32-bit words at 500 MHz.
-func (c *Config) ApplyDefaults() {
-	if c.WordBytes == 0 {
-		c.WordBytes = 4
-	}
-	if c.FreqMHz == 0 {
-		c.FreqMHz = 500
-	}
-}
-
 // BoundNs is the worst-case end-to-end latency, in nanoseconds, of a
 // compliant word on a ring of S stops: a word that just misses a slot
 // decision waits at most MaxGap+1 owned-slot arrivals (FlitWords cycles
@@ -158,7 +133,12 @@ type connInfo struct {
 
 // A Network is a built, runnable routerless overlay instance.
 type Network struct {
-	Cfg  Config
+	// Cfg is the shared parameter set; the overlay models its word width,
+	// frequency and traffic model. The analytical bounds assume
+	// slot-regulated (CBR-compliant) load, as in aelite: they do not cover
+	// transaction drains, so audits of bursty or transactional runs should
+	// tolerate oversubscription.
+	Cfg  core.Config
 	Mesh *topology.Mesh
 	Spec *spec.UseCase
 
@@ -212,16 +192,12 @@ func (n *Network) Info(c phit.ConnID) (core.ConnectionInfo, error) {
 // Build assembles the ring overlay for the use case on the mesh: row and
 // column rings plus (on 2-D meshes) a global snake ring, then assigns
 // every connection to the shortest ring with free slot capacity. The use
-// case must be validated and its IPs mapped, exactly as for core.Build.
-func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
+// case must be validated and its IPs mapped, exactly as for core.Build,
+// and is offered the same traffic (cfg.Traffic).
+func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error) {
 	cfg.ApplyDefaults()
-	if err := uc.Validate(); err != nil {
+	if err := uc.ValidateMapped(); err != nil {
 		return nil, err
-	}
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			return nil, fmt.Errorf("routerless: IP %s is not mapped to an NI", ip.Name)
-		}
 	}
 	n := &Network{
 		Cfg:   cfg,
@@ -238,18 +214,14 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	conns := append([]spec.Connection(nil), uc.Connections...)
 	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
 	for _, c := range conns {
-		srcIP, err := uc.IP(c.Src)
+		src, dst, err := uc.Endpoints(c)
 		if err != nil {
 			return nil, err
 		}
-		dstIP, err := uc.IP(c.Dst)
-		if err != nil {
-			return nil, err
+		if src == dst {
+			return nil, fmt.Errorf("routerless: connection %d: %w (NI %d)", c.ID, core.ErrSharedNI, src)
 		}
-		if srcIP.NI == dstIP.NI {
-			return nil, fmt.Errorf("routerless: connection %d endpoints share NI %d", c.ID, srcIP.NI)
-		}
-		ci, err := n.place(c, srcIP.NI, dstIP.NI)
+		ci, err := n.place(c, src, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -263,38 +235,11 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 		n.eng.Add(r)
 	}
 	for _, c := range conns {
-		ci := n.conns[c.ID]
-		name := fmt.Sprintf("gen.c%d", c.ID)
-		start := clock.Time(len(n.gens)%16) * 3 * n.base.Period
-		var g *traffic.Generator
-		switch {
-		case cfg.Transactional:
-			g = traffic.NewTransactional(name, n.base, ci.ring, c.ID, c.BandwidthMBps,
-				cfg.WordBytes, int64(txWords(c.BandwidthMBps)), start)
-		case cfg.TrafficBurstFactor > 1:
-			g = traffic.NewBursty(name, n.base, ci.ring, c.ID, c.BandwidthMBps,
-				cfg.WordBytes, 64, cfg.TrafficBurstFactor, start)
-		default:
-			g = traffic.NewCBR(name, n.base, ci.ring, c.ID, c.BandwidthMBps,
-				cfg.WordBytes, start)
-		}
+		g := cfg.Traffic().Generator(n.base, n.conns[c.ID].ring, c.ID, c.BandwidthMBps, len(n.gens))
 		n.gens[c.ID] = g
 		n.eng.Add(g)
 	}
 	return n, nil
-}
-
-// txWords mirrors core.TxWordsForRate's shape without importing core
-// (higher-rate connections drain longer transactions).
-func txWords(rateMBps float64) int {
-	w := int(rateMBps / 10)
-	if w < 4 {
-		w = 4
-	}
-	if w > 64 {
-		w = 64
-	}
-	return w
 }
 
 // buildRings lays the overlay: one ring per mesh row, one per column,

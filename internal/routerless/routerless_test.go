@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/spec"
 	"repro/internal/topology"
@@ -32,7 +33,7 @@ func testCase(t *testing.T, cols, rows, conns int, seed int64) (*topology.Mesh, 
 
 func TestRouterlessMeetsGuarantees(t *testing.T) {
 	m, uc := testCase(t, 3, 3, 8, 7)
-	n, err := Build(m, uc, Config{})
+	n, err := Build(m, uc, core.Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestRouterlessMeetsGuarantees(t *testing.T) {
 // overlay's contracts, observes a full run without a single violation.
 func TestRouterlessAuditClean(t *testing.T) {
 	m, uc := testCase(t, 3, 3, 8, 7)
-	n, err := Build(m, uc, Config{})
+	n, err := Build(m, uc, core.Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -90,7 +91,7 @@ func (s *recSink) Event(ev trace.Event) {
 func TestRouterlessDeterministic(t *testing.T) {
 	run := func() (string, string) {
 		m, uc := testCase(t, 3, 3, 8, 7)
-		n, err := Build(m, uc, Config{})
+		n, err := Build(m, uc, core.Config{})
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
@@ -134,7 +135,7 @@ func TestRouterlessRejectsInfeasible(t *testing.T) {
 	if err := uc.Validate(); err != nil {
 		t.Fatalf("use case invalid: %v", err)
 	}
-	if _, err := Build(m, uc, Config{}); err == nil {
+	if _, err := Build(m, uc, core.Config{}); err == nil {
 		t.Fatal("Build accepted a connection no ring can carry")
 	}
 }
@@ -157,7 +158,7 @@ func TestRouterlessBoundFormula(t *testing.T) {
 // rings and one snake; a 1xN mesh gets only its row ring.
 func TestRouterlessRingInventory(t *testing.T) {
 	m, uc := testCase(t, 3, 3, 4, 3)
-	n, err := Build(m, uc, Config{})
+	n, err := Build(m, uc, core.Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

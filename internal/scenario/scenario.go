@@ -187,8 +187,8 @@ type Scenario struct {
 }
 
 // Mesh builds a fresh mesh of the scenario's dimensions. Callers own it
-// (core.PrepareTopology mutates pipeline-stage counts per clocking mode),
-// so every build gets its own.
+// (a build sets its pipeline-stage counts for its clocking mode), so every
+// build gets its own.
 func (s *Scenario) Mesh() *topology.Mesh {
 	return topology.NewMesh(s.Cfg.Cols, s.Cfg.Rows, s.Cfg.NIsPerRouter)
 }
@@ -492,17 +492,13 @@ func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordB
 	cycleNs := 1e3 / fMHz
 	for i := range uc.Connections {
 		c := &uc.Connections[i]
-		srcIP, err := uc.IP(c.Src)
-		if err != nil {
-			return err
-		}
-		dstIP, err := uc.IP(c.Dst)
+		src, dst, err := uc.Endpoints(*c)
 		if err != nil {
 			return err
 		}
 		worst := 0
 		for _, r := range []func(*topology.Mesh, topology.NodeID, topology.NodeID) (*route.Path, error){route.XY, route.YX} {
-			p, err := r(m, srcIP.NI, dstIP.NI)
+			p, err := r(m, src, dst)
 			if err != nil {
 				return err
 			}

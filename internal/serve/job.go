@@ -231,7 +231,6 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 		return nil, err
 	}
 	m := s.Mesh()
-	core.PrepareTopology(m, ncfg)
 	n, err := core.Build(m, s.UseCase, ncfg)
 	if err != nil {
 		return nil, err

@@ -86,6 +86,34 @@ func (u *UseCase) Validate() error {
 	return nil
 }
 
+// ValidateMapped is Validate plus the check that mapping has run: every
+// IP sits on an NI. It is what a network build requires of its use case.
+func (u *UseCase) ValidateMapped() error {
+	if err := u.Validate(); err != nil {
+		return err
+	}
+	for _, ip := range u.IPs {
+		if ip.NI == topology.Invalid {
+			return fmt.Errorf("spec: IP %s is not mapped to an NI", ip.Name)
+		}
+	}
+	return nil
+}
+
+// Endpoints returns the NIs a connection's source and destination IPs are
+// mapped to.
+func (u *UseCase) Endpoints(c Connection) (src, dst topology.NodeID, err error) {
+	s, err := u.IP(c.Src)
+	if err != nil {
+		return 0, 0, err
+	}
+	d, err := u.IP(c.Dst)
+	if err != nil {
+		return 0, 0, err
+	}
+	return s.NI, d.NI, nil
+}
+
 // IP returns the IP with the given id.
 func (u *UseCase) IP(id IPID) (IP, error) {
 	for _, ip := range u.IPs {

@@ -194,3 +194,33 @@ func TestRandomPanicsOnDegenerate(t *testing.T) {
 	}()
 	Random(RandomConfig{IPs: 1, Conns: 1, Apps: 1})
 }
+
+func TestEndpointsAndValidateMapped(t *testing.T) {
+	m := topology.NewMesh(2, 2, 2)
+	u := Random(validConfig())
+	if err := u.ValidateMapped(); err == nil {
+		t.Error("ValidateMapped accepted an unmapped use case")
+	}
+	MapIPsRoundRobin(u, m, 3)
+	if err := u.ValidateMapped(); err != nil {
+		t.Errorf("ValidateMapped rejected a mapped use case: %v", err)
+	}
+	c := u.Connections[0]
+	src, dst, err := u.Endpoints(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := u.IP(c.Src)
+	d, _ := u.IP(c.Dst)
+	if src != s.NI || dst != d.NI {
+		t.Errorf("Endpoints = %d, %d; IPs sit on %d, %d", src, dst, s.NI, d.NI)
+	}
+	c.Dst = IPID(len(u.IPs))
+	if _, _, err := u.Endpoints(c); err == nil {
+		t.Error("Endpoints accepted an unknown destination IP")
+	}
+	u.Connections[0].BandwidthMBps = 0
+	if err := u.ValidateMapped(); err == nil {
+		t.Error("ValidateMapped accepted what Validate rejects")
+	}
+}

@@ -1,7 +1,13 @@
 // Package traffic provides IP traffic models for driving NoC simulations:
-// constant-bit-rate and bursty generators that write into an NI's IP-side
-// FIFO with blocking semantics (the paper's IPs use blocking writes; an
-// oversubscribing application simply slows down under back-pressure).
+// constant-bit-rate, bursty and transactional generators that write into
+// an NI's IP-side FIFO with blocking semantics (the paper's IPs use
+// blocking writes; an oversubscribing application simply slows down under
+// back-pressure).
+//
+// Model.Generator is the only constructor: it owns the shape choice, the
+// transaction-size table (TxWordsForRate) and the start stagger, and every
+// backend builds its generators through it, so one use case is offered the
+// same words on every fabric.
 //
 // Generators are the periodicity root of the replay fast path: a CBR
 // rate that reduces to a small rational words-per-cycle pattern makes

@@ -60,9 +60,58 @@ type genMark struct {
 	dOffered, dRejected, dSeq, dPhase int64
 }
 
-// NewCBR returns a constant-bit-rate generator offering rateMBps megabytes
+// A Model is the traffic a network offers its connections: one shape for
+// all of them, each at its own spec rate. Every backend builds its
+// generators through Model.Generator, so one use case is offered the same
+// words on every fabric (the paper's Section VII comparison is "same
+// mapping, same paths, same offered load").
+type Model struct {
+	WordBytes int
+	// BurstFactor > 1 selects on/off bursts of burstOnCycles at that
+	// multiple of the average rate; 0 or 1 selects CBR.
+	BurstFactor float64
+	// Transactional selects whole transactions of TxWordsForRate words at
+	// line rate, and wins over BurstFactor.
+	Transactional bool
+}
+
+// burstOnCycles is the on-time of a bursty generator's burst.
+const burstOnCycles = 64
+
+// TxWordsForRate maps a connection's rate class to its transaction size:
+// low-rate control channels move small messages, heavy streams move
+// DMA-sized bursts.
+func TxWordsForRate(rateMBps float64) int {
+	switch {
+	case rateMBps < 40:
+		return 4
+	case rateMBps < 150:
+		return 8
+	default:
+		return 16
+	}
+}
+
+// Generator returns connection conn's generator "gen.c<conn>" in the
+// model's shape, offering rateMBps into port. idx is the connection's
+// position among the network's generators: it staggers the first word by
+// idx%16 flit cycles so packet phases do not all coincide.
+func (m Model) Generator(clk *clock.Clock, port Port, conn phit.ConnID, rateMBps float64, idx int) *Generator {
+	name := fmt.Sprintf("gen.c%d", conn)
+	start := clock.Time(idx%16) * phit.FlitWords * clk.Period
+	switch {
+	case m.Transactional:
+		return newTransactional(name, clk, port, conn, rateMBps, m.WordBytes, int64(TxWordsForRate(rateMBps)), start)
+	case m.BurstFactor > 1:
+		return newBursty(name, clk, port, conn, rateMBps, m.WordBytes, burstOnCycles, m.BurstFactor, start)
+	default:
+		return newCBR(name, clk, port, conn, rateMBps, m.WordBytes, start)
+	}
+}
+
+// newCBR returns a constant-bit-rate generator offering rateMBps megabytes
 // per second of payload for the connection, given the word width in bytes.
-func NewCBR(name string, clk *clock.Clock, n Port, conn phit.ConnID,
+func newCBR(name string, clk *clock.Clock, n Port, conn phit.ConnID,
 	rateMBps float64, wordBytes int, start clock.Time) *Generator {
 	if rateMBps <= 0 {
 		panic(fmt.Sprintf("traffic %s: non-positive rate", name))
@@ -71,15 +120,15 @@ func NewCBR(name string, clk *clock.Clock, n Port, conn phit.ConnID,
 	return &Generator{name: name, clk: clk, ni: n, conn: conn, rateNum: num, rateDen: den, start: start}
 }
 
-// NewBursty returns an on/off generator with the given long-run average
+// newBursty returns an on/off generator with the given long-run average
 // rate: bursts of onCycles at burstFactor times the average rate separated
 // by idle gaps sized to preserve the average.
-func NewBursty(name string, clk *clock.Clock, n Port, conn phit.ConnID,
+func newBursty(name string, clk *clock.Clock, n Port, conn phit.ConnID,
 	rateMBps float64, wordBytes int, onCycles int64, burstFactor float64, start clock.Time) *Generator {
 	if burstFactor <= 1 || onCycles <= 0 {
 		panic(fmt.Sprintf("traffic %s: burst factor must exceed 1 with positive on-time", name))
 	}
-	g := NewCBR(name, clk, n, conn, rateMBps, wordBytes, start)
+	g := newCBR(name, clk, n, conn, rateMBps, wordBytes, start)
 	g.onCycles = onCycles
 	g.offCycles = int64(float64(onCycles) * (burstFactor - 1))
 	g.burstNum = int64(math.Round(float64(g.rateNum) * burstFactor))
@@ -157,19 +206,19 @@ func (g *Generator) Update(now clock.Time) {
 	}
 }
 
-// NewTransactional returns a generator that emits whole transactions of
+// newTransactional returns a generator that emits whole transactions of
 // txWords words at line rate (one word per cycle), spaced so the long-run
 // average equals rateMBps. Real SoC traffic is transactional — DMA bursts,
 // cache lines, stream buffers — and this shape is what separates a
 // guaranteed-service network from a best-effort one: transactions from
 // different IPs collide in BE routers, while TDM injection is oblivious
 // to them.
-func NewTransactional(name string, clk *clock.Clock, n Port, conn phit.ConnID,
+func newTransactional(name string, clk *clock.Clock, n Port, conn phit.ConnID,
 	rateMBps float64, wordBytes int, txWords int64, start clock.Time) *Generator {
 	if txWords <= 0 {
 		panic(fmt.Sprintf("traffic %s: transaction of %d words", name, txWords))
 	}
-	g := NewCBR(name, clk, n, conn, rateMBps, wordBytes, start)
+	g := newCBR(name, clk, n, conn, rateMBps, wordBytes, start)
 	if g.rateNum >= g.rateDen {
 		return g // already at line rate: transactions are back to back
 	}

@@ -31,7 +31,7 @@ func TestCBRRate(t *testing.T) {
 	// 500 MB/s at 4-byte words and 500 MHz = 0.25 words/cycle.
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
-	g := NewCBR("g", clk, port, 1, 500, 4, 0)
+	g := newCBR("g", clk, port, 1, 500, 4, 0)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 1000)
@@ -52,7 +52,7 @@ func TestCBRRate(t *testing.T) {
 func TestCBRBlockingBackpressure(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{full: true}
-	g := NewCBR("g", clk, port, 1, 1000, 4, 0)
+	g := newCBR("g", clk, port, 1, 1000, 4, 0)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 100)
@@ -73,7 +73,7 @@ func TestCBRBlockingBackpressure(t *testing.T) {
 func TestBurstyAverageRate(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
-	g := NewBursty("g", clk, port, 1, 250, 4, 32, 4, 0)
+	g := newBursty("g", clk, port, 1, 250, 4, 32, 4, 0)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 4000)
@@ -97,7 +97,7 @@ func TestBurstyAverageRate(t *testing.T) {
 func TestTransactionalShape(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
-	g := NewTransactional("g", clk, port, 1, 100, 4, 16, 0)
+	g := newTransactional("g", clk, port, 1, 100, 4, 16, 0)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 3200)
@@ -121,7 +121,7 @@ func TestTransactionalLineRatePassThrough(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
 	// 2000 MB/s at 4B/500MHz = 1 w/c: already line rate, no gaps.
-	g := NewTransactional("g", clk, port, 1, 2000, 4, 16, 0)
+	g := newTransactional("g", clk, port, 1, 2000, 4, 16, 0)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 50)
@@ -133,7 +133,7 @@ func TestTransactionalLineRatePassThrough(t *testing.T) {
 func TestSetRateAndEnable(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
-	g := NewTransactional("g", clk, port, 1, 100, 4, 16, 0)
+	g := newTransactional("g", clk, port, 1, 100, 4, 16, 0)
 	eng := sim.New()
 	eng.Add(g)
 	g.SetRateMBps(400, 4) // 4x
@@ -157,7 +157,7 @@ func TestSetRateAndEnable(t *testing.T) {
 func TestStartDelay(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
-	g := NewCBR("g", clk, port, 1, 2000, 4, 100*clk.Period)
+	g := newCBR("g", clk, port, 1, 2000, 4, 100*clk.Period)
 	eng := sim.New()
 	eng.Add(g)
 	run(t, g, eng, 99)
@@ -173,10 +173,10 @@ func TestStartDelay(t *testing.T) {
 func TestGeneratorPanics(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	for name, f := range map[string]func(){
-		"zero rate":    func() { NewCBR("g", clk, &acceptPort{}, 1, 0, 4, 0) },
-		"zero words":   func() { NewCBR("g", clk, &acceptPort{}, 1, 100, 0, 0) },
-		"burst factor": func() { NewBursty("g", clk, &acceptPort{}, 1, 100, 4, 32, 1, 0) },
-		"tx words":     func() { NewTransactional("g", clk, &acceptPort{}, 1, 100, 4, 0, 0) },
+		"zero rate":    func() { newCBR("g", clk, &acceptPort{}, 1, 0, 4, 0) },
+		"zero words":   func() { newCBR("g", clk, &acceptPort{}, 1, 100, 0, 0) },
+		"burst factor": func() { newBursty("g", clk, &acceptPort{}, 1, 100, 4, 32, 1, 0) },
+		"tx words":     func() { newTransactional("g", clk, &acceptPort{}, 1, 100, 4, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -186,5 +186,35 @@ func TestGeneratorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestModelGenerator pins the one place a use case becomes generators:
+// shape choice, the transaction-size table and the start stagger.
+func TestModelGenerator(t *testing.T) {
+	clk := clock.NewMHz("clk", 500, 0)
+	for rate, want := range map[float64]int{10: 4, 39.9: 4, 40: 8, 149: 8, 150: 16, 500: 16} {
+		if got := TxWordsForRate(rate); got != want {
+			t.Errorf("TxWordsForRate(%g) = %d, want %d", rate, got, want)
+		}
+	}
+	cbr := Model{WordBytes: 4}.Generator(clk, &acceptPort{}, 7, 100, 0)
+	if cbr.Name() != "gen.c7" || cbr.onCycles != 0 || cbr.start != 0 {
+		t.Errorf("CBR generator %q: on %d start %d", cbr.Name(), cbr.onCycles, cbr.start)
+	}
+	bursty := Model{WordBytes: 4, BurstFactor: 4}.Generator(clk, &acceptPort{}, 7, 100, 2)
+	if bursty.onCycles != burstOnCycles || bursty.offCycles != 3*burstOnCycles {
+		t.Errorf("bursty generator: on %d off %d", bursty.onCycles, bursty.offCycles)
+	}
+	if want := clock.Time(2*phit.FlitWords) * clk.Period; bursty.start != want {
+		t.Errorf("generator 2 starts at %d, want %d (two flit cycles)", bursty.start, want)
+	}
+	// Transactional wins over a burst factor; the stagger wraps at 16.
+	tx := Model{WordBytes: 4, BurstFactor: 4, Transactional: true}.Generator(clk, &acceptPort{}, 7, 100, 17)
+	if tx.onCycles != 8 || tx.burstNum != tx.rateDen {
+		t.Errorf("transactional generator at 100 MB/s: on %d, burst %d/%d", tx.onCycles, tx.burstNum, tx.rateDen)
+	}
+	if want := clock.Time(phit.FlitWords) * clk.Period; tx.start != want {
+		t.Errorf("generator 17 starts at %d, want %d (one flit cycle)", tx.start, want)
 	}
 }

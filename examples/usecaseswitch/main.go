@@ -62,7 +62,7 @@ func main() {
 	// Lighter than the multimedia example: the reliability shell spends
 	// part of each flit on CRC words, and act 3 needs spare slots to
 	// reroute into.
-	conn(1, 0, 1, 2, 90, 500) // ddr -> vdec
+	conn(1, 0, 1, 2, 90, 500)  // ddr -> vdec
 	conn(2, 0, 2, 3, 120, 500) // vdec -> vproc
 	conn(3, 0, 3, 4, 130, 400) // vproc -> display
 	conn(4, 1, 1, 5, 24, 500)  // ddr -> adec

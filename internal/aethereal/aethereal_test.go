@@ -191,3 +191,40 @@ func TestBENIPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestRouterUpdateDoesNotAllocate: a router switching a steady stream of
+// packets keeps its per-cycle scratch and its input buffers, so a cycle
+// costs no allocation.
+func TestRouterUpdateDoesNotAllocate(t *testing.T) {
+	h := newBEHarness(t, 8, 16)
+	hdr, _ := layout.Encode([]int{1}, 0, 0)
+	cycle := 0
+	step := func() {
+		// Input 0 carries back-to-back 4-word packets to output 1, whose
+		// downstream frees every word the cycle after it was sent.
+		w := phit.Phit{Valid: true, Kind: phit.Payload, Meta: phit.Meta{Conn: 1}}
+		switch cycle % 4 {
+		case 0:
+			w.Kind, w.Data = phit.Header, hdr
+		case 3:
+			w.EoP = true
+		}
+		before := h.r.forwarded
+		h.r.sampledIn[0] = w
+		h.r.Update(0)
+		h.r.sampledCredit[1] = int(h.r.forwarded - before)
+		cycle++
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if h.r.Forwarded() == 0 {
+		t.Fatal("the rig switches nothing")
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("Router.Update allocates %v times per cycle in steady state", allocs)
+	}
+	if h.r.Forwarded() < 200 {
+		t.Errorf("router forwarded %d words over 200 cycles", h.r.Forwarded())
+	}
+}

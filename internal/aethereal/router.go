@@ -35,6 +35,7 @@ type Router struct {
 
 	sampledIn     []phit.Phit
 	sampledCredit []int
+	freed         []int // per input, words switched out this cycle
 
 	forwarded int64
 	stalls    int64 // cycles an output wanted to send but had no credit
@@ -74,9 +75,13 @@ func NewRouter(name string, arity int, layout phit.HeaderLayout, clk *clock.Cloc
 		outCredit:     make([]int, arity),
 		sampledIn:     make([]phit.Phit, arity),
 		sampledCredit: make([]int, arity),
+		freed:         make([]int, arity),
 	}
 	for i := range r.locked {
 		r.locked[i] = -1
+		// Link-level flow control keeps a buffer within bufWords, so it
+		// never regrows.
+		r.inBuf[i] = make([]phit.Phit, 0, bufWords)
 	}
 	return r
 }
@@ -154,7 +159,8 @@ func (r *Router) Update(now clock.Time) {
 	for o := 0; o < r.arity; o++ {
 		r.outCredit[o] += r.sampledCredit[o]
 	}
-	freed := make([]int, r.arity)
+	freed := r.freed
+	clear(freed)
 
 	// Arbitrate each output.
 	for o := 0; o < r.arity; o++ {
@@ -186,7 +192,8 @@ func (r *Router) Update(now clock.Time) {
 			continue
 		}
 		w := r.inBuf[src][0]
-		r.inBuf[src] = r.inBuf[src][1:]
+		// Pop by moving the few words behind it up, keeping the capacity.
+		r.inBuf[src] = r.inBuf[src][:copy(r.inBuf[src], r.inBuf[src][1:])]
 		freed[src]++
 		r.outCredit[o]--
 		r.forwarded++

@@ -17,7 +17,7 @@
 // conformance auditor (internal/audit) checks exactly that direction.
 //
 // Cross-package contract: the slot-shift convention here must equal the
-// one route.Path.Shift records and internal/slots claims by (one slot per
+// one route.Hop.Shift records and internal/slots claims by (one slot per
 // router hop, one per link pipeline stage), or bounds silently detach
 // from the schedule. Every bound this package derives is enforced
 // dynamically by internal/audit, and internal/scenario clamps generated

@@ -163,7 +163,7 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		if qid > cfg.Layout.MaxQID() {
 			return nil, fmt.Errorf("core: BE NI queue ids exhausted at NI %d", info.dstNI)
 		}
-		hdr, err := cfg.Layout.Encode(info.path.Ports, qid, 0)
+		hdr, err := cfg.Layout.Encode(info.path.Ports(m.Graph), qid, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: connection %d header: %w", id, err)
 		}

@@ -120,8 +120,8 @@ func dropAvoided(paths []*route.Path, avoid []topology.LinkID) []*route.Path {
 	out := paths[:0]
 	for _, p := range paths {
 		hit := false
-		for _, l := range p.Links {
-			if bad[l] {
+		for _, h := range p.Links {
+			if bad[h.Link] {
 				hit = true
 				break
 			}
@@ -231,14 +231,13 @@ func deriveInfo(cfg Config, c spec.Connection, rc routedConn, rev phit.ConnID, a
 // usedWorstPath returns, among the paths an assignment actually uses, the
 // one with the largest TotalShift — the path latency bounds must cover.
 func usedWorstPath(asg *slots.Assignment) *route.Path {
-	// Walk the ordered slot list, not the PathOf map: among candidate
-	// paths of equal TotalShift the first strict improvement wins, and map
-	// iteration order would make that pick — and everything derived from
-	// it (latency bounds, credit round trips, receive buffer capacities) —
-	// vary between same-seed builds.
+	// In slot order: among candidate paths of equal TotalShift the first
+	// strict improvement wins, and everything derived from the pick
+	// (latency bounds, credit round trips, receive buffer capacities) must
+	// not vary between same-seed builds.
 	worst := asg.Path
-	for _, s := range asg.Slots {
-		if p := asg.PathOf[s]; p != nil && p.TotalShift > worst.TotalShift {
+	for _, p := range asg.PathOf {
+		if p.TotalShift > worst.TotalShift {
 			worst = p
 		}
 	}
@@ -266,11 +265,11 @@ func (n *Network) attach(info *connInfo) error {
 	if err != nil {
 		return fmt.Errorf("core: connection %d: %w", id, err)
 	}
-	dataHdrs, err := slotHeaders(n.Cfg.Layout, n.Alloc.ByConn[id], dataQID)
+	dataHdrs, err := slotHeaders(n.Mesh.Graph, n.Cfg.Layout, n.Alloc.ByConn[id], dataQID)
 	if err != nil {
 		return fmt.Errorf("core: connection %d header: %w", id, err)
 	}
-	revHdrs, err := slotHeaders(n.Cfg.Layout, n.Alloc.ByConn[rev], revQID)
+	revHdrs, err := slotHeaders(n.Mesh.Graph, n.Cfg.Layout, n.Alloc.ByConn[rev], revQID)
 	if err != nil {
 		return fmt.Errorf("core: connection %d reverse header: %w", id, err)
 	}
@@ -329,15 +328,12 @@ func (n *Network) program(src topology.NodeID, id phit.ConnID, slotSet []int) {
 }
 
 // slotHeaders encodes, per reserved slot, the header word for the path
-// that slot was allocated on.
-func slotHeaders(layout phit.HeaderLayout, asg *slots.Assignment, qid int) (map[int]phit.Word, error) {
+// that slot was allocated on. This is where an adopted path's ports are
+// derived from its links.
+func slotHeaders(g *topology.Graph, layout phit.HeaderLayout, asg *slots.Assignment, qid int) (map[int]phit.Word, error) {
 	out := make(map[int]phit.Word, len(asg.Slots))
-	for _, s := range asg.Slots {
-		p := asg.PathOf[s]
-		if p == nil {
-			p = asg.Path
-		}
-		h, err := layout.Encode(p.Ports, qid, 0)
+	for i, s := range asg.Slots {
+		h, err := layout.Encode(asg.PathOf[i].Ports(g), qid, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/phit"
 	"repro/internal/scenario"
+	"repro/internal/topology"
 )
 
 var updatePlanDigests = flag.Bool("update-plan-digests", false,
@@ -61,12 +62,12 @@ func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed i
 	for _, c := range plan.Alloc.Conns() {
 		asg := plan.Alloc.ByConn[c]
 		fmt.Fprintf(h, "conn %d slots %v\n", c, asg.Slots)
-		for _, sl := range asg.Slots {
-			p := asg.PathOf[sl]
-			if p == nil {
-				p = asg.Path
+		for i, sl := range asg.Slots {
+			links := make([]topology.LinkID, len(asg.PathOf[i].Links))
+			for k, hop := range asg.PathOf[i].Links {
+				links[k] = hop.Link
 			}
-			fmt.Fprintf(h, " %d:%v", sl, p.Links)
+			fmt.Fprintf(h, " %d:%v", sl, links)
 		}
 		fmt.Fprintln(h)
 	}

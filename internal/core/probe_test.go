@@ -9,7 +9,6 @@ import (
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/slots"
-	"repro/internal/topology"
 )
 
 // slotWriter drives the probed wire every cycle with a phit belonging to
@@ -44,7 +43,7 @@ func probeRun(t *testing.T, slotOffset int64) (int64, int64) {
 	t.Helper()
 	const tableSize = 4
 	alloc := slots.NewAllocation(tableSize)
-	path := &route.Path{Links: []topology.LinkID{0}, Shift: []int{0}}
+	path := &route.Path{Links: []route.Hop{{Link: 0}}}
 	for s := 0; s < tableSize; s++ {
 		alloc.Claim(phit.ConnID(s+1), path, s)
 	}

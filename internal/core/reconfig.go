@@ -315,13 +315,9 @@ func (n *Network) ConnectionLinks(c phit.ConnID) ([]topology.LinkID, error) {
 		if asg == nil {
 			continue
 		}
-		for _, s := range asg.Slots {
-			p := asg.PathOf[s]
-			if p == nil {
-				p = asg.Path
-			}
-			for _, l := range p.Links {
-				seen[l] = true
+		for _, p := range asg.PathOf {
+			for _, h := range p.Links {
+				seen[h.Link] = true
 			}
 		}
 	}

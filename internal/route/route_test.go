@@ -32,16 +32,17 @@ func TestXYBasics(t *testing.T) {
 		t.Fatalf("links=%d hops=%d", len(p.Links), p.Hops())
 	}
 	// X moves first.
-	if p.Ports[0] != topology.East || p.Ports[1] != topology.East {
-		t.Errorf("XY did not move east first: %v", p.Ports)
+	ports := p.Ports(m.Graph)
+	if ports[0] != topology.East || ports[1] != topology.East {
+		t.Errorf("XY did not move east first: %v", ports)
 	}
-	if p.Ports[2] != topology.South || p.Ports[3] != topology.South {
-		t.Errorf("XY did not then move south: %v", p.Ports)
+	if ports[2] != topology.South || ports[3] != topology.South {
+		t.Errorf("XY did not then move south: %v", ports)
 	}
 	// Shifts: one per router hop with no pipeline stages.
-	for k, s := range p.Shift {
-		if s != k {
-			t.Errorf("Shift[%d] = %d, want %d", k, s, k)
+	for k, h := range p.Links {
+		if int(h.Shift) != k {
+			t.Errorf("Links[%d].Shift = %d, want %d", k, h.Shift, k)
 		}
 	}
 	if p.TotalShift != 5 {
@@ -60,8 +61,8 @@ func TestYXDiffersFromXY(t *testing.T) {
 	if err := Validate(m.Graph, yx); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if yx.Ports[0] != topology.South {
-		t.Errorf("YX did not move south first: %v", yx.Ports)
+	if ports := yx.Ports(m.Graph); ports[0] != topology.South {
+		t.Errorf("YX did not move south first: %v", ports)
 	}
 	if len(xy.Links) != len(yx.Links) {
 		t.Error("XY and YX lengths differ")
@@ -161,9 +162,9 @@ func TestPipelinedShift(t *testing.T) {
 	// Path: NI->R0 (0 stages), R0->R1 (1), R1->R2 (1), R2->NI (0).
 	// Shifts: 0, 1, 3, 5; arrival shift 5.
 	want := []int{0, 1, 3, 5}
-	for k, s := range p.Shift {
-		if s != want[k] {
-			t.Errorf("Shift[%d] = %d, want %d", k, s, want[k])
+	for k, h := range p.Links {
+		if int(h.Shift) != want[k] {
+			t.Errorf("Links[%d].Shift = %d, want %d", k, h.Shift, want[k])
 		}
 	}
 	if p.TotalShift != 5 {
@@ -189,7 +190,7 @@ func TestCandidatesDistinctAndValid(t *testing.T) {
 		}
 		key := ""
 		for _, l := range p.Links {
-			key += string(rune(l)) + ","
+			key += string(rune(l.Link)) + ","
 		}
 		if seen[key] {
 			t.Error("duplicate candidate")
@@ -236,10 +237,10 @@ func TestValidateRejects(t *testing.T) {
 		t.Error("Validate accepted a truncated path")
 	}
 	bad2 := *p
-	bad2.Ports = append([]int(nil), p.Ports...)
-	bad2.Ports[0] = 7
+	bad2.Links = append([]Hop(nil), p.Links...)
+	bad2.Links[1].Shift = 7
 	if err := Validate(m.Graph, &bad2); err == nil {
-		t.Error("Validate accepted a wrong port")
+		t.Error("Validate accepted a wrong shift")
 	}
 }
 

@@ -32,22 +32,20 @@ func (r *ring) Update(now clock.Time) {
 	if cycle%int64(phit.FlitWords) != 0 {
 		return
 	}
-	// Rotate: the entry at stop p moves to stop p+1 (slot ids ride along).
-	last := r.wheel[r.S-1]
-	copy(r.wheel[1:], r.wheel[:r.S-1])
-	r.wheel[0] = last
+	// Rotate: the entry at stop p moves to stop p+1.
+	r.rot = (r.rot + 1) % r.S
 
 	for p := 0; p < r.S; p++ {
-		e := &r.wheel[p]
+		sid := (p - r.rot + r.S) % r.S
+		e := &r.wheel[sid]
+		st := r.stops[p]
 		// Ejection first: a slot frees the instant its flit arrives.
-		if f := e.flit; f != nil && f.dstPos == p {
-			ci := r.conns[f.conn]
-			st := r.stops[p]
-			for _, w := range f.words {
+		if ci := e.ci; e.n > 0 && ci.dstPos == p {
+			for _, w := range e.words[:e.n] {
 				ci.delivered++
 				if st.tr != nil {
 					st.tr.Emit(trace.Event{Time: now, Ref: w.injected, Kind: trace.Eject,
-						Conn: f.conn, Seq: w.seq, Slot: trace.NoSlot})
+						Conn: ci.spec.ID, Seq: w.seq, Slot: trace.NoSlot})
 				}
 				ci.latNs.Add(float64(now-w.injected) / float64(clock.Nanosecond))
 				ci.lastNs = float64(now) / float64(clock.Nanosecond)
@@ -55,39 +53,29 @@ func (r *ring) Update(now clock.Time) {
 					ci.firstNs = ci.lastNs
 				}
 			}
-			e.flit = nil
+			e.n = 0
 		}
 		// Injection: only the slot's owner, only at its source stop, and
 		// only into an empty slot. A non-empty owned slot here would mean
 		// a flit survived a full revolution — a protocol violation.
-		owner := r.alloc[e.sid]
-		if owner == phit.None {
+		ci := r.owner[sid]
+		if ci == nil || ci.srcPos != p || len(ci.q) == 0 {
 			continue
 		}
-		ci := r.conns[owner]
-		if ci.srcPos != p || len(ci.q) == 0 {
-			continue
+		if e.n > 0 {
+			panic(fmt.Sprintf("routerless %s: slot %d returned occupied to its owner (conn %d)", r.Name(), sid, ci.spec.ID))
 		}
-		if e.flit != nil {
-			panic(fmt.Sprintf("routerless %s: slot %d returned occupied to its owner (conn %d)", r.Name(), e.sid, owner))
-		}
-		k := len(ci.q)
-		if k > PayloadWords {
-			k = PayloadWords
-		}
-		words := make([]pending, k)
-		copy(words, ci.q[:k])
-		ci.q = ci.q[:copy(ci.q, ci.q[k:])]
-		st := r.stops[p]
+		e.ci = ci
+		e.n = copy(e.words[:], ci.q)
+		ci.q = ci.q[:copy(ci.q, ci.q[e.n:])]
 		if st.tr != nil {
-			st.tr.Emit(trace.Event{Time: now, Kind: trace.SlotStart, Conn: owner,
-				Slot: int32(e.sid), Arg: int64(k)})
-			for _, w := range words {
+			st.tr.Emit(trace.Event{Time: now, Kind: trace.SlotStart, Conn: ci.spec.ID,
+				Slot: int32(sid), Arg: int64(e.n)})
+			for _, w := range e.words[:e.n] {
 				st.tr.Emit(trace.Event{Time: now, Ref: w.injected, Kind: trace.Send,
-					Conn: owner, Seq: w.seq, Slot: int32(e.sid)})
+					Conn: ci.spec.ID, Seq: w.seq, Slot: int32(sid)})
 			}
 		}
-		e.flit = &inFlight{conn: owner, dstPos: ci.dstPos, words: words}
 	}
 }
 
@@ -153,9 +141,9 @@ func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) 
 		for _, st := range r.stops {
 			table := make([]phit.ConnID, r.S)
 			sourced := false
-			for sid, owner := range r.alloc {
-				if owner != phit.None && r.conns[owner].srcPos == st.pos {
-					table[sid] = owner
+			for sid, ci := range r.owner {
+				if ci != nil && ci.srcPos == st.pos {
+					table[sid] = ci.spec.ID
 					sourced = true
 				}
 			}
@@ -213,15 +201,14 @@ func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
 func (n *Network) WriteRings(w io.Writer) {
 	for _, r := range n.rings {
 		used := 0
-		for _, c := range r.alloc {
-			if c != phit.None {
-				used++
-			}
-		}
 		ids := make([]int, 0)
 		seen := map[phit.ConnID]bool{}
-		for _, c := range r.alloc {
-			if c != phit.None && !seen[c] {
+		for _, ci := range r.owner {
+			if ci == nil {
+				continue
+			}
+			used++
+			if c := ci.spec.ID; !seen[c] {
 				seen[c] = true
 				ids = append(ids, int(c))
 			}

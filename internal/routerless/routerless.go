@@ -72,18 +72,13 @@ type pending struct {
 	injected clock.Time
 }
 
-// inFlight is one occupied slot: a flit of up to PayloadWords words
-// riding the ring towards dstPos.
-type inFlight struct {
-	conn   phit.ConnID
-	dstPos int
-	words  []pending
-}
-
-// entry is one wheel position: the slot id riding it and its cargo.
+// entry is one slot of the wheel and its cargo, held inline: a flit of n
+// words (up to PayloadWords) of connection ci riding towards ci.dstPos, or
+// nothing when n is 0.
 type entry struct {
-	sid  int
-	flit *inFlight
+	ci    *connInfo
+	n     int
+	words [PayloadWords]pending
 }
 
 // stop is one NI's seat on one ring.
@@ -106,8 +101,11 @@ type ring struct {
 
 	stops []*stop
 	pos   map[topology.NodeID]int // stop position of each NI on this ring
-	wheel []entry                 // wheel[p] = slot entry currently at stop p
-	alloc []phit.ConnID           // slot id -> owning connection (None = free)
+	// wheel[sid] is slot sid's entry. The wheel turns by index: after rot
+	// flit cycles slot sid stands at stop (sid + rot) mod S.
+	wheel []entry
+	rot   int
+	owner []*connInfo // slot id -> owning connection, nil when free
 	conns map[phit.ConnID]*connInfo
 }
 
@@ -258,7 +256,7 @@ func (n *Network) buildRings() {
 		}
 		r.stops = make([]*stop, r.S)
 		r.wheel = make([]entry, r.S)
-		r.alloc = make([]phit.ConnID, r.S)
+		r.owner = make([]*connInfo, r.S)
 		for p, id := range nis {
 			r.stops[p] = &stop{
 				name: fmt.Sprintf("%s.s%d", name, p),
@@ -266,7 +264,6 @@ func (n *Network) buildRings() {
 				ni:   id,
 			}
 			r.pos[id] = p
-			r.wheel[p] = entry{sid: p}
 		}
 		n.rings = append(n.rings, r)
 	}
@@ -349,11 +346,7 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 		if set == nil {
 			continue
 		}
-		for _, s := range set {
-			cd.r.alloc[s] = c.ID
-		}
-		bound := BoundNs(set, cd.r.S, cd.hops, n.Cfg.FreqMHz)
-		return &connInfo{
+		ci := &connInfo{
 			spec:          c,
 			ring:          cd.r,
 			srcPos:        cd.srcP,
@@ -361,8 +354,13 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 			hops:          cd.hops,
 			slotSet:       set,
 			guaranteeMBps: float64(cd.need) * slotBandwidthMBps(n.Cfg.FreqMHz, n.Cfg.WordBytes, cd.r.S),
-			boundNs:       bound,
-		}, nil
+			boundNs:       BoundNs(set, cd.r.S, cd.hops, n.Cfg.FreqMHz),
+			q:             make([]pending, 0, SendCapacity),
+		}
+		for _, s := range set {
+			cd.r.owner[s] = ci
+		}
+		return ci, nil
 	}
 	return nil, fmt.Errorf("routerless: connection %d (%.1f Mbyte/s) fits no ring: every candidate is out of slot capacity", c.ID, c.BandwidthMBps)
 }
@@ -372,8 +370,8 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 // scanning forward), or nil when fewer than k slots are free.
 func (r *ring) takeSlots(k int) []int {
 	free := 0
-	for _, c := range r.alloc {
-		if c == phit.None {
+	for _, ci := range r.owner {
+		if ci == nil {
 			free++
 		}
 	}
@@ -385,7 +383,7 @@ func (r *ring) takeSlots(k int) []int {
 	for _, target := range analysis.EvenSlots(k, r.S) {
 		for off := 0; off < r.S; off++ {
 			s := (target + off) % r.S
-			if r.alloc[s] == phit.None && !used[s] {
+			if r.owner[s] == nil && !used[s] {
 				used[s] = true
 				set = append(set, s)
 				break

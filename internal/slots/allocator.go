@@ -240,8 +240,8 @@ func ripUpTrial(a *Allocation, req Request, victims []phit.ConnID, reqOf map[phi
 func blockers(a *Allocation, req Request, rippable map[phit.ConnID]bool) []phit.ConnID {
 	count := make(map[phit.ConnID]int)
 	for _, p := range req.Paths {
-		for _, lid := range p.Links {
-			r := a.row(lid)
+		for _, h := range p.Links {
+			r := a.row(h.Link)
 			if r == nil {
 				continue
 			}

@@ -32,9 +32,9 @@ func TestByName(t *testing.T) {
 // releases B, places A on L2 and re-places B on the detour.
 func TestRipUpBeatsGreedyContrived(t *testing.T) {
 	const l2, l3 = topology.LinkID(2), topology.LinkID(3)
-	pathA := &route.Path{Src: 10, Dst: 11, Links: []topology.LinkID{l2}, Shift: []int{1}, TotalShift: 1}
-	pathB2 := &route.Path{Src: 12, Dst: 13, Links: []topology.LinkID{l2}, Shift: []int{1}, TotalShift: 1}
-	pathB3 := &route.Path{Src: 12, Dst: 13, Links: []topology.LinkID{l3}, Shift: []int{2}, TotalShift: 2}
+	pathA := &route.Path{Src: 10, Dst: 11, Links: []route.Hop{{Link: l2, Shift: 1}}, TotalShift: 1}
+	pathB2 := &route.Path{Src: 12, Dst: 13, Links: []route.Hop{{Link: l2, Shift: 1}}, TotalShift: 1}
+	pathB3 := &route.Path{Src: 12, Dst: 13, Links: []route.Hop{{Link: l3, Shift: 2}}, TotalShift: 2}
 	reqs := []Request{
 		{Conn: 1, Paths: []*route.Path{pathA}, Count: 1},
 		{Conn: 2, Paths: []*route.Path{pathB2, pathB3}, Count: 2},

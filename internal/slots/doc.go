@@ -16,4 +16,11 @@
 // contention-free invariant after every pass, and core/admission consume
 // the result. Claims are only ever made on free slots, which is what
 // makes online reconfiguration composable.
+//
+// Data layout: occupancy is one row per claimed link (owner per slot, the
+// same as a bitset, and a count); an Assignment lists its injection slots
+// and, parallel to them, the path each slot rides. The placement search
+// and Verify work out of scratch buffers the Allocation owns, so placing a
+// request allocates nothing but the Assignment returned — and so they,
+// like Claim, must not run concurrently on one Allocation.
 package slots

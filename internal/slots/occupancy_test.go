@@ -58,9 +58,9 @@ func TestQueriesDoNotMutate(t *testing.T) {
 				t.Fatalf("slot %d busy on an empty allocation", s)
 			}
 		}
-		for _, l := range p.Links {
-			if a.LinkOwner(l, 3) != phit.None || a.LinkUtilisation(l) != 0 {
-				t.Fatalf("link %d occupied on an empty allocation", l)
+		for _, h := range p.Links {
+			if a.LinkOwner(h.Link, 3) != phit.None || a.LinkUtilisation(h.Link) != 0 {
+				t.Fatalf("link %d occupied on an empty allocation", h.Link)
 			}
 		}
 	}
@@ -76,6 +76,7 @@ func TestQueriesDoNotMutate(t *testing.T) {
 	if err := a.Verify(); err != nil {
 		t.Error(err)
 	}
+	a.scratch = scratch{} // working memory, not state
 	if want := NewAllocation(16); !reflect.DeepEqual(a, want) {
 		t.Errorf("queries mutated a fresh allocation: %+v", a)
 	}

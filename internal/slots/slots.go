@@ -3,6 +3,7 @@ package slots
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/phit"
@@ -72,8 +73,9 @@ type Assignment struct {
 	Conn  phit.ConnID
 	Path  *route.Path // primary (first) path, for reporting
 	Slots []int       // injection slots at the source NI, ascending
-	// PathOf gives the path each slot was reserved on.
-	PathOf map[int]*route.Path
+	// PathOf gives the path each slot was reserved on: PathOf[i] carries
+	// Slots[i].
+	PathOf []*route.Path
 }
 
 // An Allocation is a complete, contention-free set of assignments over a
@@ -85,6 +87,32 @@ type Allocation struct {
 	// claim has ever touched has no entry (or a zero one) and reads as
 	// free; only Claim materialises rows.
 	links []linkRow
+	// scratch is the working memory of the placement search and of Verify.
+	// It makes them, like Claim, unsafe for concurrent use on one
+	// Allocation.
+	scratch scratch
+}
+
+// A scratch holds the buffers the placement search and Verify refill on
+// every call, so that a steady-state placement allocates nothing but the
+// Assignment it returns. Nothing in it outlives a call.
+type scratch struct {
+	masks   []uint64      // per candidate path its joint-free slot set, maskWords each
+	avail   []uint64      // slots free on some candidate and not yet chosen
+	chosen  []int         // the slots chosen so far
+	paths   []*route.Path // a request's candidates, grouped by TotalShift
+	hottest []int         // per path of a group, its hottest link's used-slot count
+	claimed []uint64      // Verify: per link the slots the assignments claim, maskWords each
+}
+
+// sized sets the scratch buffer's length to n, reallocating only when it is
+// too small, and returns it. The contents are unspecified.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // A linkRow is one link's slot occupancy in three redundant forms, kept in
@@ -142,12 +170,12 @@ func (a *Allocation) materialise(l topology.LinkID) *linkRow {
 func (a *Allocation) freeMask(p *route.Path, mask []uint64) {
 	t := a.TableSize
 	clear(mask)
-	for k, lid := range p.Links {
-		r := a.row(lid)
+	for _, h := range p.Links {
+		r := a.row(h.Link)
 		if r == nil || r.used == 0 {
 			continue
 		}
-		orRotated(mask, r.busy, p.Shift[k]%t, t)
+		orRotated(mask, r.busy, int(h.Shift)%t, t)
 	}
 	// mask holds the blocked slots; the free ones are its complement
 	// within the table.
@@ -195,8 +223,8 @@ func orShiftedUp(dst, src []uint64, n int) {
 
 // SlotFree reports whether injection slot s is free on every link of path p.
 func (a *Allocation) SlotFree(p *route.Path, s int) bool {
-	for k, lid := range p.Links {
-		if r := a.row(lid); r != nil && r.owner[(s+p.Shift[k])%a.TableSize] != phit.None {
+	for _, h := range p.Links {
+		if r := a.row(h.Link); r != nil && r.owner[(s+int(h.Shift))%a.TableSize] != phit.None {
 			return false
 		}
 	}
@@ -207,11 +235,11 @@ func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 // panics if the slot is taken: callers must check SlotFree first, and a
 // violation means the allocator itself is broken.
 func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
-	for k, lid := range p.Links {
-		slot := (s + p.Shift[k]) % a.TableSize
-		r := a.materialise(lid)
+	for _, h := range p.Links {
+		slot := (s + int(h.Shift)) % a.TableSize
+		r := a.materialise(h.Link)
 		if r.owner[slot] != phit.None {
-			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", lid, slot, r.owner[slot]))
+			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", h.Link, slot, r.owner[slot]))
 		}
 		r.owner[slot] = c
 		r.busy[slot/64] |= 1 << uint(slot%64)
@@ -222,12 +250,12 @@ func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
 // unclaim is Claim's inverse for one injection slot: it panics unless c
 // owns the slot on every link of p.
 func (a *Allocation) unclaim(c phit.ConnID, p *route.Path, s int) {
-	for k, lid := range p.Links {
-		slot := (s + p.Shift[k]) % a.TableSize
-		r := a.row(lid)
+	for _, h := range p.Links {
+		slot := (s + int(h.Shift)) % a.TableSize
+		r := a.row(h.Link)
 		if r == nil || r.owner[slot] != c {
 			panic(fmt.Sprintf("slots: link %d slot %d owned by %d, not releasing connection %d",
-				lid, slot, a.LinkOwner(lid, slot), c))
+				h.Link, slot, a.LinkOwner(h.Link, slot), c))
 		}
 		r.owner[slot] = phit.None
 		r.busy[slot/64] &^= 1 << uint(slot%64)
@@ -275,75 +303,68 @@ func (a *Allocation) NITable(ni topology.NodeID) *Table {
 	return t
 }
 
-// pathOfSlot returns the path injection slot s of the assignment rides.
-func (as *Assignment) pathOfSlot(s int) *route.Path {
-	if p := as.PathOf[s]; p != nil {
-		return p
-	}
-	return as.Path
-}
-
-// Verify recomputes link occupancy from the assignments and reports any
-// double-booking — the structural contention-freedom check — and then
-// holds the live table against the recomputation: every owner entry, every
-// bitset bit and every used counter must agree, so a claim leaked or left
-// stale by a release or an undone repair is caught too.
+// Verify recomputes from the assignments which slots of which links are
+// claimed and reports any double-booking — the structural
+// contention-freedom check — and then holds the live table against the
+// recomputation: every claim must be owned by its claimant, every owned
+// slot must be claimed, and every bitset bit and used counter must agree
+// with the owners, so a claim leaked or left stale by a release or an
+// undone repair is caught too.
 func (a *Allocation) Verify() error {
-	var occ [][]phit.ConnID
+	words := a.maskWords()
+	claimed := sized(&a.scratch.claimed, words*len(a.links))
+	clear(claimed)
 	for _, c := range a.Conns() {
 		as := a.ByConn[c]
 		if len(as.Slots) == 0 {
 			return fmt.Errorf("slots: connection %d has no slots", c)
 		}
-		for _, s := range as.Slots {
+		if len(as.PathOf) != len(as.Slots) {
+			return fmt.Errorf("slots: connection %d has %d slots but paths for %d", c, len(as.Slots), len(as.PathOf))
+		}
+		for i, s := range as.Slots {
 			if s < 0 || s >= a.TableSize {
 				return fmt.Errorf("slots: connection %d slot %d out of range", c, s)
 			}
-			p := as.pathOfSlot(s)
-			for k, lid := range p.Links {
-				slot := (s + p.Shift[k]) % a.TableSize
-				if int(lid) >= len(occ) {
-					occ = append(occ, make([][]phit.ConnID, int(lid)+1-len(occ))...)
-				}
-				if occ[lid] == nil {
-					occ[lid] = make([]phit.ConnID, a.TableSize)
-				}
-				if o := occ[lid][slot]; o != phit.None {
+			for _, h := range as.PathOf[i].Links {
+				slot := (s + int(h.Shift)) % a.TableSize
+				have := a.LinkOwner(h.Link, slot)
+				at, bit := int(h.Link)*words+slot/64, uint64(1)<<uint(slot%64)
+				// An owned slot has a row, so claimed covers it. Only a
+				// slot's owner marks it, and connections are visited in
+				// ascending order, as the message names them.
+				if have != phit.None && claimed[at]&bit != 0 {
 					return fmt.Errorf("slots: contention on link %d slot %d between connections %d and %d",
-						lid, slot, o, c)
+						h.Link, slot, have, c)
 				}
-				occ[lid][slot] = c
+				if have != c || have == phit.None {
+					return fmt.Errorf("slots: link %d slot %d: table says connection %d, assignments say %d (stale or leaked claim)",
+						h.Link, slot, have, c)
+				}
+				claimed[at] |= bit
 			}
 		}
 	}
-	// A link without a row on either side reads as all free there.
-	free := linkRow{owner: make([]phit.ConnID, a.TableSize), busy: make([]uint64, a.maskWords())}
-	for l := 0; l < max(len(occ), len(a.links)); l++ {
-		lid := topology.LinkID(l)
-		want, r := free.owner, a.row(lid)
-		if l < len(occ) && occ[l] != nil {
-			want = occ[l]
-		} else if r == nil {
-			continue
-		}
+	for l := range a.links {
+		r := a.row(topology.LinkID(l))
 		if r == nil {
-			r = &free
+			continue
 		}
 		used := 0
 		for slot, have := range r.owner {
-			if have != want[slot] {
-				return fmt.Errorf("slots: link %d slot %d: table says connection %d, assignments say %d (stale or leaked claim)",
-					lid, slot, have, want[slot])
+			if have != phit.None && claimed[l*words+slot/64]>>uint(slot%64)&1 == 0 {
+				return fmt.Errorf("slots: link %d slot %d: table says connection %d, no assignment claims it (stale or leaked claim)",
+					l, slot, have)
 			}
 			if bit := r.busy[slot/64]>>uint(slot%64)&1 != 0; bit != (have != phit.None) {
-				return fmt.Errorf("slots: link %d slot %d: occupancy bit %v disagrees with owner %d", lid, slot, bit, have)
+				return fmt.Errorf("slots: link %d slot %d: occupancy bit %v disagrees with owner %d", l, slot, bit, have)
 			}
 			if have != phit.None {
 				used++
 			}
 		}
 		if r.used != used {
-			return fmt.Errorf("slots: link %d: used counter %d, %d slots owned", lid, r.used, used)
+			return fmt.Errorf("slots: link %d: used counter %d, %d slots owned", l, r.used, used)
 		}
 	}
 	return nil
@@ -359,8 +380,8 @@ func (a *Allocation) Release(c phit.ConnID) {
 	if asg == nil {
 		panic(fmt.Sprintf("slots: release of unknown connection %d", c))
 	}
-	for _, s := range asg.Slots {
-		a.unclaim(c, asg.pathOfSlot(s), s)
+	for i, s := range asg.Slots {
+		a.unclaim(c, asg.PathOf[i], s)
 	}
 	delete(a.ByConn, c)
 }
@@ -395,16 +416,12 @@ func (a *Allocation) Clone() *Allocation {
 		links:     append([]linkRow(nil), a.links...),
 	}
 	for id, asg := range a.ByConn {
-		na := &Assignment{
+		c.ByConn[id] = &Assignment{
 			Conn:   asg.Conn,
 			Path:   asg.Path,
 			Slots:  append([]int(nil), asg.Slots...),
-			PathOf: make(map[int]*route.Path, len(asg.PathOf)),
+			PathOf: append([]*route.Path(nil), asg.PathOf...),
 		}
-		for s, p := range asg.PathOf {
-			na.PathOf[s] = p
-		}
-		c.ByConn[id] = na
 	}
 	for l := range c.links {
 		r := &c.links[l]
@@ -518,53 +535,69 @@ func placeRequest(a *Allocation, req Request) *Assignment {
 	// candidates by shift — minimal routes first, detours after —
 	// and take the first group that fits. Within a group, prefer
 	// the path whose hottest link is coolest.
-	var groups [][]*route.Path
-	for _, p := range req.Paths {
-		placed := false
-		for gi := range groups {
-			if groups[gi][0].TotalShift == p.TotalShift {
-				groups[gi] = append(groups[gi], p)
-				placed = true
-				break
+	sc := &a.scratch
+	paths := sc.paths[:0]
+	for i, p := range req.Paths {
+		if hasShift(req.Paths[:i], p.TotalShift) {
+			continue // gathered with the first path of its group
+		}
+		for _, q := range req.Paths[i:] {
+			if q.TotalShift == p.TotalShift {
+				paths = append(paths, q)
 			}
 		}
-		if !placed {
-			groups = append(groups, []*route.Path{p})
-		}
 	}
+	sc.paths = paths
 	ws := req.WindowSlots
 	if ws < 1 {
 		ws = 1
 	}
-	for _, paths := range groups {
+	for len(paths) > 0 {
+		n := 1
+		for n < len(paths) && paths[n].TotalShift == paths[0].TotalShift {
+			n++
+		}
+		group := paths[:n]
+		paths = paths[n:]
 		// Score each path once (its hottest link's used-slot count; the
 		// table size is common, so counts order as utilisations do), then
 		// a stable insertion sort: groups hold a handful of paths.
-		hottest := make([]int, len(paths))
-		for i, p := range paths {
-			for _, lid := range p.Links {
-				if u := a.linkUsed(lid); u > hottest[i] {
+		hottest := sized(&sc.hottest, n)
+		for i, p := range group {
+			hottest[i] = 0
+			for _, h := range p.Links {
+				if u := a.linkUsed(h.Link); u > hottest[i] {
 					hottest[i] = u
 				}
 			}
 		}
-		for i := 1; i < len(paths); i++ {
+		for i := 1; i < n; i++ {
 			for j := i; j > 0 && hottest[j] < hottest[j-1]; j-- {
-				paths[j], paths[j-1] = paths[j-1], paths[j]
+				group[j], group[j-1] = group[j-1], group[j]
 				hottest[j], hottest[j-1] = hottest[j-1], hottest[j]
 			}
 		}
-		if asg := pickSlotsMultiPath(a, paths, req.Count, req.GapTarget, ws, offset); asg != nil {
+		if asg := pickSlotsMultiPath(a, group, req.Count, req.GapTarget, ws, offset); asg != nil {
 			return asg
 		}
 	}
 	return nil
 }
 
+// hasShift reports whether any of the paths has the given TotalShift.
+func hasShift(paths []*route.Path, totalShift int) bool {
+	for _, p := range paths {
+		if p.TotalShift == totalShift {
+			return true
+		}
+	}
+	return false
+}
+
 // commitAssignment claims the chosen slots and records the assignment.
 func commitAssignment(a *Allocation, req Request, asg *Assignment) {
-	for _, s := range asg.Slots {
-		a.Claim(req.Conn, asg.PathOf[s], s)
+	for i, s := range asg.Slots {
+		a.Claim(req.Conn, asg.PathOf[i], s)
 	}
 	asg.Conn = req.Conn
 	asg.Path = req.Paths[0]
@@ -576,21 +609,17 @@ func commitAssignment(a *Allocation, req Request, asg *Assignment) {
 func placementError(a *Allocation, req Request) *PlacementError {
 	tableSize := a.TableSize
 	detail := ""
-	mask := make([]uint64, a.maskWords())
+	mask := sized(&a.scratch.masks, a.maskWords())
 	for pi, p := range req.Paths {
 		a.freeMask(p, mask)
-		free := 0
-		for _, w := range mask {
-			free += bits.OnesCount64(w)
-		}
 		worstLink, worstUtil := topology.LinkID(-1), 0.0
-		for _, lid := range p.Links {
-			if u := a.LinkUtilisation(lid); u > worstUtil {
-				worstLink, worstUtil = lid, u
+		for _, h := range p.Links {
+			if u := a.LinkUtilisation(h.Link); u > worstUtil {
+				worstLink, worstUtil = h.Link, u
 			}
 		}
 		detail += fmt.Sprintf("; path %d: %d joint-free slots, hottest link %d at %.0f%%",
-			pi, free, worstLink, worstUtil*100)
+			pi, popcount(mask), worstLink, worstUtil*100)
 	}
 	return &PlacementError{Conn: req.Conn, Needed: req.Count, GapTarget: req.GapTarget,
 		Table: tableSize, Detail: detail}
@@ -601,116 +630,140 @@ func placementError(a *Allocation, req Request) *PlacementError {
 // preference order). When gapTarget is positive the chosen set's cyclic
 // MaxGap must not exceed it; a greedy furthest-within-target cover is
 // computed first and then topped up to count. It returns nil when the
-// free-slot union cannot satisfy the request.
+// free-slot union cannot satisfy the request. It works out of the
+// allocation's scratch and allocates only the Assignment it returns.
 func pickSlotsMultiPath(a *Allocation, paths []*route.Path, count, windowTarget, windowSlots, offset int) *Assignment {
-	// masks holds one joint-free slot set per candidate path, computed once.
-	words := a.maskWords()
-	masks := make([]uint64, words*len(paths))
+	t, words := a.TableSize, a.maskWords()
+	sc := &a.scratch
+	// masks holds one joint-free slot set per candidate path, computed
+	// once; avail is their union, less every slot chosen so far.
+	masks := sized(&sc.masks, words*len(paths))
+	avail := sized(&sc.avail, words)
+	clear(avail)
 	for i, p := range paths {
-		a.freeMask(p, masks[i*words:(i+1)*words])
+		mask := masks[i*words : (i+1)*words]
+		a.freeMask(p, mask)
+		for w, bitsFree := range mask {
+			avail[w] |= bitsFree
+		}
 	}
-	// pathFor[s] is the first candidate path with slot s free, or nil.
-	pathFor := make([]*route.Path, a.TableSize)
-	free := make([]int, 0, a.TableSize)
-	for s := 0; s < a.TableSize; s++ {
-		w, bit := s/64, uint64(1)<<uint(s%64)
-		for i, p := range paths {
-			if masks[i*words+w]&bit != 0 {
-				pathFor[s] = p
-				free = append(free, s)
-				break
+	if popcount(avail) < count {
+		return nil
+	}
+	// Choose count slots near evenly spread ideals. Of two free slots
+	// equally near an ideal, the lower-numbered one wins.
+	sc.chosen = sc.chosen[:0]
+	for i := 0; i < count; i++ {
+		ideal := (i*t/count + offset) % t
+		up, down := nextSet(avail, ideal), prevSet(avail, ideal)
+		if up < 0 {
+			up = nextSet(avail, 0) // wrap: the lowest free slot
+		}
+		if down < 0 {
+			down = prevSet(avail, t-1) // wrap: the highest free slot
+		}
+		s := min(up, down)
+		if du, dd := (up-ideal+t)%t, (ideal-down+t)%t; du < dd {
+			s = up
+		} else if dd < du {
+			s = down
+		}
+		avail[s/64] &^= 1 << uint(s%64)
+		sc.chosen = append(sc.chosen, s)
+	}
+	slices.Sort(sc.chosen)
+	if windowTarget > 0 && !sc.repairWindow(t, windowTarget, windowSlots) {
+		return nil
+	}
+	asg := &Assignment{Slots: make([]int, len(sc.chosen)), PathOf: make([]*route.Path, len(sc.chosen))}
+	copy(asg.Slots, sc.chosen)
+	for i, s := range asg.Slots {
+		// The first candidate path with slot s free carries it.
+		for pi := 0; asg.PathOf[i] == nil; pi++ {
+			if masks[pi*words+s/64]>>uint(s%64)&1 != 0 {
+				asg.PathOf[i] = paths[pi]
 			}
 		}
 	}
-	if len(free) < count {
-		return nil
-	}
-	taken := make([]bool, a.TableSize)
-	chosen := make([]int, 0, count)
-	take := func(s int) {
-		if !taken[s] {
-			taken[s] = true
-			chosen = append(chosen, s)
+	return asg
+}
+
+// repairWindow enforces the window constraint on the chosen slots
+// (ascending): while the worst windowSlots-gap window exceeds the target,
+// it adds a free slot inside that window's largest gap. Each addition
+// strictly shrinks some gap, so this terminates. It reports false when no
+// free slot can shrink the window.
+func (sc *scratch) repairWindow(t, windowTarget, windowSlots int) bool {
+	for {
+		w, at := maxGapWindowAt(sc.chosen, t, windowSlots)
+		if w <= windowTarget {
+			return true
 		}
-	}
-	// Choose count slots near evenly spread ideals.
-	for i := 0; len(chosen) < count && i < count; i++ {
-		ideal := (i*a.TableSize/count + offset) % a.TableSize
-		best, bestDist := -1, a.TableSize+1
-		for _, s := range free {
-			if taken[s] {
+		// The offending window spans gaps starting at chosen index at;
+		// find its largest gap and a free slot inside.
+		bestSlot, bestGap := -1, 0
+		for j := 0; j < windowSlots && j < len(sc.chosen); j++ {
+			i0 := (at + j) % len(sc.chosen)
+			from := sc.chosen[i0]
+			gap := cyclicGap(sc.chosen, i0, t)
+			if gap <= bestGap {
 				continue
 			}
-			d := s - ideal
-			if d < 0 {
-				d = -d
-			}
-			if wrap := a.TableSize - d; wrap < d {
-				d = wrap
-			}
-			if d < bestDist {
-				best, bestDist = s, d
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		take(best)
-	}
-	if len(chosen) < count {
-		return nil
-	}
-	sort.Ints(chosen)
-	// Repair the window constraint: while the worst windowSlots-gap
-	// window exceeds the target, add a free slot inside its largest
-	// gap. Each addition strictly shrinks some gap, so this terminates.
-	if windowTarget > 0 {
-		for {
-			w, at := maxGapWindowAt(chosen, a.TableSize, windowSlots)
-			if w <= windowTarget {
-				break
-			}
-			// The offending window spans gaps starting at chosen
-			// index at; find its largest gap and a free slot
-			// inside.
-			bestSlot, bestGap := -1, 0
-			for j := 0; j < windowSlots && j < len(chosen); j++ {
-				i0 := (at + j) % len(chosen)
-				from := chosen[i0]
-				to := chosen[(i0+1)%len(chosen)]
-				gap := to - from
-				if gap <= 0 {
-					gap += a.TableSize
-				}
-				if gap <= bestGap {
-					continue
-				}
-				// Free slot nearest the gap's middle.
-				mid := (from + gap/2) % a.TableSize
-				for d := 0; d < gap/2+1; d++ {
-					for _, cand := range []int{(mid + d) % a.TableSize, (mid - d + a.TableSize) % a.TableSize} {
-						if !taken[cand] && pathFor[cand] != nil && inGap(from, gap, cand, a.TableSize) {
-							bestSlot, bestGap = cand, gap
-							break
-						}
-					}
-					if bestGap == gap {
+			// Free slot nearest the gap's middle.
+			mid := (from + gap/2) % t
+			for d := 0; d < gap/2+1 && bestGap != gap; d++ {
+				for _, cand := range [2]int{(mid + d) % t, (mid - d + t) % t} {
+					if sc.avail[cand/64]>>uint(cand%64)&1 != 0 && inGap(from, gap, cand, t) {
+						bestSlot, bestGap = cand, gap
 						break
 					}
 				}
 			}
-			if bestSlot < 0 {
-				return nil // no free slot can shrink the window
-			}
-			take(bestSlot)
-			sort.Ints(chosen)
+		}
+		if bestSlot < 0 {
+			return false
+		}
+		sc.avail[bestSlot/64] &^= 1 << uint(bestSlot%64)
+		pos, _ := slices.BinarySearch(sc.chosen, bestSlot)
+		sc.chosen = slices.Insert(sc.chosen, pos, bestSlot)
+	}
+}
+
+// popcount returns the number of set bits in a slot set.
+func popcount(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// nextSet returns the lowest set bit of set at or above from, or -1.
+func nextSet(set []uint64, from int) int {
+	w := from / 64
+	if v := set[w] >> uint(from%64); v != 0 {
+		return from + bits.TrailingZeros64(v)
+	}
+	for w++; w < len(set); w++ {
+		if set[w] != 0 {
+			return w*64 + bits.TrailingZeros64(set[w])
 		}
 	}
-	asg := &Assignment{Slots: chosen, PathOf: make(map[int]*route.Path, len(chosen))}
-	for _, s := range chosen {
-		asg.PathOf[s] = pathFor[s]
+	return -1
+}
+
+// prevSet returns the highest set bit of set at or below from, or -1.
+func prevSet(set []uint64, from int) int {
+	w := from / 64
+	if v := set[w] << uint(63-from%64); v != 0 {
+		return from - bits.LeadingZeros64(v)
 	}
-	return asg
+	for w--; w >= 0; w-- {
+		if set[w] != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(set[w])
+		}
+	}
+	return -1
 }
 
 // inGap reports whether slot cand lies strictly inside the cyclic gap
@@ -741,25 +794,27 @@ func maxGapWindowAt(sorted []int, tableSize, m int) (int, int) {
 		// position-independent.
 		return full, 0
 	}
-	gaps := make([]int, k)
-	for i := range sorted {
-		g := sorted[(i+1)%k] - sorted[i]
-		if g <= 0 {
-			g += tableSize
-		}
-		gaps[i] = g
-	}
 	best, at := 0, 0
-	for i := range gaps {
+	for i := range sorted {
 		sum := 0
 		for j := 0; j < rem; j++ {
-			sum += gaps[(i+j)%k]
+			sum += cyclicGap(sorted, (i+j)%k, tableSize)
 		}
 		if sum > best {
 			best, at = sum, i
 		}
 	}
 	return full + best, at
+}
+
+// cyclicGap returns the distance from sorted[i] to the next slot of the
+// set, cyclically; a single slot is a whole revolution from itself.
+func cyclicGap(sorted []int, i, tableSize int) int {
+	g := sorted[(i+1)%len(sorted)] - sorted[i]
+	if g <= 0 {
+		g += tableSize
+	}
+	return g
 }
 
 // A PlacementError reports the first connection the greedy allocator

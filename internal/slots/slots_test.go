@@ -226,8 +226,8 @@ func TestLinkOwnerAndUtilisation(t *testing.T) {
 	}
 	p := alloc.ByConn[7].Path
 	s0 := alloc.ByConn[7].Slots[0]
-	for k, lid := range p.Links {
-		slot := (s0 + p.Shift[k]) % 8
+	for _, h := range p.Links {
+		lid, slot := h.Link, (s0+int(h.Shift))%8
 		if got := alloc.LinkOwner(lid, slot); got != 7 {
 			t.Errorf("link %d slot %d owner = %d", lid, slot, got)
 		}
@@ -235,7 +235,7 @@ func TestLinkOwnerAndUtilisation(t *testing.T) {
 			t.Errorf("utilisation = %v", got)
 		}
 	}
-	if got := alloc.LinkOwner(p.Links[0], (s0+1)%8); got == 7 && len(alloc.ByConn[7].Slots) == 2 &&
+	if got := alloc.LinkOwner(p.Links[0].Link, (s0+1)%8); got == 7 && len(alloc.ByConn[7].Slots) == 2 &&
 		alloc.ByConn[7].Slots[1] != (s0+1)%8 {
 		t.Error("unclaimed slot reported owned")
 	}
@@ -264,7 +264,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	// allocator's back.
 	asg := alloc.ByConn[1]
 	alloc.ByConn[2] = &Assignment{Conn: 2, Path: asg.Path, Slots: append([]int(nil), asg.Slots...),
-		PathOf: map[int]*route.Path{asg.Slots[0]: asg.Path}}
+		PathOf: []*route.Path{asg.Path}}
 	if err := alloc.Verify(); err == nil {
 		t.Error("Verify missed a double booking")
 	}
@@ -288,13 +288,13 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 	// A used counter out of step with the owner row.
 	miscounted := alloc.Clone()
-	miscounted.links[asg.Path.Links[0]].used++
+	miscounted.links[asg.Path.Links[0].Link].used++
 	if err := miscounted.Verify(); err == nil || !strings.Contains(err.Error(), "used counter") {
 		t.Errorf("Verify missed a wrong used counter: %v", err)
 	}
 	// A bitset bit out of step with the owner row.
 	flipped := alloc.Clone()
-	flipped.links[asg.Path.Links[0]].busy[0] ^= 1 << uint((asg.Slots[0]+1)%8)
+	flipped.links[asg.Path.Links[0].Link].busy[0] ^= 1 << uint((asg.Slots[0]+1)%8)
 	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "occupancy bit") {
 		t.Errorf("Verify missed a wrong occupancy bit: %v", err)
 	}

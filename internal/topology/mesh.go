@@ -25,7 +25,14 @@ func NewMesh(cols, rows, nisPerRouter int) *Mesh {
 	if nisPerRouter <= 0 {
 		panic("topology: mesh needs at least one NI per router")
 	}
-	m := &Mesh{Graph: New(), Cols: cols, Rows: rows, NIsPerRouter: nisPerRouter}
+	// Every router has nisPerRouter NIs; every adjacent router pair and
+	// every NI attachment is two unidirectional links.
+	routers := cols * rows
+	g := &Graph{
+		nodes: make([]Node, 0, routers*(1+nisPerRouter)),
+		links: make([]Link, 0, 2*((cols-1)*rows+cols*(rows-1)+routers*nisPerRouter)),
+	}
+	m := &Mesh{Graph: g, Cols: cols, Rows: rows, NIsPerRouter: nisPerRouter}
 	m.routers = make([][]NodeID, cols)
 	for x := 0; x < cols; x++ {
 		m.routers[x] = make([]NodeID, rows)
@@ -52,11 +59,12 @@ func NewMesh(cols, rows, nisPerRouter int) *Mesh {
 		}
 	}
 	// NIs.
-	m.nis = make([][]NodeID, cols*rows)
+	m.nis = make([][]NodeID, routers)
 	for x := 0; x < cols; x++ {
 		for y := 0; y < rows; y++ {
 			r := m.routers[x][y]
 			idx := x*rows + y
+			m.nis[idx] = make([]NodeID, 0, nisPerRouter)
 			for k := 0; k < nisPerRouter; k++ {
 				ni := m.AddNode(NI, fmt.Sprintf("NI%d.%d.%d", x, y, k), 1)
 				nn := m.node(ni)

@@ -5,8 +5,9 @@ import "fmt"
 // NodeID identifies a node within a Graph.
 type NodeID int
 
-// LinkID identifies a link within a Graph.
-type LinkID int
+// LinkID identifies a link within a Graph. It is 32 bits wide because
+// routes store one per hop, by the tens of thousands on a large mesh.
+type LinkID int32
 
 // Invalid marks an absent node or link reference.
 const Invalid = -1
@@ -93,12 +94,13 @@ func (g *Graph) AddNode(kind Kind, name string, ports int) NodeID {
 		panic(fmt.Sprintf("topology: node %q must have at least one port", name))
 	}
 	id := NodeID(len(g.nodes))
-	n := Node{ID: id, Kind: kind, Name: name, Ports: ports, X: -1, Y: -1, Router: Invalid,
-		out: make([]LinkID, ports), in: make([]LinkID, ports)}
-	for i := range n.out {
-		n.out[i] = Invalid
-		n.in[i] = Invalid
+	// One backing array holds both port tables.
+	tables := make([]LinkID, 2*ports)
+	for i := range tables {
+		tables[i] = Invalid
 	}
+	n := Node{ID: id, Kind: kind, Name: name, Ports: ports, X: -1, Y: -1, Router: Invalid,
+		out: tables[:ports:ports], in: tables[ports:]}
 	g.nodes = append(g.nodes, n)
 	return id
 }

@@ -182,3 +182,15 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind string")
 	}
 }
+
+// TestNewMeshSizesGraphOnce: the node and link counts NewMesh computes up
+// front are exact, so neither table is regrown or over-allocated.
+func TestNewMeshSizesGraphOnce(t *testing.T) {
+	for _, s := range []struct{ cols, rows, nis int }{{1, 1, 1}, {1, 5, 2}, {4, 3, 4}, {32, 32, 1}} {
+		m := NewMesh(s.cols, s.rows, s.nis)
+		if len(m.nodes) != cap(m.nodes) || len(m.links) != cap(m.links) {
+			t.Errorf("%dx%dx%d: %d nodes in room for %d, %d links in room for %d",
+				s.cols, s.rows, s.nis, len(m.nodes), cap(m.nodes), len(m.links), cap(m.links))
+		}
+	}
+}

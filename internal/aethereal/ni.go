@@ -157,7 +157,7 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Component.
+// Sample implements sim.Sampler.
 func (n *NI) Sample(now clock.Time) {
 	if n.in != nil {
 		n.sampledIn = n.in.Read()

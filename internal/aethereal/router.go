@@ -116,7 +116,7 @@ func (r *Router) Name() string { return r.name }
 // Clock implements sim.Component.
 func (r *Router) Clock() *clock.Clock { return r.clk }
 
-// Sample implements sim.Component.
+// Sample implements sim.Sampler.
 func (r *Router) Sample(now clock.Time) {
 	for i := 0; i < r.arity; i++ {
 		if r.in[i] != nil {

@@ -66,24 +66,37 @@ type connAudit struct {
 	reported map[fault.Kind]int
 }
 
-// flitWindow counts one connection's flit starts inside the current
-// table revolution (the network-side injection-regulation check).
-type flitWindow struct {
-	bucket int64
+// chanAudit is the per-channel state of the network-side
+// injection-regulation check, for data and reverse channels alike: the
+// slot quota and the flit starts counted inside the current table
+// revolution.
+type chanAudit struct {
+	quota  int
 	count  int
+	bucket int64 // revolution index + 1 of count; 0 before the first flit
 }
 
-// activity keys the slot-exclusivity check: one TDM resource is a
-// component (NI, link stage) or a router output port.
-type activity struct {
-	comp trace.CompID
-	port int64
+// compAudit is the per-component state of the slot checks. One TDM
+// resource is a component (NI, link stage) or a router output port.
+type compAudit struct {
+	// table is the allocation-side injection table of an NI, looked up by
+	// component name on the component's first SlotStart; nil = none.
+	table    []phit.ConnID
+	resolved bool
+	// last holds the latest use of each resource of the component, by
+	// output port (0 for NIs and link stages), grown as ports are seen.
+	last []lastUse
 }
 
 type lastUse struct {
 	time clock.Time
 	conn phit.ConnID
+	used bool
 }
+
+// maxPorts bounds the router output port an event may name: the header
+// layout gives a hop at most 8 bits.
+const maxPorts = 1 << 8
 
 // An Auditor checks every traced event against the analytical contracts
 // of a built network. It implements trace.Sink.
@@ -92,7 +105,14 @@ type Auditor struct {
 	bus  *trace.Bus
 	opts Options
 
-	conns map[phit.ConnID]*connAudit
+	// Connection and component ids are small dense integers, so the
+	// per-event state lives in slices indexed by them: conns and chans by
+	// ConnID, sized by snapshot to the ids the network has (an id outside
+	// them is an unknown connection); comps by CompID, grown on demand up
+	// to the ids the bus has interned.
+	conns []*connAudit // nil = no audited word contract (reverse channels)
+	chans []chanAudit
+	comps []compAudit
 	order []phit.ConnID
 
 	// Allocation-side injection tables keyed by NI component name,
@@ -100,15 +120,8 @@ type Auditor struct {
 	// Network.Alloc, not from the live NI tables, so corruption of the
 	// latter is caught.
 	allocTables map[string][]phit.ConnID
-	ownership   map[trace.CompID][]phit.ConnID
 
-	// Network-side injection regulation: per-connection slot quota
-	// (data and reverse channels alike) and per-revolution flit counts.
-	slotQuota    map[phit.ConnID]int
-	flitWin      map[phit.ConnID]*flitWindow
-	revolutionPs clock.Time
-
-	last           map[activity]lastUse
+	revolutionPs   clock.Time
 	checkExclusive bool
 	flitCyclePs    clock.Time
 
@@ -121,35 +134,62 @@ type Auditor struct {
 // should be a collector distinct from any fault-campaign collector, so
 // expected campaign violations are never mixed with guarantee breaches.
 func Attach(n *core.Network, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
+	// Plesiochronous clocks make sub-flit-cycle spacing between
+	// *different* resources' events legitimate; ownership checks still
+	// run in every mode.
+	a := newAuditor(bus, rep, opts, n.Cfg.FreqMHz, n.Cfg.Mode != core.Asynchronous)
+	a.snapshot(n)
+	bus.Attach(a)
+	return a
+}
+
+// newAuditor returns an auditor with no contracts yet.
+func newAuditor(bus *trace.Bus, rep fault.Reporter, opts Options, freqMHz float64, checkExclusive bool) *Auditor {
 	if opts.BucketWords <= 0 {
 		opts.BucketWords = 128
 	}
 	if opts.MaxReports <= 0 {
 		opts.MaxReports = 8
 	}
-	a := &Auditor{
-		rep:  rep,
-		bus:  bus,
-		opts: opts,
-
-		conns:       make(map[phit.ConnID]*connAudit),
-		allocTables: make(map[string][]phit.ConnID),
-		ownership:   make(map[trace.CompID][]phit.ConnID),
-		slotQuota:   make(map[phit.ConnID]int),
-		flitWin:     make(map[phit.ConnID]*flitWindow),
-		last:        make(map[activity]lastUse),
-		// Plesiochronous clocks make sub-flit-cycle spacing between
-		// *different* resources' events legitimate; ownership checks
-		// still run in every mode.
-		checkExclusive: n.Cfg.Mode != core.Asynchronous,
-		flitCyclePs:    clock.Time(phit.FlitWords) * clock.Time(clock.PeriodFromMHz(n.Cfg.FreqMHz)),
+	return &Auditor{
+		rep:            rep,
+		bus:            bus,
+		opts:           opts,
+		allocTables:    make(map[string][]phit.ConnID),
+		checkExclusive: checkExclusive,
+		flitCyclePs:    clock.Time(phit.FlitWords) * clock.Time(clock.PeriodFromMHz(freqMHz)),
 		byKind:         make(map[fault.Kind]int64),
 	}
+}
 
-	a.snapshot(n)
+// growConns makes the per-connection tables addressable up to id.
+func (a *Auditor) growConns(id phit.ConnID) {
+	if n := int(id) + 1 - len(a.conns); n > 0 {
+		a.conns = append(a.conns, make([]*connAudit, n)...)
+		a.chans = append(a.chans, make([]chanAudit, n)...)
+	}
+}
 
-	bus.Attach(a)
-	return a
+// conn returns the audited contract of an event's connection, nil when
+// the id is one the network does not have or a reverse channel.
+func (a *Auditor) conn(id phit.ConnID) *connAudit {
+	if uint(id) >= uint(len(a.conns)) {
+		return nil
+	}
+	return a.conns[id]
+}
+
+// comp returns the slot-check state of an event's component, nil when the
+// id is not one the bus has interned.
+func (a *Auditor) comp(id trace.CompID) *compAudit {
+	if uint(id) >= uint(len(a.comps)) {
+		n := a.bus.NumComponents()
+		if uint(id) >= uint(n) {
+			return nil
+		}
+		a.comps = append(a.comps, make([]compAudit, n-len(a.comps))...)
+	}
+	return &a.comps[id]
 }
 
 // snapshot (re)builds the auditor's view of the network's contracts:
@@ -164,8 +204,19 @@ func (a *Auditor) snapshot(n *core.Network) {
 	if n.Cfg.Mode == core.Asynchronous {
 		rateMargin += 2 * n.Cfg.PPM / 1e6
 	}
-	for _, id := range n.Connections() {
-		if a.conns[id] != nil {
+	// The ids the network has: its data connections and every channel,
+	// data or reverse, of its allocation.
+	ids := n.Connections()
+	var high phit.ConnID
+	if len(ids) > 0 {
+		high = ids[len(ids)-1]
+	}
+	for c := range n.Alloc.ByConn {
+		high = max(high, c)
+	}
+	a.growConns(high)
+	for _, id := range ids {
+		if id <= phit.None || a.conns[id] != nil {
 			continue
 		}
 		info, err := n.Info(id)
@@ -197,9 +248,13 @@ func (a *Auditor) snapshot(n *core.Network) {
 	}
 	// Slot quotas are rebuilt from scratch: closed connections lose
 	// theirs (a flit of a closed connection has no quota to hide under).
-	a.slotQuota = make(map[phit.ConnID]int, len(n.Alloc.ByConn))
+	for c := range a.chans {
+		a.chans[c].quota = 0
+	}
 	for c, as := range n.Alloc.ByConn {
-		a.slotQuota[c] = len(as.Slots)
+		if c > phit.None {
+			a.chans[c].quota = len(as.Slots)
+		}
 	}
 	a.revolutionPs = a.flitCyclePs * clock.Time(n.Alloc.TableSize)
 }
@@ -216,7 +271,9 @@ func (a *Auditor) Resync(n *core.Network) {
 	a.snapshot(n)
 	// The lazily resolved CompID -> table cache points at the old
 	// snapshots; drop it so the next event re-resolves.
-	a.ownership = make(map[trace.CompID][]phit.ConnID)
+	for c := range a.comps {
+		a.comps[c].table, a.comps[c].resolved = nil, false
+	}
 }
 
 // recoveryAllowancePs bounds the extra delivery delay the reliability
@@ -268,14 +325,14 @@ func (a *Auditor) Event(ev trace.Event) {
 	case trace.LinkForward:
 		a.onActivity(ev, 0)
 	case trace.Quarantine:
-		if ca := a.conns[ev.Conn]; ca != nil {
+		if ca := a.conn(ev.Conn); ca != nil {
 			ca.quarantined = true
 		}
 	}
 }
 
 func (a *Auditor) onInject(ev trace.Event) {
-	ca := a.conns[ev.Conn]
+	ca := a.conn(ev.Conn)
 	if ca == nil {
 		return
 	}
@@ -315,7 +372,7 @@ func (a *Auditor) onInject(ev trace.Event) {
 // Send, before its Eject — so it surfaces as injection-rate, while a
 // delay inside the fabric still surfaces as latency-bound.
 func (a *Auditor) onSend(ev trace.Event) {
-	ca := a.conns[ev.Conn]
+	ca := a.conn(ev.Conn)
 	if ca == nil || ca.unregulated || ca.quarantined {
 		return
 	}
@@ -335,7 +392,7 @@ func (a *Auditor) onSend(ev trace.Event) {
 }
 
 func (a *Auditor) onEject(ev trace.Event) {
-	ca := a.conns[ev.Conn]
+	ca := a.conn(ev.Conn)
 	if ca == nil {
 		return
 	}
@@ -371,17 +428,20 @@ func (a *Auditor) onSlotStart(ev trace.Event) {
 	if ev.Slot < 0 {
 		return
 	}
-	table, ok := a.ownership[ev.Comp]
-	if !ok {
-		table = a.allocTables[a.bus.ComponentName(ev.Comp)]
-		a.ownership[ev.Comp] = table
+	cp := a.comp(ev.Comp)
+	if cp == nil {
+		return
 	}
+	if !cp.resolved {
+		cp.table, cp.resolved = a.allocTables[a.bus.ComponentName(ev.Comp)], true
+	}
+	table := cp.table
 	if table == nil {
 		return
 	}
 	slot := int(ev.Slot) % len(table)
 	if owner := table[slot]; owner != ev.Conn {
-		a.report(a.conns[ev.Conn], fault.Violation{
+		a.report(a.conn(ev.Conn), fault.Violation{
 			Kind:      fault.SlotOwnership,
 			Component: a.bus.ComponentName(ev.Comp),
 			Time:      ev.Time,
@@ -394,21 +454,20 @@ func (a *Auditor) onSlotStart(ev trace.Event) {
 	// Network-side injection regulation: a connection owning q slots can
 	// start at most q flits per table revolution; one extra is tolerated
 	// for bucket-boundary alignment (and plesiochronous drift).
-	q := a.slotQuota[ev.Conn]
-	if q == 0 || a.revolutionPs == 0 {
+	if uint(ev.Conn) >= uint(len(a.chans)) || a.revolutionPs == 0 {
 		return
 	}
-	w := a.flitWin[ev.Conn]
-	if w == nil {
-		w = &flitWindow{bucket: -1}
-		a.flitWin[ev.Conn] = w
+	w := &a.chans[ev.Conn]
+	q := w.quota
+	if q == 0 {
+		return
 	}
-	if b := int64(ev.Time / a.revolutionPs); b != w.bucket {
+	if b := int64(ev.Time/a.revolutionPs) + 1; b != w.bucket {
 		w.bucket, w.count = b, 0
 	}
 	w.count++
 	if w.count > q+1 {
-		a.report(a.conns[ev.Conn], fault.Violation{
+		a.report(a.conn(ev.Conn), fault.Violation{
 			Kind:      fault.InjectionRate,
 			Component: a.bus.ComponentName(ev.Comp),
 			Time:      ev.Time,
@@ -433,14 +492,20 @@ func (a *Auditor) onActivity(ev trace.Event, port int64) {
 	if !a.checkExclusive {
 		return
 	}
-	key := activity{comp: ev.Comp, port: port}
-	prev, ok := a.last[key]
-	a.last[key] = lastUse{time: ev.Time, conn: ev.Conn}
-	if !ok || prev.conn == ev.Conn {
+	cp := a.comp(ev.Comp)
+	if cp == nil || uint64(port) >= maxPorts {
+		return // no such resource
+	}
+	if int(port) >= len(cp.last) {
+		cp.last = append(cp.last, make([]lastUse, int(port)+1-len(cp.last))...)
+	}
+	prev := cp.last[port]
+	cp.last[port] = lastUse{time: ev.Time, conn: ev.Conn, used: true}
+	if !prev.used || prev.conn == ev.Conn {
 		return
 	}
 	if ev.Time-prev.time < a.flitCyclePs-1 {
-		a.report(a.conns[ev.Conn], fault.Violation{
+		a.report(a.conn(ev.Conn), fault.Violation{
 			Kind:      fault.SlotContention,
 			Component: a.bus.ComponentName(ev.Comp),
 			Time:      ev.Time,

@@ -74,35 +74,19 @@ type ContractSet struct {
 // violation means the same thing regardless of which backend produced
 // the trace.
 func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
-	if opts.BucketWords <= 0 {
-		opts.BucketWords = 128
-	}
-	if opts.MaxReports <= 0 {
-		opts.MaxReports = 8
-	}
-	a := &Auditor{
-		rep:  rep,
-		bus:  bus,
-		opts: opts,
-
-		conns:       make(map[phit.ConnID]*connAudit),
-		allocTables: make(map[string][]phit.ConnID),
-		ownership:   make(map[trace.CompID][]phit.ConnID),
-		slotQuota:   make(map[phit.ConnID]int),
-		flitWin:     make(map[phit.ConnID]*flitWindow),
-		last:        make(map[activity]lastUse),
-
-		checkExclusive: set.CheckExclusive,
-		flitCyclePs:    clock.Time(phit.FlitWords) * clock.Time(clock.PeriodFromMHz(set.FreqMHz)),
-		byKind:         make(map[fault.Kind]int64),
-	}
+	a := newAuditor(bus, rep, opts, set.FreqMHz, set.CheckExclusive)
 	rateMargin := set.RateMargin
 	if rateMargin == 0 {
 		rateMargin = 1.0 + 1e-6
 	}
+	var high phit.ConnID
 	for _, c := range set.Contracts {
-		if a.conns[c.Conn] != nil {
-			continue
+		high = max(high, c.Conn)
+	}
+	a.growConns(high)
+	for _, c := range set.Contracts {
+		if c.Conn <= phit.None || a.conns[c.Conn] != nil {
+			continue // not an id an event can carry a contract under, or a duplicate
 		}
 		ca := &connAudit{
 			id:            c.Conn,
@@ -120,7 +104,7 @@ func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts O
 		a.conns[c.Conn] = ca
 		a.order = append(a.order, c.Conn)
 		if c.SlotQuota > 0 {
-			a.slotQuota[c.Conn] = c.SlotQuota
+			a.chans[c.Conn].quota = c.SlotQuota
 		}
 	}
 	for name, table := range set.AllocTables {

@@ -30,6 +30,15 @@
 //     corruption), and no two connections may use the same NI, router
 //     output port, or link stage within one flit cycle.
 //
+// Connection and component ids are resolved by index, not by hash: the
+// per-connection contracts and slot quotas are slices indexed by ConnID,
+// sized when the contracts are snapshotted (Attach, Resync) to the ids the
+// network has, and the per-component ownership tables and last uses are a
+// slice indexed by trace.CompID, grown to the ids the bus has interned. An
+// event naming any other id — the bus can carry anything — is an unknown
+// connection, a component without a table, a resource that does not
+// exist; it is never an index.
+//
 // Violations flow through the fault.Reporter machinery: a nil reporter
 // fails fast on the first violation (strict mode), a fault.Collector
 // records them all with one-line diagnostics.

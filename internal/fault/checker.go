@@ -41,7 +41,7 @@ func (s *SlotChecker) Name() string { return s.name }
 // Clock implements sim.Component.
 func (s *SlotChecker) Clock() *clock.Clock { return s.clk }
 
-// Sample implements sim.Component.
+// Sample implements sim.Sampler.
 func (s *SlotChecker) Sample(now clock.Time) { s.sampled = s.wire.Read() }
 
 // Update implements sim.Component.
@@ -137,9 +137,6 @@ func (l *LivenessChecker) Name() string { return l.name }
 
 // Clock implements sim.Component.
 func (l *LivenessChecker) Clock() *clock.Clock { return l.clk }
-
-// Sample implements sim.Component.
-func (l *LivenessChecker) Sample(now clock.Time) {}
 
 // Update implements sim.Component.
 func (l *LivenessChecker) Update(now clock.Time) {

@@ -191,9 +191,8 @@ type readerFSM struct {
 	rmValid        bool
 }
 
-func (f *readerFSM) Name() string          { return f.stage.name + ".fsm" }
-func (f *readerFSM) Clock() *clock.Clock   { return f.clk }
-func (f *readerFSM) Sample(now clock.Time) {}
+func (f *readerFSM) Name() string        { return f.stage.name + ".fsm" }
+func (f *readerFSM) Clock() *clock.Clock { return f.clk }
 
 func (f *readerFSM) Update(now clock.Time) {
 	n, ok := f.clk.EdgeIndex(now)

@@ -28,6 +28,17 @@
 // only injection needs slot knowledge — routers and receive paths are
 // TDM-oblivious.
 //
+// Where ids are resolved: a connection id is looked up only where one
+// arrives from outside — Offer and the accessors — by binary search over
+// the NI's own few connections, kept in id order. Everything the per-flit
+// and per-word paths follow is a pointer resolved earlier: the paired
+// in-connection and the credited out-connection when the second of the two
+// is added, the receive queue by the header's queue id in a slice, and the
+// slot's owner and per-slot header in a per-slot cache that is trusted
+// only while its owner still matches the live injection table (which
+// reconfiguration, and tests, rewrite in place). No table is indexed by
+// network-wide connection id.
+//
 // Reliable mode (SetReliable) wraps the port in the end-to-end
 // reliability shell of package reliable: outgoing flits carry a
 // sequence/CRC sideband and enter a go-back-N retransmission window,

@@ -2,6 +2,7 @@ package ni
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/fault"
@@ -63,6 +64,9 @@ type outConn struct {
 	sent    int64                  // payload words sent
 	blocked int64                  // flit opportunities lost to credit exhaustion
 	maxOcc  int                    // traced high-water mark of the queue depth
+	// pairedIn is cfg.PairedIn resolved, linked when the second of the two
+	// is added; nil while that in-connection is not registered.
+	pairedIn *inConn
 
 	// Hyperperiod-boundary snapshots and per-epoch deltas (see replay.go).
 	mSent, mBlocked int64
@@ -71,7 +75,9 @@ type outConn struct {
 }
 
 type inConn struct {
-	cfg       InConnConfig
+	cfg InConnConfig
+	// creditFor is cfg.CreditFor resolved, like outConn.pairedIn.
+	creditFor *outConn
 	recvQ     []phit.Meta
 	owed      int // credits owed to the sender (freed queue space)
 	delivered int64
@@ -110,9 +116,27 @@ type NI struct {
 	in  *sim.Wire[phit.Phit] // from router
 	out *sim.Wire[phit.Phit] // to router
 
-	outByID map[phit.ConnID]*outConn
-	inByID  map[phit.ConnID]*inConn
-	inByQID map[int]*inConn
+	// The NI's connections, each list in id order with its ids mirrored in
+	// a flat slice: a lookup by id (Offer, the accessors) is a binary
+	// search over a handful of int32s, never a hash, and never a table
+	// indexed by network-wide id. Everything the per-flit path needs beyond
+	// that is resolved to pointers when a connection is added (pairedIn,
+	// creditFor, byQID) or when a table slot is first used or changes owner
+	// (slotOf).
+	outs   []*outConn
+	outIDs []phit.ConnID
+	ins    []*inConn
+	inIDs  []phit.ConnID
+	byQID  []*inConn   // by receive queue id, grown to the highest registered
+	slotOf []slotEntry // by table slot, see slotEntry
+
+	// The word and slot indices of the last Update, and the edge and clock
+	// they were derived for: while the clock ticks undisturbed they advance
+	// by one, and only a first edge, a time jump or a moved clock divides.
+	word, slot int
+	nextEdge   clock.Time
+	edgePeriod clock.Duration
+	edgePhase  clock.Duration
 
 	// Sender state.
 	flitIndex int64 // count of flit cycles begun
@@ -125,8 +149,8 @@ type NI struct {
 	sampled    phit.Phit
 	paddingSum int64
 
-	// phase tracks the word index within the current flit cycle in
-	// component mode; in wrapper (flit-granular) mode it is unused.
+	// wrapped is set once StepFlit has driven the NI at flit granularity
+	// (wrapper mode); the engine's Update then refuses to run.
 	wrapped bool
 
 	// dropPacket discards the remainder of an incoming packet whose
@@ -149,15 +173,21 @@ type NI struct {
 	// pointer test per phit.
 	rel *reliable.Endpoint
 
-	// Hyperperiod replay bookkeeping (see replay.go). sortedOut/sortedIn
-	// cache the connections in id order for deterministic fingerprints.
+	// Hyperperiod replay bookkeeping (see replay.go).
 	rmValid            bool
 	rmNow              clock.Time
 	mFlit, dFlit       int64
 	mPadding, dPadding int64
-	sortedOut          []*outConn
-	sortedIn           []*inConn
-	sortedOK           bool
+}
+
+// A slotEntry caches what buildFlit needs of one injection-table slot: the
+// owner's connection state and the header of the path that slot was
+// reserved on. The table is a live object anyone may rewrite, so an entry
+// is trusted only while its owner still matches the table's.
+type slotEntry struct {
+	owner phit.ConnID
+	oc    *outConn // nil: unowned, or not resolved yet
+	hdr   phit.Word
 }
 
 // New builds an NI clocked by clk with the given header layout and slot
@@ -168,17 +198,8 @@ func New(name string, clk *clock.Clock, layout phit.HeaderLayout, table *slots.T
 	if err := layout.Validate(); err != nil {
 		panic(fmt.Sprintf("ni %s: %v", name, err))
 	}
-	return &NI{
-		name:    name,
-		clk:     clk,
-		layout:  layout,
-		table:   table,
-		in:      in,
-		out:     out,
-		outByID: make(map[phit.ConnID]*outConn),
-		inByID:  make(map[phit.ConnID]*inConn),
-		inByQID: make(map[int]*inConn),
-	}
+	return &NI{name: name, clk: clk, layout: layout, table: table, in: in, out: out,
+		slotOf: make([]slotEntry, table.Size())}
 }
 
 // AddOutConn registers a connection sourced at this NI.
@@ -186,7 +207,8 @@ func (n *NI) AddOutConn(cfg OutConnConfig) {
 	if cfg.ID == phit.None {
 		panic(fmt.Sprintf("ni %s: out connection with reserved id 0", n.name))
 	}
-	if _, dup := n.outByID[cfg.ID]; dup {
+	at, dup := slices.BinarySearch(n.outIDs, cfg.ID)
+	if dup {
 		panic(fmt.Sprintf("ni %s: duplicate out connection %d", n.name, cfg.ID))
 	}
 	if cfg.InitialCredits < 0 {
@@ -196,12 +218,21 @@ func (n *NI) AddOutConn(cfg OutConnConfig) {
 	if cap == 0 {
 		cap = DefaultSendCapacity
 	}
-	n.outByID[cfg.ID] = &outConn{
+	oc := &outConn{
 		cfg:     cfg,
 		credits: cfg.InitialCredits,
 		queue:   sim.NewBisync[phit.Meta](fmt.Sprintf("%s.c%d.send", n.name, cfg.ID), cap, n.clk.Period),
 	}
-	n.sortedOK = false
+	if i, ok := slices.BinarySearch(n.inIDs, cfg.PairedIn); ok {
+		oc.pairedIn = n.ins[i]
+	}
+	for _, ic := range n.ins {
+		if ic.cfg.CreditFor == cfg.ID {
+			ic.creditFor = oc
+		}
+	}
+	n.outIDs = slices.Insert(n.outIDs, at, cfg.ID)
+	n.outs = slices.Insert(n.outs, at, oc)
 }
 
 // AddInConn registers a connection terminating at this NI.
@@ -209,19 +240,39 @@ func (n *NI) AddInConn(cfg InConnConfig) {
 	if cfg.ID == phit.None {
 		panic(fmt.Sprintf("ni %s: in connection with reserved id 0", n.name))
 	}
-	if _, dup := n.inByID[cfg.ID]; dup {
+	at, dup := slices.BinarySearch(n.inIDs, cfg.ID)
+	if dup {
 		panic(fmt.Sprintf("ni %s: duplicate in connection %d", n.name, cfg.ID))
 	}
-	if _, dup := n.inByQID[cfg.QID]; dup {
+	if n.inByQID(cfg.QID) != nil {
 		panic(fmt.Sprintf("ni %s: duplicate queue id %d", n.name, cfg.QID))
 	}
 	if cfg.QID < 0 || cfg.QID > n.layout.MaxQID() {
 		panic(fmt.Sprintf("ni %s: queue id %d outside layout range 0..%d", n.name, cfg.QID, n.layout.MaxQID()))
 	}
 	ic := &inConn{cfg: cfg}
-	n.inByID[cfg.ID] = ic
-	n.inByQID[cfg.QID] = ic
-	n.sortedOK = false
+	if i, ok := slices.BinarySearch(n.outIDs, cfg.CreditFor); ok {
+		ic.creditFor = n.outs[i]
+	}
+	for _, oc := range n.outs {
+		if oc.cfg.PairedIn == cfg.ID {
+			oc.pairedIn = ic
+		}
+	}
+	n.inIDs = slices.Insert(n.inIDs, at, cfg.ID)
+	n.ins = slices.Insert(n.ins, at, ic)
+	if cfg.QID >= len(n.byQID) {
+		n.byQID = append(n.byQID, make([]*inConn, cfg.QID+1-len(n.byQID))...)
+	}
+	n.byQID[cfg.QID] = ic
+}
+
+// inByQID returns the in-connection of a receive queue, nil if none.
+func (n *NI) inByQID(qid int) *inConn {
+	if uint(qid) >= uint(len(n.byQID)) {
+		return nil
+	}
+	return n.byQID[qid]
 }
 
 // Offer enqueues one word of payload for the connection from the IP side,
@@ -267,19 +318,19 @@ func (n *NI) Consume(conn phit.ConnID, max int) []phit.Meta {
 }
 
 func (n *NI) mustOut(conn phit.ConnID) *outConn {
-	oc := n.outByID[conn]
-	if oc == nil {
+	i, ok := slices.BinarySearch(n.outIDs, conn)
+	if !ok {
 		panic(fmt.Sprintf("ni %s: unknown out connection %d", n.name, conn))
 	}
-	return oc
+	return n.outs[i]
 }
 
 func (n *NI) mustIn(conn phit.ConnID) *inConn {
-	ic := n.inByID[conn]
-	if ic == nil {
+	i, ok := slices.BinarySearch(n.inIDs, conn)
+	if !ok {
 		panic(fmt.Sprintf("ni %s: unknown in connection %d", n.name, conn))
 	}
-	return ic
+	return n.ins[i]
 }
 
 // SetReporter routes the NI's envelope checks to r; nil restores the
@@ -344,7 +395,7 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Component.
+// Sample implements sim.Sampler.
 func (n *NI) Sample(now clock.Time) {
 	if n.in != nil {
 		n.sampled = n.in.Read()
@@ -358,15 +409,28 @@ func (n *NI) Update(now clock.Time) {
 	if n.wrapped {
 		panic(fmt.Sprintf("ni %s: engine Update on a wrapper-mode NI", n.name))
 	}
-	edge, ok := n.clk.EdgeIndex(now)
-	if !ok {
-		panic(fmt.Sprintf("ni %s: update off-edge at %d ps", n.name, now))
+	if now == n.nextEdge && n.clk.Period == n.edgePeriod && n.clk.Phase == n.edgePhase {
+		// The edge after the last one, on an unmoved clock.
+		if n.word++; n.word == phit.FlitWords {
+			n.word = 0
+			if n.slot++; n.slot >= n.table.Size() {
+				n.slot = 0
+			}
+		}
+	} else {
+		edge, ok := n.clk.EdgeIndex(now)
+		if !ok {
+			panic(fmt.Sprintf("ni %s: update off-edge at %d ps", n.name, now))
+		}
+		n.word = int(edge % phit.FlitWords)
+		n.slot = int((edge / phit.FlitWords) % int64(n.table.Size()))
+		n.edgePeriod, n.edgePhase = n.clk.Period, n.clk.Phase
 	}
-	n.receive(now, n.sampled)
-	w := int(edge % phit.FlitWords)
+	n.nextEdge = now + n.clk.Period
+	n.receive(now, &n.sampled)
+	w := n.word
 	if w == 0 {
-		slot := int((edge / phit.FlitWords) % int64(n.table.Size()))
-		n.buildFlit(now, slot)
+		n.buildFlit(now, n.slot)
 		n.flitIndex++
 	}
 	if n.out != nil {
@@ -389,7 +453,7 @@ func (n *NI) Update(now clock.Time) {
 func (n *NI) StepFlit(now clock.Time, in, out *phit.Flit) {
 	n.wrapped = true
 	for i := range in {
-		n.receive(now, in[i])
+		n.receive(now, &in[i])
 	}
 	slot := int(n.flitIndex % int64(n.table.Size()))
 	n.buildFlit(now, slot)
@@ -402,12 +466,14 @@ func (n *NI) StepFlit(now clock.Time, in, out *phit.Flit) {
 // reassembles, CRC-verifies and sequence-filters whole flits, and only the
 // phits of clean in-order flits reach the protocol engine — exactly the
 // stream the baseline would have seen on a fault-free network.
-func (n *NI) receive(now clock.Time, p phit.Phit) {
+func (n *NI) receive(now clock.Time, p *phit.Phit) {
 	if n.rel == nil {
-		n.receivePhit(now, p)
+		if p.Valid { // an idle cycle costs its valid bit
+			n.receivePhit(now, *p)
+		}
 		return
 	}
-	f, ok := n.rel.Accept(now, p)
+	f, ok := n.rel.Accept(now, *p)
 	if !ok {
 		return
 	}
@@ -432,7 +498,7 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 			return
 		}
 		qid := n.layout.QID(p.Data)
-		ic := n.inByQID[qid]
+		ic := n.inByQID(qid)
 		if ic == nil {
 			fault.Report(n.rep, fault.Violation{
 				Kind: fault.UnknownQueue, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,
@@ -460,7 +526,10 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 						cr, ic.cfg.ID),
 				})
 			} else {
-				oc := n.mustOut(target)
+				oc := ic.creditFor
+				if oc == nil {
+					oc = n.mustOut(target) // not registered: panics
+				}
 				// Credits travel in flit units (one credit = FlitWords
 				// words of freed buffer), tripling the return bandwidth
 				// of the narrow header field.
@@ -531,24 +600,35 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 	}
 }
 
-// headerFor returns the connection's header word for packets opened in
-// the given slot.
-func (n *NI) headerFor(oc *outConn, slot int) phit.Word {
-	if oc.cfg.Headers != nil {
-		if h, ok := oc.cfg.Headers[slot%n.table.Size()]; ok {
-			return h
+// slotEntry returns the cache entry of a table slot (in 0..Size-1),
+// resolved for the slot's current owner: its connection state and the
+// header for packets opened in that slot. An owner that is not a
+// registered out-connection panics, on every use.
+func (n *NI) slotEntry(slot int) *slotEntry {
+	e := &n.slotOf[slot]
+	owner := n.table.Slots[slot]
+	if e.owner != owner || (e.oc == nil && owner != phit.None) {
+		e.owner, e.oc = owner, nil
+		if owner != phit.None {
+			oc := n.mustOut(owner)
+			e.hdr = oc.cfg.Header
+			if h, ok := oc.cfg.Headers[slot]; ok {
+				e.hdr = h
+			}
+			e.oc = oc
 		}
 	}
-	return oc.cfg.Header
+	return e
 }
 
-// buildFlit decides the content of the flit injected in this slot and
-// stores it in flitBuf.
+// buildFlit decides the content of the flit injected in this slot (in
+// 0..Size-1) and stores it in flitBuf.
 func (n *NI) buildFlit(now clock.Time, slot int) {
 	for i := range n.flitBuf {
 		n.flitBuf[i] = phit.IdlePhit
 	}
-	owner := n.table.Owner(slot)
+	entry := n.slotEntry(slot)
+	owner := entry.owner
 	if owner == phit.None {
 		if n.openConn != phit.None {
 			fault.Report(n.rep, fault.Violation{
@@ -560,9 +640,9 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 		}
 		return
 	}
-	oc := n.mustOut(owner)
+	oc := entry.oc
 	if n.rel != nil {
-		n.buildFlitReliable(now, slot, owner, oc)
+		n.buildFlitReliable(now, slot, owner, oc, entry.hdr)
 		return
 	}
 	continuing := n.openConn == owner
@@ -597,7 +677,9 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 	owed := 0
 	var pairedIn *inConn
 	if oc.cfg.PairedIn != phit.None {
-		pairedIn = n.mustIn(oc.cfg.PairedIn)
+		if pairedIn = oc.pairedIn; pairedIn == nil {
+			pairedIn = n.mustIn(oc.cfg.PairedIn) // not registered: panics
+		}
 		owed = pairedIn.owed / phit.FlitWords
 		if owed > n.layout.MaxCredits() {
 			owed = n.layout.MaxCredits()
@@ -609,7 +691,7 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 		if avail == 0 && owed == 0 {
 			return // nothing to send: idle slot
 		}
-		hdr, err := n.layout.WithCredits(n.headerFor(oc, slot), owed)
+		hdr, err := n.layout.WithCredits(entry.hdr, owed)
 		if err != nil {
 			panic(fmt.Sprintf("ni %s: %v", n.name, err))
 		}
@@ -655,9 +737,12 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 	// *on the same path* (a continuation flit follows the route held by
 	// the routers' HPUs, so it must occupy the slots reserved for that
 	// route) and can certainly send at least one payload word in it.
-	next := n.table.Owner(slot + 1)
-	keepOpen := next == owner && oc.credits > 0 && oc.queue.ValidAt(now, 0) &&
-		n.headerFor(oc, slot) == n.headerFor(oc, slot+1)
+	nextSlot := slot + 1
+	if nextSlot == len(n.table.Slots) {
+		nextSlot = 0
+	}
+	keepOpen := n.table.Slots[nextSlot] == owner && oc.credits > 0 && oc.queue.ValidAt(now, 0) &&
+		entry.hdr == n.slotEntry(nextSlot).hdr
 	if keepOpen {
 		n.openConn = owner
 	} else {
@@ -674,11 +759,10 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 // the sideband replace the lossy incremental credit returns); and due
 // retransmissions pre-empt fresh payload in the connection's own reserved
 // slots, so recovery consumes no other connection's bandwidth.
-func (n *NI) buildFlitReliable(now clock.Time, slot int, owner phit.ConnID, oc *outConn) {
+func (n *NI) buildFlitReliable(now clock.Time, slot int, owner phit.ConnID, oc *outConn, hdr phit.Word) {
 	if n.rel.Quarantined(owner) {
 		return // quarantined: the reserved slots fall idle
 	}
-	hdr := n.headerFor(oc, slot)
 	if f, words, ok := n.rel.Resend(now, owner, hdr); ok {
 		copy(n.flitBuf[:], f[:])
 		if n.tr != nil {

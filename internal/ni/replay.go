@@ -5,31 +5,10 @@ package ni
 // whole epochs, and fall back to cycle-accurate execution losslessly.
 
 import (
-	"sort"
-
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/replay"
 )
-
-// ensureSorted refreshes the id-ordered connection caches used for
-// deterministic fingerprints and shifts.
-func (n *NI) ensureSorted() {
-	if n.sortedOK {
-		return
-	}
-	n.sortedOut = n.sortedOut[:0]
-	for _, oc := range n.outByID {
-		n.sortedOut = append(n.sortedOut, oc)
-	}
-	sort.Slice(n.sortedOut, func(i, j int) bool { return n.sortedOut[i].cfg.ID < n.sortedOut[j].cfg.ID })
-	n.sortedIn = n.sortedIn[:0]
-	for _, ic := range n.inByID {
-		n.sortedIn = append(n.sortedIn, ic)
-	}
-	sort.Slice(n.sortedIn, func(i, j int) bool { return n.sortedIn[i].cfg.ID < n.sortedIn[j].cfg.ID })
-	n.sortedOK = true
-}
 
 // ReplayOK implements replay.Periodic: false while a mode that makes the
 // NI's behaviour or observation data-dependent is active.
@@ -37,7 +16,7 @@ func (n *NI) ReplayOK() bool {
 	if n.wrapped || n.rel != nil {
 		return false
 	}
-	for _, ic := range n.inByID {
+	for _, ic := range n.ins {
 		if ic.record {
 			return false
 		}
@@ -54,10 +33,9 @@ func (n *NI) ReplayPeriod() clock.Duration {
 
 // ReplayMark implements replay.Periodic.
 func (n *NI) ReplayMark(now clock.Time) bool {
-	n.ensureSorted()
 	first := !n.rmValid
 	clean := !first
-	for _, oc := range n.sortedOut {
+	for _, oc := range n.outs {
 		oc.dSent = oc.sent - oc.mSent
 		oc.dBlocked = oc.blocked - oc.mBlocked
 		if oc.maxOcc != oc.mMaxOcc {
@@ -68,7 +46,7 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 		}
 		oc.mSent, oc.mBlocked, oc.mMaxOcc = oc.sent, oc.blocked, oc.maxOcc
 	}
-	for _, ic := range n.sortedIn {
+	for _, ic := range n.ins {
 		ic.dDelivered = ic.delivered - ic.mDelivered
 		dLast := ic.lastAt - ic.mLastAt
 		ic.lastMoved = dLast != 0
@@ -97,7 +75,6 @@ func (n *NI) markNow() clock.Time { return n.rmNow }
 // the slot table contents are included so an unsynchronised table
 // reprogram can never match a stale fingerprint.
 func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
-	n.ensureSorted()
 	buf = replay.AppendI64(buf, int64(n.openConn))
 	var flags int64
 	if n.inPacket {
@@ -118,7 +95,7 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	for _, owner := range n.table.Slots {
 		buf = replay.AppendI64(buf, int64(owner))
 	}
-	for _, oc := range n.sortedOut {
+	for _, oc := range n.outs {
 		buf = replay.AppendI64(buf, int64(oc.cfg.ID))
 		buf = replay.AppendI64(buf, int64(oc.credits))
 		buf = replay.AppendI64(buf, int64(oc.queue.Len()))
@@ -128,7 +105,7 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 			buf = replay.AppendTime(buf, visible, ctx)
 		})
 	}
-	for _, ic := range n.sortedIn {
+	for _, ic := range n.ins {
 		buf = replay.AppendI64(buf, int64(ic.cfg.ID))
 		buf = replay.AppendI64(buf, int64(ic.owed))
 		buf = replay.AppendI64(buf, int64(len(ic.recvQ)))
@@ -141,20 +118,19 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 
 // ReplayShift implements replay.Periodic.
 func (n *NI) ReplayShift(s *replay.Shift) {
-	n.ensureSorted()
 	n.flitIndex += s.Epochs * n.dFlit
 	n.paddingSum += s.Epochs * n.dPadding
 	for i := range n.flitBuf {
 		n.flitBuf[i] = replay.ShiftPhit(n.flitBuf[i], s)
 	}
-	for _, oc := range n.sortedOut {
+	for _, oc := range n.outs {
 		oc.sent += s.Epochs * oc.dSent
 		oc.blocked += s.Epochs * oc.dBlocked
 		oc.queue.Adjust(func(m phit.Meta, pushed, visible clock.Time) (phit.Meta, clock.Time, clock.Time) {
 			return replay.ShiftMeta(m, s), pushed + clock.Time(s.DT), visible + clock.Time(s.DT)
 		})
 	}
-	for _, ic := range n.sortedIn {
+	for _, ic := range n.ins {
 		ic.delivered += s.Epochs * ic.dDelivered
 		if ic.lastMoved {
 			ic.lastAt = replay.ShiftTime(ic.lastAt, s.DT)

@@ -78,7 +78,7 @@ func (n *NI) Arrivals(conn phit.ConnID) []clock.Time {
 // ResetStats clears measurement state (typically after warm-up) without
 // touching protocol state.
 func (n *NI) ResetStats() {
-	for _, ic := range n.inByID {
+	for _, ic := range n.ins {
 		ic.delivered = 0
 		ic.latency = stats.Histogram{}
 		ic.firstAt = 0
@@ -86,7 +86,7 @@ func (n *NI) ResetStats() {
 		ic.arrivals = nil
 		ic.epoch, ic.filling = ic.epoch[:0], ic.filling[:0]
 	}
-	for _, oc := range n.outByID {
+	for _, oc := range n.outs {
 		oc.sent = 0
 		oc.blocked = 0
 	}
@@ -97,7 +97,7 @@ func (n *NI) ResetStats() {
 }
 
 func (n *NI) String() string {
-	return fmt.Sprintf("ni(%s, %d out, %d in)", n.name, len(n.outByID), len(n.inByID))
+	return fmt.Sprintf("ni(%s, %d out, %d in)", n.name, len(n.outs), len(n.ins))
 }
 
 // CorruptSlotForTest deliberately moves one of the connection's table

@@ -1,0 +1,227 @@
+package router
+
+import (
+	"bytes"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/fault"
+	"repro/internal/phit"
+	"repro/internal/replay"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// streamSource drives one pre-drawn phit per wire per cycle.
+type streamSource struct {
+	clk     *clock.Clock
+	wires   []*sim.Wire[phit.Phit]
+	streams [][]phit.Phit // streams[wire][cycle]
+	cycle   int
+}
+
+func (s *streamSource) Name() string        { return "src" }
+func (s *streamSource) Clock() *clock.Clock { return s.clk }
+func (s *streamSource) Update(now clock.Time) {
+	for i, w := range s.wires {
+		w.Drive(s.streams[i][s.cycle])
+	}
+	s.cycle++
+}
+
+// randomStream draws a phit stream that is mostly well-formed packets (a
+// header naming any port of a 3-bit hop field, payload, an EoP) with enough
+// idles, stray payloads and truncated packets that every envelope check of
+// the router trips now and then.
+func randomStream(t *testing.T, rng *rand.Rand, conn phit.ConnID, cycles int) []phit.Phit {
+	out := make([]phit.Phit, 0, cycles+8)
+	var seq int64
+	for len(out) < cycles {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			out = append(out, phit.IdlePhit)
+		case r == 4:
+			out = append(out, phit.Phit{Valid: true, Kind: phit.Payload, EoP: rng.Intn(2) == 0, Meta: phit.Meta{Conn: conn, Seq: seq}})
+			seq++
+		default:
+			h := header(t, []int{rng.Intn(8), rng.Intn(8)}, rng.Intn(4))
+			h.Meta.Conn = conn
+			words := rng.Intn(6)
+			if words == 0 {
+				h.Kind, h.EoP = phit.CreditOnly, true
+			}
+			out = append(out, h)
+			for w := 0; w < words; w++ {
+				p := phit.Phit{Valid: true, Kind: phit.Payload, Data: phit.Word(seq), Meta: phit.Meta{Conn: conn, Seq: seq, Injected: clock.Time(len(out))}}
+				p.EoP = w == words-1 && rng.Intn(8) != 0 // now and then a packet is never closed
+				seq++
+				out = append(out, p)
+				if rng.Intn(6) == 0 {
+					out = append(out, phit.IdlePhit) // idle padding inside a packet
+				}
+			}
+		}
+	}
+	return out[:cycles]
+}
+
+// TestComponentMatchesCoreStep runs a Component on wires under the engine
+// beside a Core stepped by hand with the phits those wires carried, over
+// random streams on every connected input. Input 4 is unconnected (it must
+// read idle) and so is output 4 (a valid phit for it is a RouteError and is
+// dropped). Every cycle the driven outputs, the architectural state, the
+// forwarded count and the reported violations must agree.
+func TestComponentMatchesCoreStep(t *testing.T) {
+	const arity, wired, cycles = 5, 4, 20000
+	clk := clock.NewMHz("clk", 500, 0)
+	eng := sim.New()
+	compCol, refCol := fault.NewCollector(), fault.NewCollector()
+	compCol.SetKeep(1 << 20)
+	refCol.SetKeep(1 << 20)
+	compBus, refBus := trace.NewBus(), trace.NewBus()
+	compEvents, refEvents := &eventLog{}, &eventLog{}
+	compBus.Attach(compEvents)
+	refBus.Attach(refEvents)
+
+	r := NewComponent("r", arity, layout, clk)
+	r.SetReporter(compCol)
+	r.SetTracer(compBus.Emitter("r"))
+	ref := NewCore("r", arity, layout)
+	ref.SetReporter(refCol)
+	ref.SetTracer(refBus.Emitter("r"))
+
+	rng := rand.New(rand.NewSource(4))
+	src := &streamSource{clk: clk}
+	var outs []*sim.Wire[phit.Phit]
+	for i := 0; i < wired; i++ {
+		in, out := sim.NewWire[phit.Phit]("in"), sim.NewWire[phit.Phit]("out")
+		eng.AddWireClocked(in, clk)
+		eng.AddWireClocked(out, clk)
+		r.ConnectIn(i, in)
+		r.ConnectOut(i, out)
+		src.wires = append(src.wires, in)
+		src.streams = append(src.streams, randomStream(t, rng, phit.ConnID(i+1), cycles))
+		outs = append(outs, out)
+	}
+	eng.Add(src)
+	eng.Add(r)
+
+	in := make([]phit.Phit, arity) // what the wires carry into this cycle
+	var want []phit.Phit
+	var compFP, refFP []byte
+	offMesh := 0
+	for c := 0; c < cycles; c++ {
+		now := clk.EdgeAt(int64(c) + 1) // the engine starts past time 0
+		eng.Run(now)
+		ref.SetNow(now)
+		want = ref.Step(in, want)
+		for i, w := range outs {
+			if got := w.Read(); got != want[i] {
+				t.Fatalf("cycle %d output %d: %v, core drives %v", c, i, got, want[i])
+			}
+		}
+		if want[wired].Valid {
+			offMesh++
+		}
+		ctx := &replay.Ctx{Now: now, SeqBase: func(phit.ConnID) int64 { return 0 }}
+		compFP = r.ReplayFingerprint(ctx, compFP[:0])
+		refFP = (&Component{core: ref}).ReplayFingerprint(ctx, refFP[:0])
+		if !bytes.Equal(compFP, refFP) {
+			t.Fatalf("cycle %d: state %x, core %x", c, compFP, refFP)
+		}
+		for i := range src.streams {
+			in[i] = src.streams[i][c]
+		}
+	}
+	if r.Core().Forwarded() != ref.Forwarded() || ref.Forwarded() == 0 {
+		t.Fatalf("forwarded %d, core %d", r.Core().Forwarded(), ref.Forwarded())
+	}
+	if len(compEvents.evs) != len(refEvents.evs) || len(refEvents.evs) == 0 {
+		t.Fatalf("%d events, core %d", len(compEvents.evs), len(refEvents.evs))
+	}
+	for i, ev := range refEvents.evs {
+		if compEvents.evs[i] != ev {
+			t.Fatalf("event %d: %+v, core %+v", i, compEvents.evs[i], ev)
+		}
+	}
+
+	// The component reports what the core reports, plus one RouteError per
+	// valid phit switched to the unconnected output.
+	var comp []string
+	dropped := 0
+	for _, v := range compCol.Violations() {
+		if strings.Contains(v.Detail, "unconnected output 4") {
+			if v.Kind != fault.RouteError {
+				t.Fatalf("unconnected output reported as %v", v.Kind)
+			}
+			dropped++
+			continue
+		}
+		comp = append(comp, v.String())
+	}
+	if dropped != offMesh || offMesh == 0 {
+		t.Fatalf("%d RouteErrors for the unconnected output, core switched %d valid phits to it", dropped, offMesh)
+	}
+	refVs := refCol.Violations()
+	if len(comp) != len(refVs) {
+		t.Fatalf("%d violations, core %d", len(comp), len(refVs))
+	}
+	for i, v := range refVs {
+		if comp[i] != v.String() {
+			t.Fatalf("violation %d: %s, core %s", i, comp[i], v)
+		}
+	}
+	for _, k := range []fault.Kind{fault.RouteError, fault.SlotContention, fault.ProtocolError} {
+		if refCol.CountByKind()[k] == 0 {
+			t.Errorf("the streams never tripped %v", k)
+		}
+	}
+}
+
+type eventLog struct{ evs []trace.Event }
+
+func (l *eventLog) Event(ev trace.Event) { l.evs = append(l.evs, ev) }
+
+// TestComponentCycleDoesNotAllocate pins a steady-state router cycle —
+// sample, step, drive, commit, with a tracer attached — at zero allocations.
+func TestComponentCycleDoesNotAllocate(t *testing.T) {
+	clk := clock.NewMHz("clk", 500, 0)
+	eng := sim.New()
+	r := NewComponent("r", 3, layout, clk)
+	bus := trace.NewBus()
+	count := &countSink{}
+	bus.Attach(count)
+	r.SetTracer(bus.Emitter("r"))
+	src := &streamSource{clk: clk}
+	for i := 0; i < 3; i++ {
+		in, out := sim.NewWire[phit.Phit]("in"), sim.NewWire[phit.Phit]("out")
+		eng.AddWireClocked(in, clk)
+		eng.AddWireClocked(out, clk)
+		r.ConnectIn(i, in)
+		r.ConnectOut(i, out)
+		src.wires = append(src.wires, in)
+		// Whole flits, input i to output (i+1)%3: no contention, no error.
+		flit := []phit.Phit{header(t, []int{(i + 1) % 3}, 0), payload(1, false), payload(2, true)}
+		var s []phit.Phit
+		for len(s) < 3000 {
+			s = append(s, flit...)
+		}
+		src.streams = append(src.streams, s)
+	}
+	eng.Add(src)
+	eng.Add(r)
+	eng.Run(clk.EdgeAt(100))
+	allocs := testing.AllocsPerRun(500, func() { eng.Run(eng.Now() + clk.Period) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per router cycle", allocs)
+	}
+	if count.n == 0 || r.Core().Forwarded() == 0 {
+		t.Fatalf("nothing was switched (%d events, %d phits)", count.n, r.Core().Forwarded())
+	}
+}
+
+type countSink struct{ n int }
+
+func (c *countSink) Event(trace.Event) { c.n++ }

@@ -19,7 +19,11 @@
 //   - parameters only for data width (the header layout) and arity.
 //
 // Core is the cycle-exact state machine; Component adapts it to the
-// simulation engine for synchronous and mesochronous operation. The
+// simulation engine for synchronous and mesochronous operation: its ports
+// are the link wires themselves (*sim.Wire[phit.Phit], connected once by
+// core.instantiate), it samples them into the buffer that becomes stage 1,
+// and an idle port costs a valid-bit test per stage. Nothing in the router
+// is looked up by id — the output port comes out of the header. The
 // asynchronous wrapper (package wrapper) reuses the same Core at flit
 // granularity, so there is a single source of truth for router behaviour.
 package router

@@ -6,14 +6,9 @@ import (
 	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/phit"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// A Source provides a phit when sampled; sim.Wire[phit.Phit] implements it.
-type Source interface{ Read() phit.Phit }
-
-// A Sink accepts a driven phit; sim.Wire[phit.Phit] implements it.
-type Sink interface{ Drive(phit.Phit) }
 
 // hpuState tracks one input's position within a packet.
 type hpuState struct {
@@ -113,13 +108,20 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 	if len(in) != c.arity {
 		panic(fmt.Sprintf("router %s: %d inputs for arity %d", c.name, len(in), c.arity))
 	}
+	out = c.switchAndParse(out)
+	// Stage 1: input registers.
+	copy(c.reg1, in)
+	return out
+}
+
+// switchAndParse runs stages 3 and 2 of one cycle; the caller then latches
+// the cycle's inputs into stage 1.
+func (c *Core) switchAndParse(out []phit.Phit) []phit.Phit {
 	if cap(out) < c.arity {
 		out = make([]phit.Phit, c.arity)
 	}
 	out = out[:c.arity]
-	for i := range out {
-		out[i] = phit.IdlePhit
-	}
+	clear(out) // every output idle until a valid phit is switched to it
 
 	// Stage 3: switch reg2 to the outputs. TDM contention-freedom means
 	// at most one input targets each output; hitting a collision is a
@@ -168,14 +170,19 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 	// Stage 2: HPU. A valid phit outside a packet is a header: consume
 	// one hop of the path and latch the output port until EoP. A
 	// non-header phit outside a packet (a dropped or corrupted header
-	// upstream) is discarded until the next packet start.
+	// upstream) is discarded until the next packet start. An idle input
+	// costs its valid bit: stage 2 is cleared only if it held a phit, and
+	// a phit is copied once, into stage 2.
 	for i := range c.reg1 {
-		p := c.reg1[i]
-		st := &c.hpu[i]
+		p, r := &c.reg1[i], &c.reg2[i]
 		if !p.Valid {
-			c.reg2[i] = stage2Reg{}
+			if r.p.Valid {
+				*r = stage2Reg{}
+			}
 			continue
 		}
+		st := &c.hpu[i]
+		data := p.Data
 		if !st.inPacket {
 			if p.Kind != phit.Header && p.Kind != phit.CreditOnly {
 				fault.Report(c.rep, fault.Violation{
@@ -183,34 +190,35 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 					Detail: fmt.Sprintf("input %d expected header, got %v (conn %d), phit dropped",
 						i, p.Kind, p.Meta.Conn),
 				})
-				c.reg2[i] = stage2Reg{}
+				*r = stage2Reg{}
 				continue
 			}
-			port, shifted := c.layout.NextPort(p.Data)
-			p.Data = shifted
-			st.outPort = port
+			st.outPort, data = c.layout.NextPort(p.Data)
 			st.inPacket = true
 		}
 		if p.EoP {
 			st.inPacket = false
 		}
-		c.reg2[i] = stage2Reg{p: p, outPort: st.outPort}
+		r.p, r.outPort = *p, st.outPort
+		r.p.Data = data
 	}
-
-	// Stage 1: input registers.
-	copy(c.reg1, in)
 	return out
 }
 
 // Component adapts a Core to the simulation engine: inputs are sampled
-// from Sources and outputs driven to Sinks each cycle of the router's
-// clock.
+// from wires and outputs driven onto wires each cycle of the router's
+// clock. The ports are concrete wires, not interfaces: a phit is 56 bytes,
+// and an interface method returns it by value, once per port per cycle.
 type Component struct {
 	core *Core
 	clk  *clock.Clock
 
-	in      []Source
-	out     []Sink
+	in  []*sim.Wire[phit.Phit]
+	out []*sim.Wire[phit.Phit]
+	// sampled receives this cycle's inputs and is swapped with the core's
+	// stage-1 registers at Update, so an input is copied once, off its
+	// wire. An unconnected input is never written and stays idle in both
+	// buffers.
 	sampled []phit.Phit
 	outBuf  []phit.Phit
 }
@@ -223,8 +231,8 @@ func NewComponent(name string, arity int, layout phit.HeaderLayout, clk *clock.C
 	return &Component{
 		core:    NewCore(name, arity, layout),
 		clk:     clk,
-		in:      make([]Source, arity),
-		out:     make([]Sink, arity),
+		in:      make([]*sim.Wire[phit.Phit], arity),
+		out:     make([]*sim.Wire[phit.Phit], arity),
 		sampled: make([]phit.Phit, arity),
 	}
 }
@@ -232,11 +240,11 @@ func NewComponent(name string, arity int, layout phit.HeaderLayout, clk *clock.C
 // Core exposes the underlying state machine (used by tests and tools).
 func (r *Component) Core() *Core { return r.core }
 
-// ConnectIn attaches a source to input port i.
-func (r *Component) ConnectIn(i int, s Source) { r.in[i] = s }
+// ConnectIn attaches the wire read by input port i.
+func (r *Component) ConnectIn(i int, w *sim.Wire[phit.Phit]) { r.in[i] = w }
 
-// ConnectOut attaches a sink to output port i.
-func (r *Component) ConnectOut(i int, s Sink) { r.out[i] = s }
+// ConnectOut attaches the wire driven by output port i.
+func (r *Component) ConnectOut(i int, w *sim.Wire[phit.Phit]) { r.out[i] = w }
 
 // Name implements sim.Component.
 func (r *Component) Name() string { return r.core.name }
@@ -250,27 +258,27 @@ func (r *Component) SetReporter(rep fault.Reporter) { r.core.SetReporter(rep) }
 // SetTracer installs the wrapped core's lifecycle-event emitter.
 func (r *Component) SetTracer(e *trace.Emitter) { r.core.SetTracer(e) }
 
-// Sample implements sim.Component.
+// Sample implements sim.Sampler.
 func (r *Component) Sample(now clock.Time) {
-	for i, s := range r.in {
-		if s == nil {
-			r.sampled[i] = phit.IdlePhit
-		} else {
-			r.sampled[i] = s.Read()
+	for i, w := range r.in {
+		if w != nil {
+			r.sampled[i] = w.Read()
 		}
 	}
 }
 
 // Update implements sim.Component.
 func (r *Component) Update(now clock.Time) {
-	r.core.SetNow(now)
-	r.outBuf = r.core.Step(r.sampled, r.outBuf)
-	for i, s := range r.out {
-		if s != nil {
-			s.Drive(r.outBuf[i])
+	c := r.core
+	c.now = now
+	r.outBuf = c.switchAndParse(r.outBuf)
+	c.reg1, r.sampled = r.sampled, c.reg1 // stage 1 latches the sampled inputs
+	for i, w := range r.out {
+		if w != nil {
+			w.Drive(r.outBuf[i])
 		} else if r.outBuf[i].Valid {
-			fault.Report(r.core.rep, fault.Violation{
-				Kind: fault.RouteError, Component: "router " + r.core.name, Time: now, Slot: fault.NoSlot,
+			fault.Report(c.rep, fault.Violation{
+				Kind: fault.RouteError, Component: "router " + c.name, Time: now, Slot: fault.NoSlot,
 				Detail: fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
 					i, r.outBuf[i].Meta.Conn),
 			})

@@ -21,9 +21,6 @@ func (r *ring) Name() string { return "rl." + r.name }
 // Clock implements sim.Component.
 func (r *ring) Clock() *clock.Clock { return r.net.base }
 
-// Sample implements sim.Component (rings exchange no wires).
-func (r *ring) Sample(now clock.Time) {}
-
 // Update implements sim.Component: on every flit-cycle boundary the
 // wheel rotates one stop, arriving flits eject, and owning stops inject
 // into their freshly arrived slots.

@@ -5,10 +5,12 @@
 // clock) from rising edge to rising edge. All components whose clocks have
 // an edge at the current instant execute in two phases:
 //
-//  1. Sample: every due component reads its input wires. Wires still hold
-//     the values committed before this instant, so a reader clocked at the
-//     same instant as a writer observes the writer's *previous* output —
-//     exactly the register-transfer semantics of synchronous hardware.
+//  1. Sample: every due component that reads wires (a Sampler) reads them.
+//     Wires still hold the values committed before this instant, so a
+//     reader clocked at the same instant as a writer observes the writer's
+//     *previous* output — exactly the register-transfer semantics of
+//     synchronous hardware. A component with no Sample method costs
+//     nothing in this phase.
 //  2. Update: every due component computes its next state and drives its
 //     output wires. Drives are buffered.
 //  3. Commit: all buffered drives become visible.

@@ -16,12 +16,20 @@ type Component interface {
 	Name() string
 	// Clock returns the clock domain driving this component.
 	Clock() *clock.Clock
-	// Sample is called first at each rising edge of the component's
-	// clock; the component must read all its inputs here.
-	Sample(now clock.Time)
-	// Update is called after every due component has sampled; the
-	// component computes its next state and drives its outputs.
+	// Update is called at each rising edge of the component's clock, after
+	// every due Sampler has sampled; the component computes its next state
+	// and drives its outputs.
 	Update(now clock.Time)
+}
+
+// A Sampler is a Component that reads wires. Sample is called first at
+// each rising edge of its clock, before any Update of that instant; the
+// component must read all its inputs there. A component with no inputs to
+// read (a traffic generator, a wrapper on timestamp-visible channels) has
+// no Sample, and the engine spends nothing on it in that phase.
+type Sampler interface {
+	Component
+	Sample(now clock.Time)
 }
 
 // An Engine owns components and wires and advances simulated time.
@@ -47,8 +55,9 @@ type Engine struct {
 
 	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
 	// steady-state simulation performs zero allocations per instant.
-	due       []indexedComp
-	dueGroups []*clockGroup
+	due        []indexedComp
+	dueSampled []indexedSampler
+	dueGroups  []*clockGroup
 
 	// Scheduled callbacks, fired at exact picosecond instants (fault
 	// injection, reconfiguration). Min-heap on (at, seq).
@@ -112,10 +121,11 @@ type FastResult struct {
 // plus the wires written from that domain: commits are batched per clock
 // group, so an instant only touches the wires a due domain can have driven.
 type clockGroup struct {
-	clk   *clock.Clock
-	comps []indexedComp
-	wires []committable
-	next  clock.Time // cached next edge, strictly after the last dispatch
+	clk      *clock.Clock
+	comps    []indexedComp
+	samplers []indexedSampler // the comps that have a Sample, same order
+	wires    []committable
+	next     clock.Time // cached next edge, strictly after the last dispatch
 }
 
 // A clockedWire associates a committable with the clock domain of its
@@ -129,6 +139,11 @@ type clockedWire struct {
 // edges of different clocks still execute in add order (stable traces).
 type indexedComp struct {
 	c   Component
+	idx int
+}
+
+type indexedSampler struct {
+	s   Sampler
 	idx int
 }
 
@@ -323,6 +338,9 @@ func (e *Engine) rebuild(from clock.Time) {
 			e.groups = append(e.groups, g)
 		}
 		g.comps = append(g.comps, indexedComp{c: c, idx: i})
+		if s, ok := c.(Sampler); ok {
+			g.samplers = append(g.samplers, indexedSampler{s: s, idx: i})
+		}
 	}
 	e.orphans = e.orphans[:0]
 	for _, cw := range e.clocked {
@@ -427,20 +445,22 @@ func (e *Engine) Run(until clock.Time) int {
 		// place, with no copy and no sort. Coincident edges of different
 		// domains fall back to merging into the scratch slice and sorting
 		// by add index, so cross-domain traces stay in add order.
-		due := e.due[:0]
+		due, sampled := e.due[:0], e.dueSampled[:0]
 		switch len(dueGroups) {
 		case 0:
 		case 1:
-			due = dueGroups[0].comps
+			due, sampled = dueGroups[0].comps, dueGroups[0].samplers
 		default:
 			for _, g := range dueGroups {
 				due = append(due, g.comps...)
+				sampled = append(sampled, g.samplers...)
 			}
-			e.due = due
+			e.due, e.dueSampled = due, sampled
 			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
+			slices.SortFunc(sampled, func(a, b indexedSampler) int { return a.idx - b.idx })
 		}
-		for _, c := range due {
-			c.c.Sample(next)
+		for _, s := range sampled {
+			s.s.Sample(next)
 		}
 		for _, c := range due {
 			c.c.Update(next)

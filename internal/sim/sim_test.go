@@ -283,3 +283,97 @@ func TestOrphanedClockedWireCommitsAfterRemove(t *testing.T) {
 		t.Fatalf("w = %d after orphaning; pending drive was never committed", got)
 	}
 }
+
+// phaseLog records the order of the engine's calls within an instant.
+type phaseLog struct{ calls []string }
+
+// updater has no Sample: the engine must still count and update it.
+type updater struct {
+	name string
+	clk  *clock.Clock
+	log  *phaseLog
+}
+
+func (u *updater) Name() string          { return u.name }
+func (u *updater) Clock() *clock.Clock   { return u.clk }
+func (u *updater) Update(now clock.Time) { u.log.calls = append(u.log.calls, "update "+u.name) }
+
+// sampler is an updater that also reads inputs.
+type sampler struct{ updater }
+
+func (s *sampler) Sample(now clock.Time) { s.log.calls = append(s.log.calls, "sample "+s.name) }
+
+// TestSampleIsOptional: a component without a Sample method is counted in
+// Edges and updated like any other, and every component that has one is
+// sampled before any Update of the instant — in one clock domain and across
+// coincident edges of two.
+func TestSampleIsOptional(t *testing.T) {
+	for name, clkB := range map[string]*clock.Clock{
+		"one-domain":  nil,
+		"two-domains": clock.New("b", 1000, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := New()
+			clkA := clock.New("a", 1000, 0)
+			if clkB == nil {
+				clkB = clkA
+			}
+			log := &phaseLog{}
+			eng.Add(&updater{"u1", clkA, log})
+			eng.Add(&sampler{updater{"s1", clkB, log}})
+			eng.Add(&updater{"u2", clkB, log})
+			eng.Add(&sampler{updater{"s2", clkA, log}})
+			eng.Run(1000)
+			want := []string{"sample s1", "sample s2", "update u1", "update s1", "update u2", "update s2"}
+			if len(log.calls) != len(want) {
+				t.Fatalf("calls = %v, want %v", log.calls, want)
+			}
+			for i := range want {
+				if log.calls[i] != want[i] {
+					t.Fatalf("calls = %v, want %v", log.calls, want)
+				}
+			}
+			if eng.Edges() != 4 {
+				t.Errorf("Edges = %d, want 4: a component without Sample is still an edge", eng.Edges())
+			}
+		})
+	}
+}
+
+// TestWireInterceptSeesValueAndDriven: the commit-time intercept observes,
+// at every commit, the value about to be visible and whether this instant
+// drove it — including the held value of an instant without a drive — and
+// what it returns is what readers see.
+func TestWireInterceptSeesValueAndDriven(t *testing.T) {
+	type seen struct {
+		v      int
+		driven bool
+	}
+	w := NewWire[int]("w")
+	var got []seen
+	w.SetIntercept(func(v int, driven bool) int {
+		got = append(got, seen{v, driven})
+		if v == 3 {
+			return 30 // overridden in place
+		}
+		return v
+	})
+	var reads []int
+	for _, step := range []struct {
+		drive bool
+		v     int
+	}{{true, 1}, {false, 0}, {true, 2}, {true, 3}, {false, 0}, {false, 0}, {true, 4}} {
+		if step.drive {
+			w.Drive(step.v)
+		}
+		w.commit()
+		reads = append(reads, w.Read())
+	}
+	want := []seen{{1, true}, {1, false}, {2, true}, {3, true}, {30, false}, {30, false}, {4, true}}
+	wantReads := []int{1, 1, 2, 30, 30, 30, 4}
+	for i := range want {
+		if got[i] != want[i] || reads[i] != wantReads[i] {
+			t.Fatalf("commit %d: intercept saw %+v and readers %d, want %+v and %d", i, got[i], reads[i], want[i], wantReads[i])
+		}
+	}
+}

@@ -13,9 +13,11 @@ import (
 // Wires must be registered with Engine.AddWire so their drives commit at
 // the end of each instant.
 type Wire[T any] struct {
-	name    string
-	cur     T
-	next    T
+	name string
+	// buf[cur] is the committed value, buf[cur^1] takes the pending drive:
+	// a commit flips cur instead of copying a value (a phit is 56 bytes).
+	buf     [2]T
+	cur     uint8
 	pending bool
 
 	// intercept, when non-nil, observes and may override the wire's
@@ -34,23 +36,23 @@ func (w *Wire[T]) Name() string { return w.name }
 
 // Read returns the currently committed value. Components call this during
 // Sample.
-func (w *Wire[T]) Read() T { return w.cur }
+func (w *Wire[T]) Read() T { return w.buf[w.cur&1] }
 
 // Drive buffers a new value; it becomes visible after the commit phase of
 // the current instant. Components call this during Update.
 func (w *Wire[T]) Drive(v T) {
-	w.next = v
+	w.buf[w.cur&1^1] = v
 	w.pending = true
 }
 
 func (w *Wire[T]) commit() {
 	driven := w.pending
-	if w.pending {
-		w.cur = w.next
+	if driven {
+		w.cur ^= 1
 		w.pending = false
 	}
 	if w.intercept != nil {
-		w.cur = w.intercept(w.cur, driven)
+		w.buf[w.cur&1] = w.intercept(w.buf[w.cur&1], driven)
 	}
 }
 
@@ -68,7 +70,7 @@ func (w *Wire[T]) HasIntercept() bool { return w.intercept != nil }
 // Adjust rewrites the committed value in place. It is the replay fast
 // path's state-shift hook and must only be called between instants with no
 // pending drive (the fast path guarantees this at epoch boundaries).
-func (w *Wire[T]) Adjust(f func(T) T) { w.cur = f(w.cur) }
+func (w *Wire[T]) Adjust(f func(T) T) { w.buf[w.cur&1] = f(w.buf[w.cur&1]) }
 
 // A Bisync is a bi-synchronous FIFO: the only legal mesochronous
 // clock-domain crossing in aelite (paper Section V, after [14], [18]).

@@ -66,6 +66,9 @@ func (u *UseCase) Validate() error {
 		switch {
 		case c.ID == phit.None:
 			return fmt.Errorf("spec: connection between IP %d and %d uses reserved id 0", c.Src, c.Dst)
+		case c.ID < phit.None:
+			// Ids index the trace metrics and the auditor's tables.
+			return fmt.Errorf("spec: connection id %d is negative", c.ID)
 		case conns[c.ID]:
 			return fmt.Errorf("spec: duplicate connection id %d", c.ID)
 		case !ips[c.Src]:

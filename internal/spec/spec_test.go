@@ -88,6 +88,7 @@ func TestValidateRejects(t *testing.T) {
 	cases := map[string]func(u *UseCase){
 		"dup ip":       func(u *UseCase) { u.IPs = append(u.IPs, IP{ID: 0}) },
 		"zero conn id": func(u *UseCase) { u.Connections[0].ID = phit.None },
+		"negative id":  func(u *UseCase) { u.Connections[0].ID = -3 },
 		"dup conn":     func(u *UseCase) { u.Connections = append(u.Connections, u.Connections[0]) },
 		"unknown src":  func(u *UseCase) { u.Connections[0].Src = 9 },
 		"unknown dst":  func(u *UseCase) { u.Connections[0].Dst = 9 },

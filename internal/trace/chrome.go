@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"strconv"
 )
 
 // A Chrome sink buffers every event and renders the Chrome trace-event
@@ -48,109 +47,135 @@ func (c *Chrome) Event(ev Event) { c.events = append(c.events, ev) }
 // Len returns the number of buffered events.
 func (c *Chrome) Len() int { return len(c.events) }
 
-// tsString renders a picosecond instant as microseconds with exactly six
+// chromeFlush is the rendered size past which WriteTo hands its buffer to
+// the writer and starts it over.
+const chromeFlush = 64 << 10
+
+// appendTs renders a picosecond instant as microseconds with exactly six
 // decimals — deterministic, no float formatting involved.
-func tsString(ps int64) string {
+func appendTs(b []byte, ps int64) []byte {
 	if ps < 0 {
-		return fmt.Sprintf("-%d.%06d", -ps/1e6, (-ps)%1e6)
+		b = append(b, '-')
+		ps = -ps
 	}
-	return fmt.Sprintf("%d.%06d", ps/1e6, ps%1e6)
+	b = strconv.AppendInt(b, ps/1e6, 10)
+	b = append(b, '.')
+	frac := ps % 1e6
+	for div := int64(1e5); div > 0; div /= 10 {
+		b = append(b, byte('0'+frac/div%10))
+	}
+	return b
 }
 
-// WriteTo renders the buffered events. It implements io.WriterTo.
+// WriteTo renders the buffered events through one reused buffer. It
+// implements io.WriterTo.
 func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	cw.printf("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
-	first := true
-	sep := func() {
-		if !first {
-			cw.printf(",\n")
-		} else {
-			cw.printf("\n")
-			first = false
-		}
+	var n int64
+	buf := make([]byte, 0, chromeFlush+1024)
+	flush := func() error {
+		m, err := w.Write(buf)
+		n += int64(m)
+		buf = buf[:0]
+		return err
 	}
+	buf = append(buf, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":["...)
+	sep := "\n"
 	for id, name := range c.bus.comps {
-		sep()
-		cw.printf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, id, name)
+		buf = append(buf, sep...)
+		sep = ",\n"
+		buf = append(buf, `{"ph":"M","pid":0,"tid":`...)
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, `,"name":"thread_name","args":{"name":`...)
+		buf = strconv.AppendQuote(buf, name)
+		buf = append(buf, "}}"...)
 	}
 	for _, ev := range c.events {
-		sep()
+		buf = append(buf, sep...)
+		sep = ",\n"
+		ph := byte('i') // instant; counter for occupancy, span for a flit of known length
 		switch ev.Kind {
 		case Occupancy:
-			cw.printf(`{"ph":"C","pid":0,"tid":%d,"ts":%s,"name":"occupancy","args":{"words":%d}}`,
-				ev.Comp, tsString(int64(ev.Time)), ev.Arg)
+			ph = 'C'
 		case SlotStart, LinkForward, WrapperFire:
 			if c.flitCycle > 0 {
-				cw.printf(`{"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":{%s}}`,
-					ev.Comp, tsString(int64(ev.Time)), tsString(c.flitCycle), eventName(ev), eventArgs(ev))
-			} else {
-				cw.printf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":{%s}}`,
-					ev.Comp, tsString(int64(ev.Time)), eventName(ev), eventArgs(ev))
+				ph = 'X'
 			}
+		}
+		buf = append(buf, `{"ph":"`...)
+		buf = append(buf, ph)
+		buf = append(buf, `","pid":0,"tid":`...)
+		buf = strconv.AppendInt(buf, int64(ev.Comp), 10)
+		buf = append(buf, `,"ts":`...)
+		buf = appendTs(buf, int64(ev.Time))
+		switch ph {
+		case 'C':
+			buf = append(buf, `,"name":"occupancy","args":{"words":`...)
+			buf = strconv.AppendInt(buf, ev.Arg, 10)
+		case 'X':
+			buf = append(buf, `,"dur":`...)
+			buf = appendTs(buf, c.flitCycle)
+			buf = appendNameArgs(buf, ev)
 		default:
-			cw.printf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":{%s}}`,
-				ev.Comp, tsString(int64(ev.Time)), eventName(ev), eventArgs(ev))
+			buf = append(buf, `,"s":"t"`...)
+			buf = appendNameArgs(buf, ev)
 		}
-		if cw.err != nil {
-			return cw.n, cw.err
+		buf = append(buf, "}}"...)
+		if len(buf) >= chromeFlush {
+			if err := flush(); err != nil {
+				return n, err
+			}
 		}
 	}
-	cw.printf("\n]}\n")
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
+	buf = append(buf, "\n]}\n"...)
+	err := flush()
+	return n, err
 }
 
-func eventName(ev Event) string {
+// appendNameArgs renders `,"name":"<kind>[ c<conn>]","args":{<kind-specific>`
+// up to, not including, the two closing braces.
+func appendNameArgs(b []byte, ev Event) []byte {
+	// The name is a kind name and a number: nothing in it needs escaping.
+	b = append(b, `,"name":"`...)
+	b = append(b, ev.Kind.String()...)
 	if ev.Conn != 0 {
-		return fmt.Sprintf("%s c%d", ev.Kind, ev.Conn)
+		b = append(b, " c"...)
+		b = strconv.AppendInt(b, int64(ev.Conn), 10)
 	}
-	return ev.Kind.String()
-}
-
-// eventArgs renders the kind-specific argument object body.
-func eventArgs(ev Event) string {
-	s := fmt.Sprintf(`"conn":%d`, ev.Conn)
+	b = append(b, `","args":{"conn":`...)
+	b = strconv.AppendInt(b, int64(ev.Conn), 10)
+	field := func(key string, v int64) {
+		b = append(b, key...)
+		b = strconv.AppendInt(b, v, 10)
+	}
 	switch ev.Kind {
 	case Send, Eject:
-		s += fmt.Sprintf(`,"seq":%d,"lat_ps":%d`, ev.Seq, int64(ev.Time-ev.Ref))
+		field(`,"seq":`, ev.Seq)
+		field(`,"lat_ps":`, int64(ev.Time-ev.Ref))
 	case SlotStart:
-		s += fmt.Sprintf(`,"slot":%d,"words":%d`, ev.Slot, ev.Arg)
+		field(`,"slot":`, int64(ev.Slot))
+		field(`,"words":`, ev.Arg)
 	case RouterForward:
-		s += fmt.Sprintf(`,"seq":%d,"port":%d`, ev.Seq, ev.Arg)
+		field(`,"seq":`, ev.Seq)
+		field(`,"port":`, ev.Arg)
 	case Credit:
-		s += fmt.Sprintf(`,"words":%d`, ev.Arg)
+		field(`,"words":`, ev.Arg)
 	case WrapperFire:
-		s += fmt.Sprintf(`,"stalled":%d`, ev.Arg)
+		field(`,"stalled":`, ev.Arg)
 	case Inject:
-		s += fmt.Sprintf(`,"seq":%d`, ev.Seq)
+		field(`,"seq":`, ev.Seq)
 	case CRCDrop:
-		s += fmt.Sprintf(`,"reason":%d,"seq":%d`, ev.Arg, ev.Seq)
+		field(`,"reason":`, ev.Arg)
+		field(`,"seq":`, ev.Seq)
 	case Retransmit:
-		s += fmt.Sprintf(`,"seq":%d,"round":%d`, ev.Seq, ev.Arg)
+		field(`,"seq":`, ev.Seq)
+		field(`,"round":`, ev.Arg)
 	case AckAdvance:
-		s += fmt.Sprintf(`,"base":%d,"words":%d`, ev.Seq, ev.Arg)
+		field(`,"base":`, ev.Seq)
+		field(`,"words":`, ev.Arg)
 	case Recovered:
-		s += fmt.Sprintf(`,"stall_ps":%d`, ev.Arg)
+		field(`,"stall_ps":`, ev.Arg)
 	case Quarantine:
-		s += fmt.Sprintf(`,"unacked":%d`, ev.Arg)
+		field(`,"unacked":`, ev.Arg)
 	}
-	return s
-}
-
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countWriter) printf(format string, args ...any) {
-	if c.err != nil {
-		return
-	}
-	n, err := fmt.Fprintf(c.w, format, args...)
-	c.n += int64(n)
-	c.err = err
+	return b
 }

@@ -331,3 +331,15 @@ func csvF(v float64) string {
 	}
 	return fmt.Sprintf("%.3f", v)
 }
+
+// countWriter is a sticky-error Fprintf target for the CSV renderer.
+type countWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (c *countWriter) printf(format string, args ...any) {
+	if c.err == nil {
+		_, c.err = fmt.Fprintf(c.w, format, args...)
+	}
+}

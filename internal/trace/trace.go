@@ -179,6 +179,10 @@ func (b *Bus) ComponentName(id CompID) string {
 	return b.comps[id]
 }
 
+// NumComponents returns how many component names are interned: valid ids
+// are 0 up to it.
+func (b *Bus) NumComponents() int { return len(b.comps) }
+
 // Components returns the interned component names in id order.
 func (b *Bus) Components() []string {
 	return append([]string(nil), b.comps...)

@@ -79,8 +79,8 @@ func TestTsString(t *testing.T) {
 		{-1, "-0.000001"},
 	}
 	for _, c := range cases {
-		if got := tsString(c.ps); got != c.want {
-			t.Errorf("tsString(%d) = %q, want %q", c.ps, got, c.want)
+		if got := string(appendTs(nil, c.ps)); got != c.want {
+			t.Errorf("appendTs(%d) = %q, want %q", c.ps, got, c.want)
 		}
 	}
 }

@@ -9,6 +9,12 @@
 // backend builds its generators through it, so one use case is offered the
 // same words on every fabric.
 //
+// A generator names its connection by id and hands every word to its
+// Port under that id; the port resolves the id (the aelite NI by a binary
+// search over the few connections it sources). Update runs once per cycle
+// for every generator of the network — most of the engine's edges — so it
+// compares a wrapped burst position instead of dividing the burst phase.
+//
 // Generators are the periodicity root of the replay fast path: a CBR
 // rate that reduces to a small rational words-per-cycle pattern makes
 // the generator provably periodic (internal/replay), which is why

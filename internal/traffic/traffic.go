@@ -46,6 +46,10 @@ type Generator struct {
 
 	disabled bool
 	phase    int64
+	// pos is phase wrapped into the burst period, phase % (onCycles +
+	// offCycles), kept beside it so Update compares instead of dividing.
+	// rewrap re-derives it wherever phase or the period jumps.
+	pos      int64
 	offered  int64 // words accepted into the NI FIFO
 	rejected int64 // blocked-write retries (full FIFO)
 	seq      int64
@@ -168,9 +172,6 @@ func (g *Generator) Name() string { return g.name }
 // Clock implements sim.Component.
 func (g *Generator) Clock() *clock.Clock { return g.clk }
 
-// Sample implements sim.Component.
-func (g *Generator) Sample(now clock.Time) {}
-
 // Update implements sim.Component.
 func (g *Generator) Update(now clock.Time) {
 	if g.disabled || now < g.start {
@@ -178,13 +179,15 @@ func (g *Generator) Update(now clock.Time) {
 	}
 	num := g.rateNum
 	if g.onCycles > 0 {
-		period := g.onCycles + g.offCycles
-		if g.phase%period >= g.onCycles {
+		if g.pos >= g.onCycles {
 			num = 0
 		} else {
 			num = g.burstNum
 		}
 		g.phase++
+		if g.pos++; g.pos >= g.onCycles+g.offCycles {
+			g.pos = 0
+		}
 	}
 	g.accNum += num
 	for g.accNum >= g.rateDen {
@@ -244,17 +247,20 @@ func (g *Generator) SetRateMBps(rateMBps float64, wordBytes int) {
 		g.accNum = int64(float64(g.accNum) / float64(oldDen) * float64(g.rateDen))
 	}
 	if g.onCycles > 0 {
-		if g.rateNum >= g.rateDen {
-			g.offCycles = 0
-			g.burstNum = g.rateDen
-			return
-		}
-		off := g.onCycles*g.rateDen/g.rateNum - g.onCycles
-		if off < 0 {
-			off = 0
-		}
-		g.offCycles = off
 		g.burstNum = g.rateDen
+		g.offCycles = 0
+		if g.rateNum < g.rateDen {
+			g.offCycles = max(0, g.onCycles*g.rateDen/g.rateNum-g.onCycles)
+		}
+		g.rewrap()
+	}
+}
+
+// rewrap re-derives the wrapped burst position after phase or the burst
+// period changed by more than Update's one step.
+func (g *Generator) rewrap() {
+	if g.onCycles > 0 {
+		g.pos = g.phase % (g.onCycles + g.offCycles)
 	}
 }
 
@@ -327,6 +333,7 @@ func (g *Generator) ReplayShift(s *replay.Shift) {
 	g.rejected += s.Epochs * g.rm.dRejected
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase
+	g.rewrap()
 	g.rm.valid = false
 }
 

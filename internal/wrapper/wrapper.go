@@ -179,9 +179,6 @@ func (w *Wrapper) Name() string { return w.name }
 // Clock implements sim.Component.
 func (w *Wrapper) Clock() *clock.Clock { return w.clk }
 
-// Sample implements sim.Component.
-func (w *Wrapper) Sample(now clock.Time) {}
-
 // Update implements sim.Component.
 func (w *Wrapper) Update(now clock.Time) {
 	if w.stallFault > 0 {

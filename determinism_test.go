@@ -56,6 +56,17 @@ func TestSec7BuildDeterminism(t *testing.T) {
 	}
 }
 
+// renderScan fixes a byte representation of a frequency scan so serial and
+// parallel sweeps can be compared exactly, not approximately.
+func renderScan(points []experiments.ScanPoint, crossover float64) []byte {
+	var buf bytes.Buffer
+	for _, p := range points {
+		fmt.Fprintf(&buf, "%.3f %v %d %.6f\n", p.FreqMHz, p.AllMet, p.Violations, p.WorstExcessNs)
+	}
+	fmt.Fprintf(&buf, "crossover %.3f\n", crossover)
+	return buf.Bytes()
+}
+
 // TestScanSweepDeterminism: the frequency scan must render byte-identically
 // with one worker and with eight. The sweep runner keys results by
 // configuration index, each point owns a private engine and there is no

@@ -23,19 +23,20 @@ type Options struct {
 	// composability run). Oversubscribed connections still lose their
 	// bound checks — the analytical bound does not cover them.
 	TolerateOversubscription bool
-	// SlackNs widens the latency check by a fixed margin. Zero (the
-	// default) checks the analytical bound exactly.
-	SlackNs float64
-	// BucketWords overrides the injection token-bucket depth (default
-	// 128 words, enough for the largest built-in burst of 64 words plus
-	// scheduling margin).
-	BucketWords int
-	// MaxReports caps the violations reported per connection and kind
-	// (default 8); the per-kind counters keep counting past the cap so
-	// the summary stays exact while a pathological run cannot flood the
-	// collector.
-	MaxReports int
 }
+
+const (
+	// bucketWords is the injection token-bucket depth: enough for the
+	// largest built-in burst of 64 words plus scheduling margin.
+	bucketWords = 128
+	// maxReports caps the violations reported per connection and kind; the
+	// per-kind counters keep counting past the cap so the summary stays
+	// exact while a pathological run cannot flood the collector.
+	maxReports = 8
+	// rateMargin relaxes the token-bucket refill rate to absorb rational
+	// rate rounding.
+	rateMargin = 1.0 + 1e-6
+)
 
 // connAudit is the per-connection contract plus running check state.
 type connAudit struct {
@@ -43,7 +44,7 @@ type connAudit struct {
 	srcName string
 	dstName string
 
-	boundPs       float64 // checked latency ceiling, ps (bound + allowance + slack)
+	boundPs       float64 // checked latency ceiling, ps (bound + allowance)
 	waitBudgetPs  float64 // source-NI wait past which the source is out of contract
 	rawBoundNs    float64 // the analytical bound as built
 	guaranteeMBps float64
@@ -145,12 +146,6 @@ func Attach(n *core.Network, bus *trace.Bus, rep fault.Reporter, opts Options) *
 
 // newAuditor returns an auditor with no contracts yet.
 func newAuditor(bus *trace.Bus, rep fault.Reporter, opts Options, freqMHz float64, checkExclusive bool) *Auditor {
-	if opts.BucketWords <= 0 {
-		opts.BucketWords = 128
-	}
-	if opts.MaxReports <= 0 {
-		opts.MaxReports = 8
-	}
 	return &Auditor{
 		rep:            rep,
 		bus:            bus,
@@ -200,9 +195,9 @@ func (a *Auditor) snapshot(n *core.Network) {
 	allowancePs := recoveryAllowancePs(n)
 	// Plesiochronous drift stretches the wall-clock spacing of a
 	// generator's nominally compliant injections.
-	rateMargin := 1.0 + 1e-6
+	margin := rateMargin
 	if n.Cfg.Mode == core.Asynchronous {
-		rateMargin += 2 * n.Cfg.PPM / 1e6
+		margin += 2 * n.Cfg.PPM / 1e6
 	}
 	// The ids the network has: its data connections and every channel,
 	// data or reverse, of its allocation.
@@ -230,10 +225,10 @@ func (a *Auditor) snapshot(n *core.Network) {
 			dstName:       n.Mesh.Node(info.DstNI).Name,
 			rawBoundNs:    info.BoundNs,
 			guaranteeMBps: info.GuaranteedMBps,
-			boundPs:       (info.BoundNs+a.opts.SlackNs)*1e3 + allowancePs,
-			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs+a.opts.SlackNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,
-			rate:          info.GuaranteedMBps * 1e6 / float64(n.Cfg.WordBytes) / 1e12 * rateMargin,
-			depth:         float64(a.opts.BucketWords),
+			boundPs:       info.BoundNs*1e3 + allowancePs,
+			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,
+			rate:          info.GuaranteedMBps * 1e6 / float64(n.Cfg.WordBytes) / 1e12 * margin,
+			depth:         bucketWords,
 			nextSeq:       0,
 			reported:      make(map[fault.Kind]int),
 		}
@@ -296,7 +291,7 @@ func recoveryAllowancePs(n *core.Network) float64 {
 			backoff, sum := 1.0, 0.0
 			for r := 0; r <= budget; r++ {
 				sum += backoff
-				if backoff < float64(reliable.DefaultBackoffCap) {
+				if backoff < float64(reliable.BackoffCap) {
 					backoff *= 2
 				}
 			}
@@ -523,7 +518,7 @@ func (a *Auditor) report(ca *connAudit, v fault.Violation) {
 	a.total++
 	a.byKind[v.Kind]++
 	if ca != nil {
-		if ca.reported[v.Kind] >= a.opts.MaxReports {
+		if ca.reported[v.Kind] >= maxReports {
 			return
 		}
 		ca.reported[v.Kind]++

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/trace"
@@ -20,20 +19,14 @@ type Contract struct {
 	DstName string // destination endpoint component name
 
 	// BoundNs is the backend's analytical worst-case end-to-end latency
-	// for a compliant word, in nanoseconds. Options.SlackNs is added on
-	// top by the auditor, exactly as in the aelite path.
+	// for a compliant word, in nanoseconds.
 	BoundNs float64
 	// WaitBudgetNs is the source-side dwell budget at the raw bound: how
 	// long a compliant word may sit in the source queue before its Send.
-	// The auditor widens it by Options.SlackNs alongside the bound.
 	WaitBudgetNs float64
 	// GuaranteeMBps feeds the injection token bucket; zero disables rate
 	// regulation for this connection.
 	GuaranteeMBps float64
-	// SlotQuota is the connection's owned slot count per table
-	// revolution (the network-side injection-regulation check); zero
-	// disables the per-revolution quota for this connection.
-	SlotQuota int
 }
 
 // A ContractSet carries every contract of one built backend instance plus
@@ -45,19 +38,10 @@ type ContractSet struct {
 	// WordBytes converts bandwidth guarantees to words for the token
 	// bucket.
 	WordBytes int
-	// TableSize is the slots-per-revolution of the fabric's schedule; it
-	// sizes the per-revolution flit quota window. Zero disables the
-	// quota check (e.g. when rings of different sizes coexist and no
-	// single revolution is meaningful).
-	TableSize int
 	// CheckExclusive enables the per-resource slot-exclusivity check;
 	// backends with legitimate sub-flit-cycle event spacing between
 	// different connections (plesiochronous clocks) leave it off.
 	CheckExclusive bool
-	// RateMargin relaxes the token-bucket refill rate multiplicatively;
-	// zero selects the default margin (1 + 1e-6) that absorbs rational
-	// rate rounding.
-	RateMargin float64
 
 	Contracts []Contract
 
@@ -72,13 +56,11 @@ type ContractSet struct {
 // subscribes it to the bus. It shares every check and reporting path with
 // the aelite Attach — only contract construction differs — so a
 // violation means the same thing regardless of which backend produced
-// the trace.
+// the trace. The per-revolution slot quota is the exception: it needs one
+// table revolution, which a fabric of unequal rings does not have, so only
+// Attach arms it.
 func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
 	a := newAuditor(bus, rep, opts, set.FreqMHz, set.CheckExclusive)
-	rateMargin := set.RateMargin
-	if rateMargin == 0 {
-		rateMargin = 1.0 + 1e-6
-	}
 	var high phit.ConnID
 	for _, c := range set.Contracts {
 		high = max(high, c.Conn)
@@ -94,24 +76,18 @@ func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts O
 			dstName:       c.DstName,
 			rawBoundNs:    c.BoundNs,
 			guaranteeMBps: c.GuaranteeMBps,
-			boundPs:       (c.BoundNs + a.opts.SlackNs) * 1e3,
-			waitBudgetPs:  (c.WaitBudgetNs + a.opts.SlackNs) * 1e3,
+			boundPs:       c.BoundNs * 1e3,
+			waitBudgetPs:  c.WaitBudgetNs * 1e3,
 			rate:          c.GuaranteeMBps * 1e6 / float64(set.WordBytes) / 1e12 * rateMargin,
-			depth:         float64(a.opts.BucketWords),
+			depth:         bucketWords,
 			reported:      make(map[fault.Kind]int),
 		}
 		ca.tokens = ca.depth
 		a.conns[c.Conn] = ca
 		a.order = append(a.order, c.Conn)
-		if c.SlotQuota > 0 {
-			a.chans[c.Conn].quota = c.SlotQuota
-		}
 	}
 	for name, table := range set.AllocTables {
 		a.allocTables[name] = append([]phit.ConnID(nil), table...)
-	}
-	if set.TableSize > 0 {
-		a.revolutionPs = a.flitCyclePs * clock.Time(set.TableSize)
 	}
 	bus.Attach(a)
 	return a

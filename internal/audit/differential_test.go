@@ -60,12 +60,6 @@ type refLastUse struct {
 // refAttach is the old Attach, minus subscribing to the bus: the tests feed
 // the reference a recorded stream.
 func refAttach(n *core.Network, bus *trace.Bus, rep fault.Reporter, opts Options) *refAuditor {
-	if opts.BucketWords <= 0 {
-		opts.BucketWords = 128
-	}
-	if opts.MaxReports <= 0 {
-		opts.MaxReports = 8
-	}
 	a := &refAuditor{
 		rep:  rep,
 		bus:  bus,
@@ -106,10 +100,10 @@ func (a *refAuditor) snapshot(n *core.Network) {
 			dstName:       n.Mesh.Node(info.DstNI).Name,
 			rawBoundNs:    info.BoundNs,
 			guaranteeMBps: info.GuaranteedMBps,
-			boundPs:       (info.BoundNs+a.opts.SlackNs)*1e3 + allowancePs,
-			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs+a.opts.SlackNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,
+			boundPs:       info.BoundNs*1e3 + allowancePs,
+			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,
 			rate:          info.GuaranteedMBps * 1e6 / float64(n.Cfg.WordBytes) / 1e12 * rateMargin,
-			depth:         float64(a.opts.BucketWords),
+			depth:         bucketWords,
 			nextSeq:       0,
 			reported:      make(map[fault.Kind]int),
 		}
@@ -313,7 +307,7 @@ func (a *refAuditor) report(ca *connAudit, v fault.Violation) {
 	a.total++
 	a.byKind[v.Kind]++
 	if ca != nil {
-		if ca.reported[v.Kind] >= a.opts.MaxReports {
+		if ca.reported[v.Kind] >= maxReports {
 			return
 		}
 		ca.reported[v.Kind]++

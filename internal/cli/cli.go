@@ -1,6 +1,6 @@
 // Package cli fixes the exit-path contract shared by every aelite
 // command. All commands (aelite-sim, aelite-exp, aelite-alloc,
-// aelite-area, aelite-serve) exit through the same three doors:
+// aelite-serve) exit through the same three doors:
 //
 //	2 (ExitUsage)   the invocation is malformed — a bad flag value, an
 //	                unknown subcommand, a contradictory flag combination.

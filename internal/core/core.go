@@ -71,9 +71,6 @@ type Config struct {
 	TableSize int
 	FreqMHz   float64
 	Mode      Mode
-	// StagesPerLink is the number of link pipeline stages on each
-	// router-router link in Mesochronous mode (>= 1).
-	StagesPerLink int
 	// FIFOForwardCycles is the bi-synchronous FIFO forwarding delay in
 	// cycles (the paper assumes 1-2; with maximum skew, 1 keeps the
 	// alignment at exactly one flit cycle).
@@ -139,7 +136,7 @@ type Config struct {
 }
 
 // ApplyDefaults fills zero-valued fields with the paper's defaults: 32-bit
-// words, 500 MHz, synchronous, one stage per link in mesochronous mode.
+// words, 500 MHz, synchronous, one FIFO forwarding cycle.
 func (c *Config) ApplyDefaults() {
 	if c.Layout.WordBits == 0 {
 		c.Layout = phit.DefaultLayout
@@ -149,9 +146,6 @@ func (c *Config) ApplyDefaults() {
 	}
 	if c.FreqMHz == 0 {
 		c.FreqMHz = 500
-	}
-	if c.StagesPerLink == 0 {
-		c.StagesPerLink = 1
 	}
 	if c.FIFOForwardCycles == 0 {
 		c.FIFOForwardCycles = 1
@@ -469,22 +463,8 @@ func (n *Network) instantiate() error {
 		}
 		out := sim.NewWire[phit.Phit](name + ".out")
 		n.eng.AddWireClocked(out, rClk)
-		stageClks := make([]*clock.Clock, l.PipelineStages)
-		for i := range stageClks {
-			if i == len(stageClks)-1 {
-				stageClks[i] = rClk
-			} else {
-				ph := drawPhase()
-				if n.Cfg.SkewOverridePS != 0 {
-					// Deeper pipelines keep the override on the first hop
-					// and land the rest in the reader's phase.
-					ph = rClk.Phase
-				}
-				stageClks[i] = clock.Mesochronous(n.base, fmt.Sprintf("%s.st%d", name, i), ph)
-				n.faultClks = append(n.faultClks, stageClks[i])
-			}
-		}
-		sts := link.Pipeline(name, n.eng, w, out, wClk, stageClks, fwdDelay, n.Cfg.FaultReporter)
+		// One mesochronous stage, clocked in the reader's domain.
+		sts := link.Pipeline(name, n.eng, w, out, wClk, []*clock.Clock{rClk}, fwdDelay, n.Cfg.FaultReporter)
 		n.stages = append(n.stages, sts...)
 		exit[l.ID] = out
 	}
@@ -610,11 +590,11 @@ func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
 // the mesh they are handed; call it directly only where shifts are needed
 // before a network exists (scenario.ClampLatencyBudgets).
 func PrepareTopology(m *topology.Mesh, cfg Config) {
-	cfg.ApplyDefaults()
 	switch cfg.Mode {
 	case Mesochronous:
+		// One link pipeline stage on every router-router link.
 		m.SetAllPipelineStages(0)
-		m.SetMeshPipelineStages(cfg.StagesPerLink)
+		m.SetMeshPipelineStages(1)
 	case Asynchronous:
 		// Every hop advances a flit by InitialTokens dataflow
 		// iterations, i.e. InitialTokens slots: the paper's "adapting

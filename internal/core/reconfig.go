@@ -178,14 +178,14 @@ func (n *Network) CloseConnection(id phit.ConnID) error {
 		// word, rather than a hard-coded constant that a large table or a
 		// slow credit channel can exceed.
 		rtRevs := (info.ackRTSlots + n.Cfg.TableSize - 1) / n.Cfg.TableSize
-		maxWait := 4 + ni.DefaultSendCapacity*(rtRevs+2)
+		maxWait := 4 + ni.SendCapacity*(rtRevs+2)
 		for i := 0; i < maxWait; i++ {
-			if src.SendQueueSpace(id) == ni.DefaultSendCapacity {
+			if src.SendQueueSpace(id) == ni.SendCapacity {
 				break
 			}
 			n.eng.Run(n.eng.Now() + revolution)
 		}
-		if src.SendQueueSpace(id) != ni.DefaultSendCapacity {
+		if src.SendQueueSpace(id) != ni.SendCapacity {
 			return fmt.Errorf("core: connection %d did not drain (credit starvation?)", id)
 		}
 		n.eng.Run(n.eng.Now() + 4*revolution)

@@ -182,7 +182,7 @@ func TestCloseDrainCreditStarvation(t *testing.T) {
 		t.Fatalf("Arm: %v", err)
 	}
 	n.Run(0, 40000)
-	if n.NIOf(info.srcNI).SendQueueSpace(victim) == ni.DefaultSendCapacity {
+	if n.NIOf(info.srcNI).SendQueueSpace(victim) == ni.SendCapacity {
 		t.Fatal("recipe failed: send queue drained despite the dead credit channel")
 	}
 	err = n.CloseConnection(victim)

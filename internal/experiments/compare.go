@@ -27,9 +27,6 @@ type CompareConfig struct {
 	Conns    int               `json:"conns"`
 	// Backends are registry names; empty means every registered backend.
 	Backends []string `json:"backends,omitempty"`
-	// TableSize overrides the scenario default (aelite only; the other
-	// backends have no slot table).
-	TableSize int `json:"table_size,omitempty"`
 
 	WarmupNs  float64 `json:"warmup_ns"`
 	MeasureNs float64 `json:"measure_ns"`
@@ -114,9 +111,6 @@ func comparePoint(ctx context.Context, cfg CompareConfig, fam scenario.Family, n
 		return ComparePoint{}, err
 	}
 	scfg := scenario.Default(fam, cfg.Cols, cfg.Rows, cfg.Conns, cfg.Seed)
-	if cfg.TableSize != 0 {
-		scfg.TableSize = cfg.TableSize
-	}
 	s, err := scenario.Generate(scfg)
 	if err != nil {
 		return ComparePoint{}, fmt.Errorf("compare %s/%s: %w", fam, name, err)

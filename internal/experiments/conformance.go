@@ -23,23 +23,25 @@ import (
 // composability and worst-case-bound claims checked against every
 // simulated flit.
 type ConformanceConfig struct {
-	Seed          int64       // workload seed
-	TableSizes    []int       // TDM slot-table sizes to sweep
-	Modes         []core.Mode // clocking modes to sweep
-	MeasureNs     float64     // simulated time per run
-	PerturbFactor float64     // interferer offered-load multiplier in the paired run
+	Seed       int64       // workload seed
+	TableSizes []int       // TDM slot-table sizes to sweep
+	Modes      []core.Mode // clocking modes to sweep
+	MeasureNs  float64     // simulated time per run
 }
+
+// conformancePerturbFactor is the interferers' offered-load multiplier in
+// the paired run.
+const conformancePerturbFactor = 8.0
 
 // DefaultConformanceConfig is the documented sweep: tables 8, 16 and 32
 // under all three clocking modes, interferers pushed to 8x their
 // reservation in the paired run.
 func DefaultConformanceConfig() ConformanceConfig {
 	return ConformanceConfig{
-		Seed:          Sec7Seed,
-		TableSizes:    []int{8, 16, 32},
-		Modes:         []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous},
-		MeasureNs:     20000,
-		PerturbFactor: 8,
+		Seed:       Sec7Seed,
+		TableSizes: []int{8, 16, 32},
+		Modes:      []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous},
+		MeasureNs:  20000,
 	}
 }
 
@@ -93,7 +95,7 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 				if err != nil {
 					return nil, err
 				}
-				n.Generator(id).SetRateMBps(other.RequiredMBps*cfg.PerturbFactor, 4)
+				n.Generator(id).SetRateMBps(other.RequiredMBps*conformancePerturbFactor, 4)
 			}
 		}
 		n.Run(0, cfg.MeasureNs)
@@ -129,7 +131,7 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 			tableSize, mode, res.FirstDiff)
 	}
 	return fmt.Sprintf("conformance table %2d %-12s: 0 violations, timelines identical under %gx interference (%d delivery instants)\n",
-		tableSize, mode, cfg.PerturbFactor, res.Words), nil
+		tableSize, mode, conformancePerturbFactor, res.Words), nil
 }
 
 // ConformanceSweep fans every (table size, mode) point across up to jobs

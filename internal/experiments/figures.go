@@ -156,3 +156,38 @@ func WriteThroughput(w io.Writer) {
 			r.Arity, r.WidthBits, r.FmaxMHz, r.OneWayGBps, r.FullDuplexGBps, r.AreaUm2)
 	}
 }
+
+// WriteAreaQuery answers one query of the calibrated 90 nm area/frequency
+// model (internal/area): router cell area and maximum frequency for the
+// given arity, data width and target frequency, plus the mesochronous-link
+// and GS+BE baseline numbers.
+func WriteAreaQuery(w io.Writer, arity, widthBits int, targetMHz float64, customFIFO bool) {
+	fmax := area.RouterFmaxMHz(arity, widthBits)
+	fmt.Fprintf(w, "aelite router, arity %d, %d-bit data width (90 nm low-power, worst case):\n", arity, widthBits)
+	fmt.Fprintf(w, "  maximum frequency        %8.0f MHz\n", fmax)
+	fmt.Fprintf(w, "  area at %4.0f MHz         %8.0f µm²  (%.4f mm²)\n",
+		targetMHz, area.RouterArea(arity, widthBits, targetMHz), area.RouterArea(arity, widthBits, targetMHz)/1e6)
+	fmt.Fprintf(w, "  area at fmax             %8.0f µm²  (%.4f mm²)\n",
+		area.RouterMaxArea(arity, widthBits), area.RouterMaxArea(arity, widthBits)/1e6)
+	fmt.Fprintf(w, "  raw throughput at fmax   %8.1f Gbyte/s one-way (%.1f full duplex)\n",
+		area.RawThroughputGBps(arity, widthBits, fmax), 2*area.RawThroughputGBps(arity, widthBits, fmax))
+
+	fifo := area.FIFOArea(area.LinkFIFOWords, widthBits, customFIFO)
+	kind := "standard-cell"
+	if customFIFO {
+		kind = "custom"
+	}
+	fmt.Fprintf(w, "mesochronous link pipeline stage (%s FIFO):\n", kind)
+	fmt.Fprintf(w, "  4-word bi-sync FIFO      %8.0f µm²\n", fifo)
+	fmt.Fprintf(w, "  stage (FIFO + FSM)       %8.0f µm²\n", area.LinkStageArea(widthBits, customFIFO))
+	fmt.Fprintf(w, "  complete router + links  %8.0f µm²  (%.4f mm²)\n",
+		area.MesochronousRouterArea(arity, widthBits, targetMHz, customFIFO),
+		area.MesochronousRouterArea(arity, widthBits, targetMHz, customFIFO)/1e6)
+
+	fmt.Fprintf(w, "Æthereal GS+BE baseline (same arity/width):\n")
+	fmt.Fprintf(w, "  area                     %8.0f µm²  (%.1fx aelite)\n",
+		area.GSBERouterArea(arity, widthBits),
+		area.GSBERouterArea(arity, widthBits)/area.RouterNominalArea(arity, widthBits))
+	fmt.Fprintf(w, "  maximum frequency        %8.0f MHz  (aelite is %.1fx faster)\n",
+		area.GSBERouterFmaxMHz(arity, widthBits), area.GSBESpeedRatio)
+}

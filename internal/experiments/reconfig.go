@@ -27,22 +27,20 @@ import (
 // self-healing layer reroutes them over admissible alternate paths,
 // with the recovery latency measured.
 type ReconfigConfig struct {
-	Seed        int64   // workload seed
-	WarmupNs    float64 // warmup before the measurement window
-	MeasureNs   float64 // measurement window per run
-	SwitchAtNs  float64 // reconfiguration instant inside the window
-	HealEveryNs float64 // healer cadence in the self-healing phase
+	Seed int64 // workload seed
 }
+
+// The study's time line.
+const (
+	reconfigWarmupNs    = 4000.0  // warmup before the measurement window
+	reconfigMeasureNs   = 40000.0 // measurement window per run
+	reconfigSwitchAtNs  = 12000.0 // reconfiguration instant inside the window
+	reconfigHealEveryNs = 8000.0  // healer cadence in the self-healing phase
+)
 
 // DefaultReconfigConfig is the documented study.
 func DefaultReconfigConfig() ReconfigConfig {
-	return ReconfigConfig{
-		Seed:        Sec7Seed,
-		WarmupNs:    4000,
-		MeasureNs:   40000,
-		SwitchAtNs:  12000,
-		HealEveryNs: 8000,
-	}
+	return ReconfigConfig{Seed: Sec7Seed}
 }
 
 // RejectionCase is one typed-rejection probe of the admission phase.
@@ -157,7 +155,7 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 		var actions []core.TimedAction
 		if reconfig {
 			idx = 1
-			actions = append(actions, core.TimedAction{AtNs: cfg.SwitchAtNs, Do: func(n *core.Network) error {
+			actions = append(actions, core.TimedAction{AtNs: reconfigSwitchAtNs, Do: func(n *core.Network) error {
 				sc, err := n.SpecOf(victim)
 				if err != nil {
 					return err
@@ -184,7 +182,7 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 				return nil
 			}})
 		}
-		if _, err := n.RunTimed(cfg.WarmupNs, cfg.MeasureNs, actions); err != nil {
+		if _, err := n.RunTimed(reconfigWarmupNs, reconfigMeasureNs, actions); err != nil {
 			return nil, err
 		}
 		audViol[idx] = a.Violations() + int64(audCol.CountByKind()[fault.ReconfigResidue])
@@ -344,13 +342,13 @@ func reconfigHealing(cfg ReconfigConfig) (string, []admission.HealReport, *core.
 	// The healer must run between engine segments (quarantine fires
 	// inside event processing); RunTimed's actions are exactly that.
 	var actions []core.TimedAction
-	for at := cfg.HealEveryNs; at < cfg.MeasureNs; at += cfg.HealEveryNs {
+	for at := reconfigHealEveryNs; at < reconfigMeasureNs; at += reconfigHealEveryNs {
 		actions = append(actions, core.TimedAction{AtNs: at, Do: func(n *core.Network) error {
 			_, err := h.Heal()
 			return err
 		}})
 	}
-	rep, err := n.RunTimed(0, cfg.MeasureNs, actions)
+	rep, err := n.RunTimed(0, reconfigMeasureNs, actions)
 	if err != nil {
 		return "", nil, nil, nil, nil, err
 	}
@@ -443,7 +441,7 @@ func ReconfigStudyCtx(ctx context.Context, cfg ReconfigConfig, jobs int) (*Recon
 			// A replacement admitted in the final healer pass, after the
 			// last engine segment, never got simulated time to deliver;
 			// anything earlier must carry payload.
-			if float64(h.HealedAt) < cfg.MeasureNs*0.9*1e3 {
+			if float64(h.HealedAt) < reconfigMeasureNs*0.9*1e3 {
 				fail("replacement %d of connection %d delivered nothing", h.Replacement, h.Victim)
 			}
 		}

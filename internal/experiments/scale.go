@@ -36,9 +36,6 @@ type ScaleConfig struct {
 	Families   []scenario.Family
 	Meshes     []ScaleMesh
 	Allocators []string
-	// TableSize overrides the scenario default (0 keeps it: 64 up to
-	// 8x8, 128 beyond).
-	TableSize int
 	// WarmupNs and MeasureNs size the simulated points' windows. The
 	// defaults give the replay recorder several hyperperiods to record,
 	// verify and engage.
@@ -114,9 +111,6 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 		return ScalePoint{}, err
 	}
 	scfg := scenario.Default(fam, mesh.Cols, mesh.Rows, mesh.Conns, cfg.Seed)
-	if cfg.TableSize != 0 {
-		scfg.TableSize = cfg.TableSize
-	}
 	// The header layout follows the mesh diameter (phit.LayoutFor); past
 	// even the wide layout, planning proceeds with the path cap lifted —
 	// allocation-only territory.

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
 	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/phit"
-	"repro/internal/route"
+	"repro/internal/scenario"
 	"repro/internal/slots"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Section VII experiment: 200 connections across 4 applications between
@@ -66,7 +64,8 @@ func Sec7Mesh() *topology.Mesh { return topology.NewMesh(4, 3, 4) }
 // physically reachable for its (randomly drawn) path at 500 MHz, since a
 // random pairing can demand a latency below the bare path traversal time
 // of a random source/destination pair, which no NoC at this frequency
-// could meet (see EXPERIMENTS.md).
+// could meet (scenario.ClampLatencyBudgets, transactional; see
+// EXPERIMENTS.md).
 func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 	cfg := spec.Section7Config(seed)
 	uc := spec.Random(cfg)
@@ -74,8 +73,6 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 	if err := uc.Validate(); err != nil {
 		return nil, err
 	}
-	const fMHz = 500.0
-	cycleNs := 1e3 / fMHz
 	for i := range uc.Connections {
 		c := &uc.Connections[i]
 		src, dst, err := uc.Endpoints(*c)
@@ -96,40 +93,11 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 		if src == dst {
 			return nil, fmt.Errorf("experiments: connection %d cannot avoid NI-local endpoints", c.ID)
 		}
-		worst := 0
-		for _, r := range []func(*topology.Mesh, topology.NodeID, topology.NodeID) (*route.Path, error){route.XY, route.YX} {
-			p, err := r(m, src, dst)
-			if err != nil {
-				return nil, err
-			}
-			if p.TotalShift > worst {
-				worst = p.TotalShift
-			}
-		}
-		// Latency budgets must be *jointly* satisfiable: a TDM
-		// connection's worst-case wait shrinks only by owning more
-		// slots, so a tight budget on a low-rate connection is pure
-		// slot overhead, and 200 fully independent (rate, budget)
-		// draws are analytically infeasible on this fabric at any
-		// frequency. Real SoC requirements correlate: high-rate
-		// streams carry the tight deadlines and already own many
-		// slots. We therefore clamp each budget to what at most about
-		// twice the connection's own bandwidth reservation can
-		// deliver for a whole transaction drain, keeping the paper's
-		// 35-500 ns range meaningful for the heavy connections and
-		// relaxing only low-rate ones. See EXPERIMENTS.md.
-		fixed := float64(analysis.FixedPathCycles(&route.Path{TotalShift: worst})) * cycleNs
-		bwSlots, err := analysis.SlotsForBandwidth(c.BandwidthMBps, fMHz, 4, Sec7TableSize, false)
-		if err != nil {
-			return nil, err
-		}
-		kCap := bwSlots + 1
-		gapMin := (Sec7TableSize + kCap - 1) / kCap
-		m := analysis.BurstSlotTimes(traffic.TxWordsForRate(c.BandwidthMBps), false)
-		minNs := fixed*1.15 + float64(3*(gapMin*m+1))*cycleNs
-		if c.MaxLatencyNs < minNs {
-			c.MaxLatencyNs = minNs
-		}
+	}
+	// The clamp keeps the paper's 35-500 ns range meaningful for the heavy
+	// connections and relaxes only low-rate ones.
+	if err := scenario.ClampLatencyBudgets(uc, m, 500, 4, Sec7TableSize, true); err != nil {
+		return nil, err
 	}
 	return uc, nil
 }
@@ -137,8 +105,9 @@ func Sec7UseCase(m *topology.Mesh, seed int64) (*spec.UseCase, error) {
 // Sec7ReplayRatesMBps are the offered rates admissible to the fast-replay
 // hyperperiod compiler at 500 MHz with 4-byte words, descending. Each is
 // m/2^r words per cycle with m in {1,3}, so the generator's reduced
-// words-per-cycle rational has a power-of-two denominator <= 256 and the
-// whole-network hyperperiod is lcm(256, 3*TableSize) cycles. The paper's
+// words-per-cycle rational has a power-of-two denominator <= 512
+// (11.71875 Mbyte/s is 3/512) and the whole-network hyperperiod is
+// lcm(512, 3*TableSize) cycles. The paper's
 // log-uniform byte-exact requirements, by contrast, reduce to rationals
 // with denominators up to 2e9 cycles — periodic in principle, but far past
 // any arena worth recording, so replay classifies them aperiodic.

@@ -112,67 +112,6 @@ func (r RateRule) Validate() error {
 	return nil
 }
 
-// ParseRateSpec parses a sustained-rate fault specification:
-// semicolon-separated rules of the form
-//
-//	kind:RATE[:target]
-//
-// where kind is bitflip|drop, RATE is a probability in [0,1] (per
-// payload/padding phit for bitflip, per flit for drop) and target is an
-// optional substring selecting the faulted links (all links when omitted).
-// Listing the same kind twice for one target is an error — the rates would
-// silently sum.
-func ParseRateSpec(spec string) ([]RateRule, error) {
-	var out []RateRule
-	seen := make(map[string]bool)
-	byTarget := make(map[string]int)
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.SplitN(part, ":", 3)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("fault: rate rule %q: want kind:RATE[:target]", part)
-		}
-		kind := fields[0]
-		if kind != "bitflip" && kind != "drop" {
-			return nil, fmt.Errorf("fault: unknown rate kind %q in %q", kind, part)
-		}
-		rate, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad rate %q in %q", fields[1], part)
-		}
-		target := ""
-		if len(fields) == 3 {
-			target = fields[2]
-		}
-		key := kind + "\x00" + target
-		if seen[key] {
-			return nil, fmt.Errorf("fault: duplicate %s rate for link target %q", kind, target)
-		}
-		seen[key] = true
-		i, ok := byTarget[target]
-		if !ok {
-			out = append(out, RateRule{Target: target})
-			i = len(out) - 1
-			byTarget[target] = i
-		}
-		if kind == "bitflip" {
-			out[i].BitFlip = rate
-		} else {
-			out[i].Drop = rate
-		}
-		if err := out[i].Validate(); err != nil {
-			return nil, fmt.Errorf("%v (in %q)", err, part)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("fault: empty rate spec")
-	}
-	return out, nil
-}
-
 // fnv64 hashes a link name (FNV-1a) into a per-link RNG seed component.
 func fnv64(s string) int64 {
 	h := uint64(14695981039346656037)

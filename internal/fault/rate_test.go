@@ -9,39 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestParseRateSpec(t *testing.T) {
-	rules, err := ParseRateSpec("bitflip:0.01; drop:0.002:l3.; bitflip:0.5:l3.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 2 {
-		t.Fatalf("parsed %d rules, want 2 (rules for one target merge): %v", len(rules), rules)
-	}
-	if r := rules[0]; r.Target != "" || r.BitFlip != 0.01 || r.Drop != 0 {
-		t.Errorf("rule 0 = %+v, want all-links bitflip 0.01", r)
-	}
-	if r := rules[1]; r.Target != "l3." || r.BitFlip != 0.5 || r.Drop != 0.002 {
-		t.Errorf("rule 1 = %+v, want l3. bitflip 0.5 drop 0.002", r)
-	}
-
-	bad := []string{
-		"",                         // empty spec
-		" ; ",                      // only separators
-		"zap:0.1",                  // unknown kind
-		"bitflip",                  // missing rate
-		"bitflip:x",                // malformed rate
-		"bitflip:1.5",              // rate above 1
-		"drop:-0.1",                // negative rate
-		"drop:0.1:l0;drop:0.2:l0",  // duplicate kind for one link
-		"bitflip:0.1;bitflip:0.05", // duplicate kind for all links
-	}
-	for _, spec := range bad {
-		if _, err := ParseRateSpec(spec); err == nil {
-			t.Errorf("ParseRateSpec(%q) accepted a malformed spec", spec)
-		}
-	}
-}
-
 func TestRateRuleValidate(t *testing.T) {
 	for _, r := range []RateRule{{BitFlip: -0.1}, {BitFlip: 1.01}, {Drop: -1}, {Drop: 2}} {
 		if r.Validate() == nil {

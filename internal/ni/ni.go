@@ -14,9 +14,9 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultSendCapacity is the default depth, in words, of the IP-to-NI
-// bi-synchronous FIFO of each connection.
-const DefaultSendCapacity = 32
+// SendCapacity is the depth, in words, of the IP-to-NI bi-synchronous FIFO
+// of each connection.
+const SendCapacity = 32
 
 // OutConnConfig configures one connection sourced at this NI.
 type OutConnConfig struct {
@@ -34,9 +34,6 @@ type OutConnConfig struct {
 	// PairedIn names the in-connection at this NI whose owed credits
 	// ride on this connection's headers (phit.None if no pairing).
 	PairedIn phit.ConnID
-	// SendCapacity is the IP-side FIFO depth in words (0 selects
-	// DefaultSendCapacity).
-	SendCapacity int
 }
 
 // InConnConfig configures one connection terminating at this NI.
@@ -214,14 +211,10 @@ func (n *NI) AddOutConn(cfg OutConnConfig) {
 	if cfg.InitialCredits < 0 {
 		panic(fmt.Sprintf("ni %s: connection %d negative credits", n.name, cfg.ID))
 	}
-	cap := cfg.SendCapacity
-	if cap == 0 {
-		cap = DefaultSendCapacity
-	}
 	oc := &outConn{
 		cfg:     cfg,
 		credits: cfg.InitialCredits,
-		queue:   sim.NewBisync[phit.Meta](fmt.Sprintf("%s.c%d.send", n.name, cfg.ID), cap, n.clk.Period),
+		queue:   sim.NewBisync[phit.Meta](fmt.Sprintf("%s.c%d.send", n.name, cfg.ID), SendCapacity, n.clk.Period),
 	}
 	if i, ok := slices.BinarySearch(n.inIDs, cfg.PairedIn); ok {
 		oc.pairedIn = n.ins[i]

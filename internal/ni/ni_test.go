@@ -249,12 +249,12 @@ func TestNIOfferBlocksWhenFull(t *testing.T) {
 	n := 0
 	for p.a.Offer(0, 1, phit.Meta{Seq: int64(n)}) {
 		n++
-		if n > DefaultSendCapacity {
+		if n > SendCapacity {
 			t.Fatalf("Offer accepted %d words beyond capacity", n)
 		}
 	}
-	if n != DefaultSendCapacity {
-		t.Errorf("accepted %d, want %d", n, DefaultSendCapacity)
+	if n != SendCapacity {
+		t.Errorf("accepted %d, want %d", n, SendCapacity)
 	}
 	if got := p.a.SendQueueSpace(1); got != 0 {
 		t.Errorf("SendQueueSpace = %d", got)

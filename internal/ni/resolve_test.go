@@ -145,13 +145,13 @@ func TestOfferDoesNotAllocate(t *testing.T) {
 	for _, id := range []phit.ConnID{9, 4, 7, 12} { // a few more ids to search among
 		p.a.AddOutConn(OutConnConfig{ID: id})
 	}
-	p.offer(t, DefaultSendCapacity) // grow the FIFO to its capacity once
+	p.offer(t, SendCapacity) // grow the FIFO to its capacity once
 	p.cycles(400)
-	if space := p.a.SendQueueSpace(1); space != DefaultSendCapacity {
+	if space := p.a.SendQueueSpace(1); space != SendCapacity {
 		t.Fatalf("FIFO not drained: %d free", space)
 	}
-	seq := int64(DefaultSendCapacity)
-	allocs := testing.AllocsPerRun(DefaultSendCapacity-1, func() {
+	seq := int64(SendCapacity)
+	allocs := testing.AllocsPerRun(SendCapacity-1, func() {
 		if !p.a.Offer(p.eng.Now(), 1, phit.Meta{Seq: seq, Injected: p.eng.Now()}) {
 			t.Fatal("Offer rejected with space in the FIFO")
 		}

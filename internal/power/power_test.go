@@ -19,7 +19,7 @@ func alloc(t *testing.T, count, tableSize int) (*topology.Mesh, *slots.Allocatio
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := slots.Allocate(tableSize, []slots.Request{
+	a, err := slots.AllocateWith(slots.Greedy{}, tableSize, []slots.Request{
 		{Conn: phit.ConnID(1), Paths: paths, Count: count},
 	})
 	if err != nil {

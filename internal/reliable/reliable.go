@@ -13,9 +13,9 @@ import (
 // before quarantine.
 const DefaultRetryBudget = 8
 
-// DefaultBackoffCap caps the exponential backoff multiplier on the resend
+// BackoffCap caps the exponential backoff multiplier on the resend
 // timeout.
-const DefaultBackoffCap = 8
+const BackoffCap = 8
 
 // Drop reason codes, carried in the Arg of trace.CRCDrop events.
 const (
@@ -44,9 +44,6 @@ type TxConfig struct {
 	// RetryBudget bounds consecutive timeout-triggered resend rounds
 	// before quarantine (0 selects DefaultRetryBudget).
 	RetryBudget int
-	// BackoffCap caps the timeout's exponential backoff multiplier
-	// (0 selects DefaultBackoffCap).
-	BackoffCap int
 }
 
 // RxConfig configures the reliability shell of one in-connection.
@@ -180,9 +177,6 @@ func (ep *Endpoint) RegisterTx(conn phit.ConnID, cfg TxConfig) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = DefaultRetryBudget
 	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = DefaultBackoffCap
-	}
 	ep.tx[conn] = &txState{cfg: cfg, backoff: 1, resendPos: -1}
 }
 
@@ -298,7 +292,7 @@ func (ep *Endpoint) Resend(now clock.Time, conn phit.ConnID, hdr phit.Word) (f p
 	if tx.resendPos >= len(tx.entries) {
 		// Round complete: rearm the timeout with exponential backoff.
 		tx.resendPos = -1
-		if tx.backoff < tx.cfg.BackoffCap {
+		if tx.backoff < BackoffCap {
 			tx.backoff *= 2
 		}
 		tx.deadline = now + clock.Time(tx.cfg.Timeout)*clock.Time(tx.backoff)

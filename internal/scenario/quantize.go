@@ -12,7 +12,7 @@ import (
 // their pattern periods and the slot revolution; capping the denominator
 // at 256 keeps that hyperperiod at lcm(256, FlitWords*TableSize) cycles —
 // small enough for the replay recorder's arena at any supported table
-// size (the Section VII quantiser uses the same bound).
+// size (the Section VII quantiser's table goes one step finer, to 3/512).
 const MaxReplayDenominator = 256
 
 // AdmissibleRatesMBps returns, descending, the replay-admissible CBR

@@ -12,6 +12,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/spec"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // A Family names one generator.
@@ -41,18 +42,15 @@ func ParseFamily(s string) (Family, error) {
 	return "", fmt.Errorf("scenario: unknown family %q (uniform | hotspot | transpose | multimedia | dataflow)", s)
 }
 
-// Config parameterises Generate. Zero-valued fields are filled by
-// sensible scale-dependent defaults (see applyDefaults); Family, Cols,
-// Rows, Conns and Seed are the required knobs.
+// Config parameterises Generate: Family, Cols, Rows, Conns and Seed are
+// required, the network parameters default as Default documents.
 type Config struct {
 	Family Family `json:"family"`
-	Name   string `json:"name"` // default "<family>-<cols>x<rows>-s<seed>"
 	Seed   int64  `json:"seed"`
 
 	Cols         int `json:"cols,omitempty"` // mesh dimensions
 	Rows         int `json:"rows,omitempty"`
 	NIsPerRouter int `json:"nis_per_router,omitempty"`
-	Apps         int `json:"apps,omitempty"`
 	Conns        int `json:"conns,omitempty"`
 
 	// FreqMHz, WordBytes and TableSize are the network parameters the
@@ -61,44 +59,33 @@ type Config struct {
 	FreqMHz   float64 `json:"freq_mhz,omitempty"`
 	WordBytes int     `json:"word_bytes,omitempty"`
 	TableSize int     `json:"table_size,omitempty"`
-
-	// Rates are drawn log-uniformly in [MinRateMBps, MaxRateMBps], with
-	// a HeavyFraction of the connections drawn from the upper half of
-	// the band (the many-modest-channels-plus-few-heavy-streams shape of
-	// real SoC traffic; see spec.RandomConfig).
-	MinRateMBps   float64 `json:"min_rate_mbps,omitempty"`
-	MaxRateMBps   float64 `json:"max_rate_mbps,omitempty"`
-	HeavyFraction float64 `json:"heavy_fraction,omitempty"`
-
-	// HotspotCount and HotspotFraction shape the Hotspot family: the
-	// fraction of connections whose destination is one of the count
-	// hotspot IPs.
-	HotspotCount    int     `json:"hotspot_count,omitempty"`
-	HotspotFraction float64 `json:"hotspot_fraction,omitempty"`
-
-	// StreamLength is the Multimedia pipeline depth and the Dataflow
-	// ring size.
-	StreamLength int `json:"stream_length,omitempty"`
-
-	// Latency budgets are drawn log-uniformly in
-	// [MinLatencyNs, MaxLatencyNs] before clamping.
-	MinLatencyNs float64 `json:"min_latency_ns,omitempty"`
-	MaxLatencyNs float64 `json:"max_latency_ns,omitempty"`
-
-	// Quantize rounds every rate down to a replay-admissible value
-	// (QuantizeRateMBps) so CBR simulations of the scenario engage the
-	// hyperperiod replay fast path. Default on (disable with
-	// NoQuantize).
-	NoQuantize bool `json:"no_quantize,omitempty"`
-	// NoClampLatency skips raising infeasible latency budgets
-	// (ClampLatencyBudgets). Default on; disabling it makes large
-	// scenarios analytically unallocatable with high probability.
-	NoClampLatency bool `json:"no_clamp_latency,omitempty"`
 }
 
+// What every generated workload shares.
+const (
+	// apps is the number of applications connections are spread over.
+	apps = 4
+	// Rates are drawn log-uniformly in [minRateMBps, maxRateMBps], a
+	// heavyFraction of the connections from the upper half of the band
+	// (the many-modest-channels-plus-few-heavy-streams shape of real SoC
+	// traffic; see spec.RandomConfig).
+	minRateMBps   = 10.0
+	maxRateMBps   = 100.0
+	heavyFraction = 0.1
+	// hotspotFraction of a Hotspot workload's connections end at one of
+	// its hotspot IPs (see Config.hotspots).
+	hotspotFraction = 0.3
+	// streamLength is the Multimedia pipeline depth and the Dataflow ring
+	// size.
+	streamLength = 4
+	// Latency budgets are drawn log-uniformly in
+	// [minLatencyNs, maxLatencyNs] before clamping.
+	minLatencyNs = 500.0
+	maxLatencyNs = 5000.0
+)
+
 // Default returns the documented configuration of a family at the given
-// scale: one IP per NI (2 NIs per router), 4 applications, a 10-100
-// Mbyte/s rate band with a 10% heavy tail, 500 MHz, 4-byte words, and a
+// scale: one IP per NI (2 NIs per router), 500 MHz, 4-byte words, and a
 // table of 64 slots (128 for meshes beyond 8x8, where finer bandwidth
 // granularity is what lets a thousand small requirements co-exist).
 func Default(f Family, cols, rows, conns int, seed int64) Config {
@@ -110,9 +97,6 @@ func Default(f Family, cols, rows, conns int, seed int64) Config {
 func (c *Config) applyDefaults() {
 	if c.NIsPerRouter == 0 {
 		c.NIsPerRouter = 2
-	}
-	if c.Apps == 0 {
-		c.Apps = 4
 	}
 	if c.FreqMHz == 0 {
 		c.FreqMHz = 500
@@ -127,37 +111,17 @@ func (c *Config) applyDefaults() {
 			c.TableSize = 64
 		}
 	}
-	if c.MinRateMBps == 0 {
-		c.MinRateMBps = 10
-	}
-	if c.MaxRateMBps == 0 {
-		c.MaxRateMBps = 100
-	}
-	if c.HeavyFraction == 0 {
-		c.HeavyFraction = 0.1
-	}
-	if c.HotspotCount == 0 {
-		n := c.Cols * c.Rows * c.NIsPerRouter / 64
-		if n < 2 {
-			n = 2
-		}
-		c.HotspotCount = n
-	}
-	if c.HotspotFraction == 0 {
-		c.HotspotFraction = 0.3
-	}
-	if c.StreamLength == 0 {
-		c.StreamLength = 4
-	}
-	if c.MinLatencyNs == 0 {
-		c.MinLatencyNs = 500
-	}
-	if c.MaxLatencyNs == 0 {
-		c.MaxLatencyNs = 5000
-	}
-	if c.Name == "" {
-		c.Name = fmt.Sprintf("%s-%dx%d-s%d", c.Family, c.Cols, c.Rows, c.Seed)
-	}
+}
+
+// Name is the generated use case's name, "<family>-<cols>x<rows>-s<seed>".
+func (c Config) Name() string {
+	return fmt.Sprintf("%s-%dx%d-s%d", c.Family, c.Cols, c.Rows, c.Seed)
+}
+
+// hotspots is the number of hotspot IPs of a Hotspot workload: one per 32
+// routers, at least two.
+func (c Config) hotspots() int {
+	return max(2, c.Cols*c.Rows/32)
 }
 
 func (c *Config) validate() error {
@@ -167,16 +131,8 @@ func (c *Config) validate() error {
 	if c.Conns < 1 {
 		return fmt.Errorf("scenario: %d connections requested", c.Conns)
 	}
-	if _, err := ParseFamily(string(c.Family)); err != nil {
-		return err
-	}
-	if c.MinRateMBps <= 0 || c.MaxRateMBps < c.MinRateMBps {
-		return fmt.Errorf("scenario: bad rate band [%g, %g]", c.MinRateMBps, c.MaxRateMBps)
-	}
-	if c.MinLatencyNs <= 0 || c.MaxLatencyNs < c.MinLatencyNs {
-		return fmt.Errorf("scenario: bad latency band [%g, %g]", c.MinLatencyNs, c.MaxLatencyNs)
-	}
-	return nil
+	_, err := ParseFamily(string(c.Family))
+	return err
 }
 
 // A Scenario is one generated workload plus the parameters it was
@@ -217,7 +173,7 @@ func Generate(cfg Config) (*Scenario, error) {
 		return nil, err
 	}
 	m := topology.NewMesh(cfg.Cols, cfg.Rows, cfg.NIsPerRouter)
-	uc := &spec.UseCase{Name: cfg.Name, Apps: cfg.Apps}
+	uc := &spec.UseCase{Name: cfg.Name(), Apps: apps}
 	for x := 0; x < cfg.Cols; x++ {
 		for y := 0; y < cfg.Rows; y++ {
 			for k := 0; k < cfg.NIsPerRouter; k++ {
@@ -246,15 +202,11 @@ func Generate(cfg Config) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoQuantize {
-		for i := range uc.Connections {
-			uc.Connections[i].BandwidthMBps = QuantizeRateMBps(uc.Connections[i].BandwidthMBps, cfg.FreqMHz, cfg.WordBytes)
-		}
+	for i := range uc.Connections {
+		uc.Connections[i].BandwidthMBps = QuantizeRateMBps(uc.Connections[i].BandwidthMBps, cfg.FreqMHz, cfg.WordBytes)
 	}
-	if !cfg.NoClampLatency {
-		if err := ClampLatencyBudgets(uc, m, cfg.FreqMHz, cfg.WordBytes, cfg.TableSize); err != nil {
-			return nil, err
-		}
+	if err := ClampLatencyBudgets(uc, m, cfg.FreqMHz, cfg.WordBytes, cfg.TableSize, false); err != nil {
+		return nil, err
 	}
 	if err := uc.Validate(); err != nil {
 		return nil, err
@@ -276,25 +228,23 @@ type gen struct {
 	uc  *spec.UseCase
 }
 
+// logUniform draws log-uniformly in [lo, hi), lo < hi.
 func (g *gen) logUniform(lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
 	return math.Exp(math.Log(lo) + g.rng.Float64()*(math.Log(hi)-math.Log(lo)))
 }
 
-// drawRate draws from the configured band: a HeavyFraction of draws from
-// the upper half, the rest from the lower.
+// drawRate draws from the rate band: a heavyFraction of draws from the
+// upper half, the rest from the lower.
 func (g *gen) drawRate() float64 {
-	mid := math.Sqrt(g.cfg.MinRateMBps * g.cfg.MaxRateMBps)
-	if g.rng.Float64() < g.cfg.HeavyFraction {
-		return g.logUniform(mid, g.cfg.MaxRateMBps)
+	mid := math.Sqrt(minRateMBps * maxRateMBps)
+	if g.rng.Float64() < heavyFraction {
+		return g.logUniform(mid, maxRateMBps)
 	}
-	return g.logUniform(g.cfg.MinRateMBps, mid)
+	return g.logUniform(minRateMBps, mid)
 }
 
 func (g *gen) drawLatency() float64 {
-	return g.logUniform(g.cfg.MinLatencyNs, g.cfg.MaxLatencyNs)
+	return g.logUniform(minLatencyNs, maxLatencyNs)
 }
 
 // add appends one connection with the next id and the given endpoints.
@@ -323,17 +273,17 @@ func (g *gen) pair() (spec.IPID, spec.IPID) {
 func (g *gen) uniform() error {
 	for i := 0; i < g.cfg.Conns; i++ {
 		src, dst := g.pair()
-		g.add(src, dst, spec.AppID(g.rng.Intn(g.cfg.Apps)), g.drawRate(), g.drawLatency())
+		g.add(src, dst, spec.AppID(g.rng.Intn(apps)), g.drawRate(), g.drawLatency())
 	}
 	return nil
 }
 
 func (g *gen) hotspot() error {
 	n := len(g.uc.IPs)
-	hot := g.rng.Perm(n)[:g.cfg.HotspotCount]
+	hot := g.rng.Perm(n)[:g.cfg.hotspots()]
 	for i := 0; i < g.cfg.Conns; i++ {
 		var src, dst spec.IPID
-		if g.rng.Float64() < g.cfg.HotspotFraction {
+		if g.rng.Float64() < hotspotFraction {
 			dst = spec.IPID(hot[g.rng.Intn(len(hot))])
 			s := g.rng.Intn(n - 1)
 			if s >= int(dst) {
@@ -343,7 +293,7 @@ func (g *gen) hotspot() error {
 		} else {
 			src, dst = g.pair()
 		}
-		g.add(src, dst, spec.AppID(g.rng.Intn(g.cfg.Apps)), g.drawRate(), g.drawLatency())
+		g.add(src, dst, spec.AppID(g.rng.Intn(apps)), g.drawRate(), g.drawLatency())
 	}
 	return nil
 }
@@ -377,27 +327,27 @@ func (g *gen) transpose() error {
 		if p == id {
 			continue
 		}
-		g.add(spec.IPID(id), spec.IPID(p), spec.AppID(g.rng.Intn(cfg.Apps)), g.drawRate(), g.drawLatency())
+		g.add(spec.IPID(id), spec.IPID(p), spec.AppID(g.rng.Intn(apps)), g.drawRate(), g.drawLatency())
 	}
 	return nil
 }
 
-// multimedia emits producer-consumer pipelines: chains of StreamLength
+// multimedia emits producer-consumer pipelines: chains of streamLength
 // distinct IPs joined by heavy streaming connections (upper half of the
 // rate band), each chain closed by a low-rate control channel from sink
 // back to source. Each chain belongs to one application.
 func (g *gen) multimedia() error {
 	cfg := g.cfg
-	mid := math.Sqrt(cfg.MinRateMBps * cfg.MaxRateMBps)
+	mid := math.Sqrt(minRateMBps * maxRateMBps)
 	chain := 0
 	for len(g.uc.Connections) < cfg.Conns {
-		ips := g.distinctIPs(cfg.StreamLength)
-		app := spec.AppID(chain % cfg.Apps)
+		ips := g.distinctIPs(streamLength)
+		app := spec.AppID(chain % apps)
 		for i := 0; i+1 < len(ips) && len(g.uc.Connections) < cfg.Conns; i++ {
-			g.add(ips[i], ips[i+1], app, g.logUniform(mid, cfg.MaxRateMBps), g.drawLatency())
+			g.add(ips[i], ips[i+1], app, g.logUniform(mid, maxRateMBps), g.drawLatency())
 		}
 		if len(g.uc.Connections) < cfg.Conns {
-			g.add(ips[len(ips)-1], ips[0], app, g.logUniform(cfg.MinRateMBps, mid), g.drawLatency())
+			g.add(ips[len(ips)-1], ips[0], app, g.logUniform(minRateMBps, mid), g.drawLatency())
 		}
 		chain++
 	}
@@ -405,7 +355,7 @@ func (g *gen) multimedia() error {
 }
 
 // dataflow derives connections from per-application HSDF rings
-// (internal/dataflow): StreamLength actors with log-uniform firing
+// (internal/dataflow): streamLength actors with log-uniform firing
 // durations, single-token channels of capacity 2 between neighbours. The
 // ring's steady-state throughput is its maximum cycle ratio; every edge
 // moves a drawn number of words per iteration, so its rate is
@@ -415,7 +365,7 @@ func (g *gen) dataflow() error {
 	cfg := g.cfg
 	ring := 0
 	for len(g.uc.Connections) < cfg.Conns {
-		n := cfg.StreamLength
+		n := streamLength
 		df := dataflow.New()
 		actors := make([]dataflow.ActorID, n)
 		for i := range actors {
@@ -431,7 +381,7 @@ func (g *gen) dataflow() error {
 			return fmt.Errorf("scenario: dataflow ring: %w", err)
 		}
 		ips := g.distinctIPs(n)
-		app := spec.AppID(ring % cfg.Apps)
+		app := spec.AppID(ring % apps)
 		for i := range actors {
 			if len(g.uc.Connections) >= cfg.Conns {
 				break
@@ -446,11 +396,11 @@ func (g *gen) dataflow() error {
 				words = 1
 			}
 			rate := perWord * float64(words)
-			if rate < cfg.MinRateMBps {
-				rate = cfg.MinRateMBps
+			if rate < minRateMBps {
+				rate = minRateMBps
 			}
-			if rate > cfg.MaxRateMBps {
-				rate = cfg.MaxRateMBps
+			if rate > maxRateMBps {
+				rate = maxRateMBps
 			}
 			g.add(ips[i], ips[(i+1)%n], app, rate, g.drawLatency())
 		}
@@ -481,14 +431,19 @@ func (g *gen) distinctIPs(count int) []spec.IPID {
 
 // ClampLatencyBudgets raises each connection's latency budget to the
 // minimum its own bandwidth reservation can deliver on its worst minimal
-// route (XY or YX) — the generalisation of the Section VII budget
-// negotiation (see experiments.Sec7UseCase): a TDM connection's
-// worst-case wait shrinks only by owning more slots, so thousands of
-// independent (rate, budget) draws are jointly allocatable only when
-// tight budgets ride connections that already own slots. The clamp allows
-// roughly twice the bandwidth reservation (kCap = bwSlots+1) plus a 15%
-// path margin, word-level service (CBR).
-func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordBytes, tableSize int) error {
+// route (XY or YX). Latency budgets must be *jointly* satisfiable: a TDM
+// connection's worst-case wait shrinks only by owning more slots, so a
+// tight budget on a low-rate connection is pure slot overhead, and
+// hundreds of fully independent (rate, budget) draws are analytically
+// infeasible at any frequency. Real SoC requirements correlate: high-rate
+// streams carry the tight deadlines and already own many slots. The clamp
+// therefore allows roughly twice the bandwidth reservation (kCap =
+// bwSlots+1) plus a 15% path margin, keeping drawn budgets meaningful for
+// the heavy connections and relaxing only low-rate ones (the Section VII
+// budget negotiation, see EXPERIMENTS.md). Service is word-level for CBR
+// traffic; transactional budgets cover a whole transaction drain
+// (traffic.TxWordsForRate words).
+func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordBytes, tableSize int, transactional bool) error {
 	cycleNs := 1e3 / fMHz
 	for i := range uc.Connections {
 		c := &uc.Connections[i]
@@ -513,7 +468,11 @@ func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordB
 		}
 		kCap := bwSlots + 1
 		gapMin := (tableSize + kCap - 1) / kCap
-		minNs := fixed*1.15 + float64(phit.FlitWords*(gapMin+1))*cycleNs
+		slotTimes := 1
+		if transactional {
+			slotTimes = analysis.BurstSlotTimes(traffic.TxWordsForRate(c.BandwidthMBps), false)
+		}
+		minNs := fixed*1.15 + float64(phit.FlitWords*(gapMin*slotTimes+1))*cycleNs
 		if c.MaxLatencyNs < minNs {
 			c.MaxLatencyNs = minNs
 		}

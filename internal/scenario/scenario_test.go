@@ -95,9 +95,9 @@ func TestGeneratedConnectionsFeasible(t *testing.T) {
 			} else if slots > got.TableSize {
 				t.Errorf("%s conn %d: needs %d slots, table has %d", f, c.ID, slots, got.TableSize)
 			}
-			if c.BandwidthMBps < got.MinRateMBps/2 {
-				t.Errorf("%s conn %d: rate %.2f far below the configured band min %.2f",
-					f, c.ID, c.BandwidthMBps, got.MinRateMBps)
+			if c.BandwidthMBps < minRateMBps/2 {
+				t.Errorf("%s conn %d: rate %.2f far below the band min %.2f",
+					f, c.ID, c.BandwidthMBps, minRateMBps)
 			}
 			if c.MaxLatencyNs <= 0 {
 				t.Errorf("%s conn %d: nonpositive latency budget", f, c.ID)

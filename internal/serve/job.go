@@ -238,7 +238,7 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 	rep := n.Run(spec.WarmupNs, spec.MeasureNs)
 
 	res := &ShardResult{
-		Shard: shard, Name: scfg.Name, Conns: len(rep.Conns),
+		Shard: shard, Name: scfg.Name(), Conns: len(rep.Conns),
 		AllMet: rep.AllMet(), AllWithinBound: rep.AllWithinBound(),
 	}
 	for _, c := range rep.Conns {

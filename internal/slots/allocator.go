@@ -57,10 +57,14 @@ type Failure struct {
 	Err  *PlacementError
 }
 
-// Greedy is the baseline allocator: requests in requestOrder, each taking
-// the first candidate-path group with enough jointly free slots, never
-// revisiting an earlier decision (the strategy the Æthereal allocation
-// tools [16] ship and Allocate has always used).
+// Greedy is the baseline allocator: requests in requestOrder (heaviest
+// first, longest path breaking ties), each taking the first candidate-path
+// group with enough jointly free slots — within a group preferring the
+// path whose hottest link is least utilised, which load-balances the mesh
+// as the Æthereal allocation tools [16] do — and never revisiting an
+// earlier decision. Slots are spread as evenly as possible across the
+// table (staggered per connection), which minimises the worst-case waiting
+// time in the NI (paper Section VII ties latency to the slot spacing).
 type Greedy struct{}
 
 // Name implements Allocator.
@@ -103,15 +107,12 @@ func (Greedy) Place(a *Allocation, requests []Request, bestEffort bool) (Result,
 // Only connections placed in the same Place call are ripped: requests
 // already living in the allocation (a running application, during
 // reconfiguration) are never disturbed.
-type RipUp struct {
-	// MaxVictims bounds the victim set tried per blocked request
-	// (default 3). Victim sets grow cumulatively — top blocker, top two,
-	// ... — so cost is linear in the bound.
-	MaxVictims int
-	// MaxRepairs bounds the total successful repairs per pass (default:
-	// no bound). Studies use it to cap worst-case runtime.
-	MaxRepairs int
-}
+type RipUp struct{}
+
+// maxVictims bounds the victim set tried per blocked request. Victim sets
+// grow cumulatively — top blocker, top two, ... — so cost is linear in the
+// bound.
+const maxVictims = 3
 
 // Name implements Allocator.
 func (RipUp) Name() string { return "ripup" }
@@ -125,11 +126,7 @@ func (RipUp) Name() string { return "ripup" }
 // failures. A post-pass repair starts from exactly the greedy outcome and
 // every adopted repair adds a placement while keeping all victims placed,
 // so the placed set only ever grows from the greedy baseline.
-func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result, error) {
-	maxVictims := r.MaxVictims
-	if maxVictims <= 0 {
-		maxVictims = 3
-	}
+func (RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result, error) {
 	var res Result
 	reqOf := make(map[phit.ConnID]Request, len(requests))
 	placedHere := make(map[phit.ConnID]bool, len(requests))
@@ -152,8 +149,7 @@ func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result
 		if !bestEffort {
 			// Strict mode is all-or-nothing anyway, so repair inline and
 			// abort on the first request that stays unplaceable.
-			if (r.MaxRepairs == 0 || res.RipUps < r.MaxRepairs) &&
-				ripUpRepair(a, req, reqOf, placedHere, maxVictims) {
+			if ripUpRepair(a, req, reqOf, placedHere) {
 				res.RipUps++
 				adopt(req)
 				continue
@@ -163,8 +159,7 @@ func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result
 		failed = append(failed, req)
 	}
 	for _, req := range failed {
-		if (r.MaxRepairs == 0 || res.RipUps < r.MaxRepairs) &&
-			ripUpRepair(a, req, reqOf, placedHere, maxVictims) {
+		if ripUpRepair(a, req, reqOf, placedHere) {
 			res.RipUps++
 			adopt(req)
 			continue
@@ -182,7 +177,7 @@ func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result
 // request and every victim land. Otherwise the trial is undone: whatever it
 // placed is released and the victims get back exactly the claims they held,
 // so failure leaves a as it was. Returns whether a repair was adopted.
-func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, rippable map[phit.ConnID]bool, maxVictims int) bool {
+func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, rippable map[phit.ConnID]bool) bool {
 	victims := blockers(a, req, rippable)
 	if len(victims) == 0 {
 		return false

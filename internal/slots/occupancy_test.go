@@ -146,7 +146,7 @@ func TestRipUpRollbackRestoresState(t *testing.T) {
 		for _, req := range failed {
 			before := a.Clone()
 			victims := blockers(a, req, rippable)
-			if ripUpRepair(a, req, reqOf, rippable, 3) {
+			if ripUpRepair(a, req, reqOf, rippable) {
 				reqOf[req.Conn], rippable[req.Conn] = req, true
 				if err := a.Verify(); err != nil {
 					t.Fatalf("seed %d: adopted repair for %d: %v", seed, req.Conn, err)

@@ -442,26 +442,6 @@ func (a *Allocation) Conns() []phit.ConnID {
 	return out
 }
 
-// Allocate performs greedy slot allocation: requests are served in
-// descending slot-count order (heaviest first, longest path breaking
-// ties), and each request takes, among its candidate paths with enough
-// jointly free slots, the one whose hottest link is least utilised —
-// load-balancing the mesh as the Æthereal allocation tools [16] do.
-// Within a path, slots are chosen spread as evenly as possible across the
-// table (staggered per connection), which minimises the worst-case
-// waiting time in the NI (paper Section VII ties latency to the slot
-// spacing).
-//
-// It returns an error naming the first connection that cannot be placed;
-// callers typically retry with a larger table or a different seed.
-func Allocate(tableSize int, requests []Request) (*Allocation, error) {
-	a := NewAllocation(tableSize)
-	if err := AllocateInto(a, requests); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // AllocateInto places additional requests into an existing allocation —
 // the other half of reconfiguration: connections of a newly started
 // application claim only slots that are currently free, so running

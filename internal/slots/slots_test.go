@@ -108,7 +108,7 @@ func TestAllocateSimple(t *testing.T) {
 		{Conn: 2, Paths: meshPaths(t, m, c, d), Count: 2},
 		{Conn: 3, Paths: meshPaths(t, m, b, a), Count: 1},
 	}
-	alloc, err := Allocate(8, reqs)
+	alloc, err := AllocateWith(Greedy{}, 8, reqs)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestAllocateRespectsGapTarget(t *testing.T) {
 	reqs := []Request{
 		{Conn: 1, Paths: meshPaths(t, m, a, b), Count: 2, GapTarget: 4, WindowSlots: 1},
 	}
-	alloc, err := Allocate(16, reqs)
+	alloc, err := AllocateWith(Greedy{}, 16, reqs)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -151,20 +151,20 @@ func TestAllocateErrors(t *testing.T) {
 	m := topology.NewMesh(2, 1, 1)
 	a, b := m.NIAt(0, 0, 0), m.NIAt(1, 0, 0)
 	paths := meshPaths(t, m, a, b)
-	if _, err := Allocate(4, []Request{{Conn: 1, Paths: paths, Count: 0}}); err == nil {
+	if _, err := AllocateWith(Greedy{}, 4, []Request{{Conn: 1, Paths: paths, Count: 0}}); err == nil {
 		t.Error("accepted zero count")
 	}
-	if _, err := Allocate(4, []Request{{Conn: 1, Paths: paths, Count: 5}}); err == nil {
+	if _, err := AllocateWith(Greedy{}, 4, []Request{{Conn: 1, Paths: paths, Count: 5}}); err == nil {
 		t.Error("accepted count above table size")
 	}
-	if _, err := Allocate(4, []Request{
+	if _, err := AllocateWith(Greedy{}, 4, []Request{
 		{Conn: 1, Paths: paths, Count: 1},
 		{Conn: 1, Paths: paths, Count: 1},
 	}); err == nil {
 		t.Error("accepted duplicate connection")
 	}
 	// Saturate the link, then ask for more.
-	_, err := Allocate(4, []Request{
+	_, err := AllocateWith(Greedy{}, 4, []Request{
 		{Conn: 1, Paths: paths, Count: 4},
 		{Conn: 2, Paths: paths, Count: 1},
 	})
@@ -204,7 +204,7 @@ func TestContentionFreedomQuick(t *testing.T) {
 				Count: 1 + rng.Intn(4),
 			})
 		}
-		alloc, err := Allocate(32, reqs)
+		alloc, err := AllocateWith(Greedy{}, 32, reqs)
 		if err != nil {
 			return true // infeasible workloads are fine; we check placed ones
 		}
@@ -220,7 +220,7 @@ func TestLinkOwnerAndUtilisation(t *testing.T) {
 	m := topology.NewMesh(2, 1, 1)
 	a, b := m.NIAt(0, 0, 0), m.NIAt(1, 0, 0)
 	paths := meshPaths(t, m, a, b)
-	alloc, err := Allocate(8, []Request{{Conn: 7, Paths: paths, Count: 2}})
+	alloc, err := AllocateWith(Greedy{}, 8, []Request{{Conn: 7, Paths: paths, Count: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	m := topology.NewMesh(2, 1, 1)
 	a, b := m.NIAt(0, 0, 0), m.NIAt(1, 0, 0)
 	paths := meshPaths(t, m, a, b)
-	alloc, err := Allocate(8, []Request{{Conn: 1, Paths: paths, Count: 1}})
+	alloc, err := AllocateWith(Greedy{}, 8, []Request{{Conn: 1, Paths: paths, Count: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,7 @@ func TestBERouterPanics(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	for name, f := range map[string]func(){
 		"arity":  func() { NewRouter("r", 1, layout, clk, 8) },
+		"wide":   func() { NewRouter("r", maxArity+1, layout, clk, 8) },
 		"layout": func() { NewRouter("r", 2, phit.HeaderLayout{}, clk, 8) },
 		"buffer": func() { NewRouter("r", 2, layout, clk, 1) },
 	} {
@@ -193,10 +194,18 @@ func TestBENIPanics(t *testing.T) {
 }
 
 // TestRouterUpdateDoesNotAllocate: a router switching a steady stream of
-// packets keeps its per-cycle scratch and its input buffers, so a cycle
-// costs no allocation.
+// packets keeps its per-cycle scratch and its input buffers, so a cycle —
+// sampled from real wires, stepped by an engine — costs no allocation.
 func TestRouterUpdateDoesNotAllocate(t *testing.T) {
-	h := newBEHarness(t, 8, 16)
+	eng := sim.New()
+	clk := clock.NewMHz("clk", 500, 0)
+	r := NewRouter("R", 2, layout, clk, 8)
+	tw := &twinWires{eng: eng}
+	in, back := tw.link("in0")
+	out, credit := tw.link("out1")
+	r.ConnectIn(0, in, back)
+	r.ConnectOut(1, out, credit, 8)
+	eng.Add(r)
 	hdr, _ := layout.Encode([]int{1}, 0, 0)
 	cycle := 0
 	step := func() {
@@ -209,22 +218,29 @@ func TestRouterUpdateDoesNotAllocate(t *testing.T) {
 		case 3:
 			w.EoP = true
 		}
-		before := h.r.forwarded
-		h.r.sampledIn[0] = w
-		h.r.Update(0)
-		h.r.sampledCredit[1] = int(h.r.forwarded - before)
+		in.Drive(w)
+		if out.Read().Valid {
+			credit.Drive(1)
+		} else {
+			credit.Drive(0)
+		}
+		eng.Run(eng.Now() + clk.Period)
 		cycle++
 	}
 	for i := 0; i < 16; i++ {
 		step()
 	}
-	if h.r.Forwarded() == 0 {
+	if r.Forwarded() == 0 {
 		t.Fatal("the rig switches nothing")
 	}
+	before := r.Forwarded()
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
-		t.Errorf("Router.Update allocates %v times per cycle in steady state", allocs)
+		t.Errorf("a router cycle allocates %v times in steady state", allocs)
 	}
-	if h.r.Forwarded() < 200 {
-		t.Errorf("router forwarded %d words over 200 cycles", h.r.Forwarded())
+	if got := r.Forwarded() - before; got < 200 {
+		t.Errorf("router forwarded %d words over 200 cycles", got)
+	}
+	if r.Stalls() != 0 || back.Read() != 1 {
+		t.Errorf("the stream is not steady: %d stalls, %d credits returned in the last cycle", r.Stalls(), back.Read())
 	}
 }

@@ -20,4 +20,24 @@
 // The package shares topology, route and phit with the aelite network so
 // experiments.Compare (Section VII) runs both backends on the identical
 // mapping, paths and header encoding; only arbitration differs.
+//
+// # Change-only drives
+//
+// A cycle costs what its traffic costs. Router and NI copy a sampled word
+// only when it is valid, do nothing at all while nothing is buffered, came
+// in or needs retracting, and drive a data or credit wire only on a change:
+// every valid word (non-zero credit count), and the one idle (zero) after
+// it. An undriven wire keeps its value, so readers see what they always
+// saw; only a commit-time intercept could tell, and core.BuildBE, which
+// owns the wires, installs none. Arbitration collects one request mask per
+// output from the latched head ports and picks round-robin by bit scan.
+//
+// # Known simplification
+//
+// Outputs are arbitrated in port order within one cycle, and an End-of-Packet
+// pop frees its input at once: a higher-numbered output can take that
+// input's next header in the same cycle, so two words leave one input buffer
+// in one cycle. A real buffer has one read port. This favours the BE
+// baseline, every Æthereal digest depends on it, and
+// TestRouterTwoPopsInOneCycle and the old-router differential test pin it.
 package aethereal

@@ -2,7 +2,7 @@ package aethereal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/phit"
@@ -62,8 +62,8 @@ type NI struct {
 	creditIn  *sim.Wire[int]
 	creditOut *sim.Wire[int]
 
-	outConns  map[phit.ConnID]*beOut
-	order     []phit.ConnID // deterministic round-robin order
+	outs      []*beOut      // in id order: the deterministic round-robin order
+	outIDs    []phit.ConnID // outs[i].cfg.ID, for the search
 	inByQID   map[int]*beIn
 	inByID    map[phit.ConnID]*beIn
 	maxPacket int
@@ -78,8 +78,12 @@ type NI struct {
 	curIn    *beIn
 	inPacket bool
 
-	sampledIn     phit.Phit
+	sampledIn     phit.Phit // latched only when valid, see gotWord
+	gotWord       bool
 	sampledCredit int
+
+	outBusy    bool // out's last drive was a valid word, still to be retracted
+	creditHigh bool // creditOut carries a 1
 
 	tr *trace.Emitter
 }
@@ -99,7 +103,6 @@ func NewNI(name string, clk *clock.Clock, layout phit.HeaderLayout,
 	return &NI{
 		name: name, clk: clk, layout: layout,
 		in: in, out: out, creditIn: creditIn, creditOut: creditOut,
-		outConns:   make(map[phit.ConnID]*beOut),
 		inByQID:    make(map[int]*beIn),
 		inByID:     make(map[phit.ConnID]*beIn),
 		maxPacket:  maxPacket,
@@ -109,15 +112,15 @@ func NewNI(name string, clk *clock.Clock, layout phit.HeaderLayout,
 
 // AddOutConn registers a sourced connection.
 func (n *NI) AddOutConn(cfg OutConnConfig) {
-	if _, dup := n.outConns[cfg.ID]; dup {
+	at, dup := slices.BinarySearch(n.outIDs, cfg.ID)
+	if dup {
 		panic(fmt.Sprintf("aethereal %s: duplicate out connection %d", n.name, cfg.ID))
 	}
-	n.outConns[cfg.ID] = &beOut{
+	n.outIDs = slices.Insert(n.outIDs, at, cfg.ID)
+	n.outs = slices.Insert(n.outs, at, &beOut{
 		cfg:   cfg,
 		queue: sim.NewBisync[phit.Meta](fmt.Sprintf("%s.c%d.send", n.name, cfg.ID), SendCapacity, n.clk.Period),
-	}
-	n.order = append(n.order, cfg.ID)
-	sort.Slice(n.order, func(i, j int) bool { return n.order[i] < n.order[j] })
+	})
 }
 
 // AddInConn registers a terminating connection.
@@ -132,10 +135,11 @@ func (n *NI) AddInConn(cfg InConnConfig) {
 
 // Offer enqueues a payload word from the IP (blocking-write semantics).
 func (n *NI) Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool {
-	oc := n.outConns[conn]
-	if oc == nil {
+	at, ok := slices.BinarySearch(n.outIDs, conn)
+	if !ok {
 		panic(fmt.Sprintf("aethereal %s: unknown out connection %d", n.name, conn))
 	}
+	oc := n.outs[at]
 	if !oc.queue.CanPush() {
 		return false
 	}
@@ -157,29 +161,30 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. Only a valid word is copied.
 func (n *NI) Sample(now clock.Time) {
-	if n.in != nil {
+	if n.gotWord = n.in != nil && n.in.Read().Valid; n.gotWord {
 		n.sampledIn = n.in.Read()
-	} else {
-		n.sampledIn = phit.IdlePhit
 	}
 	if n.creditIn != nil {
 		n.sampledCredit = n.creditIn.Read()
-	} else {
-		n.sampledCredit = 0
 	}
 }
 
 // Update implements sim.Component.
 func (n *NI) Update(now clock.Time) {
-	n.receive(now)
+	if n.gotWord {
+		n.receive(now, &n.sampledIn)
+	}
 	n.linkCredit += n.sampledCredit
-	n.send(now)
+	if n.out != nil {
+		n.send(now)
+	}
 	// The modelled IP drains the receive path at line rate, so one
 	// credit is returned per received word immediately.
-	if n.creditOut != nil {
-		if n.sampledIn.Valid {
+	if n.creditOut != nil && n.gotWord != n.creditHigh {
+		n.creditHigh = n.gotWord
+		if n.gotWord {
 			n.creditOut.Drive(1)
 		} else {
 			n.creditOut.Drive(0)
@@ -187,11 +192,8 @@ func (n *NI) Update(now clock.Time) {
 	}
 }
 
-func (n *NI) receive(now clock.Time) {
-	p := n.sampledIn
-	if !p.Valid {
-		return
-	}
+// receive takes one valid word off the link.
+func (n *NI) receive(now clock.Time, p *phit.Phit) {
 	if !n.inPacket {
 		if p.Kind != phit.Header && p.Kind != phit.CreditOnly {
 			panic(fmt.Sprintf("aethereal %s: expected header, got %v", n.name, p.Kind))
@@ -224,32 +226,45 @@ func (n *NI) receive(now clock.Time) {
 	}
 }
 
-func (n *NI) send(now clock.Time) {
-	if n.out == nil {
-		return
-	}
-	if n.linkCredit == 0 {
+// idle retracts the last valid word on out, once.
+func (n *NI) idle() {
+	if n.outBusy {
+		n.outBusy = false
 		n.out.Drive(phit.IdlePhit)
+	}
+}
+
+// send drives at most one word onto out, which must be connected.
+func (n *NI) send(now clock.Time) {
+	if n.linkCredit == 0 {
+		n.idle()
 		return
 	}
 	if n.openConn == nil {
-		// Pick the next connection with data, round-robin.
-		for k := 0; k < len(n.order); k++ {
-			id := n.order[(n.rr+k)%len(n.order)]
-			oc := n.outConns[id]
+		// Pick the next connection with data, round-robin from rr on.
+		for k := range n.outs {
+			i := n.rr + k
+			if i >= len(n.outs) {
+				i -= len(n.outs)
+			}
+			oc := n.outs[i]
 			if oc.queue.Valid(now) {
-				n.rr = (n.rr + k + 1) % len(n.order)
+				if n.rr = i + 1; n.rr == len(n.outs) {
+					n.rr = 0
+				}
 				n.openConn = oc
 				n.openWords = 0
 				n.linkCredit--
+				n.outBusy = true
 				n.out.Drive(phit.Phit{Valid: true, Kind: phit.Header, Data: oc.cfg.Header,
-					Meta: phit.Meta{Conn: id}})
+					Meta: phit.Meta{Conn: oc.cfg.ID}})
 				return
 			}
 		}
-		n.out.Drive(phit.IdlePhit)
+		n.idle()
 		return
 	}
+	n.outBusy = true
 	oc := n.openConn
 	if !oc.queue.Valid(now) {
 		// Nothing buffered mid-packet: terminate with a zero-payload
@@ -315,7 +330,7 @@ func (n *NI) ResetStats() {
 		ic.lastNs = 0
 		ic.arrivals = nil
 	}
-	for _, oc := range n.outConns {
+	for _, oc := range n.outs {
 		oc.sent = 0
 	}
 }

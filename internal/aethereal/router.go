@@ -2,6 +2,7 @@ package aethereal
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/clock"
 	"repro/internal/phit"
@@ -12,12 +13,14 @@ import (
 // router.
 const DefaultBufferWords = 8
 
+// maxArity is the widest router the per-output request masks cover.
+const maxArity = 32
+
 // A Router is the best-effort wormhole router component.
 type Router struct {
 	name   string
 	clk    *clock.Clock
 	layout phit.HeaderLayout
-	arity  int
 	bufCap int
 
 	in        []*sim.Wire[phit.Phit]
@@ -25,17 +28,24 @@ type Router struct {
 	creditIn  []*sim.Wire[int] // per output port, freed credits from downstream
 	creditOut []*sim.Wire[int] // per input port, credits we free toward upstream
 
-	inBuf  [][]phit.Phit
-	curOut []int // output port of the packet currently crossing input i
-	routed []bool
-	locked []int // input currently owning output o, or -1
-	rrPtr  []int // round-robin pointer per output
+	inBuf    [][]phit.Phit
+	buffered int   // words held in all input buffers together
+	curOut   []int // output port of the packet currently crossing input i
+	routed   []bool
+	locked   []int    // input currently owning output o, or -1
+	rrPtr    []int    // round-robin pointer per output
+	req      []uint32 // per output, the inputs whose head requests it this cycle
 
 	outCredit []int // credits toward each downstream input buffer
 
-	sampledIn     []phit.Phit
-	sampledCredit []int
-	freed         []int // per input, words switched out this cycle
+	sampledIn []phit.Phit // latched only when valid:
+	arrived   uint32      // the inputs whose entry is this cycle's word
+	woken     bool        // a word or a credit came in this cycle
+	freed     []int       // per input, words switched out this cycle
+
+	// The outputs (credit returns) whose last drive was a valid word (a
+	// non-zero count) and is still to be retracted: see "Change-only drives".
+	outBusy, creditBusy uint32
 
 	forwarded int64
 	stalls    int64 // cycles an output wanted to send but had no credit
@@ -48,6 +58,9 @@ func NewRouter(name string, arity int, layout phit.HeaderLayout, clk *clock.Cloc
 	if arity < 2 {
 		panic(fmt.Sprintf("aethereal %s: arity %d below minimum 2", name, arity))
 	}
+	if arity > maxArity {
+		panic(fmt.Sprintf("aethereal %s: arity %d above the %d a request mask holds", name, arity, maxArity))
+	}
 	if err := layout.Validate(); err != nil {
 		panic(fmt.Sprintf("aethereal %s: %v", name, err))
 	}
@@ -58,24 +71,23 @@ func NewRouter(name string, arity int, layout phit.HeaderLayout, clk *clock.Cloc
 		panic(fmt.Sprintf("aethereal %s: buffer of %d words cannot cover the credit loop", name, bufWords))
 	}
 	r := &Router{
-		name:          name,
-		clk:           clk,
-		layout:        layout,
-		arity:         arity,
-		bufCap:        bufWords,
-		in:            make([]*sim.Wire[phit.Phit], arity),
-		out:           make([]*sim.Wire[phit.Phit], arity),
-		creditIn:      make([]*sim.Wire[int], arity),
-		creditOut:     make([]*sim.Wire[int], arity),
-		inBuf:         make([][]phit.Phit, arity),
-		curOut:        make([]int, arity),
-		routed:        make([]bool, arity),
-		locked:        make([]int, arity),
-		rrPtr:         make([]int, arity),
-		outCredit:     make([]int, arity),
-		sampledIn:     make([]phit.Phit, arity),
-		sampledCredit: make([]int, arity),
-		freed:         make([]int, arity),
+		name:      name,
+		clk:       clk,
+		layout:    layout,
+		bufCap:    bufWords,
+		in:        make([]*sim.Wire[phit.Phit], arity),
+		out:       make([]*sim.Wire[phit.Phit], arity),
+		creditIn:  make([]*sim.Wire[int], arity),
+		creditOut: make([]*sim.Wire[int], arity),
+		inBuf:     make([][]phit.Phit, arity),
+		curOut:    make([]int, arity),
+		routed:    make([]bool, arity),
+		locked:    make([]int, arity),
+		rrPtr:     make([]int, arity),
+		req:       make([]uint32, arity),
+		outCredit: make([]int, arity),
+		sampledIn: make([]phit.Phit, arity),
+		freed:     make([]int, arity),
 	}
 	for i := range r.locked {
 		r.locked[i] = -1
@@ -116,28 +128,28 @@ func (r *Router) Name() string { return r.name }
 // Clock implements sim.Component.
 func (r *Router) Clock() *clock.Clock { return r.clk }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. Only a valid word is copied; credits freed
+// downstream are banked at once, usable from this cycle's Update on.
 func (r *Router) Sample(now clock.Time) {
-	for i := 0; i < r.arity; i++ {
-		if r.in[i] != nil {
-			r.sampledIn[i] = r.in[i].Read()
-		} else {
-			r.sampledIn[i] = phit.IdlePhit
+	for i, w := range r.in {
+		if w != nil && w.Read().Valid {
+			r.sampledIn[i] = w.Read()
+			r.arrived |= 1 << i
+			r.woken = true
 		}
-		if r.creditIn[i] != nil {
-			r.sampledCredit[i] = r.creditIn[i].Read()
-		} else {
-			r.sampledCredit[i] = 0
+	}
+	for o, w := range r.creditIn {
+		if w != nil && w.Read() != 0 {
+			r.outCredit[o] += w.Read()
+			r.woken = true
 		}
 	}
 }
 
 // headPort returns the output port requested by input i's head word,
-// computing and latching it when the head is a header.
+// computing and latching it when the head is a header. The buffer must not
+// be empty.
 func (r *Router) headPort(i int) int {
-	if len(r.inBuf[i]) == 0 {
-		return -1
-	}
 	if !r.routed[i] {
 		h := r.inBuf[i][0]
 		if h.Kind != phit.Header && h.Kind != phit.CreditOnly {
@@ -153,73 +165,111 @@ func (r *Router) headPort(i int) int {
 	return r.curOut[i]
 }
 
+// request posts input i's head word to the output it asks for. A port the
+// router does not have is requested from nobody: such a packet never leaves.
+func (r *Router) request(i int) {
+	if p := r.headPort(i); p < len(r.req) {
+		r.req[p] |= 1 << i
+	}
+}
+
+// idle retracts output o's last valid word, once.
+func (r *Router) idle(o int) {
+	if r.outBusy&(1<<o) != 0 {
+		r.outBusy &^= 1 << o
+		r.out[o].Drive(phit.IdlePhit)
+	}
+}
+
 // Update implements sim.Component.
 func (r *Router) Update(now clock.Time) {
-	// Credits freed downstream become usable next cycle.
-	for o := 0; o < r.arity; o++ {
-		r.outCredit[o] += r.sampledCredit[o]
+	if r.buffered == 0 && !r.woken && r.outBusy|r.creditBusy == 0 {
+		return // nothing held, nothing came, nothing to retract
 	}
+	r.woken = false
 	freed := r.freed
 	clear(freed)
 
+	// Every buffered head posts its request; an output reads one mask.
+	clear(r.req)
+	for i := range r.inBuf {
+		if len(r.inBuf[i]) > 0 {
+			r.request(i)
+		}
+	}
+
 	// Arbitrate each output.
-	for o := 0; o < r.arity; o++ {
-		if r.out[o] == nil {
+	for o, out := range r.out {
+		if out == nil {
 			continue
 		}
 		src := r.locked[o]
 		if src < 0 {
-			// Round-robin over inputs whose head requests o.
-			for k := 1; k <= r.arity; k++ {
-				i := (r.rrPtr[o] + k) % r.arity
-				if len(r.inBuf[i]) > 0 && r.headPort(i) == o {
-					// An input can only win a new output if it
-					// is not mid-packet on another one.
-					src = i
-					r.rrPtr[o] = i
-					break
-				}
+			// Round-robin over inputs whose head requests o (mid-packet on
+			// another output it requests that one): the first above the
+			// pointer, else the lowest.
+			m := r.req[o]
+			if m == 0 {
+				r.idle(o)
+				continue
 			}
+			if above := m >> (r.rrPtr[o] + 1); above != 0 {
+				src = r.rrPtr[o] + 1 + bits.TrailingZeros32(above)
+			} else {
+				src = bits.TrailingZeros32(m)
+			}
+			r.rrPtr[o] = src
 		}
-		if src < 0 || len(r.inBuf[src]) == 0 {
-			r.out[o].Drive(phit.IdlePhit)
+		if len(r.inBuf[src]) == 0 {
+			r.idle(o)
 			continue
 		}
 		if r.outCredit[o] == 0 {
 			r.stalls++
-			r.out[o].Drive(phit.IdlePhit)
+			r.idle(o)
 			r.locked[o] = src // hold the output while stalled mid-packet
 			continue
 		}
 		w := r.inBuf[src][0]
 		// Pop by moving the few words behind it up, keeping the capacity.
 		r.inBuf[src] = r.inBuf[src][:copy(r.inBuf[src], r.inBuf[src][1:])]
+		r.buffered--
 		freed[src]++
 		r.outCredit[o]--
 		r.forwarded++
 		if w.EoP {
 			r.locked[o] = -1
 			r.routed[src] = false
+			// The pop exposed the next packet's header: an output still to
+			// come this cycle may take it (doc.go, "Known simplification").
+			if len(r.inBuf[src]) > 0 {
+				r.request(src)
+			}
 		} else {
 			r.locked[o] = src
 		}
-		r.out[o].Drive(w)
+		out.Drive(w)
+		r.outBusy |= 1 << o
 	}
 
 	// Accept arriving words after switching: a word needs a full cycle
 	// in the buffer before it can leave.
-	for i := 0; i < r.arity; i++ {
-		if !r.sampledIn[i].Valid {
-			continue
-		}
+	for m := r.arrived; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		if len(r.inBuf[i]) >= r.bufCap {
 			panic(fmt.Sprintf("aethereal %s: input %d buffer overflow — link-level flow control violated", r.name, i))
 		}
 		r.inBuf[i] = append(r.inBuf[i], r.sampledIn[i])
+		r.buffered++
 	}
-	for i := 0; i < r.arity; i++ {
-		if r.creditOut[i] != nil {
-			r.creditOut[i].Drive(freed[i])
+	r.arrived = 0
+	for i, c := range r.creditOut {
+		if c != nil && (freed[i] != 0 || r.creditBusy&(1<<i) != 0) {
+			c.Drive(freed[i])
+			r.creditBusy &^= 1 << i
+			if freed[i] != 0 {
+				r.creditBusy |= 1 << i
+			}
 		}
 	}
 }

@@ -33,6 +33,8 @@ type BENetwork struct {
 
 	eng     *sim.Engine
 	base    *clock.Clock
+	data    map[topology.LinkID]*sim.Wire[phit.Phit]
+	credit  map[topology.LinkID]*sim.Wire[int]
 	nis     map[topology.NodeID]*aethereal.NI
 	routers map[topology.NodeID]*aethereal.Router
 	gens    map[phit.ConnID]*traffic.Generator
@@ -106,9 +108,11 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		n.conns[c.ID] = &beConnInfo{spec: c, srcNI: src, dstNI: dst, path: p}
 	}
 
-	// Wires: per link a data wire and a reverse credit wire.
+	// Wires: per link a data wire and a reverse credit wire, driven on a
+	// change only (see package aethereal): not to be intercepted.
 	data := make(map[topology.LinkID]*sim.Wire[phit.Phit])
 	credit := make(map[topology.LinkID]*sim.Wire[int])
+	n.data, n.credit = data, credit
 	for _, l := range m.Links() {
 		dn := fmt.Sprintf("l%d.data", l.ID)
 		cn := fmt.Sprintf("l%d.credit", l.ID)

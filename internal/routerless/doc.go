@@ -21,4 +21,13 @@
 // bandwidth is directly comparable between the two fabrics. It is built
 // from the same core.Config as they are and offered the same traffic
 // (Config.Traffic): same mapping, same offered load.
+//
+// # Visit table
+//
+// After rot flit cycles slot sid stands at stop (sid + rot) mod S, and of the
+// S stops it passes per revolution only two can act on it: its owner's
+// destination (ejection, at rotation (dstPos - sid) mod S) and its owner's
+// source (injection, at (srcPos - sid) mod S). Build lists those meetings per
+// rotation in stop order, and a flit cycle walks its rotation's list: 2 x
+// owned slots per revolution instead of S x S stop probes, same event order.
 package routerless

@@ -1,8 +1,10 @@
 package routerless
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -21,23 +23,54 @@ func (r *ring) Name() string { return "rl." + r.name }
 // Clock implements sim.Component.
 func (r *ring) Clock() *clock.Clock { return r.net.base }
 
+// buildVisits derives the visit table from the slot ownership, final once
+// every connection is placed: per rotation, in stop order, the meetings of an
+// owned slot with its owner's destination or source stop.
+func (r *ring) buildVisits() {
+	r.visits = make([][]visit, r.S)
+	for rot := range r.visits {
+		for p := 0; p < r.S; p++ {
+			sid := (p - rot + r.S) % r.S
+			if ci := r.owner[sid]; ci != nil && (ci.dstPos == p || ci.srcPos == p) {
+				r.visits[rot] = append(r.visits[rot], visit{ci: ci, sid: sid, eject: ci.dstPos == p})
+			}
+		}
+	}
+}
+
 // Update implements sim.Component: on every flit-cycle boundary the
 // wheel rotates one stop, arriving flits eject, and owning stops inject
 // into their freshly arrived slots.
 func (r *ring) Update(now clock.Time) {
-	cycle := int64(now / r.net.base.Period)
-	if cycle%int64(phit.FlitWords) != 0 {
+	// The word within the flit advances by one while edges follow each
+	// other a period apart; only a first edge or a jump divides.
+	period := r.net.base.Period
+	if now == r.nextEdge && period == r.edgePeriod {
+		if r.word++; r.word == phit.FlitWords {
+			r.word = 0
+		}
+	} else {
+		r.word = int(int64(now/period) % phit.FlitWords)
+		r.edgePeriod = period
+	}
+	r.nextEdge = now + period
+	if r.word != 0 {
 		return
 	}
 	// Rotate: the entry at stop p moves to stop p+1.
-	r.rot = (r.rot + 1) % r.S
+	if r.rot++; r.rot == r.S {
+		r.rot = 0
+	}
 
-	for p := 0; p < r.S; p++ {
-		sid := (p - r.rot + r.S) % r.S
+	for _, v := range r.visits[r.rot] {
+		ci, sid := v.ci, v.sid
 		e := &r.wheel[sid]
-		st := r.stops[p]
 		// Ejection first: a slot frees the instant its flit arrives.
-		if ci := e.ci; e.n > 0 && ci.dstPos == p {
+		if v.eject {
+			if e.n == 0 {
+				continue
+			}
+			st := r.stops[ci.dstPos]
 			for _, w := range e.words[:e.n] {
 				ci.delivered++
 				if st.tr != nil {
@@ -51,12 +84,12 @@ func (r *ring) Update(now clock.Time) {
 				}
 			}
 			e.n = 0
+			continue
 		}
 		// Injection: only the slot's owner, only at its source stop, and
 		// only into an empty slot. A non-empty owned slot here would mean
 		// a flit survived a full revolution — a protocol violation.
-		ci := r.owner[sid]
-		if ci == nil || ci.srcPos != p || len(ci.q) == 0 {
+		if len(ci.q) == 0 {
 			continue
 		}
 		if e.n > 0 {
@@ -65,7 +98,7 @@ func (r *ring) Update(now clock.Time) {
 		e.ci = ci
 		e.n = copy(e.words[:], ci.q)
 		ci.q = ci.q[:copy(ci.q, ci.q[e.n:])]
-		if st.tr != nil {
+		if st := r.stops[ci.srcPos]; st.tr != nil {
 			st.tr.Emit(trace.Event{Time: now, Kind: trace.SlotStart, Conn: ci.spec.ID,
 				Slot: int32(sid), Arg: int64(e.n)})
 			for _, w := range e.words[:e.n] {
@@ -79,10 +112,13 @@ func (r *ring) Update(now clock.Time) {
 // Offer implements traffic.Port: the generator's word enters the
 // connection's source queue (blocking-write semantics on a full queue).
 func (r *ring) Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool {
-	ci := r.conns[conn]
-	if ci == nil {
+	at, ok := slices.BinarySearchFunc(r.conns, conn, func(ci *connInfo, id phit.ConnID) int {
+		return cmp.Compare(ci.spec.ID, id)
+	})
+	if !ok {
 		panic(fmt.Sprintf("routerless %s: unknown connection %d", r.Name(), conn))
 	}
+	ci := r.conns[at]
 	if len(ci.q) >= SendCapacity {
 		return false
 	}

@@ -106,7 +106,23 @@ type ring struct {
 	wheel []entry
 	rot   int
 	owner []*connInfo // slot id -> owning connection, nil when free
-	conns map[phit.ConnID]*connInfo
+	conns []*connInfo // carried connections, ascending id
+	// visits[rot] is what the flit cycle at rotation rot can do (see the
+	// package comment, "Visit table").
+	visits [][]visit
+
+	// The word within the flit at the last Update, and what it was derived for.
+	word       int
+	nextEdge   clock.Time
+	edgePeriod clock.Duration
+}
+
+// A visit is one meeting of an owned slot with its owner's destination stop
+// (eject) or source stop.
+type visit struct {
+	ci    *connInfo
+	sid   int
+	eject bool
 }
 
 // connInfo is everything the overlay derived for one connection.
@@ -224,12 +240,13 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 			return nil, err
 		}
 		n.conns[c.ID] = ci
-		ci.ring.conns[c.ID] = ci
+		ci.ring.conns = append(ci.ring.conns, ci)
 	}
 
 	// Components: rings first (index order), then generators (conn order)
 	// — a fixed construction order keeps same-seed runs byte-identical.
 	for _, r := range n.rings {
+		r.buildVisits()
 		n.eng.Add(r)
 	}
 	for _, c := range conns {
@@ -248,11 +265,10 @@ func (n *Network) buildRings() {
 	m := n.Mesh
 	addRing := func(name string, nis []topology.NodeID) {
 		r := &ring{
-			name:  name,
-			net:   n,
-			S:     len(nis),
-			conns: make(map[phit.ConnID]*connInfo),
-			pos:   make(map[topology.NodeID]int),
+			name: name,
+			net:  n,
+			S:    len(nis),
+			pos:  make(map[topology.NodeID]int),
 		}
 		r.stops = make([]*stop, r.S)
 		r.wheel = make([]entry, r.S)

@@ -190,8 +190,8 @@ func TestRingUpdateDoesNotAllocate(t *testing.T) {
 		now += flit
 		seq++
 		for _, r := range n.rings {
-			for id := range r.conns {
-				r.Offer(now, id, phit.Meta{Seq: seq})
+			for _, ci := range r.conns {
+				r.Offer(now, ci.spec.ID, phit.Meta{Seq: seq})
 			}
 			r.Update(now)
 		}

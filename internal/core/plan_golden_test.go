@@ -32,11 +32,10 @@ var planDigestMeshes = []struct{ cols, rows, conns int }{
 
 var planDigestSeeds = []int64{2009, 2010, 2011, 7}
 
-// planDigest plans one scenario exactly as the scale study's
-// allocation-only points do and hashes every decision the allocator made:
-// the placed and failed lists, the repair count, and each assignment's
-// slots with the links of the path each slot rides.
-func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed int64) (string, error) {
+// planPoint plans one scenario exactly as the scale study's
+// allocation-only points do and holds the plan against the allocation
+// oracle; it returns the plan and the oracle's view of it.
+func planPoint(fam scenario.Family, cols, rows, conns int, alloc string, seed int64) (*core.Plan, allocView, error) {
 	scfg := scenario.Default(fam, cols, rows, conns, seed)
 	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc}
 	ports := cols + rows - 1
@@ -50,10 +49,25 @@ func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed i
 	}
 	s, err := scenario.Generate(scfg)
 	if err != nil {
-		return "", err
+		return nil, allocView{}, err
 	}
 	m := s.Mesh()
 	plan, err := core.PlanAllocation(m, s.UseCase, ncfg)
+	if err != nil {
+		return nil, allocView{}, err
+	}
+	v := oracleView(plan, m, s.UseCase, ncfg)
+	if err := checkAllocation(v); err != nil {
+		return nil, allocView{}, fmt.Errorf("allocation oracle: %w", err)
+	}
+	return plan, v, nil
+}
+
+// planDigest plans one scenario with planPoint and hashes every decision
+// the allocator made: the placed and failed lists, the repair count, and
+// each assignment's slots with the links of the path each slot rides.
+func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed int64) (string, error) {
+	plan, _, err := planPoint(fam, cols, rows, conns, alloc, seed)
 	if err != nil {
 		return "", err
 	}
@@ -77,7 +91,8 @@ func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed i
 // TestPlanDigests pins the allocator's decisions: the digests in testdata
 // were recorded before the occupancy representation changed, so a data
 // structure swap that alters one slot or path choice anywhere in the cross
-// product fails here. -short keeps one seed.
+// product fails here, and every plan passes the allocation oracle. -short
+// keeps one seed.
 func TestPlanDigests(t *testing.T) {
 	want := map[string]string{}
 	if !*updatePlanDigests {

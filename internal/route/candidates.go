@@ -24,9 +24,13 @@ func Staircase(m *topology.Mesh, src, dst topology.NodeID, turnAfter int) (*Path
 		return nil, err
 	}
 	sr, dr := m.Node(s.Router), m.Node(d.Router)
-	x := xLeg(sr.X, dr.X)
-	first := leg{x.port, min(max(turnAfter, 0), x.n)}
-	return walk(m, s, d, [3]leg{first, yLeg(sr.Y, dr.Y), {x.port, x.n - first.n}})
+	return walk(m, s, d, staircaseLegs(xLeg(sr.X, dr.X), yLeg(sr.Y, dr.Y), turnAfter), new(Path))
+}
+
+// staircaseLegs turns from the X leg into the Y leg after turnAfter hops.
+func staircaseLegs(x, y leg, turnAfter int) [3]leg {
+	first := min(max(turnAfter, 0), x.n)
+	return [3]leg{{x.port, first}, y, {x.port, x.n - first}}
 }
 
 // Detour computes a non-minimal route that first side-steps one hop
@@ -45,8 +49,18 @@ func Detour(m *topology.Mesh, src, dst topology.NodeID, firstPort int) (*Path, e
 		return nil, fmt.Errorf("route: detour between NIs on one router is pointless")
 	}
 	sr, dr := m.Node(s.Router), m.Node(d.Router)
-	// The dimension-ordered legs start one hop off the source router; a
-	// side-step off the mesh edge fails in walk before they are used.
+	legs, err := detourLegs(&sr, &dr, firstPort)
+	if err != nil {
+		return nil, err
+	}
+	return walk(m, s, d, legs, new(Path))
+}
+
+// detourLegs side-steps from router sr through firstPort and then runs
+// dimension-ordered to dr. The dimension-ordered legs start one hop off the
+// source router; a side-step off the mesh edge fails in walk before they
+// are used.
+func detourLegs(sr, dr *topology.Node, firstPort int) ([3]leg, error) {
 	x, y := sr.X, sr.Y
 	switch firstPort {
 	case topology.East:
@@ -58,64 +72,67 @@ func Detour(m *topology.Mesh, src, dst topology.NodeID, firstPort int) (*Path, e
 	case topology.North:
 		y--
 	default:
-		return nil, fmt.Errorf("route: detour side must be a mesh direction")
+		return [3]leg{}, fmt.Errorf("route: detour side must be a mesh direction")
 	}
 	side, xl, yl := leg{firstPort, 1}, xLeg(x, dr.X), yLeg(y, dr.Y)
 	if x != sr.X {
-		return walk(m, s, d, [3]leg{side, yl, xl})
+		return [3]leg{side, yl, xl}, nil
 	}
-	return walk(m, s, d, [3]leg{side, xl, yl})
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return [3]leg{side, xl, yl}, nil
 }
 
 // Candidates returns up to max distinct routes between two NIs: every
 // minimal staircase (XY towards YX), followed by one-hop X side-step
 // detours when the minimal family is smaller than max. Duplicate link
 // sequences (straight-line routes have only one minimal path) are
-// collapsed.
+// collapsed. The candidates' hops share one array.
 func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, error) {
 	if max < 1 {
 		max = 1
 	}
-	sr := m.Node(m.Node(src).Router)
-	dr := m.Node(m.Node(dst).Router)
+	s, d, err := endpoints(m.Graph, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	sr, dr := m.Node(s.Router), m.Node(d.Router)
+	x, y := xLeg(sr.X, dr.X), yLeg(sr.Y, dr.Y)
+	// A staircase crosses the Manhattan distance and the two NI links, a
+	// detour two links more. A candidate dropped as a repeat leaves its hops
+	// to the next.
+	n, stairs := x.n+y.n+2, min(x.n+1, max)
+	if y.n == 0 {
+		stairs = 1
+	}
+	hops := make([]Hop, 0, stairs*n+(max-stairs)*(n+2))
 	out := make([]*Path, 0, max)
-	for turn := abs(sr.X - dr.X); turn >= 0 && len(out) < max; turn-- {
-		p, err := Staircase(m, src, dst, turn)
+	add := func(legs [3]leg) error {
+		p, err := walk(m, s, d, legs, &Path{Links: hops[len(hops):]})
 		if err != nil {
+			return err
+		}
+		// A handful of candidates at most, so compare link sequences directly.
+		if !slices.ContainsFunc(out, func(q *Path) bool { return slices.Equal(q.Links, p.Links) }) {
+			hops = append(hops, p.Links...) // in place: the walk wrote them there
+			p.Links = slices.Clip(p.Links)
+			out = append(out, p)
+		}
+		return nil
+	}
+	for turn := x.n; turn >= 0 && len(out) < max; turn-- {
+		if err := add(staircaseLegs(x, y, turn)); err != nil {
 			return nil, err
 		}
-		out = addDistinct(out, p)
-		if sr.Y == dr.Y {
+		if y.n == 0 {
 			break // a straight line is its own only staircase
 		}
 	}
-	if sr.ID != dr.ID {
-		for _, side := range [...]int{topology.East, topology.West, topology.North, topology.South} {
-			if len(out) >= max {
-				break
-			}
-			if p, err := Detour(m, src, dst, side); err == nil {
-				out = addDistinct(out, p)
-			}
+	for _, side := range [...]int{topology.East, topology.West, topology.North, topology.South} {
+		if len(out) >= max || sr.ID == dr.ID {
+			break
+		}
+		if legs, err := detourLegs(&sr, &dr, side); err == nil {
+			add(legs) // a side-step off the mesh edge is no candidate
 		}
 	}
 	return out, nil
-}
-
-// addDistinct appends p unless a path with the same link sequence is
-// already there. A handful of candidates at most, so compare directly.
-func addDistinct(out []*Path, p *Path) []*Path {
-	for _, q := range out {
-		if slices.Equal(q.Links, p.Links) {
-			return out
-		}
-	}
-	return append(out, p)
 }

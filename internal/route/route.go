@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -48,16 +49,11 @@ func (p *Path) String() string {
 	return fmt.Sprintf("path(%d->%d, %d routers, shift %d)", p.Src, p.Dst, p.Hops(), p.TotalShift)
 }
 
-// newPath returns an empty path with room for exactly n links.
-func newPath(src, dst topology.NodeID, n int) *Path {
-	return &Path{Src: src, Dst: dst, Links: make([]Hop, 0, n)}
-}
-
 // extend appends link l. The flit enters the first link at shift 0 and
 // every later one a slot after it left the previous: one slot for the
 // router's flit cycle plus one per pipeline stage of the link behind it.
 // TotalShift is kept as the arrival offset of the path so far.
-func (p *Path) extend(l topology.Link) {
+func (p *Path) extend(l *topology.Link) {
 	shift := 0
 	if len(p.Links) > 0 {
 		shift = p.TotalShift + 1
@@ -107,15 +103,17 @@ func yLeg(from, to int) leg {
 	return leg{topology.North, from - to}
 }
 
-// walk builds the route that leaves s, runs the legs in order from s's
-// router and enters d. The legs must end at d's router.
-func walk(m *topology.Mesh, s, d topology.Node, legs [3]leg) (*Path, error) {
+// walk refills p with the route that leaves s, runs the legs in order from
+// s's router and enters d, reusing p's hop array when it has room, and
+// returns it. The legs must end at d's router.
+func walk(m *topology.Mesh, s, d topology.Node, legs [3]leg, p *Path) (*Path, error) {
 	niLink := m.InLink(d.ID, 0)
 	if niLink == topology.Invalid {
 		return nil, fmt.Errorf("route: NI %s has no input link", d.Name)
 	}
-	p := newPath(s.ID, d.ID, legs[0].n+legs[1].n+legs[2].n+2)
-	p.extend(m.Link(m.OutLink(s.ID, 0)))
+	p.Src, p.Dst, p.TotalShift = s.ID, d.ID, 0
+	p.Links = slices.Grow(p.Links[:0], legs[0].n+legs[1].n+legs[2].n+2)
+	p.extend(m.LinkRef(m.OutLink(s.ID, 0)))
 	cur := s.Router
 	for _, lg := range legs {
 		for i := 0; i < lg.n; i++ {
@@ -123,12 +121,12 @@ func walk(m *topology.Mesh, s, d topology.Node, legs [3]leg) (*Path, error) {
 			if lid == topology.Invalid {
 				return nil, fmt.Errorf("route: %s has no link on port %d", m.Node(cur).Name, lg.port)
 			}
-			l := m.Link(lid)
+			l := m.LinkRef(lid)
 			p.extend(l)
 			cur = l.To
 		}
 	}
-	last := m.Link(niLink)
+	last := m.LinkRef(niLink)
 	if last.From != cur {
 		return nil, fmt.Errorf("route: walk ended at %s, but %s attaches to %s",
 			m.Node(cur).Name, d.Name, m.Node(last.From).Name)
@@ -141,17 +139,20 @@ func walk(m *topology.Mesh, s, d topology.Node, legs [3]leg) (*Path, error) {
 // NIs on a mesh. It is deterministic and deadlock-free, and is the routing
 // used for the paper's Section VII experiment.
 func XY(m *topology.Mesh, src, dst topology.NodeID) (*Path, error) {
-	return dimensionOrder(m, src, dst, true)
+	return DimensionOrder(new(Path), m, src, dst, true)
 }
 
 // YX computes the Y-first dimension-ordered route; together with XY it
 // gives the allocator a fallback path when slots on the XY route are
 // exhausted.
 func YX(m *topology.Mesh, src, dst topology.NodeID) (*Path, error) {
-	return dimensionOrder(m, src, dst, false)
+	return DimensionOrder(new(Path), m, src, dst, false)
 }
 
-func dimensionOrder(m *topology.Mesh, src, dst topology.NodeID, xFirst bool) (*Path, error) {
+// DimensionOrder walks the XY route between two NIs (YX unless xFirst) into
+// p, reusing p's hop array, and returns p: for callers that read a route's
+// shifts and drop it.
+func DimensionOrder(p *Path, m *topology.Mesh, src, dst topology.NodeID, xFirst bool) (*Path, error) {
 	s, d, err := endpoints(m.Graph, src, dst)
 	if err != nil {
 		return nil, err
@@ -159,9 +160,9 @@ func dimensionOrder(m *topology.Mesh, src, dst topology.NodeID, xFirst bool) (*P
 	sr, dr := m.Node(s.Router), m.Node(d.Router)
 	x, y := xLeg(sr.X, dr.X), yLeg(sr.Y, dr.Y)
 	if xFirst {
-		return walk(m, s, d, [3]leg{x, y})
+		return walk(m, s, d, [3]leg{x, y}, p)
 	}
-	return walk(m, s, d, [3]leg{y, x})
+	return walk(m, s, d, [3]leg{y, x}, p)
 }
 
 // BFS computes a minimal-hop route between two NIs on an arbitrary graph.
@@ -205,9 +206,9 @@ func BFS(g *topology.Graph, src, dst topology.NodeID) (*Path, error) {
 	for n := dst; n != src; n = g.Link(prev[n]).From {
 		rev = append(rev, prev[n])
 	}
-	p := newPath(src, dst, len(rev))
+	p := &Path{Src: src, Dst: dst, Links: make([]Hop, 0, len(rev))}
 	for i := len(rev) - 1; i >= 0; i-- {
-		p.extend(g.Link(rev[i]))
+		p.extend(g.LinkRef(rev[i]))
 	}
 	return p.finished()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,6 +306,115 @@ func TestCandidatesMatchSprintKeyed(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%d->%d max %d: %d paths %v, oracle %d paths %v", src, dst, max, len(got), got, len(want), want)
+				}
+			}
+		}
+	}
+}
+
+// TestConstructorEdges: the rejections and clamps every constructor
+// applies.
+func TestConstructorEdges(t *testing.T) {
+	m := mesh(t)
+	a, b := m.NIAt(0, 0, 0), m.NIAt(2, 1, 0)
+	for name, f := range map[string]func(src, dst topology.NodeID) error{
+		"YX":         func(src, dst topology.NodeID) error { _, err := YX(m, src, dst); return err },
+		"Staircase":  func(src, dst topology.NodeID) error { _, err := Staircase(m, src, dst, 1); return err },
+		"Detour":     func(src, dst topology.NodeID) error { _, err := Detour(m, src, dst, topology.East); return err },
+		"Candidates": func(src, dst topology.NodeID) error { _, err := Candidates(m, src, dst, 6); return err },
+	} {
+		if f(a, a) == nil {
+			t.Errorf("%s accepted equal endpoints", name)
+		}
+		if f(m.RouterAt(0, 0), b) == nil {
+			t.Errorf("%s accepted a router endpoint", name)
+		}
+	}
+	if _, err := Detour(m, a, b, topology.West); err == nil || !strings.Contains(err.Error(), "has no link on port") {
+		t.Errorf("Detour off the mesh edge: %v", err)
+	}
+	if _, err := Detour(m, a, b, -1); err == nil || !strings.Contains(err.Error(), "mesh direction") {
+		t.Errorf("Detour through port -1: %v", err)
+	}
+	// Turns clamp: before the first X hop is YX, past the last is XY.
+	xy, _ := XY(m, a, b)
+	yx, _ := YX(m, a, b)
+	for turn, want := range map[int]*Path{-1: yx, 9: xy} {
+		if p, err := Staircase(m, a, b, turn); err != nil || !reflect.DeepEqual(p, want) {
+			t.Errorf("Staircase turning after %d = %v, %v; want %v", turn, p, err, want)
+		}
+	}
+	if ps, err := Candidates(m, a, b, 0); err != nil || len(ps) != 1 || !reflect.DeepEqual(ps[0], xy) {
+		t.Errorf("Candidates capped at 0 = %v, %v; want the XY route alone", ps, err)
+	}
+	// A shift past what a hop records is refused, not wrapped.
+	long := topology.NewMesh(3, 1, 1)
+	long.SetMeshPipelineStages(40000)
+	if _, err := XY(long, long.NIAt(0, 0, 0), long.NIAt(2, 0, 0)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("XY over 80000 slots of shift: %v", err)
+	}
+	if _, err := BFS(long.Graph, long.NIAt(0, 0, 0), long.NIAt(2, 0, 0)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("BFS over 80000 slots of shift: %v", err)
+	}
+}
+
+// TestRoutesValidOnRandomMeshes: on random meshes (1-4 NIs per router, 0-2
+// pipeline stages drawn per link) every route any constructor returns
+// passes Validate, which re-derives each shift from the links' stages.
+// Minimal routes cross the Manhattan distance; a detour does too when it
+// side-steps towards the destination, else two links more. Candidates are
+// distinct and start with the XY route.
+func TestRoutesValidOnRandomMeshes(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 20; i++ {
+		m := topology.NewMesh(1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(4))
+		for _, l := range m.Links() {
+			m.SetPipelineStages(l.ID, rng.Intn(3))
+		}
+		nis := m.AllNIs()
+		for j := 0; j < 40; j++ {
+			src, dst := nis[rng.Intn(len(nis))], nis[rng.Intn(len(nis))]
+			if src == dst {
+				continue
+			}
+			sr, dr := m.Node(m.Node(src).Router), m.Node(m.Node(dst).Router)
+			minimal := max(sr.X-dr.X, dr.X-sr.X) + max(sr.Y-dr.Y, dr.Y-sr.Y) + 2
+			check := func(what string, p *Path, err error, detour bool) {
+				t.Helper()
+				if err == nil {
+					err = Validate(m.Graph, p)
+				}
+				if err != nil || p.Src != src || p.Dst != dst ||
+					len(p.Links) != minimal && !(detour && len(p.Links) == minimal+2) {
+					t.Fatalf("%dx%d %d->%d %s: %v, %v; minimal routes have %d links", m.Cols, m.Rows, src, dst, what, p, err, minimal)
+				}
+			}
+			p, err := XY(m, src, dst)
+			check("XY", p, err, false)
+			xy := p
+			p, err = YX(m, src, dst)
+			check("YX", p, err, false)
+			p, err = BFS(m.Graph, src, dst)
+			check("BFS", p, err, false)
+			for turn := 0; turn <= m.Cols; turn++ {
+				p, err = Staircase(m, src, dst, turn)
+				check(fmt.Sprint("Staircase ", turn), p, err, false)
+			}
+			for side := topology.North; side <= topology.West && sr.ID != dr.ID; side++ {
+				if p, err = Detour(m, src, dst, side); err == nil {
+					check(fmt.Sprint("Detour ", side), p, err, true)
+				}
+			}
+			ps, err := Candidates(m, src, dst, 6)
+			if err != nil || !reflect.DeepEqual(ps[0], xy) {
+				t.Fatalf("%d->%d: Candidates start %v, %v; want the XY route", src, dst, ps[0], err)
+			}
+			for k, p := range ps {
+				check(fmt.Sprint("Candidates #", k), p, nil, true)
+				for _, q := range ps[:k] {
+					if reflect.DeepEqual(q.Links, p.Links) {
+						t.Fatalf("%d->%d: candidate %d repeats an earlier one", src, dst, k)
+					}
 				}
 			}
 		}

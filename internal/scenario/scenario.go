@@ -445,6 +445,7 @@ func (g *gen) distinctIPs(count int) []spec.IPID {
 // (traffic.TxWordsForRate words).
 func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordBytes, tableSize int, transactional bool) error {
 	cycleNs := 1e3 / fMHz
+	var p route.Path // every route is walked into its hop array and dropped
 	for i := range uc.Connections {
 		c := &uc.Connections[i]
 		src, dst, err := uc.Endpoints(*c)
@@ -452,14 +453,11 @@ func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordB
 			return err
 		}
 		worst := 0
-		for _, r := range []func(*topology.Mesh, topology.NodeID, topology.NodeID) (*route.Path, error){route.XY, route.YX} {
-			p, err := r(m, src, dst)
-			if err != nil {
+		for _, xFirst := range [2]bool{true, false} {
+			if _, err := route.DimensionOrder(&p, m, src, dst, xFirst); err != nil {
 				return err
 			}
-			if p.TotalShift > worst {
-				worst = p.TotalShift
-			}
+			worst = max(worst, p.TotalShift)
 		}
 		fixed := float64(analysis.FixedPathCycles(&route.Path{TotalShift: worst})) * cycleNs
 		bwSlots, err := analysis.SlotsForBandwidth(c.BandwidthMBps, fMHz, wordBytes, tableSize, false)

@@ -2,7 +2,8 @@ package slots
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/phit"
 )
@@ -182,9 +183,6 @@ func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, ripp
 	if len(victims) == 0 {
 		return false
 	}
-	if len(victims) > maxVictims {
-		victims = victims[:maxVictims]
-	}
 	prior := make([]*Assignment, 0, len(victims))
 	for k := 1; k <= len(victims); k++ {
 		set := victims[:k]
@@ -227,13 +225,14 @@ func ripUpTrial(a *Allocation, req Request, victims []phit.ConnID, reqOf map[phi
 	return true
 }
 
-// blockers ranks the rippable connections occupying the blocked request's
-// candidate paths, most-blocking first (ties by connection id). A
-// connection scores one for every slot it owns on every link of every
-// candidate path — a link shared by several candidates counts once per
-// candidate.
+// blockers returns the maxVictims rippable connections occupying the
+// blocked request's candidate paths that block it most, most-blocking first
+// (ties by connection id). A connection scores one for every slot it owns
+// on every link of every candidate path — a link shared by several
+// candidates counts once per candidate. Scores are kept in the scratch's
+// dense per-ConnID counters, and rippable is asked once per owner.
 func blockers(a *Allocation, req Request, rippable map[phit.ConnID]bool) []phit.ConnID {
-	count := make(map[phit.ConnID]int)
+	sc := &a.scratch
 	for _, p := range req.Paths {
 		for _, h := range p.Links {
 			r := a.row(h.Link)
@@ -243,23 +242,43 @@ func blockers(a *Allocation, req Request, rippable map[phit.ConnID]bool) []phit.
 			// Every injection slot maps to a distinct slot of the link, so
 			// walking the path's injection slots is walking the row.
 			for _, owner := range r.owner {
-				if owner != phit.None && rippable[owner] {
-					count[owner]++
+				if owner == phit.None {
+					continue
 				}
+				if int(owner) >= len(sc.count) {
+					sc.count = append(sc.count, make([]int32, int(owner)+1-len(sc.count))...)
+				}
+				if sc.count[owner] == 0 {
+					sc.touched = append(sc.touched, owner)
+					if !rippable[owner] {
+						sc.count[owner] = math.MinInt32 // stays negative: never a victim
+					}
+				}
+				sc.count[owner]++
 			}
 		}
 	}
-	out := make([]phit.ConnID, 0, len(count))
-	for c := range count {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if count[out[i]] != count[out[j]] {
-			return count[out[i]] > count[out[j]]
+	// A bounded insertion keeps the leaders in rank order.
+	var ids [maxVictims]phit.ConnID
+	var ns [maxVictims]int32
+	k := 0
+	for _, c := range sc.touched {
+		n := sc.count[c]
+		sc.count[c] = 0
+		i := k
+		for i > 0 && (n > ns[i-1] || n == ns[i-1] && c < ids[i-1]) {
+			i--
 		}
-		return out[i] < out[j]
-	})
-	return out
+		if n < 0 || i == maxVictims {
+			continue
+		}
+		k = min(k+1, maxVictims)
+		copy(ids[i+1:k], ids[i:k-1])
+		copy(ns[i+1:k], ns[i:k-1])
+		ids[i], ns[i] = c, n
+	}
+	sc.touched = sc.touched[:0]
+	return slices.Clone(ids[:k])
 }
 
 // Allocators returns every registered strategy, baseline first.

@@ -103,6 +103,8 @@ type scratch struct {
 	paths   []*route.Path // a request's candidates, grouped by TotalShift
 	hottest []int         // per path of a group, its hottest link's used-slot count
 	claimed []uint64      // Verify: per link the slots the assignments claim, maskWords each
+	count   []int32       // blockers: per ConnID its blocking slots, negative when not rippable; zero between calls
+	touched []phit.ConnID // blockers: the ids whose count is set, to reset
 }
 
 // sized sets the scratch buffer's length to n, reallocating only when it is
@@ -311,7 +313,7 @@ func (a *Allocation) NITable(ni topology.NodeID) *Table {
 // with the owners, so a claim leaked or left stale by a release or an
 // undone repair is caught too.
 func (a *Allocation) Verify() error {
-	words := a.maskWords()
+	t, words := a.TableSize, a.maskWords()
 	claimed := sized(&a.scratch.claimed, words*len(a.links))
 	clear(claimed)
 	for _, c := range a.Conns() {
@@ -323,12 +325,15 @@ func (a *Allocation) Verify() error {
 			return fmt.Errorf("slots: connection %d has %d slots but paths for %d", c, len(as.Slots), len(as.PathOf))
 		}
 		for i, s := range as.Slots {
-			if s < 0 || s >= a.TableSize {
+			if s < 0 || s >= t {
 				return fmt.Errorf("slots: connection %d slot %d out of range", c, s)
 			}
 			for _, h := range as.PathOf[i].Links {
-				slot := (s + int(h.Shift)) % a.TableSize
-				have := a.LinkOwner(h.Link, slot)
+				slot := (s + int(h.Shift)) % t
+				have := phit.None
+				if r := a.row(h.Link); r != nil {
+					have = r.owner[slot]
+				}
 				at, bit := int(h.Link)*words+slot/64, uint64(1)<<uint(slot%64)
 				// An owned slot has a row, so claimed covers it. Only a
 				// slot's owner marks it, and connections are visited in
@@ -345,22 +350,41 @@ func (a *Allocation) Verify() error {
 			}
 		}
 	}
+	// The claims are a subset of the owned slots, so a row is right when, a
+	// word of 64 slots at a time, its owners, its occupancy bits and the
+	// claims are one set. Only a word that disagrees is walked slot by slot,
+	// to name its first wrong slot (or, for a stray bit past the table's
+	// end, to find none).
 	for l := range a.links {
 		r := a.row(topology.LinkID(l))
 		if r == nil {
 			continue
 		}
 		used := 0
-		for slot, have := range r.owner {
-			if have != phit.None && claimed[l*words+slot/64]>>uint(slot%64)&1 == 0 {
-				return fmt.Errorf("slots: link %d slot %d: table says connection %d, no assignment claims it (stale or leaked claim)",
-					l, slot, have)
+		for w := range words {
+			lo, hi := w*64, min(w*64+64, t)
+			owned := uint64(0)
+			for i, have := range r.owner[lo:hi] {
+				if have != phit.None {
+					owned |= 1 << uint(i)
+				}
 			}
-			if bit := r.busy[slot/64]>>uint(slot%64)&1 != 0; bit != (have != phit.None) {
-				return fmt.Errorf("slots: link %d slot %d: occupancy bit %v disagrees with owner %d", l, slot, bit, have)
+			if owned == claimed[l*words+w] && owned == r.busy[w] {
+				used += bits.OnesCount64(owned)
+				continue
 			}
-			if have != phit.None {
-				used++
+			for slot := lo; slot < hi; slot++ {
+				have := r.owner[slot]
+				if have != phit.None && claimed[l*words+w]>>uint(slot%64)&1 == 0 {
+					return fmt.Errorf("slots: link %d slot %d: table says connection %d, no assignment claims it (stale or leaked claim)",
+						l, slot, have)
+				}
+				if bit := r.busy[w]>>uint(slot%64)&1 != 0; bit != (have != phit.None) {
+					return fmt.Errorf("slots: link %d slot %d: occupancy bit %v disagrees with owner %d", l, slot, bit, have)
+				}
+				if have != phit.None {
+					used++
+				}
 			}
 		}
 		if r.used != used {
@@ -438,7 +462,7 @@ func (a *Allocation) Conns() []phit.ConnID {
 	for c := range a.ByConn {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -588,8 +612,10 @@ func commitAssignment(a *Allocation, req Request, asg *Assignment) {
 // candidate path, the joint-free slot count and the hottest link.
 func placementError(a *Allocation, req Request) *PlacementError {
 	tableSize := a.TableSize
-	detail := ""
+	pe := &PlacementError{Conn: req.Conn, Needed: req.Count, GapTarget: req.GapTarget,
+		Table: tableSize, Link: topology.Invalid}
 	mask := sized(&a.scratch.masks, a.maskWords())
+	mostFree := -1
 	for pi, p := range req.Paths {
 		a.freeMask(p, mask)
 		worstLink, worstUtil := topology.LinkID(-1), 0.0
@@ -598,11 +624,14 @@ func placementError(a *Allocation, req Request) *PlacementError {
 				worstLink, worstUtil = h.Link, u
 			}
 		}
-		detail += fmt.Sprintf("; path %d: %d joint-free slots, hottest link %d at %.0f%%",
-			pi, popcount(mask), worstLink, worstUtil*100)
+		free := popcount(mask)
+		pe.Detail += fmt.Sprintf("; path %d: %d joint-free slots, hottest link %d at %.0f%%",
+			pi, free, worstLink, worstUtil*100)
+		if free > mostFree {
+			mostFree, pe.Link, pe.FreeSlots = free, worstLink, tableSize-a.linkUsed(worstLink)
+		}
 	}
-	return &PlacementError{Conn: req.Conn, Needed: req.Count, GapTarget: req.GapTarget,
-		Table: tableSize, Detail: detail}
+	return pe
 }
 
 // pickSlotsMultiPath chooses at least count injection slots where each
@@ -805,6 +834,11 @@ type PlacementError struct {
 	Needed    int
 	GapTarget int
 	Table     int
+	// Link is the link that ran out: the hottest link of the candidate path
+	// with the most joint-free slots (topology.Invalid when no link of it
+	// carries a claim). FreeSlots is how many of its slots are still free.
+	Link      topology.LinkID
+	FreeSlots int
 	Detail    string
 }
 

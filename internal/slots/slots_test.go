@@ -2,6 +2,7 @@ package slots
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -297,5 +298,54 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	flipped.links[asg.Path.Links[0].Link].busy[0] ^= 1 << uint((asg.Slots[0]+1)%8)
 	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "occupancy bit") {
 		t.Errorf("Verify missed a wrong occupancy bit: %v", err)
+	}
+}
+
+// TestVerifyNamesTheFirstWrongSlot: on a 100-slot table (a full word and a
+// 36-slot tail word) every kind of corruption, at bit 63 of the full word
+// and at the last slot of the tail, is reported with the exact message of a
+// slot-by-slot walk; an occupancy bit past the table's end is not a slot.
+func TestVerifyNamesTheFirstWrongSlot(t *testing.T) {
+	const size = 100
+	// p enters link 2 in the injection slot and link 3 one slot later.
+	p := &route.Path{Links: []route.Hop{{Link: 2}, {Link: 3, Shift: 1}}, TotalShift: 1}
+	q := &route.Path{Links: []route.Hop{{Link: 3}}}
+	for _, slot := range []int{63, 99} {
+		for _, tc := range []struct {
+			name    string
+			corrupt func(a *Allocation)
+			want    string
+		}{
+			{"contention", func(a *Allocation) {
+				a.ByConn[3] = &Assignment{Conn: 3, Path: p, Slots: []int{slot}, PathOf: []*route.Path{p}}
+			}, fmt.Sprintf("slots: contention on link 2 slot %d between connections 1 and 3", slot)},
+			{"stale claim", func(a *Allocation) { delete(a.ByConn, 1) },
+				fmt.Sprintf("slots: link 2 slot %d: table says connection 1, no assignment claims it (stale or leaked claim)", slot)},
+			{"leaked claim", func(a *Allocation) {
+				a.ByConn[4] = &Assignment{Conn: 4, Path: q, Slots: []int{slot}, PathOf: []*route.Path{q}}
+			}, fmt.Sprintf("slots: link 3 slot %d: table says connection 0, assignments say 4 (stale or leaked claim)", slot)},
+			{"occupancy bit", func(a *Allocation) { a.links[2].busy[slot/64] &^= 1 << uint(slot%64) },
+				fmt.Sprintf("slots: link 2 slot %d: occupancy bit false disagrees with owner 1", slot)},
+			{"used counter", func(a *Allocation) { a.links[2].used++ },
+				"slots: link 2: used counter 3, 2 slots owned"},
+			{"bit past the table", func(a *Allocation) { a.links[2].busy[1] |= 1 << 63 }, ""},
+		} {
+			a := NewAllocation(size)
+			for c, s := range map[phit.ConnID]int{1: slot, 2: 10} {
+				a.Claim(c, p, s)
+				a.ByConn[c] = &Assignment{Conn: c, Path: p, Slots: []int{s}, PathOf: []*route.Path{p}}
+			}
+			if err := a.Verify(); err != nil {
+				t.Fatalf("slot %d: the clean allocation fails: %v", slot, err)
+			}
+			tc.corrupt(a)
+			got := ""
+			if err := a.Verify(); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Errorf("slot %d, %s: Verify says %q, want %q", slot, tc.name, got, tc.want)
+			}
+		}
 	}
 }

@@ -117,8 +117,13 @@ func (u *UseCase) Endpoints(c Connection) (src, dst topology.NodeID, err error) 
 	return s.NI, d.NI, nil
 }
 
-// IP returns the IP with the given id.
+// IP returns the IP with the given id. Generated use cases number their IPs
+// by position, so the direct index is tried before the scan that
+// hand-written specs may need.
 func (u *UseCase) IP(id IPID) (IP, error) {
+	if id >= 0 && int(id) < len(u.IPs) && u.IPs[id].ID == id {
+		return u.IPs[id], nil
+	}
 	for _, ip := range u.IPs {
 		if ip.ID == id {
 			return ip, nil

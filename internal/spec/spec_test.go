@@ -144,6 +144,22 @@ func TestConnectionsOfAppAndIP(t *testing.T) {
 	}
 }
 
+// TestIPWhenIDsAreNotPositions: a hand-written spec may number its IPs in
+// any order; the lookup must not take the IP at position id for IP id.
+func TestIPWhenIDsAreNotPositions(t *testing.T) {
+	u := &UseCase{IPs: []IP{{ID: 5, Name: "dsp"}, {ID: 0, Name: "cpu"}, {ID: 1, Name: "mem"}}}
+	for id, want := range map[IPID]string{5: "dsp", 0: "cpu", 1: "mem"} {
+		if ip, err := u.IP(id); err != nil || ip.Name != want {
+			t.Errorf("IP(%d) = %+v, %v; want %s", id, ip, err, want)
+		}
+	}
+	for _, id := range []IPID{-1, 2, 3} {
+		if ip, err := u.IP(id); err == nil {
+			t.Errorf("IP(%d) found %+v", id, ip)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "uc.json")

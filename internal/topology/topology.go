@@ -163,11 +163,16 @@ func (g *Graph) node(id NodeID) *Node {
 func (g *Graph) Node(id NodeID) Node { return *g.node(id) }
 
 // Link returns the link with the given id.
-func (g *Graph) Link(id LinkID) Link {
+func (g *Graph) Link(id LinkID) Link { return *g.LinkRef(id) }
+
+// LinkRef returns the graph's own record of the link, for per-hop loops
+// that read a field or two without copying the whole Link. Read it; do not
+// write through it.
+func (g *Graph) LinkRef(id LinkID) *Link {
 	if id < 0 || int(id) >= len(g.links) {
 		panic(fmt.Sprintf("topology: no link %d", id))
 	}
-	return g.links[id]
+	return &g.links[id]
 }
 
 // NumNodes returns the node count.

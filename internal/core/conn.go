@@ -56,9 +56,9 @@ type routedConn struct {
 // detours) defeat slot-alignment fragmentation on loaded meshes (TDM never
 // blocks in-network, so any route is safe). Candidates whose hop count
 // exceeds the header path field are unusable unless cfg.UncappedPaths, and
-// so is any candidate crossing a link in avoid. The error wraps
-// ErrUnknownEndpoint, ErrSharedNI or ErrNoRoute.
-func routeOne(m *topology.Mesh, uc *spec.UseCase, cfg Config, c spec.Connection, avoid []topology.LinkID) (routedConn, error) {
+// so is any candidate crossing a link in avoid. The paths are carved from
+// ar. The error wraps ErrUnknownEndpoint, ErrSharedNI or ErrNoRoute.
+func routeOne(m *topology.Mesh, uc *spec.UseCase, cfg Config, c spec.Connection, avoid []topology.LinkID, ar *route.Arena) (routedConn, error) {
 	src, dst, err := uc.Endpoints(c)
 	if err != nil {
 		return routedConn{}, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrUnknownEndpoint, err)
@@ -67,7 +67,7 @@ func routeOne(m *topology.Mesh, uc *spec.UseCase, cfg Config, c spec.Connection,
 		return routedConn{}, fmt.Errorf("core: connection %d: %w (NI %d)", c.ID, ErrSharedNI, src)
 	}
 	candidates := func(from, to topology.NodeID) ([]*route.Path, error) {
-		paths, err := route.Candidates(m, from, to, 6)
+		paths, err := ar.Candidates(m, from, to, 6)
 		if err != nil {
 			return nil, fmt.Errorf("core: connection %d: %w: %v", c.ID, ErrNoRoute, err)
 		}

@@ -9,9 +9,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/link"
 	"repro/internal/ni"
+	"repro/internal/parallel"
 	"repro/internal/phit"
 	"repro/internal/reliable"
 	"repro/internal/replay"
+	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/slots"
@@ -347,15 +349,34 @@ func allocate(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize int) 
 	return alloc, infos, nil
 }
 
+// parallelRouting is the smallest use case whose routing is split across
+// workers; smaller ones route on the calling goroutine.
+const parallelRouting = 512
+
 // routeConnections routes every connection of the use case, in spec order.
+// A large use case is split into contiguous index ranges, one per worker,
+// each routing into its own arena; the error is the lowest-indexed
+// connection's, as a sequential pass would meet it first.
 func routeConnections(m *topology.Mesh, uc *spec.UseCase, cfg Config) ([]routedConn, error) {
-	routed := make([]routedConn, len(uc.Connections))
-	for i, c := range uc.Connections {
-		rc, err := routeOne(m, uc, cfg, c, nil)
-		if err != nil {
-			return nil, err
+	n, jobs := len(uc.Connections), 1
+	if n >= parallelRouting {
+		jobs = min(parallel.Jobs(0), n)
+	}
+	routed := make([]routedConn, n)
+	_, err := parallel.Map(jobs, jobs, func(w int) (struct{}, error) {
+		lo, hi := w*n/jobs, (w+1)*n/jobs
+		ar := route.NewArena(2 * (hi - lo)) // both directions
+		for i := lo; i < hi; i++ {
+			rc, err := routeOne(m, uc, cfg, uc.Connections[i], nil, ar)
+			if err != nil {
+				return struct{}{}, err
+			}
+			routed[i] = rc
 		}
-		routed[i] = rc
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return routed, nil
 }

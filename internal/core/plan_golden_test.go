@@ -63,14 +63,19 @@ func planPoint(fam scenario.Family, cols, rows, conns int, alloc string, seed in
 	return plan, v, nil
 }
 
-// planDigest plans one scenario with planPoint and hashes every decision
-// the allocator made: the placed and failed lists, the repair count, and
-// each assignment's slots with the links of the path each slot rides.
+// planDigest plans one scenario with planPoint and digests the plan.
 func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed int64) (string, error) {
 	plan, _, err := planPoint(fam, cols, rows, conns, alloc, seed)
 	if err != nil {
 		return "", err
 	}
+	return digestPlan(plan), nil
+}
+
+// digestPlan hashes every decision the allocator made: the placed and
+// failed lists, the repair count, and each assignment's slots with the
+// links of the path each slot rides.
+func digestPlan(plan *core.Plan) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "table %d ripups %d\nplaced %v\nfailed %v\n", plan.TableSize, plan.RipUps, plan.Placed, plan.Failed)
 	for _, c := range plan.Alloc.Conns() {
@@ -85,7 +90,7 @@ func planDigest(fam scenario.Family, cols, rows, conns int, alloc string, seed i
 		}
 		fmt.Fprintln(h)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestPlanDigests pins the allocator's decisions: the digests in testdata

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/phit"
 	"repro/internal/scenario"
 	"repro/internal/spec"
@@ -77,6 +78,28 @@ func TestAllocationOracle(t *testing.T) {
 			}
 			t.Logf("%s %dx%d/%d %s seed %d: %d placed, %d failed, %d channels checked",
 				p.fam, p.cols, p.rows, p.conns, p.alloc, seed, len(plan.Placed), len(plan.Failed), len(v.Channels))
+		}
+	}
+}
+
+// TestAllocationOracleScaleStudy holds every plan of the published scale
+// study — each family on each mesh with each allocator, at the study's seed
+// — against the oracle (-short: the 8x8 plans only).
+func TestAllocationOracleScaleStudy(t *testing.T) {
+	cfg := experiments.DefaultScaleConfig()
+	for _, mesh := range cfg.Meshes {
+		if testing.Short() && mesh.Cols > 8 {
+			continue
+		}
+		for _, fam := range cfg.Families {
+			for _, alloc := range cfg.Allocators {
+				plan, v, err := planPoint(fam, mesh.Cols, mesh.Rows, mesh.Conns, alloc, cfg.Seed)
+				if err != nil {
+					t.Fatalf("%s %dx%d/%d %s: %v", fam, mesh.Cols, mesh.Rows, mesh.Conns, alloc, err)
+				}
+				t.Logf("%s %dx%d/%d %s: %d placed, %d failed, %d channels checked",
+					fam, mesh.Cols, mesh.Rows, mesh.Conns, alloc, len(plan.Placed), len(plan.Failed), len(v.Channels))
+			}
 		}
 	}
 }

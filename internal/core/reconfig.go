@@ -90,7 +90,7 @@ func (n *Network) PlanAdmission(c spec.Connection, avoid []topology.LinkID) (*Ad
 	if n.retired[c.ID] {
 		return nil, fmt.Errorf("core: %w: connection id %d was closed and its queue RAM is still registered; re-admission needs a fresh id (FreshConnID)", ErrDuplicate, c.ID)
 	}
-	rc, err := routeOne(n.Mesh, n.Spec, n.Cfg, c, avoid)
+	rc, err := routeOne(n.Mesh, n.Spec, n.Cfg, c, avoid, new(route.Arena))
 	if err != nil {
 		return nil, err
 	}

@@ -87,9 +87,40 @@ func detourLegs(sr, dr *topology.Node, firstPort int) ([3]leg, error) {
 // sequences (straight-line routes have only one minimal path) are
 // collapsed. The candidates' hops share one array.
 func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, error) {
-	if max < 1 {
-		max = 1
+	return new(Arena).Candidates(m, src, dst, max)
+}
+
+// An Arena carves the hops, Paths and result slices of many Candidates calls
+// from chunks sized for the calls it still expects (up to maxChunk), so the
+// tail a chunk leaves and the last chunks stay small. A path keeps its chunk
+// alive. An Arena serves one goroutine; the zero value expects one call.
+type Arena struct {
+	hops  []Hop
+	paths []Path
+	out   []*Path
+	calls int
+}
+
+// maxChunk is the most calls one chunk is sized for.
+const maxChunk = 256
+
+// NewArena returns an arena that expects about calls Candidates calls.
+func NewArena(calls int) *Arena { return &Arena{calls: calls} }
+
+// carve returns the next n elements of the chunk, capped at n, starting a
+// chunk for calls such calls when the current one has no room.
+func carve[T any](chunk *[]T, n, calls int) []T {
+	l := len(*chunk)
+	if cap(*chunk)-l < n {
+		*chunk, l = make([]T, 0, n*min(calls, maxChunk)), 0
 	}
+	return (*chunk)[l : l+n : l+n]
+}
+
+// Candidates is the package-level Candidates with its memory carved from the
+// arena.
+func (ar *Arena) Candidates(m *topology.Mesh, src, dst topology.NodeID, most int) ([]*Path, error) {
+	most = max(most, 1)
 	s, d, err := endpoints(m.Graph, src, dst)
 	if err != nil {
 		return nil, err
@@ -97,17 +128,18 @@ func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, e
 	sr, dr := m.Node(s.Router), m.Node(d.Router)
 	x, y := xLeg(sr.X, dr.X), yLeg(sr.Y, dr.Y)
 	// A staircase crosses the Manhattan distance and the two NI links, a
-	// detour two links more. A candidate dropped as a repeat leaves its hops
-	// to the next.
-	n, stairs := x.n+y.n+2, min(x.n+1, max)
-	if y.n == 0 {
-		stairs = 1
-	}
-	hops := make([]Hop, 0, stairs*n+(max-stairs)*(n+2))
-	out := make([]*Path, 0, max)
+	// detour two links more; the call reserves room for most detours and
+	// keeps what its candidates use. A candidate dropped as a repeat leaves
+	// its hops and its Path to the next.
+	calls := max(ar.calls, 1)
+	ar.calls = calls - 1
+	hops := carve(&ar.hops, most*(x.n+y.n+4), calls)[:0]
+	paths := carve(&ar.paths, most, calls)
+	out := carve(&ar.out, most, calls)[:0]
 	add := func(legs [3]leg) error {
-		p, err := walk(m, s, d, legs, &Path{Links: hops[len(hops):]})
-		if err != nil {
+		p := &paths[len(out)]
+		p.Links = hops[len(hops):]
+		if _, err := walk(m, s, d, legs, p); err != nil {
 			return err
 		}
 		// A handful of candidates at most, so compare link sequences directly.
@@ -118,7 +150,7 @@ func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, e
 		}
 		return nil
 	}
-	for turn := x.n; turn >= 0 && len(out) < max; turn-- {
+	for turn := x.n; turn >= 0 && len(out) < most; turn-- {
 		if err := add(staircaseLegs(x, y, turn)); err != nil {
 			return nil, err
 		}
@@ -127,12 +159,15 @@ func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, e
 		}
 	}
 	for _, side := range [...]int{topology.East, topology.West, topology.North, topology.South} {
-		if len(out) >= max || sr.ID == dr.ID {
+		if len(out) >= most || sr.ID == dr.ID {
 			break
 		}
 		if legs, err := detourLegs(&sr, &dr, side); err == nil {
 			add(legs) // a side-step off the mesh edge is no candidate
 		}
 	}
-	return out, nil
+	ar.hops = ar.hops[:len(ar.hops)+len(hops)]
+	ar.paths = ar.paths[:len(ar.paths)+len(out)]
+	ar.out = ar.out[:len(ar.out)+len(out)]
+	return slices.Clip(out), nil
 }

@@ -420,3 +420,48 @@ func TestRoutesValidOnRandomMeshes(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaMatchesCandidates: candidates carved from one arena, for random
+// NI pairs and caps on 8x8 and 32x32 meshes, equal the arena-less ones, and
+// every call's hops are its own: overwriting all of one call's hops and
+// appending to its paths leaves every other call's paths as they were.
+func TestArenaMatchesCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, size := range []int{8, 32} {
+		m := topology.NewMesh(size, size, 1)
+		nis := m.AllNIs()
+		const calls = 600
+		ar := NewArena(calls / 2) // fewer than it gets: later chunks start mid-run
+		var got, want [][]*Path
+		for len(got) < calls {
+			src, dst := nis[rng.Intn(len(nis))], nis[rng.Intn(len(nis))]
+			if src == dst {
+				continue
+			}
+			max := 1 + rng.Intn(6)
+			g, err := ar.Candidates(m, src, dst, max)
+			w, werr := Candidates(m, src, dst, max)
+			if err != nil || werr != nil {
+				t.Fatalf("%d->%d: %v, %v", src, dst, err, werr)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%dx%d %d->%d max %d: arena %v, want %v", size, size, src, dst, max, g, w)
+			}
+			got, want = append(got, g), append(want, w)
+		}
+		// Calls follow each other in the arena: overwrite every other one.
+		for i := 0; i < calls; i += 2 {
+			for _, p := range got[i] {
+				p.Links = append(p.Links, Hop{Link: -1})
+				for k := range p.Links {
+					p.Links[k] = Hop{Link: -2, Shift: 7}
+				}
+			}
+		}
+		for i := 1; i < calls; i += 2 {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%dx%d: writing its neighbours' hops changed call %d's", size, size, i)
+			}
+		}
+	}
+}

@@ -48,7 +48,12 @@ func AdmissibleRatesMBps(fMHz float64, wordBytes int) []float64 {
 // per-frequency generalisation of experiments.Sec7QuantizeRateMBps (which
 // is the 500 MHz / 4-byte instance).
 func QuantizeRateMBps(rateMBps, fMHz float64, wordBytes int) float64 {
-	rates := AdmissibleRatesMBps(fMHz, wordBytes)
+	return quantize(rateMBps, AdmissibleRatesMBps(fMHz, wordBytes))
+}
+
+// quantize rounds a rate down within a descending AdmissibleRatesMBps table,
+// which a caller quantising many rates at one frequency builds once.
+func quantize(rateMBps float64, rates []float64) float64 {
 	for _, r := range rates {
 		if r <= rateMBps {
 			return r

@@ -202,8 +202,9 @@ func Generate(cfg Config) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	rates := AdmissibleRatesMBps(cfg.FreqMHz, cfg.WordBytes)
 	for i := range uc.Connections {
-		uc.Connections[i].BandwidthMBps = QuantizeRateMBps(uc.Connections[i].BandwidthMBps, cfg.FreqMHz, cfg.WordBytes)
+		uc.Connections[i].BandwidthMBps = quantize(uc.Connections[i].BandwidthMBps, rates)
 	}
 	if err := ClampLatencyBudgets(uc, m, cfg.FreqMHz, cfg.WordBytes, cfg.TableSize, false); err != nil {
 		return nil, err

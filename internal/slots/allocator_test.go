@@ -187,8 +187,20 @@ func loadedAllocation(t *testing.T, rng *rand.Rand, m *topology.Mesh, size int, 
 	return a
 }
 
-// TestPickerAllocatesOnlyItsAnswer: once the scratch has grown, a pick
-// allocates the Assignment, its slots and their paths, and nothing else.
+// freeMasks returns the joint-free slot set of every path, as placeRequest
+// hands them to the picker.
+func freeMasks(a *Allocation, paths []*route.Path) []uint64 {
+	words := a.maskWords()
+	masks := make([]uint64, words*len(paths))
+	for i, p := range paths {
+		a.freeMask(p, masks[i*words:(i+1)*words])
+	}
+	return masks
+}
+
+// TestPickerAllocatesOnlyItsAnswer: once the scratch has grown, a pick from
+// the caller's masks allocates the Assignment, its slots and their paths,
+// and nothing else.
 func TestPickerAllocatesOnlyItsAnswer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := topology.NewMesh(5, 5, 1)
@@ -198,8 +210,9 @@ func TestPickerAllocatesOnlyItsAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths = paths[:4] // the minimal routes: one TotalShift, as placeRequest groups them
+	masks := freeMasks(a, paths)
 	var asg *Assignment
-	pick := func() { asg = pickSlotsMultiPath(a, paths, 6, 16, 1, 5) }
+	pick := func() { asg = pickSlotsMultiPath(a, paths, masks, 6, 16, 1, 5) }
 	pick()
 	if asg == nil {
 		t.Fatal("the rig's request does not fit")
@@ -368,7 +381,7 @@ func TestPickerPlacesWhatItPromises(t *testing.T) {
 						free++
 					}
 				}
-				asg := pickSlotsMultiPath(a, paths, count, windowTarget, windowSlots, rng.Intn(size))
+				asg := pickSlotsMultiPath(a, paths, freeMasks(a, paths), count, windowTarget, windowSlots, rng.Intn(size))
 				if asg == nil {
 					if free >= count && windowTarget == 0 {
 						t.Fatalf("table %d: %d slots refused with %d free", size, count, free)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/parallel"
 	"repro/internal/phit"
 	"repro/internal/route"
 	"repro/internal/topology"
@@ -87,6 +88,9 @@ type Allocation struct {
 	// claim has ever touched has no entry (or a zero one) and reads as
 	// free; only Claim materialises rows.
 	links []linkRow
+	// owners and busy: the rest of the chunks materialise carves rows from.
+	owners []phit.ConnID
+	busy   []uint64
 	// scratch is the working memory of the placement search and of Verify.
 	// It makes them, like Claim, unsafe for concurrent use on one
 	// Allocation.
@@ -102,7 +106,7 @@ type scratch struct {
 	chosen  []int         // the slots chosen so far
 	paths   []*route.Path // a request's candidates, grouped by TotalShift
 	hottest []int         // per path of a group, its hottest link's used-slot count
-	claimed []uint64      // Verify: per link the slots the assignments claim, maskWords each
+	claimed []uint64      // Verify: per worker, per link the slots its assignments claim, maskWords each
 	count   []int32       // blockers: per ConnID its blocking slots, negative when not rippable; zero between calls
 	touched []phit.ConnID // blockers: the ids whose count is set, to reset
 }
@@ -150,6 +154,9 @@ func (a *Allocation) row(l topology.LinkID) *linkRow {
 	return &a.links[l]
 }
 
+// rowChunk is how many link rows materialise carves from one allocation.
+const rowChunk = 64
+
 // materialise returns the link's occupancy for writing, creating it on
 // first use. Only Claim calls it.
 func (a *Allocation) materialise(l topology.LinkID) *linkRow {
@@ -158,18 +165,35 @@ func (a *Allocation) materialise(l topology.LinkID) *linkRow {
 	}
 	r := &a.links[l]
 	if r.owner == nil {
-		r.owner = make([]phit.ConnID, a.TableSize)
-		r.busy = make([]uint64, a.maskWords())
+		t, words := a.TableSize, a.maskWords()
+		if len(a.owners) == 0 {
+			a.owners = make([]phit.ConnID, rowChunk*t)
+			a.busy = make([]uint64, rowChunk*words)
+		}
+		r.owner, a.owners = a.owners[:t:t], a.owners[t:]
+		r.busy, a.busy = a.busy[:words:words], a.busy[words:]
 	}
 	return r
 }
 
+// wrap reduces an injection slot plus a hop's shift to a slot of the link:
+// one subtraction on any path shorter than the table, % only past that.
+func (a *Allocation) wrap(slot int) int {
+	if slot >= a.TableSize {
+		if slot -= a.TableSize; slot >= a.TableSize {
+			slot %= a.TableSize
+		}
+	}
+	return slot
+}
+
 // freeMask writes into mask (length maskWords) the injection slots that are
-// free on every link of p: bit s is set iff SlotFree(p, s). Each link's
-// busy set is rotated by the link's shift into injection-slot coordinates
-// and the rotations are ORed, so the whole table is answered in a few word
-// operations per hop instead of TableSize probes per hop.
-func (a *Allocation) freeMask(p *route.Path, mask []uint64) {
+// free on every link of p — bit s is set iff SlotFree(p, s) — and returns
+// the used-slot count of p's hottest link. Each link's busy set is rotated
+// by the link's shift into injection-slot coordinates and the rotations are
+// ORed, so the whole table is answered in a few word operations per hop
+// instead of TableSize probes per hop.
+func (a *Allocation) freeMask(p *route.Path, mask []uint64) (hottest int) {
 	t := a.TableSize
 	clear(mask)
 	for _, h := range p.Links {
@@ -177,7 +201,8 @@ func (a *Allocation) freeMask(p *route.Path, mask []uint64) {
 		if r == nil || r.used == 0 {
 			continue
 		}
-		orRotated(mask, r.busy, int(h.Shift)%t, t)
+		hottest = max(hottest, r.used)
+		orRotated(mask, r.busy, a.wrap(int(h.Shift)), t)
 	}
 	// mask holds the blocked slots; the free ones are its complement
 	// within the table.
@@ -187,6 +212,7 @@ func (a *Allocation) freeMask(p *route.Path, mask []uint64) {
 	if rem := t % 64; rem != 0 {
 		mask[len(mask)-1] &= 1<<uint(rem) - 1
 	}
+	return hottest
 }
 
 // orRotated ORs into dst the t-bit set src rotated down by r (0 <= r < t):
@@ -226,7 +252,7 @@ func orShiftedUp(dst, src []uint64, n int) {
 // SlotFree reports whether injection slot s is free on every link of path p.
 func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 	for _, h := range p.Links {
-		if r := a.row(h.Link); r != nil && r.owner[(s+int(h.Shift))%a.TableSize] != phit.None {
+		if r := a.row(h.Link); r != nil && r.owner[a.wrap(s+int(h.Shift))] != phit.None {
 			return false
 		}
 	}
@@ -238,7 +264,7 @@ func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 // violation means the allocator itself is broken.
 func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
 	for _, h := range p.Links {
-		slot := (s + int(h.Shift)) % a.TableSize
+		slot := a.wrap(s + int(h.Shift))
 		r := a.materialise(h.Link)
 		if r.owner[slot] != phit.None {
 			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", h.Link, slot, r.owner[slot]))
@@ -253,7 +279,7 @@ func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
 // owns the slot on every link of p.
 func (a *Allocation) unclaim(c phit.ConnID, p *route.Path, s int) {
 	for _, h := range p.Links {
-		slot := (s + int(h.Shift)) % a.TableSize
+		slot := a.wrap(s + int(h.Shift))
 		r := a.row(h.Link)
 		if r == nil || r.owner[slot] != c {
 			panic(fmt.Sprintf("slots: link %d slot %d owned by %d, not releasing connection %d",
@@ -312,11 +338,67 @@ func (a *Allocation) NITable(ni topology.NodeID) *Table {
 // slot must be claimed, and every bitset bit and used counter must agree
 // with the owners, so a claim leaked or left stale by a release or an
 // undone repair is caught too.
+//
+// A large allocation splits the connection walk, and then the link sweep,
+// into contiguous ranges, one per worker, each claiming into its own set.
+// The error is the one a single walk in ascending order meets first.
 func (a *Allocation) Verify() error {
+	conns := a.Conns()
+	jobs, words := verifyJobs(len(conns)), a.maskWords()
+	span := words * len(a.links)
+	claimed := sized(&a.scratch.claimed, jobs*span)
+	set := func(k int) []uint64 { return claimed[k*span : (k+1)*span] }
+	part := func(k int) []phit.ConnID { return conns[k*len(conns)/jobs : (k+1)*len(conns)/jobs] }
+	errs, _ := parallel.Map(jobs, jobs, func(k int) (error, error) {
+		clear(set(k))
+		return a.claimAll(part(k), set(k)), nil
+	})
+	for k, err := range errs {
+		if err != nil {
+			// A range that met no error claimed only slots its own
+			// connections own, so a single walk meets none there either: its
+			// first error is in range k, walked again here on their claims.
+			clear(set(k))
+			for j := range k {
+				orInto(set(k), set(j))
+			}
+			return a.claimAll(part(k), set(k))
+		}
+	}
+	_, err := parallel.Map(jobs, jobs, func(k int) (struct{}, error) {
+		lo, hi := k*len(a.links)/jobs, (k+1)*len(a.links)/jobs
+		for j := 1; j < jobs; j++ {
+			orInto(set(0)[lo*words:hi*words], set(j)[lo*words:hi*words])
+		}
+		return struct{}{}, a.sweep(lo, hi, set(0))
+	})
+	return err
+}
+
+// parallelVerify is the smallest number of assignments whose Verify is split
+// across workers.
+const parallelVerify = 1024
+
+// verifyJobs returns how many ranges Verify splits n assignments into.
+func verifyJobs(n int) int {
+	if n < parallelVerify {
+		return 1
+	}
+	return min(parallel.Jobs(0), n)
+}
+
+// orInto ORs src into dst, both of one length.
+func orInto(dst, src []uint64) {
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
+// claimAll walks the assignments of conns (ascending), marking their claims
+// in claimed, and returns the first error it meets.
+func (a *Allocation) claimAll(conns []phit.ConnID, claimed []uint64) error {
 	t, words := a.TableSize, a.maskWords()
-	claimed := sized(&a.scratch.claimed, words*len(a.links))
-	clear(claimed)
-	for _, c := range a.Conns() {
+	for _, c := range conns {
 		as := a.ByConn[c]
 		if len(as.Slots) == 0 {
 			return fmt.Errorf("slots: connection %d has no slots", c)
@@ -329,7 +411,7 @@ func (a *Allocation) Verify() error {
 				return fmt.Errorf("slots: connection %d slot %d out of range", c, s)
 			}
 			for _, h := range as.PathOf[i].Links {
-				slot := (s + int(h.Shift)) % t
+				slot := a.wrap(s + int(h.Shift))
 				have := phit.None
 				if r := a.row(h.Link); r != nil {
 					have = r.owner[slot]
@@ -350,12 +432,18 @@ func (a *Allocation) Verify() error {
 			}
 		}
 	}
-	// The claims are a subset of the owned slots, so a row is right when, a
-	// word of 64 slots at a time, its owners, its occupancy bits and the
-	// claims are one set. Only a word that disagrees is walked slot by slot,
-	// to name its first wrong slot (or, for a stray bit past the table's
-	// end, to find none).
-	for l := range a.links {
+	return nil
+}
+
+// sweep checks links [from, to) against claimed, the merged claims of every
+// assignment, and returns the first error it meets. The claims are a subset
+// of the owned slots, so a row is right when, a word of 64 slots at a time,
+// its owners, its occupancy bits and the claims are one set. Only a word
+// that disagrees is walked slot by slot, to name its first wrong slot (or,
+// for a stray bit past the table's end, to find none).
+func (a *Allocation) sweep(from, to int, claimed []uint64) error {
+	t, words := a.TableSize, a.maskWords()
+	for l := from; l < to; l++ {
 		r := a.row(topology.LinkID(l))
 		if r == nil {
 			continue
@@ -365,9 +453,9 @@ func (a *Allocation) Verify() error {
 			lo, hi := w*64, min(w*64+64, t)
 			owned := uint64(0)
 			for i, have := range r.owner[lo:hi] {
-				if have != phit.None {
-					owned |= 1 << uint(i)
-				}
+				// The sign bit of have|-have is set iff have != phit.None:
+				// no branch to mispredict on a half-full row.
+				owned |= uint64(uint32(have|-have)>>31) << uint(i)
 			}
 			if owned == claimed[l*words+w] && owned == r.busy[w] {
 				used += bits.OnesCount64(owned)
@@ -528,7 +616,7 @@ func checkRequest(a *Allocation, req Request) error {
 // current allocation, or nil when none exists. It does not claim slots;
 // commitAssignment does.
 func placeRequest(a *Allocation, req Request) *Assignment {
-	tableSize := a.TableSize
+	tableSize, words := a.TableSize, a.maskWords()
 	// Stagger each connection's ideal slot positions so that
 	// equal-count connections do not all fight for the same
 	// comb (0, S/k, 2S/k, ...), which fragments the joint
@@ -563,25 +651,25 @@ func placeRequest(a *Allocation, req Request) *Assignment {
 		}
 		group := paths[:n]
 		paths = paths[n:]
-		// Score each path once (its hottest link's used-slot count; the
-		// table size is common, so counts order as utilisations do), then
-		// a stable insertion sort: groups hold a handful of paths.
+		// One walk per path fills its joint-free mask and scores it by its
+		// hottest link's used-slot count (the table size is common, so
+		// counts order as utilisations do), then a stable insertion sort
+		// moves the masks with their paths: groups hold a handful of paths.
+		masks := sized(&sc.masks, words*n)
 		hottest := sized(&sc.hottest, n)
 		for i, p := range group {
-			hottest[i] = 0
-			for _, h := range p.Links {
-				if u := a.linkUsed(h.Link); u > hottest[i] {
-					hottest[i] = u
-				}
-			}
+			hottest[i] = a.freeMask(p, masks[i*words:(i+1)*words])
 		}
 		for i := 1; i < n; i++ {
 			for j := i; j > 0 && hottest[j] < hottest[j-1]; j-- {
 				group[j], group[j-1] = group[j-1], group[j]
 				hottest[j], hottest[j-1] = hottest[j-1], hottest[j]
+				for w := j * words; w < (j+1)*words; w++ {
+					masks[w], masks[w-words] = masks[w-words], masks[w]
+				}
 			}
 		}
-		if asg := pickSlotsMultiPath(a, group, req.Count, req.GapTarget, ws, offset); asg != nil {
+		if asg := pickSlotsMultiPath(a, group, masks, req.Count, req.GapTarget, ws, offset); asg != nil {
 			return asg
 		}
 	}
@@ -636,23 +724,21 @@ func placementError(a *Allocation, req Request) *PlacementError {
 
 // pickSlotsMultiPath chooses at least count injection slots where each
 // slot may be reserved on any of the candidate paths (tried in the given
-// preference order). When gapTarget is positive the chosen set's cyclic
-// MaxGap must not exceed it; a greedy furthest-within-target cover is
-// computed first and then topped up to count. It returns nil when the
-// free-slot union cannot satisfy the request. It works out of the
-// allocation's scratch and allocates only the Assignment it returns.
-func pickSlotsMultiPath(a *Allocation, paths []*route.Path, count, windowTarget, windowSlots, offset int) *Assignment {
+// preference order); masks holds each path's joint-free slot set as
+// freeMask computes it, maskWords per path. When gapTarget is positive the
+// chosen set's cyclic MaxGap must not exceed it; a greedy
+// furthest-within-target cover is computed first and then topped up to
+// count. It returns nil when the free-slot union cannot satisfy the
+// request. It works out of the allocation's scratch and allocates only the
+// Assignment it returns.
+func pickSlotsMultiPath(a *Allocation, paths []*route.Path, masks []uint64, count, windowTarget, windowSlots, offset int) *Assignment {
 	t, words := a.TableSize, a.maskWords()
 	sc := &a.scratch
-	// masks holds one joint-free slot set per candidate path, computed
-	// once; avail is their union, less every slot chosen so far.
-	masks := sized(&sc.masks, words*len(paths))
+	// avail is the masks' union, less every slot chosen so far.
 	avail := sized(&sc.avail, words)
 	clear(avail)
-	for i, p := range paths {
-		mask := masks[i*words : (i+1)*words]
-		a.freeMask(p, mask)
-		for w, bitsFree := range mask {
+	for i := range paths {
+		for w, bitsFree := range masks[i*words : (i+1)*words] {
 			avail[w] |= bitsFree
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,50 +302,98 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestVerifyNamesTheFirstWrongSlot: on a 100-slot table (a full word and a
-// 36-slot tail word) every kind of corruption, at bit 63 of the full word
-// and at the last slot of the tail, is reported with the exact message of a
-// slot-by-slot walk; an occupancy bit past the table's end is not a slot.
-func TestVerifyNamesTheFirstWrongSlot(t *testing.T) {
+// verifyRig is a 100-slot allocation (a full word and a 36-slot tail word)
+// large enough for Verify to split into workers: connections lo+1 and lo+2
+// ride p, which enters link at in the injection slot and link at+1 one slot
+// later, in slots `slot` and 10; parallelVerify fillers, ids 100 up, ride
+// links 10 up. With lo 0 and at 2, p's connections and links open the first
+// ranges of both Verify passes; with lo 1<<20 and at past the fillers, they
+// close the last.
+func verifyRig(t *testing.T, lo phit.ConnID, at topology.LinkID, slot int) (*Allocation, *route.Path, *route.Path) {
+	t.Helper()
 	const size = 100
-	// p enters link 2 in the injection slot and link 3 one slot later.
-	p := &route.Path{Links: []route.Hop{{Link: 2}, {Link: 3, Shift: 1}}, TotalShift: 1}
-	q := &route.Path{Links: []route.Hop{{Link: 3}}}
-	for _, slot := range []int{63, 99} {
-		for _, tc := range []struct {
-			name    string
-			corrupt func(a *Allocation)
-			want    string
-		}{
-			{"contention", func(a *Allocation) {
-				a.ByConn[3] = &Assignment{Conn: 3, Path: p, Slots: []int{slot}, PathOf: []*route.Path{p}}
-			}, fmt.Sprintf("slots: contention on link 2 slot %d between connections 1 and 3", slot)},
-			{"stale claim", func(a *Allocation) { delete(a.ByConn, 1) },
-				fmt.Sprintf("slots: link 2 slot %d: table says connection 1, no assignment claims it (stale or leaked claim)", slot)},
-			{"leaked claim", func(a *Allocation) {
-				a.ByConn[4] = &Assignment{Conn: 4, Path: q, Slots: []int{slot}, PathOf: []*route.Path{q}}
-			}, fmt.Sprintf("slots: link 3 slot %d: table says connection 0, assignments say 4 (stale or leaked claim)", slot)},
-			{"occupancy bit", func(a *Allocation) { a.links[2].busy[slot/64] &^= 1 << uint(slot%64) },
-				fmt.Sprintf("slots: link 2 slot %d: occupancy bit false disagrees with owner 1", slot)},
-			{"used counter", func(a *Allocation) { a.links[2].used++ },
-				"slots: link 2: used counter 3, 2 slots owned"},
-			{"bit past the table", func(a *Allocation) { a.links[2].busy[1] |= 1 << 63 }, ""},
-		} {
-			a := NewAllocation(size)
-			for c, s := range map[phit.ConnID]int{1: slot, 2: 10} {
-				a.Claim(c, p, s)
-				a.ByConn[c] = &Assignment{Conn: c, Path: p, Slots: []int{s}, PathOf: []*route.Path{p}}
-			}
-			if err := a.Verify(); err != nil {
-				t.Fatalf("slot %d: the clean allocation fails: %v", slot, err)
-			}
-			tc.corrupt(a)
-			got := ""
-			if err := a.Verify(); err != nil {
-				got = err.Error()
-			}
-			if got != tc.want {
-				t.Errorf("slot %d, %s: Verify says %q, want %q", slot, tc.name, got, tc.want)
+	p := &route.Path{Links: []route.Hop{{Link: at}, {Link: at + 1, Shift: 1}}, TotalShift: 1}
+	q := &route.Path{Links: []route.Hop{{Link: at + 1}}}
+	a := NewAllocation(size)
+	place := func(c phit.ConnID, p *route.Path, s int) {
+		a.Claim(c, p, s)
+		a.ByConn[c] = &Assignment{Conn: c, Path: p, Slots: []int{s}, PathOf: []*route.Path{p}}
+	}
+	for i := range parallelVerify {
+		f := &route.Path{Links: []route.Hop{{Link: topology.LinkID(10 + i)}}}
+		place(phit.ConnID(100+i), f, i%size)
+	}
+	place(lo+1, p, slot)
+	place(lo+2, p, 10)
+	if err := a.Verify(); err != nil {
+		t.Fatalf("slot %d: the clean allocation fails: %v", slot, err)
+	}
+	return a, p, q
+}
+
+// TestVerifyNamesTheFirstWrongSlot: every kind of corruption, at bit 63 of
+// the full word and at the last slot of the tail, in the first and in the
+// last range of a Verify split across four workers, is reported with the
+// exact message of one slot-by-slot walk in ascending order; an occupancy
+// bit past the table's end is not a slot. So are slots contended or
+// wrongly claimed across ranges.
+func TestVerifyNamesTheFirstWrongSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got := verifyJobs(parallelVerify + 2); got != 4 {
+		t.Fatalf("the rig splits into %d ranges, want 4", got)
+	}
+	last := topology.LinkID(10 + parallelVerify + 2)
+	for _, rig := range []struct {
+		name string
+		lo   phit.ConnID
+		at   topology.LinkID
+	}{{"first", 0, 2}, {"last", 1 << 20, last}} {
+		lo, at := rig.lo, rig.at
+		for _, slot := range []int{63, 99} {
+			for _, tc := range []struct {
+				name    string
+				corrupt func(a *Allocation, p, q *route.Path)
+				want    string
+			}{
+				{"contention", func(a *Allocation, p, q *route.Path) {
+					a.ByConn[lo+3] = &Assignment{Conn: lo + 3, Path: p, Slots: []int{slot}, PathOf: []*route.Path{p}}
+				}, fmt.Sprintf("slots: contention on link %d slot %d between connections %d and %d", at, slot, lo+1, lo+3)},
+				{"stale claim", func(a *Allocation, p, q *route.Path) { delete(a.ByConn, lo+1) },
+					fmt.Sprintf("slots: link %d slot %d: table says connection %d, no assignment claims it (stale or leaked claim)", at, slot, lo+1)},
+				{"leaked claim", func(a *Allocation, p, q *route.Path) {
+					a.ByConn[lo+4] = &Assignment{Conn: lo + 4, Path: q, Slots: []int{slot}, PathOf: []*route.Path{q}}
+				}, fmt.Sprintf("slots: link %d slot %d: table says connection 0, assignments say %d (stale or leaked claim)", at+1, slot, lo+4)},
+				{"occupancy bit", func(a *Allocation, p, q *route.Path) { a.links[at].busy[slot/64] &^= 1 << uint(slot%64) },
+					fmt.Sprintf("slots: link %d slot %d: occupancy bit false disagrees with owner %d", at, slot, lo+1)},
+				{"used counter", func(a *Allocation, p, q *route.Path) { a.links[at].used++ },
+					fmt.Sprintf("slots: link %d: used counter 3, 2 slots owned", at)},
+				{"bit past the table", func(a *Allocation, p, q *route.Path) { a.links[at].busy[1] |= 1 << 63 }, ""},
+				// Across ranges: a connection of the last range on a slot a
+				// connection of the first range claimed is contention; the
+				// first filler's slot, claimed again by p's neighbour, is
+				// contention behind it and a wrong claim ahead of it.
+				{"contention across ranges", func(a *Allocation, p, q *route.Path) {
+					c := lo + 1<<21
+					a.ByConn[c] = &Assignment{Conn: c, Path: p, Slots: []int{slot}, PathOf: []*route.Path{p}}
+				}, fmt.Sprintf("slots: contention on link %d slot %d between connections %d and %d", at, slot, lo+1, lo+1<<21)},
+				{"filler's slot", func(a *Allocation, p, q *route.Path) {
+					f := *a.ByConn[100]
+					f.Conn = lo + 3
+					a.ByConn[lo+3] = &f
+				}, map[bool]string{
+					true:  "slots: link 10 slot 0: table says connection 100, assignments say 3 (stale or leaked claim)",
+					false: fmt.Sprintf("slots: contention on link 10 slot 0 between connections 100 and %d", lo+3),
+				}[lo == 0]},
+			} {
+				a, p, q := verifyRig(t, lo, at, slot)
+				tc.corrupt(a, p, q)
+				got := ""
+				if err := a.Verify(); err != nil {
+					got = err.Error()
+				}
+				if got != tc.want {
+					t.Errorf("%s range, slot %d, %s: Verify says %q, want %q", rig.name, slot, tc.name, got, tc.want)
+				}
 			}
 		}
 	}

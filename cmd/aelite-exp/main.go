@@ -43,7 +43,6 @@ func main() {
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel sweep workers")
 	verbose := flag.Bool("verbose", false, "print full per-connection reports")
 	jsonOut := flag.String("out", "", "write the reconfig/scale/compare JSON artifact to this file")
-	fast := flag.Bool("fast", false, "hyperperiod-compiled fast replay for GS networks (cycle-accurate fallback where not provably periodic)")
 	smoke := flag.Bool("smoke", false, "shrink the scale/compare study to its CI smoke configuration")
 	arity := flag.Int("arity", 5, "area: router arity (input and output ports)")
 	width := flag.Int("width", 32, "area: data width in bits")
@@ -217,7 +216,6 @@ func main() {
 	if flag.NArg() > 1 {
 		os.Exit(cli.Usage(tool, fmt.Errorf("one experiment per invocation (got %q)", flag.Args())))
 	}
-	experiments.FastReplay = *fast
 
 	cmd := "all"
 	if flag.NArg() > 0 {

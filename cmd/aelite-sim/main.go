@@ -6,7 +6,7 @@
 // internal/backend registry builds the network, one bus carries the trace,
 // metrics and audit sinks, and one renderer prints the report, the audit
 // summary, the campaign summary and the verdict in that order. Flags only
-// the aelite core models (fault campaigns, -reconfig, -reliable, -fast,
+// the aelite core models (fault campaigns, -reconfig, -reliable,
 // -probes, -alloc, the clocking modes) are rejected up front on any other
 // backend instead of being ignored.
 //
@@ -62,10 +62,6 @@
 //	               connections are never disturbed either way. With -audit
 //	               the auditor is resynchronised after every action. aelite
 //	               only, single runs, not asynchronous mode
-//	-fast          hyperperiod-compiled fast replay: record one hyperperiod
-//	               of the cycle-accurate schedule and replay it; workloads
-//	               that are not provably periodic fall back to cycle-accurate
-//	               execution untouched (aelite only)
 //	-audit         attach the guarantee-conformance auditor: every flit is
 //	               checked against the connection's analytical worst-case
 //	               latency and throughput contract, slot ownership and
@@ -88,6 +84,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -113,9 +110,16 @@ func main() {
 // runs, prints to stdout and returns the exit code.
 func mainCode(args []string, stdout io.Writer) int {
 	var o options
-	fs := flag.NewFlagSet(tool, flag.ExitOnError)
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(cli.Stderr)
 	o.register(fs)
-	fs.Parse(args) // ExitOnError: a malformed flag exits 2 inside Parse
+	// A malformed or undefined flag has been reported with the usage text
+	// by Parse; -h asked for that text and is not an error.
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return cli.ExitOK
+	} else if err != nil {
+		return cli.ExitUsage
+	}
 	if err := o.validate(); err != nil {
 		return cli.Usage(tool, err)
 	}
@@ -195,7 +199,7 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 	campaign := o.campaign()
 	p := backend.Params{
 		Layout: layout, WordBytes: wordBytes, FreqMHz: o.uc.FreqMHz, Mode: o.clocking,
-		Allocator: o.alloc, Transactional: o.tx, FastReplay: o.fast,
+		Allocator: o.alloc, Transactional: o.tx,
 		Probes: o.probes || campaign, Reliable: o.reliable, SkewOverridePS: o.skewPS,
 	}
 	// In a campaign, a collector switches every envelope check from

@@ -54,7 +54,9 @@ var rows = []row{
 	{Name: "faults-runs3-j4", Args: faults + " -runs 3 -j 4" + window},
 	{Name: "reliable-bitflip", Args: "-random 20 -mode mesochronous -reliable -bitflip-rate 0.001" + window},
 	{Name: "reconfig-audit", Args: "-random 20 -reconfig close@2000:1;open@4000:0:5:20:2000 -audit" + window},
-	{Name: "fast-audit-metrics", Args: uniform + " -fast -audit -metrics-out {tmp}/m.json" + window,
+	// Replay is the default: this row, once run with -fast, pins that the
+	// default prints what -fast did.
+	{Name: "fast-audit-metrics", Args: uniform + " -audit -metrics-out {tmp}/m.json" + window,
 		Files: []string{"m.json"}},
 
 	{Name: "wide-aelite", Args: wide + window},
@@ -70,7 +72,7 @@ var rows = []row{
 	{Name: "usage-runs-without-faults", Args: "-random 20 -runs 2"},
 	{Name: "usage-be-faults", Args: "-random 20 -backend be -faults random:3"},
 	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast",
-		Changed: "rejected; the parent ignored -fast"},
+		Changed: "an undefined flag now that replay is the default; the parent ignored -fast"},
 	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes",
 		Changed: "rejected; the parent ignored -probes"},
 	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup",

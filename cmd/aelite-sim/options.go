@@ -33,7 +33,6 @@ type options struct {
 	jobs      int
 	audit     bool
 	reconfig  string
-	fast      bool
 	alloc     string
 
 	traceOut   string
@@ -65,7 +64,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.runs, "runs", 1, "fault-campaign sweep: campaigns with consecutive fault seeds")
 	fs.IntVar(&o.jobs, "j", runtime.NumCPU(), "parallel workers for -runs sweeps")
 	fs.BoolVar(&o.audit, "audit", false, "check every flit against the analytical guarantee contracts")
-	fs.BoolVar(&o.fast, "fast", false, "hyperperiod-compiled fast replay (falls back to cycle-accurate when the workload is not provably periodic)")
 	fs.StringVar(&o.reconfig, "reconfig", "", "run-time reconfiguration script (close@TIMEns:CONN;open@TIMEns:SRC:DST:MBPS:LATNS;...)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write Chrome trace-event JSON to this file")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write aggregated metrics to this file (.csv selects CSV)")
@@ -131,7 +129,9 @@ func (o *options) validate() (err error) {
 			return fmt.Errorf("-backend %s is single-clock; -mode %s needs the aelite backend", o.backend, o.mode)
 		case o.reliable || o.rateFaults():
 			return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
-		case o.fast || o.probes || alloc != slots.Greedy{}:
+		case o.probes || alloc != slots.Greedy{}:
+			// The wording predates the removal of -fast; the pinned usage
+			// rows hold it byte for byte.
 			return fmt.Errorf("-fast/-probes/-alloc need the aelite backend (got %q)", o.backend)
 		case o.faults != "":
 			return errors.New("fault campaigns need the aelite backend")

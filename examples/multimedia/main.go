@@ -125,6 +125,7 @@ func main() {
 		log.Fatal(err)
 	}
 	net.Engine().Run(net.Engine().Now() + 60000*1000) // 60 µs more
+	net.Engine().Sync()                               // land replayed state before reading it
 	info, err := net.Info(game.ID)
 	if err != nil {
 		log.Fatal(err)

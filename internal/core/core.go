@@ -107,15 +107,16 @@ type Config struct {
 	// rounds per connection before quarantine (0 selects
 	// reliable.DefaultRetryBudget). Ignored without Reliable.
 	RetryBudget int
-	// FastReplay installs the hyperperiod replay fast path
-	// (internal/replay): the engine records one hyperperiod of the
-	// cycle-accurate schedule, and once two consecutive boundary
-	// fingerprints match, replays it without per-component dispatch.
-	// Configurations that are not provably periodic (transactional
-	// traffic, asynchronous wrappers, reliability retransmission, armed
-	// fault intercepts) fall back to cycle-accurate execution untouched,
-	// so enabling it is always observation-safe.
-	FastReplay bool
+	// CycleAccurate runs the network without the hyperperiod replay fast
+	// path (internal/replay). Off (the default), the engine records one
+	// hyperperiod of the cycle-accurate schedule and, once two consecutive
+	// boundary fingerprints match, replays it without per-component
+	// dispatch; configurations that are not provably periodic
+	// (transactional traffic, asynchronous wrappers, reliability
+	// retransmission, armed fault intercepts) detach the program and run
+	// cycle-accurate, untouched. Replay is observation-invisible, so this
+	// is the reference the equivalence tests hold it to.
+	CycleAccurate bool
 	// Allocator selects the slot/path allocation strategy by name:
 	// "greedy" (the baseline; also the empty string) or "ripup" (the
 	// Even & Fais-style rip-up-and-reroute allocator). See slots.ByName.
@@ -188,8 +189,8 @@ type Network struct {
 	// reliability endpoints' hooks, drained by TakeQuarantined.
 	pendingQuar []QuarantineEvent
 
-	// prog is the installed hyperperiod replay program (nil unless
-	// Config.FastReplay).
+	// prog is the installed hyperperiod replay program (nil under
+	// Config.CycleAccurate).
 	prog *replay.Program
 
 	// idHigh is the highest connection id (data or credit) ever used;
@@ -295,12 +296,13 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// installReplay attaches the hyperperiod replay program when configured.
+// installReplay attaches the hyperperiod replay program unless the
+// network is configured cycle-accurate.
 // Every link wire (entry, pipeline-internal and exit) joins the
 // fingerprinted state set; NI queues, link FIFOs and router registers are
 // fingerprinted by their owning components.
 func (n *Network) installReplay() {
-	if !n.Cfg.FastReplay {
+	if n.Cfg.CycleAccurate {
 		return
 	}
 	p := replay.New(n.eng)
@@ -322,8 +324,8 @@ func (n *Network) installReplay() {
 	n.prog = p
 }
 
-// Replay returns the installed hyperperiod replay program, or nil when
-// Config.FastReplay is off.
+// Replay returns the installed hyperperiod replay program, or nil under
+// Config.CycleAccurate.
 func (n *Network) Replay() *replay.Program { return n.prog }
 
 // allocate slot-allocates every routed connection (and its reverse credit

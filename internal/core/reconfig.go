@@ -184,11 +184,13 @@ func (n *Network) CloseConnection(id phit.ConnID) error {
 				break
 			}
 			n.eng.Run(n.eng.Now() + revolution)
+			n.eng.Sync()
 		}
 		if src.SendQueueSpace(id) != ni.SendCapacity {
 			return fmt.Errorf("core: connection %d did not drain (credit starvation?)", id)
 		}
 		n.eng.Run(n.eng.Now() + 4*revolution)
+		n.eng.Sync()
 	}
 
 	// Clear the injection tables, then release the allocation.
@@ -207,6 +209,7 @@ func (n *Network) CloseConnection(id phit.ConnID) error {
 	// One more revolution so in-flight credit-only flits of the reverse
 	// channel are out of the network before its slots are reused.
 	n.eng.Run(n.eng.Now() + 2*revolution)
+	n.eng.Sync()
 	// Both directions leave the allocation in one atomic step: the table
 	// never shows a half-closed connection.
 	n.Alloc.ReleaseAll(id, info.rev)

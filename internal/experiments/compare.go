@@ -117,11 +117,10 @@ func comparePoint(ctx context.Context, cfg CompareConfig, fam scenario.Family, n
 	}
 	m := s.Mesh()
 	inst, err := b.Build(m, s.UseCase, backend.Params{
-		FreqMHz:    scfg.FreqMHz,
-		WordBytes:  scfg.WordBytes,
-		TableSize:  scfg.TableSize,
-		Mode:       core.Synchronous,
-		FastReplay: true,
+		FreqMHz:   scfg.FreqMHz,
+		WordBytes: scfg.WordBytes,
+		TableSize: scfg.TableSize,
+		Mode:      core.Synchronous,
 	})
 	if err != nil {
 		return ComparePoint{}, fmt.Errorf("compare %s/%s: build: %w", fam, name, err)

@@ -29,7 +29,7 @@ import (
 func buildSmallCBR(t *testing.T, seed int64, w, h, nisPer, tableSize int, mode core.Mode, fast bool) (*core.Network, error) {
 	t.Helper()
 	m := topology.NewMesh(w, h, nisPer)
-	cfg := core.Config{Mode: mode, TableSize: tableSize, PhaseSeed: seed, FastReplay: fast}
+	cfg := core.Config{Mode: mode, TableSize: tableSize, PhaseSeed: seed, CycleAccurate: !fast}
 	ips := w * h * nisPer
 	uc := spec.Random(spec.RandomConfig{
 		Name: fmt.Sprintf("fuzz-%d", seed), Seed: seed,

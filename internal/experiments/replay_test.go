@@ -1,9 +1,9 @@
 package experiments_test
 
-// Equivalence gate for the fast-replay hyperperiod compiler: a run with
-// core.Config.FastReplay must be byte-identical — connection report,
-// metrics JSON, and the raw trace event stream — to the cycle-accurate
-// run of the same build, across the Section VII workload in all three
+// Equivalence gate for the fast-replay hyperperiod compiler: a default,
+// replaying run must be byte-identical — connection report, metrics JSON,
+// and the raw trace event stream — to the core.Config.CycleAccurate run
+// of the same build, across the Section VII workload in all three
 // clocking modes, with the guarantee-conformance auditor attached in
 // strict (halt-on-violation) mode. Where the compiler cannot engage
 // (asynchronous clocking, transactional traffic) it must fall back
@@ -19,6 +19,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -106,30 +107,62 @@ func TestReplayEquivalenceSec7(t *testing.T) {
 
 // TestReplayFallbackTransactional pins the honest fallback: the paper's
 // transactional Section VII traffic is rate-exact (byte-per-second
-// requirements reduce to pattern periods of up to 2e9 cycles), so the
-// compiler classifies the network aperiodic and stays out of the way.
+// requirements reduce to pattern periods of up to 2e9 cycles), and
+// asynchronous wrappers have no period at all, so the compiler classifies
+// the network aperiodic and stays out of the way — detached from the
+// engine after the first instants, so the rest of the run never consults
+// it.
 func TestReplayFallbackTransactional(t *testing.T) {
-	experiments.FastReplay = true
-	defer func() { experiments.FastReplay = false }()
-	n, _, _, err := experiments.BuildSec7(experiments.Sec7Seed, 500, core.Synchronous, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []core.Mode{core.Synchronous, core.Asynchronous} {
+		t.Run(mode.String(), func(t *testing.T) {
+			n, _, _, err := experiments.BuildSec7(experiments.Sec7Seed, 500, mode, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := n.Replay()
+			if p == nil {
+				t.Fatal("the default build installed no program")
+			}
+			if n.Engine().FastPath() != p {
+				t.Fatal("the program is not the engine's fast path before the run")
+			}
+			n.Engine().Run(n.Engine().Now() + 10*n.BaseClock().Period)
+			if inert, why := p.Inert(); !inert {
+				t.Fatalf("transactional Sec7 should be inert (aperiodic), got active (hyperperiod %d)", p.Hyperperiod())
+			} else if why == "" {
+				t.Fatal("inert with no recorded reason")
+			}
+			if fp := n.Engine().FastPath(); fp != nil {
+				t.Fatalf("an inert program is still consulted: fast path %T", fp)
+			}
+			rep := n.Run(10000, 20000)
+			if got := p.ProgStats().Engagements; got != 0 {
+				t.Fatalf("inert program engaged %d times", got)
+			}
+			if !rep.AllMet() {
+				t.Fatal("fallback run missed a requirement the cycle-accurate run meets")
+			}
+		})
 	}
-	p := n.Replay()
-	if p == nil {
-		t.Fatal("FastReplay build installed no program")
-	}
-	rep := n.Run(10000, 20000)
-	if inert, why := p.Inert(); !inert {
-		t.Fatalf("transactional Sec7 should be inert (aperiodic), got active (hyperperiod %d)", p.Hyperperiod())
-	} else if why == "" {
-		t.Fatal("inert with no recorded reason")
-	}
-	if got := p.ProgStats().Engagements; got != 0 {
-		t.Fatalf("inert program engaged %d times", got)
-	}
-	if !rep.AllMet() {
-		t.Fatal("fallback run missed a requirement the cycle-accurate run meets")
+}
+
+// TestReplayDeoptIsTheClosingSync pins why the cbr_replay benchmark job
+// deoptimises: once, when the measurement window closes and the report
+// asks for real state — never for a timer, a mutation or a tracer swap.
+func TestReplayDeoptIsTheClosingSync(t *testing.T) {
+	for seed := int64(2009); seed <= 2011; seed++ {
+		n, _, err := experiments.BuildSec7CBR(seed, core.Synchronous, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(2000, 4e6)
+		st := n.Replay().ProgStats()
+		var want [len(st.DeoptsBy)]int64
+		want[replay.DeoptSync] = 1
+		if st.Engagements != 1 || st.Deopts != 1 || st.DeoptsBy != want {
+			t.Errorf("seed %d: %d engagements, %d deopts by cause %v; want 1, 1, %v",
+				seed, st.Engagements, st.Deopts, st.DeoptsBy, want)
+		}
 	}
 }
 

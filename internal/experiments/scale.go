@@ -116,7 +116,7 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 	// allocation-only territory.
 	layout, wordBytes, runnable := phit.LayoutFor(mesh.Cols + mesh.Rows - 1)
 	scfg.WordBytes = wordBytes
-	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc, FastReplay: true,
+	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc,
 		Layout: layout, WordBytes: wordBytes, UncappedPaths: !runnable}
 	s, err := scenario.Generate(scfg)
 	if err != nil {

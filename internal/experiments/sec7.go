@@ -48,13 +48,6 @@ const Sec7TableSize = 64
 // the measured window.
 const sec7WarmupNs = 10000
 
-// FastReplay, when set, builds every guaranteed-service experiment
-// network with core.Config.FastReplay (the aelite-exp -fast flag). This
-// is observation-safe: workloads the hyperperiod compiler cannot
-// accelerate (transactional traffic is rate-exact and therefore globally
-// aperiodic) simply run cycle-accurate, unchanged.
-var FastReplay bool
-
 // Sec7Mesh builds the 4x3 mesh with 4 NIs per router.
 func Sec7Mesh() *topology.Mesh { return topology.NewMesh(4, 3, 4) }
 
@@ -133,10 +126,11 @@ func Sec7QuantizeRateMBps(rateMBps float64) float64 {
 // the hyperperiod compiler can actually accelerate: the transactional
 // variant's burst trains are rate-exact and therefore globally aperiodic,
 // so fast replay falls back to cycle-accurate execution there (see
-// EXPERIMENTS.md). fast selects Config.FastReplay.
+// EXPERIMENTS.md). fast false builds the Config.CycleAccurate reference
+// the replay speed-up is measured against.
 func BuildSec7CBR(seed int64, mode core.Mode, fast bool) (*core.Network, *spec.UseCase, error) {
 	m := Sec7Mesh()
-	cfg := core.Config{Mode: mode, PhaseSeed: 7, FastReplay: fast || FastReplay}
+	cfg := core.Config{Mode: mode, PhaseSeed: 7, CycleAccurate: !fast}
 	core.PrepareTopology(m, cfg)
 	uc, err := Sec7UseCase(m, seed)
 	if err != nil {
@@ -165,7 +159,7 @@ const MaxRelaxations = 40
 // relaxed.
 func BuildSec7(seed int64, fMHz float64, mode core.Mode, probes bool) (*core.Network, *spec.UseCase, int, error) {
 	m := Sec7Mesh()
-	cfg := core.Config{FreqMHz: fMHz, Mode: mode, Probes: probes, Transactional: true, FastReplay: FastReplay}
+	cfg := core.Config{FreqMHz: fMHz, Mode: mode, Probes: probes, Transactional: true}
 	core.PrepareTopology(m, cfg)
 	uc, err := Sec7UseCase(m, seed)
 	if err != nil {

@@ -27,6 +27,8 @@
 // provably periodic — traffic generators qualify exactly when their rate
 // reduces to a small rational words-per-cycle pattern, which is what the
 // scenario package's replay-admissible rate quantisation guarantees for
-// generated workloads. core.Config.FastReplay installs a Program;
-// experiments report its engagement counters.
+// generated workloads. core.Build and routerless.Build install a Program
+// unless core.Config.CycleAccurate is set; a program that finds its
+// network aperiodic detaches itself. Experiments report its engagement
+// counters, and Stats.DeoptsBy says why each engagement ended.
 package replay

@@ -54,7 +54,6 @@ type Program struct {
 	timersAtMark  int64
 
 	rec     recording
-	pending []trace.Event
 	capture bool
 
 	// Engaged-replay cursor: the next instant to replay is number i of
@@ -63,11 +62,11 @@ type Program struct {
 	base       clock.Time
 	k          int64
 	i          int
-	dseq       map[phit.ConnID]int64 // per-epoch payload sequence advance
+	dseq       []int64 // per-epoch payload sequence advance, by connection
 	epochEdges int64
 
 	engagements      int64
-	deopts           int64
+	deopts           [numDeoptCauses]int64
 	replayedInstants int64
 }
 
@@ -90,13 +89,13 @@ func (r *recording) reset(start clock.Time) {
 	r.events = r.events[:0]
 }
 
-// recSink captures the events emitted during one cycle-accurately executed
-// instant; Observe moves them into the recording arena.
+// recSink appends the events emitted while the program records to the
+// arena; Observe closes each executed instant's share of them.
 type recSink struct{ p *Program }
 
 func (s *recSink) Event(ev trace.Event) {
 	if s.p.capture {
-		s.p.pending = append(s.p.pending, ev)
+		s.p.rec.events = append(s.p.rec.events, ev)
 	}
 }
 
@@ -120,7 +119,6 @@ func New(eng *sim.Engine) *Program {
 		maxH:    DefaultMaxHyperperiod,
 		seqPrev: make(map[phit.ConnID]int64),
 		seqNow:  make(map[phit.ConnID]int64),
-		dseq:    make(map[phit.ConnID]int64),
 	}
 	p.sink = &recSink{p: p}
 	return p
@@ -155,26 +153,57 @@ func (p *Program) Inert() (bool, string) { return p.inert, p.inertWhy }
 // successful component scan).
 func (p *Program) Hyperperiod() clock.Duration { return p.hp }
 
+// A DeoptCause says why an engaged program handed control back to the
+// cycle-accurate engine.
+type DeoptCause int
+
+const (
+	// DeoptSync: a caller asked for real state (Engine.Sync), as every
+	// measurement window does when it closes.
+	DeoptSync DeoptCause = iota
+	// DeoptTimer: a scheduled callback fell inside the replay horizon.
+	DeoptTimer
+	// DeoptInvalidated: a structural mutation (component or wire added or
+	// removed, clock schedule invalidated).
+	DeoptInvalidated
+	// DeoptTracer: the engine's tracer was installed or swapped.
+	DeoptTracer
+
+	numDeoptCauses
+)
+
 // Stats summarises the program's activity.
 type Stats struct {
-	Engagements      int64
+	Engagements int64
+	// Deopts is the total of DeoptsBy, which counts them by DeoptCause.
 	Deopts           int64
+	DeoptsBy         [numDeoptCauses]int64
 	ReplayedInstants int64
 }
 
 // ProgStats returns engagement/deopt/replay counters.
 func (p *Program) ProgStats() Stats {
-	return Stats{Engagements: p.engagements, Deopts: p.deopts, ReplayedInstants: p.replayedInstants}
+	st := Stats{Engagements: p.engagements, DeoptsBy: p.deopts, ReplayedInstants: p.replayedInstants}
+	for _, n := range p.deopts {
+		st.Deopts += n
+	}
+	return st
 }
 
+// goInert falls back to cycle-accurate execution for good. The program
+// leaves the engine and the bus, so an aperiodic run pays nothing per
+// instant or per event for having had it installed.
 func (p *Program) goInert(why string) {
 	p.inert = true
 	p.inertWhy = why
 	p.capture = false
 	p.engaged = false
 	p.prevValid = false
-	p.pending = nil
 	p.rec = recording{}
+	p.eng.SetFastPath(nil)
+	if p.bus != nil {
+		p.bus.Detach(p.sink)
+	}
 }
 
 // rescan rebuilds the component view and the hyperperiod after a
@@ -250,7 +279,6 @@ func (p *Program) anchorAt(now clock.Time) {
 	p.nextMark = now + p.hp
 	p.timersAtMark = p.eng.TimersRun()
 	p.rec.reset(now)
-	p.pending = p.pending[:0]
 	p.capture = true
 	p.anchorPending = false
 }
@@ -298,9 +326,11 @@ func (p *Program) markAt(now clock.Time) {
 }
 
 func (p *Program) engage(now clock.Time) {
-	for c := range p.dseq {
-		delete(p.dseq, c)
+	n := 0
+	for c := range p.seqNow {
+		n = max(n, int(c)+1)
 	}
+	p.dseq = make([]int64, n)
 	for c, s := range p.seqNow {
 		p.dseq[c] = s - p.seqPrev[c]
 	}
@@ -324,12 +354,14 @@ func (p *Program) Observe(now clock.Time, edges int) {
 	if b := p.eng.Tracer(); b != p.bus {
 		// The tracer was installed or swapped mid-run: recorded events
 		// belong to the old bus, so re-anchor on the new one.
+		if p.bus != nil {
+			p.bus.Detach(p.sink)
+		}
 		p.bus = b
 		if b != nil {
 			b.Attach(p.sink)
 		}
 		p.capture = false
-		p.pending = p.pending[:0]
 		p.anchorPending = true
 		return
 	}
@@ -343,22 +375,28 @@ func (p *Program) Observe(now clock.Time, edges int) {
 	if now > p.nextMark {
 		// The boundary instant was not an executed instant (the anchor was
 		// a timer-only instant off every clock's grid); re-anchor here.
-		p.pending = p.pending[:0]
 		p.anchorAt(now)
 		return
 	}
-	if len(p.rec.dts) >= maxInstants || len(p.rec.events)+len(p.pending) > maxEvents {
+	if len(p.rec.dts) >= maxInstants || len(p.rec.events) > maxEvents {
 		p.goInert("hyperperiod recording exceeds the arena capacity")
 		return
 	}
 	p.rec.dts = append(p.rec.dts, now-p.rec.start)
 	p.rec.edges = append(p.rec.edges, int32(edges))
-	p.rec.events = append(p.rec.events, p.pending...)
 	p.rec.evIdx = append(p.rec.evIdx, int32(len(p.rec.events)))
-	p.pending = p.pending[:0]
 	if now == p.nextMark {
 		p.markAt(now)
 	}
+}
+
+// seqStep is connection c's payload sequence advance per epoch: zero for
+// a connection no generator feeds (a credit channel).
+func (p *Program) seqStep(c phit.ConnID) int64 {
+	if c < 0 || int(c) >= len(p.dseq) {
+		return 0
+	}
+	return p.dseq[c]
 }
 
 // emitInstant re-emits the recorded events of instant i shifted forward by
@@ -367,9 +405,8 @@ func (p *Program) emitInstant(i int, epochs int64) {
 	if p.bus == nil {
 		return
 	}
-	evs := p.rec.events[p.rec.evIdx[i]:p.rec.evIdx[i+1]]
 	dt := clock.Time(epochs) * p.hp
-	for _, ev := range evs {
+	for _, ev := range p.rec.events[p.rec.evIdx[i]:p.rec.evIdx[i+1]] {
 		ev.Time += dt
 		if ev.Ref != 0 {
 			ev.Ref += dt
@@ -381,7 +418,7 @@ func (p *Program) emitInstant(i int, epochs int64) {
 			// events, which are sequence-invariant.
 			switch ev.Kind {
 			case trace.Inject, trace.Send, trace.Eject, trace.RouterForward, trace.LinkForward:
-				ev.Seq += epochs * p.dseq[ev.Conn]
+				ev.Seq += epochs * p.seqStep(ev.Conn)
 			}
 		}
 		p.bus.Emit(ev)
@@ -395,7 +432,7 @@ func (p *Program) Step(until clock.Time) sim.FastResult {
 	}
 	if p.eng.Tracer() != p.bus {
 		// Tracer swapped while engaged: materialise; Observe re-anchors.
-		p.materialize()
+		p.materialize(DeoptTracer)
 		return sim.FastResult{Now: p.eng.Now()}
 	}
 	horizon := until
@@ -404,11 +441,8 @@ func (p *Program) Step(until clock.Time) sim.FastResult {
 		horizon = tat - 1
 		timerBound = true
 	}
+	// An engaged recording holds at least its closing boundary instant.
 	n := len(p.rec.dts)
-	if n == 0 {
-		p.materialize()
-		return sim.FastResult{Now: p.eng.Now()}
-	}
 	var edges int64
 	instants := 0
 	// Whole-epoch jumps first: when positioned at an epoch boundary with a
@@ -443,18 +477,18 @@ func (p *Program) Step(until clock.Time) sim.FastResult {
 	}
 	// A scheduled callback bounds the window: materialise real state and
 	// hand the instant back to the cycle-accurate loop.
-	p.materialize()
+	p.materialize(DeoptTimer)
 	return sim.FastResult{Now: p.eng.Now(), Edges: edges, Instants: instants, Done: false}
 }
 
 // materialize turns the replay cursor back into real component state: one
 // bulk shift over the whole epochs, then a trace-muted resimulation of the
 // residual partial epoch.
-func (p *Program) materialize() {
+func (p *Program) materialize(why DeoptCause) {
 	m := p.k
 	if m > 0 {
 		sh := &Shift{Epochs: m, DT: clock.Duration(m) * p.hp,
-			DSeq: func(c phit.ConnID) int64 { return m * p.dseq[c] }}
+			DSeq: func(c phit.ConnID) int64 { return m * p.seqStep(c) }}
 		for _, c := range p.comps {
 			c.ReplayShift(sh)
 		}
@@ -467,7 +501,7 @@ func (p *Program) materialize() {
 	p.engaged = false
 	p.capture = false
 	p.anchorPending = true
-	p.deopts++
+	p.deopts[why]++
 	p.eng.ResumeAt(boundary)
 	if i > 0 {
 		// The already-replayed instants of the partial epoch had their
@@ -489,11 +523,10 @@ func (p *Program) Invalidated() {
 	}
 	p.compsStale = true
 	if p.engaged {
-		p.materialize()
+		p.materialize(DeoptInvalidated)
 		return
 	}
 	p.capture = false
-	p.pending = p.pending[:0]
 	p.anchorPending = true
 }
 
@@ -503,7 +536,7 @@ func (p *Program) Sync() {
 		return
 	}
 	tnow := p.eng.Now()
-	p.materialize()
+	p.materialize(DeoptSync)
 	if p.eng.Now() < tnow {
 		// No instants exist between the materialised position and tnow (the
 		// replay cursor had consumed up to tnow), so restoring the clock is

@@ -63,7 +63,7 @@ func diffRings(o, n *ring, final bool) error {
 		if !slices.Equal(a.q, b.q) {
 			return fmt.Errorf("conn %d queue: old %v, new %v", a.spec.ID, a.q, b.q)
 		}
-		if a.delivered != b.delivered || a.firstNs != b.firstNs || a.lastNs != b.lastNs ||
+		if a.delivered != b.delivered || a.firstAt != b.firstAt || a.lastAt != b.lastAt ||
 			final && !reflect.DeepEqual(&a.latNs, &b.latNs) {
 			return fmt.Errorf("conn %d: delivered %d vs %d, or span or latency histogram differ",
 				a.spec.ID, a.delivered, b.delivered)

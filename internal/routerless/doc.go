@@ -30,4 +30,18 @@
 // source (injection, at (srcPos - sid) mod S). Build lists those meetings per
 // rotation in stop order, and a flit cycle walks its rotation's list: 2 x
 // owned slots per revolution instead of S x S stop probes, same event order.
+//
+// # Hyperperiod replay
+//
+// A ring is a replay.Periodic with period S x FlitWords base cycles: one
+// revolution returns the rotation and the word within the flit, the only
+// ways it reads absolute time. Its fingerprint is the rotation, the word,
+// the next edge, every slot's cargo and every source queue, with times
+// against the boundary and sequence numbers against each connection's
+// generator. A shift moves those times and sequence numbers, the delivery
+// counts and the last-delivery instants by whole epochs, and replays the
+// closed epoch's latency samples into the histograms. Build installs a
+// replay.Program unless core.Config.CycleAccurate is set
+// (Network.Replay), so a periodic overlay runs at the cost of re-emitting
+// its events.
 package routerless

@@ -77,10 +77,14 @@ func (r *ring) Update(now clock.Time) {
 					st.tr.Emit(trace.Event{Time: now, Ref: w.injected, Kind: trace.Eject,
 						Conn: ci.spec.ID, Seq: w.seq, Slot: trace.NoSlot})
 				}
-				ci.latNs.Add(float64(now-w.injected) / float64(clock.Nanosecond))
-				ci.lastNs = float64(now) / float64(clock.Nanosecond)
+				lat := float64(now-w.injected) / float64(clock.Nanosecond)
+				ci.latNs.Add(lat)
+				if r.rmValid {
+					ci.filling = append(ci.filling, lat)
+				}
+				ci.lastAt = now
 				if ci.delivered == 1 {
-					ci.firstNs = ci.lastNs
+					ci.firstAt = now
 				}
 			}
 			e.n = 0
@@ -193,8 +197,14 @@ func (n *Network) ResetStats() {
 	for _, ci := range n.conns {
 		ci.delivered = 0
 		ci.latNs = stats.Histogram{}
-		ci.firstNs = 0
-		ci.lastNs = 0
+		ci.firstAt = 0
+		ci.lastAt = 0
+		ci.epoch, ci.filling = ci.epoch[:0], ci.filling[:0]
+	}
+	// Snapshots taken at a replay boundary are stale now: the program
+	// must re-baseline before it engages again.
+	for _, r := range n.rings {
+		r.rmValid = false
 	}
 }
 
@@ -222,7 +232,8 @@ func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
 			BoundNs:           ci.boundNs,
 			PathHops:          ci.hops,
 		}
-		cr.SetMeasured(ni.ConnStats{Delivered: ci.delivered, Latency: &ci.latNs, FirstNs: ci.firstNs, LastNs: ci.lastNs},
+		cr.SetMeasured(ni.ConnStats{Delivered: ci.delivered, Latency: &ci.latNs,
+			FirstNs: float64(ci.firstAt) / float64(clock.Nanosecond), LastNs: float64(ci.lastAt) / float64(clock.Nanosecond)},
 			n.Cfg.WordBytes, true)
 		r.Conns = append(r.Conns, cr)
 	}

@@ -34,9 +34,9 @@ func (r *ring) oldUpdate(now clock.Time) {
 						Conn: ci.spec.ID, Seq: w.seq, Slot: trace.NoSlot})
 				}
 				ci.latNs.Add(float64(now-w.injected) / float64(clock.Nanosecond))
-				ci.lastNs = float64(now) / float64(clock.Nanosecond)
+				ci.lastAt = now
 				if ci.delivered == 1 {
-					ci.firstNs = ci.lastNs
+					ci.firstAt = now
 				}
 			}
 			e.n = 0

@@ -1,0 +1,114 @@
+package routerless
+
+// Hyperperiod replay support: a ring implements replay.Periodic, so the
+// compiled fast path can prove the overlay periodic, fast-forward it by
+// whole epochs, and fall back to cycle-accurate execution losslessly. The
+// generators that feed the rings are periodic sources already.
+
+import (
+	"repro/internal/clock"
+	"repro/internal/phit"
+	"repro/internal/replay"
+)
+
+// ReplayOK implements replay.Periodic: a ring has no data-dependent mode.
+func (r *ring) ReplayOK() bool { return true }
+
+// ReplayPeriod implements replay.Periodic: the word within the flit and
+// the rotation, the only ways a ring reads absolute time, repeat after S
+// flit cycles — one revolution, when every slot is back at its owner.
+func (r *ring) ReplayPeriod() clock.Duration {
+	return clock.Duration(r.S*phit.FlitWords) * r.net.base.Period
+}
+
+// ReplayMark implements replay.Periodic. The epoch is shift-clean when no
+// connection saw its first delivery in it, and each last delivery either
+// stood still or moved by exactly the epoch's length.
+func (r *ring) ReplayMark(now clock.Time) bool {
+	clean := r.rmValid
+	for _, ci := range r.conns {
+		ci.dDelivered = ci.delivered - ci.mDelivered
+		dLast := ci.lastAt - ci.mLastAt
+		ci.lastMoved = dLast != 0
+		if ci.delivered > 0 && dLast != 0 && dLast != now-r.rmNow {
+			clean = false
+		}
+		if ci.firstAt != ci.mFirstAt {
+			clean = false
+		}
+		ci.epoch, ci.filling = ci.filling, ci.epoch[:0]
+		ci.mDelivered, ci.mLastAt, ci.mFirstAt = ci.delivered, ci.lastAt, ci.firstAt
+	}
+	r.rmNow = now
+	r.rmValid = true
+	return clean
+}
+
+// appendPending appends a queued or riding word, its sequence number
+// relative to base.
+func appendPending(buf []byte, w pending, base int64, ctx *replay.Ctx) []byte {
+	buf = replay.AppendI64(buf, w.seq-base)
+	return replay.AppendTime(buf, w.injected, ctx)
+}
+
+// shiftPending fast-forwards the words of one connection.
+func shiftPending(ws []pending, dseq int64, s *replay.Shift) {
+	for i := range ws {
+		ws[i].seq += dseq
+		ws[i].injected = replay.ShiftTime(ws[i].injected, s.DT)
+	}
+}
+
+// ReplayFingerprint implements replay.Periodic: rotation, flit phase, the
+// cargo of every slot and every source queue, normalised to the boundary
+// instant and each connection's sequence base. Measurements are excluded
+// (they shift by deltas); an empty slot's stale cargo is unobservable.
+func (r *ring) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
+	buf = replay.AppendI64(buf, int64(r.rot))
+	buf = replay.AppendI64(buf, int64(r.word))
+	buf = replay.AppendTime(buf, r.nextEdge, ctx)
+	buf = replay.AppendI64(buf, int64(r.edgePeriod))
+	for sid := range r.wheel {
+		e := &r.wheel[sid]
+		buf = replay.AppendI64(buf, int64(e.n))
+		if e.n == 0 {
+			continue
+		}
+		id := e.ci.spec.ID
+		buf = replay.AppendI64(buf, int64(id))
+		base := ctx.SeqBase(id)
+		for _, w := range e.words[:e.n] {
+			buf = appendPending(buf, w, base, ctx)
+		}
+	}
+	for _, ci := range r.conns {
+		buf = replay.AppendI64(buf, int64(len(ci.q)))
+		base := ctx.SeqBase(ci.spec.ID)
+		for _, w := range ci.q {
+			buf = appendPending(buf, w, base, ctx)
+		}
+	}
+	return buf
+}
+
+// ReplayShift implements replay.Periodic.
+func (r *ring) ReplayShift(s *replay.Shift) {
+	r.nextEdge = replay.ShiftTime(r.nextEdge, s.DT)
+	for sid := range r.wheel {
+		if e := &r.wheel[sid]; e.n > 0 {
+			shiftPending(e.words[:e.n], s.DSeq(e.ci.spec.ID), s)
+		}
+	}
+	for _, ci := range r.conns {
+		shiftPending(ci.q, s.DSeq(ci.spec.ID), s)
+		ci.delivered += s.Epochs * ci.dDelivered
+		if ci.lastMoved {
+			ci.lastAt = replay.ShiftTime(ci.lastAt, s.DT)
+		}
+		// Latencies are time differences, the same in every epoch: the
+		// closed epoch's samples, repeated in order, are bit for bit what
+		// a cycle-accurate run would have added.
+		ci.latNs.AddRepeated(ci.epoch, s.Epochs)
+	}
+	r.rmValid = false
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/phit"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/spec"
@@ -115,6 +116,11 @@ type ring struct {
 	word       int
 	nextEdge   clock.Time
 	edgePeriod clock.Duration
+
+	// rmValid: the counters were snapshotted at a replay boundary, rmNow,
+	// and latency samples are being logged for the epoch (replay.go).
+	rmValid bool
+	rmNow   clock.Time
 }
 
 // A visit is one meeting of an owned slot with its owner's destination stop
@@ -141,8 +147,16 @@ type connInfo struct {
 	q         []pending
 	delivered int64
 	latNs     stats.Histogram
-	firstNs   float64
-	lastNs    float64
+	firstAt   clock.Time
+	lastAt    clock.Time
+
+	// Hyperperiod replay (replay.go): the measurements at the last mark,
+	// their per-epoch deltas, and the latency samples of the closed epoch
+	// and of the one filling since.
+	mDelivered, dDelivered int64
+	mFirstAt, mLastAt      clock.Time
+	lastMoved              bool
+	epoch, filling         []float64
 }
 
 // A Network is a built, runnable routerless overlay instance.
@@ -157,6 +171,7 @@ type Network struct {
 	Spec *spec.UseCase
 
 	eng   *sim.Engine
+	prog  *replay.Program // nil under Cfg.CycleAccurate
 	base  *clock.Clock
 	rings []*ring
 	conns map[phit.ConnID]*connInfo
@@ -165,6 +180,10 @@ type Network struct {
 
 // Engine exposes the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
+
+// Replay returns the installed hyperperiod replay program, or nil under
+// Config.CycleAccurate.
+func (n *Network) Replay() *replay.Program { return n.prog }
 
 // Rings returns the overlay's ring count.
 func (n *Network) Rings() int { return len(n.rings) }
@@ -253,6 +272,11 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 		g := cfg.Traffic().Generator(n.base, n.conns[c.ID].ring, c.ID, c.BandwidthMBps, len(n.gens))
 		n.gens[c.ID] = g
 		n.eng.Add(g)
+	}
+	// Rings and generators are the whole state: there are no wires.
+	if !cfg.CycleAccurate {
+		n.prog = replay.New(n.eng)
+		n.prog.Install()
 	}
 	return n, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/phit"
@@ -158,6 +159,11 @@ func NewBus() *Bus {
 
 // Attach adds a sink; every subsequent event is delivered to it.
 func (b *Bus) Attach(s Sink) { b.sinks = append(b.sinks, s) }
+
+// Detach removes every attachment of s; events no longer reach it.
+func (b *Bus) Detach(s Sink) {
+	b.sinks = slices.DeleteFunc(b.sinks, func(t Sink) bool { return t == s })
+}
 
 // Component interns a component name, returning its stable id. Interning
 // order is the registration order, which wiring code keeps deterministic.

@@ -111,14 +111,17 @@ func main() {
 func mainCode(args []string, stdout io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(cli.Stderr)
+	fs.SetOutput(io.Discard)
 	o.register(fs)
-	// A malformed or undefined flag has been reported with the usage text
-	// by Parse; -h asked for that text and is not an error.
+	// -h prints the flag list; a malformed or undefined flag gets the same
+	// one-line diagnostic as any other usage error, without the list, whose
+	// -j default is the host's CPU count.
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(cli.Stderr)
+		fs.Usage()
 		return cli.ExitOK
 	} else if err != nil {
-		return cli.ExitUsage
+		return cli.Usage(tool, err)
 	}
 	if err := o.validate(); err != nil {
 		return cli.Usage(tool, err)

@@ -17,9 +17,11 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/replay"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -112,6 +114,23 @@ func TestReplayEquivalenceSec7(t *testing.T) {
 // the network aperiodic and stays out of the way — detached from the
 // engine after the first instants, so the rest of the run never consults
 // it.
+// consults counts the engine's per-instant calls into the fast path it
+// wraps.
+type consults struct {
+	sim.FastPath
+	calls int
+}
+
+func (c *consults) Step(until clock.Time) sim.FastResult {
+	c.calls++
+	return c.FastPath.Step(until)
+}
+
+func (c *consults) Observe(now clock.Time, edges int) {
+	c.calls++
+	c.FastPath.Observe(now, edges)
+}
+
 func TestReplayFallbackTransactional(t *testing.T) {
 	for _, mode := range []core.Mode{core.Synchronous, core.Asynchronous} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -123,19 +142,24 @@ func TestReplayFallbackTransactional(t *testing.T) {
 			if p == nil {
 				t.Fatal("the default build installed no program")
 			}
-			if n.Engine().FastPath() != p {
-				t.Fatal("the program is not the engine's fast path before the run")
-			}
+			// The engine consults the program through the counting wrapper
+			// until the program takes itself off the engine.
+			spy := &consults{FastPath: p}
+			n.Engine().SetFastPath(spy)
 			n.Engine().Run(n.Engine().Now() + 10*n.BaseClock().Period)
 			if inert, why := p.Inert(); !inert {
 				t.Fatalf("transactional Sec7 should be inert (aperiodic), got active (hyperperiod %d)", p.Hyperperiod())
 			} else if why == "" {
 				t.Fatal("inert with no recorded reason")
 			}
-			if fp := n.Engine().FastPath(); fp != nil {
-				t.Fatalf("an inert program is still consulted: fast path %T", fp)
+			if spy.calls == 0 {
+				t.Fatal("the program was never consulted; the detach check is vacuous")
 			}
+			before := spy.calls
 			rep := n.Run(10000, 20000)
+			if spy.calls != before {
+				t.Fatalf("an inert program was consulted %d more times", spy.calls-before)
+			}
 			if got := p.ProgStats().Engagements; got != 0 {
 				t.Fatalf("inert program engaged %d times", got)
 			}

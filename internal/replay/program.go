@@ -54,6 +54,7 @@ type Program struct {
 	timersAtMark  int64
 
 	rec     recording
+	pending []trace.Event
 	capture bool
 
 	// Engaged-replay cursor: the next instant to replay is number i of
@@ -62,7 +63,7 @@ type Program struct {
 	base       clock.Time
 	k          int64
 	i          int
-	dseq       []int64 // per-epoch payload sequence advance, by connection
+	dseq       map[phit.ConnID]int64 // per-epoch payload sequence advance
 	epochEdges int64
 
 	engagements      int64
@@ -89,13 +90,13 @@ func (r *recording) reset(start clock.Time) {
 	r.events = r.events[:0]
 }
 
-// recSink appends the events emitted while the program records to the
-// arena; Observe closes each executed instant's share of them.
+// recSink captures the events emitted during one cycle-accurately executed
+// instant; Observe moves them into the recording arena.
 type recSink struct{ p *Program }
 
 func (s *recSink) Event(ev trace.Event) {
 	if s.p.capture {
-		s.p.rec.events = append(s.p.rec.events, ev)
+		s.p.pending = append(s.p.pending, ev)
 	}
 }
 
@@ -119,6 +120,7 @@ func New(eng *sim.Engine) *Program {
 		maxH:    DefaultMaxHyperperiod,
 		seqPrev: make(map[phit.ConnID]int64),
 		seqNow:  make(map[phit.ConnID]int64),
+		dseq:    make(map[phit.ConnID]int64),
 	}
 	p.sink = &recSink{p: p}
 	return p
@@ -192,14 +194,23 @@ func (p *Program) ProgStats() Stats {
 
 // goInert falls back to cycle-accurate execution for good. The program
 // leaves the engine and the bus, so an aperiodic run pays nothing per
-// instant or per event for having had it installed.
+// instant or per event for having had it installed, and it ends the
+// boundary snapshot of every component it marked: a zero-epoch shift
+// moves nothing, but a component logs its epoch only between a mark and
+// the next shift.
 func (p *Program) goInert(why string) {
 	p.inert = true
 	p.inertWhy = why
 	p.capture = false
 	p.engaged = false
 	p.prevValid = false
+	p.pending = nil
 	p.rec = recording{}
+	release := &Shift{DSeq: func(phit.ConnID) int64 { return 0 }}
+	for _, c := range p.comps {
+		c.ReplayShift(release)
+	}
+	p.comps = nil
 	p.eng.SetFastPath(nil)
 	if p.bus != nil {
 		p.bus.Detach(p.sink)
@@ -208,10 +219,11 @@ func (p *Program) goInert(why string) {
 
 // rescan rebuilds the component view and the hyperperiod after a
 // structural change. It reports false (and makes the program inert) when
-// the configuration is not replayable.
+// the configuration is not replayable; the view is replaced only on
+// success, so going inert releases the components the program marked.
 func (p *Program) rescan() bool {
-	p.comps = p.comps[:0]
-	p.seqSrcs = p.seqSrcs[:0]
+	var comps []Periodic
+	var seqSrcs []SeqSource
 	var hp clock.Duration
 	for _, c := range p.eng.AddOrder() {
 		pc, ok := c.(Periodic)
@@ -230,15 +242,16 @@ func (p *Program) rescan() bool {
 			p.goInert("hyperperiod exceeds the admissible bound")
 			return false
 		}
-		p.comps = append(p.comps, pc)
+		comps = append(comps, pc)
 		if ss, ok := c.(SeqSource); ok {
-			p.seqSrcs = append(p.seqSrcs, ss)
+			seqSrcs = append(seqSrcs, ss)
 		}
 	}
-	if len(p.comps) == 0 {
+	if len(comps) == 0 {
 		p.goInert("no components registered")
 		return false
 	}
+	p.comps, p.seqSrcs = comps, seqSrcs
 	p.hp = hp
 	p.compsStale = false
 	return true
@@ -279,6 +292,7 @@ func (p *Program) anchorAt(now clock.Time) {
 	p.nextMark = now + p.hp
 	p.timersAtMark = p.eng.TimersRun()
 	p.rec.reset(now)
+	p.pending = p.pending[:0]
 	p.capture = true
 	p.anchorPending = false
 }
@@ -326,11 +340,9 @@ func (p *Program) markAt(now clock.Time) {
 }
 
 func (p *Program) engage(now clock.Time) {
-	n := 0
-	for c := range p.seqNow {
-		n = max(n, int(c)+1)
+	for c := range p.dseq {
+		delete(p.dseq, c)
 	}
-	p.dseq = make([]int64, n)
 	for c, s := range p.seqNow {
 		p.dseq[c] = s - p.seqPrev[c]
 	}
@@ -362,6 +374,7 @@ func (p *Program) Observe(now clock.Time, edges int) {
 			b.Attach(p.sink)
 		}
 		p.capture = false
+		p.pending = p.pending[:0]
 		p.anchorPending = true
 		return
 	}
@@ -375,28 +388,22 @@ func (p *Program) Observe(now clock.Time, edges int) {
 	if now > p.nextMark {
 		// The boundary instant was not an executed instant (the anchor was
 		// a timer-only instant off every clock's grid); re-anchor here.
+		p.pending = p.pending[:0]
 		p.anchorAt(now)
 		return
 	}
-	if len(p.rec.dts) >= maxInstants || len(p.rec.events) > maxEvents {
+	if len(p.rec.dts) >= maxInstants || len(p.rec.events)+len(p.pending) > maxEvents {
 		p.goInert("hyperperiod recording exceeds the arena capacity")
 		return
 	}
 	p.rec.dts = append(p.rec.dts, now-p.rec.start)
 	p.rec.edges = append(p.rec.edges, int32(edges))
+	p.rec.events = append(p.rec.events, p.pending...)
 	p.rec.evIdx = append(p.rec.evIdx, int32(len(p.rec.events)))
+	p.pending = p.pending[:0]
 	if now == p.nextMark {
 		p.markAt(now)
 	}
-}
-
-// seqStep is connection c's payload sequence advance per epoch: zero for
-// a connection no generator feeds (a credit channel).
-func (p *Program) seqStep(c phit.ConnID) int64 {
-	if c < 0 || int(c) >= len(p.dseq) {
-		return 0
-	}
-	return p.dseq[c]
 }
 
 // emitInstant re-emits the recorded events of instant i shifted forward by
@@ -405,8 +412,9 @@ func (p *Program) emitInstant(i int, epochs int64) {
 	if p.bus == nil {
 		return
 	}
+	evs := p.rec.events[p.rec.evIdx[i]:p.rec.evIdx[i+1]]
 	dt := clock.Time(epochs) * p.hp
-	for _, ev := range p.rec.events[p.rec.evIdx[i]:p.rec.evIdx[i+1]] {
+	for _, ev := range evs {
 		ev.Time += dt
 		if ev.Ref != 0 {
 			ev.Ref += dt
@@ -418,7 +426,7 @@ func (p *Program) emitInstant(i int, epochs int64) {
 			// events, which are sequence-invariant.
 			switch ev.Kind {
 			case trace.Inject, trace.Send, trace.Eject, trace.RouterForward, trace.LinkForward:
-				ev.Seq += epochs * p.seqStep(ev.Conn)
+				ev.Seq += epochs * p.dseq[ev.Conn]
 			}
 		}
 		p.bus.Emit(ev)
@@ -488,7 +496,7 @@ func (p *Program) materialize(why DeoptCause) {
 	m := p.k
 	if m > 0 {
 		sh := &Shift{Epochs: m, DT: clock.Duration(m) * p.hp,
-			DSeq: func(c phit.ConnID) int64 { return m * p.seqStep(c) }}
+			DSeq: func(c phit.ConnID) int64 { return m * p.dseq[c] }}
 		for _, c := range p.comps {
 			c.ReplayShift(sh)
 		}
@@ -527,6 +535,7 @@ func (p *Program) Invalidated() {
 		return
 	}
 	p.capture = false
+	p.pending = p.pending[:0]
 	p.anchorPending = true
 }
 

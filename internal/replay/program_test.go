@@ -206,3 +206,28 @@ func TestProgramInertOnAperiodicComponent(t *testing.T) {
 type aperiodic struct{ *beeper }
 
 func (a *aperiodic) ReplayPeriod() clock.Duration { return 0 }
+
+// TestProgramInertReleasesMarkedComponents: a program that goes inert
+// after it has marked its components ends their boundary snapshots, so
+// none keeps logging for an epoch that will never close, and the
+// zero-epoch shift that does it is invisible.
+func TestProgramInertReleasesMarkedComponents(t *testing.T) {
+	slow, fast := newWorld(false), newWorld(true)
+	for _, w := range []*world{slow, fast} {
+		w.eng.Run(2_500)
+	}
+	if !fast.b.marked {
+		t.Fatal("the program has not marked the beeper; the release check is vacuous")
+	}
+	for _, w := range []*world{slow, fast} {
+		w.eng.Add(&aperiodic{&beeper{name: "aper", clk: clock.New("c2", 1000, 0)}})
+		w.eng.Run(50_000)
+	}
+	if inert, _ := fast.prog.Inert(); !inert {
+		t.Fatal("the program did not go inert")
+	}
+	if fast.b.marked {
+		t.Fatal("the inert program left the beeper's boundary snapshot open")
+	}
+	assertSameWorld(t, slow, fast, "after going inert")
+}

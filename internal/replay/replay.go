@@ -41,7 +41,9 @@ type Periodic interface {
 	// ReplayShift fast-forwards the component's state by s.Epochs whole
 	// epochs: absolute times advance by s.DT, sequence numbers by
 	// s.DSeq(conn), monotone counters by s.Epochs times the per-epoch
-	// delta captured at the last ReplayMark.
+	// delta captured at the last ReplayMark. Either way the boundary
+	// snapshot ends: a zero-epoch shift changes nothing else, and is how
+	// a program that goes inert stops a component logging its epoch.
 	ReplayShift(s *Shift)
 }
 

@@ -145,3 +145,58 @@ func TestReplayFuzzEquivalenceRouterless(t *testing.T) {
 		t.Fatal("replay engaged on no draw; the fuzzing is vacuous")
 	}
 }
+
+// idle is a component with no replay period: adding it to a running
+// network makes the program's next rescan fail.
+type idle struct{ clk *clock.Clock }
+
+func (c idle) Name() string          { return "idle" }
+func (c idle) Clock() *clock.Clock   { return c.clk }
+func (c idle) Update(now clock.Time) {}
+
+// TestReplayInertStopsLatencyLogs: when the program goes inert after it
+// anchored, the rings stop logging epoch latencies, so a long run past
+// that point holds no per-delivery log.
+func TestReplayInertStopsLatencyLogs(t *testing.T) {
+	scfg := scenario.Default(scenario.Uniform, 4, 4, 24, 2009)
+	s, err := scenario.Generate(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Build(s.Mesh(), s.UseCase, core.Config{FreqMHz: scfg.FreqMHz, WordBytes: scfg.WordBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := n.Engine()
+	eng.Run(eng.Now() + 100*n.base.Period)
+	anchored := false
+	for _, r := range n.rings {
+		anchored = anchored || r.rmValid
+	}
+	if !anchored {
+		t.Fatal("no ring was marked; the check is vacuous")
+	}
+	eng.Add(idle{n.base})
+	eng.Run(eng.Now() + 100*n.base.Period)
+	if inert, why := n.Replay().Inert(); !inert || why == "" {
+		t.Fatalf("inert = %v (%q); want inert with a reason", inert, why)
+	}
+	logged := make(map[*connInfo]int)
+	for _, ci := range n.conns {
+		logged[ci] = len(ci.filling)
+	}
+	eng.Run(eng.Now() + 20000*n.base.Period)
+	for _, r := range n.rings {
+		if r.rmValid {
+			t.Errorf("ring %s still holds a boundary snapshot", r.Name())
+		}
+	}
+	for id, ci := range n.conns {
+		if ci.delivered == 0 {
+			t.Fatalf("connection %d delivered nothing; the check is vacuous", id)
+		}
+		if len(ci.filling) != logged[ci] {
+			t.Errorf("connection %d logged %d latencies after the program went inert", id, len(ci.filling)-logged[ci])
+		}
+	}
+}

@@ -258,9 +258,6 @@ func (e *Engine) AddWireClocked(w committable, clk *clock.Clock) {
 // engine consults it at the top of every Run iteration; see FastPath.
 func (e *Engine) SetFastPath(f FastPath) { e.fast = f }
 
-// FastPath returns the installed fast path, or nil.
-func (e *Engine) FastPath() FastPath { return e.fast }
-
 // Sync materialises any state the installed fast path has fast-forwarded,
 // so components, wires and statistics read as if the run had been
 // cycle-accurate throughout. It is a no-op without a fast path.

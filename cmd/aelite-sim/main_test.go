@@ -74,9 +74,9 @@ var rows = []row{
 	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast",
 		Changed: "an undefined flag now that replay is the default; the parent ignored -fast"},
 	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes",
-		Changed: "rejected; the parent ignored -probes"},
+		Changed: "the rejection no longer names -fast, which is gone; the parent's message did"},
 	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup",
-		Changed: "rejected; the parent ignored -alloc"},
+		Changed: "the rejection no longer names -fast, which is gone; the parent's message did"},
 	{Name: "usage-no-use-case", Args: "-trace-out {tmp}/x.json", Files: []string{"x.json"},
 		Changed: "rejected before the output file is created; the parent left an empty one behind"},
 }

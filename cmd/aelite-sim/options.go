@@ -130,9 +130,7 @@ func (o *options) validate() (err error) {
 		case o.reliable || o.rateFaults():
 			return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
 		case o.probes || alloc != slots.Greedy{}:
-			// The wording predates the removal of -fast; the pinned usage
-			// rows hold it byte for byte.
-			return fmt.Errorf("-fast/-probes/-alloc need the aelite backend (got %q)", o.backend)
+			return fmt.Errorf("-probes/-alloc need the aelite backend (got %q)", o.backend)
 		case o.faults != "":
 			return errors.New("fault campaigns need the aelite backend")
 		case o.reconfig != "":

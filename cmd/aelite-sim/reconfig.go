@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/phit"
@@ -108,7 +107,7 @@ func reconfigActions(steps []reconfigStep, aud *audit.Auditor, stdout io.Writer)
 				ID: n.FreshConnID(), Src: st.src, Dst: st.dst,
 				BandwidthMBps: st.bw, MaxLatencyNs: st.lat,
 			}
-			d, err := admission.Admit(n, c, admission.Options{})
+			d, err := n.Admit(c)
 			if err != nil {
 				return err
 			}

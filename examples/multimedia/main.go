@@ -121,7 +121,11 @@ func main() {
 		ID: 100, App: 2, Src: 1, Dst: 9, // ddr -> dma (texture streaming)
 		BandwidthMBps: 200, MaxLatencyNs: 500,
 	}
-	if err := net.OpenConnection(game); err != nil {
+	d, err := net.Admit(game)
+	if err == nil {
+		err = d.Err()
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	net.Engine().Run(net.Engine().Now() + 60000*1000) // 60 µs more

@@ -28,7 +28,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
@@ -90,14 +89,14 @@ func main() {
 	bus := trace.NewBus()
 	mx := trace.NewMetrics(bus)
 	net.AttachTracer(bus)
-	healer := admission.NewHealer(net, bus)
+	healer := core.NewHealer(net, bus)
 
 	fmt.Printf("set-top-box SoC: %d IPs, %d connections, reliable mesochronous aelite at 500 MHz, table %d\n",
 		len(uc.IPs), len(uc.Connections), net.Cfg.TableSize)
 
 	// -- Act 1: admission control ------------------------------------
 	fmt.Println("\n== act 1: admission control (nothing is changed by asking) ==")
-	show := func(label string, d admission.Decision) {
+	show := func(label string, d core.Decision) {
 		if d.Admissible {
 			fmt.Printf("  %-34s ADMISSIBLE: %.0f MB/s guaranteed, bound %.0f ns, %d+%d slots\n",
 				label, d.GuaranteeMBps, d.LatencyBoundNs, d.DataSlots, d.RevSlots)
@@ -107,13 +106,13 @@ func main() {
 	}
 	game := spec.Connection{ID: net.FreshConnID(), App: 2, Src: 1, Dst: 9, // ddr -> dma textures
 		BandwidthMBps: 90, MaxLatencyNs: 900}
-	show("game stream 90 MB/s", admission.Probe(net, game, admission.Options{}))
+	show("game stream 90 MB/s", net.Probe(game))
 	greedy := game
 	greedy.BandwidthMBps = 1200
-	show("game stream 1200 MB/s", admission.Probe(net, greedy, admission.Options{}))
+	show("game stream 1200 MB/s", net.Probe(greedy))
 	impatient := game
 	impatient.MaxLatencyNs = 20
-	show("game stream, 20 ns budget", admission.Probe(net, impatient, admission.Options{}))
+	show("game stream, 20 ns budget", net.Probe(impatient))
 
 	// -- Act 2: use-case transition ----------------------------------
 	fmt.Println("\n== act 2: stop recording, start the game ==")
@@ -126,7 +125,7 @@ func main() {
 				fmt.Printf("  closed %s (connection %d): drained, slots released\n", "record", c.ID)
 			}
 			game.ID = n.FreshConnID()
-			d, err := admission.Admit(n, game, admission.Options{})
+			d, err := n.Admit(game)
 			if err != nil {
 				return err
 			}
@@ -199,7 +198,7 @@ func main() {
 }
 
 // heal adapts the healer to a RunTimed action.
-func heal(h *admission.Healer) func(*core.Network) error {
+func heal(h *core.Healer) func(*core.Network) error {
 	return func(*core.Network) error {
 		_, err := h.Heal()
 		return err

@@ -259,7 +259,7 @@ func (a *Auditor) snapshot(n *core.Network) {
 // closed connections lose their slot quotas, and the allocation-side
 // injection-table snapshot — deliberately held apart from the live NI
 // tables — is retaken so the slot-ownership check enforces the *new*
-// schedule. Call it after every OpenConnection/CloseConnection batch; an
+// schedule. Call it after every Admit/CloseConnection batch; an
 // auditor left stale would flag the new owner's legitimate slots as
 // ownership violations.
 func (a *Auditor) Resync(n *core.Network) {

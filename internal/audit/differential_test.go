@@ -440,8 +440,8 @@ func TestResyncMatchesMapReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.ID = n.FreshConnID()
-	if err := n.OpenConnection(sc); err != nil {
-		t.Fatal(err)
+	if d, err := n.Admit(sc); err != nil || !d.Admissible {
+		t.Fatalf("Admit(%d): %v %s", sc.ID, err, d.Detail)
 	}
 	a.Resync(n)
 	for _, ev := range rec.evs {

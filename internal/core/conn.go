@@ -19,8 +19,8 @@ import (
 // candidate paths, requestsFor sizes its slot requests, the slots package
 // places them, deriveInfo reads its guarantees off the placement, attach
 // wires it into the NIs and starts its traffic, CloseConnection retires it.
-// Build runs the steps for every connection of the use case; OpenConnection
-// runs the same steps for one more.
+// Build runs the steps for every connection of the use case; Admit runs
+// the same steps for one more.
 
 // connInfo is everything derived for one data connection.
 type connInfo struct {

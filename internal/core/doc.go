@@ -21,7 +21,10 @@
 //
 // A connection is set up by one piece of code (conn.go): route, size,
 // derive and attach each have one function, Build runs them for every
-// connection of the use case and OpenConnection runs the same ones for
-// one more at run time. BuildBE, the Æthereal best-effort baseline, takes
+// connection of the use case and Admit runs the same ones for one more at
+// run time. Run-time admission (admit.go) is one decision per request:
+// Probe makes it on a clone of the slot allocation, Admit on the live one,
+// and either answers with a typed Decision; the Healer (heal.go) turns
+// quarantines into close and re-admission. BuildBE, the Æthereal best-effort baseline, takes
 // the same Config and offers the same traffic (Config.Traffic).
 package core

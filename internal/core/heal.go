@@ -1,14 +1,18 @@
-package admission
+package core
 
 import (
 	"fmt"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/phit"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
+
+// maxHealAttempts bounds reroutes per lineage: a replacement that itself
+// quarantines is rerouted again at most maxHealAttempts-1 times before the
+// lineage is declared degraded.
+const maxHealAttempts = 2
 
 // A HealReport records how one quarantine was handled: an automatic
 // reroute (close + re-admission over links clear of the failed path), or
@@ -48,13 +52,8 @@ type HealReport struct {
 // the Healer must run *between* engine runs — after Network.Run /
 // RunTimed segments, or periodically from a driver loop.
 type Healer struct {
-	n  *core.Network
+	n  *Network
 	tr *trace.Emitter
-
-	// MaxAttempts bounds reroutes per lineage: a replacement that itself
-	// quarantines is rerouted again at most MaxAttempts-1 times before
-	// the lineage is declared degraded.
-	MaxAttempts int
 
 	attempts map[phit.ConnID]int         // reroutes already spent, by current id
 	origin   map[phit.ConnID]phit.ConnID // current id -> first id of lineage
@@ -65,12 +64,11 @@ type Healer struct {
 // every reroute emits a trace.Reroute event (on the origin connection id,
 // Arg = recovery latency in ps) that the metrics sink folds into the
 // connection's recovery histogram.
-func NewHealer(n *core.Network, bus *trace.Bus) *Healer {
+func NewHealer(n *Network, bus *trace.Bus) *Healer {
 	h := &Healer{
-		n:           n,
-		MaxAttempts: 2,
-		attempts:    make(map[phit.ConnID]int),
-		origin:      make(map[phit.ConnID]phit.ConnID),
+		n:        n,
+		attempts: make(map[phit.ConnID]int),
+		origin:   make(map[phit.ConnID]phit.ConnID),
 	}
 	if bus != nil {
 		h.tr = bus.Emitter("healer")
@@ -105,7 +103,7 @@ func (h *Healer) Reports() []HealReport {
 	return append([]HealReport(nil), h.reports...)
 }
 
-func (h *Healer) healOne(ev core.QuarantineEvent) (HealReport, error) {
+func (h *Healer) healOne(ev QuarantineEvent) (HealReport, error) {
 	victim := ev.Conn
 	origin := victim
 	if o, ok := h.origin[victim]; ok {
@@ -117,7 +115,7 @@ func (h *Healer) healOne(ev core.QuarantineEvent) (HealReport, error) {
 	if err != nil {
 		// Already closed (e.g. by the scenario itself): nothing to heal.
 		rep.Degraded = true
-		rep.Decision = decide(victim, Internal, err.Error())
+		rep.Decision = rejection(victim, err, err.Error())
 		return rep, nil
 	}
 	// The avoid set is the victim's own path — but only the links that
@@ -128,22 +126,22 @@ func (h *Healer) healOne(ev core.QuarantineEvent) (HealReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	avoid := routerLinks(h.n, links)
+	avoid := routerLinks(h.n.Mesh, links)
 
 	if err := h.n.CloseConnection(victim); err != nil {
-		return rep, fmt.Errorf("admission: healing connection %d: %w", victim, err)
+		return rep, fmt.Errorf("core: healing connection %d: %w", victim, err)
 	}
 	spent := h.attempts[victim]
-	if spent >= h.MaxAttempts {
+	if spent >= maxHealAttempts {
 		rep.Degraded = true
-		rep.Decision = decide(victim, Internal,
-			fmt.Sprintf("lineage of connection %d exhausted %d reroute attempts", origin, h.MaxAttempts))
+		err := fmt.Errorf("lineage of connection %d exhausted %d reroute attempts", origin, maxHealAttempts)
+		rep.Decision = rejection(victim, err, err.Error())
 		return rep, nil
 	}
 
 	nc := sc
 	nc.ID = h.n.FreshConnID()
-	d, err := Admit(h.n, nc, Options{Avoid: avoid})
+	d, err := h.n.Admit(nc, avoid...)
 	rep.Decision = d
 	if err != nil {
 		return rep, err
@@ -169,11 +167,11 @@ func (h *Healer) healOne(ev core.QuarantineEvent) (HealReport, error) {
 
 // routerLinks keeps only the router-to-router links of a set — the links
 // an alternate route can actually steer around.
-func routerLinks(n *core.Network, ls []topology.LinkID) []topology.LinkID {
+func routerLinks(m *topology.Mesh, ls []topology.LinkID) []topology.LinkID {
 	var out []topology.LinkID
 	for _, l := range ls {
-		lk := n.Mesh.Link(l)
-		if n.Mesh.Node(lk.From).Kind == topology.Router && n.Mesh.Node(lk.To).Kind == topology.Router {
+		lk := m.Link(l)
+		if m.Node(lk.From).Kind == topology.Router && m.Node(lk.To).Kind == topology.Router {
 			out = append(out, l)
 		}
 	}

@@ -1,12 +1,12 @@
-package admission
+package core
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
+	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -17,8 +17,21 @@ import (
 // reporting the recovery latency, and the metrics sink folds the reroute
 // into the origin connection's account.
 func TestHealerReroutesAroundQuarantine(t *testing.T) {
+	// The light 3x2x2 workload the reconfig experiment uses, so closes
+	// leave room to re-admit into.
+	m := topology.NewMesh(3, 2, 2)
+	uc := spec.Random(spec.RandomConfig{
+		Name: "heal", Seed: 2009, IPs: 10, Apps: 2, Conns: 8,
+		MinRateMBps: 20, MaxRateMBps: 80,
+		MinLatencyNs: 400, MaxLatencyNs: 1200,
+	})
+	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
-	n, uc := buildNet(t, core.Mesochronous, true, col)
+	n, err := Build(m, uc, Config{Mode: Mesochronous, PhaseSeed: 4, Probes: true,
+		Reliable: true, RetryBudget: 2, FaultReporter: col})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
 	bus := trace.NewBus()
 	mx := trace.NewMetrics(bus)
 	n.AttachTracer(bus)
@@ -26,29 +39,27 @@ func TestHealerReroutesAroundQuarantine(t *testing.T) {
 
 	// Pick the faulty link off a live path so at least one connection is
 	// guaranteed to quarantine.
-	victim, _ := crossingConnection(t, n, uc)
-	links, err := n.ConnectionLinks(victim.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var faulty topology.LinkID = -1
-	for _, l := range links {
-		lk := n.Mesh.Link(l)
-		if n.Mesh.Node(lk.From).Kind == topology.Router && n.Mesh.Node(lk.To).Kind == topology.Router {
-			faulty = l
+	for _, c := range uc.Connections {
+		links, err := n.ConnectionLinks(c.ID)
+		if err != nil {
+			t.Fatalf("ConnectionLinks(%d): %v", c.ID, err)
+		}
+		if rl := routerLinks(n.Mesh, links); len(rl) > 0 {
+			faulty = rl[0]
 			break
 		}
 	}
 	if faulty < 0 {
-		t.Fatal("crossing connection has no router-to-router link")
+		t.Fatal("no connection crosses a router-to-router link")
 	}
 	plan := &fault.Plan{Seed: 5, Rates: []fault.RateRule{{Target: fmt.Sprintf("l%d.", faulty), Drop: 1}}}
 	if err := fault.NewCampaign(plan, col).Arm(n.Engine(), n.FaultTargets()); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
 
-	heal := func(*core.Network) error { _, err := h.Heal(); return err }
-	if _, err := n.RunTimed(0, 40000, []core.TimedAction{
+	heal := func(*Network) error { _, err := h.Heal(); return err }
+	if _, err := n.RunTimed(0, 40000, []TimedAction{
 		{AtNs: 10000, Do: heal},
 		{AtNs: 20000, Do: heal},
 		{AtNs: 30000, Do: heal},

@@ -61,9 +61,7 @@ func TestReconfigurationUndisrupted(t *testing.T) {
 					}
 				}
 			}
-			if err := n.OpenConnection(newConn); err != nil {
-				return nil, nil, err
-			}
+			mustAdmit(t, n, newConn)
 		}
 		// Continue to the same absolute horizon in both runs.
 		n.eng.Run(90000 * clock.Nanosecond)
@@ -124,9 +122,7 @@ func TestCloseReleasesCapacity(t *testing.T) {
 	// Re-admit with a fresh id.
 	readmit := victim
 	readmit.ID = 901
-	if err := n.OpenConnection(readmit); err != nil {
-		t.Fatalf("re-admission failed: %v", err)
-	}
+	mustAdmit(t, n, readmit)
 	after, err := n.Info(901)
 	if err != nil {
 		t.Fatal(err)
@@ -136,26 +132,6 @@ func TestCloseReleasesCapacity(t *testing.T) {
 	}
 	// The network still runs cleanly (probes active).
 	n.eng.Run(n.eng.Now() + 30000*clock.Nanosecond)
-}
-
-// TestOpenConnectionAdmissionControl: a connection that cannot fit is
-// rejected and the network state is unchanged.
-func TestOpenConnectionAdmissionControl(t *testing.T) {
-	n, uc := reconfigSpec(t)
-	n.Run(0, 5000)
-	huge := spec.Connection{
-		ID: 902, App: 0, Src: uc.Connections[0].Src, Dst: uc.Connections[0].Dst,
-		BandwidthMBps: 2500, MaxLatencyNs: 500, // above link capacity
-	}
-	if err := n.OpenConnection(huge); err == nil {
-		t.Fatal("admission control accepted an impossible connection")
-	}
-	dup := uc.Connections[1]
-	if err := n.OpenConnection(dup); err == nil {
-		t.Fatal("accepted a duplicate connection id")
-	}
-	// Still healthy.
-	n.eng.Run(n.eng.Now() + 10000*clock.Nanosecond)
 }
 
 // TestCloseDrainCreditStarvation: the drain loop's wait budget is derived
@@ -276,9 +252,7 @@ func TestCloseReleasesDataAndCreditSlotsAtomically(t *testing.T) {
 	// released slot under a retired id.
 	readmit := last
 	readmit.ID = n.FreshConnID()
-	if err := n.OpenConnection(readmit); err != nil {
-		t.Fatalf("re-admission into freed capacity: %v", err)
-	}
+	mustAdmit(t, n, readmit)
 	assertNoSlotResidue(t, n, closed)
 	n.eng.Run(n.eng.Now() + 20000*clock.Nanosecond)
 	assertNoSlotResidue(t, n, closed)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -45,9 +44,9 @@ func DefaultReconfigConfig() ReconfigConfig {
 
 // RejectionCase is one typed-rejection probe of the admission phase.
 type RejectionCase struct {
-	Label    string             `json:"label"`
-	Want     string             `json:"want"`
-	Decision admission.Decision `json:"decision"`
+	Label    string        `json:"label"`
+	Want     string        `json:"want"`
+	Decision core.Decision `json:"decision"`
 }
 
 // ReconfigIsolation is the undisturbed-service phase's verdict.
@@ -69,13 +68,13 @@ type ReconfigIsolation struct {
 // ReconfigSummary is the study's machine-readable artefact (the CI gate
 // consumes the JSON form).
 type ReconfigSummary struct {
-	Seed       int64                  `json:"seed"`
-	Isolation  ReconfigIsolation      `json:"isolation"`
-	Rejections []RejectionCase        `json:"rejections"`
-	FaultyLink string                 `json:"faulty_link"`
-	Heals      []admission.HealReport `json:"heals"`
-	Reroutes   int                    `json:"reroutes"`
-	Degraded   int                    `json:"degraded"`
+	Seed       int64             `json:"seed"`
+	Isolation  ReconfigIsolation `json:"isolation"`
+	Rejections []RejectionCase   `json:"rejections"`
+	FaultyLink string            `json:"faulty_link"`
+	Heals      []core.HealReport `json:"heals"`
+	Reroutes   int               `json:"reroutes"`
+	Degraded   int               `json:"degraded"`
 	// Violations counts every gate failure across the three phases; the
 	// study passes iff it is zero.
 	Violations int      `json:"violations"`
@@ -169,7 +168,7 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 				}
 				nc := sc
 				nc.ID = n.FreshConnID()
-				d, err := admission.Admit(n, nc, admission.Options{})
+				d, err := n.Admit(nc)
 				if err != nil {
 					return err
 				}
@@ -258,30 +257,30 @@ func reconfigRejections(cfg ReconfigConfig) ([]RejectionCase, error) {
 	type probe struct {
 		label string
 		conn  spec.Connection
-		opts  admission.Options
-		want  admission.Reason
+		avoid []topology.LinkID
+		want  string
 	}
 	probes := []probe{
-		{"duplicate id", c0, admission.Options{}, admission.DuplicateID},
-		{"unknown endpoint", spec.Connection{ID: fresh, Src: spec.IPID(999), Dst: c0.Dst, BandwidthMBps: 40, MaxLatencyNs: 1000}, admission.Options{}, admission.UnknownEndpoint},
-		{"rate above link capacity", mk(capacityMBps*1.25, 5000), admission.Options{}, admission.BoundInfeasible},
-		{"latency below path delay", mk(40, 1), admission.Options{}, admission.BoundInfeasible},
+		{"duplicate id", c0, nil, "duplicate-id"},
+		{"unknown endpoint", spec.Connection{ID: fresh, Src: spec.IPID(999), Dst: c0.Dst, BandwidthMBps: 40, MaxLatencyNs: 1000}, nil, "unknown-endpoint"},
+		{"rate above link capacity", mk(capacityMBps*1.25, 5000), nil, "bound-infeasible"},
+		{"latency below path delay", mk(40, 1), nil, "bound-infeasible"},
 		{"every route avoided", spec.Connection{ID: fresh, App: crossing.App, Src: crossing.Src, Dst: crossing.Dst,
-			BandwidthMBps: 40, MaxLatencyNs: 1000}, admission.Options{Avoid: allRouterLinks}, admission.NoPath},
-		{"table-filling request", mk(capacityMBps*0.97, 60000), admission.Options{}, admission.NoSlots},
+			BandwidthMBps: 40, MaxLatencyNs: 1000}, allRouterLinks, "no-path"},
+		{"table-filling request", mk(capacityMBps*0.97, 60000), nil, "no-slots"},
 	}
 
 	before := n.Alloc.Conns()
 	var out []RejectionCase
 	for _, p := range probes {
-		d := admission.Probe(n, p.conn, p.opts)
+		d := n.Probe(p.conn, p.avoid...)
 		if d.Admissible {
 			return nil, fmt.Errorf("reconfig: probe %q was admitted, want rejection %s", p.label, p.want)
 		}
-		if d.Why() != p.want {
+		if d.Reason != p.want {
 			return nil, fmt.Errorf("reconfig: probe %q rejected as %s, want %s (%s)", p.label, d.Reason, p.want, d.Detail)
 		}
-		out = append(out, RejectionCase{Label: p.label, Want: p.want.String(), Decision: d})
+		out = append(out, RejectionCase{Label: p.label, Want: p.want, Decision: d})
 	}
 	after := n.Alloc.Conns()
 	if len(before) != len(after) {
@@ -295,7 +294,7 @@ func reconfigRejections(cfg ReconfigConfig) ([]RejectionCase, error) {
 // healer between engine segments, and reports how each quarantined
 // connection was rerouted (or gracefully degraded) and how long the
 // service interruption lasted.
-func reconfigHealing(cfg ReconfigConfig) (string, []admission.HealReport, *core.Network, *trace.Metrics, *core.Report, error) {
+func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *core.Network, *trace.Metrics, *core.Report, error) {
 	col := fault.NewCollector()
 	n, err := reconfigNetwork(cfg.Seed, true, 2, col)
 	if err != nil {
@@ -304,7 +303,7 @@ func reconfigHealing(cfg ReconfigConfig) (string, []admission.HealReport, *core.
 	bus := trace.NewBus()
 	mx := trace.NewMetrics(bus)
 	n.AttachTracer(bus)
-	h := admission.NewHealer(n, bus)
+	h := core.NewHealer(n, bus)
 
 	// Fault the first router-to-router link any connection rides: every
 	// connection crossing it (data or credit direction) will exhaust its

@@ -13,8 +13,8 @@
 // first-fit pass, RipUp the Even & Fais-style bounded
 // rip-up-and-reroute, and ByName resolves CLI/config names. Allocation
 // is the shared claim store either strategy fills; Verify re-checks the
-// contention-free invariant after every pass, and core/admission consume
-// the result. Claims are only ever made on free slots, which is what
+// contention-free invariant after every pass, and core consumes the
+// result, at build time and for run-time admission. Claims are only ever made on free slots, which is what
 // makes online reconfiguration composable.
 //
 // Data layout: occupancy is one row per claimed link (owner per slot, the

@@ -515,11 +515,11 @@ func (a *Allocation) ReleaseAll(cs ...phit.ConnID) {
 	}
 }
 
-// Clone deep-copies the allocation: the scratchpad on which admission
-// control runs trial placements without touching the live table. Paths
-// are shared (they are immutable once routed); slot sets and link
-// occupancy are copied. The allocators themselves no longer clone — rip-up
-// repairs run in place under an undo list — so this is admission's tool
+// Clone deep-copies the allocation: the scratchpad on which
+// core.Network.Probe decides an admission without touching the live
+// table. Paths are shared (they are immutable once routed); slot sets and
+// link occupancy are copied. The allocators themselves no longer clone —
+// rip-up repairs run in place under an undo list — so this is Probe's tool
 // only.
 func (a *Allocation) Clone() *Allocation {
 	c := &Allocation{

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/audit"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
@@ -43,20 +42,32 @@ func buildSpec() (*topology.Mesh, *spec.UseCase) {
 	return m, uc
 }
 
+// app0 lists application 0's connections: the ones whose timing is compared.
+func app0(uc *spec.UseCase) []phit.ConnID {
+	var ids []phit.ConnID
+	for _, c := range uc.Connections {
+		if c.App == 0 {
+			ids = append(ids, c.ID)
+		}
+	}
+	return ids
+}
+
 // aeliteArrivals runs the aelite network and returns app 0's exact
 // arrival instants, with the other application enabled or not (and
 // optionally hostile: oversubscribing 8x).
-func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
+func aeliteArrivals(withOthers, hostile bool) audit.Timelines {
 	m, uc := buildSpec()
 	cfg := core.Config{Probes: true}
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	bus := trace.NewBus()
+	rx := audit.RecordDeliveries(bus, 0, app0(uc)...)
 	var auditor *audit.Auditor
 	var auditCol *fault.Collector
 	if *auditOn {
-		bus := trace.NewBus()
 		var rep fault.Reporter
 		if !*strict {
 			auditCol = fault.NewCollector()
@@ -66,8 +77,8 @@ func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
 		// tolerate the breach of contract, but keep every other check —
 		// slot ownership, exclusivity, app 0's bounds — armed.
 		auditor = audit.Attach(net, bus, rep, audit.Options{TolerateOversubscription: hostile})
-		net.AttachTracer(bus)
 	}
+	net.AttachTracer(bus)
 	for _, c := range uc.Connections {
 		if c.App != 0 {
 			if !withOthers {
@@ -75,9 +86,6 @@ func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
 			} else if hostile {
 				net.Generator(c.ID).SetRateMBps(c.BandwidthMBps*8, 4)
 			}
-		} else {
-			ip, _ := uc.IP(c.Dst)
-			net.NIOf(ip.NI).RecordArrivals(c.ID, true)
 		}
 	}
 	net.Run(0, 40000)
@@ -88,65 +96,26 @@ func aeliteArrivals(withOthers, hostile bool) map[phit.ConnID][]clock.Time {
 		log.Fatalf("audit: %d guarantee violations (withOthers=%v hostile=%v)",
 			auditor.Violations(), withOthers, hostile)
 	}
-	out := map[phit.ConnID][]clock.Time{}
-	for _, c := range uc.Connections {
-		if c.App == 0 {
-			ip, _ := uc.IP(c.Dst)
-			out[c.ID] = net.NIOf(ip.NI).Arrivals(c.ID)
-		}
-	}
-	return out
+	return rx.Timelines()
 }
 
 // beArrivals is the same experiment on the best-effort baseline.
-func beArrivals(withOthers bool) map[phit.ConnID][]clock.Time {
+func beArrivals(withOthers bool) audit.Timelines {
 	m, uc := buildSpec()
 	net, err := core.BuildBE(m, uc, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	bus := trace.NewBus()
+	rx := audit.RecordDeliveries(bus, 0, app0(uc)...)
+	net.AttachTracer(bus)
 	for _, c := range uc.Connections {
 		if c.App != 0 && !withOthers {
 			net.Generator(c.ID).SetEnabled(false)
 		}
-		if c.App == 0 {
-			ip, _ := uc.IP(c.Dst)
-			net.NIOf(ip.NI).RecordArrivals(c.ID, true)
-		}
 	}
 	net.Run(0, 40000)
-	out := map[phit.ConnID][]clock.Time{}
-	for _, c := range uc.Connections {
-		if c.App == 0 {
-			ip, _ := uc.IP(c.Dst)
-			out[c.ID] = net.NIOf(ip.NI).Arrivals(c.ID)
-		}
-	}
-	return out
-}
-
-func compare(alone, shared map[phit.ConnID][]clock.Time) (words int, identical bool, firstDiff string) {
-	identical = true
-	for conn, a := range alone {
-		b := shared[conn]
-		if len(a) != len(b) {
-			identical = false
-			firstDiff = fmt.Sprintf("connection %d delivered %d vs %d words", conn, len(a), len(b))
-			continue
-		}
-		words += len(a)
-		for i := range a {
-			if a[i] != b[i] {
-				if identical {
-					firstDiff = fmt.Sprintf("connection %d word %d: %d ps vs %d ps (Δ %d ps)",
-						conn, i, a[i], b[i], b[i]-a[i])
-				}
-				identical = false
-				break
-			}
-		}
-	}
-	return
+	return rx.Timelines()
 }
 
 func main() {
@@ -154,18 +123,18 @@ func main() {
 	fmt.Println("== aelite: application 0 alone vs alongside application 1 ==")
 	alone := aeliteArrivals(false, false)
 	shared := aeliteArrivals(true, false)
-	words, same, diff := compare(alone, shared)
-	fmt.Printf("compared %d delivered words: identical timing = %v\n", words, same)
-	if !same {
-		log.Fatalf("aelite interference detected: %s", diff)
+	res := audit.Diff(alone, shared)
+	fmt.Printf("compared %d delivered words: identical timing = %v\n", res.Words, res.Identical)
+	if !res.Identical {
+		log.Fatalf("aelite interference detected: %s", res.FirstDiff)
 	}
 
 	fmt.Println("\n== aelite: application 1 oversubscribes its allocation 8x ==")
 	hostile := aeliteArrivals(true, true)
-	words, same, diff = compare(alone, hostile)
-	fmt.Printf("compared %d delivered words: identical timing = %v\n", words, same)
-	if !same {
-		log.Fatalf("aelite interference under hostile load: %s", diff)
+	res = audit.Diff(alone, hostile)
+	fmt.Printf("compared %d delivered words: identical timing = %v\n", res.Words, res.Identical)
+	if !res.Identical {
+		log.Fatalf("aelite interference under hostile load: %s", res.FirstDiff)
 	}
 	fmt.Println("the hostile application only slowed itself down (back-pressure);")
 	fmt.Println("application 0 did not move by a single picosecond")
@@ -173,12 +142,12 @@ func main() {
 	fmt.Println("\n== Æthereal best effort: the same experiment ==")
 	beAlone := beArrivals(false)
 	beShared := beArrivals(true)
-	words, same, diff = compare(beAlone, beShared)
-	fmt.Printf("compared %d delivered words: identical timing = %v\n", words, same)
-	if same {
+	res = audit.Diff(beAlone, beShared)
+	fmt.Printf("compared %d delivered words: identical timing = %v\n", res.Words, res.Identical)
+	if res.Identical {
 		fmt.Println("(surprising — BE interference usually shows immediately)")
 	} else {
-		fmt.Printf("first difference: %s\n", diff)
+		fmt.Printf("first difference: %s\n", res.FirstDiff)
 		fmt.Println("composability is lost: application 0's timing depends on application 1")
 	}
 }

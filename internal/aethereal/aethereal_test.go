@@ -6,6 +6,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var layout = phit.DefaultLayout
@@ -135,18 +136,34 @@ func TestBEArbitrationShares(t *testing.T) {
 	}
 }
 
+// TestBEResetStatsAndArrivals: every delivery is one Eject on the bus, in
+// arrival order, and ResetStats clears the NI's own statistics.
 func TestBEResetStatsAndArrivals(t *testing.T) {
 	h := newBEHarness(t, 8, 16)
-	h.b.RecordArrivals(1, true)
+	bus := trace.NewBus()
+	log := &eventLog{}
+	bus.Attach(log)
+	h.b.SetTracer(bus.Emitter("B"))
 	for i := 0; i < 5; i++ {
 		h.a.Offer(h.eng.Now(), 1, phit.Meta{Seq: int64(i), Injected: h.eng.Now()})
 	}
 	h.cycles(60)
-	if got := len(h.b.Arrivals(1)); got != 5 {
-		t.Errorf("recorded %d arrivals", got)
+	var arrivals []clock.Time
+	for _, ev := range log.evs {
+		if ev.Kind == trace.Eject && ev.Conn == 1 {
+			arrivals = append(arrivals, ev.Time)
+		}
+	}
+	if len(arrivals) != 5 || h.b.Delivered(1) != 5 {
+		t.Errorf("recorded %d arrivals, %d delivered", len(arrivals), h.b.Delivered(1))
+	}
+	for i := 1; i < len(arrivals); i++ {
+		if arrivals[i] <= arrivals[i-1] {
+			t.Error("arrivals not strictly increasing")
+		}
 	}
 	h.b.ResetStats()
-	if h.b.Delivered(1) != 0 || len(h.b.Arrivals(1)) != 0 {
+	if h.b.Delivered(1) != 0 || h.b.Latency(1).N() != 0 {
 		t.Error("reset incomplete")
 	}
 }

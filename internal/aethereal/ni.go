@@ -34,7 +34,6 @@ type InConnConfig struct {
 type beOut struct {
 	cfg   OutConnConfig
 	queue *sim.Bisync[phit.Meta]
-	sent  int64
 }
 
 type beIn struct {
@@ -43,8 +42,6 @@ type beIn struct {
 	latency   stats.Histogram
 	firstNs   float64
 	lastNs    float64
-	record    bool
-	arrivals  []clock.Time
 }
 
 // An NI is the best-effort network interface: no TDM, no end-to-end
@@ -217,9 +214,6 @@ func (n *NI) receive(now clock.Time, p *phit.Phit) {
 		if ic.delivered == 1 {
 			ic.firstNs = ic.lastNs
 		}
-		if ic.record {
-			ic.arrivals = append(ic.arrivals, now)
-		}
 	}
 	if p.EoP {
 		n.inPacket = false
@@ -278,7 +272,6 @@ func (n *NI) send(now clock.Time) {
 	}
 	meta := oc.queue.Pop(now)
 	meta.Sent = now
-	oc.sent++
 	n.openWords++
 	n.linkCredit--
 	if n.tr != nil {
@@ -307,20 +300,6 @@ func (n *NI) Span(conn phit.ConnID) (firstNs, lastNs float64) {
 	return ic.firstNs, ic.lastNs
 }
 
-// RecordArrivals toggles arrival logging for an in-connection.
-func (n *NI) RecordArrivals(conn phit.ConnID, on bool) {
-	ic := n.mustIn(conn)
-	ic.record = on
-	if !on {
-		ic.arrivals = nil
-	}
-}
-
-// Arrivals returns logged arrival instants.
-func (n *NI) Arrivals(conn phit.ConnID) []clock.Time {
-	return append([]clock.Time(nil), n.mustIn(conn).arrivals...)
-}
-
 // ResetStats clears measurements without touching protocol state.
 func (n *NI) ResetStats() {
 	for _, ic := range n.inByID {
@@ -328,10 +307,6 @@ func (n *NI) ResetStats() {
 		ic.latency = stats.Histogram{}
 		ic.firstNs = 0
 		ic.lastNs = 0
-		ic.arrivals = nil
-	}
-	for _, oc := range n.outs {
-		oc.sent = 0
 	}
 }
 

@@ -394,9 +394,6 @@ func (n *oldNI) receive(now clock.Time) {
 		if ic.delivered == 1 {
 			ic.firstNs = ic.lastNs
 		}
-		if ic.record {
-			ic.arrivals = append(ic.arrivals, now)
-		}
 	}
 	if p.EoP {
 		n.inPacket = false
@@ -442,7 +439,6 @@ func (n *oldNI) send(now clock.Time) {
 	}
 	meta := oc.queue.Pop(now)
 	meta.Sent = now
-	oc.sent++
 	n.openWords++
 	n.linkCredit--
 	if n.tr != nil {

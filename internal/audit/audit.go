@@ -46,7 +46,6 @@ type connAudit struct {
 
 	boundPs       float64 // checked latency ceiling, ps (bound + allowance)
 	waitBudgetPs  float64 // source-NI wait past which the source is out of contract
-	rawBoundNs    float64 // the analytical bound as built
 	guaranteeMBps float64
 
 	// Injection token bucket, in words.
@@ -223,7 +222,6 @@ func (a *Auditor) snapshot(n *core.Network) {
 			id:            id,
 			srcName:       n.Mesh.Node(info.SrcNI).Name,
 			dstName:       n.Mesh.Node(info.DstNI).Name,
-			rawBoundNs:    info.BoundNs,
 			guaranteeMBps: info.GuaranteedMBps,
 			boundPs:       info.BoundNs*1e3 + allowancePs,
 			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,

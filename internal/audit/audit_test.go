@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,13 +215,14 @@ func TestIsolationUnderInterference(t *testing.T) {
 		n, _ := buildNet(t, core.Synchronous, true)
 		watched := n.Connections()[0]
 		interferer := n.Connections()[1]
-		info := mustInfo(t, n, watched)
-		n.NIOf(info.DstNI).RecordArrivals(watched, true)
+		bus := trace.NewBus()
+		rx := RecordDeliveries(bus, 0, watched)
+		n.AttachTracer(bus)
 		if perturbed {
 			n.Generator(interferer).SetRateMBps(mustInfo(t, n, interferer).RequiredMBps*4, 4)
 		}
 		n.Run(0, 20000)
-		return Timelines{watched: n.NIOf(info.DstNI).Arrivals(watched)}, nil
+		return rx.Timelines(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,4 +235,44 @@ func TestIsolationUnderInterference(t *testing.T) {
 	}
 }
 
-var _ = clock.Time(0)
+// TestDeliveriesKeepsOnlyWatchedEjects: the bus can carry any trace.Event,
+// so the recorder must take every kind and any connection id — negative,
+// zero, unwatched, far past the watched ones — and keep only the Ejects
+// of watched connections strictly after the window start, in order.
+func TestDeliveriesKeepsOnlyWatchedEjects(t *testing.T) {
+	const from = clock.Time(1000)
+	bus := trace.NewBus()
+	d := RecordDeliveries(bus, from, 2, 5)
+
+	wild := []int64{-1 << 31, -7, -1, 0, 1, 3, 4, 6, 1 << 20, 1<<31 - 1}
+	for kind := trace.Inject; kind <= trace.Reroute; kind++ {
+		for _, conn := range wild {
+			bus.Emit(trace.Event{Kind: kind, Time: 2000, Conn: phit.ConnID(conn), Slot: trace.NoSlot})
+		}
+		if kind != trace.Eject {
+			bus.Emit(trace.Event{Kind: kind, Time: 2000, Conn: 2, Slot: trace.NoSlot})
+		}
+	}
+	for _, at := range []clock.Time{0, 999, from} {
+		bus.Emit(trace.Event{Kind: trace.Eject, Time: at, Conn: 2, Slot: trace.NoSlot})
+	}
+	for _, at := range []clock.Time{from + 1, 1500, 3000} {
+		bus.Emit(trace.Event{Kind: trace.Eject, Time: at, Conn: 2, Slot: trace.NoSlot})
+	}
+
+	got := d.Timelines()
+	if len(got) != 2 {
+		t.Fatalf("timelines for %d connections, want the 2 watched", len(got))
+	}
+	if want := []clock.Time{from + 1, 1500, 3000}; !slices.Equal(got[2], want) {
+		t.Errorf("connection 2 timeline %v, want %v", got[2], want)
+	}
+	if tl, ok := got[5]; !ok || tl != nil {
+		t.Errorf("connection 5 timeline %v (present %v), want present and empty", tl, ok)
+	}
+	// Timelines is a copy: a later delivery does not reach it.
+	bus.Emit(trace.Event{Kind: trace.Eject, Time: 4000, Conn: 2, Slot: trace.NoSlot})
+	if len(got[2]) != 3 || len(d.Timelines()[2]) != 4 {
+		t.Error("Timelines shares its backing array with the recorder")
+	}
+}

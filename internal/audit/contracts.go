@@ -74,7 +74,6 @@ func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts O
 			id:            c.Conn,
 			srcName:       c.SrcName,
 			dstName:       c.DstName,
-			rawBoundNs:    c.BoundNs,
 			guaranteeMBps: c.GuaranteeMBps,
 			boundPs:       c.BoundNs * 1e3,
 			waitBudgetPs:  c.WaitBudgetNs * 1e3,

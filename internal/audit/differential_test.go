@@ -98,7 +98,6 @@ func (a *refAuditor) snapshot(n *core.Network) {
 			id:            id,
 			srcName:       n.Mesh.Node(info.SrcNI).Name,
 			dstName:       n.Mesh.Node(info.DstNI).Name,
-			rawBoundNs:    info.BoundNs,
 			guaranteeMBps: info.GuaranteedMBps,
 			boundPs:       info.BoundNs*1e3 + allowancePs,
 			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,

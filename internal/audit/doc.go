@@ -46,5 +46,7 @@
 // The composability claim needs two runs, not one: Isolation re-executes
 // a scenario with the *other* connections' traffic perturbed and diffs
 // the audited connections' delivery timelines for byte identity, fanning
-// the paired runs over internal/parallel.
+// the paired runs over internal/parallel. A Deliveries sink
+// (RecordDeliveries) records those timelines off the bus: every Eject of
+// a watched connection after the measurement window opens.
 package audit

@@ -2,16 +2,55 @@ package audit
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/parallel"
 	"repro/internal/phit"
+	"repro/internal/trace"
 )
 
 // Timelines maps each audited connection to its per-word delivery
-// instants (typically ni.Arrivals after a run with RecordArrivals on).
+// instants (typically Deliveries.Timelines after a run).
 type Timelines map[phit.ConnID][]clock.Time
+
+// Deliveries is a trace.Sink that keeps the Eject instants of a fixed set
+// of watched connections: the delivery timelines a composability diff
+// compares. The bus is the only record of a delivery instant; replay
+// re-emits recorded Ejects, so the timeline is exact in a replayed run.
+type Deliveries struct {
+	from clock.Time
+	t    Timelines
+}
+
+// RecordDeliveries attaches a Deliveries sink for conns to bus. Only
+// deliveries strictly after from count: from is the measurement window's
+// start, so warm-up deliveries drop out exactly as the NIs' ResetStats
+// drops them from the report.
+func RecordDeliveries(bus *trace.Bus, from clock.Time, conns ...phit.ConnID) *Deliveries {
+	d := &Deliveries{from: from, t: make(Timelines, len(conns))}
+	for _, c := range conns {
+		d.t[c] = nil
+	}
+	bus.Attach(d)
+	return d
+}
+
+// Event implements trace.Sink.
+func (d *Deliveries) Event(ev trace.Event) {
+	if ev.Kind != trace.Eject || ev.Time <= d.from {
+		return
+	}
+	if tl, ok := d.t[ev.Conn]; ok {
+		d.t[ev.Conn] = append(tl, ev.Time)
+	}
+}
+
+// Timelines returns every watched connection's delivery instants so far,
+// in delivery order; a connection that delivered nothing maps to nil.
+// Later deliveries do not reach the returned slices.
+func (d *Deliveries) Timelines() Timelines { return maps.Clone(d.t) }
 
 // IsolationResult is the outcome of one composability diff.
 type IsolationResult struct {

@@ -10,9 +10,7 @@ package backend
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/area"
 	"repro/internal/audit"
@@ -66,50 +64,28 @@ type Backend interface {
 	Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instance, error)
 }
 
-var (
-	regMu    sync.Mutex
-	registry = make(map[string]Backend)
-)
+// backends is every backend, sorted by name: the fabrics are fixed at
+// compile time, so the registry is a table.
+var backends = []Backend{aeliteBackend{}, aetherealBackend{}, routerlessBackend{}}
 
-// Register adds a backend to the registry. Duplicate names panic: two
-// backends answering to one -backend value would make runs ambiguous.
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", b.Name()))
-	}
-	registry[b.Name()] = b
-}
-
-// ByName resolves a registered backend. The error lists the valid names
-// so a CLI can surface it as a one-line usage diagnostic.
+// ByName resolves a backend by name. The error lists the valid names so a
+// CLI can surface it as a one-line usage diagnostic.
 func ByName(name string) (Backend, error) {
-	regMu.Lock()
-	b, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(Names(), " | "))
+	for _, b := range backends {
+		if b.Name() == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(Names(), " | "))
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names, sorted.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		names[i] = b.Name()
 	}
-	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register(aeliteBackend{})
-	Register(aetherealBackend{})
-	Register(routerlessBackend{})
 }
 
 // routerArity is the mesh router arity: four mesh ports plus one per NI.

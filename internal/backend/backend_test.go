@@ -204,6 +204,11 @@ func TestByNameUnknownListsValid(t *testing.T) {
 	if len(names) != 3 || names[0] != "aelite" || names[1] != "aethereal" || names[2] != "routerless" {
 		t.Errorf("Names() = %v", names)
 	}
+	for _, name := range names {
+		if b, err := ByName(name); err != nil || b.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, b, err)
+		}
+	}
 }
 
 // generatorOf reaches a connection's traffic generator behind the seam.
@@ -258,13 +263,19 @@ func TestBackendsOfferSameLoad(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				bus := trace.NewBus()
+				met := trace.NewMetrics(bus)
+				inst.AttachTracer(bus)
 				inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
 				for _, c := range uc.Connections {
-					g := generatorOf(inst, c.ID)
-					if g.Rejected() != 0 {
+					if generatorOf(inst, c.ID).Rejected() != 0 {
 						t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
 					}
-					offered[name] = append(offered[name], g.Offered())
+					var injected int64
+					if cm := met.Conn(c.ID); cm != nil {
+						injected = cm.Injected
+					}
+					offered[name] = append(offered[name], injected)
 				}
 			}
 			for i, r := range rates {

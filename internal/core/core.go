@@ -186,7 +186,7 @@ type Network struct {
 	faultClks []*clock.Clock // every mutable (non-base) clock
 
 	// pendingQuar queues quarantine transitions recorded by the
-	// reliability endpoints' hooks, drained by TakeQuarantined.
+	// reliability endpoints' hooks, drained by takeQuarantined.
 	pendingQuar []QuarantineEvent
 
 	// prog is the installed hyperperiod replay program (nil under

@@ -82,7 +82,7 @@ func NewHealer(n *Network, bus *trace.Bus) *Healer {
 func (h *Healer) Heal() ([]HealReport, error) {
 	var out []HealReport
 	for {
-		evs := h.n.TakeQuarantined()
+		evs := h.n.takeQuarantined()
 		if len(evs) == 0 {
 			break
 		}

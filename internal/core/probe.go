@@ -26,12 +26,10 @@ type probe struct {
 	link  topology.LinkID
 	rep   fault.Reporter
 
-	sampled  phit.Phit
-	observed int64
+	sampled phit.Phit
 
-	// Hyperperiod-boundary snapshot and per-epoch delta (see probe_replay.go).
-	mObserved, dObserved int64
-	rmValid              bool
+	// rmValid is set by a hyperperiod-boundary mark (see probe_replay.go).
+	rmValid bool
 }
 
 func (p *probe) Name() string          { return p.name }
@@ -66,7 +64,5 @@ func (p *probe) Update(now clock.Time) {
 			Kind: fault.SlotOwnership, Component: p.name, Time: now, Slot: slot,
 			Detail: fmt.Sprintf("slot carries connection %d but is allocated to %d — TDM schedule violated", got, owner),
 		})
-		return
 	}
-	p.observed++
 }

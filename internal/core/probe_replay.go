@@ -2,8 +2,8 @@ package core
 
 // Hyperperiod replay support for the slot-ownership probe: it decodes the
 // edge index into a TDM slot, so its pattern period is one slot-table
-// revolution. Its only mutable state is the monotone observation counter
-// (sampled is overwritten before every use).
+// revolution. It has no mutable state (sampled is overwritten before
+// every use).
 
 import (
 	"repro/internal/clock"
@@ -22,19 +22,16 @@ func (p *probe) ReplayPeriod() clock.Duration {
 // ReplayMark implements replay.Periodic.
 func (p *probe) ReplayMark(now clock.Time) bool {
 	first := !p.rmValid
-	p.dObserved = p.observed - p.mObserved
-	p.mObserved = p.observed
 	p.rmValid = true
 	return !first
 }
 
 // ReplayFingerprint implements replay.Periodic.
 func (p *probe) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
-	return buf // no architectural state beyond shifted counters
+	return buf // no architectural state
 }
 
 // ReplayShift implements replay.Periodic.
 func (p *probe) ReplayShift(s *replay.Shift) {
-	p.observed += s.Epochs * p.dObserved
 	p.rmValid = false
 }

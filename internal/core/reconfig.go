@@ -139,10 +139,10 @@ func (n *Network) recordQuarantine(now clock.Time, conn phit.ConnID) {
 	n.pendingQuar = append(n.pendingQuar, QuarantineEvent{Conn: conn, Time: now})
 }
 
-// TakeQuarantined drains the queue of quarantine transitions recorded
+// takeQuarantined drains the queue of quarantine transitions recorded
 // since the last call. Callers (the Healer) invoke it between
 // engine runs and react by closing and re-admitting the victims.
-func (n *Network) TakeQuarantined() []QuarantineEvent {
+func (n *Network) takeQuarantined() []QuarantineEvent {
 	out := n.pendingQuar
 	n.pendingQuar = nil
 	return out

@@ -9,98 +9,25 @@ import (
 	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/spec"
+	"repro/internal/topology"
 )
 
 // reconfigSpec: app 0 is the undisturbed observer; app 1 is the one that
 // gets stopped; new connections are admitted afterwards.
 func reconfigSpec(t *testing.T) (*Network, *spec.UseCase) {
 	t.Helper()
-	n, uc := buildComposability(t, Synchronous)
+	m := topology.NewMesh(3, 2, 2)
+	uc := spec.Random(spec.RandomConfig{
+		Name: "compos", Seed: 21, IPs: 12, Apps: 3, Conns: 14,
+		MinRateMBps: 15, MaxRateMBps: 150,
+		MinLatencyNs: 250, MaxLatencyNs: 900,
+	})
+	spec.MapIPsRoundRobin(uc, m, 5)
+	n, err := Build(m, uc, Config{Mode: Synchronous, PhaseSeed: 4, Probes: true})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
 	return n, uc
-}
-
-// TestReconfigurationUndisrupted is reference [16]'s claim, on this
-// implementation: stopping one application, draining it, releasing its
-// slots, and admitting a brand-new connection into the freed capacity
-// does not move a single word of the surviving application by a single
-// picosecond — compared against a run with no reconfiguration at all.
-func TestReconfigurationUndisrupted(t *testing.T) {
-	record := func(reconfigure bool) (map[phit.ConnID][]clock.Time, *Network, error) {
-		n, uc := reconfigSpec(t)
-		for _, c := range uc.Connections {
-			if c.App == 0 {
-				ip, _ := uc.IP(c.Dst)
-				n.NIOf(ip.NI).RecordArrivals(c.ID, true)
-			}
-		}
-		n.Run(0, 20000)
-		if reconfigure {
-			// Stop every app-1 connection.
-			for _, c := range uc.Connections {
-				if c.App == 1 {
-					if err := n.CloseConnection(c.ID); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			// Admit a new connection between two previously used
-			// endpoints, into the freed slots.
-			newConn := spec.Connection{
-				ID: 900, App: 2, Src: uc.Connections[0].Src, Dst: uc.Connections[1].Dst,
-				BandwidthMBps: 60, MaxLatencyNs: 600,
-			}
-			if sIP, _ := uc.IP(newConn.Src); func() bool {
-				d, _ := uc.IP(newConn.Dst)
-				return sIP.NI == d.NI
-			}() {
-				// Pick another destination on a different NI.
-				for _, ip := range uc.IPs {
-					if s, _ := uc.IP(newConn.Src); ip.NI != s.NI {
-						newConn.Dst = ip.ID
-						break
-					}
-				}
-			}
-			mustAdmit(t, n, newConn)
-		}
-		// Continue to the same absolute horizon in both runs.
-		n.eng.Run(90000 * clock.Nanosecond)
-		out := map[phit.ConnID][]clock.Time{}
-		for _, c := range uc.Connections {
-			if c.App == 0 {
-				ip, _ := uc.IP(c.Dst)
-				out[c.ID] = n.NIOf(ip.NI).Arrivals(c.ID)
-			}
-		}
-		return out, n, nil
-	}
-
-	baseline, _, err := record(false)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	reconfigured, n, err := record(true)
-	if err != nil {
-		t.Fatalf("reconfigured: %v", err)
-	}
-	checkIdenticalTiming(t, baseline, reconfigured)
-
-	// The new connection must actually be running and delivering.
-	info, err := n.Info(900)
-	if err != nil {
-		t.Fatalf("Info(new): %v", err)
-	}
-	if len(info.Slots) == 0 {
-		t.Fatal("admitted connection has no slots")
-	}
-	n.eng.Run(n.eng.Now() + 30000*clock.Nanosecond)
-	st := n.NIOf(n.conns[900].dstNI).InStats(900)
-	if st.Delivered == 0 {
-		t.Error("admitted connection delivered nothing")
-	}
-	if st.Latency.Max() > info.BoundNs {
-		t.Errorf("admitted connection max latency %.1f exceeds bound %.1f", st.Latency.Max(), info.BoundNs)
-	}
 }
 
 // TestCloseReleasesCapacity: slots freed by a closed connection are

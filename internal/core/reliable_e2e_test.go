@@ -103,7 +103,7 @@ func TestReliableBitFlipCampaignRecovers(t *testing.T) {
 			t.Errorf("connection %d quarantined at bit-flip rate 0.01 with an unbounded retry budget", id)
 			continue
 		}
-		sent := n.nis[info.srcNI].SentWords(id)
+		sent := mx.Conn(id).Sent
 		delivered := n.nis[info.dstNI].InStats(id).Delivered
 		if missing := sent - delivered; missing < 0 || missing > int64(tx.OutstandingWords) {
 			t.Errorf("connection %d lost payload: sent %d, delivered %d, %d words in window",
@@ -156,6 +156,9 @@ func TestReliableBitFlipCampaignRecovers(t *testing.T) {
 func TestReliableQuarantineIsolatesFaultyLink(t *testing.T) {
 	col := fault.NewCollector()
 	n := buildReliable(t, col, 2)
+	bus := trace.NewBus()
+	mx := trace.NewMetrics(bus)
+	n.AttachTracer(bus)
 
 	// Pick a victim NI that at least one connection avoids entirely, so
 	// the test can observe both degradation and isolation.
@@ -216,7 +219,7 @@ func TestReliableQuarantineIsolatesFaultyLink(t *testing.T) {
 			quarantined++
 			continue
 		}
-		sent := n.nis[info.srcNI].SentWords(id)
+		sent := mx.Conn(id).Sent
 		delivered := n.nis[info.dstNI].InStats(id).Delivered
 		if delivered == 0 {
 			t.Errorf("healthy connection %d delivered nothing while %s was faulty", id, victimName)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -84,11 +83,7 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 		a := audit.Attach(n, bus, audCol, audit.Options{TolerateOversubscription: perturbed})
 
 		watched := n.Connections()[0]
-		info, err := n.Info(watched)
-		if err != nil {
-			return nil, err
-		}
-		n.NIOf(info.DstNI).RecordArrivals(watched, true)
+		rx := audit.RecordDeliveries(bus, 0, watched)
 		if perturbed {
 			for _, id := range n.Connections()[1:] {
 				other, err := n.Info(id)
@@ -106,13 +101,14 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 		}
 		var b strings.Builder
 		a.WriteSummary(&b)
+		t := rx.Timelines()
 		runs[idx] = conformanceRun{
 			violations: a.Violations(),
 			byKind:     a.ByKind(),
 			summary:    b.String(),
-			watchedRx:  int64(len(n.NIOf(info.DstNI).Arrivals(watched))),
+			watchedRx:  int64(len(t[watched])),
 		}
-		return audit.Timelines{watched: n.NIOf(info.DstNI).Arrivals(watched)}, nil
+		return t, nil
 	})
 	if err != nil {
 		return "", fmt.Errorf("conformance table %d %s: %w", tableSize, mode, err)
@@ -139,13 +135,6 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 // at every worker count. Any broken guarantee aborts the sweep with an
 // error naming the point and the first diagnostic.
 func ConformanceSweep(cfg ConformanceConfig, jobs int) ([]string, error) {
-	return ConformanceSweepCtx(context.Background(), cfg, jobs)
-}
-
-// ConformanceSweepCtx is ConformanceSweep with cancellation: once ctx is
-// done, unstarted points are skipped and the sweep returns ctx's error
-// without leaking worker goroutines.
-func ConformanceSweepCtx(ctx context.Context, cfg ConformanceConfig, jobs int) ([]string, error) {
 	type point struct {
 		table int
 		mode  core.Mode
@@ -156,10 +145,7 @@ func ConformanceSweepCtx(ctx context.Context, cfg ConformanceConfig, jobs int) (
 			pts = append(pts, point{s, m})
 		}
 	}
-	return parallel.MapCtx(ctx, jobs, len(pts), func(ctx context.Context, i int) (string, error) {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
+	return parallel.Map(jobs, len(pts), func(i int) (string, error) {
 		return conformancePoint(cfg, pts[i].table, pts[i].mode)
 	})
 }

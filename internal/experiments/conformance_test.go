@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,33 @@ func TestConformancePoint(t *testing.T) {
 	}
 	if !strings.Contains(line, "0 violations") || !strings.Contains(line, "identical") {
 		t.Errorf("verdict line = %q", line)
+	}
+}
+
+// TestConformanceSweepFollowsConfig: the sweep runs exactly the configured
+// table sizes and modes, table-major in the configured order.
+func TestConformanceSweepFollowsConfig(t *testing.T) {
+	cfg := DefaultConformanceConfig()
+	cfg.TableSizes = []int{16, 8}
+	cfg.Modes = []core.Mode{core.Asynchronous, core.Synchronous}
+	cfg.MeasureNs = 4000
+	lines, err := ConformanceSweep(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, table := range cfg.TableSizes {
+		for _, mode := range cfg.Modes {
+			want = append(want, fmt.Sprintf("conformance table %2d %-12s: 0 violations", table, mode))
+		}
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("sweep returned %d points, want %d", len(lines), len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("point %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }
 

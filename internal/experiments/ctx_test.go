@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestCtxCancelledUpFront pins the contract shared by every Ctx entry
@@ -20,48 +18,36 @@ func TestCtxCancelledUpFront(t *testing.T) {
 	if _, err := ScaleStudyCtx(ctx, SmokeScaleConfig(), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ScaleStudyCtx err = %v, want context.Canceled", err)
 	}
-	if _, err := RecoverySweepCtx(ctx, DefaultRecoveryConfig(), 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RecoverySweepCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := ConformanceSweepCtx(ctx, DefaultConformanceConfig(), 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ConformanceSweepCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := ReconfigStudyCtx(ctx, DefaultReconfigConfig(), 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReconfigStudyCtx err = %v, want context.Canceled", err)
+	if _, err := CompareStudyCtx(ctx, SmokeCompareConfig(), 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CompareStudyCtx err = %v, want context.Canceled", err)
 	}
 }
 
-// TestCtxMidFlightCancelLeaksNoGoroutines cancels a conformance sweep
-// while its points are in flight and verifies the call returns the
-// context error with every worker goroutine reaped — the long-campaign
-// cancellation path aelite-serve's per-job deadlines ride on.
+// TestCtxMidFlightCancelLeaksNoGoroutines cancels a comparison study
+// while its cells are in flight and verifies the call returns the context
+// error with every worker goroutine reaped — the cancellation path
+// aelite-serve's per-job deadlines ride on.
 func TestCtxMidFlightCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-
-	cfg := DefaultConformanceConfig()
-	cfg.TableSizes = []int{8, 16, 32, 64}
-	cfg.Modes = []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous}
-	cfg.MeasureNs = 4000
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ConformanceSweepCtx(ctx, cfg, 2)
+		_, err := CompareStudyCtx(ctx, DefaultCompareConfig(), 2)
 		done <- err
 	}()
-	// Let the first points start, then cancel mid-flight.
+	// Let the first cells start, then cancel mid-flight.
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
-		// In-flight points run to completion; a cancelled sweep reports
-		// either the context error (a skipped point was lowest-indexed) or,
-		// rarely, every point finished before the cancel landed.
+		// A cancelled study reports either the context error or, rarely,
+		// every cell finished before the cancel landed.
 		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("sweep err = %v, want nil or context.Canceled", err)
+			t.Fatalf("study err = %v, want nil or context.Canceled", err)
 		}
 	case <-time.After(2 * time.Minute):
-		t.Fatal("cancelled sweep did not return")
+		t.Fatal("cancelled study did not return")
 	}
 
 	for i := 0; i < 200; i++ {
@@ -70,5 +56,5 @@ func TestCtxMidFlightCancelLeaksNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("goroutines: %d before, %d after cancelled sweep", before, runtime.NumGoroutine())
+	t.Fatalf("goroutines: %d before, %d after cancelled study", before, runtime.NumGoroutine())
 }

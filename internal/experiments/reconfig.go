@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/audit"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
@@ -142,13 +142,7 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 		n.AttachTracer(bus)
 		a := audit.Attach(n, bus, audCol, audit.Options{})
 
-		for _, id := range survivors {
-			info, err := n.Info(id)
-			if err != nil {
-				return nil, err
-			}
-			n.NIOf(info.DstNI).RecordArrivals(id, true)
-		}
+		rx := audit.RecordDeliveries(bus, clock.Time(reconfigWarmupNs*float64(clock.Nanosecond)), survivors...)
 
 		idx := 0
 		var actions []core.TimedAction
@@ -185,16 +179,7 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 			return nil, err
 		}
 		audViol[idx] = a.Violations() + int64(audCol.CountByKind()[fault.ReconfigResidue])
-
-		t := make(audit.Timelines, len(survivors))
-		for _, id := range survivors {
-			info, err := n.Info(id)
-			if err != nil {
-				return nil, err
-			}
-			t[id] = n.NIOf(info.DstNI).Arrivals(id)
-		}
-		return t, nil
+		return rx.Timelines(), nil
 	})
 	if err != nil {
 		return out, err
@@ -294,11 +279,11 @@ func reconfigRejections(cfg ReconfigConfig) ([]RejectionCase, error) {
 // healer between engine segments, and reports how each quarantined
 // connection was rerouted (or gracefully degraded) and how long the
 // service interruption lasted.
-func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *core.Network, *trace.Metrics, *core.Report, error) {
+func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *trace.Metrics, *core.Report, error) {
 	col := fault.NewCollector()
 	n, err := reconfigNetwork(cfg.Seed, true, 2, col)
 	if err != nil {
-		return "", nil, nil, nil, nil, err
+		return "", nil, nil, nil, err
 	}
 	bus := trace.NewBus()
 	mx := trace.NewMetrics(bus)
@@ -313,7 +298,7 @@ func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *core.Netwo
 	for _, id := range n.Connections() {
 		links, err := n.ConnectionLinks(id)
 		if err != nil {
-			return "", nil, nil, nil, nil, err
+			return "", nil, nil, nil, err
 		}
 		for _, l := range links {
 			lk := n.Mesh.Link(l)
@@ -328,14 +313,14 @@ func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *core.Netwo
 		}
 	}
 	if faultyName == "" {
-		return "", nil, nil, nil, nil, fmt.Errorf("reconfig: no connection rides a router-to-router link")
+		return "", nil, nil, nil, fmt.Errorf("reconfig: no connection rides a router-to-router link")
 	}
 	plan := &fault.Plan{Seed: cfg.Seed, Rates: []fault.RateRule{
 		{Target: fmt.Sprintf("l%d.", faulty), Drop: 1},
 	}}
 	campaign := fault.NewCampaign(plan, col)
 	if err := campaign.Arm(n.Engine(), n.FaultTargets()); err != nil {
-		return "", nil, nil, nil, nil, err
+		return "", nil, nil, nil, err
 	}
 
 	// The healer must run between engine segments (quarantine fires
@@ -349,32 +334,22 @@ func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *core.Netwo
 	}
 	rep, err := n.RunTimed(0, reconfigMeasureNs, actions)
 	if err != nil {
-		return "", nil, nil, nil, nil, err
+		return "", nil, nil, nil, err
 	}
 	if _, err := h.Heal(); err != nil {
-		return "", nil, nil, nil, nil, err
+		return "", nil, nil, nil, err
 	}
-	return faultyName, h.Reports(), n, mx, rep, nil
+	return faultyName, h.Reports(), mx, rep, nil
 }
 
 // ReconfigStudy runs all three phases and renders the verdict.
 func ReconfigStudy(cfg ReconfigConfig, jobs int) (*ReconfigSummary, error) {
-	return ReconfigStudyCtx(context.Background(), cfg, jobs)
-}
-
-// ReconfigStudyCtx is ReconfigStudy with cancellation, observed at the
-// three phase boundaries (each phase is one bounded simulation): once ctx
-// is done, the next phase never starts and the study returns ctx's error.
-func ReconfigStudyCtx(ctx context.Context, cfg ReconfigConfig, jobs int) (*ReconfigSummary, error) {
 	sum := &ReconfigSummary{Seed: cfg.Seed}
 	fail := func(format string, args ...any) {
 		sum.Violations++
 		sum.Failures = append(sum.Failures, fmt.Sprintf(format, args...))
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	iso, err := reconfigIsolation(cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -395,19 +370,13 @@ func ReconfigStudyCtx(ctx context.Context, cfg ReconfigConfig, jobs int) (*Recon
 		fail("close left %d residues behind", iso.Residue)
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	rej, err := reconfigRejections(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sum.Rejections = rej
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	faulty, heals, n, mx, rep, err := reconfigHealing(cfg)
+	faulty, heals, mx, rep, err := reconfigHealing(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +414,6 @@ func ReconfigStudyCtx(ctx context.Context, cfg ReconfigConfig, jobs int) (*Recon
 			}
 		}
 	}
-	_ = n
 	return sum, nil
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -111,17 +110,7 @@ func recoveryPoint(cfg RecoveryConfig, i int) (string, error) {
 // jobs workers and returns the rendered summaries keyed by point index —
 // byte-identical at every worker count.
 func RecoverySweep(cfg RecoveryConfig, jobs int) ([]string, error) {
-	return RecoverySweepCtx(context.Background(), cfg, jobs)
-}
-
-// RecoverySweepCtx is RecoverySweep with cancellation: once ctx is done,
-// unstarted points are skipped and the sweep returns ctx's error without
-// leaking worker goroutines.
-func RecoverySweepCtx(ctx context.Context, cfg RecoveryConfig, jobs int) ([]string, error) {
-	return parallel.MapCtx(ctx, jobs, cfg.Points, func(ctx context.Context, i int) (string, error) {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
+	return parallel.Map(jobs, cfg.Points, func(i int) (string, error) {
 		return recoveryPoint(cfg, i)
 	})
 }

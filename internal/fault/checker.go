@@ -25,8 +25,6 @@ type SlotChecker struct {
 	conn    phit.ConnID
 	headers int
 	flagged bool
-
-	Observed int64
 }
 
 // NewSlotChecker builds a checker for the link entry wire, clocked by the
@@ -69,7 +67,6 @@ func (s *SlotChecker) Update(now clock.Time) {
 	if s.sampled.Kind == phit.Header || s.sampled.Kind == phit.CreditOnly {
 		s.headers++
 	}
-	s.Observed++
 	if s.flagged {
 		return
 	}

@@ -137,9 +137,6 @@ func (s *Stage) Components() []sim.Component {
 // fact stays below it under the stated assumptions.
 func (s *Stage) MaxFIFOOccupancy() int { return s.fifo.MaxOccupancy() }
 
-// Forwarded reports how many flits the FSM has forwarded.
-func (s *Stage) Forwarded() int64 { return s.fsm.flits }
-
 // writerTap samples the upstream wire on the source-synchronous clock and
 // pushes valid words into the bi-synchronous FIFO.
 type writerTap struct {
@@ -184,11 +181,9 @@ type readerFSM struct {
 	out   *sim.Wire[phit.Phit]
 
 	forwarding bool
-	flits      int64
 
-	// Hyperperiod-boundary snapshot and per-epoch delta (see replay.go).
-	mFlits, dFlits int64
-	rmValid        bool
+	// rmValid is set by a hyperperiod-boundary mark (see replay.go).
+	rmValid bool
 }
 
 func (f *readerFSM) Name() string        { return f.stage.name + ".fsm" }
@@ -203,7 +198,6 @@ func (f *readerFSM) Update(now clock.Time) {
 	if state == 0 {
 		f.forwarding = f.stage.fifo.Valid(now)
 		if f.forwarding {
-			f.flits++
 			// Section V's latency claim: a stage adds exactly one flit
 			// cycle. In envelope, the head word waits at most the
 			// forwarding delay plus one flit cycle before the FSM picks

@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // flitSource emits whole 3-word flits in designated slots of its local
@@ -88,8 +89,8 @@ func (c *flitChecker) Sample(now clock.Time) {
 func (c *flitChecker) Update(now clock.Time) {}
 
 // runStage wires source -> stage -> checker with the given skew and FIFO
-// forwarding delay and runs it.
-func runStage(t *testing.T, skew, fwdDelay clock.Duration, pattern []bool, cycles int64) (*Stage, *flitChecker) {
+// forwarding delay and runs it, the stage traced into the returned metrics.
+func runStage(t *testing.T, skew, fwdDelay clock.Duration, pattern []bool, cycles int64) (*Stage, *flitChecker, *trace.Metrics) {
 	t.Helper()
 	eng := sim.New()
 	wclk := clock.New("w", 2000, 0)
@@ -102,12 +103,15 @@ func runStage(t *testing.T, skew, fwdDelay clock.Duration, pattern []bool, cycle
 	for _, c := range st.Components() {
 		eng.Add(c)
 	}
+	bus := trace.NewBus()
+	mx := trace.NewMetrics(bus)
+	st.SetTracer(bus.Emitter(st.Name()))
 	src := &flitSource{name: "src", clk: wclk, out: in, sendIn: pattern}
 	chk := &flitChecker{name: "chk", clk: rclk, in: out, t: t}
 	eng.Add(src)
 	eng.Add(chk)
 	eng.Run(clock.Time(cycles) * 2000)
-	return st, chk
+	return st, chk, mx
 }
 
 func TestStageAlignsForAnySkew(t *testing.T) {
@@ -117,15 +121,15 @@ func TestStageAlignsForAnySkew(t *testing.T) {
 			// 600 cycles = 200 slots, half carrying flits: ~300
 			// words minus pipeline fill and the flit cut off by
 			// simulation end.
-			st, chk := runStage(t, skew, 2000, pattern, 600)
+			st, chk, mx := runStage(t, skew, 2000, pattern, 600)
 			if chk.got < 280 {
 				t.Errorf("skew %d: only %d words delivered", skew, chk.got)
 			}
 			if st.MaxFIFOOccupancy() > FIFODepth {
 				t.Errorf("skew %d: FIFO occupancy %d exceeded depth", skew, st.MaxFIFOOccupancy())
 			}
-			if d := st.Forwarded() - chk.got/3; d < 0 || d > 1 {
-				t.Errorf("forwarded %d flits, checker saw %d words", st.Forwarded(), chk.got)
+			if d := mx.Count(trace.LinkForward) - chk.got/3; d < 0 || d > 1 {
+				t.Errorf("forwarded %d flits, checker saw %d words", mx.Count(trace.LinkForward), chk.got)
 			}
 		})
 	}

@@ -75,8 +75,6 @@ func (f *readerFSM) ReplayPeriod() clock.Duration {
 // ReplayMark implements replay.Periodic.
 func (f *readerFSM) ReplayMark(now clock.Time) bool {
 	first := !f.rmValid
-	f.dFlits = f.flits - f.mFlits
-	f.mFlits = f.flits
 	f.rmValid = true
 	return !first
 }
@@ -92,6 +90,5 @@ func (f *readerFSM) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 
 // ReplayShift implements replay.Periodic.
 func (f *readerFSM) ReplayShift(s *replay.Shift) {
-	f.flits += s.Epochs * f.dFlits
 	f.rmValid = false
 }

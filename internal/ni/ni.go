@@ -58,17 +58,13 @@ type outConn struct {
 	cfg     OutConnConfig
 	credits int
 	queue   *sim.Bisync[phit.Meta] // IP -> NI
-	sent    int64                  // payload words sent
-	blocked int64                  // flit opportunities lost to credit exhaustion
 	maxOcc  int                    // traced high-water mark of the queue depth
 	// pairedIn is cfg.PairedIn resolved, linked when the second of the two
 	// is added; nil while that in-connection is not registered.
 	pairedIn *inConn
 
-	// Hyperperiod-boundary snapshots and per-epoch deltas (see replay.go).
-	mSent, mBlocked int64
-	dSent, dBlocked int64
-	mMaxOcc         int
+	// Hyperperiod-boundary snapshot of maxOcc (see replay.go).
+	mMaxOcc int
 }
 
 type inConn struct {
@@ -95,12 +91,6 @@ type inConn struct {
 	// Nothing is logged until a mark has been taken, so a run that never
 	// replays pays one branch per word and no memory.
 	epoch, filling []float64
-
-	// record, when set, logs every payload arrival instant — the raw
-	// material of the composability experiments (cycle-exact timing
-	// comparison across runs).
-	record   bool
-	arrivals []clock.Time
 }
 
 // An NI is the network interface simulation component.
@@ -566,9 +556,6 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 			if ic.delivered == 1 {
 				ic.firstAt = now
 			}
-			if ic.record {
-				ic.arrivals = append(ic.arrivals, now)
-			}
 			if n.tr != nil {
 				n.tr.Emit(trace.Event{Time: now, Ref: p.Meta.Injected, Kind: trace.Eject,
 					Conn: ic.cfg.ID, Seq: p.Meta.Seq, Slot: trace.NoSlot})
@@ -656,11 +643,8 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 	for avail < maxPayload && avail < oc.credits && oc.queue.ValidAt(now, avail) {
 		avail++
 	}
-	if oc.queue.Valid(now) && oc.credits == 0 {
-		oc.blocked++
-		if n.tr != nil {
-			n.tr.Emit(trace.Event{Time: now, Kind: trace.Blocked, Conn: owner, Slot: int32(slot)})
-		}
+	if n.tr != nil && oc.queue.Valid(now) && oc.credits == 0 {
+		n.tr.Emit(trace.Event{Time: now, Kind: trace.Blocked, Conn: owner, Slot: int32(slot)})
 	}
 
 	// Credits owed on the paired reverse connection (only headers carry
@@ -718,7 +702,6 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 		sent++
 	}
 	oc.credits -= sent
-	oc.sent += int64(sent)
 	for ; word < phit.FlitWords; word++ {
 		n.flitBuf[word] = phit.Phit{Valid: true, Kind: phit.Padding, Meta: phit.Meta{Conn: owner}}
 	}
@@ -771,11 +754,8 @@ func (n *NI) buildFlitReliable(now clock.Time, slot int, owner phit.ConnID, oc *
 	for avail < phit.FlitWords-1 && avail < oc.credits && oc.queue.ValidAt(now, avail) {
 		avail++
 	}
-	if oc.queue.Valid(now) && oc.credits == 0 {
-		oc.blocked++
-		if n.tr != nil {
-			n.tr.Emit(trace.Event{Time: now, Kind: trace.Blocked, Conn: owner, Slot: int32(slot)})
-		}
+	if n.tr != nil && oc.queue.Valid(now) && oc.credits == 0 {
+		n.tr.Emit(trace.Event{Time: now, Kind: trace.Blocked, Conn: owner, Slot: int32(slot)})
 	}
 	if avail == 0 && !n.rel.WantAck(owner) {
 		return // idle slot: nothing to send, no ack owed
@@ -796,7 +776,6 @@ func (n *NI) buildFlitReliable(now clock.Time, slot int, owner phit.ConnID, oc *
 		}
 	}
 	oc.credits -= avail
-	oc.sent += int64(avail)
 	for ; word < phit.FlitWords; word++ {
 		n.flitBuf[word] = phit.Phit{Valid: true, Kind: phit.Padding, Meta: phit.Meta{Conn: owner}}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/slots"
+	"repro/internal/trace"
 )
 
 var layout = phit.DefaultLayout
@@ -63,6 +64,21 @@ func newPair(t *testing.T, tableSize int, aSlots, bSlots []int, recvCap int, aut
 
 func (p *pair) cycles(n int64) { p.eng.Run(p.eng.Now() + clock.Time(n)*p.clk.Period) }
 
+// eventLog is a trace.Sink that keeps every event.
+type eventLog struct{ evs []trace.Event }
+
+func (l *eventLog) Event(ev trace.Event) { l.evs = append(l.evs, ev) }
+
+// trace attaches one bus to both NIs, with a metrics sink and an event log.
+func (p *pair) trace() (*trace.Metrics, *eventLog) {
+	bus := trace.NewBus()
+	log := &eventLog{}
+	bus.Attach(log)
+	p.a.SetTracer(bus.Emitter("A"))
+	p.b.SetTracer(bus.Emitter("B"))
+	return trace.NewMetrics(bus), log
+}
+
 func (p *pair) offer(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -74,14 +90,15 @@ func (p *pair) offer(t *testing.T, n int) {
 
 func TestNIDeliversPayload(t *testing.T) {
 	p := newPair(t, 4, []int{0, 2}, []int{1}, 16, true)
+	mx, _ := p.trace()
 	p.offer(t, 5)
 	p.cycles(40)
 	st := p.b.InStats(1)
 	if st.Delivered != 5 {
 		t.Fatalf("delivered %d, want 5", st.Delivered)
 	}
-	if p.a.SentWords(1) != 5 {
-		t.Errorf("SentWords = %d", p.a.SentWords(1))
+	if got := mx.Conn(1).Sent; got != 5 {
+		t.Errorf("sent %d words", got)
 	}
 	if st.Latency.Min() <= 0 {
 		t.Errorf("latency min = %v", st.Latency.Min())
@@ -188,12 +205,13 @@ func TestNICreditExhaustionBlocks(t *testing.T) {
 	// flit opportunities — end-to-end flow control protecting B's
 	// 3-word queue.
 	p := newPair(t, 4, []int{0}, nil, 3, true)
+	mx, _ := p.trace()
 	p.offer(t, 9)
 	p.cycles(200)
 	if got := p.b.InStats(1).Delivered; got != 3 {
 		t.Fatalf("delivered %d, want exactly the 3-word credit window", got)
 	}
-	if p.a.BlockedFlits(1) == 0 {
+	if mx.Conn(1).Blocked == 0 {
 		t.Error("sender never counted a blocked flit")
 	}
 	if got := p.a.Credits(1); got != 0 {
@@ -270,17 +288,24 @@ func TestNIResetStats(t *testing.T) {
 	if got := p.b.InStats(1).Delivered; got != 0 {
 		t.Errorf("Delivered after reset = %d", got)
 	}
-	if got := p.a.SentWords(1); got != 0 {
-		t.Errorf("SentWords after reset = %d", got)
+	if got := p.b.InStats(1).Latency.N(); got != 0 {
+		t.Errorf("%d latency samples after reset", got)
 	}
 }
 
+// TestNIArrivalRecording: every delivered word is one Eject on the bus,
+// stamped with its arrival instant, in arrival order.
 func TestNIArrivalRecording(t *testing.T) {
 	p := newPair(t, 4, []int{0}, []int{2}, 16, true)
-	p.b.RecordArrivals(1, true)
+	_, log := p.trace()
 	p.offer(t, 3)
 	p.cycles(40)
-	arr := p.b.Arrivals(1)
+	var arr []clock.Time
+	for _, ev := range log.evs {
+		if ev.Kind == trace.Eject && ev.Conn == 1 {
+			arr = append(arr, ev.Time)
+		}
+	}
 	if len(arr) != 3 {
 		t.Fatalf("recorded %d arrivals", len(arr))
 	}
@@ -288,10 +313,6 @@ func TestNIArrivalRecording(t *testing.T) {
 		if arr[i] <= arr[i-1] {
 			t.Error("arrivals not strictly increasing")
 		}
-	}
-	p.b.RecordArrivals(1, false)
-	if len(p.b.Arrivals(1)) != 0 {
-		t.Error("arrivals survived disabling")
 	}
 }
 

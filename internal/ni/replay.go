@@ -10,18 +10,10 @@ import (
 	"repro/internal/replay"
 )
 
-// ReplayOK implements replay.Periodic: false while a mode that makes the
-// NI's behaviour or observation data-dependent is active.
+// ReplayOK implements replay.Periodic: false while flit-level wrapping or
+// the reliability shell makes the NI's behaviour data-dependent.
 func (n *NI) ReplayOK() bool {
-	if n.wrapped || n.rel != nil {
-		return false
-	}
-	for _, ic := range n.ins {
-		if ic.record {
-			return false
-		}
-	}
-	return true
+	return !n.wrapped && n.rel == nil
 }
 
 // ReplayPeriod implements replay.Periodic: the NI's behaviour depends on
@@ -36,15 +28,13 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 	first := !n.rmValid
 	clean := !first
 	for _, oc := range n.outs {
-		oc.dSent = oc.sent - oc.mSent
-		oc.dBlocked = oc.blocked - oc.mBlocked
 		if oc.maxOcc != oc.mMaxOcc {
 			// The traced high-water mark rose during the epoch: its
 			// Occupancy event is in the recorded schedule but a real run
 			// would not re-emit it, so the epoch is not replayable.
 			clean = false
 		}
-		oc.mSent, oc.mBlocked, oc.mMaxOcc = oc.sent, oc.blocked, oc.maxOcc
+		oc.mMaxOcc = oc.maxOcc
 	}
 	for _, ic := range n.ins {
 		ic.dDelivered = ic.delivered - ic.mDelivered
@@ -124,8 +114,6 @@ func (n *NI) ReplayShift(s *replay.Shift) {
 		n.flitBuf[i] = replay.ShiftPhit(n.flitBuf[i], s)
 	}
 	for _, oc := range n.outs {
-		oc.sent += s.Epochs * oc.dSent
-		oc.blocked += s.Epochs * oc.dBlocked
 		oc.queue.Adjust(func(m phit.Meta, pushed, visible clock.Time) (phit.Meta, clock.Time, clock.Time) {
 			return replay.ShiftMeta(m, s), pushed + clock.Time(s.DT), visible + clock.Time(s.DT)
 		})

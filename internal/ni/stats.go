@@ -41,14 +41,6 @@ func (n *NI) InStats(conn phit.ConnID) ConnStats {
 	}
 }
 
-// SentWords returns how many payload words an out-connection has sent.
-func (n *NI) SentWords(conn phit.ConnID) int64 { return n.mustOut(conn).sent }
-
-// BlockedFlits returns how many owned slots an out-connection could not
-// use for payload because its end-to-end credits were exhausted — the
-// back-pressure signal of paper Section IV.A.
-func (n *NI) BlockedFlits(conn phit.ConnID) int64 { return n.mustOut(conn).blocked }
-
 // Credits returns an out-connection's current end-to-end credit count.
 func (n *NI) Credits(conn phit.ConnID) int { return n.mustOut(conn).credits }
 
@@ -60,21 +52,6 @@ func (n *NI) OwedCredits(conn phit.ConnID) int { return n.mustIn(conn).owed }
 // overhead accounting).
 func (n *NI) PaddingWords() int64 { return n.paddingSum }
 
-// RecordArrivals enables (or disables) logging of every payload arrival
-// instant for an in-connection.
-func (n *NI) RecordArrivals(conn phit.ConnID, on bool) {
-	ic := n.mustIn(conn)
-	ic.record = on
-	if !on {
-		ic.arrivals = nil
-	}
-}
-
-// Arrivals returns the logged arrival instants (RecordArrivals must be on).
-func (n *NI) Arrivals(conn phit.ConnID) []clock.Time {
-	return append([]clock.Time(nil), n.mustIn(conn).arrivals...)
-}
-
 // ResetStats clears measurement state (typically after warm-up) without
 // touching protocol state.
 func (n *NI) ResetStats() {
@@ -83,12 +60,7 @@ func (n *NI) ResetStats() {
 		ic.latency = stats.Histogram{}
 		ic.firstAt = 0
 		ic.lastAt = 0
-		ic.arrivals = nil
 		ic.epoch, ic.filling = ic.epoch[:0], ic.filling[:0]
-	}
-	for _, oc := range n.outs {
-		oc.sent = 0
-		oc.blocked = 0
 	}
 	n.paddingSum = 0
 	// Counter snapshots taken at a hyperperiod boundary are stale now;

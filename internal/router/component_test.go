@@ -71,8 +71,8 @@ func randomStream(t *testing.T, rng *rand.Rand, conn phit.ConnID, cycles int) []
 // beside a Core stepped by hand with the phits those wires carried, over
 // random streams on every connected input. Input 4 is unconnected (it must
 // read idle) and so is output 4 (a valid phit for it is a RouteError and is
-// dropped). Every cycle the driven outputs, the architectural state, the
-// forwarded count and the reported violations must agree.
+// dropped). Every cycle the driven outputs and the architectural state
+// must agree, and so must the traced events and the reported violations.
 func TestComponentMatchesCoreStep(t *testing.T) {
 	const arity, wired, cycles = 5, 4, 20000
 	clk := clock.NewMHz("clk", 500, 0)
@@ -134,9 +134,6 @@ func TestComponentMatchesCoreStep(t *testing.T) {
 		for i := range src.streams {
 			in[i] = src.streams[i][c]
 		}
-	}
-	if r.Core().Forwarded() != ref.Forwarded() || ref.Forwarded() == 0 {
-		t.Fatalf("forwarded %d, core %d", r.Core().Forwarded(), ref.Forwarded())
 	}
 	if len(compEvents.evs) != len(refEvents.evs) || len(refEvents.evs) == 0 {
 		t.Fatalf("%d events, core %d", len(compEvents.evs), len(refEvents.evs))
@@ -217,8 +214,8 @@ func TestComponentCycleDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%v allocations per router cycle", allocs)
 	}
-	if count.n == 0 || r.Core().Forwarded() == 0 {
-		t.Fatalf("nothing was switched (%d events, %d phits)", count.n, r.Core().Forwarded())
+	if count.n == 0 {
+		t.Fatal("nothing was switched")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestRouterViolations drives every converted envelope check of the router
@@ -119,6 +120,10 @@ func TestCoreContentionKeepsFirst(t *testing.T) {
 	c := NewCore("r", 2, layout)
 	col := fault.NewCollector()
 	c.SetReporter(col)
+	bus := trace.NewBus()
+	events := &eventLog{}
+	bus.Attach(events)
+	c.SetTracer(bus.Emitter("r"))
 	var in [2]phit.Flit
 	h0 := header(t, []int{1}, 3)
 	h0.EoP = true
@@ -131,8 +136,8 @@ func TestCoreContentionKeepsFirst(t *testing.T) {
 	if !out[1][0].Valid || out[1][0].Meta.Conn != 1 {
 		t.Errorf("first phit did not survive the contention: %v", out[1][0])
 	}
-	if c.Forwarded() != 1 {
-		t.Errorf("Forwarded = %d, want 1", c.Forwarded())
+	if len(events.evs) != 1 || events.evs[0].Conn != 1 {
+		t.Errorf("events %+v, want one RouterForward of connection 1", events.evs)
 	}
 }
 

@@ -72,7 +72,6 @@ func (c *Core) StepFlitDirect(in, out []*phit.Flit) {
 				continue
 			}
 			out[st.outPort][w] = p
-			c.forwarded++
 			if c.tr != nil {
 				// One event per flit token: a flit's first word is never
 				// idle, so emit only when every earlier word was.

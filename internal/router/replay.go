@@ -21,8 +21,6 @@ func (r *Component) ReplayPeriod() clock.Duration { return r.clk.Period }
 func (r *Component) ReplayMark(now clock.Time) bool {
 	c := r.core
 	first := !c.rmValid
-	c.dForwarded = c.forwarded - c.mForwarded
-	c.mForwarded = c.forwarded
 	c.rmValid = true
 	return !first
 }
@@ -53,7 +51,6 @@ func (r *Component) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 // ReplayShift implements replay.Periodic.
 func (r *Component) ReplayShift(s *replay.Shift) {
 	c := r.core
-	c.forwarded += s.Epochs * c.dForwarded
 	for i := range c.reg1 {
 		c.reg1[i] = replay.ShiftPhit(c.reg1[i], s)
 	}

@@ -40,12 +40,9 @@ type Core struct {
 	// the counter self-aligns: zero at a valid word marks a flit start.
 	flitLeft []int8
 
-	// forwarded counts valid phits switched, a cheap progress metric.
-	// mForwarded/dForwarded are its hyperperiod-boundary snapshot and
-	// per-epoch delta (see replay.go).
-	forwarded              int64
-	mForwarded, dForwarded int64
-	rmValid                bool
+	// rmValid is set by a hyperperiod-boundary mark and cleared by a
+	// shift (see replay.go): an epoch is clean only from a second mark on.
+	rmValid bool
 
 	// rep receives envelope violations (TDM contention, protocol errors);
 	// nil preserves the fail-fast panics. now is the adapter-maintained
@@ -83,9 +80,6 @@ func (c *Core) Arity() int { return c.arity }
 
 // Name returns the router's name.
 func (c *Core) Name() string { return c.name }
-
-// Forwarded returns the number of valid phits switched so far.
-func (c *Core) Forwarded() int64 { return c.forwarded }
 
 // SetReporter routes the router's envelope checks (TDM contention,
 // protocol errors, routing errors) to r; nil restores fail-fast panics.
@@ -160,7 +154,6 @@ func (c *Core) switchAndParse(out []phit.Phit) []phit.Phit {
 			continue
 		}
 		out[r.outPort] = r.p
-		c.forwarded++
 		if c.tr != nil && flitStart {
 			c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: r.p.Meta.Conn,
 				Seq: r.p.Meta.Seq, Arg: int64(r.outPort), Slot: trace.NoSlot})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var layout = phit.DefaultLayout
@@ -70,9 +71,6 @@ func TestCoreThreeCycleLatency(t *testing.T) {
 	out = stepOne(c, phit.IdlePhit, out)
 	if !out[2].Valid || !out[2].EoP || out[2].Meta.Seq != 2 {
 		t.Fatalf("payload 2 with EoP missing: %v", out[2])
-	}
-	if c.Forwarded() != 3 {
-		t.Errorf("Forwarded = %d", c.Forwarded())
 	}
 }
 
@@ -185,6 +183,10 @@ func TestComponentWiring(t *testing.T) {
 	r.ConnectIn(0, in)
 	r.ConnectOut(2, out)
 	eng.Add(r)
+	bus := trace.NewBus()
+	events := &eventLog{}
+	bus.Attach(events)
+	r.SetTracer(bus.Emitter("r"))
 	if r.Name() != "r" || r.Clock() != clk {
 		t.Error("component identity wrong")
 	}
@@ -214,8 +216,9 @@ func TestComponentWiring(t *testing.T) {
 	if !sawHeader || !sawPayload {
 		t.Fatalf("header seen %v, payload seen %v", sawHeader, sawPayload)
 	}
-	if r.Core().Forwarded() != 2 {
-		t.Errorf("Forwarded = %d", r.Core().Forwarded())
+	// Header and payload are one flit: one RouterForward, to port 2.
+	if len(events.evs) != 1 || events.evs[0].Kind != trace.RouterForward || events.evs[0].Arg != 2 {
+		t.Errorf("events %+v, want one RouterForward to port 2", events.evs)
 	}
 }
 

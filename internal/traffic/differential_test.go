@@ -38,7 +38,6 @@ func oldUpdate(g *Generator, now clock.Time) {
 			return
 		}
 		g.seq++
-		g.offered++
 		g.accNum -= g.rateDen
 	}
 }
@@ -67,7 +66,6 @@ func oldSetRateMBps(g *Generator, rateMBps float64, wordBytes int) {
 
 // oldReplayShift is Generator.ReplayShift as it was.
 func oldReplayShift(g *Generator, s *replay.Shift) {
-	g.offered += s.Epochs * g.rm.dOffered
 	g.rejected += s.Epochs * g.rm.dRejected
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase
@@ -157,7 +155,7 @@ func TestUpdateMatchesDividingOracle(t *testing.T) {
 					t.Fatalf("offer %d: %+v, oracle %+v", i, newPort.log[i], o)
 				}
 			}
-			if oldG.offered != newG.offered || oldG.rejected != newG.rejected || oldG.seq != newG.seq || oldG.phase != newG.phase {
+			if oldG.rejected != newG.rejected || oldG.seq != newG.seq || oldG.phase != newG.phase {
 				t.Fatalf("counters diverged: %+v, oracle %+v", newG, oldG)
 			}
 			accepted := 0

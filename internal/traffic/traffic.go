@@ -50,18 +50,17 @@ type Generator struct {
 	// offCycles), kept beside it so Update compares instead of dividing.
 	// rewrap re-derives it wherever phase or the period jumps.
 	pos      int64
-	offered  int64 // words accepted into the NI FIFO
 	rejected int64 // blocked-write retries (full FIFO)
-	seq      int64
+	seq      int64 // words accepted into the NI FIFO so far
 
 	// Per-epoch counter deltas captured at hyperperiod boundaries.
 	rm genMark
 }
 
 type genMark struct {
-	valid                             bool
-	offered, rejected, seq, phase     int64
-	dOffered, dRejected, dSeq, dPhase int64
+	valid                   bool
+	rejected, seq, phase    int64
+	dRejected, dSeq, dPhase int64
 }
 
 // A Model is the traffic a network offers its connections: one shape for
@@ -204,7 +203,6 @@ func (g *Generator) Update(now clock.Time) {
 			return
 		}
 		g.seq++
-		g.offered++
 		g.accNum -= g.rateDen
 	}
 }
@@ -264,9 +262,6 @@ func (g *Generator) rewrap() {
 	}
 }
 
-// Offered returns the number of words accepted into the NI so far.
-func (g *Generator) Offered() int64 { return g.offered }
-
 // Rejected returns the number of blocked-write retries.
 func (g *Generator) Rejected() int64 { return g.rejected }
 
@@ -298,11 +293,10 @@ func (g *Generator) ReplayPeriod() clock.Duration {
 // ReplayMark implements replay.Periodic.
 func (g *Generator) ReplayMark(now clock.Time) bool {
 	first := !g.rm.valid
-	g.rm.dOffered = g.offered - g.rm.offered
 	g.rm.dRejected = g.rejected - g.rm.rejected
 	g.rm.dSeq = g.seq - g.rm.seq
 	g.rm.dPhase = g.phase - g.rm.phase
-	g.rm.offered, g.rm.rejected, g.rm.seq, g.rm.phase = g.offered, g.rejected, g.seq, g.phase
+	g.rm.rejected, g.rm.seq, g.rm.phase = g.rejected, g.seq, g.phase
 	g.rm.valid = true
 	return !first
 }
@@ -329,7 +323,6 @@ func (g *Generator) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 
 // ReplayShift implements replay.Periodic.
 func (g *Generator) ReplayShift(s *replay.Shift) {
-	g.offered += s.Epochs * g.rm.dOffered
 	g.rejected += s.Epochs * g.rm.dRejected
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase

@@ -64,19 +64,19 @@ func TestBEDelivery(t *testing.T) {
 		}
 	}
 	h.cycles(100)
-	if got := h.b.Delivered(1); got != 20 {
-		t.Fatalf("delivered %d of 20", got)
+	st := h.b.InStats(1)
+	if st.Delivered != 20 {
+		t.Fatalf("delivered %d of 20", st.Delivered)
 	}
-	lat := h.b.Latency(1)
+	lat := &st.Latency
 	if lat.Min() <= 0 || lat.Max() < lat.Min() {
 		t.Errorf("latency stats: min %v max %v", lat.Min(), lat.Max())
 	}
 	if h.r.Forwarded() < 20 {
 		t.Errorf("router forwarded %d", h.r.Forwarded())
 	}
-	first, last := h.b.Span(1)
-	if first <= 0 || last <= first {
-		t.Errorf("span %v..%v", first, last)
+	if st.FirstAt <= 0 || st.LastAt <= st.FirstAt {
+		t.Errorf("span %v..%v", st.FirstAt, st.LastAt)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestBEPacketisationMaxLength(t *testing.T) {
 	if headers < 3 {
 		t.Errorf("saw %d headers; max-packet 4 should force at least 3", headers)
 	}
-	if got := h.b.Delivered(1); got != 10 {
+	if got := h.b.InStats(1).Delivered; got != 10 {
 		t.Errorf("delivered %d", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestBELinkLevelFlowControl(t *testing.T) {
 		h.a.Offer(h.eng.Now(), 1, phit.Meta{Seq: int64(i), Injected: h.eng.Now()})
 	}
 	h.cycles(300)
-	if got := h.b.Delivered(1); got != 30 {
+	if got := h.b.InStats(1).Delivered; got != 30 {
 		t.Fatalf("delivered %d of 30 with 2-word buffers", got)
 	}
 }
@@ -128,10 +128,10 @@ func TestBEArbitrationShares(t *testing.T) {
 		h.b.Offer(h.eng.Now(), 2, phit.Meta{Seq: int64(i), Injected: h.eng.Now()})
 	}
 	h.cycles(200)
-	if got := h.b.Delivered(1); got != 15 {
+	if got := h.b.InStats(1).Delivered; got != 15 {
 		t.Errorf("A->B delivered %d", got)
 	}
-	if got := h.a.Delivered(2); got != 15 {
+	if got := h.a.InStats(2).Delivered; got != 15 {
 		t.Errorf("B->A delivered %d", got)
 	}
 }
@@ -154,8 +154,8 @@ func TestBEResetStatsAndArrivals(t *testing.T) {
 			arrivals = append(arrivals, ev.Time)
 		}
 	}
-	if len(arrivals) != 5 || h.b.Delivered(1) != 5 {
-		t.Errorf("recorded %d arrivals, %d delivered", len(arrivals), h.b.Delivered(1))
+	if len(arrivals) != 5 || h.b.InStats(1).Delivered != 5 {
+		t.Errorf("recorded %d arrivals, %d delivered", len(arrivals), h.b.InStats(1).Delivered)
 	}
 	for i := 1; i < len(arrivals); i++ {
 		if arrivals[i] <= arrivals[i-1] {
@@ -163,7 +163,7 @@ func TestBEResetStatsAndArrivals(t *testing.T) {
 		}
 	}
 	h.b.ResetStats()
-	if h.b.Delivered(1) != 0 || h.b.Latency(1).N() != 0 {
+	if h.b.InStats(1).Delivered != 0 || h.b.InStats(1).Latency.N() != 0 {
 		t.Error("reset incomplete")
 	}
 }
@@ -197,7 +197,7 @@ func TestBENIPanics(t *testing.T) {
 			n.AddOutConn(OutConnConfig{ID: 1})
 		},
 		"unknown offer": func() { n.Offer(0, 99, phit.Meta{}) },
-		"unknown in":    func() { n.Delivered(42) },
+		"unknown in":    func() { n.InStats(42) },
 	} {
 		func() {
 			defer func() {

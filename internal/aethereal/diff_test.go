@@ -10,7 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -30,8 +29,6 @@ type beNI interface {
 	AddInConn(InConnConfig)
 	Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool
 	SetTracer(*trace.Emitter)
-	Delivered(phit.ConnID) int64
-	Latency(phit.ConnID) *stats.Histogram
 }
 
 // twinWires is one side's wires in creation order, so the two sides pair up
@@ -454,12 +451,11 @@ func TestFabricMatchesOldFabric(t *testing.T) {
 				stalls += neu.routers[k].(*Router).Stalls()
 			}
 			for id, cn := range conns {
-				o, n := old.nis[cn[1]], neu.nis[cn[1]]
-				if o.Delivered(phit.ConnID(id+1)) != n.Delivered(phit.ConnID(id+1)) ||
-					!reflect.DeepEqual(o.Latency(phit.ConnID(id+1)), n.Latency(phit.ConnID(id+1))) {
+				o, n := old.nis[cn[1]].(*oldNI), neu.nis[cn[1]].(*NI).InStats(phit.ConnID(id+1))
+				if o.Delivered(phit.ConnID(id+1)) != n.Delivered || !reflect.DeepEqual(o.Latency(phit.ConnID(id+1)), &n.Latency) {
 					t.Errorf("conn %d: delivered count or latency histogram differ", id+1)
 				}
-				delivered += n.Delivered(phit.ConnID(id + 1))
+				delivered += n.Delivered
 			}
 			if !reflect.DeepEqual(old.sink.evs, neu.sink.evs) {
 				t.Errorf("trace streams differ (%d vs %d events)", len(old.sink.evs), len(neu.sink.evs))

@@ -5,9 +5,9 @@ import (
 	"slices"
 
 	"repro/internal/clock"
+	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -37,11 +37,8 @@ type beOut struct {
 }
 
 type beIn struct {
-	cfg       InConnConfig
-	delivered int64
-	latency   stats.Histogram
-	firstNs   float64
-	lastNs    float64
+	cfg InConnConfig
+	rx  ni.ConnStats
 }
 
 // An NI is the best-effort network interface: no TDM, no end-to-end
@@ -204,15 +201,10 @@ func (n *NI) receive(now clock.Time, p *phit.Phit) {
 		n.inPacket = true
 	} else if p.Kind == phit.Payload {
 		ic := n.curIn
-		ic.delivered++
+		ic.rx.Record(now, p.Meta.Injected)
 		if n.tr != nil {
 			n.tr.Emit(trace.Event{Time: now, Ref: p.Meta.Injected, Kind: trace.Eject,
 				Conn: ic.cfg.ID, Seq: p.Meta.Seq, Slot: trace.NoSlot})
-		}
-		ic.latency.Add(float64(now-p.Meta.Injected) / float64(clock.Nanosecond))
-		ic.lastNs = float64(now) / float64(clock.Nanosecond)
-		if ic.delivered == 1 {
-			ic.firstNs = ic.lastNs
 		}
 	}
 	if p.EoP {
@@ -285,28 +277,13 @@ func (n *NI) send(now clock.Time) {
 	}
 }
 
-// Stats mirrors the aelite NI accessors so experiments can treat both
-// backends uniformly.
-
-// Delivered returns the payload word count of an in-connection.
-func (n *NI) Delivered(conn phit.ConnID) int64 { return n.mustIn(conn).delivered }
-
-// Latency returns the latency histogram of an in-connection.
-func (n *NI) Latency(conn phit.ConnID) *stats.Histogram { return &n.mustIn(conn).latency }
-
-// Span returns the first/last arrival times in ns of an in-connection.
-func (n *NI) Span(conn phit.ConnID) (firstNs, lastNs float64) {
-	ic := n.mustIn(conn)
-	return ic.firstNs, ic.lastNs
-}
+// InStats returns the statistics of a connection terminating here.
+func (n *NI) InStats(conn phit.ConnID) *ni.ConnStats { return &n.mustIn(conn).rx }
 
 // ResetStats clears measurements without touching protocol state.
 func (n *NI) ResetStats() {
 	for _, ic := range n.inByID {
-		ic.delivered = 0
-		ic.latency = stats.Histogram{}
-		ic.firstNs = 0
-		ic.lastNs = 0
+		ic.rx.Reset()
 	}
 }
 

@@ -224,6 +224,16 @@ func (r *oldRouter) Update(now clock.Time) {
 	}
 }
 
+// oldBeIn is the NI's in-connection as it stood with oldNI, when each
+// backend kept its own statistics.
+type oldBeIn struct {
+	cfg       InConnConfig
+	delivered int64
+	latency   stats.Histogram
+	firstNs   float64
+	lastNs    float64
+}
+
 // oldNI is the NI as it stood before the id-ordered slice and the
 // change-only drives, verbatim (accessors trimmed to what the tests read).
 // An NI is the best-effort network interface: no TDM, no end-to-end
@@ -243,8 +253,8 @@ type oldNI struct {
 
 	outConns  map[phit.ConnID]*beOut
 	order     []phit.ConnID // deterministic round-robin order
-	inByQID   map[int]*beIn
-	inByID    map[phit.ConnID]*beIn
+	inByQID   map[int]*oldBeIn
+	inByID    map[phit.ConnID]*oldBeIn
 	maxPacket int
 
 	// Sender state.
@@ -254,7 +264,7 @@ type oldNI struct {
 	openWords  int
 
 	// Receiver state.
-	curIn    *beIn
+	curIn    *oldBeIn
 	inPacket bool
 
 	sampledIn     phit.Phit
@@ -279,8 +289,8 @@ func newOldNI(name string, clk *clock.Clock, layout phit.HeaderLayout,
 		name: name, clk: clk, layout: layout,
 		in: in, out: out, creditIn: creditIn, creditOut: creditOut,
 		outConns:   make(map[phit.ConnID]*beOut),
-		inByQID:    make(map[int]*beIn),
-		inByID:     make(map[phit.ConnID]*beIn),
+		inByQID:    make(map[int]*oldBeIn),
+		inByID:     make(map[phit.ConnID]*oldBeIn),
 		maxPacket:  maxPacket,
 		linkCredit: downstreamBuf,
 	}
@@ -304,7 +314,7 @@ func (n *oldNI) AddInConn(cfg InConnConfig) {
 	if _, dup := n.inByQID[cfg.QID]; dup {
 		panic(fmt.Sprintf("aethereal %s: duplicate queue id %d", n.name, cfg.QID))
 	}
-	ic := &beIn{cfg: cfg}
+	ic := &oldBeIn{cfg: cfg}
 	n.inByQID[cfg.QID] = ic
 	n.inByID[cfg.ID] = ic
 }
@@ -456,7 +466,7 @@ func (n *oldNI) Delivered(conn phit.ConnID) int64 { return n.mustIn(conn).delive
 
 func (n *oldNI) Latency(conn phit.ConnID) *stats.Histogram { return &n.mustIn(conn).latency }
 
-func (n *oldNI) mustIn(conn phit.ConnID) *beIn {
+func (n *oldNI) mustIn(conn phit.ConnID) *oldBeIn {
 	ic := n.inByID[conn]
 	if ic == nil {
 		panic(fmt.Sprintf("aethereal %s: unknown in connection %d", n.name, conn))

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/aethereal"
 	"repro/internal/clock"
-	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -204,8 +203,6 @@ func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		info := n.conns[id]
-		dst := n.nis[info.dstNI]
-		first, last := dst.Span(id)
 		cr := ConnReport{
 			Conn:              id,
 			App:               info.spec.App,
@@ -213,8 +210,7 @@ func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 			RequiredLatencyNs: info.spec.MaxLatencyNs,
 			PathHops:          info.path.Hops(),
 		}
-		cr.SetMeasured(ni.ConnStats{Delivered: dst.Delivered(id), Latency: dst.Latency(id), FirstNs: first, LastNs: last},
-			n.Cfg.WordBytes, false)
+		cr.SetMeasured(n.nis[info.dstNI].InStats(id), n.Cfg.WordBytes, false)
 		r.Conns = append(r.Conns, cr)
 	}
 	return r

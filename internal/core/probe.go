@@ -27,9 +27,6 @@ type probe struct {
 	rep   fault.Reporter
 
 	sampled phit.Phit
-
-	// rmValid is set by a hyperperiod-boundary mark (see probe_replay.go).
-	rmValid bool
 }
 
 func (p *probe) Name() string          { return p.name }

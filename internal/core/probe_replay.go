@@ -20,11 +20,7 @@ func (p *probe) ReplayPeriod() clock.Duration {
 }
 
 // ReplayMark implements replay.Periodic.
-func (p *probe) ReplayMark(now clock.Time) bool {
-	first := !p.rmValid
-	p.rmValid = true
-	return !first
-}
+func (p *probe) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic.
 func (p *probe) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
@@ -32,6 +28,4 @@ func (p *probe) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 }
 
 // ReplayShift implements replay.Periodic.
-func (p *probe) ReplayShift(s *replay.Shift) {
-	p.rmValid = false
-}
+func (p *probe) ReplayShift(s *replay.Shift) {}

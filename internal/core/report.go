@@ -112,7 +112,7 @@ const ThroughputTolerance = 0.98
 // derives its verdicts — the one place every backend decides what "met"
 // means. A best-effort backend passes bounded false: with no analytical
 // bound to exceed, WithinBound holds vacuously.
-func (cr *ConnReport) SetMeasured(st ni.ConnStats, wordBytes int, bounded bool) {
+func (cr *ConnReport) SetMeasured(st *ni.ConnStats, wordBytes int, bounded bool) {
 	cr.Delivered = st.Delivered
 	if st.Delivered > 0 {
 		cr.MeasuredMBps = st.ThroughputMBps(wordBytes)

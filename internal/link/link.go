@@ -30,7 +30,6 @@ type Stage struct {
 
 	// Hyperperiod-boundary snapshot of maxOcc (see replay.go).
 	mMaxOcc int
-	rmValid bool
 
 	// buildDelay is the construction-time forwarding delay; the in-envelope
 	// bound of the one-flit-cycle latency check (faults may stretch the
@@ -181,9 +180,6 @@ type readerFSM struct {
 	out   *sim.Wire[phit.Phit]
 
 	forwarding bool
-
-	// rmValid is set by a hyperperiod-boundary mark (see replay.go).
-	rmValid bool
 }
 
 func (f *readerFSM) Name() string        { return f.stage.name + ".fsm" }

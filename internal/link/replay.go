@@ -29,15 +29,10 @@ func (t *writerTap) ReplayPeriod() clock.Duration { return t.clk.Period }
 // ReplayMark implements replay.Periodic.
 func (t *writerTap) ReplayMark(now clock.Time) bool {
 	s := t.stage
-	first := !s.rmValid
-	clean := !first
-	if s.maxOcc != s.mMaxOcc {
-		// The traced FIFO high-water mark rose during the epoch; its
-		// Occupancy event would not recur in a real run.
-		clean = false
-	}
+	// The epoch is clean unless the traced FIFO high-water mark rose in
+	// it: its Occupancy event would not recur in a real run.
+	clean := s.maxOcc == s.mMaxOcc
 	s.mMaxOcc = s.maxOcc
-	s.rmValid = true
 	return clean
 }
 
@@ -60,7 +55,6 @@ func (t *writerTap) ReplayShift(sh *replay.Shift) {
 	s.fifo.Adjust(func(p phit.Phit, pushed, visible clock.Time) (phit.Phit, clock.Time, clock.Time) {
 		return replay.ShiftPhit(p, sh), pushed + clock.Time(sh.DT), visible + clock.Time(sh.DT)
 	})
-	s.rmValid = false
 }
 
 // ReplayOK implements replay.Periodic.
@@ -72,12 +66,8 @@ func (f *readerFSM) ReplayPeriod() clock.Duration {
 	return phit.FlitWords * f.clk.Period
 }
 
-// ReplayMark implements replay.Periodic.
-func (f *readerFSM) ReplayMark(now clock.Time) bool {
-	first := !f.rmValid
-	f.rmValid = true
-	return !first
-}
+// ReplayMark implements replay.Periodic: the FSM keeps no counters.
+func (f *readerFSM) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic.
 func (f *readerFSM) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
@@ -88,7 +78,5 @@ func (f *readerFSM) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	return replay.AppendI64(buf, fw)
 }
 
-// ReplayShift implements replay.Periodic.
-func (f *readerFSM) ReplayShift(s *replay.Shift) {
-	f.rmValid = false
-}
+// ReplayShift implements replay.Periodic: the FSM holds no time.
+func (f *readerFSM) ReplayShift(s *replay.Shift) {}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/slots"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -73,24 +72,7 @@ type inConn struct {
 	creditFor *outConn
 	recvQ     []phit.Meta
 	owed      int // credits owed to the sender (freed queue space)
-	delivered int64
-	latency   stats.Histogram // ns per payload word, inject->arrival
-	// firstAt/lastAt are the arrival instants of the first and last
-	// delivered word. Kept in exact picoseconds (converted to ns only at
-	// the stats boundary) so hyperperiod replay can shift them by whole
-	// epochs without floating-point drift.
-	firstAt clock.Time
-	lastAt  clock.Time
-
-	// Hyperperiod-boundary snapshots and per-epoch deltas (see replay.go).
-	mDelivered, dDelivered int64
-	mFirstAt, mLastAt      clock.Time
-	lastMoved              bool
-	// epoch holds the latency samples of the epoch the last ReplayMark
-	// closed, filling those delivered since; the two swap at each mark.
-	// Nothing is logged until a mark has been taken, so a run that never
-	// replays pays one branch per word and no memory.
-	epoch, filling []float64
+	rx        ConnStats
 }
 
 // An NI is the network interface simulation component.
@@ -160,9 +142,10 @@ type NI struct {
 	// pointer test per phit.
 	rel *reliable.Endpoint
 
-	// Hyperperiod replay bookkeeping (see replay.go).
+	// Hyperperiod replay bookkeeping (see replay.go). rmValid is set by a
+	// boundary mark and cleared by ResetStats, which voids the padding
+	// snapshot.
 	rmValid            bool
-	rmNow              clock.Time
 	mFlit, dFlit       int64
 	mPadding, dPadding int64
 }
@@ -546,16 +529,7 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 				})
 				break
 			}
-			lat := float64(now-p.Meta.Injected) / float64(clock.Nanosecond)
-			ic.latency.Add(lat)
-			if n.rmValid {
-				ic.filling = append(ic.filling, lat)
-			}
-			ic.delivered++
-			ic.lastAt = now
-			if ic.delivered == 1 {
-				ic.firstAt = now
-			}
+			ic.rx.Record(now, p.Meta.Injected)
 			if n.tr != nil {
 				n.tr.Emit(trace.Event{Time: now, Ref: p.Meta.Injected, Kind: trace.Eject,
 					Conn: ic.cfg.ID, Seq: p.Meta.Seq, Slot: trace.NoSlot})

@@ -25,8 +25,7 @@ func (n *NI) ReplayPeriod() clock.Duration {
 
 // ReplayMark implements replay.Periodic.
 func (n *NI) ReplayMark(now clock.Time) bool {
-	first := !n.rmValid
-	clean := !first
+	clean := n.rmValid
 	for _, oc := range n.outs {
 		if oc.maxOcc != oc.mMaxOcc {
 			// The traced high-water mark rose during the epoch: its
@@ -37,27 +36,16 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 		oc.mMaxOcc = oc.maxOcc
 	}
 	for _, ic := range n.ins {
-		ic.dDelivered = ic.delivered - ic.mDelivered
-		dLast := ic.lastAt - ic.mLastAt
-		ic.lastMoved = dLast != 0
-		if ic.delivered > 0 && dLast != now-n.markNow() && dLast != 0 {
+		if !ic.rx.Mark(now) {
 			clean = false
 		}
-		if ic.firstAt != ic.mFirstAt {
-			clean = false
-		}
-		ic.epoch, ic.filling = ic.filling, ic.epoch[:0]
-		ic.mDelivered, ic.mLastAt, ic.mFirstAt = ic.delivered, ic.lastAt, ic.firstAt
 	}
 	n.dFlit = n.flitIndex - n.mFlit
 	n.dPadding = n.paddingSum - n.mPadding
 	n.mFlit, n.mPadding = n.flitIndex, n.paddingSum
-	n.rmNow = now
 	n.rmValid = true
 	return clean
 }
-
-func (n *NI) markNow() clock.Time { return n.rmNow }
 
 // ReplayFingerprint implements replay.Periodic: the complete protocol
 // state, normalised to the boundary instant and the per-connection
@@ -119,17 +107,9 @@ func (n *NI) ReplayShift(s *replay.Shift) {
 		})
 	}
 	for _, ic := range n.ins {
-		ic.delivered += s.Epochs * ic.dDelivered
-		if ic.lastMoved {
-			ic.lastAt = replay.ShiftTime(ic.lastAt, s.DT)
-		}
 		for i := range ic.recvQ {
 			ic.recvQ[i] = replay.ShiftMeta(ic.recvQ[i], s)
 		}
-		// Latencies are time differences, identical in every epoch: the
-		// closed epoch's samples, repeated in order, are bit for bit what
-		// a cycle-accurate run would have added.
-		ic.latency.AddRepeated(ic.epoch, s.Epochs)
+		ic.rx.Shift(s)
 	}
-	n.rmValid = false
 }

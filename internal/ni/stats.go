@@ -5,41 +5,111 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/phit"
+	"repro/internal/replay"
 	"repro/internal/stats"
 )
 
-// ConnStats summarises one terminating connection's measured behaviour at
-// this NI. Latency is measured per payload word from acceptance into the
-// source NI's IP-side FIFO to arrival at the destination NI, in
-// nanoseconds — the same span the paper's requirements cover.
+// ConnStats records one terminating connection's measured behaviour: the
+// report statistics every backend keeps the same way. Latency is measured
+// per payload word from acceptance into the source NI's IP-side FIFO to
+// arrival at the destination, in nanoseconds — the same span the paper's
+// requirements cover.
+//
+// A ConnStats also takes part in hyperperiod replay for the component
+// that owns it: Mark snapshots it at a boundary, Shift fast-forwards it by
+// whole epochs, and between a Mark and the next Shift or Reset it logs the
+// latency samples of the epoch. Nothing is logged before the first Mark,
+// so a run that never replays pays one branch per word and no memory.
 type ConnStats struct {
 	Delivered int64
-	Latency   *stats.Histogram
-	// FirstNs and LastNs are the arrival times of the first and last
-	// delivered word, for throughput computation over the active span.
-	FirstNs, LastNs float64
+	Latency   stats.Histogram
+	// FirstAt and LastAt are the arrival instants of the first and last
+	// delivered word. They stay in exact picoseconds (converted to ns only
+	// for throughput) so a replay shift moves them without drift.
+	FirstAt, LastAt clock.Time
+
+	// The boundary snapshot taken by the last Mark, at markAt, and the
+	// per-epoch deltas since the one before.
+	logging                bool
+	markAt                 clock.Time
+	mDelivered, dDelivered int64
+	mFirstAt, mLastAt      clock.Time
+	lastMoved              bool
+	// epoch holds the latency samples of the epoch the last Mark closed,
+	// filling those delivered since; the two swap at each Mark.
+	epoch, filling []float64
+}
+
+// Record counts one payload word arriving at now that was injected at
+// injected.
+func (c *ConnStats) Record(now, injected clock.Time) {
+	lat := float64(now-injected) / float64(clock.Nanosecond)
+	c.Latency.Add(lat)
+	if c.logging {
+		c.filling = append(c.filling, lat)
+	}
+	c.Delivered++
+	c.LastAt = now
+	if c.Delivered == 1 {
+		c.FirstAt = now
+	}
+}
+
+// Reset clears the measurements (typically after warm-up). It ends the
+// boundary snapshot and the epoch log with them, so no sample recorded
+// before the reset can reach the fresh histogram through a later Shift.
+func (c *ConnStats) Reset() {
+	*c = ConnStats{epoch: c.epoch[:0], filling: c.filling[:0]}
+}
+
+// Mark snapshots the statistics at the hyperperiod boundary now and starts
+// logging the next epoch. It reports whether the epoch since the previous
+// Mark was shift-clean: there was such a Mark, no first delivery fell in
+// the epoch, and the last delivery stood still or moved by exactly the
+// epoch's length.
+func (c *ConnStats) Mark(now clock.Time) bool {
+	clean := c.logging
+	c.dDelivered = c.Delivered - c.mDelivered
+	dLast := c.LastAt - c.mLastAt
+	c.lastMoved = dLast != 0
+	if c.lastMoved && dLast != now-c.markAt || c.FirstAt != c.mFirstAt {
+		clean = false
+	}
+	c.epoch, c.filling = c.filling, c.epoch[:0]
+	c.mDelivered, c.mFirstAt, c.mLastAt = c.Delivered, c.FirstAt, c.LastAt
+	c.markAt = now
+	c.logging = true
+	return clean
+}
+
+// Shift fast-forwards the statistics by s.Epochs copies of the epoch the
+// last Mark closed and ends the snapshot. Latencies are time differences,
+// the same in every epoch: the closed epoch's samples, repeated in order,
+// are bit for bit what a cycle-accurate run would have added. A zero-epoch
+// shift changes nothing else.
+func (c *ConnStats) Shift(s *replay.Shift) {
+	c.Delivered += s.Epochs * c.dDelivered
+	if c.lastMoved {
+		c.LastAt = replay.ShiftTime(c.LastAt, s.DT)
+	}
+	c.Latency.AddRepeated(c.epoch, s.Epochs)
+	c.logging = false
 }
 
 // ThroughputMBps returns the average delivered throughput in Mbyte/s over
 // the active span, given the word width in bytes.
-func (c ConnStats) ThroughputMBps(wordBytes int) float64 {
-	if c.Delivered < 2 || c.LastNs <= c.FirstNs {
+func (c *ConnStats) ThroughputMBps(wordBytes int) float64 {
+	firstNs := float64(c.FirstAt) / float64(clock.Nanosecond)
+	lastNs := float64(c.LastAt) / float64(clock.Nanosecond)
+	if c.Delivered < 2 || lastNs <= firstNs {
 		return 0
 	}
 	bytes := float64(c.Delivered-1) * float64(wordBytes)
-	return bytes / (c.LastNs - c.FirstNs) * 1e3 // bytes/ns -> Mbyte/s
+	return bytes / (lastNs - firstNs) * 1e3 // bytes/ns -> Mbyte/s
 }
 
-// InStats returns measurement for a connection terminating here.
-func (n *NI) InStats(conn phit.ConnID) ConnStats {
-	ic := n.mustIn(conn)
-	return ConnStats{
-		Delivered: ic.delivered,
-		Latency:   &ic.latency,
-		FirstNs:   float64(ic.firstAt) / float64(clock.Nanosecond),
-		LastNs:    float64(ic.lastAt) / float64(clock.Nanosecond),
-	}
-}
+// InStats returns the statistics of a connection terminating here.
+func (n *NI) InStats(conn phit.ConnID) *ConnStats { return &n.mustIn(conn).rx }
 
 // Credits returns an out-connection's current end-to-end credit count.
 func (n *NI) Credits(conn phit.ConnID) int { return n.mustOut(conn).credits }
@@ -56,14 +126,10 @@ func (n *NI) PaddingWords() int64 { return n.paddingSum }
 // touching protocol state.
 func (n *NI) ResetStats() {
 	for _, ic := range n.ins {
-		ic.delivered = 0
-		ic.latency = stats.Histogram{}
-		ic.firstAt = 0
-		ic.lastAt = 0
-		ic.epoch, ic.filling = ic.epoch[:0], ic.filling[:0]
+		ic.rx.Reset()
 	}
 	n.paddingSum = 0
-	// Counter snapshots taken at a hyperperiod boundary are stale now;
+	// The padding snapshot taken at a hyperperiod boundary is stale now;
 	// the replay program must re-baseline before engaging again.
 	n.rmValid = false
 }

@@ -13,8 +13,8 @@ import (
 type Periodic interface {
 	// ReplayOK reports whether the component's current configuration is
 	// replay-safe. Components return false while a mode that makes their
-	// behaviour data-dependent is active (per-word arrival recording,
-	// reliability retransmission).
+	// behaviour data-dependent is active (flit-level wrapping, reliability
+	// retransmission).
 	ReplayOK() bool
 
 	// ReplayPeriod returns the component's pattern period in picoseconds:
@@ -28,7 +28,11 @@ type Periodic interface {
 	// the previous mark, and reports whether the elapsed epoch was
 	// shift-clean: no high-water-mark ratchet moved, and every recurring
 	// absolute-time statistic advanced by exactly the epoch length or not
-	// at all. The first mark after construction or a shift returns false.
+	// at all. A Program only ever judges an epoch it opened with a mark of
+	// its own — it marks every component when it anchors, after every
+	// install, structural change, materialise or tracer swap — so a
+	// component needs no first-mark flag; one whose statistics a reset
+	// voids between marks reports that epoch unclean.
 	ReplayMark(now clock.Time) bool
 
 	// ReplayFingerprint appends a normalised encoding of the component's

@@ -17,13 +17,8 @@ func (r *Component) ReplayOK() bool { return true }
 // ReplayPeriod implements replay.Periodic.
 func (r *Component) ReplayPeriod() clock.Duration { return r.clk.Period }
 
-// ReplayMark implements replay.Periodic.
-func (r *Component) ReplayMark(now clock.Time) bool {
-	c := r.core
-	first := !c.rmValid
-	c.rmValid = true
-	return !first
-}
+// ReplayMark implements replay.Periodic: a router keeps no counters.
+func (r *Component) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic.
 func (r *Component) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
@@ -57,5 +52,4 @@ func (r *Component) ReplayShift(s *replay.Shift) {
 	for i := range c.reg2 {
 		c.reg2[i].p = replay.ShiftPhit(c.reg2[i].p, s)
 	}
-	c.rmValid = false
 }

@@ -40,10 +40,6 @@ type Core struct {
 	// the counter self-aligns: zero at a valid word marks a flit start.
 	flitLeft []int8
 
-	// rmValid is set by a hyperperiod-boundary mark and cleared by a
-	// shift (see replay.go): an epoch is clean only from a second mark on.
-	rmValid bool
-
 	// rep receives envelope violations (TDM contention, protocol errors);
 	// nil preserves the fail-fast panics. now is the adapter-maintained
 	// simulation time stamped onto violations — Core itself is timeless.

@@ -63,10 +63,10 @@ func diffRings(o, n *ring, final bool) error {
 		if !slices.Equal(a.q, b.q) {
 			return fmt.Errorf("conn %d queue: old %v, new %v", a.spec.ID, a.q, b.q)
 		}
-		if a.delivered != b.delivered || a.firstAt != b.firstAt || a.lastAt != b.lastAt ||
-			final && !reflect.DeepEqual(&a.latNs, &b.latNs) {
+		if a.rx.Delivered != b.rx.Delivered || a.rx.FirstAt != b.rx.FirstAt || a.rx.LastAt != b.rx.LastAt ||
+			final && !reflect.DeepEqual(&a.rx.Latency, &b.rx.Latency) {
 			return fmt.Errorf("conn %d: delivered %d vs %d, or span or latency histogram differ",
-				a.spec.ID, a.delivered, b.delivered)
+				a.spec.ID, a.rx.Delivered, b.rx.Delivered)
 		}
 	}
 	return nil
@@ -104,7 +104,7 @@ func runTwins(t *testing.T, S int, seed int64, instants int, step func(rng *rand
 	}
 	var delivered int64
 	for _, ci := range n.conns {
-		delivered += ci.delivered
+		delivered += ci.rx.Delivered
 	}
 	if delivered == 0 {
 		t.Errorf("S=%d: the ring delivered nothing in %d instants", S, instants)

@@ -38,10 +38,12 @@
 // ways it reads absolute time. Its fingerprint is the rotation, the word,
 // the next edge, every slot's cargo and every source queue, with times
 // against the boundary and sequence numbers against each connection's
-// generator. A shift moves those times and sequence numbers, the delivery
-// counts and the last-delivery instants by whole epochs, and replays the
-// closed epoch's latency samples into the histograms. Build installs a
-// replay.Program unless core.Config.CycleAccurate is set
-// (Network.Replay), so a periodic overlay runs at the cost of re-emitting
-// its events.
+// generator. A shift moves those times and sequence numbers by whole
+// epochs. Each connection's report statistics are an ni.ConnStats, the
+// aelite NI's recorder: the ring's mark and shift are loops over their
+// Mark and Shift, which snapshot and move the delivery counts and
+// last-delivery instants and replay the closed epoch's latency samples
+// into the histograms. Build installs a replay.Program unless
+// core.Config.CycleAccurate is set (Network.Replay), so a periodic overlay
+// runs at the cost of re-emitting its events.
 package routerless

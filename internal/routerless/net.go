@@ -11,9 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ni"
 	"repro/internal/phit"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -72,19 +70,10 @@ func (r *ring) Update(now clock.Time) {
 			}
 			st := r.stops[ci.dstPos]
 			for _, w := range e.words[:e.n] {
-				ci.delivered++
+				ci.rx.Record(now, w.injected)
 				if st.tr != nil {
 					st.tr.Emit(trace.Event{Time: now, Ref: w.injected, Kind: trace.Eject,
 						Conn: ci.spec.ID, Seq: w.seq, Slot: trace.NoSlot})
-				}
-				lat := float64(now-w.injected) / float64(clock.Nanosecond)
-				ci.latNs.Add(lat)
-				if r.rmValid {
-					ci.filling = append(ci.filling, lat)
-				}
-				ci.lastAt = now
-				if ci.delivered == 1 {
-					ci.firstAt = now
 				}
 			}
 			e.n = 0
@@ -195,16 +184,7 @@ func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) 
 // ResetStats clears measurements without touching protocol state.
 func (n *Network) ResetStats() {
 	for _, ci := range n.conns {
-		ci.delivered = 0
-		ci.latNs = stats.Histogram{}
-		ci.firstAt = 0
-		ci.lastAt = 0
-		ci.epoch, ci.filling = ci.epoch[:0], ci.filling[:0]
-	}
-	// Snapshots taken at a replay boundary are stale now: the program
-	// must re-baseline before it engages again.
-	for _, r := range n.rings {
-		r.rmValid = false
+		ci.rx.Reset()
 	}
 }
 
@@ -232,9 +212,7 @@ func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
 			BoundNs:           ci.boundNs,
 			PathHops:          ci.hops,
 		}
-		cr.SetMeasured(ni.ConnStats{Delivered: ci.delivered, Latency: &ci.latNs,
-			FirstNs: float64(ci.firstAt) / float64(clock.Nanosecond), LastNs: float64(ci.lastAt) / float64(clock.Nanosecond)},
-			n.Cfg.WordBytes, true)
+		cr.SetMeasured(&ci.rx, n.Cfg.WordBytes, true)
 		r.Conns = append(r.Conns, cr)
 	}
 	return r

@@ -8,8 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// oldUpdate is ring.Update as it stood before the visit table, verbatim: it
-// probes every stop on every flit cycle and divides on every edge. The
+// oldUpdate is ring.Update as it stood before the visit table, verbatim
+// but for the delivery statistics, which both record through ni.ConnStats:
+// it probes every stop on every flit cycle and divides on every edge. The
 // differential tests' oracle. On every flit-cycle boundary the
 // wheel rotates one stop, arriving flits eject, and owning stops inject
 // into their freshly arrived slots.
@@ -28,15 +29,10 @@ func (r *ring) oldUpdate(now clock.Time) {
 		// Ejection first: a slot frees the instant its flit arrives.
 		if ci := e.ci; e.n > 0 && ci.dstPos == p {
 			for _, w := range e.words[:e.n] {
-				ci.delivered++
+				ci.rx.Record(now, w.injected)
 				if st.tr != nil {
 					st.tr.Emit(trace.Event{Time: now, Ref: w.injected, Kind: trace.Eject,
 						Conn: ci.spec.ID, Seq: w.seq, Slot: trace.NoSlot})
-				}
-				ci.latNs.Add(float64(now-w.injected) / float64(clock.Nanosecond))
-				ci.lastAt = now
-				if ci.delivered == 1 {
-					ci.firstAt = now
 				}
 			}
 			e.n = 0

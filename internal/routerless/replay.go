@@ -21,26 +21,15 @@ func (r *ring) ReplayPeriod() clock.Duration {
 	return clock.Duration(r.S*phit.FlitWords) * r.net.base.Period
 }
 
-// ReplayMark implements replay.Periodic. The epoch is shift-clean when no
-// connection saw its first delivery in it, and each last delivery either
-// stood still or moved by exactly the epoch's length.
+// ReplayMark implements replay.Periodic: the epoch is shift-clean when
+// every carried connection's statistics are (ni.ConnStats.Mark).
 func (r *ring) ReplayMark(now clock.Time) bool {
-	clean := r.rmValid
+	clean := true
 	for _, ci := range r.conns {
-		ci.dDelivered = ci.delivered - ci.mDelivered
-		dLast := ci.lastAt - ci.mLastAt
-		ci.lastMoved = dLast != 0
-		if ci.delivered > 0 && dLast != 0 && dLast != now-r.rmNow {
+		if !ci.rx.Mark(now) {
 			clean = false
 		}
-		if ci.firstAt != ci.mFirstAt {
-			clean = false
-		}
-		ci.epoch, ci.filling = ci.filling, ci.epoch[:0]
-		ci.mDelivered, ci.mLastAt, ci.mFirstAt = ci.delivered, ci.lastAt, ci.firstAt
 	}
-	r.rmNow = now
-	r.rmValid = true
 	return clean
 }
 
@@ -101,14 +90,6 @@ func (r *ring) ReplayShift(s *replay.Shift) {
 	}
 	for _, ci := range r.conns {
 		shiftPending(ci.q, s.DSeq(ci.spec.ID), s)
-		ci.delivered += s.Epochs * ci.dDelivered
-		if ci.lastMoved {
-			ci.lastAt = replay.ShiftTime(ci.lastAt, s.DT)
-		}
-		// Latencies are time differences, the same in every epoch: the
-		// closed epoch's samples, repeated in order, are bit for bit what
-		// a cycle-accurate run would have added.
-		ci.latNs.AddRepeated(ci.epoch, s.Epochs)
+		ci.rx.Shift(s)
 	}
-	r.rmValid = false
 }

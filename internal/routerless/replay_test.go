@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/phit"
 	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -156,7 +157,9 @@ func (c idle) Update(now clock.Time) {}
 
 // TestReplayInertStopsLatencyLogs: when the program goes inert after it
 // anchored, the rings stop logging epoch latencies, so a long run past
-// that point holds no per-delivery log.
+// that point holds no per-delivery log. A Mark and a one-epoch Shift after
+// the run replay only what was logged before the program went inert, which
+// is at most what had been delivered by then.
 func TestReplayInertStopsLatencyLogs(t *testing.T) {
 	scfg := scenario.Default(scenario.Uniform, 4, 4, 24, 2009)
 	s, err := scenario.Generate(scfg)
@@ -169,34 +172,34 @@ func TestReplayInertStopsLatencyLogs(t *testing.T) {
 	}
 	eng := n.Engine()
 	eng.Run(eng.Now() + 100*n.base.Period)
-	anchored := false
-	for _, r := range n.rings {
-		anchored = anchored || r.rmValid
-	}
-	if !anchored {
-		t.Fatal("no ring was marked; the check is vacuous")
+	hp := n.Replay().Hyperperiod()
+	if hp == 0 {
+		t.Fatal("the program never anchored; the check is vacuous")
 	}
 	eng.Add(idle{n.base})
 	eng.Run(eng.Now() + 100*n.base.Period)
 	if inert, why := n.Replay().Inert(); !inert || why == "" {
 		t.Fatalf("inert = %v (%q); want inert with a reason", inert, why)
 	}
-	logged := make(map[*connInfo]int)
-	for _, ci := range n.conns {
-		logged[ci] = len(ci.filling)
+	atInert := make(map[phit.ConnID]int64)
+	for id, ci := range n.conns {
+		atInert[id] = ci.rx.Delivered
 	}
 	eng.Run(eng.Now() + 20000*n.base.Period)
-	for _, r := range n.rings {
-		if r.rmValid {
-			t.Errorf("ring %s still holds a boundary snapshot", r.Name())
-		}
-	}
 	for id, ci := range n.conns {
-		if ci.delivered == 0 {
-			t.Fatalf("connection %d delivered nothing; the check is vacuous", id)
+		st := &ci.rx
+		if st.Delivered <= 2*atInert[id] {
+			t.Fatalf("connection %d delivered %d words in all, %d before the program went inert; the check is vacuous",
+				id, st.Delivered, atInert[id])
 		}
-		if len(ci.filling) != logged[ci] {
-			t.Errorf("connection %d logged %d latencies after the program went inert", id, len(ci.filling)-logged[ci])
+		before := st.Latency.N()
+		if st.Mark(eng.Now()) {
+			t.Errorf("connection %d still held a boundary snapshot", id)
+		}
+		st.Shift(&replay.Shift{Epochs: 1, DT: hp})
+		if added := st.Latency.N() - before; added > atInert[id] {
+			t.Errorf("connection %d: one epoch replayed %d latencies, more than the %d delivered before the program went inert",
+				id, added, atInert[id])
 		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"repro/internal/area"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -116,11 +116,6 @@ type ring struct {
 	word       int
 	nextEdge   clock.Time
 	edgePeriod clock.Duration
-
-	// rmValid: the counters were snapshotted at a replay boundary, rmNow,
-	// and latency samples are being logged for the epoch (replay.go).
-	rmValid bool
-	rmNow   clock.Time
 }
 
 // A visit is one meeting of an owned slot with its owner's destination stop
@@ -144,19 +139,8 @@ type connInfo struct {
 	boundNs       float64
 
 	// Source queue and destination-side measurements.
-	q         []pending
-	delivered int64
-	latNs     stats.Histogram
-	firstAt   clock.Time
-	lastAt    clock.Time
-
-	// Hyperperiod replay (replay.go): the measurements at the last mark,
-	// their per-epoch deltas, and the latency samples of the closed epoch
-	// and of the one filling since.
-	mDelivered, dDelivered int64
-	mFirstAt, mLastAt      clock.Time
-	lastMoved              bool
-	epoch, filling         []float64
+	q  []pending
+	rx ni.ConnStats
 }
 
 // A Network is a built, runnable routerless overlay instance.

@@ -203,7 +203,7 @@ func TestRingUpdateDoesNotAllocate(t *testing.T) {
 	}
 	delivered := func() (sum int64) {
 		for _, ci := range n.conns {
-			sum += ci.delivered
+			sum += ci.rx.Delivered
 		}
 		return sum
 	}

@@ -69,7 +69,6 @@ func oldReplayShift(g *Generator, s *replay.Shift) {
 	g.rejected += s.Epochs * g.rm.dRejected
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase
-	g.rm.valid = false
 }
 
 // An offer is one Offer call as a port saw it.
@@ -112,6 +111,7 @@ func TestUpdateMatchesDividingOracle(t *testing.T) {
 			oldG, newG := build(oldPort), build(newPort)
 			rng := rand.New(rand.NewSource(20))
 			var oldFP, newFP []byte
+			marked := false // a shift replays the epoch the last mark closed
 			for c := int64(0); c < cycles; c++ {
 				now := clk.EdgeAt(c)
 				switch r := rng.Intn(400); {
@@ -133,10 +133,12 @@ func TestUpdateMatchesDividingOracle(t *testing.T) {
 					if o, n := oldG.ReplayMark(now), newG.ReplayMark(now); o != n {
 						t.Fatalf("cycle %d: ReplayMark %v, oracle %v", c, n, o)
 					}
-				case r == 3 && oldG.rm.valid:
+					marked = true
+				case r == 3 && marked:
 					s := &replay.Shift{Epochs: int64(1 + rng.Intn(1000))}
 					oldReplayShift(oldG, s)
 					newG.ReplayShift(s)
+					marked = false
 				}
 				oldUpdate(oldG, now)
 				newG.Update(now)

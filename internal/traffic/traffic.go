@@ -58,7 +58,6 @@ type Generator struct {
 }
 
 type genMark struct {
-	valid                   bool
 	rejected, seq, phase    int64
 	dRejected, dSeq, dPhase int64
 }
@@ -292,13 +291,11 @@ func (g *Generator) ReplayPeriod() clock.Duration {
 
 // ReplayMark implements replay.Periodic.
 func (g *Generator) ReplayMark(now clock.Time) bool {
-	first := !g.rm.valid
 	g.rm.dRejected = g.rejected - g.rm.rejected
 	g.rm.dSeq = g.seq - g.rm.seq
 	g.rm.dPhase = g.phase - g.rm.phase
 	g.rm.rejected, g.rm.seq, g.rm.phase = g.rejected, g.seq, g.phase
-	g.rm.valid = true
-	return !first
+	return true
 }
 
 // ReplayFingerprint implements replay.Periodic.
@@ -327,7 +324,6 @@ func (g *Generator) ReplayShift(s *replay.Shift) {
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase
 	g.rewrap()
-	g.rm.valid = false
 }
 
 // ReplayConnSeq implements replay.SeqSource.

@@ -32,6 +32,20 @@
 // owns the wires, installs none. Arbitration collects one request mask per
 // output from the latched head ports and picks round-robin by bit scan.
 //
+// # Replay
+//
+// Router and NI implement replay.Periodic (replay.go), and core.BuildBE
+// installs a hyperperiod replay program on every data and credit wire
+// unless core.Config.CycleAccurate is set. Neither component reads
+// absolute time, so each has a period of one cycle and the hyperperiod is
+// the generators'. Wormhole arbitration is data-dependent, but it is a
+// function of the fingerprinted state — buffered words, latched routes,
+// locks, round-robin pointers, credits, pending retractions and send
+// queues — so two equal fingerprints one hyperperiod apart prove the run
+// repeats, and replay engages without any bound on the fabric's transient
+// or period. Transactional traffic has no admissible period: its program
+// goes inert at the first instant and leaves the engine.
+//
 // # Known simplification
 //
 // Outputs are arbitrated in port order within one cycle, and an End-of-Packet

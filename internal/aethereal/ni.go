@@ -60,6 +60,7 @@ type NI struct {
 	outIDs    []phit.ConnID // outs[i].cfg.ID, for the search
 	inByQID   map[int]*beIn
 	inByID    map[phit.ConnID]*beIn
+	ins       []*beIn // in registration order
 	maxPacket int
 
 	// Sender state.
@@ -125,6 +126,7 @@ func (n *NI) AddInConn(cfg InConnConfig) {
 	ic := &beIn{cfg: cfg}
 	n.inByQID[cfg.QID] = ic
 	n.inByID[cfg.ID] = ic
+	n.ins = append(n.ins, ic)
 }
 
 // Offer enqueues a payload word from the IP (blocking-write semantics).
@@ -253,10 +255,8 @@ func (n *NI) send(now clock.Time) {
 	n.outBusy = true
 	oc := n.openConn
 	if !oc.queue.Valid(now) {
-		// Nothing buffered mid-packet: terminate with a zero-payload
-		// filler? BE wormhole cannot hold a packet open without data
-		// indefinitely — close it. The EoP must ride a word; send a
-		// padding word.
+		// Nothing buffered mid-packet: close the packet with a padding
+		// word carrying the EoP.
 		n.linkCredit--
 		n.out.Drive(phit.Phit{Valid: true, Kind: phit.Padding, EoP: true, Meta: phit.Meta{Conn: oc.cfg.ID}})
 		n.openConn = nil
@@ -282,7 +282,7 @@ func (n *NI) InStats(conn phit.ConnID) *ni.ConnStats { return &n.mustIn(conn).rx
 
 // ResetStats clears measurements without touching protocol state.
 func (n *NI) ResetStats() {
-	for _, ic := range n.inByID {
+	for _, ic := range n.ins {
 		ic.rx.Reset()
 	}
 }

@@ -49,6 +49,9 @@ type Router struct {
 
 	forwarded int64
 	stalls    int64 // cycles an output wanted to send but had no credit
+
+	// The counters at the last replay boundary and their per-epoch deltas.
+	rm struct{ forwarded, stalls, dForwarded, dStalls int64 }
 }
 
 // NewRouter builds a BE router with the given arity and input buffer
@@ -115,6 +118,9 @@ func (r *Router) ConnectOut(i int, data *sim.Wire[phit.Phit], credit *sim.Wire[i
 
 // BufferWords returns the per-input buffer depth.
 func (r *Router) BufferWords() int { return r.bufCap }
+
+// Buffered returns the number of words held in all input buffers.
+func (r *Router) Buffered() int { return r.buffered }
 
 // Forwarded returns the number of words switched.
 func (r *Router) Forwarded() int64 { return r.forwarded }

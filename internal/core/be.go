@@ -7,6 +7,7 @@ import (
 	"repro/internal/aethereal"
 	"repro/internal/clock"
 	"repro/internal/phit"
+	"repro/internal/replay"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -38,6 +39,7 @@ type BENetwork struct {
 	routers map[topology.NodeID]*aethereal.Router
 	gens    map[phit.ConnID]*traffic.Generator
 	conns   map[phit.ConnID]*beConnInfo
+	prog    *replay.Program // nil under Cfg.CycleAccurate
 }
 
 // Engine exposes the simulation engine.
@@ -45,6 +47,10 @@ func (n *BENetwork) Engine() *sim.Engine { return n.eng }
 
 // NIOf returns the BE NI at a node.
 func (n *BENetwork) NIOf(id topology.NodeID) *aethereal.NI { return n.nis[id] }
+
+// Replay returns the installed hyperperiod replay program, or nil under
+// Config.CycleAccurate.
+func (n *BENetwork) Replay() *replay.Program { return n.prog }
 
 // Generator returns a connection's traffic generator.
 func (n *BENetwork) Generator(c phit.ConnID) *traffic.Generator { return n.gens[c] }
@@ -72,8 +78,10 @@ func (n *BENetwork) AttachTracer(bus *trace.Bus) {
 // same XY paths as the aelite network, but wormhole BE routers and NIs
 // (aethereal.DefaultBufferWords deep, packets of at most
 // aethereal.DefaultMaxPacketWords). Of cfg it takes the layout, the word
-// width, the frequency and the traffic model. The Æthereal baseline is
-// globally synchronous, so BuildBE strips the mesh of pipeline stages.
+// width, the frequency, the traffic model and CycleAccurate: unless that is
+// set, every data and credit wire is registered with a hyperperiod replay
+// program. The Æthereal baseline is globally synchronous, so BuildBE
+// strips the mesh of pipeline stages.
 func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error) {
 	cfg.ApplyDefaults()
 	if err := uc.ValidateMapped(); err != nil {
@@ -177,6 +185,14 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		n.gens[id] = g
 		n.eng.Add(g)
 	}
+	if !cfg.CycleAccurate {
+		n.prog = replay.New(n.eng)
+		for _, l := range m.Links() {
+			n.prog.RegisterWire(data[l.ID])
+			n.prog.RegisterCredit(credit[l.ID])
+		}
+		n.prog.Install()
+	}
 	return n, nil
 }
 
@@ -184,8 +200,8 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 // Guarantee fields are zero: best effort has none — that is the point.
 func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 	OpenWindow(n.eng, warmupNs, measureNs, func() {
-		for _, c := range n.nis {
-			c.ResetStats()
+		for _, id := range n.Mesh.AllNIs() {
+			n.nis[id].ResetStats()
 		}
 	})(measureNs)
 

@@ -107,11 +107,11 @@ type Config struct {
 	// rounds per connection before quarantine (0 selects
 	// reliable.DefaultRetryBudget). Ignored without Reliable.
 	RetryBudget int
-	// CycleAccurate runs the network without the hyperperiod replay fast
-	// path (internal/replay). Off (the default), the engine records one
-	// hyperperiod of the cycle-accurate schedule and, once two consecutive
-	// boundary fingerprints match, replays it without per-component
-	// dispatch; configurations that are not provably periodic
+	// CycleAccurate runs the network (aelite, best-effort or routerless)
+	// without the hyperperiod replay fast path (internal/replay). Off (the
+	// default), the engine records one hyperperiod of the cycle-accurate
+	// schedule and, once two consecutive boundary fingerprints match,
+	// replays it without per-component dispatch; configurations that are not provably periodic
 	// (transactional traffic, asynchronous wrappers, reliability
 	// retransmission, armed fault intercepts) detach the program and run
 	// cycle-accurate, untouched. Replay is observation-invisible, so this

@@ -204,6 +204,18 @@ func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, probes bool, measureNs
 	return n.Run(sec7WarmupNs, measureNs), nil
 }
 
+// BuildSec7BE builds the Æthereal best-effort baseline of Section VII at
+// fMHz on the use case the aelite build negotiates, so both networks face
+// identical requirements, and returns that use case with it.
+func BuildSec7BE(seed int64, fMHz float64) (*core.BENetwork, *spec.UseCase, error) {
+	_, uc, _, err := BuildSec7(seed, 500, core.Synchronous, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, err := core.BuildBE(Sec7Mesh(), uc, core.Config{FreqMHz: fMHz, Transactional: true})
+	return n, uc, err
+}
+
 // Sec7BEFactor builds and runs the Æthereal best-effort baseline — same
 // mapping, same XY paths, same (negotiated) requirements, all connections
 // best effort. rateFactor scales the offered rate: 1 models IPs that stay
@@ -211,14 +223,7 @@ func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, probes bool, measureNs
 // (best effort imposes no rate limit), the regime in which the paper's
 // >900 MHz crossover appears.
 func Sec7BEFactor(seed int64, fMHz float64, measureNs float64, rateFactor float64) (*core.Report, error) {
-	// Negotiate budgets exactly as the aelite build does, so both
-	// networks face identical requirements.
-	_, uc, _, err := BuildSec7(seed, 500, core.Synchronous, false)
-	if err != nil {
-		return nil, err
-	}
-	m := Sec7Mesh()
-	n, err := core.BuildBE(m, uc, core.Config{FreqMHz: fMHz, Transactional: true})
+	n, uc, err := BuildSec7BE(seed, fMHz)
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,12 @@
 // reconfiguration script) bounds each replay step, a structural mutation
 // (component or wire added/removed, clock invalidated) materialises state
 // immediately, and configurations that are not provably periodic —
-// best-effort traffic, asynchronous wrappers, reliability retransmission,
-// armed fault checkers — never engage at all, because their components do
-// not implement Periodic. Deopt is trace-invisible: recorded events are
+// transactional traffic, asynchronous wrappers, reliability
+// retransmission, armed fault checkers — never engage at all, because
+// their components do not implement Periodic or report no period.
+// Data-dependent arbitration is no such configuration: a best-effort
+// router's wormhole state is fingerprinted like any other, and a run that
+// repeats engages. Deopt is trace-invisible: recorded events are
 // re-emitted with exact shifted timestamps during replay, and the residual
 // partial epoch is resimulated with the trace bus muted.
 //
@@ -27,8 +30,8 @@
 // provably periodic — traffic generators qualify exactly when their rate
 // reduces to a small rational words-per-cycle pattern, which is what the
 // scenario package's replay-admissible rate quantisation guarantees for
-// generated workloads. core.Build and routerless.Build install a Program
-// unless core.Config.CycleAccurate is set; a program that finds its
-// network aperiodic detaches itself. Experiments report its engagement
-// counters, and Stats.DeoptsBy says why each engagement ended.
+// generated workloads. core.Build, core.BuildBE and routerless.Build
+// install a Program unless core.Config.CycleAccurate is set; a program
+// that finds its network aperiodic detaches itself. Experiments report its
+// engagement counters, and Stats.DeoptsBy says why each engagement ended.
 package replay

@@ -23,7 +23,7 @@ const (
 
 // A Program is the compiled fast path installed on an engine (see the
 // package comment for the protocol). Create with New, register the
-// network's wires with RegisterWire, then Install.
+// network's wires with RegisterWire and RegisterCredit, then Install.
 type Program struct {
 	eng  *sim.Engine
 	bus  *trace.Bus // the engine's tracer at install (or re-anchor) time
@@ -113,6 +113,17 @@ func (pw phitWire) StateShift(s *Shift) {
 	pw.w.Adjust(func(v phit.Phit) phit.Phit { return ShiftPhit(v, s) })
 }
 
+// creditWire adapts a registered credit wire to the State interface. A
+// credit wire carries a count, with no instant or sequence number to
+// shift.
+type creditWire struct{ w *sim.Wire[int] }
+
+func (cw creditWire) StateOK() bool { return !cw.w.HasIntercept() }
+func (cw creditWire) StateFingerprint(_ *Ctx, buf []byte) []byte {
+	return AppendI64(buf, int64(cw.w.Read()))
+}
+func (cw creditWire) StateShift(*Shift) {}
+
 // New returns an uninstalled program for the engine.
 func New(eng *sim.Engine) *Program {
 	p := &Program{
@@ -131,6 +142,12 @@ func New(eng *sim.Engine) *Program {
 // wire could alias two genuinely different configurations.
 func (p *Program) RegisterWire(w *sim.Wire[phit.Phit]) {
 	p.states = append(p.states, phitWire{w: w})
+}
+
+// RegisterCredit adds a credit wire to the fingerprinted state set, on the
+// same terms as RegisterWire.
+func (p *Program) RegisterCredit(w *sim.Wire[int]) {
+	p.states = append(p.states, creditWire{w: w})
 }
 
 // Install attaches the program to its engine as the fast path.
@@ -239,7 +256,7 @@ func (p *Program) rescan() bool {
 		if hp == 0 {
 			hp = per
 		} else if hp = LCM(hp, per, p.maxH); hp == 0 {
-			p.goInert("hyperperiod exceeds the admissible bound")
+			p.goInert("hyperperiod exceeds the admissible bound at component " + c.Name())
 			return false
 		}
 		comps = append(comps, pc)

@@ -7,9 +7,9 @@ import (
 
 // A Periodic component can participate in hyperperiod replay. Every
 // component registered with the engine must implement it (and report
-// ReplayOK) for a Program ever to engage; anything else — best-effort
-// routers, asynchronous wrappers, invariant checkers — keeps the program
-// permanently on the cycle-accurate path.
+// ReplayOK) for a Program ever to engage; anything else — asynchronous
+// wrappers, invariant checkers — keeps the program permanently on the
+// cycle-accurate path.
 type Periodic interface {
 	// ReplayOK reports whether the component's current configuration is
 	// replay-safe. Components return false while a mode that makes their

@@ -35,8 +35,9 @@
 // # Replay
 //
 // Router and NI implement replay.Periodic (replay.go), and core.BuildBE
-// installs a hyperperiod replay program on every data and credit wire
-// unless core.Config.CycleAccurate is set. Neither component reads
+// installs a hyperperiod replay program unless core.Config.CycleAccurate
+// is set; the program fingerprints every data and credit wire it finds on
+// the engine. Neither component reads
 // absolute time, so each has a period of one cycle and the hyperperiod is
 // the generators'. Wormhole arbitration is data-dependent, but it is a
 // function of the fingerprinted state — buffered words, latched routes,

@@ -16,10 +16,6 @@ var (
 	_ replay.Periodic = (*NI)(nil)
 )
 
-// ReplayOK implements replay.Periodic: the router has no data-dependent
-// mode.
-func (r *Router) ReplayOK() bool { return true }
-
 // ReplayPeriod implements replay.Periodic: the router never reads absolute
 // time, so its behaviour repeats after one cycle given identical state.
 func (r *Router) ReplayPeriod() clock.Duration { return r.clk.Period }
@@ -64,9 +60,6 @@ func (r *Router) ReplayShift(s *replay.Shift) {
 	r.forwarded += s.Epochs * r.rm.dForwarded
 	r.stalls += s.Epochs * r.rm.dStalls
 }
-
-// ReplayOK implements replay.Periodic: the NI has no data-dependent mode.
-func (n *NI) ReplayOK() bool { return true }
 
 // ReplayPeriod implements replay.Periodic: the NI never reads absolute
 // time, so its behaviour repeats after one cycle given identical state.

@@ -79,9 +79,8 @@ func (n *BENetwork) AttachTracer(bus *trace.Bus) {
 // (aethereal.DefaultBufferWords deep, packets of at most
 // aethereal.DefaultMaxPacketWords). Of cfg it takes the layout, the word
 // width, the frequency, the traffic model and CycleAccurate: unless that is
-// set, every data and credit wire is registered with a hyperperiod replay
-// program. The Æthereal baseline is globally synchronous, so BuildBE
-// strips the mesh of pipeline stages.
+// set, a hyperperiod replay program is installed. The Æthereal baseline is
+// globally synchronous, so BuildBE strips the mesh of pipeline stages.
 func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error) {
 	cfg.ApplyDefaults()
 	if err := uc.ValidateMapped(); err != nil {
@@ -186,12 +185,7 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		n.eng.Add(g)
 	}
 	if !cfg.CycleAccurate {
-		n.prog = replay.New(n.eng)
-		for _, l := range m.Links() {
-			n.prog.RegisterWire(data[l.ID])
-			n.prog.RegisterCredit(credit[l.ID])
-		}
-		n.prog.Install()
+		n.prog = replay.Install(n.eng)
 	}
 	return n, nil
 }

@@ -113,9 +113,10 @@ type Config struct {
 	// schedule and, once two consecutive boundary fingerprints match,
 	// replays it without per-component dispatch; configurations that are not provably periodic
 	// (transactional traffic, asynchronous wrappers, reliability
-	// retransmission, armed fault intercepts) detach the program and run
-	// cycle-accurate, untouched. Replay is observation-invisible, so this
-	// is the reference the equivalence tests hold it to.
+	// retransmission) detach the program and run cycle-accurate,
+	// untouched, and an armed fault intercept keeps it from engaging.
+	// Replay is observation-invisible, so this is the reference the
+	// equivalence tests hold it to.
 	CycleAccurate bool
 	// Allocator selects the slot/path allocation strategy by name:
 	// "greedy" (the baseline; also the empty string) or "ripup" (the
@@ -292,36 +293,10 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 		}
 	}
 	n.addProbes()
-	n.installReplay()
+	if !cfg.CycleAccurate {
+		n.prog = replay.Install(n.eng)
+	}
 	return n, nil
-}
-
-// installReplay attaches the hyperperiod replay program unless the
-// network is configured cycle-accurate.
-// Every link wire (entry, pipeline-internal and exit) joins the
-// fingerprinted state set; NI queues, link FIFOs and router registers are
-// fingerprinted by their owning components.
-func (n *Network) installReplay() {
-	if n.Cfg.CycleAccurate {
-		return
-	}
-	p := replay.New(n.eng)
-	seen := make(map[*sim.Wire[phit.Phit]]bool)
-	reg := func(w *sim.Wire[phit.Phit]) {
-		if w != nil && !seen[w] {
-			seen[w] = true
-			p.RegisterWire(w)
-		}
-	}
-	for _, lt := range n.linkWires {
-		reg(lt.Wire)
-	}
-	for _, st := range n.stages {
-		reg(st.InWire())
-		reg(st.OutWire())
-	}
-	p.Install()
-	n.prog = p
 }
 
 // Replay returns the installed hyperperiod replay program, or nil under

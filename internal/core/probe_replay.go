@@ -11,9 +11,6 @@ import (
 	"repro/internal/replay"
 )
 
-// ReplayOK implements replay.Periodic.
-func (p *probe) ReplayOK() bool { return true }
-
 // ReplayPeriod implements replay.Periodic.
 func (p *probe) ReplayPeriod() clock.Duration {
 	return clock.Duration(phit.FlitWords*p.alloc.TableSize) * p.clk.Period

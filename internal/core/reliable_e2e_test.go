@@ -236,3 +236,39 @@ func TestReliableQuarantineIsolatesFaultyLink(t *testing.T) {
 			got, quarantined)
 	}
 }
+
+// TestReliableNetworkReplayGoesInert: the reliability shell makes every
+// NI's behaviour data-dependent for good, so the NI reports no period and
+// the replay program goes inert at its first rescan instead of recording
+// epochs it could never engage. The run reads exactly as its
+// cycle-accurate twin's.
+func TestReliableNetworkReplayGoesInert(t *testing.T) {
+	var reports []string
+	for _, cycleAccurate := range []bool{true, false} {
+		m, uc := smallUseCase(t, 6)
+		n, err := Build(m, uc, Config{Probes: true, Reliable: true, CycleAccurate: cycleAccurate})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		n.eng.Run(n.BaseClock().Period) // the first executed instant rescans
+		if !cycleAccurate {
+			inert, why := n.prog.Inert()
+			namesNI := false
+			for _, c := range n.nis {
+				namesNI = namesNI || why == "component "+c.Name()+" is aperiodic"
+			}
+			if !inert || !namesNI {
+				t.Fatalf("after the first rescan: inert = %v (%q), want inert naming an aperiodic NI", inert, why)
+			}
+		}
+		var b strings.Builder
+		n.Run(6000, 30000).Write(&b)
+		reports = append(reports, b.String())
+		if !cycleAccurate && n.prog.ProgStats().Engagements != 0 {
+			t.Fatal("an inert program engaged")
+		}
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("report differs from the cycle-accurate twin's:\n%s\nvs\n%s", reports[1], reports[0])
+	}
+}

@@ -97,12 +97,52 @@ func TestParseSpec(t *testing.T) {
 		"drop@100:l0:1:extra", // too many fields
 		"random:0",            // non-positive random count
 		"random:x",            // bad random count
+		"drop@NaN:l1",         // not a number of nanoseconds
+		"drop@Inf:l1",         // infinite time
+		"drop@1e300:l1",       // past clock.Time's range
+		"drop@5:l1:-3",        // negative count
+		"corrupt@5:l1:0",      // zero count
+		"dup@5:l1:0",          // zero count
+		"stall@5:w:-1",        // negative cycle count
 	}
 	for _, spec := range bad {
-		if _, err := ParseSpec(spec, 1); err == nil {
+		_, err := ParseSpec(spec, 1)
+		if err == nil {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", spec)
+		} else if strings.Contains(err.Error(), "\n") {
+			t.Errorf("ParseSpec(%q): error %q spans lines", spec, err)
 		}
 	}
+	// Ops whose param is a signed picosecond delta keep negative params.
+	if _, err := ParseSpec("phase@5:clk:-250", 1); err != nil {
+		t.Errorf("negative phase step rejected: %v", err)
+	}
+}
+
+// FuzzParseSpec: whatever the input, ParseSpec must not panic, and a plan
+// it accepts must schedule something, never before time zero.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"random:6", "random:3", // the aelite-sim golden rows' -faults values
+		"drop@9000:l0.:2;corrupt@12000:l3.;dup@15000:l5.;delay@18000:l1.R1.0:2500;random:3",
+		"drop@NaN:l1", "drop@Inf:l1", "drop@1e300:l1", "drop@5:l1:-3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec, 1)
+		if err != nil {
+			return
+		}
+		if len(p.Events) == 0 {
+			t.Fatalf("ParseSpec(%q) accepted an empty plan", spec)
+		}
+		for _, ev := range p.Events {
+			if ev.At < 0 {
+				t.Fatalf("ParseSpec(%q) scheduled %v before time zero", spec, ev)
+			}
+		}
+	})
 }
 
 // hookedWire builds an engine with one intercepted wire and a driver that

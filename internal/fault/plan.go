@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -128,11 +129,12 @@ func fnv64(s string) int64 {
 //	op@TIMEns:target[:param]
 //
 // where op is drop|corrupt|dup|phase|period|delay|stall, TIME is the
-// injection time in nanoseconds, target is a substring selecting one
-// injection point (link, clock, FIFO or wrapper name), and param is the op
-// count, picosecond delta or cycle count (defaults: 1 for drop/corrupt,
-// half a nominal period worth of ps for phase, 100 for period/delay in ps,
-// 30 for stall cycles).
+// injection time in nanoseconds (finite, within clock.Time's range),
+// target is a substring selecting one injection point (link, clock, FIFO or
+// wrapper name), and param is the op count, picosecond delta or cycle count
+// (defaults: 1 for drop/corrupt/dup, half a nominal period worth of ps for
+// phase, 100 for period/delay in ps, 30 for stall cycles). A count — of
+// drop, corrupt, dup or stall — must be positive.
 //
 // The special form "random:N" expands, at Arm time, into N events drawn
 // deterministically from the campaign seed.
@@ -171,10 +173,13 @@ func ParseSpec(spec string, seed int64) (*Plan, error) {
 			return nil, fmt.Errorf("fault: event %q: want op@TIMEns:target[:param]", part)
 		}
 		ns, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || ns < 0 {
+		ps := ns * float64(clock.Nanosecond)
+		// !(ps >= 0) is also true of NaN, and float64(MaxInt64) is 2^63:
+		// +Inf and every time past clock.Time's range fail the last test.
+		if err != nil || !(ps >= 0) || ps >= math.MaxInt64 {
 			return nil, fmt.Errorf("fault: bad time %q in %q", fields[0], part)
 		}
-		ev := Event{At: clock.Time(ns * float64(clock.Nanosecond)), Op: op, Target: fields[1], Param: defaultParam(op)}
+		ev := Event{At: clock.Time(ps), Op: op, Target: fields[1], Param: defaultParam(op)}
 		if len(fields) == 3 {
 			v, err := strconv.ParseInt(fields[2], 10, 64)
 			if err != nil {
@@ -182,12 +187,25 @@ func ParseSpec(spec string, seed int64) (*Plan, error) {
 			}
 			ev.Param = v
 		}
+		if ev.Param <= 0 && isCount(op) {
+			return nil, fmt.Errorf("fault: %s count %d in %q is not positive", op, ev.Param, part)
+		}
 		p.Events = append(p.Events, ev)
 	}
 	if len(p.Events) == 0 {
 		return nil, fmt.Errorf("fault: empty campaign spec")
 	}
 	return p, nil
+}
+
+// isCount reports whether an op's param counts phits or cycles, which a
+// plan must give as a positive number.
+func isCount(op Op) bool {
+	switch op {
+	case OpDrop, OpCorrupt, OpDuplicate, OpStall:
+		return true
+	}
+	return false
 }
 
 // opRandom is the unexpanded "random:N" placeholder; Arm expands it.

@@ -10,17 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/replay"
-	"repro/internal/sim"
 )
-
-// InWire returns the writer-domain wire the stage samples.
-func (s *Stage) InWire() *sim.Wire[phit.Phit] { return s.tap.in }
-
-// OutWire returns the reader-domain wire the stage drives.
-func (s *Stage) OutWire() *sim.Wire[phit.Phit] { return s.fsm.out }
-
-// ReplayOK implements replay.Periodic.
-func (t *writerTap) ReplayOK() bool { return true }
 
 // ReplayPeriod implements replay.Periodic: the tap's behaviour repeats
 // every cycle (given identical wire and FIFO state).
@@ -36,10 +26,12 @@ func (t *writerTap) ReplayMark(now clock.Time) bool {
 	return clean
 }
 
-// ReplayFingerprint implements replay.Periodic: the FIFO contents with
-// their push and visibility instants, normalised to the boundary.
+// ReplayFingerprint implements replay.Periodic: the FIFO's forwarding
+// delay, which a fault may stretch, and its contents with their push and
+// visibility instants, normalised to the boundary.
 func (t *writerTap) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	s := t.stage
+	buf = replay.AppendI64(buf, int64(s.fifo.ForwardDelay()))
 	buf = replay.AppendI64(buf, int64(s.fifo.Len()))
 	s.fifo.Scan(func(p phit.Phit, pushed, visible clock.Time) {
 		buf = replay.AppendPhit(buf, p, ctx)
@@ -56,9 +48,6 @@ func (t *writerTap) ReplayShift(sh *replay.Shift) {
 		return replay.ShiftPhit(p, sh), pushed + clock.Time(sh.DT), visible + clock.Time(sh.DT)
 	})
 }
-
-// ReplayOK implements replay.Periodic.
-func (f *readerFSM) ReplayOK() bool { return true }
 
 // ReplayPeriod implements replay.Periodic: the FSM decodes the edge index
 // modulo FlitWords, so its pattern repeats each flit cycle.

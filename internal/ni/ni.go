@@ -107,16 +107,16 @@ type NI struct {
 	edgePeriod clock.Duration
 	edgePhase  clock.Duration
 
-	// Sender state.
-	flitIndex int64 // count of flit cycles begun
+	// Sender state. flitIndex counts the flit cycles StepFlit has begun: in
+	// wrapper mode it, not the clock, indexes the slot table.
+	flitIndex int64
 	openConn  phit.ConnID
 	flitBuf   [phit.FlitWords]phit.Phit
 
 	// Receiver state.
-	curIn      *inConn
-	inPacket   bool
-	sampled    phit.Phit
-	paddingSum int64
+	curIn    *inConn
+	inPacket bool
+	sampled  phit.Phit
 
 	// wrapped is set once StepFlit has driven the NI at flit granularity
 	// (wrapper mode); the engine's Update then refuses to run.
@@ -141,13 +141,6 @@ type NI struct {
 	// default) keeps the baseline protocol; the hot-path cost is then one
 	// pointer test per phit.
 	rel *reliable.Endpoint
-
-	// Hyperperiod replay bookkeeping (see replay.go). rmValid is set by a
-	// boundary mark and cleared by ResetStats, which voids the padding
-	// snapshot.
-	rmValid            bool
-	mFlit, dFlit       int64
-	mPadding, dPadding int64
 }
 
 // A slotEntry caches what buildFlit needs of one injection-table slot: the
@@ -397,7 +390,6 @@ func (n *NI) Update(now clock.Time) {
 	w := n.word
 	if w == 0 {
 		n.buildFlit(now, n.slot)
-		n.flitIndex++
 	}
 	if n.out != nil {
 		n.out.Drive(n.flitBuf[w])
@@ -540,7 +532,7 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 				ic.recvQ = append(ic.recvQ, p.Meta)
 			}
 		case phit.Padding:
-			n.paddingSum++
+			// Fills the flit after the last payload word; carries nothing.
 		default:
 			fault.Report(n.rep, fault.Violation{
 				Kind: fault.ProtocolError, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -132,6 +133,8 @@ func (p *pair) aOut() *sim.Wire[phit.Phit] { return p.a.out }
 func TestNIPacketisationPadding(t *testing.T) {
 	// One word offered: flit = header + payload + padding with EoP.
 	p := newPair(t, 4, []int{0}, []int{2}, 16, true)
+	col := fault.NewCollector()
+	p.b.SetReporter(col)
 	p.offer(t, 1)
 	var seen []phit.Phit
 	for i := 0; i < 30; i++ {
@@ -150,8 +153,13 @@ func TestNIPacketisationPadding(t *testing.T) {
 	if !seen[2].EoP {
 		t.Error("EoP missing on the final (padding) word")
 	}
-	if p.b.PaddingWords() != 1 {
-		t.Errorf("PaddingWords = %d", p.b.PaddingWords())
+	// The receiver takes the padding word as the packet's end: one word
+	// delivered, and no protocol break reported.
+	if got := p.b.InStats(1).Delivered; got != 1 {
+		t.Errorf("delivered %d words, want 1", got)
+	}
+	if col.Total() != 0 {
+		t.Errorf("%d violations reported, first %v", col.Total(), col.Violations()[0])
 	}
 }
 

@@ -10,22 +10,21 @@ import (
 	"repro/internal/replay"
 )
 
-// ReplayOK implements replay.Periodic: false while flit-level wrapping or
-// the reliability shell makes the NI's behaviour data-dependent.
-func (n *NI) ReplayOK() bool {
-	return !n.wrapped && n.rel == nil
-}
-
 // ReplayPeriod implements replay.Periodic: the NI's behaviour depends on
 // absolute time through the word index within a flit and the TDM slot
-// index, which repeat every FlitWords*TableSize clock cycles.
+// index, which repeat every FlitWords*TableSize clock cycles. Flit-level
+// wrapping and the reliability shell make it data-dependent, and neither
+// is ever undone: the NI is then aperiodic.
 func (n *NI) ReplayPeriod() clock.Duration {
+	if n.wrapped || n.rel != nil {
+		return 0
+	}
 	return clock.Duration(phit.FlitWords*n.table.Size()) * n.clk.Period
 }
 
 // ReplayMark implements replay.Periodic.
 func (n *NI) ReplayMark(now clock.Time) bool {
-	clean := n.rmValid
+	clean := true
 	for _, oc := range n.outs {
 		if oc.maxOcc != oc.mMaxOcc {
 			// The traced high-water mark rose during the epoch: its
@@ -40,10 +39,6 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 			clean = false
 		}
 	}
-	n.dFlit = n.flitIndex - n.mFlit
-	n.dPadding = n.paddingSum - n.mPadding
-	n.mFlit, n.mPadding = n.flitIndex, n.paddingSum
-	n.rmValid = true
 	return clean
 }
 
@@ -96,8 +91,6 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 
 // ReplayShift implements replay.Periodic.
 func (n *NI) ReplayShift(s *replay.Shift) {
-	n.flitIndex += s.Epochs * n.dFlit
-	n.paddingSum += s.Epochs * n.dPadding
 	for i := range n.flitBuf {
 		n.flitBuf[i] = replay.ShiftPhit(n.flitBuf[i], s)
 	}

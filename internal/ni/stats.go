@@ -118,20 +118,12 @@ func (n *NI) Credits(conn phit.ConnID) int { return n.mustOut(conn).credits }
 // sender.
 func (n *NI) OwedCredits(conn phit.ConnID) int { return n.mustIn(conn).owed }
 
-// PaddingWords returns the number of padding phits received (protocol
-// overhead accounting).
-func (n *NI) PaddingWords() int64 { return n.paddingSum }
-
 // ResetStats clears measurement state (typically after warm-up) without
 // touching protocol state.
 func (n *NI) ResetStats() {
 	for _, ic := range n.ins {
 		ic.rx.Reset()
 	}
-	n.paddingSum = 0
-	// The padding snapshot taken at a hyperperiod boundary is stale now;
-	// the replay program must re-baseline before engaging again.
-	n.rmValid = false
 }
 
 func (n *NI) String() string {

@@ -26,12 +26,21 @@
 // re-emitted with exact shifted timestamps during replay, and the residual
 // partial epoch is resimulated with the trace bus muted.
 //
+// The program finds what it fingerprints on the engine itself, at its
+// first executed instant and after every structural change: every
+// component must implement Periodic's four methods, and every wire is a
+// phit wire (fingerprinted and shifted as a phit) or an int wire
+// (fingerprinted as a count). Any other component or wire makes the
+// program inert, naming it; a wire with a commit-time intercept keeps the
+// program from engaging while it is installed. No builder lists state for
+// the program, so none can leave any out.
+//
 // Cross-package contract: engagement requires every component to be
 // provably periodic — traffic generators qualify exactly when their rate
 // reduces to a small rational words-per-cycle pattern, which is what the
 // scenario package's replay-admissible rate quantisation guarantees for
-// generated workloads. core.Build, core.BuildBE and routerless.Build
-// install a Program unless core.Config.CycleAccurate is set; a program
-// that finds its network aperiodic detaches itself. Experiments report its
+// generated workloads. core.Build, core.BuildBE and routerless.Build each
+// call Install unless core.Config.CycleAccurate is set; a program that
+// finds its network aperiodic detaches itself. Experiments report its
 // engagement counters, and Stats.DeoptsBy says why each engagement ended.
 package replay

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 
 	"repro/internal/clock"
 	"repro/internal/phit"
@@ -22,20 +23,22 @@ const (
 )
 
 // A Program is the compiled fast path installed on an engine (see the
-// package comment for the protocol). Create with New, register the
-// network's wires with RegisterWire and RegisterCredit, then Install.
+// package comment for the protocol). Install creates one.
 type Program struct {
 	eng  *sim.Engine
 	bus  *trace.Bus // the engine's tracer at install (or re-anchor) time
 	sink *recSink
 
+	// The engine's components and wires as the last rescan found them.
+	// Every wire is fingerprinted: phit wires as phits, which a shift
+	// moves, and int wires as counts, which it does not.
 	comps      []Periodic
 	seqSrcs    []SeqSource
-	states     []State
+	phits      []*sim.Wire[phit.Phit]
+	counts     []*sim.Wire[int]
 	compsStale bool
 
-	maxH clock.Duration
-	hp   clock.Duration // the current hyperperiod (0 before first rescan)
+	hp clock.Duration // the current hyperperiod (0 before first rescan)
 
 	inert    bool
 	inertWhy string
@@ -100,65 +103,25 @@ func (s *recSink) Event(ev trace.Event) {
 	}
 }
 
-// phitWire adapts a registered phit wire to the State interface. Between
-// instants a wire can hold no pending drive, so its committed value is its
-// complete state.
-type phitWire struct{ w *sim.Wire[phit.Phit] }
-
-func (pw phitWire) StateOK() bool { return !pw.w.HasIntercept() }
-func (pw phitWire) StateFingerprint(ctx *Ctx, buf []byte) []byte {
-	return AppendPhit(buf, pw.w.Read(), ctx)
-}
-func (pw phitWire) StateShift(s *Shift) {
-	pw.w.Adjust(func(v phit.Phit) phit.Phit { return ShiftPhit(v, s) })
-}
-
-// creditWire adapts a registered credit wire to the State interface. A
-// credit wire carries a count, with no instant or sequence number to
-// shift.
-type creditWire struct{ w *sim.Wire[int] }
-
-func (cw creditWire) StateOK() bool { return !cw.w.HasIntercept() }
-func (cw creditWire) StateFingerprint(_ *Ctx, buf []byte) []byte {
-	return AppendI64(buf, int64(cw.w.Read()))
-}
-func (cw creditWire) StateShift(*Shift) {}
-
-// New returns an uninstalled program for the engine.
-func New(eng *sim.Engine) *Program {
+// Install attaches a new program to the engine as its fast path. The
+// program finds the engine's components and wires itself, at its first
+// executed instant and again after every structural change.
+func Install(eng *sim.Engine) *Program {
 	p := &Program{
-		eng:     eng,
-		maxH:    DefaultMaxHyperperiod,
-		seqPrev: make(map[phit.ConnID]int64),
-		seqNow:  make(map[phit.ConnID]int64),
-		dseq:    make(map[phit.ConnID]int64),
+		eng:           eng,
+		bus:           eng.Tracer(),
+		compsStale:    true,
+		anchorPending: true,
+		seqPrev:       make(map[phit.ConnID]int64),
+		seqNow:        make(map[phit.ConnID]int64),
+		dseq:          make(map[phit.ConnID]int64),
 	}
 	p.sink = &recSink{p: p}
-	return p
-}
-
-// RegisterWire adds a phit wire to the fingerprinted state set. Every wire
-// of the network must be registered, or state held only in an unregistered
-// wire could alias two genuinely different configurations.
-func (p *Program) RegisterWire(w *sim.Wire[phit.Phit]) {
-	p.states = append(p.states, phitWire{w: w})
-}
-
-// RegisterCredit adds a credit wire to the fingerprinted state set, on the
-// same terms as RegisterWire.
-func (p *Program) RegisterCredit(w *sim.Wire[int]) {
-	p.states = append(p.states, creditWire{w: w})
-}
-
-// Install attaches the program to its engine as the fast path.
-func (p *Program) Install() {
-	p.bus = p.eng.Tracer()
 	if p.bus != nil {
 		p.bus.Attach(p.sink)
 	}
-	p.compsStale = true
-	p.anchorPending = true
-	p.eng.SetFastPath(p)
+	eng.SetFastPath(p)
+	return p
 }
 
 // Engaged reports whether the program is currently replaying.
@@ -227,14 +190,14 @@ func (p *Program) goInert(why string) {
 	for _, c := range p.comps {
 		c.ReplayShift(release)
 	}
-	p.comps = nil
+	p.comps, p.phits, p.counts = nil, nil, nil
 	p.eng.SetFastPath(nil)
 	if p.bus != nil {
 		p.bus.Detach(p.sink)
 	}
 }
 
-// rescan rebuilds the component view and the hyperperiod after a
+// rescan rebuilds the component and wire view and the hyperperiod after a
 // structural change. It reports false (and makes the program inert) when
 // the configuration is not replayable; the view is replaced only on
 // success, so going inert releases the components the program marked.
@@ -255,7 +218,7 @@ func (p *Program) rescan() bool {
 		}
 		if hp == 0 {
 			hp = per
-		} else if hp = LCM(hp, per, p.maxH); hp == 0 {
+		} else if hp = LCM(hp, per, DefaultMaxHyperperiod); hp == 0 {
 			p.goInert("hyperperiod exceeds the admissible bound at component " + c.Name())
 			return false
 		}
@@ -268,7 +231,21 @@ func (p *Program) rescan() bool {
 		p.goInert("no components registered")
 		return false
 	}
+	var phits []*sim.Wire[phit.Phit]
+	var counts []*sim.Wire[int]
+	for _, w := range p.eng.Wires() {
+		switch w := w.(type) {
+		case *sim.Wire[phit.Phit]:
+			phits = append(phits, w)
+		case *sim.Wire[int]:
+			counts = append(counts, w)
+		default:
+			p.goInert(fmt.Sprintf("wire %s carries a %T, which replay cannot fingerprint", w.Name(), w))
+			return false
+		}
+	}
 	p.comps, p.seqSrcs = comps, seqSrcs
+	p.phits, p.counts = phits, counts
 	p.hp = hp
 	p.compsStale = false
 	return true
@@ -289,10 +266,31 @@ func (p *Program) fingerprint(now clock.Time, buf []byte) []byte {
 	for _, c := range p.comps {
 		buf = c.ReplayFingerprint(ctx, buf)
 	}
-	for _, st := range p.states {
-		buf = st.StateFingerprint(ctx, buf)
+	// Between instants a wire holds no pending drive, so its committed
+	// value is its complete state.
+	for _, w := range p.phits {
+		buf = AppendPhit(buf, w.Read(), ctx)
+	}
+	for _, w := range p.counts {
+		buf = AppendI64(buf, int64(w.Read()))
 	}
 	return buf
+}
+
+// intercepted reports whether any wire has a commit-time intercept, which
+// makes its commits data-dependent.
+func (p *Program) intercepted() bool {
+	for _, w := range p.phits {
+		if w.HasIntercept() {
+			return true
+		}
+	}
+	for _, w := range p.counts {
+		if w.HasIntercept() {
+			return true
+		}
+	}
+	return false
 }
 
 // anchorAt re-baselines every boundary snapshot at the executed instant
@@ -324,25 +322,10 @@ func (p *Program) markAt(now clock.Time) {
 			clean = false
 		}
 	}
-	eligible := true
-	for _, c := range p.comps {
-		if !c.ReplayOK() {
-			eligible = false
-			break
-		}
-	}
-	if eligible {
-		for _, st := range p.states {
-			if !st.StateOK() {
-				eligible = false
-				break
-			}
-		}
-	}
 	timerClean := p.eng.TimersRun() == p.timersAtMark
 	p.collectSeqs()
 	p.fpBuf = p.fingerprint(now, p.fpBuf[:0])
-	if clean && eligible && timerClean && p.prevValid &&
+	if clean && !p.intercepted() && timerClean && p.prevValid &&
 		now-p.prevMark == p.hp && bytes.Equal(p.fpBuf, p.prevFP) {
 		p.engage(now)
 		return
@@ -517,8 +500,8 @@ func (p *Program) materialize(why DeoptCause) {
 		for _, c := range p.comps {
 			c.ReplayShift(sh)
 		}
-		for _, st := range p.states {
-			st.StateShift(sh)
+		for _, w := range p.phits {
+			w.Adjust(func(v phit.Phit) phit.Phit { return ShiftPhit(v, sh) })
 		}
 	}
 	boundary := p.base + clock.Time(m)*p.hp

@@ -8,6 +8,7 @@ package replay_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -45,7 +46,6 @@ func (b *beeper) Update(now clock.Time) {
 	b.cycle++
 }
 
-func (b *beeper) ReplayOK() bool                      { return true }
 func (b *beeper) ReplayPeriod() clock.Duration        { return 4 * b.clk.Period }
 func (b *beeper) ReplayConnSeq() (phit.ConnID, int64) { return 1, b.seq }
 func (b *beeper) ReplayMark(now clock.Time) bool {
@@ -90,8 +90,7 @@ func newWorld(fast bool) *world {
 	w.eng.SetTracer(bus)
 	w.b.em = bus.Emitter("beep")
 	if fast {
-		w.prog = replay.New(w.eng)
-		w.prog.Install()
+		w.prog = replay.Install(w.eng)
 	}
 	return w
 }
@@ -230,4 +229,90 @@ func TestProgramInertReleasesMarkedComponents(t *testing.T) {
 		t.Fatal("the inert program left the beeper's boundary snapshot open")
 	}
 	assertSameWorld(t, slow, fast, "after going inert")
+}
+
+// scribbler keeps its state only in its output wire: each cycle it reads
+// the wire back and drives the next count. Its own fingerprint is empty,
+// so only the program's fingerprint of the wire can tell two boundaries
+// apart.
+type scribbler struct {
+	clk  *clock.Clock
+	out  *sim.Wire[phit.Phit]
+	last phit.Phit
+}
+
+func (s *scribbler) Name() string          { return "scribble" }
+func (s *scribbler) Clock() *clock.Clock   { return s.clk }
+func (s *scribbler) Sample(now clock.Time) { s.last = s.out.Read() }
+func (s *scribbler) Update(now clock.Time) {
+	s.out.Drive(phit.Phit{Valid: true, Kind: phit.Header, Data: s.last.Data + 1})
+}
+
+func (s *scribbler) ReplayPeriod() clock.Duration                       { return s.clk.Period }
+func (s *scribbler) ReplayMark(now clock.Time) bool                     { return true }
+func (s *scribbler) ReplayFingerprint(_ *replay.Ctx, buf []byte) []byte { return buf }
+func (s *scribbler) ReplayShift(*replay.Shift)                          {}
+
+// addScribbler gives a world a scribbler on a wire that nothing but the
+// engine knows of.
+func addScribbler(w *world) *sim.Wire[phit.Phit] {
+	out := sim.NewWire[phit.Phit]("scribble.out")
+	w.eng.AddWire(out)
+	w.eng.Add(&scribbler{clk: w.b.clk, out: out})
+	return out
+}
+
+// TestProgramFingerprintsEveryEngineWire: a wire carrying a value that
+// never repeats must keep the program from engaging, though the program
+// was never told of the wire. Had it replayed, the wire would be left
+// holding a stale count.
+func TestProgramFingerprintsEveryEngineWire(t *testing.T) {
+	slow, fast := newWorld(false), newWorld(true)
+	slowOut, fastOut := addScribbler(slow), addScribbler(fast)
+	slow.eng.Run(200_000)
+	fast.eng.Run(200_000)
+	assertSameWorld(t, slow, fast, "scribbled wire")
+	if got, want := fastOut.Read().Data, slowOut.Read().Data; got != want {
+		t.Fatalf("wire holds %d after the run, want %d", got, want)
+	}
+	if n := fast.prog.ProgStats().Engagements; n != 0 {
+		t.Fatalf("program engaged %d times on a wire that never repeats", n)
+	}
+}
+
+// TestProgramInertOnUnsupportedWire: a wire whose value type the program
+// cannot fingerprint makes it inert, naming the wire.
+func TestProgramInertOnUnsupportedWire(t *testing.T) {
+	w := newWorld(true)
+	w.eng.AddWire(sim.NewWire[bool]("flag"))
+	w.eng.Run(50_000)
+	inert, why := w.prog.Inert()
+	if !inert || !strings.Contains(why, "wire flag") {
+		t.Fatalf("inert = %v (%q); want inert naming wire flag", inert, why)
+	}
+	if w.prog.ProgStats().Engagements != 0 {
+		t.Fatal("inert program engaged")
+	}
+}
+
+// TestProgramInterceptBlocksEngagement: a commit-time intercept on any
+// engine wire keeps the program from engaging for as long as it is
+// installed, without making it inert.
+func TestProgramInterceptBlocksEngagement(t *testing.T) {
+	w := newWorld(true)
+	wire := sim.NewWire[int]("credit")
+	w.eng.AddWire(wire)
+	wire.SetIntercept(func(v int, _ bool) int { return v })
+	w.eng.Run(100_000)
+	if n := w.prog.ProgStats().Engagements; n != 0 {
+		t.Fatalf("program engaged %d times past an intercept", n)
+	}
+	if inert, why := w.prog.Inert(); inert {
+		t.Fatalf("an intercept made the program inert: %s", why)
+	}
+	wire.SetIntercept(nil)
+	w.eng.Run(200_000)
+	if w.prog.ProgStats().Engagements == 0 {
+		t.Fatal("program never engaged once the intercept was gone")
+	}
 }

@@ -5,22 +5,21 @@ import (
 	"repro/internal/phit"
 )
 
-// A Periodic component can participate in hyperperiod replay. Every
-// component registered with the engine must implement it (and report
-// ReplayOK) for a Program ever to engage; anything else — asynchronous
-// wrappers, invariant checkers — keeps the program permanently on the
-// cycle-accurate path.
+// A Periodic component can participate in hyperperiod replay, through
+// its four methods. Every component registered with the engine must
+// implement it and report a period for a Program ever to engage; anything
+// else — asynchronous wrappers, invariant checkers — makes the program
+// inert. Wires need no such method: the program finds them on the engine
+// and fingerprints their committed values itself.
 type Periodic interface {
-	// ReplayOK reports whether the component's current configuration is
-	// replay-safe. Components return false while a mode that makes their
-	// behaviour data-dependent is active (flit-level wrapping, reliability
-	// retransmission).
-	ReplayOK() bool
-
 	// ReplayPeriod returns the component's pattern period in picoseconds:
 	// the smallest duration (a multiple of its clock period) after which
 	// its behaviour, given identical state, repeats. Zero means aperiodic
-	// and keeps the program inert.
+	// and makes the program inert; so does a mode that makes the
+	// component's behaviour data-dependent (flit-level wrapping,
+	// reliability retransmission), which must never be undone. The
+	// program reads the period when it rescans the engine after a
+	// structural change, not at every boundary.
 	ReplayPeriod() clock.Duration
 
 	// ReplayMark is called at each hyperperiod boundary. The component
@@ -56,16 +55,6 @@ type Periodic interface {
 // build the fingerprint normalisation base and the per-epoch deltas.
 type SeqSource interface {
 	ReplayConnSeq() (phit.ConnID, int64)
-}
-
-// A State is a stateful element that is not a clocked component — a wire
-// or FIFO — registered with the program for fingerprinting and shifting.
-type State interface {
-	// StateOK reports whether the element is replay-safe (no commit-time
-	// intercept installed).
-	StateOK() bool
-	StateFingerprint(ctx *Ctx, buf []byte) []byte
-	StateShift(s *Shift)
 }
 
 // Ctx is the fingerprint normalisation context: the boundary instant and

@@ -116,3 +116,32 @@ func TestShiftTimePreservesUnset(t *testing.T) {
 		t.Error("unset time is indistinguishable from the boundary instant")
 	}
 }
+
+// TestAppendPhitSeesEveryField: every field of a valid phit moves its
+// encoding, so a wire the program fingerprints hides nothing.
+func TestAppendPhitSeesEveryField(t *testing.T) {
+	ctx := &Ctx{Now: 20000, SeqBase: func(phit.ConnID) int64 { return 0 }}
+	p := phit.Phit{Valid: true, Kind: phit.Header, Data: 9, SB: 1,
+		Meta: phit.Meta{Conn: 3, Seq: 5, Injected: 19500, Sent: 19900}}
+	want := AppendPhit(nil, p, ctx)
+	for _, c := range []struct {
+		field  string
+		change func(p *phit.Phit)
+	}{
+		{"Valid", func(p *phit.Phit) { p.Valid = false }},
+		{"EoP", func(p *phit.Phit) { p.EoP = true }},
+		{"Kind", func(p *phit.Phit) { p.Kind = phit.CreditOnly }},
+		{"Data", func(p *phit.Phit) { p.Data++ }},
+		{"SB", func(p *phit.Phit) { p.SB++ }},
+		{"Meta.Conn", func(p *phit.Phit) { p.Meta.Conn++ }},
+		{"Meta.Seq", func(p *phit.Phit) { p.Meta.Seq++ }},
+		{"Meta.Injected", func(p *phit.Phit) { p.Meta.Injected++ }},
+		{"Meta.Sent", func(p *phit.Phit) { p.Meta.Sent++ }},
+	} {
+		q := p
+		c.change(&q)
+		if bytes.Equal(AppendPhit(nil, q, ctx), want) {
+			t.Errorf("%s: the encoding did not change", c.field)
+		}
+	}
+}

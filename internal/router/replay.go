@@ -11,9 +11,6 @@ import (
 	"repro/internal/replay"
 )
 
-// ReplayOK implements replay.Periodic.
-func (r *Component) ReplayOK() bool { return true }
-
 // ReplayPeriod implements replay.Periodic.
 func (r *Component) ReplayPeriod() clock.Duration { return r.clk.Period }
 

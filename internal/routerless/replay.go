@@ -11,9 +11,6 @@ import (
 	"repro/internal/replay"
 )
 
-// ReplayOK implements replay.Periodic: a ring has no data-dependent mode.
-func (r *ring) ReplayOK() bool { return true }
-
 // ReplayPeriod implements replay.Periodic: the word within the flit and
 // the rotation, the only ways a ring reads absolute time, repeat after S
 // flit cycles — one revolution, when every slot is back at its owner.

@@ -203,3 +203,47 @@ func TestReplayInertStopsLatencyLogs(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayFingerprintSeesEveryField changes one architectural field of
+// a ring at a time and requires the fingerprint to change with it. Left
+// out by design: slot ownership and the visit table, fixed once
+// buildVisits has run; the stops; the cargo of an empty slot, which
+// nothing reads; and the connections' statistics, which shift by their
+// per-epoch deltas.
+func TestReplayFingerprintSeesEveryField(t *testing.T) {
+	ctx := &replay.Ctx{Now: 1000, SeqBase: func(phit.ConnID) int64 { return 0 }}
+	// Slot 0 carries one word of the first connection, which has a second
+	// word queued.
+	base := func() *ring {
+		r, _ := randomRing(6, 1)
+		r.word, r.nextEdge, r.edgePeriod = 1, 1500, r.net.base.Period
+		ci := r.conns[0]
+		r.wheel[0] = entry{ci: ci, n: 1}
+		r.wheel[0].words[0] = pending{seq: 3, injected: 600}
+		ci.q = append(ci.q, pending{seq: 4, injected: 700})
+		return r
+	}
+	want := base().ReplayFingerprint(ctx, nil)
+	for _, c := range []struct {
+		field  string
+		change func(r *ring)
+	}{
+		{"rotation", func(r *ring) { r.rot++ }},
+		{"word within the flit", func(r *ring) { r.word = 2 }},
+		{"next edge", func(r *ring) { r.nextEdge++ }},
+		{"edge period", func(r *ring) { r.edgePeriod++ }},
+		{"slot cargo count", func(r *ring) { r.wheel[0].n = 2 }},
+		{"slot cargo connection", func(r *ring) { r.wheel[0].ci = r.conns[1] }},
+		{"slot cargo sequence number", func(r *ring) { r.wheel[0].words[0].seq++ }},
+		{"slot cargo injection instant", func(r *ring) { r.wheel[0].words[0].injected++ }},
+		{"source queue length", func(r *ring) { r.conns[0].q = r.conns[0].q[:0] }},
+		{"queued sequence number", func(r *ring) { r.conns[0].q[0].seq++ }},
+		{"queued injection instant", func(r *ring) { r.conns[0].q[0].injected++ }},
+	} {
+		r := base()
+		c.change(r)
+		if bytes.Equal(r.ReplayFingerprint(ctx, nil), want) {
+			t.Errorf("%s: the fingerprint did not change", c.field)
+		}
+	}
+}

@@ -257,10 +257,8 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 		n.gens[c.ID] = g
 		n.eng.Add(g)
 	}
-	// Rings and generators are the whole state: there are no wires.
 	if !cfg.CycleAccurate {
-		n.prog = replay.New(n.eng)
-		n.prog.Install()
+		n.prog = replay.Install(n.eng)
 	}
 	return n, nil
 }

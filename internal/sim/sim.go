@@ -40,7 +40,7 @@ type Sampler interface {
 // private Engine.
 type Engine struct {
 	components []Component
-	wires      []committable // committed at every executed instant
+	wires      []AnyWire     // committed at every executed instant
 	clocked    []clockedWire // committed only at their clock's edges
 	now        clock.Time
 	edges      int64 // total component-edges executed
@@ -50,7 +50,7 @@ type Engine struct {
 	// component set or a clock definition changes (dirty).
 	groups  []*clockGroup
 	gheap   []*clockGroup
-	orphans []committable // clocked wires whose clock drives no component
+	orphans []AnyWire // clocked wires whose clock drives no component
 	dirty   bool
 
 	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
@@ -124,14 +124,14 @@ type clockGroup struct {
 	clk      *clock.Clock
 	comps    []indexedComp
 	samplers []indexedSampler // the comps that have a Sample, same order
-	wires    []committable
+	wires    []AnyWire
 	next     clock.Time // cached next edge, strictly after the last dispatch
 }
 
-// A clockedWire associates a committable with the clock domain of its
+// A clockedWire associates a wire with the clock domain of its
 // writer, for commit batching.
 type clockedWire struct {
-	w   committable
+	w   AnyWire
 	clk *clock.Clock
 }
 
@@ -226,7 +226,7 @@ func (e *Engine) invalidateFast() {
 // Prefer AddWireClocked when the wire's writer lives in a known clock
 // domain: per-instant cost then scales with the due domains, not with the
 // total wire count.
-func (e *Engine) AddWire(w committable) {
+func (e *Engine) AddWire(w AnyWire) {
 	e.invalidateFast()
 	e.wires = append(e.wires, w)
 }
@@ -244,7 +244,7 @@ func (e *Engine) AddWire(w committable) {
 //
 // If clk never acquires components, the wire falls back to committing at
 // every instant so drives are never lost.
-func (e *Engine) AddWireClocked(w committable, clk *clock.Clock) {
+func (e *Engine) AddWireClocked(w AnyWire, clk *clock.Clock) {
 	if clk == nil {
 		e.AddWire(w)
 		return
@@ -307,6 +307,17 @@ func (e *Engine) TimersRun() int64 { return e.timersRun }
 // coincident edges dispatch in. The caller must not mutate the slice.
 func (e *Engine) AddOrder() []Component { return e.components }
 
+// Wires returns every registered wire: the AddWire ones first, then the
+// AddWireClocked ones, each in registration order. The replay fast path
+// fingerprints them.
+func (e *Engine) Wires() []AnyWire {
+	ws := slices.Clone(e.wires)
+	for _, cw := range e.clocked {
+		ws = append(ws, cw.w)
+	}
+	return ws
+}
+
 // Now returns the current simulation time.
 func (e *Engine) Now() clock.Time { return e.now }
 
@@ -322,7 +333,13 @@ func (e *Engine) SetTracer(b *trace.Bus) { e.tracer = b }
 // Tracer returns the installed event bus, or nil when tracing is off.
 func (e *Engine) Tracer() *trace.Bus { return e.tracer }
 
-type committable interface{ commit() }
+// AnyWire is a registered wire of any value type, as AddWire takes it and
+// Wires lists it. Only a *Wire[T] implements it; a caller recovers T with a
+// type switch.
+type AnyWire interface {
+	Name() string
+	commit()
+}
 
 // rebuild regroups components by clock, attaches each clocked wire to its
 // writer's group, and recomputes every group's next edge strictly after

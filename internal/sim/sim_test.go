@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -375,5 +376,34 @@ func TestWireInterceptSeesValueAndDriven(t *testing.T) {
 		if got[i] != want[i] || reads[i] != wantReads[i] {
 			t.Fatalf("commit %d: intercept saw %+v and readers %d, want %+v and %d", i, got[i], reads[i], want[i], wantReads[i])
 		}
+	}
+}
+
+// TestWiresListsEveryRegisteredWire: Wires returns each registered wire
+// once, AddWire ones first, each kind in registration order, and a
+// caller's edits to the list leave the engine's untouched.
+func TestWiresListsEveryRegisteredWire(t *testing.T) {
+	e := New()
+	clk := clock.New("c", 1000, 0)
+	a, b := NewWire[int]("a"), NewWire[bool]("b")
+	c, d := NewWire[int]("c"), NewWire[string]("d")
+	e.AddWireClocked(c, clk)
+	e.AddWire(a)
+	e.AddWireClocked(d, nil) // no clock: an AddWire one
+	e.AddWire(b)
+	var names []string
+	ws := e.Wires()
+	for _, w := range ws {
+		names = append(names, w.Name())
+	}
+	if got := strings.Join(names, " "); got != "a d b c" {
+		t.Fatalf("Wires lists %q, want %q", got, "a d b c")
+	}
+	if _, ok := ws[0].(*Wire[int]); !ok {
+		t.Errorf("Wires()[0] is a %T, want the *Wire[int] registered", ws[0])
+	}
+	ws[0] = c
+	if e.Wires()[0] != AnyWire(a) {
+		t.Error("editing the returned list changed the engine's")
 	}
 }

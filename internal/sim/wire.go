@@ -63,7 +63,7 @@ func (w *Wire[T]) commit() {
 func (w *Wire[T]) SetIntercept(f func(v T, driven bool) T) { w.intercept = f }
 
 // HasIntercept reports whether a commit-time intercept is installed. The
-// replay fast path refuses to engage while any registered wire has one,
+// replay fast path refuses to engage while any wire of its engine has one,
 // because an intercept makes commits data-dependent.
 func (w *Wire[T]) HasIntercept() bool { return w.intercept != nil }
 

@@ -268,9 +268,6 @@ func (g *Generator) Rejected() int64 { return g.rejected }
 // rationals are treated as aperiodic, keeping hyperperiods bounded.
 const maxPatternCycles = 1 << 22
 
-// ReplayOK implements replay.Periodic.
-func (g *Generator) ReplayOK() bool { return true }
-
 // ReplayPeriod implements replay.Periodic: the exact cycle count after
 // which the accumulator and burst phase return to their values.
 func (g *Generator) ReplayPeriod() clock.Duration {
@@ -298,8 +295,13 @@ func (g *Generator) ReplayMark(now clock.Time) bool {
 	return true
 }
 
-// ReplayFingerprint implements replay.Periodic.
+// ReplayFingerprint implements replay.Periodic: the rate and burst shape,
+// which SetRateMBps may rewrite between runs, the accumulator, the burst
+// phase, the time left before the first word and the enable switch.
 func (g *Generator) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
+	for _, v := range []int64{g.rateNum, g.rateDen, g.onCycles, g.offCycles, g.burstNum} {
+		buf = replay.AppendI64(buf, v)
+	}
 	buf = replay.AppendI64(buf, g.accNum)
 	var ph int64
 	if g.onCycles > 0 {

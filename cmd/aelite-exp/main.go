@@ -138,7 +138,7 @@ func main() {
 					return nil
 				})
 		}},
-		{name: "scale", help: "generator families x mesh sizes x allocators: success, runtime, bound tightness, audit violations, replay (-smoke, -out)", run: func() error {
+		{name: "scale", help: "generator families x mesh sizes x allocators: success, bound tightness, audit violations, replay, allocator runtimes on stderr (-smoke, -out)", run: func() error {
 			cfg := experiments.DefaultScaleConfig()
 			if *smoke {
 				cfg = experiments.SmokeScaleConfig()
@@ -148,6 +148,9 @@ func main() {
 			if err != nil {
 				return err
 			}
+			// Allocator runtimes are wall-clock: a side channel, never
+			// the artifact.
+			rep.WriteAllocTimes(os.Stderr)
 			return study(rep.Render, rep.WriteJSON, rep.Verify)
 		}},
 		{name: "compare", help: "identical workloads through every registered backend: throughput, latency, bounds, area (-smoke, -out)", run: func() error {

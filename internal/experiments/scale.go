@@ -82,10 +82,10 @@ type ScalePoint struct {
 	Failed      int     `json:"failed"`
 	RipUps      int     `json:"ripups"`
 	SuccessRate float64 `json:"success_rate"`
-	// AllocMs is wall-clock allocator runtime. It is the one
-	// non-deterministic field: determinism comparisons must exclude it
-	// (see RenderDeterministic).
-	AllocMs float64 `json:"alloc_ms"`
+	// allocTime is the wall-clock allocator runtime. It stays out of the
+	// artifact, which is deterministic; WriteAllocTimes is its side
+	// channel.
+	allocTime time.Duration
 
 	// Simulated sample (Simulate meshes with full allocation only).
 	Simulated        bool    `json:"simulated,omitempty"`
@@ -129,7 +129,7 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 	m := s.Mesh()
 	start := time.Now()
 	plan, err := core.PlanAllocation(m, s.UseCase, ncfg)
-	pt.AllocMs = float64(time.Since(start).Microseconds()) / 1e3
+	pt.allocTime = time.Since(start)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
 	}
@@ -189,8 +189,8 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 }
 
 // ScaleStudy runs the full cross product, fanning points across up to
-// jobs workers. Point order — and every field except AllocMs — is
-// deterministic at any worker count.
+// jobs workers. Point order and the artifact are deterministic at any
+// worker count.
 func ScaleStudy(cfg ScaleConfig, jobs int) (*ScaleReport, error) {
 	return ScaleStudyCtx(context.Background(), cfg, jobs)
 }
@@ -251,41 +251,32 @@ func (r *ScaleReport) Verify() error {
 	return nil
 }
 
-func (p ScalePoint) renderRow(w io.Writer, withAllocMs bool) {
-	sim := "-"
-	if p.Simulated {
-		engaged := "inert"
-		if p.ReplayEngaged {
-			engaged = fmt.Sprintf("replay %d inst", p.ReplayedInstants)
-		}
-		sim = fmt.Sprintf("tight %.2f, %d viol, %s", p.BoundTightness, p.AuditViolations, engaged)
-	}
-	ms := ""
-	if withAllocMs {
-		ms = fmt.Sprintf(" %8.1fms", p.AllocMs)
-	}
-	fmt.Fprintf(w, "%-11s %2dx%-2d %5d %-7s tbl %3d  %5d/%-5d %5.1f%% %3d ripups%s  %s\n",
-		p.Family, p.Cols, p.Rows, p.Conns, p.Allocator, p.TableSize,
-		p.Placed, p.Placed+p.Failed, p.SuccessRate*100, p.RipUps, ms, sim)
-}
-
-// Render writes the human-readable study table, including wall-clock
-// allocator runtimes.
+// Render writes the human-readable study table.
 func (r *ScaleReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "scale study: seed %d, %d families x %d meshes x %d allocators\n\n",
 		r.Cfg.Seed, len(r.Cfg.Families), len(r.Cfg.Meshes), len(r.Cfg.Allocators))
 	for _, p := range r.Points {
-		p.renderRow(w, true)
+		sim := "-"
+		if p.Simulated {
+			engaged := "inert"
+			if p.ReplayEngaged {
+				engaged = fmt.Sprintf("replay %d inst", p.ReplayedInstants)
+			}
+			sim = fmt.Sprintf("tight %.2f, %d viol, %s", p.BoundTightness, p.AuditViolations, engaged)
+		}
+		fmt.Fprintf(w, "%-11s %2dx%-2d %5d %-7s tbl %3d  %5d/%-5d %5.1f%% %3d ripups  %s\n",
+			p.Family, p.Cols, p.Rows, p.Conns, p.Allocator, p.TableSize,
+			p.Placed, p.Placed+p.Failed, p.SuccessRate*100, p.RipUps, sim)
 	}
 }
 
-// RenderDeterministic writes the table without the wall-clock column —
-// the rendering determinism tests compare byte-for-byte across worker
-// counts, and allocator runtime is the one field that legitimately
-// varies run to run.
-func (r *ScaleReport) RenderDeterministic(w io.Writer) {
+// WriteAllocTimes writes each point's wall-clock allocator runtime, the
+// one measurement of the study that varies run to run and so is kept out
+// of Render and WriteJSON.
+func (r *ScaleReport) WriteAllocTimes(w io.Writer) {
 	for _, p := range r.Points {
-		p.renderRow(w, false)
+		fmt.Fprintf(w, "%-11s %2dx%-2d %-7s alloc %8.1f ms\n", p.Family, p.Cols, p.Rows, p.Allocator,
+			float64(p.allocTime.Microseconds())/1e3)
 	}
 }
 

@@ -22,8 +22,7 @@ func allocOnlyScaleConfig() ScaleConfig {
 }
 
 // TestScaleStudyDeterministic runs the same study at 1 and 4 workers and
-// requires the deterministic rendering (everything but wall-clock
-// allocator runtime) to be byte-identical.
+// requires the rendering and the JSON artifact to be byte-identical.
 func TestScaleStudyDeterministic(t *testing.T) {
 	render := func(jobs int) []byte {
 		rep, err := ScaleStudy(allocOnlyScaleConfig(), jobs)
@@ -31,7 +30,10 @@ func TestScaleStudyDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		rep.RenderDeterministic(&buf)
+		rep.Render(&buf)
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 		return buf.Bytes()
 	}
 	serial, wide := render(1), render(4)

@@ -187,8 +187,7 @@ type ShardResult struct {
 	WorstLatNs     float64 `json:"worst_lat_ns,omitempty"`
 	TotalMBps      float64 `json:"total_mbps,omitempty"`
 
-	// Scale-shard outcome (Kind "scale"): the full study report with its
-	// one wall-clock field (AllocMs) zeroed for determinism.
+	// Scale-shard outcome (Kind "scale"): the full study report.
 	Scale *experiments.ScaleReport `json:"scale,omitempty"`
 
 	// Compare-shard outcome (Kind "compare"): the N-backend comparison
@@ -270,11 +269,6 @@ func runScaleShard(ctx context.Context, spec JobSpec) (*ShardResult, error) {
 	rep, err := experiments.ScaleStudyCtx(ctx, cfg, 2)
 	if err != nil {
 		return nil, err
-	}
-	// AllocMs is wall-clock — the one non-deterministic field — and must
-	// not reach the crash-resume-equivalent artifact.
-	for i := range rep.Points {
-		rep.Points[i].AllocMs = 0
 	}
 	return &ShardResult{Shard: 0, Name: "scale", Scale: rep}, nil
 }

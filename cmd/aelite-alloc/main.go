@@ -29,6 +29,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/backend"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/routerless"
@@ -47,10 +48,10 @@ func main() {
 // mainCode is main without the process: it parses and validates args,
 // allocates, prints to stdout and returns the exit code.
 func mainCode(args []string, stdout io.Writer) int {
-	var uc cli.UseCaseFlags
+	var w backend.Workload
 	var profile cli.Profile
 	fs := flag.NewFlagSet(tool, flag.ExitOnError)
-	uc.Register(fs)
+	cli.RegisterWorkload(fs, &w)
 	profile.Register(fs)
 	table := fs.Int("table", 0, "TDM table size (0 = search)")
 	modeF := fs.String("mode", "synchronous", "clocking: synchronous|mesochronous|asynchronous")
@@ -62,7 +63,7 @@ func mainCode(args []string, stdout io.Writer) int {
 	// Malformed invocations are rejected up front with one-line
 	// diagnostics and exit code 2, matching aelite-sim's contract.
 	usage := func(err error) int { return cli.Usage(tool, err) }
-	if err := uc.Validate(); err != nil {
+	if err := w.Validate(); err != nil {
 		return usage(err)
 	}
 	if *table < 0 {
@@ -90,12 +91,14 @@ func mainCode(args []string, stdout io.Writer) int {
 	}
 	defer stopProfile()
 
-	m, u, layout, wordBytes, err := uc.Build(*table)
+	if _, _, err := w.Layout(); err != nil {
+		return cli.Failure(tool, fmt.Errorf("%w (allocation-only planning via aelite-exp scale has no such cap)", err))
+	}
+	m, u, cfg, _, err := w.Build(*table)
 	if err != nil {
 		return cli.Failure(tool, err)
 	}
-	cfg := core.Config{FreqMHz: uc.FreqMHz, TableSize: *table, Allocator: *alloc, Mode: mode,
-		Layout: layout, WordBytes: wordBytes}
+	cfg.Allocator, cfg.Mode = *alloc, mode
 	if *backendF == "routerless" {
 		err = allocateRings(stdout, m, u, cfg)
 	} else {

@@ -20,6 +20,7 @@ import (
 	"runtime"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -205,8 +206,8 @@ func main() {
 	flag.Parse()
 	// Malformed invocations are rejected up front with one-line
 	// diagnostics and exit code 2, matching aelite-sim's contract.
-	if *measure <= 0 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-measure %g must be positive", *measure)))
+	if err := core.CheckWindow(experiments.Sec7WarmupNs, *measure); err != nil {
+		os.Exit(cli.Usage(tool, fmt.Errorf("-measure: %w", err)))
 	}
 	if *freq <= 0 {
 		os.Exit(cli.Usage(tool, fmt.Errorf("-freq %g must be positive", *freq)))

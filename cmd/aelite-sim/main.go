@@ -92,7 +92,6 @@ import (
 	"strings"
 
 	"repro/internal/audit"
-	"repro/internal/backend"
 	"repro/internal/cli"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -192,7 +191,10 @@ func createOut(path string) (*os.File, error) {
 // code of a completed run (0, or 1 for a missed requirement or an audit
 // violation), or the error that stopped it.
 func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (int, error) {
-	m, uc, layout, wordBytes, err := o.uc.Build(0)
+	if _, _, err := o.workload.Layout(); err != nil {
+		return 0, fmt.Errorf("%w (allocation-only planning via aelite-exp scale has no such cap)", err)
+	}
+	m, uc, p, _, err := o.workload.Build(0)
 	if err != nil {
 		return 0, err
 	}
@@ -200,11 +202,8 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 	// re-routes a packet into slots reserved for someone else, which only
 	// the allocation-aware probes can attribute.
 	campaign := o.campaign()
-	p := backend.Params{
-		Layout: layout, WordBytes: wordBytes, FreqMHz: o.uc.FreqMHz, Mode: o.clocking,
-		Allocator: o.alloc, Transactional: o.tx,
-		Probes: o.probes || campaign, Reliable: o.reliable, SkewOverridePS: o.skewPS,
-	}
+	p.Mode, p.Allocator, p.Transactional = o.clocking, o.alloc, o.tx
+	p.Probes, p.Reliable, p.SkewOverridePS = o.probes || campaign, o.reliable, o.skewPS
 	// In a campaign, a collector switches every envelope check from
 	// fail-fast panic to graceful violation recording; -strict keeps the
 	// panics so the first violation halts the run.
@@ -226,7 +225,7 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 
 	// Tracing: one bus feeds the Chrome sink, the metrics sink and the
 	// conformance auditor alike.
-	period := clock.PeriodFromMHz(o.uc.FreqMHz)
+	period := clock.PeriodFromMHz(p.FreqMHz)
 	var chrome *trace.Chrome
 	var metrics *trace.Metrics
 	var auditor *audit.Auditor

@@ -15,7 +15,7 @@ import (
 
 // options holds the parsed flags; the package comment documents each.
 type options struct {
-	uc        cli.UseCaseFlags
+	workload  backend.Workload
 	backend   string
 	mode      string
 	warmup    float64
@@ -46,7 +46,7 @@ type options struct {
 }
 
 func (o *options) register(fs *flag.FlagSet) {
-	o.uc.Register(fs)
+	cli.RegisterWorkload(fs, &o.workload)
 	fs.StringVar(&o.alloc, "alloc", "greedy", "slot allocator: greedy | ripup")
 	fs.StringVar(&o.backend, "backend", "aelite", "aelite | aethereal (alias: be) | routerless")
 	fs.StringVar(&o.mode, "mode", "synchronous", "synchronous|mesochronous|asynchronous")
@@ -101,11 +101,11 @@ func (o *options) faultPlan(faultSeed int64) (*fault.Plan, error) {
 // resolves the -backend and -mode names and the -reconfig script on the
 // way.
 func (o *options) validate() (err error) {
-	if err := o.uc.Validate(); err != nil {
+	if err := o.workload.Validate(); err != nil {
 		return err
 	}
-	if o.warmup < 0 || o.measure <= 0 {
-		return fmt.Errorf("-warmup %g must be >= 0 and -measure %g > 0", o.warmup, o.measure)
+	if err := core.CheckWindow(o.warmup, o.measure); err != nil {
+		return fmt.Errorf("-warmup/-measure: %w", err)
 	}
 	alloc, err := slots.ByName(o.alloc)
 	if err != nil {

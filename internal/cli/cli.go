@@ -15,8 +15,8 @@
 // style set by the PR 1 fault layer: a one-line diagnostic instead of a
 // raw stack trace.
 //
-// The package also owns the flags commands share: UseCaseFlags builds the
-// mesh and the mapped use case aelite-sim and aelite-alloc work on, so both
+// The package also owns the flags commands share: RegisterWorkload binds
+// the backend.Workload that aelite-sim and aelite-alloc build, so both
 // read the same command line the same way, and Profile is the -pprof flag
 // of aelite-sim, aelite-exp and aelite-alloc.
 package cli

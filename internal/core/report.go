@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/clock"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/phit"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -76,6 +78,22 @@ func (r *Report) AllWithinBound() bool {
 	return true
 }
 
+// Totals reduces the report to a campaign row: the words delivered, the
+// total measured throughput and the worst latency of any connection. Both
+// floats are finite: a degenerate window (nothing delivered, an empty
+// span) would otherwise aggregate to NaN or Inf, which no JSON artifact
+// can carry.
+func (r *Report) Totals() (delivered int64, totalMBps, worstLatNs float64) {
+	for _, c := range r.Conns {
+		delivered += c.Delivered
+		totalMBps += c.MeasuredMBps
+		if c.LatMaxNs > worstLatNs {
+			worstLatNs = c.LatMaxNs
+		}
+	}
+	return delivered, stats.Finite(totalMBps), stats.Finite(worstLatNs)
+}
+
 // Violations returns the connections that missed a requirement.
 func (r *Report) Violations() []ConnReport {
 	var out []ConnReport
@@ -125,6 +143,17 @@ func (cr *ConnReport) SetMeasured(st *ni.ConnStats, wordBytes int, bounded bool)
 	cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
 	cr.MetLatency = st.Delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
 	cr.WithinBound = !bounded || st.Delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+}
+
+// CheckWindow rejects a run window that OpenWindow cannot simulate: both
+// bounds finite, the warm-up at least zero, the measurement positive, and
+// their sum within simulated time (clock.Time counts int64 picoseconds).
+func CheckWindow(warmupNs, measureNs float64) error {
+	if !(warmupNs >= 0 && measureNs > 0 && (warmupNs+measureNs)*float64(clock.Nanosecond) < math.MaxInt64) {
+		return fmt.Errorf("warm-up %g ns must be >= 0 and measurement %g ns > 0, both finite and together under %.0f ns",
+			warmupNs, measureNs, math.MaxInt64/float64(clock.Nanosecond))
+	}
+	return nil
 }
 
 // OpenWindow is the measurement protocol behind every backend's Run:

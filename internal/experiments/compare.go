@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
@@ -110,18 +109,14 @@ func comparePoint(ctx context.Context, cfg CompareConfig, fam scenario.Family, n
 	if err != nil {
 		return ComparePoint{}, err
 	}
-	scfg := scenario.Default(fam, cfg.Cols, cfg.Rows, cfg.Conns, cfg.Seed)
-	s, err := scenario.Generate(scfg)
+	// Every backend in the row gets the identical workload, its slot table
+	// pinned at the generator's size.
+	w := backend.Workload{Scenario: string(fam), Conns: cfg.Conns, Seed: cfg.Seed, Cols: cfg.Cols, Rows: cfg.Rows}
+	m, uc, p, _, err := w.Build(scenario.DefaultTableSize(cfg.Cols, cfg.Rows))
 	if err != nil {
 		return ComparePoint{}, fmt.Errorf("compare %s/%s: %w", fam, name, err)
 	}
-	m := s.Mesh()
-	inst, err := b.Build(m, s.UseCase, backend.Params{
-		FreqMHz:   scfg.FreqMHz,
-		WordBytes: scfg.WordBytes,
-		TableSize: scfg.TableSize,
-		Mode:      core.Synchronous,
-	})
+	inst, err := b.Build(m, uc, p)
 	if err != nil {
 		return ComparePoint{}, fmt.Errorf("compare %s/%s: build: %w", fam, name, err)
 	}
@@ -135,20 +130,16 @@ func comparePoint(ctx context.Context, cfg CompareConfig, fam scenario.Family, n
 
 	pt := ComparePoint{
 		Family: string(fam), Backend: name, Conns: len(rep.Conns),
-		HasBounds: b.HasBounds(), AllMetThroughput: true, AllWithinBound: true,
+		HasBounds: b.HasBounds(), AllMetThroughput: true, AllWithinBound: rep.AllWithinBound(),
 		AreaUm2: stats.Finite(inst.AreaUm2()),
 	}
 	if aud != nil {
 		pt.AuditViolations = aud.Violations()
 	}
+	pt.Delivered, pt.TotalMBps, pt.WorstLatNs = rep.Totals()
 	var latSum, boundSum float64
 	var latN, boundN int
 	for _, c := range rep.Conns {
-		pt.Delivered += c.Delivered
-		pt.TotalMBps += stats.Finite(c.MeasuredMBps)
-		if c.LatMaxNs > pt.WorstLatNs {
-			pt.WorstLatNs = stats.Finite(c.LatMaxNs)
-		}
 		if c.Delivered > 0 {
 			latSum += stats.Finite(c.LatMeanNs)
 			latN++
@@ -159,9 +150,6 @@ func comparePoint(ctx context.Context, cfg CompareConfig, fam scenario.Family, n
 		}
 		if !c.MetThroughput {
 			pt.AllMetThroughput = false
-		}
-		if !c.WithinBound {
-			pt.AllWithinBound = false
 		}
 	}
 	if latN > 0 {
@@ -184,6 +172,10 @@ func CompareStudy(cfg CompareConfig, jobs int) (*CompareReport, error) {
 // unstarted cells are skipped and the study returns ctx's error.
 func CompareStudyCtx(ctx context.Context, cfg CompareConfig, jobs int) (*CompareReport, error) {
 	cfg.normalize()
+	// Every backend needs the mesh diameter in one header.
+	if _, _, err := (&backend.Workload{Cols: cfg.Cols, Rows: cfg.Rows}).Layout(); err != nil {
+		return nil, fmt.Errorf("compare: %w", err)
+	}
 	type cell struct {
 		fam     scenario.Family
 		backend string

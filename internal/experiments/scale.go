@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/parallel"
-	"repro/internal/phit"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -110,28 +110,28 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 	if err := ctx.Err(); err != nil {
 		return ScalePoint{}, err
 	}
-	scfg := scenario.Default(fam, mesh.Cols, mesh.Rows, mesh.Conns, cfg.Seed)
-	// The header layout follows the mesh diameter (phit.LayoutFor); past
-	// even the wide layout, planning proceeds with the path cap lifted —
-	// allocation-only territory.
-	layout, wordBytes, runnable := phit.LayoutFor(mesh.Cols + mesh.Rows - 1)
-	scfg.WordBytes = wordBytes
-	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc,
-		Layout: layout, WordBytes: wordBytes, UncappedPaths: !runnable}
-	s, err := scenario.Generate(scfg)
-	if err != nil {
+	fail := func(err error) (ScalePoint, error) {
 		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
 	}
+	// The slot table is pinned at the generator's size; past even the wide
+	// header layout, planning proceeds with the path cap lifted —
+	// allocation-only territory.
+	w := backend.Workload{Scenario: string(fam), Conns: mesh.Conns, Seed: cfg.Seed, Cols: mesh.Cols, Rows: mesh.Rows}
+	tableSize := scenario.DefaultTableSize(mesh.Cols, mesh.Rows)
+	m, uc, ncfg, runnable, err := w.Build(tableSize)
+	if err != nil {
+		return fail(err)
+	}
+	ncfg.Allocator, ncfg.UncappedPaths = alloc, !runnable
 	pt := ScalePoint{
 		Family: string(fam), Cols: mesh.Cols, Rows: mesh.Rows, Conns: mesh.Conns,
-		Allocator: alloc, TableSize: scfg.TableSize,
+		Allocator: alloc, TableSize: tableSize,
 	}
-	m := s.Mesh()
 	start := time.Now()
-	plan, err := core.PlanAllocation(m, s.UseCase, ncfg)
+	plan, err := core.PlanAllocation(m, uc, ncfg)
 	pt.allocTime = time.Since(start)
 	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
+		return fail(err)
 	}
 	pt.Placed = len(plan.Placed)
 	pt.Failed = len(plan.Failed)
@@ -144,18 +144,16 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 		return ScalePoint{}, err
 	}
 
-	// Simulated sample: regenerate the scenario (a use case must never be
-	// shared across builds) and rebuild on a fresh mesh with the
-	// conformance auditor attached, then measure how tight the analytical
-	// bounds are against observed worst cases.
-	s2, err := scenario.Generate(scfg)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
+	// Simulated sample: rebuild the workload (a use case must never be
+	// shared across builds) with the conformance auditor attached, then
+	// measure how tight the analytical bounds are against observed worst
+	// cases.
+	if m, uc, _, _, err = w.Build(tableSize); err != nil {
+		return fail(err)
 	}
-	m = s2.Mesh()
-	n, err := core.Build(m, s2.UseCase, ncfg)
+	n, err := core.Build(m, uc, ncfg)
 	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale %s %dx%d %s: simulated build: %w", fam, mesh.Cols, mesh.Rows, alloc, err)
+		return fail(fmt.Errorf("simulated build: %w", err))
 	}
 	bus := trace.NewBus()
 	n.AttachTracer(bus)

@@ -42,11 +42,11 @@ const Sec7BEOpportunism = 4
 // the same slot granularity.
 const Sec7TableSize = 64
 
-// sec7WarmupNs lets start-up transients (simultaneous first transactions,
+// Sec7WarmupNs lets start-up transients (simultaneous first transactions,
 // credit pipelines filling) drain before statistics are collected; words
 // injected during warm-up would otherwise carry their queueing delay into
 // the measured window.
-const sec7WarmupNs = 10000
+const Sec7WarmupNs = 10000
 
 // Sec7Mesh builds the 4x3 mesh with 4 NIs per router.
 func Sec7Mesh() *topology.Mesh { return topology.NewMesh(4, 3, 4) }
@@ -201,7 +201,7 @@ func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, probes bool, measureNs
 	if err != nil {
 		return nil, err
 	}
-	return n.Run(sec7WarmupNs, measureNs), nil
+	return n.Run(Sec7WarmupNs, measureNs), nil
 }
 
 // BuildSec7BE builds the Æthereal best-effort baseline of Section VII at
@@ -232,7 +232,7 @@ func Sec7BEFactor(seed int64, fMHz float64, measureNs float64, rateFactor float6
 			n.Generator(c.ID).SetRateMBps(c.BandwidthMBps*rateFactor, 4)
 		}
 	}
-	return n.Run(sec7WarmupNs, measureNs), nil
+	return n.Run(Sec7WarmupNs, measureNs), nil
 }
 
 // Comparison summarises the aelite-vs-BE contrast of Section VII.

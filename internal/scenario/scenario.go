@@ -105,12 +105,18 @@ func (c *Config) applyDefaults() {
 		c.WordBytes = 4
 	}
 	if c.TableSize == 0 {
-		if c.Cols*c.Rows > 64 {
-			c.TableSize = 128
-		} else {
-			c.TableSize = 64
-		}
+		c.TableSize = DefaultTableSize(c.Cols, c.Rows)
 	}
+}
+
+// DefaultTableSize is the slot table a generated workload on a cols x rows
+// mesh sizes its rates for unless its config names one: 64 slots, 128 for
+// meshes beyond 8x8.
+func DefaultTableSize(cols, rows int) int {
+	if cols*rows > 64 {
+		return 128
+	}
+	return 64
 }
 
 // Name is the generated use case's name, "<family>-<cols>x<rows>-s<seed>".

@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/phit"
 	"repro/internal/scenario"
 	"repro/internal/slots"
-	"repro/internal/stats"
 )
 
 // A JobSpec is one submitted unit of work: a sweep campaign of Shards
@@ -124,15 +123,14 @@ func (s *JobSpec) Validate() error {
 	if s.FreqMHz <= 0 {
 		return fmt.Errorf("freq_mhz %g must be positive", s.FreqMHz)
 	}
-	if s.WarmupNs < 0 || s.MeasureNs <= 0 {
-		return fmt.Errorf("warmup_ns %g must be >= 0 and measure_ns %g > 0", s.WarmupNs, s.MeasureNs)
+	if err := core.CheckWindow(s.WarmupNs, s.MeasureNs); err != nil {
+		return fmt.Errorf("warmup_ns/measure_ns: %w", err)
 	}
 	if s.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms %d must not be negative", s.DeadlineMs)
 	}
-	if layout, _, ok := phit.LayoutFor(s.Cols + s.Rows - 1); s.Kind == "scenario" && !ok {
-		return fmt.Errorf("a %dx%d mesh needs %d-hop headers; the widest runnable layout encodes %d (submit kind \"scale\" for allocation-only planning)",
-			s.Cols, s.Rows, s.Cols+s.Rows-1, layout.MaxHops())
+	if _, _, err := s.workload(0).Layout(); err != nil && s.Kind != "scale" {
+		return fmt.Errorf("%w (submit kind \"scale\" for allocation-only planning)", err)
 	}
 	return nil
 }
@@ -197,108 +195,68 @@ type ShardResult struct {
 
 // runShard executes one shard of the spec. It is the worker's unit of
 // work: deterministic in (spec, shard), bounded, and oblivious to the
-// scheduler around it. ctx cancels a scale study between its points;
-// scenario shards check it once up front (a single small simulation is
+// scheduler around it. A scale or compare job is one study, run by the
+// experiments runner (and, through it, the context-aware parallel sweep)
+// that ctx cancels between its points; compare runs the submitted family,
+// after "uniform" when it differs, through every registered backend.
+// Scenario shards check ctx once up front (a single small simulation is
 // bounded work).
 func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if spec.Kind == "scale" {
-		return runScaleShard(ctx, spec)
-	}
-	if spec.Kind == "compare" {
-		return runCompareShard(ctx, spec)
+	switch spec.Kind {
+	case "scale":
+		rep, err := experiments.ScaleStudyCtx(ctx, experiments.ScaleConfig{
+			Seed:       spec.Seed,
+			Families:   scenario.Families(),
+			Meshes:     []experiments.ScaleMesh{{Cols: spec.Cols, Rows: spec.Rows, Conns: spec.Conns}},
+			Allocators: []string{"greedy", "ripup"},
+			WarmupNs:   spec.WarmupNs,
+			MeasureNs:  spec.MeasureNs,
+		}, 2)
+		return &ShardResult{Name: "scale", Scale: rep}, err
+	case "compare":
+		families := []scenario.Family{scenario.Uniform}
+		if fam := scenario.Family(spec.Family); fam != scenario.Uniform {
+			families = append(families, fam)
+		}
+		rep, err := experiments.CompareStudyCtx(ctx, experiments.CompareConfig{
+			Seed:     spec.Seed,
+			Families: families,
+			Cols:     spec.Cols, Rows: spec.Rows, Conns: spec.Conns,
+			WarmupNs:  spec.WarmupNs,
+			MeasureNs: spec.MeasureNs,
+		}, 2)
+		return &ShardResult{Name: "compare", Compare: rep}, err
 	}
 
-	fam, err := scenario.ParseFamily(spec.Family)
+	m, uc, p, _, err := spec.workload(shard).Build(0)
 	if err != nil {
 		return nil, err
 	}
-	scfg := scenario.Default(fam, spec.Cols, spec.Rows, spec.Conns, spec.Seed+int64(shard))
-	scfg.FreqMHz = spec.FreqMHz
-	mode, err := core.ParseMode(spec.Mode)
-	if err != nil {
+	if p.Mode, err = core.ParseMode(spec.Mode); err != nil {
 		return nil, err
 	}
-	// Header layout follows the mesh diameter, as in the CLIs.
-	layout, wordBytes, _ := phit.LayoutFor(spec.Cols + spec.Rows - 1)
-	scfg.WordBytes = wordBytes
-	ncfg := core.Config{FreqMHz: spec.FreqMHz, Allocator: spec.Allocator, Mode: mode, Layout: layout, WordBytes: wordBytes}
-	s, err := scenario.Generate(scfg)
-	if err != nil {
-		return nil, err
-	}
-	m := s.Mesh()
-	n, err := core.Build(m, s.UseCase, ncfg)
+	p.Allocator = spec.Allocator
+	n, err := core.Build(m, uc, p)
 	if err != nil {
 		return nil, err
 	}
 	rep := n.Run(spec.WarmupNs, spec.MeasureNs)
-
 	res := &ShardResult{
-		Shard: shard, Name: scfg.Name(), Conns: len(rep.Conns),
+		Shard: shard, Name: uc.Name, Conns: len(rep.Conns),
 		AllMet: rep.AllMet(), AllWithinBound: rep.AllWithinBound(),
 	}
-	for _, c := range rep.Conns {
-		res.Delivered += c.Delivered
-		res.TotalMBps += c.MeasuredMBps
-		if c.LatMaxNs > res.WorstLatNs {
-			res.WorstLatNs = c.LatMaxNs
-		}
-	}
-	// A degenerate window (nothing delivered, empty span) aggregates to
-	// NaN/Inf, and one such value fails the whole artifact marshal.
-	res.TotalMBps = stats.Finite(res.TotalMBps)
-	res.WorstLatNs = stats.Finite(res.WorstLatNs)
+	res.Delivered, res.TotalMBps, res.WorstLatNs = rep.Totals()
 	return res, nil
 }
 
-// runScaleShard runs the spec as a one-mesh scale study across every
-// generator family and both allocators, reusing the experiments runner
-// (and, through it, the context-aware parallel sweep).
-func runScaleShard(ctx context.Context, spec JobSpec) (*ShardResult, error) {
-	cfg := experiments.ScaleConfig{
-		Seed:       spec.Seed,
-		Families:   scenario.Families(),
-		Meshes:     []experiments.ScaleMesh{{Cols: spec.Cols, Rows: spec.Rows, Conns: spec.Conns}},
-		Allocators: []string{"greedy", "ripup"},
-		WarmupNs:   spec.WarmupNs,
-		MeasureNs:  spec.MeasureNs,
-	}
-	rep, err := experiments.ScaleStudyCtx(ctx, cfg, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardResult{Shard: 0, Name: "scale", Scale: rep}, nil
-}
-
-// runCompareShard runs the spec as an N-backend comparison study: the
-// submitted family plus "uniform" (when it differs) through every
-// registered backend, reusing the experiments runner. The resulting
-// table is deterministic in the spec, so it satisfies the artifact
-// byte-identity contract as-is.
-func runCompareShard(ctx context.Context, spec JobSpec) (*ShardResult, error) {
-	fam, err := scenario.ParseFamily(spec.Family)
-	if err != nil {
-		return nil, err
-	}
-	families := []scenario.Family{fam}
-	if fam != scenario.Uniform {
-		families = append([]scenario.Family{scenario.Uniform}, families...)
-	}
-	cfg := experiments.CompareConfig{
-		Seed:     spec.Seed,
-		Families: families,
-		Cols:     spec.Cols, Rows: spec.Rows, Conns: spec.Conns,
-		WarmupNs:  spec.WarmupNs,
-		MeasureNs: spec.MeasureNs,
-	}
-	rep, err := experiments.CompareStudyCtx(ctx, cfg, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardResult{Shard: 0, Name: "compare", Compare: rep}, nil
+// workload is the generated workload of one scenario shard: shard i runs
+// the family at seed Seed+i.
+func (s *JobSpec) workload(shard int) *backend.Workload {
+	return &backend.Workload{Scenario: s.Family, Conns: s.Conns, Seed: s.Seed + int64(shard),
+		Cols: s.Cols, Rows: s.Rows, FreqMHz: s.FreqMHz}
 }
 
 // An Artifact is a completed job's canonical campaign output: the spec,

@@ -23,14 +23,13 @@ var optionStructs = map[string]bool{
 	"traffic.Model":         true,
 	"experiments.ScaleMesh": true,
 	"serve.JobSpec":         true,
-	"cli.UseCaseFlags":      true,
+	"backend.Workload":      true,
 }
 
 // optionsAllowed lists what TestEveryOptionVaries does not hold to its
 // rule, by struct or by field, each with the reason.
 var optionsAllowed = map[string]string{
 	"serve.JobSpec":                  "decoded from the JSON a client posts",
-	"cli.UseCaseFlags":               "filled by the flag package from the command line",
 	"scenario.Config.Seed":           "varies through Default's seed argument, which every caller passes",
 	"experiments.ScaleMesh.Simulate": "true on one of DefaultScaleConfig's meshes and false on two",
 }

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 const (
@@ -97,5 +100,29 @@ func TestGolden(t *testing.T) {
 	_, j4, _ = bytes.Cut(j4, []byte("\n"))
 	if !bytes.Equal(j1, j4) {
 		t.Error("-runs 3 renders differently at -j 1 and -j 4")
+	}
+}
+
+// TestWindowRejected: a run window that is not finite, or that overflows
+// simulated time, is a usage error (exit 2, one diagnostic line) before
+// anything is built; it used to run an empty window and report every
+// requirement missed.
+func TestWindowRejected(t *testing.T) {
+	for _, args := range []string{
+		"-random 4 -measure NaN",
+		"-random 4 -measure Inf",
+		"-random 4 -measure 1e17",
+		"-random 4 -warmup 1e17",
+		"-random 4 -warmup -1",
+	} {
+		var stdout, stderr bytes.Buffer
+		saved := cli.Stderr
+		cli.Stderr = &stderr
+		code := mainCode(strings.Fields(args), &stdout)
+		cli.Stderr = saved
+		if code != cli.ExitUsage || stdout.Len() != 0 || bytes.Count(stderr.Bytes(), []byte("\n")) != 1 ||
+			!strings.Contains(stderr.String(), "-warmup/-measure") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one -warmup/-measure diagnostic", args, code, &stdout, &stderr)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -197,5 +198,32 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() != "Mode(9)" {
 		t.Error("unknown mode string")
+	}
+}
+
+// TestCheckWindow: the one run-window check accepts what OpenWindow can
+// simulate and rejects NaN, infinite, negative and overflowing bounds.
+func TestCheckWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		warmup, measure float64
+		ok              bool
+	}{
+		{"typical", 10000, 50000, true},
+		{"no warm-up", 0, 1, true},
+		{"largest representable", 0, 9e15, true},
+		{"measure NaN", 0, math.NaN(), false},
+		{"warm-up NaN", math.NaN(), 1000, false},
+		{"measure +Inf", 0, math.Inf(1), false},
+		{"warm-up -Inf", math.Inf(-1), 1000, false},
+		{"measure 1e17 overflows", 0, 1e17, false},
+		{"warm-up 1e17 overflows", 1e17, 1000, false},
+		{"sum overflows", 5e15, 5e15, false},
+		{"warm-up negative", -1, 1000, false},
+		{"measure zero", 0, 0, false},
+	} {
+		if err := CheckWindow(tc.warmup, tc.measure); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckWindow(%g, %g) = %v, want ok %v", tc.name, tc.warmup, tc.measure, err, tc.ok)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestCompareSmokeVerifies: the CI-sized study runs every registered
@@ -72,5 +74,37 @@ func TestCompareRejectsUnknownBackend(t *testing.T) {
 		t.Fatal("study accepted an unregistered backend")
 	} else if !strings.Contains(err.Error(), "aelite") {
 		t.Errorf("error does not list valid backends: %v", err)
+	}
+}
+
+// TestCompareWideMeshes: meshes whose routes outgrow the 32-bit header
+// run on every backend with the wide layout the diameter needs, audited
+// clean; a mesh no layout can encode is rejected before any cell runs.
+func TestCompareWideMeshes(t *testing.T) {
+	// At this seed the 40th connection of the 5x5 workload is the first
+	// whose route outgrows the 32-bit header.
+	for _, mesh := range []struct{ size, conns int }{{5, 40}, {8, 24}} {
+		size := mesh.size
+		cfg := CompareConfig{Seed: Sec7Seed, Families: []scenario.Family{scenario.Uniform},
+			Cols: size, Rows: size, Conns: mesh.conns, WarmupNs: 4000, MeasureNs: 20000}
+		rep, err := CompareStudy(cfg, 2)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", size, size, err)
+		}
+		if err := rep.Verify(); err != nil {
+			t.Errorf("%dx%d: %v", size, size, err)
+		}
+		if len(rep.Points) != 3 {
+			t.Fatalf("%dx%d: %d points, want one per backend", size, size, len(rep.Points))
+		}
+		for _, p := range rep.Points {
+			if p.Delivered == 0 || p.AuditViolations != 0 {
+				t.Errorf("%dx%d %s: delivered %d, %d audit violations", size, size, p.Backend, p.Delivered, p.AuditViolations)
+			}
+		}
+	}
+	_, err := CompareStudy(CompareConfig{Seed: Sec7Seed, Cols: 9, Rows: 9, Conns: 8, MeasureNs: 1000}, 1)
+	if err == nil || !strings.Contains(err.Error(), "17-hop headers") {
+		t.Errorf("9x9: err = %v, want the header-limit rejection", err)
 	}
 }

@@ -89,28 +89,16 @@ func (w *Workload) Build(tableSize int) (m *topology.Mesh, uc *spec.UseCase, p P
 	nis := w.NIs
 	switch {
 	case w.Scenario != "":
-		fam, err := scenario.ParseFamily(w.Scenario)
-		if err != nil {
-			return nil, nil, p, false, err
-		}
-		cfg := scenario.Default(fam, w.Cols, w.Rows, w.Conns, w.Seed)
-		if w.NIs != 0 {
-			cfg.NIsPerRouter = w.NIs
-		}
-		if w.FreqMHz != 0 {
-			cfg.FreqMHz = w.FreqMHz
-		}
 		// Quantisation must target the word width the network will
-		// actually run at (the wide layout carries 8-byte words).
-		cfg.WordBytes = wordBytes
-		if tableSize != 0 {
-			cfg.TableSize = tableSize
-		}
-		s, err := scenario.Generate(cfg)
+		// actually run at (the wide layout carries 8-byte words). Zero
+		// fields keep the generator's defaults.
+		s, err := scenario.Generate(scenario.Config{Family: scenario.Family(w.Scenario), Seed: w.Seed,
+			Cols: w.Cols, Rows: w.Rows, NIsPerRouter: w.NIs, Conns: w.Conns,
+			FreqMHz: w.FreqMHz, WordBytes: wordBytes, TableSize: tableSize})
 		if err != nil {
 			return nil, nil, p, false, err
 		}
-		uc, nis, p.FreqMHz = s.UseCase, cfg.NIsPerRouter, cfg.FreqMHz
+		uc, nis, p.FreqMHz = s.UseCase, s.Cfg.NIsPerRouter, s.Cfg.FreqMHz
 	case w.Spec != "":
 		if uc, err = spec.Load(w.Spec); err != nil {
 			return nil, nil, p, false, err

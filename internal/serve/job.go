@@ -215,7 +215,10 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 			WarmupNs:   spec.WarmupNs,
 			MeasureNs:  spec.MeasureNs,
 		}, 2)
-		return &ShardResult{Name: "scale", Scale: rep}, err
+		if err != nil {
+			return nil, err
+		}
+		return &ShardResult{Name: "scale", Scale: rep}, nil
 	case "compare":
 		families := []scenario.Family{scenario.Uniform}
 		if fam := scenario.Family(spec.Family); fam != scenario.Uniform {
@@ -228,7 +231,10 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 			WarmupNs:  spec.WarmupNs,
 			MeasureNs: spec.MeasureNs,
 		}, 2)
-		return &ShardResult{Name: "compare", Compare: rep}, err
+		if err != nil {
+			return nil, err
+		}
+		return &ShardResult{Name: "compare", Compare: rep}, nil
 	}
 
 	m, uc, p, _, err := spec.workload(shard).Build(0)

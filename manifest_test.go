@@ -20,8 +20,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/artifacts.txt from this tree's outputs")
 
 // manifestPath is the committed manifest: one line per deterministic
-// artifact, "name command sha256", the command literal and space-free
-// names and hashes, so a moved digest is a one-line diff.
+// artifact, holding its name, the literal command and the sha256 of the
+// output bytes, so a moved artifact is a one-line diff.
 const manifestPath = "testdata/artifacts.txt"
 
 // An artifact is one output the manifest pins. cmd runs a binary built

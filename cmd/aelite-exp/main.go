@@ -116,11 +116,7 @@ func main() {
 		{name: "hetero", help: "HSDF model of the wrapped NoC (extension)",
 			run: func() error { return experiments.WriteHeterochronous(out) }},
 		{name: "recovery", help: "bit-flip recovery campaign (reliability layer)", run: func() error {
-			cfg := experiments.DefaultRecoveryConfig()
-			cfg.Seed = *seed
-			fmt.Fprintf(out, "Bit-flip recovery campaign: %d points, bitflip %.4f drop %.4f per link\n",
-				cfg.Points, cfg.BitFlip, cfg.Drop)
-			return experiments.WriteRecovery(out, cfg, *jobs)
+			return experiments.WriteRecovery(out, *seed, *jobs)
 		}},
 		{name: "reconfig", help: "online reconfiguration: admission control, undisturbed service, self-healing reroute (-out)", run: func() error {
 			cfg := experiments.DefaultReconfigConfig()
@@ -167,11 +163,7 @@ func main() {
 			return study(rep.Render, rep.WriteJSON, rep.Verify)
 		}},
 		{name: "conformance", help: "guarantee-conformance sweep (audit layer)", run: func() error {
-			cfg := experiments.DefaultConformanceConfig()
-			cfg.Seed = *seed
-			fmt.Fprintf(out, "Guarantee-conformance sweep: tables %v under all clocking modes, every flit audited\n",
-				cfg.TableSizes)
-			return experiments.WriteConformance(out, cfg, *jobs)
+			return experiments.WriteConformance(out, *seed, *jobs)
 		}},
 		{name: "scan", help: "best-effort frequency scan (>900 MHz crossover)", run: func() error {
 			points, crossover, err := experiments.FrequencyScan(*seed, nil, *measure, *jobs)

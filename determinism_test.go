@@ -134,13 +134,12 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	}
 }
 
-// recoverySummaries renders a three-point bit-flip recovery campaign at
-// the given worker count.
+// recoverySummaries renders the bit-flip recovery campaign on seed 77's
+// workload at the given worker count.
 func recoverySummaries(t *testing.T, jobs int) []byte {
 	t.Helper()
-	cfg := experiments.RecoveryConfig{Seed: 77, Points: 3, BitFlip: 0.01, Drop: 0.001, MeasureNs: 20000}
 	var buf bytes.Buffer
-	if err := experiments.WriteRecovery(&buf, cfg, jobs); err != nil {
+	if err := experiments.WriteRecovery(&buf, 77, jobs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

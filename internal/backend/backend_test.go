@@ -226,13 +226,13 @@ func generatorOf(inst Instance, id phit.ConnID) *traffic.Generator {
 
 // TestBackendsOfferSameLoad holds the three backends to the paper's
 // Section VII premise — same mapping, same offered load: built from one
-// use case with one non-CBR traffic shape, every connection's generator
+// use case with transactional traffic, every connection's generator
 // offers the same words on every fabric. The rates span all three
 // transaction-size classes, and the window ends after every generator's
-// first transaction and before any second one, so under Transactional the
-// count is exactly the transaction size. (The ring overlay used to size
-// transactions by its own rate/10 rule: 6, 12 and 20 words where the
-// routed fabrics sent 8, 8 and 16.)
+// first transaction and before any second one, so the count is exactly
+// the transaction size. (The ring overlay used to size transactions by its
+// own rate/10 rule: 6, 12 and 20 words where the routed fabrics sent 8, 8
+// and 16.)
 func TestBackendsOfferSameLoad(t *testing.T) {
 	rates := []float64{20, 30, 60, 120, 160, 200}
 	workload := func() (*topology.Mesh, *spec.UseCase) {
@@ -250,45 +250,41 @@ func TestBackendsOfferSameLoad(t *testing.T) {
 		return m, uc
 	}
 	const windowCycles = 100
-	for _, shape := range []Params{{Transactional: true}, {TrafficBurstFactor: 4}} {
-		t.Run(fmt.Sprintf("tx=%v,burst=%g", shape.Transactional, shape.TrafficBurstFactor), func(t *testing.T) {
-			offered := make(map[string][]int64)
-			for _, name := range Names() {
-				b, err := ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, uc := workload()
-				inst, err := b.Build(m, uc, shape)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				bus := trace.NewBus()
-				met := trace.NewMetrics(bus)
-				inst.AttachTracer(bus)
-				inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
-				for _, c := range uc.Connections {
-					if generatorOf(inst, c.ID).Rejected() != 0 {
-						t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
-					}
-					var injected int64
-					if cm := met.Conn(c.ID); cm != nil {
-						injected = cm.Injected
-					}
-					offered[name] = append(offered[name], injected)
-				}
+	offered := make(map[string][]int64)
+	for _, name := range Names() {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, uc := workload()
+		inst, err := b.Build(m, uc, Params{Transactional: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bus := trace.NewBus()
+		met := trace.NewMetrics(bus)
+		inst.AttachTracer(bus)
+		inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
+		for _, c := range uc.Connections {
+			if generatorOf(inst, c.ID).Rejected() != 0 {
+				t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
 			}
-			for i, r := range rates {
-				want := offered["aelite"][i]
-				if shape.Transactional && want != int64(traffic.TxWordsForRate(r)) {
-					t.Errorf("aelite offered %d words at %.0f MB/s, want one %d-word transaction", want, r, traffic.TxWordsForRate(r))
-				}
-				for _, name := range Names() {
-					if got := offered[name][i]; got != want {
-						t.Errorf("connection %d (%.0f MB/s): %s was offered %d words, aelite %d", i+1, r, name, got, want)
-					}
-				}
+			var injected int64
+			if cm := met.Conn(c.ID); cm != nil {
+				injected = cm.Injected
 			}
-		})
+			offered[name] = append(offered[name], injected)
+		}
+	}
+	for i, r := range rates {
+		want := offered["aelite"][i]
+		if want != int64(traffic.TxWordsForRate(r)) {
+			t.Errorf("aelite offered %d words at %.0f MB/s, want one %d-word transaction", want, r, traffic.TxWordsForRate(r))
+		}
+		for _, name := range Names() {
+			if got := offered[name][i]; got != want {
+				t.Errorf("connection %d (%.0f MB/s): %s was offered %d words, aelite %d", i+1, r, name, got, want)
+			}
+		}
 	}
 }

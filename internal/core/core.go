@@ -82,9 +82,6 @@ type Config struct {
 	// Probes enables dynamic TDM-ownership verification on every link
 	// entry (panics on any violation of the allocated schedule).
 	Probes bool
-	// TrafficBurstFactor > 1 makes generators bursty (on/off) at the
-	// same average rate; 0 or 1 selects CBR.
-	TrafficBurstFactor float64
 	// Transactional makes every IP emit whole transactions at line rate
 	// (words sized by traffic.TxWordsForRate) instead of smooth CBR, and
 	// sizes slot reservations and latency bounds for transaction drains.
@@ -159,7 +156,7 @@ func (c *Config) ApplyDefaults() {
 // Traffic is the traffic model the config offers every connection, on
 // whichever backend is built from it.
 func (c Config) Traffic() traffic.Model {
-	return traffic.Model{WordBytes: c.WordBytes, BurstFactor: c.TrafficBurstFactor, Transactional: c.Transactional}
+	return traffic.Model{WordBytes: c.WordBytes, Transactional: c.Transactional}
 }
 
 // A Network is a built, runnable aelite instance.

@@ -14,35 +14,23 @@ import (
 	"repro/internal/trace"
 )
 
-// ConformanceConfig parameterises the guarantee-conformance sweep: one
-// fixed workload audited under every combination of slot-table size and
-// clocking mode, each point paired with a perturbed re-execution that
-// oversubscribes every interfering connection and diffs the watched
-// connection's delivery timeline for byte identity — the paper's
-// composability and worst-case-bound claims checked against every
-// simulated flit.
-type ConformanceConfig struct {
-	Seed       int64       // workload seed
-	TableSizes []int       // TDM slot-table sizes to sweep
-	Modes      []core.Mode // clocking modes to sweep
-	MeasureNs  float64     // simulated time per run
-}
-
-// conformancePerturbFactor is the interferers' offered-load multiplier in
-// the paired run.
-const conformancePerturbFactor = 8.0
-
-// DefaultConformanceConfig is the documented sweep: tables 8, 16 and 32
-// under all three clocking modes, interferers pushed to 8x their
+// The guarantee-conformance sweep audits one fixed workload under every
+// combination of slot-table size and clocking mode, each point paired with
+// a perturbed re-execution that oversubscribes every interfering
+// connection and diffs the watched connection's delivery timeline for byte
+// identity — the paper's composability and worst-case-bound claims checked
+// against every simulated flit. It runs tables 8, 16 and 32 under all
+// three clocking modes for 20 µs each, interferers pushed to 8x their
 // reservation in the paired run.
-func DefaultConformanceConfig() ConformanceConfig {
-	return ConformanceConfig{
-		Seed:       Sec7Seed,
-		TableSizes: []int{8, 16, 32},
-		Modes:      []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous},
-		MeasureNs:  20000,
-	}
-}
+var (
+	conformanceTableSizes = []int{8, 16, 32}
+	conformanceModes      = []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous}
+)
+
+const (
+	conformanceMeasureNs     = 20000
+	conformancePerturbFactor = 8.0
+)
 
 // conformanceRun is one audited execution's verdict.
 type conformanceRun struct {
@@ -58,12 +46,12 @@ type conformanceRun struct {
 // byte-identity diff of the watched connection's delivery instants. It
 // returns a one-line verdict, or an error naming the first broken
 // guarantee.
-func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (string, error) {
+func conformancePoint(seed int64, tableSize int, mode core.Mode) (string, error) {
 	var runs [2]conformanceRun
 	res, err := audit.Isolation(2, func(perturbed bool) (audit.Timelines, error) {
 		m := topology.NewMesh(3, 2, 2)
 		uc := spec.Random(spec.RandomConfig{
-			Name: "conformance", Seed: cfg.Seed, IPs: 8, Apps: 2, Conns: 6,
+			Name: "conformance", Seed: seed, IPs: 8, Apps: 2, Conns: 6,
 			MinRateMBps: 10, MaxRateMBps: 60,
 			MinLatencyNs: 500, MaxLatencyNs: 1500,
 		})
@@ -93,7 +81,7 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 				n.Generator(id).SetRateMBps(other.RequiredMBps*conformancePerturbFactor, 4)
 			}
 		}
-		n.Run(0, cfg.MeasureNs)
+		n.Run(0, conformanceMeasureNs)
 
 		idx := 0
 		if perturbed {
@@ -130,30 +118,26 @@ func conformancePoint(cfg ConformanceConfig, tableSize int, mode core.Mode) (str
 		tableSize, mode, conformancePerturbFactor, res.Words), nil
 }
 
-// ConformanceSweep fans every (table size, mode) point across up to jobs
-// workers and returns the rendered verdicts in sweep order — byte-identical
-// at every worker count. Any broken guarantee aborts the sweep with an
-// error naming the point and the first diagnostic.
-func ConformanceSweep(cfg ConformanceConfig, jobs int) ([]string, error) {
-	type point struct {
-		table int
-		mode  core.Mode
-	}
-	var pts []point
-	for _, s := range cfg.TableSizes {
-		for _, m := range cfg.Modes {
-			pts = append(pts, point{s, m})
-		}
-	}
-	return parallel.Map(jobs, len(pts), func(i int) (string, error) {
-		return conformancePoint(cfg, pts[i].table, pts[i].mode)
+// conformanceSweep fans every (table size, mode) point of the workload
+// drawn from seed across up to jobs workers and returns the rendered
+// verdicts in sweep order, table-major — byte-identical at every worker
+// count. Any broken guarantee aborts the sweep with an error naming the
+// point and the first diagnostic.
+func conformanceSweep(seed int64, jobs int) ([]string, error) {
+	n := len(conformanceModes)
+	return parallel.Map(jobs, len(conformanceTableSizes)*n, func(i int) (string, error) {
+		return conformancePoint(seed, conformanceTableSizes[i/n], conformanceModes[i%n])
 	})
 }
 
-// WriteConformance runs the sweep and writes the concatenated verdicts —
-// the conformance artefact recorded in EXPERIMENTS.md and gated in CI.
-func WriteConformance(w io.Writer, cfg ConformanceConfig, jobs int) error {
-	lines, err := ConformanceSweep(cfg, jobs)
+// WriteConformance writes a header line and runs the sweep on the workload
+// drawn from seed, writing the concatenated verdicts — the conformance
+// artefact recorded in EXPERIMENTS.md and gated in CI.
+func WriteConformance(w io.Writer, seed int64, jobs int) error {
+	if _, err := fmt.Fprintf(w, "Guarantee-conformance sweep: tables %v under all clocking modes, every flit audited\n", conformanceTableSizes); err != nil {
+		return err
+	}
+	lines, err := conformanceSweep(seed, jobs)
 	if err != nil {
 		return err
 	}

@@ -13,34 +13,29 @@ import (
 	"repro/internal/trace"
 )
 
-// RecoveryConfig parameterises the bit-flip recovery campaign: a sweep of
-// independent fault-injection points over one fixed workload with the
-// end-to-end reliability shell enabled. Each point arms seeded per-link
-// bit-flip and flit-drop processes (fault seed = Seed + point index) and
-// measures how the retransmission machinery heals the losses.
-type RecoveryConfig struct {
-	Seed      int64   // workload seed; point i uses fault seed Seed+i
-	Points    int     // independent campaign points
-	BitFlip   float64 // per-phit bit-flip probability on every link
-	Drop      float64 // per-flit drop probability on every link
-	MeasureNs float64 // simulated time per point
-}
+// The bit-flip recovery campaign is a sweep of independent
+// fault-injection points over one fixed workload with the end-to-end
+// reliability shell enabled. Each point arms seeded per-link bit-flip and
+// flit-drop processes (fault seed = workload seed + point index) and
+// measures, over 40 µs, how the retransmission machinery heals the losses.
+// It runs four points at a 1% phit corruption rate (roughly 2% of flits,
+// each flit exposing two corruptible phits) plus a light flit-drop process.
+const (
+	recoveryPoints    = 4
+	recoveryBitFlip   = 0.01  // per-phit bit-flip probability on every link
+	recoveryDrop      = 0.001 // per-flit drop probability on every link
+	recoveryMeasureNs = 40000
+)
 
-// DefaultRecoveryConfig is the documented campaign: four points at a 1%
-// phit corruption rate (roughly 2% of flits, each flit exposing two
-// corruptible phits) plus a light flit-drop process.
-func DefaultRecoveryConfig() RecoveryConfig {
-	return RecoveryConfig{Seed: Sec7Seed, Points: 4, BitFlip: 0.01, Drop: 0.001, MeasureNs: 40000}
-}
-
-// recoveryPoint builds the workload, arms point i's fault processes, runs
-// the campaign and renders its summary. The render is fully determined by
-// the configuration: the simulation is single-threaded and seeded, so the
-// same point yields byte-identical text at every sweep worker count.
-func recoveryPoint(cfg RecoveryConfig, i int) (string, error) {
+// recoveryPoint builds the workload drawn from seed, arms point i's fault
+// processes, runs the campaign and renders its summary. The render is
+// fully determined by seed and i: the simulation is single-threaded and
+// seeded, so the same point yields byte-identical text at every sweep
+// worker count.
+func recoveryPoint(seed int64, i int) (string, error) {
 	m := topology.NewMesh(3, 2, 2)
 	uc := spec.Random(spec.RandomConfig{
-		Name: "recovery", Seed: cfg.Seed, IPs: 10, Apps: 2, Conns: 10,
+		Name: "recovery", Seed: seed, IPs: 10, Apps: 2, Conns: 10,
 		MinRateMBps: 20, MaxRateMBps: 120,
 		MinLatencyNs: 300, MaxLatencyNs: 900,
 	})
@@ -55,18 +50,18 @@ func recoveryPoint(cfg RecoveryConfig, i int) (string, error) {
 	mx := trace.NewMetrics(bus)
 	n.AttachTracer(bus)
 
-	plan := &fault.Plan{Seed: cfg.Seed + int64(i), Rates: []fault.RateRule{
-		{BitFlip: cfg.BitFlip, Drop: cfg.Drop},
+	plan := &fault.Plan{Seed: seed + int64(i), Rates: []fault.RateRule{
+		{BitFlip: recoveryBitFlip, Drop: recoveryDrop},
 	}}
 	campaign := fault.NewCampaign(plan, col)
 	if err := campaign.Arm(n.Engine(), n.FaultTargets()); err != nil {
 		return "", err
 	}
-	rep := n.Run(0, cfg.MeasureNs)
+	rep := n.Run(0, recoveryMeasureNs)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- recovery point %d: bitflip %.4f drop %.4f fault seed %d --\n",
-		i, cfg.BitFlip, cfg.Drop, cfg.Seed+int64(i))
+		i, recoveryBitFlip, recoveryDrop, seed+int64(i))
 	var flips, drops int64
 	for _, o := range campaign.Summarize().RateLinks {
 		flips += o.BitsFlipped
@@ -106,19 +101,18 @@ func recoveryPoint(cfg RecoveryConfig, i int) (string, error) {
 	return b.String(), nil
 }
 
-// RecoverySweep fans cfg.Points independent campaign points across up to
-// jobs workers and returns the rendered summaries keyed by point index —
-// byte-identical at every worker count.
-func RecoverySweep(cfg RecoveryConfig, jobs int) ([]string, error) {
-	return parallel.Map(jobs, cfg.Points, func(i int) (string, error) {
-		return recoveryPoint(cfg, i)
+// WriteRecovery writes a header line, fans the campaign's points on the
+// workload drawn from seed across up to jobs workers and writes their
+// summaries in point order — the recovery-campaign artefact recorded in
+// EXPERIMENTS.md, byte-identical at every worker count.
+func WriteRecovery(w io.Writer, seed int64, jobs int) error {
+	if _, err := fmt.Fprintf(w, "Bit-flip recovery campaign: %d points, bitflip %.4f drop %.4f per link\n",
+		recoveryPoints, recoveryBitFlip, recoveryDrop); err != nil {
+		return err
+	}
+	summaries, err := parallel.Map(jobs, recoveryPoints, func(i int) (string, error) {
+		return recoveryPoint(seed, i)
 	})
-}
-
-// WriteRecovery runs the sweep and writes the concatenated point
-// summaries — the recovery-campaign artefact recorded in EXPERIMENTS.md.
-func WriteRecovery(w io.Writer, cfg RecoveryConfig, jobs int) error {
-	summaries, err := RecoverySweep(cfg, jobs)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func faultNI(creditFor phit.ConnID, recvCap int, autoDrain bool) *NI {
 	tb.Slots[0] = 1
 	n := New("f", clk, layout, tb, nil, nil)
 	hdr, _ := layout.Encode(nil, 0, 0)
-	n.AddOutConn(OutConnConfig{ID: 1, Header: hdr, InitialCredits: 6})
+	n.AddOutConn(OutConnConfig{ID: 1, Headers: slotHeaders(hdr, 0), InitialCredits: 6})
 	n.AddInConn(InConnConfig{ID: 3, QID: 0, RecvCapacity: recvCap, CreditFor: creditFor, AutoDrain: autoDrain})
 	return n
 }
@@ -116,7 +116,7 @@ func TestNIViolations(t *testing.T) {
 			build: func(t *testing.T) *NI {
 				n := faultNI(phit.None, 8, true)
 				hdr, _ := layout.Encode(nil, 0, 0)
-				n.AddOutConn(OutConnConfig{ID: 9, Header: hdr, InitialCredits: 6})
+				n.AddOutConn(OutConnConfig{ID: 9, Headers: slotHeaders(hdr, 1), InitialCredits: 6})
 				n.table.Slots[1] = 9
 				return n
 			},

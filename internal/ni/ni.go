@@ -20,13 +20,11 @@ const SendCapacity = 32
 // OutConnConfig configures one connection sourced at this NI.
 type OutConnConfig struct {
 	ID phit.ConnID
-	// Header is the encoded header word (path + destination queue id)
-	// with a zero credit field; per-packet credits are merged in.
-	Header phit.Word
-	// Headers optionally overrides Header per injection slot: the
-	// allocator may reserve different (equal-length) paths for
-	// different slots of one connection, and each packet must follow
-	// the path its slot was reserved on.
+	// Headers holds, per injection slot, the encoded header word (path +
+	// destination queue id) with a zero credit field; per-packet credits
+	// are merged in. The allocator may reserve different (equal-length)
+	// paths for different slots of one connection, and each packet must
+	// follow the path its slot was reserved on.
 	Headers map[int]phit.Word
 	// InitialCredits is the remote receive queue capacity in words.
 	InitialCredits int
@@ -557,10 +555,7 @@ func (n *NI) slotEntry(slot int) *slotEntry {
 		e.owner, e.oc = owner, nil
 		if owner != phit.None {
 			oc := n.mustOut(owner)
-			e.hdr = oc.cfg.Header
-			if h, ok := oc.cfg.Headers[slot]; ok {
-				e.hdr = h
-			}
+			e.hdr = oc.cfg.Headers[slot]
 			e.oc = oc
 		}
 	}

@@ -53,14 +53,23 @@ func newPair(t *testing.T, tableSize int, aSlots, bSlots []int, recvCap int, aut
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AddOutConn(OutConnConfig{ID: 1, Header: hdr1, InitialCredits: recvCap, PairedIn: 2})
+	a.AddOutConn(OutConnConfig{ID: 1, Headers: slotHeaders(hdr1, aSlots...), InitialCredits: recvCap, PairedIn: 2})
 	b.AddInConn(InConnConfig{ID: 1, QID: 0, RecvCapacity: recvCap, CreditFor: 2, AutoDrain: autoDrain})
-	b.AddOutConn(OutConnConfig{ID: 2, Header: hdr2, InitialCredits: 0, PairedIn: 1})
+	b.AddOutConn(OutConnConfig{ID: 2, Headers: slotHeaders(hdr2, bSlots...), InitialCredits: 0, PairedIn: 1})
 	a.AddInConn(InConnConfig{ID: 2, QID: 0, RecvCapacity: 0, CreditFor: 1, AutoDrain: true})
 
 	eng.Add(a)
 	eng.Add(b)
 	return &pair{eng: eng, clk: clk, a: a, b: b}
+}
+
+// slotHeaders gives every one of slots the header h.
+func slotHeaders(h phit.Word, slots ...int) map[int]phit.Word {
+	m := make(map[int]phit.Word, len(slots))
+	for _, s := range slots {
+		m[s] = h
+	}
+	return m
 }
 
 func (p *pair) cycles(n int64) { p.eng.Run(p.eng.Now() + clock.Time(n)*p.clk.Period) }
@@ -366,7 +375,7 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 	tb.Slots[0] = 1
 	n := New("w", clk, layout, tb, nil, nil)
 	hdr, _ := layout.Encode(nil, 0, 0)
-	n.AddOutConn(OutConnConfig{ID: 1, Header: hdr, InitialCredits: 8})
+	n.AddOutConn(OutConnConfig{ID: 1, Headers: slotHeaders(hdr, 0), InitialCredits: 8})
 	n.Offer(0, 1, phit.Meta{Seq: 1, Injected: 0})
 	n.Offer(0, 1, phit.Meta{Seq: 2, Injected: 0})
 

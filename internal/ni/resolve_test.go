@@ -89,8 +89,8 @@ func TestSlotEntryFollowsTheTable(t *testing.T) {
 	}
 	table := slots.NewTable(4)
 	n := New("N", clock.NewMHz("clk", 500, 0), layout, table, nil, nil)
-	n.AddOutConn(OutConnConfig{ID: 5, Header: hdr(1), Headers: map[int]phit.Word{2: hdr(2)}})
-	n.AddOutConn(OutConnConfig{ID: 3, Header: hdr(3)})
+	n.AddOutConn(OutConnConfig{ID: 5, Headers: map[int]phit.Word{0: hdr(1), 2: hdr(2)}})
+	n.AddOutConn(OutConnConfig{ID: 3, Headers: map[int]phit.Word{2: hdr(3)}})
 	expect := func(slot int, owner phit.ConnID, h phit.Word) {
 		t.Helper()
 		e := n.slotEntry(slot)
@@ -110,7 +110,7 @@ func TestSlotEntryFollowsTheTable(t *testing.T) {
 	table.Slots[0], table.Slots[2] = 5, 5
 	expect(0, 5, hdr(1))
 	expect(1, phit.None, 0)
-	expect(2, 5, hdr(2)) // the per-slot header wins
+	expect(2, 5, hdr(2)) // each slot has its own header
 	table.Slots[2] = 3
 	expect(2, 3, hdr(3))
 	table.Slots[2] = phit.None
@@ -130,7 +130,7 @@ func TestSlotEntryFollowsTheTable(t *testing.T) {
 			n.slotEntry(1)
 		}()
 	}
-	n.AddOutConn(OutConnConfig{ID: 9, Header: hdr(4)})
+	n.AddOutConn(OutConnConfig{ID: 9, Headers: map[int]phit.Word{1: hdr(4)}})
 	expect(1, 9, hdr(4))
 }
 

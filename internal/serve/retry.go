@@ -58,20 +58,19 @@ func IsTransient(err error) bool {
 
 // A RetryPolicy shapes the exponential backoff between attempts of a
 // transient-failed shard: Base doubles per retry up to Max, plus up to
-// Jitter() of seeded jitter so a thundering herd of retries decorrelates
-// deterministically (same seed, same schedule — retry timing is part of
-// the reproducible record).
+// half that again of hashed jitter so a thundering herd of retries
+// decorrelates deterministically (same shard, same schedule — retry
+// timing is part of the reproducible record).
 type RetryPolicy struct {
 	MaxRetries int           // retry budget per shard (beyond the first attempt)
 	Base       time.Duration // first backoff
 	Max        time.Duration // backoff ceiling
-	JitterSeed int64         // seeds the deterministic jitter hash
 }
 
 // DefaultRetryPolicy is the documented policy: 3 retries, 50 ms base,
 // 2 s ceiling.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 3, Base: 50 * time.Millisecond, Max: 2 * time.Second, JitterSeed: 1}
+	return RetryPolicy{MaxRetries: 3, Base: 50 * time.Millisecond, Max: 2 * time.Second}
 }
 
 // Backoff returns the delay before retry attempt (1-based), for the
@@ -88,10 +87,11 @@ func (p RetryPolicy) Backoff(fp string, shard, attempt int) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	// Seeded FNV over the shard identity: decorrelated across shards,
-	// identical across runs.
+	// FNV over the shard identity: decorrelated across shards, identical
+	// across runs. The leading 1 is a fixed salt: changing it moves every
+	// retry schedule.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d|%d", p.JitterSeed, fp, shard, attempt)
+	fmt.Fprintf(h, "1|%s|%d|%d", fp, shard, attempt)
 	jitter := time.Duration(h.Sum64() % uint64(d/2+1))
 	return d + jitter
 }

@@ -55,6 +55,12 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	if a, b := p.Backoff("fp", 0, 1), p.Backoff("fp", 1, 1); a == b {
 		t.Fatal("jitter identical across shards; want decorrelation")
 	}
+	// The schedule itself is part of the reproducible record.
+	for attempt, want := range []time.Duration{50608363, 105839311, 287451993} {
+		if got := p.Backoff("fp", 0, attempt+1); got != want {
+			t.Errorf("attempt %d: backoff %d ns, want %d ns", attempt+1, got, want)
+		}
+	}
 }
 
 func TestChaosTripDeterministicAndOff(t *testing.T) {

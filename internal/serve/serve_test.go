@@ -185,7 +185,7 @@ func TestChaosCampaignCompletesWithRetries(t *testing.T) {
 
 	stormy := NewScheduler(SchedulerConfig{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxRetries: 12, Base: time.Millisecond, Max: 4 * time.Millisecond, JitterSeed: 1},
+		Retry:   RetryPolicy{MaxRetries: 12, Base: time.Millisecond, Max: 4 * time.Millisecond},
 		Chaos:   ChaosConfig{Rate: 0.5, Seed: 11},
 	})
 	stormy.Start()
@@ -211,7 +211,7 @@ func TestChaosCampaignCompletesWithRetries(t *testing.T) {
 func TestChaosEveryAttemptExhaustsRetryBudget(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{
 		Workers: 1,
-		Retry:   RetryPolicy{MaxRetries: 2, Base: time.Millisecond, Max: time.Millisecond, JitterSeed: 1},
+		Retry:   RetryPolicy{MaxRetries: 2, Base: time.Millisecond, Max: time.Millisecond},
 		Chaos:   ChaosConfig{Rate: 1.0, Seed: 3},
 	})
 	s.Start()

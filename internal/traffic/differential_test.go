@@ -99,7 +99,6 @@ func TestUpdateMatchesDividingOracle(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	shapes := map[string]func(Port) *Generator{
 		"cbr":            func(p Port) *Generator { return newCBR("g", clk, p, 7, 130, 4, 6000) },
-		"bursty":         func(p Port) *Generator { return newBursty("g", clk, p, 7, 90, 4, burstOnCycles, 3.5, 0) },
 		"transactional":  func(p Port) *Generator { return newTransactional("g", clk, p, 7, 55, 4, 8, 12000) },
 		"tx-line-rate":   func(p Port) *Generator { return newTransactional("g", clk, p, 7, 2000, 4, 16, 0) },
 		"model-tx-heavy": func(p Port) *Generator { return Model{WordBytes: 4, Transactional: true}.Generator(clk, p, 7, 400, 3) },

@@ -10,7 +10,7 @@ import (
 )
 
 // TestReplayFingerprintSeesEveryField changes one architectural field of
-// a bursty generator at a time and requires the fingerprint to change
+// a transactional generator at a time and requires the fingerprint to change
 // with it. Left out by design: seq, the connection's sequence base that
 // the program normalises every other sequence number against; the
 // whole-period part of phase and the rejected count, which shift by their
@@ -18,7 +18,7 @@ import (
 func TestReplayFingerprintSeesEveryField(t *testing.T) {
 	ctx := &replay.Ctx{Now: 1000, SeqBase: func(phit.ConnID) int64 { return 0 }}
 	base := func() *Generator {
-		g := newBursty("g", clock.NewMHz("clk", 500, 0), &acceptPort{}, 1, 100, 4, 8, 3, 2000)
+		g := newTransactional("g", clock.NewMHz("clk", 500, 0), &acceptPort{}, 1, 100, 4, 8, 2000)
 		g.accNum, g.phase = 1, 3
 		g.rewrap()
 		return g

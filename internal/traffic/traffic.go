@@ -34,10 +34,10 @@ type Generator struct {
 	rateNum, rateDen int64
 	accNum           int64
 
-	// Burst parameters: the generator alternates onCycles of generation
-	// at burstNum/rateDen words per cycle with offCycles of silence,
-	// keeping the long-run average at rateNum/rateDen. onCycles == 0
-	// selects pure CBR.
+	// Transaction parameters: the generator alternates onCycles of
+	// generation at burstNum/rateDen words per cycle with offCycles of
+	// silence, keeping the long-run average at rateNum/rateDen.
+	// onCycles == 0 selects pure CBR.
 	onCycles, offCycles int64
 	burstNum            int64
 
@@ -46,7 +46,7 @@ type Generator struct {
 
 	disabled bool
 	phase    int64
-	// pos is phase wrapped into the burst period, phase % (onCycles +
+	// pos is phase wrapped into the on/off period, phase % (onCycles +
 	// offCycles), kept beside it so Update compares instead of dividing.
 	// rewrap re-derives it wherever phase or the period jumps.
 	pos      int64
@@ -69,16 +69,10 @@ type genMark struct {
 // mapping, same paths, same offered load").
 type Model struct {
 	WordBytes int
-	// BurstFactor > 1 selects on/off bursts of burstOnCycles at that
-	// multiple of the average rate; 0 or 1 selects CBR.
-	BurstFactor float64
 	// Transactional selects whole transactions of TxWordsForRate words at
-	// line rate, and wins over BurstFactor.
+	// line rate; false selects CBR.
 	Transactional bool
 }
-
-// burstOnCycles is the on-time of a bursty generator's burst.
-const burstOnCycles = 64
 
 // TxWordsForRate maps a connection's rate class to its transaction size:
 // low-rate control channels move small messages, heavy streams move
@@ -101,14 +95,10 @@ func TxWordsForRate(rateMBps float64) int {
 func (m Model) Generator(clk *clock.Clock, port Port, conn phit.ConnID, rateMBps float64, idx int) *Generator {
 	name := fmt.Sprintf("gen.c%d", conn)
 	start := clock.Time(idx%16) * phit.FlitWords * clk.Period
-	switch {
-	case m.Transactional:
+	if m.Transactional {
 		return newTransactional(name, clk, port, conn, rateMBps, m.WordBytes, int64(TxWordsForRate(rateMBps)), start)
-	case m.BurstFactor > 1:
-		return newBursty(name, clk, port, conn, rateMBps, m.WordBytes, burstOnCycles, m.BurstFactor, start)
-	default:
-		return newCBR(name, clk, port, conn, rateMBps, m.WordBytes, start)
 	}
+	return newCBR(name, clk, port, conn, rateMBps, m.WordBytes, start)
 }
 
 // newCBR returns a constant-bit-rate generator offering rateMBps megabytes
@@ -120,24 +110,6 @@ func newCBR(name string, clk *clock.Clock, n Port, conn phit.ConnID,
 	}
 	num, den := rationalRate(rateMBps, wordBytes, clk)
 	return &Generator{name: name, clk: clk, ni: n, conn: conn, rateNum: num, rateDen: den, start: start}
-}
-
-// newBursty returns an on/off generator with the given long-run average
-// rate: bursts of onCycles at burstFactor times the average rate separated
-// by idle gaps sized to preserve the average.
-func newBursty(name string, clk *clock.Clock, n Port, conn phit.ConnID,
-	rateMBps float64, wordBytes int, onCycles int64, burstFactor float64, start clock.Time) *Generator {
-	if burstFactor <= 1 || onCycles <= 0 {
-		panic(fmt.Sprintf("traffic %s: burst factor must exceed 1 with positive on-time", name))
-	}
-	g := newCBR(name, clk, n, conn, rateMBps, wordBytes, start)
-	g.onCycles = onCycles
-	g.offCycles = int64(float64(onCycles) * (burstFactor - 1))
-	g.burstNum = int64(math.Round(float64(g.rateNum) * burstFactor))
-	if g.burstNum > g.rateDen {
-		g.burstNum = g.rateDen // a generator cannot exceed one word per cycle
-	}
-	return g
 }
 
 // rationalRate converts a megabytes-per-second rate to an exact reduced
@@ -236,7 +208,7 @@ func (g *Generator) SetEnabled(on bool) { g.disabled = !on }
 // SetRateMBps changes the offered rate, e.g. to model a misbehaving IP
 // that oversubscribes its allocation (which, in aelite, only slows that IP
 // down), or an opportunistic best-effort IP exceeding its nominal rate.
-// For transactional/bursty generators the inter-burst spacing is rescaled.
+// For transactional generators the inter-transaction spacing is rescaled.
 func (g *Generator) SetRateMBps(rateMBps float64, wordBytes int) {
 	oldDen := g.rateDen
 	g.rateNum, g.rateDen = rationalRate(rateMBps, wordBytes, g.clk)

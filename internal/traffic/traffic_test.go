@@ -67,30 +67,6 @@ func TestCBRBlockingBackpressure(t *testing.T) {
 	}
 }
 
-func TestBurstyAverageRate(t *testing.T) {
-	clk := clock.NewMHz("clk", 500, 0)
-	port := &acceptPort{}
-	g := newBursty("g", clk, port, 1, 250, 4, 32, 4, 0)
-	eng := sim.New()
-	eng.Add(g)
-	run(t, g, eng, 4000)
-	// 250 MB/s = 0.125 w/c average -> ~500 words.
-	if n := len(port.words); n < 450 || n > 550 {
-		t.Errorf("bursty produced %d words, want ~500", n)
-	}
-	// Burstiness: inside a burst the rate is 4x the average (0.5 w/c),
-	// so intra-burst spacing is 2 cycles.
-	dense := 0
-	for i := 1; i < len(port.words); i++ {
-		if port.words[i].Injected-port.words[i-1].Injected <= 2*clk.Period {
-			dense++
-		}
-	}
-	if dense < len(port.words)/2 {
-		t.Errorf("only %d of %d words at burst spacing; not bursty", dense, len(port.words))
-	}
-}
-
 func TestTransactionalShape(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	port := &acceptPort{}
@@ -170,10 +146,9 @@ func TestStartDelay(t *testing.T) {
 func TestGeneratorPanics(t *testing.T) {
 	clk := clock.NewMHz("clk", 500, 0)
 	for name, f := range map[string]func(){
-		"zero rate":    func() { newCBR("g", clk, &acceptPort{}, 1, 0, 4, 0) },
-		"zero words":   func() { newCBR("g", clk, &acceptPort{}, 1, 100, 0, 0) },
-		"burst factor": func() { newBursty("g", clk, &acceptPort{}, 1, 100, 4, 32, 1, 0) },
-		"tx words":     func() { newTransactional("g", clk, &acceptPort{}, 1, 100, 4, 0, 0) },
+		"zero rate":  func() { newCBR("g", clk, &acceptPort{}, 1, 0, 4, 0) },
+		"zero words": func() { newCBR("g", clk, &acceptPort{}, 1, 100, 0, 0) },
+		"tx words":   func() { newTransactional("g", clk, &acceptPort{}, 1, 100, 4, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -199,15 +174,11 @@ func TestModelGenerator(t *testing.T) {
 	if cbr.Name() != "gen.c7" || cbr.onCycles != 0 || cbr.start != 0 {
 		t.Errorf("CBR generator %q: on %d start %d", cbr.Name(), cbr.onCycles, cbr.start)
 	}
-	bursty := Model{WordBytes: 4, BurstFactor: 4}.Generator(clk, &acceptPort{}, 7, 100, 2)
-	if bursty.onCycles != burstOnCycles || bursty.offCycles != 3*burstOnCycles {
-		t.Errorf("bursty generator: on %d off %d", bursty.onCycles, bursty.offCycles)
+	if second := (Model{WordBytes: 4}).Generator(clk, &acceptPort{}, 7, 100, 2); second.start != clock.Time(2*phit.FlitWords)*clk.Period {
+		t.Errorf("generator 2 starts at %d, want two flit cycles", second.start)
 	}
-	if want := clock.Time(2*phit.FlitWords) * clk.Period; bursty.start != want {
-		t.Errorf("generator 2 starts at %d, want %d (two flit cycles)", bursty.start, want)
-	}
-	// Transactional wins over a burst factor; the stagger wraps at 16.
-	tx := Model{WordBytes: 4, BurstFactor: 4, Transactional: true}.Generator(clk, &acceptPort{}, 7, 100, 17)
+	// The stagger wraps at 16.
+	tx := Model{WordBytes: 4, Transactional: true}.Generator(clk, &acceptPort{}, 7, 100, 17)
 	if tx.onCycles != 8 || tx.burstNum != tx.rateDen {
 		t.Errorf("transactional generator at 100 MB/s: on %d, burst %d/%d", tx.onCycles, tx.burstNum, tx.rateDen)
 	}

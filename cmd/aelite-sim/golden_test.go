@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 )
 
 var recordFrom = flag.String("record-from", "",
-	"rewrite testdata/golden from this binary (build it from the parent commit); rows marked Changed are recorded from this tree")
+	"rewrite testdata/golden from this binary (build it from the parent commit, or from this tree for a row that changes on purpose)")
 
 // A row is one pinned invocation: standard output, standard error, exit
 // code and the digests of the files it writes, checked against a golden
@@ -32,13 +31,6 @@ type row struct {
 	// Files names the output files under {tmp} whose SHA-256 is pinned
 	// (a file the run did not create is pinned as absent).
 	Files []string
-	// Changed, when non-empty, says why this row differs from the parent
-	// binary on purpose. Such a row is recorded from this tree, and the
-	// parent's output is kept beside it as NAME.parent.txt.
-	Changed string
-	// Reordered marks a Changed row that prints the parent's lines in a
-	// different order and nothing else; the test holds it to that.
-	Reordered bool
 }
 
 // checkGolden checks every row against testdata/golden/NAME.txt, driving
@@ -84,14 +76,8 @@ func checkGolden(t *testing.T, rows []row) {
 				return b.Bytes()
 			}
 			golden := filepath.Join("testdata", "golden", r.Name+".txt")
-			parent := filepath.Join("testdata", "golden", r.Name+".parent.txt")
 			if *recordFrom != "" {
-				out := render(binary)
-				if r.Changed != "" {
-					write(t, parent, out)
-					out = render(inProcess)
-				}
-				write(t, golden, out)
+				write(t, golden, render(binary))
 				return
 			}
 			got := render(inProcess)
@@ -101,15 +87,6 @@ func checkGolden(t *testing.T, rows []row) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("output differs from %s\n--- got\n%s--- want\n%s", golden, got, want)
-			}
-			if r.Reordered {
-				was, err := os.ReadFile(parent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sortedLines(got) != sortedLines(was) {
-					t.Errorf("%s is not a reordering of %s", golden, parent)
-				}
 			}
 		})
 	}
@@ -122,10 +99,4 @@ func write(t *testing.T, path string, data []byte) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func sortedLines(b []byte) string {
-	lines := strings.Split(string(b), "\n")
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -19,11 +19,9 @@ const (
 // rows is the pinned matrix: every clocking mode, every backend with and
 // without the auditor, campaigns alone and as sweeps, the reliability
 // shell, reconfiguration, fast replay, the wide layout, and the exit-2 and
-// exit-3 doors. The goldens were recorded from the binary of the commit
-// before aelite-sim's three build-and-run paths became one (the -tx rows
-// from the commit before the backends shared one traffic model); the
-// Changed rows are the complete list of what those refactors altered on
-// purpose.
+// exit-3 doors. A golden is recorded with -record-from: from the parent
+// commit's binary when a change must not move it, from this tree's binary
+// for a row that changes on purpose; git history holds what each replaced.
 var rows = []row{
 	{Name: "random-sync", Args: "-random 20" + window},
 	{Name: "random-meso", Args: "-random 20 -mode mesochronous" + window},
@@ -34,8 +32,7 @@ var rows = []row{
 	{Name: "uniform-aelite", Args: uniform + window},
 	{Name: "uniform-aelite-audit", Args: uniform + " -audit" + window},
 	{Name: "uniform-routerless", Args: uniform + " -backend routerless" + window},
-	{Name: "uniform-routerless-audit", Args: uniform + " -backend routerless -audit" + window,
-		Changed: "the verdict follows the audit summary, as on aelite", Reordered: true},
+	{Name: "uniform-routerless-audit", Args: uniform + " -backend routerless -audit" + window},
 	{Name: "uniform-aethereal", Args: uniform + " -backend aethereal" + window},
 	{Name: "uniform-be", Args: uniform + " -backend be" + window},
 	{Name: "uniform-routerless-files", Args: uniform + " -backend routerless -trace-out {tmp}/t.json -metrics-out {tmp}/m.json" + window,
@@ -49,8 +46,7 @@ var rows = []row{
 	{Name: "uniform-routerless-tx", Args: uniform + " -tx -backend routerless" + window},
 	{Name: "random-aelite-tx", Args: "-random 20 -tx" + window},
 	{Name: "random-aethereal-tx", Args: "-random 20 -tx -backend aethereal" + window},
-	{Name: "random-routerless-tx", Args: "-random 20 -tx -backend routerless" + window,
-		Changed: "the rings are offered the transactions the routed fabrics get (traffic.TxWordsForRate: 4/8/16 words); the parent sized them rate/10 clamped to 4..64, 7 words for the 73 Mbyte/s connection"},
+	{Name: "random-routerless-tx", Args: "-random 20 -tx -backend routerless" + window},
 
 	{Name: "faults", Args: faults + window},
 	{Name: "faults-runs3-j1", Args: faults + " -runs 3 -j 1" + window},
@@ -63,25 +59,22 @@ var rows = []row{
 		Files: []string{"m.json"}},
 
 	{Name: "wide-aelite", Args: wide + window},
-	{Name: "wide-aethereal", Args: wide + " -backend aethereal" + window,
-		Changed: "the wide layout reaches the baseline through the seam; the parent fails on a 9-hop path"},
-	{Name: "wide-routerless", Args: wide + " -backend routerless" + window,
-		Changed: "the rings run at the 8-byte words the scenario was quantised for; the parent ran them at 4"},
+	{Name: "wide-aethereal", Args: wide + " -backend aethereal" + window},
+	{Name: "wide-routerless", Args: wide + " -backend routerless" + window},
 
 	{Name: "strict-skew-exit3", Args: "-random 20 -mode mesochronous -strict -skew-ps 1001" + window},
 	{Name: "usage-routerless-meso", Args: "-random 20 -backend routerless -mode mesochronous"},
 	{Name: "usage-be-audit", Args: "-random 20 -backend be -audit"},
 	{Name: "usage-reconfig-async", Args: "-random 20 -mode asynchronous -reconfig close@2000:1"},
+	{Name: "usage-reconfig-nan-time", Args: "-random 8 -reconfig close@NaN:1"},
+	{Name: "usage-reconfig-past-window", Args: "-random 8 -reconfig close@1e300:1"},
+	{Name: "usage-reconfig-nan-rate", Args: "-random 8 -reconfig open@1000:0:3:NaN:900"},
 	{Name: "usage-runs-without-faults", Args: "-random 20 -runs 2"},
 	{Name: "usage-be-faults", Args: "-random 20 -backend be -faults random:3"},
-	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast",
-		Changed: "an undefined flag now that replay is the default; the parent ignored -fast"},
-	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes",
-		Changed: "the rejection no longer names -fast, which is gone; the parent's message did"},
-	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup",
-		Changed: "the rejection no longer names -fast, which is gone; the parent's message did"},
-	{Name: "usage-no-use-case", Args: "-trace-out {tmp}/x.json", Files: []string{"x.json"},
-		Changed: "rejected before the output file is created; the parent left an empty one behind"},
+	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast"},
+	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes"},
+	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup"},
+	{Name: "usage-no-use-case", Args: "-trace-out {tmp}/x.json", Files: []string{"x.json"}},
 }
 
 func TestGolden(t *testing.T) {

@@ -172,7 +172,7 @@ func (o *options) validate() (err error) {
 		if o.runs > 1 {
 			return fmt.Errorf("-reconfig scripts one run and cannot serve a -runs sweep")
 		}
-		if o.steps, err = parseReconfigScript(o.reconfig); err != nil {
+		if o.steps, err = parseReconfigScript(o.reconfig, o.measure); err != nil {
 			return fmt.Errorf("-reconfig: %w", err)
 		}
 	}

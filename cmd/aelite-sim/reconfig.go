@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/audit"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/phit"
 	"repro/internal/spec"
@@ -27,8 +29,10 @@ type reconfigStep struct {
 
 // parseReconfigScript parses the -reconfig flag: semicolon-separated
 // actions, each close@TIMEns:CONN or open@TIMEns:SRC:DST:MBPS:LATNS.
-// It follows the -faults op@TIME:args idiom.
-func parseReconfigScript(s string) ([]reconfigStep, error) {
+// It follows the -faults op@TIME:args idiom. Every TIME lies in
+// [0, measureNs], the measurement window, and every MBPS and LATNS is
+// finite and positive.
+func parseReconfigScript(s string, measureNs float64) ([]reconfigStep, error) {
 	var out []reconfigStep
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
@@ -41,8 +45,8 @@ func parseReconfigScript(s string) ([]reconfigStep, error) {
 		}
 		fields := strings.Split(rest, ":")
 		at, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || at < 0 {
-			return nil, fmt.Errorf("action %q: bad time %q (ns into the measurement window)", part, fields[0])
+		if _, ok := clock.FromNs(at); err != nil || !ok || at > measureNs {
+			return nil, fmt.Errorf("action %q: bad time %q (ns into the %g ns measurement window)", part, fields[0], measureNs)
 		}
 		st := reconfigStep{atNs: at}
 		switch op {
@@ -67,8 +71,8 @@ func parseReconfigScript(s string) ([]reconfigStep, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("action %q: bad endpoint IP ids %q:%q", part, fields[1], fields[2])
 			}
-			if err3 != nil || bw <= 0 || err4 != nil || lat <= 0 {
-				return nil, fmt.Errorf("action %q: bandwidth and latency must be positive numbers", part)
+			if err3 != nil || err4 != nil || !finitePositive(bw) || !finitePositive(lat) {
+				return nil, fmt.Errorf("action %q: bandwidth and latency must be finite positive numbers", part)
 			}
 			st.src, st.dst = spec.IPID(src), spec.IPID(dst)
 			st.bw, st.lat = bw, lat
@@ -82,6 +86,9 @@ func parseReconfigScript(s string) ([]reconfigStep, error) {
 	}
 	return out, nil
 }
+
+// finitePositive reports whether v is a finite number above zero.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // reconfigActions turns parsed steps into RunTimed actions. Closes drain
 // and release; opens run admission control and print the typed decision —

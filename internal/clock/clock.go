@@ -1,6 +1,9 @@
 package clock
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is an absolute simulation time in picoseconds.
 type Time int64
@@ -18,6 +21,20 @@ const (
 
 // Infinity is a time later than any edge a simulation will produce.
 const Infinity Time = 1<<63 - 1
+
+// FromNs converts ns nanoseconds to a simulated instant, reporting whether
+// ns is one: finite, at least zero and under 2^63 picoseconds. Every time
+// that crosses a trust boundary (a flag, a script, a fault plan) goes
+// through it.
+func FromNs(ns float64) (Time, bool) {
+	ps := ns * float64(Nanosecond)
+	// !(ps >= 0) is also true of NaN, and float64(MaxInt64) is 2^63:
+	// +Inf and every time past Time's range fail the last test.
+	if !(ps >= 0) || ps >= math.MaxInt64 {
+		return 0, false
+	}
+	return Time(ps), true
+}
 
 // PeriodFromMHz returns the clock period, in picoseconds, of a clock with
 // the given frequency in MHz. It panics if the frequency is not positive.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/phit"
 	"repro/internal/route"
@@ -118,6 +119,10 @@ func (n *Network) admit(c spec.Connection, avoid []topology.LinkID, alloc *slots
 	}
 	if n.retired[c.ID] {
 		return reject(fmt.Errorf("core: %w: connection id %d was closed and its queue RAM is still registered; re-admission needs a fresh id (FreshConnID)", ErrDuplicate, c.ID))
+	}
+	if !(c.BandwidthMBps > 0 && c.MaxLatencyNs > 0) || math.IsInf(c.BandwidthMBps, 1) || math.IsInf(c.MaxLatencyNs, 1) {
+		return reject(fmt.Errorf("core: connection %d: %w: rate %g MB/s and budget %g ns must be finite and positive",
+			c.ID, ErrInfeasible, c.BandwidthMBps, c.MaxLatencyNs))
 	}
 	rc, err := routeOne(n.Mesh, n.Spec, n.Cfg, c, avoid, new(route.Arena))
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -156,6 +157,13 @@ func TestRejectedOpenLeavesNetworkUntouched(t *testing.T) {
 			cause: ErrInfeasible, reason: "bound-infeasible"},
 		{name: "latency budget below the path delay", cfg: Config{TableSize: 16}, built: []spec.Connection{light(1, 0, 3)},
 			req:   spec.Connection{ID: 10, Src: 1, Dst: 2, BandwidthMBps: 20, MaxLatencyNs: 1},
+			cause: ErrInfeasible, reason: "bound-infeasible"},
+		// Checked before routing: NaN passes every comparison it is in.
+		{name: "rate not a number", cfg: Config{TableSize: 16}, built: []spec.Connection{light(1, 0, 3)},
+			req:   spec.Connection{ID: 10, Src: 1, Dst: 2, BandwidthMBps: math.NaN(), MaxLatencyNs: 900},
+			cause: ErrInfeasible, reason: "bound-infeasible"},
+		{name: "infinite latency budget", cfg: Config{TableSize: 16}, built: []spec.Connection{light(1, 0, 3)},
+			req:   spec.Connection{ID: 10, Src: 1, Dst: 2, BandwidthMBps: 20, MaxLatencyNs: math.Inf(1)},
 			cause: ErrInfeasible, reason: "bound-infeasible"},
 		{name: "no path under an avoid set", cfg: Config{TableSize: 16}, built: []spec.Connection{light(1, 0, 3)},
 			req: light(10, 1, 2), avoid: true, cause: ErrNoRoute, reason: "no-path"},

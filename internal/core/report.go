@@ -147,9 +147,9 @@ func (cr *ConnReport) SetMeasured(st *ni.ConnStats, wordBytes int, bounded bool)
 
 // CheckWindow rejects a run window that OpenWindow cannot simulate: both
 // bounds finite, the warm-up at least zero, the measurement positive, and
-// their sum within simulated time (clock.Time counts int64 picoseconds).
+// their sum a simulated instant (clock.FromNs).
 func CheckWindow(warmupNs, measureNs float64) error {
-	if !(warmupNs >= 0 && measureNs > 0 && (warmupNs+measureNs)*float64(clock.Nanosecond) < math.MaxInt64) {
+	if _, ok := clock.FromNs(warmupNs + measureNs); !(warmupNs >= 0 && measureNs > 0 && ok) {
 		return fmt.Errorf("warm-up %g ns must be >= 0 and measurement %g ns > 0, both finite and together under %.0f ns",
 			warmupNs, measureNs, math.MaxInt64/float64(clock.Nanosecond))
 	}

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -173,13 +172,11 @@ func ParseSpec(spec string, seed int64) (*Plan, error) {
 			return nil, fmt.Errorf("fault: event %q: want op@TIMEns:target[:param]", part)
 		}
 		ns, err := strconv.ParseFloat(fields[0], 64)
-		ps := ns * float64(clock.Nanosecond)
-		// !(ps >= 0) is also true of NaN, and float64(MaxInt64) is 2^63:
-		// +Inf and every time past clock.Time's range fail the last test.
-		if err != nil || !(ps >= 0) || ps >= math.MaxInt64 {
+		at, ok := clock.FromNs(ns)
+		if err != nil || !ok {
 			return nil, fmt.Errorf("fault: bad time %q in %q", fields[0], part)
 		}
-		ev := Event{At: clock.Time(ps), Op: op, Target: fields[1], Param: defaultParam(op)}
+		ev := Event{At: at, Op: op, Target: fields[1], Param: defaultParam(op)}
 		if len(fields) == 3 {
 			v, err := strconv.ParseInt(fields[2], 10, 64)
 			if err != nil {

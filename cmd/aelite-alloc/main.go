@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -69,7 +70,8 @@ func mainCode(args []string, stdout io.Writer) int {
 	if *table < 0 {
 		return usage(fmt.Errorf("-table %d must not be negative (0 = search)", *table))
 	}
-	if _, err := slots.ByName(*alloc); err != nil {
+	allocator, err := slots.ByName(*alloc)
+	if err != nil {
 		return usage(fmt.Errorf("-alloc: %w", err))
 	}
 	mode, err := core.ParseMode(*modeF)
@@ -81,8 +83,19 @@ func mainCode(args []string, stdout io.Writer) int {
 		// best-effort baseline has no reservations to print.
 		return usage(fmt.Errorf("unknown backend %q (aelite | routerless)", *backendF))
 	}
-	if *backendF == "routerless" && mode != core.Synchronous {
-		return usage(fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", mode))
+	// What only the TDM view prints is rejected on the rings, never
+	// ignored.
+	if *backendF == "routerless" {
+		switch {
+		case mode != core.Synchronous:
+			return usage(fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", mode))
+		case allocator != slots.Greedy{}:
+			return usage(fmt.Errorf("-alloc %s needs the aelite backend (got routerless)", *alloc))
+		case *table != 0:
+			return usage(fmt.Errorf("-table %d needs the aelite backend (got routerless)", *table))
+		case *printTables:
+			return usage(errors.New("-tables needs the aelite backend (got routerless)"))
+		}
 	}
 
 	stopProfile, err := profile.Start()

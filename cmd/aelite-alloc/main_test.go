@@ -20,9 +20,9 @@ var recordFrom = flag.String("record-from", "",
 const uniform = "-scenario uniform -conns 8 -cols 3 -rows 3"
 
 // rows pins aelite-alloc — standard output, standard error, exit code —
-// against the binary of the commit before it took its mesh and use-case
-// flags from internal/cli (the format of cmd/aelite-sim's goldens); none
-// may differ.
+// in the format of cmd/aelite-sim's goldens, recorded with -record-from
+// from the parent commit's binary, or from this tree's for a row that
+// changes on purpose.
 var rows = []struct{ name, args string }{
 	{"random", "-random 20"},
 	{"random-tables", "-random 20 -tables"},
@@ -36,6 +36,10 @@ var rows = []struct{ name, args string }{
 	{"usage-conns-without-scenario", "-random 3 -conns 3"},
 	{"usage-be", "-random 20 -backend be"},
 	{"usage-routerless-async", "-random 20 -backend routerless -mode asynchronous"},
+	{"usage-routerless-ripup", "-random 8 -backend routerless -alloc ripup"},
+	{"usage-routerless-table", "-random 8 -backend routerless -table 16"},
+	{"usage-routerless-tables", "-random 8 -backend routerless -tables"},
+	{"usage-huge-mesh", "-random 2 -cols 9223372036854775807 -rows 9223372036854775807"},
 }
 
 func TestGolden(t *testing.T) {

@@ -30,6 +30,26 @@ type Workload struct {
 	FreqMHz  float64
 }
 
+// MaxMeshSide and MaxConns bound a workload at every trust boundary: the
+// largest mesh side and connection count any study plans, the 32x32 points
+// of 2400 connections of experiments.DefaultScaleConfig.
+const (
+	MaxMeshSide = 32
+	MaxConns    = 2400
+)
+
+// CheckSize rejects a mesh side or a connection count past MaxMeshSide or
+// MaxConns, before anything sized by them is allocated.
+func CheckSize(cols, rows, conns int) error {
+	if cols > MaxMeshSide || rows > MaxMeshSide {
+		return fmt.Errorf("mesh %dx%d is past the %dx%d maximum", cols, rows, MaxMeshSide, MaxMeshSide)
+	}
+	if conns > MaxConns {
+		return fmt.Errorf("%d connections are past the maximum of %d", conns, MaxConns)
+	}
+	return nil
+}
+
 // Validate rejects a malformed workload before anything is built. Its
 // errors name each field by the command-line flag that sets it, since a
 // command line is the one source that can be malformed in these ways.
@@ -42,6 +62,9 @@ func (w *Workload) Validate() error {
 	}
 	if w.Random < 0 {
 		return fmt.Errorf("-random %d must be positive", w.Random)
+	}
+	if err := CheckSize(w.Cols, w.Rows, max(w.Random, w.Conns)); err != nil {
+		return err
 	}
 	if w.Scenario != "" {
 		if _, err := scenario.ParseFamily(w.Scenario); err != nil {

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,5 +59,35 @@ func TestWorkloadBuild(t *testing.T) {
 		if ip.NI == topology.Invalid {
 			t.Fatalf("random: IP %s left unmapped", ip.Name)
 		}
+	}
+}
+
+// TestWorkloadValidateBoundsSize: a mesh side past 32 or a connection count
+// past 2400 is refused before anything is sized by it. A side of
+// MaxInt64 used to wrap Layout's Cols+Rows-1 negative and die allocating.
+func TestWorkloadValidateBoundsSize(t *testing.T) {
+	const huge = math.MaxInt64
+	for _, tc := range []struct {
+		name string
+		w    Workload
+		want string // substring of the error; "" means accepted
+	}{
+		{"random 32x32 of 2400", Workload{Random: 2400, Cols: 32, Rows: 32, NIs: 2, FreqMHz: 500}, ""},
+		{"scenario 32x32 of 2400", Workload{Scenario: "uniform", Conns: 2400, Cols: 32, Rows: 32, NIs: 2, FreqMHz: 500}, ""},
+		{"huge mesh", Workload{Random: 2, Cols: huge, Rows: huge, NIs: 2, FreqMHz: 500}, "past the 32x32 maximum"},
+		{"33 columns", Workload{Random: 2, Cols: 33, Rows: 2, NIs: 2, FreqMHz: 500}, "mesh 33x2"},
+		{"33 rows", Workload{Random: 2, Cols: 2, Rows: 33, NIs: 2, FreqMHz: 500}, "mesh 2x33"},
+		{"random 2401", Workload{Random: 2401, Cols: 4, Rows: 4, NIs: 2, FreqMHz: 500}, "2401 connections"},
+		{"conns 2^40", Workload{Scenario: "uniform", Conns: 1 << 40, Cols: 4, Rows: 4, NIs: 2, FreqMHz: 500}, "1099511627776 connections"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.w.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want a rejection naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -111,6 +111,9 @@ func (s *JobSpec) Validate() error {
 	if s.Conns < 1 {
 		return fmt.Errorf("conns %d must be at least 1", s.Conns)
 	}
+	if err := backend.CheckSize(s.Cols, s.Rows, s.Conns); err != nil {
+		return err
+	}
 	if s.Shards < 1 || s.Shards > MaxShards {
 		return fmt.Errorf("shards %d outside [1, %d]", s.Shards, MaxShards)
 	}

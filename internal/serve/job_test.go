@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 )
 
@@ -31,6 +32,11 @@ func TestValidateRejects(t *testing.T) {
 		{"compare 9x9", func(s *JobSpec) { s.Kind, s.Cols, s.Rows = "compare", 9, 9 }, "17-hop headers"},
 		{"compare 8x8", func(s *JobSpec) { s.Kind, s.Cols, s.Rows = "compare", 8, 8 }, ""},
 		{"scale 9x9 plans uncapped", func(s *JobSpec) { s.Kind, s.Cols, s.Rows = "scale", 9, 9 }, ""},
+		{"scale 32x32 of 2400", func(s *JobSpec) { s.Kind, s.Cols, s.Rows, s.Conns = "scale", 32, 32, 2400 }, ""},
+		{"scale 100000x100000", func(s *JobSpec) { s.Kind, s.Cols, s.Rows = "scale", 100000, 100000 }, "mesh 100000x100000"},
+		{"scale 33x2", func(s *JobSpec) { s.Kind, s.Cols, s.Rows = "scale", 33, 2 }, "mesh 33x2"},
+		{"conns 2^40", func(s *JobSpec) { s.Conns = 1 << 40 }, "1099511627776 connections"},
+		{"conns 2401", func(s *JobSpec) { s.Conns = 2401 }, "2401 connections"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,7 +84,8 @@ func TestCompareJobOnWideMesh(t *testing.T) {
 
 // FuzzJobSpec: decoding, normalising and validating any bytes never
 // panics; an accepted spec keeps its fingerprint through a JSON round trip
-// and a second Normalize, and its windows pass the run-window check.
+// and a second Normalize, its windows pass the run-window check, and its
+// mesh and connection count stay inside backend.CheckSize's bound.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
 		// The specs of this package's tests and of scripts/serve-smoke.sh.
@@ -91,6 +98,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"compare","cols":9,"rows":9,"conns":8}`,
 		`{"kind":"scale","cols":9,"rows":9}`,
 		`{"measure_ns":1e17}`, `{"warmup_ns":-1}`, `{"deadline_ms":-5}`, `{"shards":1025}`,
+		`{"kind":"scale","cols":100000,"rows":100000}`, `{"conns":1099511627776}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -105,6 +113,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if err := core.CheckWindow(s.WarmupNs, s.MeasureNs); err != nil {
 			t.Fatalf("accepted %s with a window the run cannot hold: %v", data, err)
+		}
+		if s.Cols > backend.MaxMeshSide || s.Rows > backend.MaxMeshSide || s.Conns > backend.MaxConns {
+			t.Fatalf("accepted %s past the %dx%d, %d-connection bound", data, backend.MaxMeshSide, backend.MaxMeshSide, backend.MaxConns)
 		}
 		b, err := json.Marshal(s)
 		if err != nil {

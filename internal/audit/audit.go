@@ -26,8 +26,9 @@ type Options struct {
 }
 
 const (
-	// bucketWords is the injection token-bucket depth: enough for the
-	// largest built-in burst of 64 words plus scheduling margin.
+	// bucketWords is the injection token-bucket depth: room for the
+	// largest transaction a generator offers (16 words,
+	// traffic.TxWordsForRate) and a wide scheduling margin.
 	bucketWords = 128
 	// maxReports caps the violations reported per connection and kind; the
 	// per-kind counters keep counting past the cap so the summary stays

@@ -148,8 +148,9 @@ type Network struct {
 	// Cfg is the shared parameter set; the overlay models its word width,
 	// frequency and traffic model. The analytical bounds assume
 	// slot-regulated (CBR-compliant) load, as in aelite: they do not cover
-	// transaction drains, so audits of bursty or transactional runs should
-	// tolerate oversubscription.
+	// transaction drains, so transactional runs break them, and audits of
+	// such runs should tolerate oversubscription
+	// (TestBoundsHoldForAnalysedShapes in internal/backend pins the gap).
 	Cfg  core.Config
 	Mesh *topology.Mesh
 	Spec *spec.UseCase

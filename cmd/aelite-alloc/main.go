@@ -23,7 +23,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -94,7 +93,7 @@ func mainCode(args []string, stdout io.Writer) int {
 		case *table != 0:
 			return usage(fmt.Errorf("-table %d needs the aelite backend (got routerless)", *table))
 		case *printTables:
-			return usage(errors.New("-tables needs the aelite backend (got routerless)"))
+			return usage(fmt.Errorf("-tables needs the aelite backend (got routerless)"))
 		}
 	}
 

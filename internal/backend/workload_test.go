@@ -63,8 +63,8 @@ func TestWorkloadBuild(t *testing.T) {
 }
 
 // TestWorkloadValidateBoundsSize: a mesh side past 32 or a connection count
-// past 2400 is refused before anything is sized by it. A side of
-// MaxInt64 used to wrap Layout's Cols+Rows-1 negative and die allocating.
+// past 2400 is refused before anything is sized by it; a side of MaxInt64
+// would wrap Layout's Cols+Rows-1 negative and fail allocating.
 func TestWorkloadValidateBoundsSize(t *testing.T) {
 	const huge = math.MaxInt64
 	for _, tc := range []struct {

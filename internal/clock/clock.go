@@ -23,13 +23,10 @@ const (
 const Infinity Time = 1<<63 - 1
 
 // FromNs converts ns nanoseconds to a simulated instant, reporting whether
-// ns is one: finite, at least zero and under 2^63 picoseconds. Every time
-// that crosses a trust boundary (a flag, a script, a fault plan) goes
-// through it.
+// ns is one: finite, at least zero and under 2^63 picoseconds.
 func FromNs(ns float64) (Time, bool) {
 	ps := ns * float64(Nanosecond)
-	// !(ps >= 0) is also true of NaN, and float64(MaxInt64) is 2^63:
-	// +Inf and every time past Time's range fail the last test.
+	// NaN fails ps >= 0; +Inf and all past Time's range fail ps < 2^63.
 	if !(ps >= 0) || ps >= math.MaxInt64 {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ func TestConformancePoint(t *testing.T) {
 	}
 }
 
-// TestConformanceSweepDeterministic: the full sweep passes and renders
-// byte-identically at every worker count.
+// TestConformanceSweepDeterministic: the full sweep passes, runs every
+// table size under every mode table-major, and renders byte-identically at
+// every worker count.
 func TestConformanceSweepDeterministic(t *testing.T) {
 	serial, err := conformanceSweep(Sec7Seed, 1)
 	if err != nil {
@@ -28,6 +30,15 @@ func TestConformanceSweepDeterministic(t *testing.T) {
 	}
 	if len(serial) != len(conformanceTableSizes)*len(conformanceModes) {
 		t.Fatalf("sweep returned %d points", len(serial))
+	}
+	i := 0
+	for _, table := range conformanceTableSizes {
+		for _, mode := range conformanceModes {
+			if w := fmt.Sprintf("conformance table %2d %-12s: 0 violations", table, mode); !strings.HasPrefix(serial[i], w) {
+				t.Errorf("point %d = %q, want prefix %q", i, serial[i], w)
+			}
+			i++
+		}
 	}
 	par, err := conformanceSweep(Sec7Seed, 4)
 	if err != nil {

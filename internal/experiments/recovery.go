@@ -106,20 +106,14 @@ func recoveryPoint(seed int64, i int) (string, error) {
 // summaries in point order — the recovery-campaign artefact recorded in
 // EXPERIMENTS.md, byte-identical at every worker count.
 func WriteRecovery(w io.Writer, seed int64, jobs int) error {
-	if _, err := fmt.Fprintf(w, "Bit-flip recovery campaign: %d points, bitflip %.4f drop %.4f per link\n",
-		recoveryPoints, recoveryBitFlip, recoveryDrop); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "Bit-flip recovery campaign: %d points, bitflip %.4f drop %.4f per link\n",
+		recoveryPoints, recoveryBitFlip, recoveryDrop)
 	summaries, err := parallel.Map(jobs, recoveryPoints, func(i int) (string, error) {
 		return recoveryPoint(seed, i)
 	})
 	if err != nil {
 		return err
 	}
-	for _, s := range summaries {
-		if _, err := io.WriteString(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = io.WriteString(w, strings.Join(summaries, ""))
+	return err
 }

@@ -234,57 +234,61 @@ func generatorOf(inst Instance, id phit.ConnID) *traffic.Generator {
 // own rate/10 rule: 6, 12 and 20 words where the routed fabrics sent 8, 8
 // and 16.)
 func TestBackendsOfferSameLoad(t *testing.T) {
-	rates := []float64{20, 30, 60, 120, 160, 200}
-	workload := func() (*topology.Mesh, *spec.UseCase) {
-		m := topology.NewMesh(3, 3, 1)
-		uc := &spec.UseCase{Name: "offered", Apps: 1}
-		for i := 0; i < 9; i++ {
-			uc.IPs = append(uc.IPs, spec.IP{ID: spec.IPID(i), Name: fmt.Sprintf("ip%d", i), NI: m.NIAt(i%3, i/3, 0)})
+	// The subtest keeps the name it had when the fabrics were also compared
+	// under a bursty shape; transactional traffic is the one shape left.
+	t.Run("tx=true,burst=0", func(t *testing.T) {
+		rates := []float64{20, 30, 60, 120, 160, 200}
+		workload := func() (*topology.Mesh, *spec.UseCase) {
+			m := topology.NewMesh(3, 3, 1)
+			uc := &spec.UseCase{Name: "offered", Apps: 1}
+			for i := 0; i < 9; i++ {
+				uc.IPs = append(uc.IPs, spec.IP{ID: spec.IPID(i), Name: fmt.Sprintf("ip%d", i), NI: m.NIAt(i%3, i/3, 0)})
+			}
+			for i, r := range rates {
+				uc.Connections = append(uc.Connections, spec.Connection{
+					ID: phit.ConnID(i + 1), Src: spec.IPID(i), Dst: spec.IPID((i + 4) % 9),
+					BandwidthMBps: r, MaxLatencyNs: 4000,
+				})
+			}
+			return m, uc
+		}
+		const windowCycles = 100
+		offered := make(map[string][]int64)
+		for _, name := range Names() {
+			b, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, uc := workload()
+			inst, err := b.Build(m, uc, Params{Transactional: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			bus := trace.NewBus()
+			met := trace.NewMetrics(bus)
+			inst.AttachTracer(bus)
+			inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
+			for _, c := range uc.Connections {
+				if generatorOf(inst, c.ID).Rejected() != 0 {
+					t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
+				}
+				var injected int64
+				if cm := met.Conn(c.ID); cm != nil {
+					injected = cm.Injected
+				}
+				offered[name] = append(offered[name], injected)
+			}
 		}
 		for i, r := range rates {
-			uc.Connections = append(uc.Connections, spec.Connection{
-				ID: phit.ConnID(i + 1), Src: spec.IPID(i), Dst: spec.IPID((i + 4) % 9),
-				BandwidthMBps: r, MaxLatencyNs: 4000,
-			})
-		}
-		return m, uc
-	}
-	const windowCycles = 100
-	offered := make(map[string][]int64)
-	for _, name := range Names() {
-		b, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, uc := workload()
-		inst, err := b.Build(m, uc, Params{Transactional: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		bus := trace.NewBus()
-		met := trace.NewMetrics(bus)
-		inst.AttachTracer(bus)
-		inst.Engine().Run(windowCycles * clock.Time(clock.PeriodFromMHz(500)))
-		for _, c := range uc.Connections {
-			if generatorOf(inst, c.ID).Rejected() != 0 {
-				t.Fatalf("%s: connection %d was back-pressured; the window no longer isolates the offered load", name, c.ID)
+			want := offered["aelite"][i]
+			if want != int64(traffic.TxWordsForRate(r)) {
+				t.Errorf("aelite offered %d words at %.0f MB/s, want one %d-word transaction", want, r, traffic.TxWordsForRate(r))
 			}
-			var injected int64
-			if cm := met.Conn(c.ID); cm != nil {
-				injected = cm.Injected
-			}
-			offered[name] = append(offered[name], injected)
-		}
-	}
-	for i, r := range rates {
-		want := offered["aelite"][i]
-		if want != int64(traffic.TxWordsForRate(r)) {
-			t.Errorf("aelite offered %d words at %.0f MB/s, want one %d-word transaction", want, r, traffic.TxWordsForRate(r))
-		}
-		for _, name := range Names() {
-			if got := offered[name][i]; got != want {
-				t.Errorf("connection %d (%.0f MB/s): %s was offered %d words, aelite %d", i+1, r, name, got, want)
+			for _, name := range Names() {
+				if got := offered[name][i]; got != want {
+					t.Errorf("connection %d (%.0f MB/s): %s was offered %d words, aelite %d", i+1, r, name, got, want)
+				}
 			}
 		}
-	}
+	})
 }

@@ -119,9 +119,7 @@ func main() {
 			return experiments.WriteRecovery(out, *seed, *jobs)
 		}},
 		{name: "reconfig", help: "online reconfiguration: admission control, undisturbed service, self-healing reroute (-out)", run: func() error {
-			cfg := experiments.DefaultReconfigConfig()
-			cfg.Seed = *seed
-			sum, err := experiments.ReconfigStudy(cfg, *jobs)
+			sum, err := experiments.ReconfigStudy(*seed, *jobs)
 			if err != nil {
 				return err
 			}

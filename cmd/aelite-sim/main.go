@@ -23,7 +23,7 @@
 //	               -seed, rates replay-admissible by default)
 //	-conns N       connection count for -scenario
 //	-alloc A       slot allocator: greedy | ripup (default greedy)
-//	-backend B     aelite | aethereal (alias: be) | routerless
+//	-backend B     aelite | aethereal | routerless
 //	-mode M        synchronous | mesochronous | asynchronous (aelite only)
 //	-freq MHZ      network frequency (default 500)
 //	-warmup NS     warm-up before measurement (default 10000)
@@ -281,10 +281,7 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 		return 0, err
 	}
 
-	// The "be" alias keeps its historical output: the verdict line only.
-	if o.backend != "be" {
-		rep.Write(stdout)
-	}
+	rep.Write(stdout)
 	if chrome != nil {
 		if _, err := chrome.WriteTo(traceW); err != nil {
 			return 0, err

@@ -34,7 +34,6 @@ var rows = []row{
 	{Name: "uniform-routerless", Args: uniform + " -backend routerless" + window},
 	{Name: "uniform-routerless-audit", Args: uniform + " -backend routerless -audit" + window},
 	{Name: "uniform-aethereal", Args: uniform + " -backend aethereal" + window},
-	{Name: "uniform-be", Args: uniform + " -backend be" + window},
 	{Name: "uniform-routerless-files", Args: uniform + " -backend routerless -trace-out {tmp}/t.json -metrics-out {tmp}/m.json" + window,
 		Files: []string{"t.json", "m.json"}},
 
@@ -64,13 +63,14 @@ var rows = []row{
 
 	{Name: "strict-skew-exit3", Args: "-random 20 -mode mesochronous -strict -skew-ps 1001" + window},
 	{Name: "usage-routerless-meso", Args: "-random 20 -backend routerless -mode mesochronous"},
-	{Name: "usage-be-audit", Args: "-random 20 -backend be -audit"},
+	{Name: "usage-be", Args: "-random 20 -backend be"},
+	{Name: "usage-be-audit", Args: "-random 20 -backend aethereal -audit"},
 	{Name: "usage-reconfig-async", Args: "-random 20 -mode asynchronous -reconfig close@2000:1"},
 	{Name: "usage-reconfig-nan-time", Args: "-random 8 -reconfig close@NaN:1"},
 	{Name: "usage-reconfig-past-window", Args: "-random 8 -reconfig close@1e300:1"},
 	{Name: "usage-reconfig-nan-rate", Args: "-random 8 -reconfig open@1000:0:3:NaN:900"},
 	{Name: "usage-runs-without-faults", Args: "-random 20 -runs 2"},
-	{Name: "usage-be-faults", Args: "-random 20 -backend be -faults random:3"},
+	{Name: "usage-be-faults", Args: "-random 20 -backend aethereal -faults random:3"},
 	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast"},
 	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes"},
 	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup"},

@@ -48,7 +48,7 @@ type options struct {
 func (o *options) register(fs *flag.FlagSet) {
 	cli.RegisterWorkload(fs, &o.workload)
 	fs.StringVar(&o.alloc, "alloc", "greedy", "slot allocator: greedy | ripup")
-	fs.StringVar(&o.backend, "backend", "aelite", "aelite | aethereal (alias: be) | routerless")
+	fs.StringVar(&o.backend, "backend", "aelite", "aelite | aethereal | routerless")
 	fs.StringVar(&o.mode, "mode", "synchronous", "synchronous|mesochronous|asynchronous")
 	fs.Float64Var(&o.warmup, "warmup", 10000, "warm-up in ns")
 	fs.Float64Var(&o.measure, "measure", 50000, "measurement window in ns")
@@ -111,11 +111,7 @@ func (o *options) validate() (err error) {
 	if err != nil {
 		return fmt.Errorf("-alloc: %w", err)
 	}
-	name := o.backend
-	if name == "be" {
-		name = "aethereal" // compatibility alias for the Æthereal GS+BE baseline
-	}
-	if o.bk, err = backend.ByName(name); err != nil {
+	if o.bk, err = backend.ByName(o.backend); err != nil {
 		return fmt.Errorf("-backend: %w", err)
 	}
 	if o.clocking, err = core.ParseMode(o.mode); err != nil {

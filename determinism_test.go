@@ -168,7 +168,7 @@ func TestRecoverySweepDeterminism(t *testing.T) {
 // and returns the rendered summary.
 func reconfigRender(t *testing.T, jobs int) []byte {
 	t.Helper()
-	sum, err := experiments.ReconfigStudy(experiments.DefaultReconfigConfig(), jobs)
+	sum, err := experiments.ReconfigStudy(experiments.Sec7Seed, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

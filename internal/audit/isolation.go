@@ -82,41 +82,6 @@ func Isolation(jobs int, run func(perturbed bool) (Timelines, error)) (Isolation
 	return Diff(outs[0], outs[1]), nil
 }
 
-// SurvivorTimelines filters a timeline set down to the given connections
-// — the ones that stay open across a reconfiguration event and whose
-// service must therefore be undisturbed.
-func SurvivorTimelines(t Timelines, survivors []phit.ConnID) Timelines {
-	out := make(Timelines, len(survivors))
-	for _, id := range survivors {
-		if tl, ok := t[id]; ok {
-			out[id] = tl
-		}
-	}
-	return out
-}
-
-// IsolationAcrossReconfig runs the paired undisturbed-service proof
-// across a reconfiguration event: run(false) executes the scenario with
-// the connection population fixed, run(true) executes the same scenario
-// but opens and/or closes connections mid-run, and the *surviving*
-// connections' delivery timelines are diffed for byte identity. This is
-// the run-time extension of the paper's composability claim — reference
-// [16]'s "undisrupted quality-of-service during reconfiguration of
-// multiple applications": slot ownership is the only state connections
-// share, a close only surrenders slots and an admission only claims free
-// ones, so every survivor's flit timeline must be bit-identical whether
-// or not the reconfiguration happened. Each call must build a private
-// network and engine.
-func IsolationAcrossReconfig(jobs int, survivors []phit.ConnID, run func(reconfig bool) (Timelines, error)) (IsolationResult, error) {
-	outs, err := parallel.Map(parallel.Jobs(jobs), 2, func(i int) (Timelines, error) {
-		return run(i == 1)
-	})
-	if err != nil {
-		return IsolationResult{}, err
-	}
-	return Diff(SurvivorTimelines(outs[0], survivors), SurvivorTimelines(outs[1], survivors)), nil
-}
-
 // Diff compares two delivery timelines for byte identity.
 func Diff(base, perturbed Timelines) IsolationResult {
 	ids := make([]phit.ConnID, 0, len(base))

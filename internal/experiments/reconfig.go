@@ -17,18 +17,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ReconfigConfig parameterises the online-reconfiguration study: one
-// fixed workload taken through the three claims of run-time
-// reconfiguration — (1) closing and admitting connections mid-run leaves
-// every survivor's delivery timeline byte-identical, (2) inadmissible
-// requests are rejected with typed reasons and change nothing, (3) a
-// hard link fault quarantines the connections crossing it and the
-// self-healing layer reroutes them over admissible alternate paths,
-// with the recovery latency measured.
-type ReconfigConfig struct {
-	Seed int64 // workload seed
-}
-
 // The study's time line.
 const (
 	reconfigWarmupNs    = 4000.0  // warmup before the measurement window
@@ -36,11 +24,6 @@ const (
 	reconfigSwitchAtNs  = 12000.0 // reconfiguration instant inside the window
 	reconfigHealEveryNs = 8000.0  // healer cadence in the self-healing phase
 )
-
-// DefaultReconfigConfig is the documented study.
-func DefaultReconfigConfig() ReconfigConfig {
-	return ReconfigConfig{Seed: Sec7Seed}
-}
 
 // RejectionCase is one typed-rejection probe of the admission phase.
 type RejectionCase struct {
@@ -108,12 +91,15 @@ func reconfigNetwork(seed int64, reliable bool, retry int, col *fault.Collector)
 // run with the population fixed against a run that closes the victim
 // connection mid-window and admits a replacement requirement, with every
 // flit audited, the auditor resynchronised across the switch, and the
-// closed ids swept for residue. The survivors' timelines must be
-// byte-identical.
-func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) {
+// closed ids swept for residue. Only the survivors' deliveries are
+// recorded, and their timelines must be byte-identical: slot ownership is
+// the only state connections share, a close only surrenders slots and an
+// admission only claims free ones — reference [16]'s "undisrupted
+// quality-of-service during reconfiguration of multiple applications".
+func reconfigIsolation(seed int64, jobs int) (ReconfigIsolation, error) {
 	// The victim is the highest-id connection of the (deterministic)
 	// workload; everyone else must not notice the switch.
-	uc := reconfigSpec(cfg.Seed)
+	uc := reconfigSpec(seed)
 	victim := uc.Connections[0].ID
 	for _, c := range uc.Connections {
 		if c.ID > victim {
@@ -132,9 +118,9 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 	var audViol [2]int64
 	var residue [2]int
 	var newConn [2]phit.ConnID
-	res, err := audit.IsolationAcrossReconfig(jobs, survivors, func(reconfig bool) (audit.Timelines, error) {
+	res, err := audit.Isolation(jobs, func(reconfig bool) (audit.Timelines, error) {
 		audCol := fault.NewCollector()
-		n, err := reconfigNetwork(cfg.Seed, false, 0, fault.NewCollector())
+		n, err := reconfigNetwork(seed, false, 0, fault.NewCollector())
 		if err != nil {
 			return nil, err
 		}
@@ -196,12 +182,12 @@ func reconfigIsolation(cfg ReconfigConfig, jobs int) (ReconfigIsolation, error) 
 // reconfigRejections probes the admission controller with requests that
 // must each fail for a specific typed reason — and verifies the probes
 // left the network untouched (same free-slot picture before and after).
-func reconfigRejections(cfg ReconfigConfig) ([]RejectionCase, error) {
-	n, err := reconfigNetwork(cfg.Seed, false, 0, fault.NewCollector())
+func reconfigRejections(seed int64) ([]RejectionCase, error) {
+	n, err := reconfigNetwork(seed, false, 0, fault.NewCollector())
 	if err != nil {
 		return nil, err
 	}
-	uc := reconfigSpec(cfg.Seed)
+	uc := reconfigSpec(seed)
 	c0 := uc.Connections[0]
 	fresh := n.FreshConnID()
 	// A slot carries 2 payload words per 3-word flit: link payload
@@ -279,9 +265,9 @@ func reconfigRejections(cfg ReconfigConfig) ([]RejectionCase, error) {
 // healer between engine segments, and reports how each quarantined
 // connection was rerouted (or gracefully degraded) and how long the
 // service interruption lasted.
-func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *trace.Metrics, *core.Report, error) {
+func reconfigHealing(seed int64) (string, []core.HealReport, *trace.Metrics, *core.Report, error) {
 	col := fault.NewCollector()
-	n, err := reconfigNetwork(cfg.Seed, true, 2, col)
+	n, err := reconfigNetwork(seed, true, 2, col)
 	if err != nil {
 		return "", nil, nil, nil, err
 	}
@@ -315,7 +301,7 @@ func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *trace.Metr
 	if faultyName == "" {
 		return "", nil, nil, nil, fmt.Errorf("reconfig: no connection rides a router-to-router link")
 	}
-	plan := &fault.Plan{Seed: cfg.Seed, Rates: []fault.RateRule{
+	plan := &fault.Plan{Seed: seed, Rates: []fault.RateRule{
 		{Target: fmt.Sprintf("l%d.", faulty), Drop: 1},
 	}}
 	campaign := fault.NewCampaign(plan, col)
@@ -342,15 +328,22 @@ func reconfigHealing(cfg ReconfigConfig) (string, []core.HealReport, *trace.Metr
 	return faultyName, h.Reports(), mx, rep, nil
 }
 
-// ReconfigStudy runs all three phases and renders the verdict.
-func ReconfigStudy(cfg ReconfigConfig, jobs int) (*ReconfigSummary, error) {
-	sum := &ReconfigSummary{Seed: cfg.Seed}
+// ReconfigStudy takes one fixed workload, drawn from seed, through the
+// three claims of run-time reconfiguration — (1) closing and admitting
+// connections mid-run leaves every survivor's delivery timeline
+// byte-identical, (2) inadmissible requests are rejected with typed
+// reasons and change nothing, (3) a hard link fault quarantines the
+// connections crossing it and the self-healing layer reroutes them over
+// admissible alternate paths, with the recovery latency measured — and
+// renders the verdict.
+func ReconfigStudy(seed int64, jobs int) (*ReconfigSummary, error) {
+	sum := &ReconfigSummary{Seed: seed}
 	fail := func(format string, args ...any) {
 		sum.Violations++
 		sum.Failures = append(sum.Failures, fmt.Sprintf(format, args...))
 	}
 
-	iso, err := reconfigIsolation(cfg, jobs)
+	iso, err := reconfigIsolation(seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -370,13 +363,13 @@ func ReconfigStudy(cfg ReconfigConfig, jobs int) (*ReconfigSummary, error) {
 		fail("close left %d residues behind", iso.Residue)
 	}
 
-	rej, err := reconfigRejections(cfg)
+	rej, err := reconfigRejections(seed)
 	if err != nil {
 		return nil, err
 	}
 	sum.Rejections = rej
 
-	faulty, heals, mx, rep, err := reconfigHealing(cfg)
+	faulty, heals, mx, rep, err := reconfigHealing(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -175,6 +176,120 @@ func TestComponentMatchesCoreStep(t *testing.T) {
 			t.Errorf("the streams never tripped %v", k)
 		}
 	}
+}
+
+// TestFlitDirectMatchesStep feeds the same flit-aligned random streams to
+// a Core through StepFlitDirect, one token per input per iteration, and to
+// another through Step, one phit per cycle. Both datapaths must switch the
+// same phits (the clocked one two cycles later), trace the same
+// RouterForward events and report the same violations, down to the text.
+func TestFlitDirectMatchesStep(t *testing.T) {
+	const arity, flits = 5, 6000
+	flitCol, stepCol := fault.NewCollector(), fault.NewCollector()
+	flitCol.SetKeep(1 << 20)
+	stepCol.SetKeep(1 << 20)
+	flitBus, stepBus := trace.NewBus(), trace.NewBus()
+	flitEvents, stepEvents := &eventLog{}, &eventLog{}
+	flitBus.Attach(flitEvents)
+	stepBus.Attach(stepEvents)
+	wrapped, clocked := NewCore("r", arity, layout), NewCore("r", arity, layout)
+	wrapped.SetReporter(flitCol)
+	wrapped.SetTracer(flitBus.Emitter("r"))
+	clocked.SetReporter(stepCol)
+	clocked.SetTracer(stepBus.Emitter("r"))
+
+	// Every input is driven, and a header's first hop names any of eight
+	// ports: three are off the router, and inputs collide on the others.
+	rng := rand.New(rand.NewSource(9))
+	streams := make([][]phit.Phit, arity)
+	for i := range streams {
+		streams[i] = alignFlits(randomStream(t, rng, phit.ConnID(i+1), flits*phit.FlitWords))
+	}
+	in, out := make([]phit.Flit, arity), make([]phit.Flit, arity)
+	inTok, outTok := make([]*phit.Flit, arity), make([]*phit.Flit, arity)
+	for i := range in {
+		inTok[i], outTok[i] = &in[i], &out[i]
+	}
+	switched := make([][]phit.Phit, arity) // switched[port][word], StepFlitDirect's
+	for n := 0; n < flits; n++ {
+		for i := range in {
+			copy(in[i][:], streams[i][n*phit.FlitWords:])
+		}
+		wrapped.StepFlitDirect(inTok, outTok)
+		for port := range out {
+			switched[port] = append(switched[port], out[port][:]...)
+		}
+	}
+	word := make([]phit.Phit, arity)
+	var got []phit.Phit
+	const lag = 2 // Step drives word k of its inputs at its call k+2
+	for c := 0; c < flits*phit.FlitWords+lag; c++ {
+		for i := range word {
+			word[i] = phit.IdlePhit
+			if c < flits*phit.FlitWords {
+				word[i] = streams[i][c]
+			}
+		}
+		got = clocked.Step(word, got)
+		if k := c - lag; k >= 0 {
+			for port := range got {
+				if got[port] != switched[port][k] {
+					t.Fatalf("word %d output %d: Step drives %v, StepFlitDirect %v", k, port, got[port], switched[port][k])
+				}
+			}
+		}
+	}
+
+	if len(flitEvents.evs) != len(stepEvents.evs) || len(stepEvents.evs) == 0 {
+		t.Fatalf("%d events through StepFlitDirect, %d through Step", len(flitEvents.evs), len(stepEvents.evs))
+	}
+	for i, ev := range stepEvents.evs {
+		f := flitEvents.evs[i]
+		if f.Kind != trace.RouterForward || f.Conn != ev.Conn || f.Seq != ev.Seq || f.Arg != ev.Arg {
+			t.Fatalf("event %d: StepFlitDirect %+v, Step %+v", i, f, ev)
+		}
+	}
+
+	// Step reports a word's ProtocolError a cycle before its switch
+	// checks, StepFlitDirect all of a word's checks input by input, so
+	// the violations are compared as sorted lists.
+	texts := func(col *fault.Collector) []string {
+		var out []string
+		for _, v := range col.Violations() {
+			out = append(out, v.Kind.String()+": "+v.Detail)
+		}
+		sort.Strings(out)
+		return out
+	}
+	flitVs, stepVs := texts(flitCol), texts(stepCol)
+	if len(flitVs) != len(stepVs) {
+		t.Fatalf("%d violations through StepFlitDirect, %d through Step", len(flitVs), len(stepVs))
+	}
+	for i := range stepVs {
+		if flitVs[i] != stepVs[i] {
+			t.Fatalf("violation %d: StepFlitDirect %q, Step %q", i, flitVs[i], stepVs[i])
+		}
+	}
+	for _, k := range []fault.Kind{fault.RouteError, fault.SlotContention, fault.ProtocolError} {
+		if stepCol.CountByKind()[k] == 0 {
+			t.Errorf("the streams never tripped %v", k)
+		}
+	}
+}
+
+// alignFlits pads s with idles so that every packet header starts a flit,
+// as the NI's flit-granular output does, and trims it to whole flits.
+func alignFlits(s []phit.Phit) []phit.Phit {
+	out := make([]phit.Phit, 0, len(s)+len(s)/2)
+	for _, p := range s {
+		if p.Kind == phit.Header || p.Kind == phit.CreditOnly {
+			for len(out)%phit.FlitWords != 0 {
+				out = append(out, phit.IdlePhit)
+			}
+		}
+		out = append(out, p)
+	}
+	return out[:len(s)]
 }
 
 type eventLog struct{ evs []trace.Event }

@@ -24,6 +24,8 @@
 // core.instantiate), it samples them into the buffer that becomes stage 1,
 // and an idle port costs a valid-bit test per stage. Nothing in the router
 // is looked up by id — the output port comes out of the header. The
-// asynchronous wrapper (package wrapper) reuses the same Core at flit
-// granularity, so there is a single source of truth for router behaviour.
+// asynchronous wrapper (package wrapper) drives the same Core at flit
+// granularity: StepFlitDirect fires the pipeline's own HPU, switch and
+// envelope checks on each word of a token, so there is a single source of
+// truth for router behaviour.
 package router

@@ -10,10 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRouterViolations drives every converted envelope check of the router
-// core — the pipelined Step datapath and the wrapper-mode StepFlitDirect —
-// in strict mode (panic) and collecting mode (exactly one violation of the
-// expected kind, datapath keeps going).
+// TestRouterViolations drives every envelope check of the router core
+// through both clocking regimes — the pipelined Step and the wrapper-mode
+// StepFlitDirect, which fire the same per-phit checks — in strict mode
+// (panic) and collecting mode (exactly one violation of the expected kind,
+// datapath keeps going).
 func TestRouterViolations(t *testing.T) {
 	eopHeader := func(t *testing.T, path []int, conn phit.ConnID) phit.Phit {
 		h := header(t, path, 0)

@@ -113,55 +113,17 @@ func (c *Core) switchAndParse(out []phit.Phit) []phit.Phit {
 	out = out[:c.arity]
 	clear(out) // every output idle until a valid phit is switched to it
 
-	// Stage 3: switch reg2 to the outputs. TDM contention-freedom means
-	// at most one input targets each output; hitting a collision is a
-	// broken allocation, not an arbitration event. In collecting mode the
-	// first-switched phit wins and the collider is dropped — hardware
-	// would garble both, but keeping one preserves more observable
-	// behaviour downstream.
+	// Stage 3: switch reg2 to the outputs.
 	for i := range c.reg2 {
 		r := &c.reg2[i]
-		if !r.p.Valid {
-			if c.flitLeft[i] > 0 {
-				c.flitLeft[i]-- // idle padding inside a flit
-			}
-			continue
-		}
-		flitStart := c.flitLeft[i] == 0
-		if flitStart {
-			c.flitLeft[i] = phit.FlitWords - 1
-		} else {
-			c.flitLeft[i]--
-		}
-		if r.outPort < 0 || r.outPort >= c.arity {
-			fault.Report(c.rep, fault.Violation{
-				Kind: fault.RouteError, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot,
-				Detail: fmt.Sprintf("input %d routed to non-existent port %d (conn %d), phit dropped",
-					i, r.outPort, r.p.Meta.Conn),
-			})
-			continue
-		}
-		if out[r.outPort].Valid {
-			fault.Report(c.rep, fault.Violation{
-				Kind: fault.SlotContention, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot,
-				Detail: fmt.Sprintf("TDM contention on output %d between connections %d and %d — slot allocation violated",
-					r.outPort, out[r.outPort].Meta.Conn, r.p.Meta.Conn),
-			})
-			continue
-		}
-		out[r.outPort] = r.p
-		if c.tr != nil && flitStart {
-			c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: r.p.Meta.Conn,
-				Seq: r.p.Meta.Seq, Arg: int64(r.outPort), Slot: trace.NoSlot})
+		start := c.flitStart(i, r.p.Valid)
+		if r.p.Valid && c.portOK(i, r.outPort, &r.p) {
+			c.put(&out[r.outPort], &r.p, r.outPort, start)
 		}
 	}
 
-	// Stage 2: HPU. A valid phit outside a packet is a header: consume
-	// one hop of the path and latch the output port until EoP. A
-	// non-header phit outside a packet (a dropped or corrupted header
-	// upstream) is discarded until the next packet start. An idle input
-	// costs its valid bit: stage 2 is cleared only if it held a phit, and
-	// a phit is copied once, into stage 2.
+	// Stage 2: HPU. An idle input costs its valid bit: stage 2 is cleared
+	// only if it held a phit, and a phit is copied once, into stage 2.
 	for i := range c.reg1 {
 		p, r := &c.reg1[i], &c.reg2[i]
 		if !p.Valid {
@@ -170,28 +132,108 @@ func (c *Core) switchAndParse(out []phit.Phit) []phit.Phit {
 			}
 			continue
 		}
-		st := &c.hpu[i]
-		data := p.Data
-		if !st.inPacket {
-			if p.Kind != phit.Header && p.Kind != phit.CreditOnly {
-				fault.Report(c.rep, fault.Violation{
-					Kind: fault.ProtocolError, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot,
-					Detail: fmt.Sprintf("input %d expected header, got %v (conn %d), phit dropped",
-						i, p.Kind, p.Meta.Conn),
-				})
-				*r = stage2Reg{}
-				continue
-			}
-			st.outPort, data = c.layout.NextPort(p.Data)
-			st.inPacket = true
+		port, ok := c.hop(i, p)
+		if !ok {
+			*r = stage2Reg{}
+			continue
 		}
-		if p.EoP {
-			st.inPacket = false
-		}
-		r.p, r.outPort = *p, st.outPort
-		r.p.Data = data
+		r.p, r.outPort = *p, port
 	}
 	return out
+}
+
+// The per-phit steps below are the router's datapath, shared by both
+// clocking regimes: switchAndParse calls them once per cycle from its
+// pipeline registers, StepFlitDirect once per word of a wrapper token.
+
+// hop is the HPU for input i's valid phit p. Outside a packet p must be a
+// header: it consumes one hop of the path (p.Data is shifted in place) and
+// latches the output port until EoP. A non-header phit outside a packet (a
+// dropped or corrupted header upstream) is a ProtocolError and is
+// discarded until the next packet start; hop then reports false.
+func (c *Core) hop(i int, p *phit.Phit) (port int, ok bool) {
+	st := &c.hpu[i]
+	if !st.inPacket {
+		if p.Kind != phit.Header && p.Kind != phit.CreditOnly {
+			c.violate(fault.ProtocolError, fmt.Sprintf("input %d expected header, got %v (conn %d), phit dropped",
+				i, p.Kind, p.Meta.Conn))
+			return 0, false
+		}
+		st.outPort, p.Data = c.layout.NextPort(p.Data)
+	}
+	st.inPacket = !p.EoP
+	return st.outPort, true
+}
+
+// flitStart advances input i's flit-word counter past one word reaching
+// the switch and reports whether that word starts a flit. A flit's first
+// word is never idle, so the counter self-aligns: a valid word that finds
+// it at zero starts a flit.
+func (c *Core) flitStart(i int, valid bool) bool {
+	left := &c.flitLeft[i]
+	switch {
+	case !valid:
+		if *left > 0 {
+			*left-- // idle padding inside a flit
+		}
+		return false
+	case *left == 0:
+		*left = phit.FlitWords - 1
+		return true
+	default:
+		*left--
+		return false
+	}
+}
+
+// portOK checks that input i's phit p is routed to an existing output
+// port; a RouteError drops it.
+func (c *Core) portOK(i, port int, p *phit.Phit) bool {
+	if port >= 0 && port < c.arity {
+		return true
+	}
+	c.routeError(i, port, p)
+	return false
+}
+
+// routeError is portOK's report, kept out of line so that portOK inlines
+// into both datapaths.
+func (c *Core) routeError(i, port int, p *phit.Phit) {
+	c.violate(fault.RouteError, fmt.Sprintf("input %d routed to non-existent port %d (conn %d), phit dropped",
+		i, port, p.Meta.Conn))
+}
+
+// put switches p onto dst, the word it is routed to on output port, and
+// traces a RouterForward when p starts a flit. TDM contention-freedom means at most one input
+// targets each output word; hitting a collision is a broken allocation,
+// not an arbitration event. In collecting mode the first-switched phit
+// wins and the collider is dropped — hardware would garble both, but
+// keeping one preserves more observable behaviour downstream.
+func (c *Core) put(dst, p *phit.Phit, port int, start bool) {
+	if dst.Valid || start && c.tr != nil {
+		c.putSlow(dst, p, port)
+		return
+	}
+	*dst = *p
+}
+
+// putSlow is put for a collision or a traced flit start, kept out of line
+// so that put inlines into both datapaths.
+func (c *Core) putSlow(dst, p *phit.Phit, port int) {
+	if dst.Valid {
+		c.violate(fault.SlotContention, fmt.Sprintf("TDM contention on output %d between connections %d and %d — slot allocation violated",
+			port, dst.Meta.Conn, p.Meta.Conn))
+		return
+	}
+	*dst = *p
+	c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: p.Meta.Conn,
+		Seq: p.Meta.Seq, Arg: int64(port), Slot: trace.NoSlot})
+}
+
+// violate reports one envelope violation of this router at the current
+// simulation time.
+func (c *Core) violate(kind fault.Kind, detail string) {
+	fault.Report(c.rep, fault.Violation{Kind: kind, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot, Detail: detail})
 }
 
 // Component adapts a Core to the simulation engine: inputs are sampled
@@ -266,11 +308,8 @@ func (r *Component) Update(now clock.Time) {
 		if w != nil {
 			w.Drive(r.outBuf[i])
 		} else if r.outBuf[i].Valid {
-			fault.Report(c.rep, fault.Violation{
-				Kind: fault.RouteError, Component: "router " + c.name, Time: now, Slot: fault.NoSlot,
-				Detail: fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
-					i, r.outBuf[i].Meta.Conn),
-			})
+			c.violate(fault.RouteError, fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
+				i, r.outBuf[i].Meta.Conn))
 		}
 	}
 }

@@ -51,6 +51,7 @@ var artifacts = []artifact{
 	{"ex-quickstart", "quickstart", ""},
 	{"ex-quickstart-audit", "quickstart -audit -strict", ""},
 	{"ex-reliability", "reliability", ""},
+	{"ex-reliability-audit", "reliability -audit -strict", ""},
 	{"ex-usecaseswitch", "usecaseswitch", ""},
 	{"serve-scenario", `serve {"family":"uniform","conns":8,"shards":2,"warmup_ns":1000,"measure_ns":4000}`, ""},
 	{"serve-scale", `serve {"kind":"scale","cols":3,"rows":3,"conns":12}`, ""},

@@ -140,6 +140,22 @@ func TestPlesiochronous(t *testing.T) {
 	}
 }
 
+// TestPlesiochronousRoundsToPicoseconds pins the period rounding: at
+// 500 MHz one picosecond is 500 ppm of the period, so every |ppm| < 250
+// gives the base period exactly (a "200 ppm" clock set is equal-period),
+// and 1000 ppm moves the period by 2 ps.
+func TestPlesiochronousRoundsToPicoseconds(t *testing.T) {
+	base := NewMHz("base", 500, 0)
+	for _, c := range []struct {
+		ppm  float64
+		want Duration
+	}{{200, 2000}, {-200, 2000}, {249, 2000}, {-249, 2000}, {251, 2001}, {1000, 2002}, {-1000, 1998}} {
+		if got := Plesiochronous(base, "p", c.ppm, 0).Period; got != c.want {
+			t.Errorf("Plesiochronous(500 MHz, %g ppm) period = %d ps, want %d", c.ppm, got, c.want)
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	c := NewMHz("clk", 500, 100)
 	if got := c.String(); got != "clk(500.0 MHz, phase 100 ps)" {

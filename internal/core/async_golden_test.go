@@ -13,19 +13,26 @@ import (
 )
 
 // asyncGolden pins the asynchronous path the benchmark does not run:
-// plesiochronous clocks with unequal periods (PPM > 0), without and with an
-// injected PIC stall (200 ppm over 22 us drifts under one flit cycle, so
-// only the injected run has wrappers waiting on their neighbours). The
-// digests were recorded from the binary of the commit before the engine
-// stopped committing channels, the clock heap went in place and
-// TokenChannel became a ring; a scheduler or channel change that moves one
-// fire by one edge fails here.
+// configured plesiochronous clocks (PPM > 0), without and with an injected
+// PIC stall. Clock periods round to whole picoseconds, and at 500 MHz one
+// picosecond is 500 ppm, so every |ppm| < 250 gives exactly 2000 ps: the
+// ppm200 rows run 60 equal periods at distinct phases, and only the
+// injected run has wrappers waiting on their neighbours. The ppm200 digests
+// were recorded from the binary of the commit before the engine stopped
+// committing channels, the clock heap went in place and TokenChannel became
+// a ring. At 1000 ppm the periods are 1998-2002 ps, so clocks overtake
+// each other in the schedule and wrappers wait on drift alone; that digest
+// was recorded from the binary of the commit before the sorted clock ring
+// replaced the heap and generators began sleeping. A scheduler or channel
+// change that moves one fire by one edge fails here.
 var asyncGolden = map[string]struct {
+	ppm    float64
 	inject bool
 	digest string
 }{
-	"ppm200":       {false, "e6e236e34e8a045301f78bdd84c4f435a31c991d78aeaffdb0677f9e56b89946"},
-	"ppm200_stall": {true, "ccf8029b32ed2d631b8b0ad8564da475695992221c6ef5a4fec9b549ae195794"},
+	"ppm200":       {200, false, "e6e236e34e8a045301f78bdd84c4f435a31c991d78aeaffdb0677f9e56b89946"},
+	"ppm200_stall": {200, true, "ccf8029b32ed2d631b8b0ad8564da475695992221c6ef5a4fec9b549ae195794"},
+	"ppm1000":      {1000, false, "ccbc0a56764d36d9fbb6ef61d0c6f012d5ce49fde1e09f32cf071b60ce90c4f7"},
 }
 
 // stallSum keeps each wrapper's latest cumulative stall count, which every
@@ -46,16 +53,16 @@ func (s stallSum) total() (n int64) {
 }
 
 // asyncSec7Digest runs the Section VII use case (budgets negotiated as
-// BuildSec7 does) on 60 clocks up to 200 ppm apart and hashes the rendered
-// report plus the total wrapper stall count.
-func asyncSec7Digest(t *testing.T, inject bool) (digest string, stalls int64) {
+// BuildSec7 does) on 60 clocks drawn up to ppm from the base frequency and
+// hashes the rendered report plus the total wrapper stall count.
+func asyncSec7Digest(t *testing.T, ppm float64, inject bool) (digest string, stalls int64) {
 	t.Helper()
 	_, uc, _, err := experiments.BuildSec7(experiments.Sec7Seed, 500, core.Asynchronous, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := experiments.Sec7Mesh()
-	cfg := core.Config{Mode: core.Asynchronous, PhaseSeed: 13, PPM: 200}
+	cfg := core.Config{Mode: core.Asynchronous, PhaseSeed: 13, PPM: ppm}
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +80,10 @@ func asyncSec7Digest(t *testing.T, inject bool) (digest string, stalls int64) {
 		})
 	}
 	rep := n.Run(2000, 20000)
+	if !inject && !rep.AllWithinBound() {
+		// An injected stall is outside the analysis; drift is inside it.
+		t.Errorf("a measured latency exceeded its analytical bound at %g ppm", ppm)
+	}
 	h := sha256.New()
 	rep.Write(h)
 	fmt.Fprintf(h, "wrapper stalls %d\n", sum.total())
@@ -82,7 +93,7 @@ func asyncSec7Digest(t *testing.T, inject bool) (digest string, stalls int64) {
 func TestAsyncPlesiochronousGolden(t *testing.T) {
 	for name, want := range asyncGolden {
 		t.Run(name, func(t *testing.T) {
-			got, stalls := asyncSec7Digest(t, want.inject)
+			got, stalls := asyncSec7Digest(t, want.ppm, want.inject)
 			if want.inject && stalls == 0 {
 				t.Errorf("0 wrapper stalls: the injected stall did not reach the firing rule")
 			}

@@ -37,7 +37,7 @@ func (w *slotWriter) Update(now clock.Time) {
 
 // probeRun drives a probe from a clock domain distinct from the writer's
 // — two clock objects with identical period and phase, so every instant
-// is a coincident multi-group dispatch of the engine's min-heap scheduler
+// is a coincident multi-group dispatch of the engine's clock-ring scheduler
 // — and returns the slot-ownership violations.
 func probeRun(t *testing.T, slotOffset int64) int64 {
 	t.Helper()
@@ -52,7 +52,7 @@ func probeRun(t *testing.T, slotOffset int64) int64 {
 	wire := sim.NewWire[phit.Phit]("l0")
 	eng.AddWire(wire)
 	// Distinct clock objects: the engine groups components per *object*,
-	// so writer and probe land in different heap groups whose edges
+	// so writer and probe land in different clock groups whose edges
 	// always coincide.
 	wClk := clock.New("w", 1000, 0)
 	pClk := clock.New("p", 1000, 0)
@@ -71,7 +71,7 @@ func probeRun(t *testing.T, slotOffset int64) int64 {
 // TestProbeSamplesPreCommitValues: the probe must observe the value the
 // wire held *before* the current instant's drives commit, and attribute
 // it to the driving cycle (edge-1), even when writer and probe sit in
-// different min-heap clock groups sharing every edge instant. An engine
+// different clock groups sharing every edge instant. An engine
 // that committed wires between group dispatches, or a probe attributing
 // to the sampling cycle, shifts the observed slot by one and trips
 // ownership violations at every flit boundary. (TestProbeDetectsSlotSkew

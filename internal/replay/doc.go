@@ -10,7 +10,9 @@
 // architectural state at consecutive hyperperiod boundaries, and, when two
 // boundary fingerprints are byte-identical (time- and sequence-number-
 // normalised), replays the recorded epoch without touching the clock-group
-// heap, the timer heap, or any per-component Sample/Update dispatch.
+// ring, the timer heap, or any per-component Sample/Update dispatch. The
+// engine lets no component sleep (sim.Sleeper) while a fast path is
+// installed, so the recorded schedule is every component's every edge.
 //
 // Replay deoptimises back to the cycle-accurate engine on any
 // data-dependent event: a scheduled callback (fault injection,

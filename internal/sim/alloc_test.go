@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/clock"
@@ -9,7 +12,8 @@ import (
 // buildAllocRig assembles a pure-engine workload: three clock domains with
 // deliberately coprime periods (so instants alternate between single-domain
 // dispatch and coincident multi-domain merges), register chains on clocked
-// wires, and one globally committed wire.
+// wires, one globally committed wire, and a Sleeper that works one edge in
+// five.
 func buildAllocRig() *Engine {
 	eng := New()
 	cka := clock.New("a", 1000, 0)
@@ -25,9 +29,33 @@ func buildAllocRig() *Engine {
 		prev = w
 		_ = i
 	}
-	eng.Run(20 * 3000) // warm past heap growth and the lazy rebuild
+	eng.Add(&dozer{ticker{clk: ckb, every: 5}})
+	eng.Run(20 * 3000) // warm past ring growth and the lazy rebuild
 	return eng
 }
+
+// A ticker is a traffic generator in miniature: it does work on one edge
+// in every and only counts on the others.
+type ticker struct {
+	clk          *clock.Clock
+	every        int64
+	count, fires int64
+}
+
+func (t *ticker) Name() string        { return "ticker" }
+func (t *ticker) Clock() *clock.Clock { return t.clk }
+func (t *ticker) Update(now clock.Time) {
+	if t.count++; t.count == t.every {
+		t.count = 0
+		t.fires++
+	}
+}
+
+// A dozer is a ticker that sleeps through the edges it only counts on.
+type dozer struct{ ticker }
+
+func (d *dozer) Idle(now clock.Time) int64 { return d.every - 1 - d.count }
+func (d *dozer) Skip(n int64)              { d.count += n }
 
 // relay is a wrapper in miniature: on its own clock it fires when its input
 // channel holds a visible token and its output channel has space, moving
@@ -50,24 +78,46 @@ func (r *relay) Update(now clock.Time) {
 
 // buildChannelRig closes five relays on equal-period, differently phased
 // clocks into a loop of primed token channels — the shape of asynchronous
-// mode: one due clock per instant through the heap, channels registered
+// mode: one due clock per instant at the ring's head, channels registered
 // with nobody.
 func buildChannelRig() (*Engine, []*relay) {
+	clks := make([]*clock.Clock, 5)
+	for i := range clks {
+		clks[i] = clock.New("r", 1000, clock.Duration(170*i))
+	}
+	eng, relays, _ := buildDomains(clks, 0, false)
+	eng.Run(20 * 3000)
+	return eng, relays
+}
+
+// buildDomains closes one relay per clock into a loop of primed token
+// channels, and gives each domain gens tickers that work one edge in 50 —
+// a Section VII generator's duty cycle — as dozers when sleep is set.
+func buildDomains(clks []*clock.Clock, gens int, sleep bool) (*Engine, []*relay, []*ticker) {
 	eng := New()
-	const n = 5
+	n := len(clks)
 	chans := make([]*TokenChannel[[24]int64], n)
 	for i := range chans {
-		chans[i] = NewTokenChannel[[24]int64]("ch", 4, 2000)
+		chans[i] = NewTokenChannel[[24]int64]("ch", 4, 2*clks[i].Period)
 		chans[i].Prime([24]int64{})
 		chans[i].Prime([24]int64{})
 	}
 	relays := make([]*relay, n)
-	for i := range relays {
-		relays[i] = &relay{clk: clock.New("r", 1000, clock.Duration(170*i)), in: chans[i], out: chans[(i+1)%n]}
+	var tickers []*ticker
+	for i, ck := range clks {
+		relays[i] = &relay{clk: ck, in: chans[i], out: chans[(i+1)%n]}
 		eng.Add(relays[i])
+		for k := 0; k < gens; k++ {
+			d := &dozer{ticker{clk: ck, every: 50, count: int64(k+i) % 50}}
+			tickers = append(tickers, &d.ticker)
+			if sleep {
+				eng.Add(d)
+			} else {
+				eng.Add(&d.ticker)
+			}
+		}
 	}
-	eng.Run(20 * 3000)
-	return eng, relays
+	return eng, relays, tickers
 }
 
 // TestRunSteadyStateAllocs pins the hot-path contract the sweep runner
@@ -89,6 +139,50 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	for i, r := range relays {
 		if r.fires < 200 {
 			t.Errorf("relay %d fired %d times: the channel rig is not moving tokens", i, r.fires)
+		}
+	}
+}
+
+// BenchmarkEngineRunDomains is asynchronous mode's engine shape at Section
+// VII scale: 60 clock domains at one shared period (PPM 0) or at periods up
+// to 1000 ppm apart (2 ps at 500 MHz). Each domain holds one component
+// that only counts (bare: the schedule alone), or a relay in a loop of
+// token channels and three tickers, dispatched every edge (awake) or
+// sleeping between their working edges. One op is 1000 base periods.
+func BenchmarkEngineRunDomains(b *testing.B) {
+	const domains, gens, periods = 60, 3, 1000
+	base := clock.NewMHz("base", 500, 0)
+	for _, ppm := range []float64{0, 1000} {
+		for _, mode := range []string{"bare", "awake", "sleeping"} {
+			b.Run(fmt.Sprintf("ppm%g/%s", ppm, mode), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(2009))
+				clks := make([]*clock.Clock, domains)
+				for i := range clks {
+					clks[i] = clock.Plesiochronous(base, "d", (2*rng.Float64()-1)*ppm, clock.Duration(rng.Int63n(int64(base.Period))))
+				}
+				eng := New()
+				working := func() bool { return eng.Edges() > 0 }
+				if mode == "bare" {
+					for _, ck := range clks {
+						eng.Add(&ticker{clk: ck, every: math.MaxInt64})
+					}
+				} else {
+					var relays []*relay
+					var tickers []*ticker
+					eng, relays, tickers = buildDomains(clks, gens, mode == "sleeping")
+					working = func() bool { return relays[0].fires > 0 && tickers[0].fires > 0 }
+				}
+				eng.Run(20 * base.Period)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Run(eng.Now() + periods*base.Period)
+				}
+				b.StopTimer()
+				if !working() {
+					b.Fatalf("%s rig: nothing moved", mode)
+				}
+			})
 		}
 	}
 }

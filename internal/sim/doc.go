@@ -15,6 +15,15 @@
 //     output wires. Drives are buffered.
 //  3. Commit: all buffered drives become visible.
 //
+// Components are grouped by clock, and the groups sit in a ring sorted by
+// next edge: the due group is the head, and advancing it walks it back
+// from the tail past every group strictly later, which is no step when the
+// periods are equal. A component that implements Sleeper (a traffic
+// generator between words) tells the engine after each Update how many of
+// its next edges would only advance counters; those edges are counted but
+// not dispatched, and the component is passed their number before its
+// next Update or before anything outside dispatch can observe it.
+//
 // Components in different clock domains simply fire at different instants;
 // cross-domain channels (bi-synchronous FIFOs, token channels) are modelled
 // in package sim as well, with explicit forwarding delays, because they are

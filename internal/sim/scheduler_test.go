@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -157,11 +159,14 @@ type dispatch struct {
 }
 
 // recorder logs its own edges; Sample and Update must see the same instant.
+// poke, when set, runs after every eighth Update.
 type recorder struct {
 	clk     *clock.Clock
 	idx     int
 	sampled clock.Time
 	log     *[]dispatch
+	poke    func()
+	updates int
 }
 
 func (r *recorder) Name() string          { return "rec" }
@@ -172,6 +177,47 @@ func (r *recorder) Update(now clock.Time) {
 		now = -now // poison the log: Update without a matching Sample
 	}
 	*r.log = append(*r.log, dispatch{now, r.idx})
+	if r.updates++; r.poke != nil && r.updates%8 == 0 {
+		r.poke()
+	}
+}
+
+// napper logs its real edges like a recorder, but is a Sleeper: it
+// promises a random number of idle edges after each one and adds up the
+// edges it is told it slept through. It has no Sample, as no Sleeper may.
+type napper struct {
+	clk     *clock.Clock
+	idx     int
+	log     *[]dispatch
+	rng     *rand.Rand
+	promise int64 // the last Idle answer
+	skipped int64 // sum of Skip counts
+	bad     string
+}
+
+func (n *napper) Name() string        { return "nap" }
+func (n *napper) Clock() *clock.Clock { return n.clk }
+func (n *napper) Update(now clock.Time) {
+	*n.log = append(*n.log, dispatch{now, n.idx})
+	n.promise = 0
+}
+func (n *napper) Idle(now clock.Time) int64 {
+	switch r := n.rng.Intn(10); {
+	case r < 3:
+		n.promise = 0
+	case r == 3:
+		n.promise = math.MaxInt64 // a disabled generator's answer
+	default:
+		n.promise = 1 + n.rng.Int63n(8)
+	}
+	return n.promise
+}
+func (n *napper) Skip(k int64) {
+	if k <= 0 || k > n.promise {
+		n.bad = fmt.Sprintf("Skip(%d) after a promise of %d idle edges", k, n.promise)
+	}
+	n.promise -= k
+	n.skipped += k
 }
 
 // schedCase is one randomly drawn schedule: clocks, which clock drives each
@@ -180,6 +226,7 @@ func (r *recorder) Update(now clock.Time) {
 type schedCase struct {
 	periods, phases []clock.Duration
 	compClk         []int
+	sleepy          []bool // which components are nappers
 	mutations       []schedMutation
 	chunks          []clock.Time // Run is called once per chunk boundary
 }
@@ -195,7 +242,12 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	var c schedCase
 	nClk := 1 + rng.Intn(12)
 	base := clock.Duration(500 + rng.Intn(1500))
+	if kind == 3 {
+		nClk = 1 + rng.Intn(60)
+		base = clock.Duration(1500 + rng.Intn(1000))
+	}
 	coprime := []clock.Duration{701, 1009, 1303, 1999, 2003, 997, 1511, 2477, 811, 1213, 1747, 653}
+	baseClk := clock.New("base", base, 0)
 	for i := 0; i < nClk; i++ {
 		p := base // kind 0: equal periods, random phases
 		switch kind {
@@ -203,6 +255,8 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 			p = coprime[i]
 		case 2: // harmonics of one base and shared phases: many coincident edges
 			p = base * clock.Duration(1+rng.Intn(3))
+		case 3: // plesiochronous: periods a few ps apart, so groups overtake each other
+			p = clock.Plesiochronous(baseClk, "p", float64(rng.Intn(2001)-1000), 0).Period
 		}
 		ph := clock.Duration(rng.Int63n(int64(p)))
 		if kind == 2 || rng.Intn(4) == 0 {
@@ -214,8 +268,12 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	nComp := nClk + rng.Intn(2*nClk)
 	for i := 0; i < nComp; i++ {
 		c.compClk = append(c.compClk, rng.Intn(nClk)) // some clocks may drive nothing
+		c.sleepy = append(c.sleepy, rng.Intn(3) == 0)
 	}
 	end := clock.Time(40 * base)
+	if kind == 3 {
+		end = clock.Time(80 * base) // long enough for a few ps a period to reorder phases
+	}
 	for i := rng.Intn(4); i > 0; i-- {
 		m := schedMutation{at: clock.Time(rng.Int63n(int64(end))), clk: rng.Intn(nClk)}
 		if rng.Intn(2) == 0 {
@@ -236,29 +294,83 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	return c
 }
 
-// build instantiates the case on fresh clocks and recorders.
-func (c schedCase) build(log *[]dispatch) ([]*clock.Clock, []*recorder) {
+// build instantiates the case on fresh clocks, recorders and nappers.
+func (c schedCase) build(log *[]dispatch) ([]*clock.Clock, []Component) {
 	clks := make([]*clock.Clock, len(c.periods))
 	for i := range clks {
 		clks[i] = clock.New("c", c.periods[i], c.phases[i])
 	}
-	comps := make([]*recorder, len(c.compClk))
+	comps := make([]Component, len(c.compClk))
 	for i, k := range c.compClk {
-		comps[i] = &recorder{clk: clks[k], idx: i, log: log}
+		if c.sleepy[i] {
+			comps[i] = &napper{clk: clks[k], idx: i, log: log, rng: rand.New(rand.NewSource(int64(i)))}
+		} else {
+			comps[i] = &recorder{clk: clks[k], idx: i, log: log}
+		}
 	}
 	return clks, comps
 }
 
+// A schedRun is what one run of a case dispatched: the edges in order, the
+// sum of each component's Skip counts, each component's edges so far
+// (dispatched or skipped) as every mutation saw them, and the first broken
+// promise a napper saw.
+type schedRun struct {
+	log      []dispatch
+	skipped  []int64
+	atTimers [][]int64
+	bad      string
+}
+
+// accounted counts each component's edges so far, dispatched or skipped.
+func (r *schedRun) accounted(comps []Component) []int64 {
+	n := make([]int64, len(comps))
+	for _, d := range r.log {
+		n[d.idx]++
+	}
+	for i, c := range comps {
+		if s, ok := c.(*napper); ok {
+			n[i] += s.skipped
+		}
+	}
+	return n
+}
+
 // runEngine drives the case through the real scheduler.
-func (c schedCase) runEngine() []dispatch {
-	var log []dispatch
-	clks, comps := c.build(&log)
+func (c schedCase) runEngine() schedRun {
+	var run schedRun
+	clks, comps := c.build(&run.log)
 	eng := New()
+	// After a wake a Sleeper may have been changed, so no promise it made
+	// before holds: a later Skip beyond the new promise of 0 is an edge
+	// slept through after the wake.
+	voidPromises := func() {
+		for _, r := range comps {
+			if n, ok := r.(*napper); ok {
+				n.promise = 0
+			}
+		}
+	}
 	for _, r := range comps {
 		eng.Add(r)
+		// Some components call Sync or invalidate the schedule from
+		// inside Update, which wakes every Sleeper in the middle of
+		// dispatch.
+		if r, ok := r.(*recorder); ok && r.idx%4 >= 2 {
+			wake := eng.Sync
+			if r.idx%4 == 3 {
+				wake = eng.InvalidateSchedule
+			}
+			r.poke = func() {
+				wake()
+				voidPromises()
+			}
+		}
 	}
 	for _, m := range c.mutations {
 		eng.At(m.at, func() {
+			run.atTimers = append(run.atTimers, run.accounted(comps))
+			voidPromises()
 			if m.newPeriod > 0 {
 				clks[m.clk].Period = m.newPeriod
 				eng.InvalidateSchedule()
@@ -270,15 +382,25 @@ func (c schedCase) runEngine() []dispatch {
 	for _, until := range c.chunks {
 		eng.Run(until)
 	}
-	return log
+	run.skipped = make([]int64, len(comps))
+	for i, r := range comps {
+		if n, ok := r.(*napper); ok {
+			run.skipped[i] = n.skipped
+			if run.bad == "" && n.bad != "" {
+				run.bad = fmt.Sprintf("component %d: %s", i, n.bad)
+			}
+		}
+	}
+	return run
 }
 
-// runOracle is the brute-force schedule: no heap, no groups, no cached next
-// edges. At every instant it asks each live component's clock whether it
-// has an edge there, and finds the next instant by scanning all of them.
-func (c schedCase) runOracle() []dispatch {
-	var log []dispatch
-	clks, comps := c.build(&log)
+// runOracle is the brute-force schedule: no ring, no groups, no cached next
+// edges, no sleep. At every instant it asks each live component's clock
+// whether it has an edge there, and finds the next instant by scanning all
+// of them.
+func (c schedCase) runOracle() schedRun {
+	var run schedRun
+	clks, comps := c.build(&run.log)
 	live := make([]bool, len(comps))
 	for i := range live {
 		live[i] = true
@@ -294,7 +416,7 @@ func (c schedCase) runOracle() []dispatch {
 		next := clock.Infinity
 		for i, r := range comps {
 			if live[i] {
-				next = min(next, r.clk.NextEdge(now))
+				next = min(next, r.Clock().NextEdge(now))
 			}
 		}
 		for _, m := range muts {
@@ -303,13 +425,14 @@ func (c schedCase) runOracle() []dispatch {
 			}
 		}
 		if next > end {
-			return log
+			return run
 		}
 		now = next
 		for _, m := range muts { // registration order at equal instants
 			if m.at != now {
 				continue
 			}
+			run.atTimers = append(run.atTimers, run.accounted(comps))
 			if m.newPeriod > 0 {
 				clks[m.clk].Period = m.newPeriod
 			} else {
@@ -317,12 +440,12 @@ func (c schedCase) runOracle() []dispatch {
 			}
 		}
 		for i, r := range comps {
-			if live[i] && r.clk.NextEdge(now-1) == now {
-				r.Sample(now)
+			if s, ok := r.(Sampler); ok && live[i] && r.Clock().NextEdge(now-1) == now {
+				s.Sample(now)
 			}
 		}
 		for i, r := range comps {
-			if live[i] && r.clk.NextEdge(now-1) == now {
+			if live[i] && r.Clock().NextEdge(now-1) == now {
 				r.Update(now)
 			}
 		}
@@ -330,19 +453,55 @@ func (c schedCase) runOracle() []dispatch {
 }
 
 // TestSchedulerMatchesBruteForce: over random clock sets — equal periods,
-// coprime periods, coincident edges, mid-run period mutation with
-// InvalidateSchedule, Remove from a callback, Run split into arbitrary
-// chunks — the engine dispatches exactly the (time, add-index) sequence a
-// scan of Clock.NextEdge over every component produces.
+// coprime periods, coincident edges, up to 60 plesiochronous clocks a few
+// ps apart, mid-run period mutation with InvalidateSchedule, Remove from a
+// callback, Sync and InvalidateSchedule from inside Update, Run split into
+// arbitrary chunks — the engine dispatches exactly the (time, add-index)
+// sequence a scan of Clock.NextEdge over every component produces, less
+// the edges Sleepers slept through: each of those is a Sleeper's, each
+// Sleeper's Skip counts add up to its own, no Skip exceeds the promise in
+// force, and every timer sees each component at the oracle's edge count.
 func TestSchedulerMatchesBruteForce(t *testing.T) {
+	const trials = 800
 	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 600; trial++ {
-		c := drawSchedCase(rng, trial%3)
-		got, want := c.runEngine(), c.runOracle()
+	vacuous := 0
+	for trial := 0; trial < trials; trial++ {
+		c := drawSchedCase(rng, trial%4)
+		eng, oracle := c.runEngine(), c.runOracle()
+		got, want := eng.log, oracle.log
 		if len(want) == 0 {
-			t.Fatalf("trial %d: oracle dispatched nothing", trial)
+			vacuous++ // e.g. the only component removed before its first edge
+			if vacuous > trials/100 {
+				t.Fatalf("trial %d: the oracle dispatched nothing in %d trials", trial, vacuous)
+			}
+			continue
 		}
-		if !slices.Equal(got, want) {
+		if eng.bad != "" {
+			t.Fatalf("trial %d: %s", trial, eng.bad)
+		}
+		if !slices.EqualFunc(eng.atTimers, oracle.atTimers, slices.Equal) {
+			t.Fatalf("trial %d: edges per component, dispatched or slept, when each timer ran %v, oracle %v",
+				trial, eng.atTimers, oracle.atTimers)
+		}
+		// Drop from the oracle's sequence the edges the engine did not
+		// dispatch, counting them per component.
+		missed := make([]int64, len(c.compClk))
+		kept := want[:0:0]
+		for _, d := range want {
+			if len(kept) < len(got) && got[len(kept)] == d {
+				kept = append(kept, d)
+				continue
+			}
+			if !c.sleepy[d.idx] {
+				kept = append(kept, d) // not a Sleeper's: a real mismatch
+				continue
+			}
+			missed[d.idx]++
+		}
+		if !slices.Equal(missed, eng.skipped) {
+			t.Fatalf("trial %d: edges not dispatched per component %v, Skip counts %v", trial, missed, eng.skipped)
+		}
+		if want := kept; !slices.Equal(got, want) {
 			i := 0
 			for i < len(got) && i < len(want) && got[i] == want[i] {
 				i++

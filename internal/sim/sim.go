@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -32,7 +34,30 @@ type Sampler interface {
 	Sample(now clock.Time)
 }
 
-// An Engine owns components and wires and advances simulated time.
+// A Sleeper is a Component that can promise edges on which it would only
+// advance counters. After each real Update the engine asks Idle how many of
+// the clock's next edges are such edges, and skips exactly that many
+// dispatches of the component; before the next real Update, and whenever
+// anything outside edge dispatch may look at or mutate the component (a
+// timer instant, Add, Remove, AddWire*, InvalidateSchedule, SetFastPath,
+// Sync, a return from Run), it calls Skip with the number of edges skipped
+// so far and cancels the rest of the sleep. Skip(n) must leave the
+// component exactly as n Updates on those edges would have. Nothing sleeps
+// while a fast path is installed, and a Sleeper may not also be a Sampler.
+type Sleeper interface {
+	Component
+	// Idle returns how many of the clock's edges after now would only
+	// advance counters; 0 keeps the component dispatched every edge.
+	Idle(now clock.Time) int64
+	// Skip advances the component over n edges it slept through.
+	Skip(n int64)
+}
+
+// An Engine owns components and wires and advances simulated time. It
+// keeps one schedule: the components grouped by clock, the groups in a
+// ring sorted by next edge, and for each Sleeper the edges it may skip.
+// Between calls to Run every Sleeper is awake, so a caller reading or
+// mutating a component sees it as if it had been updated on every edge.
 //
 // An Engine is strictly single-goroutine: all methods must be called from
 // one goroutine at a time. Concurrency lives one level up — package
@@ -43,15 +68,24 @@ type Engine struct {
 	wires      []AnyWire     // committed at every executed instant
 	clocked    []clockedWire // committed only at their clock's edges
 	now        clock.Time
-	edges      int64 // total component-edges executed
+	edges      int64 // total component-edges executed, slept ones included
 
-	// Edge schedule: components grouped by clock, with a min-heap of
-	// groups keyed by each clock's next edge. Rebuilt lazily whenever the
-	// component set or a clock definition changes (dirty).
+	// Edge schedule: components grouped by clock, and a ring of the groups
+	// sorted by each clock's next edge, starting at ring[head]. Rebuilt
+	// lazily whenever the component set or a clock definition changes
+	// (dirty).
 	groups  []*clockGroup
-	gheap   []*clockGroup
+	ring    []ringEntry
+	head    int
 	orphans []AnyWire // clocked wires whose clock drives no component
 	dirty   bool
+
+	// Sleep state of each component, by add index; asleep is set while
+	// any Sleeper has skipped or will skip an edge, and wakes counts the
+	// wakes that found one asleep.
+	sleeps []sleepState
+	asleep bool
+	wakes  int64
 
 	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
 	// steady-state simulation performs zero allocations per instant.
@@ -124,8 +158,28 @@ type clockGroup struct {
 	clk      *clock.Clock
 	comps    []indexedComp
 	samplers []indexedSampler // the comps that have a Sample, same order
+	awake    []indexedComp    // the comps that are not Sleepers, same order
+	sleepers []indexedComp    // the comps that are Sleepers, same order
 	wires    []AnyWire
-	next     clock.Time // cached next edge, strictly after the last dispatch
+
+	// nap counts the group's coming edges on which every one of its
+	// Sleepers sleeps, so only awake is dispatched; napped counts those
+	// taken since the Sleepers' own counts were last settled.
+	nap, napped int64
+}
+
+// A ringEntry is one clock group's place in the schedule: its cached next
+// edge, strictly after the last dispatch, and its clock's period.
+type ringEntry struct {
+	next   clock.Time
+	period clock.Duration
+	g      *clockGroup
+}
+
+// sleepState counts a Sleeper's edges: left still to skip, and slept
+// already skipped but not yet passed to Skip.
+type sleepState struct {
+	left, slept int64
 }
 
 // A clockedWire associates a wire with the clock domain of its
@@ -139,6 +193,7 @@ type clockedWire struct {
 // edges of different clocks still execute in add order (stable traces).
 type indexedComp struct {
 	c   Component
+	sl  Sleeper // c as a Sleeper, or nil
 	idx int
 }
 
@@ -215,6 +270,7 @@ func (e *Engine) InvalidateSchedule() {
 // invalidateFast tells the fast path the schedule or element set is about
 // to change, before the change lands.
 func (e *Engine) invalidateFast() {
+	e.wake()
 	if e.fast != nil {
 		e.fast.Invalidated()
 	}
@@ -256,12 +312,16 @@ func (e *Engine) AddWireClocked(w AnyWire, clk *clock.Clock) {
 
 // SetFastPath installs (or, with nil, removes) a compiled fast path. The
 // engine consults it at the top of every Run iteration; see FastPath.
-func (e *Engine) SetFastPath(f FastPath) { e.fast = f }
+func (e *Engine) SetFastPath(f FastPath) {
+	e.wake()
+	e.fast = f
+}
 
 // Sync materialises any state the installed fast path has fast-forwarded,
 // so components, wires and statistics read as if the run had been
 // cycle-accurate throughout. It is a no-op without a fast path.
 func (e *Engine) Sync() {
+	e.wake()
 	if e.fast != nil {
 		e.fast.Sync()
 	}
@@ -341,10 +401,55 @@ type AnyWire interface {
 	commit()
 }
 
+// wake ends every sleep: each Sleeper is passed the edges it has skipped
+// and is dispatched again from its next edge on.
+func (e *Engine) wake() {
+	if !e.asleep {
+		return
+	}
+	for _, g := range e.groups {
+		e.settle(g)
+		g.nap = 0
+		for _, c := range g.sleepers {
+			st := &e.sleeps[c.idx]
+			if st.slept > 0 {
+				c.sl.Skip(st.slept)
+			}
+			*st = sleepState{}
+		}
+	}
+	e.asleep = false
+	e.wakes++
+}
+
+// settle moves the edges g napped into its Sleepers' own counts.
+func (e *Engine) settle(g *clockGroup) {
+	if g.napped == 0 {
+		return
+	}
+	for _, c := range g.sleepers {
+		st := &e.sleeps[c.idx]
+		st.left -= g.napped
+		st.slept += g.napped
+	}
+	g.napped = 0
+}
+
+// napFor returns how many coming edges of g every Sleeper of g sleeps
+// through.
+func (e *Engine) napFor(g *clockGroup) int64 {
+	nap := int64(math.MaxInt64)
+	for _, c := range g.sleepers {
+		nap = min(nap, e.sleeps[c.idx].left)
+	}
+	return nap
+}
+
 // rebuild regroups components by clock, attaches each clocked wire to its
 // writer's group, and recomputes every group's next edge strictly after
 // the instant from.
 func (e *Engine) rebuild(from clock.Time) {
+	e.wake()
 	byClk := make(map[*clock.Clock]*clockGroup, len(e.groups)+1)
 	e.groups = e.groups[:0]
 	for i, c := range e.components {
@@ -354,11 +459,23 @@ func (e *Engine) rebuild(from clock.Time) {
 			byClk[c.Clock()] = g
 			e.groups = append(e.groups, g)
 		}
-		g.comps = append(g.comps, indexedComp{c: c, idx: i})
+		ic := indexedComp{c: c, idx: i}
 		if s, ok := c.(Sampler); ok {
 			g.samplers = append(g.samplers, indexedSampler{s: s, idx: i})
 		}
+		if sl, ok := c.(Sleeper); ok {
+			if _, ok := c.(Sampler); ok {
+				panic(fmt.Sprintf("sim: component %q is both a Sleeper and a Sampler", c.Name()))
+			}
+			ic.sl = sl
+			g.sleepers = append(g.sleepers, ic)
+		} else {
+			g.awake = append(g.awake, ic)
+		}
+		g.comps = append(g.comps, ic)
 	}
+	e.sleeps = slices.Grow(e.sleeps[:0], len(e.components))[:len(e.components)]
+	clear(e.sleeps)
 	e.orphans = e.orphans[:0]
 	for _, cw := range e.clocked {
 		if g := byClk[cw.clk]; g != nil {
@@ -369,14 +486,11 @@ func (e *Engine) rebuild(from clock.Time) {
 			e.orphans = append(e.orphans, cw.w)
 		}
 	}
-	e.gheap = e.gheap[:0]
+	e.ring, e.head = e.ring[:0], 0
 	for _, g := range e.groups {
-		g.next = g.clk.NextEdge(from)
-		e.gheap = append(e.gheap, g)
+		e.ring = append(e.ring, ringEntry{next: g.clk.NextEdge(from), period: g.clk.Period, g: g})
 	}
-	for i := len(e.gheap)/2 - 1; i >= 0; i-- {
-		groupDown(e.gheap, i)
-	}
+	slices.SortStableFunc(e.ring, func(a, b ringEntry) int { return cmp.Compare(a.next, b.next) })
 	e.dirty = false
 }
 
@@ -384,13 +498,18 @@ func (e *Engine) rebuild(from clock.Time) {
 // <= until. It returns the number of distinct instants executed.
 //
 // Instead of rescanning every component per instant, the engine keeps the
-// components grouped by clock in a min-heap on each clock's next edge and
-// advances the due clocks in place at its top: the per-instant cost scales
-// with the number of due clock domains, not with the total component
-// count, and no instant divides. Wire commits are batched the same way
-// (see AddWireClocked), the common single-domain instant dispatches a
-// group's components in place without copying, and the dispatch scratch
-// lives on the Engine, so steady-state instants allocate nothing.
+// components grouped by clock in a ring sorted by each clock's next edge:
+// the due group is the ring's head, and advancing it moves it to the tail
+// and back past any group whose edge is strictly later, which with equal
+// periods is none. The per-instant cost scales with the number of due
+// clock domains, not with the total component count, and no instant
+// divides. A Sleeper's promised idle edges are counted, not dispatched,
+// and while every Sleeper of a group sleeps the group dispatches only its
+// other components, counting the edge once for all of them.
+// Wire commits are batched per group (see AddWireClocked), the common
+// single-domain instant dispatches a group's components in place without
+// copying, and the dispatch scratch lives on the Engine, so steady-state
+// instants allocate nothing. Every Sleeper is awake when Run returns.
 func (e *Engine) Run(until clock.Time) int {
 	instants := 0
 	for {
@@ -405,6 +524,7 @@ func (e *Engine) Run(until clock.Time) int {
 				e.now = res.Now
 			}
 			if res.Done {
+				e.wake()
 				return instants
 			}
 			if e.dirty {
@@ -412,23 +532,28 @@ func (e *Engine) Run(until clock.Time) int {
 			}
 		}
 		next := clock.Infinity
-		if len(e.gheap) > 0 {
-			next = e.gheap[0].next
+		if len(e.ring) > 0 {
+			next = e.ring[e.head].next
 		}
 		if len(e.timers) > 0 && e.timers[0].at < next {
 			next = e.timers[0].at
 		}
 		if next == clock.Infinity || next > until {
 			e.now = until
+			e.wake()
 			return instants
 		}
 		e.now = next
 
-		// Scheduled callbacks run first at their instant. They may
-		// mutate clocks; rebuild then re-derives the schedule so that
-		// unchanged clocks due exactly at this instant still fire, and
-		// edges a mutation would place in the past round up to now.
+		// Scheduled callbacks run first at their instant, on awake
+		// components. They may mutate clocks; rebuild then re-derives the
+		// schedule so that unchanged clocks due exactly at this instant
+		// still fire, and edges a mutation would place in the past round
+		// up to now.
 		ranTimer := false
+		if len(e.timers) > 0 && e.timers[0].at <= next {
+			e.wake()
+		}
 		for len(e.timers) > 0 && e.timers[0].at <= next {
 			t := e.timers[0]
 			n := len(e.timers) - 1
@@ -443,16 +568,32 @@ func (e *Engine) Run(until clock.Time) int {
 			e.rebuild(next - 1)
 		}
 
-		// Every group due here is on top of the heap in turn. Its cached
+		// Every group due here is at the ring's head in turn. Its cached
 		// edge is an exact edge of its clock (rebuild is the only place that
 		// derives one from phase and period), so the edge after it is one
-		// period on: update the top in place and sift it down once.
+		// period on. The head's slot becomes the tail, and the group walks
+		// back from there past every group strictly later than its new edge.
 		dueGroups := e.dueGroups[:0]
-		for len(e.gheap) > 0 && e.gheap[0].next <= next {
-			g := e.gheap[0]
-			g.next += g.clk.Period
-			groupDown(e.gheap, 0)
-			dueGroups = append(dueGroups, g)
+		for n := len(e.ring); n > 0 && e.ring[e.head].next <= next; {
+			r := e.ring[e.head]
+			dueGroups = append(dueGroups, r.g)
+			r.next += r.period
+			i := e.head
+			if e.head++; e.head == n {
+				e.head = 0
+			}
+			for i != e.head {
+				p := i - 1
+				if p < 0 {
+					p = n - 1
+				}
+				if e.ring[p].next <= r.next {
+					break
+				}
+				e.ring[i] = e.ring[p]
+				i = p
+			}
+			e.ring[i] = r
 		}
 		e.dueGroups = dueGroups
 
@@ -462,15 +603,28 @@ func (e *Engine) Run(until clock.Time) int {
 		// place, with no copy and no sort. Coincident edges of different
 		// domains fall back to merging into the scratch slice and sorting
 		// by add index, so cross-domain traces stay in add order.
+		// A group whose Sleepers all sleep through this edge dispatches
+		// only its other components and counts the edge as napped.
 		due, sampled := e.due[:0], e.dueSampled[:0]
+		edges, napping := 0, false
 		switch len(dueGroups) {
 		case 0:
 		case 1:
-			due, sampled = dueGroups[0].comps, dueGroups[0].samplers
+			g := dueGroups[0]
+			due, sampled, edges = g.comps, g.samplers, len(g.comps)
+			if napping = g.nap > 0; napping {
+				g.nap--
+				g.napped++
+				due = g.awake
+			} else {
+				e.settle(g)
+			}
 		default:
 			for _, g := range dueGroups {
+				e.settle(g)
 				due = append(due, g.comps...)
 				sampled = append(sampled, g.samplers...)
+				edges += len(g.comps)
 			}
 			e.due, e.dueSampled = due, sampled
 			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
@@ -479,8 +633,24 @@ func (e *Engine) Run(until clock.Time) int {
 		for _, s := range sampled {
 			s.s.Sample(next)
 		}
-		for _, c := range due {
-			c.c.Update(next)
+		if e.fast != nil {
+			for _, c := range due { // nothing sleeps under a fast path
+				c.c.Update(next)
+			}
+		} else {
+			wakes := e.wakes
+			nap := e.updateAwake(due, next)
+			switch {
+			case napping, e.wakes != wakes:
+				// A napping group's count stands; a wake during dispatch
+				// has already set every group's to 0.
+			case len(dueGroups) == 1:
+				dueGroups[0].nap = nap
+			default:
+				for _, g := range dueGroups {
+					g.nap = e.napFor(g)
+				}
+			}
 		}
 
 		// Commit phase: the due domains' own wires, then the wires that
@@ -497,39 +667,45 @@ func (e *Engine) Run(until clock.Time) int {
 		for _, w := range e.orphans {
 			w.commit()
 		}
-		e.edges += int64(len(due))
+		e.edges += int64(edges)
 		instants++
 		if e.fast != nil && !e.resim {
-			e.fast.Observe(next, len(due))
+			e.fast.Observe(next, edges)
 		}
 	}
 }
 
-// groupDown restores the clock-group min-heap on next edge time after the
-// entry at i grew. With near-equal periods which child holds the earlier
-// edge is a coin flip, so it is picked by arithmetic on a 0/1 flag, not by
-// a branch the predictor would miss on every other level.
-func groupDown(h []*clockGroup, i int) {
-	g := h[i]
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			break
+// updateAwake dispatches the due components at now, except that a sleeping
+// Sleeper only counts the edge, and a waking one is first passed the
+// edges it slept through and afterwards asked for its next sleep. It
+// returns how many coming edges every Sleeper in due sleeps through.
+func (e *Engine) updateAwake(due []indexedComp, now clock.Time) int64 {
+	nap := int64(math.MaxInt64)
+	for _, c := range due {
+		if c.sl == nil {
+			c.c.Update(now)
+			continue
 		}
-		if r := m + 1; r < len(h) {
-			right := 0
-			if h[r].next < h[m].next {
-				right = 1
+		st := &e.sleeps[c.idx]
+		if st.left > 0 {
+			st.left--
+			st.slept++
+			nap = min(nap, st.left)
+			continue
+		}
+		if st.slept > 0 {
+			c.sl.Skip(st.slept)
+			st.slept = 0
+		}
+		c.c.Update(now)
+		if e.fast == nil { // an Update may install one
+			if st.left = c.sl.Idle(now); st.left > 0 {
+				e.asleep = true
 			}
-			m += right
 		}
-		if h[m].next >= g.next {
-			break
-		}
-		h[i] = h[m]
-		i = m
+		nap = min(nap, st.left)
 	}
-	h[i] = g
+	return nap
 }
 
 // timerUp/timerDown maintain the callback min-heap on (at, seq).

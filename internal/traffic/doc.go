@@ -11,9 +11,13 @@
 //
 // A generator names its connection by id and hands every word to its
 // Port under that id; the port resolves the id (the aelite NI by a binary
-// search over the few connections it sources). Update runs once per cycle
-// for every generator of the network — most of the engine's edges — so it
-// compares a wrapped burst position instead of dividing the burst phase.
+// search over the few connections it sources). A generator has an edge
+// every cycle — most of the engine's edges — but offers a word on few of
+// them, so it is a sim.Sleeper: after each Update, Idle counts the edges
+// before its next word (none before its start, with a backlog or inside a
+// transaction), and Skip advances the accumulator or burst position over
+// them in one step. Update compares a wrapped burst position instead of
+// dividing the burst phase.
 //
 // Generators are the periodicity root of the replay fast path: a CBR
 // rate that reduces to a small rational words-per-cycle pattern makes

@@ -7,7 +7,11 @@ import (
 	"repro/internal/clock"
 	"repro/internal/phit"
 	"repro/internal/replay"
+	"repro/internal/sim"
 )
+
+// The engine lets a generator sleep between words.
+var _ sim.Sleeper = (*Generator)(nil)
 
 // A Port is the IP-side injection interface of a network interface; both
 // the aelite NI and the best-effort baseline NI implement it.
@@ -16,7 +20,7 @@ type Port interface {
 }
 
 // A Generator produces payload words for one connection at a modelled
-// rate. It implements sim.Component and runs in the IP's clock domain
+// rate. It implements sim.Sleeper and runs in the IP's clock domain
 // (which, thanks to the NI's bi-synchronous FIFO, need not be the NI's).
 type Generator struct {
 	name string
@@ -176,6 +180,38 @@ func (g *Generator) Update(now clock.Time) {
 		g.seq++
 		g.accNum -= g.rateDen
 	}
+}
+
+// Idle implements sim.Sleeper: the edges after now on which Update would
+// only advance the accumulator or the burst position. It is 0 before the
+// first word is due, with a backlog and in a transaction's on-phase.
+func (g *Generator) Idle(now clock.Time) int64 {
+	switch {
+	case g.disabled:
+		return math.MaxInt64
+	case now < g.start || g.accNum >= g.rateDen:
+		return 0
+	case g.onCycles > 0:
+		if g.pos < g.onCycles {
+			return 0
+		}
+		return g.onCycles + g.offCycles - g.pos
+	}
+	return (g.rateDen-g.accNum+g.rateNum-1)/g.rateNum - 1
+}
+
+// Skip implements sim.Sleeper: n edges' worth of Update, none of which
+// offers a word.
+func (g *Generator) Skip(n int64) {
+	if g.disabled {
+		return
+	}
+	if g.onCycles > 0 {
+		g.phase += n
+		g.pos = (g.pos + n) % (g.onCycles + g.offCycles)
+		return
+	}
+	g.accNum += n * g.rateNum
 }
 
 // newTransactional returns a generator that emits whole transactions of

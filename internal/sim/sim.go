@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -81,11 +80,9 @@ type Engine struct {
 	dirty   bool
 
 	// Sleep state of each component, by add index; asleep is set while
-	// any Sleeper has skipped or will skip an edge, and wakes counts the
-	// wakes that found one asleep.
+	// any Sleeper has skipped or will skip an edge.
 	sleeps []sleepState
 	asleep bool
-	wakes  int64
 
 	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
 	// steady-state simulation performs zero allocations per instant.
@@ -158,14 +155,7 @@ type clockGroup struct {
 	clk      *clock.Clock
 	comps    []indexedComp
 	samplers []indexedSampler // the comps that have a Sample, same order
-	awake    []indexedComp    // the comps that are not Sleepers, same order
-	sleepers []indexedComp    // the comps that are Sleepers, same order
 	wires    []AnyWire
-
-	// nap counts the group's coming edges on which every one of its
-	// Sleepers sleeps, so only awake is dispatched; napped counts those
-	// taken since the Sleepers' own counts were last settled.
-	nap, napped int64
 }
 
 // A ringEntry is one clock group's place in the schedule: its cached next
@@ -408,41 +398,14 @@ func (e *Engine) wake() {
 		return
 	}
 	for _, g := range e.groups {
-		e.settle(g)
-		g.nap = 0
-		for _, c := range g.sleepers {
-			st := &e.sleeps[c.idx]
-			if st.slept > 0 {
+		for _, c := range g.comps {
+			if st := &e.sleeps[c.idx]; st.slept > 0 {
 				c.sl.Skip(st.slept)
 			}
-			*st = sleepState{}
 		}
 	}
+	clear(e.sleeps)
 	e.asleep = false
-	e.wakes++
-}
-
-// settle moves the edges g napped into its Sleepers' own counts.
-func (e *Engine) settle(g *clockGroup) {
-	if g.napped == 0 {
-		return
-	}
-	for _, c := range g.sleepers {
-		st := &e.sleeps[c.idx]
-		st.left -= g.napped
-		st.slept += g.napped
-	}
-	g.napped = 0
-}
-
-// napFor returns how many coming edges of g every Sleeper of g sleeps
-// through.
-func (e *Engine) napFor(g *clockGroup) int64 {
-	nap := int64(math.MaxInt64)
-	for _, c := range g.sleepers {
-		nap = min(nap, e.sleeps[c.idx].left)
-	}
-	return nap
 }
 
 // rebuild regroups components by clock, attaches each clocked wire to its
@@ -468,9 +431,6 @@ func (e *Engine) rebuild(from clock.Time) {
 				panic(fmt.Sprintf("sim: component %q is both a Sleeper and a Sampler", c.Name()))
 			}
 			ic.sl = sl
-			g.sleepers = append(g.sleepers, ic)
-		} else {
-			g.awake = append(g.awake, ic)
 		}
 		g.comps = append(g.comps, ic)
 	}
@@ -503,9 +463,7 @@ func (e *Engine) rebuild(from clock.Time) {
 // and back past any group whose edge is strictly later, which with equal
 // periods is none. The per-instant cost scales with the number of due
 // clock domains, not with the total component count, and no instant
-// divides. A Sleeper's promised idle edges are counted, not dispatched,
-// and while every Sleeper of a group sleeps the group dispatches only its
-// other components, counting the edge once for all of them.
+// divides. A Sleeper's promised idle edges are counted, not dispatched.
 // Wire commits are batched per group (see AddWireClocked), the common
 // single-domain instant dispatches a group's components in place without
 // copying, and the dispatch scratch lives on the Engine, so steady-state
@@ -603,28 +561,15 @@ func (e *Engine) Run(until clock.Time) int {
 		// place, with no copy and no sort. Coincident edges of different
 		// domains fall back to merging into the scratch slice and sorting
 		// by add index, so cross-domain traces stay in add order.
-		// A group whose Sleepers all sleep through this edge dispatches
-		// only its other components and counts the edge as napped.
 		due, sampled := e.due[:0], e.dueSampled[:0]
-		edges, napping := 0, false
 		switch len(dueGroups) {
 		case 0:
 		case 1:
-			g := dueGroups[0]
-			due, sampled, edges = g.comps, g.samplers, len(g.comps)
-			if napping = g.nap > 0; napping {
-				g.nap--
-				g.napped++
-				due = g.awake
-			} else {
-				e.settle(g)
-			}
+			due, sampled = dueGroups[0].comps, dueGroups[0].samplers
 		default:
 			for _, g := range dueGroups {
-				e.settle(g)
 				due = append(due, g.comps...)
 				sampled = append(sampled, g.samplers...)
-				edges += len(g.comps)
 			}
 			e.due, e.dueSampled = due, sampled
 			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
@@ -638,19 +583,7 @@ func (e *Engine) Run(until clock.Time) int {
 				c.c.Update(next)
 			}
 		} else {
-			wakes := e.wakes
-			nap := e.updateAwake(due, next)
-			switch {
-			case napping, e.wakes != wakes:
-				// A napping group's count stands; a wake during dispatch
-				// has already set every group's to 0.
-			case len(dueGroups) == 1:
-				dueGroups[0].nap = nap
-			default:
-				for _, g := range dueGroups {
-					g.nap = e.napFor(g)
-				}
-			}
+			e.updateAwake(due, next)
 		}
 
 		// Commit phase: the due domains' own wires, then the wires that
@@ -667,20 +600,18 @@ func (e *Engine) Run(until clock.Time) int {
 		for _, w := range e.orphans {
 			w.commit()
 		}
-		e.edges += int64(edges)
+		e.edges += int64(len(due))
 		instants++
 		if e.fast != nil && !e.resim {
-			e.fast.Observe(next, edges)
+			e.fast.Observe(next, len(due))
 		}
 	}
 }
 
 // updateAwake dispatches the due components at now, except that a sleeping
 // Sleeper only counts the edge, and a waking one is first passed the
-// edges it slept through and afterwards asked for its next sleep. It
-// returns how many coming edges every Sleeper in due sleeps through.
-func (e *Engine) updateAwake(due []indexedComp, now clock.Time) int64 {
-	nap := int64(math.MaxInt64)
+// edges it slept through and afterwards asked for its next sleep.
+func (e *Engine) updateAwake(due []indexedComp, now clock.Time) {
 	for _, c := range due {
 		if c.sl == nil {
 			c.c.Update(now)
@@ -690,7 +621,6 @@ func (e *Engine) updateAwake(due []indexedComp, now clock.Time) int64 {
 		if st.left > 0 {
 			st.left--
 			st.slept++
-			nap = min(nap, st.left)
 			continue
 		}
 		if st.slept > 0 {
@@ -703,9 +633,7 @@ func (e *Engine) updateAwake(due []indexedComp, now clock.Time) int64 {
 				e.asleep = true
 			}
 		}
-		nap = min(nap, st.left)
 	}
-	return nap
 }
 
 // timerUp/timerDown maintain the callback min-heap on (at, seq).

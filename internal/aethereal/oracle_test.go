@@ -101,9 +101,6 @@ func (r *oldRouter) ConnectOut(i int, data *sim.Wire[phit.Phit], credit *sim.Wir
 	r.outCredit[i] = downstreamBuf
 }
 
-// BufferWords returns the per-input buffer depth.
-func (r *oldRouter) BufferWords() int { return r.bufCap }
-
 // Forwarded returns the number of words switched.
 func (r *oldRouter) Forwarded() int64 { return r.forwarded }
 

@@ -116,9 +116,6 @@ func (r *Router) ConnectOut(i int, data *sim.Wire[phit.Phit], credit *sim.Wire[i
 	r.outCredit[i] = downstreamBuf
 }
 
-// BufferWords returns the per-input buffer depth.
-func (r *Router) BufferWords() int { return r.bufCap }
-
 // Buffered returns the number of words held in all input buffers.
 func (r *Router) Buffered() int { return r.buffered }
 

@@ -38,11 +38,6 @@ type ContractSet struct {
 	// WordBytes converts bandwidth guarantees to words for the token
 	// bucket.
 	WordBytes int
-	// CheckExclusive enables the per-resource slot-exclusivity check;
-	// backends with legitimate sub-flit-cycle event spacing between
-	// different connections (plesiochronous clocks) leave it off.
-	CheckExclusive bool
-
 	Contracts []Contract
 
 	// AllocTables are the allocation-side slot-ownership tables, keyed
@@ -56,11 +51,13 @@ type ContractSet struct {
 // subscribes it to the bus. It shares every check and reporting path with
 // the aelite Attach — only contract construction differs — so a
 // violation means the same thing regardless of which backend produced
-// the trace. The per-revolution slot quota is the exception: it needs one
-// table revolution, which a fabric of unequal rings does not have, so only
-// Attach arms it.
+// the trace. The slot-exclusivity check is always on: a contract fabric
+// runs one clock, so no two connections legitimately share a resource
+// within a flit cycle. The per-revolution slot quota is the exception: it
+// needs one table revolution, which a fabric of unequal rings does not
+// have, so only Attach arms it.
 func AttachContracts(set ContractSet, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
-	a := newAuditor(bus, rep, opts, set.FreqMHz, set.CheckExclusive)
+	a := newAuditor(bus, rep, opts, set.FreqMHz, true)
 	var high phit.ConnID
 	for _, c := range set.Contracts {
 		high = max(high, c.Conn)

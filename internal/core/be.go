@@ -45,9 +45,6 @@ type BENetwork struct {
 // Engine exposes the simulation engine.
 func (n *BENetwork) Engine() *sim.Engine { return n.eng }
 
-// NIOf returns the BE NI at a node.
-func (n *BENetwork) NIOf(id topology.NodeID) *aethereal.NI { return n.nis[id] }
-
 // Replay returns the installed hyperperiod replay program, or nil under
 // Config.CycleAccurate.
 func (n *BENetwork) Replay() *replay.Program { return n.prog }

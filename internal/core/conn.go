@@ -279,10 +279,10 @@ func (n *Network) attach(info *connInfo) error {
 	src, dst := n.nis[info.srcNI], n.nis[info.dstNI]
 	// Data direction: out at src, in at dst.
 	src.AddOutConn(ni.OutConnConfig{ID: id, Headers: dataHdrs, InitialCredits: info.recvCap, PairedIn: rev})
-	dst.AddInConn(ni.InConnConfig{ID: id, QID: dataQID, RecvCapacity: info.recvCap, CreditFor: rev, AutoDrain: true})
+	dst.AddInConn(ni.InConnConfig{ID: id, QID: dataQID, CreditFor: rev})
 	// Credit direction: out at dst, in at src.
 	dst.AddOutConn(ni.OutConnConfig{ID: rev, Headers: revHdrs, InitialCredits: 0, PairedIn: id})
-	src.AddInConn(ni.InConnConfig{ID: rev, QID: revQID, RecvCapacity: 0, CreditFor: id, AutoDrain: true})
+	src.AddInConn(ni.InConnConfig{ID: rev, QID: revQID, CreditFor: id})
 	// The injection tables are the live objects the NIs read.
 	n.program(info.srcNI, id, info.slotSet)
 	n.program(info.dstNI, rev, info.revSlots)

@@ -68,12 +68,6 @@ func (g *Graph) check(a ActorID) {
 	}
 }
 
-// Actor returns an actor by id.
-func (g *Graph) Actor(id ActorID) Actor {
-	g.check(id)
-	return g.actors[id]
-}
-
 // MCR computes the maximum cycle ratio — the steady-state iteration
 // period — by parametric binary search: a candidate period P is feasible
 // iff the graph with edge weights (duration(src) + latency - P*tokens)

@@ -70,7 +70,7 @@ func recoveryPoint(seed int64, i int) (string, error) {
 	fmt.Fprintf(&b, "faults injected: %d bits flipped, %d flits dropped; violations: %d\n",
 		flips, drops, col.Total())
 	fmt.Fprintf(&b, "%6s %6s %9s %5s %6s %5s %5s %4s %9s %9s %9s  %s\n",
-		"conn", "sent", "delivered", "crc", "rexmit", "acks", "rec", "quar",
+		"conn", "sent", "delivered", "drops", "rexmit", "acks", "rec", "quar",
 		"recMinNs", "recMeanNs", "recMaxNs", "payload")
 	for _, c := range rep.Conns {
 		tx, ok := n.ReliableTxStats(c.Conn)

@@ -39,9 +39,6 @@ const (
 	// CreditError: end-to-end credit accounting violated (credits above
 	// capacity, credits with no target connection).
 	CreditError
-	// QueueOverflow: an NI receive queue overflowed — end-to-end flow
-	// control violated.
-	QueueOverflow
 	// RouteError: a phit routed to a non-existent or unconnected port.
 	RouteError
 	// PacketState: an NI sender's packetisation self-consistency broke
@@ -94,7 +91,6 @@ var kindNames = map[Kind]string{
 	ProtocolError:       "protocol",
 	UnknownQueue:        "unknown-queue",
 	CreditError:         "credit",
-	QueueOverflow:       "queue-overflow",
 	RouteError:          "route",
 	PacketState:         "packet-state",
 	Liveness:            "liveness",

@@ -105,10 +105,6 @@ func NewStage(name string, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
 	return s
 }
 
-// SetReporter routes this stage's runtime envelope checks to r (nil
-// restores fail-fast panics).
-func (s *Stage) SetReporter(r fault.Reporter) { s.rep = r }
-
 // SetTracer installs the stage's lifecycle-event emitter; nil disables
 // tracing.
 func (s *Stage) SetTracer(e *trace.Emitter) { s.tr = e }

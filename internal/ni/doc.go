@@ -18,9 +18,11 @@
 //     to the free space (in words) of the remote receive queue and blocks
 //     when they run out, so receive queues can never overflow and an
 //     oversubscribing application only slows itself down (paper Section
-//     IV.A). Credits are returned piggybacked in headers of the paired
-//     reverse connection, or in credit-only packets when that connection
-//     has no data of its own.
+//     IV.A). The receiving IP drains at line rate, so a delivered word
+//     frees its space at once; the NI models no receive buffer, only the
+//     credits it owes. Credits are returned piggybacked in headers of the
+//     paired reverse connection, or in credit-only packets when that
+//     connection has no data of its own.
 //   - GALS edge: IPs reach the NI through bi-synchronous FIFOs, so IP
 //     clocks are unconstrained.
 //

@@ -11,14 +11,14 @@ import (
 
 // faultNI builds a bare NI for violation testing: out connection 1 owns
 // slot 0 with 6 initial credits, and in connection 3 sits at queue 0.
-func faultNI(creditFor phit.ConnID, recvCap int, autoDrain bool) *NI {
+func faultNI(creditFor phit.ConnID) *NI {
 	clk := clock.NewMHz("clk", 500, 0)
 	tb := slots.NewTable(4)
 	tb.Slots[0] = 1
 	n := New("f", clk, layout, tb, nil, nil)
 	hdr, _ := layout.Encode(nil, 0, 0)
 	n.AddOutConn(OutConnConfig{ID: 1, Headers: slotHeaders(hdr, 0), InitialCredits: 6})
-	n.AddInConn(InConnConfig{ID: 3, QID: 0, RecvCapacity: recvCap, CreditFor: creditFor, AutoDrain: autoDrain})
+	n.AddInConn(InConnConfig{ID: 3, QID: 0, CreditFor: creditFor})
 	return n
 }
 
@@ -46,7 +46,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "expected-header",
 			kind:  fault.ProtocolError,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.receivePhit(100, payload)
 			},
@@ -54,7 +54,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "unknown-queue",
 			kind:  fault.UnknownQueue,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.receivePhit(100, header(t, 1, 0)) // queue 1 does not exist
 				// The packet body must be swallowed without further reports.
@@ -67,7 +67,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "credits-without-target",
 			kind:  fault.CreditError,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.receivePhit(100, header(t, 0, 2))
 			},
@@ -75,7 +75,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "credit-overflow",
 			kind:  fault.CreditError,
-			build: func(t *testing.T) *NI { return faultNI(1, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(1) },
 			run: func(t *testing.T, n *NI) {
 				// Connection 1 already holds its full 6-credit window; any
 				// return is a duplicate.
@@ -83,19 +83,9 @@ func TestNIViolations(t *testing.T) {
 			},
 		},
 		{
-			name:  "receive-queue-overflow",
-			kind:  fault.QueueOverflow,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 1, false) },
-			run: func(t *testing.T, n *NI) {
-				n.receivePhit(100, header(t, 0, 0))
-				n.receivePhit(102, payload) // fills the 1-word queue
-				n.receivePhit(104, payload) // overflows it
-			},
-		},
-		{
 			name:  "kind-inside-packet",
 			kind:  fault.ProtocolError,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.receivePhit(100, header(t, 0, 0))
 				n.receivePhit(102, header(t, 0, 0)) // header inside a packet
@@ -104,7 +94,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "packet-open-into-unowned-slot",
 			kind:  fault.PacketState,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.openConn = 1
 				n.buildFlit(100, 1) // slot 1 is unowned
@@ -114,7 +104,7 @@ func TestNIViolations(t *testing.T) {
 			name: "packet-open-into-foreign-slot",
 			kind: fault.PacketState,
 			build: func(t *testing.T) *NI {
-				n := faultNI(phit.None, 8, true)
+				n := faultNI(phit.None)
 				hdr, _ := layout.Encode(nil, 0, 0)
 				n.AddOutConn(OutConnConfig{ID: 9, Headers: slotHeaders(hdr, 1), InitialCredits: 6})
 				n.table.Slots[1] = 9
@@ -128,7 +118,7 @@ func TestNIViolations(t *testing.T) {
 		{
 			name:  "kept-open-with-nothing-to-send",
 			kind:  fault.PacketState,
-			build: func(t *testing.T) *NI { return faultNI(phit.None, 8, true) },
+			build: func(t *testing.T) *NI { return faultNI(phit.None) },
 			run: func(t *testing.T, n *NI) {
 				n.openConn = 1
 				n.buildFlit(100, 0) // own slot, but the send queue is empty
@@ -163,7 +153,7 @@ func TestNIViolations(t *testing.T) {
 // TestNIForceClosedPacketRecovers: after a packet-state violation is
 // collected, the NI must close the packet cleanly and keep injecting.
 func TestNIForceClosedPacketRecovers(t *testing.T) {
-	n := faultNI(phit.None, 8, true)
+	n := faultNI(phit.None)
 	col := fault.NewCollector()
 	n.SetReporter(col)
 	n.openConn = 1

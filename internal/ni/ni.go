@@ -39,16 +39,10 @@ type InConnConfig struct {
 	// QID is this connection's receive queue index, as encoded in the
 	// headers the sender builds.
 	QID int
-	// RecvCapacity is the receive queue depth in words; it must match
-	// the sender's InitialCredits.
-	RecvCapacity int
 	// CreditFor names the out-connection at this NI that is credited by
 	// the credit field of this connection's incoming headers (phit.None
 	// if this connection's headers never carry credits for us).
 	CreditFor phit.ConnID
-	// AutoDrain, when true (the common case: the IP consumes at line
-	// rate), pops arriving words immediately and returns credits.
-	AutoDrain bool
 }
 
 type outConn struct {
@@ -68,8 +62,7 @@ type inConn struct {
 	cfg InConnConfig
 	// creditFor is cfg.CreditFor resolved, like outConn.pairedIn.
 	creditFor *outConn
-	recvQ     []phit.Meta
-	owed      int // credits owed to the sender (freed queue space)
+	owed      int // credits owed to the sender: words delivered, which the IP drains at once
 	rx        ConnStats
 }
 
@@ -257,21 +250,6 @@ func (n *NI) Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool {
 func (n *NI) SendQueueSpace(conn phit.ConnID) int {
 	oc := n.mustOut(conn)
 	return oc.queue.Cap() - oc.queue.Len()
-}
-
-// Consume pops up to max words from the connection's receive queue,
-// returning credits to the sender. It is how a modelled IP reads data when
-// AutoDrain is off.
-func (n *NI) Consume(conn phit.ConnID, max int) []phit.Meta {
-	ic := n.mustIn(conn)
-	k := len(ic.recvQ)
-	if k > max {
-		k = max
-	}
-	out := append([]phit.Meta(nil), ic.recvQ[:k]...)
-	ic.recvQ = ic.recvQ[k:]
-	ic.owed += k
-	return out
 }
 
 func (n *NI) mustOut(conn phit.ConnID) *outConn {
@@ -511,24 +489,12 @@ func (n *NI) receivePhit(now clock.Time, p phit.Phit) {
 		switch p.Kind {
 		case phit.Payload:
 			ic := n.curIn
-			if len(ic.recvQ) >= ic.cfg.RecvCapacity && !ic.cfg.AutoDrain {
-				fault.Report(n.rep, fault.Violation{
-					Kind: fault.QueueOverflow, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,
-					Detail: fmt.Sprintf("receive queue overflow on connection %d — end-to-end flow control violated, word dropped",
-						ic.cfg.ID),
-				})
-				break
-			}
 			ic.rx.Record(now, p.Meta.Injected)
 			if n.tr != nil {
 				n.tr.Emit(trace.Event{Time: now, Ref: p.Meta.Injected, Kind: trace.Eject,
 					Conn: ic.cfg.ID, Seq: p.Meta.Seq, Slot: trace.NoSlot})
 			}
-			if ic.cfg.AutoDrain {
-				ic.owed++
-			} else {
-				ic.recvQ = append(ic.recvQ, p.Meta)
-			}
+			ic.owed++
 		case phit.Padding:
 			// Fills the flit after the last payload word; carries nothing.
 		default:

@@ -24,8 +24,8 @@ type pair struct {
 
 // newPair builds the harness. aSlots/bSlots pick the injection slots of
 // connection 1 (at A) and the reverse connection 2 (at B) in a table of
-// size tableSize. recvCap is B's receive queue for connection 1.
-func newPair(t *testing.T, tableSize int, aSlots, bSlots []int, recvCap int, autoDrain bool) *pair {
+// size tableSize. recvCap is A's initial credit count for connection 1.
+func newPair(t *testing.T, tableSize int, aSlots, bSlots []int, recvCap int) *pair {
 	t.Helper()
 	eng := sim.New()
 	clk := clock.NewMHz("clk", 500, 0)
@@ -54,9 +54,9 @@ func newPair(t *testing.T, tableSize int, aSlots, bSlots []int, recvCap int, aut
 		t.Fatal(err)
 	}
 	a.AddOutConn(OutConnConfig{ID: 1, Headers: slotHeaders(hdr1, aSlots...), InitialCredits: recvCap, PairedIn: 2})
-	b.AddInConn(InConnConfig{ID: 1, QID: 0, RecvCapacity: recvCap, CreditFor: 2, AutoDrain: autoDrain})
+	b.AddInConn(InConnConfig{ID: 1, QID: 0, CreditFor: 2})
 	b.AddOutConn(OutConnConfig{ID: 2, Headers: slotHeaders(hdr2, bSlots...), InitialCredits: 0, PairedIn: 1})
-	a.AddInConn(InConnConfig{ID: 2, QID: 0, RecvCapacity: 0, CreditFor: 1, AutoDrain: true})
+	a.AddInConn(InConnConfig{ID: 2, QID: 0, CreditFor: 1})
 
 	eng.Add(a)
 	eng.Add(b)
@@ -99,7 +99,7 @@ func (p *pair) offer(t *testing.T, n int) {
 }
 
 func TestNIDeliversPayload(t *testing.T) {
-	p := newPair(t, 4, []int{0, 2}, []int{1}, 16, true)
+	p := newPair(t, 4, []int{0, 2}, []int{1}, 16)
 	mx, _ := p.trace()
 	p.offer(t, 5)
 	p.cycles(40)
@@ -116,7 +116,7 @@ func TestNIDeliversPayload(t *testing.T) {
 }
 
 func TestNIInjectsOnlyInOwnedSlots(t *testing.T) {
-	p := newPair(t, 8, []int{3}, []int{6}, 16, true)
+	p := newPair(t, 8, []int{3}, []int{6}, 16)
 	// Watch the wire: valid phits may only appear in slot 3 (+ the
 	// drive pipeline offset).
 	p.offer(t, 2)
@@ -141,7 +141,7 @@ func (p *pair) aOut() *sim.Wire[phit.Phit] { return p.a.out }
 
 func TestNIPacketisationPadding(t *testing.T) {
 	// One word offered: flit = header + payload + padding with EoP.
-	p := newPair(t, 4, []int{0}, []int{2}, 16, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 16)
 	col := fault.NewCollector()
 	p.b.SetReporter(col)
 	p.offer(t, 1)
@@ -175,7 +175,7 @@ func TestNIPacketisationPadding(t *testing.T) {
 func TestNIHeaderElision(t *testing.T) {
 	// Adjacent slots 1,2: a backlog spanning both should send
 	// header+2 in slot 1 and 3 payload words (no header) in slot 2.
-	p := newPair(t, 4, []int{1, 2}, []int{0}, 32, true)
+	p := newPair(t, 4, []int{1, 2}, []int{0}, 32)
 	p.offer(t, 5)
 	var kinds []phit.Kind
 	for i := 0; i < 40 && len(kinds) < 6; i++ {
@@ -204,7 +204,7 @@ func TestNICreditStallAndReturn(t *testing.T) {
 	// recvCap 3: A can send only one flit's payload (2 words, then 1)
 	// before waiting for returns; with B's return slot in the loop the
 	// full backlog still drains.
-	p := newPair(t, 4, []int{0}, []int{2}, 3, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 3)
 	p.offer(t, 9)
 	p.cycles(200)
 	st := p.b.InStats(1)
@@ -221,7 +221,7 @@ func TestNICreditExhaustionBlocks(t *testing.T) {
 	// its initial window (3 words) and then stall, counting blocked
 	// flit opportunities — end-to-end flow control protecting B's
 	// 3-word queue.
-	p := newPair(t, 4, []int{0}, nil, 3, true)
+	p := newPair(t, 4, []int{0}, nil, 3)
 	mx, _ := p.trace()
 	p.offer(t, 9)
 	p.cycles(200)
@@ -238,7 +238,7 @@ func TestNICreditExhaustionBlocks(t *testing.T) {
 
 func TestNICreditOnlyPackets(t *testing.T) {
 	// B owes credits but has no data: it must emit CreditOnly headers.
-	p := newPair(t, 4, []int{0}, []int{2}, 6, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 6)
 	p.offer(t, 6)
 	sawCreditOnly := false
 	for i := 0; i < 120; i++ {
@@ -256,31 +256,8 @@ func TestNICreditOnlyPackets(t *testing.T) {
 	}
 }
 
-func TestNIManualConsume(t *testing.T) {
-	p := newPair(t, 4, []int{0}, []int{2}, 6, false) // no auto-drain
-	p.offer(t, 4)
-	p.cycles(60)
-	if got := p.b.InStats(1).Delivered; got != 4 {
-		t.Fatalf("delivered %d", got)
-	}
-	if owed := p.b.OwedCredits(1); owed != 0 {
-		t.Errorf("owed %d before consumption", owed)
-	}
-	metas := p.b.Consume(1, 3)
-	if len(metas) != 3 || metas[0].Seq != 0 || metas[2].Seq != 2 {
-		t.Fatalf("Consume = %v", metas)
-	}
-	if owed := p.b.OwedCredits(1); owed != 3 {
-		t.Errorf("owed %d after consuming 3", owed)
-	}
-	rest := p.b.Consume(1, 10)
-	if len(rest) != 1 || rest[0].Seq != 3 {
-		t.Fatalf("second Consume = %v", rest)
-	}
-}
-
 func TestNIOfferBlocksWhenFull(t *testing.T) {
-	p := newPair(t, 4, []int{0}, []int{2}, 64, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 64)
 	n := 0
 	for p.a.Offer(0, 1, phit.Meta{Seq: int64(n)}) {
 		n++
@@ -297,7 +274,7 @@ func TestNIOfferBlocksWhenFull(t *testing.T) {
 }
 
 func TestNIResetStats(t *testing.T) {
-	p := newPair(t, 4, []int{0}, []int{2}, 16, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 16)
 	p.offer(t, 3)
 	p.cycles(40)
 	p.a.ResetStats()
@@ -313,7 +290,7 @@ func TestNIResetStats(t *testing.T) {
 // TestNIArrivalRecording: every delivered word is one Eject on the bus,
 // stamped with its arrival instant, in arrival order.
 func TestNIArrivalRecording(t *testing.T) {
-	p := newPair(t, 4, []int{0}, []int{2}, 16, true)
+	p := newPair(t, 4, []int{0}, []int{2}, 16)
 	_, log := p.trace()
 	p.offer(t, 3)
 	p.cycles(40)
@@ -407,7 +384,7 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 // delivered before the reset can reach the fresh histogram through a
 // later ReplayShift.
 func TestNIResetStatsClearsReplayEpoch(t *testing.T) {
-	p := newPair(t, 4, []int{0, 2}, []int{1}, 16, true)
+	p := newPair(t, 4, []int{0, 2}, []int{1}, 16)
 	shift := &replay.Shift{Epochs: 3, DSeq: func(phit.ConnID) int64 { return 0 }}
 
 	p.b.ReplayMark(p.eng.Now())

@@ -81,10 +81,6 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	for _, ic := range n.ins {
 		buf = replay.AppendI64(buf, int64(ic.cfg.ID))
 		buf = replay.AppendI64(buf, int64(ic.owed))
-		buf = replay.AppendI64(buf, int64(len(ic.recvQ)))
-		for _, m := range ic.recvQ {
-			buf = replay.AppendMeta(buf, m, ctx)
-		}
 	}
 	return buf
 }
@@ -100,9 +96,6 @@ func (n *NI) ReplayShift(s *replay.Shift) {
 		})
 	}
 	for _, ic := range n.ins {
-		for i := range ic.recvQ {
-			ic.recvQ[i] = replay.ShiftMeta(ic.recvQ[i], s)
-		}
 		ic.rx.Shift(s)
 	}
 }

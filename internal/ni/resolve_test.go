@@ -137,7 +137,7 @@ func TestSlotEntryFollowsTheTable(t *testing.T) {
 // TestOfferDoesNotAllocate pins the per-word injection path — lookup, FIFO
 // push, Inject event — at zero allocations once the FIFO has its capacity.
 func TestOfferDoesNotAllocate(t *testing.T) {
-	p := newPair(t, 4, []int{0, 2}, []int{1}, 16, true)
+	p := newPair(t, 4, []int{0, 2}, []int{1}, 16)
 	bus := trace.NewBus()
 	events := &countSink{}
 	bus.Attach(events)

@@ -114,10 +114,6 @@ func (n *NI) InStats(conn phit.ConnID) *ConnStats { return &n.mustIn(conn).rx }
 // Credits returns an out-connection's current end-to-end credit count.
 func (n *NI) Credits(conn phit.ConnID) int { return n.mustOut(conn).credits }
 
-// OwedCredits returns how many credits an in-connection still owes its
-// sender.
-func (n *NI) OwedCredits(conn phit.ConnID) int { return n.mustIn(conn).owed }
-
 // ResetStats clears measurement state (typically after warm-up) without
 // touching protocol state.
 func (n *NI) ResetStats() {

@@ -49,9 +49,6 @@ type RouterReport struct {
 	DynamicUW float64
 }
 
-// TotalUW returns the router's power with sleep modes enabled.
-func (r RouterReport) TotalUW() float64 { return r.SleepUW + r.DynamicUW }
-
 // NetworkReport aggregates the mesh.
 type NetworkReport struct {
 	Routers []RouterReport

@@ -54,9 +54,6 @@ func TestAnalyzeBasics(t *testing.T) {
 		if r.DynamicUW <= 0 {
 			t.Errorf("%s zero dynamic power with traffic", r.Name)
 		}
-		if r.TotalUW() != r.SleepUW+r.DynamicUW {
-			t.Error("TotalUW inconsistent")
-		}
 	}
 	// Saving = 1 - (0.5 + 0.5*residual) = 0.425 at this load.
 	if rep.SavingFraction < 0.4 || rep.SavingFraction > 0.45 {

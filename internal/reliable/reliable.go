@@ -188,13 +188,6 @@ func (ep *Endpoint) RegisterRx(conn phit.ConnID, cfg RxConfig) {
 	ep.rx[conn] = &rxState{cfg: cfg}
 }
 
-// Windowed reports whether the out-connection keeps a retransmission
-// window (false for unregistered connections).
-func (ep *Endpoint) Windowed(conn phit.ConnID) bool {
-	tx := ep.tx[conn]
-	return tx != nil && tx.cfg.Windowed
-}
-
 // Quarantined reports whether the out-connection has been quarantined.
 func (ep *Endpoint) Quarantined(conn phit.ConnID) bool {
 	tx := ep.tx[conn]

@@ -268,9 +268,6 @@ func NewComponent(name string, arity int, layout phit.HeaderLayout, clk *clock.C
 	}
 }
 
-// Core exposes the underlying state machine (used by tests and tools).
-func (r *Component) Core() *Core { return r.core }
-
 // ConnectIn attaches the wire read by input port i.
 func (r *Component) ConnectIn(i int, w *sim.Wire[phit.Phit]) { r.in[i] = w }
 

@@ -147,10 +147,9 @@ func (n *Network) AttachTracer(bus *trace.Bus) {
 // off — rings of different sizes share no single revolution.
 func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) *audit.Auditor {
 	set := audit.ContractSet{
-		FreqMHz:        n.Cfg.FreqMHz,
-		WordBytes:      n.Cfg.WordBytes,
-		CheckExclusive: true,
-		AllocTables:    make(map[string][]phit.ConnID),
+		FreqMHz:     n.Cfg.FreqMHz,
+		WordBytes:   n.Cfg.WordBytes,
+		AllocTables: make(map[string][]phit.ConnID),
 	}
 	for _, id := range n.Connections() {
 		ci := n.conns[id]

@@ -146,9 +146,13 @@ const (
 	KindDuplicateShard CorruptionKind = "duplicate-shard"
 	// KindFingerprintMismatch is a record whose fp disagrees with its
 	// job's recorded spec (or a submit whose spec does not hash to its
-	// own fp field): the result cannot be trusted to describe this work
-	// and is dropped, forcing an honest re-run.
+	// own fp field, or whose job id is not the one its fp names): the
+	// result cannot be trusted to describe this work and is dropped,
+	// forcing an honest re-run.
 	KindFingerprintMismatch CorruptionKind = "fingerprint-mismatch"
+	// KindInvalidSpec is a submit whose spec Submit would reject, with the
+	// same reason. The job is dropped rather than resumed.
+	KindInvalidSpec CorruptionKind = "invalid-spec"
 	// KindOrphanRecord references a job the journal never saw submitted.
 	KindOrphanRecord CorruptionKind = "orphan-record"
 )
@@ -209,16 +213,20 @@ func (s *ResumeState) Job(id string) (*JournalJob, bool) {
 // kept, and nothing is ever fabricated. A missing journal file is an
 // empty state, not an error.
 func ReplayJournal(path string) (*ResumeState, error) {
-	st := &ResumeState{byJob: make(map[string]*JournalJob)}
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
+		return &ResumeState{byJob: make(map[string]*JournalJob)}, nil
 	}
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return replay(f)
+}
 
+// replay is ReplayJournal on the journal's bytes.
+func replay(r io.Reader) (*ResumeState, error) {
+	st := &ResumeState{byJob: make(map[string]*JournalJob)}
 	var corr Corruption
 	flaw := func(kind CorruptionKind, line int, format string, args ...any) {
 		corr.Issues = append(corr.Issues, &CorruptionError{
@@ -231,7 +239,7 @@ func ReplayJournal(path string) (*ResumeState, error) {
 	// study table, say) would fail the whole replay with ErrTooLong —
 	// indistinguishable from real corruption. Records have no size
 	// contract, so replay must not impose one.
-	rd := bufio.NewReader(f)
+	rd := bufio.NewReader(r)
 	line := 0
 	type parsed struct {
 		rec  Record
@@ -293,6 +301,14 @@ func ReplayJournal(path string) (*ResumeState, error) {
 			if fp := spec.Fingerprint(); fp != rec.FP {
 				flaw(KindFingerprintMismatch, p.line,
 					"submit record for job %s: spec hashes to %s, record claims %s", rec.Job, JobID(fp), JobID(rec.FP))
+				continue
+			}
+			if id := JobID(rec.FP); rec.Job != id {
+				flaw(KindFingerprintMismatch, p.line, "submit record names job %q, its fingerprint names job %s", rec.Job, id)
+				continue
+			}
+			if err := spec.Validate(); err != nil {
+				flaw(KindInvalidSpec, p.line, "submit record for job %s: %v", rec.Job, err)
 				continue
 			}
 			if _, ok := st.byJob[rec.Job]; ok {

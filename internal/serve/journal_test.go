@@ -28,7 +28,7 @@ func writeJournal(t *testing.T, lines ...string) string {
 
 // journalLines appends records through the real Journal and returns the
 // file's lines.
-func journalLines(t *testing.T, recs ...Record) []string {
+func journalLines(t testing.TB, recs ...Record) []string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "build.journal")
 	j, err := OpenJournal(path)
@@ -195,6 +195,117 @@ func TestReplaySubmitFingerprintMismatchDropsJob(t *testing.T) {
 	if len(st.Jobs) != 0 {
 		t.Fatalf("salvaged %d jobs from a tampered submit, want 0", len(st.Jobs))
 	}
+}
+
+// TestReplayDropsSpecSubmitRejects: a submit record whose spec hashes to
+// its own fingerprint but which Submit would reject — a mesh past
+// backend.CheckSize, more shards than MaxShards — is dropped with
+// Submit's reason, never resumed.
+func TestReplayDropsSpecSubmitRejects(t *testing.T) {
+	huge := testSpec(1)
+	huge.Cols, huge.Rows = 1000, 1000
+	wide := testSpec(MaxShards + 1)
+	specs := []JobSpec{huge, wide}
+	var recs []Record
+	for i := range specs {
+		fp := specs[i].Fingerprint()
+		recs = append(recs, Record{T: RecSubmit, Job: JobID(fp), FP: fp, Spec: &specs[i]})
+	}
+	st, err := ReplayJournal(writeJournal(t, journalLines(t, recs...)...))
+	var corr *Corruption
+	if !errors.As(err, &corr) || len(corr.Issues) != len(specs) {
+		t.Fatalf("err = %v, want one issue per submit record", err)
+	}
+	for i, e := range corr.Issues {
+		reason := specs[i].Validate()
+		if e.Kind != KindInvalidSpec || e.Line != i+1 || reason == nil || !strings.Contains(e.Detail, reason.Error()) {
+			t.Errorf("issue %d = %v, want %s on line %d carrying Validate's reason %v", i, e, KindInvalidSpec, i+1, reason)
+		}
+	}
+	if len(st.Jobs) != 0 {
+		t.Fatalf("salvaged %d jobs Submit rejects, want 0", len(st.Jobs))
+	}
+}
+
+// TestReplayDropsSubmitUnderAnotherJobID: a submit whose job id is not the
+// one its fingerprint names (a torn id) would resume under the wrong id,
+// where a resubmit of the same spec cannot find it; replay drops it.
+func TestReplayDropsSubmitUnderAnotherJobID(t *testing.T) {
+	spec := testSpec(2)
+	fp := spec.Fingerprint()
+	lines := journalLines(t, Record{T: RecSubmit, Job: "feedfeedfeedfeed", FP: fp, Spec: &spec})
+	st, err := ReplayJournal(writeJournal(t, lines...))
+	ks := kinds(err)
+	if len(ks) != 1 || ks[0] != KindFingerprintMismatch {
+		t.Fatalf("kinds = %v, want [%s]", ks, KindFingerprintMismatch)
+	}
+	if len(st.Jobs) != 0 {
+		t.Fatalf("salvaged %d jobs under an id their fingerprint does not name, want 0", len(st.Jobs))
+	}
+}
+
+// FuzzReplayJournal: replaying any bytes (ReplayJournal past opening the
+// file) never panics; an error is always
+// a *Corruption whose issues each carry a known kind and a line number;
+// and every salvaged job is one Submit accepts, under the id its
+// fingerprint names, holding only shards inside its range.
+func FuzzReplayJournal(f *testing.F) {
+	spec := testSpec(3)
+	fp := spec.Fingerprint()
+	id := JobID(fp)
+	real := journalLines(f,
+		Record{T: RecSubmit, Job: id, FP: fp, Spec: &spec},
+		Record{T: RecShard, Job: id, FP: fp, Result: &ShardResult{Shard: 0, Name: "s0"}},
+		Record{T: RecShard, Job: id, FP: fp, Result: &ShardResult{Shard: 2, Name: "s2"}},
+		Record{T: RecDone, Job: id, Status: "done"},
+	)
+	huge := testSpec(1)
+	huge.Cols, huge.Rows = 1000, 1000
+	hugeFP := huge.Fingerprint()
+	regressions := journalLines(f,
+		Record{T: RecSubmit, Job: JobID(hugeFP), FP: hugeFP, Spec: &huge},
+		Record{T: RecSubmit, Job: "feedfeedfeedfeed", FP: fp, Spec: &spec},
+	)
+	join := func(lines ...string) []byte { return []byte(strings.Join(lines, "\n") + "\n") }
+	f.Add(join(real...))
+	f.Add([]byte(strings.Join(real[:3], "\n") + "\n" + real[3][:len(real[3])/2])) // truncated tail
+	f.Add(join(real[0], real[1][:20], real[2], real[3]))                          // torn middle line
+	f.Add(join(regressions[0]))
+	f.Add(join(regressions[1]))
+	known := map[CorruptionKind]bool{
+		KindTruncatedTail: true, KindBadRecord: true, KindDuplicateShard: true,
+		KindFingerprintMismatch: true, KindInvalidSpec: true, KindOrphanRecord: true,
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := replay(bytes.NewReader(data))
+		if err != nil {
+			corr, ok := err.(*Corruption)
+			if !ok || len(corr.Issues) == 0 {
+				t.Fatalf("replay error %v (%T) is not a *Corruption with issues", err, err)
+			}
+			for _, e := range corr.Issues {
+				if !known[e.Kind] || e.Line < 1 {
+					t.Fatalf("issue %+v: unknown kind or line below 1", e)
+				}
+			}
+		}
+		for _, jj := range st.Jobs {
+			if jj.ID != JobID(jj.FP) {
+				t.Fatalf("job %s salvaged under fingerprint %s", jj.ID, jj.FP)
+			}
+			if got := jj.Spec.Fingerprint(); got != jj.FP {
+				t.Fatalf("job %s: spec hashes to %s, salvaged under %s", jj.ID, got, jj.FP)
+			}
+			if err := jj.Spec.Validate(); err != nil {
+				t.Fatalf("job %s salvaged with a spec Submit rejects: %v", jj.ID, err)
+			}
+			for i, r := range jj.Shards {
+				if i < 0 || i >= jj.Spec.shardCount() || r.Shard != i {
+					t.Fatalf("job %s holds shard %d (result for %d) of %d", jj.ID, i, r.Shard, jj.Spec.shardCount())
+				}
+			}
+		}
+	})
 }
 
 func TestReplayOrphanShardRecord(t *testing.T) {

@@ -43,15 +43,6 @@ type Result struct {
 	RipUps int
 }
 
-// SuccessRate is the fraction of requests placed.
-func (r *Result) SuccessRate() float64 {
-	n := len(r.Placed) + len(r.Failed)
-	if n == 0 {
-		return 1
-	}
-	return float64(len(r.Placed)) / float64(n)
-}
-
 // A Failure names one unplaceable request.
 type Failure struct {
 	Conn phit.ConnID

@@ -143,15 +143,6 @@ func (u *UseCase) ConnectionsOfApp(a AppID) []Connection {
 	return out
 }
 
-// TotalBandwidthMBps sums the required bandwidth over all connections.
-func (u *UseCase) TotalBandwidthMBps() float64 {
-	sum := 0.0
-	for _, c := range u.Connections {
-		sum += c.BandwidthMBps
-	}
-	return sum
-}
-
 // RandomConfig parameterises Random. The zero value is not useful; start
 // from Section7Config.
 type RandomConfig struct {

@@ -78,25 +78,6 @@ func (s *Summary) Range() (min, max float64, ok bool) {
 	return s.min, s.max, true
 }
 
-// Merge folds another summary into s, as if every sample of o had been
-// Added to s. Merging an empty summary is a no-op; merging into an empty
-// summary copies o. It enables per-shard accumulation (one Summary per
-// worker or per connection) with exact recombination.
-func (s *Summary) Merge(o *Summary) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sumSq += o.sumSq
-}
-
 // StdDev returns the population standard deviation, or 0 with no samples.
 func (s *Summary) StdDev() float64 {
 	if s.n == 0 {
@@ -118,7 +99,7 @@ func (s *Summary) String() string {
 }
 
 // A Histogram is the exact multiset of its samples and answers percentile
-// and bucket queries. It embeds a Summary.
+// queries. It embeds a Summary.
 //
 // A TDM connection's latency takes a handful of values over and over, so
 // the samples are stored as ascending (value, count) runs: 16 bytes per
@@ -133,8 +114,8 @@ func (s *Summary) String() string {
 // total: -0 sorts before +0 (they are distinct values of the multiset),
 // and every NaN is the same value, sorted before -Inf as sort.Float64s
 // orders it. A NaN sample therefore occupies one shared run, is what
-// Percentile(0) returns, lands in bin 0 of Buckets, and poisons the
-// Summary's mean, deviation and range as IEEE arithmetic dictates.
+// Percentile(0) returns, and poisons the Summary's mean, deviation and
+// range as IEEE arithmetic dictates.
 type Histogram struct {
 	Summary
 	runs  []run    // ascending by key, keys distinct, counts positive
@@ -272,18 +253,6 @@ func (h *Histogram) merge(src []run) {
 	}
 }
 
-// Merge folds another histogram's samples into h. o is not modified.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	h.Summary.Merge(&o.Summary)
-	h.merge(o.runs)
-	for _, k := range o.stage {
-		h.push(k)
-	}
-}
-
 // Percentile returns the p-th percentile (0..100) using nearest-rank. It
 // returns NaN with no samples.
 func (h *Histogram) Percentile(p float64) float64 {
@@ -306,37 +275,4 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return valueOf(last.key)
-}
-
-// Buckets divides [min, max] into n equal bins and returns the count per
-// bin, for plotting latency distributions. It is total: n <= 0 returns
-// nil, an empty histogram returns n zero bins, negative samples and
-// single-value sample sets (width 0) land everything in bin 0.
-func (h *Histogram) Buckets(n int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	lo, hi, ok := h.Range()
-	if !ok {
-		return out
-	}
-	width := (hi - lo) / float64(n)
-	if width == 0 {
-		out[0] = h.n
-		return out
-	}
-	h.flush()
-	for _, r := range h.runs {
-		i := 0
-		// NaN (an infinite or NaN sample was seen) and float rounding at
-		// the lower edge both fail f > 0 and stay in bin 0.
-		if f := (valueOf(r.key) - lo) / width; f >= float64(n) {
-			i = n - 1
-		} else if f > 0 {
-			i = int(f)
-		}
-		out[i] += r.n
-	}
-	return out
 }

@@ -32,66 +32,6 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	var a, b, whole Summary
-	for i, v := range []float64{3, -7, 12, 0, 5, 9} {
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		whole.Add(v)
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merge: got %v, want %v", a.String(), whole.String())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 || math.Abs(a.StdDev()-whole.StdDev()) > 1e-12 {
-		t.Errorf("merge moments: got %v, want %v", a.String(), whole.String())
-	}
-	// Merging an empty summary is a no-op; merging into an empty one copies.
-	var empty, into Summary
-	a.Merge(&empty)
-	a.Merge(nil)
-	if a.N() != whole.N() {
-		t.Error("merge of empty changed N")
-	}
-	into.Merge(&a)
-	if into.N() != a.N() || into.Min() != a.Min() || into.Max() != a.Max() {
-		t.Error("merge into empty did not copy")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Add(5)
-	a.Add(1)
-	if a.Percentile(100) != 5 {
-		t.Error("pre-merge percentile")
-	}
-	b.Add(9)
-	b.Add(3)
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 5 || a.Percentile(100) != 9 || a.Percentile(0) != 1 {
-		t.Errorf("merged histogram: n=%d p0=%v p100=%v", a.N(), a.Percentile(0), a.Percentile(100))
-	}
-	// The merge is the multiset union: shared values add their counts,
-	// and the source is left as it was.
-	if got, want := multiset(&a), []run{{keyOf(1), 1}, {keyOf(3), 1}, {keyOf(5), 2}, {keyOf(9), 1}}; !slices.Equal(got, want) {
-		t.Errorf("merged multiset = %v, want %v", got, want)
-	}
-	if b.N() != 3 || len(b.runs) != 0 || len(b.stage) != 3 {
-		t.Errorf("Merge modified its source: n=%d runs=%v stage=%v", b.N(), b.runs, b.stage)
-	}
-	// Merging nil or an empty histogram is a no-op.
-	a.Merge(nil)
-	a.Merge(&Histogram{})
-	if a.N() != 5 {
-		t.Errorf("N after empty merges = %d", a.N())
-	}
-}
-
 // multiset returns h's runs with everything staged merged in.
 func multiset(h *Histogram) []run {
 	h.flush()
@@ -182,74 +122,14 @@ func TestHistogramQuick(t *testing.T) {
 	}
 }
 
-func TestBuckets(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	b := h.Buckets(10)
-	total := int64(0)
-	for i, n := range b {
-		total += n
-		if n == 0 {
-			t.Errorf("bucket %d empty for uniform data", i)
-		}
-	}
-	if total != 100 {
-		t.Errorf("bucket total = %d", total)
-	}
-	// Degenerate cases.
-	var one Histogram
-	one.Add(5)
-	b = one.Buckets(4)
-	if b[0] != 1 {
-		t.Errorf("constant data buckets = %v", b)
-	}
-	var empty Histogram
-	if got := empty.Buckets(3); got[0] != 0 || len(got) != 3 {
-		t.Errorf("empty buckets = %v", got)
-	}
-	// Non-positive bin counts are total, not a panic.
-	if got := empty.Buckets(0); got != nil {
-		t.Errorf("Buckets(0) = %v, want nil", got)
-	}
-	if got := h.Buckets(-2); got != nil {
-		t.Errorf("Buckets(-2) = %v, want nil", got)
-	}
-	// Negative sample sets bucket correctly.
-	var neg Histogram
-	for _, v := range []float64{-10, -5, -1} {
-		neg.Add(v)
-	}
-	nb := neg.Buckets(3)
-	var negTotal int64
-	for _, n := range nb {
-		negTotal += n
-	}
-	if negTotal != 3 || nb[0] == 0 {
-		t.Errorf("negative buckets = %v", nb)
-	}
-}
-
-// TestHistogramDegenerate pins the total behaviour of percentile and
-// bucket queries on empty and single-sample histograms — the shapes every
-// undelivered or single-word connection produces in a short run.
+// TestHistogramDegenerate pins the total behaviour of percentile queries
+// on empty and single-sample histograms — the shapes every undelivered or
+// single-word connection produces in a short run.
 func TestHistogramDegenerate(t *testing.T) {
 	var empty Histogram
 	for _, p := range []float64{-5, 0, 50, 99, 100, 150} {
 		if got := empty.Percentile(p); !math.IsNaN(got) {
 			t.Errorf("empty P%.0f = %v, want NaN", p, got)
-		}
-	}
-	for _, n := range []int{1, 3, 7} {
-		b := empty.Buckets(n)
-		if len(b) != n {
-			t.Fatalf("empty Buckets(%d) has %d bins", n, len(b))
-		}
-		for i, c := range b {
-			if c != 0 {
-				t.Errorf("empty Buckets(%d)[%d] = %d", n, i, c)
-			}
 		}
 	}
 
@@ -260,23 +140,11 @@ func TestHistogramDegenerate(t *testing.T) {
 			t.Errorf("single-sample P%.0f = %v, want -3.5", p, got)
 		}
 	}
-	for _, n := range []int{1, 4} {
-		b := one.Buckets(n)
-		if b[0] != 1 {
-			t.Errorf("single-sample Buckets(%d) = %v, want all mass in bin 0", n, b)
-		}
-		for i := 1; i < n; i++ {
-			if b[i] != 0 {
-				t.Errorf("single-sample Buckets(%d)[%d] = %d", n, i, b[i])
-			}
-		}
-	}
 }
 
 // TestHistogramStaleSortWindow: a query merges the staging buffer into the
 // runs; samples that arrive after it must still be seen by the next query,
-// and no interleaving of Buckets, Percentile and Add may lose or double a
-// sample.
+// and no interleaving of Percentile and Add may lose or double a sample.
 func TestHistogramStaleSortWindow(t *testing.T) {
 	var h Histogram
 	h.Add(30)
@@ -290,10 +158,6 @@ func TestHistogramStaleSortWindow(t *testing.T) {
 		t.Errorf("P50 after interleaved Add = %v, want 20", got)
 	}
 	h.Add(20)
-	b := h.Buckets(3)
-	if want := []int64{1, 2, 1}; !slices.Equal(b, want) {
-		t.Errorf("buckets after interleaving = %v, want %v", b, want)
-	}
 	if got, want := multiset(&h), []run{{keyOf(10), 1}, {keyOf(20), 2}, {keyOf(30), 1}}; !slices.Equal(got, want) {
 		t.Errorf("multiset after interleaving = %v, want %v", got, want)
 	}
@@ -329,14 +193,6 @@ type oracle struct {
 func (o *oracle) Add(v float64) {
 	o.Summary.Add(v)
 	o.samples = append(o.samples, v)
-}
-
-func (o *oracle) Merge(p *oracle) {
-	if len(p.samples) == 0 {
-		return
-	}
-	o.Summary.Merge(&p.Summary)
-	o.samples = append(o.samples, p.samples...)
 }
 
 func (o *oracle) AddRepeated(tail []float64, times int64) {
@@ -377,33 +233,6 @@ func (o *oracle) Percentile(p float64) float64 {
 	return s[rank]
 }
 
-func (o *oracle) Buckets(n int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	lo, hi, ok := o.Range()
-	if !ok {
-		return out
-	}
-	width := (hi - lo) / float64(n)
-	if width == 0 {
-		out[0] = int64(len(o.samples))
-		return out
-	}
-	for _, v := range o.samples {
-		i := int((v - lo) / width)
-		if i >= n {
-			i = n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		out[i]++
-	}
-	return out
-}
-
 // sameFloat is bit equality, with every NaN equal to every other: the
 // multiset does not keep NaN payloads.
 func sameFloat(a, b float64) bool {
@@ -428,11 +257,6 @@ func compareToOracle(t *testing.T, what string, h *Histogram, o *oracle) {
 		if got, want := h.Percentile(p), o.Percentile(p); !sameFloat(got, want) {
 			t.Fatalf("%s: P%v = %v (%#x), oracle %v (%#x)", what, p,
 				got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-	for _, n := range []int{1, 7, 64} {
-		if got, want := h.Buckets(n), o.Buckets(n); !slices.Equal(got, want) {
-			t.Fatalf("%s: Buckets(%d) = %v, oracle %v", what, n, got, want)
 		}
 	}
 	var total int64
@@ -499,7 +323,7 @@ func TestHistogramOpsAgainstOracle(t *testing.T) {
 		var h Histogram
 		var o oracle
 		for step := 0; step < 200; step++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0, 1:
 				for i := rng.Intn(2 * stageCap); i > 0; i-- {
 					v := value()
@@ -507,20 +331,6 @@ func TestHistogramOpsAgainstOracle(t *testing.T) {
 					o.Add(v)
 				}
 			case 2:
-				var h2 Histogram
-				var o2 oracle
-				for i := rng.Intn(2 * stageCap); i > 0; i-- {
-					v := value()
-					h2.Add(v)
-					o2.Add(v)
-				}
-				if rng.Intn(2) == 0 {
-					h2.Percentile(50) // source with merged runs and an empty stage
-				}
-				h.Merge(&h2)
-				o.Merge(&o2)
-				compareToOracle(t, fmt.Sprintf("seed %d step %d merge source", seed, step), &h2, &o2)
-			case 3:
 				tail := make([]float64, rng.Intn(stageCap+40))
 				for i := range tail {
 					tail[i] = value()
@@ -528,7 +338,7 @@ func TestHistogramOpsAgainstOracle(t *testing.T) {
 				times := int64(rng.Intn(6))
 				h.AddRepeated(tail, times)
 				o.AddRepeated(tail, times)
-			case 4:
+			case 3:
 				compareToOracle(t, fmt.Sprintf("seed %d step %d", seed, step), &h, &o)
 			}
 		}
@@ -564,18 +374,6 @@ func TestHistogramNaN(t *testing.T) {
 	}
 	if !math.IsNaN(h.Mean()) {
 		t.Errorf("Mean = %v, want NaN", h.Mean())
-	}
-	// The first sample was NaN, so the range is NaN and every sample
-	// lands in bin 0.
-	if b := h.Buckets(4); !slices.Equal(b, []int64{9 * stageCap, 0, 0, 0}) {
-		t.Errorf("Buckets(4) = %v", b)
-	}
-	var late Histogram
-	late.Add(1)
-	late.Add(math.NaN())
-	late.Add(5)
-	if b := late.Buckets(2); !slices.Equal(b, []int64{2, 1}) {
-		t.Errorf("Buckets(2) with a NaN inside a finite range = %v, want [2 1]", b)
 	}
 }
 

@@ -52,9 +52,9 @@ func buildRing(t *testing.T, ppmA, ppmB, ppmR float64) *ring {
 	a := ni.New("A", ca, layout, ta, nil, nil)
 	b := ni.New("B", cb, layout, tb, nil, nil)
 	a.AddOutConn(ni.OutConnConfig{ID: 1, Headers: map[int]phit.Word{0: hdr1, 2: hdr1}, InitialCredits: 64, PairedIn: 2})
-	b.AddInConn(ni.InConnConfig{ID: 1, QID: 0, RecvCapacity: 64, CreditFor: 2, AutoDrain: true})
+	b.AddInConn(ni.InConnConfig{ID: 1, QID: 0, CreditFor: 2})
 	b.AddOutConn(ni.OutConnConfig{ID: 2, Headers: map[int]phit.Word{1: hdr2}, InitialCredits: 0, PairedIn: 1})
-	a.AddInConn(ni.InConnConfig{ID: 2, QID: 0, RecvCapacity: 0, CreditFor: 1, AutoDrain: true})
+	a.AddInConn(ni.InConnConfig{ID: 2, QID: 0, CreditFor: 1})
 
 	wa := New("wrap.A", ca, NewNIActor(a))
 	wa.ConnectIn(0, chRtoA)

@@ -1,14 +1,17 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -59,6 +62,28 @@ type moduleImporter struct {
 	pkgs map[string]*modulePackage // by import path; external test packages under path + "_test"
 }
 
+func newModuleImporter(fset *token.FileSet) *moduleImporter {
+	return &moduleImporter{std: importer.ForCompiler(fset, "source", nil), fset: fset, pkgs: map[string]*modulePackage{}}
+}
+
+// add registers f, parsed from directory dir (slash-separated, relative
+// to the module root), under its package.
+func (m *moduleImporter) add(dir string, f *ast.File) {
+	key := "repro/" + dir
+	if dir == "." {
+		key = "repro"
+	}
+	if strings.HasSuffix(f.Name.Name, "_test") {
+		key += "_test"
+	}
+	p := m.pkgs[key]
+	if p == nil {
+		p = &modulePackage{dir: dir, name: strings.TrimSuffix(f.Name.Name, "_test")}
+		m.pkgs[key] = p
+	}
+	p.files = append(p.files, f)
+}
+
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	p := m.pkgs[path]
 	if p == nil {
@@ -77,78 +102,40 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return p.pkg, p.err
 }
 
-// TestEveryOptionVaries is the keep-an-option rule of DESIGN.md as a
-// gate: an exported field of a config-like struct must be given a value
-// by product code — a non-test file outside examples/ and outside the
-// field's own package, such as a binary, an experiment or the serve
-// layer — or it is a constant, not an option. A value only a test or an
-// example gives does not count. It type-checks every package of the
-// module, tests and examples included (bench/ is a module of its own and
-// is not read), and counts keyed and positional composite literals,
-// assignments and address-taking as giving a value.
-func TestEveryOptionVaries(t *testing.T) {
-	// Pure-Go standard library files: the source importer would otherwise
-	// run cgo for net and os/user.
-	cgo := build.Default.CgoEnabled
-	build.Default.CgoEnabled = false
-	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+// An optionCensus is what takeCensus found: how many fields and structs
+// are under the rule, and the names of the fields that never vary.
+type optionCensus struct {
+	fields, structs int
+	constant        []string
+}
 
-	fset := token.NewFileSet()
-	m := &moduleImporter{std: importer.ForCompiler(fset, "source", nil), fset: fset, pkgs: map[string]*modulePackage{}}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			_, serr := os.Stat(filepath.Join(path, "go.mod"))
-			if serr == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return filepath.SkipDir // a module of its own (bench/), or not source
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if perr != nil {
-			return perr
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		key := "repro/" + dir
-		if dir == "." {
-			key = "repro"
-		}
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			key += "_test"
-		}
-		p := m.pkgs[key]
-		if p == nil {
-			p = &modulePackage{dir: dir, name: strings.TrimSuffix(f.Name.Name, "_test")}
-			m.pkgs[key] = p
-		}
-		p.files = append(p.files, f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for path, p := range m.pkgs {
+// takeCensus type-checks every package m holds and applies the
+// keep-an-option rule of DESIGN.md to the exported fields of its
+// config-like structs. A field varies only if product code — a non-test
+// file outside examples/ and outside the field's own package — gives it
+// two distinct constant values, or a value that is not a constant. A
+// keyed composite literal that leaves a field out gives it its zero
+// value; a positional one gives every field; an assignment gives its
+// right-hand side; an assignment that is not one value per target, an
+// operator assignment, an increment and taking a field's address give
+// a value that is not a constant. nil and the zero constants are one
+// value, the zero value.
+func takeCensus(m *moduleImporter) (optionCensus, error) {
+	for path := range m.pkgs {
 		if _, err := m.Import(path); err != nil {
-			t.Fatalf("type-checking %s: %v", p.dir, err)
+			return optionCensus{}, fmt.Errorf("type-checking %s: %v", path, err)
 		}
 	}
-	isTest := func(f *ast.File) bool { return strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go") }
+	isTest := func(f *ast.File) bool { return strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go") }
 
 	// The fields under the rule.
 	type field struct {
 		name, dir string
-		varies    bool
+		values    map[string]bool // the distinct constant values product code gives it
+		dynamic   bool            // product code gives it a value that is not a constant
 	}
 	fields := map[types.Object]*field{}
-	structs := 0
+	var c optionCensus
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			if isTest(f) {
@@ -172,42 +159,56 @@ func TestEveryOptionVaries(t *testing.T) {
 				for _, fl := range st.Fields.List {
 					for _, id := range fl.Names {
 						if _, allowed := optionsAllowed[name+"."+id.Name]; id.IsExported() && !allowed {
-							fields[p.info.Defs[id]] = &field{name: name + "." + id.Name, dir: p.dir}
+							fields[p.info.Defs[id]] = &field{name: name + "." + id.Name, dir: p.dir, values: map[string]bool{}}
 						}
 					}
 				}
 				if len(fields) > before {
-					structs++
+					c.structs++
 				}
 				return true
 			})
 		}
 	}
-	if len(fields) < 100 {
-		t.Fatalf("only %d option fields found; test is running from the wrong directory", len(fields))
-	}
+	c.fields = len(fields)
 
-	// Where each is given a value.
+	// The values product code gives each.
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			if isTest(f) || p.dir == "examples" || strings.HasPrefix(p.dir, "examples/") {
 				continue
 			}
-			set := func(obj types.Object) {
+			// give records value v for obj: a constant's exact text,
+			// "zero", or "" for a value that is not a constant.
+			give := func(obj types.Object, v string) {
 				if fd := fields[obj]; fd != nil && fd.dir != p.dir {
-					fd.varies = true
+					if v == "" {
+						fd.dynamic = true
+					} else {
+						fd.values[v] = true
+					}
 				}
 			}
-			var target func(e ast.Expr)
-			target = func(e ast.Expr) {
-				switch e := e.(type) {
+			valueOf := func(e ast.Expr) string {
+				tv := p.info.Types[e]
+				switch {
+				case tv.IsNil() || tv.Value != nil && isZero(tv.Value):
+					return "zero"
+				case tv.Value != nil:
+					return tv.Value.ExactString()
+				}
+				return ""
+			}
+			var target func(lhs ast.Expr, v string)
+			target = func(lhs ast.Expr, v string) {
+				switch lhs := lhs.(type) {
 				case *ast.ParenExpr:
-					target(e.X)
+					target(lhs.X, v)
 				case *ast.IndexExpr:
-					target(e.X)
+					target(lhs.X, "") // a changed element: the field holds a value that is not a constant
 				case *ast.SelectorExpr:
-					if sel := p.info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
-						set(sel.Obj())
+					if sel := p.info.Selections[lhs]; sel != nil && sel.Kind() == types.FieldVal {
+						give(sel.Obj(), v)
 					}
 				}
 			}
@@ -215,24 +216,42 @@ func TestEveryOptionVaries(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
 					st, _ := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if st == nil {
+						return true
+					}
+					given := make([]bool, st.NumFields())
 					for i, el := range n.Elts {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
-								set(p.info.Uses[id])
+								obj := p.info.Uses[id]
+								for j := range given {
+									given[j] = given[j] || st.Field(j) == obj
+								}
+								give(obj, valueOf(kv.Value))
 							}
-						} else if st != nil {
-							set(st.Field(i))
+						} else {
+							given[i] = true
+							give(st.Field(i), valueOf(el))
+						}
+					}
+					for j, ok := range given {
+						if !ok {
+							give(st.Field(j), "zero")
 						}
 					}
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						target(lhs)
+					for i, lhs := range n.Lhs {
+						v := ""
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							v = valueOf(n.Rhs[i])
+						}
+						target(lhs, v)
 					}
 				case *ast.IncDecStmt:
-					target(n.X)
+					target(n.X, "")
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						target(n.X)
+						target(n.X, "")
 					}
 				}
 				return true
@@ -240,16 +259,157 @@ func TestEveryOptionVaries(t *testing.T) {
 		}
 	}
 
-	var constant []string
 	for _, fd := range fields {
-		if !fd.varies {
-			constant = append(constant, fd.name)
+		if !fd.dynamic && len(fd.values) < 2 {
+			c.constant = append(c.constant, fd.name)
 		}
 	}
-	sort.Strings(constant)
-	t.Logf("%d exported fields on %d config-like structs", len(fields), structs)
-	if len(constant) > 0 {
-		t.Errorf("%d option fields are given a value nowhere but in their own package's non-test files, so each has only ever held one value: make it a constant, or give optionsAllowed the reason it varies:\n  %s",
-			len(constant), strings.Join(constant, "\n  "))
+	sort.Strings(c.constant)
+	return c, nil
+}
+
+// isZero reports whether v is its kind's zero value.
+func isZero(v constant.Value) bool {
+	switch v.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Int, constant.Float:
+		return constant.Sign(v) == 0
+	}
+	return false
+}
+
+// TestEveryOptionVaries is the keep-an-option rule of DESIGN.md as a
+// gate over the module (see takeCensus): a field of a config-like struct
+// to which product code gives one value only is a constant, not an
+// option. It type-checks every package of the module, tests and examples
+// included (bench/ is a module of its own and is not read).
+func TestEveryOptionVaries(t *testing.T) {
+	// Pure-Go standard library files: the source importer would otherwise
+	// run cgo for net and os/user.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+
+	fset := token.NewFileSet()
+	m := newModuleImporter(fset)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			_, serr := os.Stat(filepath.Join(path, "go.mod"))
+			if serr == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir // a module of its own (bench/), or not source
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if perr != nil {
+			return perr
+		}
+		m.add(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := takeCensus(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.fields < 90 {
+		t.Fatalf("only %d option fields found; test is running from the wrong directory", c.fields)
+	}
+	t.Logf("%d exported fields on %d config-like structs", c.fields, c.structs)
+	if len(c.constant) > 0 {
+		t.Errorf("%d option fields are given at most one value by product code outside their own package, so each has only ever held one value: make it a constant, or give optionsAllowed the reason it varies:\n  %s",
+			len(c.constant), strings.Join(c.constant, "\n  "))
+	}
+}
+
+// TestCensusNeedsTwoValues runs the census on a two-package module held
+// in memory: package knob declares an option struct, package use is the
+// product code that sets it, and the census must flag exactly the fields
+// that use gives fewer than two values.
+func TestCensusNeedsTwoValues(t *testing.T) {
+	src := map[string]string{
+		"knob/knob.go": `package knob
+
+type Mode int
+
+const Fast Mode = 2
+
+type DialConfig struct {
+	OneConstant    int
+	TwoConstants   Mode
+	OmittedOnce    bool
+	NotConstant    string
+	PointerOrNil   *int
+	NilOnly        *int
+	ZeroOnly       int
+	OwnPackageOnly int
+	TestOnly       int
+	unexported     int
+}
+
+func Default() DialConfig { return DialConfig{OwnPackageOnly: 8, unexported: 1} }
+`,
+		"knob/knob_test.go": `package knob
+
+var _ = DialConfig{TestOnly: 2}
+`,
+		"use/use.go": `package use
+
+import "repro/knob"
+
+var name = "dyn"
+
+func A() knob.DialConfig {
+	return knob.DialConfig{OneConstant: 3, TwoConstants: knob.Fast, OmittedOnce: true,
+		NotConstant: name, PointerOrNil: nil, NilOnly: nil, ZeroOnly: 0, OwnPackageOnly: 7, TestOnly: 1}
+}
+
+func B() knob.DialConfig {
+	c := knob.DialConfig{OneConstant: 3, TwoConstants: 1, NotConstant: name, OwnPackageOnly: 7, TestOnly: 1}
+	c.PointerOrNil = new(int)
+	return c
+}
+`,
+	}
+	fset := token.NewFileSet()
+	m := newModuleImporter(fset)
+	for name, text := range src {
+		f, err := parser.ParseFile(fset, name, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.add(filepath.Dir(name), f)
+	}
+	c, err := takeCensus(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not flagged: TwoConstants (2 and 1), OmittedOnce (true, and zero
+	// where B leaves it out), NotConstant (the same variable at both
+	// sites), PointerOrNil (nil, and a call).
+	want := []string{
+		"knob.DialConfig.NilOnly",        // nil given in A and left out in B: one value
+		"knob.DialConfig.OneConstant",    // 3 at both sites
+		"knob.DialConfig.OwnPackageOnly", // 7; the 8 its own package gives does not count
+		"knob.DialConfig.TestOnly",       // 1; the 2 a test gives does not count
+		"knob.DialConfig.ZeroOnly",       // 0 given in A and left out in B: one value
+	}
+	if c.fields != 9 || c.structs != 1 || !reflect.DeepEqual(c.constant, want) {
+		t.Errorf("census of %d fields on %d structs flags\n  %s\nwant 9 fields on 1 struct flagging\n  %s",
+			c.fields, c.structs, strings.Join(c.constant, "\n  "), strings.Join(want, "\n  "))
 	}
 }

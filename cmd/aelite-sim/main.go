@@ -76,10 +76,13 @@
 //	-pprof F       write a CPU profile of the simulation run
 //
 // A campaign run (-faults or -skew-ps) prints the connection report
-// followed by the deterministic campaign summary. Any fatal envelope
-// violation (strict mode) or internal failure exits non-zero with a
-// one-line diagnostic instead of a raw panic trace; invalid flag
-// combinations are rejected up front with exit code 2.
+// followed by the deterministic campaign summary. Any other run ends in a
+// verdict and exits 1 when a requirement is missed or a measured maximum
+// latency exceeds its analytical bound (named on its own line, with or
+// without -audit). Any fatal envelope violation (strict mode) or internal
+// failure exits non-zero with a one-line diagnostic instead of a raw
+// panic trace; invalid flag combinations are rejected up front with exit
+// code 2.
 package main
 
 import (
@@ -188,8 +191,8 @@ func createOut(path string) (*os.File, error) {
 // runs once and renders to stdout — report, audit summary, campaign
 // summary, verdict. The Chrome trace and the metrics go to traceW and
 // metricsW when -trace-out / -metrics-out are set. It returns the exit
-// code of a completed run (0, or 1 for a missed requirement or an audit
-// violation), or the error that stopped it.
+// code of a completed run (0, or 1 for a missed requirement, a bound
+// breach or an audit violation), or the error that stopped it.
 func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (int, error) {
 	if _, _, err := o.workload.Layout(); err != nil {
 		return 0, fmt.Errorf("%w (allocation-only planning via aelite-exp scale has no such cap)", err)
@@ -315,12 +318,30 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 		summary.Write(stdout)
 		return code, nil
 	}
+	return max(code, verdict(rep, stdout)), nil
+}
+
+// verdict prints the verdict of a run that is not a campaign and returns
+// its exit code: 1 when a connection missed a requirement or its maximum
+// latency exceeded its analytical bound. A bound breach is named whether
+// or not the auditor ran, before the requirement verdict.
+func verdict(rep *core.Report, stdout io.Writer) int {
+	code, over := 0, 0
+	for _, c := range rep.Conns {
+		if !c.WithinBound {
+			over++
+		}
+	}
+	if over > 0 {
+		fmt.Fprintf(stdout, "\n%d connections exceeded their analytical bound\n", over)
+		code = 1
+	}
 	if rep.AllMet() {
 		fmt.Fprintln(stdout, "\nall requirements met")
-		return code, nil
+		return code
 	}
 	fmt.Fprintf(stdout, "\n%d requirements MISSED\n", len(rep.Violations()))
-	return 1, nil
+	return 1
 }
 
 // campaignPoint is one worker of a -runs sweep: one simulate into a

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 )
 
 const (
@@ -116,6 +117,31 @@ func TestWindowRejected(t *testing.T) {
 		if code != cli.ExitUsage || stdout.Len() != 0 || bytes.Count(stderr.Bytes(), []byte("\n")) != 1 ||
 			!strings.Contains(stderr.String(), "-warmup/-measure") {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one -warmup/-measure diagnostic", args, code, &stdout, &stderr)
+		}
+	}
+}
+
+// TestVerdictNamesBoundBreach: a connection whose maximum latency exceeds
+// its analytical bound is named in the verdict and fails the run even
+// when every requirement is met and no auditor ran.
+func TestVerdictNamesBoundBreach(t *testing.T) {
+	met := core.ConnReport{MetThroughput: true, MetLatency: true, WithinBound: true}
+	over := met
+	over.WithinBound = false
+	missed := over
+	missed.MetLatency = false
+	for _, tc := range []struct {
+		conns []core.ConnReport
+		code  int
+		out   string
+	}{
+		{[]core.ConnReport{met, met}, 0, "\nall requirements met\n"},
+		{[]core.ConnReport{met, over}, 1, "\n1 connections exceeded their analytical bound\n\nall requirements met\n"},
+		{[]core.ConnReport{over, missed, met}, 1, "\n2 connections exceeded their analytical bound\n\n1 requirements MISSED\n"},
+	} {
+		var b bytes.Buffer
+		if code := verdict(&core.Report{Conns: tc.conns}, &b); code != tc.code || b.String() != tc.out {
+			t.Errorf("verdict = %d %q, want %d %q", code, b.String(), tc.code, tc.out)
 		}
 	}
 }

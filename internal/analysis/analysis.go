@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/phit"
-	"repro/internal/route"
 	"repro/internal/slots"
 )
 
@@ -65,11 +64,12 @@ const (
 )
 
 // FixedPathCycles returns the load-independent part of the latency: NI
-// injection overhead plus the path traversal. Every router hop and every
-// link pipeline stage adds one flit cycle (3 cycles) — the TotalShift of
-// the route.
-func FixedPathCycles(p *route.Path) int {
-	return niInjectCycles + phit.FlitWords*p.TotalShift + deliveryCycles
+// injection overhead plus the transit. shift is the transit in flit
+// cycles from the source NI to the last link: on a mesh every router hop
+// and every link pipeline stage adds one (the route's TotalShift), on a
+// ring every segment does (its hops).
+func FixedPathCycles(shift int) int {
+	return niInjectCycles + phit.FlitWords*shift + deliveryCycles
 }
 
 // LatencyBoundNs returns the worst-case latency, in nanoseconds, for a
@@ -84,9 +84,9 @@ func FixedPathCycles(p *route.Path) int {
 // slot sits — a reservation at slot S-1 whose per-link shift wraps to slot
 // 0 waits exactly as long as one at slot 0 (TestLatencyBoundBruteForce
 // pins this against a cycle-level slot walk).
-func LatencyBoundNs(p *route.Path, slotSet []int, tableSize int, fMHz float64) float64 {
+func LatencyBoundNs(shift int, slotSet []int, tableSize int, fMHz float64) float64 {
 	gap := slots.MaxGap(slotSet, tableSize)
-	cycles := phit.FlitWords*(gap+1) + FixedPathCycles(p)
+	cycles := phit.FlitWords*(gap+1) + FixedPathCycles(shift)
 	return float64(cycles) * 1e3 / fMHz
 }
 
@@ -103,12 +103,12 @@ func EvenSlots(k, tableSize int) []int {
 // SlotsForLatency returns the minimum evenly-spread slot count that meets
 // a latency budget (ns), or an error if the fixed path delay alone
 // exceeds the budget (no slot count can help).
-func SlotsForLatency(budgetNs float64, p *route.Path, tableSize int, fMHz float64) (int, error) {
+func SlotsForLatency(budgetNs float64, shift int, tableSize int, fMHz float64) (int, error) {
 	cycleNs := 1e3 / fMHz
-	fixed := float64(FixedPathCycles(p)+phit.FlitWords) * cycleNs
+	fixed := float64(FixedPathCycles(shift)+phit.FlitWords) * cycleNs
 	if fixed >= budgetNs {
-		return 0, fmt.Errorf("analysis: fixed path delay %.1f ns exceeds budget %.1f ns (%d routers, %d total shift)",
-			fixed, budgetNs, p.Hops(), p.TotalShift)
+		return 0, fmt.Errorf("analysis: fixed path delay %.1f ns exceeds budget %.1f ns (%d total shift)",
+			fixed, budgetNs, shift)
 	}
 	// Need 3*gap cycles <= budget - fixed. The tolerable gap is a whole
 	// number of slots and must be floored: rounding the fractional gap up
@@ -154,9 +154,9 @@ func BurstSlotTimes(txWords int, reliable bool) int {
 // transaction takes at most the worst window of BurstSlotTimes(txWords)
 // consecutive reservation gaps (slots.MaxGapWindow), plus one slot of
 // decision granularity and the fixed path delay.
-func LatencyBoundBurstNs(p *route.Path, slotSet []int, tableSize int, fMHz float64, txWords int, reliable bool) float64 {
+func LatencyBoundBurstNs(shift int, slotSet []int, tableSize int, fMHz float64, txWords int, reliable bool) float64 {
 	w := slots.MaxGapWindow(slotSet, tableSize, BurstSlotTimes(txWords, reliable))
-	cycles := phit.FlitWords*(w+1) + FixedPathCycles(p)
+	cycles := phit.FlitWords*(w+1) + FixedPathCycles(shift)
 	return float64(cycles) * 1e3 / fMHz
 }
 
@@ -167,8 +167,8 @@ func LatencyBoundBurstNs(p *route.Path, slotSet []int, tableSize int, fMHz float
 // is re-checked and k advanced until the realised placement fits —
 // without the re-check the window could undercount by one flit cycle per
 // uneven gap.
-func SlotsForBurstLatency(budgetNs float64, txWords int, p *route.Path, tableSize int, fMHz float64, reliable bool) (int, error) {
-	w, err := WindowSlotsForBudget(budgetNs, p, fMHz)
+func SlotsForBurstLatency(budgetNs float64, txWords int, shift int, tableSize int, fMHz float64, reliable bool) (int, error) {
+	w, err := WindowSlotsForBudget(budgetNs, shift, fMHz)
 	if err != nil {
 		return 0, err
 	}
@@ -186,23 +186,23 @@ func SlotsForBurstLatency(budgetNs float64, txWords int, p *route.Path, tableSiz
 }
 
 // SourceWaitBudgetNs splits a connection's latency bound at the source
-// NI's output: the deterministic network transit (path shift plus
-// delivery registration) is subtracted, leaving the longest a word may
+// NI's output: the deterministic network transit (shift plus delivery
+// registration) is subtracted, leaving the longest a word may
 // legitimately sit at the source — waiting for its slot and, in
 // transactional mode, behind its own transaction. A word that waits
 // longer was offered out of contract (the queue ahead of it could only
 // build if the IP exceeded its allocation), which is how the conformance
 // auditor tells self-inflicted queueing from a fabric fault.
-func SourceWaitBudgetNs(boundNs float64, p *route.Path, fMHz float64) float64 {
-	transit := float64(phit.FlitWords*p.TotalShift+deliveryCycles) * 1e3 / fMHz
+func SourceWaitBudgetNs(boundNs float64, shift int, fMHz float64) float64 {
+	transit := float64(phit.FlitWords*shift+deliveryCycles) * 1e3 / fMHz
 	return boundNs - transit
 }
 
 // WindowSlotsForBudget converts a latency budget into the largest
 // tolerable service window, in slots.
-func WindowSlotsForBudget(budgetNs float64, p *route.Path, fMHz float64) (int, error) {
+func WindowSlotsForBudget(budgetNs float64, shift int, fMHz float64) (int, error) {
 	cycleNs := 1e3 / fMHz
-	fixed := float64(FixedPathCycles(p)+phit.FlitWords) * cycleNs
+	fixed := float64(FixedPathCycles(shift)+phit.FlitWords) * cycleNs
 	if fixed >= budgetNs {
 		return 0, fmt.Errorf("analysis: fixed path delay %.1f ns exceeds budget %.1f ns", fixed, budgetNs)
 	}
@@ -248,19 +248,19 @@ type Bounds struct {
 }
 
 // ConnectionBounds derives the full analytical contract of a connection
-// from its slot reservation and path — the single entry point Build and
-// the audit layer share, so the checked bound and the built bound cannot
-// drift apart.
-func ConnectionBounds(p *route.Path, slotSet []int, tableSize int, fMHz float64, wordBytes int, m Mode) Bounds {
+// from its slot reservation and transit shift — the single entry point
+// both TDM fabrics (mesh and ring) and the audit layer share, so the
+// checked bound and the built bound cannot drift apart.
+func ConnectionBounds(shift int, slotSet []int, tableSize int, fMHz float64, wordBytes int, m Mode) Bounds {
 	b := Bounds{
 		GuaranteeMBps: ThroughputGuaranteeMBps(len(slotSet), fMHz, wordBytes, tableSize, m.Reliable),
 		MaxGapSlots:   slots.MaxGap(slotSet, tableSize),
 		SlotCount:     len(slotSet),
 	}
 	if m.Transactional {
-		b.LatencyNs = LatencyBoundBurstNs(p, slotSet, tableSize, fMHz, m.TxWords, m.Reliable)
+		b.LatencyNs = LatencyBoundBurstNs(shift, slotSet, tableSize, fMHz, m.TxWords, m.Reliable)
 	} else {
-		b.LatencyNs = LatencyBoundNs(p, slotSet, tableSize, fMHz)
+		b.LatencyNs = LatencyBoundNs(shift, slotSet, tableSize, fMHz)
 	}
 	return b
 }
@@ -268,10 +268,10 @@ func ConnectionBounds(p *route.Path, slotSet []int, tableSize int, fMHz float64,
 // CreditRoundTripSlots bounds, in slots, the time from a payload word
 // being consumed at the destination to the freed credit being usable at
 // the source: wait for the reverse connection's next slot (its MaxGap),
-// the reverse path traversal, plus one slot of decision granularity at
-// each end.
-func CreditRoundTripSlots(revSlotSet []int, revPath *route.Path, tableSize int) int {
-	return slots.MaxGap(revSlotSet, tableSize) + revPath.TotalShift + 2
+// the reverse path traversal (its shift), plus one slot of decision
+// granularity at each end.
+func CreditRoundTripSlots(revSlotSet []int, revShift int, tableSize int) int {
+	return slots.MaxGap(revSlotSet, tableSize) + revShift + 2
 }
 
 // RecvCapacityWords sizes a receive queue (and thus the sender's initial

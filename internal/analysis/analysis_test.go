@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/phit"
-	"repro/internal/route"
 	"repro/internal/slots"
 )
 
@@ -52,11 +51,11 @@ func TestSlotBandwidth(t *testing.T) {
 }
 
 func TestLatencyBound(t *testing.T) {
-	p := &route.Path{TotalShift: 3}
+	shift := 3
 	// Slots {0, 8} in a 16-table: MaxGap 8.
-	b := LatencyBoundNs(p, []int{0, 8}, 16, 500)
+	b := LatencyBoundNs(shift, []int{0, 8}, 16, 500)
 	// cycles = 3*(8+1) + 5 + 9 + 4 = 27+18 = 45 -> 90 ns.
-	want := float64(3*(8+1)+FixedPathCycles(p)) * 2
+	want := float64(3*(8+1)+FixedPathCycles(shift)) * 2
 	if b != want {
 		t.Errorf("LatencyBoundNs = %v, want %v", b, want)
 	}
@@ -69,7 +68,7 @@ func TestLatencyBound(t *testing.T) {
 // boundary on, then pays up to 2 cycles of in-flit serialisation, the
 // path shift, and the delivery registration — and returns the worst
 // injection-to-delivery latency in cycles.
-func bruteForceWorstLatencyCycles(set []int, tableSize int, p *route.Path) int {
+func bruteForceWorstLatencyCycles(set []int, tableSize int, shift int) int {
 	owned := make(map[int]bool, len(set))
 	for _, s := range set {
 		owned[s] = true
@@ -84,7 +83,7 @@ func bruteForceWorstLatencyCycles(set []int, tableSize int, p *route.Path) int {
 		for !owned[(dep/phit.FlitWords)%tableSize] {
 			dep += phit.FlitWords
 		}
-		lat := (dep - a) + 2 + phit.FlitWords*p.TotalShift + deliveryCycles
+		lat := (dep - a) + 2 + phit.FlitWords*shift + deliveryCycles
 		if lat > worst {
 			worst = lat
 		}
@@ -101,13 +100,13 @@ func TestLatencyBoundBruteForce(t *testing.T) {
 	const fMHz = 500
 	cycleNs := 1e3 / fMHz
 	rng := rand.New(rand.NewSource(7))
-	check := func(set []int, tableSize int, p *route.Path) {
+	check := func(set []int, tableSize int, shift int) {
 		t.Helper()
-		brute := bruteForceWorstLatencyCycles(set, tableSize, p)
-		bound := int(math.Round(LatencyBoundNs(p, set, tableSize, fMHz) / cycleNs))
+		brute := bruteForceWorstLatencyCycles(set, tableSize, shift)
+		bound := int(math.Round(LatencyBoundNs(shift, set, tableSize, fMHz) / cycleNs))
 		if bound < brute {
 			t.Errorf("set %v table %d shift %d: bound %d cycles undercuts brute-force %d",
-				set, tableSize, p.TotalShift, bound, brute)
+				set, tableSize, shift, bound, brute)
 		}
 		// The model constants leave exactly two flit cycles of analytic
 		// slack (decision granularity + injection margin); more would
@@ -119,33 +118,32 @@ func TestLatencyBoundBruteForce(t *testing.T) {
 	}
 	for _, tableSize := range []int{8, 16, 32} {
 		for _, shift := range []int{1, 3, 6} {
-			p := &route.Path{TotalShift: shift}
 			for s := 0; s < tableSize; s++ {
-				check([]int{s}, tableSize, p) // every position incl. S-1
+				check([]int{s}, tableSize, shift) // every position incl. S-1
 			}
-			check([]int{0, tableSize - 1}, tableSize, p) // wrap pair
-			check([]int{tableSize - 2, tableSize - 1}, tableSize, p)
+			check([]int{0, tableSize - 1}, tableSize, shift) // wrap pair
+			check([]int{tableSize - 2, tableSize - 1}, tableSize, shift)
 			for i := 0; i < 8; i++ {
 				k := 1 + rng.Intn(tableSize-1)
 				set := rng.Perm(tableSize)[:k]
-				check(set, tableSize, p)
+				check(set, tableSize, shift)
 			}
 		}
 	}
 }
 
 func TestSlotsForLatencyInvertsBound(t *testing.T) {
-	p := &route.Path{TotalShift: 4}
+	shift := 4
 	for _, budget := range []float64{150, 250, 400} {
-		k, err := SlotsForLatency(budget, p, 32, 500)
+		k, err := SlotsForLatency(budget, shift, 32, 500)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
-		if got := LatencyBoundNs(p, EvenSlots(k, 32), 32, 500); got > budget {
+		if got := LatencyBoundNs(shift, EvenSlots(k, 32), 32, 500); got > budget {
 			t.Errorf("budget %v: k=%d gives bound %v", budget, k, got)
 		}
 	}
-	if _, err := SlotsForLatency(10, p, 32, 500); err == nil {
+	if _, err := SlotsForLatency(10, shift, 32, 500); err == nil {
 		t.Error("accepted a budget below the fixed path delay")
 	}
 }
@@ -158,21 +156,21 @@ func TestSlotsForLatencyInvertsBound(t *testing.T) {
 // at S=8 tolerates gap 1.2: the old answer k=7 realises MaxGap 2
 // (bound 42 ns > budget); the floored sizing returns k=8 (36 ns).
 func TestSlotsForLatencyFlooredGap(t *testing.T) {
-	p := &route.Path{TotalShift: 1}
+	shift := 1
 	const budget = 37.2
-	k, err := SlotsForLatency(budget, p, 8, 500)
+	k, err := SlotsForLatency(budget, shift, 8, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != 8 {
 		t.Errorf("SlotsForLatency(%v) = %d, want 8", budget, k)
 	}
-	if got := LatencyBoundNs(p, EvenSlots(k, 8), 8, 500); got > budget {
+	if got := LatencyBoundNs(shift, EvenSlots(k, 8), 8, 500); got > budget {
 		t.Errorf("k=%d realises bound %v > budget %v", k, got, budget)
 	}
 	// The historical answer violates the budget — keep the counterexample
 	// honest in case the constants drift.
-	if old := LatencyBoundNs(p, EvenSlots(7, 8), 8, 500); old <= budget {
+	if old := LatencyBoundNs(shift, EvenSlots(7, 8), 8, 500); old <= budget {
 		t.Errorf("counterexample went stale: k=7 bound %v fits budget %v", old, budget)
 	}
 }
@@ -184,13 +182,13 @@ func TestSlotsForLatencyQuick(t *testing.T) {
 	f := func(rawBudget uint16, rawShift, rawTable uint8) bool {
 		tables := []int{4, 8, 12, 16, 32, 64}
 		tableSize := tables[int(rawTable)%len(tables)]
-		p := &route.Path{TotalShift: 1 + int(rawShift%6)}
+		shift := 1 + int(rawShift%6)
 		budget := 30 + float64(rawBudget%1000)/2
-		k, err := SlotsForLatency(budget, p, tableSize, 500)
+		k, err := SlotsForLatency(budget, shift, tableSize, 500)
 		if err != nil {
 			return true // infeasible budgets may error
 		}
-		return LatencyBoundNs(p, EvenSlots(k, tableSize), tableSize, 500) <= budget+1e-9
+		return LatencyBoundNs(shift, EvenSlots(k, tableSize), tableSize, 500) <= budget+1e-9
 	}
 	cfg := &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -215,22 +213,22 @@ func TestBurstSlotTimes(t *testing.T) {
 }
 
 func TestBurstBoundUsesWindow(t *testing.T) {
-	p := &route.Path{TotalShift: 2}
+	shift := 2
 	// Slots 0,2,5 in table 8: windows. For tx=4 words (m=2), worst
 	// 2-gap window = 6.
 	set := []int{0, 2, 5}
-	b := LatencyBoundBurstNs(p, set, 8, 500, 4, false)
-	want := float64(3*(6+1)+FixedPathCycles(p)) * 2
+	b := LatencyBoundBurstNs(shift, set, 8, 500, 4, false)
+	want := float64(3*(6+1)+FixedPathCycles(shift)) * 2
 	if b != want {
 		t.Errorf("burst bound = %v, want %v", b, want)
 	}
 	// m=1 matches the plain bound.
-	if got, plain := LatencyBoundBurstNs(p, set, 8, 500, 2, false), LatencyBoundNs(p, set, 8, 500); got != plain {
+	if got, plain := LatencyBoundBurstNs(shift, set, 8, 500, 2, false), LatencyBoundNs(shift, set, 8, 500); got != plain {
 		t.Errorf("m=1 burst bound %v != plain %v", got, plain)
 	}
 	// Reliable accounting widens the service window (4 words need 4
 	// slot times, not 2), never narrows it.
-	if rel := LatencyBoundBurstNs(p, set, 8, 500, 4, true); rel < b {
+	if rel := LatencyBoundBurstNs(shift, set, 8, 500, 4, true); rel < b {
 		t.Errorf("reliable burst bound %v < baseline %v", rel, b)
 	}
 }
@@ -242,15 +240,15 @@ func TestBurstSizingQuick(t *testing.T) {
 	f := func(rawBudget uint16, rawTx, rawShift, rawTable uint8) bool {
 		tables := []int{8, 16, 32, 64}
 		tableSize := tables[int(rawTable)%len(tables)]
-		p := &route.Path{TotalShift: 1 + int(rawShift%6)}
+		shift := 1 + int(rawShift%6)
 		tx := 1 + int(rawTx%32)
 		budget := 100 + float64(rawBudget%2000)
 		reliable := rawTx%2 == 0
-		k, err := SlotsForBurstLatency(budget, tx, p, tableSize, 500, reliable)
+		k, err := SlotsForBurstLatency(budget, tx, shift, tableSize, 500, reliable)
 		if err != nil {
 			return true // infeasible budgets may error
 		}
-		return LatencyBoundBurstNs(p, EvenSlots(k, tableSize), tableSize, 500, tx, reliable) <= budget+1e-9
+		return LatencyBoundBurstNs(shift, EvenSlots(k, tableSize), tableSize, 500, tx, reliable) <= budget+1e-9
 	}
 	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(9))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -259,13 +257,13 @@ func TestBurstSizingQuick(t *testing.T) {
 }
 
 func TestConnectionBounds(t *testing.T) {
-	p := &route.Path{TotalShift: 3}
+	shift := 3
 	set := []int{0, 8}
-	b := ConnectionBounds(p, set, 16, 500, 4, Mode{})
+	b := ConnectionBounds(shift, set, 16, 500, 4, Mode{})
 	if b.SlotCount != 2 || b.MaxGapSlots != 8 {
 		t.Errorf("bounds = %+v", b)
 	}
-	if want := LatencyBoundNs(p, set, 16, 500); b.LatencyNs != want {
+	if want := LatencyBoundNs(shift, set, 16, 500); b.LatencyNs != want {
 		t.Errorf("LatencyNs = %v, want %v", b.LatencyNs, want)
 	}
 	if want := ThroughputGuaranteeMBps(2, 500, 4, 16, false); b.GuaranteeMBps != want {
@@ -273,19 +271,19 @@ func TestConnectionBounds(t *testing.T) {
 	}
 	// Transactional mode uses the window bound; reliable mode halves
 	// the guarantee.
-	tb := ConnectionBounds(p, set, 16, 500, 4, Mode{Transactional: true, TxWords: 4})
-	if want := LatencyBoundBurstNs(p, set, 16, 500, 4, false); tb.LatencyNs != want {
+	tb := ConnectionBounds(shift, set, 16, 500, 4, Mode{Transactional: true, TxWords: 4})
+	if want := LatencyBoundBurstNs(shift, set, 16, 500, 4, false); tb.LatencyNs != want {
 		t.Errorf("transactional LatencyNs = %v, want %v", tb.LatencyNs, want)
 	}
-	rb := ConnectionBounds(p, set, 16, 500, 4, Mode{Reliable: true})
+	rb := ConnectionBounds(shift, set, 16, 500, 4, Mode{Reliable: true})
 	if math.Abs(rb.GuaranteeMBps-b.GuaranteeMBps/2) > 1e-9 {
 		t.Errorf("reliable GuaranteeMBps = %v, want half of %v", rb.GuaranteeMBps, b.GuaranteeMBps)
 	}
 }
 
 func TestWindowSlotsForBudget(t *testing.T) {
-	p := &route.Path{TotalShift: 2}
-	w, err := WindowSlotsForBudget(200, p, 500)
+	shift := 2
+	w, err := WindowSlotsForBudget(200, shift, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +291,14 @@ func TestWindowSlotsForBudget(t *testing.T) {
 	if w != 27 {
 		t.Errorf("window = %d, want 27", w)
 	}
-	if _, err := WindowSlotsForBudget(30, p, 500); err == nil {
+	if _, err := WindowSlotsForBudget(30, shift, 500); err == nil {
 		t.Error("accepted budget below fixed delay")
 	}
 }
 
 func TestCreditMath(t *testing.T) {
-	rp := &route.Path{TotalShift: 3}
-	rt := CreditRoundTripSlots([]int{0, 16}, rp, 32)
+	revShift := 3
+	rt := CreditRoundTripSlots([]int{0, 16}, revShift, 32)
 	if rt != 16+3+2 {
 		t.Errorf("round trip = %d", rt)
 	}

@@ -1,7 +1,9 @@
 // Package analysis provides the analytical model of aelite's guaranteed
 // services: the throughput and worst-case latency of a connection follow
-// directly from its TDM slot reservation and path (paper Section VII,
-// problem 3).
+// directly from its TDM slot reservation and its transit shift, the flit
+// cycles from the source NI to the last link (paper Section VII, problem
+// 3). Both slot-scheduled fabrics share it: the aelite mesh passes a
+// route's TotalShift, the routerless ring overlay its hops.
 //
 // Conventions: the clock period is T = 1/f; a slot is one flit cycle
 // (3 cycles); a slot table of size S revolves every 3·S·T. A flit carries
@@ -16,8 +18,8 @@
 // reliable connection over-delivers against this guarantee — the
 // conformance auditor (internal/audit) checks exactly that direction.
 //
-// Cross-package contract: the slot-shift convention here must equal the
-// one route.Hop.Shift records and internal/slots claims by (one slot per
+// Cross-package contract: on the mesh the slot-shift convention here
+// must equal the one route.Hop.Shift records and internal/slots claims by (one slot per
 // router hop, one per link pipeline stage), or bounds silently detach
 // from the schedule. Every bound this package derives is enforced
 // dynamically by internal/audit, and internal/scenario clamps generated

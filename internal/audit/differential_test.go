@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
-	"repro/internal/route"
 	"repro/internal/trace"
 )
 
@@ -93,14 +92,13 @@ func (a *refAuditor) snapshot(n *core.Network) {
 		if err != nil {
 			continue
 		}
-		p := &route.Path{TotalShift: info.TotalShift}
 		ca := &connAudit{
 			id:            id,
 			srcName:       n.Mesh.Node(info.SrcNI).Name,
 			dstName:       n.Mesh.Node(info.DstNI).Name,
 			guaranteeMBps: info.GuaranteedMBps,
 			boundPs:       info.BoundNs*1e3 + allowancePs,
-			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, p, n.Cfg.FreqMHz)*1e3 + allowancePs,
+			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, info.TotalShift, n.Cfg.FreqMHz)*1e3 + allowancePs,
 			rate:          info.GuaranteedMBps * 1e6 / float64(n.Cfg.WordBytes) / 1e12 * rateMargin,
 			depth:         bucketWords,
 			nextSeq:       0,

@@ -45,10 +45,11 @@ type connInfo struct {
 type routedConn struct {
 	srcNI, dstNI topology.NodeID
 	fwd, rev     []*route.Path
-	// worst is the forward candidate with the largest TotalShift; requests
-	// are sized for it so the bound holds whichever path is picked (minimal
-	// routes on a uniform mesh all share it, but stay general).
-	worst *route.Path
+	// worstShift is the largest TotalShift of the forward candidates;
+	// requests are sized for it so the bound holds whichever path is
+	// picked (minimal routes on a uniform mesh all share it, but stay
+	// general).
+	worstShift int
 }
 
 // routeOne resolves a connection's endpoints and computes the candidate
@@ -87,11 +88,8 @@ func routeOne(m *topology.Mesh, uc *spec.UseCase, cfg Config, c spec.Connection,
 		return routedConn{}, fmt.Errorf("core: connection %d: %w (header limit %d hops, %d links avoided)",
 			c.ID, ErrNoRoute, cfg.Layout.MaxHops(), len(avoid))
 	}
-	rc.worst = rc.fwd[0]
-	for _, p := range rc.fwd[1:] {
-		if p.TotalShift > rc.worst.TotalShift {
-			rc.worst = p
-		}
+	for _, p := range rc.fwd {
+		rc.worstShift = max(rc.worstShift, p.TotalShift)
 	}
 	return rc, nil
 }
@@ -137,7 +135,7 @@ func dropAvoided(paths []*route.Path, avoid []topology.LinkID) []*route.Path {
 // size: the data channel from the connection's requirements on its worst
 // candidate, and the reverse credit channel rev from the data slot count.
 func requestsFor(cfg Config, c spec.Connection, rc routedConn, rev phit.ConnID, tableSize int) ([2]slots.Request, error) {
-	count, windowTarget, m, err := sizeConnection(cfg, c, rc.worst, tableSize)
+	count, windowTarget, m, err := sizeConnection(cfg, c, rc.worstShift, tableSize)
 	if err != nil {
 		return [2]slots.Request{}, err
 	}
@@ -147,19 +145,21 @@ func requestsFor(cfg Config, c spec.Connection, rc routedConn, rev phit.ConnID, 
 	}, nil
 }
 
-// analysisMode maps a network configuration (and a connection's rate,
-// which selects the transaction size) onto the analytical protocol mode.
-func analysisMode(cfg Config, rateMBps float64) analysis.Mode {
+// AnalysisMode maps the configuration (and a connection's rate, which
+// selects the transaction size) onto the analytical protocol mode. Every
+// slot-scheduled fabric derives its bounds under it.
+func (c Config) AnalysisMode(rateMBps float64) analysis.Mode {
 	return analysis.Mode{
-		Reliable:      cfg.Reliable,
-		Transactional: cfg.Transactional,
+		Reliable:      c.Reliable,
+		Transactional: c.Transactional,
 		TxWords:       traffic.TxWordsForRate(rateMBps),
 	}
 }
 
 // sizeConnection converts one connection's requirements into a slot
-// count, service-window target and window size.
-func sizeConnection(cfg Config, c spec.Connection, worst *route.Path, tableSize int) (count, windowTarget, m int, err error) {
+// count, service-window target and window size for a transit of
+// worstShift flit cycles.
+func sizeConnection(cfg Config, c spec.Connection, worstShift int, tableSize int) (count, windowTarget, m int, err error) {
 	bwSlots, err := analysis.SlotsForBandwidth(c.BandwidthMBps, cfg.FreqMHz, cfg.WordBytes, tableSize, cfg.Reliable)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, err)
@@ -167,9 +167,9 @@ func sizeConnection(cfg Config, c spec.Connection, worst *route.Path, tableSize 
 	var latSlots int
 	tx := traffic.TxWordsForRate(c.BandwidthMBps)
 	if cfg.Transactional {
-		latSlots, err = analysis.SlotsForBurstLatency(c.MaxLatencyNs, tx, worst, tableSize, cfg.FreqMHz, cfg.Reliable)
+		latSlots, err = analysis.SlotsForBurstLatency(c.MaxLatencyNs, tx, worstShift, tableSize, cfg.FreqMHz, cfg.Reliable)
 	} else {
-		latSlots, err = analysis.SlotsForLatency(c.MaxLatencyNs, worst, tableSize, cfg.FreqMHz)
+		latSlots, err = analysis.SlotsForLatency(c.MaxLatencyNs, worstShift, tableSize, cfg.FreqMHz)
 	}
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, err)
@@ -192,7 +192,7 @@ func sizeConnection(cfg Config, c spec.Connection, worst *route.Path, tableSize 
 	if latSlots > count {
 		count = latSlots
 	}
-	windowTarget, werr := analysis.WindowSlotsForBudget(c.MaxLatencyNs, worst, cfg.FreqMHz)
+	windowTarget, werr := analysis.WindowSlotsForBudget(c.MaxLatencyNs, worstShift, cfg.FreqMHz)
 	if werr != nil {
 		return 0, 0, 0, fmt.Errorf("core: connection %d: %w", c.ID, werr)
 	}
@@ -213,7 +213,7 @@ func deriveInfo(cfg Config, c spec.Connection, rc routedConn, rev phit.ConnID, a
 		path: usedWorstPath(as), slotSet: as.Slots,
 		revPath: usedWorstPath(ras), revSlots: ras.Slots,
 	}
-	b := analysis.ConnectionBounds(info.path, as.Slots, alloc.TableSize, cfg.FreqMHz, cfg.WordBytes, analysisMode(cfg, c.BandwidthMBps))
+	b := analysis.ConnectionBounds(info.path.TotalShift, as.Slots, alloc.TableSize, cfg.FreqMHz, cfg.WordBytes, cfg.AnalysisMode(c.BandwidthMBps))
 	info.guaranteeMBps = b.GuaranteeMBps
 	info.boundNs = b.LatencyNs
 	if cfg.Mode == Asynchronous {
@@ -223,7 +223,7 @@ func deriveInfo(cfg Config, c spec.Connection, rc routedConn, rev phit.ConnID, a
 		extra := float64(phit.FlitWords*len(info.path.Links)) * 1e3 / cfg.FreqMHz
 		info.boundNs = (info.boundNs + extra) * (1 + cfg.PPM/1e6)
 	}
-	info.ackRTSlots = analysis.CreditRoundTripSlots(ras.Slots, info.revPath, alloc.TableSize)
+	info.ackRTSlots = analysis.CreditRoundTripSlots(ras.Slots, info.revPath.TotalShift, alloc.TableSize)
 	info.recvCap = analysis.RecvCapacityWords(len(as.Slots), info.ackRTSlots, alloc.TableSize)
 	return info
 }

@@ -12,9 +12,12 @@
 // it, an owned slot always returns to its owner empty — the schedule is
 // contention-free by construction, exactly like aelite's slot tables,
 // and the same MaxGap argument yields a per-connection worst-case
-// latency bound (see BoundNs). The bounds are wired into internal/audit
-// through audit.AttachContracts, so the shared conformance auditor
-// judges this backend with the same checks it applies to aelite.
+// latency bound: a ring is a slot table of S slots with one flit cycle
+// of transit per segment, so its bounds are analysis.ConnectionBounds at
+// shift = hops, CBR and transactional alike. The bounds are wired into
+// internal/audit through audit.AttachContracts, so the shared
+// conformance auditor judges this backend with the same checks it
+// applies to aelite.
 //
 // The model deliberately mirrors the aelite flit format — three words
 // per slot, one of them header-equivalent overhead — so a slot's

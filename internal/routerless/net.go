@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -158,7 +159,7 @@ func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) 
 			SrcName:       ci.ring.stops[ci.srcPos].name,
 			DstName:       ci.ring.stops[ci.dstPos].name,
 			BoundNs:       ci.boundNs,
-			WaitBudgetNs:  waitBudgetNs(ci.boundNs, ci.hops, n.Cfg.FreqMHz),
+			WaitBudgetNs:  analysis.SourceWaitBudgetNs(ci.boundNs, ci.hops, n.Cfg.FreqMHz),
 			GuaranteeMBps: ci.guaranteeMBps,
 		})
 	}

@@ -2,7 +2,6 @@ package routerless
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/analysis"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/phit"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/slots"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -25,48 +23,6 @@ import (
 // IP-side backpressure.
 const SendCapacity = 32
 
-// PayloadWords is the payload carried per slot flit. One of the three
-// flit words is header-equivalent overhead (destination stop + connection
-// id), mirroring aelite's slot format so per-slot bandwidth is directly
-// comparable.
-const PayloadWords = phit.FlitWords - 1
-
-// Latency model constants, in base-clock cycles (see BoundNs).
-const (
-	// stopInjectCycles covers acceptance into the source queue and the
-	// wait for the next flit-cycle boundary plus in-flit serialisation,
-	// mirroring the aelite NI's injection overhead.
-	stopInjectCycles = 5
-	// stopDeliveryCycles covers destination-side registration of a
-	// payload word after the flit arrives at the ejecting stop.
-	stopDeliveryCycles = 4
-)
-
-// BoundNs is the worst-case end-to-end latency, in nanoseconds, of a
-// compliant word on a ring of S stops: a word that just misses a slot
-// decision waits at most MaxGap+1 owned-slot arrivals (FlitWords cycles
-// each), then rides hops ring segments (one flit cycle per stop), plus
-// the fixed injection and delivery overheads. The same decomposition as
-// analysis.LatencyBoundNs, with ring hops in place of the mesh path.
-func BoundNs(slotSet []int, ringSize, hops int, fMHz float64) float64 {
-	gap := slots.MaxGap(slotSet, ringSize)
-	cycles := phit.FlitWords*(gap+1) + stopInjectCycles + phit.FlitWords*hops + stopDeliveryCycles
-	return float64(cycles) * 1e3 / fMHz
-}
-
-// waitBudgetNs is the source-stop dwell budget at the raw bound: the
-// bound minus the deterministic post-injection transit.
-func waitBudgetNs(boundNs float64, hops int, fMHz float64) float64 {
-	transit := float64(phit.FlitWords*hops+stopDeliveryCycles) * 1e3 / fMHz
-	return boundNs - transit
-}
-
-// slotBandwidthMBps is one slot's payload bandwidth on a ring of S stops.
-func slotBandwidthMBps(fMHz float64, wordBytes, ringSize int) float64 {
-	revolutionsPerSec := fMHz * 1e6 / float64(phit.FlitWords*ringSize)
-	return revolutionsPerSec * float64(PayloadWords) * float64(wordBytes) / 1e6
-}
-
 // pending is one queued or in-flight payload word.
 type pending struct {
 	seq      int64
@@ -74,12 +30,15 @@ type pending struct {
 }
 
 // entry is one slot of the wheel and its cargo, held inline: a flit of n
-// words (up to PayloadWords) of connection ci riding towards ci.dstPos, or
-// nothing when n is 0.
+// words of connection ci riding towards ci.dstPos, or nothing when n is 0.
+// A slot flit mirrors aelite's format: one of its three words is
+// header-equivalent overhead (destination stop + connection id), so it
+// carries analysis.PayloadWordsPerSlot payload words and a slot's
+// bandwidth is directly comparable between the two fabrics.
 type entry struct {
 	ci    *connInfo
 	n     int
-	words [PayloadWords]pending
+	words [analysis.PayloadWordsPerSlot]pending
 }
 
 // stop is one NI's seat on one ring.
@@ -146,11 +105,11 @@ type connInfo struct {
 // A Network is a built, runnable routerless overlay instance.
 type Network struct {
 	// Cfg is the shared parameter set; the overlay models its word width,
-	// frequency and traffic model. The analytical bounds assume
-	// slot-regulated (CBR-compliant) load, as in aelite: they do not cover
-	// transaction drains, so transactional runs break them, and audits of
-	// such runs should tolerate oversubscription
-	// (TestBoundsHoldForAnalysedShapes in internal/backend pins the gap).
+	// frequency and traffic model. Its bounds come from the analysis the
+	// aelite mesh uses, under the same mode (Config.AnalysisMode): the
+	// per-word bound for CBR load and the burst bound for transaction
+	// drains (TestBoundsHoldForAnalysedShapes in internal/backend holds
+	// runs of both to them).
 	Cfg  core.Config
 	Mesh *topology.Mesh
 	Spec *spec.UseCase
@@ -348,12 +307,8 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 		if hops == 0 {
 			continue
 		}
-		per := slotBandwidthMBps(n.Cfg.FreqMHz, n.Cfg.WordBytes, r.S)
-		need := int(math.Ceil(c.BandwidthMBps / per))
-		if need < 1 {
-			need = 1
-		}
-		if need > r.S {
+		need, err := analysis.SlotsForBandwidth(c.BandwidthMBps, n.Cfg.FreqMHz, n.Cfg.WordBytes, r.S, false)
+		if err != nil {
 			continue // rate exceeds this ring's capacity outright
 		}
 		cands = append(cands, candidate{r: r, hops: hops, idx: idx, need: need, srcP: sp, dstP: dp})
@@ -369,6 +324,9 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 		if set == nil {
 			continue
 		}
+		// A ring is a slot table of S slots whose transit is one flit
+		// cycle per segment: the mesh analysis with shift = hops.
+		b := analysis.ConnectionBounds(cd.hops, set, cd.r.S, n.Cfg.FreqMHz, n.Cfg.WordBytes, n.Cfg.AnalysisMode(c.BandwidthMBps))
 		ci := &connInfo{
 			spec:          c,
 			ring:          cd.r,
@@ -376,8 +334,8 @@ func (n *Network) place(c spec.Connection, src, dst topology.NodeID) (*connInfo,
 			dstPos:        cd.dstP,
 			hops:          cd.hops,
 			slotSet:       set,
-			guaranteeMBps: float64(cd.need) * slotBandwidthMBps(n.Cfg.FreqMHz, n.Cfg.WordBytes, cd.r.S),
-			boundNs:       BoundNs(set, cd.r.S, cd.hops, n.Cfg.FreqMHz),
+			guaranteeMBps: b.GuaranteeMBps,
+			boundNs:       b.LatencyNs,
 			q:             make([]pending, 0, SendCapacity),
 		}
 		for _, s := range set {

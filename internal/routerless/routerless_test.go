@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -142,17 +143,29 @@ func TestRouterlessRejectsInfeasible(t *testing.T) {
 	}
 }
 
-// TestRouterlessBoundFormula: the bound grows with hops and with slot
-// gap, and a single fully-owned slot set has gap S-1.
-func TestRouterlessBoundFormula(t *testing.T) {
-	b1 := BoundNs([]int{0}, 8, 2, 500)
-	b2 := BoundNs([]int{0}, 8, 5, 500)
-	if b2 <= b1 {
-		t.Errorf("bound not monotonic in hops: %g vs %g", b1, b2)
-	}
-	b3 := BoundNs([]int{0, 4}, 8, 2, 500)
-	if b3 >= b1 {
-		t.Errorf("more slots must shrink the bound: %g vs %g", b3, b1)
+// TestRouterlessBoundsAreTheSlotTableAnalysis: a ring is a slot table of
+// S slots with one flit cycle of transit per segment, so every
+// connection's published bound and guarantee are the mesh analysis at
+// shift = hops, under CBR and under transactions (burst bound) alike.
+func TestRouterlessBoundsAreTheSlotTableAnalysis(t *testing.T) {
+	for _, tx := range []bool{false, true} {
+		m, uc := testCase(t, 3, 3, 8, 7)
+		n, err := Build(m, uc, core.Config{Transactional: tx})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		for _, id := range n.Connections() {
+			info, err := n.Info(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := analysis.ConnectionBounds(info.PathHops, info.Slots, n.conns[id].ring.S,
+				n.Cfg.FreqMHz, n.Cfg.WordBytes, n.Cfg.AnalysisMode(info.RequiredMBps))
+			if info.BoundNs != want.LatencyNs || info.GuaranteedMBps != want.GuaranteeMBps {
+				t.Errorf("tx=%v conn %d: bound %.1f ns, guarantee %.2f Mbyte/s; the analysis at shift %d gives %.1f ns, %.2f Mbyte/s",
+					tx, id, info.BoundNs, info.GuaranteedMBps, info.PathHops, want.LatencyNs, want.GuaranteeMBps)
+			}
+		}
 	}
 }
 

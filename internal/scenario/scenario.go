@@ -466,7 +466,7 @@ func ClampLatencyBudgets(uc *spec.UseCase, m *topology.Mesh, fMHz float64, wordB
 			}
 			worst = max(worst, p.TotalShift)
 		}
-		fixed := float64(analysis.FixedPathCycles(&route.Path{TotalShift: worst})) * cycleNs
+		fixed := float64(analysis.FixedPathCycles(worst)) * cycleNs
 		bwSlots, err := analysis.SlotsForBandwidth(c.BandwidthMBps, fMHz, wordBytes, tableSize, false)
 		if err != nil {
 			return fmt.Errorf("scenario: connection %d: %w", c.ID, err)

@@ -139,7 +139,9 @@ const (
 	// signature of kill -9 mid-append. The partial record is dropped.
 	KindTruncatedTail CorruptionKind = "truncated-tail"
 	// KindBadRecord is a non-final line that does not parse — torn bytes
-	// inside the file. The line is dropped.
+	// inside the file — or one that parses but cannot be what it claims
+	// (a shard index out of range, a done record whose status is not
+	// terminal). The line is dropped.
 	KindBadRecord CorruptionKind = "bad-record"
 	// KindDuplicateShard is a second result for a (job, shard) pair. The
 	// first (earliest durable) result wins; the duplicate is dropped.
@@ -350,6 +352,12 @@ func replay(r io.Reader) (*ResumeState, error) {
 			jj, ok := st.byJob[rec.Job]
 			if !ok {
 				flaw(KindOrphanRecord, p.line, "done record for unsubmitted job %s dropped", rec.Job)
+				continue
+			}
+			if !State(rec.Status).Terminal() {
+				// Resume would register the job in this state, where it
+				// neither runs nor finishes; dropped, the job re-queues.
+				flaw(KindBadRecord, p.line, "done record for job %s has non-terminal status %q dropped", rec.Job, rec.Status)
 				continue
 			}
 			jj.Done = true

@@ -248,7 +248,8 @@ func TestReplayDropsSubmitUnderAnotherJobID(t *testing.T) {
 // file) never panics; an error is always
 // a *Corruption whose issues each carry a known kind and a line number;
 // and every salvaged job is one Submit accepts, under the id its
-// fingerprint names, holding only shards inside its range.
+// fingerprint names, holding only shards inside its range, and every
+// salvaged done job has a terminal status.
 func FuzzReplayJournal(f *testing.F) {
 	spec := testSpec(3)
 	fp := spec.Fingerprint()
@@ -265,6 +266,7 @@ func FuzzReplayJournal(f *testing.F) {
 	regressions := journalLines(f,
 		Record{T: RecSubmit, Job: JobID(hugeFP), FP: hugeFP, Spec: &huge},
 		Record{T: RecSubmit, Job: "feedfeedfeedfeed", FP: fp, Spec: &spec},
+		Record{T: RecDone, Job: id, Status: "running"},
 	)
 	join := func(lines ...string) []byte { return []byte(strings.Join(lines, "\n") + "\n") }
 	f.Add(join(real...))
@@ -272,6 +274,7 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add(join(real[0], real[1][:20], real[2], real[3]))                          // torn middle line
 	f.Add(join(regressions[0]))
 	f.Add(join(regressions[1]))
+	f.Add(join(real[0], regressions[2]))
 	known := map[CorruptionKind]bool{
 		KindTruncatedTail: true, KindBadRecord: true, KindDuplicateShard: true,
 		KindFingerprintMismatch: true, KindInvalidSpec: true, KindOrphanRecord: true,
@@ -304,8 +307,35 @@ func FuzzReplayJournal(f *testing.F) {
 					t.Fatalf("job %s holds shard %d (result for %d) of %d", jj.ID, i, r.Shard, jj.Spec.shardCount())
 				}
 			}
+			if jj.Done && !State(jj.Status).Terminal() {
+				t.Fatalf("job %s salvaged as done with non-terminal status %q", jj.ID, jj.Status)
+			}
 		}
 	})
+}
+
+// TestReplayDoneRecordNeedsTerminalStatus: a done record whose status is
+// not terminal is dropped as a bad record, so Resume re-queues the job
+// instead of registering it as "running" or "" where it never runs.
+func TestReplayDoneRecordNeedsTerminalStatus(t *testing.T) {
+	spec := testSpec(2)
+	fp := spec.Fingerprint()
+	id := JobID(fp)
+	for _, status := range []string{"running", "", "queued", "retrying", "bogus"} {
+		lines := journalLines(t,
+			Record{T: RecSubmit, Job: id, FP: fp, Spec: &spec},
+			Record{T: RecShard, Job: id, FP: fp, Result: &ShardResult{Shard: 0, Name: "s0"}},
+			Record{T: RecShard, Job: id, FP: fp, Result: &ShardResult{Shard: 1, Name: "s1"}},
+			Record{T: RecDone, Job: id, Status: status},
+		)
+		st, err := ReplayJournal(writeJournal(t, lines...))
+		if ks := kinds(err); len(ks) != 1 || ks[0] != KindBadRecord {
+			t.Fatalf("status %q: kinds = %v, want [%s]", status, ks, KindBadRecord)
+		}
+		if jj, _ := st.Job(id); jj == nil || jj.Done {
+			t.Fatalf("status %q: job %+v, want it salvaged and not done", status, jj)
+		}
+	}
 }
 
 func TestReplayOrphanShardRecord(t *testing.T) {

@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
-	"repro/internal/reliable"
 	"repro/internal/trace"
 )
 
@@ -68,12 +66,13 @@ type connAudit struct {
 
 // chanAudit is the per-channel state of the network-side
 // injection-regulation check, for data and reverse channels alike: the
-// slot quota and the flit starts counted inside the current table
-// revolution.
+// slot quota and revolution of the channel's allocation table, and the
+// flit starts counted inside the current revolution.
 type chanAudit struct {
-	quota  int
-	count  int
-	bucket int64 // revolution index + 1 of count; 0 before the first flit
+	quota        int
+	revolutionPs clock.Time
+	count        int
+	bucket       int64 // revolution index + 1 of count; 0 before the first flit
 }
 
 // compAudit is the per-component state of the slot checks. One TDM
@@ -98,6 +97,12 @@ type lastUse struct {
 // layout gives a hop at most 8 bits.
 const maxPorts = 1 << 8
 
+// A ContractSource is a built fabric that states its analytical
+// contracts: *core.Network and *routerless.Network.
+type ContractSource interface {
+	Contracts() analysis.ContractSet
+}
+
 // An Auditor checks every traced event against the analytical contracts
 // of a built network. It implements trace.Sink.
 type Auditor struct {
@@ -107,21 +112,19 @@ type Auditor struct {
 
 	// Connection and component ids are small dense integers, so the
 	// per-event state lives in slices indexed by them: conns and chans by
-	// ConnID, sized by snapshot to the ids the network has (an id outside
-	// them is an unknown connection); comps by CompID, grown on demand up
-	// to the ids the bus has interned.
+	// ConnID, sized by load to the ids the contract set has (an id
+	// outside them is an unknown connection); comps by CompID, grown on
+	// demand up to the ids the bus has interned.
 	conns []*connAudit // nil = no audited word contract (reverse channels)
 	chans []chanAudit
 	comps []compAudit
 	order []phit.ConnID
 
-	// Allocation-side injection tables keyed by NI component name,
-	// resolved lazily per CompID. Deliberately snapshotted from
-	// Network.Alloc, not from the live NI tables, so corruption of the
-	// latter is caught.
+	// Allocation-side slot tables keyed by component name, resolved
+	// lazily per CompID. Deliberately the fabric's allocation, not its
+	// live injection tables, so corruption of the latter is caught.
 	allocTables map[string][]phit.ConnID
 
-	revolutionPs   clock.Time
 	checkExclusive bool
 	flitCyclePs    clock.Time
 
@@ -129,30 +132,93 @@ type Auditor struct {
 	byKind map[fault.Kind]int64
 }
 
-// Attach builds an Auditor for the network and subscribes it to the bus.
-// The reporter receives every violation (nil = strict fail-fast); it
-// should be a collector distinct from any fault-campaign collector, so
-// expected campaign violations are never mixed with guarantee breaches.
-func Attach(n *core.Network, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
-	// Plesiochronous clocks make sub-flit-cycle spacing between
-	// *different* resources' events legitimate; ownership checks still
-	// run in every mode.
-	a := newAuditor(bus, rep, opts, n.Cfg.FreqMHz, n.Cfg.Mode != core.Asynchronous)
-	a.snapshot(n)
+// Attach builds an Auditor for the fabric's contracts and subscribes it
+// to the bus. The reporter receives every violation (nil = strict
+// fail-fast); it should be a collector distinct from any fault-campaign
+// collector, so expected campaign violations are never mixed with
+// guarantee breaches.
+func Attach(src ContractSource, bus *trace.Bus, rep fault.Reporter, opts Options) *Auditor {
+	a := &Auditor{rep: rep, bus: bus, opts: opts, byKind: make(map[fault.Kind]int64)}
+	a.load(src.Contracts())
 	bus.Attach(a)
 	return a
 }
 
-// newAuditor returns an auditor with no contracts yet.
-func newAuditor(bus *trace.Bus, rep fault.Reporter, opts Options, freqMHz float64, checkExclusive bool) *Auditor {
-	return &Auditor{
-		rep:            rep,
-		bus:            bus,
-		opts:           opts,
-		allocTables:    make(map[string][]phit.ConnID),
-		checkExclusive: checkExclusive,
-		flitCyclePs:    clock.Time(phit.FlitWords) * clock.Time(clock.PeriodFromMHz(freqMHz)),
-		byKind:         make(map[fault.Kind]int64),
+// Resync refreshes the auditor after a run-time reconfiguration: newly
+// admitted connections gain contracts (bound, token bucket, slot quota),
+// closed connections lose their slot quotas, and the allocation-side
+// tables are retaken so the slot-ownership check enforces the *new*
+// schedule. Call it after every Admit/CloseConnection batch; an
+// auditor left stale would flag the new owner's legitimate slots as
+// ownership violations.
+func (a *Auditor) Resync(src ContractSource) { a.load(src.Contracts()) }
+
+// load (re)builds the auditor's view of a contract set: bounds and token
+// buckets for connections it has not met yet, plus the allocation-side
+// slot tables and the quotas they derive.
+func (a *Auditor) load(set analysis.ContractSet) {
+	a.flitCyclePs = clock.Time(phit.FlitWords) * clock.Time(clock.PeriodFromMHz(set.FreqMHz))
+	// Plesiochronous clocks make sub-flit-cycle spacing between
+	// *different* resources' events legitimate, and their drift
+	// stretches the wall-clock spacing of a generator's nominally
+	// compliant injections; ownership checks still run in every mode.
+	a.checkExclusive = !set.Asynchronous
+	margin := rateMargin
+	if set.Asynchronous {
+		margin += 2 * set.PPM / 1e6
+	}
+	// The ids the set has: its contracts and every channel, data or
+	// reverse, of its tables.
+	var high phit.ConnID
+	for _, c := range set.Contracts {
+		high = max(high, c.Conn)
+	}
+	for _, table := range set.AllocTables {
+		for _, c := range table {
+			high = max(high, c)
+		}
+	}
+	a.growConns(high)
+	for _, c := range set.Contracts {
+		if c.Conn <= phit.None || a.conns[c.Conn] != nil {
+			continue // not an id an event can carry a contract under, or one already held
+		}
+		ca := &connAudit{
+			id:            c.Conn,
+			srcName:       c.SrcName,
+			dstName:       c.DstName,
+			guaranteeMBps: c.GuaranteeMBps,
+			boundPs:       c.BoundPs,
+			waitBudgetPs:  c.WaitBudgetPs,
+			rate:          c.GuaranteeMBps * 1e6 / float64(set.WordBytes) / 1e12 * margin,
+			depth:         bucketWords,
+			reported:      make(map[fault.Kind]int),
+		}
+		ca.tokens = ca.depth
+		a.conns[c.Conn] = ca
+		a.order = append(a.order, c.Conn)
+	}
+
+	// Slot quotas are rebuilt from scratch: closed connections lose
+	// theirs (a flit of a closed connection has no quota to hide under).
+	// A channel owning q slots of a table starts at most q flits per
+	// revolution of it.
+	for c := range a.chans {
+		a.chans[c].quota = 0
+	}
+	for _, table := range set.AllocTables {
+		for _, c := range table {
+			if c > phit.None {
+				a.chans[c].quota++
+				a.chans[c].revolutionPs = a.flitCyclePs * clock.Time(len(table))
+			}
+		}
+	}
+	a.allocTables = set.AllocTables
+	// The lazily resolved CompID -> table cache points at the old
+	// tables; drop it so the next event re-resolves.
+	for c := range a.comps {
+		a.comps[c].table, a.comps[c].resolved = nil, false
 	}
 }
 
@@ -184,120 +250,6 @@ func (a *Auditor) comp(id trace.CompID) *compAudit {
 		a.comps = append(a.comps, make([]compAudit, n-len(a.comps))...)
 	}
 	return &a.comps[id]
-}
-
-// snapshot (re)builds the auditor's view of the network's contracts:
-// per-connection bounds and token buckets for connections it has not met
-// yet, plus the allocation-side slot tables and quotas. Attach calls it
-// once; Resync calls it again after run-time reconfiguration.
-func (a *Auditor) snapshot(n *core.Network) {
-	allowancePs := recoveryAllowancePs(n)
-	// Plesiochronous drift stretches the wall-clock spacing of a
-	// generator's nominally compliant injections.
-	margin := rateMargin
-	if n.Cfg.Mode == core.Asynchronous {
-		margin += 2 * n.Cfg.PPM / 1e6
-	}
-	// The ids the network has: its data connections and every channel,
-	// data or reverse, of its allocation.
-	ids := n.Connections()
-	var high phit.ConnID
-	if len(ids) > 0 {
-		high = ids[len(ids)-1]
-	}
-	for c := range n.Alloc.ByConn {
-		high = max(high, c)
-	}
-	a.growConns(high)
-	for _, id := range ids {
-		if id <= phit.None || a.conns[id] != nil {
-			continue
-		}
-		info, err := n.Info(id)
-		if err != nil {
-			continue
-		}
-		ca := &connAudit{
-			id:            id,
-			srcName:       n.Mesh.Node(info.SrcNI).Name,
-			dstName:       n.Mesh.Node(info.DstNI).Name,
-			guaranteeMBps: info.GuaranteedMBps,
-			boundPs:       info.BoundNs*1e3 + allowancePs,
-			waitBudgetPs:  analysis.SourceWaitBudgetNs(info.BoundNs, info.TotalShift, n.Cfg.FreqMHz)*1e3 + allowancePs,
-			rate:          info.GuaranteedMBps * 1e6 / float64(n.Cfg.WordBytes) / 1e12 * margin,
-			depth:         bucketWords,
-			nextSeq:       0,
-			reported:      make(map[fault.Kind]int),
-		}
-		ca.tokens = ca.depth
-		a.conns[id] = ca
-		a.order = append(a.order, id)
-	}
-
-	for _, nid := range n.Mesh.NIs() {
-		name := n.Mesh.Node(nid).Name
-		a.allocTables[name] = append([]phit.ConnID(nil), n.Alloc.NITable(nid).Slots...)
-	}
-	// Slot quotas are rebuilt from scratch: closed connections lose
-	// theirs (a flit of a closed connection has no quota to hide under).
-	for c := range a.chans {
-		a.chans[c].quota = 0
-	}
-	for c, as := range n.Alloc.ByConn {
-		if c > phit.None {
-			a.chans[c].quota = len(as.Slots)
-		}
-	}
-	a.revolutionPs = a.flitCyclePs * clock.Time(n.Alloc.TableSize)
-}
-
-// Resync refreshes the auditor after a run-time reconfiguration: newly
-// admitted connections gain contracts (bound, token bucket, slot quota),
-// closed connections lose their slot quotas, and the allocation-side
-// injection-table snapshot — deliberately held apart from the live NI
-// tables — is retaken so the slot-ownership check enforces the *new*
-// schedule. Call it after every Admit/CloseConnection batch; an
-// auditor left stale would flag the new owner's legitimate slots as
-// ownership violations.
-func (a *Auditor) Resync(n *core.Network) {
-	a.snapshot(n)
-	// The lazily resolved CompID -> table cache points at the old
-	// snapshots; drop it so the next event re-resolves.
-	for c := range a.comps {
-		a.comps[c].table, a.comps[c].resolved = nil, false
-	}
-}
-
-// recoveryAllowancePs bounds the extra delivery delay the reliability
-// shell may legitimately add before quarantine: every go-back-N round
-// waits one timeout, the timeout doubles per silent round up to the
-// backoff cap, and the budget bounds the rounds. Without Reliable the
-// allowance is zero and the analytical bound is checked exactly.
-func recoveryAllowancePs(n *core.Network) float64 {
-	if !n.Cfg.Reliable {
-		return 0
-	}
-	budget := n.Cfg.RetryBudget
-	if budget <= 0 {
-		budget = reliable.DefaultRetryBudget
-	}
-	var worstBound float64
-	for _, id := range n.Connections() {
-		if tx, ok := n.ReliableTxStats(id); ok {
-			timeoutPs := float64(tx.Timeout)
-			backoff, sum := 1.0, 0.0
-			for r := 0; r <= budget; r++ {
-				sum += backoff
-				if backoff < float64(reliable.BackoffCap) {
-					backoff *= 2
-				}
-			}
-			if w := timeoutPs * sum; w > worstBound {
-				worstBound = w
-			}
-		}
-	}
-	return worstBound
 }
 
 // Event implements trace.Sink.
@@ -446,7 +398,7 @@ func (a *Auditor) onSlotStart(ev trace.Event) {
 	// Network-side injection regulation: a connection owning q slots can
 	// start at most q flits per table revolution; one extra is tolerated
 	// for bucket-boundary alignment (and plesiochronous drift).
-	if uint(ev.Conn) >= uint(len(a.chans)) || a.revolutionPs == 0 {
+	if uint(ev.Conn) >= uint(len(a.chans)) {
 		return
 	}
 	w := &a.chans[ev.Conn]
@@ -454,7 +406,7 @@ func (a *Auditor) onSlotStart(ev trace.Event) {
 	if q == 0 {
 		return
 	}
-	if b := int64(ev.Time/a.revolutionPs) + 1; b != w.bucket {
+	if b := int64(ev.Time/w.revolutionPs) + 1; b != w.bucket {
 		w.bucket, w.count = b, 0
 	}
 	w.count++

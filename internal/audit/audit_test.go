@@ -17,7 +17,7 @@ import (
 // buildNet assembles a small 2x1-mesh workload. The component-level fault
 // reporter is always a collector so fabric checks degrade gracefully and
 // the auditor's verdict stays separable.
-func buildNet(t *testing.T, mode core.Mode, probes bool) (*core.Network, *fault.Collector) {
+func buildNet(t testing.TB, mode core.Mode, probes bool) (*core.Network, *fault.Collector) {
 	t.Helper()
 	m := topology.NewMesh(2, 1, 2)
 	uc := spec.Random(spec.RandomConfig{

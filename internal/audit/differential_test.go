@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/phit"
+	"repro/internal/reliable"
 	"repro/internal/trace"
 )
 
@@ -79,7 +80,7 @@ func refAttach(n *core.Network, bus *trace.Bus, rep fault.Reporter, opts Options
 }
 
 func (a *refAuditor) snapshot(n *core.Network) {
-	allowancePs := recoveryAllowancePs(n)
+	allowancePs := refRecoveryAllowancePs(n)
 	rateMargin := 1.0 + 1e-6
 	if n.Cfg.Mode == core.Asynchronous {
 		rateMargin += 2 * n.Cfg.PPM / 1e6
@@ -117,6 +118,35 @@ func (a *refAuditor) snapshot(n *core.Network) {
 		a.slotQuota[c] = len(as.Slots)
 	}
 	a.revolutionPs = a.flitCyclePs * clock.Time(n.Alloc.TableSize)
+}
+
+// refRecoveryAllowancePs is the reliability shell's recovery allowance
+// as the old auditor derived it from the network.
+func refRecoveryAllowancePs(n *core.Network) float64 {
+	if !n.Cfg.Reliable {
+		return 0
+	}
+	budget := n.Cfg.RetryBudget
+	if budget <= 0 {
+		budget = reliable.DefaultRetryBudget
+	}
+	var worstBound float64
+	for _, id := range n.Connections() {
+		if tx, ok := n.ReliableTxStats(id); ok {
+			timeoutPs := float64(tx.Timeout)
+			backoff, sum := 1.0, 0.0
+			for r := 0; r <= budget; r++ {
+				sum += backoff
+				if backoff < float64(reliable.BackoffCap) {
+					backoff *= 2
+				}
+			}
+			if w := timeoutPs * sum; w > worstBound {
+				worstBound = w
+			}
+		}
+	}
+	return worstBound
 }
 
 func (a *refAuditor) Resync(n *core.Network) {

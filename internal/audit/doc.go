@@ -9,11 +9,11 @@
 // internal/analysis as formulas; this package holds every simulated flit
 // to them.
 //
-// An Auditor is a trace.Sink: attach it to the event bus of a built
-// network and it derives each connection's contract (via
-// analysis.ConnectionBounds, the same entry point Build itself uses, so
-// the checked bound and the built bound cannot drift apart) and asserts,
-// event by event:
+// An Auditor is a trace.Sink. It derives no contract: every fabric
+// states its own (a ContractSource returns an analysis.ContractSet), so
+// the auditor imports no fabric and judges the aelite mesh and the
+// routerless rings through one door, Attach. Attached to the event bus
+// of a built network, it asserts, event by event:
 //
 //   - injection regulation: a token bucket at the connection's guaranteed
 //     rate polices every Inject — the GS contract only binds the bounds
@@ -27,13 +27,15 @@
 //     one;
 //   - slot conformance: every SlotStart must occur in a slot the
 //     *allocation* assigns to that connection (catching live-table
-//     corruption), and no two connections may use the same NI, router
-//     output port, or link stage within one flit cycle.
+//     corruption), a channel owning q slots of its table starts at most
+//     q+1 flits per revolution of that table, and no two connections may
+//     use the same NI, router output port, or link stage within one flit
+//     cycle (except under asynchronous clocking).
 //
 // Connection and component ids are resolved by index, not by hash: the
 // per-connection contracts and slot quotas are slices indexed by ConnID,
-// sized when the contracts are snapshotted (Attach, Resync) to the ids the
-// network has, and the per-component ownership tables and last uses are a
+// sized when a contract set is loaded (Attach, Resync) to the ids it
+// has, and the per-component ownership tables and last uses are a
 // slice indexed by trace.CompID, grown to the ids the bus has interned. An
 // event naming any other id — the bus can carry anything — is an unknown
 // connection, a component without a table, a resource that does not

@@ -195,5 +195,5 @@ func (i *routerlessInstance) AttachTracer(bus *trace.Bus)   { i.n.AttachTracer(b
 func (i *routerlessInstance) Run(w, m float64) *core.Report { return i.n.Run(w, m) }
 func (i *routerlessInstance) AreaUm2() float64              { return i.n.AreaUm2() }
 func (i *routerlessInstance) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) *audit.Auditor {
-	return i.n.Audit(bus, rep, opts)
+	return audit.Attach(i.n, bus, rep, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/clock"
+	"repro/internal/fault"
 	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/slots"
@@ -225,4 +226,68 @@ func (n *Network) RunTimed(warmupNs, measureNs float64, actions []TimedAction) (
 	}
 	advance(measureNs)
 	return n.report(measureNs), nil
+}
+
+// CheckReconfigResidue scans the network for leftovers of closed
+// connections — the second half of the undisturbed-service proof. A
+// correct CloseConnection surrenders every resource the connection held:
+// its entry in the slot allocation, its ownership of every link slot
+// along both the data and credit paths, and its slots in the live NI
+// injection tables. Anything left behind is dead reservation that a
+// later admission can never claim (a capacity leak) or, worse, a slot
+// the hardware would still fire on (a ghost transmission hazard), so
+// each finding is reported as a ReconfigResidue violation.
+//
+// closed lists every retired id to check — callers capture both the data
+// id and its credit channel (via ReverseOf) before closing. The return
+// value is the number of violations reported.
+func (n *Network) CheckReconfigResidue(closed []phit.ConnID, rep fault.Reporter) int {
+	dead := make(map[phit.ConnID]bool, len(closed))
+	for _, c := range closed {
+		dead[c] = true
+	}
+	count := 0
+	emit := func(component, detail string) {
+		count++
+		fault.Report(rep, fault.Violation{
+			Kind:      fault.ReconfigResidue,
+			Component: component,
+			Slot:      fault.NoSlot,
+			Detail:    detail,
+		})
+	}
+
+	// Allocation bookkeeping: a closed id must not own an assignment.
+	for _, c := range closed {
+		if n.Alloc.ByConn[c] != nil {
+			emit("alloc", fmt.Sprintf("closed connection %d still holds a slot assignment", c))
+		}
+	}
+
+	// Link occupancy: no slot of any link may still name a closed id.
+	for _, l := range n.Mesh.Links() {
+		for s := 0; s < n.Alloc.TableSize; s++ {
+			if o := n.Alloc.LinkOwner(l.ID, s); dead[o] {
+				emit(fmt.Sprintf("link %s>%s", n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name),
+					fmt.Sprintf("closed connection %d still owns slot %d", o, s))
+			}
+		}
+	}
+
+	// Live NI injection tables: the hardware-side schedule must be clear
+	// of closed ids too — the allocation could be clean while a stale
+	// table entry keeps firing flits.
+	for _, nid := range n.Mesh.AllNIs() {
+		t := n.InjectionTable(nid)
+		if t == nil {
+			continue
+		}
+		for s, o := range t.Slots {
+			if dead[o] {
+				emit(n.Mesh.Node(nid).Name,
+					fmt.Sprintf("closed connection %d still programmed in injection-table slot %d", o, s))
+			}
+		}
+	}
+	return count
 }

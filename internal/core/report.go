@@ -6,9 +6,11 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/ni"
 	"repro/internal/phit"
+	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -258,4 +260,68 @@ func (n *Network) Connections() []phit.ConnID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Contracts states the network's analytical contracts for the
+// conformance auditor: each data connection's bound and source wait
+// budget (plus the reliability shell's recovery allowance), its
+// guarantee, and every NI's allocation-side injection table. The tables
+// come from the allocation, not from the live NIs, so corruption of the
+// latter is caught.
+func (n *Network) Contracts() analysis.ContractSet {
+	allowancePs := n.recoveryAllowancePs()
+	set := analysis.ContractSet{
+		FreqMHz:      n.Cfg.FreqMHz,
+		WordBytes:    n.Cfg.WordBytes,
+		Asynchronous: n.Cfg.Mode == Asynchronous,
+		PPM:          n.Cfg.PPM,
+		AllocTables:  make(map[string][]phit.ConnID),
+	}
+	for _, id := range n.Connections() {
+		info := n.conns[id]
+		set.Contracts = append(set.Contracts, analysis.Contract{
+			Conn:          id,
+			SrcName:       n.Mesh.Node(info.srcNI).Name,
+			DstName:       n.Mesh.Node(info.dstNI).Name,
+			BoundPs:       info.boundNs*1e3 + allowancePs,
+			WaitBudgetPs:  analysis.SourceWaitBudgetNs(info.boundNs, info.path.TotalShift, n.Cfg.FreqMHz)*1e3 + allowancePs,
+			GuaranteeMBps: info.guaranteeMBps,
+		})
+	}
+	for _, nid := range n.Mesh.NIs() {
+		set.AllocTables[n.Mesh.Node(nid).Name] = n.Alloc.NITable(nid).Slots
+	}
+	return set
+}
+
+// recoveryAllowancePs bounds the extra delivery delay the reliability
+// shell may legitimately add before quarantine: every go-back-N round
+// waits one timeout, the timeout doubles per silent round up to the
+// backoff cap, and the budget bounds the rounds. Without Reliable the
+// allowance is zero and the analytical bound is checked exactly.
+func (n *Network) recoveryAllowancePs() float64 {
+	if !n.Cfg.Reliable {
+		return 0
+	}
+	budget := n.Cfg.RetryBudget
+	if budget <= 0 {
+		budget = reliable.DefaultRetryBudget
+	}
+	var worstBound float64
+	for _, id := range n.Connections() {
+		if tx, ok := n.ReliableTxStats(id); ok {
+			timeoutPs := float64(tx.Timeout)
+			backoff, sum := 1.0, 0.0
+			for r := 0; r <= budget; r++ {
+				sum += backoff
+				if backoff < float64(reliable.BackoffCap) {
+					backoff *= 2
+				}
+			}
+			if w := timeoutPs * sum; w > worstBound {
+				worstBound = w
+			}
+		}
+	}
+	return worstBound
 }

@@ -157,7 +157,7 @@ func reconfigIsolation(seed int64, jobs int) (ReconfigIsolation, error) {
 				}
 				newConn[1] = nc.ID
 				a.Resync(n)
-				residue[1] = audit.CheckReconfigResidue(n, []phit.ConnID{victim, rev}, audCol)
+				residue[1] = n.CheckReconfigResidue([]phit.ConnID{victim, rev}, audCol)
 				return nil
 			}})
 		}

@@ -14,10 +14,11 @@
 // and the same MaxGap argument yields a per-connection worst-case
 // latency bound: a ring is a slot table of S slots with one flit cycle
 // of transit per segment, so its bounds are analysis.ConnectionBounds at
-// shift = hops, CBR and transactional alike. The bounds are wired into
-// internal/audit through audit.AttachContracts, so the shared
-// conformance auditor judges this backend with the same checks it
-// applies to aelite.
+// shift = hops, CBR and transactional alike. Network.Contracts states
+// them, with one S-slot table per sourcing stop, and audit.Attach takes
+// them as it takes the mesh's, so the shared conformance auditor judges
+// this backend with the same checks it applies to aelite, the slot
+// quota per revolution of each ring included.
 //
 // The model deliberately mirrors the aelite flit format — three words
 // per slot, one of them header-equivalent overhead — so a slot's

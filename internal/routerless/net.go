@@ -8,10 +8,8 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/trace"
 )
@@ -141,25 +139,25 @@ func (n *Network) AttachTracer(bus *trace.Bus) {
 	}
 }
 
-// Audit subscribes the shared conformance auditor to the overlay's
-// contracts: per-connection latency bounds and dwell budgets from the
-// ring analysis, injection token buckets from the slot guarantees, and
-// per-stop slot-ownership tables. The per-revolution quota check stays
-// off — rings of different sizes share no single revolution.
-func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) *audit.Auditor {
-	set := audit.ContractSet{
+// Contracts states the overlay's analytical contracts for the shared
+// conformance auditor: per-connection latency bounds and dwell budgets
+// from the ring analysis, injection token buckets from the slot
+// guarantees, and per-stop slot tables, each a ring's S slots long, so
+// a channel's quota is checked per revolution of its own ring.
+func (n *Network) Contracts() analysis.ContractSet {
+	set := analysis.ContractSet{
 		FreqMHz:     n.Cfg.FreqMHz,
 		WordBytes:   n.Cfg.WordBytes,
 		AllocTables: make(map[string][]phit.ConnID),
 	}
 	for _, id := range n.Connections() {
 		ci := n.conns[id]
-		set.Contracts = append(set.Contracts, audit.Contract{
+		set.Contracts = append(set.Contracts, analysis.Contract{
 			Conn:          id,
 			SrcName:       ci.ring.stops[ci.srcPos].name,
 			DstName:       ci.ring.stops[ci.dstPos].name,
-			BoundNs:       ci.boundNs,
-			WaitBudgetNs:  analysis.SourceWaitBudgetNs(ci.boundNs, ci.hops, n.Cfg.FreqMHz),
+			BoundPs:       ci.boundNs * 1e3,
+			WaitBudgetPs:  analysis.SourceWaitBudgetNs(ci.boundNs, ci.hops, n.Cfg.FreqMHz) * 1e3,
 			GuaranteeMBps: ci.guaranteeMBps,
 		})
 	}
@@ -178,7 +176,7 @@ func (n *Network) Audit(bus *trace.Bus, rep fault.Reporter, opts audit.Options) 
 			}
 		}
 	}
-	return audit.AttachContracts(set, bus, rep, opts)
+	return set
 }
 
 // ResetStats clears measurements without touching protocol state.

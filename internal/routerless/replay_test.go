@@ -44,7 +44,7 @@ func observeReplay(t *testing.T, scfg scenario.Config, cycleAccurate, disturb bo
 	log := &recSink{}
 	bus.Attach(log)
 	met := trace.NewMetrics(bus)
-	aud := n.Audit(bus, fault.NewCollector(), audit.Options{})
+	aud := audit.Attach(n, bus, fault.NewCollector(), audit.Options{})
 	n.AttachTracer(bus)
 	if disturb {
 		eng := n.Engine()

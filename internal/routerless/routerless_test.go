@@ -72,7 +72,7 @@ func TestRouterlessAuditClean(t *testing.T) {
 	bus := trace.NewBus()
 	n.AttachTracer(bus)
 	rep := fault.NewCollector()
-	a := n.Audit(bus, rep, audit.Options{})
+	a := audit.Attach(n, bus, rep, audit.Options{})
 	n.Run(4000, 20000)
 	if v := a.Violations(); v != 0 {
 		var b strings.Builder

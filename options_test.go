@@ -21,8 +21,8 @@ import (
 // Config, Options or Policy.
 var optionStructs = map[string]bool{
 	"slots.RipUp":           true,
-	"audit.ContractSet":     true,
-	"audit.Contract":        true,
+	"analysis.ContractSet":  true,
+	"analysis.Contract":     true,
 	"traffic.Model":         true,
 	"experiments.ScaleMesh": true,
 	"serve.JobSpec":         true,
@@ -36,7 +36,7 @@ var optionsAllowed = map[string]string{
 	"scenario.Config.Seed":               "varies through Default's seed argument, which every caller passes",
 	"experiments.ScaleMesh.Simulate":     "true on one of DefaultScaleConfig's meshes and false on two",
 	"core.Config.FIFOForwardCycles":      "the paper admits a 1-2 cycle FIFO, and BenchmarkAblationFIFODelay runs both",
-	"core.Config.PPM":                    "the paper's plesiochronous deviation: every asynchronous bound scales by it, examples/mesochronous runs 200 ppm and ROADMAP item 8 sweeps it",
+	"core.Config.PPM":                    "the paper's plesiochronous deviation: every asynchronous bound scales by it, examples/mesochronous runs 1000 ppm and ROADMAP item 8 sweeps it",
 	"experiments.CompareConfig.Backends": "the compare artifact records it under backends, so dropping it moves every compare artifact",
 	"serve.RetryPolicy.Base":             "the serve retry tests use a 1 ms base, where the default waits 50 ms per retry",
 	"serve.RetryPolicy.Max":              "the serve retry tests use a 1-4 ms ceiling, where the default waits up to 2000 ms per retry",

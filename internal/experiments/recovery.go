@@ -95,7 +95,7 @@ func recoveryPoint(seed int64, i int) (string, error) {
 			recMin, recMean, recMax = cm.Recovery.Min(), cm.Recovery.Mean(), cm.Recovery.Max()
 		}
 		fmt.Fprintf(&b, "%6d %6d %9d %5d %6d %5d %5d %4d %9.1f %9.1f %9.1f  %s\n",
-			c.Conn, cm.Sent, c.Delivered, cm.CRCDrops, cm.Retransmits, cm.Acks,
+			c.Conn, cm.Sent, c.Delivered, cm.ReliabilityDrops, cm.Retransmits, cm.Acks,
 			cm.Recovery.N(), quar, recMin, recMean, recMax, payload)
 	}
 	return b.String(), nil

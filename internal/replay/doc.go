@@ -28,6 +28,14 @@
 // re-emitted with exact shifted timestamps during replay, and the residual
 // partial epoch is resimulated with the trace bus muted.
 //
+// Replayed events reach the bus a whole epoch stride at a time: the
+// recorded epoch, each event's sequence advance resolved once at
+// engagement, goes to trace.Bus.EmitEpochs with the first copy and the
+// number of copies. A sink that aggregates (trace.Metrics, a
+// trace.Folder) folds the copies; the conformance auditor and every
+// other sink receive every shifted event in order. Instants of a partial
+// epoch are re-emitted one by one.
+//
 // The program finds what it fingerprints on the engine itself, at its
 // first executed instant and after every structural change: every
 // component must implement Periodic's four methods, and every wire is a

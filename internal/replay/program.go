@@ -61,12 +61,14 @@ type Program struct {
 	capture bool
 
 	// Engaged-replay cursor: the next instant to replay is number i of
-	// epoch k, at absolute time base + k*hp + rec.dts[i].
+	// epoch k, at absolute time base + k*hp + rec.dts[i]. Epoch k is copy
+	// k+1 of the recorded one, ep.
 	engaged    bool
 	base       clock.Time
 	k          int64
 	i          int
 	dseq       map[phit.ConnID]int64 // per-epoch payload sequence advance
+	ep         trace.Epoch           // rec.events, each with its dseq resolved
 	epochEdges int64
 
 	engagements      int64
@@ -94,7 +96,8 @@ func (r *recording) reset(start clock.Time) {
 }
 
 // recSink captures the events emitted during one cycle-accurately executed
-// instant; Observe moves them into the recording arena.
+// instant; Observe moves them into the recording arena. It is on the bus
+// only while the program is not engaged: replay records nothing.
 type recSink struct{ p *Program }
 
 func (s *recSink) Event(ev trace.Event) {
@@ -346,9 +349,28 @@ func (p *Program) engage(now clock.Time) {
 	for c, s := range p.seqNow {
 		p.dseq[c] = s - p.seqPrev[c]
 	}
+	// Only payload-bearing kinds carry a per-connection sequence number;
+	// their zero is reserved for the run's very first word, emitted long
+	// before any engagement, and for header-stamped events, which are
+	// sequence-invariant.
+	p.ep.Events, p.ep.Len = p.rec.events, p.hp
+	p.ep.DSeq = p.ep.DSeq[:0]
+	for _, ev := range p.rec.events {
+		var d int64
+		if ev.Seq != 0 {
+			switch ev.Kind {
+			case trace.Inject, trace.Send, trace.Eject, trace.RouterForward, trace.LinkForward:
+				d = p.dseq[ev.Conn]
+			}
+		}
+		p.ep.DSeq = append(p.ep.DSeq, d)
+	}
 	p.epochEdges = 0
 	for _, e := range p.rec.edges {
 		p.epochEdges += int64(e)
+	}
+	if p.bus != nil {
+		p.bus.Detach(p.sink)
 	}
 	p.base = now
 	p.k = 0
@@ -406,31 +428,28 @@ func (p *Program) Observe(now clock.Time, edges int) {
 	}
 }
 
-// emitInstant re-emits the recorded events of instant i shifted forward by
-// the given number of whole epochs.
-func (p *Program) emitInstant(i int, epochs int64) {
-	if p.bus == nil {
-		return
-	}
-	evs := p.rec.events[p.rec.evIdx[i]:p.rec.evIdx[i+1]]
-	dt := clock.Time(epochs) * p.hp
-	for _, ev := range evs {
-		ev.Time += dt
-		if ev.Ref != 0 {
-			ev.Ref += dt
-		}
-		if ev.Seq != 0 {
-			// Only payload-bearing kinds carry a per-connection sequence
-			// number; their zero is reserved for the run's very first word,
-			// emitted long before any engagement, and for header-stamped
-			// events, which are sequence-invariant.
-			switch ev.Kind {
-			case trace.Inject, trace.Send, trace.Eject, trace.RouterForward, trace.LinkForward:
-				ev.Seq += epochs * p.dseq[ev.Conn]
+// replayPartial replays instants one by one, from the cursor up to the
+// horizon or the end of the current epoch, whichever comes first, and
+// returns the edges and instants it covered.
+func (p *Program) replayPartial(horizon clock.Time) (edges int64, instants int) {
+	n := len(p.rec.dts)
+	epoch := p.base + clock.Time(p.k)*p.hp
+	for epoch+p.rec.dts[p.i] <= horizon {
+		if p.bus != nil {
+			for j := p.rec.evIdx[p.i]; j < p.rec.evIdx[p.i+1]; j++ {
+				p.bus.Emit(p.ep.At(int(j), p.k+1))
 			}
 		}
-		p.bus.Emit(ev)
+		edges += int64(p.rec.edges[p.i])
+		instants++
+		p.i++
+		if p.i == n {
+			p.i = 0
+			p.k++
+			break
+		}
 	}
+	return edges, instants
 }
 
 // Step implements sim.FastPath.
@@ -450,35 +469,26 @@ func (p *Program) Step(until clock.Time) sim.FastResult {
 		timerBound = true
 	}
 	// An engaged recording holds at least its closing boundary instant.
-	n := len(p.rec.dts)
+	// Finish the epoch the cursor stands in, hand every whole epoch inside
+	// the horizon to the bus in one stride, then replay the partial epoch
+	// that is left.
 	var edges int64
 	instants := 0
-	// Whole-epoch jumps first: when positioned at an epoch boundary with a
-	// full epoch inside the horizon, consume it in one stride.
-	for p.i == 0 && p.base+clock.Time(p.k+1)*p.hp <= horizon {
+	if p.i > 0 {
+		edges, instants = p.replayPartial(horizon)
+	}
+	if p.i == 0 && p.base+clock.Time(p.k+1)*p.hp <= horizon {
+		m := int64((horizon-p.base)/p.hp) - p.k
 		if p.bus != nil {
-			for i := 0; i < n; i++ {
-				p.emitInstant(i, p.k+1)
-			}
+			p.bus.EmitEpochs(&p.ep, p.k+1, m)
 		}
-		edges += p.epochEdges
-		instants += n
-		p.k++
+		edges += m * p.epochEdges
+		instants += int(m) * len(p.rec.dts)
+		p.k += m
 	}
-	for {
-		t := p.base + clock.Time(p.k)*p.hp + p.rec.dts[p.i]
-		if t > horizon {
-			break
-		}
-		p.emitInstant(p.i, p.k+1)
-		edges += int64(p.rec.edges[p.i])
-		instants++
-		p.i++
-		if p.i == n {
-			p.i = 0
-			p.k++
-		}
-	}
+	e, in := p.replayPartial(horizon)
+	edges += e
+	instants += in
 	p.replayedInstants += int64(instants)
 	if !timerBound {
 		return sim.FastResult{Now: until, Edges: edges, Instants: instants, Done: true}
@@ -510,6 +520,9 @@ func (p *Program) materialize(why DeoptCause) {
 	p.capture = false
 	p.anchorPending = true
 	p.deopts[why]++
+	if p.bus != nil {
+		p.bus.Attach(p.sink)
+	}
 	p.eng.ResumeAt(boundary)
 	if i > 0 {
 		// The already-replayed instants of the partial epoch had their

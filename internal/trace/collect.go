@@ -16,7 +16,8 @@ import (
 // per-connection latency histograms, per-component (link, router, NI,
 // wrapper) slot-utilisation counters and buffer-occupancy high-water
 // marks, without retaining the events themselves — so it is safe to leave
-// attached for arbitrarily long runs.
+// attached for arbitrarily long runs. It is a Folder: a replayed epoch's
+// copies cost it one pass over the epoch, not one per copy.
 type Metrics struct {
 	bus *Bus
 	// Both ids are small dense integers (connections are numbered from 1,
@@ -28,6 +29,11 @@ type Metrics struct {
 	firstPs clock.Time
 	lastPs  clock.Time
 	any     bool
+
+	// Fold scratch: one epoch's latency samples per connection, in event
+	// order, and the connections that have any.
+	epochLat [][]float64 // indexed by ConnID
+	latConns []phit.ConnID
 }
 
 // ConnMetrics aggregates one connection's lifecycle events.
@@ -41,11 +47,11 @@ type ConnMetrics struct {
 	Latency stats.Histogram
 
 	// Reliability-layer aggregates (all zero without the shell).
-	CRCDrops    int64 // flits/phits dropped by the receive-side checks
-	Retransmits int64 // flits re-sent by go-back-N rounds
-	Acks        int64 // cumulative-ack window advances
-	Quarantined int64 // quarantine transitions (0 or 1 per run)
-	Reroutes    int64 // self-healing re-admissions after quarantine
+	ReliabilityDrops int64 // flits/phits the receive side dropped, for any reason (CRCDrop events)
+	Retransmits      int64 // flits re-sent by go-back-N rounds
+	Acks             int64 // cumulative-ack window advances
+	Quarantined      int64 // quarantine transitions (0 or 1 per run)
+	Reroutes         int64 // self-healing re-admissions after quarantine
 	// Recovery is the head-of-line stall per recovered loss, ns: the
 	// span from the first drop to the in-order delivery that healed it.
 	// Reroute events feed it too, with the quarantine-to-readmission
@@ -77,15 +83,37 @@ func grow[T any](s []*T, i int) []*T {
 
 // Event implements Sink.
 func (m *Metrics) Event(ev Event) {
-	m.counts[ev.Kind]++
+	m.span(ev.Time, ev.Time)
+	cm := m.tally(ev, 1)
+	if cm == nil {
+		return
+	}
+	switch ev.Kind {
+	case Eject:
+		cm.Latency.Add(latencyNs(ev))
+	case Recovered, Reroute:
+		cm.Recovery.Add(float64(ev.Arg) / float64(clock.Nanosecond))
+	}
+}
+
+// latencyNs is an Eject's inject-to-eject latency.
+func latencyNs(ev Event) float64 { return float64(ev.Time-ev.Ref) / float64(clock.Nanosecond) }
+
+// span widens the observed time span to cover [lo, hi].
+func (m *Metrics) span(lo, hi clock.Time) {
 	if !m.any {
 		m.any = true
-		m.firstPs, m.lastPs = ev.Time, ev.Time
-	} else if ev.Time > m.lastPs {
-		m.lastPs = ev.Time
-	} else if ev.Time < m.firstPs {
-		m.firstPs = ev.Time
+		m.firstPs, m.lastPs = lo, hi
+		return
 	}
+	m.firstPs = min(m.firstPs, lo)
+	m.lastPs = max(m.lastPs, hi)
+}
+
+// tally counts n copies of ev in everything but the histograms and the
+// span, and returns its connection's aggregate (nil for no connection).
+func (m *Metrics) tally(ev Event, n int64) *ConnMetrics {
+	m.counts[ev.Kind] += n
 
 	m.comps = grow(m.comps, int(ev.Comp))
 	cp := m.comps[ev.Comp]
@@ -93,14 +121,14 @@ func (m *Metrics) Event(ev Event) {
 		cp = &CompMetrics{}
 		m.comps[ev.Comp] = cp
 	}
-	cp.Events++
-	cp.BusyCycles += busyCycles[ev.Kind]
+	cp.Events += n
+	cp.BusyCycles += n * busyCycles[ev.Kind]
 	if ev.Kind == Occupancy && ev.Arg > cp.MaxOccupancy {
 		cp.MaxOccupancy = ev.Arg
 	}
 
 	if ev.Conn <= phit.None {
-		return
+		return nil
 	}
 	m.conns = grow(m.conns, int(ev.Conn))
 	cm := m.conns[ev.Conn]
@@ -110,30 +138,71 @@ func (m *Metrics) Event(ev Event) {
 	}
 	switch ev.Kind {
 	case Inject:
-		cm.Injected++
+		cm.Injected += n
 	case Send:
-		cm.Sent++
+		cm.Sent += n
 	case Eject:
-		cm.Delivered++
-		cm.Latency.Add(float64(ev.Time-ev.Ref) / float64(clock.Nanosecond))
+		cm.Delivered += n
 	case Blocked:
-		cm.Blocked++
+		cm.Blocked += n
 	case Credit:
-		cm.Credits += ev.Arg
+		cm.Credits += n * ev.Arg
 	case CRCDrop:
-		cm.CRCDrops++
+		cm.ReliabilityDrops += n
 	case Retransmit:
-		cm.Retransmits++
+		cm.Retransmits += n
 	case AckAdvance:
-		cm.Acks++
-	case Recovered:
-		cm.Recovery.Add(float64(ev.Arg) / float64(clock.Nanosecond))
+		cm.Acks += n
 	case Quarantine:
-		cm.Quarantined++
+		cm.Quarantined += n
 	case Reroute:
-		cm.Reroutes++
-		cm.Recovery.Add(float64(ev.Arg) / float64(clock.Nanosecond))
+		cm.Reroutes += n
 	}
+	return cm
+}
+
+// Fold implements Folder. Counters grow by count times the epoch's,
+// maxima hold, the span reaches the first copy's earliest and the last
+// copy's latest event, and each connection's latencies, the same in
+// every copy, enter its histogram through AddRepeated in event order. An
+// epoch holding an Eject with no injection instant, whose latency grows
+// with the shift, or a Recovered or Reroute event, which only the
+// reliability layer and the healer emit and replay never engages on, is
+// delivered copy by copy instead.
+func (m *Metrics) Fold(ep *Epoch, first, count int64) {
+	if count <= 0 || len(ep.Events) == 0 {
+		return
+	}
+	for _, ev := range ep.Events {
+		if ev.Kind == Eject && ev.Ref == 0 || ev.Kind == Recovered || ev.Kind == Reroute {
+			for e := first; e < first+count; e++ {
+				for i := range ep.Events {
+					m.Event(ep.At(i, e))
+				}
+			}
+			return
+		}
+	}
+	lo, hi := ep.Events[0].Time, ep.Events[0].Time
+	for _, ev := range ep.Events {
+		lo, hi = min(lo, ev.Time), max(hi, ev.Time)
+		if m.tally(ev, count) == nil || ev.Kind != Eject {
+			continue
+		}
+		for int(ev.Conn) >= len(m.epochLat) {
+			m.epochLat = append(m.epochLat, nil)
+		}
+		if len(m.epochLat[ev.Conn]) == 0 {
+			m.latConns = append(m.latConns, ev.Conn)
+		}
+		m.epochLat[ev.Conn] = append(m.epochLat[ev.Conn], latencyNs(ev))
+	}
+	for _, c := range m.latConns {
+		m.conns[c].Latency.AddRepeated(m.epochLat[c], count)
+		m.epochLat[c] = m.epochLat[c][:0]
+	}
+	m.latConns = m.latConns[:0]
+	m.span(lo+clock.Time(first)*ep.Len, hi+clock.Time(first+count-1)*ep.Len)
 }
 
 // Conn returns the aggregate for one connection (nil if never seen).
@@ -187,16 +256,18 @@ type ConnReport struct {
 	LatMaxNs  float64 `json:"lat_max_ns"`
 
 	// Reliability-layer fields (zero without the shell).
-	CRCDrops    int64   `json:"crc_drops"`
-	Retransmits int64   `json:"retransmits"`
-	Acks        int64   `json:"acks"`
-	Quarantined int64   `json:"quarantined"`
-	Reroutes    int64   `json:"reroutes"`
-	Recovered   int64   `json:"recovered"`
-	RecMinNs    float64 `json:"rec_min_ns"`
-	RecMeanNs   float64 `json:"rec_mean_ns"`
-	RecP99Ns    float64 `json:"rec_p99_ns"`
-	RecMaxNs    float64 `json:"rec_max_ns"`
+	// ReliabilityDrops counts every receive-side drop, whatever its
+	// reason; its key keeps the older name the artifacts carry.
+	ReliabilityDrops int64   `json:"crc_drops"`
+	Retransmits      int64   `json:"retransmits"`
+	Acks             int64   `json:"acks"`
+	Quarantined      int64   `json:"quarantined"`
+	Reroutes         int64   `json:"reroutes"`
+	Recovered        int64   `json:"recovered"`
+	RecMinNs         float64 `json:"rec_min_ns"`
+	RecMeanNs        float64 `json:"rec_mean_ns"`
+	RecP99Ns         float64 `json:"rec_p99_ns"`
+	RecMaxNs         float64 `json:"rec_max_ns"`
 }
 
 // CompReport is one component's aggregate.
@@ -239,7 +310,7 @@ func (m *Metrics) Report(windowPs, periodPs int64) *Report {
 			cr.LatP99Ns = stats.Finite(cm.Latency.Percentile(99))
 			cr.LatMaxNs = stats.Finite(cm.Latency.Max())
 		}
-		cr.CRCDrops = cm.CRCDrops
+		cr.ReliabilityDrops = cm.ReliabilityDrops
 		cr.Retransmits = cm.Retransmits
 		cr.Acks = cm.Acks
 		cr.Quarantined = cm.Quarantined
@@ -304,7 +375,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 		cw.printf("conn,%d,%d,%d,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%s\n",
 			c.Conn, c.Injected, c.Sent, c.Delivered, c.Blocked, c.Credits, lat,
-			c.CRCDrops, c.Retransmits, c.Acks, c.Quarantined, c.Reroutes, c.Recovered, rec)
+			c.ReliabilityDrops, c.Retransmits, c.Acks, c.Quarantined, c.Reroutes, c.Recovered, rec)
 	}
 	cw.printf("section,component,events,busy_cycles,utilisation,max_occupancy\n")
 	for _, c := range r.Comps {

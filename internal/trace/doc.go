@@ -22,6 +22,14 @@
 // Component names are interned into small integer ids at registration time
 // so that emission never allocates or hashes strings.
 //
+// Hyperperiod replay (internal/replay) re-emits recorded epochs. It hands
+// the bus a whole stride of them at once (Bus.EmitEpochs with an Epoch):
+// a Folder — Metrics — takes the stride in one call and must end exactly
+// as if it had received every shifted event in order; every other sink,
+// the conformance auditor and Chrome among them, receives every shifted
+// event in order. The auditor never folds: it checks what replay
+// synthesises, event by event.
+//
 // Typical use — attach a bus with a metrics sink before running, then
 // render the aggregated report:
 //

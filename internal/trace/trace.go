@@ -47,9 +47,12 @@ const (
 	// WrapperFire: an asynchronous wrapper completed one dataflow
 	// iteration (Arg = cycles it spent stalled since the previous fire).
 	WrapperFire
-	// CRCDrop: the reliability layer discarded an arriving flit or phit
-	// (Arg = drop reason, see reliable.Drop*; Seq = the flit's sideband
-	// sequence number, or the phit count for truncation drops).
+	// CRCDrop: the reliability layer discarded an arriving flit or phit,
+	// for any of its drop reasons — a failed checksum, a truncated or
+	// out-of-order flit, a duplicate (Arg = drop reason, see
+	// reliable.Drop*; Seq = the flit's sideband sequence number, or the
+	// phit count for truncation drops). The name and its "crcdrop"
+	// string predate the other reasons and are kept for the artifacts.
 	CRCDrop
 	// Retransmit: a windowed sender re-sent one unacked flit in a
 	// go-back-N round (Seq = the flit's sequence number, Arg = the
@@ -138,6 +141,48 @@ type Sink interface {
 	Event(ev Event)
 }
 
+// An Epoch is one recorded stretch of events that repeats every Len
+// picoseconds, as hyperperiod replay re-emits it. Copy e of the epoch is
+// every event shifted e*Len forward in time, its Ref with it where Ref is
+// set, and its Seq advanced by e*DSeq[i] (0 for an event whose sequence
+// number does not move).
+type Epoch struct {
+	Events []Event
+	DSeq   []int64 // per event, parallel to Events
+	Len    clock.Duration
+}
+
+// At returns event i of copy e.
+func (ep *Epoch) At(i int, e int64) Event {
+	ev := ep.Events[i]
+	dt := clock.Time(e) * ep.Len
+	ev.Time += dt
+	if ev.Ref != 0 {
+		ev.Ref += dt
+	}
+	ev.Seq += e * ep.DSeq[i]
+	return ev
+}
+
+// A Folder is a sink that can take many copies of an epoch at once.
+// Fold(ep, first, count) must leave the sink exactly as receiving, in
+// order, every event of copies first, first+1, ..., first+count-1 would;
+// it must not keep ep, whose events the caller reuses.
+//
+// Only an aggregating sink may fold (Metrics does). A sink that checks
+// events, or keeps them, receives every shifted event one by one: the
+// conformance auditor is the independent check of what replay
+// synthesises, so it must see each copy, not a summary the replay
+// vouches for; Chrome buffers every event.
+type Folder interface {
+	Sink
+	Fold(ep *Epoch, first, count int64)
+}
+
+// epochChunk bounds the shifted copies EmitEpochs builds at a time for
+// sinks that do not fold, so its buffer does not grow with the epoch.
+const epochChunk = 256
+
 // A Bus fans events out to sinks and interns component names. It is not
 // safe for concurrent use; the simulation engine is single-threaded by
 // construction.
@@ -150,6 +195,11 @@ type Bus struct {
 	// while it resimulates instants whose events were already emitted
 	// from the recorded schedule, keeping deopt trace-invisible.
 	silent bool
+
+	// EmitEpochs scratch: the sinks that do not fold, and one chunk of
+	// shifted copies for them.
+	plain   []Sink
+	shifted []Event
 }
 
 // NewBus returns an empty bus.
@@ -201,6 +251,49 @@ func (b *Bus) Emit(ev Event) {
 	}
 	for _, s := range b.sinks {
 		s.Event(ev)
+	}
+}
+
+// EmitEpochs delivers copies first, first+1, ..., first+count-1 of ep:
+// in one Fold call to each Folder, and event by event, in order, to every
+// other sink.
+func (b *Bus) EmitEpochs(ep *Epoch, first, count int64) {
+	if b.silent || count <= 0 || len(ep.Events) == 0 {
+		return
+	}
+	b.plain = b.plain[:0]
+	for _, s := range b.sinks {
+		if f, ok := s.(Folder); ok {
+			f.Fold(ep, first, count)
+		} else {
+			b.plain = append(b.plain, s)
+		}
+	}
+	if len(b.plain) == 0 {
+		return
+	}
+	if b.shifted == nil {
+		b.shifted = make([]Event, 0, epochChunk)
+	}
+	buf := b.shifted[:0]
+	for e := first; e < first+count; e++ {
+		for i := range ep.Events {
+			if len(buf) == epochChunk {
+				b.deliver(buf)
+				buf = buf[:0]
+			}
+			buf = append(buf, ep.At(i, e))
+		}
+	}
+	b.deliver(buf)
+}
+
+// deliver hands a run of events to every sink that does not fold.
+func (b *Bus) deliver(evs []Event) {
+	for _, s := range b.plain {
+		for _, ev := range evs {
+			s.Event(ev)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -51,15 +52,17 @@ type modulePackage struct {
 	info      *types.Info
 	pkg       *types.Package
 	err       error
+	checking  bool // being type-checked: importing it now is a cycle
 }
 
 // moduleImporter type-checks the module's own packages from the parsed
 // files (each once, so an object has one identity everywhere) and leaves
 // the standard library to the source importer.
 type moduleImporter struct {
-	std  types.Importer
-	fset *token.FileSet
-	pkgs map[string]*modulePackage // by import path; external test packages under path + "_test"
+	std   types.Importer
+	fset  *token.FileSet
+	pkgs  map[string]*modulePackage // by import path; external test packages under path + "_test"
+	stack []string                  // the packages being type-checked, outermost first
 }
 
 func newModuleImporter(fset *token.FileSet) *moduleImporter {
@@ -89,7 +92,19 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p == nil {
 		return m.std.Import(path)
 	}
+	if p.checking {
+		// A package imports one that is still being type-checked: an
+		// in-package test file closed a cycle the go tool would refuse.
+		cycle := append(m.stack[slices.Index(m.stack, path):], path)
+		return nil, fmt.Errorf("import cycle: %s", strings.Join(cycle, " -> "))
+	}
 	if p.info == nil {
+		p.checking = true
+		m.stack = append(m.stack, path)
+		defer func() {
+			p.checking = false
+			m.stack = m.stack[:len(m.stack)-1]
+		}()
 		p.info = &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -336,6 +351,37 @@ func TestEveryOptionVaries(t *testing.T) {
 	}
 }
 
+// censusOf type-checks a module held in memory, file name to source.
+func censusOf(t *testing.T, src map[string]string) (optionCensus, error) {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := newModuleImporter(fset)
+	for name, text := range src {
+		f, err := parser.ParseFile(fset, name, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.add(filepath.Dir(name), f)
+	}
+	return takeCensus(m)
+}
+
+// TestCensusNamesImportCycle runs the census on a two-package module
+// whose in-package test closes an import cycle: a's test imports b,
+// which imports a. The census must fail naming the cycle, not loop back
+// into the package it is still checking.
+func TestCensusNamesImportCycle(t *testing.T) {
+	_, err := censusOf(t, map[string]string{
+		"a/a.go":      "package a\n\nconst X = 1\n",
+		"a/a_test.go": "package a\n\nimport \"repro/b\"\n\nvar _ = b.Y\n",
+		"b/b.go":      "package b\n\nimport \"repro/a\"\n\nconst Y = a.X\n",
+	})
+	if err == nil || !strings.Contains(err.Error(), "import cycle: ") ||
+		!strings.Contains(err.Error(), "repro/a -> repro/b") && !strings.Contains(err.Error(), "repro/b -> repro/a") {
+		t.Errorf("census of a cyclic module: error %v, want one naming the cycle between repro/a and repro/b", err)
+	}
+}
+
 // TestCensusNeedsTwoValues runs the census on a two-package module held
 // in memory: package knob declares an option struct, package use is the
 // product code that sets it, and the census must flag exactly the fields
@@ -385,16 +431,7 @@ func B() knob.DialConfig {
 }
 `,
 	}
-	fset := token.NewFileSet()
-	m := newModuleImporter(fset)
-	for name, text := range src {
-		f, err := parser.ParseFile(fset, name, text, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.add(filepath.Dir(name), f)
-	}
-	c, err := takeCensus(m)
+	c, err := censusOf(t, src)
 	if err != nil {
 		t.Fatal(err)
 	}

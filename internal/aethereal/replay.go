@@ -70,7 +70,7 @@ func (n *NI) ReplayPeriod() clock.Duration { return n.clk.Period }
 func (n *NI) ReplayMark(now clock.Time) bool {
 	clean := true
 	for _, ic := range n.ins {
-		if !ic.rx.Mark(now) {
+		if !ic.rx.Mark() {
 			clean = false
 		}
 	}

@@ -79,18 +79,23 @@ func TestReplayEngagesOnPeriodicFabrics(t *testing.T) {
 	}
 }
 
+// shortWarmupNs is shorter than two hyperperiods of the comparison
+// workload on every fabric (the best-effort one's is 512 ns).
+const shortWarmupNs = 600
+
 // compareWindowsNs are the measurement windows of the benchmark's
 // backends_compare workload, after a 4000 ns warm-up: about a third of a
 // job each, the rings simulating an order of magnitude faster.
 var compareWindowsNs = map[string]float64{"aelite": 150000, "aethereal": 150000, "routerless": 1500000}
 
-// A tracedWindow is how one traced run is driven: Run(4000, measureNs),
-// preceded by a bare Engine.Run over splitPs when it is set, with a
-// scheduled callback timerPs into the measurement when that is set. The
-// window may depend on the fabric and on the hyperperiod its replay
-// program compiled.
+// A tracedWindow is how one traced run is driven: Run(warmupNs,
+// measureNs), preceded by a bare Engine.Run over splitPs when it is set,
+// with a scheduled callback timerPs into the measurement when that is
+// set. The window may depend on the fabric and on the hyperperiod its
+// replay program compiled.
 type tracedWindow struct {
 	name             string
+	warmupNs         float64
 	measureNs        func(backend string, hp clock.Duration) float64
 	splitPs, timerPs clock.Time
 }
@@ -140,9 +145,9 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 		}
 	}
 	if w.timerPs > 0 {
-		eng.At(eng.Now()+4000*clock.Nanosecond+w.timerPs, func() {})
+		eng.At(eng.Now()+clock.Time(w.warmupNs*float64(clock.Nanosecond))+w.timerPs, func() {})
 	}
-	rep := inst.Run(4000, w.measureNs(name, hp))
+	rep := inst.Run(w.warmupNs, w.measureNs(name, hp))
 	var out tracedOutput
 	var buf bytes.Buffer
 	rep.Write(&buf)
@@ -171,19 +176,24 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 // (which folds whole epochs), the auditor where the fabric has bounds
 // and a Chrome sink (which do not) must give the same report, metrics
 // JSON, audit summary and Chrome trace, byte for byte, as its
-// CycleAccurate twin. Four windows: the benchmark's comparison
+// CycleAccurate twin. Five windows: the benchmark's comparison
 // windows; one whose first Engine.Run ends inside an engaged epoch, so
 // the next starts mid-epoch; one with a scheduled callback after
-// engagement, so replay deopts and re-engages mid-measurement; and one
+// engagement, so replay deopts and re-engages mid-measurement; one
 // that ends on an epoch boundary, so the last events any sink sees come
-// from a whole-epoch stride (the program anchors one cycle into the
-// measurement, and the window is that cycle and 20 hyperperiods).
+// from a whole-epoch stride (the warm-up's Sync re-anchors the program
+// one cycle into the measurement, and the window is that cycle and 20
+// hyperperiods); and one whose warm-up is shorter than two
+// hyperperiods, so the program re-anchors at the warm-up's Sync before
+// it ever engaged and the first epoch it judges holds connections'
+// first-ever deliveries, which must keep it from engaging there.
 func TestTracedReplayMatchesCycleAccurate(t *testing.T) {
 	windows := []tracedWindow{
-		{name: "compare", measureNs: func(b string, _ clock.Duration) float64 { return compareWindowsNs[b] }},
-		{name: "split", measureNs: func(string, clock.Duration) float64 { return 40000 }, splitPs: 60*clock.Microsecond + 1000},
-		{name: "timer", measureNs: func(string, clock.Duration) float64 { return 40000 }, timerPs: 17*clock.Microsecond + 1000},
-		{name: "boundary", measureNs: func(_ string, hp clock.Duration) float64 { return float64(2000+20*hp) / 1000 }},
+		{name: "compare", warmupNs: 4000, measureNs: func(b string, _ clock.Duration) float64 { return compareWindowsNs[b] }},
+		{name: "split", warmupNs: 4000, measureNs: func(string, clock.Duration) float64 { return 40000 }, splitPs: 60*clock.Microsecond + 1000},
+		{name: "timer", warmupNs: 4000, measureNs: func(string, clock.Duration) float64 { return 40000 }, timerPs: 17*clock.Microsecond + 1000},
+		{name: "boundary", warmupNs: 4000, measureNs: func(_ string, hp clock.Duration) float64 { return float64(2000+20*hp) / 1000 }},
+		{name: "short-warmup", warmupNs: shortWarmupNs, measureNs: func(string, clock.Duration) float64 { return 40000 }},
 	}
 	type run struct {
 		backend string
@@ -200,6 +210,9 @@ func TestTracedReplayMatchesCycleAccurate(t *testing.T) {
 					t.Fatalf("%s: no replay program installed", name)
 				}
 				hps[run{name, seed}] = p.Hyperperiod()
+				if w.warmupNs == shortWarmupNs && clock.Time(w.warmupNs*float64(clock.Nanosecond)) >= 2*clock.Time(p.Hyperperiod()) {
+					t.Fatalf("%s seed %d: the short warm-up %g ns is not shorter than two hyperperiods (%d ps)", name, seed, w.warmupNs, p.Hyperperiod())
+				}
 				st := p.ProgStats()
 				if st.ReplayedInstants == 0 || w.timerPs > 0 && st.DeoptsBy[replay.DeoptTimer] == 0 {
 					t.Fatalf("%s/%s seed %d: replay never served the window it is compared on (%+v)", w.name, name, seed, st)

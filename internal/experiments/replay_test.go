@@ -233,6 +233,40 @@ func TestReplayDeoptIsTheClosingSync(t *testing.T) {
 	}
 }
 
+// TestReplayEngagesOneHyperperiodAfterWarmUp is the engagement gate of
+// the cbr_replay benchmark job: the warm-up's closing Sync re-anchors the
+// program, the first epoch after it is shift-clean, so replay engages at
+// warm-up end + H + one cycle (the anchor is the first instant the
+// warm-up did not execute), and serves every later instant of the
+// window. The cycle-accurate prefix is warm-up + H: no start-up epoch is
+// recorded only to be spoiled by the measurement reset.
+func TestReplayEngagesOneHyperperiodAfterWarmUp(t *testing.T) {
+	const warmupNs, measureNs = 2000, 4e6
+	for seed := int64(2009); seed <= 2011; seed++ {
+		n, _, err := experiments.BuildSec7CBR(seed, core.Synchronous, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(warmupNs, measureNs)
+		p := n.Replay()
+		st := p.ProgStats()
+		period := n.BaseClock().Period
+		hp := p.Hyperperiod()
+		warmup := clock.Time(warmupNs * float64(clock.Nanosecond))
+		if want := warmup + clock.Time(hp) + clock.Time(period); st.FirstEngagedAt != want {
+			t.Errorf("seed %d: first engaged at instant %d, want %d (warm-up %d + H %d + 1)", seed,
+				int64(st.FirstEngagedAt)/int64(period), int64(want)/int64(period),
+				int64(warmup)/int64(period), int64(hp)/int64(period))
+		}
+		// The run's instants are its edges, the first one period in: 2,001,000,
+		// of which the first 5,609 (H = 4,608 cycles) execute.
+		instants := int64(warmup+clock.Time(measureNs*float64(clock.Nanosecond))) / int64(period)
+		if want := instants - int64(st.FirstEngagedAt)/int64(period); st.ReplayedInstants != want {
+			t.Errorf("seed %d: %d instants replayed, want %d", seed, st.ReplayedInstants, want)
+		}
+	}
+}
+
 // TestReplayHeapIndependentOfRunLength is the memory guard of the
 // run-length latency histograms: a replayed run retains its distinct
 // (connection, latency) pairs and one epoch's samples, not one value per

@@ -35,7 +35,7 @@ func (n *NI) ReplayMark(now clock.Time) bool {
 		oc.mMaxOcc = oc.maxOcc
 	}
 	for _, ic := range n.ins {
-		if !ic.rx.Mark(now) {
+		if !ic.rx.Mark() {
 			clean = false
 		}
 	}

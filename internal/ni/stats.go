@@ -25,16 +25,17 @@ type ConnStats struct {
 	Latency   stats.Histogram
 	// FirstAt and LastAt are the arrival instants of the first and last
 	// delivered word. They stay in exact picoseconds (converted to ns only
-	// for throughput) so a replay shift moves them without drift.
+	// for throughput) so a replay shift moves LastAt without drift;
+	// FirstAt always precedes the replayed epochs and never moves.
 	FirstAt, LastAt clock.Time
 
-	// The boundary snapshot taken by the last Mark, at markAt, and the
-	// per-epoch deltas since the one before.
+	// everDelivered says a word has arrived since the run began; Reset
+	// keeps it. The rest is the boundary snapshot taken by the last Mark
+	// and the per-epoch deltas since the one before.
+	everDelivered          bool
 	logging                bool
-	markAt                 clock.Time
+	mEverDelivered         bool
 	mDelivered, dDelivered int64
-	mFirstAt, mLastAt      clock.Time
-	lastMoved              bool
 	// epoch holds the latency samples of the epoch the last Mark closed,
 	// filling those delivered since; the two swap at each Mark.
 	epoch, filling []float64
@@ -53,31 +54,36 @@ func (c *ConnStats) Record(now, injected clock.Time) {
 	if c.Delivered == 1 {
 		c.FirstAt = now
 	}
+	c.everDelivered = true
 }
 
 // Reset clears the measurements (typically after warm-up). It ends the
 // boundary snapshot and the epoch log with them, so no sample recorded
 // before the reset can reach the fresh histogram through a later Shift.
+// Whether a word has ever arrived is not a measurement, and survives.
 func (c *ConnStats) Reset() {
-	*c = ConnStats{epoch: c.epoch[:0], filling: c.filling[:0]}
+	*c = ConnStats{everDelivered: c.everDelivered, epoch: c.epoch[:0], filling: c.filling[:0]}
 }
 
-// Mark snapshots the statistics at the hyperperiod boundary now and starts
+// Mark snapshots the statistics at a hyperperiod boundary and starts
 // logging the next epoch. It reports whether the epoch since the previous
-// Mark was shift-clean: there was such a Mark, no first delivery fell in
-// the epoch, and the last delivery stood still or moved by exactly the
-// epoch's length.
-func (c *ConnStats) Mark(now clock.Time) bool {
-	clean := c.logging
+// Mark was shift-clean: there was such a Mark, no Reset came after it,
+// and the connection's first-ever delivery did not fall in the epoch. That
+// word carries sequence number 0, which replay leaves unshifted as
+// sequence-invariant (replay.Program's engage), so it must never be
+// replayed.
+//
+// Nothing else is asked of the deliveries: the program engages only on
+// byte-equal boundary fingerprints, so every later epoch repeats this one,
+// and whatever phase the delivery before it had, the last delivery of m
+// epochs on is this epoch's last plus m epochs. In particular the first
+// delivery after a Reset sets FirstAt inside the epoch, but FirstAt is
+// never shifted, so it needs no check.
+func (c *ConnStats) Mark() bool {
+	clean := c.logging && c.everDelivered == c.mEverDelivered
 	c.dDelivered = c.Delivered - c.mDelivered
-	dLast := c.LastAt - c.mLastAt
-	c.lastMoved = dLast != 0
-	if c.lastMoved && dLast != now-c.markAt || c.FirstAt != c.mFirstAt {
-		clean = false
-	}
 	c.epoch, c.filling = c.filling, c.epoch[:0]
-	c.mDelivered, c.mFirstAt, c.mLastAt = c.Delivered, c.FirstAt, c.LastAt
-	c.markAt = now
+	c.mEverDelivered, c.mDelivered = c.everDelivered, c.Delivered
 	c.logging = true
 	return clean
 }
@@ -89,7 +95,7 @@ func (c *ConnStats) Mark(now clock.Time) bool {
 // shift changes nothing else.
 func (c *ConnStats) Shift(s *replay.Shift) {
 	c.Delivered += s.Epochs * c.dDelivered
-	if c.lastMoved {
+	if c.dDelivered != 0 {
 		c.LastAt = replay.ShiftTime(c.LastAt, s.DT)
 	}
 	c.Latency.AddRepeated(c.epoch, s.Epochs)

@@ -14,6 +14,20 @@
 // engine lets no component sleep (sim.Sleeper) while a fast path is
 // installed, so the recorded schedule is every component's every edge.
 //
+// The program anchors — marks every component and starts recording — at
+// its first executed instant and again after every sim.Engine.Sync,
+// engaged or not: a caller syncs to read or change state, as a
+// measurement window's warm-up reset does, and that spoils the epoch
+// being recorded. A measured run therefore costs warm-up + H + one cycle
+// of cycle-accurate execution before replay engages, and whatever comes
+// after is replayed. A component reports an epoch shift-clean unless
+// something it keeps would not repeat: a traced high-water mark that
+// rose, a statistics reset, or a connection's first-ever delivery (its
+// word carries sequence number 0, which replay treats as invariant).
+// Materialising folds the replayed epochs' latency samples into the
+// report histograms in O(one epoch) when the fold is exact
+// (stats.Histogram.AddRepeated).
+//
 // Replay deoptimises back to the cycle-accurate engine on any
 // data-dependent event: a scheduled callback (fault injection,
 // reconfiguration script) bounds each replay step, a structural mutation

@@ -72,6 +72,7 @@ type Program struct {
 	epochEdges int64
 
 	engagements      int64
+	firstEngagedAt   clock.Time
 	deopts           [numDeoptCauses]int64
 	replayedInstants int64
 }
@@ -160,6 +161,9 @@ const (
 // Stats summarises the program's activity.
 type Stats struct {
 	Engagements int64
+	// FirstEngagedAt is the boundary instant the program first engaged
+	// at; zero means it never engaged.
+	FirstEngagedAt clock.Time
 	// Deopts is the total of DeoptsBy, which counts them by DeoptCause.
 	Deopts           int64
 	DeoptsBy         [numDeoptCauses]int64
@@ -168,7 +172,8 @@ type Stats struct {
 
 // ProgStats returns engagement/deopt/replay counters.
 func (p *Program) ProgStats() Stats {
-	st := Stats{Engagements: p.engagements, DeoptsBy: p.deopts, ReplayedInstants: p.replayedInstants}
+	st := Stats{Engagements: p.engagements, FirstEngagedAt: p.firstEngagedAt,
+		DeoptsBy: p.deopts, ReplayedInstants: p.replayedInstants}
 	for _, n := range p.deopts {
 		st.Deopts += n
 	}
@@ -350,9 +355,12 @@ func (p *Program) engage(now clock.Time) {
 		p.dseq[c] = s - p.seqPrev[c]
 	}
 	// Only payload-bearing kinds carry a per-connection sequence number;
-	// their zero is reserved for the run's very first word, emitted long
-	// before any engagement, and for header-stamped events, which are
-	// sequence-invariant.
+	// their zero is reserved for header-stamped events, which are
+	// sequence-invariant, and for a connection's very first word. That
+	// word never lies in an engaged epoch: a terminating connection's
+	// first-ever delivery makes its epoch unclean (ni.ConnStats.Mark), and
+	// a word still in flight at the closing boundary would fail the
+	// fingerprint, which sees its normalised sequence number.
 	p.ep.Events, p.ep.Len = p.rec.events, p.hp
 	p.ep.DSeq = p.ep.DSeq[:0]
 	for _, ev := range p.rec.events {
@@ -377,6 +385,9 @@ func (p *Program) engage(now clock.Time) {
 	p.i = 0
 	p.engaged = true
 	p.capture = false
+	if p.engagements == 0 {
+		p.firstEngagedAt = now
+	}
 	p.engagements++
 }
 
@@ -395,9 +406,7 @@ func (p *Program) Observe(now clock.Time, edges int) {
 		if b != nil {
 			b.Attach(p.sink)
 		}
-		p.capture = false
-		p.pending = p.pending[:0]
-		p.anchorPending = true
+		p.dropEpoch()
 		return
 	}
 	if p.anchorPending {
@@ -547,14 +556,27 @@ func (p *Program) Invalidated() {
 		p.materialize(DeoptInvalidated)
 		return
 	}
+	p.dropEpoch()
+}
+
+// dropEpoch abandons the epoch being recorded: the next executed instant
+// re-anchors.
+func (p *Program) dropEpoch() {
 	p.capture = false
 	p.pending = p.pending[:0]
 	p.anchorPending = true
 }
 
-// Sync implements sim.FastPath.
+// Sync implements sim.FastPath. Whether or not the program was engaged,
+// the next executed instant re-anchors: a caller syncs to read or change
+// state (a measurement reset, a reprogrammed table), which would spoil
+// the epoch being recorded, so an idle program drops it.
 func (p *Program) Sync() {
+	if p.inert {
+		return
+	}
 	if !p.engaged {
+		p.dropEpoch()
 		return
 	}
 	tnow := p.eng.Now()

@@ -25,13 +25,15 @@ type Periodic interface {
 	// ReplayMark is called at each hyperperiod boundary. The component
 	// snapshots its monotone counters, computes the per-epoch deltas since
 	// the previous mark, and reports whether the elapsed epoch was
-	// shift-clean: no high-water-mark ratchet moved, and every recurring
-	// absolute-time statistic advanced by exactly the epoch length or not
-	// at all. A Program only ever judges an epoch it opened with a mark of
-	// its own — it marks every component when it anchors, after every
-	// install, structural change, materialise or tracer swap — so a
-	// component needs no first-mark flag; one whose statistics a reset
-	// voids between marks reports that epoch unclean.
+	// shift-clean: nothing in it that a repeat would not reproduce, such
+	// as a high-water-mark ratchet that moved or a word with sequence
+	// number 0 (ni.ConnStats.Mark). Periodicity itself is the
+	// fingerprint's to prove, not the mark's. A Program only ever judges
+	// an epoch it opened with a mark of its own — it marks every
+	// component when it anchors, after every install, structural change,
+	// materialise, tracer swap or Sync — so a component needs no
+	// first-mark flag; one whose statistics a reset voids between marks
+	// reports that epoch unclean.
 	ReplayMark(now clock.Time) bool
 
 	// ReplayFingerprint appends a normalised encoding of the component's

@@ -23,7 +23,7 @@ func (r *ring) ReplayPeriod() clock.Duration {
 func (r *ring) ReplayMark(now clock.Time) bool {
 	clean := true
 	for _, ci := range r.conns {
-		if !ci.rx.Mark(now) {
+		if !ci.rx.Mark() {
 			clean = false
 		}
 	}

@@ -193,7 +193,7 @@ func TestReplayInertStopsLatencyLogs(t *testing.T) {
 				id, st.Delivered, atInert[id])
 		}
 		before := st.Latency.N()
-		if st.Mark(eng.Now()) {
+		if st.Mark() {
 			t.Errorf("connection %d still held a boundary snapshot", id)
 		}
 		st.Shift(&replay.Shift{Epochs: 1, DT: hp})

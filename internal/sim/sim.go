@@ -309,7 +309,10 @@ func (e *Engine) SetFastPath(f FastPath) {
 
 // Sync materialises any state the installed fast path has fast-forwarded,
 // so components, wires and statistics read as if the run had been
-// cycle-accurate throughout. It is a no-op without a fast path.
+// cycle-accurate throughout. It is a no-op without a fast path. A caller
+// syncs to read or change state, so after any Sync the fast path starts
+// afresh: the next executed instant re-anchors its epoch, whether or not
+// it was replaying.
 func (e *Engine) Sync() {
 	e.wake()
 	if e.fast != nil {

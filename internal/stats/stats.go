@@ -178,9 +178,11 @@ func (h *Histogram) push(k uint64) {
 }
 
 // AddRepeated records the samples of tail, in order, times times over: the
-// same histogram, bit for bit, as that many passes of Add over tail —
-// the Summary's sums accumulate one sample at a time in that order — but
-// the multiset is touched once per sample of tail, not once per pass.
+// same histogram, bit for bit, as that many passes of Add over tail. The
+// multiset is touched once per sample of tail, not once per pass, and so
+// are the Summary's sums when every addition a pass loop would make is
+// exact (Summary.foldExact); otherwise they accumulate one sample at a
+// time in that order.
 func (h *Histogram) AddRepeated(tail []float64, times int64) {
 	if times <= 0 {
 		return
@@ -193,11 +195,64 @@ func (h *Histogram) AddRepeated(tail []float64, times int64) {
 		i, _ := slices.BinarySearchFunc(h.runs, keyOf(v), compareRunKey)
 		h.runs[i].n += times - 1
 	}
+	if h.Summary.foldExact(tail, times-1) {
+		return
+	}
 	for e := int64(1); e < times; e++ {
 		for _, v := range tail {
 			h.Summary.Add(v)
 		}
 	}
+}
+
+// Exact integer arithmetic in float64: a sample up to maxExactSample
+// squares to at most 2^52, and every integer of magnitude below
+// maxExactSum is a float64.
+const (
+	maxExactSample = 1 << 26
+	maxExactSum    = 1 << 53
+)
+
+// foldExact adds times passes over tail, whose samples s has already seen
+// (so the range cannot move), in O(len(tail)) when that gives the same
+// bits as adding them one at a time, and reports whether it did. It does
+// when every sample is a non-negative integer up to maxExactSample and
+// both sums are integers that stay below maxExactSum through the last
+// pass: then every partial sum the loop would form is an integer of
+// smaller magnitude, so every addition is exact. Latencies on a
+// synchronous grid are whole nanoseconds and take this path; fractional
+// ones (mesochronous links) do not.
+func (s *Summary) foldExact(tail []float64, times int64) bool {
+	// One pass's sums. An integer sample is at most its square, so
+	// bounding sumSq bounds sum too.
+	var sum, sumSq int64
+	for _, v := range tail {
+		if !(v >= 0 && v <= maxExactSample && v == math.Trunc(v)) {
+			return false
+		}
+		sum += int64(v)
+		if sumSq += int64(v * v); sumSq >= maxExactSum {
+			return false
+		}
+	}
+	total := func(acc float64, pass int64) (float64, bool) {
+		if acc != math.Trunc(acc) || math.Abs(acc) >= maxExactSum {
+			return 0, false // also NaN and the infinities
+		}
+		a := int64(acc)
+		if pass > 0 && times > (maxExactSum-1-a)/pass {
+			return 0, false
+		}
+		return float64(a + times*pass), true
+	}
+	newSum, ok1 := total(s.sum, sum)
+	newSumSq, ok2 := total(s.sumSq, sumSq)
+	if !ok1 || !ok2 {
+		return false
+	}
+	s.n += times * int64(len(tail))
+	s.sum, s.sumSq = newSum, newSumSq
+	return true
 }
 
 func compareRunKey(r run, k uint64) int { return cmp.Compare(r.key, k) }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -398,3 +399,81 @@ func TestHistogramAddDoesNotAllocate(t *testing.T) {
 
 // String makes a failing multiset comparison readable: value×count.
 func (r run) String() string { return fmt.Sprintf("%v×%d", valueOf(r.key), r.n) }
+
+// fuzzSamples decodes samples from 9-byte records, a kind byte and eight
+// payload bytes, so the fuzzer reaches every shape the exact fold in
+// AddRepeated must tell apart: whole numbers up to and just past
+// maxExactSample, fractions, signed zeros, NaN and the infinities, any
+// bit pattern, and values whose sum or square lands near maxExactSum.
+func fuzzSamples(data []byte) []float64 {
+	special := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -1, 0.5,
+		maxExactSample + 0.5, maxExactSum, maxExactSum - 1}
+	var vs []float64
+	for ; len(data) >= 9; data = data[9:] {
+		u := binary.LittleEndian.Uint64(data[1:9])
+		var v float64
+		switch data[0] % 8 {
+		case 0:
+			v = float64(u % 200) // a TDM connection's recurring latencies
+		case 1:
+			v = float64(u % (maxExactSample + 2))
+		case 2:
+			v = float64(maxExactSample - 4 + u%9)
+		case 3:
+			v = float64(u%1000000) / 1000 // picoseconds in ns, as off-grid latencies are
+		case 4:
+			v = special[u%uint64(len(special))]
+		case 5:
+			v = math.Float64frombits(u)
+		case 6:
+			v = float64(94906262 + u%8) // squares straddle maxExactSum
+		case 7:
+			v = float64(maxExactSum - 1 - u%4096)
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// FuzzAddRepeated holds AddRepeated, whose Summary takes the O(1) fold
+// when it is exact, to the oracle's sequential Add loop on any prefix
+// and any tail, repeated any number of times: the same count, sums,
+// range, mean, deviation and percentiles, bit for bit.
+func FuzzAddRepeated(f *testing.F) {
+	rec := func(kind byte, u uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{kind}, u)
+	}
+	cat := func(recs ...[]byte) []byte { return slices.Concat(recs...) }
+	f.Add(cat(rec(0, 48), rec(0, 52), rec(0, 48), rec(0, 60)), uint8(1), uint16(500))
+	f.Add(cat(rec(0, 3), rec(2, 4), rec(2, 8)), uint8(1), uint16(1000))
+	f.Add(cat(rec(7, 700), rec(0, 1), rec(0, 0)), uint8(1), uint16(1024))
+	f.Add(cat(rec(6, 3), rec(0, 1), rec(0, 199)), uint8(1), uint16(64))
+	f.Add(cat(rec(0, 10), rec(3, 3), rec(0, 12)), uint8(1), uint16(9))
+	// Fractions whose sums are whole after every pass.
+	f.Add(cat(rec(0, 7), rec(3, 500), rec(3, 500), rec(3, 500), rec(3, 500)), uint8(1), uint16(3))
+	f.Add(cat(rec(0, 10), rec(4, 0), rec(4, 1), rec(4, 2)), uint8(0), uint16(3))
+	f.Add(cat(rec(5, math.Float64bits(1e300)), rec(0, 7)), uint8(1), uint16(5))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, times uint16) {
+		vs := fuzzSamples(data)
+		if len(vs) > 300 {
+			vs = vs[:300]
+		}
+		cut := min(int(split), len(vs))
+		prefix, tail := vs[:cut], vs[cut:]
+		n := int64(times % 1025)
+		var h Histogram
+		var o oracle
+		for _, v := range prefix {
+			h.Add(v)
+			o.Add(v)
+		}
+		h.AddRepeated(tail, n)
+		o.AddRepeated(tail, n)
+		if !sameFloat(h.sum, o.sum) || !sameFloat(h.sumSq, o.sumSq) {
+			t.Fatalf("sums %v, %v (%#x, %#x); oracle %v, %v (%#x, %#x)", h.sum, h.sumSq,
+				math.Float64bits(h.sum), math.Float64bits(h.sumSq),
+				o.sum, o.sumSq, math.Float64bits(o.sum), math.Float64bits(o.sumSq))
+		}
+		compareToOracle(t, fmt.Sprintf("%d prefix samples, %d tail samples x %d", len(prefix), len(tail), n), &h, &o)
+	})
+}

@@ -18,13 +18,13 @@ import (
 // one stimulus, and compare every wire after every cycle.
 
 type beRouter interface {
-	sim.Sampler
+	sim.Component
 	ConnectIn(i int, data *sim.Wire[phit.Phit], credit *sim.Wire[int])
 	ConnectOut(i int, data *sim.Wire[phit.Phit], credit *sim.Wire[int], downstreamBuf int)
 }
 
 type beNI interface {
-	sim.Sampler
+	sim.Component
 	AddOutConn(OutConnConfig)
 	AddInConn(InConnConfig)
 	Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool
@@ -121,7 +121,8 @@ type routerDriver struct {
 func (d *routerDriver) Name() string        { return "driver" }
 func (d *routerDriver) Clock() *clock.Clock { return d.clk }
 
-func (d *routerDriver) Sample(now clock.Time) {
+// sample reads this cycle's inputs at the start of Update.
+func (d *routerDriver) sample() {
 	for i, w := range d.creditBack {
 		if w != nil {
 			c := w.Read()
@@ -139,6 +140,7 @@ func (d *routerDriver) Sample(now clock.Time) {
 }
 
 func (d *routerDriver) Update(now clock.Time) {
+	d.sample()
 	for i, w := range d.in {
 		if w == nil {
 			continue

@@ -157,8 +157,9 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Sampler. Only a valid word is copied.
-func (n *NI) Sample(now clock.Time) {
+// sample reads this cycle's inputs at the start of Update. Only a valid
+// word is copied.
+func (n *NI) sample() {
 	if n.gotWord = n.in != nil && n.in.Read().Valid; n.gotWord {
 		n.sampledIn = n.in.Read()
 	}
@@ -169,6 +170,7 @@ func (n *NI) Sample(now clock.Time) {
 
 // Update implements sim.Component.
 func (n *NI) Update(now clock.Time) {
+	n.sample()
 	if n.gotWord {
 		n.receive(now, &n.sampledIn)
 	}

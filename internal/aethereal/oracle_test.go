@@ -113,8 +113,8 @@ func (r *oldRouter) Name() string { return r.name }
 // Clock implements sim.Component.
 func (r *oldRouter) Clock() *clock.Clock { return r.clk }
 
-// Sample implements sim.Sampler.
-func (r *oldRouter) Sample(now clock.Time) {
+// sample reads this cycle's inputs at the start of Update.
+func (r *oldRouter) sample() {
 	for i := 0; i < r.arity; i++ {
 		if r.in[i] != nil {
 			r.sampledIn[i] = r.in[i].Read()
@@ -152,6 +152,7 @@ func (r *oldRouter) headPort(i int) int {
 
 // Update implements sim.Component.
 func (r *oldRouter) Update(now clock.Time) {
+	r.sample()
 	// Credits freed downstream become usable next cycle.
 	for o := 0; o < r.arity; o++ {
 		r.outCredit[o] += r.sampledCredit[o]
@@ -343,8 +344,8 @@ func (n *oldNI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *oldNI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Sampler.
-func (n *oldNI) Sample(now clock.Time) {
+// sample reads this cycle's inputs at the start of Update.
+func (n *oldNI) sample() {
 	if n.in != nil {
 		n.sampledIn = n.in.Read()
 	} else {
@@ -359,6 +360,7 @@ func (n *oldNI) Sample(now clock.Time) {
 
 // Update implements sim.Component.
 func (n *oldNI) Update(now clock.Time) {
+	n.sample()
 	n.receive(now)
 	n.linkCredit += n.sampledCredit
 	n.send(now)

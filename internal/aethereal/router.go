@@ -131,9 +131,9 @@ func (r *Router) Name() string { return r.name }
 // Clock implements sim.Component.
 func (r *Router) Clock() *clock.Clock { return r.clk }
 
-// Sample implements sim.Sampler. Only a valid word is copied; credits freed
-// downstream are banked at once, usable from this cycle's Update on.
-func (r *Router) Sample(now clock.Time) {
+// sample reads this cycle's inputs at the start of Update. Only a valid
+// word is copied; credits freed downstream are banked at once.
+func (r *Router) sample() {
 	for i, w := range r.in {
 		if w != nil && w.Read().Valid {
 			r.sampledIn[i] = w.Read()
@@ -186,6 +186,7 @@ func (r *Router) idle(o int) {
 
 // Update implements sim.Component.
 func (r *Router) Update(now clock.Time) {
+	r.sample()
 	if r.buffered == 0 && !r.woken && r.outBusy|r.creditBusy == 0 {
 		return // nothing held, nothing came, nothing to retract
 	}

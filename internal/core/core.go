@@ -19,6 +19,7 @@ import (
 	"repro/internal/slots"
 	"repro/internal/spec"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/wrapper"
 )
@@ -169,7 +170,7 @@ type Network struct {
 	eng      *sim.Engine
 	base     *clock.Clock
 	nis      map[topology.NodeID]*ni.NI
-	routers  map[topology.NodeID]*router.Component
+	routers  map[topology.NodeID]routerComp
 	gens     map[phit.ConnID]*traffic.Generator
 	conns    map[phit.ConnID]*connInfo
 	stages   []*link.Stage
@@ -217,11 +218,26 @@ func (n *Network) Generator(c phit.ConnID) *traffic.Generator { return n.gens[c]
 // candidateTableSizes are tried in order when Config.TableSize is zero.
 var candidateTableSizes = []int{8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 
+// A routerComp is a router's engine adapter, as AttachTracer reaches it:
+// router.FlitComponent on the flit links of a synchronous network,
+// router.Component on word links.
+type routerComp interface {
+	Name() string
+	SetTracer(*trace.Emitter)
+}
+
 // Build assembles a network for the use case on the mesh. The use case
 // must be validated and its IPs mapped (spec.MapIPsRoundRobin or manual).
 // Build prepares the mesh for the config's mode itself (PrepareTopology),
 // so routing sees the link pipeline depths it is about to instantiate.
 func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
+	return build(m, uc, cfg, false)
+}
+
+// build is Build. A synchronous network carries flits on its links unless
+// wordLinks is set; then it runs the mesochronous fabric's word links on
+// one clock, the reference the flit links are held to.
+func build(m *topology.Mesh, uc *spec.UseCase, cfg Config, wordLinks bool) (*Network, error) {
 	cfg.ApplyDefaults()
 	cfg.UncappedPaths = false // planning-only relaxation; headers must encode
 
@@ -263,7 +279,7 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 		Alloc:    alloc,
 		eng:      sim.New(),
 		nis:      make(map[topology.NodeID]*ni.NI),
-		routers:  make(map[topology.NodeID]*router.Component),
+		routers:  make(map[topology.NodeID]routerComp),
 		gens:     make(map[phit.ConnID]*traffic.Generator),
 		conns:    make(map[phit.ConnID]*connInfo, len(infos)),
 		niTables: make(map[topology.NodeID]*slots.Table),
@@ -276,10 +292,15 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	for _, id := range m.AllNIs() {
 		n.niTables[id] = slots.NewTable(cfg.TableSize)
 	}
-	if cfg.Mode == Asynchronous {
+	switch {
+	case cfg.Mode == Asynchronous:
 		n.instantiateAsync()
-	} else if err := n.instantiate(); err != nil {
-		return nil, err
+	case cfg.Mode == Synchronous && !wordLinks:
+		n.instantiateFlits()
+	default:
+		if err := n.instantiate(); err != nil {
+			return nil, err
+		}
 	}
 	// Connections attach in ascending id order: queue ids, generator
 	// staggers and engine dispatch order all follow it.
@@ -378,8 +399,55 @@ func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize 
 	return requests, nil
 }
 
-// instantiate builds the single-clock or mesochronous fabric: clocks,
-// wires, routers, link stages and NIs. Connections attach afterwards.
+// instantiateFlits builds the synchronous fabric on flit links: one clock,
+// one fault.FlitLink per link, and routers and NIs that drive a flit once
+// per flit cycle. The router pipeline is one flit cycle long, so a link's
+// register is the whole pipeline, and every word still moves at the
+// instant it does on word links. Connections attach afterwards.
+func (n *Network) instantiateFlits() {
+	n.base = clock.New("clk", clock.PeriodFromMHz(n.Cfg.FreqMHz), 0)
+	for _, node := range n.Mesh.Nodes() {
+		n.domains[node.ID] = n.base
+	}
+	links := make(map[topology.LinkID]*fault.FlitLink)
+	views := new(int) // the links' word views with an intercept
+	for _, l := range n.Mesh.Links() {
+		name := fmt.Sprintf("l%d.%s>%s", l.ID, n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name)
+		fl := fault.NewFlitLink(name, views)
+		n.eng.AddWireClocked(fl.Flits, n.base)
+		n.eng.AddWireClocked(fl.Words, n.base)
+		links[l.ID] = fl
+		n.linkWires = append(n.linkWires, fault.LinkTarget{Name: name, Wire: fl.Words, Flit: fl})
+		n.linkClks = append(n.linkClks, n.base)
+	}
+	for _, r := range n.Mesh.Routers() {
+		node := n.Mesh.Node(r)
+		rc := router.NewFlitComponent(node.Name, node.Ports, n.Cfg.Layout, n.base)
+		rc.SetReporter(n.Cfg.FaultReporter)
+		for p := 0; p < node.Ports; p++ {
+			if l := n.Mesh.InLink(r, p); l != topology.Invalid {
+				rc.ConnectIn(p, links[l])
+			}
+			if l := n.Mesh.OutLink(r, p); l != topology.Invalid {
+				rc.ConnectOut(p, links[l])
+			}
+		}
+		n.routers[r] = rc
+		n.eng.Add(rc)
+	}
+	for _, id := range n.Mesh.AllNIs() {
+		node := n.Mesh.Node(id)
+		c := ni.NewOnFlits(node.Name, n.base, n.Cfg.Layout, n.niTables[id],
+			links[n.Mesh.InLink(id, 0)], links[n.Mesh.OutLink(id, 0)])
+		c.SetReporter(n.Cfg.FaultReporter)
+		n.nis[id] = c
+		n.eng.Add(c)
+	}
+}
+
+// instantiate builds the mesochronous fabric, or the synchronous one on
+// word links: clocks, wires, routers, link stages and NIs. Connections
+// attach afterwards.
 func (n *Network) instantiate() error {
 	period := clock.PeriodFromMHz(n.Cfg.FreqMHz)
 	n.base = clock.New("clk", period, 0)
@@ -506,7 +574,7 @@ func (n *Network) addProbes() {
 		n.eng.Add(&probe{
 			name:  fmt.Sprintf("probe.l%d", l.ID),
 			clk:   n.linkClks[i],
-			wire:  lt.Wire,
+			in:    fault.NewLinkReader(lt, n.linkClks[i]),
 			alloc: n.Alloc,
 			link:  l.ID,
 			rep:   n.Cfg.FaultReporter,
@@ -568,7 +636,7 @@ func (n *Network) FaultTargets() fault.Targets {
 // wrapper (Section VI empty-token liveness). Call once, before Run.
 func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
 	for i, lt := range n.linkWires {
-		n.eng.Add(fault.NewSlotChecker("check."+lt.Name, n.linkClks[i], lt.Wire, rep))
+		n.eng.Add(fault.NewSlotChecker("check."+lt.Name, n.linkClks[i], lt, rep))
 	}
 	if len(n.wrappers) > 0 {
 		watch := make([]fault.Progress, len(n.wrappers))

@@ -6,13 +6,13 @@ import (
 	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/phit"
-	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/topology"
 )
 
 // A probe dynamically verifies contention-free routing: every valid phit
-// observed at a link's entry must belong to the connection that the
+// observed at a link's entry (a word wire or a flit link, read word by
+// word) must belong to the connection that the
 // allocation assigned to that link in that slot. Any mismatch is a
 // violated TDM schedule — the property underpinning both composability and
 // predictability — so with a nil reporter the probe halts the simulation
@@ -21,20 +21,18 @@ import (
 type probe struct {
 	name  string
 	clk   *clock.Clock
-	wire  *sim.Wire[phit.Phit]
+	in    *fault.LinkReader
 	alloc *slots.Allocation
 	link  topology.LinkID
 	rep   fault.Reporter
-
-	sampled phit.Phit
 }
 
-func (p *probe) Name() string          { return p.name }
-func (p *probe) Clock() *clock.Clock   { return p.clk }
-func (p *probe) Sample(now clock.Time) { p.sampled = p.wire.Read() }
+func (p *probe) Name() string        { return p.name }
+func (p *probe) Clock() *clock.Clock { return p.clk }
 
 func (p *probe) Update(now clock.Time) {
-	if !p.sampled.Valid {
+	w := p.in.Read(now)
+	if !w.Valid {
 		return
 	}
 	edge, ok := p.clk.EdgeIndex(now)
@@ -47,15 +45,15 @@ func (p *probe) Update(now clock.Time) {
 		}
 		panic(fmt.Sprintf("%s: update off-edge at %d ps", p.name, now))
 	}
-	// The sampled value was driven in the previous cycle; attribute it
-	// to that cycle's slot.
+	// The word was driven in the previous cycle; attribute it to that
+	// cycle's slot.
 	drive := edge - 1
 	if drive < 0 {
 		return
 	}
 	slot := int((drive / phit.FlitWords) % int64(p.alloc.TableSize))
 	owner := p.alloc.LinkOwner(p.link, slot)
-	got := p.sampled.Meta.Conn
+	got := w.Meta.Conn
 	if got != owner {
 		fault.Report(p.rep, fault.Violation{
 			Kind: fault.SlotOwnership, Component: p.name, Time: now, Slot: slot,

@@ -2,8 +2,7 @@ package core
 
 // Hyperperiod replay support for the slot-ownership probe: it decodes the
 // edge index into a TDM slot, so its pattern period is one slot-table
-// revolution. It has no mutable state (sampled is overwritten before
-// every use).
+// revolution. Its only state is its link reader's.
 
 import (
 	"repro/internal/clock"
@@ -21,7 +20,7 @@ func (p *probe) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic.
 func (p *probe) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
-	return buf // no architectural state
+	return p.in.AppendFingerprint(ctx, buf)
 }
 
 // ReplayShift implements replay.Periodic.

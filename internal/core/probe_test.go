@@ -22,9 +22,8 @@ type slotWriter struct {
 	slotOffset int64
 }
 
-func (w *slotWriter) Name() string          { return w.name }
-func (w *slotWriter) Clock() *clock.Clock   { return w.clk }
-func (w *slotWriter) Sample(now clock.Time) {}
+func (w *slotWriter) Name() string        { return w.name }
+func (w *slotWriter) Clock() *clock.Clock { return w.clk }
 
 func (w *slotWriter) Update(now clock.Time) {
 	edge, ok := w.clk.EdgeIndex(now)
@@ -58,7 +57,7 @@ func probeRun(t *testing.T, slotOffset int64) int64 {
 	pClk := clock.New("p", 1000, 0)
 	col := fault.NewCollector()
 	w := &slotWriter{name: "writer", clk: wClk, out: wire, table: tableSize}
-	p := &probe{name: "probe.l0", clk: pClk, wire: wire, alloc: alloc, link: 0, rep: col}
+	p := &probe{name: "probe.l0", clk: pClk, in: fault.NewLinkReader(fault.LinkTarget{Wire: wire}, pClk), alloc: alloc, link: 0, rep: col}
 	// slotOffset shifts which slot the *writer* stamps, modelling a wire
 	// value attributed to the wrong cycle.
 	w.slotOffset = slotOffset

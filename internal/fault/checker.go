@@ -5,32 +5,30 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/phit"
-	"repro/internal/sim"
 )
 
 // A SlotChecker continuously verifies the Section III contention-freedom
 // invariant on one link: a TDM slot (one flit cycle) carries at most one
 // flit, and every phit in it belongs to one connection. It observes the
-// link's entry wire without knowing the allocation, so it detects schedule
+// link's entry without knowing the allocation, so it detects schedule
 // corruption whatever its cause (injected faults, allocator bugs, clock
 // drift shifting slot boundaries).
 type SlotChecker struct {
 	name string
 	clk  *clock.Clock
-	wire *sim.Wire[phit.Phit]
+	link *LinkReader
 	rep  Reporter
 
-	sampled phit.Phit
 	curSlot int64
 	conn    phit.ConnID
 	headers int
 	flagged bool
 }
 
-// NewSlotChecker builds a checker for the link entry wire, clocked by the
+// NewSlotChecker builds a checker for a link's entry, clocked by the
 // writer's clock.
-func NewSlotChecker(name string, clk *clock.Clock, wire *sim.Wire[phit.Phit], rep Reporter) *SlotChecker {
-	return &SlotChecker{name: name, clk: clk, wire: wire, rep: rep, curSlot: -1}
+func NewSlotChecker(name string, clk *clock.Clock, lt LinkTarget, rep Reporter) *SlotChecker {
+	return &SlotChecker{name: name, clk: clk, link: NewLinkReader(lt, clk), rep: rep, curSlot: -1}
 }
 
 // Name implements sim.Component.
@@ -39,20 +37,18 @@ func (s *SlotChecker) Name() string { return s.name }
 // Clock implements sim.Component.
 func (s *SlotChecker) Clock() *clock.Clock { return s.clk }
 
-// Sample implements sim.Sampler.
-func (s *SlotChecker) Sample(now clock.Time) { s.sampled = s.wire.Read() }
-
 // Update implements sim.Component.
 func (s *SlotChecker) Update(now clock.Time) {
-	if !s.sampled.Valid {
+	p := s.link.Read(now)
+	if !p.Valid {
 		return
 	}
 	edge, ok := s.clk.EdgeIndex(now)
 	if !ok {
 		return
 	}
-	// The sampled value was driven in the previous cycle; attribute it to
-	// that cycle's slot.
+	// The word was driven in the previous cycle; attribute it to that
+	// cycle's slot.
 	drive := edge - 1
 	if drive < 0 {
 		return
@@ -60,21 +56,21 @@ func (s *SlotChecker) Update(now clock.Time) {
 	slot := drive / phit.FlitWords
 	if slot != s.curSlot {
 		s.curSlot = slot
-		s.conn = s.sampled.Meta.Conn
+		s.conn = p.Meta.Conn
 		s.headers = 0
 		s.flagged = false
 	}
-	if s.sampled.Kind == phit.Header || s.sampled.Kind == phit.CreditOnly {
+	if p.Kind == phit.Header || p.Kind == phit.CreditOnly {
 		s.headers++
 	}
 	if s.flagged {
 		return
 	}
-	if s.sampled.Meta.Conn != s.conn {
+	if p.Meta.Conn != s.conn {
 		s.flagged = true
 		Report(s.rep, Violation{
 			Kind: SlotContention, Component: s.name, Time: now, Slot: int(slot % int64(1<<31)),
-			Detail: fmt.Sprintf("connections %d and %d share one slot", s.conn, s.sampled.Meta.Conn),
+			Detail: fmt.Sprintf("connections %d and %d share one slot", s.conn, p.Meta.Conn),
 		})
 		return
 	}

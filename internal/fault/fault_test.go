@@ -174,9 +174,8 @@ type driver struct {
 	i   int
 }
 
-func (d *driver) Name() string          { return "drv" }
-func (d *driver) Clock() *clock.Clock   { return d.clk }
-func (d *driver) Sample(now clock.Time) {}
+func (d *driver) Name() string        { return "drv" }
+func (d *driver) Clock() *clock.Clock { return d.clk }
 func (d *driver) Update(now clock.Time) {
 	v := phit.IdlePhit
 	if d.i < len(d.seq) && d.seq[d.i] != 0 {
@@ -187,16 +186,14 @@ func (d *driver) Update(now clock.Time) {
 }
 
 type observer struct {
-	clk     *clock.Clock
-	wire    *sim.Wire[phit.Phit]
-	sink    *[]phit.Phit
-	sampled phit.Phit
+	clk  *clock.Clock
+	wire *sim.Wire[phit.Phit]
+	sink *[]phit.Phit
 }
 
 func (o *observer) Name() string          { return "obs" }
 func (o *observer) Clock() *clock.Clock   { return o.clk }
-func (o *observer) Sample(now clock.Time) { o.sampled = o.wire.Read() }
-func (o *observer) Update(now clock.Time) { *o.sink = append(*o.sink, o.sampled) }
+func (o *observer) Update(now clock.Time) { *o.sink = append(*o.sink, o.wire.Read()) }
 
 func TestLinkHookDrop(t *testing.T) {
 	got := runHook(t, func(h *LinkHook) { h.arm(OpDrop, 2) }, []phit.Word{10, 20, 30})

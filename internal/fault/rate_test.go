@@ -37,9 +37,8 @@ type kindDriver struct {
 	i    int
 }
 
-func (d *kindDriver) Name() string          { return "drv" }
-func (d *kindDriver) Clock() *clock.Clock   { return d.clk }
-func (d *kindDriver) Sample(now clock.Time) {}
+func (d *kindDriver) Name() string        { return "drv" }
+func (d *kindDriver) Clock() *clock.Clock { return d.clk }
 func (d *kindDriver) Update(now clock.Time) {
 	v := phit.IdlePhit
 	if d.i < d.n {

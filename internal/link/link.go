@@ -132,21 +132,19 @@ func (s *Stage) Components() []sim.Component {
 // fact stays below it under the stated assumptions.
 func (s *Stage) MaxFIFOOccupancy() int { return s.fifo.MaxOccupancy() }
 
-// writerTap samples the upstream wire on the source-synchronous clock and
+// writerTap reads the upstream wire on the source-synchronous clock and
 // pushes valid words into the bi-synchronous FIFO.
 type writerTap struct {
-	stage   *Stage
-	clk     *clock.Clock
-	in      *sim.Wire[phit.Phit]
-	sampled phit.Phit
+	stage *Stage
+	clk   *clock.Clock
+	in    *sim.Wire[phit.Phit]
 }
 
-func (t *writerTap) Name() string          { return t.stage.name + ".tap" }
-func (t *writerTap) Clock() *clock.Clock   { return t.clk }
-func (t *writerTap) Sample(now clock.Time) { t.sampled = t.in.Read() }
+func (t *writerTap) Name() string        { return t.stage.name + ".tap" }
+func (t *writerTap) Clock() *clock.Clock { return t.clk }
 
 func (t *writerTap) Update(now clock.Time) {
-	if t.sampled.Valid {
+	if p := t.in.Ref(); p.Valid {
 		// aelite sizes the FIFO to never fill under the skew assumption,
 		// so a full FIFO is an envelope violation; the word is lost, as
 		// it would be in hardware (there is no full/accept handshake,
@@ -158,7 +156,7 @@ func (t *writerTap) Update(now clock.Time) {
 			})
 			return
 		}
-		t.stage.fifo.Push(now, t.sampled)
+		t.stage.fifo.Push(now, *p)
 		if t.stage.tr != nil {
 			if l := t.stage.fifo.Len(); l > t.stage.maxOcc {
 				t.stage.maxOcc = l
@@ -206,7 +204,7 @@ func (f *readerFSM) Update(now clock.Time) {
 		}
 	}
 	if !f.forwarding {
-		f.out.Drive(phit.IdlePhit)
+		fault.DrivePhit(f.out, &phit.Phit{})
 		return
 	}
 	// Accept is high: pop one word this cycle. An empty FIFO mid-flit
@@ -219,11 +217,11 @@ func (f *readerFSM) Update(now clock.Time) {
 			Detail: fmt.Sprintf("FIFO underflow in flit state %d — writer sent a partial flit", state),
 		})
 		f.forwarding = false
-		f.out.Drive(phit.IdlePhit)
+		fault.DrivePhit(f.out, &phit.Phit{})
 		return
 	}
 	p := f.stage.fifo.Pop(now)
-	f.out.Drive(p)
+	fault.DrivePhit(f.out, &p)
 	if f.stage.tr != nil && state == 0 {
 		f.stage.tr.Emit(trace.Event{Time: now, Kind: trace.LinkForward,
 			Conn: p.Meta.Conn, Seq: p.Meta.Seq, Slot: trace.NoSlot})

@@ -22,9 +22,8 @@ type flitSource struct {
 	started bool
 }
 
-func (f *flitSource) Name() string          { return f.name }
-func (f *flitSource) Clock() *clock.Clock   { return f.clk }
-func (f *flitSource) Sample(now clock.Time) {}
+func (f *flitSource) Name() string        { return f.name }
+func (f *flitSource) Clock() *clock.Clock { return f.clk }
 func (f *flitSource) Update(now clock.Time) {
 	n, _ := f.clk.EdgeIndex(now)
 	w := int(n % phit.FlitWords)
@@ -62,7 +61,7 @@ type flitChecker struct {
 
 func (c *flitChecker) Name() string        { return c.name }
 func (c *flitChecker) Clock() *clock.Clock { return c.clk }
-func (c *flitChecker) Sample(now clock.Time) {
+func (c *flitChecker) Update(now clock.Time) {
 	p := c.in.Read()
 	n, _ := c.clk.EdgeIndex(now)
 	w := int(n % phit.FlitWords)
@@ -86,7 +85,6 @@ func (c *flitChecker) Sample(now clock.Time) {
 		c.inFlit = 0
 	}
 }
-func (c *flitChecker) Update(now clock.Time) {}
 
 // runStage wires source -> stage -> checker with the given skew and FIFO
 // forwarding delay and runs it, the stage traced into the returned metrics.
@@ -228,9 +226,8 @@ type partialSource struct {
 	out *sim.Wire[phit.Phit]
 }
 
-func (p *partialSource) Name() string          { return "bad" }
-func (p *partialSource) Clock() *clock.Clock   { return p.clk }
-func (p *partialSource) Sample(now clock.Time) {}
+func (p *partialSource) Name() string        { return "bad" }
+func (p *partialSource) Clock() *clock.Clock { return p.clk }
 func (p *partialSource) Update(now clock.Time) {
 	n, _ := p.clk.EdgeIndex(now)
 	// Valid on phases 0 and 1 only: a 2-word "flit".

@@ -12,8 +12,7 @@ import (
 
 // TestReplayFingerprintSeesEveryField changes one architectural field of
 // a stage at a time and requires the fingerprint of its writer tap and
-// reader FSM to change with it. Left out by design: the tap's sampled
-// word, rewritten in Sample before Update reads it; the maxOcc ratchet,
+// reader FSM to change with it. Left out by design: the maxOcc ratchet,
 // which ReplayMark judges; and the FIFO's own high-water mark, read only
 // by invariant checkers, which keep the program inert.
 func TestReplayFingerprintSeesEveryField(t *testing.T) {

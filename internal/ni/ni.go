@@ -73,8 +73,13 @@ type NI struct {
 	layout phit.HeaderLayout
 	table  *slots.Table
 
-	in  *sim.Wire[phit.Phit] // from router
-	out *sim.Wire[phit.Phit] // to router
+	// The links to and from the attached router: word wires (mesochronous
+	// mode, tests), or flit links (synchronous mode), on which the NI
+	// drives its flit once per flit cycle and receives word by word.
+	in    *sim.Wire[phit.Phit]
+	out   *sim.Wire[phit.Phit]
+	inFl  fault.FlitReader
+	outFl *fault.FlitLink
 
 	// The NI's connections, each list in id order with its ids mirrored in
 	// a flat slice: a lookup by id (Offer, the accessors) is a binary
@@ -104,10 +109,12 @@ type NI struct {
 	openConn  phit.ConnID
 	flitBuf   [phit.FlitWords]phit.Phit
 
-	// Receiver state.
+	// Receiver state. quiet is set at a flit edge whose incoming flit is
+	// empty, on flit links with no fault view and no reliability shell:
+	// the next two edges have nothing to receive or drive.
 	curIn    *inConn
 	inPacket bool
-	sampled  phit.Phit
+	quiet    bool
 
 	// wrapped is set once StepFlit has driven the NI at flit granularity
 	// (wrapper mode); the engine's Update then refuses to run.
@@ -154,6 +161,18 @@ func New(name string, clk *clock.Clock, layout phit.HeaderLayout, table *slots.T
 	}
 	return &NI{name: name, clk: clk, layout: layout, table: table, in: in, out: out,
 		slotOf: make([]slotEntry, table.Size())}
+}
+
+// NewOnFlits builds an NI like New, on flit links to and from the attached
+// router (either may be nil).
+func NewOnFlits(name string, clk *clock.Clock, layout phit.HeaderLayout, table *slots.Table,
+	in, out *fault.FlitLink) *NI {
+	n := New(name, clk, layout, table, nil, nil)
+	if in != nil {
+		n.inFl = fault.NewFlitReader(in)
+	}
+	n.outFl = out
+	return n
 }
 
 // AddOutConn registers a connection sourced at this NI.
@@ -330,15 +349,6 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Sampler.
-func (n *NI) Sample(now clock.Time) {
-	if n.in != nil {
-		n.sampled = n.in.Read()
-	} else {
-		n.sampled = phit.IdlePhit
-	}
-}
-
 // Update implements sim.Component.
 func (n *NI) Update(now clock.Time) {
 	if n.wrapped {
@@ -362,14 +372,36 @@ func (n *NI) Update(now clock.Time) {
 		n.edgePeriod, n.edgePhase = n.clk.Period, n.clk.Phase
 	}
 	n.nextEdge = now + n.clk.Period
-	n.receive(now, &n.sampled)
 	w := n.word
+	if w != 0 && n.quiet && !n.inFl.Watched() {
+		return
+	}
+	p := &phit.IdlePhit
+	switch {
+	case n.inFl.Connected():
+		p = n.inFl.Word(now, w)
+	case n.in != nil:
+		p = n.in.Ref()
+	}
+	if p.Valid || n.rel != nil { // an idle word costs its valid bit
+		n.receive(now, p)
+	}
 	if w == 0 {
 		n.buildFlit(now, n.slot)
+		n.quiet = n.outFl != nil && n.rel == nil && n.inFl.Connected() && n.inFl.Quiet(now)
 	}
-	if n.out != nil {
-		n.out.Drive(n.flitBuf[w])
-	} else if n.flitBuf[w].Valid {
+	switch {
+	case n.outFl != nil:
+		f := (*phit.Flit)(&n.flitBuf)
+		if w == 0 {
+			n.outFl.Drive(now, f, !f.Empty())
+		}
+		if *n.outFl.Views() > 0 {
+			n.outFl.DriveWord(w, f)
+		}
+	case n.out != nil:
+		fault.DrivePhit(n.out, &n.flitBuf[w])
+	case n.flitBuf[w].Valid:
 		fault.Report(n.rep, fault.Violation{
 			Kind: fault.RouteError, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,
 			Detail: "valid phit but no output wire, phit dropped",
@@ -402,7 +434,7 @@ func (n *NI) StepFlit(now clock.Time, in, out *phit.Flit) {
 // stream the baseline would have seen on a fault-free network.
 func (n *NI) receive(now clock.Time, p *phit.Phit) {
 	if n.rel == nil {
-		if p.Valid { // an idle cycle costs its valid bit
+		if p.Valid {
 			n.receivePhit(now, *p)
 		}
 		return

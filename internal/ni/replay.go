@@ -56,6 +56,9 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	if n.dropPacket {
 		flags |= 2
 	}
+	if n.quiet {
+		flags |= 4
+	}
 	buf = replay.AppendI64(buf, flags)
 	cur := int64(-1)
 	if n.curIn != nil {
@@ -65,6 +68,7 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	for _, p := range n.flitBuf {
 		buf = replay.AppendPhit(buf, p, ctx)
 	}
+	buf = n.inFl.AppendFingerprint(ctx, buf)
 	for _, owner := range n.table.Slots {
 		buf = replay.AppendI64(buf, int64(owner))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/replay"
 )
@@ -14,8 +15,8 @@ import (
 // change with it. Left out by design: the word and slot indices and the
 // edge they were derived for (word, slot, nextEdge, edgePeriod, edgePhase),
 // which Update recomputes after a time jump; the slotOf cache, re-resolved
-// when a slot's owner changes; sampled, rewritten in Sample before Update
-// reads it; flitIndex, read only in wrapper mode, which never replays; the
+// when a slot's owner changes; flitIndex, read only in wrapper mode, which
+// never replays; the
 // maxOcc ratchet, which ReplayMark judges; and the statistics, which shift
 // by their per-epoch deltas.
 func TestReplayFingerprintSeesEveryField(t *testing.T) {
@@ -57,7 +58,14 @@ func TestReplayFingerprintSeesEveryField(t *testing.T) {
 		{"packet being received", func(p *pair) { p.b.curIn = p.b.ins[0] }},
 		{"inside a packet", func(p *pair) { p.b.inPacket = true }},
 		{"dropping a packet", func(p *pair) { p.b.dropPacket = true }},
+		{"quiet input", func(p *pair) { p.b.quiet = true }},
 		{"owed credits", func(p *pair) { p.b.ins[0].owed++ }},
+		{"flit input reading its view", func(p *pair) {
+			l := fault.NewFlitLink("hooked", nil)
+			l.Words.SetIntercept(func(v phit.Phit, driven bool) phit.Phit { return v })
+			p.b.inFl = fault.NewFlitReader(l)
+			p.b.inFl.Word(900, 1) // records that the view has an intercept
+		}},
 	} {
 		p := base()
 		c.change(p)

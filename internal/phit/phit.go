@@ -111,7 +111,7 @@ type Flit [FlitWords]Phit
 // Empty reports whether no phit in the flit is valid. Empty flits are the
 // "empty tokens" of the asynchronous wrapper (paper Section VI): they carry
 // no data but synchronise neighbouring elements.
-func (f Flit) Empty() bool {
+func (f *Flit) Empty() bool {
 	for _, p := range f {
 		if p.Valid {
 			return false

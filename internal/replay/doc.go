@@ -10,7 +10,7 @@
 // architectural state at consecutive hyperperiod boundaries, and, when two
 // boundary fingerprints are byte-identical (time- and sequence-number-
 // normalised), replays the recorded epoch without touching the clock-group
-// ring, the timer heap, or any per-component Sample/Update dispatch. The
+// ring, the timer heap, or any per-component Update dispatch. The
 // engine lets no component sleep (sim.Sleeper) while a fast path is
 // installed, so the recorded schedule is every component's every edge.
 //
@@ -53,8 +53,8 @@
 // The program finds what it fingerprints on the engine itself, at its
 // first executed instant and after every structural change: every
 // component must implement Periodic's four methods, and every wire is a
-// phit wire (fingerprinted and shifted as a phit) or an int wire
-// (fingerprinted as a count). Any other component or wire makes the
+// phit wire (fingerprinted and shifted as a phit), a flit wire (the same,
+// word by word) or an int wire (fingerprinted as a count). Any other component or wire makes the
 // program inert, naming it; a wire with a commit-time intercept keeps the
 // program from engaging while it is installed. No builder lists state for
 // the program, so none can leave any out.

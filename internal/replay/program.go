@@ -30,11 +30,13 @@ type Program struct {
 	sink *recSink
 
 	// The engine's components and wires as the last rescan found them.
-	// Every wire is fingerprinted: phit wires as phits, which a shift
-	// moves, and int wires as counts, which it does not.
+	// Every wire is fingerprinted: phit wires as phits and flit wires as
+	// their phits, which a shift moves word by word, and int wires as
+	// counts, which it does not.
 	comps      []Periodic
 	seqSrcs    []SeqSource
 	phits      []*sim.Wire[phit.Phit]
+	flits      []*sim.Wire[phit.Flit]
 	counts     []*sim.Wire[int]
 	compsStale bool
 
@@ -198,7 +200,7 @@ func (p *Program) goInert(why string) {
 	for _, c := range p.comps {
 		c.ReplayShift(release)
 	}
-	p.comps, p.phits, p.counts = nil, nil, nil
+	p.comps, p.phits, p.flits, p.counts = nil, nil, nil, nil
 	p.eng.SetFastPath(nil)
 	if p.bus != nil {
 		p.bus.Detach(p.sink)
@@ -240,11 +242,14 @@ func (p *Program) rescan() bool {
 		return false
 	}
 	var phits []*sim.Wire[phit.Phit]
+	var flits []*sim.Wire[phit.Flit]
 	var counts []*sim.Wire[int]
 	for _, w := range p.eng.Wires() {
 		switch w := w.(type) {
 		case *sim.Wire[phit.Phit]:
 			phits = append(phits, w)
+		case *sim.Wire[phit.Flit]:
+			flits = append(flits, w)
 		case *sim.Wire[int]:
 			counts = append(counts, w)
 		default:
@@ -253,7 +258,7 @@ func (p *Program) rescan() bool {
 		}
 	}
 	p.comps, p.seqSrcs = comps, seqSrcs
-	p.phits, p.counts = phits, counts
+	p.phits, p.flits, p.counts = phits, flits, counts
 	p.hp = hp
 	p.compsStale = false
 	return true
@@ -279,6 +284,11 @@ func (p *Program) fingerprint(now clock.Time, buf []byte) []byte {
 	for _, w := range p.phits {
 		buf = AppendPhit(buf, w.Read(), ctx)
 	}
+	for _, w := range p.flits {
+		for _, q := range w.Ref() {
+			buf = AppendPhit(buf, q, ctx)
+		}
+	}
 	for _, w := range p.counts {
 		buf = AppendI64(buf, int64(w.Read()))
 	}
@@ -289,6 +299,11 @@ func (p *Program) fingerprint(now clock.Time, buf []byte) []byte {
 // makes its commits data-dependent.
 func (p *Program) intercepted() bool {
 	for _, w := range p.phits {
+		if w.HasIntercept() {
+			return true
+		}
+	}
+	for _, w := range p.flits {
 		if w.HasIntercept() {
 			return true
 		}
@@ -521,6 +536,14 @@ func (p *Program) materialize(why DeoptCause) {
 		}
 		for _, w := range p.phits {
 			w.Adjust(func(v phit.Phit) phit.Phit { return ShiftPhit(v, sh) })
+		}
+		for _, w := range p.flits {
+			w.Adjust(func(f phit.Flit) phit.Flit {
+				for k := range f {
+					f[k] = ShiftPhit(f[k], sh)
+				}
+				return f
+			})
 		}
 	}
 	boundary := p.base + clock.Time(m)*p.hp

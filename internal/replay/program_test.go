@@ -34,9 +34,8 @@ type beeper struct {
 	marked     bool
 }
 
-func (b *beeper) Name() string          { return b.name }
-func (b *beeper) Clock() *clock.Clock   { return b.clk }
-func (b *beeper) Sample(now clock.Time) {}
+func (b *beeper) Name() string        { return b.name }
+func (b *beeper) Clock() *clock.Clock { return b.clk }
 func (b *beeper) Update(now clock.Time) {
 	b.updates++
 	if b.cycle%4 == 0 && b.em != nil {
@@ -241,10 +240,10 @@ type scribbler struct {
 	last phit.Phit
 }
 
-func (s *scribbler) Name() string          { return "scribble" }
-func (s *scribbler) Clock() *clock.Clock   { return s.clk }
-func (s *scribbler) Sample(now clock.Time) { s.last = s.out.Read() }
+func (s *scribbler) Name() string        { return "scribble" }
+func (s *scribbler) Clock() *clock.Clock { return s.clk }
 func (s *scribbler) Update(now clock.Time) {
+	s.last = s.out.Read()
 	s.out.Drive(phit.Phit{Valid: true, Kind: phit.Header, Data: s.last.Data + 1})
 }
 

@@ -49,6 +49,10 @@ type Core struct {
 	// tr, when non-nil, receives a RouterForward event per switched flit
 	// (stamped with the flit's first word), using the adapter-maintained now.
 	tr *trace.Emitter
+
+	// held, when set, holds the events the datapath meets before their
+	// instant (FlitComponent).
+	held *heldQueue
 }
 
 // NewCore returns a router core with the given arity (number of input and
@@ -226,8 +230,13 @@ func (c *Core) putSlow(dst, p *phit.Phit, port int) {
 		return
 	}
 	*dst = *p
-	c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: p.Meta.Conn,
-		Seq: p.Meta.Seq, Arg: int64(port), Slot: trace.NoSlot})
+	ev := trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: p.Meta.Conn,
+		Seq: p.Meta.Seq, Arg: int64(port), Slot: trace.NoSlot}
+	if c.held != nil && ev.Time > c.held.edge {
+		c.held.events = append(c.held.events, ev)
+		return
+	}
+	c.tr.Emit(ev)
 }
 
 // violate reports one envelope violation of this router at the current
@@ -236,10 +245,11 @@ func (c *Core) violate(kind fault.Kind, detail string) {
 	fault.Report(c.rep, fault.Violation{Kind: kind, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot, Detail: detail})
 }
 
-// Component adapts a Core to the simulation engine: inputs are sampled
-// from wires and outputs driven onto wires each cycle of the router's
-// clock. The ports are concrete wires, not interfaces: a phit is 56 bytes,
-// and an interface method returns it by value, once per port per cycle.
+// Component adapts a Core to the simulation engine on word links
+// (mesochronous mode, and tests): each cycle of the router's clock its
+// inputs are read off wires and its outputs driven onto wires. The ports
+// are concrete wires, not interfaces: a phit is 56 bytes, and an interface
+// method returns it by value, once per port per cycle.
 type Component struct {
 	core *Core
 	clk  *clock.Clock
@@ -247,7 +257,7 @@ type Component struct {
 	in  []*sim.Wire[phit.Phit]
 	out []*sim.Wire[phit.Phit]
 	// sampled receives this cycle's inputs and is swapped with the core's
-	// stage-1 registers at Update, so an input is copied once, off its
+	// stage-1 registers in Update, so an input is copied once, off its
 	// wire. An unconnected input is never written and stays idle in both
 	// buffers.
 	sampled []phit.Phit
@@ -286,24 +296,20 @@ func (r *Component) SetReporter(rep fault.Reporter) { r.core.SetReporter(rep) }
 // SetTracer installs the wrapped core's lifecycle-event emitter.
 func (r *Component) SetTracer(e *trace.Emitter) { r.core.SetTracer(e) }
 
-// Sample implements sim.Sampler.
-func (r *Component) Sample(now clock.Time) {
+// Update implements sim.Component.
+func (r *Component) Update(now clock.Time) {
 	for i, w := range r.in {
 		if w != nil {
 			r.sampled[i] = w.Read()
 		}
 	}
-}
-
-// Update implements sim.Component.
-func (r *Component) Update(now clock.Time) {
 	c := r.core
 	c.now = now
 	r.outBuf = c.switchAndParse(r.outBuf)
 	c.reg1, r.sampled = r.sampled, c.reg1 // stage 1 latches the sampled inputs
 	for i, w := range r.out {
 		if w != nil {
-			w.Drive(r.outBuf[i])
+			fault.DrivePhit(w, &r.outBuf[i])
 		} else if r.outBuf[i].Valid {
 			c.violate(fault.RouteError, fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
 				i, r.outBuf[i].Meta.Conn))

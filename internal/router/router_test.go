@@ -160,9 +160,8 @@ type scriptedSource struct {
 	pos  int
 }
 
-func (s *scriptedSource) Name() string          { return s.name }
-func (s *scriptedSource) Clock() *clock.Clock   { return s.clk }
-func (s *scriptedSource) Sample(now clock.Time) {}
+func (s *scriptedSource) Name() string        { return s.name }
+func (s *scriptedSource) Clock() *clock.Clock { return s.clk }
 func (s *scriptedSource) Update(now clock.Time) {
 	if s.pos < len(s.seq) {
 		s.out.Drive(s.seq[s.pos])

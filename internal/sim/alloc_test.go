@@ -66,9 +66,8 @@ type relay struct {
 	fires   int
 }
 
-func (r *relay) Name() string          { return "relay" }
-func (r *relay) Clock() *clock.Clock   { return r.clk }
-func (r *relay) Sample(now clock.Time) {}
+func (r *relay) Name() string        { return "relay" }
+func (r *relay) Clock() *clock.Clock { return r.clk }
 func (r *relay) Update(now clock.Time) {
 	if r.in.Valid(now) && r.out.CanPush() {
 		*r.out.Push(now) = *r.in.Pop(now)

@@ -5,24 +5,27 @@
 // clock) from rising edge to rising edge. All components whose clocks have
 // an edge at the current instant execute in two phases:
 //
-//  1. Sample: every due component that reads wires (a Sampler) reads them.
-//     Wires still hold the values committed before this instant, so a
-//     reader clocked at the same instant as a writer observes the writer's
-//     *previous* output — exactly the register-transfer semantics of
-//     synchronous hardware. A component with no Sample method costs
-//     nothing in this phase.
-//  2. Update: every due component computes its next state and drives its
-//     output wires. Drives are buffered.
-//  3. Commit: all buffered drives become visible.
+//  1. Update: every due component reads its input wires, computes its
+//     next state and drives its output wires. Drives are buffered, so a
+//     wire holds the value committed before this instant through the whole
+//     phase: a reader clocked at the same instant as a writer observes the
+//     writer's *previous* output — exactly the register-transfer semantics
+//     of synchronous hardware — whatever the dispatch order.
+//  2. Commit: the buffered drives become visible. Each clock group commits
+//     only the wires driven since its last commit; a group holding a wire
+//     with a commit-time intercept commits all its wires at every edge, so
+//     the intercept sees every writer edge.
 //
 // Components are grouped by clock, and the groups sit in a ring sorted by
 // next edge: the due group is the head, and advancing it walks it back
 // from the tail past every group strictly later, which is no step when the
 // periods are equal. A component that implements Sleeper (a traffic
 // generator between words) tells the engine after each Update how many of
-// its next edges would only advance counters; those edges are counted but
-// not dispatched, and the component is passed their number before its
-// next Update or before anything outside dispatch can observe it.
+// its next edges would only advance counters; it then leaves its group's
+// dispatch list and waits in the group's wake calendar for the edge after
+// them. Those edges count in Edges but cost nothing, and the component is
+// passed their number before its next Update or before anything outside
+// dispatch can observe it. Dispatched counts the Update calls made.
 //
 // Components in different clock domains simply fire at different instants;
 // cross-domain channels (bi-synchronous FIFOs, token channels) are modelled

@@ -151,62 +151,77 @@ func TestCoincidentClockAndTimer(t *testing.T) {
 	}
 }
 
-// dispatch is one component edge: the instant and the component's position
-// in add order.
+// dispatch is one component edge: the instant, the component's position
+// in add order, and the value it read off its input wire.
 type dispatch struct {
-	at  clock.Time
-	idx int
+	at   clock.Time
+	idx  int
+	read int
 }
 
-// recorder logs its own edges; Sample and Update must see the same instant.
-// poke, when set, runs after every eighth Update.
+// recorder logs its own edges and what it reads off its input wire, and
+// drives its output wire on two edges in three. poke, when set, runs after
+// every eighth Update.
 type recorder struct {
 	clk     *clock.Clock
 	idx     int
-	sampled clock.Time
+	in, out *Wire[int]
 	log     *[]dispatch
 	poke    func()
 	updates int
 }
 
-func (r *recorder) Name() string          { return "rec" }
-func (r *recorder) Clock() *clock.Clock   { return r.clk }
-func (r *recorder) Sample(now clock.Time) { r.sampled = now }
+func (r *recorder) Name() string        { return "rec" }
+func (r *recorder) Clock() *clock.Clock { return r.clk }
 func (r *recorder) Update(now clock.Time) {
-	if r.sampled != now {
-		now = -now // poison the log: Update without a matching Sample
+	*r.log = append(*r.log, dispatch{now, r.idx, r.in.Read()})
+	if r.updates++; r.updates%3 != 0 {
+		r.out.Drive(1000*r.idx + r.updates)
 	}
-	*r.log = append(*r.log, dispatch{now, r.idx})
-	if r.updates++; r.poke != nil && r.updates%8 == 0 {
+	if r.poke != nil && r.updates%8 == 0 {
 		r.poke()
 	}
 }
 
 // napper logs its real edges like a recorder, but is a Sleeper: it
-// promises a random number of idle edges after each one and adds up the
-// edges it is told it slept through. It has no Sample, as no Sleeper may.
+// promises a random number of idle edges after each one, hundreds of them
+// in long cases, and adds up the edges it is told it slept through. It
+// reads and drives no wire, as no Sleeper's skipped edge may.
 type napper struct {
 	clk     *clock.Clock
 	idx     int
 	log     *[]dispatch
 	rng     *rand.Rand
-	promise int64 // the last Idle answer
+	long    bool
+	promise int64 // the last Idle answer, less the edges skipped since
+	at      clock.Time
 	skipped int64 // sum of Skip counts
 	bad     string
+	// invalidated, when set, is the last instant a component invalidated
+	// the schedule from inside its Update: the engine rebuilds, and wakes
+	// every Sleeper, before the next instant, so a promise made later in
+	// that instant may be cut short.
+	invalidated *clock.Time
 }
 
 func (n *napper) Name() string        { return "nap" }
 func (n *napper) Clock() *clock.Clock { return n.clk }
 func (n *napper) Update(now clock.Time) {
-	*n.log = append(*n.log, dispatch{now, n.idx})
+	*n.log = append(*n.log, dispatch{now, n.idx, 0})
+	if n.promise > 0 && n.bad == "" && (n.invalidated == nil || *n.invalidated != n.at) {
+		n.bad = fmt.Sprintf("dispatched at %d with %d promised idle edges left", now, n.promise)
+	}
 	n.promise = 0
 }
 func (n *napper) Idle(now clock.Time) int64 {
+	n.at = now
 	switch r := n.rng.Intn(10); {
 	case r < 3:
 		n.promise = 0
 	case r == 3:
 		n.promise = math.MaxInt64 // a disabled generator's answer
+	case n.long && r < 7:
+		n.promise = 100 + n.rng.Int63n(800)
 	default:
 		n.promise = 1 + n.rng.Int63n(8)
 	}
@@ -221,12 +236,17 @@ func (n *napper) Skip(k int64) {
 }
 
 // schedCase is one randomly drawn schedule: clocks, which clock drives each
-// component, and timed mutations (a period change followed by
-// InvalidateSchedule, or the removal of a component).
+// component, one wire per clock (written by that clock's recorders, read by
+// the next clock's, and maybe intercepted from the start or only from the
+// first Run's return on), and timed mutations (a period change followed by
+// InvalidateSchedule, the removal of a component, or a drive from a
+// callback).
 type schedCase struct {
 	periods, phases []clock.Duration
 	compClk         []int
 	sleepy          []bool // which components are nappers
+	long            bool   // nappers sleep for hundreds of edges
+	hooked          []int  // per wire: 0 no intercept, 1 from the start, 2 from the first Run's return
 	mutations       []schedMutation
 	chunks          []clock.Time // Run is called once per chunk boundary
 }
@@ -234,22 +254,27 @@ type schedCase struct {
 type schedMutation struct {
 	at        clock.Time
 	clk       int            // period change: which clock ...
-	newPeriod clock.Duration // ... and its new period; 0 means remove instead
+	newPeriod clock.Duration // ... and its new period; 0 means remove or drive instead
 	remove    int            // component to remove
+	drive     int            // when positive, the value driven onto clock clk's wire instead
 }
 
 func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	var c schedCase
 	nClk := 1 + rng.Intn(12)
 	base := clock.Duration(500 + rng.Intn(1500))
-	if kind == 3 {
+	switch kind {
+	case 3:
 		nClk = 1 + rng.Intn(60)
 		base = clock.Duration(1500 + rng.Intn(1000))
+	case 4:
+		nClk = 1 + rng.Intn(4)
+		c.long = true
 	}
 	coprime := []clock.Duration{701, 1009, 1303, 1999, 2003, 997, 1511, 2477, 811, 1213, 1747, 653}
 	baseClk := clock.New("base", base, 0)
 	for i := 0; i < nClk; i++ {
-		p := base // kind 0: equal periods, random phases
+		p := base // kinds 0 and 4: equal periods, random phases
 		switch kind {
 		case 1: // pairwise coprime periods
 			p = coprime[i]
@@ -264,6 +289,7 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 		}
 		c.periods = append(c.periods, p)
 		c.phases = append(c.phases, ph)
+		c.hooked = append(c.hooked, rng.Intn(3))
 	}
 	nComp := nClk + rng.Intn(2*nClk)
 	for i := 0; i < nComp; i++ {
@@ -271,15 +297,21 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 		c.sleepy = append(c.sleepy, rng.Intn(3) == 0)
 	}
 	end := clock.Time(40 * base)
-	if kind == 3 {
+	switch kind {
+	case 3:
 		end = clock.Time(80 * base) // long enough for a few ps a period to reorder phases
+	case 4:
+		end = clock.Time(2500 * base)
 	}
-	for i := rng.Intn(4); i > 0; i-- {
+	for i := rng.Intn(6); i > 0; i-- {
 		m := schedMutation{at: clock.Time(rng.Int63n(int64(end))), clk: rng.Intn(nClk)}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			m.newPeriod = c.periods[m.clk]/2 + clock.Duration(rng.Intn(1000)) + 1
-		} else {
+		case 1:
 			m.remove = rng.Intn(nComp)
+		default:
+			m.drive = 1 + rng.Intn(999)
 		}
 		if rng.Intn(3) == 0 {
 			// Land exactly on an edge of the mutated clock.
@@ -289,36 +321,67 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	}
 	for t := clock.Time(0); t < end; {
 		t += clock.Time(1 + rng.Int63n(int64(10*base)))
+		if kind == 4 {
+			t += clock.Time(rng.Int63n(int64(200 * base)))
+		}
 		c.chunks = append(c.chunks, t)
 	}
 	return c
 }
 
-// build instantiates the case on fresh clocks, recorders and nappers.
-func (c schedCase) build(log *[]dispatch) ([]*clock.Clock, []Component) {
+// A hookCall is one run of a wire's intercept: the instant, the value it
+// saw, and whether that instant drove it.
+type hookCall struct {
+	at     clock.Time
+	v      int
+	driven bool
+}
+
+// build instantiates the case on fresh clocks, wires, recorders and
+// nappers. A wire's intercept logs every call, stamped by now, and adds
+// 5000 to a driven value, which is what readers then see.
+func (c schedCase) build(log *[]dispatch, now func() clock.Time) ([]*clock.Clock, []Component, []*Wire[int], [][]hookCall, func(i int)) {
 	clks := make([]*clock.Clock, len(c.periods))
+	wires := make([]*Wire[int], len(c.periods))
+	calls := make([][]hookCall, len(c.periods))
 	for i := range clks {
 		clks[i] = clock.New("c", c.periods[i], c.phases[i])
+		wires[i] = NewWire[int]("w")
+	}
+	hook := func(i int) {
+		wires[i].SetIntercept(func(v int, driven bool) int {
+			calls[i] = append(calls[i], hookCall{now(), v, driven})
+			if driven {
+				v += 5000
+			}
+			return v
+		})
+	}
+	for i, h := range c.hooked {
+		if h == 1 {
+			hook(i)
+		}
 	}
 	comps := make([]Component, len(c.compClk))
 	for i, k := range c.compClk {
 		if c.sleepy[i] {
-			comps[i] = &napper{clk: clks[k], idx: i, log: log, rng: rand.New(rand.NewSource(int64(i)))}
+			comps[i] = &napper{clk: clks[k], idx: i, log: log, long: c.long, rng: rand.New(rand.NewSource(int64(i)))}
 		} else {
-			comps[i] = &recorder{clk: clks[k], idx: i, log: log}
+			comps[i] = &recorder{clk: clks[k], idx: i, log: log, out: wires[k], in: wires[(k+1)%len(wires)]}
 		}
 	}
-	return clks, comps
+	return clks, comps, wires, calls, hook
 }
 
 // A schedRun is what one run of a case dispatched: the edges in order, the
 // sum of each component's Skip counts, each component's edges so far
-// (dispatched or skipped) as every mutation saw them, and the first broken
-// promise a napper saw.
+// (dispatched or skipped) as every mutation saw them, every intercept
+// call per wire, and the first broken promise a napper saw.
 type schedRun struct {
 	log      []dispatch
 	skipped  []int64
 	atTimers [][]int64
+	hooks    [][]hookCall
 	bad      string
 }
 
@@ -339,8 +402,11 @@ func (r *schedRun) accounted(comps []Component) []int64 {
 // runEngine drives the case through the real scheduler.
 func (c schedCase) runEngine() schedRun {
 	var run schedRun
-	clks, comps := c.build(&run.log)
 	eng := New()
+	clks, comps, wires, calls, hook := c.build(&run.log, eng.Now)
+	for i, w := range wires {
+		eng.AddWireClocked(w, clks[i])
+	}
 	// After a wake a Sleeper may have been changed, so no promise it made
 	// before holds: a later Skip beyond the new promise of 0 is an edge
 	// slept through after the wake.
@@ -351,15 +417,22 @@ func (c schedCase) runEngine() schedRun {
 			}
 		}
 	}
+	invalidated := clock.Time(-1)
 	for _, r := range comps {
 		eng.Add(r)
+		if n, ok := r.(*napper); ok {
+			n.invalidated = &invalidated
+		}
 		// Some components call Sync or invalidate the schedule from
 		// inside Update, which wakes every Sleeper in the middle of
 		// dispatch.
 		if r, ok := r.(*recorder); ok && r.idx%4 >= 2 {
 			wake := eng.Sync
 			if r.idx%4 == 3 {
-				wake = eng.InvalidateSchedule
+				wake = func() {
+					eng.InvalidateSchedule()
+					invalidated = eng.Now()
+				}
 			}
 			r.poke = func() {
 				wake()
@@ -371,16 +444,27 @@ func (c schedCase) runEngine() schedRun {
 		eng.At(m.at, func() {
 			run.atTimers = append(run.atTimers, run.accounted(comps))
 			voidPromises()
-			if m.newPeriod > 0 {
+			switch {
+			case m.newPeriod > 0:
 				clks[m.clk].Period = m.newPeriod
 				eng.InvalidateSchedule()
-			} else {
+			case m.drive > 0:
+				wires[m.clk].Drive(m.drive)
+			default:
 				eng.Remove(comps[m.remove])
 			}
 		})
 	}
-	for _, until := range c.chunks {
+	for k, until := range c.chunks {
 		eng.Run(until)
+		voidPromises() // Run returns with every Sleeper woken
+		if k == 0 {
+			for i, h := range c.hooked {
+				if h == 2 {
+					hook(i)
+				}
+			}
+		}
 	}
 	run.skipped = make([]int64, len(comps))
 	for i, r := range comps {
@@ -391,16 +475,19 @@ func (c schedCase) runEngine() schedRun {
 			}
 		}
 	}
+	run.hooks = calls
 	return run
 }
 
 // runOracle is the brute-force schedule: no ring, no groups, no cached next
-// edges, no sleep. At every instant it asks each live component's clock
-// whether it has an edge there, and finds the next instant by scanning all
-// of them.
+// edges, no sleep, no commit bookkeeping. At every instant it asks each
+// live component's clock whether it has an edge there, and finds the next
+// instant by scanning all of them. It commits a wire at every edge of its
+// clock, or at every instant while no live component runs on that clock.
 func (c schedCase) runOracle() schedRun {
 	var run schedRun
-	clks, comps := c.build(&run.log)
+	var now clock.Time
+	clks, comps, wires, calls, hook := c.build(&run.log, func() clock.Time { return now })
 	live := make([]bool, len(comps))
 	for i := range live {
 		live[i] = true
@@ -412,7 +499,8 @@ func (c schedCase) runOracle() schedRun {
 		}
 	}
 	end := c.chunks[len(c.chunks)-1]
-	for now := clock.Time(0); ; {
+	hooked := false
+	for {
 		next := clock.Infinity
 		for i, r := range comps {
 			if live[i] {
@@ -425,7 +513,16 @@ func (c schedCase) runOracle() schedRun {
 			}
 		}
 		if next > end {
+			run.hooks = calls
 			return run
+		}
+		if !hooked && next > c.chunks[0] {
+			hooked = true
+			for i, h := range c.hooked {
+				if h == 2 {
+					hook(i)
+				}
+			}
 		}
 		now = next
 		for _, m := range muts { // registration order at equal instants
@@ -433,20 +530,27 @@ func (c schedCase) runOracle() schedRun {
 				continue
 			}
 			run.atTimers = append(run.atTimers, run.accounted(comps))
-			if m.newPeriod > 0 {
+			switch {
+			case m.newPeriod > 0:
 				clks[m.clk].Period = m.newPeriod
-			} else {
+			case m.drive > 0:
+				wires[m.clk].Drive(m.drive)
+			default:
 				live[m.remove] = false
 			}
 		}
-		for i, r := range comps {
-			if s, ok := r.(Sampler); ok && live[i] && r.Clock().NextEdge(now-1) == now {
-				s.Sample(now)
-			}
-		}
+		ticking := make([]bool, len(clks))
 		for i, r := range comps {
 			if live[i] && r.Clock().NextEdge(now-1) == now {
 				r.Update(now)
+			}
+			if live[i] {
+				ticking[c.compClk[i]] = true
+			}
+		}
+		for i, w := range wires {
+			if !ticking[i] || clks[i].NextEdge(now-1) == now {
+				w.commit()
 			}
 		}
 	}
@@ -454,27 +558,36 @@ func (c schedCase) runOracle() schedRun {
 
 // TestSchedulerMatchesBruteForce: over random clock sets — equal periods,
 // coprime periods, coincident edges, up to 60 plesiochronous clocks a few
-// ps apart, mid-run period mutation with InvalidateSchedule, Remove from a
-// callback, Sync and InvalidateSchedule from inside Update, Run split into
+// ps apart, Sleepers that sleep for hundreds of edges, mid-run period
+// mutation with InvalidateSchedule, Remove from a callback, Sync and
+// InvalidateSchedule from inside Update, drives from a callback, wire
+// intercepts installed before the first Run or after it, Run split into
 // arbitrary chunks — the engine dispatches exactly the (time, add-index)
 // sequence a scan of Clock.NextEdge over every component produces, less
 // the edges Sleepers slept through: each of those is a Sleeper's, each
 // Sleeper's Skip counts add up to its own, no Skip exceeds the promise in
-// force, and every timer sees each component at the oracle's edge count.
+// force, no Sleeper is dispatched before its promise runs out unless a
+// wake cut it short, and every timer sees each component at the oracle's
+// edge count.
+// Every Update reads the wire value the oracle's does, and every intercept
+// sees the calls, one per writer edge, the oracle's sees.
 func TestSchedulerMatchesBruteForce(t *testing.T) {
-	const trials = 800
+	const trials = 1000
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < trials; trial++ {
-		c := drawSchedCase(rng, trial%4)
+		c := drawSchedCase(rng, trial%5)
 		oracle := c.runOracle()
 		for len(oracle.log) == 0 { // e.g. the only component removed before its first edge
-			c = drawSchedCase(rng, trial%4)
+			c = drawSchedCase(rng, trial%5)
 			oracle = c.runOracle()
 		}
 		eng := c.runEngine()
 		got, want := eng.log, oracle.log
 		if eng.bad != "" {
 			t.Fatalf("trial %d: %s", trial, eng.bad)
+		}
+		if !slices.EqualFunc(eng.hooks, oracle.hooks, slices.Equal) {
+			t.Fatalf("trial %d (%+v): intercept calls per wire %v, oracle %v", trial, c, eng.hooks, oracle.hooks)
 		}
 		if !slices.EqualFunc(eng.atTimers, oracle.atTimers, slices.Equal) {
 			t.Fatalf("trial %d: edges per component, dispatched or slept, when each timer ran %v, oracle %v",

@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -17,32 +18,26 @@ type Component interface {
 	Name() string
 	// Clock returns the clock domain driving this component.
 	Clock() *clock.Clock
-	// Update is called at each rising edge of the component's clock, after
-	// every due Sampler has sampled; the component computes its next state
-	// and drives its outputs.
+	// Update is called at each rising edge of the component's clock; the
+	// component reads its input wires, computes its next state and drives
+	// its outputs. A wire holds the value committed before this instant
+	// through the whole Update phase, so every reader of the instant sees
+	// the same value whatever the dispatch order.
 	Update(now clock.Time)
-}
-
-// A Sampler is a Component that reads wires. Sample is called first at
-// each rising edge of its clock, before any Update of that instant; the
-// component must read all its inputs there. A component with no inputs to
-// read (a traffic generator, a wrapper on timestamp-visible channels) has
-// no Sample, and the engine spends nothing on it in that phase.
-type Sampler interface {
-	Component
-	Sample(now clock.Time)
 }
 
 // A Sleeper is a Component that can promise edges on which it would only
 // advance counters. After each real Update the engine asks Idle how many of
-// the clock's next edges are such edges, and skips exactly that many
-// dispatches of the component; before the next real Update, and whenever
-// anything outside edge dispatch may look at or mutate the component (a
-// timer instant, Add, Remove, AddWire*, InvalidateSchedule, SetFastPath,
-// Sync, a return from Run), it calls Skip with the number of edges skipped
+// the clock's next edges are such edges; the component then leaves its
+// clock group's dispatch list and waits in the group's wake calendar for
+// the edge after them. Before the next real Update, and whenever anything
+// outside edge dispatch may look at or mutate the component (a timer
+// instant, Add, Remove, AddWire*, InvalidateSchedule, SetFastPath, Sync, a
+// return from Run), the engine calls Skip with the number of edges skipped
 // so far and cancels the rest of the sleep. Skip(n) must leave the
-// component exactly as n Updates on those edges would have. Nothing sleeps
-// while a fast path is installed, and a Sleeper may not also be a Sampler.
+// component exactly as n Updates on those edges would have, so a Sleeper's
+// skipped edges read no wire. Nothing sleeps while a fast path is
+// installed.
 type Sleeper interface {
 	Component
 	// Idle returns how many of the clock's edges after now would only
@@ -68,6 +63,7 @@ type Engine struct {
 	clocked    []clockedWire // committed only at their clock's edges
 	now        clock.Time
 	edges      int64 // total component-edges executed, slept ones included
+	dispatched int64 // Update calls made
 
 	// Edge schedule: components grouped by clock, and a ring of the groups
 	// sorted by each clock's next edge, starting at ring[head]. Rebuilt
@@ -84,11 +80,17 @@ type Engine struct {
 	sleeps []sleepState
 	asleep bool
 
+	// While an instant dispatches, cursor is the add index of the
+	// component whose Update runs (-1 outside dispatch), and woke records
+	// that a wake ran inside it (see dispatch).
+	cursor int
+	woke   bool
+
 	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
 	// steady-state simulation performs zero allocations per instant.
-	due        []indexedComp
-	dueSampled []indexedSampler
-	dueGroups  []*clockGroup
+	due       []indexedComp
+	dueGroups []*clockGroup
+	wakers    []indexedComp
 
 	// Scheduled callbacks, fired at exact picosecond instants (fault
 	// injection, reconfiguration). Min-heap on (at, seq).
@@ -150,12 +152,35 @@ type FastResult struct {
 
 // A clockGroup holds every component driven by one clock, in add order,
 // plus the wires written from that domain: commits are batched per clock
-// group, so an instant only touches the wires a due domain can have driven.
+// group, so an instant only touches the wires a due domain can have driven,
+// and only if one of them was driven or has an intercept.
+//
+// A Sleeper that promises idle edges leaves active, the dispatch list, and
+// waits in cal, the group's wake calendar, for the edge it wakes at: a
+// sleeping component costs nothing per edge.
 type clockGroup struct {
-	clk      *clock.Clock
-	comps    []indexedComp
-	samplers []indexedSampler // the comps that have a Sample, same order
-	wires    []AnyWire
+	comps  []indexedComp // every component of the clock, add order
+	active []indexedComp // the comps not asleep, add order
+	// sleepers counts the Sleepers among comps; edge, the group's edges
+	// dispatched since the last rebuild, is counted only when there are
+	// any.
+	sleepers int
+	edge     int64
+	// leaving is the lowest add index that fell asleep at the current
+	// instant, or -1: active is compacted from there after dispatch.
+	leaving int
+	cal     []wakeEntry // the comps asleep: a min-heap on (edge, idx)
+	set     wireSet
+	wires   []AnyWire
+	clk     *clock.Clock
+}
+
+// A wakeEntry is a sleeping component in its group's wake calendar: edge
+// is the group edge (counted as clockGroup.edge) at which it is dispatched
+// again.
+type wakeEntry struct {
+	edge int64
+	c    indexedComp
 }
 
 // A ringEntry is one clock group's place in the schedule: its cached next
@@ -166,10 +191,12 @@ type ringEntry struct {
 	g      *clockGroup
 }
 
-// sleepState counts a Sleeper's edges: left still to skip, and slept
-// already skipped but not yet passed to Skip.
+// sleepState is a Sleeper's sleep: whether it is asleep, the group edge of
+// its last Update, and its group.
 type sleepState struct {
-	left, slept int64
+	asleep bool
+	since  int64
+	g      *clockGroup
 }
 
 // A clockedWire associates a wire with the clock domain of its
@@ -187,11 +214,6 @@ type indexedComp struct {
 	idx int
 }
 
-type indexedSampler struct {
-	s   Sampler
-	idx int
-}
-
 type timerEntry struct {
 	at  clock.Time
 	seq int64
@@ -199,7 +221,7 @@ type timerEntry struct {
 }
 
 // New returns an empty engine at time zero.
-func New() *Engine { return &Engine{} }
+func New() *Engine { return &Engine{cursor: -1} }
 
 // Add registers a component with the engine. Components execute in the
 // order they were added when their edges coincide; the two-phase schedule
@@ -374,9 +396,15 @@ func (e *Engine) Wires() []AnyWire {
 // Now returns the current simulation time.
 func (e *Engine) Now() clock.Time { return e.now }
 
-// Edges returns the total number of component edges executed so far. It is
-// a useful work metric for benchmarks.
+// Edges returns the total number of component edges executed so far,
+// whether dispatched, slept through or replayed. It is a useful work metric
+// for benchmarks.
 func (e *Engine) Edges() int64 { return e.edges }
+
+// Dispatched returns the number of Update calls made so far: Edges less
+// the edges Sleepers slept through and the fast path replayed, plus the
+// edges a fast path resimulated.
+func (e *Engine) Dispatched() int64 { return e.dispatched }
 
 // SetTracer installs the typed trace event bus; nil disables tracing.
 // It replaces the historical stringly SetTrace(func(string)) hook: events
@@ -392,23 +420,41 @@ func (e *Engine) Tracer() *trace.Bus { return e.tracer }
 type AnyWire interface {
 	Name() string
 	commit()
+	bind(s *wireSet)
 }
 
 // wake ends every sleep: each Sleeper is passed the edges it has skipped
-// and is dispatched again from its next edge on.
+// and is dispatched again from its next edge on. Inside dispatch, a
+// sleeping component of a due group that comes after the running one has
+// not yet skipped the current edge: the rest of the instant dispatches it
+// (see dispatch).
 func (e *Engine) wake() {
 	if !e.asleep {
 		return
 	}
 	for _, g := range e.groups {
+		due := e.cursor >= 0 && slices.Contains(e.dueGroups, g)
 		for _, c := range g.comps {
-			if st := &e.sleeps[c.idx]; st.slept > 0 {
-				c.sl.Skip(st.slept)
+			st := &e.sleeps[c.idx]
+			if !st.asleep {
+				continue
 			}
+			n := g.edge - st.since
+			if due && c.idx > e.cursor {
+				n--
+			}
+			if n > 0 {
+				c.sl.Skip(n)
+			}
+			st.asleep = false
 		}
+		g.active = append(g.active[:0], g.comps...)
+		g.cal = g.cal[:0]
 	}
-	clear(e.sleeps)
 	e.asleep = false
+	if e.cursor >= 0 {
+		e.woke = true
+	}
 }
 
 // rebuild regroups components by clock, attaches each clocked wire to its
@@ -426,27 +472,34 @@ func (e *Engine) rebuild(from clock.Time) {
 			e.groups = append(e.groups, g)
 		}
 		ic := indexedComp{c: c, idx: i}
-		if s, ok := c.(Sampler); ok {
-			g.samplers = append(g.samplers, indexedSampler{s: s, idx: i})
-		}
 		if sl, ok := c.(Sleeper); ok {
-			if _, ok := c.(Sampler); ok {
-				panic(fmt.Sprintf("sim: component %q is both a Sleeper and a Sampler", c.Name()))
-			}
 			ic.sl = sl
+			g.sleepers++
 		}
 		g.comps = append(g.comps, ic)
 	}
 	e.sleeps = slices.Grow(e.sleeps[:0], len(e.components))[:len(e.components)]
 	clear(e.sleeps)
+	for _, g := range e.groups {
+		g.active = append(make([]indexedComp, 0, len(g.comps)), g.comps...)
+		g.leaving = -1
+		for _, c := range g.comps {
+			e.sleeps[c.idx].g = g
+		}
+	}
 	e.orphans = e.orphans[:0]
+	for _, w := range e.wires {
+		w.bind(nil)
+	}
 	for _, cw := range e.clocked {
 		if g := byClk[cw.clk]; g != nil {
 			g.wires = append(g.wires, cw.w)
+			cw.w.bind(&g.set)
 		} else {
 			// No component ticks this clock, so its edges never execute;
 			// commit every instant instead of never.
 			e.orphans = append(e.orphans, cw.w)
+			cw.w.bind(nil)
 		}
 	}
 	e.ring, e.head = e.ring[:0], 0
@@ -558,44 +611,71 @@ func (e *Engine) Run(until clock.Time) int {
 		}
 		e.dueGroups = dueGroups
 
-		// Edge dispatch. The overwhelmingly common instant has exactly one
-		// due clock domain (every mesochronous tile edge, every instant of
-		// a purely synchronous run): dispatch that group's components in
-		// place, with no copy and no sort. Coincident edges of different
-		// domains fall back to merging into the scratch slice and sorting
-		// by add index, so cross-domain traces stay in add order.
-		due, sampled := e.due[:0], e.dueSampled[:0]
+		// Edge dispatch. Each due group counts its edge and takes back the
+		// Sleepers its calendar wakes here. The overwhelmingly common
+		// instant has exactly one due clock domain (every mesochronous tile
+		// edge, every instant of a purely synchronous run): dispatch that
+		// group's active components in place, with no copy and no sort.
+		// Coincident edges of different domains fall back to merging into
+		// the scratch slice and sorting by add index, so cross-domain
+		// traces stay in add order.
+		// With nothing asleep and no Sleeper due, nothing can fall asleep
+		// or wake at this instant: the due components are just updated.
+		edges, plain := 0, !e.asleep
+		for _, g := range dueGroups {
+			edges += len(g.comps)
+			if g.sleepers > 0 {
+				plain = false
+				g.edge++
+				if len(g.cal) > 0 && g.cal[0].edge == g.edge {
+					e.wakeDue(g)
+				}
+			}
+		}
+		var due []indexedComp
 		switch len(dueGroups) {
 		case 0:
 		case 1:
-			due, sampled = dueGroups[0].comps, dueGroups[0].samplers
+			due = dueGroups[0].active
 		default:
+			due = e.due[:0]
 			for _, g := range dueGroups {
-				due = append(due, g.comps...)
-				sampled = append(sampled, g.samplers...)
+				due = append(due, g.active...)
 			}
-			e.due, e.dueSampled = due, sampled
+			e.due = due
 			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
-			slices.SortFunc(sampled, func(a, b indexedSampler) int { return a.idx - b.idx })
 		}
-		for _, s := range sampled {
-			s.s.Sample(next)
-		}
-		if e.fast != nil {
-			for _, c := range due { // nothing sleeps under a fast path
+		if plain {
+			for _, c := range due {
 				c.c.Update(next)
 			}
+			e.dispatched += int64(len(due))
 		} else {
-			e.updateAwake(due, next)
+			e.dispatch(due, next)
+			e.cursor = -1
 		}
 
 		// Commit phase: the due domains' own wires, then the wires that
-		// commit at every instant. Wires of undisturbed domains cannot
-		// hold a pending drive, so skipping them is observation-free.
+		// commit at every instant. A domain commits only the wires driven
+		// since its last commit, unless one of its wires has an intercept,
+		// which must see every edge.
 		for _, g := range dueGroups {
-			for _, w := range g.wires {
-				w.commit()
+			if g.leaving >= 0 {
+				e.compact(g)
 			}
+			switch {
+			case g.set.hooks > 0:
+				for _, w := range g.wires {
+					w.commit()
+				}
+			case len(g.set.driven) == 0:
+				continue
+			default:
+				for _, w := range g.set.driven {
+					w.commit()
+				}
+			}
+			g.set.driven = g.set.driven[:0]
 		}
 		for _, w := range e.wires {
 			w.commit()
@@ -603,39 +683,158 @@ func (e *Engine) Run(until clock.Time) int {
 		for _, w := range e.orphans {
 			w.commit()
 		}
-		e.edges += int64(len(due))
+		e.edges += int64(edges)
 		instants++
 		if e.fast != nil && !e.resim {
-			e.fast.Observe(next, len(due))
+			e.fast.Observe(next, edges)
 		}
 	}
 }
 
-// updateAwake dispatches the due components at now, except that a sleeping
-// Sleeper only counts the edge, and a waking one is first passed the
-// edges it slept through and afterwards asked for its next sleep.
-func (e *Engine) updateAwake(due []indexedComp, now clock.Time) {
-	for _, c := range due {
-		if c.sl == nil {
-			c.c.Update(now)
-			continue
-		}
-		st := &e.sleeps[c.idx]
-		if st.left > 0 {
-			st.left--
-			st.slept++
-			continue
-		}
-		if st.slept > 0 {
-			c.sl.Skip(st.slept)
-			st.slept = 0
-		}
-		c.c.Update(now)
-		if e.fast == nil { // an Update may install one
-			if st.left = c.sl.Idle(now); st.left > 0 {
-				e.asleep = true
+// dispatch updates the due components at now, in add order. A Sleeper
+// woken here is first passed the edges it slept through; afterwards each
+// Sleeper is asked for its next sleep, and one that promises idle edges
+// moves to its group's wake calendar. A wake inside an Update (Sync, Add,
+// Remove, InvalidateSchedule, SetFastPath) puts every Sleeper back in its
+// group's dispatch list, so the rest of the instant dispatches every
+// component of the due groups after the running one.
+func (e *Engine) dispatch(due []indexedComp, now clock.Time) {
+	for i, c := range due {
+		if c.sl != nil {
+			if st := &e.sleeps[c.idx]; st.asleep { // woken at this edge
+				if n := st.g.edge - st.since - 1; n > 0 {
+					c.sl.Skip(n)
+				}
+				st.asleep = false
 			}
 		}
+		e.cursor = c.idx
+		c.c.Update(now)
+		if c.sl != nil && e.fast == nil { // an Update may install a fast path
+			if k := c.sl.Idle(now); k > 0 {
+				e.sleep(&e.sleeps[c.idx], c, k)
+			}
+		}
+		if e.woke {
+			e.woke = false
+			e.dispatched += int64(i + 1)
+			e.dispatch(e.rest(c.idx), now)
+			return
+		}
+	}
+	e.dispatched += int64(len(due))
+}
+
+// sleep moves c, which promised k idle edges after its Update at its
+// group's current edge, from the dispatch list to the wake calendar.
+func (e *Engine) sleep(st *sleepState, c indexedComp, k int64) {
+	g := st.g
+	st.asleep, st.since = true, g.edge
+	e.asleep = true
+	at := int64(math.MaxInt64) // a disabled generator's promise
+	if k < at-g.edge-1 {
+		at = g.edge + k + 1
+	}
+	g.cal = append(g.cal, wakeEntry{edge: at, c: c})
+	wakeUp(g.cal, len(g.cal)-1)
+	if g.leaving < 0 || c.idx < g.leaving {
+		g.leaving = c.idx
+	}
+}
+
+// wakeDue moves the components g's calendar wakes at its current edge back
+// into its dispatch list, merging from the back so add order holds.
+func (e *Engine) wakeDue(g *clockGroup) {
+	w := e.wakers[:0]
+	for len(g.cal) > 0 && g.cal[0].edge == g.edge {
+		w = append(w, g.cal[0].c) // in add order: the calendar breaks ties on it
+		last := len(g.cal) - 1
+		g.cal[0] = g.cal[last]
+		g.cal = g.cal[:last]
+		wakeDown(g.cal, 0)
+	}
+	e.wakers = w
+	n := len(g.active)
+	a := slices.Grow(g.active, len(w))[:n+len(w)] // capacity is len(comps)
+	i, d := n-1, len(a)-1
+	for j := len(w) - 1; j >= 0; d-- {
+		if i >= 0 && a[i].idx > w[j].idx {
+			a[d] = a[i]
+			i--
+		} else {
+			a[d] = w[j]
+			j--
+		}
+	}
+	g.active = a
+}
+
+// compact drops from g's dispatch list the components that went to its
+// calendar at this instant, all at or after add index g.leaving.
+func (e *Engine) compact(g *clockGroup) {
+	a := g.active
+	i, _ := slices.BinarySearchFunc(a, g.leaving, func(c indexedComp, idx int) int { return c.idx - idx })
+	j := i
+	for ; i < len(a); i++ {
+		if c := a[i]; c.sl == nil || !e.sleeps[c.idx].asleep {
+			a[j] = c
+			j++
+		}
+	}
+	g.active = a[:j]
+	g.leaving = -1
+}
+
+// rest lists, in add order, every component of the due groups after add
+// index idx: what an instant still dispatches after a wake inside the
+// Update of component idx.
+func (e *Engine) rest(idx int) []indexedComp {
+	var out []indexedComp
+	for _, g := range e.dueGroups {
+		for _, c := range g.comps {
+			if c.idx > idx {
+				out = append(out, c)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b indexedComp) int { return a.idx - b.idx })
+	return out
+}
+
+// wakeUp/wakeDown maintain a wake calendar, a min-heap on (edge, idx).
+func wakeLess(a, b wakeEntry) bool {
+	if a.edge != b.edge {
+		return a.edge < b.edge
+	}
+	return a.c.idx < b.c.idx
+}
+
+func wakeUp(h []wakeEntry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !wakeLess(h[i], h[p]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func wakeDown(h []wakeEntry, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && wakeLess(h[l], h[m]) {
+			m = l
+		}
+		if r < len(h) && wakeLess(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 

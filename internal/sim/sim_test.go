@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// counter is a minimal component: it samples an input wire, adds one, and
+// counter is a minimal component: it reads an input wire, adds one, and
 // drives an output wire.
 type counter struct {
 	name     string
@@ -21,12 +23,10 @@ type counter struct {
 
 func (c *counter) Name() string        { return c.name }
 func (c *counter) Clock() *clock.Clock { return c.clk }
-func (c *counter) Sample(now clock.Time) {
+func (c *counter) Update(now clock.Time) {
 	if c.in != nil {
 		c.sampled = c.in.Read()
 	}
-}
-func (c *counter) Update(now clock.Time) {
 	c.updates++
 	c.lastTime = now
 	if c.out != nil {
@@ -239,9 +239,8 @@ type oneShotDriver struct {
 	armed bool
 }
 
-func (d *oneShotDriver) Name() string          { return "oneshot" }
-func (d *oneShotDriver) Clock() *clock.Clock   { return d.clk }
-func (d *oneShotDriver) Sample(now clock.Time) {}
+func (d *oneShotDriver) Name() string        { return "oneshot" }
+func (d *oneShotDriver) Clock() *clock.Clock { return d.clk }
 func (d *oneShotDriver) Update(now clock.Time) {
 	if d.armed {
 		d.armed = false
@@ -288,27 +287,34 @@ func TestOrphanedClockedWireCommitsAfterRemove(t *testing.T) {
 // phaseLog records the order of the engine's calls within an instant.
 type phaseLog struct{ calls []string }
 
-// updater has no Sample: the engine must still count and update it.
+// updater logs its Update and the value its input wire reads there, then
+// drives its output wire with its own name's length plus that value.
 type updater struct {
-	name string
-	clk  *clock.Clock
-	log  *phaseLog
+	name    string
+	clk     *clock.Clock
+	log     *phaseLog
+	in, out *Wire[int]
 }
 
-func (u *updater) Name() string          { return u.name }
-func (u *updater) Clock() *clock.Clock   { return u.clk }
-func (u *updater) Update(now clock.Time) { u.log.calls = append(u.log.calls, "update "+u.name) }
+func (u *updater) Name() string        { return u.name }
+func (u *updater) Clock() *clock.Clock { return u.clk }
+func (u *updater) Update(now clock.Time) {
+	v := 0
+	if u.in != nil {
+		v = u.in.Read()
+	}
+	u.log.calls = append(u.log.calls, fmt.Sprintf("update %s read %d", u.name, v))
+	if u.out != nil {
+		u.out.Drive(v + 1)
+	}
+}
 
-// sampler is an updater that also reads inputs.
-type sampler struct{ updater }
-
-func (s *sampler) Sample(now clock.Time) { s.log.calls = append(s.log.calls, "sample "+s.name) }
-
-// TestSampleIsOptional: a component without a Sample method is counted in
-// Edges and updated like any other, and every component that has one is
-// sampled before any Update of the instant — in one clock domain and across
-// coincident edges of two.
-func TestSampleIsOptional(t *testing.T) {
+// TestUpdateReadsCommittedValues: with no sample phase, every Update of an
+// instant reads the values committed before it, whatever the add order
+// and whether a writer updated earlier in the same instant, in one clock
+// domain and across coincident edges of two; every component counts as an
+// edge and is dispatched once.
+func TestUpdateReadsCommittedValues(t *testing.T) {
 	for name, clkB := range map[string]*clock.Clock{
 		"one-domain":  nil,
 		"two-domains": clock.New("b", 1000, 0),
@@ -320,22 +326,21 @@ func TestSampleIsOptional(t *testing.T) {
 				clkB = clkA
 			}
 			log := &phaseLog{}
-			eng.Add(&updater{"u1", clkA, log})
-			eng.Add(&sampler{updater{"s1", clkB, log}})
-			eng.Add(&updater{"u2", clkB, log})
-			eng.Add(&sampler{updater{"s2", clkA, log}})
-			eng.Run(1000)
-			want := []string{"sample s1", "sample s2", "update u1", "update s1", "update u2", "update s2"}
-			if len(log.calls) != len(want) {
+			w1, w2 := NewWire[int]("w1"), NewWire[int]("w2")
+			eng.AddWireClocked(w1, clkA)
+			eng.AddWireClocked(w2, clkB)
+			eng.Add(&updater{name: "u1", clk: clkA, log: log, in: w2, out: w1})
+			eng.Add(&updater{name: "u2", clk: clkB, log: log, in: w1, out: w2})
+			eng.Run(2000)
+			want := []string{
+				"update u1 read 0", "update u2 read 0",
+				"update u1 read 1", "update u2 read 1",
+			}
+			if !slices.Equal(log.calls, want) {
 				t.Fatalf("calls = %v, want %v", log.calls, want)
 			}
-			for i := range want {
-				if log.calls[i] != want[i] {
-					t.Fatalf("calls = %v, want %v", log.calls, want)
-				}
-			}
-			if eng.Edges() != 4 {
-				t.Errorf("Edges = %d, want 4: a component without Sample is still an edge", eng.Edges())
+			if eng.Edges() != 4 || eng.Dispatched() != 4 {
+				t.Errorf("Edges = %d, Dispatched = %d, want 4 and 4", eng.Edges(), eng.Dispatched())
 			}
 		})
 	}

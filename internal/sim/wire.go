@@ -8,17 +8,24 @@ import (
 
 // A Wire carries a value of type T between two components in the same
 // clock domain with register-transfer semantics: a value driven during
-// Update at instant t becomes visible to Sample at instants > t.
+// Update at instant t becomes visible to Read at instants > t.
 //
-// Wires must be registered with Engine.AddWire so their drives commit at
-// the end of each instant.
+// Wires must be registered with Engine.AddWire or Engine.AddWireClocked so
+// their drives commit at the end of an instant.
 type Wire[T any] struct {
 	name string
 	// buf[cur] is the committed value, buf[cur^1] takes the pending drive:
-	// a commit flips cur instead of copying a value (a phit is 56 bytes).
+	// a commit flips cur instead of copying a value (a flit is 168 bytes).
 	buf     [2]T
 	cur     uint8
 	pending bool
+
+	// set is the commit state the wire reports drives and intercepts to:
+	// its clock group's once the engine has scheduled it, own before.
+	set *wireSet
+	own wireSet
+	// hooked, when set, counts the wire while it has an intercept.
+	hooked *int
 
 	// intercept, when non-nil, observes and may override the wire's
 	// effective value at every commit (fault injection: drop, corrupt or
@@ -28,21 +35,65 @@ type Wire[T any] struct {
 	intercept func(v T, driven bool) T
 }
 
+// A wireSet is the commit state of a clock group's wires: the ones driven
+// since the group's last commit, in drive order, and how many have an
+// intercept. A group without intercepts commits only its driven wires.
+type wireSet struct {
+	driven []AnyWire
+	hooks  int
+}
+
 // NewWire returns a wire carrying the zero value of T.
-func NewWire[T any](name string) *Wire[T] { return &Wire[T]{name: name} }
+func NewWire[T any](name string) *Wire[T] {
+	w := &Wire[T]{name: name}
+	w.set = &w.own
+	return w
+}
 
 // Name returns the wire's diagnostic name.
 func (w *Wire[T]) Name() string { return w.name }
 
 // Read returns the currently committed value. Components call this during
-// Sample.
+// Update.
 func (w *Wire[T]) Read() T { return w.buf[w.cur&1] }
+
+// Ref returns the committed value in place, for a reader that looks at part
+// of a large value. It stays valid until the wire's next commit, and the
+// caller must not write through it.
+func (w *Wire[T]) Ref() *T { return &w.buf[w.cur&1] }
 
 // Drive buffers a new value; it becomes visible after the commit phase of
 // the current instant. Components call this during Update.
-func (w *Wire[T]) Drive(v T) {
-	w.buf[w.cur&1^1] = v
-	w.pending = true
+func (w *Wire[T]) Drive(v T) { w.DriveFrom(&v) }
+
+// DriveFrom is Drive for a value held elsewhere: it copies *v once,
+// straight into the pending buffer.
+func (w *Wire[T]) DriveFrom(v *T) {
+	w.buf[w.cur&1^1] = *v
+	if !w.pending {
+		w.pending = true
+		w.set.driven = append(w.set.driven, w)
+	}
+}
+
+// bind moves the wire's drive and intercept reports to s, or back to its
+// own state when s is nil.
+func (w *Wire[T]) bind(s *wireSet) {
+	if s == nil {
+		s = &w.own
+	}
+	if s == w.set {
+		return
+	}
+	if w.intercept != nil {
+		w.set.hooks--
+		s.hooks++
+	}
+	if w.pending {
+		s.driven = append(s.driven, w)
+	}
+	w.own.driven = w.own.driven[:0]
+	w.set = s
 }
 
 func (w *Wire[T]) commit() {
@@ -50,6 +101,9 @@ func (w *Wire[T]) commit() {
 	if driven {
 		w.cur ^= 1
 		w.pending = false
+	}
+	if w.set == &w.own {
+		w.own.driven = w.own.driven[:0] // committed by hand or every instant
 	}
 	if w.intercept != nil {
 		w.buf[w.cur&1] = w.intercept(w.buf[w.cur&1], driven)
@@ -59,8 +113,36 @@ func (w *Wire[T]) commit() {
 // SetIntercept installs (or, with nil, removes) a commit-time intercept.
 // The intercept sees the value about to become visible and returns the
 // value that actually does; it runs on every commit of the engine, with
-// driven reporting whether this instant drove a fresh value.
-func (w *Wire[T]) SetIntercept(f func(v T, driven bool) T) { w.intercept = f }
+// driven reporting whether this instant drove a fresh value. A clock group
+// holding a wire with an intercept commits at every one of its edges, so
+// the intercept sees each writer edge, driven or not.
+func (w *Wire[T]) SetIntercept(f func(v T, driven bool) T) {
+	d := 0
+	switch {
+	case f != nil && w.intercept == nil:
+		d = 1
+	case f == nil && w.intercept != nil:
+		d = -1
+	}
+	w.set.hooks += d
+	if w.hooked != nil {
+		*w.hooked += d
+	}
+	w.intercept = f
+}
+
+// CountIntercepts makes the wire count itself in *c while it has an
+// intercept, so that a component watching many wires for one reads a
+// single counter.
+func (w *Wire[T]) CountIntercepts(c *int) {
+	if w.intercept != nil {
+		if w.hooked != nil {
+			*w.hooked--
+		}
+		*c++
+	}
+	w.hooked = c
+}
 
 // HasIntercept reports whether a commit-time intercept is installed. The
 // replay fast path refuses to engage while any wire of its engine has one,

@@ -81,7 +81,10 @@ type Config struct {
 	// PhaseSeed randomises tile clock phases in Mesochronous mode.
 	PhaseSeed int64
 	// Probes enables dynamic TDM-ownership verification on every link
-	// entry (panics on any violation of the allocated schedule).
+	// entry (panics on any violation of the allocated schedule, or reports
+	// it to FaultReporter). A synchronous network runs on flit links only
+	// with Probes off and no FaultReporter; with either it runs on word
+	// links, the only links that probes, checkers and link faults act on.
 	Probes bool
 	// Transactional makes every IP emit whole transactions at line rate
 	// (words sized by traffic.TxWordsForRate) instead of smooth CBR, and
@@ -93,7 +96,10 @@ type Config struct {
 	// FaultReporter, when non-nil, switches every component's envelope
 	// checks from fail-fast panics to structured fault.Violation records
 	// delivered to the reporter (typically a *fault.Collector), and the
-	// components degrade gracefully past each violation.
+	// components degrade gracefully past each violation. A synchronous
+	// network with a reporter runs on word links, as one with Probes does:
+	// only a network with neither runs on flit links, which carry no
+	// faults (FaultTargets and AddInvariantCheckers panic there).
 	FaultReporter fault.Reporter
 	// Reliable wraps every NI in the end-to-end reliability shell
 	// (internal/reliable): CRC-stamped flits, in-order receive filtering,
@@ -178,6 +184,10 @@ type Network struct {
 	qidNext  map[topology.NodeID]int
 	domains  map[topology.NodeID]*clock.Clock
 
+	// onFlits is set when the network runs on flit links, which offer no
+	// fault targets (see build).
+	onFlits bool
+
 	// Fault-injection surface, in construction (= deterministic) order.
 	wrappers  []*wrapper.Wrapper
 	linkWires []fault.LinkTarget
@@ -234,9 +244,10 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	return build(m, uc, cfg, false)
 }
 
-// build is Build. A synchronous network carries flits on its links unless
-// wordLinks is set; then it runs the mesochronous fabric's word links on
-// one clock, the reference the flit links are held to.
+// build is Build. A synchronous network with neither probes nor a fault
+// reporter carries flits on its links unless wordLinks is set; any other
+// runs the mesochronous fabric's word links on one clock, the reference
+// the flit links are held to.
 func build(m *topology.Mesh, uc *spec.UseCase, cfg Config, wordLinks bool) (*Network, error) {
 	cfg.ApplyDefaults()
 	cfg.UncappedPaths = false // planning-only relaxation; headers must encode
@@ -295,7 +306,10 @@ func build(m *topology.Mesh, uc *spec.UseCase, cfg Config, wordLinks bool) (*Net
 	switch {
 	case cfg.Mode == Asynchronous:
 		n.instantiateAsync()
-	case cfg.Mode == Synchronous && !wordLinks:
+	case cfg.Mode == Synchronous && !cfg.Probes && cfg.FaultReporter == nil && !wordLinks:
+		// Flit links only where nothing watches or perturbs the words:
+		// probes, slot checkers and link faults act on word links alone.
+		n.onFlits = true
 		n.instantiateFlits()
 	default:
 		if err := n.instantiate(); err != nil {
@@ -403,27 +417,23 @@ func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize 
 // one fault.FlitLink per link, and routers and NIs that drive a flit once
 // per flit cycle. The router pipeline is one flit cycle long, so a link's
 // register is the whole pipeline, and every word still moves at the
-// instant it does on word links. Connections attach afterwards.
+// instant it does on word links. Nothing watches or perturbs the words
+// (see build), so the links are no fault targets and every envelope check
+// fails fast. Connections attach afterwards.
 func (n *Network) instantiateFlits() {
 	n.base = clock.New("clk", clock.PeriodFromMHz(n.Cfg.FreqMHz), 0)
 	for _, node := range n.Mesh.Nodes() {
 		n.domains[node.ID] = n.base
 	}
 	links := make(map[topology.LinkID]*fault.FlitLink)
-	views := new(int) // the links' word views with an intercept
 	for _, l := range n.Mesh.Links() {
-		name := fmt.Sprintf("l%d.%s>%s", l.ID, n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name)
-		fl := fault.NewFlitLink(name, views)
+		fl := fault.NewFlitLink(fmt.Sprintf("l%d.%s>%s", l.ID, n.Mesh.Node(l.From).Name, n.Mesh.Node(l.To).Name))
 		n.eng.AddWireClocked(fl.Flits, n.base)
-		n.eng.AddWireClocked(fl.Words, n.base)
 		links[l.ID] = fl
-		n.linkWires = append(n.linkWires, fault.LinkTarget{Name: name, Wire: fl.Words, Flit: fl})
-		n.linkClks = append(n.linkClks, n.base)
 	}
 	for _, r := range n.Mesh.Routers() {
 		node := n.Mesh.Node(r)
 		rc := router.NewFlitComponent(node.Name, node.Ports, n.Cfg.Layout, n.base)
-		rc.SetReporter(n.Cfg.FaultReporter)
 		for p := 0; p < node.Ports; p++ {
 			if l := n.Mesh.InLink(r, p); l != topology.Invalid {
 				rc.ConnectIn(p, links[l])
@@ -439,7 +449,6 @@ func (n *Network) instantiateFlits() {
 		node := n.Mesh.Node(id)
 		c := ni.NewOnFlits(node.Name, n.base, n.Cfg.Layout, n.niTables[id],
 			links[n.Mesh.InLink(id, 0)], links[n.Mesh.OutLink(id, 0)])
-		c.SetReporter(n.Cfg.FaultReporter)
 		n.nis[id] = c
 		n.eng.Add(c)
 	}
@@ -574,7 +583,7 @@ func (n *Network) addProbes() {
 		n.eng.Add(&probe{
 			name:  fmt.Sprintf("probe.l%d", l.ID),
 			clk:   n.linkClks[i],
-			in:    fault.NewLinkReader(lt, n.linkClks[i]),
+			wire:  lt.Wire,
 			alloc: n.Alloc,
 			link:  l.ID,
 			rep:   n.Cfg.FaultReporter,
@@ -616,7 +625,9 @@ func (n *Network) ReliableRxStats(c phit.ConnID) (reliable.RxStats, bool) {
 // fault campaign: link entry wires (drop/corrupt/duplicate), every
 // non-base clock (phase/period steps), every mesochronous FIFO
 // (forwarding-delay stretch) and every asynchronous wrapper (PIC stall).
+// It panics on a network running on flit links, which has none.
 func (n *Network) FaultTargets() fault.Targets {
+	n.mustWatch("FaultTargets")
 	t := fault.Targets{
 		Links:  append([]fault.LinkTarget(nil), n.linkWires...),
 		Clocks: append([]*clock.Clock(nil), n.faultClks...),
@@ -633,10 +644,12 @@ func (n *Network) FaultTargets() fault.Targets {
 // AddInvariantCheckers registers the paper's invariant observers with the
 // engine: a SlotChecker on every link entry (Section III contention
 // freedom) and, in asynchronous mode, a LivenessChecker over every
-// wrapper (Section VI empty-token liveness). Call once, before Run.
+// wrapper (Section VI empty-token liveness). Call once, before Run. It
+// panics on a network running on flit links, which it could not check.
 func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
+	n.mustWatch("AddInvariantCheckers")
 	for i, lt := range n.linkWires {
-		n.eng.Add(fault.NewSlotChecker("check."+lt.Name, n.linkClks[i], lt, rep))
+		n.eng.Add(fault.NewSlotChecker("check."+lt.Name, n.linkClks[i], lt.Wire, rep))
 	}
 	if len(n.wrappers) > 0 {
 		watch := make([]fault.Progress, len(n.wrappers))
@@ -644,6 +657,15 @@ func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
 			watch[i] = w
 		}
 		n.eng.Add(fault.NewLivenessChecker("check.liveness", n.base, watch, 0, rep))
+	}
+}
+
+// mustWatch panics, naming the method, when the network runs on flit
+// links: they have no word wire to inject on or check, so a campaign would
+// silently check nothing.
+func (n *Network) mustWatch(method string) {
+	if n.onFlits {
+		panic(fmt.Sprintf("core: %s on a synchronous network running on flit links: build with Probes or a FaultReporter to inject or check faults", method))
 	}
 }
 

@@ -2,10 +2,9 @@ package core_test
 
 import (
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"fmt"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -23,8 +22,8 @@ type twinOutput struct {
 	chrome                   [sha256.Size]byte
 }
 
-// twinRun builds the synchronous network of one generated scenario on flit
-// links or, through BuildWordLinks, on word links, runs it traced and
+// twinRun builds the synchronous network of one generated scenario with
+// Build or, when wordLinks is set, BuildWordLinks, runs it traced and
 // audited, and renders what it shows.
 func twinRun(t *testing.T, sc scenario.Config, cfg core.Config, wordLinks bool) twinOutput {
 	t.Helper()
@@ -68,62 +67,30 @@ func twinRun(t *testing.T, sc scenario.Config, cfg core.Config, wordLinks bool) 
 	return out
 }
 
-// twinCampaign runs one scenario under a seeded fault campaign — random
-// drops, corruptions and duplicates plus sustained bit flips and flit drops
-// on every link — with the ownership probes, the slot checkers and a
-// Chrome sink on, and returns the rendered campaign summary, every
-// violation and the Chrome trace's digest.
-func twinCampaign(t *testing.T, sc scenario.Config, wordLinks bool) ([]byte, []fault.Violation, [sha256.Size]byte) {
+// compareTwins reports every way in which a run on flit links differs
+// from its word-link twin.
+func compareTwins(t *testing.T, where string, flits, words twinOutput) {
 	t.Helper()
-	s, err := scenario.Generate(sc)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(flits.report, words.report) {
+		t.Errorf("%s: reports differ:\n-- flit links --\n%s\n-- word links --\n%s", where, flits.report, words.report)
 	}
-	col := fault.NewCollector()
-	col.SetKeep(1 << 20)
-	cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize,
-		Probes: true, FaultReporter: col}
-	build := core.Build
-	if wordLinks {
-		build = core.BuildWordLinks
+	if !bytes.Equal(flits.metrics, words.metrics) {
+		t.Errorf("%s: metrics JSON differs", where)
 	}
-	n, err := build(s.Mesh(), s.UseCase, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(flits.summary, words.summary) {
+		t.Errorf("%s: audit summaries differ:\n-- flit links --\n%s\n-- word links --\n%s", where, flits.summary, words.summary)
 	}
-	n.AddInvariantCheckers(col)
-	bus := trace.NewBus()
-	chrome := trace.NewChrome(bus)
-	n.AttachTracer(bus)
-	plan, err := fault.ParseSpec("random:40", sc.Seed)
-	if err != nil {
-		t.Fatal(err)
+	if flits.chrome != words.chrome {
+		t.Errorf("%s: Chrome traces differ", where)
 	}
-	plan.Rates = []fault.RateRule{{BitFlip: 0.002, Drop: 0.001}}
-	campaign := fault.NewCampaign(plan, col)
-	if err := campaign.Arm(n.Engine(), n.FaultTargets()); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(0, 60000)
-	var buf bytes.Buffer
-	campaign.Summarize().Write(&buf)
-	h := sha256.New()
-	if _, err := chrome.WriteTo(h); err != nil {
-		t.Fatal(err)
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return buf.Bytes(), col.Violations(), sum
 }
 
 // TestFlitLinksMatchWordLinks holds the synchronous fabric's flit links to
-// the word links they replace: the same network built on each, over the
-// uniform, hotspot and transpose families, seeds 2009-2011, CBR and
-// transactional, with replay armed and cycle-accurate, must give the same
-// report, metrics JSON, audit summary and Chrome trace, byte for byte.
-// Under one seeded fault campaign the campaign summary and the Chrome
-// trace must be the same, and so must every violation, once sorted by
-// time, component and detail.
+// the word links they replace: the same unwatched network built on each,
+// over the uniform, hotspot and transpose families, seeds 2009-2011, CBR
+// and transactional, with replay armed and cycle-accurate, must give the
+// same report, metrics JSON, audit summary and Chrome trace, byte for
+// byte.
 func TestFlitLinksMatchWordLinks(t *testing.T) {
 	for _, fam := range []scenario.Family{scenario.Uniform, scenario.Hotspot, scenario.Transpose} {
 		for seed := int64(2009); seed <= 2011; seed++ {
@@ -133,47 +100,66 @@ func TestFlitLinksMatchWordLinks(t *testing.T) {
 					cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize,
 						Transactional: tx, CycleAccurate: cycleAccurate}
 					where := fmt.Sprintf("%s seed %d tx=%v cycle-accurate=%v", fam, seed, tx, cycleAccurate)
-					flits, words := twinRun(t, sc, cfg, false), twinRun(t, sc, cfg, true)
-					if !bytes.Equal(flits.report, words.report) {
-						t.Errorf("%s: reports differ:\n-- flit links --\n%s\n-- word links --\n%s", where, flits.report, words.report)
-					}
-					if !bytes.Equal(flits.metrics, words.metrics) {
-						t.Errorf("%s: metrics JSON differs", where)
-					}
-					if !bytes.Equal(flits.summary, words.summary) {
-						t.Errorf("%s: audit summaries differ:\n-- flit links --\n%s\n-- word links --\n%s", where, flits.summary, words.summary)
-					}
-					if flits.chrome != words.chrome {
-						t.Errorf("%s: Chrome traces differ", where)
-					}
+					compareTwins(t, where, twinRun(t, sc, cfg, false), twinRun(t, sc, cfg, true))
 				}
 			}
 		}
 	}
+}
 
+// TestOnlyWatchedSyncNetworksOfferFaults holds the rule that picks a
+// synchronous network's links. One built with the ownership probes, with a
+// fault reporter or with both runs on word links and offers every link as
+// a fault target and to the slot checkers. One that nothing watches runs
+// on flit links, which offer nothing to inject on or check, so asking it
+// for fault targets or invariant checkers panics, naming the rule, instead
+// of arming a campaign that checks nothing.
+func TestOnlyWatchedSyncNetworksOfferFaults(t *testing.T) {
 	sc := scenario.Default(scenario.Uniform, 4, 4, 24, 2009)
-	flitSum, flitViol, flitChrome := twinCampaign(t, sc, false)
-	wordSum, wordViol, wordChrome := twinCampaign(t, sc, true)
-	if len(wordViol) == 0 {
-		t.Fatal("the campaign raised no violation; it checks nothing")
-	}
-	if !bytes.Equal(flitSum, wordSum) {
-		t.Errorf("campaign summaries differ:\n-- flit links --\n%s\n-- word links --\n%s", flitSum, wordSum)
-	}
-	if flitChrome != wordChrome {
-		t.Error("campaign Chrome traces differ")
-	}
-	byKey := func(a, b fault.Violation) int {
-		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Component, b.Component), cmp.Compare(a.Detail, b.Detail))
-	}
-	slices.SortFunc(flitViol, byKey)
-	slices.SortFunc(wordViol, byKey)
-	if !slices.Equal(flitViol, wordViol) {
-		i := 0
-		for i < len(flitViol) && i < len(wordViol) && flitViol[i] == wordViol[i] {
-			i++
+	build := func(probes, collect bool) *core.Network {
+		s, err := scenario.Generate(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Errorf("%d violations on flit links, %d on word links; first difference at #%d: flit %v, word %v",
-			len(flitViol), len(wordViol), i, flitViol[i:min(i+2, len(flitViol))], wordViol[i:min(i+2, len(wordViol))])
+		cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize, Probes: probes}
+		if collect {
+			cfg.FaultReporter = fault.NewCollector()
+		}
+		n, err := core.Build(s.Mesh(), s.UseCase, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name            string
+		probes, collect bool
+	}{
+		{"probes", true, false},
+		{"reporter", false, true},
+		{"probes and reporter", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := build(c.probes, c.collect)
+			if links := n.FaultTargets().Links; len(links) != len(n.Mesh.Links()) {
+				t.Errorf("%d of %d links are fault targets", len(links), len(n.Mesh.Links()))
+			}
+			n.AddInvariantCheckers(fault.NewCollector())
+		})
+	}
+	n := build(false, false)
+	for name, call := range map[string]func(){
+		"FaultTargets":         func() { n.FaultTargets() },
+		"AddInvariantCheckers": func() { n.AddInvariantCheckers(fault.NewCollector()) },
+	} {
+		t.Run("unwatched "+name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "build with Probes or a FaultReporter to inject or check faults") {
+					t.Errorf("panic %q, want one naming %s and the rule", msg, name)
+				}
+			}()
+			call()
+		})
 	}
 }

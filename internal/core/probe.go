@@ -6,13 +6,13 @@ import (
 	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/phit"
+	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/topology"
 )
 
 // A probe dynamically verifies contention-free routing: every valid phit
-// observed at a link's entry (a word wire or a flit link, read word by
-// word) must belong to the connection that the
+// observed at a link's entry wire must belong to the connection that the
 // allocation assigned to that link in that slot. Any mismatch is a
 // violated TDM schedule — the property underpinning both composability and
 // predictability — so with a nil reporter the probe halts the simulation
@@ -21,7 +21,7 @@ import (
 type probe struct {
 	name  string
 	clk   *clock.Clock
-	in    *fault.LinkReader
+	wire  *sim.Wire[phit.Phit]
 	alloc *slots.Allocation
 	link  topology.LinkID
 	rep   fault.Reporter
@@ -31,7 +31,7 @@ func (p *probe) Name() string        { return p.name }
 func (p *probe) Clock() *clock.Clock { return p.clk }
 
 func (p *probe) Update(now clock.Time) {
-	w := p.in.Read(now)
+	w := p.wire.Ref()
 	if !w.Valid {
 		return
 	}

@@ -2,7 +2,7 @@ package core
 
 // Hyperperiod replay support for the slot-ownership probe: it decodes the
 // edge index into a TDM slot, so its pattern period is one slot-table
-// revolution. Its only state is its link reader's.
+// revolution. It has no mutable state.
 
 import (
 	"repro/internal/clock"
@@ -20,7 +20,7 @@ func (p *probe) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic.
 func (p *probe) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
-	return p.in.AppendFingerprint(ctx, buf)
+	return buf // no architectural state
 }
 
 // ReplayShift implements replay.Periodic.

@@ -57,7 +57,7 @@ func probeRun(t *testing.T, slotOffset int64) int64 {
 	pClk := clock.New("p", 1000, 0)
 	col := fault.NewCollector()
 	w := &slotWriter{name: "writer", clk: wClk, out: wire, table: tableSize}
-	p := &probe{name: "probe.l0", clk: pClk, in: fault.NewLinkReader(fault.LinkTarget{Wire: wire}, pClk), alloc: alloc, link: 0, rep: col}
+	p := &probe{name: "probe.l0", clk: pClk, wire: wire, alloc: alloc, link: 0, rep: col}
 	// slotOffset shifts which slot the *writer* stamps, modelling a wire
 	// value attributed to the wrong cycle.
 	w.slotOffset = slotOffset

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/phit"
+	"repro/internal/sim"
 )
 
 // A SlotChecker continuously verifies the Section III contention-freedom
@@ -16,7 +17,7 @@ import (
 type SlotChecker struct {
 	name string
 	clk  *clock.Clock
-	link *LinkReader
+	wire *sim.Wire[phit.Phit]
 	rep  Reporter
 
 	curSlot int64
@@ -25,10 +26,10 @@ type SlotChecker struct {
 	flagged bool
 }
 
-// NewSlotChecker builds a checker for a link's entry, clocked by the
+// NewSlotChecker builds a checker for a link's entry wire, clocked by the
 // writer's clock.
-func NewSlotChecker(name string, clk *clock.Clock, lt LinkTarget, rep Reporter) *SlotChecker {
-	return &SlotChecker{name: name, clk: clk, link: NewLinkReader(lt, clk), rep: rep, curSlot: -1}
+func NewSlotChecker(name string, clk *clock.Clock, wire *sim.Wire[phit.Phit], rep Reporter) *SlotChecker {
+	return &SlotChecker{name: name, clk: clk, wire: wire, rep: rep, curSlot: -1}
 }
 
 // Name implements sim.Component.
@@ -39,7 +40,7 @@ func (s *SlotChecker) Clock() *clock.Clock { return s.clk }
 
 // Update implements sim.Component.
 func (s *SlotChecker) Update(now clock.Time) {
-	p := s.link.Read(now)
+	p := s.wire.Ref()
 	if !p.Valid {
 		return
 	}

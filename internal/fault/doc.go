@@ -28,6 +28,14 @@
 //     components that continuously verify the paper's core claims while
 //     faults are being injected.
 //
+// Link faults, slot checkers and ownership probes act on word links
+// (LinkTarget, a phit wire with a commit-time intercept). A synchronous
+// network runs on flit links (FlitLink) only when nothing watches or
+// perturbs its words: it is built with neither core.Config.Probes nor a
+// core.Config.FaultReporter. Build with either to inject or check faults;
+// such a network runs on word links, and a flit-link network refuses to
+// hand out fault targets.
+//
 // The usual single-campaign shape, with Execute wiring the checkers,
 // arming the plan and summarising in one call:
 //

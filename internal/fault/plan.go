@@ -234,13 +234,11 @@ type Targets struct {
 	Stalls []StallTarget
 }
 
-// A LinkTarget is a link faults can drop, corrupt or duplicate words on,
-// through the intercept of Wire: a word link's wire, or the word view of
-// Flit, a synchronous link that carries whole flits (nil on a word link).
+// A LinkTarget is a word link faults can drop, corrupt or duplicate words
+// on, through the intercept of its entry wire.
 type LinkTarget struct {
 	Name string
 	Wire *sim.Wire[phit.Phit]
-	Flit *FlitLink
 }
 
 // A DelayTarget is a stretchable bi-synchronous FIFO forwarding delay.

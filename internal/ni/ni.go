@@ -73,12 +73,12 @@ type NI struct {
 	layout phit.HeaderLayout
 	table  *slots.Table
 
-	// The links to and from the attached router: word wires (mesochronous
-	// mode, tests), or flit links (synchronous mode), on which the NI
+	// The links to and from the attached router: word wires, or the flit
+	// links of a synchronous network that nothing watches, on which the NI
 	// drives its flit once per flit cycle and receives word by word.
 	in    *sim.Wire[phit.Phit]
 	out   *sim.Wire[phit.Phit]
-	inFl  fault.FlitReader
+	inFl  *fault.FlitLink
 	outFl *fault.FlitLink
 
 	// The NI's connections, each list in id order with its ids mirrored in
@@ -110,8 +110,8 @@ type NI struct {
 	flitBuf   [phit.FlitWords]phit.Phit
 
 	// Receiver state. quiet is set at a flit edge whose incoming flit is
-	// empty, on flit links with no fault view and no reliability shell:
-	// the next two edges have nothing to receive or drive.
+	// empty, on flit links with no reliability shell: the next two edges
+	// have nothing to receive or drive.
 	curIn    *inConn
 	inPacket bool
 	quiet    bool
@@ -168,10 +168,7 @@ func New(name string, clk *clock.Clock, layout phit.HeaderLayout, table *slots.T
 func NewOnFlits(name string, clk *clock.Clock, layout phit.HeaderLayout, table *slots.Table,
 	in, out *fault.FlitLink) *NI {
 	n := New(name, clk, layout, table, nil, nil)
-	if in != nil {
-		n.inFl = fault.NewFlitReader(in)
-	}
-	n.outFl = out
+	n.inFl, n.outFl = in, out
 	return n
 }
 
@@ -373,12 +370,12 @@ func (n *NI) Update(now clock.Time) {
 	}
 	n.nextEdge = now + n.clk.Period
 	w := n.word
-	if w != 0 && n.quiet && !n.inFl.Watched() {
+	if w != 0 && n.quiet {
 		return
 	}
 	p := &phit.IdlePhit
 	switch {
-	case n.inFl.Connected():
+	case n.inFl != nil:
 		p = n.inFl.Word(now, w)
 	case n.in != nil:
 		p = n.in.Ref()
@@ -388,16 +385,13 @@ func (n *NI) Update(now clock.Time) {
 	}
 	if w == 0 {
 		n.buildFlit(now, n.slot)
-		n.quiet = n.outFl != nil && n.rel == nil && n.inFl.Connected() && n.inFl.Quiet(now)
+		n.quiet = n.outFl != nil && n.rel == nil && n.inFl != nil && n.inFl.Quiet(now)
 	}
 	switch {
 	case n.outFl != nil:
-		f := (*phit.Flit)(&n.flitBuf)
 		if w == 0 {
+			f := (*phit.Flit)(&n.flitBuf)
 			n.outFl.Drive(now, f, !f.Empty())
-		}
-		if *n.outFl.Views() > 0 {
-			n.outFl.DriveWord(w, f)
 		}
 	case n.out != nil:
 		fault.DrivePhit(n.out, &n.flitBuf[w])

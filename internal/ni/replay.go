@@ -68,7 +68,6 @@ func (n *NI) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	for _, p := range n.flitBuf {
 		buf = replay.AppendPhit(buf, p, ctx)
 	}
-	buf = n.inFl.AppendFingerprint(ctx, buf)
 	for _, owner := range n.table.Slots {
 		buf = replay.AppendI64(buf, int64(owner))
 	}

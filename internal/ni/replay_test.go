@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/replay"
 )
@@ -60,12 +59,6 @@ func TestReplayFingerprintSeesEveryField(t *testing.T) {
 		{"dropping a packet", func(p *pair) { p.b.dropPacket = true }},
 		{"quiet input", func(p *pair) { p.b.quiet = true }},
 		{"owed credits", func(p *pair) { p.b.ins[0].owed++ }},
-		{"flit input reading its view", func(p *pair) {
-			l := fault.NewFlitLink("hooked", nil)
-			l.Words.SetIntercept(func(v phit.Phit, driven bool) phit.Phit { return v })
-			p.b.inFl = fault.NewFlitReader(l)
-			p.b.inFl.Word(900, 1) // records that the view has an intercept
-		}},
 	} {
 		p := base()
 		c.change(p)

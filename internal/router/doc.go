@@ -19,17 +19,20 @@
 //   - parameters only for data width (the header layout) and arity.
 //
 // Core is the cycle-exact state machine, and it has two engine adapters.
-// FlitComponent drives it on the flit links of a synchronous network
-// (fault.FlitLink, *sim.Wire[phit.Flit] plus a word view for fault
-// injection, connected once by core.instantiateFlits): the pipeline's
-// latency is exactly one flit cycle, so the link register is the
-// pipeline, and the router switches whole flits at flit edges, skipping
-// inputs with an empty flit. Component drives it on word links
+// A synchronous network runs on flit links only when nothing watches or
+// perturbs its words (no ownership probe, no fault reporter; see
+// core.Config), and FlitComponent drives the Core there (fault.FlitLink,
+// a *sim.Wire[phit.Flit], connected once by core.instantiateFlits): the
+// pipeline's latency is exactly one flit cycle, so the link register is
+// the pipeline, and the router switches whole flits at flit edges,
+// skipping inputs with an empty flit. It has no reporter, so every
+// envelope check fails fast. Component drives the Core on word links
 // (*sim.Wire[phit.Phit]: the mesochronous fabric, whose link stages
-// re-align words across clock domains, and tests): it reads the wires
-// into the buffer that becomes stage 1, and an idle port costs a
-// valid-bit test per stage. Nothing in the router is looked up by id —
-// the output port comes out of the header. The asynchronous wrapper
+// re-align words across clock domains, every probed or collecting
+// synchronous network, and tests): it reads the wires into the buffer
+// that becomes stage 1, and an idle port costs a valid-bit test per
+// stage. Nothing in the router is looked up by id — the output port
+// comes out of the header. The asynchronous wrapper
 // (package wrapper) and FlitComponent drive the same Core at flit
 // granularity: StepFlitDirect fires the pipeline's own HPU, switch and
 // envelope checks on each word of a token, so there is a single source of

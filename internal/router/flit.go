@@ -42,14 +42,7 @@ func (c *Core) StepFlitDirect(in, out []*phit.Flit) {
 			skip |= 1 << i
 		}
 	}
-	c.stepFlit(in, out, 0, skip, nil, 0)
-}
-
-// A hopped is an input's first word of a flit after the HPU: the word, with
-// its path field shifted, and its output port.
-type hopped struct {
-	p    phit.Phit
-	port int
+	c.stepFlit(in, out, 0, skip)
 }
 
 // stepFlit is StepFlitDirect on output flits the caller has emptied, minus
@@ -59,10 +52,8 @@ type hopped struct {
 // called at the flit edge c.now: it stamps every violation and trace
 // event with the instant at which the word pipeline meets it, the HPU of
 // word w one period before word w reaches the switch at c.now + w periods.
-// Without one every stamp is c.now, the wrapper's firing instant. pre,
-// when not nil, holds each input's first word already through the HPU,
-// preOK the inputs whose first word it passed.
-func (c *Core) stepFlit(in, out []*phit.Flit, period clock.Duration, skip uint64, pre []hopped, preOK uint64) (wrote uint64) {
+// Without one every stamp is c.now, the wrapper's firing instant.
+func (c *Core) stepFlit(in, out []*phit.Flit, period clock.Duration, skip uint64) (wrote uint64) {
 	edge := c.now
 	live := ^skip
 	if len(in) < 64 {
@@ -71,10 +62,10 @@ func (c *Core) stepFlit(in, out []*phit.Flit, period clock.Duration, skip uint64
 	for w := 0; w < phit.FlitWords; w++ {
 		at := edge + clock.Time(w)*period
 		for m := live; m != 0; m &= m - 1 {
-			wrote |= c.stepWord(in, out, bits.TrailingZeros64(m), w, at, period, pre, preOK)
+			wrote |= c.stepWord(in, out, bits.TrailingZeros64(m), w, at, period)
 		}
 		for i := 64; i < len(in); i++ { // never skipped
-			c.stepWord(in, out, i, w, at, period, pre, preOK)
+			c.stepWord(in, out, i, w, at, period)
 		}
 	}
 	c.now = edge
@@ -84,15 +75,10 @@ func (c *Core) stepFlit(in, out []*phit.Flit, period clock.Duration, skip uint64
 // stepWord takes word w of input i through the HPU and the switch, the
 // switch at instant at, and returns the output it wrote as a mask (zero for
 // a port past 63).
-func (c *Core) stepWord(in, out []*phit.Flit, i, w int, at clock.Time, period clock.Duration, pre []hopped, preOK uint64) uint64 {
+func (c *Core) stepWord(in, out []*phit.Flit, i, w int, at clock.Time, period clock.Duration) uint64 {
 	var p phit.Phit
 	port, ok := 0, false
-	switch {
-	case w == 0 && pre != nil:
-		if ok = preOK&(1<<i) != 0; ok {
-			p, port = pre[i].p, pre[i].port
-		}
-	case in[i][w].Valid:
+	if in[i][w].Valid {
 		p = in[i][w]
 		c.now = at - period
 		port, ok = c.hop(i, &p)

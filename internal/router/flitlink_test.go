@@ -1,7 +1,9 @@
 package router
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -40,139 +42,210 @@ func (s *flitSource) Name() string        { return "flits" }
 func (s *flitSource) Clock() *clock.Clock { return s.clk }
 func (s *flitSource) Update(now clock.Time) {
 	e, _ := s.clk.EdgeIndex(now)
-	w := int(e % phit.FlitWords)
+	if e%phit.FlitWords != 0 {
+		return
+	}
 	for i, l := range s.links {
 		var f phit.Flit
-		copy(f[:], s.streams[i][e-int64(w):])
-		if w == 0 {
-			l.Drive(now, &f, !f.Empty())
+		copy(f[:], s.streams[i][e:])
+		l.Drive(now, &f, !f.Empty())
+	}
+}
+
+// cleanStream draws the word stream an unperturbed network carries on one
+// link: whole flits, each empty or led by a valid word, of packets (a
+// header whose first hop is port, payload, an EoP) padded to the flit
+// boundary, with now and then an idle inside a flit.
+func cleanStream(t *testing.T, rng *rand.Rand, conn phit.ConnID, port, words int) []phit.Phit {
+	out := make([]phit.Phit, 0, words+16)
+	var seq int64
+	for len(out) < words {
+		if rng.Intn(10) < 4 {
+			out = append(out, phit.IdlePhit, phit.IdlePhit, phit.IdlePhit)
+			continue
 		}
-		l.DriveWord(w, &f)
+		h := header(t, []int{port, rng.Intn(8)}, rng.Intn(4))
+		h.Meta.Conn = conn
+		n := rng.Intn(6)
+		if n == 0 {
+			h.Kind, h.EoP = phit.CreditOnly, true
+		}
+		out = append(out, h)
+		for k := 0; k < n; k++ {
+			if len(out)%phit.FlitWords != 0 && rng.Intn(6) == 0 {
+				out = append(out, phit.IdlePhit) // idle padding inside a flit
+			}
+			out = append(out, phit.Phit{Valid: true, Kind: phit.Payload, EoP: k == n-1, Data: phit.Word(seq),
+				Meta: phit.Meta{Conn: conn, Seq: seq, Injected: clock.Time(len(out))}})
+			seq++
+		}
+		for len(out)%phit.FlitWords != 0 {
+			out = append(out, phit.IdlePhit)
+		}
 	}
-}
-
-// tick reports a marker violation to every collector at every edge, after
-// the routers, so a violation reported at another instant than its stamp
-// lands on the wrong side of a marker.
-type tick struct {
-	clk  *clock.Clock
-	cols []*fault.Collector
-}
-
-func (k *tick) Name() string        { return "tick" }
-func (k *tick) Clock() *clock.Clock { return k.clk }
-func (k *tick) Update(now clock.Time) {
-	for _, c := range k.cols {
-		c.Report(fault.Violation{Component: "tick", Time: now, Slot: fault.NoSlot})
-	}
+	return out[:words]
 }
 
 // TestFlitComponentMatchesComponent runs the router on flit links beside
-// the word pipeline on word links, fed the same random word streams (not
-// flit-aligned: packets start at any word, so flits start after their
-// first word too). Input 4 and output 4 are unconnected. At every edge
-// both must drive the same word on every output, and in the end they must
-// have traced the same events and reported the same violations, in the
-// same order and at the same instants, between the same per-edge markers. A second run puts a no-op
-// intercept on every link's word view from the middle of a flit on, so the
-// words also travel over the views.
+// the word pipeline on word links, fed the same random clean word streams:
+// input i routes every packet to output i+1 (mod 4), so no two inputs
+// meet. Input 4 and output 4 are unconnected. At every edge both must
+// drive the same word on every output, and in the end they must have
+// traced the same events, at the same instants and in the same order.
 func TestFlitComponentMatchesComponent(t *testing.T) {
-	const arity, wired, cycles, hookAt = 5, 4, 20000, 9001
-	for _, hooked := range []bool{false, true} {
-		clk := clock.NewMHz("clk", 500, 0)
-		eng := sim.New()
-		wordCol, flitCol := fault.NewCollector(), fault.NewCollector()
-		wordCol.SetKeep(1 << 20)
-		flitCol.SetKeep(1 << 20)
-		wordBus, flitBus := trace.NewBus(), trace.NewBus()
-		wordEvents, flitEvents := &eventLog{}, &eventLog{}
-		wordBus.Attach(wordEvents)
-		flitBus.Attach(flitEvents)
+	const arity, wired, cycles = 5, 4, 20000
+	clk := clock.NewMHz("clk", 500, 0)
+	eng := sim.New()
+	wordBus, flitBus := trace.NewBus(), trace.NewBus()
+	wordEvents, flitEvents := &eventLog{}, &eventLog{}
+	wordBus.Attach(wordEvents)
+	flitBus.Attach(flitEvents)
 
-		wr := NewComponent("r", arity, layout, clk)
-		wr.SetReporter(wordCol)
-		wr.SetTracer(wordBus.Emitter("r"))
-		fr := NewFlitComponent("r", arity, layout, clk)
-		fr.SetReporter(flitCol)
-		fr.SetTracer(flitBus.Emitter("r"))
+	wr := NewComponent("r", arity, layout, clk)
+	wr.SetTracer(wordBus.Emitter("r"))
+	fr := NewFlitComponent("r", arity, layout, clk)
+	fr.SetTracer(flitBus.Emitter("r"))
 
-		rng := rand.New(rand.NewSource(7))
-		ws, fs := &wordSource{clk: clk}, &flitSource{clk: clk}
-		views := new(int)
-		var wordOuts []*sim.Wire[phit.Phit]
-		var flitOuts, all []*fault.FlitLink
-		for i := 0; i < wired; i++ {
-			stream := append(make([]phit.Phit, phit.FlitWords), randomStream(t, rng, phit.ConnID(i+1), cycles+phit.FlitWords)...)
-			in, out := sim.NewWire[phit.Phit]("in"), sim.NewWire[phit.Phit]("out")
-			eng.AddWireClocked(in, clk)
-			eng.AddWireClocked(out, clk)
-			wr.ConnectIn(i, in)
-			wr.ConnectOut(i, out)
-			ws.wires = append(ws.wires, in)
-			ws.streams = append(ws.streams, stream)
-			wordOuts = append(wordOuts, out)
+	rng := rand.New(rand.NewSource(7))
+	ws, fs := &wordSource{clk: clk}, &flitSource{clk: clk}
+	var wordOuts []*sim.Wire[phit.Phit]
+	var flitOuts []*fault.FlitLink
+	for i := 0; i < wired; i++ {
+		stream := append(make([]phit.Phit, phit.FlitWords), cleanStream(t, rng, phit.ConnID(i+1), (i+1)%wired, cycles+phit.FlitWords)...)
+		in, out := sim.NewWire[phit.Phit]("in"), sim.NewWire[phit.Phit]("out")
+		eng.AddWireClocked(in, clk)
+		eng.AddWireClocked(out, clk)
+		wr.ConnectIn(i, in)
+		wr.ConnectOut(i, out)
+		ws.wires = append(ws.wires, in)
+		ws.streams = append(ws.streams, stream)
+		wordOuts = append(wordOuts, out)
 
-			fin, fout := fault.NewFlitLink("in", views), fault.NewFlitLink("out", views)
-			for _, l := range []*fault.FlitLink{fin, fout} {
-				eng.AddWireClocked(l.Flits, clk)
-				eng.AddWireClocked(l.Words, clk)
+		fin, fout := fault.NewFlitLink("in"), fault.NewFlitLink("out")
+		eng.AddWireClocked(fin.Flits, clk)
+		eng.AddWireClocked(fout.Flits, clk)
+		fr.ConnectIn(i, fin)
+		fr.ConnectOut(i, fout)
+		fs.links = append(fs.links, fin)
+		fs.streams = append(fs.streams, stream)
+		flitOuts = append(flitOuts, fout)
+	}
+	eng.Add(ws)
+	eng.Add(fs)
+	eng.Add(wr)
+	eng.Add(fr)
+	for e := int64(1); e <= cycles; e++ {
+		now := clk.EdgeAt(e)
+		eng.Run(now)
+		for i := range wordOuts {
+			want := wordOuts[i].Read()
+			got := flitOuts[i].Flits.Read()[e%phit.FlitWords]
+			if got != want {
+				t.Fatalf("edge %d output %d: flit links drive %v, word links %v", e, i, got, want)
 			}
-			fr.ConnectIn(i, fin)
-			fr.ConnectOut(i, fout)
-			fs.links = append(fs.links, fin)
-			fs.streams = append(fs.streams, stream)
-			flitOuts = append(flitOuts, fout)
-			all = append(all, fin, fout)
 		}
-		eng.Add(ws)
-		eng.Add(fs)
-		eng.Add(wr)
-		eng.Add(fr)
-		eng.Add(&tick{clk: clk, cols: []*fault.Collector{wordCol, flitCol}})
-		if hooked {
-			eng.At(clk.EdgeAt(hookAt), func() {
-				for _, l := range all {
-					l.Words.SetIntercept(func(v phit.Phit, driven bool) phit.Phit { return v })
+	}
+	if len(flitEvents.evs) != len(wordEvents.evs) || len(wordEvents.evs) == 0 {
+		t.Fatalf("%d events on flit links, %d on word links", len(flitEvents.evs), len(wordEvents.evs))
+	}
+	for i, ev := range wordEvents.evs {
+		if flitEvents.evs[i] != ev {
+			t.Fatalf("event %d: %+v on flit links, %+v on word links", i, flitEvents.evs[i], ev)
+		}
+	}
+}
+
+// TestFlitComponentFailsFast drives each envelope violation the datapath
+// can meet through the router on flit links and through the word pipeline,
+// at a word other than a flit's first where the stamp depends on it: the
+// router on flit links has no reporter, and must panic with the word
+// pipeline's message, stamped with the same instant. That holds stepWord's
+// stamps to the pipeline's: the HPU's one period before the word reaches
+// the switch, the switch's at the word's own edge.
+func TestFlitComponentFailsFast(t *testing.T) {
+	const arity, wired, cycles = 5, 4, 30
+	pay := func(conn phit.ConnID, eop bool) phit.Phit {
+		return phit.Phit{Valid: true, Kind: phit.Payload, EoP: eop, Meta: phit.Meta{Conn: conn}}
+	}
+	head := func(port int, conn phit.ConnID, kind phit.Kind, eop bool) phit.Phit {
+		h := header(t, []int{port, 0}, 0)
+		h.Kind, h.EoP, h.Meta.Conn = kind, eop, conn
+		return h
+	}
+	for _, c := range []struct {
+		name  string
+		words map[int]map[int]phit.Phit // input -> edge -> word
+		want  string
+	}{
+		// A packet for the unconnected output 4, from word 1.
+		{"unconnected output", map[int]map[int]phit.Phit{
+			0: {7: head(4, 1, phit.Header, false), 8: pay(1, true)},
+		}, "unconnected output 4"},
+		// Input 0's packet holds output 2 from word 0; input 1's header
+		// claims it at word 1 of the same flit.
+		{"contention", map[int]map[int]phit.Phit{
+			0: {6: head(2, 1, phit.Header, false), 7: pay(1, false), 8: pay(1, true)},
+			1: {7: head(2, 2, phit.Header, false), 8: pay(2, true)},
+		}, "TDM contention on output 2 between connections 1 and 2"},
+		// A payload after input 0's packet ended, at word 2: the HPU
+		// expects a header.
+		{"protocol error", map[int]map[int]phit.Phit{
+			0: {6: head(1, 1, phit.Header, false), 7: pay(1, true), 8: pay(1, false)},
+		}, "input 0 expected header"},
+		// A header at word 1 whose path leads to port 6 of 5.
+		{"bad path", map[int]map[int]phit.Phit{
+			0: {6: head(1, 1, phit.CreditOnly, true), 7: head(6, 2, phit.Header, true)},
+		}, "input 0 routed to non-existent port 6"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			streams := make([][]phit.Phit, wired)
+			for i := range streams {
+				streams[i] = make([]phit.Phit, cycles+phit.FlitWords)
+				for e, p := range c.words[i] {
+					streams[i][e] = p
 				}
-			})
-		}
-		for e := int64(1); e <= cycles; e++ {
-			now := clk.EdgeAt(e)
-			eng.Run(now)
-			for i := range wordOuts {
-				want := wordOuts[i].Read()
-				got := flitOuts[i].Flits.Read()[e%phit.FlitWords]
-				if hooked && e > hookAt {
-					got = flitOuts[i].Words.Read()
+			}
+			panicOf := func(flits bool) (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				clk := clock.NewMHz("clk", 500, 0)
+				eng := sim.New()
+				if flits {
+					r := NewFlitComponent("r", arity, layout, clk)
+					src := &flitSource{clk: clk, streams: streams}
+					for i := 0; i < wired; i++ {
+						in, out := fault.NewFlitLink("in"), fault.NewFlitLink("out")
+						eng.AddWireClocked(in.Flits, clk)
+						eng.AddWireClocked(out.Flits, clk)
+						r.ConnectIn(i, in)
+						r.ConnectOut(i, out)
+						src.links = append(src.links, in)
+					}
+					eng.Add(src)
+					eng.Add(r)
+				} else {
+					r := NewComponent("r", arity, layout, clk)
+					src := &wordSource{clk: clk, streams: streams}
+					for i := 0; i < wired; i++ {
+						in, out := sim.NewWire[phit.Phit]("in"), sim.NewWire[phit.Phit]("out")
+						eng.AddWireClocked(in, clk)
+						eng.AddWireClocked(out, clk)
+						r.ConnectIn(i, in)
+						r.ConnectOut(i, out)
+						src.wires = append(src.wires, in)
+					}
+					eng.Add(src)
+					eng.Add(r)
 				}
-				if got != want {
-					t.Fatalf("hooked=%v edge %d output %d: flit links drive %v, word links %v", hooked, e, i, got, want)
-				}
+				eng.Run(clk.EdgeAt(cycles))
+				return ""
 			}
-		}
-		if len(flitEvents.evs) != len(wordEvents.evs) || len(wordEvents.evs) == 0 {
-			t.Fatalf("hooked=%v: %d events on flit links, %d on word links", hooked, len(flitEvents.evs), len(wordEvents.evs))
-		}
-		late := 0
-		for i, ev := range wordEvents.evs {
-			if flitEvents.evs[i] != ev {
-				t.Fatalf("hooked=%v event %d: %+v on flit links, %+v on word links", hooked, i, flitEvents.evs[i], ev)
+			word, flit := panicOf(false), panicOf(true)
+			if !strings.Contains(word, c.want) {
+				t.Fatalf("the word pipeline did not fail fast with %q: %q", c.want, word)
 			}
-			if (ev.Time/clk.Period)%phit.FlitWords != 0 {
-				late++
+			if flit != word {
+				t.Errorf("flit links panic with %q, word links with %q", flit, word)
 			}
-		}
-		if late == 0 {
-			t.Errorf("hooked=%v: no flit started after its flit edge; the held events are untested", hooked)
-		}
-		wv, fv := wordCol.Violations(), flitCol.Violations()
-		if len(fv) != len(wv) || len(wv) <= cycles {
-			t.Fatalf("hooked=%v: %d violations on flit links, %d on word links", hooked, len(fv), len(wv))
-		}
-		for i, v := range wv {
-			if fv[i] != v {
-				t.Fatalf("hooked=%v violation %d: %v on flit links, %v on word links", hooked, i, fv[i], v)
-			}
-		}
+		})
 	}
 }

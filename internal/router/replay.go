@@ -62,11 +62,9 @@ func (r *FlitComponent) ReplayPeriod() clock.Duration {
 func (r *FlitComponent) ReplayMark(now clock.Time) bool { return true }
 
 // ReplayFingerprint implements replay.Periodic: the packet trackers and
-// flit counters, the first words already through the HPU for the next
-// flit edge, the output flits of the current flit cycle (driven word by
-// word onto a fault view), the input readers' view state and the count of
-// held violations and events.
-// The input flits are the wires', which the program fingerprints itself.
+// flit counters. The input flits are the wires', which the program
+// fingerprints itself, and the output flits are rewritten at every flit
+// edge before they are read.
 func (r *FlitComponent) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	c := r.core
 	for _, st := range c.hpu {
@@ -79,59 +77,9 @@ func (r *FlitComponent) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	for _, fl := range c.flitLeft {
 		buf = append(buf, byte(fl))
 	}
-	// First words the HPU ran on at the boundary wait for the flit edge
-	// after it; any others are stale, and stepFlit never reads them.
-	if r.preAt == ctx.Now {
-		buf = replay.AppendI64(buf, int64(r.inFull))
-		buf = replay.AppendI64(buf, int64(r.preOK))
-		for i, h := range r.pre {
-			if r.preOK&(1<<i) != 0 {
-				buf = replay.AppendPhit(buf, h.p, ctx)
-				buf = replay.AppendI64(buf, int64(h.port))
-			}
-		}
-	} else {
-		buf = replay.AppendI64(buf, -1)
-	}
-	buf = replay.AppendI64(buf, int64(len(r.held.q)+len(r.held.events)))
-	for _, f := range r.outBuf {
-		for _, p := range f {
-			buf = replay.AppendPhit(buf, p, ctx)
-		}
-	}
-	for i := range r.in {
-		buf = r.in[i].AppendFingerprint(ctx, buf)
-	}
-	var flags byte
-	if r.watching {
-		flags |= 1
-	}
-	if r.viewing {
-		flags |= 2
-	}
-	return append(buf, flags)
+	return buf
 }
 
-// ReplayShift implements replay.Periodic.
-func (r *FlitComponent) ReplayShift(s *replay.Shift) {
-	for i := range r.pre {
-		r.pre[i].p = replay.ShiftPhit(r.pre[i].p, s)
-	}
-	if r.preAt >= 0 {
-		r.preAt += clock.Time(s.DT)
-	}
-	for i := range r.held.q {
-		r.held.q[i].v.Time += clock.Time(s.DT)
-	}
-	for i := range r.held.events {
-		r.held.events[i].Time += clock.Time(s.DT)
-	}
-	for i := range r.outBuf {
-		for w := range r.outBuf[i] {
-			r.outBuf[i][w] = replay.ShiftPhit(r.outBuf[i][w], s)
-		}
-	}
-	for i := range r.in {
-		r.in[i].Shift(s)
-	}
-}
+// ReplayShift implements replay.Periodic: a router on flit links holds no
+// word between flit edges.
+func (r *FlitComponent) ReplayShift(s *replay.Shift) {}

@@ -49,10 +49,6 @@ type Core struct {
 	// tr, when non-nil, receives a RouterForward event per switched flit
 	// (stamped with the flit's first word), using the adapter-maintained now.
 	tr *trace.Emitter
-
-	// held, when set, holds the events the datapath meets before their
-	// instant (FlitComponent).
-	held *heldQueue
 }
 
 // NewCore returns a router core with the given arity (number of input and
@@ -230,13 +226,8 @@ func (c *Core) putSlow(dst, p *phit.Phit, port int) {
 		return
 	}
 	*dst = *p
-	ev := trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: p.Meta.Conn,
-		Seq: p.Meta.Seq, Arg: int64(port), Slot: trace.NoSlot}
-	if c.held != nil && ev.Time > c.held.edge {
-		c.held.events = append(c.held.events, ev)
-		return
-	}
-	c.tr.Emit(ev)
+	c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: p.Meta.Conn,
+		Seq: p.Meta.Seq, Arg: int64(port), Slot: trace.NoSlot})
 }
 
 // violate reports one envelope violation of this router at the current
@@ -246,10 +237,11 @@ func (c *Core) violate(kind fault.Kind, detail string) {
 }
 
 // Component adapts a Core to the simulation engine on word links
-// (mesochronous mode, and tests): each cycle of the router's clock its
-// inputs are read off wires and its outputs driven onto wires. The ports
-// are concrete wires, not interfaces: a phit is 56 bytes, and an interface
-// method returns it by value, once per port per cycle.
+// (mesochronous mode, probed or collecting synchronous networks, and
+// tests): each cycle of the router's clock its inputs are read off wires
+// and its outputs driven onto wires. The ports are concrete wires, not
+// interfaces: a phit is 56 bytes, and an interface method returns it by
+// value, once per port per cycle.
 type Component struct {
 	core *Core
 	clk  *clock.Clock

@@ -267,7 +267,7 @@ func (e *Engine) At(t clock.Time, f func()) clock.Time {
 	}
 	e.timers = append(e.timers, timerEntry{at: t, seq: e.timerSeq, f: f})
 	e.timerSeq++
-	timerUp(e.timers, len(e.timers)-1)
+	siftUp(e.timers, len(e.timers)-1, timerLess)
 	return t
 }
 
@@ -573,7 +573,7 @@ func (e *Engine) Run(until clock.Time) int {
 			n := len(e.timers) - 1
 			e.timers[0] = e.timers[n]
 			e.timers = e.timers[:n]
-			timerDown(e.timers, 0)
+			siftDown(e.timers, 0, timerLess)
 			t.f()
 			e.timersRun++
 			ranTimer = true
@@ -736,7 +736,7 @@ func (e *Engine) sleep(st *sleepState, c indexedComp, k int64) {
 		at = g.edge + k + 1
 	}
 	g.cal = append(g.cal, wakeEntry{edge: at, c: c})
-	wakeUp(g.cal, len(g.cal)-1)
+	siftUp(g.cal, len(g.cal)-1, wakeLess)
 	if g.leaving < 0 || c.idx < g.leaving {
 		g.leaving = c.idx
 	}
@@ -751,7 +751,7 @@ func (e *Engine) wakeDue(g *clockGroup) {
 		last := len(g.cal) - 1
 		g.cal[0] = g.cal[last]
 		g.cal = g.cal[:last]
-		wakeDown(g.cal, 0)
+		siftDown(g.cal, 0, wakeLess)
 	}
 	e.wakers = w
 	n := len(g.active)
@@ -801,7 +801,7 @@ func (e *Engine) rest(idx int) []indexedComp {
 	return out
 }
 
-// wakeUp/wakeDown maintain a wake calendar, a min-heap on (edge, idx).
+// wakeLess orders a wake calendar, a min-heap on (edge, idx).
 func wakeLess(a, b wakeEntry) bool {
 	if a.edge != b.edge {
 		return a.edge < b.edge
@@ -809,36 +809,7 @@ func wakeLess(a, b wakeEntry) bool {
 	return a.c.idx < b.c.idx
 }
 
-func wakeUp(h []wakeEntry, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !wakeLess(h[i], h[p]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func wakeDown(h []wakeEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && wakeLess(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && wakeLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// timerUp/timerDown maintain the callback min-heap on (at, seq).
+// timerLess orders the callback min-heap on (at, seq).
 func timerLess(a, b timerEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -846,10 +817,11 @@ func timerLess(a, b timerEntry) bool {
 	return a.seq < b.seq
 }
 
-func timerUp(h []timerEntry, i int) {
+// siftUp restores the min-heap h under less after h[i] was set.
+func siftUp[E any](h []E, i int, less func(a, b E) bool) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !timerLess(h[i], h[p]) {
+		if !less(h[i], h[p]) {
 			break
 		}
 		h[p], h[i] = h[i], h[p]
@@ -857,14 +829,15 @@ func timerUp(h []timerEntry, i int) {
 	}
 }
 
-func timerDown(h []timerEntry, i int) {
+// siftDown restores the min-heap h under less after h[i] was set.
+func siftDown[E any](h []E, i int, less func(a, b E) bool) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(h) && timerLess(h[l], h[m]) {
+		if l < len(h) && less(h[l], h[m]) {
 			m = l
 		}
-		if r < len(h) && timerLess(h[r], h[m]) {
+		if r < len(h) && less(h[r], h[m]) {
 			m = r
 		}
 		if m == i {

@@ -24,8 +24,6 @@ type Wire[T any] struct {
 	// its clock group's once the engine has scheduled it, own before.
 	set *wireSet
 	own wireSet
-	// hooked, when set, counts the wire while it has an intercept.
-	hooked *int
 
 	// intercept, when non-nil, observes and may override the wire's
 	// effective value at every commit (fault injection: drop, corrupt or
@@ -125,23 +123,7 @@ func (w *Wire[T]) SetIntercept(f func(v T, driven bool) T) {
 		d = -1
 	}
 	w.set.hooks += d
-	if w.hooked != nil {
-		*w.hooked += d
-	}
 	w.intercept = f
-}
-
-// CountIntercepts makes the wire count itself in *c while it has an
-// intercept, so that a component watching many wires for one reads a
-// single counter.
-func (w *Wire[T]) CountIntercepts(c *int) {
-	if w.intercept != nil {
-		if w.hooked != nil {
-			*w.hooked--
-		}
-		*c++
-	}
-	w.hooked = c
 }
 
 // HasIntercept reports whether a commit-time intercept is installed. The

@@ -151,7 +151,10 @@ func Attach(src ContractSource, bus *trace.Bus, rep fault.Reporter, opts Options
 // schedule. Call it after every Admit/CloseConnection batch; an
 // auditor left stale would flag the new owner's legitimate slots as
 // ownership violations.
-func (a *Auditor) Resync(src ContractSource) { a.load(src.Contracts()) }
+func (a *Auditor) Resync(src ContractSource) {
+	a.bus.Drain()
+	a.load(src.Contracts())
+}
 
 // load (re)builds the auditor's view of a contract set: bounds and token
 // buckets for connections it has not met yet, plus the allocation-side
@@ -251,6 +254,14 @@ func (a *Auditor) comp(id trace.CompID) *compAudit {
 	}
 	return &a.comps[id]
 }
+
+// Deferred implements trace.Deferrable. An auditor that reports to a
+// collector checks on the bus's worker: its verdicts are read through
+// Violations, ByKind and WriteSummary, which drain the bus first, and its
+// collector after Run, which drains too. A strict auditor (nil reporter)
+// stays inline, so its panic stops the run at the event that broke the
+// contract.
+func (a *Auditor) Deferred() bool { return a.rep != nil }
 
 // Event implements trace.Sink.
 func (a *Auditor) Event(ev trace.Event) {
@@ -477,10 +488,14 @@ func (a *Auditor) report(ca *connAudit, v fault.Violation) {
 
 // Violations returns the total number of violations detected (including
 // any suppressed past the per-connection reporting cap).
-func (a *Auditor) Violations() int64 { return a.total }
+func (a *Auditor) Violations() int64 {
+	a.bus.Drain()
+	return a.total
+}
 
 // ByKind returns the per-kind violation totals.
 func (a *Auditor) ByKind() map[fault.Kind]int64 {
+	a.bus.Drain()
 	out := make(map[fault.Kind]int64, len(a.byKind))
 	for k, n := range a.byKind {
 		out[k] = n
@@ -491,6 +506,7 @@ func (a *Auditor) ByKind() map[fault.Kind]int64 {
 // WriteSummary renders the per-connection audit verdicts and the
 // violation totals, one line per connection, deterministically ordered.
 func (a *Auditor) WriteSummary(w io.Writer) {
+	a.bus.Drain()
 	fmt.Fprintf(w, "audit: %d connections, %d violations\n", len(a.order), a.total)
 	fmt.Fprintf(w, "%6s %12s %10s %9s %9s %8s  %s\n",
 		"conn", "route", "delivered", "maxlat", "bound", "margin", "verdict")

@@ -415,9 +415,10 @@ func buildRequests(uc *spec.UseCase, cfg Config, routed []routedConn, tableSize 
 
 // instantiateFlits builds the synchronous fabric on flit links: one clock,
 // one fault.FlitLink per link, and routers and NIs that drive a flit once
-// per flit cycle. The router pipeline is one flit cycle long, so a link's
-// register is the whole pipeline, and every word still moves at the
-// instant it does on word links. Nothing watches or perturbs the words
+// per flit cycle, all stepped by one engine component (flitFabric). The
+// router pipeline is one flit cycle long, so a link's register is the
+// whole pipeline, and every word still moves at the instant it does on
+// word links. Nothing watches or perturbs the words
 // (see build), so the links are no fault targets and every envelope check
 // fails fast. Connections attach afterwards.
 func (n *Network) instantiateFlits() {
@@ -431,6 +432,7 @@ func (n *Network) instantiateFlits() {
 		n.eng.AddWireClocked(fl.Flits, n.base)
 		links[l.ID] = fl
 	}
+	fab := &flitFabric{clk: n.base, slots: n.Cfg.TableSize}
 	for _, r := range n.Mesh.Routers() {
 		node := n.Mesh.Node(r)
 		rc := router.NewFlitComponent(node.Name, node.Ports, n.Cfg.Layout, n.base)
@@ -443,15 +445,16 @@ func (n *Network) instantiateFlits() {
 			}
 		}
 		n.routers[r] = rc
-		n.eng.Add(rc)
+		fab.routers = append(fab.routers, rc)
 	}
 	for _, id := range n.Mesh.AllNIs() {
 		node := n.Mesh.Node(id)
 		c := ni.NewOnFlits(node.Name, n.base, n.Cfg.Layout, n.niTables[id],
 			links[n.Mesh.InLink(id, 0)], links[n.Mesh.OutLink(id, 0)])
 		n.nis[id] = c
-		n.eng.Add(c)
+		fab.nis = append(fab.nis, c)
 	}
+	n.eng.Add(fab)
 }
 
 // instantiate builds the mesochronous fabric, or the synchronous one on

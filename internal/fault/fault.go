@@ -151,8 +151,10 @@ func Report(r Reporter, v Violation) {
 // memory.
 const DefaultKeep = 10000
 
-// A Collector is the engine-level violation sink of a campaign. The
-// simulation engine is single-goroutine, so Collector needs no locking.
+// A Collector is the engine-level violation sink of a campaign. It is
+// written from one goroutine at a time — the engine's, or the trace bus's
+// worker for an auditor that reports to it, which the engine drains before
+// every timer callback and before Run returns — so it needs no locking.
 type Collector struct {
 	violations []Violation
 	byKind     map[Kind]int64

@@ -246,14 +246,25 @@ func (n *NI) inByQID(qid int) *inConn {
 // paper: the IP retries next cycle). now must be the caller's current
 // time.
 func (n *NI) Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool {
+	return n.offer(n.mustOut(conn), now, meta)
+}
+
+// OfferTo returns the connection's Offer with the connection looked up
+// once, here (traffic.Resolver). It panics for an unknown connection.
+func (n *NI) OfferTo(conn phit.ConnID) func(now clock.Time, meta phit.Meta) bool {
 	oc := n.mustOut(conn)
+	return func(now clock.Time, meta phit.Meta) bool { return n.offer(oc, now, meta) }
+}
+
+// offer is Offer on a resolved connection.
+func (n *NI) offer(oc *outConn, now clock.Time, meta phit.Meta) bool {
 	if !oc.queue.CanPush() {
 		return false
 	}
-	meta.Conn = conn
+	meta.Conn = oc.cfg.ID
 	oc.queue.Push(now, meta)
 	if n.tr != nil {
-		n.tr.Emit(trace.Event{Time: now, Kind: trace.Inject, Conn: conn, Seq: meta.Seq, Slot: trace.NoSlot})
+		n.tr.Emit(trace.Event{Time: now, Kind: trace.Inject, Conn: meta.Conn, Seq: meta.Seq, Slot: trace.NoSlot})
 		if l := oc.queue.Len(); l > oc.maxOcc {
 			oc.maxOcc = l
 			n.tr.Emit(trace.Event{Time: now, Kind: trace.Occupancy, Arg: int64(l), Slot: trace.NoSlot})
@@ -369,7 +380,19 @@ func (n *NI) Update(now clock.Time) {
 		n.edgePeriod, n.edgePhase = n.clk.Period, n.clk.Phase
 	}
 	n.nextEdge = now + n.clk.Period
-	w := n.word
+	n.Step(now, n.word, n.slot)
+}
+
+// Quiet reports that the NI's current flit cycle has nothing left to
+// receive or drive after its flit edge: the incoming flit was empty, on
+// flit links with no reliability shell. Step at the cycle's other edges
+// then does nothing.
+func (n *NI) Quiet() bool { return n.quiet }
+
+// Step is Update for a caller that counts the clock's edges itself: w is
+// the word index of the edge at now within its flit cycle and slot the
+// TDM slot of that cycle.
+func (n *NI) Step(now clock.Time, w, slot int) {
 	if w != 0 && n.quiet {
 		return
 	}
@@ -384,7 +407,7 @@ func (n *NI) Update(now clock.Time) {
 		n.receive(now, p)
 	}
 	if w == 0 {
-		n.buildFlit(now, n.slot)
+		n.buildFlit(now, slot)
 		n.quiet = n.outFl != nil && n.rel == nil && n.inFl != nil && n.inFl.Quiet(now)
 	}
 	switch {

@@ -18,11 +18,12 @@
 //     decodes data and stays off the critical path;
 //   - parameters only for data width (the header layout) and arity.
 //
-// Core is the cycle-exact state machine, and it has two engine adapters.
+// Core is the cycle-exact state machine, and it has two adapters.
 // A synchronous network runs on flit links only when nothing watches or
 // perturbs its words (no ownership probe, no fault reporter; see
 // core.Config), and FlitComponent drives the Core there (fault.FlitLink,
-// a *sim.Wire[phit.Flit], connected once by core.instantiateFlits): the
+// a *sim.Wire[phit.Flit], connected once by core.instantiateFlits, whose
+// one fabric component switches every router at flit edges): the
 // pipeline's latency is exactly one flit cycle, so the link register is
 // the pipeline, and the router switches whole flits at flit edges,
 // skipping inputs with an empty flit. It has no reporter, so every

@@ -10,15 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// FlitComponent adapts a Core to the engine on synchronous flit links
-// (fault.FlitLink). The router pipeline's latency is exactly one flit
-// cycle, so the link register is the pipeline: the component is
-// dispatched every edge but switches only at flit edges (edge index ≡ 0
-// mod FlitWords), where it reads each input's flit, committed by its
-// upstream one flit cycle before, switches it through the wrapper's
-// datapath and drives each output's flit. Every word still reaches the
-// same output at the same instant as through Component's three stages,
-// and every RouterForward is traced at its word's instant.
+// FlitComponent adapts a Core to synchronous flit links (fault.FlitLink).
+// The router pipeline's latency is exactly one flit cycle, so the link
+// register is the pipeline: the router switches only at flit edges (edge
+// index ≡ 0 mod FlitWords), where Switch reads each input's flit,
+// committed by its upstream one flit cycle before, switches it through
+// the wrapper's datapath and drives each output's flit. Every word still
+// reaches the same output at the same instant as through Component's
+// three stages, and every RouterForward is traced at its word's instant.
+// It is no engine component: a network calls Switch from one component
+// that counts the clock's edges for all its routers and NIs.
 //
 // A network runs on flit links only when nothing watches or perturbs
 // their words (no ownership probe, no fault reporter), so the component
@@ -38,17 +39,9 @@ type FlitComponent struct {
 	outBuf []phit.Flit
 	full   uint64
 	idle   phit.Flit
-
-	// The word index of the last Update, and the edge and clock it was
-	// derived for: while the clock ticks undisturbed it advances by one,
-	// and only a first edge, a time jump or a moved clock divides.
-	word       int
-	nextEdge   clock.Time
-	edgePeriod clock.Duration
-	edgePhase  clock.Duration
 }
 
-// NewFlitComponent wraps a new Core for the engine on flit links. Ports are
+// NewFlitComponent wraps a new Core for flit links. Ports are
 // connected afterwards with ConnectIn/ConnectOut; unconnected ports read
 // empty flits, and a valid word for an unconnected output is a RouteError.
 func NewFlitComponent(name string, arity int, layout phit.HeaderLayout, clk *clock.Clock) *FlitComponent {
@@ -77,25 +70,15 @@ func (r *FlitComponent) ConnectIn(i int, l *fault.FlitLink) { r.in[i] = l }
 // ConnectOut attaches the link driven by output port i.
 func (r *FlitComponent) ConnectOut(i int, l *fault.FlitLink) { r.out[i] = l }
 
-// Name implements sim.Component.
+// Name returns the router's name.
 func (r *FlitComponent) Name() string { return r.core.name }
-
-// Clock implements sim.Component.
-func (r *FlitComponent) Clock() *clock.Clock { return r.clk }
 
 // SetTracer installs the wrapped core's lifecycle-event emitter.
 func (r *FlitComponent) SetTracer(e *trace.Emitter) { r.core.SetTracer(e) }
 
-// Update implements sim.Component.
-func (r *FlitComponent) Update(now clock.Time) {
-	if r.wordAt(now) == 0 {
-		r.switchFlits(now)
-	}
-}
-
-// switchFlits is the flit edge at now: it switches the input flits to the
+// Switch is the flit edge at now: it switches the input flits to the
 // outputs and drives the output links.
-func (r *FlitComponent) switchFlits(now clock.Time) {
+func (r *FlitComponent) Switch(now clock.Time) {
 	var skip uint64 // inputs with an empty flit and no flit under way
 	c := r.core
 	for i, l := range r.in {
@@ -134,22 +117,4 @@ func (r *FlitComponent) unconnected(i int, now clock.Time) {
 			c.now = now
 		}
 	}
-}
-
-// wordAt returns the word index of the edge at now within its flit cycle.
-func (r *FlitComponent) wordAt(now clock.Time) int {
-	if now == r.nextEdge && r.clk.Period == r.edgePeriod && r.clk.Phase == r.edgePhase {
-		if r.word++; r.word == phit.FlitWords {
-			r.word = 0
-		}
-	} else {
-		edge, ok := r.clk.EdgeIndex(now)
-		if !ok {
-			panic(fmt.Sprintf("router %s: update off-edge at %d ps", r.core.name, now))
-		}
-		r.word = int(edge % phit.FlitWords)
-		r.edgePeriod, r.edgePhase = r.clk.Period, r.clk.Phase
-	}
-	r.nextEdge = now + r.clk.Period
-	return r.word
 }

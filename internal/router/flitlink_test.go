@@ -86,6 +86,18 @@ func cleanStream(t *testing.T, rng *rand.Rand, conn phit.ConnID, port, words int
 	return out[:words]
 }
 
+// flitEdges steps a flit router on its own in an engine, switching at
+// flit edges as a network's fabric component does.
+type flitEdges struct{ *FlitComponent }
+
+func (r flitEdges) Clock() *clock.Clock { return r.clk }
+
+func (r flitEdges) Update(now clock.Time) {
+	if edge, _ := r.clk.EdgeIndex(now); edge%phit.FlitWords == 0 {
+		r.Switch(now)
+	}
+}
+
 // TestFlitComponentMatchesComponent runs the router on flit links beside
 // the word pipeline on word links, fed the same random clean word streams:
 // input i routes every packet to output i+1 (mod 4), so no two inputs
@@ -133,7 +145,7 @@ func TestFlitComponentMatchesComponent(t *testing.T) {
 	eng.Add(ws)
 	eng.Add(fs)
 	eng.Add(wr)
-	eng.Add(fr)
+	eng.Add(flitEdges{fr})
 	for e := int64(1); e <= cycles; e++ {
 		now := clk.EdgeAt(e)
 		eng.Run(now)
@@ -221,7 +233,7 @@ func TestFlitComponentFailsFast(t *testing.T) {
 						src.links = append(src.links, in)
 					}
 					eng.Add(src)
-					eng.Add(r)
+					eng.Add(flitEdges{r})
 				} else {
 					r := NewComponent("r", arity, layout, clk)
 					src := &wordSource{clk: clk, streams: streams}

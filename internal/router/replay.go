@@ -1,6 +1,6 @@
 package router
 
-// Hyperperiod replay support: both engine adapters of the router implement
+// Hyperperiod replay support: both adapters of the router implement
 // replay.Periodic. The word pipeline's behaviour never depends on absolute
 // time (SetNow only stamps violation reports), so its pattern period is a
 // single clock cycle; its architectural state is the three pipeline

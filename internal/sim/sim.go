@@ -101,7 +101,8 @@ type Engine struct {
 	// flit-lifecycle events on. The engine itself emits nothing — the
 	// exact-time edges it dispatches are the timestamps components stamp
 	// onto their events — but owning the bus here gives drivers one place
-	// to find it.
+	// to find it, and the engine drains it before every timer callback
+	// and before Run returns (see trace.Bus.Drain).
 	tracer *trace.Bus
 
 	// fast, when non-nil, is a compiled fast path (package replay) that
@@ -409,7 +410,23 @@ func (e *Engine) Dispatched() int64 { return e.dispatched }
 // SetTracer installs the typed trace event bus; nil disables tracing.
 // It replaces the historical stringly SetTrace(func(string)) hook: events
 // are now typed trace.Event values with exact picosecond timestamps.
-func (e *Engine) SetTracer(b *trace.Bus) { e.tracer = b }
+// The bus it replaces is drained.
+func (e *Engine) SetTracer(b *trace.Bus) {
+	if b != e.tracer {
+		e.tracer.Drain()
+	}
+	e.tracer = b
+}
+
+// drain brings the tracer's deferred sinks up to date as Run returns, so
+// whatever reads them, or the collector an auditor reports to, sees the
+// whole run. A resimulation inside the fast path is not a return to the
+// caller and leaves the worker running.
+func (e *Engine) drain() {
+	if !e.resim {
+		e.tracer.Drain()
+	}
+}
 
 // Tracer returns the installed event bus, or nil when tracing is off.
 func (e *Engine) Tracer() *trace.Bus { return e.tracer }
@@ -524,8 +541,13 @@ func (e *Engine) rebuild(from clock.Time) {
 // single-domain instant dispatches a group's components in place without
 // copying, and the dispatch scratch lives on the Engine, so steady-state
 // instants allocate nothing. Every Sleeper is awake when Run returns.
+//
+// Once the run has covered queueSpan, each executed instant lets the
+// tracer queue events for its deferred sinks (trace.Bus.Queue), again
+// after any drain; Run drains it before it returns.
 func (e *Engine) Run(until clock.Time) int {
 	instants := 0
+	queueAt := e.now + queueSpan
 	for {
 		if e.dirty {
 			e.rebuild(e.now)
@@ -539,6 +561,7 @@ func (e *Engine) Run(until clock.Time) int {
 			}
 			if res.Done {
 				e.wake()
+				e.drain()
 				return instants
 			}
 			if e.dirty {
@@ -555,6 +578,7 @@ func (e *Engine) Run(until clock.Time) int {
 		if next == clock.Infinity || next > until {
 			e.now = until
 			e.wake()
+			e.drain()
 			return instants
 		}
 		e.now = next
@@ -567,6 +591,7 @@ func (e *Engine) Run(until clock.Time) int {
 		ranTimer := false
 		if len(e.timers) > 0 && e.timers[0].at <= next {
 			e.wake()
+			e.tracer.Drain()
 		}
 		for len(e.timers) > 0 && e.timers[0].at <= next {
 			t := e.timers[0]
@@ -688,8 +713,17 @@ func (e *Engine) Run(until clock.Time) int {
 		if e.fast != nil && !e.resim {
 			e.fast.Observe(next, edges)
 		}
+		if next >= queueAt && e.tracer != nil {
+			e.tracer.Queue()
+		}
 	}
 }
+
+// queueSpan is how much simulated time a Run covers before its tracer
+// queues for the worker: a shorter run, such as one step of a sweep or
+// a trial of BenchmarkTraceOverhead's 100 cycles, emits too few events
+// to pay for starting and draining it.
+const queueSpan = clock.Microsecond
 
 // dispatch updates the due components at now, in add order. A Sleeper
 // woken here is first passed the edges it slept through; afterwards each

@@ -105,10 +105,13 @@ func (s *Summary) String() string {
 // the samples are stored as ascending (value, count) runs: 16 bytes per
 // distinct value whatever the run length, which even when no two samples
 // are equal is what a float64 per sample plus a sorted copy would take.
-// Add drops the sample into a fixed-size unsorted staging buffer that is
-// sorted and merged into the runs when full (and before any query), so it
-// retains nothing per sample and costs amortised O(1 + distinct/stageCap).
-// Insertion order is not kept.
+// A whole non-negative sample near the first one — a synchronous latency
+// in nanoseconds — is counted in a dense window of windowLen counters;
+// any other sample drops into a fixed-size unsorted staging buffer that is
+// sorted and merged into the runs when full. Both are folded into the runs
+// before any query, so Add retains nothing per sample and costs O(1) in
+// the window and amortised O(1 + distinct/stageCap) outside it. Insertion
+// order is not kept.
 //
 // Values are ordered numerically with two refinements that make the order
 // total: -0 sorts before +0 (they are distinct values of the multiset),
@@ -120,6 +123,11 @@ type Histogram struct {
 	Summary
 	runs  []run    // ascending by key, keys distinct, counts positive
 	stage []uint64 // keys not yet merged into runs, unsorted, cap stageCap
+	// win[i] counts the samples equal to lo+i not yet merged into runs;
+	// nil until the first whole non-negative sample up to maxExactSample
+	// places it.
+	win []uint32
+	lo  float64
 }
 
 // A run is one distinct value, as its order-preserving key, and its
@@ -134,6 +142,10 @@ type run struct {
 // constant bounds Add's amortised cost on streams with many distinct
 // values (plesiochronous clocks) at distinct/256 run visits per sample.
 const stageCap = 256
+
+// windowLen is the span of the dense window, in whole values: a
+// synchronous connection's latencies take under 200 distinct values.
+const windowLen = 256
 
 // keyOf maps a sample to an integer whose unsigned order is the
 // histogram's value order: negative floats have all bits flipped,
@@ -163,6 +175,20 @@ func valueOf(k uint64) float64 {
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.Summary.Add(v)
+	if h.win == nil && v >= 0 && v <= maxExactSample && v == math.Trunc(v) {
+		h.win = make([]uint32, windowLen)
+		h.lo = max(0, v-windowLen/2)
+	}
+	// The window holds whole values from lo; -0 is not +0, and NaN fails
+	// the range test.
+	if d := v - h.lo; d >= 0 && d < windowLen && h.win != nil {
+		if i := int(d); float64(i) == d && math.Float64bits(v)>>63 == 0 {
+			if h.win[i]++; h.win[i] == math.MaxUint32 {
+				h.foldWindow()
+			}
+			return
+		}
+	}
 	h.push(keyOf(v))
 }
 
@@ -171,7 +197,7 @@ func (h *Histogram) push(k uint64) {
 		if h.stage == nil {
 			h.stage = make([]uint64, 0, stageCap)
 		} else {
-			h.flush()
+			h.flushStage()
 		}
 	}
 	h.stage = append(h.stage, k)
@@ -257,8 +283,31 @@ func (s *Summary) foldExact(tail []float64, times int64) bool {
 
 func compareRunKey(r run, k uint64) int { return cmp.Compare(r.key, k) }
 
-// flush empties the staging buffer into the runs.
+// flush merges everything the window and the staging buffer hold into
+// the runs.
 func (h *Histogram) flush() {
+	h.flushStage()
+	h.foldWindow()
+}
+
+// foldWindow merges the window's counts into the runs and clears it. Its
+// values ascend with their keys, being whole and non-negative.
+func (h *Histogram) foldWindow() {
+	var buf [windowLen]run
+	counted := buf[:0]
+	for i, c := range h.win {
+		if c != 0 {
+			counted = append(counted, run{keyOf(h.lo + float64(i)), int64(c)})
+			h.win[i] = 0
+		}
+	}
+	if len(counted) > 0 {
+		h.merge(counted)
+	}
+}
+
+// flushStage empties the staging buffer into the runs.
+func (h *Histogram) flushStage() {
 	if len(h.stage) == 0 {
 		return
 	}

@@ -397,6 +397,60 @@ func TestHistogramAddDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestHistogramWindow: a whole non-negative first sample places the dense
+// window around it; whole samples inside it are counted there and nothing
+// else is (fractions, -0, NaN, the infinities, whole values past either
+// edge), and queries see both, as the oracle does.
+func TestHistogramWindow(t *testing.T) {
+	var h Histogram
+	var o oracle
+	add := func(vs ...float64) {
+		for _, v := range vs {
+			h.Add(v)
+			o.Add(v)
+		}
+	}
+	add(1000)
+	if h.lo != 1000-windowLen/2 {
+		t.Fatalf("window placed at %v, want %v", h.lo, 1000-windowLen/2)
+	}
+	inside := []float64{1000, h.lo, h.lo + windowLen - 1, 999, 1001}
+	add(inside...)
+	if len(h.stage) != 0 {
+		t.Fatalf("whole samples inside the window were staged: %v", h.stage)
+	}
+	outside := []float64{h.lo - 1, h.lo + windowLen, 999.5, math.Copysign(0, -1), math.NaN(),
+		math.Inf(1), math.Inf(-1), -3}
+	add(outside...)
+	if len(h.stage) != len(outside) {
+		t.Fatalf("staged %d samples, want the %d outside the window", len(h.stage), len(outside))
+	}
+	compareToOracle(t, "window", &h, &o)
+	// A query folds the window; later samples land in it again.
+	add(1000, 1000, h.lo)
+	h.AddRepeated([]float64{1000, 1002, 5000}, 9)
+	o.AddRepeated([]float64{1000, 1002, 5000}, 9)
+	compareToOracle(t, "window after a query", &h, &o)
+
+	// +0 places a window from 0, which -0 still does not enter.
+	var z Histogram
+	var oz oracle
+	for _, v := range []float64{0, math.Copysign(0, -1), 0, 255, 256, math.Copysign(0, -1)} {
+		z.Add(v)
+		oz.Add(v)
+	}
+	if z.lo != 0 || len(z.stage) != 3 {
+		t.Fatalf("window from %v with %d staged, want from 0 with -0, -0 and 256 staged", z.lo, len(z.stage))
+	}
+	compareToOracle(t, "window from zero", &z, &oz)
+	// A first sample past maxExactSample places no window.
+	var big Histogram
+	big.Add(maxExactSample + 1)
+	if big.win != nil {
+		t.Error("a sample past maxExactSample placed the window")
+	}
+}
+
 // String makes a failing multiset comparison readable: value×count.
 func (r run) String() string { return fmt.Sprintf("%v×%d", valueOf(r.key), r.n) }
 
@@ -453,6 +507,12 @@ func FuzzAddRepeated(f *testing.F) {
 	f.Add(cat(rec(0, 7), rec(3, 500), rec(3, 500), rec(3, 500), rec(3, 500)), uint8(1), uint16(3))
 	f.Add(cat(rec(0, 10), rec(4, 0), rec(4, 1), rec(4, 2)), uint8(0), uint16(3))
 	f.Add(cat(rec(5, math.Float64bits(1e300)), rec(0, 7)), uint8(1), uint16(5))
+	// The dense window: placed by a whole first sample, then samples at
+	// its edges and just past them, a fraction inside it, -0, NaN and +0.
+	f.Add(cat(rec(1, 1000), rec(1, 872), rec(1, 1127), rec(1, 871), rec(1, 1128), rec(4, 0),
+		rec(0, 999), rec(4, 1), rec(3, 999500)), uint8(3), uint16(7))
+	f.Add(cat(rec(0, 5), rec(4, 0), rec(0, 0), rec(0, 133), rec(0, 134), rec(4, 1)), uint8(2), uint16(11))
+	f.Add(cat(rec(4, 0), rec(4, 1), rec(0, 0), rec(4, 0), rec(0, 0)), uint8(2), uint16(4))
 	f.Fuzz(func(t *testing.T, data []byte, split uint8, times uint16) {
 		vs := fuzzSamples(data)
 		if len(vs) > 300 {

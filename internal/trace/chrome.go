@@ -41,11 +41,18 @@ func NewChrome(bus *Bus) *Chrome {
 // flit-granular events render as spans of that length.
 func (c *Chrome) SetFlitCycle(ps int64) { c.flitCycle = ps }
 
+// Deferred implements Deferrable: the buffer is read only by Len and
+// WriteTo, which drain the bus first.
+func (c *Chrome) Deferred() bool { return true }
+
 // Event implements Sink.
 func (c *Chrome) Event(ev Event) { c.events = append(c.events, ev) }
 
 // Len returns the number of buffered events.
-func (c *Chrome) Len() int { return len(c.events) }
+func (c *Chrome) Len() int {
+	c.bus.Drain()
+	return len(c.events)
+}
 
 // chromeFlush is the rendered size past which WriteTo hands its buffer to
 // the writer and starts it over.
@@ -70,6 +77,7 @@ func appendTs(b []byte, ps int64) []byte {
 // WriteTo renders the buffered events through one reused buffer. It
 // implements io.WriterTo.
 func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
+	c.bus.Drain()
 	var n int64
 	buf := make([]byte, 0, chromeFlush+1024)
 	flush := func() error {

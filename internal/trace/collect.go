@@ -81,6 +81,10 @@ func grow[T any](s []*T, i int) []*T {
 	return s
 }
 
+// Deferred implements Deferrable: the aggregation is read only through
+// the accessors below, which drain the bus first.
+func (m *Metrics) Deferred() bool { return true }
+
 // Event implements Sink.
 func (m *Metrics) Event(ev Event) {
 	m.span(ev.Time, ev.Time)
@@ -205,8 +209,11 @@ func (m *Metrics) Fold(ep *Epoch, first, count int64) {
 	m.span(lo+clock.Time(first)*ep.Len, hi+clock.Time(first+count-1)*ep.Len)
 }
 
-// Conn returns the aggregate for one connection (nil if never seen).
+// Conn returns the aggregate for one connection (nil if never seen). It
+// is the sink's own: read it where the bus is drained, after Run or in a
+// timer callback.
 func (m *Metrics) Conn(c phit.ConnID) *ConnMetrics {
+	m.bus.Drain()
 	if c <= phit.None || int(c) >= len(m.conns) {
 		return nil
 	}
@@ -214,10 +221,14 @@ func (m *Metrics) Conn(c phit.ConnID) *ConnMetrics {
 }
 
 // Count returns how many events of the kind were observed.
-func (m *Metrics) Count(k Kind) int64 { return m.counts[k] }
+func (m *Metrics) Count(k Kind) int64 {
+	m.bus.Drain()
+	return m.counts[k]
+}
 
 // Events returns the total observed event count.
 func (m *Metrics) Events() int64 {
+	m.bus.Drain()
 	var n int64
 	for _, c := range m.counts {
 		n += c
@@ -284,6 +295,7 @@ type CompReport struct {
 // component's output could have been busy, giving utilisation. A zero
 // windowPs falls back to the span between the first and last event.
 func (m *Metrics) Report(windowPs, periodPs int64) *Report {
+	m.bus.Drain()
 	if windowPs <= 0 && m.any {
 		windowPs = int64(m.lastPs - m.firstPs)
 	}

@@ -40,7 +40,13 @@
 //	rep := mx.Report(int64(net.Engine().Now()), int64(net.BaseClock().Period))
 //	rep.WriteJSON(os.Stdout) // or rep.WriteCSV
 //
-// A Bus and its sinks belong to exactly one engine: they are as
-// single-goroutine as the components that feed them. Parallel sweeps give
+// A Bus belongs to exactly one engine and is called from its goroutine
+// only; sinks may run on one worker. While the bus queues (Bus.Queue,
+// which the engine calls once a run is long enough), a Deferrable sink —
+// Metrics, Chrome, an auditor that reports to a collector — takes its
+// events in chunks on the bus's worker goroutine while the simulation
+// goes on, and its accessors drain the bus first; every other sink
+// receives each event inside Emit. Either way a sink sees every event, in
+// emission order (Bus documents the drain points). Parallel sweeps give
 // each point its own bus (see internal/parallel).
 package trace

@@ -183,18 +183,72 @@ type Folder interface {
 // sinks that do not fold, so its buffer does not grow with the epoch.
 const epochChunk = 256
 
-// A Bus fans events out to sinks and interns component names. It is not
-// safe for concurrent use; the simulation engine is single-threaded by
-// construction.
+// A Deferrable sink may take its events on the bus's worker goroutine,
+// in chunks, while the simulation goes on: a sink whose work is its own
+// and whose results are read only through accessors that call
+// Bus.Drain first. Metrics, Chrome and an auditor that reports to a
+// collector defer. A sink that acts on the simulation, or whose state the
+// emitting side reads without a drain, stays inline: it receives each
+// event inside the Emit call, as a plain Sink does.
+type Deferrable interface {
+	Sink
+	// Deferred reports whether the sink takes its events on the worker.
+	// The bus asks when the sink is attached.
+	Deferred() bool
+}
+
+// chunkEvents sizes the chunks the deferred sinks take: 2048 events,
+// 96 KiB. A smaller chunk wakes the worker more often than it saves in
+// cache misses on the emitting side; a larger one no longer stays in its
+// caches.
+const chunkEvents = 2048
+
+// A Bus fans events out to sinks and interns component names. Its
+// methods and emitters are called from one goroutine, the simulation's;
+// deferred sinks (see Deferrable) may run on one worker goroutine beside
+// it. Emit hands an event to every sink at once until Queue starts
+// deferred delivery: from then on Emit hands it to the inline sinks and
+// appends it to the current chunk; a full chunk goes to the worker, and
+// at most one chunk is in flight, so the emitting side waits only when
+// the worker falls a whole chunk behind. The engine queues once a Run has
+// gone on long enough to gain from the worker (sim.Engine.Run). Every
+// sink receives every event in emission order.
+//
+// Drain brings the deferred sinks up to date and ends the queueing: it
+// waits for the chunk in flight, stops the worker and delivers the
+// partial chunk on the calling goroutine. The bus drains itself before
+// Attach, Detach, SetSilent, interning and EmitEpochs; a deferred sink
+// drains before every accessor; the engine drains its tracer before timer
+// callbacks and before Run returns. A sink panic on the worker is raised
+// again, with the same value, by the next Drain.
 type Bus struct {
 	comps  []string
 	byName map[string]CompID
-	sinks  []Sink
+
+	// sinks holds every attachment in order, and deferred its Deferrable
+	// ones. direct is what Emit delivers to: sinks, or while the bus
+	// queues, queueing: the other sinks and then the bus's tap, which
+	// appends to the chunk.
+	sinks    []Sink
+	deferred []Sink
+	direct   []Sink
+	queueing []Sink
 
 	// silent suppresses delivery. The replay fast path mutes the bus
 	// while it resimulates instants whose events were already emitted
 	// from the recorded schedule, keeping deopt trace-invisible.
 	silent bool
+
+	// Deferred delivery: chunk is being filled, spare is the chunk in
+	// flight while busy. The worker runs from a hand-off to the next
+	// Drain; it takes chunks on jobs (nil stops it), answers each on done,
+	// and records a sink's panic in failed before answering.
+	chunk, spare []Event
+	jobs         chan []Event
+	done         chan struct{}
+	running      bool
+	busy         bool
+	failed       any
 
 	// EmitEpochs scratch: the sinks that do not fold, and one chunk of
 	// shifted copies for them.
@@ -208,11 +262,57 @@ func NewBus() *Bus {
 }
 
 // Attach adds a sink; every subsequent event is delivered to it.
-func (b *Bus) Attach(s Sink) { b.sinks = append(b.sinks, s) }
+func (b *Bus) Attach(s Sink) {
+	b.Drain()
+	b.sinks = append(b.sinks, s)
+	b.split()
+}
 
 // Detach removes every attachment of s; events no longer reach it.
 func (b *Bus) Detach(s Sink) {
+	b.Drain()
 	b.sinks = slices.DeleteFunc(b.sinks, func(t Sink) bool { return t == s })
+	b.split()
+}
+
+// split sorts the attached sinks into deferred ones and the rest. The
+// worker is stopped (the caller drained).
+func (b *Bus) split() {
+	b.queueing, b.deferred = b.queueing[:0], b.deferred[:0]
+	for _, s := range b.sinks {
+		if d, ok := s.(Deferrable); ok && d.Deferred() {
+			b.deferred = append(b.deferred, s)
+		} else {
+			b.queueing = append(b.queueing, s)
+		}
+	}
+	b.queueing = append(b.queueing, tap{b})
+	if len(b.deferred) > 0 && b.chunk == nil {
+		b.chunk = make([]Event, 0, chunkEvents)
+		b.spare = make([]Event, 0, chunkEvents)
+	}
+	b.direct = b.sinks
+}
+
+// Queue starts deferred delivery until the next drain: the deferred sinks
+// take the events emitted from here on in chunks, on the worker. It does
+// nothing on a nil bus or one with no deferred sink attached.
+func (b *Bus) Queue() {
+	if b != nil && len(b.deferred) > 0 {
+		b.direct = b.queueing
+	}
+}
+
+// tap is the bus's own last sink while it queues: it appends each event
+// to the chunk.
+type tap struct{ b *Bus }
+
+func (t tap) Event(ev Event) {
+	b := t.b
+	b.chunk = append(b.chunk, ev)
+	if len(b.chunk) == chunkEvents {
+		b.handOff()
+	}
 }
 
 // Component interns a component name, returning its stable id. Interning
@@ -221,6 +321,7 @@ func (b *Bus) Component(name string) CompID {
 	if id, ok := b.byName[name]; ok {
 		return id
 	}
+	b.Drain() // deferred sinks read the names
 	id := CompID(len(b.comps))
 	b.comps = append(b.comps, name)
 	b.byName[name] = id
@@ -249,18 +350,112 @@ func (b *Bus) Emit(ev Event) {
 	if b.silent {
 		return
 	}
-	for _, s := range b.sinks {
+	for _, s := range b.direct {
 		s.Event(ev)
+	}
+}
+
+// handOff sends the full chunk to the worker, starting it if it is not
+// running, once the chunk before it has been taken.
+func (b *Bus) handOff() {
+	b.wait()
+	if b.jobs == nil {
+		b.jobs = make(chan []Event, 1)
+		b.done = make(chan struct{}, 1)
+	}
+	if !b.running {
+		b.running = true
+		go b.work()
+	}
+	full := b.chunk
+	b.chunk, b.spare = b.spare[:0], full
+	b.busy = true
+	b.jobs <- full
+}
+
+// wait returns once the chunk in flight, if any, has been taken.
+func (b *Bus) wait() {
+	if b.busy {
+		<-b.done
+		b.busy = false
+	}
+}
+
+// work is the worker goroutine: it delivers each chunk it is sent to the
+// deferred sinks and answers on done, until it is sent nil, which it
+// answers as it exits.
+func (b *Bus) work() {
+	for evs := range b.jobs {
+		if evs != nil {
+			b.take(evs)
+		}
+		b.done <- struct{}{}
+		if evs == nil {
+			return
+		}
+	}
+}
+
+// take delivers a chunk to every deferred sink on the worker. Once a sink
+// has panicked nothing more is delivered: the panic ends the run at the
+// next Drain, as it would have inside Emit.
+func (b *Bus) take(evs []Event) {
+	if b.failed != nil {
+		return
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			b.failed = v
+		}
+	}()
+	deliver(b.deferred, evs)
+}
+
+// deliver hands a run of events to every sink of sinks, sink by sink.
+func deliver(sinks []Sink, evs []Event) {
+	for _, s := range sinks {
+		for i := range evs {
+			s.Event(evs[i])
+		}
+	}
+}
+
+// Drain returns once every event emitted so far has reached every
+// deferred sink, and ends the queueing: it waits for the chunk in flight,
+// stops the worker and delivers the partial chunk on the calling
+// goroutine. A panic a sink raised on the worker is raised here again.
+// Drain on a nil bus, or one that is not queueing, does nothing.
+func (b *Bus) Drain() {
+	if b == nil {
+		return
+	}
+	b.wait()
+	if b.running {
+		b.jobs <- nil
+		<-b.done
+		b.running = false
+	}
+	b.direct = b.sinks
+	if v := b.failed; v != nil {
+		b.failed = nil
+		b.chunk = b.chunk[:0]
+		panic(v)
+	}
+	if len(b.chunk) > 0 {
+		evs := b.chunk
+		b.chunk = b.chunk[:0]
+		deliver(b.deferred, evs)
 	}
 }
 
 // EmitEpochs delivers copies first, first+1, ..., first+count-1 of ep:
 // in one Fold call to each Folder, and event by event, in order, to every
-// other sink.
+// other sink. It drains first and delivers on the calling goroutine.
 func (b *Bus) EmitEpochs(ep *Epoch, first, count int64) {
 	if b.silent || count <= 0 || len(ep.Events) == 0 {
 		return
 	}
+	b.Drain()
 	b.plain = b.plain[:0]
 	for _, s := range b.sinks {
 		if f, ok := s.(Folder); ok {
@@ -279,26 +474,20 @@ func (b *Bus) EmitEpochs(ep *Epoch, first, count int64) {
 	for e := first; e < first+count; e++ {
 		for i := range ep.Events {
 			if len(buf) == epochChunk {
-				b.deliver(buf)
+				deliver(b.plain, buf)
 				buf = buf[:0]
 			}
 			buf = append(buf, ep.At(i, e))
 		}
 	}
-	b.deliver(buf)
-}
-
-// deliver hands a run of events to every sink that does not fold.
-func (b *Bus) deliver(evs []Event) {
-	for _, s := range b.plain {
-		for _, ev := range evs {
-			s.Event(ev)
-		}
-	}
+	deliver(b.plain, buf)
 }
 
 // SetSilent suppresses (true) or restores (false) event delivery.
-func (b *Bus) SetSilent(on bool) { b.silent = on }
+func (b *Bus) SetSilent(on bool) {
+	b.Drain()
+	b.silent = on
+}
 
 // Emitter returns a per-component emission handle. Components store the
 // handle (nil when tracing is disabled) and test it before building an
@@ -324,7 +513,7 @@ func (e *Emitter) Emit(ev Event) {
 		return
 	}
 	ev.Comp = e.comp
-	for _, s := range e.bus.sinks {
+	for _, s := range e.bus.direct {
 		s.Event(ev)
 	}
 }

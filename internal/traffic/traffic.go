@@ -19,6 +19,14 @@ type Port interface {
 	Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool
 }
 
+// A Resolver is a Port that resolves one connection's injection ahead of
+// its words: the function OfferTo returns offers a word as Offer(now,
+// conn, meta) does, without looking conn up. A generator resolves its
+// connection once, at its first word, on a port that is a Resolver.
+type Resolver interface {
+	OfferTo(conn phit.ConnID) func(now clock.Time, meta phit.Meta) bool
+}
+
 // A Generator produces payload words for one connection at a modelled
 // rate. It implements sim.Sleeper and runs in the IP's clock domain
 // (which, thanks to the NI's bi-synchronous FIFO, need not be the NI's).
@@ -27,6 +35,9 @@ type Generator struct {
 	clk  *clock.Clock
 	ni   Port
 	conn phit.ConnID
+	// offer is the connection's injection on ni, resolved at the first
+	// word (see Resolver).
+	offer func(now clock.Time, meta phit.Meta) bool
 
 	// The offered rate in payload words per generator clock cycle is the
 	// exact rational rateNum/rateDen (reduced). The accumulator accNum is
@@ -165,8 +176,11 @@ func (g *Generator) Update(now clock.Time) {
 	}
 	g.accNum += num
 	for g.accNum >= g.rateDen {
+		if g.offer == nil {
+			g.resolve()
+		}
 		meta := phit.Meta{Conn: g.conn, Seq: g.seq, Injected: now}
-		if !g.ni.Offer(now, g.conn, meta) {
+		if !g.offer(now, meta) {
 			// Blocking write: the word stays pending; retry next
 			// cycle. Cap the backlog accumulator at one FIFO's
 			// worth so an over-subscribed generator models a
@@ -180,6 +194,16 @@ func (g *Generator) Update(now clock.Time) {
 		g.seq++
 		g.accNum -= g.rateDen
 	}
+}
+
+// resolve binds the generator's connection on its port.
+func (g *Generator) resolve() {
+	if r, ok := g.ni.(Resolver); ok {
+		g.offer = r.OfferTo(g.conn)
+		return
+	}
+	port, conn := g.ni, g.conn
+	g.offer = func(now clock.Time, meta phit.Meta) bool { return port.Offer(now, conn, meta) }
 }
 
 // Idle implements sim.Sleeper: the edges after now on which Update would

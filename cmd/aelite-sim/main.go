@@ -6,9 +6,10 @@
 // internal/backend registry builds the network, one bus carries the trace,
 // metrics and audit sinks, and one renderer prints the report, the audit
 // summary, the campaign summary and the verdict in that order. Flags only
-// the aelite core models (fault campaigns, -reconfig, -reliable,
-// -probes, -alloc, the clocking modes) are rejected up front on any other
-// backend instead of being ignored.
+// the aelite core models (fault campaigns, -reconfig, -reliable, -alloc,
+// the clocking modes) are rejected up front on any other backend instead
+// of being ignored. -audit checks every flit against the allocation and
+// the analytical bounds on any backend with contracts.
 //
 // Usage:
 //
@@ -31,7 +32,6 @@
 //	-tx            transactional traffic instead of CBR: whole transactions
 //	               at line rate, 4, 8 or 16 words by rate class, the same
 //	               on every backend
-//	-probes        enable dynamic TDM verification probes (aelite only)
 //	-faults SPEC   fault campaign: op@TIMEns:target[:param];... or random:N
 //	-fault-seed N  seed for random fault events (same seed, same campaign)
 //	-reliable      wrap every NI port in the end-to-end reliability shell:
@@ -201,19 +201,23 @@ func simulate(o options, faultSeed int64, stdout, traceW, metricsW io.Writer) (i
 	if err != nil {
 		return 0, err
 	}
-	// Campaigns always carry the TDM ownership probes: a corrupted header
-	// re-routes a packet into slots reserved for someone else, which only
-	// the allocation-aware probes can attribute.
 	campaign := o.campaign()
 	p.Mode, p.Allocator, p.Transactional = o.clocking, o.alloc, o.tx
-	p.Probes, p.Reliable, p.SkewOverridePS = o.probes || campaign, o.reliable, o.skewPS
-	// In a campaign, a collector switches every envelope check from
-	// fail-fast panic to graceful violation recording; -strict keeps the
-	// panics so the first violation halts the run.
+	p.Reliable, p.SkewOverridePS = o.reliable, o.skewPS
+	// A campaign's network has a fault reporter, which gives it the word
+	// links, fault targets and TDM ownership probes a campaign needs: a
+	// corrupted header re-routes a packet into slots reserved for someone
+	// else, which the allocation-aware probes attribute. A collector
+	// switches every envelope check from fail-fast panic to graceful
+	// violation recording; -strict keeps the panics (fault.FailFast) so
+	// the first violation halts the run.
 	var collector *fault.Collector
-	if campaign && !o.strict {
-		collector = fault.NewCollector()
-		p.FaultReporter = collector
+	if campaign {
+		p.FaultReporter = fault.FailFast{}
+		if !o.strict {
+			collector = fault.NewCollector()
+			p.FaultReporter = collector
+		}
 	}
 	inst, err := o.bk.Build(m, uc, p)
 	if err != nil {

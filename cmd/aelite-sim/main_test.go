@@ -63,6 +63,9 @@ var rows = []row{
 	{Name: "wide-routerless", Args: wide + " -backend routerless" + window},
 
 	{Name: "strict-skew-exit3", Args: "-random 20 -mode mesochronous -strict -skew-ps 1001" + window},
+	// A strict synchronous campaign stays on word links, where the
+	// ownership probe halts it at the misrouted flit.
+	{Name: "strict-sync-corrupt-exit3", Args: "-random 20 -faults corrupt@5000:l34. -strict" + window},
 	{Name: "usage-routerless-meso", Args: "-random 20 -backend routerless -mode mesochronous"},
 	{Name: "usage-be", Args: "-random 20 -backend be"},
 	{Name: "usage-be-audit", Args: "-random 20 -backend aethereal -audit"},
@@ -73,7 +76,6 @@ var rows = []row{
 	{Name: "usage-runs-without-faults", Args: "-random 20 -runs 2"},
 	{Name: "usage-be-faults", Args: "-random 20 -backend aethereal -faults random:3"},
 	{Name: "usage-routerless-fast", Args: "-random 20 -backend routerless -fast"},
-	{Name: "usage-routerless-probes", Args: "-random 20 -backend routerless -probes"},
 	{Name: "usage-routerless-ripup", Args: "-random 20 -backend routerless -alloc ripup"},
 	{Name: "usage-no-use-case", Args: "-trace-out {tmp}/x.json", Files: []string{"x.json"}},
 }

@@ -21,7 +21,6 @@ type options struct {
 	warmup    float64
 	measure   float64
 	tx        bool
-	probes    bool
 	faults    string
 	faultSeed int64
 	reliable  bool
@@ -53,7 +52,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.warmup, "warmup", 10000, "warm-up in ns")
 	fs.Float64Var(&o.measure, "measure", 50000, "measurement window in ns")
 	fs.BoolVar(&o.tx, "tx", false, "transactional traffic")
-	fs.BoolVar(&o.probes, "probes", false, "TDM verification probes")
 	fs.StringVar(&o.faults, "faults", "", "fault campaign spec")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for random fault events")
 	fs.BoolVar(&o.reliable, "reliable", false, "end-to-end reliability shell on every NI port")
@@ -74,8 +72,8 @@ func (o *options) register(fs *flag.FlagSet) {
 func (o *options) rateFaults() bool { return o.bitflip > 0 || o.drop > 0 }
 
 // campaign reports whether the run is a fault campaign: it then carries
-// the ownership probes and a violation collector, and prints the campaign
-// summary in place of the verdict.
+// a fault reporter, and with it the ownership probes, and prints the
+// campaign summary in place of the verdict.
 func (o *options) campaign() bool { return o.faults != "" || o.skewPS != 0 || o.rateFaults() }
 
 // faultPlan assembles the campaign plan for one run: the event spec (if
@@ -125,7 +123,9 @@ func (o *options) validate() (err error) {
 			return fmt.Errorf("-backend %s is single-clock; -mode %s needs the aelite backend", o.backend, o.mode)
 		case o.reliable || o.rateFaults():
 			return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
-		case o.probes || alloc != slots.Greedy{}:
+		case alloc != slots.Greedy{}:
+			// The usage-routerless-ripup golden pins this wording,
+			// which still names the former -probes flag.
 			return fmt.Errorf("-probes/-alloc need the aelite backend (got %q)", o.backend)
 		case o.faults != "":
 			return errors.New("fault campaigns need the aelite backend")

@@ -101,7 +101,7 @@ func faultSweepSummaries(t *testing.T, jobs int) []byte {
 		})
 		spec.MapIPsByTraffic(uc, m)
 		col := fault.NewCollector()
-		cfg := core.Config{Mode: core.Mesochronous, Probes: true, FaultReporter: col}
+		cfg := core.Config{Mode: core.Mesochronous, FaultReporter: col}
 		n, err := core.Build(m, uc, cfg)
 		if err != nil {
 			return nil, err

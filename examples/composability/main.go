@@ -58,8 +58,7 @@ func app0(uc *spec.UseCase) []phit.ConnID {
 // optionally hostile: oversubscribing 8x).
 func aeliteArrivals(withOthers, hostile bool) audit.Timelines {
 	m, uc := buildSpec()
-	cfg := core.Config{Probes: true}
-	net, err := core.Build(m, uc, cfg)
+	net, err := core.Build(m, uc, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,14 +46,13 @@ func buildSpec() *spec.UseCase {
 }
 
 // build assembles a mesochronous network with the given skew override and
-// reporter, with TDM ownership probes on every link.
+// reporter; the reporter puts a TDM ownership probe on every link.
 func build(skewPS int64, rep fault.Reporter) *core.Network {
 	m := topology.NewMesh(3, 2, 2)
 	uc := buildSpec()
 	spec.MapIPsByTraffic(uc, m)
 	cfg := core.Config{
-		Mode: core.Mesochronous, Probes: true,
-		FaultReporter: rep, SkewOverridePS: skewPS,
+		Mode: core.Mesochronous, FaultReporter: rep, SkewOverridePS: skewPS,
 	}
 	net, err := core.Build(m, uc, cfg)
 	if err != nil {

@@ -18,9 +18,11 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func buildSpec() *spec.UseCase {
@@ -38,11 +40,16 @@ func main() {
 		m := topology.NewMesh(3, 2, 2)
 		uc := buildSpec()
 		spec.MapIPsByTraffic(uc, m)
-		cfg := core.Config{Mode: core.Mesochronous, PhaseSeed: seed, Probes: true}
+		cfg := core.Config{Mode: core.Mesochronous, PhaseSeed: seed}
 		net, err := core.Build(m, uc, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		// A strict auditor checks every flit against its slots and bound
+		// live, and halts at the first violation.
+		bus := trace.NewBus()
+		audit.Attach(net, bus, nil, audit.Options{})
+		net.AttachTracer(bus)
 		rep := net.Run(5000, 30000)
 		maxFIFO := 0
 		for _, st := range net.Stages() {

@@ -24,10 +24,12 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/phit"
 	"repro/internal/spec"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -72,11 +74,16 @@ func main() {
 	}
 	spec.MapIPsByTraffic(uc, mesh)
 
-	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous, Probes: true, Transactional: true}
+	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous, Transactional: true}
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A strict auditor checks every flit against its slots and bound
+	// live, and halts at the first violation.
+	bus := trace.NewBus()
+	auditor := audit.Attach(net, bus, nil, audit.Options{})
+	net.AttachTracer(bus)
 
 	fmt.Printf("set-top-box SoC: %d IPs, %d connections, 4 applications\n", len(uc.IPs), len(uc.Connections))
 	fmt.Printf("mesochronous aelite at 500 MHz, slot table %d\n\n", net.Cfg.TableSize)
@@ -128,6 +135,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	auditor.Resync(net)                               // the auditor now holds the new schedule
 	net.Engine().Run(net.Engine().Now() + 60000*1000) // 60 µs more
 	net.Engine().Sync()                               // land replayed state before reading it
 	info, err := net.Info(game.ID)

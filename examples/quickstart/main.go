@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := core.Config{FreqMHz: 500, Probes: true} // probes verify the TDM schedule live
+	cfg := core.Config{FreqMHz: 500} // -audit verifies the TDM schedule live
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -58,7 +58,7 @@ func build(col *fault.Collector, retryBudget int) *core.Network {
 	})
 	spec.MapIPsByTraffic(uc, m)
 	cfg := core.Config{
-		Mode: core.Mesochronous, Probes: true, Reliable: true,
+		Mode: core.Mesochronous, Reliable: true,
 		RetryBudget: retryBudget, FaultReporter: col,
 	}
 	net, err := core.Build(m, uc, cfg)

@@ -80,7 +80,7 @@ func main() {
 	// to quarantine quickly. The collector keeps expected campaign
 	// violations from killing the run.
 	col := fault.NewCollector()
-	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous, Probes: true,
+	cfg := core.Config{FreqMHz: 500, Mode: core.Mesochronous,
 		Reliable: true, RetryBudget: 2, FaultReporter: col}
 	net, err := core.Build(mesh, uc, cfg)
 	if err != nil {

@@ -48,4 +48,11 @@ type ContractSet struct {
 	// the number of slots it owns there, and its revolution is the
 	// table's length in flit cycles.
 	AllocTables map[string][]phit.ConnID
+	// RouterTables are the allocation's link tables by router output,
+	// keyed by the component name that emits RouterForward events:
+	// RouterTables[name][port][slot] is the channel owning that slot on
+	// the link leaving the router at that output port (phit.None when
+	// free; a nil table for a port without a link). They are apart from
+	// AllocTables, which hold injection quotas.
+	RouterTables map[string][][]phit.ConnID
 }

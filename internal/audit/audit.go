@@ -78,9 +78,11 @@ type chanAudit struct {
 // compAudit is the per-component state of the slot checks. One TDM
 // resource is a component (NI, link stage) or a router output port.
 type compAudit struct {
-	// table is the allocation-side injection table of an NI, looked up by
-	// component name on the component's first SlotStart; nil = none.
+	// table is the allocation-side injection table of an NI and ports the
+	// link tables of a router's outputs, looked up by component name on
+	// the component's first SlotStart or RouterForward; nil = none.
 	table    []phit.ConnID
+	ports    [][]phit.ConnID
 	resolved bool
 	// last holds the latest use of each resource of the component, by
 	// output port (0 for NIs and link stages), grown as ports are seen.
@@ -123,7 +125,10 @@ type Auditor struct {
 	// Allocation-side slot tables keyed by component name, resolved
 	// lazily per CompID. Deliberately the fabric's allocation, not its
 	// live injection tables, so corruption of the latter is caught.
-	allocTables map[string][]phit.ConnID
+	// routerTables is nil on plesiochronous clocks, whose instants name
+	// no common slot.
+	allocTables  map[string][]phit.ConnID
+	routerTables map[string][][]phit.ConnID
 
 	checkExclusive bool
 	flitCyclePs    clock.Time
@@ -217,11 +222,14 @@ func (a *Auditor) load(set analysis.ContractSet) {
 			}
 		}
 	}
-	a.allocTables = set.AllocTables
+	a.allocTables, a.routerTables = set.AllocTables, set.RouterTables
+	if set.Asynchronous {
+		a.routerTables = nil
+	}
 	// The lazily resolved CompID -> table cache points at the old
 	// tables; drop it so the next event re-resolves.
 	for c := range a.comps {
-		a.comps[c].table, a.comps[c].resolved = nil, false
+		a.comps[c].table, a.comps[c].ports, a.comps[c].resolved = nil, nil, false
 	}
 }
 
@@ -276,6 +284,7 @@ func (a *Auditor) Event(ev trace.Event) {
 		a.onSlotStart(ev)
 		a.onActivity(ev, 0)
 	case trace.RouterForward:
+		a.onForward(ev)
 		a.onActivity(ev, ev.Arg)
 	case trace.LinkForward:
 		a.onActivity(ev, 0)
@@ -379,32 +388,63 @@ func (a *Auditor) onEject(ev trace.Event) {
 	}
 }
 
-func (a *Auditor) onSlotStart(ev trace.Event) {
-	if ev.Slot < 0 {
-		return
+// tables returns the slot-check state of an event's component with its
+// allocation tables resolved, nil when the id is not one the bus has
+// interned.
+func (a *Auditor) tables(id trace.CompID) *compAudit {
+	cp := a.comp(id)
+	if cp != nil && !cp.resolved {
+		name := a.bus.ComponentName(id)
+		cp.table, cp.ports, cp.resolved = a.allocTables[name], a.routerTables[name], true
 	}
-	cp := a.comp(ev.Comp)
-	if cp == nil {
-		return
-	}
-	if !cp.resolved {
-		cp.table, cp.resolved = a.allocTables[a.bus.ComponentName(ev.Comp)], true
-	}
-	table := cp.table
-	if table == nil {
-		return
-	}
-	slot := int(ev.Slot) % len(table)
-	if owner := table[slot]; owner != ev.Conn {
+	return cp
+}
+
+// owns checks that the allocation gives the event's connection the slot
+// of table that the event used; slot is taken modulo the table size and
+// returned so.
+func (a *Auditor) owns(ev trace.Event, table []phit.ConnID, slot int64) int {
+	s := int(slot % int64(len(table)))
+	if owner := table[s]; owner != ev.Conn {
+		used := "sent"
+		if ev.Kind == trace.RouterForward {
+			used = fmt.Sprintf("left output %d", ev.Arg)
+		}
 		a.report(a.conn(ev.Conn), fault.Violation{
 			Kind:      fault.SlotOwnership,
 			Component: a.bus.ComponentName(ev.Comp),
 			Time:      ev.Time,
-			Slot:      slot,
-			Detail: fmt.Sprintf("connection %d sent in a slot the allocation assigns to %s",
-				ev.Conn, ownerName(owner)),
+			Slot:      s,
+			Detail: fmt.Sprintf("connection %d %s in a slot the allocation assigns to %s",
+				ev.Conn, used, ownerName(owner)),
 		})
 	}
+	return s
+}
+
+// onForward checks a flit a router switched against the allocation of the
+// link it left on. Its slot is the flit cycle of the instant: every clock
+// of a synchronous or mesochronous fabric has its edge 0 within the first
+// period, so a flit driven at edge e lies in flit cycle e/3.
+func (a *Auditor) onForward(ev trace.Event) {
+	cp := a.tables(ev.Comp)
+	if cp == nil || uint64(ev.Arg) >= uint64(len(cp.ports)) || ev.Time < 0 {
+		return // no router, no such output, or an instant before time zero
+	}
+	if table := cp.ports[ev.Arg]; len(table) > 0 {
+		a.owns(ev, table, int64(ev.Time/a.flitCyclePs))
+	}
+}
+
+func (a *Auditor) onSlotStart(ev trace.Event) {
+	if ev.Slot < 0 {
+		return
+	}
+	cp := a.tables(ev.Comp)
+	if cp == nil || len(cp.table) == 0 {
+		return
+	}
+	slot := a.owns(ev, cp.table, int64(ev.Slot))
 
 	// Network-side injection regulation: a connection owning q slots can
 	// start at most q flits per table revolution; one extra is tolerated

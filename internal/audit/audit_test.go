@@ -15,9 +15,10 @@ import (
 )
 
 // buildNet assembles a small 2x1-mesh workload. The component-level fault
-// reporter is always a collector so fabric checks degrade gracefully and
-// the auditor's verdict stays separable.
-func buildNet(t testing.TB, mode core.Mode, probes bool) (*core.Network, *fault.Collector) {
+// reporter is always a collector, which also gives the network its
+// ownership probes, so fabric checks degrade gracefully and the auditor's
+// verdict stays separable.
+func buildNet(t testing.TB, mode core.Mode) (*core.Network, *fault.Collector) {
 	t.Helper()
 	m := topology.NewMesh(2, 1, 2)
 	uc := spec.Random(spec.RandomConfig{
@@ -27,7 +28,7 @@ func buildNet(t testing.TB, mode core.Mode, probes bool) (*core.Network, *fault.
 	})
 	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
-	cfg := core.Config{Mode: mode, Probes: probes, FaultReporter: col}
+	cfg := core.Config{Mode: mode, FaultReporter: col}
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func buildNet(t testing.TB, mode core.Mode, probes bool) (*core.Network, *fault.
 func TestCleanRunHasNoViolations(t *testing.T) {
 	for _, mode := range []core.Mode{core.Synchronous, core.Mesochronous, core.Asynchronous} {
 		t.Run(mode.String(), func(t *testing.T) {
-			n, fabric := buildNet(t, mode, mode != core.Asynchronous)
+			n, fabric := buildNet(t, mode)
 			bus := trace.NewBus()
 			n.AttachTracer(bus)
 			audCol := fault.NewCollector()
@@ -82,7 +83,7 @@ func mustInfo(t *testing.T, n *core.Network, id phit.ConnID) core.ConnectionInfo
 // reservation deliberately moved off its allocated position must surface
 // as a one-line slot-ownership diagnostic.
 func TestAuditorCatchesCorruptedTable(t *testing.T) {
-	n, _ := buildNet(t, core.Synchronous, false)
+	n, _ := buildNet(t, core.Synchronous)
 	bus := trace.NewBus()
 	n.AttachTracer(bus)
 	audCol := fault.NewCollector()
@@ -118,7 +119,7 @@ func TestAuditorCatchesCorruptedTable(t *testing.T) {
 // contract (injection-rate) per connection, and — crucially — none of the
 // resulting delay is misattributed to the fabric as a bound violation.
 func TestAuditorFlagsOversubscription(t *testing.T) {
-	n, _ := buildNet(t, core.Synchronous, true)
+	n, _ := buildNet(t, core.Synchronous)
 	bus := trace.NewBus()
 	n.AttachTracer(bus)
 	audCol := fault.NewCollector()
@@ -134,7 +135,7 @@ func TestAuditorFlagsOversubscription(t *testing.T) {
 	}
 	// The same scenario with tolerance (a deliberate interference
 	// experiment): nothing at all is reported.
-	n2, _ := buildNet(t, core.Synchronous, true)
+	n2, _ := buildNet(t, core.Synchronous)
 	bus2 := trace.NewBus()
 	n2.AttachTracer(bus2)
 	a2 := Attach(n2, bus2, fault.NewCollector(), Options{TolerateOversubscription: true})
@@ -148,7 +149,7 @@ func TestAuditorFlagsOversubscription(t *testing.T) {
 // TestSyntheticViolations feeds fabricated events straight into the sink
 // to pin the delivery-order, latency-bound and exclusivity checks.
 func TestSyntheticViolations(t *testing.T) {
-	n, _ := buildNet(t, core.Synchronous, false)
+	n, _ := buildNet(t, core.Synchronous)
 	bus := trace.NewBus()
 	comp := bus.Emitter("synthetic").Comp()
 	audCol := fault.NewCollector()
@@ -212,7 +213,7 @@ func TestIsolationDiff(t *testing.T) {
 // single delivery instant of the audited connection.
 func TestIsolationUnderInterference(t *testing.T) {
 	res, err := Isolation(2, func(perturbed bool) (Timelines, error) {
-		n, _ := buildNet(t, core.Synchronous, true)
+		n, _ := buildNet(t, core.Synchronous)
 		watched := n.Connections()[0]
 		interferer := n.Connections()[1]
 		bus := trace.NewBus()

@@ -27,10 +27,14 @@
 //     one;
 //   - slot conformance: every SlotStart must occur in a slot the
 //     *allocation* assigns to that connection (catching live-table
-//     corruption), a channel owning q slots of its table starts at most
-//     q+1 flits per revolution of that table, and no two connections may
-//     use the same NI, router output port, or link stage within one flit
-//     cycle (except under asynchronous clocking).
+//     corruption), and so must every RouterForward on its output link
+//     (ContractSet.RouterTables; its slot is the instant's flit cycle, so
+//     not under asynchronous clocking) — the paper's invariant that no
+//     two flits use one link in one slot, checked where a misrouted flit
+//     first takes a slot; a channel owning q slots of its table starts at
+//     most q+1 flits per revolution of that table, and no two connections
+//     may use the same NI, router output port, or link stage within one
+//     flit cycle (except under asynchronous clocking).
 //
 // Connection and component ids are resolved by index, not by hash: the
 // per-connection contracts and slot quotas are slices indexed by ConnID,

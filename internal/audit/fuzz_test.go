@@ -19,8 +19,9 @@ type setSource struct{ set analysis.ContractSet }
 func (s setSource) Contracts() analysis.ContractSet { return s.set }
 
 // fuzzContracts is a hand-built contract set: three data connections with
-// bounds and budgets, and two slot tables that also hold reverse channels
-// and free slots.
+// bounds and budgets, two slot tables that also hold reverse channels and
+// free slots, and the output link tables of router r0 (port 1 has no
+// link) and of r9, which the fuzz bus never interns.
 func fuzzContracts(asynchronous bool) analysis.ContractSet {
 	return analysis.ContractSet{
 		FreqMHz: 500, WordBytes: 4, Asynchronous: asynchronous, PPM: 1000,
@@ -32,6 +33,10 @@ func fuzzContracts(asynchronous bool) analysis.ContractSet {
 		AllocTables: map[string][]phit.ConnID{
 			"ni0": {1, 0, 2, 1, 5, 0, 0, 1},
 			"ni1": {3, 4, 3, 0, 6, 3, 0, 0},
+		},
+		RouterTables: map[string][][]phit.ConnID{
+			"r0": {{0, 1, 0, 2, 1, 5, 0, 0}, nil, {3, 0, 4, 3, 0, 6, 3, 0}},
+			"r9": {{1, 1, 1, 1, 1, 1, 1, 1}},
 		},
 	}
 }
@@ -66,9 +71,11 @@ func decodeEvent(b []byte) trace.Event {
 // eventBytes after it are one event. The auditor must not panic, must not
 // grow a table past the ids the set and the bus have, and its total must
 // be the sum of its per-kind counts. The corpus is seeded with windows of
-// the events of a small audited run.
+// the events of a small audited run, and with router forwards at a known
+// router's outputs, at a port without a link, past its last port and
+// from components that are no router or not interned.
 func FuzzAuditorEvents(f *testing.F) {
-	n, _ := buildNet(f, core.Synchronous, false)
+	n, _ := buildNet(f, core.Synchronous)
 	bus := trace.NewBus()
 	n.AttachTracer(bus)
 	rec := &recorder{}
@@ -82,6 +89,16 @@ func FuzzAuditorEvents(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	forwards := []byte{0}
+	for _, fw := range []struct {
+		comp trace.CompID
+		port int64
+	}{{2, 0}, {2, 2}, {2, 1}, {2, 3}, {2, -1}, {2, 1 << 40}, {0, 0}, {3, 0}, {7, 0}, {-1, 0}} {
+		for _, at := range []clock.Time{2000, 6000, 60000, -6000} {
+			forwards = appendEvent(forwards, trace.Event{Kind: trace.RouterForward, Time: at, Conn: 3, Comp: fw.comp, Arg: fw.port, Slot: trace.NoSlot})
+		}
+	}
+	f.Add(forwards)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

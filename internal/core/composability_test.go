@@ -24,12 +24,30 @@ func buildComposability(t *testing.T, mode core.Mode) (*core.Network, *spec.UseC
 		MinLatencyNs: 250, MaxLatencyNs: 900,
 	})
 	spec.MapIPsRoundRobin(uc, m, 5)
-	cfg := core.Config{Mode: mode, PhaseSeed: 4, Probes: true}
+	cfg := core.Config{Mode: mode, PhaseSeed: 4}
 	n, err := core.Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	return n, uc
+}
+
+// init gives the in-package tests their strict auditor (core.AuditStrict).
+func init() {
+	core.AuditStrict = func(n *core.Network) func() {
+		_, a := attachStrictAuditor(n, false)
+		return func() { a.Resync(n) }
+	}
+}
+
+// attachStrictAuditor gives n a fresh bus with a strict auditor on it,
+// which checks every flit against the allocation and its bound and panics
+// at the first violation; tolerate spares deliberate oversubscribers.
+func attachStrictAuditor(n *core.Network, tolerate bool) (*trace.Bus, *audit.Auditor) {
+	bus := trace.NewBus()
+	a := audit.Attach(n, bus, nil, audit.Options{TolerateOversubscription: tolerate})
+	n.AttachTracer(bus)
+	return bus, a
 }
 
 // appConns lists one application's connections.
@@ -60,9 +78,8 @@ func arrivalsOfApp(t *testing.T, n *core.Network, uc *spec.UseCase, app spec.App
 			g.SetRateMBps(c.BandwidthMBps*8, n.Cfg.WordBytes)
 		}
 	}
-	bus := trace.NewBus()
+	bus, _ := attachStrictAuditor(n, hostile)
 	rx := audit.RecordDeliveries(bus, 0, appConns(uc, app)...)
-	n.AttachTracer(bus)
 	n.Run(0, 40000)
 	return rx.Timelines()
 }
@@ -135,6 +152,8 @@ func TestComposabilityUnderHostileLoad(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	n1, _ := buildComposability(t, core.Mesochronous)
 	n2, _ := buildComposability(t, core.Mesochronous)
+	attachStrictAuditor(n1, false)
+	attachStrictAuditor(n2, false)
 	r1 := n1.Run(2000, 20000)
 	r2 := n2.Run(2000, 20000)
 	if len(r1.Conns) != len(r2.Conns) {
@@ -191,9 +210,8 @@ func TestBEInterference(t *testing.T) {
 func TestReconfigurationUndisrupted(t *testing.T) {
 	record := func(reconfigure bool) (audit.Timelines, *core.Network) {
 		n, uc := buildComposability(t, core.Synchronous)
-		bus := trace.NewBus()
+		bus, aud := attachStrictAuditor(n, false)
 		rx := audit.RecordDeliveries(bus, 0, appConns(uc, 0)...)
-		n.AttachTracer(bus)
 		n.Run(0, 20000)
 		if reconfigure {
 			// Stop every app-1 connection.
@@ -223,6 +241,7 @@ func TestReconfigurationUndisrupted(t *testing.T) {
 			if d, err := n.Admit(newConn); err != nil || !d.Admissible {
 				t.Fatalf("Admit(%d): %v, %s (%s)", newConn.ID, err, d.Reason, d.Detail)
 			}
+			aud.Resync(n)
 		}
 		// Continue to the same absolute horizon in both runs.
 		n.Engine().Run(90000 * clock.Nanosecond)

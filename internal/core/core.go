@@ -80,12 +80,6 @@ type Config struct {
 	FIFOForwardCycles int
 	// PhaseSeed randomises tile clock phases in Mesochronous mode.
 	PhaseSeed int64
-	// Probes enables dynamic TDM-ownership verification on every link
-	// entry (panics on any violation of the allocated schedule, or reports
-	// it to FaultReporter). A synchronous network runs on flit links only
-	// with Probes off and no FaultReporter; with either it runs on word
-	// links, the only links that probes, checkers and link faults act on.
-	Probes bool
 	// Transactional makes every IP emit whole transactions at line rate
 	// (words sized by traffic.TxWordsForRate) instead of smooth CBR, and
 	// sizes slot reservations and latency bounds for transaction drains.
@@ -95,11 +89,16 @@ type Config struct {
 	PPM float64
 	// FaultReporter, when non-nil, switches every component's envelope
 	// checks from fail-fast panics to structured fault.Violation records
-	// delivered to the reporter (typically a *fault.Collector), and the
-	// components degrade gracefully past each violation. A synchronous
-	// network with a reporter runs on word links, as one with Probes does:
-	// only a network with neither runs on flit links, which carry no
-	// faults (FaultTargets and AddInvariantCheckers panic there).
+	// delivered to the reporter (typically a *fault.Collector, or
+	// fault.FailFast to keep the panics), and the components degrade
+	// gracefully past each violation. It is the one trigger of a watched
+	// network: every link entry gets a TDM-ownership probe reporting to
+	// it, and a synchronous network runs on word links, the only links
+	// that probes, checkers and link faults act on. Without a reporter a
+	// synchronous network runs on flit links, which carry no faults
+	// (FaultTargets and AddInvariantCheckers panic there); the auditor
+	// (internal/audit) checks every router output against the allocation
+	// on either link kind.
 	FaultReporter fault.Reporter
 	// Reliable wraps every NI in the end-to-end reliability shell
 	// (internal/reliable): CRC-stamped flits, in-order receive filtering,
@@ -244,8 +243,8 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	return build(m, uc, cfg, false)
 }
 
-// build is Build. A synchronous network with neither probes nor a fault
-// reporter carries flits on its links unless wordLinks is set; any other
+// build is Build. A synchronous network without a fault reporter carries
+// flits on its links unless wordLinks is set; any other
 // runs the mesochronous fabric's word links on one clock, the reference
 // the flit links are held to.
 func build(m *topology.Mesh, uc *spec.UseCase, cfg Config, wordLinks bool) (*Network, error) {
@@ -306,7 +305,7 @@ func build(m *topology.Mesh, uc *spec.UseCase, cfg Config, wordLinks bool) (*Net
 	switch {
 	case cfg.Mode == Asynchronous:
 		n.instantiateAsync()
-	case cfg.Mode == Synchronous && !cfg.Probes && cfg.FaultReporter == nil && !wordLinks:
+	case cfg.Mode == Synchronous && cfg.FaultReporter == nil && !wordLinks:
 		// Flit links only where nothing watches or perturbs the words:
 		// probes, slot checkers and link faults act on word links alone.
 		n.onFlits = true
@@ -574,10 +573,11 @@ func (n *Network) instantiate() error {
 	return nil
 }
 
-// addProbes puts a TDM-ownership probe on every link entry wire when
-// Config.Probes is set (asynchronous mode has no wires to probe).
+// addProbes puts a TDM-ownership probe reporting to Config.FaultReporter
+// on every link entry wire of a watched network (asynchronous mode has no
+// wires to probe).
 func (n *Network) addProbes() {
-	if !n.Cfg.Probes {
+	if n.Cfg.FaultReporter == nil {
 		return
 	}
 	links := n.Mesh.Links() // linkWires is in link order
@@ -668,7 +668,7 @@ func (n *Network) AddInvariantCheckers(rep fault.Reporter) {
 // silently check nothing.
 func (n *Network) mustWatch(method string) {
 	if n.onFlits {
-		panic(fmt.Sprintf("core: %s on a synchronous network running on flit links: build with Probes or a FaultReporter to inject or check faults", method))
+		panic(fmt.Sprintf("core: %s on a synchronous network running on flit links: build with a FaultReporter (fault.FailFast to fail fast) to inject or check faults", method))
 	}
 }
 

@@ -29,11 +29,11 @@ func smallUseCase(t *testing.T, conns int) (*topology.Mesh, *spec.UseCase) {
 
 func TestSynchronousSmallMeetsRequirements(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
-	cfg := Config{Probes: true}
-	n, err := Build(m, uc, cfg)
+	n, err := Build(m, uc, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	AuditStrict(n)
 	rep := n.Run(4000, 20000)
 	if !rep.AllMet() {
 		var b strings.Builder
@@ -54,11 +54,12 @@ func TestSynchronousSmallMeetsRequirements(t *testing.T) {
 
 func TestMesochronousSmallMeetsRequirements(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
-	cfg := Config{Mode: Mesochronous, PhaseSeed: 11, Probes: true}
+	cfg := Config{Mode: Mesochronous, PhaseSeed: 11}
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	AuditStrict(n)
 	rep := n.Run(4000, 20000)
 	if !rep.AllMet() {
 		var b strings.Builder

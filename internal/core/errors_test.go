@@ -130,13 +130,13 @@ func TestBuildBERejectsUnmapped(t *testing.T) {
 func TestProbeDetectsCorruptedSchedule(t *testing.T) {
 	// Build a working network, then corrupt one NI's slot table so a
 	// flit is injected in a slot the allocation did not grant. The
-	// probes (or the router contention check) must halt the run.
+	// strict auditor (or the router contention check) must halt the run.
 	m, uc := smallUseCase(t, 3)
-	cfg := Config{Probes: true}
-	n, err := Build(m, uc, cfg)
+	n, err := Build(m, uc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	AuditStrict(n)
 	// Find a source NI and move one of its reservations to a slot that
 	// the allocation believes is free on its link.
 	var victim *ni.NI

@@ -13,7 +13,7 @@ import (
 func buildMesoWithFaults(t *testing.T, skewPS int64, rep fault.Reporter) *Network {
 	t.Helper()
 	m, uc := smallUseCase(t, 6)
-	cfg := Config{Mode: Mesochronous, Probes: true, FaultReporter: rep, SkewOverridePS: skewPS}
+	cfg := Config{Mode: Mesochronous, FaultReporter: rep, SkewOverridePS: skewPS}
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -108,46 +108,39 @@ func TestFlitLinksMatchWordLinks(t *testing.T) {
 }
 
 // TestOnlyWatchedSyncNetworksOfferFaults holds the rule that picks a
-// synchronous network's links. One built with the ownership probes, with a
-// fault reporter or with both runs on word links and offers every link as
-// a fault target and to the slot checkers. One that nothing watches runs
-// on flit links, which offer nothing to inject on or check, so asking it
-// for fault targets or invariant checkers panics, naming the rule, instead
-// of arming a campaign that checks nothing.
+// synchronous network's links. One built with a fault reporter, collecting
+// or fail-fast, runs on word links and offers every link as a fault target
+// and to the slot checkers. One that nothing watches runs on flit links,
+// which offer nothing to inject on or check, so asking it for fault
+// targets or invariant checkers panics, naming the rule, instead of arming
+// a campaign that checks nothing.
 func TestOnlyWatchedSyncNetworksOfferFaults(t *testing.T) {
 	sc := scenario.Default(scenario.Uniform, 4, 4, 24, 2009)
-	build := func(probes, collect bool) *core.Network {
+	build := func(rep fault.Reporter) *core.Network {
 		s, err := scenario.Generate(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize, Probes: probes}
-		if collect {
-			cfg.FaultReporter = fault.NewCollector()
-		}
+		cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize, FaultReporter: rep}
 		n, err := core.Build(s.Mesh(), s.UseCase, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	for _, c := range []struct {
-		name            string
-		probes, collect bool
-	}{
-		{"probes", true, false},
-		{"reporter", false, true},
-		{"probes and reporter", true, true},
+	for name, rep := range map[string]fault.Reporter{
+		"reporter":           fault.NewCollector(),
+		"fail-fast reporter": fault.FailFast{},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			n := build(c.probes, c.collect)
+		t.Run(name, func(t *testing.T) {
+			n := build(rep)
 			if links := n.FaultTargets().Links; len(links) != len(n.Mesh.Links()) {
 				t.Errorf("%d of %d links are fault targets", len(links), len(n.Mesh.Links()))
 			}
 			n.AddInvariantCheckers(fault.NewCollector())
 		})
 	}
-	n := build(false, false)
+	n := build(nil)
 	for name, call := range map[string]func(){
 		"FaultTargets":         func() { n.FaultTargets() },
 		"AddInvariantCheckers": func() { n.AddInvariantCheckers(fault.NewCollector()) },
@@ -155,7 +148,7 @@ func TestOnlyWatchedSyncNetworksOfferFaults(t *testing.T) {
 		t.Run("unwatched "+name, func(t *testing.T) {
 			defer func() {
 				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, name) || !strings.Contains(msg, "build with Probes or a FaultReporter to inject or check faults") {
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "build with a FaultReporter (fault.FailFast to fail fast) to inject or check faults") {
 					t.Errorf("panic %q, want one naming %s and the rule", msg, name)
 				}
 			}()

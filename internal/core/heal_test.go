@@ -27,7 +27,7 @@ func TestHealerReroutesAroundQuarantine(t *testing.T) {
 	})
 	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
-	n, err := Build(m, uc, Config{Mode: Mesochronous, PhaseSeed: 4, Probes: true,
+	n, err := Build(m, uc, Config{Mode: Mesochronous, PhaseSeed: 4,
 		Reliable: true, RetryBudget: 2, FaultReporter: col})
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -13,8 +13,9 @@ import (
 )
 
 // reconfigSpec: app 0 is the undisturbed observer; app 1 is the one that
-// gets stopped; new connections are admitted afterwards.
-func reconfigSpec(t *testing.T) (*Network, *spec.UseCase) {
+// gets stopped; new connections are admitted afterwards. A strict auditor
+// checks every flit; call resync after a reconfiguration.
+func reconfigSpec(t *testing.T) (*Network, *spec.UseCase, func()) {
 	t.Helper()
 	m := topology.NewMesh(3, 2, 2)
 	uc := spec.Random(spec.RandomConfig{
@@ -23,17 +24,17 @@ func reconfigSpec(t *testing.T) (*Network, *spec.UseCase) {
 		MinLatencyNs: 250, MaxLatencyNs: 900,
 	})
 	spec.MapIPsRoundRobin(uc, m, 5)
-	n, err := Build(m, uc, Config{Mode: Synchronous, PhaseSeed: 4, Probes: true})
+	n, err := Build(m, uc, Config{Mode: Synchronous, PhaseSeed: 4})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return n, uc
+	return n, uc, AuditStrict(n)
 }
 
 // TestCloseReleasesCapacity: slots freed by a closed connection are
 // reusable — the same connection can be re-admitted.
 func TestCloseReleasesCapacity(t *testing.T) {
-	n, uc := reconfigSpec(t)
+	n, uc, resync := reconfigSpec(t)
 	n.Run(0, 10000)
 	victim := uc.Connections[0]
 	before, err := n.Info(victim.ID)
@@ -57,7 +58,8 @@ func TestCloseReleasesCapacity(t *testing.T) {
 	if len(after.Slots) < len(before.Slots) {
 		t.Errorf("re-admitted with %d slots, originally %d", len(after.Slots), len(before.Slots))
 	}
-	// The network still runs cleanly (probes active).
+	// The network still runs cleanly under the new schedule.
+	resync()
 	n.eng.Run(n.eng.Now() + 30000*clock.Nanosecond)
 }
 
@@ -69,7 +71,7 @@ func TestCloseReleasesCapacity(t *testing.T) {
 func TestCloseDrainCreditStarvation(t *testing.T) {
 	m, uc := smallUseCase(t, 6)
 	col := fault.NewCollector()
-	cfg := Config{Probes: true, FaultReporter: col}
+	cfg := Config{FaultReporter: col}
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -156,7 +158,7 @@ func assertNoSlotResidue(t *testing.T, n *Network, closed map[phit.ConnID]bool) 
 // once more — the credit channel's slots must leave with the data slots,
 // in the same step.
 func TestCloseReleasesDataAndCreditSlotsAtomically(t *testing.T) {
-	n, uc := reconfigSpec(t)
+	n, uc, resync := reconfigSpec(t)
 	n.Run(0, 10000)
 	closed := map[phit.ConnID]bool{}
 	var last spec.Connection
@@ -181,6 +183,7 @@ func TestCloseReleasesDataAndCreditSlotsAtomically(t *testing.T) {
 	readmit.ID = n.FreshConnID()
 	mustAdmit(t, n, readmit)
 	assertNoSlotResidue(t, n, closed)
+	resync()
 	n.eng.Run(n.eng.Now() + 20000*clock.Nanosecond)
 	assertNoSlotResidue(t, n, closed)
 }

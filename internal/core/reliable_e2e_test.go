@@ -14,7 +14,7 @@ import (
 func buildReliable(t *testing.T, rep fault.Reporter, retryBudget int) *Network {
 	t.Helper()
 	m, uc := smallUseCase(t, 6)
-	cfg := Config{Probes: true, Reliable: true, RetryBudget: retryBudget, FaultReporter: rep}
+	cfg := Config{Reliable: true, RetryBudget: retryBudget, FaultReporter: rep}
 	n, err := Build(m, uc, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -25,14 +25,15 @@ func buildReliable(t *testing.T, rep fault.Reporter, retryBudget int) *Network {
 // TestReliableCleanMeetsRequirements: with no faults armed the shell must
 // be invisible — every connection still meets its contract in all three
 // clocking modes, and the recovery machinery never fires. The nil
-// reporter keeps the network in strict mode, so any violation panics.
+// reporter keeps the network in strict mode and a strict auditor checks
+// every flit, so any violation panics.
 func TestReliableCleanMeetsRequirements(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"synchronous", Config{Probes: true, Reliable: true}},
-		{"mesochronous", Config{Mode: Mesochronous, PhaseSeed: 11, Probes: true, Reliable: true}},
+		{"synchronous", Config{Reliable: true}},
+		{"mesochronous", Config{Mode: Mesochronous, PhaseSeed: 11, Reliable: true}},
 		{"asynchronous", Config{Mode: Asynchronous, PhaseSeed: 13, PPM: 200, Reliable: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,6 +42,7 @@ func TestReliableCleanMeetsRequirements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
+			AuditStrict(n)
 			rep := n.Run(6000, 30000)
 			if !rep.AllMet() {
 				var b strings.Builder
@@ -246,7 +248,9 @@ func TestReliableNetworkReplayGoesInert(t *testing.T) {
 	var reports []string
 	for _, cycleAccurate := range []bool{true, false} {
 		m, uc := smallUseCase(t, 6)
-		n, err := Build(m, uc, Config{Probes: true, Reliable: true, CycleAccurate: cycleAccurate})
+		// A watched network runs on word links, where every NI is a
+		// component of its own that replay can name.
+		n, err := Build(m, uc, Config{Reliable: true, CycleAccurate: cycleAccurate, FaultReporter: fault.FailFast{}})
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}

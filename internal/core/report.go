@@ -291,6 +291,22 @@ func (n *Network) Contracts() analysis.ContractSet {
 	for _, nid := range n.Mesh.NIs() {
 		set.AllocTables[n.Mesh.Node(nid).Name] = n.Alloc.NITable(nid).Slots
 	}
+	set.RouterTables = make(map[string][][]phit.ConnID)
+	for _, r := range n.Mesh.Routers() {
+		node := n.Mesh.Node(r)
+		ports := make([][]phit.ConnID, node.Ports)
+		for p := range ports {
+			l := n.Mesh.OutLink(r, p)
+			if l == topology.Invalid {
+				continue
+			}
+			ports[p] = make([]phit.ConnID, n.Alloc.TableSize)
+			for s := range ports[p] {
+				ports[p][s] = n.Alloc.LinkOwner(l, s)
+			}
+		}
+		set.RouterTables[node.Name] = ports
+	}
 	return set
 }
 

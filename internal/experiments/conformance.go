@@ -58,8 +58,7 @@ func conformancePoint(seed int64, tableSize int, mode core.Mode) (string, error)
 		spec.MapIPsByTraffic(uc, m)
 		col := fault.NewCollector()
 		ncfg := core.Config{
-			Mode: mode, TableSize: tableSize,
-			Probes: mode != core.Asynchronous, FaultReporter: col,
+			Mode: mode, TableSize: tableSize, FaultReporter: col,
 		}
 		n, err := core.Build(m, uc, ncfg)
 		if err != nil {

@@ -81,8 +81,7 @@ func reconfigNetwork(seed int64, reliable bool, retry int, col *fault.Collector)
 	uc := reconfigSpec(seed)
 	spec.MapIPsByTraffic(uc, m)
 	ncfg := core.Config{
-		Mode: core.Mesochronous, Probes: true,
-		Reliable: reliable, RetryBudget: retry, FaultReporter: col,
+		Mode: core.Mesochronous, Reliable: reliable, RetryBudget: retry, FaultReporter: col,
 	}
 	return core.Build(m, uc, ncfg)
 }

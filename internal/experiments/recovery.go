@@ -41,7 +41,7 @@ func recoveryPoint(seed int64, i int) (string, error) {
 	})
 	spec.MapIPsByTraffic(uc, m)
 	col := fault.NewCollector()
-	ncfg := core.Config{Mode: core.Mesochronous, Probes: true, Reliable: true, FaultReporter: col}
+	ncfg := core.Config{Mode: core.Mesochronous, Reliable: true, FaultReporter: col}
 	n, err := core.Build(m, uc, ncfg)
 	if err != nil {
 		return "", err

@@ -24,13 +24,13 @@ import (
 )
 
 // buildSmallCBR builds a random small-mesh use case at replay-admissible
-// quantised CBR rates, with the ownership probes when probes is set. A
+// quantised CBR rates. A
 // PlacementError is returned to the caller (a random draw may simply not
 // fit the table); any other error fails.
-func buildSmallCBR(t *testing.T, seed int64, w, h, nisPer, tableSize int, mode core.Mode, fast, probes bool) (*core.Network, error) {
+func buildSmallCBR(t *testing.T, seed int64, w, h, nisPer, tableSize int, mode core.Mode, fast bool) (*core.Network, error) {
 	t.Helper()
 	m := topology.NewMesh(w, h, nisPer)
-	cfg := core.Config{Mode: mode, TableSize: tableSize, PhaseSeed: seed, CycleAccurate: !fast, Probes: probes}
+	cfg := core.Config{Mode: mode, TableSize: tableSize, PhaseSeed: seed, CycleAccurate: !fast}
 	ips := w * h * nisPer
 	uc := spec.Random(spec.RandomConfig{
 		Name: fmt.Sprintf("fuzz-%d", seed), Seed: seed,
@@ -87,11 +87,11 @@ func TestReplayFuzzEquivalence(t *testing.T) {
 		seed := rng.Int63n(1 << 30)
 		name := fmt.Sprintf("%dx%dx%d/t%d/%s/seed%d", msh[0], msh[1], msh[2], tbl, mode, seed)
 
-		slow, err := buildSmallCBR(t, seed, msh[0], msh[1], msh[2], tbl, mode, false, false)
+		slow, err := buildSmallCBR(t, seed, msh[0], msh[1], msh[2], tbl, mode, false)
 		if err != nil {
 			continue // this draw does not fit its slot table
 		}
-		fast, err := buildSmallCBR(t, seed, msh[0], msh[1], msh[2], tbl, mode, true, false)
+		fast, err := buildSmallCBR(t, seed, msh[0], msh[1], msh[2], tbl, mode, true)
 		if err != nil {
 			t.Fatalf("%s: fast build failed where slow succeeded: %v", name, err)
 		}
@@ -123,13 +123,13 @@ func TestReplayFuzzEquivalence(t *testing.T) {
 // the timer horizon, materialise the architectural state, resume
 // cycle-accurately through the fault, and never re-engage while the hook
 // is armed — producing an event stream byte-identical to a run that never
-// replayed anything. The network carries the ownership probes: a
-// synchronous network runs on word links, where faults land, only when
-// something watches them.
+// replayed anything. The network is mesochronous: it runs on word links,
+// where faults land, with nothing watching them that replay could not
+// fingerprint.
 func TestReplayDeoptMidRun(t *testing.T) {
 	const seed = 7
 	run := func(fast bool) ([]byte, int64, int64) {
-		n, err := buildSmallCBR(t, seed, 3, 2, 1, 16, core.Synchronous, fast, true)
+		n, err := buildSmallCBR(t, seed, 3, 2, 1, 16, core.Mesochronous, fast)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

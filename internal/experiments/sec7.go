@@ -156,10 +156,11 @@ const MaxRelaxations = 40
 
 // BuildSec7 builds the aelite network, negotiating infeasible latency
 // budgets as needed. It returns the network and the number of budgets
-// relaxed.
-func BuildSec7(seed int64, fMHz float64, mode core.Mode, probes bool) (*core.Network, *spec.UseCase, int, error) {
+// relaxed. The last argument is ignored; the benchmark harness (bench/)
+// still passes it.
+func BuildSec7(seed int64, fMHz float64, mode core.Mode, _ bool) (*core.Network, *spec.UseCase, int, error) {
 	m := Sec7Mesh()
-	cfg := core.Config{FreqMHz: fMHz, Mode: mode, Probes: probes, Transactional: true}
+	cfg := core.Config{FreqMHz: fMHz, Mode: mode, Transactional: true}
 	core.PrepareTopology(m, cfg)
 	uc, err := Sec7UseCase(m, seed)
 	if err != nil {
@@ -196,8 +197,8 @@ func BuildSec7(seed int64, fMHz float64, mode core.Mode, probes bool) (*core.Net
 }
 
 // Sec7Aelite builds and runs the aelite network at the given frequency.
-func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, probes bool, measureNs float64) (*core.Report, error) {
-	n, _, _, err := BuildSec7(seed, fMHz, mode, probes)
+func Sec7Aelite(seed int64, fMHz float64, mode core.Mode, measureNs float64) (*core.Report, error) {
+	n, _, _, err := BuildSec7(seed, fMHz, mode, false)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +264,7 @@ type Comparison struct {
 func Compare(seed int64, fMHz float64, measureNs float64, jobs int) (*Comparison, *core.Report, *core.Report, error) {
 	reps, err := parallel.Map(jobs, 2, func(i int) (*core.Report, error) {
 		if i == 0 {
-			return Sec7Aelite(seed, fMHz, core.Synchronous, false, measureNs)
+			return Sec7Aelite(seed, fMHz, core.Synchronous, measureNs)
 		}
 		return Sec7BEFactor(seed, fMHz, measureNs, Sec7BEOpportunism)
 	})

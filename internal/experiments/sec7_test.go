@@ -12,7 +12,7 @@ import (
 // measured latency stays within its analytical bound, and zero
 // requirements are missed.
 func TestSec7AeliteMeetsAt500(t *testing.T) {
-	rep, err := Sec7Aelite(Sec7Seed, 500, core.Synchronous, false, 40000)
+	rep, err := Sec7Aelite(Sec7Seed, 500, core.Synchronous, 40000)
 	if err != nil {
 		t.Fatalf("Sec7Aelite: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestSec7Mesochronous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rep, err := Sec7Aelite(Sec7Seed, 500, core.Mesochronous, false, 30000)
+	rep, err := Sec7Aelite(Sec7Seed, 500, core.Mesochronous, 30000)
 	if err != nil {
 		t.Fatalf("Sec7Aelite mesochronous: %v", err)
 	}

@@ -13,11 +13,10 @@
 //
 //   - a Violation is a structured record of one envelope breach (kind,
 //     component, time, slot, detail);
-//   - a Reporter receives violations. A nil Reporter selects strict mode:
-//     Report panics with the violation's message, byte-compatible with the
-//     historical fail-fast behaviour, so existing tests and production
-//     runs are unchanged. A non-nil Reporter (usually a Collector) selects
-//     collecting mode: the component records the violation and degrades
+//   - a Reporter receives violations. A nil Reporter (or FailFast)
+//     selects strict mode: Report panics with the violation's message,
+//     byte-compatible with the historical fail-fast behaviour. A Collector
+//     selects collecting mode: the component records the violation and degrades
 //     gracefully (drops the phit, clamps the credits, closes the packet)
 //     instead of killing the process;
 //   - a Plan is a deterministic, seedable schedule of fault events
@@ -29,12 +28,13 @@
 //     faults are being injected.
 //
 // Link faults, slot checkers and ownership probes act on word links
-// (LinkTarget, a phit wire with a commit-time intercept). A synchronous
-// network runs on flit links (FlitLink) only when nothing watches or
-// perturbs its words: it is built with neither core.Config.Probes nor a
-// core.Config.FaultReporter. Build with either to inject or check faults;
-// such a network runs on word links, and a flit-link network refuses to
-// hand out fault targets.
+// (LinkTarget, a phit wire with a commit-time intercept). A fault reporter
+// (core.Config.FaultReporter) is the one trigger of a watched network: it
+// runs on word links with an ownership probe on every link, and
+// FailFast keeps such a network strict. A synchronous network without a
+// reporter runs on flit links (FlitLink), which refuse to hand out fault
+// targets; the auditor (internal/audit) still checks every router output
+// against the allocation there.
 //
 // The usual single-campaign shape, with Execute wiring the checkers,
 // arming the plan and summarising in one call:

@@ -141,10 +141,19 @@ type Reporter interface {
 // (drop, clamp, resynchronise) so that collecting mode can continue.
 func Report(r Reporter, v Violation) {
 	if r == nil {
-		panic(v.String())
+		r = FailFast{}
 	}
 	r.Report(v)
 }
+
+// FailFast is the reporter of a strict watched network: it panics with the
+// violation's message, as Report does for a nil reporter. Building with it
+// instead of nil still gives the network the ownership probes, word links
+// and fault targets of a watched one (core.Config.FaultReporter).
+type FailFast struct{}
+
+// Report implements Reporter.
+func (FailFast) Report(v Violation) { panic(v.String()) }
 
 // DefaultKeep bounds how many violations a Collector stores verbatim; the
 // totals keep counting past it, so a pathological campaign cannot exhaust

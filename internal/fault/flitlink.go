@@ -14,10 +14,10 @@ import (
 // flit cycle on, which is the router pipeline's latency.
 //
 // A synchronous network runs on flit links only when nothing watches or
-// perturbs its words: no ownership probe (core.Config.Probes) and no fault
-// reporter (core.Config.FaultReporter). A flit link has no word wire to
-// intercept, so link faults, probes and slot checkers run on word links,
-// which every other network uses.
+// perturbs its words: it has no fault reporter (core.Config.FaultReporter),
+// so no ownership probe either. A flit link has no word wire to intercept,
+// so link faults, probes and slot checkers run on word links, which every
+// other network uses.
 type FlitLink struct {
 	Flits *sim.Wire[phit.Flit]
 

@@ -27,11 +27,11 @@
 //     clocks are unconstrained.
 //
 // Links: New attaches the NI to word wires, NewOnFlits to the flit links
-// of a synchronous network that nothing watches or perturbs (no ownership
-// probe, no fault reporter; see core.Config). On flit links the NI drives
-// its flit once per flit cycle and still receives word by word, at the
-// instants a word link would give; faults and probes only ever meet it on
-// word links.
+// of a synchronous network without a fault reporter (see
+// core.Config.FaultReporter). On flit links the NI drives its flit once
+// per flit cycle and still receives word by word, at the instants a word
+// link would give; faults and ownership probes only ever meet it on word
+// links, while the auditor checks its SlotStart events on either.
 //
 // The receive side is self-describing (headers carry the queue id), so
 // only injection needs slot knowledge — routers and receive paths are

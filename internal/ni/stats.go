@@ -134,8 +134,8 @@ func (n *NI) String() string {
 
 // CorruptSlotForTest deliberately moves one of the connection's table
 // reservations to a different, unowned slot — a fault-injection hook for
-// verifying that the network's TDM probes and the routers' contention
-// checks detect schedule violations. Never call it outside tests.
+// verifying that the auditor, the network's TDM probes and the routers'
+// contention checks detect schedule violations. Never call it outside tests.
 func (n *NI) CorruptSlotForTest(conn phit.ConnID) {
 	from, to := -1, -1
 	for s, owner := range n.table.Slots {

@@ -19,9 +19,9 @@
 //   - parameters only for data width (the header layout) and arity.
 //
 // Core is the cycle-exact state machine, and it has two adapters.
-// A synchronous network runs on flit links only when nothing watches or
-// perturbs its words (no ownership probe, no fault reporter; see
-// core.Config), and FlitComponent drives the Core there (fault.FlitLink,
+// A synchronous network runs on flit links exactly when it has no fault
+// reporter (core.Config.FaultReporter, which also brings the ownership
+// probes), and FlitComponent drives the Core there (fault.FlitLink,
 // a *sim.Wire[phit.Flit], connected once by core.instantiateFlits, whose
 // one fabric component switches every router at flit edges): the
 // pipeline's latency is exactly one flit cycle, so the link register is
@@ -29,11 +29,14 @@
 // skipping inputs with an empty flit. It has no reporter, so every
 // envelope check fails fast. Component drives the Core on word links
 // (*sim.Wire[phit.Phit]: the mesochronous fabric, whose link stages
-// re-align words across clock domains, every probed or collecting
-// synchronous network, and tests): it reads the wires into the buffer
+// re-align words across clock domains, every synchronous network with a
+// fault reporter, and tests): it reads the wires into the buffer
 // that becomes stage 1, and an idle port costs a valid-bit test per
 // stage. Nothing in the router is looked up by id — the output port
-// comes out of the header. The asynchronous wrapper
+// comes out of the header, and every RouterForward names the flit's
+// connection, output port and instant, which the auditor
+// (internal/audit) checks against the output link's allocation on either
+// link kind. The asynchronous wrapper
 // (package wrapper) and FlitComponent drive the same Core at flit
 // granularity: StepFlitDirect fires the pipeline's own HPU, switch and
 // envelope checks on each word of a token, so there is a single source of

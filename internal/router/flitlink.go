@@ -21,10 +21,9 @@ import (
 // It is no engine component: a network calls Switch from one component
 // that counts the clock's edges for all its routers and NIs.
 //
-// A network runs on flit links only when nothing watches or perturbs
-// their words (no ownership probe, no fault reporter), so the component
-// has no reporter: the first envelope violation the datapath meets
-// panics. A router has at most 64 ports.
+// A network runs on flit links only when it has no fault reporter (so
+// no ownership probe either), so the component has no reporter: the
+// first envelope violation the datapath meets panics. A router has at most 64 ports.
 type FlitComponent struct {
 	core *Core
 	clk  *clock.Clock

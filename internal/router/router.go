@@ -237,7 +237,7 @@ func (c *Core) violate(kind fault.Kind, detail string) {
 }
 
 // Component adapts a Core to the simulation engine on word links
-// (mesochronous mode, probed or collecting synchronous networks, and
+// (mesochronous mode, synchronous networks with a fault reporter, and
 // tests): each cycle of the router's clock its inputs are read off wires
 // and its outputs driven onto wires. The ports are concrete wires, not
 // interfaces: a phit is 56 bytes, and an interface method returns it by

@@ -107,11 +107,12 @@ func (s *Summary) String() string {
 // are equal is what a float64 per sample plus a sorted copy would take.
 // A whole non-negative sample near the first one — a synchronous latency
 // in nanoseconds — is counted in a dense window of windowLen counters;
-// any other sample drops into a fixed-size unsorted staging buffer that is
-// sorted and merged into the runs when full. Both are folded into the runs
-// before any query, so Add retains nothing per sample and costs O(1) in
-// the window and amortised O(1 + distinct/stageCap) outside it. Insertion
-// order is not kept.
+// any other sample is counted in its run when it has one, and otherwise
+// drops into a fixed-size unsorted staging buffer that is sorted and
+// merged into the runs when full. Window and buffer are folded into the
+// runs before any query, so Add retains nothing per sample and costs O(1)
+// in the window and O(log distinct) or amortised O(1 + distinct/stageCap)
+// outside it. Insertion order is not kept.
 //
 // Values are ordered numerically with two refinements that make the order
 // total: -0 sorts before +0 (they are distinct values of the multiset),
@@ -128,6 +129,9 @@ type Histogram struct {
 	// places it.
 	win []uint32
 	lo  float64
+	// hit is the index of the run push last counted a sample in place
+	// at; a stale index fails the key check.
+	hit int
 }
 
 // A run is one distinct value, as its order-preserving key, and its
@@ -175,7 +179,8 @@ func valueOf(k uint64) float64 {
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.Summary.Add(v)
-	if h.win == nil && v >= 0 && v <= maxExactSample && v == math.Trunc(v) {
+	// In range, the conversion tests integrality without calling Trunc.
+	if h.win == nil && v >= 0 && v <= maxExactSample && v == float64(int64(v)) {
 		h.win = make([]uint32, windowLen)
 		h.lo = max(0, v-windowLen/2)
 	}
@@ -192,7 +197,27 @@ func (h *Histogram) Add(v float64) {
 	h.push(keyOf(v))
 }
 
+// push counts the sample of key k: in place when the runs hold its value
+// already, as they soon do for the few values a periodic stream repeats,
+// and in the staging buffer otherwise.
 func (h *Histogram) push(k uint64) {
+	if i := h.hit; i < len(h.runs) && h.runs[i].key == k {
+		h.runs[i].n++
+		return
+	}
+	lo, hi := 0, len(h.runs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); h.runs[m].key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(h.runs) && h.runs[lo].key == k {
+		h.runs[lo].n++
+		h.hit = lo
+		return
+	}
 	if len(h.stage) == cap(h.stage) {
 		if h.stage == nil {
 			h.stage = make([]uint64, 0, stageCap)

@@ -24,7 +24,7 @@ type Metrics struct {
 	// component ids are interned in registration order), so the per-event
 	// hot path indexes grow-on-demand slices instead of hashing map keys.
 	conns   []*ConnMetrics // indexed by ConnID; nil = never seen
-	comps   []*CompMetrics // indexed by CompID; nil = never seen
+	comps   []CompMetrics  // indexed by CompID; no Events = never seen
 	counts  [kindCount]int64
 	firstPs clock.Time
 	lastPs  clock.Time
@@ -73,13 +73,8 @@ func NewMetrics(bus *Bus) *Metrics {
 	return m
 }
 
-// grow extends a metrics slice so index i is addressable.
-func grow[T any](s []*T, i int) []*T {
-	for i >= len(s) {
-		s = append(s, nil)
-	}
-	return s
-}
+// grow extends a metrics slice past its length so index i is addressable.
+func grow[T any](s []T, i int) []T { return append(s, make([]T, i+1-len(s))...) }
 
 // Deferred implements Deferrable: the aggregation is read only through
 // the accessors below, which drain the bus first.
@@ -119,12 +114,10 @@ func (m *Metrics) span(lo, hi clock.Time) {
 func (m *Metrics) tally(ev Event, n int64) *ConnMetrics {
 	m.counts[ev.Kind] += n
 
-	m.comps = grow(m.comps, int(ev.Comp))
-	cp := m.comps[ev.Comp]
-	if cp == nil {
-		cp = &CompMetrics{}
-		m.comps[ev.Comp] = cp
+	if int(ev.Comp) >= len(m.comps) {
+		m.comps = grow(m.comps, int(ev.Comp))
 	}
+	cp := &m.comps[ev.Comp]
 	cp.Events += n
 	cp.BusyCycles += n * busyCycles[ev.Kind]
 	if ev.Kind == Occupancy && ev.Arg > cp.MaxOccupancy {
@@ -134,7 +127,9 @@ func (m *Metrics) tally(ev Event, n int64) *ConnMetrics {
 	if ev.Conn <= phit.None {
 		return nil
 	}
-	m.conns = grow(m.conns, int(ev.Conn))
+	if int(ev.Conn) >= len(m.conns) {
+		m.conns = grow(m.conns, int(ev.Conn))
+	}
 	cm := m.conns[ev.Conn]
 	if cm == nil {
 		cm = &ConnMetrics{}
@@ -341,7 +336,7 @@ func (m *Metrics) Report(windowPs, periodPs int64) *Report {
 		totalCycles = float64(windowPs) / float64(periodPs)
 	}
 	for id, cp := range m.comps {
-		if cp == nil {
+		if cp.Events == 0 {
 			continue
 		}
 		util := 0.0

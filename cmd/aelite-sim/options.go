@@ -124,9 +124,7 @@ func (o *options) validate() (err error) {
 		case o.reliable || o.rateFaults():
 			return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
 		case alloc != slots.Greedy{}:
-			// The usage-routerless-ripup golden pins this wording,
-			// which still names the former -probes flag.
-			return fmt.Errorf("-probes/-alloc need the aelite backend (got %q)", o.backend)
+			return fmt.Errorf("-alloc needs the aelite backend (got %q)", o.backend)
 		case o.faults != "":
 			return errors.New("fault campaigns need the aelite backend")
 		case o.reconfig != "":

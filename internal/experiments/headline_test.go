@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/trace"
 	"repro/internal/traffic"
+	"repro/internal/wrapper"
 )
 
 // The Section VII headline run as aelite-sim -audit makes it: 2 µs of
@@ -89,5 +90,61 @@ func TestSec7EdgeMix(t *testing.T) {
 	want := "components 201, generators 200, edges 10251000, dispatched 237292, generator dispatches 186292, events 965745"
 	if got != want {
 		t.Errorf("edge mix:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSec7AsyncEdgeMix pins what the engine does on the Section VII use
+// case of seed 2009 on 60 plesiochronous clocks, as the sec7_async_plain
+// workload runs it (2 µs of warm-up, 40 µs measured at 500 MHz), at PPM 0
+// and at PPM 1000. Every router and NI is a wrapper on its own clock, and
+// each generator runs on its NI's clock. Edges counts every component
+// edge, slept or not; fires and stalls are the wrappers' own counts;
+// Dispatched counts the Update calls made. A wrapper sleeps through the
+// two busy edges after each fire, and a clock whose generators sleep too
+// strides over them, so of the 5 460 000 edges only the fires and the
+// generators' working edges are dispatched: 499 790 at PPM 0, where an
+// engine that dispatched every wrapper edge made 1 339 729.
+func TestSec7AsyncEdgeMix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 42 µs of the asynchronous fabric twice")
+	}
+	_, uc, _, err := BuildSec7(Sec7Seed, 500, core.Asynchronous, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		ppm  float64
+		want string
+	}{
+		{0, "components 260, wrappers 60, generators 200, edges 5460000, fires 420000, stalls 0, dispatched 499790"},
+		{1000, "components 260, wrappers 60, generators 200, edges 5460295, fires 419719, stalls 930, dispatched 500421"},
+	} {
+		t.Run(fmt.Sprintf("ppm%g", row.ppm), func(t *testing.T) {
+			n, err := core.Build(Sec7Mesh(), uc, core.Config{FreqMHz: 500, Mode: core.Asynchronous, Transactional: true, PPM: row.ppm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := n.Run(2000, 40000); !rep.AllMet() {
+				t.Fatalf("%d requirements missed", len(rep.Violations()))
+			}
+			eng := n.Engine()
+			var wrappers, gens int
+			var fires, stalls int64
+			for _, c := range eng.AddOrder() {
+				switch c := c.(type) {
+				case *wrapper.Wrapper:
+					wrappers++
+					fires += c.Fires()
+					stalls += c.Stalled()
+				case *traffic.Generator:
+					gens++
+				}
+			}
+			got := fmt.Sprintf("components %d, wrappers %d, generators %d, edges %d, fires %d, stalls %d, dispatched %d",
+				len(eng.AddOrder()), wrappers, gens, eng.Edges(), fires, stalls, eng.Dispatched())
+			if got != row.want {
+				t.Errorf("edge mix:\n got %s\nwant %s", got, row.want)
+			}
+		})
 	}
 }

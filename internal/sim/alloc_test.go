@@ -145,14 +145,16 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 // BenchmarkEngineRunDomains is asynchronous mode's engine shape at Section
 // VII scale: 60 clock domains at one shared period (PPM 0) or at periods up
 // to 1000 ppm apart (2 ps at 500 MHz). Each domain holds one component
-// that only counts (bare: the schedule alone), or a relay in a loop of
+// that only counts (bare: the schedule alone); or a relay in a loop of
 // token channels and three tickers, dispatched every edge (awake) or
-// sleeping between their working edges. One op is 1000 base periods.
+// sleeping between their working edges; or, as a wrapper's clock group
+// is, only Sleepers: one that works one edge in three beside three
+// sleeping tickers (wrapped). One op is 1000 base periods.
 func BenchmarkEngineRunDomains(b *testing.B) {
 	const domains, gens, periods = 60, 3, 1000
 	base := clock.NewMHz("base", 500, 0)
 	for _, ppm := range []float64{0, 1000} {
-		for _, mode := range []string{"bare", "awake", "sleeping"} {
+		for _, mode := range []string{"bare", "awake", "sleeping", "wrapped"} {
 			b.Run(fmt.Sprintf("ppm%g/%s", ppm, mode), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(2009))
 				clks := make([]*clock.Clock, domains)
@@ -161,11 +163,23 @@ func BenchmarkEngineRunDomains(b *testing.B) {
 				}
 				eng := New()
 				working := func() bool { return eng.Edges() > 0 }
-				if mode == "bare" {
+				switch mode {
+				case "bare":
 					for _, ck := range clks {
 						eng.Add(&ticker{clk: ck, every: math.MaxInt64})
 					}
-				} else {
+				case "wrapped":
+					var tickers []*ticker
+					for i, ck := range clks {
+						eng.Add(&dozer{ticker{clk: ck, every: 3}})
+						for k := 0; k < gens; k++ {
+							d := &dozer{ticker{clk: ck, every: 50, count: int64(k+i) % 50}}
+							tickers = append(tickers, &d.ticker)
+							eng.Add(d)
+						}
+					}
+					working = func() bool { return tickers[0].fires > 0 }
+				default:
 					var relays []*relay
 					var tickers []*ticker
 					eng, relays, tickers = buildDomains(clks, gens, mode == "sleeping")

@@ -17,15 +17,19 @@
 //     the intercept sees every writer edge.
 //
 // Components are grouped by clock, and the groups sit in a ring sorted by
-// next edge: the due group is the head, and advancing it walks it back
-// from the tail past every group strictly later, which is no step when the
-// periods are equal. A component that implements Sleeper (a traffic
-// generator between words) tells the engine after each Update how many of
-// its next edges would only advance counters; it then leaves its group's
-// dispatch list and waits in the group's wake calendar for the edge after
-// them. Those edges count in Edges but cost nothing, and the component is
-// passed their number before its next Update or before anything outside
-// dispatch can observe it. Dispatched counts the Update calls made.
+// next needed edge: the due group is the head, and advancing it walks it
+// back from the tail past every group strictly later, which is no step
+// when the periods are equal. A component that implements Sleeper (a
+// traffic generator between words, an asynchronous wrapper between fires)
+// tells the engine after each Update how many of its next edges would only
+// advance counters, and is dispatched again only at the edge after them:
+// a long sleeper waits in its group's wake calendar, a short one stays in
+// the dispatch list, passed over. When every component of a clock sleeps,
+// the clock strides: its ring entry advances straight to the first edge a
+// component wakes at, so the edges between cost no instant at all. Slept
+// edges count in Edges but cost nothing, and the component is passed their
+// number before its next Update or before anything outside dispatch can
+// observe it. Dispatched counts the Update calls made.
 //
 // Components in different clock domains simply fire at different instants;
 // cross-domain channels (bi-synchronous FIFOs, token channels) are modelled

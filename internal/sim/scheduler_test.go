@@ -161,14 +161,15 @@ type dispatch struct {
 
 // recorder logs its own edges and what it reads off its input wire, and
 // drives its output wire on two edges in three. poke, when set, runs after
-// every eighth Update.
+// every pokeEvery-th Update.
 type recorder struct {
-	clk     *clock.Clock
-	idx     int
-	in, out *Wire[int]
-	log     *[]dispatch
-	poke    func()
-	updates int
+	clk       *clock.Clock
+	idx       int
+	in, out   *Wire[int]
+	log       *[]dispatch
+	poke      func()
+	pokeEvery int
+	updates   int
 }
 
 func (r *recorder) Name() string        { return "rec" }
@@ -178,21 +179,23 @@ func (r *recorder) Update(now clock.Time) {
 	if r.updates++; r.updates%3 != 0 {
 		r.out.Drive(1000*r.idx + r.updates)
 	}
-	if r.poke != nil && r.updates%8 == 0 {
+	if r.poke != nil && r.updates%r.pokeEvery == 0 {
 		r.poke()
 	}
 }
 
 // napper logs its real edges like a recorder, but is a Sleeper: it
 // promises a random number of idle edges after each one, hundreds of them
-// in long cases, and adds up the edges it is told it slept through. It
-// reads and drives no wire, as no Sleeper's skipped edge may.
+// in long cases and mostly one to three in short ones, and adds up the
+// edges it is told it slept through. It reads and drives no wire, as no
+// Sleeper's skipped edge may.
 type napper struct {
 	clk     *clock.Clock
 	idx     int
 	log     *[]dispatch
 	rng     *rand.Rand
 	long    bool
+	short   bool
 	promise int64 // the last Idle answer, less the edges skipped since
 	at      clock.Time
 	skipped int64 // sum of Skip counts
@@ -222,6 +225,8 @@ func (n *napper) Idle(now clock.Time) int64 {
 		n.promise = math.MaxInt64 // a disabled generator's answer
 	case n.long && r < 7:
 		n.promise = 100 + n.rng.Int63n(800)
+	case n.short && r < 8:
+		n.promise = 1 + n.rng.Int63n(3)
 	default:
 		n.promise = 1 + n.rng.Int63n(8)
 	}
@@ -246,6 +251,8 @@ type schedCase struct {
 	compClk         []int
 	sleepy          []bool // which components are nappers
 	long            bool   // nappers sleep for hundreds of edges
+	short           bool   // nappers mostly sleep for one to three edges
+	pokeEvery       int    // a poking recorder wakes every Sleeper after this many Updates
 	hooked          []int  // per wire: 0 no intercept, 1 from the start, 2 from the first Run's return
 	mutations       []schedMutation
 	chunks          []clock.Time // Run is called once per chunk boundary
@@ -254,9 +261,10 @@ type schedCase struct {
 type schedMutation struct {
 	at        clock.Time
 	clk       int            // period change: which clock ...
-	newPeriod clock.Duration // ... and its new period; 0 means remove or drive instead
+	newPeriod clock.Duration // ... and its new period; 0 means remove, drive or wake instead
 	remove    int            // component to remove
 	drive     int            // when positive, the value driven onto clock clk's wire instead
+	wake      bool           // instead, a callback that changes nothing: it only wakes
 }
 
 func drawSchedCase(rng *rand.Rand, kind int) schedCase {
@@ -270,7 +278,11 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	case 4:
 		nClk = 1 + rng.Intn(4)
 		c.long = true
+	case 5:
+		nClk = 2 + rng.Intn(5)
+		c.short = true
 	}
+	c.pokeEvery = 8
 	coprime := []clock.Duration{701, 1009, 1303, 1999, 2003, 997, 1511, 2477, 811, 1213, 1747, 653}
 	baseClk := clock.New("base", base, 0)
 	for i := 0; i < nClk; i++ {
@@ -282,9 +294,11 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 			p = base * clock.Duration(1+rng.Intn(3))
 		case 3: // plesiochronous: periods a few ps apart, so groups overtake each other
 			p = clock.Plesiochronous(baseClk, "p", float64(rng.Intn(2001)-1000), 0).Period
+		case 5: // clocks of Sleepers only, which stride, beside harmonics sharing their edges
+			p = base * clock.Duration(1+rng.Intn(2))
 		}
 		ph := clock.Duration(rng.Int63n(int64(p)))
-		if kind == 2 || rng.Intn(4) == 0 {
+		if kind == 2 || kind == 5 || rng.Intn(4) == 0 {
 			ph = clock.Duration(rng.Intn(2)) * base / 2
 		}
 		c.periods = append(c.periods, p)
@@ -296,6 +310,14 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 		c.compClk = append(c.compClk, rng.Intn(nClk)) // some clocks may drive nothing
 		c.sleepy = append(c.sleepy, rng.Intn(3) == 0)
 	}
+	if kind == 5 {
+		// Every component of an even clock is a napper, and poking
+		// recorders wake every Sleeper often, at edges those clocks share.
+		for i, k := range c.compClk {
+			c.sleepy[i] = c.sleepy[i] || k%2 == 0
+		}
+		c.pokeEvery = 3
+	}
 	end := clock.Time(40 * base)
 	switch kind {
 	case 3:
@@ -305,7 +327,13 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 	}
 	for i := rng.Intn(6); i > 0; i-- {
 		m := schedMutation{at: clock.Time(rng.Int63n(int64(end))), clk: rng.Intn(nClk)}
-		switch rng.Intn(3) {
+		kinds := 3
+		if kind == 5 {
+			kinds = 5 // wakes twice as often as any other mutation
+		}
+		switch rng.Intn(kinds) {
+		case 3, 4:
+			m.wake = true
 		case 0:
 			m.newPeriod = c.periods[m.clk]/2 + clock.Duration(rng.Intn(1000)) + 1
 		case 1:
@@ -316,6 +344,9 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 		if rng.Intn(3) == 0 {
 			// Land exactly on an edge of the mutated clock.
 			m.at = c.phases[m.clk] + clock.Time(1+rng.Intn(20))*c.periods[m.clk]
+			if m.wake {
+				m.at += clock.Time(rng.Intn(3) - 1) // or a picosecond either side
+			}
 		}
 		c.mutations = append(c.mutations, m)
 	}
@@ -323,6 +354,11 @@ func drawSchedCase(rng *rand.Rand, kind int) schedCase {
 		t += clock.Time(1 + rng.Int63n(int64(10*base)))
 		if kind == 4 {
 			t += clock.Time(rng.Int63n(int64(200 * base)))
+		}
+		if kind == 5 && rng.Intn(2) == 0 {
+			// End the chunk on an edge, which a striding clock may skip.
+			k := rng.Intn(nClk)
+			t = c.phases[k] + (t-c.phases[k]+c.periods[k]-1)/c.periods[k]*c.periods[k]
 		}
 		c.chunks = append(c.chunks, t)
 	}
@@ -365,9 +401,9 @@ func (c schedCase) build(log *[]dispatch, now func() clock.Time) ([]*clock.Clock
 	comps := make([]Component, len(c.compClk))
 	for i, k := range c.compClk {
 		if c.sleepy[i] {
-			comps[i] = &napper{clk: clks[k], idx: i, log: log, long: c.long, rng: rand.New(rand.NewSource(int64(i)))}
+			comps[i] = &napper{clk: clks[k], idx: i, log: log, long: c.long, short: c.short, rng: rand.New(rand.NewSource(int64(i)))}
 		} else {
-			comps[i] = &recorder{clk: clks[k], idx: i, log: log, out: wires[k], in: wires[(k+1)%len(wires)]}
+			comps[i] = &recorder{clk: clks[k], idx: i, log: log, out: wires[k], in: wires[(k+1)%len(wires)], pokeEvery: c.pokeEvery}
 		}
 	}
 	return clks, comps, wires, calls, hook
@@ -445,6 +481,7 @@ func (c schedCase) runEngine() schedRun {
 			run.atTimers = append(run.atTimers, run.accounted(comps))
 			voidPromises()
 			switch {
+			case m.wake:
 			case m.newPeriod > 0:
 				clks[m.clk].Period = m.newPeriod
 				eng.InvalidateSchedule()
@@ -531,6 +568,7 @@ func (c schedCase) runOracle() schedRun {
 			}
 			run.atTimers = append(run.atTimers, run.accounted(comps))
 			switch {
+			case m.wake:
 			case m.newPeriod > 0:
 				clks[m.clk].Period = m.newPeriod
 			case m.drive > 0:
@@ -558,27 +596,30 @@ func (c schedCase) runOracle() schedRun {
 
 // TestSchedulerMatchesBruteForce: over random clock sets — equal periods,
 // coprime periods, coincident edges, up to 60 plesiochronous clocks a few
-// ps apart, Sleepers that sleep for hundreds of edges, mid-run period
-// mutation with InvalidateSchedule, Remove from a callback, Sync and
-// InvalidateSchedule from inside Update, drives from a callback, wire
-// intercepts installed before the first Run or after it, Run split into
-// arbitrary chunks — the engine dispatches exactly the (time, add-index)
-// sequence a scan of Clock.NextEdge over every component produces, less
-// the edges Sleepers slept through: each of those is a Sleeper's, each
-// Sleeper's Skip counts add up to its own, no Skip exceeds the promise in
-// force, no Sleeper is dispatched before its promise runs out unless a
-// wake cut it short, and every timer sees each component at the oracle's
-// edge count.
+// ps apart, Sleepers that sleep for hundreds of edges, clocks of Sleepers
+// only that stride over promises of one to three edges beside long ones,
+// with and without a hooked wire, mid-run period mutation with
+// InvalidateSchedule, Remove from a callback, callbacks that only wake, on
+// and between the edges a clock strides over, Sync and InvalidateSchedule
+// from inside Update, also at an edge a striding clock skips, drives from
+// a callback, wire intercepts installed before the first Run or after it,
+// Run split into arbitrary chunks — the engine dispatches exactly the
+// (time, add-index) sequence a scan of Clock.NextEdge over every component
+// produces, less the edges Sleepers slept through: each of those is a
+// Sleeper's, each Sleeper's Skip counts add up to its own, no Skip exceeds
+// the promise in force, no Sleeper is dispatched before its promise runs
+// out unless a wake cut it short, and every timer sees each component at
+// the oracle's edge count.
 // Every Update reads the wire value the oracle's does, and every intercept
 // sees the calls, one per writer edge, the oracle's sees.
 func TestSchedulerMatchesBruteForce(t *testing.T) {
-	const trials = 1000
+	const trials = 1200
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < trials; trial++ {
-		c := drawSchedCase(rng, trial%5)
+		c := drawSchedCase(rng, trial%6)
 		oracle := c.runOracle()
 		for len(oracle.log) == 0 { // e.g. the only component removed before its first edge
-			c = drawSchedCase(rng, trial%5)
+			c = drawSchedCase(rng, trial%6)
 			oracle = c.runOracle()
 		}
 		eng := c.runEngine()

@@ -28,15 +28,23 @@ type Component interface {
 
 // A Sleeper is a Component that can promise edges on which it would only
 // advance counters. After each real Update the engine asks Idle how many of
-// the clock's next edges are such edges; the component then leaves its
-// clock group's dispatch list and waits in the group's wake calendar for
-// the edge after them. Before the next real Update, and whenever anything
-// outside edge dispatch may look at or mutate the component (a timer
-// instant, Add, Remove, AddWire*, InvalidateSchedule, SetFastPath, Sync, a
-// return from Run), the engine calls Skip with the number of edges skipped
-// so far and cancels the rest of the sleep. Skip(n) must leave the
+// the clock's next edges are such edges, and dispatches the component
+// again only at the edge after them. Before that Update, and whenever
+// anything outside edge dispatch may look at or mutate the component (a
+// timer instant, Add, Remove, AddWire*, InvalidateSchedule, SetFastPath,
+// Sync, a return from Run), the engine calls Skip with the number of edges
+// skipped so far and cancels the rest of the sleep. Skip(n) must leave the
 // component exactly as n Updates on those edges would have, so a Sleeper's
 // skipped edges read no wire. Nothing sleeps while a fast path is
+// installed.
+//
+// The stride rule: when every component of a clock is a Sleeper and each
+// has promised idle edges after the clock's current edge, the engine does
+// not execute the clock's next edges at all: the clock strides straight to
+// the first edge a component wakes at, and each component is passed its
+// skipped edges there, or at a wake. A clock with a wire that has an
+// intercept, which must see every edge, never strides; nor does any clock
+// while a wire committed at every instant has one, or while a fast path is
 // installed.
 type Sleeper interface {
 	Component
@@ -49,7 +57,8 @@ type Sleeper interface {
 
 // An Engine owns components and wires and advances simulated time. It
 // keeps one schedule: the components grouped by clock, the groups in a
-// ring sorted by next edge, and for each Sleeper the edges it may skip.
+// ring sorted by next needed edge, and for each Sleeper the edges it may
+// skip.
 // Between calls to Run every Sleeper is awake, so a caller reading or
 // mutating a component sees it as if it had been updated on every edge.
 //
@@ -58,44 +67,32 @@ type Sleeper interface {
 // parallel fans independent configurations across workers, each owning a
 // private Engine.
 type Engine struct {
-	components []Component
-	wires      []AnyWire     // committed at every executed instant
-	clocked    []clockedWire // committed only at their clock's edges
+	// The fields every executed instant reads lead, on four cache lines.
 	now        clock.Time
 	edges      int64 // total component-edges executed, slept ones included
 	dispatched int64 // Update calls made
 
 	// Edge schedule: components grouped by clock, and a ring of the groups
-	// sorted by each clock's next edge, starting at ring[head]. Rebuilt
-	// lazily whenever the component set or a clock definition changes
-	// (dirty).
-	groups  []*clockGroup
-	ring    []ringEntry
-	head    int
-	orphans []AnyWire // clocked wires whose clock drives no component
-	dirty   bool
-
-	// Sleep state of each component, by add index; asleep is set while
-	// any Sleeper has skipped or will skip an edge.
-	sleeps []sleepState
-	asleep bool
+	// sorted by each clock's next needed edge, starting at ring[head].
+	// Rebuilt lazily whenever the component set or a clock definition
+	// changes (dirty).
+	ring []ringEntry
+	head int
+	// asleep is set while any Sleeper has skipped or will skip an edge;
+	// woke records that a wake ran inside an Update (see dispatch); resim
+	// guards re-entrant cycle-accurate execution while the fast path
+	// materialises state (Resimulate).
+	dirty, asleep, woke, resim bool
 
 	// While an instant dispatches, cursor is the add index of the
-	// component whose Update runs (-1 outside dispatch), and woke records
-	// that a wake ran inside it (see dispatch).
-	cursor int
-	woke   bool
-
-	// Scratch buffers for Run's per-instant edge dispatch, hoisted here so
-	// steady-state simulation performs zero allocations per instant.
-	due       []indexedComp
+	// component whose Update runs (-1 outside dispatch), and dueGroups the
+	// groups due.
+	cursor    int
 	dueGroups []*clockGroup
-	wakers    []indexedComp
 
 	// Scheduled callbacks, fired at exact picosecond instants (fault
 	// injection, reconfiguration). Min-heap on (at, seq).
-	timers   []timerEntry
-	timerSeq int64
+	timers []timerEntry
 
 	// tracer, when non-nil, is the typed event bus components emit their
 	// flit-lifecycle events on. The engine itself emits nothing — the
@@ -107,10 +104,26 @@ type Engine struct {
 
 	// fast, when non-nil, is a compiled fast path (package replay) that
 	// may consume whole stretches of the schedule without per-instant
-	// dispatch. resim guards re-entrant cycle-accurate execution while the
-	// fast path materialises state (Resimulate).
-	fast  FastPath
-	resim bool
+	// dispatch.
+	fast FastPath
+
+	wires   []AnyWire // committed at every executed instant
+	orphans []AnyWire // clocked wires whose clock drives no component
+	// every is the commit state of the wires committed at every instant
+	// (AddWire's and the orphans): an intercept there sees every executed
+	// instant, so while it has one no group strides.
+	every wireSet
+
+	components []Component
+	clocked    []clockedWire // committed only at their clock's edges
+	groups     []*clockGroup
+
+	// Scratch buffers for dispatch, hoisted here so steady-state
+	// simulation performs zero allocations per instant.
+	wakers []indexedComp
+	heads  []int
+
+	timerSeq int64
 
 	// timersRun counts executed scheduled callbacks; a fast path compares
 	// it across a candidate period to prove the stretch was undisturbed.
@@ -158,30 +171,49 @@ type FastResult struct {
 //
 // A Sleeper that promises idle edges leaves active, the dispatch list, and
 // waits in cal, the group's wake calendar, for the edge it wakes at: a
-// sleeping component costs nothing per edge.
+// sleeping component costs nothing per edge. In a group of Sleepers only,
+// a Sleeper whose wake edge is no later than any other kept at the same
+// edge stays in active instead, passed over until its wake edge; and when
+// every member sleeps, the group strides to the first wake edge, so the
+// edges between cost no instant either.
 type clockGroup struct {
-	comps  []indexedComp // every component of the clock, add order
-	active []indexedComp // the comps not asleep, add order
-	// sleepers counts the Sleepers among comps; edge, the group's edges
-	// dispatched since the last rebuild, is counted only when there are
-	// any.
-	sleepers int
-	edge     int64
-	// leaving is the lowest add index that fell asleep at the current
-	// instant, or -1: active is compacted from there after dispatch.
-	leaving int
-	cal     []wakeEntry // the comps asleep: a min-heap on (edge, idx)
-	set     wireSet
-	wires   []AnyWire
-	clk     *clock.Clock
+	// The fields an edge of the group reads, on one cache line.
+	active []indexedComp // the comps not in the calendar, add order
+	// edge is the group's edges accounted since the last rebuild, counted
+	// only when there are Sleepers.
+	edge int64
+	// short is the earliest wake edge of a Sleeper kept in active at the
+	// current edge, or 0 once a member dispatched there promised no idle
+	// edge; calHead is the calendar's earliest wake edge. The group's ring
+	// advance strides on them.
+	short, calHead int64
+	// stride is how many edges on from edge the group's ring entry lies:
+	// 1, or more while the group strides. size is len(comps).
+	stride, size int32
+	// leaving is the lowest add index that went to the calendar at the
+	// current instant, or -1: active is compacted from there after
+	// dispatch.
+	leaving int32
+	// sleepy is set when some component is a Sleeper, strides when every
+	// one is (only such a group keeps Sleepers in active and strides),
+	// and wired when some wire commits with the group.
+	sleepy, strides, wired bool
+
+	comps []indexedComp // every component of the clock, add order
+	cal   []wakeEntry   // the comps in the calendar: a min-heap on (edge, idx)
+	set   wireSet
+	wires []AnyWire
+	clk   *clock.Clock
+	_     [16]byte // 192 bytes, a size class of whole cache lines
 }
 
 // A wakeEntry is a sleeping component in its group's wake calendar: edge
 // is the group edge (counted as clockGroup.edge) at which it is dispatched
-// again.
+// again, since the group edge of its last Update, and pos its place in the
+// group's comps.
 type wakeEntry struct {
-	edge int64
-	c    indexedComp
+	edge, since int64
+	pos         int
 }
 
 // A ringEntry is one clock group's place in the schedule: its cached next
@@ -189,14 +221,6 @@ type wakeEntry struct {
 type ringEntry struct {
 	next   clock.Time
 	period clock.Duration
-	g      *clockGroup
-}
-
-// sleepState is a Sleeper's sleep: whether it is asleep, the group edge of
-// its last Update, and its group.
-type sleepState struct {
-	asleep bool
-	since  int64
 	g      *clockGroup
 }
 
@@ -208,11 +232,16 @@ type clockedWire struct {
 }
 
 // indexedComp remembers a component's global add index so coincident
-// edges of different clocks still execute in add order (stable traces).
+// edges of different clocks still execute in add order (stable traces),
+// and its place in its group's comps. In the group's dispatch list it
+// also holds a Sleeper's sleep: wake is the group edge it is dispatched at
+// again (0 while it is awake, -1 once it has left for the calendar), and
+// since the group edge of its last Update.
 type indexedComp struct {
-	c   Component
-	sl  Sleeper // c as a Sleeper, or nil
-	idx int
+	c           Component
+	sl          Sleeper // c as a Sleeper, or nil
+	idx, pos    int
+	since, wake int64
 }
 
 type timerEntry struct {
@@ -298,6 +327,7 @@ func (e *Engine) invalidateFast() {
 func (e *Engine) AddWire(w AnyWire) {
 	e.invalidateFast()
 	e.wires = append(e.wires, w)
+	w.bind(&e.every)
 }
 
 // AddWireClocked registers a wire whose writer is clocked by clk: the wire
@@ -445,31 +475,75 @@ type AnyWire interface {
 // sleeping component of a due group that comes after the running one has
 // not yet skipped the current edge: the rest of the instant dispatches it
 // (see dispatch).
-func (e *Engine) wake() {
+func (e *Engine) wake() { e.wakeThrough(e.now) }
+
+// wakeThrough is wake when the edges at or before t have passed. A group
+// that strides accounts its skipped edges up to t and is put back in the
+// ring at its next edge; inside dispatch that is t = now-1, and a group
+// that skipped an edge at now joins the instant's due groups.
+func (e *Engine) wakeThrough(t clock.Time) {
 	if !e.asleep {
 		return
 	}
+	inside := e.cursor >= 0
+	if inside {
+		t = e.now - 1
+	}
+	strided := false
+	for i := range e.ring {
+		r := &e.ring[i]
+		g := r.g
+		if g.stride == 1 {
+			continue
+		}
+		last := r.next - clock.Time(g.stride)*r.period // its last dispatched edge
+		var n int64
+		if t >= last {
+			n = int64((t - last) / r.period)
+		}
+		r.next = last + clock.Time(n+1)*r.period
+		if inside && r.next == e.now {
+			n++ // an edge at now: the rest of the instant dispatches it
+			e.dueGroups = append(e.dueGroups, g)
+		}
+		g.edge += n
+		e.edges += n * int64(g.size)
+		g.stride = 1
+		strided = true
+	}
+	if strided {
+		// Rotate the ring to start at its head, then re-sort it.
+		slices.Reverse(e.ring[:e.head])
+		slices.Reverse(e.ring[e.head:])
+		slices.Reverse(e.ring)
+		e.head = 0
+		slices.SortStableFunc(e.ring, func(a, b ringEntry) int { return cmp.Compare(a.next, b.next) })
+	}
 	for _, g := range e.groups {
-		due := e.cursor >= 0 && slices.Contains(e.dueGroups, g)
-		for _, c := range g.comps {
-			st := &e.sleeps[c.idx]
-			if !st.asleep {
-				continue
-			}
-			n := g.edge - st.since
+		due := inside && slices.Contains(e.dueGroups, g)
+		skip := func(c *indexedComp, since int64) {
+			n := g.edge - since
 			if due && c.idx > e.cursor {
 				n--
 			}
 			if n > 0 {
 				c.sl.Skip(n)
 			}
-			st.asleep = false
+		}
+		for i := range g.active {
+			if c := &g.active[i]; c.wake > 0 {
+				skip(c, c.since)
+			}
+		}
+		for _, w := range g.cal {
+			skip(&g.comps[w.pos], w.since)
 		}
 		g.active = append(g.active[:0], g.comps...)
-		g.cal = g.cal[:0]
+		g.cal, g.calHead = g.cal[:0], math.MaxInt64
+		g.short = 0 // nothing strides at the rest of an instant
 	}
 	e.asleep = false
-	if e.cursor >= 0 {
+	if inside {
 		e.woke = true
 	}
 }
@@ -488,35 +562,33 @@ func (e *Engine) rebuild(from clock.Time) {
 			byClk[c.Clock()] = g
 			e.groups = append(e.groups, g)
 		}
-		ic := indexedComp{c: c, idx: i}
-		if sl, ok := c.(Sleeper); ok {
-			ic.sl = sl
-			g.sleepers++
-		}
+		ic := indexedComp{c: c, idx: i, pos: len(g.comps)}
+		ic.sl, _ = c.(Sleeper)
 		g.comps = append(g.comps, ic)
 	}
-	e.sleeps = slices.Grow(e.sleeps[:0], len(e.components))[:len(e.components)]
-	clear(e.sleeps)
 	for _, g := range e.groups {
 		g.active = append(make([]indexedComp, 0, len(g.comps)), g.comps...)
-		g.leaving = -1
+		g.leaving, g.stride, g.calHead = -1, 1, math.MaxInt64
+		g.size = int32(len(g.comps))
+		g.strides = true
 		for _, c := range g.comps {
-			e.sleeps[c.idx].g = g
+			g.sleepy = g.sleepy || c.sl != nil
+			g.strides = g.strides && c.sl != nil
 		}
 	}
 	e.orphans = e.orphans[:0]
 	for _, w := range e.wires {
-		w.bind(nil)
+		w.bind(&e.every)
 	}
 	for _, cw := range e.clocked {
 		if g := byClk[cw.clk]; g != nil {
-			g.wires = append(g.wires, cw.w)
+			g.wires, g.wired = append(g.wires, cw.w), true
 			cw.w.bind(&g.set)
 		} else {
 			// No component ticks this clock, so its edges never execute;
 			// commit every instant instead of never.
 			e.orphans = append(e.orphans, cw.w)
-			cw.w.bind(nil)
+			cw.w.bind(&e.every)
 		}
 	}
 	e.ring, e.head = e.ring[:0], 0
@@ -531,16 +603,19 @@ func (e *Engine) rebuild(from clock.Time) {
 // <= until. It returns the number of distinct instants executed.
 //
 // Instead of rescanning every component per instant, the engine keeps the
-// components grouped by clock in a ring sorted by each clock's next edge:
-// the due group is the ring's head, and advancing it moves it to the tail
-// and back past any group whose edge is strictly later, which with equal
-// periods is none. The per-instant cost scales with the number of due
-// clock domains, not with the total component count, and no instant
-// divides. A Sleeper's promised idle edges are counted, not dispatched.
-// Wire commits are batched per group (see AddWireClocked), the common
-// single-domain instant dispatches a group's components in place without
-// copying, and the dispatch scratch lives on the Engine, so steady-state
-// instants allocate nothing. Every Sleeper is awake when Run returns.
+// components grouped by clock in a ring sorted by each clock's next needed
+// edge: the due group is the ring's head, and advancing it after its
+// dispatch moves it to the tail and back past any group whose edge is
+// strictly later, which with equal periods and strides is none. The
+// per-instant cost scales with the number of due clock domains, not with
+// the total component count, and no instant divides. A Sleeper's promised
+// idle edges are counted, not dispatched, and a clock strides over the
+// edges on which all its components sleep (see Sleeper): the advance puts
+// it at the first edge one of them wakes at, so those edges cost no
+// instant. Wire commits are batched per group (see AddWireClocked), each
+// group's dispatch list is walked in place, and the dispatch scratch lives
+// on the Engine, so steady-state instants allocate nothing. Every Sleeper
+// is awake when Run returns.
 //
 // Once the run has covered queueSpan, each executed instant lets the
 // tracer queue events for its deferred sinks (trace.Bus.Queue), again
@@ -590,7 +665,7 @@ func (e *Engine) Run(until clock.Time) int {
 		// up to now.
 		ranTimer := false
 		if len(e.timers) > 0 && e.timers[0].at <= next {
-			e.wake()
+			e.wakeThrough(next - 1)
 			e.tracer.Drain()
 		}
 		for len(e.timers) > 0 && e.timers[0].at <= next {
@@ -607,77 +682,47 @@ func (e *Engine) Run(until clock.Time) int {
 			e.rebuild(next - 1)
 		}
 
-		// Every group due here is at the ring's head in turn. Its cached
-		// edge is an exact edge of its clock (rebuild is the only place that
-		// derives one from phase and period), so the edge after it is one
-		// period on. The head's slot becomes the tail, and the group walks
-		// back from there past every group strictly later than its new edge.
+		// Every group due here is at the ring's head in turn. Each counts
+		// its edge, and any edges it strode over, and takes back the
+		// Sleepers its calendar wakes here.
 		dueGroups := e.dueGroups[:0]
-		for n := len(e.ring); n > 0 && e.ring[e.head].next <= next; {
-			r := e.ring[e.head]
-			dueGroups = append(dueGroups, r.g)
-			r.next += r.period
-			i := e.head
-			if e.head++; e.head == n {
-				e.head = 0
-			}
-			for i != e.head {
-				p := i - 1
-				if p < 0 {
-					p = n - 1
-				}
-				if e.ring[p].next <= r.next {
-					break
-				}
-				e.ring[i] = e.ring[p]
-				i = p
-			}
-			e.ring[i] = r
-		}
-		e.dueGroups = dueGroups
-
-		// Edge dispatch. Each due group counts its edge and takes back the
-		// Sleepers its calendar wakes here. The overwhelmingly common
-		// instant has exactly one due clock domain (every mesochronous tile
-		// edge, every instant of a purely synchronous run): dispatch that
-		// group's active components in place, with no copy and no sort.
-		// Coincident edges of different domains fall back to merging into
-		// the scratch slice and sorting by add index, so cross-domain
-		// traces stay in add order.
-		// With nothing asleep and no Sleeper due, nothing can fall asleep
-		// or wake at this instant: the due components are just updated.
 		edges, plain := 0, !e.asleep
-		for _, g := range dueGroups {
-			edges += len(g.comps)
-			if g.sleepers > 0 {
+		for i, n := e.head, len(e.ring); len(dueGroups) < n && e.ring[i].next <= next; {
+			g := e.ring[i].g
+			if i++; i == n {
+				i = 0
+			}
+			dueGroups = append(dueGroups, g)
+			edges += int(g.size) * int(g.stride)
+			if g.sleepy && e.fast == nil {
 				plain = false
-				g.edge++
-				if len(g.cal) > 0 && g.cal[0].edge == g.edge {
+				g.edge += int64(g.stride)
+				g.stride, g.short = 1, math.MaxInt64
+				if g.calHead == g.edge {
 					e.wakeDue(g)
 				}
 			}
 		}
-		var due []indexedComp
-		switch len(dueGroups) {
-		case 0:
-		case 1:
-			due = dueGroups[0].active
-		default:
-			due = e.due[:0]
-			for _, g := range dueGroups {
-				due = append(due, g.active...)
-			}
-			e.due = due
-			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
-		}
-		if plain {
-			for _, c := range due {
-				c.c.Update(next)
+		e.dueGroups = dueGroups
+
+		// Edge dispatch. The overwhelmingly common instant has exactly one
+		// due clock domain (every mesochronous tile edge, every instant of
+		// a purely synchronous run): its active components are dispatched
+		// in place. Coincident edges of different domains merge the groups'
+		// lists by add index, so cross-domain traces stay in add order.
+		// With nothing asleep and no Sleeper due that may sleep (none may
+		// while a fast path is installed), nothing can fall asleep or wake
+		// at this instant: one due group's components are just updated.
+		if plain && len(dueGroups) == 1 {
+			due := dueGroups[0].active
+			for i := range due {
+				due[i].c.Update(next)
 			}
 			e.dispatched += int64(len(due))
-		} else {
-			e.dispatch(due, next)
+		} else if len(dueGroups) > 0 {
+			e.dispatch(next, -1)
 			e.cursor = -1
+			dueGroups = e.dueGroups // a wake inside dispatch may add some
 		}
 
 		// Commit phase: the due domains' own wires, then the wires that
@@ -686,9 +731,11 @@ func (e *Engine) Run(until clock.Time) int {
 		// which must see every edge.
 		for _, g := range dueGroups {
 			if g.leaving >= 0 {
-				e.compact(g)
+				g.compact()
 			}
 			switch {
+			case !g.wired:
+				continue
 			case g.set.hooks > 0:
 				for _, w := range g.wires {
 					w.commit()
@@ -708,6 +755,8 @@ func (e *Engine) Run(until clock.Time) int {
 		for _, w := range e.orphans {
 			w.commit()
 		}
+		e.every.driven = e.every.driven[:0]
+		e.advance(len(dueGroups))
 		e.edges += int64(edges)
 		instants++
 		if e.fast != nil && !e.resim {
@@ -719,60 +768,173 @@ func (e *Engine) Run(until clock.Time) int {
 	}
 }
 
+// advance moves the due groups, the first due entries of the ring, to
+// their next needed edge. A group of Sleepers none of which is awake
+// strides to the first edge a member wakes at (see Sleeper), unless a wire
+// of it or one committed at every instant has an intercept, or a fast path
+// is installed; any other group's next edge is one period on. Its cached
+// edge is an exact edge of its clock (rebuild is the only place that
+// derives one from phase and period), and so is the new one. The head's
+// slot becomes the tail, and the group walks back from there past every
+// group strictly later than its new edge.
+func (e *Engine) advance(due int) {
+	for n := len(e.ring); due > 0; due-- {
+		r := e.ring[e.head]
+		if g := r.g; g.strides && e.every.hooks == 0 && e.fast == nil && (!g.wired || g.set.hooks == 0) {
+			g.stride = int32(max(1, min(g.short, g.calHead, g.edge+maxStride)-g.edge))
+			r.next += clock.Time(g.stride) * r.period
+		} else {
+			r.next += r.period
+		}
+		i := e.head
+		if e.head++; e.head == n {
+			e.head = 0
+		}
+		for i != e.head {
+			p := i - 1
+			if p < 0 {
+				p = n - 1
+			}
+			if e.ring[p].next <= r.next {
+				break
+			}
+			e.ring[i] = e.ring[p]
+			i = p
+		}
+		e.ring[i] = r
+	}
+}
+
+// maxStride bounds a stride, so that a group whose every member sleeps
+// for good (a disabled generator's promise) keeps a finite next edge: it
+// is dispatched once per maxStride edges, passing every member over.
+const maxStride = 1 << 30
+
 // queueSpan is how much simulated time a Run covers before its tracer
 // queues for the worker: a shorter run, such as one step of a sweep or
 // a trial of BenchmarkTraceOverhead's 100 cycles, emits too few events
 // to pay for starting and draining it.
 const queueSpan = clock.Microsecond
 
-// dispatch updates the due components at now, in add order. A Sleeper
-// woken here is first passed the edges it slept through; afterwards each
-// Sleeper is asked for its next sleep, and one that promises idle edges
-// moves to its group's wake calendar. A wake inside an Update (Sync, Add,
-// Remove, InvalidateSchedule, SetFastPath) puts every Sleeper back in its
-// group's dispatch list, so the rest of the instant dispatches every
-// component of the due groups after the running one.
-func (e *Engine) dispatch(due []indexedComp, now clock.Time) {
-	for i, c := range due {
-		if c.sl != nil {
-			if st := &e.sleeps[c.idx]; st.asleep { // woken at this edge
-				if n := st.g.edge - st.since - 1; n > 0 {
-					c.sl.Skip(n)
-				}
-				st.asleep = false
+// dispatch updates the components of the due groups at now, in add order,
+// from the first after add index from on. It walks each group's dispatch
+// list in place, merging them when several groups are due. A wake inside
+// an Update (Sync, Add, Remove, InvalidateSchedule, SetFastPath) puts every
+// Sleeper back in its group's dispatch list, so the rest of the instant
+// dispatches every component of the due groups after the running one.
+func (e *Engine) dispatch(now clock.Time, from int) {
+	gs := e.dueGroups
+	if len(gs) == 1 {
+		g := gs[0]
+		for i := after(g.active, from); i < len(g.active); i++ {
+			if e.step(g, &g.active[i], now) {
+				e.dispatch(now, e.cursor)
+				return
 			}
 		}
-		e.cursor = c.idx
-		c.c.Update(now)
-		if c.sl != nil && e.fast == nil { // an Update may install a fast path
-			if k := c.sl.Idle(now); k > 0 {
-				e.sleep(&e.sleeps[c.idx], c, k)
+		return
+	}
+	heads := e.heads[:0]
+	for _, g := range gs {
+		heads = append(heads, after(g.active, from))
+	}
+	e.heads = heads
+	for {
+		k := -1
+		for j, g := range gs {
+			if heads[j] < len(g.active) && (k < 0 || g.active[heads[j]].idx < gs[k].active[heads[k]].idx) {
+				k = j
 			}
 		}
-		if e.woke {
-			e.woke = false
-			e.dispatched += int64(i + 1)
-			e.dispatch(e.rest(c.idx), now)
+		if k < 0 {
+			return
+		}
+		g := gs[k]
+		heads[k]++
+		if e.step(g, &g.active[heads[k]-1], now) {
+			e.dispatch(now, e.cursor)
 			return
 		}
 	}
-	e.dispatched += int64(len(due))
 }
 
-// sleep moves c, which promised k idle edges after its Update at its
-// group's current edge, from the dispatch list to the wake calendar.
-func (e *Engine) sleep(st *sleepState, c indexedComp, k int64) {
-	g := st.g
-	st.asleep, st.since = true, g.edge
-	e.asleep = true
-	at := int64(math.MaxInt64) // a disabled generator's promise
-	if k < at-g.edge-1 {
-		at = g.edge + k + 1
+// after returns the position in a of the first component after add index
+// idx.
+func after(a []indexedComp, idx int) int {
+	if idx < 0 {
+		return 0
 	}
-	g.cal = append(g.cal, wakeEntry{edge: at, c: c})
+	i, j := 0, len(a)
+	for i < j {
+		if m := int(uint(i+j) >> 1); a[m].idx <= idx {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// step is one component's edge at now in g's dispatch list. A Sleeper kept
+// in the list is passed over until its wake edge; one due here is first
+// passed the edges it slept through. After its Update a Sleeper is asked
+// for its next sleep. step reports a wake inside the Update: the running
+// component then stays awake, and c may hold another component.
+func (e *Engine) step(g *clockGroup, c *indexedComp, now clock.Time) bool {
+	if c.wake > 0 {
+		if c.wake > g.edge { // kept, not due yet
+			g.short = min(g.short, c.wake)
+			return false
+		}
+		if k := g.edge - c.since - 1; k > 0 {
+			c.sl.Skip(k)
+		}
+		c.wake = 0
+	}
+	e.cursor = c.idx
+	e.dispatched++
+	c.c.Update(now)
+	if e.woke {
+		e.woke = false
+		return true
+	}
+	if c.sl == nil || e.fast != nil { // an Update may install a fast path
+		return false
+	}
+	// A Sleeper that promises idle edges sleeps until the edge after
+	// them. In a group of Sleepers it stays in the dispatch list when it
+	// wakes no later than any Sleeper kept there at this edge; otherwise
+	// it leaves for the group's wake calendar.
+	if k := c.sl.Idle(now); k <= 0 {
+		g.short = 0
+	} else if at := wakeEdge(g.edge, k); g.strides && at <= g.short {
+		c.since, c.wake, g.short = g.edge, at, at
+		e.asleep = true
+	} else {
+		e.park(g, c, at)
+	}
+	return false
+}
+
+// wakeEdge is the group edge after the k idle edges a Sleeper promised at
+// edge.
+func wakeEdge(edge, k int64) int64 {
+	if k < math.MaxInt64-edge-1 {
+		return edge + k + 1
+	}
+	return math.MaxInt64 // a disabled generator's promise
+}
+
+// park moves c, asleep until group edge at, from g's dispatch list to its
+// wake calendar.
+func (e *Engine) park(g *clockGroup, c *indexedComp, at int64) {
+	e.asleep = true
+	c.wake = -1
+	g.cal = append(g.cal, wakeEntry{edge: at, since: g.edge, pos: c.pos})
 	siftUp(g.cal, len(g.cal)-1, wakeLess)
-	if g.leaving < 0 || c.idx < g.leaving {
-		g.leaving = c.idx
+	g.calHead = g.cal[0].edge
+	if g.leaving < 0 || c.idx < int(g.leaving) {
+		g.leaving = int32(c.idx)
 	}
 }
 
@@ -780,12 +942,19 @@ func (e *Engine) sleep(st *sleepState, c indexedComp, k int64) {
 // into its dispatch list, merging from the back so add order holds.
 func (e *Engine) wakeDue(g *clockGroup) {
 	w := e.wakers[:0]
-	for len(g.cal) > 0 && g.cal[0].edge == g.edge {
-		w = append(w, g.cal[0].c) // in add order: the calendar breaks ties on it
+	for g.calHead == g.edge {
+		top := g.cal[0]
+		c := g.comps[top.pos]
+		c.since, c.wake = top.since, top.edge
+		w = append(w, c) // in add order: the calendar breaks ties on it
 		last := len(g.cal) - 1
 		g.cal[0] = g.cal[last]
 		g.cal = g.cal[:last]
 		siftDown(g.cal, 0, wakeLess)
+		g.calHead = math.MaxInt64
+		if last > 0 {
+			g.calHead = g.cal[0].edge
+		}
 	}
 	e.wakers = w
 	n := len(g.active)
@@ -803,14 +972,14 @@ func (e *Engine) wakeDue(g *clockGroup) {
 	g.active = a
 }
 
-// compact drops from g's dispatch list the components that went to its
+// compact drops from g's dispatch list the components that left for its
 // calendar at this instant, all at or after add index g.leaving.
-func (e *Engine) compact(g *clockGroup) {
+func (g *clockGroup) compact() {
 	a := g.active
-	i, _ := slices.BinarySearchFunc(a, g.leaving, func(c indexedComp, idx int) int { return c.idx - idx })
+	i := after(a, int(g.leaving)-1)
 	j := i
 	for ; i < len(a); i++ {
-		if c := a[i]; c.sl == nil || !e.sleeps[c.idx].asleep {
+		if c := a[i]; c.wake >= 0 {
 			a[j] = c
 			j++
 		}
@@ -819,28 +988,12 @@ func (e *Engine) compact(g *clockGroup) {
 	g.leaving = -1
 }
 
-// rest lists, in add order, every component of the due groups after add
-// index idx: what an instant still dispatches after a wake inside the
-// Update of component idx.
-func (e *Engine) rest(idx int) []indexedComp {
-	var out []indexedComp
-	for _, g := range e.dueGroups {
-		for _, c := range g.comps {
-			if c.idx > idx {
-				out = append(out, c)
-			}
-		}
-	}
-	slices.SortFunc(out, func(a, b indexedComp) int { return a.idx - b.idx })
-	return out
-}
-
-// wakeLess orders a wake calendar, a min-heap on (edge, idx).
+// wakeLess orders a wake calendar, a min-heap on (edge, add order).
 func wakeLess(a, b wakeEntry) bool {
 	if a.edge != b.edge {
 		return a.edge < b.edge
 	}
-	return a.c.idx < b.c.idx
+	return a.pos < b.pos
 }
 
 // timerLess orders the callback min-heap on (at, seq).

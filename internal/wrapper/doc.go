@@ -26,6 +26,14 @@
 //     channel is primed with InitialTokens empty tokens — without them the
 //     system deadlocks (both straight from the paper).
 //
+// A fire occupies one flit cycle: for the clock's next FlitWords-1 edges
+// the PIC only counts down, as it does through an injected stall. A
+// Wrapper is a sim.Sleeper that sleeps through those edges, so the engine
+// dispatches it only at the edges it may fire on; where every component
+// of its clock sleeps, the clock strides over them and they cost no
+// instant. A wrapper waiting for a token or for space is dispatched every
+// edge.
+//
 // Slot alignment: each channel's InitialTokens initial marking makes a
 // flit advance InitialTokens dataflow iterations per hop, so the TDM slot
 // allocation must shift reservations by InitialTokens slots per hop

@@ -179,6 +179,20 @@ func (w *Wrapper) Name() string { return w.name }
 // Clock implements sim.Component.
 func (w *Wrapper) Clock() *clock.Clock { return w.clk }
 
+// Idle implements sim.Sleeper: the edges of an injected stall and of the
+// current fire window are known to do nothing but count. A wrapper waiting
+// for a token or for space promises none, and is dispatched every edge.
+func (w *Wrapper) Idle(now clock.Time) int64 { return int64(w.stallFault + w.busy) }
+
+// Skip implements sim.Sleeper: it spends n edges as Update would, on the
+// injected stall first, counting them stalled, then on the fire window.
+func (w *Wrapper) Skip(n int64) {
+	s := min(n, int64(w.stallFault))
+	w.stallFault -= int(s)
+	w.stalled += s
+	w.busy -= int(n - s)
+}
+
 // Update implements sim.Component.
 func (w *Wrapper) Update(now clock.Time) {
 	if w.stallFault > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/aethereal"
 	"repro/internal/clock"
+	"repro/internal/ni"
 	"repro/internal/phit"
 	"repro/internal/replay"
 	"repro/internal/route"
@@ -38,7 +39,7 @@ type BENetwork struct {
 	nis     map[topology.NodeID]*aethereal.NI
 	routers map[topology.NodeID]*aethereal.Router
 	gens    map[phit.ConnID]*traffic.Generator
-	conns   map[phit.ConnID]*beConnInfo
+	conns   []*beConnInfo   // ascending id
 	prog    *replay.Program // nil under Cfg.CycleAccurate
 }
 
@@ -92,7 +93,6 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		nis:     make(map[topology.NodeID]*aethereal.NI),
 		routers: make(map[topology.NodeID]*aethereal.Router),
 		gens:    make(map[phit.ConnID]*traffic.Generator),
-		conns:   make(map[phit.ConnID]*beConnInfo),
 	}
 	n.base = clock.NewMHz("clk", cfg.FreqMHz, 0)
 
@@ -108,8 +108,10 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		if err != nil {
 			return nil, err
 		}
-		n.conns[c.ID] = &beConnInfo{spec: c, srcNI: src, dstNI: dst, path: p}
+		n.conns = append(n.conns, &beConnInfo{spec: c, srcNI: src, dstNI: dst, path: p})
 	}
+	// Id order: queue ids, generator staggers and the report follow it.
+	sort.Slice(n.conns, func(i, j int) bool { return n.conns[i].spec.ID < n.conns[j].spec.ID })
 
 	// Wires: per link a data wire and a reverse credit wire, driven on a
 	// change only (see package aethereal): not to be intercepted.
@@ -156,15 +158,10 @@ func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*BENetwork, error)
 		n.eng.Add(c)
 	}
 
-	// Connections and generators, in deterministic order.
-	ids := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Connections and generators.
 	qidNext := make(map[topology.NodeID]int)
-	for _, id := range ids {
-		info := n.conns[id]
+	for _, info := range n.conns {
+		id := info.spec.ID
 		qid := qidNext[info.dstNI]
 		qidNext[info.dstNI]++
 		if qid > cfg.Layout.MaxQID() {
@@ -196,29 +193,15 @@ func (n *BENetwork) Run(warmupNs, measureNs float64) *Report {
 		}
 	})(measureNs)
 
-	r := &Report{
+	head := Report{
 		Name:       n.Spec.Name,
 		FreqMHz:    n.Cfg.FreqMHz,
 		Mode:       "best-effort",
 		MeasureNs:  measureNs,
 		TotalEdges: n.eng.Edges(),
 	}
-	ids := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info := n.conns[id]
-		cr := ConnReport{
-			Conn:              id,
-			App:               info.spec.App,
-			RequiredMBps:      info.spec.BandwidthMBps,
-			RequiredLatencyNs: info.spec.MaxLatencyNs,
-			PathHops:          info.path.Hops(),
-		}
-		cr.SetMeasured(n.nis[info.dstNI].InStats(id), n.Cfg.WordBytes, false)
-		r.Conns = append(r.Conns, cr)
-	}
-	return r
+	return NewReport(head, n.Cfg.WordBytes, false, len(n.conns), func(i int) (spec.Connection, ConnectionInfo, *ni.ConnStats) {
+		info := n.conns[i]
+		return info.spec, ConnectionInfo{PathHops: info.path.Hops()}, n.nis[info.dstNI].InStats(info.spec.ID)
+	})
 }

@@ -32,14 +32,6 @@ func buildComposability(t *testing.T, mode core.Mode) (*core.Network, *spec.UseC
 	return n, uc
 }
 
-// init gives the in-package tests their strict auditor (core.AuditStrict).
-func init() {
-	core.AuditStrict = func(n *core.Network) func() {
-		_, a := attachStrictAuditor(n, false)
-		return func() { a.Resync(n) }
-	}
-}
-
 // attachStrictAuditor gives n a fresh bus with a strict auditor on it,
 // which checks every flit against the allocation and its bound and panics
 // at the first violation; tolerate spares deliberate oversubscribers.

@@ -537,9 +537,13 @@ func (n *Network) instantiate() error {
 		}
 		out := sim.NewWire[phit.Phit](name + ".out")
 		n.eng.AddWireClocked(out, rClk)
-		// One mesochronous stage, clocked in the reader's domain.
-		sts := link.Pipeline(name, n.eng, w, out, wClk, []*clock.Clock{rClk}, fwdDelay, n.Cfg.FaultReporter)
-		n.stages = append(n.stages, sts...)
+		// One mesochronous stage, its reader FSM clocked in the reader's
+		// domain.
+		st := link.NewStage(name+".s0", w, out, wClk, rClk, fwdDelay, n.Cfg.FaultReporter)
+		for _, c := range st.Components() {
+			n.eng.Add(c)
+		}
+		n.stages = append(n.stages, st)
 		exit[l.ID] = out
 	}
 

@@ -4,10 +4,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/phit"
 	"repro/internal/spec"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
+
+// auditStrict gives n a fresh bus with a strict auditor on it, which
+// checks every flit against the allocation and its bound and panics at
+// the first violation, and returns the auditor's Resync for n.
+func auditStrict(n *Network) (resync func()) {
+	bus := trace.NewBus()
+	a := audit.Attach(n, bus, nil, audit.Options{})
+	n.AttachTracer(bus)
+	return func() { a.Resync(n) }
+}
 
 // smallUseCase builds a 2x2 mesh with 1 NI per router and a few
 // connections with modest requirements.
@@ -33,7 +45,7 @@ func TestSynchronousSmallMeetsRequirements(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	AuditStrict(n)
+	auditStrict(n)
 	rep := n.Run(4000, 20000)
 	if !rep.AllMet() {
 		var b strings.Builder
@@ -59,7 +71,7 @@ func TestMesochronousSmallMeetsRequirements(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	AuditStrict(n)
+	auditStrict(n)
 	rep := n.Run(4000, 20000)
 	if !rep.AllMet() {
 		var b strings.Builder

@@ -136,7 +136,7 @@ func TestProbeDetectsCorruptedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	AuditStrict(n)
+	auditStrict(n)
 	// Find a source NI and move one of its reservations to a slot that
 	// the allocation believes is free on its link.
 	var victim *ni.NI

@@ -12,6 +12,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/scenario"
+	"repro/internal/spec"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -22,20 +24,17 @@ type twinOutput struct {
 	chrome                   [sha256.Size]byte
 }
 
-// twinRun builds the synchronous network of one generated scenario with
-// Build or, when wordLinks is set, BuildWordLinks, runs it traced and
-// audited, and renders what it shows.
-func twinRun(t *testing.T, sc scenario.Config, cfg core.Config, wordLinks bool) twinOutput {
+// twinRun builds the synchronous network of the use case mk makes, on
+// its mesh, with Build or, when wordLinks is set, BuildWordLinks, runs it
+// traced and audited, and renders what it shows.
+func twinRun(t *testing.T, mk func() (*topology.Mesh, *spec.UseCase), cfg core.Config, wordLinks bool) twinOutput {
 	t.Helper()
-	s, err := scenario.Generate(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	build := core.Build
 	if wordLinks {
 		build = core.BuildWordLinks
 	}
-	n, err := build(s.Mesh(), s.UseCase, cfg)
+	m, uc := mk()
+	n, err := build(m, uc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,22 +87,48 @@ func compareTwins(t *testing.T, where string, flits, words twinOutput) {
 // TestFlitLinksMatchWordLinks holds the synchronous fabric's flit links to
 // the word links they replace: the same unwatched network built on each,
 // over the uniform, hotspot and transpose families, seeds 2009-2011, CBR
-// and transactional, with replay armed and cycle-accurate, must give the
+// and transactional, with replay armed and cycle-accurate, and over the
+// conformance sweep's workload at each of its table sizes, must give the
 // same report, metrics JSON, audit summary and Chrome trace, byte for
 // byte.
 func TestFlitLinksMatchWordLinks(t *testing.T) {
 	for _, fam := range []scenario.Family{scenario.Uniform, scenario.Hotspot, scenario.Transpose} {
 		for seed := int64(2009); seed <= 2011; seed++ {
 			sc := scenario.Default(fam, 4, 4, 24, seed)
+			mk := func() (*topology.Mesh, *spec.UseCase) {
+				s, err := scenario.Generate(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s.Mesh(), s.UseCase
+			}
 			for _, tx := range []bool{false, true} {
 				for _, cycleAccurate := range []bool{false, true} {
 					cfg := core.Config{FreqMHz: sc.FreqMHz, WordBytes: sc.WordBytes, TableSize: sc.TableSize,
 						Transactional: tx, CycleAccurate: cycleAccurate}
 					where := fmt.Sprintf("%s seed %d tx=%v cycle-accurate=%v", fam, seed, tx, cycleAccurate)
-					compareTwins(t, where, twinRun(t, sc, cfg, false), twinRun(t, sc, cfg, true))
+					compareTwins(t, where, twinRun(t, mk, cfg, false), twinRun(t, mk, cfg, true))
 				}
 			}
 		}
+	}
+	// The conformance sweep's shape (internal/experiments/conformance.go),
+	// which audits the synchronous network on flit links: a 3x2 mesh with
+	// 2 NIs per router and its random use case, drawn from seed 2009.
+	conformance := func() (*topology.Mesh, *spec.UseCase) {
+		m := topology.NewMesh(3, 2, 2)
+		uc := spec.Random(spec.RandomConfig{
+			Name: "conformance", Seed: 2009, IPs: 8, Apps: 2, Conns: 6,
+			MinRateMBps: 10, MaxRateMBps: 60,
+			MinLatencyNs: 500, MaxLatencyNs: 1500,
+		})
+		spec.MapIPsByTraffic(uc, m)
+		return m, uc
+	}
+	for _, table := range []int{8, 16, 32} {
+		cfg := core.Config{TableSize: table}
+		where := fmt.Sprintf("conformance table %d", table)
+		compareTwins(t, where, twinRun(t, conformance, cfg, false), twinRun(t, conformance, cfg, true))
 	}
 }
 

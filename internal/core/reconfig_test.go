@@ -28,7 +28,7 @@ func reconfigSpec(t *testing.T) (*Network, *spec.UseCase, func()) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return n, uc, AuditStrict(n)
+	return n, uc, auditStrict(n)
 }
 
 // TestCloseReleasesCapacity: slots freed by a closed connection are

@@ -42,7 +42,7 @@ func TestReliableCleanMeetsRequirements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			AuditStrict(n)
+			auditStrict(n)
 			rep := n.Run(6000, 30000)
 			if !rep.AllMet() {
 				var b strings.Builder

@@ -128,23 +128,42 @@ func (r *Report) Write(w io.Writer) {
 // comparing delivered throughput to the requirement.
 const ThroughputTolerance = 0.98
 
-// SetMeasured fills in the simulated measurements of one connection and
-// derives its verdicts — the one place every backend decides what "met"
-// means. A best-effort backend passes bounded false: with no analytical
-// bound to exceed, WithinBound holds vacuously.
-func (cr *ConnReport) SetMeasured(st *ni.ConnStats, wordBytes int, bounded bool) {
-	cr.Delivered = st.Delivered
-	if st.Delivered > 0 {
-		cr.MeasuredMBps = st.ThroughputMBps(wordBytes)
-		cr.LatMinNs = st.Latency.Min()
-		cr.LatMeanNs = st.Latency.Mean()
-		cr.LatMaxNs = st.Latency.Max()
-		cr.LatP99Ns = st.Latency.Percentile(99)
-		cr.LatStdDevNs = st.Latency.StdDev()
+// NewReport is the one report path of every backend's Run: it gives head
+// a row for each of n connections, the i-th from what conn(i) states of it
+// — its requirement, what the fabric derived for it (slots, guarantee,
+// bound and hops) and its destination's statistics — and decides the
+// row's verdicts, which makes it the one place that says what "met" means.
+// A best-effort fabric states the hops alone and passes bounded false:
+// with no analytical bound to exceed, WithinBound holds vacuously.
+func NewReport(head Report, wordBytes int, bounded bool, n int, conn func(i int) (spec.Connection, ConnectionInfo, *ni.ConnStats)) *Report {
+	r := &head
+	for i := 0; i < n; i++ {
+		c, info, st := conn(i)
+		cr := ConnReport{
+			Conn:              c.ID,
+			App:               c.App,
+			RequiredMBps:      c.BandwidthMBps,
+			RequiredLatencyNs: c.MaxLatencyNs,
+			Slots:             len(info.Slots),
+			GuaranteedMBps:    info.GuaranteedMBps,
+			BoundNs:           info.BoundNs,
+			PathHops:          info.PathHops,
+			Delivered:         st.Delivered,
+		}
+		if st.Delivered > 0 {
+			cr.MeasuredMBps = st.ThroughputMBps(wordBytes)
+			cr.LatMinNs = st.Latency.Min()
+			cr.LatMeanNs = st.Latency.Mean()
+			cr.LatMaxNs = st.Latency.Max()
+			cr.LatP99Ns = st.Latency.Percentile(99)
+			cr.LatStdDevNs = st.Latency.StdDev()
+		}
+		cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
+		cr.MetLatency = st.Delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
+		cr.WithinBound = !bounded || st.Delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+		r.Conns = append(r.Conns, cr)
 	}
-	cr.MetThroughput = cr.MeasuredMBps >= cr.RequiredMBps*ThroughputTolerance
-	cr.MetLatency = st.Delivered > 0 && cr.LatMaxNs <= cr.RequiredLatencyNs
-	cr.WithinBound = !bounded || st.Delivered > 0 && cr.LatMaxNs <= cr.BoundNs
+	return r
 }
 
 // CheckWindow rejects a run window that OpenWindow cannot simulate: both
@@ -189,7 +208,7 @@ func (n *Network) Run(warmupNs, measureNs float64) *Report {
 }
 
 func (n *Network) report(measureNs float64) *Report {
-	r := &Report{
+	head := Report{
 		Name:       n.Spec.Name,
 		FreqMHz:    n.Cfg.FreqMHz,
 		TableSize:  n.Cfg.TableSize,
@@ -197,22 +216,11 @@ func (n *Network) report(measureNs float64) *Report {
 		MeasureNs:  measureNs,
 		TotalEdges: n.eng.Edges(),
 	}
-	for _, id := range n.Connections() {
-		info := n.conns[id]
-		cr := ConnReport{
-			Conn:              id,
-			App:               info.spec.App,
-			RequiredMBps:      info.spec.BandwidthMBps,
-			RequiredLatencyNs: info.spec.MaxLatencyNs,
-			Slots:             len(info.slotSet),
-			GuaranteedMBps:    info.guaranteeMBps,
-			BoundNs:           info.boundNs,
-			PathHops:          info.path.Hops(),
-		}
-		cr.SetMeasured(n.nis[info.dstNI].InStats(id), n.Cfg.WordBytes, true)
-		r.Conns = append(r.Conns, cr)
-	}
-	return r
+	ids := n.Connections()
+	return NewReport(head, n.Cfg.WordBytes, true, len(ids), func(i int) (spec.Connection, ConnectionInfo, *ni.ConnStats) {
+		info, _ := n.Info(ids[i])
+		return n.conns[ids[i]].spec, info, n.nis[info.DstNI].InStats(ids[i])
+	})
 }
 
 // ConnectionInfo is the externally visible allocation result for one

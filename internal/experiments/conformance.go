@@ -40,12 +40,15 @@ type conformanceRun struct {
 	watchedRx  int64
 }
 
-// conformancePoint audits one (table size, mode) combination: a baseline
-// run with every check armed, a perturbed run with the interferers
-// oversubscribed (tolerated, since the perturbation is deliberate), and a
-// byte-identity diff of the watched connection's delivery instants. It
-// returns a one-line verdict, or an error naming the first broken
-// guarantee.
+// conformancePoint audits one (table size, mode) combination on the
+// network an unwatched run builds — flit links in synchronous mode, and
+// no fault reporter, so a link or router out of envelope panics: a
+// baseline run whose every flit the auditor holds to its bound, its
+// source rate and the allocation's slot tables at every NI and router
+// output, a perturbed run with the interferers oversubscribed (tolerated,
+// since the perturbation is deliberate), and a byte-identity diff of the
+// watched connection's delivery instants. It returns a one-line verdict,
+// or an error naming the first broken guarantee.
 func conformancePoint(seed int64, tableSize int, mode core.Mode) (string, error) {
 	var runs [2]conformanceRun
 	res, err := audit.Isolation(2, func(perturbed bool) (audit.Timelines, error) {
@@ -56,11 +59,7 @@ func conformancePoint(seed int64, tableSize int, mode core.Mode) (string, error)
 			MinLatencyNs: 500, MaxLatencyNs: 1500,
 		})
 		spec.MapIPsByTraffic(uc, m)
-		col := fault.NewCollector()
-		ncfg := core.Config{
-			Mode: mode, TableSize: tableSize, FaultReporter: col,
-		}
-		n, err := core.Build(m, uc, ncfg)
+		n, err := core.Build(m, uc, core.Config{Mode: mode, TableSize: tableSize})
 		if err != nil {
 			return nil, err
 		}

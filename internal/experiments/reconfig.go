@@ -75,13 +75,14 @@ func reconfigSpec(seed int64) *spec.UseCase {
 	})
 }
 
-// reconfigNetwork builds the study's network over a private mesh.
-func reconfigNetwork(seed int64, reliable bool, retry int, col *fault.Collector) (*core.Network, error) {
+// reconfigNetwork builds the study's network over a private mesh; rep is
+// its fault reporter, nil for a network nothing watches.
+func reconfigNetwork(seed int64, reliable bool, retry int, rep fault.Reporter) (*core.Network, error) {
 	m := topology.NewMesh(3, 2, 2)
 	uc := reconfigSpec(seed)
 	spec.MapIPsByTraffic(uc, m)
 	ncfg := core.Config{
-		Mode: core.Mesochronous, Reliable: reliable, RetryBudget: retry, FaultReporter: col,
+		Mode: core.Mesochronous, Reliable: reliable, RetryBudget: retry, FaultReporter: rep,
 	}
 	return core.Build(m, uc, ncfg)
 }
@@ -119,7 +120,7 @@ func reconfigIsolation(seed int64, jobs int) (ReconfigIsolation, error) {
 	var newConn [2]phit.ConnID
 	res, err := audit.Isolation(jobs, func(reconfig bool) (audit.Timelines, error) {
 		audCol := fault.NewCollector()
-		n, err := reconfigNetwork(seed, false, 0, fault.NewCollector())
+		n, err := reconfigNetwork(seed, false, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +183,7 @@ func reconfigIsolation(seed int64, jobs int) (ReconfigIsolation, error) {
 // must each fail for a specific typed reason — and verifies the probes
 // left the network untouched (same free-slot picture before and after).
 func reconfigRejections(seed int64) ([]RejectionCase, error) {
-	n, err := reconfigNetwork(seed, false, 0, fault.NewCollector())
+	n, err := reconfigNetwork(seed, false, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,10 @@
 // The re-alignment makes a link traversal take exactly one flit cycle in
 // the reader's clock, so TDM reservations shift by one slot per stage —
 // the same shift a router adds — and the whole NoC can be reasoned about
-// as globally flit-synchronous.
+// as globally flit-synchronous. Each router-to-router link of a
+// mesochronous network carries exactly one stage (core.PrepareTopology):
+// the network builds it with NewStage and registers its two components,
+// the writer tap and the reader FSM (Stage.Components), with the engine.
 //
 // The paper's operating assumptions are checked, not assumed: skew at most
 // half a clock cycle — the bound is inclusive, skew of exactly half a

@@ -230,37 +230,3 @@ func (f *readerFSM) Update(now clock.Time) {
 		f.forwarding = false
 	}
 }
-
-// Pipeline builds n mesochronous stages in series between in and out.
-// stageClks lists the local clock of each stage (the first stage's writer
-// clock is writerClk; stage i's writer clock is stage i-1's local clock).
-// It returns the stages; register all their components and the
-// intermediate wires it creates via the provided engine. rep is every
-// stage's violation reporter (see NewStage).
-func Pipeline(name string, eng *sim.Engine, in *sim.Wire[phit.Phit], out *sim.Wire[phit.Phit],
-	writerClk *clock.Clock, stageClks []*clock.Clock, forwardDelay clock.Duration, rep fault.Reporter) []*Stage {
-	if len(stageClks) == 0 {
-		panic(fmt.Sprintf("link %s: pipeline needs at least one stage", name))
-	}
-	stages := make([]*Stage, len(stageClks))
-	cur := in
-	w := writerClk
-	for i, ck := range stageClks {
-		var next *sim.Wire[phit.Phit]
-		if i == len(stageClks)-1 {
-			next = out
-		} else {
-			next = sim.NewWire[phit.Phit](fmt.Sprintf("%s.w%d", name, i))
-			// Stage i's reader FSM drives this wire on its local clock.
-			eng.AddWireClocked(next, ck)
-		}
-		st := NewStage(fmt.Sprintf("%s.s%d", name, i), cur, next, w, ck, forwardDelay, rep)
-		for _, c := range st.Components() {
-			eng.Add(c)
-		}
-		stages[i] = st
-		cur = next
-		w = ck
-	}
-	return stages
-}

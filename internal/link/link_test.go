@@ -238,40 +238,6 @@ func (p *partialSource) Update(now clock.Time) {
 	}
 }
 
-func TestPipelineMultipleStages(t *testing.T) {
-	eng := sim.New()
-	base := clock.New("b", 2000, 0)
-	c1 := clock.Mesochronous(base, "c1", 300)
-	c2 := clock.Mesochronous(base, "c2", 800)
-	in := sim.NewWire[phit.Phit]("in")
-	out := sim.NewWire[phit.Phit]("out")
-	eng.AddWire(in)
-	eng.AddWire(out)
-	stages := Pipeline("pl", eng, in, out, base, []*clock.Clock{c1, c2}, 2000, nil)
-	if len(stages) != 2 {
-		t.Fatalf("stages = %d", len(stages))
-	}
-	src := &flitSource{name: "src", clk: base, out: in, sendIn: []bool{true, true, false, false}}
-	chk := &flitChecker{name: "chk", clk: c2, in: out, t: t}
-	eng.Add(src)
-	eng.Add(chk)
-	eng.Run(400 * 2000)
-	// 400 cycles = ~133 slots, half carrying flits: ~190 words minus
-	// two stages of pipeline fill.
-	if chk.got < 180 {
-		t.Errorf("only %d words through a 2-stage pipeline", chk.got)
-	}
-}
-
-func TestPipelinePanicsWithoutStages(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for empty pipeline")
-		}
-	}()
-	Pipeline("p", sim.New(), nil, nil, clock.New("c", 1000, 0), nil, 1000, nil)
-}
-
 func TestStagePanicsOnBadDelay(t *testing.T) {
 	wclk := clock.New("w", 2000, 0)
 	defer func() {

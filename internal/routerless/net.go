@@ -1,16 +1,16 @@
 package routerless
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/ni"
 	"repro/internal/phit"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -104,13 +104,10 @@ func (r *ring) Update(now clock.Time) {
 // Offer implements traffic.Port: the generator's word enters the
 // connection's source queue (blocking-write semantics on a full queue).
 func (r *ring) Offer(now clock.Time, conn phit.ConnID, meta phit.Meta) bool {
-	at, ok := slices.BinarySearchFunc(r.conns, conn, func(ci *connInfo, id phit.ConnID) int {
-		return cmp.Compare(ci.spec.ID, id)
-	})
-	if !ok {
+	ci := find(r.conns, conn)
+	if ci == nil {
 		panic(fmt.Sprintf("routerless %s: unknown connection %d", r.Name(), conn))
 	}
-	ci := r.conns[at]
 	if len(ci.q) >= SendCapacity {
 		return false
 	}
@@ -150,10 +147,9 @@ func (n *Network) Contracts() analysis.ContractSet {
 		WordBytes:   n.Cfg.WordBytes,
 		AllocTables: make(map[string][]phit.ConnID),
 	}
-	for _, id := range n.Connections() {
-		ci := n.conns[id]
+	for _, ci := range n.conns {
 		set.Contracts = append(set.Contracts, analysis.Contract{
-			Conn:          id,
+			Conn:          ci.spec.ID,
 			SrcName:       ci.ring.stops[ci.srcPos].name,
 			DstName:       ci.ring.stops[ci.dstPos].name,
 			BoundPs:       ci.boundNs * 1e3,
@@ -191,29 +187,18 @@ func (n *Network) ResetStats() {
 func (n *Network) Run(warmupNs, measureNs float64) *core.Report {
 	core.OpenWindow(n.eng, warmupNs, measureNs, n.ResetStats)(measureNs)
 
-	r := &core.Report{
+	head := core.Report{
 		Name:       n.Spec.Name,
 		FreqMHz:    n.Cfg.FreqMHz,
 		Mode:       "routerless",
 		MeasureNs:  measureNs,
 		TotalEdges: n.eng.Edges(),
 	}
-	for _, id := range n.Connections() {
-		ci := n.conns[id]
-		cr := core.ConnReport{
-			Conn:              id,
-			App:               ci.spec.App,
-			RequiredMBps:      ci.spec.BandwidthMBps,
-			RequiredLatencyNs: ci.spec.MaxLatencyNs,
-			Slots:             len(ci.slotSet),
-			GuaranteedMBps:    ci.guaranteeMBps,
-			BoundNs:           ci.boundNs,
-			PathHops:          ci.hops,
-		}
-		cr.SetMeasured(&ci.rx, n.Cfg.WordBytes, true)
-		r.Conns = append(r.Conns, cr)
-	}
-	return r
+	return core.NewReport(head, n.Cfg.WordBytes, true, len(n.conns), func(i int) (spec.Connection, core.ConnectionInfo, *ni.ConnStats) {
+		ci := n.conns[i]
+		info, _ := n.Info(ci.spec.ID)
+		return ci.spec, info, &ci.rx
+	})
 }
 
 // WriteRings renders the overlay's ring/slot occupancy, one line per

@@ -182,12 +182,12 @@ func TestReplayInertStopsLatencyLogs(t *testing.T) {
 		t.Fatalf("inert = %v (%q); want inert with a reason", inert, why)
 	}
 	atInert := make(map[phit.ConnID]int64)
-	for id, ci := range n.conns {
-		atInert[id] = ci.rx.Delivered
+	for _, ci := range n.conns {
+		atInert[ci.spec.ID] = ci.rx.Delivered
 	}
 	eng.Run(eng.Now() + 20000*n.base.Period)
-	for id, ci := range n.conns {
-		st := &ci.rx
+	for _, ci := range n.conns {
+		id, st := ci.spec.ID, &ci.rx
 		if st.Delivered <= 2*atInert[id] {
 			t.Fatalf("connection %d delivered %d words in all, %d before the program went inert; the check is vacuous",
 				id, st.Delivered, atInert[id])

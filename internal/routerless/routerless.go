@@ -1,7 +1,9 @@
 package routerless
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -118,7 +120,7 @@ type Network struct {
 	prog  *replay.Program // nil under Cfg.CycleAccurate
 	base  *clock.Clock
 	rings []*ring
-	conns map[phit.ConnID]*connInfo
+	conns []*connInfo // ascending id
 	gens  map[phit.ConnID]*traffic.Generator
 }
 
@@ -134,13 +136,23 @@ func (n *Network) Rings() int { return len(n.rings) }
 
 // Connections returns the ids of all connections, ascending.
 func (n *Network) Connections() []phit.ConnID {
-	out := make([]phit.ConnID, 0, len(n.conns))
-	for id := range n.conns {
-		out = append(out, id)
+	out := make([]phit.ConnID, len(n.conns))
+	for i, ci := range n.conns {
+		out[i] = ci.spec.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// find returns the connection with id c of conns, which ascend by id, or
+// nil.
+func find(conns []*connInfo, c phit.ConnID) *connInfo {
+	if at, ok := slices.BinarySearchFunc(conns, c, byID); ok {
+		return conns[at]
+	}
+	return nil
+}
+
+func byID(ci *connInfo, id phit.ConnID) int { return cmp.Compare(ci.spec.ID, id) }
 
 // Generator returns a connection's traffic generator.
 func (n *Network) Generator(c phit.ConnID) *traffic.Generator { return n.gens[c] }
@@ -150,8 +162,8 @@ func (n *Network) Generator(c phit.ConnID) *traffic.Generator { return n.gens[c]
 // AckRTSlots stay zero: rings have no pipeline shift and no
 // credit-managed receive queues).
 func (n *Network) Info(c phit.ConnID) (core.ConnectionInfo, error) {
-	ci, ok := n.conns[c]
-	if !ok {
+	ci := find(n.conns, c)
+	if ci == nil {
 		return core.ConnectionInfo{}, fmt.Errorf("routerless: unknown connection %d", c)
 	}
 	return core.ConnectionInfo{
@@ -177,12 +189,11 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 		return nil, err
 	}
 	n := &Network{
-		Cfg:   cfg,
-		Mesh:  m,
-		Spec:  uc,
-		eng:   sim.New(),
-		conns: make(map[phit.ConnID]*connInfo),
-		gens:  make(map[phit.ConnID]*traffic.Generator),
+		Cfg:  cfg,
+		Mesh: m,
+		Spec: uc,
+		eng:  sim.New(),
+		gens: make(map[phit.ConnID]*traffic.Generator),
 	}
 	n.base = clock.NewMHz("clk", cfg.FreqMHz, 0)
 	n.buildRings()
@@ -202,7 +213,7 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 		if err != nil {
 			return nil, err
 		}
-		n.conns[c.ID] = ci
+		n.conns = append(n.conns, ci)
 		ci.ring.conns = append(ci.ring.conns, ci)
 	}
 
@@ -212,9 +223,9 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg core.Config) (*Network, error
 		r.buildVisits()
 		n.eng.Add(r)
 	}
-	for _, c := range conns {
-		g := cfg.Traffic().Generator(n.base, n.conns[c.ID].ring, c.ID, c.BandwidthMBps, len(n.gens))
-		n.gens[c.ID] = g
+	for _, ci := range n.conns {
+		g := cfg.Traffic().Generator(n.base, ci.ring, ci.spec.ID, ci.spec.BandwidthMBps, len(n.gens))
+		n.gens[ci.spec.ID] = g
 		n.eng.Add(g)
 	}
 	if !cfg.CycleAccurate {

@@ -154,12 +154,13 @@ func TestRouterlessBoundsAreTheSlotTableAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		for _, id := range n.Connections() {
+		for _, ci := range n.conns {
+			id := ci.spec.ID
 			info, err := n.Info(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := analysis.ConnectionBounds(info.PathHops, info.Slots, n.conns[id].ring.S,
+			want := analysis.ConnectionBounds(info.PathHops, info.Slots, ci.ring.S,
 				n.Cfg.FreqMHz, n.Cfg.WordBytes, n.Cfg.AnalysisMode(info.RequiredMBps))
 			if info.BoundNs != want.LatencyNs || info.GuaranteedMBps != want.GuaranteeMBps {
 				t.Errorf("tx=%v conn %d: bound %.1f ns, guarantee %.2f Mbyte/s; the analysis at shift %d gives %.1f ns, %.2f Mbyte/s",

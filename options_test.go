@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -49,24 +50,37 @@ var optionsAllowed = map[string]string{
 type modulePackage struct {
 	dir, name string
 	files     []*ast.File
-	info      *types.Info
-	pkg       *types.Package
-	err       error
-	checking  bool // being type-checked: importing it now is a cycle
+}
+
+// A buildKey names one build of a package, as the go tool makes it: under
+// is the package whose tests the build serves, "" for the package as
+// imported, without tests.
+type buildKey struct{ path, under string }
+
+// A packageBuild is one type-check of a package's files.
+type packageBuild struct {
+	files    []*ast.File
+	info     *types.Info
+	pkg      *types.Package
+	err      error
+	checking bool // being type-checked: importing it now is a cycle
 }
 
 // moduleImporter type-checks the module's own packages from the parsed
-// files (each once, so an object has one identity everywhere) and leaves
-// the standard library to the source importer.
+// files, each build once (so an object has one identity within it), and
+// leaves the standard library to the source importer.
 type moduleImporter struct {
-	std   types.Importer
-	fset  *token.FileSet
-	pkgs  map[string]*modulePackage // by import path; external test packages under path + "_test"
-	stack []string                  // the packages being type-checked, outermost first
+	std    types.Importer
+	fset   *token.FileSet
+	pkgs   map[string]*modulePackage // by import path; external test packages under path + "_test"
+	builds map[buildKey]*packageBuild
+	deps   map[buildKey]bool // dependsOn's answers
+	stack  []string          // the packages being type-checked, outermost first
 }
 
 func newModuleImporter(fset *token.FileSet) *moduleImporter {
-	return &moduleImporter{std: importer.ForCompiler(fset, "source", nil), fset: fset, pkgs: map[string]*modulePackage{}}
+	return &moduleImporter{std: importer.ForCompiler(fset, "source", nil), fset: fset,
+		pkgs: map[string]*modulePackage{}, builds: map[buildKey]*packageBuild{}, deps: map[buildKey]bool{}}
 }
 
 // add registers f, parsed from directory dir (slash-separated, relative
@@ -87,34 +101,96 @@ func (m *moduleImporter) add(dir string, f *ast.File) {
 	p.files = append(p.files, f)
 }
 
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	p := m.pkgs[path]
-	if p == nil {
-		return m.std.Import(path)
+func (m *moduleImporter) isTest(f *ast.File) bool {
+	return strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go")
+}
+
+// testsOf returns path when its package has in-package tests, and "" when
+// its tests build it as it is imported.
+func (m *moduleImporter) testsOf(path string) string {
+	if p := m.pkgs[path]; p != nil && slices.ContainsFunc(p.files, m.isTest) {
+		return path
 	}
-	if p.checking {
-		// A package imports one that is still being type-checked: an
-		// in-package test file closed a cycle the go tool would refuse.
-		cycle := append(m.stack[slices.Index(m.stack, path):], path)
+	return ""
+}
+
+// dependsOn reports whether path, as imported, is under or imports it,
+// directly or not. An import cycle among packages as imported reads as
+// no dependence here; type-checking them reports it.
+func (m *moduleImporter) dependsOn(path, under string) bool {
+	k := buildKey{path, under}
+	if d, ok := m.deps[k]; ok || under == "" || path == under {
+		return d || path == under
+	}
+	m.deps[k] = false
+	for _, f := range m.pkgs[path].files {
+		if m.isTest(f) {
+			continue
+		}
+		for _, spec := range f.Imports {
+			if dep, _ := strconv.Unquote(spec.Path.Value); m.pkgs[dep] != nil && m.dependsOn(dep, under) {
+				m.deps[k] = true
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// importer resolves the imports of a build serving under's tests as the
+// go tool does: a package that is under or imports it is built again for
+// those tests, with under's in-package tests in it; any other is the
+// package as imported, without tests.
+func (m *moduleImporter) importer(under string) types.Importer {
+	return importerFunc(func(path string) (*types.Package, error) {
+		if m.pkgs[path] == nil {
+			return m.std.Import(path)
+		}
+		if !m.dependsOn(path, under) {
+			return m.build(buildKey{path, ""})
+		}
+		return m.build(buildKey{path, under})
+	})
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// build type-checks the package k names: an external test package with
+// all its files, under's own package with its in-package tests, and any
+// other without them.
+func (m *moduleImporter) build(k buildKey) (*types.Package, error) {
+	b := m.builds[k]
+	if b != nil && b.checking {
+		// A package imports one that is still being type-checked: a
+		// cycle the go tool would refuse.
+		cycle := append(m.stack[slices.Index(m.stack, k.path):], k.path)
 		return nil, fmt.Errorf("import cycle: %s", strings.Join(cycle, " -> "))
 	}
-	if p.info == nil {
-		p.checking = true
-		m.stack = append(m.stack, path)
+	if b == nil {
+		b = &packageBuild{checking: true}
+		m.builds[k] = b
+		for _, f := range m.pkgs[k.path].files {
+			if !m.isTest(f) || k.path == k.under || strings.HasSuffix(k.path, "_test") {
+				b.files = append(b.files, f)
+			}
+		}
+		m.stack = append(m.stack, k.path)
 		defer func() {
-			p.checking = false
+			b.checking = false
 			m.stack = m.stack[:len(m.stack)-1]
 		}()
-		p.info = &types.Info{
+		b.info = &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
-		conf := types.Config{Importer: m}
-		p.pkg, p.err = conf.Check(strings.TrimSuffix(path, "_test"), m.fset, p.files, p.info)
+		conf := types.Config{Importer: m.importer(k.under)}
+		b.pkg, b.err = conf.Check(strings.TrimSuffix(k.path, "_test"), m.fset, b.files, b.info)
 	}
-	return p.pkg, p.err
+	return b.pkg, b.err
 }
 
 // An optionCensus is what takeCensus found: how many fields and structs
@@ -136,12 +212,27 @@ type optionCensus struct {
 // a value that is not a constant. nil and the zero constants are one
 // value, the zero value.
 func takeCensus(m *moduleImporter) (optionCensus, error) {
+	// Every package as imported, with its in-package tests, and its
+	// external test package: the builds go vet and go test make.
 	for path := range m.pkgs {
-		if _, err := m.Import(path); err != nil {
-			return optionCensus{}, fmt.Errorf("type-checking %s: %v", path, err)
+		keys := []buildKey{{path, ""}, {path, m.testsOf(path)}}
+		if under, ok := strings.CutSuffix(path, "_test"); ok {
+			keys = []buildKey{{path, m.testsOf(under)}}
+		}
+		for _, k := range keys {
+			if _, err := m.build(k); err != nil {
+				return optionCensus{}, fmt.Errorf("type-checking %s: %v", path, err)
+			}
 		}
 	}
-	isTest := func(f *ast.File) bool { return strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go") }
+	// The census reads product code, each package as imported: its one
+	// build, without tests, gives every field a single identity.
+	products := map[*modulePackage]*packageBuild{}
+	for path, p := range m.pkgs {
+		if b := m.builds[buildKey{path, ""}]; b != nil {
+			products[p] = b
+		}
+	}
 
 	// The fields under the rule.
 	type field struct {
@@ -151,11 +242,8 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 	}
 	fields := map[types.Object]*field{}
 	var c optionCensus
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			if isTest(f) {
-				continue
-			}
+	for p, b := range products {
+		for _, f := range b.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
 				if !ok {
@@ -174,7 +262,7 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 				for _, fl := range st.Fields.List {
 					for _, id := range fl.Names {
 						if _, allowed := optionsAllowed[name+"."+id.Name]; id.IsExported() && !allowed {
-							fields[p.info.Defs[id]] = &field{name: name + "." + id.Name, dir: p.dir, values: map[string]bool{}}
+							fields[b.info.Defs[id]] = &field{name: name + "." + id.Name, dir: p.dir, values: map[string]bool{}}
 						}
 					}
 				}
@@ -188,11 +276,11 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 	c.fields = len(fields)
 
 	// The values product code gives each.
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			if isTest(f) || p.dir == "examples" || strings.HasPrefix(p.dir, "examples/") {
-				continue
-			}
+	for p, b := range products {
+		if p.dir == "examples" || strings.HasPrefix(p.dir, "examples/") {
+			continue
+		}
+		for _, f := range b.files {
 			// give records value v for obj: a constant's exact text,
 			// "zero", or "" for a value that is not a constant.
 			give := func(obj types.Object, v string) {
@@ -205,7 +293,7 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 				}
 			}
 			valueOf := func(e ast.Expr) string {
-				tv := p.info.Types[e]
+				tv := b.info.Types[e]
 				switch {
 				case tv.IsNil() || tv.Value != nil && isZero(tv.Value):
 					return "zero"
@@ -222,7 +310,7 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 				case *ast.IndexExpr:
 					target(lhs.X, "") // a changed element: the field holds a value that is not a constant
 				case *ast.SelectorExpr:
-					if sel := p.info.Selections[lhs]; sel != nil && sel.Kind() == types.FieldVal {
+					if sel := b.info.Selections[lhs]; sel != nil && sel.Kind() == types.FieldVal {
 						give(sel.Obj(), v)
 					}
 				}
@@ -230,7 +318,7 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
-					st, _ := p.info.TypeOf(n).Underlying().(*types.Struct)
+					st, _ := b.info.TypeOf(n).Underlying().(*types.Struct)
 					if st == nil {
 						return true
 					}
@@ -238,7 +326,7 @@ func takeCensus(m *moduleImporter) (optionCensus, error) {
 					for i, el := range n.Elts {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
-								obj := p.info.Uses[id]
+								obj := b.info.Uses[id]
 								for j := range given {
 									given[j] = given[j] || st.Field(j) == obj
 								}
@@ -379,6 +467,23 @@ func TestCensusNamesImportCycle(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "import cycle: ") ||
 		!strings.Contains(err.Error(), "repro/a -> repro/b") && !strings.Contains(err.Error(), "repro/b -> repro/a") {
 		t.Errorf("census of a cyclic module: error %v, want one naming the cycle between repro/a and repro/b", err)
+	}
+}
+
+// TestCensusSeesNoCycleThroughTests runs the census on a two-package
+// module whose in-package tests import each other's package: a's test
+// imports b, and b's test imports a. The go tool builds each package
+// without its tests when another imports it, so there is no cycle, and
+// the census must not see one.
+func TestCensusSeesNoCycleThroughTests(t *testing.T) {
+	_, err := censusOf(t, map[string]string{
+		"a/a.go":      "package a\n\nconst X = 1\n",
+		"a/a_test.go": "package a\n\nimport \"repro/b\"\n\nvar _ = b.Y\n",
+		"b/b.go":      "package b\n\nconst Y = 2\n",
+		"b/b_test.go": "package b\n\nimport \"repro/a\"\n\nvar _ = a.X\n",
+	})
+	if err != nil {
+		t.Errorf("census of a module whose in-package tests import each other's package: %v", err)
 	}
 }
 

@@ -106,7 +106,9 @@ type ContractSource interface {
 }
 
 // An Auditor checks every traced event against the analytical contracts
-// of a built network. It implements trace.Sink.
+// of a built network. It implements trace.Sink, and trace.Folder: it
+// checks replayed copies of an epoch one by one until one proves that the
+// rest repeat its verdicts (Fold).
 type Auditor struct {
 	rep  fault.Reporter
 	bus  *trace.Bus
@@ -135,6 +137,12 @@ type Auditor struct {
 
 	total  int64
 	byKind map[fault.Kind]int64
+
+	// Fold's scratch: the state before the copy it delivered last. And
+	// how many replayed copies Fold was handed, and how many of them it
+	// folded rather than delivered.
+	fold           foldState
+	copies, folded int64
 }
 
 // Attach builds an Auditor for the fabric's contracts and subscribes it

@@ -45,6 +45,20 @@
 // connection, a component without a table, a resource that does not
 // exist; it is never an index.
 //
+// Replayed epochs (internal/replay) reach the auditor through Fold, a
+// stride of shifted copies at a time. It checks each copy event by event
+// until one proves the rest repeat its verdicts, by induction: every
+// check compares times only with times of the same copy or of the
+// auditor's state, and divides time only by periods the epoch length is
+// a multiple of, so a copy that reports nothing and leaves the state it
+// found shifted by one epoch (equal token buckets, flags and maximum
+// latencies; last uses, bucket times and revolution indices moved by one
+// epoch or not at all; next sequence numbers moved by the sequence
+// advance of the connection's Ejects) is followed by copies that do the
+// same. The remaining copies then fold in O(connections + components).
+// The check needs no trust in replay: the recorded epoch reached the
+// auditor live, and every copy it folds is trace.Epoch.At of it.
+//
 // Violations flow through the fault.Reporter machinery: a nil reporter
 // fails fast on the first violation (strict mode), a fault.Collector
 // records them all with one-line diagnostics.

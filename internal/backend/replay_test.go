@@ -3,9 +3,12 @@ package backend
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -92,19 +95,43 @@ var compareWindowsNs = map[string]float64{"aelite": 150000, "aethereal": 150000,
 // measureNs), preceded by a bare Engine.Run over splitPs when it is set,
 // with a scheduled callback timerPs into the measurement when that is
 // set. The window may depend on the fabric and on the hyperperiod its
-// replay program compiled.
+// replay program compiled. A tight window audits against the fabric's
+// contracts with one connection's bound cut below any latency.
 type tracedWindow struct {
 	name             string
 	warmupNs         float64
 	measureNs        func(backend string, hp clock.Duration) float64
 	splitPs, timerPs clock.Time
+	tight            bool
 }
 
 // tracedOutput is every output of one traced, audited run, the Chrome
 // trace as its digest.
 type tracedOutput struct {
-	report, metrics, summary []byte
-	chrome                   [sha256.Size]byte
+	report, metrics, summary, reports []byte
+	chrome                            [sha256.Size]byte
+}
+
+// tightSource states a fabric's contracts with the first connection's
+// bound cut to 1 ps: every word it delivers breaks the bound.
+type tightSource struct{ src audit.ContractSource }
+
+func (s tightSource) Contracts() analysis.ContractSet {
+	set := s.src.Contracts()
+	set.Contracts = slices.Clone(set.Contracts)
+	set.Contracts[0].BoundPs = 1
+	return set
+}
+
+// contractsOf returns the fabric behind an instance that states bounds.
+func contractsOf(inst Instance) audit.ContractSource {
+	switch v := inst.(type) {
+	case *aeliteInstance:
+		return v.n
+	case *routerlessInstance:
+		return v.n
+	}
+	return nil
 }
 
 // tracedRun builds the uniform 4x4/24 workload on one fabric under a bus
@@ -132,8 +159,12 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 	chrome := trace.NewChrome(bus)
 	chrome.SetFlitCycle(phit.FlitWords * period)
 	var aud *audit.Auditor
-	if b.HasBounds() {
-		aud = inst.Audit(bus, fault.NewCollector(), audit.Options{})
+	col := fault.NewCollector()
+	switch {
+	case b.HasBounds() && w.tight:
+		aud = audit.Attach(tightSource{contractsOf(inst)}, bus, col, audit.Options{})
+	case b.HasBounds():
+		aud = inst.Audit(bus, col, audit.Options{})
 	}
 	inst.AttachTracer(bus)
 	eng := inst.Engine()
@@ -161,6 +192,14 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 		buf.Reset()
 		aud.WriteSummary(&buf)
 		out.summary = bytes.Clone(buf.Bytes())
+		if w.tight && aud.Violations() == 0 {
+			t.Fatalf("%s seed %d: the tightened bound reports nothing", name, seed)
+		}
+		buf.Reset()
+		for _, v := range col.Violations() {
+			fmt.Fprintln(&buf, v)
+		}
+		out.reports = bytes.Clone(buf.Bytes())
 	}
 	h := sha256.New()
 	if _, err := chrome.WriteTo(h); err != nil {
@@ -172,9 +211,9 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 
 // TestTracedReplayMatchesCycleAccurate is the gate on how replay hands
 // events to the trace sinks: on every fabric and seeds 2009-2011 of the
-// comparison workload, a replayed run with the bus, the metrics sink
-// (which folds whole epochs), the auditor where the fabric has bounds
-// and a Chrome sink (which do not) must give the same report, metrics
+// comparison workload, a replayed run with the bus, the metrics sink and
+// the auditor where the fabric has bounds (which fold whole epochs) and
+// a Chrome sink (which does not) must give the same report, metrics
 // JSON, audit summary and Chrome trace, byte for byte, as its
 // CycleAccurate twin. Five windows: the benchmark's comparison
 // windows; one whose first Engine.Run ends inside an engaged epoch, so
@@ -186,7 +225,10 @@ func tracedRun(t testing.TB, name string, seed int64, cycleAccurate bool, w trac
 // hyperperiods); and one whose warm-up is shorter than two
 // hyperperiods, so the program re-anchors at the warm-up's Sync before
 // it ever engaged and the first epoch it judges holds connections'
-// first-ever deliveries, which must keep it from engaging there.
+// first-ever deliveries, which must keep it from engaging there. A sixth
+// window audits against contracts that cut one connection's bound below
+// its latency, so every replayed epoch reports: the collected reports
+// must match too, and the auditor cannot fold a copy.
 func TestTracedReplayMatchesCycleAccurate(t *testing.T) {
 	windows := []tracedWindow{
 		{name: "compare", warmupNs: 4000, measureNs: func(b string, _ clock.Duration) float64 { return compareWindowsNs[b] }},
@@ -194,6 +236,7 @@ func TestTracedReplayMatchesCycleAccurate(t *testing.T) {
 		{name: "timer", warmupNs: 4000, measureNs: func(string, clock.Duration) float64 { return 40000 }, timerPs: 17*clock.Microsecond + 1000},
 		{name: "boundary", warmupNs: 4000, measureNs: func(_ string, hp clock.Duration) float64 { return float64(2000+20*hp) / 1000 }},
 		{name: "short-warmup", warmupNs: shortWarmupNs, measureNs: func(string, clock.Duration) float64 { return 40000 }},
+		{name: "tight", warmupNs: 4000, measureNs: func(string, clock.Duration) float64 { return 40000 }, tight: true},
 	}
 	type run struct {
 		backend string
@@ -226,6 +269,9 @@ func TestTracedReplayMatchesCycleAccurate(t *testing.T) {
 				}
 				if !bytes.Equal(replayed.summary, slow.summary) {
 					t.Errorf("%s seed %d: audit summaries differ:\n-- replayed --\n%s\n-- cycle-accurate --\n%s", where, seed, replayed.summary, slow.summary)
+				}
+				if !bytes.Equal(replayed.reports, slow.reports) {
+					t.Errorf("%s seed %d: audit reports differ:\n-- replayed --\n%s\n-- cycle-accurate --\n%s", where, seed, replayed.reports, slow.reports)
 				}
 				if replayed.chrome != slow.chrome {
 					t.Errorf("%s seed %d: Chrome traces differ", where, seed)

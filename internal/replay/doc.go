@@ -45,10 +45,12 @@
 // Replayed events reach the bus a whole epoch stride at a time: the
 // recorded epoch, each event's sequence advance resolved once at
 // engagement, goes to trace.Bus.EmitEpochs with the first copy and the
-// number of copies. A sink that aggregates (trace.Metrics, a
-// trace.Folder) folds the copies; the conformance auditor and every
-// other sink receive every shifted event in order. Instants of a partial
-// epoch are re-emitted one by one.
+// number of copies. A trace.Folder folds the copies: trace.Metrics
+// aggregates them, and the conformance auditor checks them one by one
+// until a copy with no report leaves its state as it found it, shifted
+// by one epoch, which proves that the rest repeat its verdicts. Every
+// other sink receives every shifted event in order. Instants of a
+// partial epoch are re-emitted one by one.
 //
 // The program finds what it fingerprints on the engine itself, at its
 // first executed instant and after every structural change: every

@@ -217,11 +217,13 @@ type wakeEntry struct {
 }
 
 // A ringEntry is one clock group's place in the schedule: its cached next
-// edge, strictly after the last dispatch, and its clock's period.
+// edge, strictly after the last dispatch, its clock's period and the
+// group's index in Engine.groups. The entry holds no pointer, so moving
+// it while a garbage collection marks costs no write barrier.
 type ringEntry struct {
 	next   clock.Time
 	period clock.Duration
-	g      *clockGroup
+	g      int32
 }
 
 // A clockedWire associates a wire with the clock domain of its
@@ -492,7 +494,7 @@ func (e *Engine) wakeThrough(t clock.Time) {
 	strided := false
 	for i := range e.ring {
 		r := &e.ring[i]
-		g := r.g
+		g := e.groups[r.g]
 		if g.stride == 1 {
 			continue
 		}
@@ -592,8 +594,8 @@ func (e *Engine) rebuild(from clock.Time) {
 		}
 	}
 	e.ring, e.head = e.ring[:0], 0
-	for _, g := range e.groups {
-		e.ring = append(e.ring, ringEntry{next: g.clk.NextEdge(from), period: g.clk.Period, g: g})
+	for i, g := range e.groups {
+		e.ring = append(e.ring, ringEntry{next: g.clk.NextEdge(from), period: g.clk.Period, g: int32(i)})
 	}
 	slices.SortStableFunc(e.ring, func(a, b ringEntry) int { return cmp.Compare(a.next, b.next) })
 	e.dirty = false
@@ -688,7 +690,7 @@ func (e *Engine) Run(until clock.Time) int {
 		dueGroups := e.dueGroups[:0]
 		edges, plain := 0, !e.asleep
 		for i, n := e.head, len(e.ring); len(dueGroups) < n && e.ring[i].next <= next; {
-			g := e.ring[i].g
+			g := e.groups[e.ring[i].g]
 			if i++; i == n {
 				i = 0
 			}
@@ -780,7 +782,7 @@ func (e *Engine) Run(until clock.Time) int {
 func (e *Engine) advance(due int) {
 	for n := len(e.ring); due > 0; due-- {
 		r := e.ring[e.head]
-		if g := r.g; g.strides && e.every.hooks == 0 && e.fast == nil && (!g.wired || g.set.hooks == 0) {
+		if g := e.groups[r.g]; g.strides && e.every.hooks == 0 && e.fast == nil && (!g.wired || g.set.hooks == 0) {
 			g.stride = int32(max(1, min(g.short, g.calHead, g.edge+maxStride)-g.edge))
 			r.next += clock.Time(g.stride) * r.period
 		} else {

@@ -24,11 +24,13 @@
 //
 // Hyperperiod replay (internal/replay) re-emits recorded epochs. It hands
 // the bus a whole stride of them at once (Bus.EmitEpochs with an Epoch):
-// a Folder — Metrics — takes the stride in one call and must end exactly
-// as if it had received every shifted event in order; every other sink,
-// the conformance auditor and Chrome among them, receives every shifted
-// event in order. The auditor never folds: it checks what replay
-// synthesises, event by event.
+// a Folder — Metrics, or the conformance auditor — takes the stride in
+// one call and must end exactly as if it had received every shifted
+// event in order; every other sink, Chrome among them, receives every
+// shifted event in order. The auditor checks replayed copies event by
+// event until one of them leaves its state as it found it, shifted by
+// one epoch, with no report: every later copy then repeats that copy's
+// verdicts, so it folds them.
 //
 // Typical use — attach a bus with a metrics sink before running, then
 // render the aggregated report:

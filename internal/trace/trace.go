@@ -169,11 +169,14 @@ func (ep *Epoch) At(i int, e int64) Event {
 // order, every event of copies first, first+1, ..., first+count-1 would;
 // it must not keep ep, whose events the caller reuses.
 //
-// Only an aggregating sink may fold (Metrics does). A sink that checks
-// events, or keeps them, receives every shifted event one by one: the
-// conformance auditor is the independent check of what replay
-// synthesises, so it must see each copy, not a summary the replay
-// vouches for; Chrome buffers every event.
+// An aggregating sink folds (Metrics does), and so may a sink that checks
+// events, by induction over the copies: the conformance auditor checks
+// concrete copies one by one until one reports nothing and leaves its
+// own state as it found it, shifted by one epoch, which proves that
+// every later copy repeats its verdicts (audit.Auditor.Fold). Replay
+// vouches for nothing: the recorded epoch reached the sink live, and
+// every copy is At of it. A sink that keeps events receives every
+// shifted event one by one; Chrome buffers every event.
 type Folder interface {
 	Sink
 	Fold(ep *Epoch, first, count int64)
